@@ -311,17 +311,7 @@ func (w *World) AttachObs(pl *ObsPlane) {
 // regardless of how they are passed.
 func (w *World) AttachFaultPlane(p *FaultPlane) {
 	w.Fault = p
-	p.AttachWire(w.tb.Sw)
-	if w.AN2Host1 != nil {
-		p.AttachAN2(w.AN2Host1)
-		p.AttachAN2(w.AN2Host2)
-	}
-	if w.EthHost1 != nil {
-		p.AttachEthernet(w.EthHost1)
-		p.AttachEthernet(w.EthHost2)
-	}
-	p.AttachSystem(w.ASH1)
-	p.AttachSystem(w.ASH2)
+	w.tb.AttachFault(p)
 	if w.tb.Obs != nil {
 		// Mirror injected-fault counts into the metrics registry.
 		p.Observe(w.tb.Obs)

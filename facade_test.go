@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"ashs"
+	"ashs/internal/aegis"
+	"ashs/internal/bench"
 )
 
 // echoRoundTrip runs the quickstart echo workload (download a handler on
@@ -92,5 +94,39 @@ func TestWorldOptionOrderInsensitive(t *testing.T) {
 	}
 	if plA.Events() == 0 {
 		t.Fatal("obs plane recorded nothing")
+	}
+}
+
+// TestFaultPlaneInjectionPoints pins that the facade and the chaos cell
+// attach a fault plane to the same injection points — the wire, both
+// network interfaces and both ASH systems, on either network — since both
+// go through Testbed.AttachFault (runChaosOne's only attach call).
+func TestFaultPlaneInjectionPoints(t *testing.T) {
+	// points reports which of a pair's five injection points are hooked.
+	points := func(a1, a2 *aegis.AN2If, e1, e2 *aegis.EthernetIf, s1, s2 *ashs.ASHSystem) [5]bool {
+		sys1, sys2 := s1.InjectAbort != nil, s2.InjectAbort != nil
+		if e1 != nil {
+			return [5]bool{e1.Sw.Inject != nil, e1.InjectFault != nil, e2.InjectFault != nil, sys1, sys2}
+		}
+		return [5]bool{a1.Sw.Inject != nil, a1.InjectFault != nil, a2.InjectFault != nil, sys1, sys2}
+	}
+	sched := ashs.CannedSchedules()[0]
+	for _, eth := range []bool{false, true} {
+		w, tb := ashs.NewWorld(), bench.NewAN2Testbed(nil)
+		if eth {
+			w, tb = ashs.NewWorld(ashs.WithEthernet()), bench.NewEthernetTestbed(nil)
+		}
+		facade := func() [5]bool {
+			return points(w.AN2Host1, w.AN2Host2, w.EthHost1, w.EthHost2, w.ASH1, w.ASH2)
+		}
+		chaos := func() [5]bool { return points(tb.A1, tb.A2, tb.E1, tb.E2, tb.Sys1, tb.Sys2) }
+		if facade() != ([5]bool{}) || chaos() != ([5]bool{}) {
+			t.Fatalf("eth=%v: injection points hooked before any attach", eth)
+		}
+		w.AttachFaultPlane(ashs.NewFaultPlane(1, sched))
+		tb.AttachFault(ashs.NewFaultPlane(1, sched))
+		if f, c := facade(), chaos(); f != c || f != ([5]bool{true, true, true, true, true}) {
+			t.Errorf("eth=%v: facade attached %v, chaos testbed %v, want all five points on both", eth, f, c)
+		}
 	}
 }

@@ -147,7 +147,7 @@ func ablationRun(cfg *Config, h ablationHandler, pol *sandbox.Policy, unsafe boo
 		insns = ash.LastInsns()
 		us = tb.Us(mc.Cost())
 	})
-	tb.Run()
+	tb.run()
 	return insns, us
 }
 

@@ -105,11 +105,7 @@ func chaosPattern(i int) byte { return byte((i*31 + 7) ^ (i >> 8)) }
 func runChaosOne(cfg *Config, seed int64, sched fault.Schedule, p ChaosParams) ChaosResult {
 	tb := NewAN2Testbed(cfg)
 	pl := fault.New(seed, sched)
-	pl.AttachWire(tb.Sw)
-	pl.AttachAN2(tb.A1)
-	pl.AttachAN2(tb.A2)
-	pl.AttachSystem(tb.Sys1)
-	pl.AttachSystem(tb.Sys2)
+	tb.AttachFault(pl)
 	tb.Sys1.AbortTripThreshold = 64
 	tb.Sys2.AbortTripThreshold = 64
 
@@ -121,11 +117,7 @@ func runChaosOne(cfg *Config, seed int64, sched fault.Schedule, p ChaosParams) C
 		c.Checksum = true
 		c.Polling = true
 		c.MaxRetransmit = 16
-		if host == 1 {
-			c.Sys = tb.Sys1
-		} else {
-			c.Sys = tb.Sys2
-		}
+		c.Sys = tb.host(host).sys
 		return c
 	}
 
@@ -235,14 +227,12 @@ func runChaosOne(cfg *Config, seed int64, sched fault.Schedule, p ChaosParams) C
 		nfsVerified = ok
 	})
 
-	// The NFS server loops forever, so the engine never drains: advance
-	// in slices until both workloads report in or the time bound passes.
-	limit := tb.Prof.Cycles(600_000_000) // 10 simulated minutes
-	slice := tb.Prof.Cycles(1_000_000)
-	for (!tcpDone || !nfsDone) && tb.Eng.Now() < limit && tb.Eng.Pending() > 0 {
-		tb.Eng.RunFor(slice)
-	}
-	tb.CheckPool()
+	// The NFS server loops forever, so the engine only drains when a
+	// workload gave up and left its peer blocked — an integrity failure
+	// the row reports. Otherwise advance in slices until both workloads
+	// report in, with a bound of 10 simulated minutes.
+	tb.runUntil(func() bool { return (tcpDone && nfsDone) || tb.Eng.Pending() == 0 },
+		600_000_000, 1_000_000)
 
 	res.TCPOk = tcpDone && tcpVerified && tcpSunk == p.TCPBytes
 	res.NFSOk = nfsDone && nfsVerified

@@ -84,7 +84,7 @@ func fig3Throughput(cfg *Config, size, count int) float64 {
 			ep.Send(link.Addr{Port: tb.A2.Addr(), VC: vc}, buf)
 		}
 	})
-	tb.Run()
+	tb.run()
 	if got < 2 {
 		return 0
 	}

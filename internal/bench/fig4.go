@@ -142,7 +142,7 @@ func fig4RT(cfg *Config, n int, system string, iters int) float64 {
 		finished = true
 	})
 	// Round-robin waits grow with n; bound the run generously.
-	tb.RunUntilDone(&finished, 60_000_000_000)
+	tb.runUntil(func() bool { return finished }, 60_000_000_000, 100_000)
 	if done < warmup+iters {
 		panic(fmt.Sprintf("fig4: %s with %d procs completed %d/%d", system, n, done, warmup+iters))
 	}

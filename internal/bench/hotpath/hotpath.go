@@ -2,9 +2,9 @@
 // two hottest loops: the DPF discrimination-trie walk (every delivered
 // packet) and the event-queue schedule/dispatch cycle (every simulated
 // action). The bodies live here, outside a _test.go file, so both
-// `go test -bench` (internal/bench/hotpath) and the JSON-emitting
-// harness (cmd/hotpathbench) run exactly the same code — the committed
-// BENCH_hotpath.json numbers are the numbers the bench wrappers measure.
+// `go test -bench` (internal/bench/hotpath) and the per-layer replay of
+// cmd/perfbench run exactly the same code — the numbers perfbench reports
+// are the numbers the bench wrappers measure.
 package hotpath
 
 import (

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/binary"
 	"fmt"
 	"strings"
 
@@ -9,8 +8,6 @@ import (
 	"ashs/internal/core"
 	"ashs/internal/dpf"
 	"ashs/internal/flyweight"
-	"ashs/internal/mach"
-	"ashs/internal/netdev"
 	"ashs/internal/proto/ether"
 	"ashs/internal/proto/ip"
 	"ashs/internal/proto/link"
@@ -18,7 +15,6 @@ import (
 	"ashs/internal/proto/retry"
 	"ashs/internal/proto/tcp"
 	"ashs/internal/proto/udp"
-	"ashs/internal/sim"
 	"ashs/internal/workload"
 )
 
@@ -97,11 +93,9 @@ const (
 	// wave overruns it and the shed-then-retry path must recover.
 	megaNFSHighWater = 96
 
-	megaServerMem    = 48 << 20
 	megaTCPServerMem = 512 << 20 // 4096 live connections of window state
 	megaUDPPool      = 64        // echo ASH consumes in the interrupt path
 	megaNFSPool      = 256       // ring holds frames up to the high water
-	megaTCPPoolSlack = 64
 )
 
 // megaEvents sizes the steady-state trace.
@@ -179,36 +173,14 @@ type MegaResult struct {
 	Spread float64
 }
 
-// megaWorld is the server side of one cell: a full aegis host, exactly as
-// the scale experiment builds one.
-type megaWorld struct {
-	eng  *sim.Engine
-	prof *mach.Profile
-	sw   *netdev.Switch
-	k    *aegis.Kernel
-	e    *aegis.EthernetIf
-	ip   ip.Addr
-	sys  *core.System
-}
-
-// newMegaWorld builds the server first so its port (and therefore its
-// address) precedes the fleet's.
-func newMegaWorld(mem, pool int) *megaWorld {
-	eng := sim.NewEngine()
-	prof := mach.DS5000_240()
-	sw := netdev.NewSwitch(eng, prof, netdev.EthernetConfig())
-	k := aegis.NewKernelMem("srv", eng, prof, mem)
-	e := aegis.NewEthernetPool(k, sw, pool)
-	return &megaWorld{eng: eng, prof: prof, sw: sw, k: k, e: e,
-		ip: ip.HostAddr(e.Addr()), sys: core.NewSystem(k)}
-}
-
-// fleet builds the flyweight side over the world's switch.
-func (w *megaWorld) fleet(kind flyweight.Kind, n int, port uint16, pol retry.Policy) *flyweight.Fleet {
+// megaFleet attaches n flyweight endpoints to w's switch, after the server
+// so its port (and therefore its address) precedes the fleet's.
+func megaFleet(w *world, kind flyweight.Kind, n int, port uint16, pol retry.Policy) *flyweight.Fleet {
+	srv := w.srv()
 	return flyweight.NewFleet(flyweight.Config{
 		Eng: w.eng, Prof: w.prof, Sw: w.sw,
 		Kind: kind, N: n,
-		ServerIP: w.ip, ServerLink: w.e.Addr(), ServerPort: port,
+		ServerIP: srv.ip, ServerLink: srv.addr(), ServerPort: port,
 		ClientPort: scaleClientPort,
 		Payload:    megaPayload,
 		ReadBytes:  megaReadBytes, FileBytes: megaFileBytes, Handle: uint32(nfs.RootHandle) + 1,
@@ -217,53 +189,41 @@ func (w *megaWorld) fleet(kind flyweight.Kind, n int, port uint16, pol retry.Pol
 	})
 }
 
-// stack builds an IP stack for a server process, optionally arming the
-// binding's ring high-watermark (the overload-control admission plane).
-func (w *megaWorld) stack(p *aegis.Process, f *dpf.Filter, res ip.StaticResolver, highWater int) *ip.Stack {
-	lep, err := link.BindEthernet(w.e, p, f)
-	if err != nil {
-		panic(err)
-	}
-	if highWater > 0 {
-		lep.Binding().Ring.HighWater = highWater
-	}
-	st := ip.NewStack(lep, w.ip, res)
-	st.LinkHdrLen = ether.HeaderLen
-	myMAC := ether.PortMAC(w.e.Addr())
-	st.PrependLink = func(dst link.Addr, b []byte) []byte {
-		eh := ether.Header{Dst: ether.PortMAC(dst.Port), Src: myMAC, Type: ether.TypeIPv4}
-		return eh.Marshal(b)
-	}
-	return st
-}
-
-// resolver maps the fleet's addresses (the server replies through its
-// stack for tcp-pp and nfs-read; udp-echo answers raw from the ASH).
-func (w *megaWorld) resolver(flt *flyweight.Fleet) ip.StaticResolver {
-	res := ip.StaticResolver{w.ip: link.Addr{Port: w.e.Addr()}}
+// megaResolve adds the fleet's addresses to the world's resolver (the
+// server replies through its stack for tcp-pp and nfs-read; udp-echo
+// answers raw from the ASH).
+func megaResolve(w *world, flt *flyweight.Fleet) {
 	for i := 0; i < flt.Len(); i++ {
-		res[flt.Addr(i)] = link.Addr{Port: flt.Link(i)}
+		w.res[flt.Addr(i)] = link.Addr{Port: flt.Link(i)}
 	}
-	return res
 }
 
-// collect folds the server counters and fleet histograms into the result.
-func (w *megaWorld) collect(wl string, n int, flt *flyweight.Fleet) MegaResult {
+// megaRun drives the cell's open-loop Poisson trace and incast waves to
+// quiescence and folds the server counters and fleet histograms into the
+// result.
+func megaRun(w *world, flt *flyweight.Fleet, wl string, n, events int) MegaResult {
+	gapUs, size := float64(megaUDPGapUs), megaPayload
+	switch wl {
+	case "tcp-pp":
+		gapUs = megaTCPGapUs
+	case "nfs-read":
+		gapUs, size = megaNFSGapUs, megaReadBytes
+	}
+	tr := workload.Poisson(megaSeed, workload.Spec{
+		Clients: n, Events: events, MeanGapUs: gapUs, Size: size})
+	flt.Run(tr, megaWaves, megaWaveClients(wl), megaQuietUs, megaWaveGapUs)
+	w.run()
+
+	srv := w.srv()
 	r := MegaResult{
 		Workload: wl, N: n,
-		Filters: w.e.Filters(), TrieDepth: w.e.TrieDepth(),
+		Filters: srv.e.Filters(), TrieDepth: srv.e.TrieDepth(),
 		Msgs:       flt.Completed(),
 		BytesPerEp: flt.StaticBytesPerEndpoint(),
 		Retries:    flt.Retries, Failures: flt.Failures,
-		Sheds: w.e.LoadSheds,
+		Sheds: srv.e.LoadSheds,
 	}
-	if rx := w.e.RxFrames; rx > 0 {
-		kernel := sim.Time(w.k.Interrupts)*sim.Time(w.prof.InterruptCycles) +
-			sim.Time(rx)*sim.Time(w.prof.DeviceRxService) +
-			w.e.DemuxCycles
-		r.CycPerMsg = float64(kernel) / float64(rx)
-		r.DemuxPerMsg = float64(w.e.DemuxCycles) / float64(rx)
-	}
+	r.CycPerMsg, r.DemuxPerMsg = w.rxCost(srv)
 	r.P99Us = w.prof.Us(flt.Hist.Quantile(0.99))
 	r.IncastP99Us = w.prof.Us(flt.IncastHist.Quantile(0.99))
 	return r
@@ -300,12 +260,12 @@ func megaSourceFilter(src ip.Addr) *dpf.Filter {
 // the frame's provenance (the ring entry's source port) instead of
 // captured state.
 func runMegaUDP(n, events int) MegaResult {
-	w := newMegaWorld(megaServerMem, megaUDPPool)
-	flt := w.fleet(flyweight.UDPEcho, n, scaleEchoPort, megaRetry("udp-echo"))
+	w := newFanIn(fanInServerMem, megaUDPPool, 0, 0, 0)
+	srv := w.srv()
+	flt := megaFleet(w, flyweight.UDPEcho, n, scaleEchoPort, megaRetry("udp-echo"))
 
-	w.k.Spawn("echo", func(p *aegis.Process) {
-		srvMAC := ether.PortMAC(w.e.Addr())
-		ash := w.sys.NewFuncASH(p, "mega-echo", true, func(ctx *core.Ctx) aegis.Disposition {
+	srv.k.Spawn("echo", func(p *aegis.Process) {
+		ash := srv.sys.NewFuncASH(p, "mega-echo", true, func(ctx *core.Ctx) aegis.Disposition {
 			const off = ether.HeaderLen + ip.HeaderLen + udp.HeaderLen
 			nb := ctx.Entry().Len
 			if nb < off+8 {
@@ -315,15 +275,7 @@ func runMegaUDP(n, events int) MegaResult {
 			ctx.Straightline(48, 12)
 			src := ctx.Entry().Src
 			pl := nb - off
-			eh := ether.Header{Dst: ether.PortMAC(src), Src: srvMAC, Type: ether.TypeIPv4}
-			frame := eh.Marshal(nil)
-			ih := ip.Header{TotalLen: uint16(ip.HeaderLen + udp.HeaderLen + pl),
-				TTL: 64, Proto: ip.ProtoUDP, DF: true, Src: w.ip, Dst: ip.HostAddr(src)}
-			frame = ih.Marshal(frame)
-			frame = binary.BigEndian.AppendUint16(frame, scaleEchoPort)
-			frame = binary.BigEndian.AppendUint16(frame, scaleClientPort)
-			frame = binary.BigEndian.AppendUint16(frame, uint16(udp.HeaderLen+pl))
-			frame = binary.BigEndian.AppendUint16(frame, 0)
+			frame := udpReplyHeader(nil, srv, src, scaleEchoPort, scaleClientPort, pl)
 			raw := ctx.RawData()
 			for j := 0; j < pl; j++ {
 				frame = append(frame, raw[aegis.StripedIndex(off+j)])
@@ -334,7 +286,7 @@ func runMegaUDP(n, events int) MegaResult {
 			return aegis.DispConsumed
 		})
 		for i := 0; i < n; i++ {
-			b, err := w.e.BindFilter(p, megaSourceFilter(flt.Addr(i)))
+			b, err := srv.e.BindFilter(p, megaSourceFilter(flt.Addr(i)))
 			if err != nil {
 				panic(err)
 			}
@@ -344,55 +296,25 @@ func runMegaUDP(n, events int) MegaResult {
 		}
 	})
 
-	tr := workload.Poisson(megaSeed, workload.Spec{
-		Clients: n, Events: events, MeanGapUs: megaUDPGapUs, Size: megaPayload})
-	flt.Run(tr, megaWaves, megaWaveClients("udp-echo"), megaQuietUs, megaWaveGapUs)
-	w.eng.Run()
-	checkPoolDrained(w.eng, w.sw.Pool)
-	return w.collect("udp-echo", n, flt)
+	return megaRun(w, flt, "udp-echo", n, events)
 }
 
-// runMegaTCP: the scale experiment's fan-in accept path (per-client
-// listen filter, 6-atom connection filter, AcceptHandoff, shared
-// ConnTable), served to flyweight FlyConn clients. The server echoes
+// runMegaTCP: the scale experiment's fan-in accept path (acceptFanIn),
+// served to flyweight FlyConn clients. The server echoes
 // until the client's FIN (flyweights close first), so connection
 // lifetimes follow the trace without the server knowing the schedule.
 func runMegaTCP(n, events int) MegaResult {
-	w := newMegaWorld(megaTCPServerMem, 2*n+megaTCPPoolSlack)
-	flt := w.fleet(flyweight.TCPPingPong, n, scaleTCPPort, megaRetry("tcp-pp"))
-	res := w.resolver(flt)
-
-	srvCfg := tcp.DefaultConfig()
-	srvCfg.MSS = EthernetTCPMSS
-	srvCfg.Polling = false
-	srvCfg.Mode = tcp.ModeASH
-	srvCfg.Sys = w.sys
+	w := newFanIn(megaTCPServerMem, 2*n+fanInServerRxSlack, 0, 0, 0)
+	srv := w.srv()
+	flt := megaFleet(w, flyweight.TCPPingPong, n, scaleTCPPort, megaRetry("tcp-pp"))
+	megaResolve(w, flt)
 
 	tbl := tcp.NewConnTable(n / 4)
 	peak := 0
 	var peakLoads []int
 	for i := 0; i < n; i++ {
-		i := i
-		w.k.Spawn(fmt.Sprintf("srv-%06d", i), func(p *aegis.Process) {
-			lst := w.stack(p, scalePeerFilter(w.ip, ip.ProtoTCP, scaleTCPPort, flt.Addr(i)), res, 0)
-			d, ok, err := lst.RecvUntil(false, 0)
-			if err != nil || !ok {
-				panic(fmt.Sprintf("megascale: listener %d: ok=%v err=%v", i, ok, err))
-			}
-			syn, isSyn := tcp.ParseSyn(d)
-			lst.Release(d)
-			if !isSyn {
-				panic(fmt.Sprintf("megascale: listener %d got non-SYN", i))
-			}
-			st := w.stack(p,
-				scaleConnFilter(w.ip, ip.ProtoTCP, scaleTCPPort, syn.RemoteIP, syn.RemotePort), res, 0)
-			conn, err := tcp.AcceptHandoff(st, srvCfg, scaleTCPPort, syn)
-			if err != nil {
-				panic(err)
-			}
-			if err := tbl.Bind(conn.Tuple(), conn); err != nil {
-				panic(err)
-			}
+		srv.k.Spawn(fmt.Sprintf("srv-%06d", i), func(p *aegis.Process) {
+			conn := w.acceptFanIn(p, scaleTCPPort, flt.Addr(i), tbl)
 			// The engine serializes processes, so the peak snapshot needs
 			// no lock; deterministic because accept order is.
 			if l := tbl.Len(); l > peak {
@@ -403,7 +325,7 @@ func runMegaTCP(n, events int) MegaResult {
 				if err := conn.ReadFull(buf.Base, megaPayload); err != nil {
 					break // client FIN: the schedule is done
 				}
-				if err := conn.WriteBytes(w.k.Bytes(buf.Base, megaPayload)); err != nil {
+				if err := conn.WriteBytes(srv.k.Bytes(buf.Base, megaPayload)); err != nil {
 					break
 				}
 			}
@@ -414,13 +336,7 @@ func runMegaTCP(n, events int) MegaResult {
 		})
 	}
 
-	tr := workload.Poisson(megaSeed, workload.Spec{
-		Clients: n, Events: events, MeanGapUs: megaTCPGapUs, Size: megaPayload})
-	flt.Run(tr, megaWaves, megaWaveClients("tcp-pp"), megaQuietUs, megaWaveGapUs)
-	w.eng.Run()
-	checkPoolDrained(w.eng, w.sw.Pool)
-
-	r := w.collect("tcp-pp", n, flt)
+	r := megaRun(w, flt, "tcp-pp", n, events)
 	r.Conns = peak
 	if peak > 0 && len(peakLoads) > 0 {
 		max := 0
@@ -438,33 +354,29 @@ func runMegaTCP(n, events int) MegaResult {
 // high-watermark admission plane. The incast waves overrun it; sheds and
 // the fleet's jittered retries are the measurement.
 func runMegaNFS(n, events int) MegaResult {
-	w := newMegaWorld(megaServerMem, megaNFSPool)
-	srv := nfs.NewServer()
+	w := newFanIn(fanInServerMem, megaNFSPool, 0, 0, 0)
+	srv, nfsd := w.srv(), nfs.NewServer()
 	data := make([]byte, megaFileBytes)
 	for i := range data {
 		data[i] = byte(i * 7)
 	}
-	fh := srv.AddFile("mega", data)
-	flt := w.fleet(flyweight.NFSRead, n, scaleNFSPort, megaRetry("nfs-read"))
+	fh := nfsd.AddFile("mega", data)
+	flt := megaFleet(w, flyweight.NFSRead, n, scaleNFSPort, megaRetry("nfs-read"))
 	if uint32(fh) != uint32(nfs.RootHandle)+1 {
 		panic("megascale: unexpected NFS file handle")
 	}
-	res := w.resolver(flt)
+	megaResolve(w, flt)
 
 	// Serve forever: a retry-born duplicate must not consume a
 	// straggler's slot; the engine drains once the fleet is done.
-	w.k.Spawn("nfsd", func(p *aegis.Process) {
-		st := w.stack(p, scaleListenFilter(w.ip, ip.ProtoUDP, scaleNFSPort), res, megaNFSHighWater)
+	srv.k.Spawn("nfsd", func(p *aegis.Process) {
+		st := ethStack(p, srv, listenFilter(srv.ip, ip.ProtoUDP, scaleNFSPort), w.res)
+		// The overload-control admission plane: arm the ring's high water.
+		st.Ep.(*link.EthLink).Binding().Ring.HighWater = megaNFSHighWater
 		sock := udp.NewSocket(st, scaleNFSPort, udp.Options{})
-		srv.Serve(p, sock, 0)
+		nfsd.Serve(p, sock, 0)
 	})
-
-	tr := workload.Poisson(megaSeed, workload.Spec{
-		Clients: n, Events: events, MeanGapUs: megaNFSGapUs, Size: megaReadBytes})
-	flt.Run(tr, megaWaves, megaWaveClients("nfs-read"), megaQuietUs, megaWaveGapUs)
-	w.eng.Run()
-	checkPoolDrained(w.eng, w.sw.Pool)
-	return w.collect("nfs-read", n, flt)
+	return megaRun(w, flt, "nfs-read", n, events)
 }
 
 // megascaleCells enumerates the sweep, workload-major like scale.
@@ -480,18 +392,6 @@ func megascaleCells(cfg *Config) []Cell {
 		}
 	}
 	return cells
-}
-
-// MegascaleSweep runs the full megascale cell grid and returns the
-// results in canonical cell order — the entry point cmd/megascalebench
-// uses to regenerate the committed BENCH_megascale.json snapshot.
-func MegascaleSweep(cfg *Config) []MegaResult {
-	vs := runCells(cfg, megascaleCells(cfg))
-	out := make([]MegaResult, len(vs))
-	for i, v := range vs {
-		out[i] = v.(MegaResult)
-	}
-	return out
 }
 
 var megaWorkloadDesc = map[string]string{

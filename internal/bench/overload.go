@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/binary"
 	"fmt"
 	"strings"
 
@@ -181,27 +180,13 @@ func overloadTenant(client int) string {
 	return fmt.Sprintf("t%d", client%overloadTenants)
 }
 
-// overloadReplyFrame wraps a relay reply in Ethernet+IP+UDP headers
-// addressed back to client c's lane at dstPort.
-func (w *scaleWorld) overloadReplyFrame(c scaleHost, dstPort uint16, rep []byte) []byte {
-	eh := ether.Header{Dst: ether.PortMAC(c.e.Addr()), Src: ether.PortMAC(w.srv.e.Addr()),
-		Type: ether.TypeIPv4}
-	b := eh.Marshal(nil)
-	ih := ip.Header{TotalLen: uint16(ip.HeaderLen + udp.HeaderLen + len(rep)),
-		TTL: 64, Proto: ip.ProtoUDP, DF: true, Src: w.srv.ip, Dst: c.ip}
-	b = ih.Marshal(b)
-	b = binary.BigEndian.AppendUint16(b, overloadPort)
-	b = binary.BigEndian.AppendUint16(b, dstPort)
-	b = binary.BigEndian.AppendUint16(b, uint16(udp.HeaderLen+len(rep)))
-	b = binary.BigEndian.AppendUint16(b, 0) // checksum not used
-	return append(b, rep...)
-}
-
 // overloadReq extracts the relay request and its UDP source port (the
 // client lane to answer) from a striped receive buffer, validating lengths
 // against the UDP header. ok=false means the frame is malformed or
-// truncated and must take the garbage path.
-func overloadReq(raw []byte, frameLen int) (req []byte, srcPort uint16, ok bool) {
+// truncated and must take the garbage path. The request is appended to
+// buf[:0], so a caller that is done with one request before it extracts the
+// next can hand the same buffer back.
+func overloadReq(buf, raw []byte, frameLen int) (req []byte, srcPort uint16, ok bool) {
 	const off = ether.HeaderLen + ip.HeaderLen + udp.HeaderLen
 	if frameLen < off {
 		return nil, 0, false
@@ -212,9 +197,9 @@ func overloadReq(raw []byte, frameLen int) (req []byte, srcPort uint16, ok bool)
 	if n <= 0 || off+n > frameLen {
 		return nil, 0, false
 	}
-	req = make([]byte, n)
+	req = buf[:0]
 	for j := 0; j < n; j++ {
-		req[j] = raw[aegis.StripedIndex(off+j)]
+		req = append(req, raw[aegis.StripedIndex(off+j)])
 	}
 	return req, srcPort, true
 }
@@ -247,12 +232,12 @@ func runOverloadCell(cfg *Config, tr overloadTrace, schedName string) OverloadRe
 	// that duplicate replies to retransmitted requests don't exhaust the
 	// pool, so size them up from the scale experiment's one-socket
 	// default.
-	w := newScaleWorldMem(overloadClients, 1<<20, 4*overloadLanes)
+	w := newFanIn(fanInServerMem, 2*overloadClients+fanInServerRxSlack,
+		overloadClients, 1<<20, 4*overloadLanes)
+	srv := w.srv()
 	pl := fault.New(overloadFaultSeed, sched)
-	pl.AttachWire(w.sw)
-	pl.AttachEthernet(w.srv.e)
-	pl.AttachSystem(w.srv.sys)
-	w.srv.sys.Quota = sandbox.NewQuotaLedger(
+	w.attachFault(pl, srv)
+	srv.sys.Quota = sandbox.NewQuotaLedger(
 		w.prof.Cycles(overloadQuotaWindowUs), sim.Time(overloadTenantBudget))
 
 	rsrv := relay.NewServer(overloadRelayConfig())
@@ -263,34 +248,46 @@ func runOverloadCell(cfg *Config, tr overloadTrace, schedName string) OverloadRe
 	// interrupt path; quota-throttled and garbage frames fall through to
 	// the ring, where the drainer serves them at user level (slower, but
 	// served — throttling defers work, it does not discard it).
-	for i := range w.cli {
-		i := i
-		c := w.cli[i]
+	for i, c := range w.cli() {
 		tenant := overloadTenant(i)
-		w.srv.k.Spawn(fmt.Sprintf("relay-%d", i), func(p *aegis.Process) {
+		srv.k.Spawn(fmt.Sprintf("relay-%d", i), func(p *aegis.Process) {
 			// A 5-atom peer filter (any source port): all of client i's
 			// lanes land on one binding, so its bursts concentrate on one
 			// ring and admission control has a meaningful watermark.
-			f := scalePeerFilter(w.srv.ip, ip.ProtoUDP, overloadPort, c.ip)
-			b, err := w.srv.e.BindFilter(p, f)
+			f := peerFilter(srv.ip, ip.ProtoUDP, overloadPort, c.ip)
+			b, err := srv.e.BindFilter(p, f)
 			if err != nil {
 				panic(err)
 			}
 			b.Ring.HighWater = overloadHighWater
-			dst := c.e.Addr()
-			ash := w.srv.sys.NewFuncASH(p, fmt.Sprintf("relay-%d", i), true,
+			dst := c.addr()
+			// reply wraps a relay reply in headers addressed back to
+			// client i's lane, in one buffer sized for the whole frame.
+			reply := func(lane uint16, rep []byte) []byte {
+				const hdr = ether.HeaderLen + ip.HeaderLen + udp.HeaderLen
+				b := make([]byte, 0, hdr+len(rep))
+				return append(udpReplyHeader(b, srv, dst, overloadPort, lane, len(rep)), rep...)
+			}
+			// The handler is done with a request before it returns (the
+			// relay copies what it keeps), so every invocation on this
+			// binding de-stripes into the same buffer. The drainer below
+			// holds its request across a Compute, during which the handler
+			// can run, and takes a fresh one.
+			var scratch []byte
+			ash := srv.sys.NewFuncASH(p, fmt.Sprintf("relay-%d", i), true,
 				func(ctx *core.Ctx) aegis.Disposition {
 					// Header validation against the UDP length field.
 					ctx.Straightline(24, 8)
-					req, lane, ok := overloadReq(ctx.RawData(), ctx.Entry().Len)
+					req, lane, ok := overloadReq(scratch, ctx.RawData(), ctx.Entry().Len)
 					if !ok {
 						return aegis.DispToUser
 					}
+					scratch = req
 					// Copy-in from the striped buffer, byte-wise.
 					ctx.Straightline(2*len(req), len(req))
 					rep, insns, memops := rsrv.Handle(w.prof.Us(ctx.When()), tenant, req)
 					ctx.Straightline(insns, memops)
-					ctx.Send(dst, 0, w.overloadReplyFrame(c, lane, rep))
+					ctx.Send(dst, 0, reply(lane, rep))
 					return aegis.DispConsumed
 				})
 			ash.Tenant = tenant
@@ -302,7 +299,7 @@ func runOverloadCell(cfg *Config, tr overloadTrace, schedName string) OverloadRe
 					return
 				}
 				raw := p.K.Bytes(e.Addr, 2*e.Len)
-				req, lane, wellFormed := overloadReq(raw, e.Len)
+				req, lane, wellFormed := overloadReq(nil, raw, e.Len)
 				if wellFormed {
 					// User-level service: wakeup, scheduling, and copy-out
 					// overhead first, then parse + copy + relay work with
@@ -310,10 +307,10 @@ func runOverloadCell(cfg *Config, tr overloadTrace, schedName string) OverloadRe
 					p.Compute(w.prof.Cycles(overloadLazyUs))
 					rep, insns, memops := rsrv.Handle(w.prof.Us(p.K.Now()), tenant, req)
 					p.Compute(sim.Time(24 + 2*len(req) + insns + 2*memops))
-					w.srv.e.Send(p, dst, w.overloadReplyFrame(c, lane, rep))
+					srv.e.Send(p, dst, reply(lane, rep))
 					lazyServed++
 				}
-				w.srv.e.FreeBuf(e.BufIndex)
+				srv.e.FreeBuf(e.BufIndex)
 			}
 		})
 	}
@@ -331,23 +328,21 @@ func runOverloadCell(cfg *Config, tr overloadTrace, schedName string) OverloadRe
 	ends := make([]sim.Time, overloadClients*overloadLanes)
 	var completed, failed, retries uint64
 	done := 0
-	for i := range w.cli {
-		i := i
-		c := w.cli[i]
+	for i, c := range w.cli() {
 		evs := perClient[i]
 		for lane := 0; lane < overloadLanes; lane++ {
-			lane := lane
 			lanePort := uint16(scaleClientPort + lane)
 			c.k.Spawn(fmt.Sprintf("client-%d", lane), func(p *aegis.Process) {
 				defer func() { done++ }()
 				sock := udp.NewSocket(
-					w.stack(p, c, scaleListenFilter(c.ip, ip.ProtoUDP, lanePort)),
+					ethStack(p, c, listenFilter(c.ip, ip.ProtoUDP, lanePort), w.res),
 					lanePort, udp.Options{})
 				bo := retry.New(retry.Policy{
 					BaseUs: overloadBackoffBaseUs,
 					CapUs:  overloadBackoffCapUs,
 					Budget: overloadRetryBudget,
 				}, overloadJitterSeed, i*overloadLanes+lane)
+				var payload []byte // SubmitReq copies it, so one per lane
 				for idx, ev := range evs {
 					if idx%overloadLanes != lane {
 						continue
@@ -363,9 +358,9 @@ func runOverloadCell(cfg *Config, tr overloadTrace, schedName string) OverloadRe
 					case idx%4 == 3:
 						op, req = relay.OpPoll, relay.PollReq(ev.Conv)
 					default:
-						payload := make([]byte, ev.Size)
-						for j := range payload {
-							payload[j] = byte(i + j)
+						payload = payload[:0]
+						for j := 0; j < ev.Size; j++ {
+							payload = append(payload, byte(i+j))
 						}
 						op, req = relay.OpSubmit, relay.SubmitReq(ev.Conv, seq, payload)
 					}
@@ -380,7 +375,7 @@ func runOverloadCell(cfg *Config, tr overloadTrace, schedName string) OverloadRe
 						if attempt > 0 {
 							retries++
 						}
-						if err := sock.SendBytes(w.srv.ip, overloadPort, req); err != nil {
+						if err := sock.SendBytes(srv.ip, overloadPort, req); err != nil {
 							panic(err)
 						}
 						deadline := p.K.Now() + w.prof.Cycles(waitUs)
@@ -392,9 +387,8 @@ func runOverloadCell(cfg *Config, tr overloadTrace, schedName string) OverloadRe
 							if !got {
 								break // timeout: back off and retransmit
 							}
-							rep := append([]byte(nil), m.Bytes(p.K)...)
+							rop, _, rseq, rcid, _, wellFormed := relay.ParseReply(m.Bytes(p.K))
 							sock.Release(m)
-							rop, _, rseq, rcid, _, wellFormed := relay.ParseReply(rep)
 							if wellFormed && rop == op && rcid == ev.Conv &&
 								(op != relay.OpSubmit || rseq == seq) {
 								acked = true
@@ -418,14 +412,9 @@ func runOverloadCell(cfg *Config, tr overloadTrace, schedName string) OverloadRe
 	}
 
 	// The drainers block forever, so the engine never drains on its own:
-	// advance in slices until every client lane finishes or the bound
-	// passes.
-	limit := w.prof.Cycles(600_000_000) // 10 simulated minutes
-	slice := w.prof.Cycles(10_000)
-	for done < overloadClients*overloadLanes && w.eng.Now() < limit && w.eng.Pending() > 0 {
-		w.eng.RunFor(slice)
-	}
-	checkPoolDrained(w.eng, w.sw.Pool)
+	// advance in slices until every client lane finishes, with a bound of
+	// 10 simulated minutes.
+	w.runUntil(func() bool { return done == overloadClients*overloadLanes }, 600_000_000, 10_000)
 
 	res := OverloadResult{
 		Trace: tr.Name, Sched: schedName,
@@ -446,11 +435,11 @@ func runOverloadCell(cfg *Config, tr overloadTrace, schedName string) OverloadRe
 	}
 	res.P50Us = w.prof.Us(hist.Quantile(0.50))
 	res.P99Us = w.prof.Us(hist.Quantile(0.99))
-	res.Sheds = w.srv.e.LoadSheds
-	res.PoolDrops = w.srv.e.DroppedNoBuf
-	res.InjectedDrops = w.srv.e.InjectedRingDrops + w.srv.e.InjectedPoolDrops
-	res.CRCDrops = w.srv.e.CRCDrops
-	res.QuotaThrottled = w.srv.sys.QuotaThrottled
+	res.Sheds = srv.e.LoadSheds
+	res.PoolDrops = srv.e.DroppedNoBuf
+	res.InjectedDrops = srv.e.InjectedRingDrops + srv.e.InjectedPoolDrops
+	res.CRCDrops = srv.e.CRCDrops
+	res.QuotaThrottled = srv.sys.QuotaThrottled
 	res.LazyServed = lazyServed
 	res.RelayRejected = rsrv.Rejected
 	res.RelayExpired = rsrv.Expired

@@ -152,7 +152,7 @@ func runReoptHandler(cfg *Config, sparse bool) ReoptRun {
 				prog.Name, run.ReoptInsns, run.StaticInsns))
 		}
 	})
-	tb.Run()
+	tb.run()
 	return run
 }
 
@@ -214,7 +214,7 @@ func runReoptChain(cfg *Config) ChainRun {
 		run.FusedInsns = fused.LastInsns()
 		run.FusedCycles = mc.Cost()
 	})
-	tb.Run()
+	tb.run()
 	return run
 }
 

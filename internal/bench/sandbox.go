@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"strconv"
+
 	"ashs/internal/aegis"
 	"ashs/internal/core"
 	"ashs/internal/crl"
@@ -169,7 +171,7 @@ func runWriteHandler(cfg *Config, generic bool, mode sboxMode, nbytes int) handl
 		run.insns = ash.LastInsns()
 		run.cycles = mc.Cost()
 	})
-	tb.Run()
+	tb.run()
 	return run
 }
 
@@ -203,7 +205,7 @@ func runRecordHandler(cfg *Config, mode sboxMode) handlerRun {
 		run.insns = ash.LastInsns()
 		run.cycles = mc.Cost()
 	})
-	tb.Run()
+	tb.run()
 	return run
 }
 
@@ -291,21 +293,9 @@ func (r DPFResult) Table() *Table {
 	}
 	for i, n := range r.Filters {
 		tab.Rows = append(tab.Rows, Row{
-			Label:    "filters=" + itoa(n),
+			Label:    "filters=" + strconv.Itoa(n),
 			Measured: []float64{r.Trie[i], r.Linear[i]},
 		})
 	}
 	return tab
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b []byte
-	for n > 0 {
-		b = append([]byte{byte('0' + n%10)}, b...)
-		n /= 10
-	}
-	return string(b)
 }

@@ -1,19 +1,14 @@
 package bench
 
 import (
-	"encoding/binary"
 	"fmt"
 	"strings"
 
 	"ashs/internal/aegis"
 	"ashs/internal/core"
-	"ashs/internal/dpf"
-	"ashs/internal/mach"
-	"ashs/internal/netdev"
 	"ashs/internal/obs"
 	"ashs/internal/proto/ether"
 	"ashs/internal/proto/ip"
-	"ashs/internal/proto/link"
 	"ashs/internal/proto/nfs"
 	"ashs/internal/proto/tcp"
 	"ashs/internal/proto/udp"
@@ -36,11 +31,11 @@ import (
 //   - tcp-fast: 64-byte TCP ping-pong through the small-message fast path
 //   - nfs-read: 1 KiB NFS reads against one server socket
 //
-// Scale worlds are built directly (one server + N small client kernels)
-// rather than through the two-host Testbed, so the global Obs/Fault hooks
-// do not apply; each cell measures client RTTs into its own obs.Histogram
-// and reads the server's demux/interrupt counters, which keeps every cell
-// self-contained and its output byte-identical at any -parallel level.
+// Scale worlds are fan-in worlds (one server + N small client hosts), which
+// the global Obs/Fault hooks do not reach; each cell measures client RTTs
+// into its own obs.Histogram and reads the server's demux/interrupt
+// counters, which keeps every cell self-contained and its output
+// byte-identical at any -parallel level.
 
 // scaleNs is the client-count sweep.
 var scaleNs = []int{1, 4, 16, 64, 256, 512}
@@ -61,110 +56,9 @@ const (
 	// Client hosts are deliberately tiny (a 512-host world must fit in
 	// memory): enough for one UDP socket, one TCP connection, and an
 	// 8-buffer receive pool.
-	scaleClientMem     = 256 << 10
-	scaleClientRxBufs  = 8
-	scaleServerMem     = 48 << 20
-	scaleServerRxSlack = 64
+	scaleClientMem    = 256 << 10
+	scaleClientRxBufs = 8
 )
-
-// scaleHost is one simulated host of a fan-in world.
-type scaleHost struct {
-	k   *aegis.Kernel
-	e   *aegis.EthernetIf
-	ip  ip.Addr
-	sys *core.System // server only
-}
-
-// scaleWorld is one server plus n clients on a shared Ethernet switch.
-type scaleWorld struct {
-	eng  *sim.Engine
-	prof *mach.Profile
-	sw   *netdev.Switch
-	srv  scaleHost
-	cli  []scaleHost
-	res  ip.StaticResolver
-}
-
-func newScaleWorld(n int) *scaleWorld {
-	return newScaleWorldMem(n, scaleClientMem, scaleClientRxBufs)
-}
-
-// newScaleWorldMem is newScaleWorld with per-client sizing overrides, for
-// experiments whose clients run more than one socket at once (e.g. the
-// overload experiment's concurrent request lanes).
-func newScaleWorldMem(n, clientMem, clientRxBufs int) *scaleWorld {
-	eng := sim.NewEngine()
-	prof := mach.DS5000_240()
-	sw := netdev.NewSwitch(eng, prof, netdev.EthernetConfig())
-	w := &scaleWorld{eng: eng, prof: prof, sw: sw, res: ip.StaticResolver{}}
-
-	sk := aegis.NewKernelMem("srv", eng, prof, scaleServerMem)
-	// The server's pool must absorb a burst with every client's message in
-	// flight at once.
-	se := aegis.NewEthernetPool(sk, sw, 2*n+scaleServerRxSlack)
-	w.srv = scaleHost{k: sk, e: se, ip: ip.HostAddr(se.Addr()), sys: core.NewSystem(sk)}
-	w.res[w.srv.ip] = link.Addr{Port: se.Addr()}
-
-	for i := 0; i < n; i++ {
-		ck := aegis.NewKernelMem(fmt.Sprintf("c%03d", i), eng, prof, clientMem)
-		ce := aegis.NewEthernetPool(ck, sw, clientRxBufs)
-		h := scaleHost{k: ck, e: ce, ip: ip.HostAddr(ce.Addr())}
-		w.res[h.ip] = link.Addr{Port: ce.Addr()}
-		w.cli = append(w.cli, h)
-	}
-	return w
-}
-
-// scaleListenFilter is the 4-atom wildcard endpoint filter: every
-// (proto, port) datagram addressed to local.
-func scaleListenFilter(local ip.Addr, proto byte, port uint16) *dpf.Filter {
-	return dpf.NewFilter().
-		Eq16(12, ether.TypeIPv4).
-		Eq32(ether.HeaderLen+16, ipU32(local)).
-		Eq8(ether.HeaderLen+9, proto).
-		Eq16(ether.HeaderLen+ip.HeaderLen+2, port)
-}
-
-// scalePeerFilter narrows the wildcard by source host (5 atoms): the
-// per-client listen endpoint of the fan-in TCP server.
-func scalePeerFilter(local ip.Addr, proto byte, port uint16, remote ip.Addr) *dpf.Filter {
-	return dpf.NewFilter().
-		Eq16(12, ether.TypeIPv4).
-		Eq32(ether.HeaderLen+12, ipU32(remote)).
-		Eq32(ether.HeaderLen+16, ipU32(local)).
-		Eq8(ether.HeaderLen+9, proto).
-		Eq16(ether.HeaderLen+ip.HeaderLen+2, port)
-}
-
-// scaleConnFilter pins one flow's full four-tuple (6 atoms). Deeper than
-// any listen filter, so the trie's deepest-terminal rule routes
-// established traffic here.
-func scaleConnFilter(local ip.Addr, proto byte, port uint16, remote ip.Addr, rport uint16) *dpf.Filter {
-	return dpf.NewFilter().
-		Eq16(12, ether.TypeIPv4).
-		Eq32(ether.HeaderLen+12, ipU32(remote)).
-		Eq32(ether.HeaderLen+16, ipU32(local)).
-		Eq8(ether.HeaderLen+9, proto).
-		Eq16(ether.HeaderLen+ip.HeaderLen+0, rport).
-		Eq16(ether.HeaderLen+ip.HeaderLen+2, port)
-}
-
-// stack builds an IP stack on h over filter f, with Ethernet link headers
-// and static resolution (no ARP daemons on a 512-host world).
-func (w *scaleWorld) stack(p *aegis.Process, h scaleHost, f *dpf.Filter) *ip.Stack {
-	ep, err := link.BindEthernet(h.e, p, f)
-	if err != nil {
-		panic(err)
-	}
-	st := ip.NewStack(ep, h.ip, w.res)
-	st.LinkHdrLen = ether.HeaderLen
-	myMAC := ether.PortMAC(h.e.Addr())
-	st.PrependLink = func(dst link.Addr, b []byte) []byte {
-		eh := ether.Header{Dst: ether.PortMAC(dst.Port), Src: myMAC, Type: ether.TypeIPv4}
-		return eh.Marshal(b)
-	}
-	return st
-}
 
 // ScaleResult is one (workload, N) cell's measurement.
 type ScaleResult struct {
@@ -186,23 +80,24 @@ type ScaleResult struct {
 // runScaleCell builds a fresh n-client world, fans the workload in, and
 // folds client latencies plus server counters into the result.
 func runScaleCell(workload string, n, m int) ScaleResult {
-	w := newScaleWorld(n)
+	// The server's pool must absorb a burst with every client's message in
+	// flight at once.
+	w := newFanIn(fanInServerMem, 2*n+fanInServerRxSlack, n, scaleClientMem, scaleClientRxBufs)
 	hist := &obs.Histogram{}
 	starts := make([]sim.Time, n)
 	ends := make([]sim.Time, n)
 
 	switch workload {
 	case "udp-ash":
-		w.runUDPASH(m, hist, starts, ends)
+		scaleUDPASH(w, m, hist, starts, ends)
 	case "tcp-fast":
-		w.runTCPFast(m, hist, starts, ends)
+		scaleTCPFast(w, m, hist, starts, ends)
 	case "nfs-read":
-		w.runNFSRead(m, hist, starts, ends)
+		scaleNFSRead(w, m, hist, starts, ends)
 	default:
 		panic("bench: unknown scale workload " + workload)
 	}
-	w.eng.Run()
-	checkPoolDrained(w.eng, w.sw.Pool)
+	w.run()
 
 	var lo, hi sim.Time
 	for i := 0; i < n; i++ {
@@ -223,37 +118,32 @@ func runScaleCell(workload string, n, m int) ScaleResult {
 	r.P50Us = w.prof.Us(hist.Quantile(0.50))
 	r.P99Us = w.prof.Us(hist.Quantile(0.99))
 
-	if rx := w.srv.e.RxFrames; rx > 0 {
-		intr := w.srv.k.Interrupts
-		batched := w.srv.k.BatchedInterrupts
-		kernel := sim.Time(intr)*sim.Time(w.prof.InterruptCycles) +
-			sim.Time(rx)*sim.Time(w.prof.DeviceRxService) +
-			w.srv.e.DemuxCycles
-		r.CycPerMsg = float64(kernel) / float64(rx)
-		r.DemuxPerMsg = float64(w.srv.e.DemuxCycles) / float64(rx)
-		if total := intr + batched; total > 0 {
-			r.BatchedPct = 100 * float64(batched) / float64(total)
-		}
+	k := w.srv().k
+	r.CycPerMsg, r.DemuxPerMsg = w.rxCost(w.srv())
+	if total := k.Interrupts + k.BatchedInterrupts; total > 0 {
+		r.BatchedPct = 100 * float64(k.BatchedInterrupts) / float64(total)
 	}
 	return r
 }
 
-// runUDPASH installs one 6-atom filter plus echo ASH per client on the
+// scaleUDPASH installs one 6-atom filter plus echo ASH per client on the
 // server; each client ping-pongs m 64-byte datagrams through its own
 // socket. The server never schedules a process: the handlers answer from
 // the interrupt path.
-func (w *scaleWorld) runUDPASH(m int, hist *obs.Histogram, starts, ends []sim.Time) {
-	w.srv.k.Spawn("echo", func(p *aegis.Process) {
-		for i := range w.cli {
-			c := w.cli[i]
-			f := scaleConnFilter(w.srv.ip, ip.ProtoUDP, scaleEchoPort, c.ip, scaleClientPort)
-			b, err := w.srv.e.BindFilter(p, f)
+func scaleUDPASH(w *world, m int, hist *obs.Histogram, starts, ends []sim.Time) {
+	srv := w.srv()
+	srv.k.Spawn("echo", func(p *aegis.Process) {
+		for i, c := range w.cli() {
+			f := connFilter(srv.ip, ip.ProtoUDP, scaleEchoPort, c.ip, scaleClientPort)
+			b, err := srv.e.BindFilter(p, f)
 			if err != nil {
 				panic(err)
 			}
-			tmpl := w.echoTemplate(c)
-			dst := c.e.Addr()
-			ash := w.srv.sys.NewFuncASH(p, fmt.Sprintf("udp-echo-%d", i), true,
+			// The reply headers are prebuilt per client; the handler
+			// appends the echoed payload.
+			dst := c.addr()
+			tmpl := udpReplyHeader(nil, srv, dst, scaleEchoPort, scaleClientPort, scalePayload)
+			ash := srv.sys.NewFuncASH(p, fmt.Sprintf("udp-echo-%d", i), true,
 				func(ctx *core.Ctx) aegis.Disposition {
 					const off = ether.HeaderLen + ip.HeaderLen + udp.HeaderLen
 					n := ctx.Entry().Len
@@ -277,12 +167,10 @@ func (w *scaleWorld) runUDPASH(m int, hist *obs.Histogram, starts, ends []sim.Ti
 		}
 	})
 
-	for i := range w.cli {
-		i := i
-		c := w.cli[i]
+	for i, c := range w.cli() {
 		c.k.Spawn("client", func(p *aegis.Process) {
 			sock := udp.NewSocket(
-				w.stack(p, c, scaleListenFilter(c.ip, ip.ProtoUDP, scaleClientPort)),
+				ethStack(p, c, listenFilter(c.ip, ip.ProtoUDP, scaleClientPort), w.res),
 				scaleClientPort, udp.Options{})
 			payload := make([]byte, scalePayload)
 			for j := range payload {
@@ -292,7 +180,7 @@ func (w *scaleWorld) runUDPASH(m int, hist *obs.Histogram, starts, ends []sim.Ti
 			starts[i] = p.K.Now()
 			for j := 0; j < m; j++ {
 				t0 := p.K.Now()
-				if err := sock.SendBytes(w.srv.ip, scaleEchoPort, payload); err != nil {
+				if err := sock.SendBytes(srv.ip, scaleEchoPort, payload); err != nil {
 					panic(err)
 				}
 				msg, err := sock.Recv(false)
@@ -310,65 +198,15 @@ func (w *scaleWorld) runUDPASH(m int, hist *obs.Histogram, starts, ends []sim.Ti
 	}
 }
 
-// echoTemplate prebuilds the reply frame headers (Ethernet + IP + UDP) the
-// echo ASH sends back to client c; the handler appends the echoed payload.
-func (w *scaleWorld) echoTemplate(c scaleHost) []byte {
-	eh := ether.Header{Dst: ether.PortMAC(c.e.Addr()), Src: ether.PortMAC(w.srv.e.Addr()),
-		Type: ether.TypeIPv4}
-	b := eh.Marshal(nil)
-	ih := ip.Header{TotalLen: ip.HeaderLen + udp.HeaderLen + scalePayload,
-		TTL: 64, Proto: ip.ProtoUDP, DF: true, Src: w.srv.ip, Dst: c.ip}
-	b = ih.Marshal(b)
-	b = binary.BigEndian.AppendUint16(b, scaleEchoPort)
-	b = binary.BigEndian.AppendUint16(b, scaleClientPort)
-	b = binary.BigEndian.AppendUint16(b, udp.HeaderLen+scalePayload)
-	return binary.BigEndian.AppendUint16(b, 0) // checksum not used
-}
-
-// scaleTCPCfg is the connection config for the fan-in TCP workload.
-// Blocking waits (no polling): hundreds of pollers time-sharing the
-// server CPU would spin each other out of the schedule.
-func (w *scaleWorld) scaleTCPCfg(server bool) tcp.Config {
-	cfg := tcp.DefaultConfig()
-	cfg.MSS = EthernetTCPMSS
-	cfg.Polling = false
-	if server {
-		cfg.Mode = tcp.ModeASH
-		cfg.Sys = w.srv.sys
-	}
-	return cfg
-}
-
-// runTCPFast accepts one connection per client through the fan-in path —
-// a per-client listen endpoint consumes the SYN, a 6-atom per-connection
-// filter claims the rest of the flow before the SYN|ACK goes out, and
-// AcceptHandoff completes the handshake — then echoes m small messages
-// through the fast path, with the shared ConnTable tracking ownership.
-func (w *scaleWorld) runTCPFast(m int, hist *obs.Histogram, starts, ends []sim.Time) {
+// scaleTCPFast accepts one connection per client through the fan-in path
+// (acceptFanIn), then echoes m small messages through the fast path, with
+// the shared ConnTable tracking ownership.
+func scaleTCPFast(w *world, m int, hist *obs.Histogram, starts, ends []sim.Time) {
+	srv := w.srv()
 	tbl := tcp.NewConnTable(0)
-	for i := range w.cli {
-		i := i
-		c := w.cli[i]
-		w.srv.k.Spawn(fmt.Sprintf("srv-%d", i), func(p *aegis.Process) {
-			lst := w.stack(p, w.srv, scalePeerFilter(w.srv.ip, ip.ProtoTCP, scaleTCPPort, c.ip))
-			d, ok, err := lst.RecvUntil(false, 0)
-			if err != nil || !ok {
-				panic(fmt.Sprintf("scale: listener %d: ok=%v err=%v", i, ok, err))
-			}
-			syn, isSyn := tcp.ParseSyn(d)
-			lst.Release(d)
-			if !isSyn {
-				panic(fmt.Sprintf("scale: listener %d got non-SYN", i))
-			}
-			st := w.stack(p, w.srv,
-				scaleConnFilter(w.srv.ip, ip.ProtoTCP, scaleTCPPort, syn.RemoteIP, syn.RemotePort))
-			conn, err := tcp.AcceptHandoff(st, w.scaleTCPCfg(true), scaleTCPPort, syn)
-			if err != nil {
-				panic(err)
-			}
-			if err := tbl.Bind(conn.Tuple(), conn); err != nil {
-				panic(err)
-			}
+	for i, c := range w.cli() {
+		srv.k.Spawn(fmt.Sprintf("srv-%d", i), func(p *aegis.Process) {
+			conn := w.acceptFanIn(p, scaleTCPPort, c.ip, tbl)
 			buf := p.AS.MustAlloc(scalePayload, "echo")
 			for j := 0; j < m; j++ {
 				if err := conn.ReadFull(buf.Base, scalePayload); err != nil {
@@ -377,7 +215,7 @@ func (w *scaleWorld) runTCPFast(m int, hist *obs.Histogram, starts, ends []sim.T
 				if _, ok := tbl.Lookup(conn.Tuple()); !ok {
 					panic("scale: live connection missing from table")
 				}
-				if err := conn.WriteBytes(w.srv.k.Bytes(buf.Base, scalePayload)); err != nil {
+				if err := conn.WriteBytes(srv.k.Bytes(buf.Base, scalePayload)); err != nil {
 					panic(err)
 				}
 			}
@@ -388,13 +226,11 @@ func (w *scaleWorld) runTCPFast(m int, hist *obs.Histogram, starts, ends []sim.T
 		})
 	}
 
-	for i := range w.cli {
-		i := i
-		c := w.cli[i]
+	for i, c := range w.cli() {
 		c.k.Spawn("client", func(p *aegis.Process) {
 			p.Compute(w.prof.Cycles(float64(i) * scaleStaggerUs))
-			st := w.stack(p, c, scaleListenFilter(c.ip, ip.ProtoTCP, scaleClientPort))
-			conn, err := tcp.Connect(st, w.scaleTCPCfg(false), scaleClientPort, w.srv.ip, scaleTCPPort)
+			st := ethStack(p, c, listenFilter(c.ip, ip.ProtoTCP, scaleClientPort), w.res)
+			conn, err := tcp.Connect(st, fanInTCPCfg(nil), scaleClientPort, srv.ip, scaleTCPPort)
 			if err != nil {
 				panic(err)
 			}
@@ -420,36 +256,34 @@ func (w *scaleWorld) runTCPFast(m int, hist *obs.Histogram, starts, ends []sim.T
 	}
 }
 
-// runNFSRead serves one in-memory file from a single server socket; each
+// scaleNFSRead serves one in-memory file from a single server socket; each
 // client issues m 1 KiB reads. The server is one process draining one
 // ring — fan-in pressure shows up as queueing in the latency tail.
-func (w *scaleWorld) runNFSRead(m int, hist *obs.Histogram, starts, ends []sim.Time) {
-	srv := nfs.NewServer()
+func scaleNFSRead(w *world, m int, hist *obs.Histogram, starts, ends []sim.Time) {
+	srv, nfsd := w.srv(), nfs.NewServer()
 	data := make([]byte, scaleFileBytes)
 	for i := range data {
 		data[i] = byte(i * 7)
 	}
-	fh := srv.AddFile("scale", data)
+	fh := nfsd.AddFile("scale", data)
 
 	// Serve forever: a duplicate request born of a client retry must not
 	// consume a straggler's slot. The engine drains once the clients are
 	// done and the server parks on an empty ring.
-	w.srv.k.Spawn("nfsd", func(p *aegis.Process) {
+	srv.k.Spawn("nfsd", func(p *aegis.Process) {
 		sock := udp.NewSocket(
-			w.stack(p, w.srv, scaleListenFilter(w.srv.ip, ip.ProtoUDP, scaleNFSPort)),
+			ethStack(p, srv, listenFilter(srv.ip, ip.ProtoUDP, scaleNFSPort), w.res),
 			scaleNFSPort, udp.Options{})
-		srv.Serve(p, sock, 0)
+		nfsd.Serve(p, sock, 0)
 	})
 
-	for i := range w.cli {
-		i := i
-		c := w.cli[i]
+	for i, c := range w.cli() {
 		c.k.Spawn("client", func(p *aegis.Process) {
 			p.Compute(w.prof.Cycles(float64(i) * scaleStaggerUs))
 			sock := udp.NewSocket(
-				w.stack(p, c, scaleListenFilter(c.ip, ip.ProtoUDP, scaleClientPort)),
+				ethStack(p, c, listenFilter(c.ip, ip.ProtoUDP, scaleClientPort), w.res),
 				scaleClientPort, udp.Options{})
-			cli := nfs.NewClient(sock, w.srv.ip, scaleNFSPort)
+			cli := nfs.NewClient(sock, srv.ip, scaleNFSPort)
 			// Fan-in queueing at N=512 runs to hundreds of milliseconds;
 			// the default 100 ms retry timer would fire on queued-but-alive
 			// requests and double the load exactly when it hurts.

@@ -71,7 +71,7 @@ func inKernelAN2RT(cfg *Config, iters int, o *obsRun) float64 {
 		}
 	}
 	tb.A1.KernelSend(tb.A2.Addr(), vc, []byte{1, 2, 3, 4})
-	tb.Run()
+	tb.run()
 	o.window(0, done)
 	return tb.Us(done) / float64(iters)
 }
@@ -109,7 +109,7 @@ func userAN2RT(cfg *Config, iters int, o *obsRun) float64 {
 		}
 		total = p.K.Now() - start
 	})
-	tb.Run()
+	tb.run()
 	o.window(start, start+total)
 	return tb.Us(total) / float64(iters)
 }
@@ -148,7 +148,7 @@ func ethernetRT(cfg *Config, iters int, o *obsRun) float64 {
 		}
 		total = p.K.Now() - start
 	})
-	tb.Run()
+	tb.run()
 	o.window(start, start+total)
 	return tb.Us(total) / float64(iters)
 }

@@ -2,11 +2,8 @@ package bench
 
 import (
 	"ashs/internal/aegis"
-	"ashs/internal/dpf"
 	"ashs/internal/proto/arp"
-	"ashs/internal/proto/ether"
 	"ashs/internal/proto/ip"
-	"ashs/internal/proto/link"
 	"ashs/internal/proto/tcp"
 	"ashs/internal/proto/udp"
 	"ashs/internal/sim"
@@ -167,7 +164,7 @@ func udpLatencyAN2(cfg *Config, iters int, inplace, cksum bool) float64 {
 		}
 		total = p.K.Now() - start
 	})
-	tb.Run()
+	tb.run()
 	return tb.Us(total) / float64(iters)
 }
 
@@ -212,7 +209,7 @@ func udpTrain(tb *Testbed, mkSock func(p *aegis.Process, host int) *udp.Socket,
 		}
 		total = p.K.Now() - start
 	})
-	tb.Run()
+	tb.run()
 	return tb.Prof.MBps(trains*perTrain*mss, total)
 }
 
@@ -237,11 +234,7 @@ func tcpCfgAN2(tb *Testbed, host int, inplace, cksum bool) tcp.Config {
 	cfg.Checksum = cksum
 	cfg.InPlace = inplace
 	cfg.Polling = true
-	if host == 1 {
-		cfg.Sys = tb.Sys1
-	} else {
-		cfg.Sys = tb.Sys2
-	}
+	cfg.Sys = tb.host(host).sys
 	return cfg
 }
 
@@ -300,7 +293,7 @@ func tcpPingPong(tb *Testbed, iters int, o *obsRun,
 		done = true
 		_ = conn.Close()
 	})
-	tb.RunUntilDone(&done, 60_000_000_000)
+	tb.runUntil(func() bool { return done }, 60_000_000_000, 100_000)
 	o.window(start, start+total)
 	return tb.Us(total) / float64(iters)
 }
@@ -348,7 +341,7 @@ func tcpStream(tb *Testbed, totalBytes, writeSize int,
 		done = true
 		_ = conn.Close()
 	})
-	tb.RunUntilDone(&done, 600_000_000_000)
+	tb.runUntil(func() bool { return done }, 600_000_000_000, 100_000)
 	return tb.Prof.MBps(totalBytes, total)
 }
 
@@ -366,38 +359,6 @@ func tcpThroughputAN2(cfg *Config, totalBytes int, inplace, cksum bool) float64 
 // --------------------------------------------------------------------
 // Ethernet stacks (DPF demux + ARP)
 // --------------------------------------------------------------------
-
-// EthStack builds an IP stack over the Ethernet for p, demuxing with a DPF
-// filter on (ethertype, local IP, protocol, local port).
-func (tb *Testbed) EthStack(p *aegis.Process, host int, proto byte, port uint16, svc *arp.Service) *ip.Stack {
-	iface := tb.E1
-	local := tb.IP1
-	if host == 2 {
-		iface = tb.E2
-		local = tb.IP2
-	}
-	f := dpf.NewFilter().
-		Eq16(12, ether.TypeIPv4).
-		Eq32(ether.HeaderLen+16, ipU32(local)).
-		Eq8(ether.HeaderLen+9, proto).
-		Eq16(ether.HeaderLen+ip.HeaderLen+2, port)
-	ep, err := link.BindEthernet(iface, p, f)
-	if err != nil {
-		panic(err)
-	}
-	st := ip.NewStack(ep, local, svc)
-	st.LinkHdrLen = ether.HeaderLen
-	myMAC := ether.PortMAC(iface.Addr())
-	st.PrependLink = func(dst link.Addr, b []byte) []byte {
-		h := ether.Header{Dst: ether.PortMAC(dst.Port), Src: myMAC, Type: ether.TypeIPv4}
-		return h.Marshal(b)
-	}
-	return st
-}
-
-func ipU32(a ip.Addr) uint32 {
-	return uint32(a[0])<<24 | uint32(a[1])<<16 | uint32(a[2])<<8 | uint32(a[3])
-}
 
 // ethWorld prepares the Ethernet testbed with ARP daemons.
 func ethWorld(cfg *Config) (*Testbed, *arp.Service, *arp.Service) {
@@ -454,7 +415,7 @@ func udpLatencyEth(cfg *Config, iters int) float64 {
 		}
 		total = p.K.Now() - start
 	})
-	tb.Run()
+	tb.run()
 	return tb.Us(total) / float64(iters)
 }
 
@@ -476,11 +437,7 @@ func tcpCfgEth(tb *Testbed, host int) tcp.Config {
 	cfg := tcp.DefaultConfig()
 	cfg.MSS = EthernetTCPMSS
 	cfg.Polling = true
-	if host == 1 {
-		cfg.Sys = tb.Sys1
-	} else {
-		cfg.Sys = tb.Sys2
-	}
+	cfg.Sys = tb.host(host).sys
 	return cfg
 }
 
@@ -526,6 +483,3 @@ func (t Table2) Table() *Table {
 	}
 	return tab
 }
-
-// EthWorldDebug exposes the Ethernet world builder for diagnostics.
-func EthWorldDebug() (*Testbed, *arp.Service, *arp.Service) { return ethWorld(nil) }

@@ -152,7 +152,7 @@ func remoteIncrementRT(cfg *Config, mech Mechanism, suspended bool, iters int, o
 		total = p.K.Now() - start
 		done = true
 	})
-	tb.RunUntilDone(&done, 5_000_000_000)
+	tb.runUntil(func() bool { return done }, 5_000_000_000, 100_000)
 	o.window(start, start+total)
 	return tb.Us(total) / float64(iters)
 }

@@ -108,11 +108,7 @@ func table6Cfg(tb *Testbed, m table6Mode, host, mss int) tcp.Config {
 	cfg.Polling = m.polling
 	cfg.Checksum = true
 	cfg.MSS = mss
-	if host == 1 {
-		cfg.Sys = tb.Sys1
-	} else {
-		cfg.Sys = tb.Sys2
-	}
+	cfg.Sys = tb.host(host).sys
 	return cfg
 }
 
@@ -152,13 +148,7 @@ func (t Table6) Table() *Table {
 	}
 }
 
-// Table6LatencyDebug and Table6TputDebug expose single-mode runs for
-// diagnostics.
-func Table6LatencyDebug(mode, iters int) float64 {
-	return table6Latency(nil, table6Modes[mode], iters, nil)
-}
-
-// Table6TputDebug measures one mode's throughput.
+// Table6TputDebug measures one mode's throughput, for diagnostics.
 func Table6TputDebug(mode, bytes, mss, ws int) float64 {
 	return table6Tput(nil, table6Modes[mode], bytes, mss, ws)
 }

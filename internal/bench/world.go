@@ -1,0 +1,388 @@
+// Package bench regenerates every table and figure of the paper's
+// evaluation (Sections IV and V). Each experiment builds a fresh simulated
+// testbed — two DECstation 5000/240s on an AN2 switch or an Ethernet
+// segment — runs the workload the paper describes, and returns the rows
+// the paper reports alongside the paper's own numbers for comparison.
+//
+// Nothing here replays constants from the result tables: the measured
+// values emerge from the cost-model composition (see DESIGN.md §1, §4).
+package bench
+
+import (
+	"encoding/binary"
+	"fmt"
+
+	"ashs/internal/aegis"
+	"ashs/internal/core"
+	"ashs/internal/dpf"
+	"ashs/internal/fault"
+	"ashs/internal/mach"
+	"ashs/internal/netdev"
+	"ashs/internal/obs"
+	"ashs/internal/proto/arp"
+	"ashs/internal/proto/ether"
+	"ashs/internal/proto/ip"
+	"ashs/internal/proto/link"
+	"ashs/internal/proto/tcp"
+	"ashs/internal/proto/udp"
+	"ashs/internal/sim"
+)
+
+// Every experiment cell runs on a world built here and nowhere else: one
+// engine, one switch, and the hosts attached to it. The paper's two-host
+// testbeds, the scale/overload fan-in worlds (one server plus N small
+// clients) and the megascale server-only world (its clients are flyweight
+// endpoints) differ only in how many hosts they add and how big each is,
+// so cross-workload numbers are comparable by construction.
+
+// host is one simulated machine: a kernel, one network interface, an ASH
+// system and the IP address derived from the interface's switch port.
+type host struct {
+	k   *aegis.Kernel
+	a   *aegis.AN2If      // AN2 worlds
+	e   *aegis.EthernetIf // Ethernet worlds
+	sys *core.System
+	ip  ip.Addr
+}
+
+// addr is the host's switch port, which doubles as its link address.
+func (h *host) addr() int {
+	if h.a != nil {
+		return h.a.Addr()
+	}
+	return h.e.Addr()
+}
+
+// world is one simulated network and its hosts in creation order, which is
+// also switch-port order: port numbers (and the addresses derived from
+// them) are part of the simulated result.
+type world struct {
+	eng   *sim.Engine
+	prof  *mach.Profile
+	sw    *netdev.Switch
+	an2   bool
+	hosts []*host
+	// res maps every Ethernet host's IP to its link address: static
+	// resolution, since a 512-host world cannot afford ARP daemons. The
+	// two-host Ethernet testbed resolves through ARP instead.
+	res ip.StaticResolver
+}
+
+func newWorld(an2 bool) *world {
+	cfg := netdev.EthernetConfig()
+	if an2 {
+		cfg = netdev.AN2Config()
+	}
+	eng, prof := sim.NewEngine(), mach.DS5000_240()
+	return &world{eng: eng, prof: prof, sw: netdev.NewSwitch(eng, prof, cfg),
+		an2: an2, res: ip.StaticResolver{}}
+}
+
+// addHost boots a host with mem bytes of physical memory on the world's
+// next switch port. rxBufs sizes an Ethernet interface's receive pool; AN2
+// interfaces take their buffers per virtual circuit and ignore it.
+func (w *world) addHost(name string, mem, rxBufs int) *host {
+	h := &host{k: aegis.NewKernelMem(name, w.eng, w.prof, mem)}
+	if w.an2 {
+		h.a = aegis.NewAN2(h.k, w.sw)
+	} else {
+		h.e = aegis.NewEthernetPool(h.k, w.sw, rxBufs)
+	}
+	h.sys, h.ip = core.NewSystem(h.k), ip.HostAddr(h.addr())
+	if !w.an2 {
+		w.res[h.ip] = link.Addr{Port: h.addr()}
+	}
+	w.hosts = append(w.hosts, h)
+	return h
+}
+
+// Fan-in server sizing: memory for hundreds of connections' window state,
+// and receive-pool slack on top of what the workload keeps in flight.
+const (
+	fanInServerMem     = 48 << 20
+	fanInServerRxSlack = 64
+)
+
+// newFanIn builds an Ethernet world of one server ("srv") and n clients
+// ("c000"...). The server is added first so it owns the first switch port
+// and its address precedes every client's — including flyweight clients
+// attached to the switch later, which is all a megascale world (n = 0) has.
+func newFanIn(srvMem, srvRxBufs, n, cliMem, cliRxBufs int) *world {
+	w := newWorld(false)
+	w.addHost("srv", srvMem, srvRxBufs)
+	for i := 0; i < n; i++ {
+		w.addHost(fmt.Sprintf("c%03d", i), cliMem, cliRxBufs)
+	}
+	return w
+}
+
+// srv is a fan-in world's server; cli its clients in creation order.
+func (w *world) srv() *host   { return w.hosts[0] }
+func (w *world) cli() []*host { return w.hosts[1:] }
+
+// attachFault hooks a fault plane into the wire and into the interface and
+// ASH system of each given host — every injection point those hosts have.
+func (w *world) attachFault(pl *fault.Plane, hosts ...*host) {
+	pl.AttachWire(w.sw)
+	for _, h := range hosts {
+		if h.a != nil {
+			pl.AttachAN2(h.a)
+		} else {
+			pl.AttachEthernet(h.e)
+		}
+		pl.AttachSystem(h.sys)
+	}
+}
+
+// checkPool is the end-of-cell leak gate: once the engine has drained, no
+// event can ever Release a buffer again, so any lease still outstanding is
+// leaked — some path leased a frame and lost it. While events remain
+// pending (sliced runs stopped mid-workload) outstanding leases are
+// legitimately owned by in-flight frames and queued commits, and the check
+// is vacuous.
+func (w *world) checkPool() {
+	if pool := w.sw.Pool; w.eng.Pending() == 0 && pool.InUse() != 0 {
+		panic(fmt.Sprintf("bench: %d pool buffers leaked at end of experiment cell (%d leased, %d released)",
+			pool.InUse(), pool.Leases, pool.Releases))
+	}
+}
+
+// run drains the engine and applies the leak gate. Cells that run to
+// quiescence end through here rather than calling eng.Run directly.
+func (w *world) run() {
+	w.eng.Run()
+	w.checkPool()
+}
+
+// runUntil advances the simulation sliceUs at a time until done reports
+// true, for cells whose worlds never drain (competitor processes and
+// servers loop forever). A cell still running when maxSimUs of virtual
+// time has passed, or whose engine drains first, has no result to report,
+// so it panics rather than returning a partial one. The slice length sets
+// how far past completion the world runs on, which trailing counters and
+// traces can see; callers keep theirs fixed.
+func (w *world) runUntil(done func() bool, maxSimUs, sliceUs float64) {
+	limit, slice := w.prof.Cycles(maxSimUs), w.prof.Cycles(sliceUs)
+	for !done() && w.eng.Now() < limit && (w.eng.Pending() > 0 || w.eng.Now() == 0) {
+		w.eng.RunFor(slice)
+	}
+	if !done() {
+		panic(fmt.Sprintf("bench: cell did not complete within its %.0f us simulated-time bound (stopped at %.0f us, %d events pending)",
+			maxSimUs, w.prof.Us(w.eng.Now()), w.eng.Pending()))
+	}
+	w.checkPool()
+}
+
+// rxCost is h's kernel receive cost per accepted frame, in cycles:
+// interrupt entries actually taken plus driver service plus DPF
+// classification, and the classification share alone. Both are zero
+// before the first frame.
+func (w *world) rxCost(h *host) (cycPerMsg, demuxPerMsg float64) {
+	rx := h.e.RxFrames
+	if rx == 0 {
+		return 0, 0
+	}
+	kernel := sim.Time(h.k.Interrupts)*sim.Time(w.prof.InterruptCycles) +
+		sim.Time(rx)*sim.Time(w.prof.DeviceRxService) +
+		h.e.DemuxCycles
+	return float64(kernel) / float64(rx), float64(h.e.DemuxCycles) / float64(rx)
+}
+
+// The IPv4 endpoint-filter family. Each step pins one more field of the
+// flow, and the trie's deepest-terminal rule routes a frame to the most
+// specific filter installed, so a connection filter takes established
+// traffic away from the listen filter that accepted it.
+
+// listenFilter is the 4-atom wildcard endpoint: every (proto, port)
+// datagram addressed to local.
+func listenFilter(local ip.Addr, proto byte, port uint16) *dpf.Filter {
+	return dpf.NewFilter().
+		Eq16(12, ether.TypeIPv4).
+		Eq32(ether.HeaderLen+16, ipU32(local)).
+		Eq8(ether.HeaderLen+9, proto).
+		Eq16(ether.HeaderLen+ip.HeaderLen+2, port)
+}
+
+// peerFilter narrows listenFilter by source host (5 atoms).
+func peerFilter(local ip.Addr, proto byte, port uint16, remote ip.Addr) *dpf.Filter {
+	return dpf.NewFilter().
+		Eq16(12, ether.TypeIPv4).
+		Eq32(ether.HeaderLen+12, ipU32(remote)).
+		Eq32(ether.HeaderLen+16, ipU32(local)).
+		Eq8(ether.HeaderLen+9, proto).
+		Eq16(ether.HeaderLen+ip.HeaderLen+2, port)
+}
+
+// connFilter pins one flow's full four-tuple (6 atoms).
+func connFilter(local ip.Addr, proto byte, port uint16, remote ip.Addr, rport uint16) *dpf.Filter {
+	return dpf.NewFilter().
+		Eq16(12, ether.TypeIPv4).
+		Eq32(ether.HeaderLen+12, ipU32(remote)).
+		Eq32(ether.HeaderLen+16, ipU32(local)).
+		Eq8(ether.HeaderLen+9, proto).
+		Eq16(ether.HeaderLen+ip.HeaderLen+0, rport).
+		Eq16(ether.HeaderLen+ip.HeaderLen+2, port)
+}
+
+func ipU32(a ip.Addr) uint32 {
+	return uint32(a[0])<<24 | uint32(a[1])<<16 | uint32(a[2])<<8 | uint32(a[3])
+}
+
+// ethStack binds filter f on h for p and builds an IP stack over it that
+// writes Ethernet link headers and resolves next hops through res.
+func ethStack(p *aegis.Process, h *host, f *dpf.Filter, res ip.Resolver) *ip.Stack {
+	ep, err := link.BindEthernet(h.e, p, f)
+	if err != nil {
+		panic(err)
+	}
+	st := ip.NewStack(ep, h.ip, res)
+	st.LinkHdrLen = ether.HeaderLen
+	myMAC := ether.PortMAC(h.addr())
+	st.PrependLink = func(dst link.Addr, b []byte) []byte {
+		eh := ether.Header{Dst: ether.PortMAC(dst.Port), Src: myMAC, Type: ether.TypeIPv4}
+		return eh.Marshal(b)
+	}
+	return st
+}
+
+// udpReplyHeader appends the Ethernet, IP and UDP headers of a datagram
+// from srv to the host on switch port dst, carrying n payload bytes the
+// caller appends. Handlers answering from the interrupt path send raw
+// frames, so they build the headers a stack would have.
+func udpReplyHeader(b []byte, srv *host, dst int, sport, dport uint16, n int) []byte {
+	eh := ether.Header{Dst: ether.PortMAC(dst), Src: ether.PortMAC(srv.addr()), Type: ether.TypeIPv4}
+	b = eh.Marshal(b)
+	ih := ip.Header{TotalLen: uint16(ip.HeaderLen + udp.HeaderLen + n),
+		TTL: 64, Proto: ip.ProtoUDP, DF: true, Src: srv.ip, Dst: ip.HostAddr(dst)}
+	b = ih.Marshal(b)
+	b = binary.BigEndian.AppendUint16(b, sport)
+	b = binary.BigEndian.AppendUint16(b, dport)
+	b = binary.BigEndian.AppendUint16(b, uint16(udp.HeaderLen+n))
+	return binary.BigEndian.AppendUint16(b, 0) // checksum not used
+}
+
+// fanInTCPCfg is the connection config of the fan-in TCP workloads; a
+// non-nil sys selects the server side, whose fast path runs as an ASH.
+// Blocking waits (no polling): hundreds of pollers time-sharing the server
+// CPU would spin each other out of the schedule.
+func fanInTCPCfg(sys *core.System) tcp.Config {
+	cfg := tcp.DefaultConfig()
+	cfg.MSS = EthernetTCPMSS
+	cfg.Polling = false
+	if sys != nil {
+		cfg.Mode = tcp.ModeASH
+		cfg.Sys = sys
+	}
+	return cfg
+}
+
+// acceptFanIn accepts the one connection peer opens to the server's port,
+// the way a server with per-client state does it: a per-client listen
+// endpoint consumes the SYN, a 6-atom connection filter claims the rest of
+// the flow before the SYN|ACK goes out, AcceptHandoff completes the
+// handshake, and the shared table records ownership.
+func (w *world) acceptFanIn(p *aegis.Process, port uint16, peer ip.Addr, tbl *tcp.ConnTable) *tcp.Conn {
+	srv := w.srv()
+	lst := ethStack(p, srv, peerFilter(srv.ip, ip.ProtoTCP, port, peer), w.res)
+	d, ok, err := lst.RecvUntil(false, 0)
+	if err != nil || !ok {
+		panic(fmt.Sprintf("bench: fan-in listener for %s: ok=%v err=%v", peer, ok, err))
+	}
+	syn, isSyn := tcp.ParseSyn(d)
+	lst.Release(d)
+	if !isSyn {
+		panic(fmt.Sprintf("bench: fan-in listener for %s got non-SYN", peer))
+	}
+	st := ethStack(p, srv, connFilter(srv.ip, ip.ProtoTCP, port, syn.RemoteIP, syn.RemotePort), w.res)
+	conn, err := tcp.AcceptHandoff(st, fanInTCPCfg(srv.sys), port, syn)
+	if err != nil {
+		panic(err)
+	}
+	if err := tbl.Bind(conn.Tuple(), conn); err != nil {
+		panic(err)
+	}
+	return conn
+}
+
+// Testbed is a pair of simulated hosts on one network.
+type Testbed struct {
+	*world
+	Eng        *sim.Engine
+	Prof       *mach.Profile
+	Sw         *netdev.Switch
+	K1, K2     *aegis.Kernel
+	A1, A2     *aegis.AN2If      // AN2 testbeds
+	E1, E2     *aegis.EthernetIf // Ethernet testbeds
+	Sys1, Sys2 *core.System
+	IP1, IP2   ip.Addr
+	Obs        *obs.Plane // nil unless AttachObs was called
+}
+
+// newTestbed builds the paper's world: two default-sized hosts, "h1" then
+// "h2". The config's Obs/Fault hooks (nil-safe) run before any workload
+// touches the testbed. Fan-in worlds never reach them: the hooks' users
+// read both hosts of a pair.
+func newTestbed(cfg *Config, an2 bool) *Testbed {
+	w := newWorld(an2)
+	h1 := w.addHost("h1", aegis.HostMemSize, aegis.EthRxBuffers)
+	h2 := w.addHost("h2", aegis.HostMemSize, aegis.EthRxBuffers)
+	tb := &Testbed{world: w, Eng: w.eng, Prof: w.prof, Sw: w.sw,
+		K1: h1.k, K2: h2.k, A1: h1.a, A2: h2.a, E1: h1.e, E2: h2.e,
+		Sys1: h1.sys, Sys2: h2.sys, IP1: h1.ip, IP2: h2.ip}
+	cfg.observe(tb)
+	return tb
+}
+
+// NewAN2Testbed builds the standard two-host AN2 world.
+func NewAN2Testbed(cfg *Config) *Testbed { return newTestbed(cfg, true) }
+
+// NewEthernetTestbed builds the two-host Ethernet world.
+func NewEthernetTestbed(cfg *Config) *Testbed { return newTestbed(cfg, false) }
+
+// host returns host 2 for n == 2 and host 1 otherwise — StackAN2 and
+// EthStack, which the public facade forwards to, have always read their
+// host argument that way.
+func (tb *Testbed) host(n int) *host {
+	if n == 2 {
+		return tb.hosts[1]
+	}
+	return tb.hosts[0]
+}
+
+// AttachObs wires an observability plane into the testbed's switch and
+// both kernels. Tracing charges no simulated cycles, so attaching a plane
+// never changes measured results.
+func (tb *Testbed) AttachObs(pl *obs.Plane) {
+	tb.Obs = pl
+	tb.Sw.Obs = pl
+	tb.K1.Obs = pl
+	tb.K2.Obs = pl
+}
+
+// AttachFault hooks a fault plane into every injection point of the
+// testbed: the wire, both network interfaces, and both ASH systems.
+func (tb *Testbed) AttachFault(pl *fault.Plane) { tb.attachFault(pl, tb.hosts...) }
+
+// StackAN2 builds an IP stack over a fresh VC binding for p.
+func (tb *Testbed) StackAN2(p *aegis.Process, host, vc int) *ip.Stack {
+	h := tb.host(host)
+	ep, err := link.BindAN2(h.a, p, vc, 16, h.a.MaxFrame())
+	if err != nil {
+		panic(err)
+	}
+	return ip.NewStack(ep, h.ip, ip.StaticResolver{
+		tb.IP1: {Port: tb.A1.Addr(), VC: vc},
+		tb.IP2: {Port: tb.A2.Addr(), VC: vc},
+	})
+}
+
+// EthStack builds an IP stack over the Ethernet for p, demuxing with a DPF
+// filter on (ethertype, local IP, protocol, local port) and resolving
+// through the host's ARP daemon.
+func (tb *Testbed) EthStack(p *aegis.Process, host int, proto byte, port uint16, svc *arp.Service) *ip.Stack {
+	h := tb.host(host)
+	return ethStack(p, h, listenFilter(h.ip, proto, port), svc)
+}
+
+// Us converts cycles to microseconds under the testbed profile.
+func (tb *Testbed) Us(c sim.Time) float64 { return tb.Prof.Us(c) }

@@ -1,0 +1,123 @@
+package bench
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"ashs/internal/aegis"
+	"ashs/internal/proto/ip"
+)
+
+// worldShapes is every shape the builder makes, smallest useful size each.
+var worldShapes = []struct {
+	name  string
+	build func() *world
+}{
+	{"an2-pair", func() *world { return NewAN2Testbed(&Config{}).world }},
+	{"ethernet-pair", func() *world { return NewEthernetTestbed(&Config{}).world }},
+	{"fan-in-3", func() *world { return newFanIn(1<<20, 8, 3, scaleClientMem, scaleClientRxBufs) }},
+	{"server-only", func() *world { return newFanIn(1<<20, 8, 0, 0, 0) }},
+}
+
+// TestPoolLeakGate pins the end-of-cell leak detector both ways on every
+// world shape: a drained world with every lease returned passes, and a
+// deliberately dropped lease panics with the pool accounting in the
+// message.
+func TestPoolLeakGate(t *testing.T) {
+	for _, shape := range worldShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			w := shape.build()
+			w.run() // empty world drains clean
+
+			leaked := w.sw.LeaseData([]byte{1, 2, 3})
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatal("checkPool did not panic on a leaked lease")
+				}
+				msg, ok := r.(string)
+				if !ok || !strings.Contains(msg, "leaked") {
+					t.Fatalf("unexpected panic: %v", r)
+				}
+				leaked.Release()
+				w.checkPool() // released: the gate passes again
+			}()
+			w.checkPool()
+		})
+	}
+}
+
+// TestWorldShape pins what the simulated results depend on: hosts take
+// switch ports in creation order with the server first, names and
+// addresses follow from that order, and a pair testbed's exported fields
+// are the two hosts' parts.
+func TestWorldShape(t *testing.T) {
+	w := newFanIn(1<<20, 8, 3, scaleClientMem, scaleClientRxBufs)
+	if got := w.srv().addr(); got != 0 {
+		t.Errorf("server owns switch port %d, want the first (0)", got)
+	}
+	names := []string{"srv", "c000", "c001", "c002"}
+	if len(w.hosts) != len(names) || len(w.cli()) != 3 {
+		t.Fatalf("fan-in world has %d hosts, %d clients", len(w.hosts), len(w.cli()))
+	}
+	for i, h := range w.hosts {
+		if h.k.Name != names[i] || h.addr() != i || h.ip != ip.HostAddr(i) {
+			t.Errorf("host %d: name %q port %d ip %s", i, h.k.Name, h.addr(), h.ip)
+		}
+		if la, ok := w.res[h.ip]; !ok || la.Port != i {
+			t.Errorf("host %d missing from the resolver (%v, %v)", i, la, ok)
+		}
+		if h.e == nil || h.a != nil || h.sys == nil || h.sys.K != h.k {
+			t.Errorf("host %d: wrong interface or system", i)
+		}
+	}
+	if so := newFanIn(1<<20, 8, 0, 0, 0); len(so.hosts) != 1 || len(so.cli()) != 0 || so.srv().addr() != 0 {
+		t.Errorf("server-only world: %d hosts", len(so.hosts))
+	}
+
+	for _, tb := range []*Testbed{NewAN2Testbed(nil), NewEthernetTestbed(nil)} {
+		h1, h2 := tb.host(1), tb.host(2)
+		if tb.K1 != h1.k || tb.K2 != h2.k || tb.K1.Name != "h1" || tb.K2.Name != "h2" {
+			t.Errorf("%s: K1/K2 are not hosts h1/h2", tb.Sw.Cfg.Name)
+		}
+		if tb.Sys1 != h1.sys || tb.Sys2 != h2.sys || tb.Sys1.K != tb.K1 || tb.Sys2.K != tb.K2 {
+			t.Errorf("%s: Sys1/Sys2 not bound to K1/K2", tb.Sw.Cfg.Name)
+		}
+		if tb.IP1 != ip.HostAddr(0) || tb.IP2 != ip.HostAddr(1) || tb.IP1 != h1.ip || tb.IP2 != h2.ip {
+			t.Errorf("%s: IP1/IP2 = %s/%s", tb.Sw.Cfg.Name, tb.IP1, tb.IP2)
+		}
+		if tb.Eng != tb.eng || tb.Prof != tb.prof || tb.Sw != tb.sw {
+			t.Errorf("%s: Eng/Prof/Sw are not the world's", tb.Sw.Cfg.Name)
+		}
+		if tb.an2 {
+			if tb.A1 == nil || tb.A2 == nil || tb.E1 != nil || tb.E2 != nil || tb.A1.Addr() != 0 || tb.A2.Addr() != 1 {
+				t.Error("AN2 pair: wrong interfaces")
+			}
+		} else if tb.E1 == nil || tb.E2 == nil || tb.A1 != nil || tb.A2 != nil || tb.E1.Addr() != 0 || tb.E2.Addr() != 1 {
+			t.Error("Ethernet pair: wrong interfaces")
+		}
+		if len(tb.K1.Mem.Data) != aegis.HostMemSize || len(tb.K2.Mem.Data) != aegis.HostMemSize {
+			t.Errorf("%s: pair hosts are not default-sized", tb.Sw.Cfg.Name)
+		}
+	}
+}
+
+// TestRunUntilBoundPanics: a cell whose predicate never comes true must
+// fail loudly at its simulated-time bound, bound in the message, instead
+// of returning as if it had a result.
+func TestRunUntilBoundPanics(t *testing.T) {
+	tb := NewAN2Testbed(nil)
+	tb.K1.Spawn("spin", func(p *aegis.Process) { p.SpinForever() })
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "did not complete") || !strings.Contains(msg, "5000 us") {
+			t.Fatalf("runUntil past its bound: panic %q, want the 5000 us bound named", msg)
+		}
+		if now := tb.Us(tb.Eng.Now()); now < 5000 || now > 6000 {
+			t.Errorf("stopped at %.0f us, want the bound plus at most one slice", now)
+		}
+	}()
+	tb.runUntil(func() bool { return false }, 5000, 1000)
+	t.Fatal("runUntil returned with its predicate still false")
+}
