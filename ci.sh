@@ -21,6 +21,13 @@ go vet ./...
 echo "== go build"
 go build ./...
 
+# cmd/perfbench is a module of its own (go.mod: replace ashs => ../..), so
+# the root ./... patterns never descend into it. Vet and test it here: a
+# root change that breaks its build (a go-directive bump in the root
+# go.mod, a renamed function it calls) must fail CI, not the benchmark run.
+echo "== cmd/perfbench module (vet + test)"
+(cd cmd/perfbench && GOWORK=off go vet ./... && GOWORK=off go test ./...)
+
 # ashlint: the custom analyzer suite (determinism, obsguard,
 # lockdiscipline, allocdiscipline — see DESIGN.md §12). Run standalone
 # for module-wide coverage, then through go vet's -vettool protocol so
@@ -47,6 +54,14 @@ go test -race -count=1 -run 'TestChaosSoak|TestChaosSeedDeterminism' ./internal/
 # Chrome trace JSON must be byte-identical across two full runs.
 echo "== observability plane (PRNG + trace/metrics unit tests)"
 go test -race -count=1 ./internal/obs/ ./internal/sim/
+
+# The engine<->process handoff: one scripted world over {coroutine,
+# channel} x {calendar, heap} must give one trace, one final clock and
+# one set of Fired/Cancelled/Handoffs counts. In the sweep above already;
+# by name so a divergence between the coroutine switch and its channel
+# oracle is attributable.
+echo "== handoff differential (coroutine vs channel, calendar vs heap) under -race"
+go test -race -count=1 -run '^TestHandoff' ./internal/sim/
 
 echo "== breakdown trace determinism (byte-identical across runs)"
 tracedir="$workdir"

@@ -9,6 +9,7 @@
 //	ashbench -quick              # reduced workloads
 //	ashbench -parallel 1         # serial reference execution
 //	ashbench -experiment breakdown -trace out.json
+//	ashbench -parallel 1 -cpuprofile cpu.prof -memprofile mem.prof
 //
 // The experiment list, run order, and per-experiment help all come from
 // the bench registry (bench.Experiments) — run with -experiment help to
@@ -22,12 +23,20 @@
 // testbed built and writes all of them as one Chrome trace_event JSON
 // file (open in Perfetto or chrome://tracing). Tracing charges no
 // simulated cycles, so traced results are identical to untraced ones.
+//
+// -cpuprofile and -memprofile profile the simulator itself (the Go
+// program, not the simulated machines) over the experiments selected, for
+// `go tool pprof`. Both files are written after the run and nothing about
+// them goes to stdout, so profiled output still compares equal to
+// ashbench_output.txt.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -41,6 +50,8 @@ func main() {
 		quick    = flag.Bool("quick", false, "reduced workload sizes (faster, slightly noisier throughput)")
 		parallel = flag.Int("parallel", 0, "worker pool size for experiment cells (<1: one per CPU); output is identical at any value")
 		trace    = flag.String("trace", "", "write a Chrome trace_event JSON file covering every testbed built")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf  = flag.String("memprofile", "", "write an allocation profile of the run to this file")
 	)
 	flag.Parse()
 
@@ -75,11 +86,14 @@ func main() {
 	fmt.Println("reproduction of the SIGCOMM'96 / ToN'97 evaluation on the simulated testbed")
 	fmt.Println()
 
+	stopCPU := startCPUProfile(*cpuProf)
 	start := time.Now()
 	for _, out := range bench.RunExperiments(cfg, selected) {
 		fmt.Print(out.Text)
 		fmt.Println()
 	}
+	stopCPU()
+	writeMemProfile(*memProf)
 	// Wall time goes to stderr: stdout must stay byte-identical across
 	// runs and parallelism levels.
 	fmt.Fprintf(os.Stderr, "[%d experiment(s) ran in %.1fs wall]\n", len(selected), time.Since(start).Seconds())
@@ -96,4 +110,50 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s: %d events across %d testbeds\n", *trace, n, len(planes))
 	}
+}
+
+// startCPUProfile starts profiling into path and returns the function that
+// stops it and closes the file; with no path both do nothing.
+func startCPUProfile(path string) (stop func()) {
+	if path == "" {
+		return func() {}
+	}
+	f, err := os.Create(path)
+	if err == nil {
+		err = pprof.StartCPUProfile(f)
+	}
+	if err != nil {
+		fatalf("cpu profile: %v", err)
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fatalf("cpu profile: %v", err)
+		}
+	}
+}
+
+// writeMemProfile writes the allocation profile of everything since
+// process start (sample_index=alloc_space is the useful view: the worlds
+// are garbage by now).
+func writeMemProfile(path string) {
+	if path == "" {
+		return
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		fatalf("mem profile: %v", err)
+	}
+	runtime.GC() // fold the last cycle's frees and allocations into the profile
+	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+		fatalf("mem profile: %v", err)
+	}
+	if err := f.Close(); err != nil {
+		fatalf("mem profile: %v", err)
+	}
+}
+
+func fatalf(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, format+"\n", args...)
+	os.Exit(1)
 }

@@ -1,7 +1,8 @@
 // Package hotpath holds wall-clock microbenchmarks for the simulator's
-// two hottest loops: the DPF discrimination-trie walk (every delivered
-// packet) and the event-queue schedule/dispatch cycle (every simulated
-// action). The bodies live here, outside a _test.go file, so both
+// hottest loops: the DPF discrimination-trie walk (every delivered
+// packet), the event-queue schedule/dispatch cycle (every simulated
+// action) and the engine<->process switch (every simulated block). The
+// bodies live here, outside a _test.go file, so both
 // `go test -bench` (internal/bench/hotpath) and the per-layer replay of
 // cmd/perfbench run exactly the same code — the numbers perfbench reports
 // are the numbers the bench wrappers measure.
@@ -209,6 +210,29 @@ func CalendarQueue(b *testing.B) {
 	b.StopTimer()
 	if fired != b.N {
 		b.Fatalf("fired %d events, want %d", fired, b.N)
+	}
+}
+
+// ProcSwitch measures one simulated context switch: a process sleeps one
+// cycle, so every iteration is a wake-up event scheduled, the process
+// yielding to the engine, the event popped and the engine resuming the
+// process — the unit every blocking syscall, Compute and Sleep in the
+// system is made of, and the shape perfbench replays as
+// sim.proc_switch_ns. The wake-up carries the process as its argument, so
+// the round trip builds no closure and allocates nothing.
+func ProcSwitch(b *testing.B) {
+	eng := sim.NewEngine()
+	eng.Go("sleeper", func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Sleep(1)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	eng.Run()
+	b.StopTimer()
+	if now := eng.Now(); now != sim.Time(b.N) {
+		b.Fatalf("clock at %d after %d one-cycle sleeps", now, b.N)
 	}
 }
 

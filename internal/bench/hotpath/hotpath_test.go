@@ -14,6 +14,7 @@ func BenchmarkVCODEDispatch(b *testing.B)     { VCODEDispatch(b) }
 func BenchmarkSandboxInstrument(b *testing.B) { SandboxInstrument(b) }
 func BenchmarkSimEventQueue(b *testing.B)     { SimEventQueue(b) }
 func BenchmarkCalendarQueue(b *testing.B)     { CalendarQueue(b) }
+func BenchmarkProcSwitch(b *testing.B)        { ProcSwitch(b) }
 func BenchmarkPacketPath(b *testing.B)        { PacketPath(b) }
 
 // TestBodiesRun drives each benchmark body through testing.Benchmark —
@@ -21,7 +22,8 @@ func BenchmarkPacketPath(b *testing.B)        { PacketPath(b) }
 // fails `go test` even when -bench is not passed. It is also the zero-alloc
 // hot-path gate (ci.sh runs it by name): timings vary by machine and are
 // never asserted, but allocation counts are deterministic, and the demux,
-// dispatch, event-queue and packet paths must not allocate per operation.
+// dispatch, event-queue, process-switch and packet paths must not allocate
+// per operation.
 // SandboxInstrument is download-time work and allocates by design.
 func TestBodiesRun(t *testing.T) {
 	if testing.Short() {
@@ -38,6 +40,7 @@ func TestBodiesRun(t *testing.T) {
 		{"SandboxInstrument", SandboxInstrument, false},
 		{"SimEventQueue", SimEventQueue, true},
 		{"CalendarQueue", CalendarQueue, true},
+		{"ProcSwitch", ProcSwitch, true},
 		{"PacketPath", PacketPath, true},
 	} {
 		r := testing.Benchmark(bm.fn)

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -85,7 +86,8 @@ func FindModRoot(dir string) (string, error) {
 	}
 }
 
-// goFiles lists a directory's non-test .go files, sorted.
+// goFiles lists a directory's non-test .go files that the default build
+// context selects (build constraints, GOOS/GOARCH suffixes), sorted.
 func goFiles(dir string) ([]string, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -96,6 +98,11 @@ func goFiles(dir string) ([]string, error) {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
 			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		out = append(out, filepath.Join(dir, name))

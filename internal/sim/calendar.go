@@ -30,6 +30,9 @@ type CalendarQueue struct {
 	// peeked caches the current minimum between PeekMin and PopMin (and
 	// across Inserts, which can only lower it).
 	peeked *Event
+
+	// Engine.Stats counters.
+	resizes, sparseFallbacks uint64
 }
 
 const calMinBuckets = 16
@@ -140,15 +143,25 @@ func (q *CalendarQueue) PeekMin() *Event {
 	// counts only if it falls within that bucket's window of the current
 	// year. Buckets are scanned in increasing window order and each list
 	// is sorted, so the first in-window head is the global minimum.
+	//
+	// Every queued event is >= floor and sits in the bucket congruent to
+	// its day, so the head of bucket epoch+i is on day epoch+i or a whole
+	// number of years later: "on day epoch+i" is "before the end of day
+	// epoch+i", a compare against a running limit in place of a 64-bit
+	// divide per bucket. (A limit that overflows compares false and falls
+	// through to the direct scan below, which needs no window.)
+	limit := epoch * q.width
 	for i := 0; i < n; i++ {
+		limit += q.width
 		b := &q.buckets[(uint64(epoch)+uint64(i))&q.mask]
-		if h := b.head; h != nil && h.at/q.width == epoch+Time(i) {
+		if h := b.head; h != nil && h.at < limit {
 			q.peeked = h
 			return h
 		}
 	}
 	// Nothing due this year: the queue is sparse relative to its span.
 	// Fall back to a direct minimum over the bucket heads.
+	q.sparseFallbacks++
 	var min *Event
 	for i := range q.buckets {
 		if h := q.buckets[i].head; h != nil && (min == nil || h.before(min)) {
@@ -183,6 +196,7 @@ func (q *CalendarQueue) PopMin() *Event {
 // event per bucket. Called only on threshold crossings; steady-state
 // traffic never resizes (and so never allocates).
 func (q *CalendarQueue) resize(n int) {
+	q.resizes++
 	evs := make([]*Event, 0, q.count)
 	var minAt, maxAt Time
 	for i := range q.buckets {

@@ -10,7 +10,7 @@
 //
 //   - event callbacks, scheduled with Schedule/ScheduleAt, which run to
 //     completion at a virtual instant; and
-//   - processes (Proc), goroutines that interleave with the engine in strict
+//   - processes (Proc), coroutines that interleave with the engine in strict
 //     lock-step: at most one process or event callback executes at any real
 //     moment, so simulations are fully deterministic.
 //
@@ -29,6 +29,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 )
 
 // Time is a virtual timestamp or duration, measured in CPU cycles of the
@@ -50,24 +51,50 @@ type Engine struct {
 	seq     uint64
 	q       EventQueue
 	free    *Event // recycled events, chained through next
-	procs   int    // live (started, not yet finished) processes
-	parked  int    // processes currently parked with no wakeup scheduled
-	current *Proc
-	panicV  any // propagated panic from a process
+	procs   int    // live (created, not yet finished) processes
+	panicV  any    // propagated panic from a process
 	stopped bool
+
+	// handoff is newHandoff; the differential tests swap in newChanHandoff.
+	handoff func(body func(yield func())) (resume func())
+	oneP    bool // built with GOMAXPROCS=1: see Proc.run
+
+	fired, cancelled, handoffs uint64
+}
+
+// Stats is the engine's own work, counted since it was built. Fired,
+// Cancelled and Handoffs are functions of the schedule alone: the same
+// simulation gives the same counts on any queue and any handoff.
+// QueueResizes and SparseFallbacks describe how the calendar queue coped
+// with that schedule and are zero on the reference heap.
+type Stats struct {
+	Fired           uint64 // events dispatched
+	Cancelled       uint64 // pending events removed by Cancel
+	Handoffs        uint64 // engine -> process -> engine round trips
+	LiveProcs       int    // processes created and not yet finished
+	QueueResizes    uint64 // calendar rebuilds (grow, shrink)
+	SparseFallbacks uint64 // PeekMin scans that found nothing due this year
+}
+
+// Stats reports the engine's counters.
+func (e *Engine) Stats() Stats {
+	s := Stats{Fired: e.fired, Cancelled: e.cancelled, Handoffs: e.handoffs, LiveProcs: e.procs}
+	if c, ok := e.q.(*CalendarQueue); ok {
+		s.QueueResizes, s.SparseFallbacks = c.resizes, c.sparseFallbacks
+	}
+	return s
 }
 
 // NewEngine returns an empty engine at virtual time zero, scheduling
 // against a calendar queue.
 func NewEngine() *Engine {
-	return &Engine{q: NewCalendarQueue()}
+	return newEngineWithQueue(NewCalendarQueue())
 }
 
-// NewEngineWithQueue returns an empty engine scheduling against q. Tests
-// use it to run the same workload over different queue implementations;
-// everything else wants NewEngine.
-func NewEngineWithQueue(q EventQueue) *Engine {
-	return &Engine{q: q}
+// newEngineWithQueue returns an empty engine scheduling against q, so the
+// tests can run one workload over both queue implementations.
+func newEngineWithQueue(q EventQueue) *Engine {
+	return &Engine{q: q, handoff: newHandoff, oneP: runtime.GOMAXPROCS(0) == 1}
 }
 
 // Now reports the current virtual time.
@@ -153,6 +180,7 @@ func (e *Engine) Cancel(t Timer) {
 	}
 	e.q.Remove(ev)
 	e.recycle(ev)
+	e.cancelled++
 }
 
 // Pending reports the number of events waiting to fire.
@@ -176,6 +204,7 @@ func (e *Engine) step() bool {
 		panic("sim: time went backwards")
 	}
 	e.now = ev.at
+	e.fired++
 	fn, afn, arg := ev.fn, ev.afn, ev.arg
 	// Recycle before firing: a self-rescheduling callback immediately
 	// reuses this Event, keeping the steady-state freelist depth at the

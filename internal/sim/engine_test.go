@@ -306,58 +306,6 @@ func TestProcPanicPropagates(t *testing.T) {
 	e.Run()
 }
 
-func TestChanSendRecv(t *testing.T) {
-	e := NewEngine()
-	c := NewChan[int](e)
-	var got []int
-	e.Go("rx", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			got = append(got, c.Recv(p))
-		}
-	})
-	e.Go("tx", func(p *Proc) {
-		for i := 1; i <= 3; i++ {
-			p.Sleep(10)
-			c.Send(i * 11)
-		}
-	})
-	e.Run()
-	want := []int{11, 22, 33}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-}
-
-func TestChanTryRecv(t *testing.T) {
-	e := NewEngine()
-	c := NewChan[string](e)
-	if _, ok := c.TryRecv(); ok {
-		t.Fatal("TryRecv on empty chan reported ok")
-	}
-	c.Send("x")
-	v, ok := c.TryRecv()
-	if !ok || v != "x" {
-		t.Fatalf("TryRecv = %q,%v", v, ok)
-	}
-}
-
-func TestChanBuffersBeforeReceiver(t *testing.T) {
-	e := NewEngine()
-	c := NewChan[int](e)
-	c.Send(1)
-	c.Send(2)
-	var got []int
-	e.Go("rx", func(p *Proc) {
-		got = append(got, c.Recv(p), c.Recv(p))
-	})
-	e.Run()
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("got %v, want [1 2]", got)
-	}
-}
-
 func BenchmarkScheduleRun(b *testing.B) {
 	e := NewEngine()
 	for i := 0; i < b.N; i++ {

@@ -1,0 +1,235 @@
+package sim
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
+
+// handoffs are the two implementations of the engine<->process switch; on a
+// toolchain before go1.23 both rows are the channel one.
+var handoffs = []struct {
+	name string
+	fn   func(body func(yield func())) (resume func())
+}{
+	{"coroutine", newHandoff},
+	{"channel", newChanHandoff},
+}
+
+var queues = []struct {
+	name string
+	fn   func() EventQueue
+}{
+	{"calendar", NewCalendarQueue},
+	{"heap", newHeapQueue},
+}
+
+// handoffScenario runs one scripted world on e: every blocking call a
+// process can make, woken every way it can be woken, ending in a process
+// panic. It returns the trace (one "virtual-time process step" line per
+// step), the clock when Run unwound, the engine's counters and the value
+// Run panicked with.
+func handoffScenario(e *Engine) (trace string, end Time, st Stats, panicked any) {
+	step := func(who, what string) {
+		trace += fmt.Sprintf("%d %s %s\n", e.Now(), who, what)
+	}
+
+	e.Go("sleeper", func(p *Proc) {
+		for i := 0; i < 5; i++ {
+			step("sleeper", "tick")
+			p.Sleep(7)
+		}
+		step("sleeper", "done")
+	})
+
+	// Parked twice: woken from event context, then from process context.
+	waiter := e.Go("waiter", func(p *Proc) {
+		p.Park()
+		step("waiter", "woken by event")
+		p.Park()
+		step("waiter", "woken by process")
+	})
+	e.Schedule(20, func() {
+		step("event", "unpark waiter")
+		waiter.Unpark()
+	})
+	e.Go("waker", func(p *Proc) {
+		p.Sleep(33)
+		step("waker", "unpark waiter")
+		waiter.Unpark()
+		p.Sleep(1)
+		step("waker", "done")
+	})
+
+	// ParkTimeout ending both ways, then twice with the unpark and the
+	// timeout due at the same instant: the one scheduled first wins.
+	var tmo *Proc
+	unparkAt := func(at Time) {
+		e.ScheduleAt(at, func() {
+			if tmo.Parked() {
+				step("event", "unpark timeouts")
+				tmo.Unpark()
+			} else {
+				step("event", "timeouts already awake")
+			}
+		})
+	}
+	tmo = e.Go("timeouts", func(p *Proc) {
+		step("timeouts", fmt.Sprint("plain timeout: ", p.ParkTimeout(10)))
+		unparkAt(p.Now() + 4)
+		step("timeouts", fmt.Sprint("unparked early: ", p.ParkTimeout(100)))
+		unparkAt(p.Now() + 15) // scheduled before the timer: unpark first
+		step("timeouts", fmt.Sprint("tie, unpark first: ", p.ParkTimeout(15)))
+		e.Schedule(0, func() { unparkAt(e.Now() + 15) }) // fires after ParkTimeout armed its timer
+		step("timeouts", fmt.Sprint("tie, timer first: ", p.ParkTimeout(15)))
+		p.Sleep(1)
+		step("timeouts", "done")
+	})
+
+	e.Go("spawner", func(p *Proc) {
+		p.Sleep(5)
+		step("spawner", "spawn")
+		e.Go("child", func(c *Proc) {
+			step("child", "start")
+			c.Sleep(6)
+			step("child", "done")
+		})
+		p.Sleep(2)
+		step("spawner", "done")
+	})
+
+	// Finished at 3; woken at 50 both ways a stale wake-up can arrive.
+	early := e.Go("early", func(p *Proc) {
+		p.Sleep(3)
+		step("early", "done")
+	})
+	e.Schedule(50, func() {
+		step("event", "late wake-ups")
+		early.Unpark()
+		e.ScheduleArg(0, procRun, early)
+	})
+
+	e.Go("forever", func(p *Proc) {
+		step("forever", "park")
+		p.Park()
+		step("forever", "unreachable")
+	})
+
+	e.Go("bad", func(p *Proc) {
+		p.Sleep(60)
+		step("bad", "boom")
+		panic("boom")
+	})
+
+	func() {
+		defer func() { panicked = recover() }()
+		e.Run()
+	}()
+	return trace, e.Now(), e.Stats(), panicked
+}
+
+// TestHandoffDifferential runs the scenario over {coroutine, channel} x
+// {calendar, heap}: the trace, the final clock and the schedule-determined
+// counters must not depend on either choice.
+func TestHandoffDifferential(t *testing.T) {
+	type result struct {
+		trace string
+		end   Time
+		st    Stats
+	}
+	var want result
+	for i, h := range handoffs {
+		for j, q := range queues {
+			e := newEngineWithQueue(q.fn())
+			e.handoff = h.fn
+			trace, end, st, panicked := handoffScenario(e)
+
+			err, ok := panicked.(error)
+			if !ok {
+				t.Fatalf("%s/%s: Run panicked with %v, want the process's error", h.name, q.name, panicked)
+			}
+			for _, sub := range []string{`process "bad" panicked: boom`, "handoffScenario", "handoff_test.go"} {
+				if !strings.Contains(err.Error(), sub) {
+					t.Errorf("%s/%s: panic %q lacks %q", h.name, q.name, err, sub)
+				}
+			}
+
+			// QueueResizes and SparseFallbacks are the calendar's own.
+			st.QueueResizes, st.SparseFallbacks = 0, 0
+			got := result{trace, end, st}
+			if i == 0 && j == 0 {
+				want = got
+				continue
+			}
+			if got != want {
+				t.Errorf("%s/%s differs from %s/%s:\nclock %d, %+v\n%s\nwant clock %d, %+v\n%s",
+					h.name, q.name, handoffs[0].name, queues[0].name,
+					got.end, got.st, got.trace, want.end, want.st, want.trace)
+			}
+		}
+	}
+
+	// The scenario itself: it reached every case it was written for.
+	if want.st.Handoffs == 0 || want.st.Cancelled == 0 || want.st.LiveProcs != 1 {
+		t.Errorf("scenario stats %+v", want.st)
+	}
+	for _, step := range []string{
+		"10 timeouts plain timeout: false",
+		"14 timeouts unparked early: true",
+		"29 timeouts tie, unpark first: true",
+		"44 timeouts tie, timer first: false",
+		"44 event timeouts already awake",
+		"5 child start",
+		"33 waiter woken by process",
+		"50 event late wake-ups",
+		"60 bad boom",
+	} {
+		if !strings.Contains("\n"+want.trace, "\n"+step+"\n") {
+			t.Errorf("trace lacks %q:\n%s", step, want.trace)
+		}
+	}
+	if strings.Contains(want.trace, "unreachable") {
+		t.Errorf("a process parked forever ran on:\n%s", want.trace)
+	}
+}
+
+// TestHandoffUnparkNonParkedPanics pins the lost-wakeup check on both
+// handoffs, from event context (the panic is Run's own) and from process
+// context (it comes back through the process-panic path).
+func TestHandoffUnparkNonParkedPanics(t *testing.T) {
+	for _, h := range handoffs {
+		for _, fromProc := range []bool{false, true} {
+			e := NewEngine()
+			e.handoff = h.fn
+			sleeper := e.Go("sleeper", func(p *Proc) { p.Sleep(100) })
+			if fromProc {
+				e.Go("waker", func(p *Proc) { sleeper.Unpark() })
+			} else {
+				e.Schedule(1, func() { sleeper.Unpark() })
+			}
+			func() {
+				defer func() {
+					if msg := fmt.Sprint(recover()); !strings.Contains(msg, `Unpark of non-parked process "sleeper"`) {
+						t.Errorf("%s fromProc=%v: Run panicked with %q", h.name, fromProc, msg)
+					}
+				}()
+				e.Run()
+			}()
+		}
+	}
+}
+
+// TestEngineStats checks the counters against a schedule small enough to
+// count by hand.
+func TestEngineStats(t *testing.T) {
+	e := NewEngine()
+	e.Schedule(1, func() {})
+	e.Cancel(e.Schedule(2, func() {}))
+	e.Go("p", func(p *Proc) { p.Sleep(5); p.Sleep(5) }) // start + two wake-ups
+	e.Go("parked", func(p *Proc) { p.Park() })
+	e.Run()
+	want := Stats{Fired: 5, Cancelled: 1, Handoffs: 4, LiveProcs: 1}
+	if got := e.Stats(); got != want {
+		t.Fatalf("Stats = %+v, want %+v", got, want)
+	}
+}

@@ -2,49 +2,59 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"runtime/debug"
 )
 
-// Proc is a simulated thread of control: a goroutine that runs in strict
-// lock-step with the engine. Exactly one of {engine, some process} executes
-// at any real moment; control transfers are explicit (resume/park), so
-// simulations involving many processes remain deterministic.
+// Proc is a simulated thread of control: a coroutine of the engine. Exactly
+// one of {engine, some process} executes at any real moment; control
+// transfers are explicit (resume/yield, see newHandoff), so simulations
+// involving many processes remain deterministic.
 //
 // A Proc's body may call Sleep, Park, and the blocking helpers; it must not
 // touch the engine from any other goroutine.
 type Proc struct {
-	eng    *Engine
-	name   string
-	resume chan struct{}
-	yield  chan struct{}
-	dead   bool
-	parked bool // parked with no scheduled wakeup
+	eng      *Engine
+	name     string
+	resume   func() // engine -> process; returns when the process yields or ends
+	yield    func() // process -> engine; returns when the engine resumes it
+	dead     bool
+	parked   bool // parked with no scheduled wakeup
+	timedOut bool // the pending ParkTimeout ended by its timer
 }
 
 // Go creates a process executing fn and schedules it to start now.
 // fn runs on its own goroutine but only while the engine is paused.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		eng:    e,
-		name:   name,
-		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
-	}
+	p := &Proc{eng: e, name: name}
 	e.procs++
-	go func() {
-		<-p.resume
+	p.resume = e.handoff(func(yield func()) {
+		p.yield = yield
 		defer func() {
 			p.dead = true
 			e.procs--
 			if r := recover(); r != nil {
 				e.panicV = fmt.Errorf("sim: process %q panicked: %v\n%s", p.name, r, debug.Stack())
 			}
-			p.yield <- struct{}{}
 		}()
 		fn(p)
-	}()
-	e.Schedule(0, func() { p.run() })
+	})
+	e.ScheduleArg(0, procRun, p)
 	return p
+}
+
+// procRun and procTimeout are the wake-up and ParkTimeout-expiry events.
+// They take the process as the event argument, so scheduling one builds no
+// closure.
+func procRun(a any) { a.(*Proc).run() }
+
+func procTimeout(a any) {
+	p := a.(*Proc)
+	if p.parked {
+		p.timedOut = true
+		p.parked = false
+		p.run()
+	}
 }
 
 // Name returns the process's diagnostic name.
@@ -57,22 +67,26 @@ func (p *Proc) Engine() *Engine { return p.eng }
 func (p *Proc) Now() Time { return p.eng.now }
 
 // run transfers control from the engine to the process until it parks or
-// finishes. Must be called from engine (event) context.
+// finishes. Must be called from engine (event) context. A wake-up that
+// arrives after the process finished is a no-op.
 func (p *Proc) run() {
 	if p.dead {
 		return
 	}
-	prev := p.eng.current
-	p.eng.current = p
-	p.resume <- struct{}{}
-	<-p.yield
-	p.eng.current = prev
-}
-
-// park transfers control from the process back to the engine.
-func (p *Proc) park() {
-	p.yield <- struct{}{}
-	<-p.resume
+	p.eng.handoffs++
+	if p.eng.oneP {
+		// A coroutine switch never enters the Go scheduler, so on a single
+		// P the engine and its processes would keep that P until sysmon
+		// preempts them, and the runtime's own goroutines (the sweeper
+		// above all) would advance only in those wall-clock slices: which
+		// spans are free when the next world allocates its memory, and so
+		// the peak RSS, then differs between runs of the same inputs. Give
+		// the P up once per handoff, as the channel handoff did by
+		// blocking. With a second P the runtime's goroutines run there and
+		// a yield would buy nothing for a thread wake-up per call.
+		runtime.Gosched()
+	}
+	p.resume()
 }
 
 // Sleep suspends the process for d cycles of virtual time.
@@ -83,14 +97,14 @@ func (p *Proc) Sleep(d Time) {
 	if d == 0 {
 		return
 	}
-	p.eng.Schedule(d, func() { p.run() })
-	p.park()
+	p.eng.ScheduleArg(d, procRun, p)
+	p.yield()
 }
 
 // Park blocks the process until another event or process calls Unpark.
 func (p *Proc) Park() {
 	p.parked = true
-	p.park()
+	p.yield()
 }
 
 // Parked reports whether the process is blocked in Park or ParkTimeout
@@ -109,74 +123,18 @@ func (p *Proc) Unpark() {
 		panic(fmt.Sprintf("sim: Unpark of non-parked process %q", p.name))
 	}
 	p.parked = false
-	p.eng.Schedule(0, func() { p.run() })
+	p.eng.ScheduleArg(0, procRun, p)
 }
 
 // ParkTimeout parks the process for at most d cycles. It reports true if the
 // process was explicitly unparked and false if the timeout expired.
 func (p *Proc) ParkTimeout(d Time) bool {
-	timedOut := false
-	ev := p.eng.Schedule(d, func() {
-		if p.parked {
-			timedOut = true
-			p.parked = false
-			p.run()
-		}
-	})
+	// The timer is cancelled before returning, so no expiry from an
+	// earlier call can still be queued to set timedOut behind this one.
+	p.timedOut = false
+	ev := p.eng.ScheduleArg(d, procTimeout, p)
 	p.parked = true
-	p.park()
+	p.yield()
 	p.eng.Cancel(ev)
-	return !timedOut
-}
-
-// Chan is a deterministic, unbounded message queue between simulated
-// activities. Receivers park when empty; senders never block.
-type Chan[T any] struct {
-	eng    *Engine
-	queue  []T
-	waiter *Proc
-}
-
-// NewChan returns an empty queue bound to engine e.
-func NewChan[T any](e *Engine) *Chan[T] {
-	return &Chan[T]{eng: e}
-}
-
-// Len reports the number of queued items.
-func (c *Chan[T]) Len() int { return len(c.queue) }
-
-// Send enqueues v and wakes the receiver, if one is parked. It may be
-// called from event or process context.
-func (c *Chan[T]) Send(v T) {
-	c.queue = append(c.queue, v)
-	if c.waiter != nil {
-		w := c.waiter
-		c.waiter = nil
-		w.Unpark()
-	}
-}
-
-// Recv dequeues the next item, parking p until one is available.
-// At most one process may wait on a Chan at a time.
-func (c *Chan[T]) Recv(p *Proc) T {
-	for len(c.queue) == 0 {
-		if c.waiter != nil && c.waiter != p {
-			panic("sim: multiple receivers on Chan")
-		}
-		c.waiter = p
-		p.Park()
-	}
-	v := c.queue[0]
-	c.queue = c.queue[1:]
-	return v
-}
-
-// TryRecv dequeues the next item without blocking. ok is false when empty.
-func (c *Chan[T]) TryRecv() (v T, ok bool) {
-	if len(c.queue) == 0 {
-		return v, false
-	}
-	v = c.queue[0]
-	c.queue = c.queue[1:]
-	return v, true
+	return !p.timedOut
 }

@@ -62,13 +62,13 @@ type EventQueue interface {
 // heapQueue is a plain binary heap over the intrusive events. It is the
 // reference implementation: O(log n) everywhere, no tuning knobs. The
 // engine's default is the calendar queue; the heap stays as the oracle
-// for differential tests and as a fallback for pathological schedules.
+// for differential tests.
 type heapQueue struct {
 	evs []*Event
 }
 
-// NewHeapQueue returns an empty binary-heap event queue.
-func NewHeapQueue() EventQueue { return &heapQueue{} }
+// newHeapQueue returns an empty binary-heap event queue.
+func newHeapQueue() EventQueue { return &heapQueue{} }
 
 func (h *heapQueue) Len() int { return len(h.evs) }
 

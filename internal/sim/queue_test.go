@@ -21,77 +21,108 @@ func (s *splitmix64) next() uint64 {
 // deadlines, cancellations — and requires identical pop sequences. The
 // calendar's resizing and year-window scanning must never reorder
 // (at, seq) ties.
+//
+// The two-host shape is the queue a ping-pong world keeps: never more than
+// 32 events, so the calendar stays at its initial 16 one-cycle days, with
+// timestamps thousands of cycles apart, so almost every uncached PeekMin
+// walks the whole year and ends in the sparse fallback.
 func TestCalendarMatchesHeap(t *testing.T) {
-	rng := splitmix64(12345)
-	cal := NewCalendarQueue()
-	ref := NewHeapQueue()
-	var calLive, refLive []*Event
-	seq := uint64(0)
-	floor := Time(0)
+	for _, shape := range []struct {
+		name      string
+		maxLive   int // 0: unbounded
+		near, far uint64
+		base      Time
+	}{
+		{name: "bursty", near: 512, far: 1_000_000},
+		{name: "two-host", maxLive: 2 * calMinBuckets, near: 8000, far: 200_000, base: 1000},
+	} {
+		t.Run(shape.name, func(t *testing.T) {
+			rng := splitmix64(12345)
+			cal := NewCalendarQueue()
+			ref := newHeapQueue()
+			var calLive, refLive []*Event
+			seq := uint64(0)
+			floor := Time(0)
 
-	newPair := func(at Time) {
-		a := &Event{at: at, seq: seq}
-		b := &Event{at: at, seq: seq}
-		seq++
-		cal.Insert(a)
-		ref.Insert(b)
-		calLive = append(calLive, a)
-		refLive = append(refLive, b)
-	}
-	popBoth := func() {
-		a, b := cal.PopMin(), ref.PopMin()
-		if (a == nil) != (b == nil) {
-			t.Fatalf("pop mismatch: calendar %v, heap %v", a, b)
-		}
-		if a == nil {
-			return
-		}
-		if a.at != b.at || a.seq != b.seq {
-			t.Fatalf("pop order diverged: calendar (%d,%d) vs heap (%d,%d)", a.at, a.seq, b.at, b.seq)
-		}
-		if a.at < floor {
-			t.Fatalf("calendar popped %d below floor %d", a.at, floor)
-		}
-		floor = a.at
-		for i, ev := range calLive {
-			if ev == a {
-				calLive = append(calLive[:i], calLive[i+1:]...)
-				refLive = append(refLive[:i], refLive[i+1:]...)
-				break
+			newPair := func(at Time) {
+				a := &Event{at: at, seq: seq}
+				b := &Event{at: at, seq: seq}
+				seq++
+				cal.Insert(a)
+				ref.Insert(b)
+				calLive = append(calLive, a)
+				refLive = append(refLive, b)
 			}
-		}
-	}
+			popBoth := func() {
+				if pa, pb := cal.PeekMin(), ref.PeekMin(); (pa == nil) != (pb == nil) || pa != nil && (pa.at != pb.at || pa.seq != pb.seq) {
+					t.Fatalf("peek mismatch: calendar %v, heap %v", pa, pb)
+				}
+				a, b := cal.PopMin(), ref.PopMin()
+				if (a == nil) != (b == nil) {
+					t.Fatalf("pop mismatch: calendar %v, heap %v", a, b)
+				}
+				if a == nil {
+					return
+				}
+				if a.at != b.at || a.seq != b.seq {
+					t.Fatalf("pop order diverged: calendar (%d,%d) vs heap (%d,%d)", a.at, a.seq, b.at, b.seq)
+				}
+				if a.at < floor {
+					t.Fatalf("calendar popped %d below floor %d", a.at, floor)
+				}
+				floor = a.at
+				for i, ev := range calLive {
+					if ev == a {
+						calLive = append(calLive[:i], calLive[i+1:]...)
+						refLive = append(refLive[:i], refLive[i+1:]...)
+						break
+					}
+				}
+			}
 
-	for op := 0; op < 20000; op++ {
-		switch r := rng.next(); {
-		case r%100 < 55: // insert, biased near the floor
-			at := floor + Time(rng.next()%512)
-			if r%1000 < 30 {
-				at = floor + Time(rng.next()%1_000_000) // far deadline
+			for op := 0; op < 20000; op++ {
+				switch r := rng.next(); {
+				case r%100 < 55 && (shape.maxLive == 0 || len(calLive)+2 <= shape.maxLive):
+					// insert, biased near the floor
+					at := floor + shape.base + Time(rng.next()%shape.near)
+					if r%1000 < 30 {
+						at = floor + Time(rng.next()%shape.far) // far deadline
+					}
+					newPair(at)
+					// Equal-time burst half the time.
+					if r%2 == 0 {
+						newPair(at)
+					}
+				case r%100 < 85:
+					popBoth()
+				default: // cancel a random live event from both queues
+					if len(calLive) == 0 {
+						continue
+					}
+					i := int(rng.next() % uint64(len(calLive)))
+					cal.Remove(calLive[i])
+					ref.Remove(refLive[i])
+					calLive = append(calLive[:i], calLive[i+1:]...)
+					refLive = append(refLive[:i], refLive[i+1:]...)
+				}
+				if cal.Len() != ref.Len() {
+					t.Fatalf("length diverged: calendar %d vs heap %d", cal.Len(), ref.Len())
+				}
 			}
-			newPair(at)
-			// Equal-time burst half the time.
-			if r%2 == 0 {
-				newPair(at)
+			for cal.Len() > 0 {
+				popBoth()
 			}
-		case r%100 < 85:
-			popBoth()
-		default: // cancel a random live event from both queues
-			if len(calLive) == 0 {
-				continue
+
+			c := cal.(*CalendarQueue)
+			if shape.maxLive == 0 {
+				if c.resizes == 0 {
+					t.Error("the bursty schedule never resized the calendar")
+				}
+			} else if c.resizes != 0 || c.width != 1 || c.sparseFallbacks < 1000 {
+				t.Errorf("two-host shape: resizes=%d width=%d sparse fallbacks=%d, want 0, 1 and most peeks",
+					c.resizes, c.width, c.sparseFallbacks)
 			}
-			i := int(rng.next() % uint64(len(calLive)))
-			cal.Remove(calLive[i])
-			ref.Remove(refLive[i])
-			calLive = append(calLive[:i], calLive[i+1:]...)
-			refLive = append(refLive[:i], refLive[i+1:]...)
-		}
-		if cal.Len() != ref.Len() {
-			t.Fatalf("length diverged: calendar %d vs heap %d", cal.Len(), ref.Len())
-		}
-	}
-	for cal.Len() > 0 {
-		popBoth()
+		})
 	}
 }
 
@@ -121,7 +152,7 @@ func TestEngineOnHeapQueueEquivalent(t *testing.T) {
 		return trace
 	}
 	a := run(NewEngine())
-	b := run(NewEngineWithQueue(NewHeapQueue()))
+	b := run(newEngineWithQueue(newHeapQueue()))
 	if len(a) != len(b) {
 		t.Fatalf("trace lengths differ: %d vs %d", len(a), len(b))
 	}
