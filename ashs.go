@@ -321,6 +321,16 @@ func (w *World) AttachFaultPlane(p *FaultPlane) {
 // Run drives the simulation until no work remains.
 func (w *World) Run() { w.Eng.Run() }
 
+// Close ends the world once its results have been read: processes still
+// blocked (servers, daemons, spinners) are unwound so their goroutines
+// exit, and both hosts' simulated memory goes back to a pool the next
+// NewWorld draws from. Call it outside Run, typically deferred right after
+// NewWorld; the world and any slice of its memory must not be used
+// afterwards. Never calling it is safe and merely slower for programs that
+// build many worlds: the world is then ordinary garbage, except for the
+// goroutines of processes that never finish.
+func (w *World) Close() { w.tb.Close() }
+
 // RunFor advances the simulation by us microseconds of virtual time.
 func (w *World) RunFor(us float64) { w.Eng.RunFor(w.Prof.Cycles(us)) }
 

@@ -63,6 +63,18 @@ go test -race -count=1 ./internal/obs/ ./internal/sim/
 echo "== handoff differential (coroutine vs channel, calendar vs heap) under -race"
 go test -race -count=1 -run '^TestHandoff' ./internal/sim/
 
+# World lifetime: the arena pool behind every host's memory (a reused
+# arena is all-zero, nothing above brk is addressable, a closed host has no
+# memory, concurrent leases stay private) and the end of a world (close
+# leaves no live process and no host memory; a cell run twice grows the
+# pool once; the public World.Close). TestHandoffDifferential above is the
+# process-teardown half. In the sweep already; by name so a leak or a
+# dirty re-lease is attributable.
+echo "== world lifetime (arena pool, world close) under -race"
+go test -race -count=1 -run '^TestArena' ./internal/aegis/
+go test -race -count=1 -run '^TestPoolLeakGate$|^TestWorldReuse$' ./internal/bench/
+go test -race -count=1 -run '^TestWorldClose$' .
+
 echo "== breakdown trace determinism (byte-identical across runs)"
 tracedir="$workdir"
 go run ./cmd/ashbench -experiment breakdown -trace "$tracedir/a.json" >/dev/null
@@ -92,7 +104,7 @@ go test -run '^$' -fuzz '^FuzzReoptProfile$' -fuzztime 10s ./internal/sandbox/
 # Wall-time and trace summaries go to stderr, so cmp sees results only.
 echo "== serial vs parallel ashbench (byte-identical stdout)"
 go build -o "$tracedir/ashbench" ./cmd/ashbench
-"$tracedir/ashbench" -parallel 1 >"$tracedir/serial.txt" 2>/dev/null
+"$tracedir/ashbench" -parallel 1 >"$tracedir/serial.txt" 2>"$tracedir/serial.err"
 "$tracedir/ashbench" >"$tracedir/parallel.txt" 2>/dev/null
 if ! cmp -s "$tracedir/serial.txt" "$tracedir/parallel.txt"; then
     echo "ashbench output differs between -parallel=1 and the default pool"
@@ -108,6 +120,9 @@ if ! cmp -s ashbench_output.txt "$tracedir/serial.txt"; then
     diff ashbench_output.txt "$tracedir/serial.txt" | head -40
     exit 1
 fi
+# The serial run's wall time and arena-pool counters, for the log: leases
+# must equal returned, and grown jumps when a cell stops closing its world.
+cat "$tracedir/serial.err" >&2
 
 # Every registered experiment gets its own gate, in quick mode: serial vs
 # the default pool must print byte-identical stdout, so a determinism

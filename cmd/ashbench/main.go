@@ -40,6 +40,7 @@ import (
 	"strings"
 	"time"
 
+	"ashs/internal/aegis"
 	"ashs/internal/bench"
 	"ashs/internal/obs"
 )
@@ -97,6 +98,12 @@ func main() {
 	// Wall time goes to stderr: stdout must stay byte-identical across
 	// runs and parallelism levels.
 	fmt.Fprintf(os.Stderr, "[%d experiment(s) ran in %.1fs wall]\n", len(selected), time.Since(start).Seconds())
+	// Beside it, the host-memory pool: every cell closes its world, so
+	// leases == returned, and grown stays near the worker count times the
+	// few host sizes. A cell that stops closing shows as grown jumping.
+	a := aegis.ArenaStats()
+	fmt.Fprintf(os.Stderr, "[host memory arenas: %d leases, %d returned, %d grown, %.1f MiB zeroed on return]\n",
+		a.Leases, a.Returned, a.Grown, float64(a.ZeroedBytes)/(1<<20))
 
 	if *trace != "" {
 		planes := cfg.Planes()

@@ -24,6 +24,7 @@ func be(v uint32) []byte { return binary.BigEndian.AppendUint32(nil, v) }
 
 func main() {
 	w := ashs.NewWorld()
+	defer w.Close()
 
 	// Home node state.
 	app := w.Host2.Spawn("dsm-home", func(p *ashs.Process) {})

@@ -32,6 +32,7 @@ func echoProgram(replyDst, replyVC int) *ashs.Program {
 
 func measure(useASH bool) float64 {
 	w := ashs.NewWorld()
+	defer w.Close()
 	const vc, iters = 7, 10
 
 	if useASH {

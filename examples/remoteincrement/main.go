@@ -32,6 +32,7 @@ func main() {
 
 func measure(nprocs int, useASH bool) float64 {
 	w := ashs.NewWorld()
+	defer w.Close()
 	const iters, warmup = 8, 2
 
 	for i := 1; i < nprocs; i++ {

@@ -43,6 +43,7 @@ func cfg(m ashs.TCPMode) ashs.TCPConfig {
 // virtual microseconds and the count of handler-consumed segments.
 func fetch(c ashs.TCPConfig) (float64, uint64) {
 	w := ashs.NewWorld()
+	defer w.Close()
 	doc := make([]byte, 64<<10)
 	rand.New(rand.NewSource(42)).Read(doc)
 

@@ -71,6 +71,34 @@ func TestNewWorldDeterministic(t *testing.T) {
 	}
 }
 
+// TestWorldClose: Close ends what Run leaves behind — here a process that
+// spins forever — hands both hosts' memory back, and the next world,
+// running on that memory, reproduces the first one's result.
+func TestWorldClose(t *testing.T) {
+	a := ashs.NewWorld()
+	a.Host2.Spawn("spinner", func(p *ashs.Process) { p.SpinForever() })
+	a.RunFor(100)
+	a.Close()
+	if live := a.Eng.Stats().LiveProcs; live != 0 || a.Host1.Mem.Data != nil || a.Host2.Mem.Data != nil {
+		t.Fatalf("after Close: %d live processes, host memory %d/%d bytes",
+			live, len(a.Host1.Mem.Data), len(a.Host2.Mem.Data))
+	}
+	a.Close() // harmless
+
+	b := ashs.NewWorld()
+	bGot, bDone := echoRoundTrip(t, b)
+	b.Close()
+	grown := aegis.ArenaStats().Grown
+	c := ashs.NewWorld()
+	defer c.Close()
+	if now := aegis.ArenaStats().Grown; now != grown {
+		t.Errorf("a world built after a Close grew the arena pool (%d -> %d)", grown, now)
+	}
+	if cGot, cDone := echoRoundTrip(t, c); string(cGot) != string(bGot) || cDone != bDone {
+		t.Errorf("world on reused memory: payload %v at %d, first world %v at %d", cGot, cDone, bGot, bDone)
+	}
+}
+
 // TestWorldOptionOrderInsensitive checks the fix for the old
 // AttachObs/AttachFaultPlane ordering hazard: with NewWorld the obs plane
 // sees the fault plane's counters no matter how the options are listed.

@@ -28,7 +28,7 @@ type Kernel struct {
 	Eng   *sim.Engine
 	Prof  *mach.Profile
 	Cache *mach.Cache
-	Mem   *vcode.FlatMem // host physical memory
+	Mem   *vcode.FlatMem // host physical memory: the allocated prefix, see NewKernelMem
 	Sched Scheduler
 
 	// Obs is the host's observability plane. nil (the default) disables
@@ -47,7 +47,10 @@ type Kernel struct {
 	// overlapping in virtual time.
 	kernBusyUntil sim.Time
 
-	memSize uint32
+	// arena is the leased backing array of the host's whole memory, length
+	// 0 and capacity the memory size; Mem.Data is its allocated prefix. nil
+	// once the host is closed.
+	arena []byte
 
 	// mcFree recycles receive-path MsgCtxs; the *Fn fields are the
 	// bound event callbacks scheduled per arrival (bound once here so the
@@ -81,20 +84,29 @@ func NewKernel(name string, eng *sim.Engine, prof *mach.Profile) *Kernel {
 
 // NewKernelMem boots a host with memSize bytes of physical memory. Fan-in
 // testbeds size client hosts well below the default so a 512-host world
-// fits; a Go-side byte slice backs each host's memory, so footprint is the
-// scaling limit.
+// fits.
+//
+// The memory is an arena leased from the package's pool (all-zero, see
+// arena.go), and the valid range is exactly what the kernel has allocated:
+// Mem.Data is arena[:off:off] with off = brk - HostMemBase, length and
+// capacity both clamped. Only AllocPhys re-slices it forward — over the
+// same backing array, so every slice Bytes has handed out stays valid — and
+// only Close takes it away. An access above brk therefore fails the bounds
+// checks that exist anyway (FaultBadAddr from the FlatMem accessors, a
+// panic from Bytes) instead of reading zeros, and Data itself is the
+// record of which bytes the world may have dirtied.
 func NewKernelMem(name string, eng *sim.Engine, prof *mach.Profile, memSize int) *Kernel {
 	if memSize <= 0 {
 		panic("aegis: NewKernelMem of nonpositive size")
 	}
 	k := &Kernel{
-		Name:    name,
-		Eng:     eng,
-		Prof:    prof,
-		Cache:   mach.NewCache(prof),
-		Mem:     vcode.NewFlatMem(HostMemBase, memSize),
-		brk:     HostMemBase,
-		memSize: uint32(memSize),
+		Name:  name,
+		Eng:   eng,
+		Prof:  prof,
+		Cache: mach.NewCache(prof),
+		Mem:   &vcode.FlatMem{Base: HostMemBase},
+		brk:   HostMemBase,
+		arena: leaseArena(memSize),
 	}
 	k.Sched = NewRoundRobin()
 	k.commitFn = k.mcCommit
@@ -103,18 +115,39 @@ func NewKernelMem(name string, eng *sim.Engine, prof *mach.Profile, memSize int)
 	return k
 }
 
+// MemSize reports the host's physical memory size in bytes (0 once closed).
+func (k *Kernel) MemSize() int { return cap(k.arena) }
+
+// Close ends the host: it zeroes the memory the host allocated, returns the
+// arena to the pool and leaves Mem.Data nil, so a later access through the
+// closed kernel faults (FlatMem accessors) or panics (Bytes, AllocPhys)
+// rather than scribbling on whichever world leases the arena next. Slices
+// obtained from Bytes must not be used afterwards either. Close is a
+// performance contract, not an obligation: a kernel never closed is
+// collected like any other garbage. A second Close is a no-op.
+func (k *Kernel) Close() {
+	if k.arena == nil {
+		return
+	}
+	returnArena(k.arena, len(k.Mem.Data))
+	k.arena, k.Mem.Data = nil, nil
+}
+
 // AllocPhys carves n bytes (rounded to a cache line) out of physical
 // memory and returns the base address. Exhaustion is a runtime condition
 // a guest can trigger (by asking for too much), so it surfaces as an
 // error rather than crashing the whole simulation; only a nonpositive
-// size — a programming error in the caller — still panics.
+// size or a closed host — programming errors in the caller — still panic.
 func (k *Kernel) AllocPhys(n int, why string) (uint32, error) {
 	if n <= 0 {
 		panic("aegis: AllocPhys of nonpositive size")
 	}
+	if k.arena == nil {
+		panic(fmt.Sprintf("aegis %s: AllocPhys for %s on a closed host", k.Name, why))
+	}
 	line := uint32(k.Prof.LineBytes)
 	base := (k.brk + line - 1) &^ (line - 1)
-	if uint64(base)+uint64(n) > HostMemBase+uint64(k.memSize) {
+	if uint64(base)+uint64(n) > HostMemBase+uint64(cap(k.arena)) {
 		if o := k.Obs; o.Enabled() {
 			o.Inc("aegis/" + k.Name + "/alloc_failures")
 		}
@@ -122,15 +155,36 @@ func (k *Kernel) AllocPhys(n int, why string) (uint32, error) {
 			k.Name, n, why)
 	}
 	k.brk = base + uint32(n)
+	off := k.brk - HostMemBase
+	k.Mem.Data = k.arena[:off:off]
 	return base, nil
 }
 
-// Bytes returns the raw byte view of physical range [addr, addr+n). The
-// capacity is clamped to n so overruns fail loudly instead of silently
-// reading neighboring memory.
+// Bytes returns the raw byte view of physical range [addr, addr+n), which
+// must lie inside allocated memory. The capacity is clamped to n so
+// overruns fail loudly instead of silently reading neighboring memory.
 func (k *Kernel) Bytes(addr uint32, n int) []byte {
 	i := addr - k.Mem.Base
+	if uint64(i)+uint64(n) > uint64(len(k.Mem.Data)) {
+		panic(&bytesRangeError{k, addr, n})
+	}
 	return k.Mem.Data[i : i+uint32(n) : i+uint32(n)]
+}
+
+// bytesRangeError is the panic value of a Bytes call outside allocated
+// memory. It is built in place, not by a helper, so Bytes still inlines.
+type bytesRangeError struct {
+	k    *Kernel
+	addr uint32
+	n    int
+}
+
+func (e *bytesRangeError) Error() string {
+	if e.k.arena == nil {
+		return fmt.Sprintf("aegis %s: Bytes(%#x, %d) on a closed host", e.k.Name, e.addr, e.n)
+	}
+	return fmt.Sprintf("aegis %s: Bytes(%#x, %d) outside allocated memory [%#x, %#x)",
+		e.k.Name, e.addr, e.n, e.k.Mem.Base, e.k.brk)
 }
 
 // Now reports virtual time.

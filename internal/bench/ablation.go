@@ -107,6 +107,7 @@ const (
 // (dynamic instructions, path microseconds).
 func ablationRun(cfg *Config, h ablationHandler, pol *sandbox.Policy, unsafe bool) (int64, float64) {
 	tb := NewAN2Testbed(cfg)
+	defer tb.close()
 	if pol != nil {
 		tb.Sys2.Policy = pol
 	}

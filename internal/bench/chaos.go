@@ -104,6 +104,7 @@ func chaosPattern(i int) byte { return byte((i*31 + 7) ^ (i >> 8)) }
 // must finish with byte-verified payloads despite the schedule.
 func runChaosOne(cfg *Config, seed int64, sched fault.Schedule, p ChaosParams) ChaosResult {
 	tb := NewAN2Testbed(cfg)
+	defer tb.close()
 	pl := fault.New(seed, sched)
 	tb.AttachFault(pl)
 	tb.Sys1.AbortTripThreshold = 64

@@ -56,6 +56,7 @@ func RunFig3(cfg *Config, pktsPerSize int) Fig3 {
 
 func fig3Throughput(cfg *Config, size, count int) float64 {
 	tb := NewAN2Testbed(cfg)
+	defer tb.close()
 	const vc = 5
 	var first, last sim.Time
 	got := 0

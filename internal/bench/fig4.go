@@ -63,6 +63,7 @@ func RunFig4(cfg *Config, maxProcs, iters int) Fig4 {
 // server: the receiving application plus n-1 compute-bound competitors.
 func fig4RT(cfg *Config, n int, system string, iters int) float64 {
 	tb := NewAN2Testbed(cfg)
+	defer tb.close()
 	const vc = 9
 	const warmup = 2
 

@@ -261,6 +261,7 @@ func megaSourceFilter(src ip.Addr) *dpf.Filter {
 // captured state.
 func runMegaUDP(n, events int) MegaResult {
 	w := newFanIn(fanInServerMem, megaUDPPool, 0, 0, 0)
+	defer w.close()
 	srv := w.srv()
 	flt := megaFleet(w, flyweight.UDPEcho, n, scaleEchoPort, megaRetry("udp-echo"))
 
@@ -305,6 +306,7 @@ func runMegaUDP(n, events int) MegaResult {
 // lifetimes follow the trace without the server knowing the schedule.
 func runMegaTCP(n, events int) MegaResult {
 	w := newFanIn(megaTCPServerMem, 2*n+fanInServerRxSlack, 0, 0, 0)
+	defer w.close()
 	srv := w.srv()
 	flt := megaFleet(w, flyweight.TCPPingPong, n, scaleTCPPort, megaRetry("tcp-pp"))
 	megaResolve(w, flt)
@@ -355,6 +357,7 @@ func runMegaTCP(n, events int) MegaResult {
 // the fleet's jittered retries are the measurement.
 func runMegaNFS(n, events int) MegaResult {
 	w := newFanIn(fanInServerMem, megaNFSPool, 0, 0, 0)
+	defer w.close()
 	srv, nfsd := w.srv(), nfs.NewServer()
 	data := make([]byte, megaFileBytes)
 	for i := range data {

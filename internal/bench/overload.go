@@ -234,6 +234,7 @@ func runOverloadCell(cfg *Config, tr overloadTrace, schedName string) OverloadRe
 	// default.
 	w := newFanIn(fanInServerMem, 2*overloadClients+fanInServerRxSlack,
 		overloadClients, 1<<20, 4*overloadLanes)
+	defer w.close()
 	srv := w.srv()
 	pl := fault.New(overloadFaultSeed, sched)
 	w.attachFault(pl, srv)

@@ -91,6 +91,7 @@ func RunReopt(cfg *Config) ReoptResult {
 // message-carried-modulus divide-hoist showcase (timer mode).
 func runReoptHandler(cfg *Config, sparse bool) ReoptRun {
 	tb := NewAN2Testbed(cfg)
+	defer tb.close()
 	opts := core.Options{OptimizeSFI: true, Profile: true}
 	if sparse {
 		pol := *tb.Sys2.Policy
@@ -176,6 +177,7 @@ func reoptBumpHandler(addr uint32) *vcode.Program {
 // whose seam test replaces the second dispatch.
 func runReoptChain(cfg *Config) ChainRun {
 	tb := NewAN2Testbed(cfg)
+	defer tb.close()
 	owner := tb.K2.Spawn("chain-app", func(p *aegis.Process) {})
 	seg := owner.AS.MustAlloc(4096, "counter")
 	opts := core.Options{OptimizeSFI: true}

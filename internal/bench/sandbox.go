@@ -118,6 +118,7 @@ func (m sboxMode) options() core.Options {
 // trusted engine) and total cycles.
 func runWriteHandler(cfg *Config, generic bool, mode sboxMode, nbytes int) handlerRun {
 	tb := NewAN2Testbed(cfg)
+	defer tb.close()
 	owner := tb.K2.Spawn("dsm-app", func(p *aegis.Process) {})
 	node := crl.NewNode(tb.Sys2, owner)
 	segID, seg, err := node.AddSegment(8192, "shared")
@@ -180,6 +181,7 @@ func runWriteHandler(cfg *Config, generic bool, mode sboxMode, nbytes int) handl
 // its dynamic instruction count.
 func runRecordHandler(cfg *Config, mode sboxMode) handlerRun {
 	tb := NewAN2Testbed(cfg)
+	defer tb.close()
 	owner := tb.K2.Spawn("dsm-app", func(p *aegis.Process) {})
 	node := crl.NewNode(tb.Sys2, owner)
 	_, seg, err := node.AddSegment(8192, "shared")
@@ -254,7 +256,11 @@ func dpfCells() []Cell {
 }
 
 func runDPF(cfg *Config) DPFResult {
-	prof := NewAN2Testbed(cfg).Prof
+	// Only the profile is used, but the config's Obs hook fires on every
+	// testbed a cell builds and what it returns lands in the -trace output.
+	tb := NewAN2Testbed(cfg)
+	prof := tb.Prof
+	tb.close()
 	var r DPFResult
 	for _, n := range []int{1, 4, 16, 64} {
 		e := dpf.NewEngine()

@@ -83,6 +83,7 @@ func runScaleCell(workload string, n, m int) ScaleResult {
 	// The server's pool must absorb a burst with every client's message in
 	// flight at once.
 	w := newFanIn(fanInServerMem, 2*n+fanInServerRxSlack, n, scaleClientMem, scaleClientRxBufs)
+	defer w.close()
 	hist := &obs.Histogram{}
 	starts := make([]sim.Time, n)
 	ends := make([]sim.Time, n)

@@ -45,6 +45,7 @@ func RunTable1(cfg *Config, iters int) Table1 {
 // observability plane and records the measurement window for Breakdown.
 func inKernelAN2RT(cfg *Config, iters int, o *obsRun) float64 {
 	tb := NewAN2Testbed(cfg)
+	defer tb.close()
 	o.attach(tb)
 	const vc = 5
 	sb, err := tb.A2.BindVC(nil, vc, 8, 4096)
@@ -80,6 +81,7 @@ func inKernelAN2RT(cfg *Config, iters int, o *obsRun) float64 {
 // the full system call interface.
 func userAN2RT(cfg *Config, iters int, o *obsRun) float64 {
 	tb := NewAN2Testbed(cfg)
+	defer tb.close()
 	o.attach(tb)
 	const vc = 5
 	tb.K2.Spawn("echo", func(p *aegis.Process) {
@@ -117,6 +119,7 @@ func userAN2RT(cfg *Config, iters int, o *obsRun) float64 {
 // ethernetRT measures the user-level Ethernet ping-pong with DPF demux.
 func ethernetRT(cfg *Config, iters int, o *obsRun) float64 {
 	tb := NewEthernetTestbed(cfg)
+	defer tb.close()
 	o.attach(tb)
 	tagged := func(tag byte) *dpf.Filter { return dpf.NewFilter().Eq8(0, tag) }
 

@@ -131,6 +131,7 @@ func udpOpts(inplace, cksum bool) udp.Options {
 
 func udpLatencyAN2(cfg *Config, iters int, inplace, cksum bool) float64 {
 	tb := NewAN2Testbed(cfg)
+	defer tb.close()
 	opts := udpOpts(inplace, cksum)
 	const warmup = 2
 	tb.K2.Spawn("server", func(p *aegis.Process) {
@@ -215,6 +216,7 @@ func udpTrain(tb *Testbed, mkSock func(p *aegis.Process, host int) *udp.Socket,
 
 func udpThroughputAN2(cfg *Config, trains int, inplace, cksum bool) float64 {
 	tb := NewAN2Testbed(cfg)
+	defer tb.close()
 	opts := udpOpts(inplace, cksum)
 	return udpTrain(tb, func(p *aegis.Process, host int) *udp.Socket {
 		port := uint16(1234)
@@ -240,6 +242,7 @@ func tcpCfgAN2(tb *Testbed, host int, inplace, cksum bool) tcp.Config {
 
 func tcpLatencyAN2(cfg *Config, iters int, inplace, cksum bool) float64 {
 	tb := NewAN2Testbed(cfg)
+	defer tb.close()
 	return tcpPingPong(tb, iters, nil,
 		func(p *aegis.Process) (*tcp.Conn, error) {
 			return tcp.Accept(tb.StackAN2(p, 2, 7), tcpCfgAN2(tb, 2, inplace, cksum), 80)
@@ -347,6 +350,7 @@ func tcpStream(tb *Testbed, totalBytes, writeSize int,
 
 func tcpThroughputAN2(cfg *Config, totalBytes int, inplace, cksum bool) float64 {
 	tb := NewAN2Testbed(cfg)
+	defer tb.close()
 	return tcpStream(tb, totalBytes, 8192,
 		func(p *aegis.Process) (*tcp.Conn, error) {
 			return tcp.Accept(tb.StackAN2(p, 2, 7), tcpCfgAN2(tb, 2, inplace, cksum), 80)
@@ -384,6 +388,7 @@ const EthernetTCPMSS = 1460
 
 func udpLatencyEth(cfg *Config, iters int) float64 {
 	tb, s1, s2 := ethWorld(cfg)
+	defer tb.close()
 	opts := udp.Options{Checksum: true}
 	const warmup = 2
 	tb.K2.Spawn("server", func(p *aegis.Process) {
@@ -421,6 +426,7 @@ func udpLatencyEth(cfg *Config, iters int) float64 {
 
 func udpThroughputEth(cfg *Config, trains int) float64 {
 	tb, s1, s2 := ethWorld(cfg)
+	defer tb.close()
 	opts := udp.Options{Checksum: true}
 	return udpTrain(tb, func(p *aegis.Process, host int) *udp.Socket {
 		port := uint16(1234)
@@ -443,6 +449,7 @@ func tcpCfgEth(tb *Testbed, host int) tcp.Config {
 
 func tcpLatencyEth(cfg *Config, iters int) float64 {
 	tb, s1, s2 := ethWorld(cfg)
+	defer tb.close()
 	return tcpPingPong(tb, iters, nil,
 		func(p *aegis.Process) (*tcp.Conn, error) {
 			return tcp.Accept(tb.EthStack(p, 2, ip.ProtoTCP, 80, s2), tcpCfgEth(tb, 2), 80)
@@ -454,6 +461,7 @@ func tcpLatencyEth(cfg *Config, iters int) float64 {
 
 func tcpThroughputEth(cfg *Config, totalBytes int) float64 {
 	tb, s1, s2 := ethWorld(cfg)
+	defer tb.close()
 	return tcpStream(tb, totalBytes, 8192,
 		func(p *aegis.Process) (*tcp.Conn, error) {
 			return tcp.Accept(tb.EthStack(p, 2, ip.ProtoTCP, 80, s2), tcpCfgEth(tb, 2), 80)

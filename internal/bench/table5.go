@@ -74,6 +74,7 @@ func RunTable5(cfg *Config, iters int) Table5 {
 // handling mechanism and scheduling state vary.
 func remoteIncrementRT(cfg *Config, mech Mechanism, suspended bool, iters int, o *obsRun) float64 {
 	tb := NewAN2Testbed(cfg)
+	defer tb.close()
 	o.attach(tb)
 	const vc = 9
 	const warmup = 2

@@ -114,6 +114,7 @@ func table6Cfg(tb *Testbed, m table6Mode, host, mss int) tcp.Config {
 
 func table6Latency(cfg *Config, m table6Mode, iters int, o *obsRun) float64 {
 	tb := table6Testbed(cfg, m)
+	defer tb.close()
 	return tcpPingPong(tb, iters, o,
 		func(p *aegis.Process) (*tcp.Conn, error) {
 			return tcp.Accept(tb.StackAN2(p, 2, 7), table6Cfg(tb, m, 2, 3072), 80)
@@ -125,6 +126,7 @@ func table6Latency(cfg *Config, m table6Mode, iters int, o *obsRun) float64 {
 
 func table6Tput(cfg *Config, m table6Mode, totalBytes, mss, writeSize int) float64 {
 	tb := table6Testbed(cfg, m)
+	defer tb.close()
 	return tcpStream(tb, totalBytes, writeSize,
 		func(p *aegis.Process) (*tcp.Conn, error) {
 			return tcp.Accept(tb.StackAN2(p, 2, 7), table6Cfg(tb, m, 2, mss), 80)

@@ -147,6 +147,18 @@ func (w *world) checkPool() {
 	}
 }
 
+// close ends the world: its processes are torn down and its hosts' memory
+// goes back to the arena pool. The engine goes first, so deferred calls
+// that unwind with the processes still see live memory. The function that
+// builds a world defers this; a world's results are read before it runs,
+// and nothing may touch the world afterwards.
+func (w *world) close() {
+	w.eng.Close()
+	for _, h := range w.hosts {
+		h.k.Close()
+	}
+}
+
 // run drains the engine and applies the leak gate. Cells that run to
 // quiescence end through here rather than calling eng.Run directly.
 func (w *world) run() {
@@ -362,6 +374,9 @@ func (tb *Testbed) AttachObs(pl *obs.Plane) {
 // AttachFault hooks a fault plane into every injection point of the
 // testbed: the wire, both network interfaces, and both ASH systems.
 func (tb *Testbed) AttachFault(pl *fault.Plane) { tb.attachFault(pl, tb.hosts...) }
+
+// Close is close for the public facade, whose worlds are testbeds.
+func (tb *Testbed) Close() { tb.close() }
 
 // StackAN2 builds an IP stack over a fresh VC binding for p.
 func (tb *Testbed) StackAN2(p *aegis.Process, host, vc int) *ip.Stack {

@@ -7,6 +7,7 @@ import (
 
 	"ashs/internal/aegis"
 	"ashs/internal/proto/ip"
+	"ashs/internal/sim"
 )
 
 // worldShapes is every shape the builder makes, smallest useful size each.
@@ -23,12 +24,19 @@ var worldShapes = []struct {
 // TestPoolLeakGate pins the end-of-cell leak detector both ways on every
 // world shape: a drained world with every lease returned passes, and a
 // deliberately dropped lease panics with the pool accounting in the
-// message.
+// message. Then the world's own end: close leaves no live process and no
+// host memory behind.
 func TestPoolLeakGate(t *testing.T) {
 	for _, shape := range worldShapes {
 		t.Run(shape.name, func(t *testing.T) {
 			w := shape.build()
-			w.run() // empty world drains clean
+			var never aegis.Cond
+			w.hosts[0].k.Spawn("idle", func(p *aegis.Process) { never.Wait(p) })
+			w.eng.Go("parked", func(p *sim.Proc) { p.Park() })
+			w.run() // drains clean, both processes still waiting
+			if live := w.eng.Stats().LiveProcs; live != 2 {
+				t.Fatalf("%d live processes before close, want 2", live)
+			}
 
 			leaked := w.sw.LeaseData([]byte{1, 2, 3})
 			defer func() {
@@ -42,6 +50,17 @@ func TestPoolLeakGate(t *testing.T) {
 				}
 				leaked.Release()
 				w.checkPool() // released: the gate passes again
+
+				w.close()
+				if live := w.eng.Stats().LiveProcs; live != 0 {
+					t.Errorf("%d live processes after close", live)
+				}
+				for _, h := range w.hosts {
+					if h.k.Mem.Data != nil || h.k.MemSize() != 0 {
+						t.Errorf("host %s keeps its memory after close", h.k.Name)
+					}
+				}
+				w.close() // and once more: a no-op
 			}()
 			w.checkPool()
 		})
@@ -97,7 +116,7 @@ func TestWorldShape(t *testing.T) {
 		} else if tb.E1 == nil || tb.E2 == nil || tb.A1 != nil || tb.A2 != nil || tb.E1.Addr() != 0 || tb.E2.Addr() != 1 {
 			t.Error("Ethernet pair: wrong interfaces")
 		}
-		if len(tb.K1.Mem.Data) != aegis.HostMemSize || len(tb.K2.Mem.Data) != aegis.HostMemSize {
+		if tb.K1.MemSize() != aegis.HostMemSize || tb.K2.MemSize() != aegis.HostMemSize {
 			t.Errorf("%s: pair hosts are not default-sized", tb.Sw.Cfg.Name)
 		}
 	}
@@ -120,4 +139,24 @@ func TestRunUntilBoundPanics(t *testing.T) {
 	}()
 	tb.runUntil(func() bool { return false }, 5000, 1000)
 	t.Fatal("runUntil returned with its predicate still false")
+}
+
+// TestWorldReuse: a cell returns what it leased. The first run of a scale
+// cell may grow the arena pool; the same cell run again is served entirely
+// from what the first gave back, with the same simulated result.
+func TestWorldReuse(t *testing.T) {
+	first := runScaleCell("tcp-fast", 4, 2)
+	warm := aegis.ArenaStats()
+	again := runScaleCell("tcp-fast", 4, 2)
+	got := aegis.ArenaStats()
+	if got.Grown != warm.Grown {
+		t.Errorf("second run grew the pool: Grown %d -> %d", warm.Grown, got.Grown)
+	}
+	if leases := got.Leases - warm.Leases; leases != 5 || got.Returned-warm.Returned != leases {
+		t.Errorf("second run leased %d arenas and returned %d, want 5 and 5",
+			leases, got.Returned-warm.Returned)
+	}
+	if first != again {
+		t.Errorf("results differ on reused memory:\n%+v\n%+v", first, again)
+	}
 }

@@ -27,10 +27,7 @@
 // callback) is a safe no-op.
 package sim
 
-import (
-	"fmt"
-	"runtime"
-)
+import "fmt"
 
 // Time is a virtual timestamp or duration, measured in CPU cycles of the
 // simulated machine. The zero Time is the beginning of the simulation.
@@ -52,12 +49,12 @@ type Engine struct {
 	q       EventQueue
 	free    *Event // recycled events, chained through next
 	procs   int    // live (created, not yet finished) processes
+	live    *Proc  // those processes, newest first (Close walks it)
 	panicV  any    // propagated panic from a process
 	stopped bool
 
 	// handoff is newHandoff; the differential tests swap in newChanHandoff.
 	handoff func(body func(yield func())) (resume func())
-	oneP    bool // built with GOMAXPROCS=1: see Proc.run
 
 	fired, cancelled, handoffs uint64
 }
@@ -94,7 +91,7 @@ func NewEngine() *Engine {
 // newEngineWithQueue returns an empty engine scheduling against q, so the
 // tests can run one workload over both queue implementations.
 func newEngineWithQueue(q EventQueue) *Engine {
-	return &Engine{q: q, handoff: newHandoff, oneP: runtime.GOMAXPROCS(0) == 1}
+	return &Engine{q: q, handoff: newHandoff}
 }
 
 // Now reports the current virtual time.

@@ -2,8 +2,10 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // handoffs are the two implementations of the engine<->process switch; on a
@@ -26,12 +28,14 @@ var queues = []struct {
 
 // handoffScenario runs one scripted world on e: every blocking call a
 // process can make, woken every way it can be woken, ending in a process
-// panic. It returns the trace (one "virtual-time process step" line per
-// step), the clock when Run unwound, the engine's counters and the value
+// panic that leaves one process in each state Close has to end. It appends
+// to trace (one "virtual-time process step" line per step; the processes
+// keep the pointer, so what they do under Close lands there too) and
+// returns the clock when Run unwound, the engine's counters and the value
 // Run panicked with.
-func handoffScenario(e *Engine) (trace string, end Time, st Stats, panicked any) {
+func handoffScenario(e *Engine, trace *strings.Builder) (end Time, st Stats, panicked any) {
 	step := func(who, what string) {
-		trace += fmt.Sprintf("%d %s %s\n", e.Now(), who, what)
+		fmt.Fprintf(trace, "%d %s %s\n", e.Now(), who, what)
 	}
 
 	e.Go("sleeper", func(p *Proc) {
@@ -115,8 +119,32 @@ func handoffScenario(e *Engine) (trace string, end Time, st Stats, panicked any)
 		step("forever", "unreachable")
 	})
 
+	// Still suspended when Run unwinds at 60, one per blocking call; their
+	// deferred calls run only if Close unwinds them.
+	e.Go("napper", func(p *Proc) {
+		defer step("napper", "first defer, runs last")
+		defer step("napper", "second defer, runs first")
+		p.Sleep(1000)
+		step("napper", "unreachable")
+	})
+	e.Go("patient", func(p *Proc) {
+		defer step("patient", "defer")
+		step("patient", fmt.Sprint("unreachable: ", p.ParkTimeout(1000)))
+	})
+	e.Go("stubborn", func(p *Proc) {
+		defer step("stubborn", "outer defer")
+		defer func() {
+			step("stubborn", "defer blocks again")
+			p.Sleep(5)
+			step("stubborn", "unreachable")
+		}()
+		p.Park()
+		step("stubborn", "unreachable")
+	})
+
 	e.Go("bad", func(p *Proc) {
 		p.Sleep(60)
+		e.Go("unstarted", func(p *Proc) { step("unstarted", "unreachable") })
 		step("bad", "boom")
 		panic("boom")
 	})
@@ -125,12 +153,25 @@ func handoffScenario(e *Engine) (trace string, end Time, st Stats, panicked any)
 		defer func() { panicked = recover() }()
 		e.Run()
 	}()
-	return trace, e.Now(), e.Stats(), panicked
+	return e.Now(), e.Stats(), panicked
 }
 
-// TestHandoffDifferential runs the scenario over {coroutine, channel} x
-// {calendar, heap}: the trace, the final clock and the schedule-determined
-// counters must not depend on either choice.
+// settleGoroutines waits for goroutines that are on their way out — a
+// finished test's runner, a channel handoff's after its last send — until
+// no more than want are left or it is clear they are staying.
+func settleGoroutines(want int) int {
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > want && time.Now().Before(deadline); {
+		time.Sleep(100 * time.Microsecond)
+	}
+	return runtime.NumGoroutine()
+}
+
+// TestHandoffDifferential runs the scenario, then Engine.Close, over
+// {coroutine, channel} x {calendar, heap}: the trace, the final clock and
+// the schedule-determined counters must not depend on either choice, and
+// Close must end every process the scenario left behind — parked forever,
+// in Sleep, in ParkTimeout, never started, blocking again in a deferred
+// call — along with its goroutine.
 func TestHandoffDifferential(t *testing.T) {
 	type result struct {
 		trace string
@@ -140,9 +181,23 @@ func TestHandoffDifferential(t *testing.T) {
 	var want result
 	for i, h := range handoffs {
 		for j, q := range queues {
+			goroutines := runtime.NumGoroutine() // earlier tests leave some parked for good
 			e := newEngineWithQueue(q.fn())
 			e.handoff = h.fn
-			trace, end, st, panicked := handoffScenario(e)
+			var log strings.Builder
+			end, st, panicked := handoffScenario(e, &log)
+
+			e.Close()
+			if closed := e.Stats(); closed.LiveProcs != 0 || e.Pending() != 0 || e.panicV != nil ||
+				closed.Fired != st.Fired || closed.Handoffs != st.Handoffs {
+				t.Errorf("%s/%s: after Close %+v, %d pending, panic %v; at the end of Run %+v",
+					h.name, q.name, closed, e.Pending(), e.panicV, st)
+			}
+			if n := settleGoroutines(goroutines); n > goroutines {
+				t.Errorf("%s/%s: %d goroutines after Close, %d before the engine was built", h.name, q.name, n, goroutines)
+			}
+			e.Close() // nothing left to end
+			trace := log.String()
 
 			err, ok := panicked.(error)
 			if !ok {
@@ -170,7 +225,7 @@ func TestHandoffDifferential(t *testing.T) {
 	}
 
 	// The scenario itself: it reached every case it was written for.
-	if want.st.Handoffs == 0 || want.st.Cancelled == 0 || want.st.LiveProcs != 1 {
+	if want.st.Handoffs == 0 || want.st.Cancelled == 0 || want.st.LiveProcs != 5 {
 		t.Errorf("scenario stats %+v", want.st)
 	}
 	for _, step := range []string{
@@ -183,13 +238,44 @@ func TestHandoffDifferential(t *testing.T) {
 		"33 waiter woken by process",
 		"50 event late wake-ups",
 		"60 bad boom",
+		// Close, newest process first; each body's deferred calls in LIFO order.
+		"60 bad boom\n" +
+			"60 stubborn defer blocks again\n60 stubborn outer defer\n" +
+			"60 patient defer\n" +
+			"60 napper second defer, runs first\n60 napper first defer, runs last",
 	} {
 		if !strings.Contains("\n"+want.trace, "\n"+step+"\n") {
 			t.Errorf("trace lacks %q:\n%s", step, want.trace)
 		}
 	}
 	if strings.Contains(want.trace, "unreachable") {
-		t.Errorf("a process parked forever ran on:\n%s", want.trace)
+		t.Errorf("a process ran on past the point Close ended it at:\n%s", want.trace)
+	}
+}
+
+// TestHandoffCloseSurfacesPanic: only Close's own sentinel is swallowed. A
+// deferred call that panics while its process is being unwound fails Close
+// the way a process panic fails Run.
+func TestHandoffCloseSurfacesPanic(t *testing.T) {
+	for _, h := range handoffs {
+		e := NewEngine()
+		e.handoff = h.fn
+		e.Go("fragile", func(p *Proc) {
+			defer func() { panic("broke while unwinding") }()
+			p.Park()
+		})
+		e.Run()
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, `process "fragile" panicked: broke while unwinding`) {
+					t.Errorf("%s: Close panicked with %q", h.name, msg)
+				}
+			}()
+			e.Close()
+		}()
+		if live := e.Stats().LiveProcs; live != 0 {
+			t.Errorf("%s: %d live processes after the failed Close", h.name, live)
+		}
 	}
 }
 

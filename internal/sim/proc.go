@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 	"runtime/debug"
 )
 
@@ -21,26 +20,89 @@ type Proc struct {
 	dead     bool
 	parked   bool // parked with no scheduled wakeup
 	timedOut bool // the pending ParkTimeout ended by its timer
+	killed   bool // Engine.Close is ending it: see block
+
+	// Live processes form a list through these so Close can find them.
+	next, prev *Proc
 }
+
+// procKilled is the panic that unwinds a process's body when the engine
+// is closed under it. Only Engine.Go's wrapper may recover it.
+type procKilled struct{}
 
 // Go creates a process executing fn and schedules it to start now.
 // fn runs on its own goroutine but only while the engine is paused.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{eng: e, name: name}
-	e.procs++
+	e.link(p)
 	p.resume = e.handoff(func(yield func()) {
 		p.yield = yield
 		defer func() {
 			p.dead = true
-			e.procs--
-			if r := recover(); r != nil {
+			e.unlink(p)
+			r := recover()
+			if _, killed := r.(procKilled); r != nil && !killed {
 				e.panicV = fmt.Errorf("sim: process %q panicked: %v\n%s", p.name, r, debug.Stack())
 			}
 		}()
+		if p.killed {
+			return // closed before its first step
+		}
 		fn(p)
 	})
 	e.ScheduleArg(0, procRun, p)
 	return p
+}
+
+// link and unlink keep the engine's list and count of live processes.
+func (e *Engine) link(p *Proc) {
+	e.procs++
+	p.next = e.live
+	if e.live != nil {
+		e.live.prev = p
+	}
+	e.live = p
+}
+
+func (e *Engine) unlink(p *Proc) {
+	e.procs--
+	if p.prev != nil {
+		p.prev.next = p.next
+	} else {
+		e.live = p.next
+	}
+	if p.next != nil {
+		p.next.prev = p.prev
+	}
+	p.next, p.prev = nil, nil
+}
+
+// Close ends the simulation: every live process is ended and pending
+// events are dropped, so the goroutines behind the processes exit and
+// nothing the world owned stays reachable through them. It must be called
+// from outside Run, by the goroutine that drives the engine.
+//
+// A process that never took its first step just ends. A suspended one is
+// resumed with its kill mark set: the Sleep, Park or ParkTimeout it is in
+// panics with a sentinel that unwinds the body, running its deferred calls
+// (one that blocks again panics again), and that Go's wrapper swallows. A
+// genuine panic raised while unwinding surfaces from Close as it would
+// from Run. Afterwards Stats().LiveProcs is 0.
+func (e *Engine) Close() {
+	for p := e.live; p != nil; p = e.live {
+		p.killed = true
+		p.resume()
+		if e.panicV != nil {
+			v := e.panicV
+			e.panicV = nil
+			panic(v)
+		}
+		if !p.dead {
+			panic(fmt.Sprintf("sim: process %q recovered from Close and blocked again", p.name))
+		}
+	}
+	for e.q.PopMin() != nil {
+	}
 }
 
 // procRun and procTimeout are the wake-up and ParkTimeout-expiry events.
@@ -74,18 +136,6 @@ func (p *Proc) run() {
 		return
 	}
 	p.eng.handoffs++
-	if p.eng.oneP {
-		// A coroutine switch never enters the Go scheduler, so on a single
-		// P the engine and its processes would keep that P until sysmon
-		// preempts them, and the runtime's own goroutines (the sweeper
-		// above all) would advance only in those wall-clock slices: which
-		// spans are free when the next world allocates its memory, and so
-		// the peak RSS, then differs between runs of the same inputs. Give
-		// the P up once per handoff, as the channel handoff did by
-		// blocking. With a second P the runtime's goroutines run there and
-		// a yield would buy nothing for a thread wake-up per call.
-		runtime.Gosched()
-	}
 	p.resume()
 }
 
@@ -98,13 +148,25 @@ func (p *Proc) Sleep(d Time) {
 		return
 	}
 	p.eng.ScheduleArg(d, procRun, p)
-	p.yield()
+	p.block()
 }
 
 // Park blocks the process until another event or process calls Unpark.
 func (p *Proc) Park() {
 	p.parked = true
-	p.yield()
+	p.block()
+}
+
+// block hands control to the engine until the process is next resumed. If
+// that resume is Engine.Close's, or Close already ended this body and a
+// deferred call is blocking again, it unwinds instead of returning.
+func (p *Proc) block() {
+	if !p.killed {
+		p.yield()
+	}
+	if p.killed {
+		panic(procKilled{})
+	}
 }
 
 // Parked reports whether the process is blocked in Park or ParkTimeout
@@ -134,7 +196,7 @@ func (p *Proc) ParkTimeout(d Time) bool {
 	p.timedOut = false
 	ev := p.eng.ScheduleArg(d, procTimeout, p)
 	p.parked = true
-	p.yield()
+	p.block()
 	p.eng.Cancel(ev)
 	return !p.timedOut
 }

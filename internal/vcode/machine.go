@@ -394,14 +394,22 @@ func (m *Machine) Run(prog *Program) *Fault {
 	}
 }
 
-// FlatMem is a simple contiguous memory for unit tests and microbenchmarks:
-// addresses [Base, Base+len(Data)) are valid.
+// FlatMem is a contiguous simulated memory: addresses [Base, Base+len(Data))
+// are valid and every access outside them is a FaultBadAddr. The valid
+// range is Data, nothing else — the accessors consult no other size.
+//
+// It backs every aegis host as well as standalone machines. A host's Data
+// is the allocated prefix of a leased arena: only the owning aegis.Kernel
+// re-slices it (forward in AllocPhys, over the same backing array; to nil
+// in Close, which zeroes the prefix before the arena is reused). Everyone
+// else treats Base and Data as read-only fields.
 type FlatMem struct {
 	Base uint32
 	Data []byte
 }
 
-// NewFlatMem allocates n bytes of simulated memory at base.
+// NewFlatMem allocates n zeroed bytes of simulated memory at base, all of
+// them valid, owned by the caller.
 func NewFlatMem(base uint32, n int) *FlatMem {
 	return &FlatMem{Base: base, Data: make([]byte, n)}
 }
