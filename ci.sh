@@ -87,14 +87,18 @@ fi
 # Fuzz targets: each parser/demux fuzzer runs a short wall-clock sweep on
 # top of its committed seed corpus. FuzzDPFDemux is differential (trie vs
 # linear scan vs an atom-count oracle), so a divergence in either engine
-# path fails here. FuzzDifferentialSFI drives random verifiable programs
-# through the three-way naive/optimized/re-optimized oracle, and
-# FuzzReoptProfile attacks the same oracle from the profile side with raw
-# fuzzer bytes as the profile.
+# path fails here; FuzzDPFChurn turns its input into Insert / Remove /
+# Reorder sequences that take the trie's storage through every
+# representation change (inline children -> table -> growth, free-list
+# reuse) against the same oracle. FuzzDifferentialSFI drives random
+# verifiable programs through the three-way naive/optimized/re-optimized
+# oracle, and FuzzReoptProfile attacks the same oracle from the profile
+# side with raw fuzzer bytes as the profile.
 echo "== fuzz sweep (10s per target)"
 go test -run '^$' -fuzz '^FuzzIPParse$' -fuzztime 10s ./internal/proto/ip/
 go test -run '^$' -fuzz '^FuzzTCPHeader$' -fuzztime 10s ./internal/proto/tcp/
 go test -run '^$' -fuzz '^FuzzDPFDemux$' -fuzztime 10s ./internal/dpf/
+go test -run '^$' -fuzz '^FuzzDPFChurn$' -fuzztime 10s ./internal/dpf/
 go test -run '^$' -fuzz '^FuzzTraceParse$' -fuzztime 10s ./internal/workload/
 go test -run '^$' -fuzz '^FuzzDifferentialSFI$' -fuzztime 10s ./internal/sandbox/
 go test -run '^$' -fuzz '^FuzzReoptProfile$' -fuzztime 10s ./internal/sandbox/

@@ -89,9 +89,11 @@ func main() {
 
 	stopCPU := startCPUProfile(*cpuProf)
 	start := time.Now()
+	var notes strings.Builder
 	for _, out := range bench.RunExperiments(cfg, selected) {
 		fmt.Print(out.Text)
 		fmt.Println()
+		notes.WriteString(out.Notes)
 	}
 	stopCPU()
 	writeMemProfile(*memProf)
@@ -104,6 +106,9 @@ func main() {
 	a := aegis.ArenaStats()
 	fmt.Fprintf(os.Stderr, "[host memory arenas: %d leases, %d returned, %d grown, %.1f MiB zeroed on return]\n",
 		a.Leases, a.Returned, a.Grown, float64(a.ZeroedBytes)/(1<<20))
+	// And whatever the experiments report about the simulator itself
+	// (megascale: the server DPF trie's slab census per cell).
+	fmt.Fprint(os.Stderr, notes.String())
 
 	if *trace != "" {
 		planes := cfg.Planes()

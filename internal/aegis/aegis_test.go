@@ -433,6 +433,74 @@ func TestEthernetDemuxToCorrectBinding(t *testing.T) {
 	}
 }
 
+// TestUnbindFilterChecksTheBinding: a binding from another interface, or
+// one already unbound, must be refused — not translated into "remove
+// whatever this engine installed under the same numeric id".
+func TestUnbindFilterChecksTheBinding(t *testing.T) {
+	eng := sim.NewEngine()
+	prof := mach.DS5000_240()
+	sw := netdev.NewSwitch(eng, prof, netdev.EthernetConfig())
+	e1, e2 := NewEthernet(NewKernel("tx", eng, prof), sw), NewEthernet(NewKernel("rx", eng, prof), sw)
+
+	foreign, err := e1.BindFilter(nil, dpfFilter(0x99))
+	if err != nil {
+		t.Fatal(err)
+	}
+	innocent, err := e2.BindFilter(nil, dpfFilter(0x11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if foreign.ID != innocent.ID {
+		t.Fatalf("setup: ids %d and %d were meant to collide", foreign.ID, innocent.ID)
+	}
+	if err := e2.UnbindFilter(foreign); err == nil {
+		t.Error("unbinding another interface's binding succeeded")
+	}
+	gone, err := e2.BindFilter(nil, dpfFilter(0x22))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e2.UnbindFilter(gone); err != nil {
+		t.Fatal(err)
+	}
+	if err := e2.UnbindFilter(gone); err == nil {
+		t.Error("unbinding twice succeeded")
+	}
+	if e2.Filters() != 1 {
+		t.Fatalf("%d filters installed on rx, want the innocent one", e2.Filters())
+	}
+	ethTx(e1, e2.Addr(), []byte{0x11, 8, 8, 8})
+	ethTx(e1, e2.Addr(), []byte{0x22, 9, 9, 9})
+	eng.Run()
+	if innocent.Ring.Len() != 1 || e2.DroppedNoFilter != 1 {
+		t.Fatalf("innocent ring holds %d frames, %d dropped for no filter; want 1 and 1",
+			innocent.Ring.Len(), e2.DroppedNoFilter)
+	}
+}
+
+// TestBindFilterIsOneAllocation: the binding carries its ring, and the
+// engine and the binding table grow by amortised doubling.
+func TestBindFilterIsOneAllocation(t *testing.T) {
+	eng := sim.NewEngine()
+	prof := mach.DS5000_240()
+	e := NewEthernet(NewKernel("rx", eng, prof), netdev.NewSwitch(eng, prof, netdev.EthernetConfig()))
+	f := dpf.NewFilter().Eq32(0, 0)
+	var b *EthBinding
+	allocs := testing.AllocsPerRun(2000, func() {
+		f.Atoms[0].Value++
+		var err error
+		if b, err = e.BindFilter(nil, f); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("BindFilter: %v allocations per call, want 1", allocs)
+	}
+	if b.Ring != &b.ring {
+		t.Error("binding's Ring is not the ring it embeds")
+	}
+}
+
 func TestUpcallRunsWithoutScheduling(t *testing.T) {
 	eng := sim.NewEngine()
 	_, k2, a1, a2 := buildAN2Pair(eng)

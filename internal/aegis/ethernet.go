@@ -14,7 +14,7 @@ import (
 type EthBinding struct {
 	ID      dpf.FilterID
 	Owner   *Process
-	Ring    *Ring
+	Ring    *Ring // &ring: binding and ring are one allocation
 	Handler MsgHandler
 	Upcall  *Upcall
 
@@ -27,6 +27,7 @@ type EthBinding struct {
 	Shed uint64
 
 	ether *EthernetIf
+	ring  Ring
 }
 
 // EthernetIf is the Ethernet driver for one host. Unlike the AN2, the
@@ -41,8 +42,10 @@ type EthernetIf struct {
 	Port *netdev.Port
 	Sw   *netdev.Switch
 
-	engine   *dpf.Engine
-	bindings map[dpf.FilterID]*EthBinding
+	engine *dpf.Engine
+	// bindings is indexed by FilterID (the engine issues ids densely and
+	// never reuses one); nil once unbound.
+	bindings []*EthBinding
 
 	bufs     []Segment // striped kernel receive buffers (2x MTU each)
 	freeBufs bufFIFO
@@ -93,8 +96,7 @@ func NewEthernet(k *Kernel, sw *netdev.Switch) *EthernetIf {
 func NewEthernetPool(k *Kernel, sw *netdev.Switch, nbufs int) *EthernetIf {
 	e := &EthernetIf{
 		K: k, Port: sw.NewPort(), Sw: sw,
-		engine:   dpf.NewEngine(),
-		bindings: map[dpf.FilterID]*EthBinding{},
+		engine: dpf.NewEngine(),
 	}
 	bufSize := 2 * (sw.Cfg.MaxFrame + StripeChunk)
 	e.freeBufs.init(nbufs)
@@ -125,7 +127,11 @@ func (e *EthernetIf) BindFilter(p *Process, f *dpf.Filter) (*EthBinding, error) 
 	if err != nil {
 		return nil, err
 	}
-	b := &EthBinding{ID: id, Owner: p, Ring: NewRing(e.K), ether: e}
+	b := &EthBinding{ID: id, Owner: p, ether: e, ring: Ring{k: e.K}}
+	b.Ring = &b.ring
+	for len(e.bindings) <= int(id) {
+		e.bindings = append(e.bindings, nil)
+	}
 	e.bindings[id] = b
 	return b, nil
 }
@@ -138,9 +144,18 @@ func (e *EthernetIf) TrieDepth() int { return e.engine.Depth() }
 // Filters reports the number of installed filters.
 func (e *EthernetIf) Filters() int { return e.engine.Len() }
 
-// UnbindFilter removes a binding.
+// TrieCensus reports the DPF engine's storage (see dpf.Engine.Census).
+func (e *EthernetIf) TrieCensus() dpf.Census { return e.engine.Census() }
+
+// UnbindFilter removes a binding. It refuses a binding that is not
+// currently installed on this interface — one from another interface, or
+// one already unbound — rather than remove whatever filter this engine
+// issued the same numeric id.
 func (e *EthernetIf) UnbindFilter(b *EthBinding) error {
-	delete(e.bindings, b.ID)
+	if b.ether != e || int(b.ID) >= len(e.bindings) || e.bindings[b.ID] != b {
+		return fmt.Errorf("aegis: filter %d is not bound on %s", b.ID, e.K.Name)
+	}
+	e.bindings[b.ID] = nil
 	return e.engine.Remove(b.ID)
 }
 

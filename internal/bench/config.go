@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"fmt"
+
 	"ashs/internal/bench/runner"
 	"ashs/internal/obs"
 )
@@ -44,6 +46,19 @@ type Config struct {
 	// copy, so the slice needs no lock; the runner concatenates the
 	// per-cell slices in cell-index order afterwards.
 	planes []*obs.Plane
+
+	// notes is what this cell said about the simulator itself (note):
+	// per-cell like planes, surfaced as Output.Notes.
+	notes string
+}
+
+// note records a line about the simulator's own state — storage, pools —
+// for ashbench's stderr. It is not part of the cell's result, so stdout and
+// the goldens never see it. Nil-safe.
+func (cfg *Config) note(format string, args ...any) {
+	if cfg != nil {
+		cfg.notes += fmt.Sprintf(format, args...) + "\n"
+	}
 }
 
 // observe applies the config's per-testbed hooks to a new testbed. Called
@@ -70,7 +85,7 @@ func (cfg *Config) cellConfig() *Config {
 		return nil
 	}
 	cc := *cfg
-	cc.planes = nil
+	cc.planes, cc.notes = nil, ""
 	return &cc
 }
 
@@ -97,6 +112,7 @@ type Cell struct {
 type cellOut struct {
 	v      any
 	planes []*obs.Plane
+	notes  string
 }
 
 // wrap binds a bench Cell to a parent config as a runner.Cell: the cell
@@ -106,11 +122,10 @@ func wrap(parent *Config, c Cell) runner.Cell {
 	return runner.Cell{Label: c.Label, Run: func() any {
 		cc := parent.cellConfig()
 		v := c.Run(cc)
-		var planes []*obs.Plane
-		if cc != nil {
-			planes = cc.planes
+		if cc == nil {
+			return cellOut{v: v}
 		}
-		return cellOut{v: v, planes: planes}
+		return cellOut{v: v, planes: cc.planes, notes: cc.notes}
 	}}
 }
 

@@ -201,7 +201,7 @@ func megaResolve(w *world, flt *flyweight.Fleet) {
 // megaRun drives the cell's open-loop Poisson trace and incast waves to
 // quiescence and folds the server counters and fleet histograms into the
 // result.
-func megaRun(w *world, flt *flyweight.Fleet, wl string, n, events int) MegaResult {
+func megaRun(cfg *Config, w *world, flt *flyweight.Fleet, wl string, n, events int) MegaResult {
 	gapUs, size := float64(megaUDPGapUs), megaPayload
 	switch wl {
 	case "tcp-pp":
@@ -226,6 +226,14 @@ func megaRun(w *world, flt *flyweight.Fleet, wl string, n, events int) MegaResul
 	r.CycPerMsg, r.DemuxPerMsg = w.rxCost(srv)
 	r.P99Us = w.prof.Us(flt.Hist.Quantile(0.99))
 	r.IncastP99Us = w.prof.Us(flt.IncastHist.Quantile(0.99))
+
+	// The server trie's footprint, readable without a heap profile.
+	c := srv.e.TrieCensus()
+	cfg.note("[megascale %s N=%d server trie: nodes %d (%d free), branches %d (%d free), "+
+		"tables %d, table slots %d (%d used), atoms %d (%d free), ids %d (%d live), %.1f MiB]",
+		wl, n, c.Nodes, c.FreeNodes, c.Branches, c.FreeBranches,
+		c.Tables, c.TableSlots, c.TableKids, c.Atoms, c.FreeAtoms, c.IDs, c.LiveIDs,
+		float64(c.Bytes)/(1<<20))
 	return r
 }
 
@@ -233,11 +241,11 @@ func runMegaCell(wl string, n int, cfg *Config) MegaResult {
 	events := megaEvents(cfg, wl, n)
 	switch wl {
 	case "udp-echo":
-		return runMegaUDP(n, events)
+		return runMegaUDP(cfg, n, events)
 	case "tcp-pp":
-		return runMegaTCP(n, events)
+		return runMegaTCP(cfg, n, events)
 	case "nfs-read":
-		return runMegaNFS(n, events)
+		return runMegaNFS(cfg, n, events)
 	}
 	panic("bench: unknown megascale workload " + wl)
 }
@@ -259,7 +267,7 @@ func megaSourceFilter(src ip.Addr) *dpf.Filter {
 // closure pins on the heap — so it derives the reply's destination from
 // the frame's provenance (the ring entry's source port) instead of
 // captured state.
-func runMegaUDP(n, events int) MegaResult {
+func runMegaUDP(cfg *Config, n, events int) MegaResult {
 	w := newFanIn(fanInServerMem, megaUDPPool, 0, 0, 0)
 	defer w.close()
 	srv := w.srv()
@@ -286,8 +294,13 @@ func runMegaUDP(n, events int) MegaResult {
 			ctx.Send(src, 0, frame)
 			return aegis.DispConsumed
 		})
+		// The engine copies what it installs, so one filter is built and
+		// its source-address atom patched per endpoint.
+		f := megaSourceFilter(ip.Addr{})
+		src := &f.Atoms[len(f.Atoms)-1]
 		for i := 0; i < n; i++ {
-			b, err := srv.e.BindFilter(p, megaSourceFilter(flt.Addr(i)))
+			src.Value = ipU32(flt.Addr(i))
+			b, err := srv.e.BindFilter(p, f)
 			if err != nil {
 				panic(err)
 			}
@@ -297,14 +310,14 @@ func runMegaUDP(n, events int) MegaResult {
 		}
 	})
 
-	return megaRun(w, flt, "udp-echo", n, events)
+	return megaRun(cfg, w, flt, "udp-echo", n, events)
 }
 
 // runMegaTCP: the scale experiment's fan-in accept path (acceptFanIn),
 // served to flyweight FlyConn clients. The server echoes
 // until the client's FIN (flyweights close first), so connection
 // lifetimes follow the trace without the server knowing the schedule.
-func runMegaTCP(n, events int) MegaResult {
+func runMegaTCP(cfg *Config, n, events int) MegaResult {
 	w := newFanIn(megaTCPServerMem, 2*n+fanInServerRxSlack, 0, 0, 0)
 	defer w.close()
 	srv := w.srv()
@@ -338,7 +351,7 @@ func runMegaTCP(n, events int) MegaResult {
 		})
 	}
 
-	r := megaRun(w, flt, "tcp-pp", n, events)
+	r := megaRun(cfg, w, flt, "tcp-pp", n, events)
 	r.Conns = peak
 	if peak > 0 && len(peakLoads) > 0 {
 		max := 0
@@ -355,7 +368,7 @@ func runMegaTCP(n, events int) MegaResult {
 // runMegaNFS: RPC fan-in against one nfsd socket whose ring runs the
 // high-watermark admission plane. The incast waves overrun it; sheds and
 // the fleet's jittered retries are the measurement.
-func runMegaNFS(n, events int) MegaResult {
+func runMegaNFS(cfg *Config, n, events int) MegaResult {
 	w := newFanIn(fanInServerMem, megaNFSPool, 0, 0, 0)
 	defer w.close()
 	srv, nfsd := w.srv(), nfs.NewServer()
@@ -379,7 +392,7 @@ func runMegaNFS(n, events int) MegaResult {
 		sock := udp.NewSocket(st, scaleNFSPort, udp.Options{})
 		nfsd.Serve(p, sock, 0)
 	})
-	return megaRun(w, flt, "nfs-read", n, events)
+	return megaRun(cfg, w, flt, "nfs-read", n, events)
 }
 
 // megascaleCells enumerates the sweep, workload-major like scale.

@@ -286,6 +286,9 @@ func FindExperiments(names []string) (selected []*Experiment, unknown []string) 
 type Output struct {
 	Name string
 	Text string
+	// Notes is what the cells said about the simulator itself (see
+	// Config.note), in cell order: for stderr, never part of the result.
+	Notes string
 }
 
 // RunExperiments executes the selected experiments' cells on one shared
@@ -309,9 +312,10 @@ func RunExperiments(cfg *Config, selected []*Experiment) []Output {
 	}
 	outs := runner.Run(cfg.parallelism(), all)
 	results := make([]any, len(outs))
+	notes := make([]string, len(outs))
 	for i, o := range outs {
 		co := o.(cellOut)
-		results[i] = co.v
+		results[i], notes[i] = co.v, co.notes
 		if cfg != nil {
 			cfg.planes = append(cfg.planes, co.planes...)
 		}
@@ -321,7 +325,10 @@ func RunExperiments(cfg *Config, selected []*Experiment) []Output {
 	for i, e := range selected {
 		vs := results[off : off+counts[i]]
 		off += counts[i]
-		rendered = append(rendered, Output{Name: e.Name, Text: e.Render(cfg, vs)})
+		rendered = append(rendered, Output{
+			Name: e.Name, Text: e.Render(cfg, vs),
+			Notes: strings.Join(notes[off-counts[i]:off], ""),
+		})
 	}
 	return rendered
 }

@@ -5,11 +5,20 @@
 // two ways: it compiles packet filters to executable code when they are
 // installed (eliminating interpretation overhead), and it uses the filter's
 // constants to aggressively optimize that code. Our analog of "compiling to
-// executable code" is specialization into closure chains with constants
-// folded and atoms merged across filters into a discrimination trie; the
-// MPF-style baseline (Interpret) walks a generic atom list with
-// fetch/decode/dispatch overhead, so the order-of-magnitude gap the paper
-// reports is reproduced in both modeled cycles and wall-clock benchmarks.
+// executable code" is, for one filter, specialization into a closure chain
+// with constants folded (Compile) and, for the engine, merging every
+// installed filter's atoms into one discrimination trie at install time
+// (Engine); the MPF-style baseline (Interpret) walks a generic atom list
+// with fetch/decode/dispatch overhead, so the order-of-magnitude gap the
+// paper reports is reproduced in both modeled cycles and wall-clock
+// benchmarks.
+//
+// The trie is stored flat: nodes, branches, per-id filter records and atoms
+// in index-addressed slabs of 4096-entry pages (the first page grows by
+// append, later ones are allocated whole), a branch's children inline up to
+// two and in an open-addressed integer table beyond. Insert copies the
+// filter and allocates nothing per call; ids ascend and are never reused,
+// at 8 bytes per id ever issued; everything else Remove frees is reused.
 //
 // A filter is a conjunction of atoms, each comparing a masked big-endian
 // field at a fixed offset against a constant — the shape of every demux
@@ -47,13 +56,6 @@ func (a Atom) mask() uint32 {
 
 func (a Atom) String() string {
 	return fmt.Sprintf("pkt[%d:%d]&%#x == %#x", a.Offset, a.Offset+a.Size, a.mask(), a.Value)
-}
-
-// key is the discrimination-trie grouping key: atoms testing the same field
-// can share one load across filters.
-type key struct {
-	off, size int
-	mask      uint32
 }
 
 // Filter is a conjunction of atoms. Filters match fixed protocol headers;

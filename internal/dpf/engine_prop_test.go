@@ -89,22 +89,21 @@ func TestEngineSiblingBranches(t *testing.T) {
 
 // oracleDemux is the reference dispatch rule the trie must reproduce: scan
 // every installed filter with the reference matcher, keep the match with
-// the most atoms, ties broken toward the lowest id.
-func oracleDemux(e *Engine, pkt []byte) (FilterID, bool) {
-	ids := make([]FilterID, 0, len(e.filters))
-	for id := range e.filters {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+// the most atoms, ties broken toward the lowest id. It reads the test's own
+// record of what is installed (filters[i] under ids[i]), never the
+// engine's storage, so a bug in what the engine stores cannot hide in it.
+func oracleDemux(filters []*Filter, ids []FilterID, pkt []byte) (FilterID, bool) {
 	best := FilterID(0)
 	bestAtoms := -1
-	found := false
-	for _, id := range ids {
-		if e.filters[id].Match(pkt) && len(e.filters[id].Atoms) > bestAtoms {
-			best, bestAtoms, found = id, len(e.filters[id].Atoms), true
+	for i, f := range filters {
+		if !f.Match(pkt) {
+			continue
+		}
+		if n := len(f.Atoms); n > bestAtoms || n == bestAtoms && ids[i] < best {
+			best, bestAtoms = ids[i], n
 		}
 	}
-	return best, found
+	return best, bestAtoms >= 0
 }
 
 // randomFilter draws a filter with 1-5 atoms: a shared prefix pool forces
@@ -154,11 +153,14 @@ func randomPacket(rng *rand.Rand, filters []*Filter) []byte {
 
 // checkAgainstOracle verifies that both demux paths reproduce the oracle's
 // dispatch decision on a batch of packets.
-func checkAgainstOracle(t *testing.T, e *Engine, rng *rand.Rand, filters []*Filter, round int) {
+func checkAgainstOracle(t *testing.T, e *Engine, rng *rand.Rand, filters []*Filter, ids []FilterID, round int) {
 	t.Helper()
+	if e.Len() != len(filters) {
+		t.Fatalf("round %d: Len() = %d, %d filters installed", round, e.Len(), len(filters))
+	}
 	for trial := 0; trial < 10; trial++ {
 		pkt := randomPacket(rng, filters)
-		wantID, wantOK := oracleDemux(e, pkt)
+		wantID, wantOK := oracleDemux(filters, ids, pkt)
 		gotT, _, okT := e.Demux(pkt)
 		if okT != wantOK || okT && gotT != wantID {
 			t.Fatalf("round %d: trie demux = %v,%v oracle = %v,%v (pkt %x, %d filters)",
@@ -173,21 +175,19 @@ func checkAgainstOracle(t *testing.T, e *Engine, rng *rand.Rand, filters []*Filt
 }
 
 // scrambleHits overwrites every branch's hit counter with a random
-// value, in sorted-key order for reproducibility. Reorder must preserve
-// dispatch under ANY hit assignment — the counters are a cost hint, not
-// a correctness input.
-func scrambleHits(rng *rand.Rand, n *node) {
-	for _, b := range n.branches {
+// value, children in sorted-value order for reproducibility. Reorder must
+// preserve dispatch under ANY hit assignment — the counters are a cost
+// hint, not a correctness input.
+func scrambleHits(rng *rand.Rand, e *Engine, ni uint32) {
+	e.eachBranch(ni, func(b *branch) {
 		b.hits = rng.Uint64() % 1000
-		keys := make([]uint32, 0, len(b.kids))
-		for v := range b.kids {
-			keys = append(keys, v)
+		var kids []kidSlot
+		b.eachKid(func(val, kid uint32) { kids = append(kids, kidSlot{val, kid}) })
+		sort.Slice(kids, func(i, j int) bool { return kids[i].val < kids[j].val })
+		for _, s := range kids {
+			scrambleHits(rng, e, s.kid)
 		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		for _, v := range keys {
-			scrambleHits(rng, b.kids[v])
-		}
-	}
+	})
 }
 
 // TestEnginePropertyReorder is the randomized contract for the DCG demux
@@ -218,7 +218,7 @@ func TestEnginePropertyReorder(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			e.Demux(randomPacket(rng, filters))
 		}
-		scrambleHits(rng, e.root)
+		scrambleHits(rng, e, 0)
 
 		// The walk must never cost more after Reorder: pruned branches pay
 		// one bound test instead of a full trie step, examined branches pay
@@ -244,7 +244,7 @@ func TestEnginePropertyReorder(t *testing.T) {
 		if after > before {
 			t.Fatalf("round %d: reordered walk cost %v > unordered %v", round, after, before)
 		}
-		checkAgainstOracle(t, e, rng, filters, round)
+		checkAgainstOracle(t, e, rng, filters, ids, round)
 
 		// Trie churn invalidates the depth bounds: Insert and Remove must
 		// disarm pruning, and dispatch must stay oracle-exact throughout.
@@ -256,9 +256,9 @@ func TestEnginePropertyReorder(t *testing.T) {
 				t.Fatal("Insert left stale depth bounds armed")
 			}
 		}
-		checkAgainstOracle(t, e, rng, filters, round)
+		checkAgainstOracle(t, e, rng, filters, ids, round)
 		e.Reorder()
-		checkAgainstOracle(t, e, rng, filters, round)
+		checkAgainstOracle(t, e, rng, filters, ids, round)
 		if len(ids) > 0 {
 			k := rng.Intn(len(ids))
 			if err := e.Remove(ids[k]); err != nil {
@@ -269,9 +269,9 @@ func TestEnginePropertyReorder(t *testing.T) {
 			if e.reordered {
 				t.Fatal("Remove left stale depth bounds armed")
 			}
-			checkAgainstOracle(t, e, rng, filters, round)
+			checkAgainstOracle(t, e, rng, filters, ids, round)
 			e.Reorder()
-			checkAgainstOracle(t, e, rng, filters, round)
+			checkAgainstOracle(t, e, rng, filters, ids, round)
 		}
 	}
 }
@@ -301,7 +301,7 @@ func TestEnginePropertyInsertDeleteInsert(t *testing.T) {
 			ids = append(ids, id)
 			filters = append(filters, f)
 		}
-		checkAgainstOracle(t, e, rng, filters, round)
+		checkAgainstOracle(t, e, rng, filters, ids, round)
 
 		// Delete a random subset...
 		var removed []*Filter
@@ -315,16 +315,18 @@ func TestEnginePropertyInsertDeleteInsert(t *testing.T) {
 				filters = append(filters[:i], filters[i+1:]...)
 			}
 		}
-		checkAgainstOracle(t, e, rng, filters, round)
+		checkAgainstOracle(t, e, rng, filters, ids, round)
 
 		// ...and re-insert it: the pruned trie must accept the same filters
 		// again and dispatch as if they had never left.
 		for _, f := range removed {
-			if _, err := e.Insert(f); err != nil {
+			id, err := e.Insert(f)
+			if err != nil {
 				t.Fatalf("round %d: re-insert after remove: %v", round, err)
 			}
 			filters = append(filters, f)
+			ids = append(ids, id)
 		}
-		checkAgainstOracle(t, e, rng, filters, round)
+		checkAgainstOracle(t, e, rng, filters, ids, round)
 	}
 }

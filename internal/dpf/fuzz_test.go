@@ -20,12 +20,17 @@ func FuzzDPFDemux(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, pkt []byte) {
 		rng := rand.New(rand.NewSource(seed))
 		e := NewEngine()
+		var filters []*Filter
+		var ids []FilterID
 		for i := 0; i < 1+rng.Intn(12); i++ {
-			if _, err := e.Insert(randomFilter(rng)); err != nil {
+			flt := randomFilter(rng)
+			id, err := e.Insert(flt)
+			if err != nil {
 				continue // duplicate draw
 			}
+			filters, ids = append(filters, flt), append(ids, id)
 		}
-		wantID, wantOK := oracleDemux(e, pkt)
+		wantID, wantOK := oracleDemux(filters, ids, pkt)
 		gotT, _, okT := e.Demux(pkt)
 		if okT != wantOK || okT && gotT != wantID {
 			t.Fatalf("trie demux = %v,%v, linear oracle = %v,%v (seed %d, pkt %x)",

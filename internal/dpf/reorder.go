@@ -1,10 +1,6 @@
 package dpf
 
-import (
-	"sort"
-
-	"ashs/internal/sim"
-)
+import "ashs/internal/sim"
 
 // prunedStepCycles models the generated code's depth-bound test on a
 // branch Demux skips after Reorder: one compare against the running best
@@ -24,27 +20,42 @@ const prunedStepCycles = sim.Time(1)
 // Remove clear the reordered flag, so a re-Reorder after churn re-enables
 // pruning with fresh bounds. Hit counters keep accumulating either way.
 func (e *Engine) Reorder() {
-	annotate(e.root)
+	e.annotate(0)
 	e.reordered = true
 }
 
-// annotate computes per-branch maxDepth bottom-up and sorts each branch
-// list by hits, returning the deepest terminal depth relative to n.
-func annotate(n *node) int {
-	deepest := 0 // n itself: a terminal here is at relative depth 0
-	for _, b := range n.branches {
+// annotate computes per-branch maxDepth bottom-up and relinks ni's branch
+// list in order of hits, returning the deepest terminal depth relative to
+// ni.
+func (e *Engine) annotate(ni uint32) int {
+	deepest := 0 // ni itself: a terminal here is at relative depth 0
+	var buf [8]uint32
+	list := buf[:0]
+	for bi := e.nodes.at(ni).first; bi != nilIdx; {
+		b := e.branches.at(bi)
 		b.maxDepth = 0
-		for _, kid := range b.kids {
-			if d := 1 + annotate(kid); d > b.maxDepth {
+		b.eachKid(func(_, kid uint32) {
+			if d := int32(1 + e.annotate(kid)); d > b.maxDepth {
 				b.maxDepth = d
 			}
+		})
+		if int(b.maxDepth) > deepest {
+			deepest = int(b.maxDepth)
 		}
-		if b.maxDepth > deepest {
-			deepest = b.maxDepth
+		// Stable insertion into list, most hits first.
+		list = append(list, bi)
+		j := len(list) - 1
+		for ; j > 0 && e.branches.at(list[j-1]).hits < b.hits; j-- {
+			list[j] = list[j-1]
 		}
+		list[j] = bi
+		bi = b.next
 	}
-	sort.SliceStable(n.branches, func(i, j int) bool {
-		return n.branches[i].hits > n.branches[j].hits
-	})
+	link := &e.nodes.at(ni).first
+	for _, bi := range list {
+		*link = bi
+		link = &e.branches.at(bi).next
+	}
+	*link = nilIdx
 	return deepest
 }
