@@ -15,6 +15,7 @@ import (
 	"ashs/internal/dpf"
 	"ashs/internal/mach"
 	"ashs/internal/netdev"
+	"ashs/internal/pipe"
 	"ashs/internal/sandbox"
 	"ashs/internal/sim"
 	"ashs/internal/vcode"
@@ -34,6 +35,15 @@ const (
 	// HandlerBytes is the packet the VCODE handler walks: one Ethernet
 	// minimum frame, the message size every ASH invocation touches.
 	HandlerBytes = 64
+
+	// SegmentBytes is the buffer the cache-model benchmark charges: one
+	// TCP segment at the paper's AN2 MSS, what every bulk-transfer pass of
+	// the protocol libraries traverses.
+	SegmentBytes = 3072
+
+	// DILPBytes is the buffer the compiled DILP engine moves: the 4-KiB
+	// message of Tables III and IV.
+	DILPBytes = 4096
 
 	// HandlerVariants is the distinct-program population for the
 	// instrumentation benchmark. It deliberately exceeds the sandbox
@@ -129,6 +139,49 @@ func VCODEDispatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if f := m.Run(prog); f != nil {
+			b.Fatal(f)
+		}
+	}
+}
+
+// CachePass measures the cache model on the charging pattern of the
+// protocol libraries' data passes: one segment copied (CopyRange) out of
+// a flushed receive buffer, then read back (LoadRange) from the now-warm
+// destination — a miss per line, then all hits. The model is a simulator
+// inside the simulator; this is what it costs per segment.
+func CachePass(b *testing.B) {
+	c := mach.NewCache(mach.DS5000_240())
+	const src, dst = 0x10000, 0x38000 // distinct lines of the 64-KiB cache
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.FlushRange(src, SegmentBytes)
+		if c.CopyRange(src, dst, SegmentBytes)+c.LoadRange(dst, SegmentBytes) == 0 {
+			b.Fatal("a segment pass cost nothing")
+		}
+	}
+}
+
+// DILPRun measures the compiled checksum+copy engine — the integrated
+// loop the DILP compiler fuses from the Fig. 2 checksum pipe — moving
+// DILPBytes through Machine.Run against a FlatMem and the cache model:
+// the per-byte interpreter path of ash_dilp and the TCP fast path.
+func DILPRun(b *testing.B) {
+	pl := pipe.NewList(1)
+	if _, _, err := pipe.Cksum(pl); err != nil {
+		b.Fatal(err)
+	}
+	eng, err := pipe.Compile(pl, pipe.Options{Output: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	prof := mach.DS5000_240()
+	m := vcode.NewMachine(prof, vcode.NewFlatMem(0, 1<<20))
+	m.Cache = mach.NewCache(prof)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, f := eng.Run(m, 0x10000, 0x38000, DILPBytes); f != nil {
 			b.Fatal(f)
 		}
 	}

@@ -11,6 +11,8 @@ import (
 func BenchmarkDPFTrieWalk(b *testing.B)       { DPFTrieWalk(b) }
 func BenchmarkDPFLinearScan(b *testing.B)     { DPFLinearScan(b) }
 func BenchmarkVCODEDispatch(b *testing.B)     { VCODEDispatch(b) }
+func BenchmarkCachePass(b *testing.B)         { CachePass(b) }
+func BenchmarkDILPRun(b *testing.B)           { DILPRun(b) }
 func BenchmarkSandboxInstrument(b *testing.B) { SandboxInstrument(b) }
 func BenchmarkSimEventQueue(b *testing.B)     { SimEventQueue(b) }
 func BenchmarkCalendarQueue(b *testing.B)     { CalendarQueue(b) }
@@ -23,7 +25,8 @@ func BenchmarkPacketPath(b *testing.B)        { PacketPath(b) }
 // hot-path gate (ci.sh runs it by name): timings vary by machine and are
 // never asserted, but allocation counts are deterministic, and the demux,
 // dispatch, event-queue, process-switch and packet paths must not allocate
-// per operation.
+// per operation; nor may the cache model's range charging or the DILP
+// engine's run.
 // SandboxInstrument is download-time work and allocates by design.
 func TestBodiesRun(t *testing.T) {
 	if testing.Short() {
@@ -37,6 +40,8 @@ func TestBodiesRun(t *testing.T) {
 		{"DPFTrieWalk", DPFTrieWalk, true},
 		{"DPFLinearScan", DPFLinearScan, true},
 		{"VCODEDispatch", VCODEDispatch, true},
+		{"CachePass", CachePass, true},
+		{"DILPRun", DILPRun, true},
 		{"SandboxInstrument", SandboxInstrument, false},
 		{"SimEventQueue", SimEventQueue, true},
 		{"CalendarQueue", CalendarQueue, true},

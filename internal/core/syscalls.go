@@ -116,7 +116,7 @@ func (s *System) checkRange(a *ASH, addr uint32, n int) error {
 	return nil
 }
 
-// trustedCopy moves n bytes with per-word cache-costed accesses but no
+// trustedCopy moves n bytes at the cost of a word-by-word copy loop but no
 // per-reference sandboxing (the checks were aggregated).
 func (s *System) trustedCopy(m *vcode.Machine, a *ASH, src, dst uint32, n int) error {
 	if err := s.checkRange(a, src, n); err != nil {
@@ -130,15 +130,7 @@ func (s *System) trustedCopy(m *vcode.Machine, a *ASH, src, dst uint32, n int) e
 		// destination for involuntary-abort rollback.
 		a.journal.PreImageRange(dst, n)
 	}
-	prof := s.K.Prof
-	var cycles sim.Time
-	b := s.K.Bytes(src, n)
-	d := s.K.Bytes(dst, n)
-	copy(d, b)
-	for off := 0; off < n; off += 4 {
-		cycles += m.Cache.Load(src+uint32(off)) + m.Cache.Store(dst+uint32(off)) +
-			sim.Time(prof.LoopOverhead)
-	}
-	m.Charge(cycles)
+	copy(s.K.Bytes(dst, n), s.K.Bytes(src, n))
+	m.Charge(m.Cache.CopyRange(src, dst, n) + sim.Time((n+3)/4)*sim.Time(s.K.Prof.LoopOverhead))
 	return nil
 }

@@ -18,7 +18,8 @@ type Profile struct {
 	Name string
 	MHz  int // CPU clock in megahertz
 
-	// Data-cache geometry (direct-mapped, write-through, no write-allocate).
+	// Data-cache geometry (direct-mapped, write-through, write-validate);
+	// NewCache requires a power-of-two line size and line count.
 	CacheBytes int // total data cache size
 	LineBytes  int // cache line size
 

@@ -70,16 +70,44 @@ func (f *Frame) index(i int) int {
 }
 
 // Bytes copies the payload range [off, off+n) into dst (uncosted; use
-// CopyOut for a costed copy).
+// CopyFromFrame for a costed copy). A striped payload is gathered a data
+// line at a time.
 func (f *Frame) Bytes(dst []byte, off, n int) {
 	raw := f.raw()
-	if f.Striped {
-		for i := 0; i < n; i++ {
-			dst[i] = raw[aegis.StripedIndex(off+i)]
-		}
-	} else {
+	if !f.Striped {
 		copy(dst, raw[off:off+n])
+		return
 	}
+	for done := 0; done < n; {
+		at := off + done
+		run := min(aegis.StripeChunk-at%aegis.StripeChunk, n-done)
+		copy(dst[done:done+run], raw[aegis.StripedIndex(at):])
+		done += run
+	}
+}
+
+// cksum is CksumData(0, payload[off:off+n]) read in place. A striped
+// payload is summed a data line at a time; a line that starts on an odd
+// payload byte opens with the low half of the halfword the previous line
+// left open, which the end-around-carry sum takes in either order.
+func (f *Frame) cksum(off, n int) uint32 {
+	raw := f.raw()
+	if !f.Striped {
+		return CksumData(0, raw[off:off+n])
+	}
+	var acc uint32
+	for done := 0; done < n; {
+		at := off + done
+		run := min(aegis.StripeChunk-at%aegis.StripeChunk, n-done)
+		line := raw[aegis.StripedIndex(at):][:run]
+		if done%2 == 1 {
+			acc = CksumData(acc, []byte{0, line[0]})
+			line = line[1:]
+		}
+		acc = CksumData(acc, line)
+		done += run
+	}
+	return acc
 }
 
 // FabricateFrame builds a Frame view over an arbitrary contiguous memory

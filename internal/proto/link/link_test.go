@@ -223,3 +223,152 @@ func TestRecvUntilPollingTimesOut(t *testing.T) {
 		t.Fatal("polling RecvUntil did not time out")
 	}
 }
+
+// cksumHalfwords is the halfword-at-a-time loop CksumData replaced: one
+// end-around-carry add per big-endian 16-bit word. It defines the
+// accumulator CksumData must return, bit for bit.
+func cksumHalfwords(acc uint32, data []byte) uint32 {
+	step := func(acc, v uint32) uint32 {
+		s := uint64(acc) + uint64(v)
+		return uint32(s) + uint32(s>>32)
+	}
+	i := 0
+	for ; i+1 < len(data); i += 2 {
+		acc = step(acc, uint32(data[i])<<8|uint32(data[i+1]))
+	}
+	if i < len(data) {
+		acc = step(acc, uint32(data[i])<<8)
+	}
+	return acc
+}
+
+func TestCksumDataMatchesHalfwordLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	random := make([]byte, 4099)
+	rng.Read(random)
+	ones := make([]byte, 70000) // 0xffff halfwords: the sum carries out of 32 bits
+	for i := range ones {
+		ones[i] = 0xff
+	}
+	zeros := make([]byte, 64)
+	seeds := []uint32{0, 1, 0xffff, 0xfffffffe, 0xffffffff, 0x80000000, rng.Uint32()}
+	for _, data := range [][]byte{random, ones, zeros} {
+		for _, n := range []int{0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 63, 64, 65, 1459, 1460, len(data) - 1, len(data)} {
+			for _, seed := range seeds {
+				for start := 0; start < 3 && start+n <= len(data); start++ {
+					d := data[start : start+n]
+					if got, want := CksumData(seed, d), cksumHalfwords(seed, d); got != want {
+						t.Fatalf("CksumData(%#x, %d bytes of %#x...) = %#x, halfword loop %#x", seed, n, data[0], got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// passCostPerWord is the per-word charging loop passCost replaced: one
+// Cache.Load (and Store) call per 32-bit word, the source address of a
+// striped frame computed a word at a time.
+func passCostPerWord(k *aegis.Kernel, base uint32, off int, striped bool, dst uint32, n int, store bool, opCycles int) sim.Time {
+	var cycles sim.Time
+	for o := 0; o < n; o += 4 {
+		at := off + o
+		if striped {
+			at = aegis.StripedIndex(at)
+		}
+		cycles += k.Cache.Load(base + uint32(at))
+		if store {
+			cycles += k.Cache.Store(dst + uint32(o))
+		}
+		cycles += sim.Time(k.Prof.LoopOverhead + opCycles)
+	}
+	return cycles
+}
+
+// TestPassCostMatchesPerWordLoop pins the run-at-a-time passCost to the
+// per-word loop: contiguous and striped sources, every start offset within
+// two stripe lines, every short length, with and without the store stream,
+// on a cold cache and again on what the first pass left — cycles and cache
+// statistics both.
+func TestPassCostMatchesPerWordLoop(t *testing.T) {
+	prof := mach.DS5000_240()
+	newKernel := func() *aegis.Kernel {
+		return aegis.NewKernel("h", sim.NewEngine(), prof)
+	}
+	got, want := newKernel(), newKernel()
+	const base, dst = 0x40000, 0x52008
+	for _, striped := range []bool{false, true} {
+		for _, store := range []bool{false, true} {
+			for off := 0; off < 32; off++ {
+				for n := 1; n <= 96; n++ {
+					got.Cache.Flush()
+					want.Cache.Flush()
+					for pass := 0; pass < 2; pass++ {
+						g := passCost(got, base, off, striped, dst, n, store, prof.CksumOp)
+						w := passCostPerWord(want, base, off, striped, dst, n, store, prof.CksumOp)
+						if g != w || got.Cache.Hits != want.Cache.Hits || got.Cache.Misses != want.Cache.Misses || got.Cache.Stores != want.Cache.Stores {
+							t.Fatalf("striped %v store %v off %d n %d pass %d: %d cycles (hits %d misses %d stores %d), per-word loop %d (%d/%d/%d)",
+								striped, store, off, n, pass, g, got.Cache.Hits, got.Cache.Misses, got.Cache.Stores,
+								w, want.Cache.Hits, want.Cache.Misses, want.Cache.Stores)
+						}
+					}
+				}
+			}
+		}
+	}
+	if passCost(got, base, 0, true, dst, 0, true, 1) != 0 {
+		t.Error("an empty pass is not free")
+	}
+}
+
+// TestFrameReadsInPlace checks the temporary-free frame readers against
+// the byte-at-a-time definition: payload byte i of a striped frame lives at
+// StripedIndex(i), and the checksum is CksumData over those bytes — at
+// every offset parity and length, including ranges that open and close
+// mid-line.
+func TestFrameReadsInPlace(t *testing.T) {
+	eng, k1, _, _, _ := newHostPair(t)
+	k1.Spawn("app", func(p *aegis.Process) {
+		payload := make([]byte, 200)
+		rand.New(rand.NewSource(4)).Read(payload)
+		seg := p.AS.MustAlloc(2*len(payload)+32, "striped")
+		aegis.Stripe(k1.Bytes(seg.Base, 2*len(payload)+32), payload)
+		fs := Frame{Entry: aegis.RingEntry{Addr: seg.Base, Len: len(payload)}, Striped: true}
+		setFrameKernel(&fs, k1)
+		dst := p.AS.MustAlloc(256, "dst")
+
+		for off := 0; off < 40; off++ {
+			for n := 0; off+n <= len(payload); n += 1 + n/17 {
+				want := payload[off : off+n]
+				out := make([]byte, n)
+				fs.Bytes(out, off, n)
+				if string(out) != string(want) {
+					t.Fatalf("Bytes(off %d, n %d) differs from the payload", off, n)
+				}
+				if got := CksumFromFrame(p, fs, off, n); got != cksumHalfwords(0, want) {
+					t.Fatalf("CksumFromFrame(off %d, n %d) = %#x, want %#x", off, n, got, cksumHalfwords(0, want))
+				}
+				if got := CopyFromFrame(p, fs, off, dst.Base, n, true); got != cksumHalfwords(0, want) {
+					t.Fatalf("CopyFromFrame(off %d, n %d) checksum = %#x, want %#x", off, n, got, cksumHalfwords(0, want))
+				}
+				if string(k1.Bytes(dst.Base, n)) != string(want) {
+					t.Fatalf("CopyFromFrame(off %d, n %d) copied the wrong bytes", off, n)
+				}
+			}
+		}
+
+		// A contiguous frame copied onto itself a few bytes up: the result
+		// is the copy through a temporary, and so is its checksum.
+		cont := p.AS.MustAlloc(256, "cont")
+		copy(k1.Bytes(cont.Base, 200), payload)
+		fc := FabricateFrame(k1, cont.Base, 200)
+		got := CopyFromFrame(p, fc, 0, cont.Base+6, 150, true)
+		if string(k1.Bytes(cont.Base+6, 150)) != string(payload[:150]) {
+			t.Error("overlapping CopyFromFrame did not copy through a temporary")
+		}
+		if got != cksumHalfwords(0, payload[:150]) {
+			t.Error("overlapping CopyFromFrame checksummed something other than what it copied")
+		}
+	})
+	eng.Run()
+}

@@ -1,7 +1,9 @@
 package vcode
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 
 	"ashs/internal/mach"
@@ -106,12 +108,6 @@ type Machine struct {
 	// through JmpTable). Left nil on hot paths so profiling costs nothing
 	// when disabled.
 	PCCounts []uint64
-
-	// CheckBudgetOnBranch simulates the "software checks at all backward
-	// jump locations" strategy (Section III-B3) when the sandboxer has
-	// inserted OpChkBudget instructions; the timer strategy instead uses
-	// CycleLimit.
-	budgetCounter int64
 }
 
 // NewMachine returns a machine over mem using profile p.
@@ -128,20 +124,6 @@ func (m *Machine) ChargeInsns(n int64) {
 	m.Cycles += sim.Time(n)
 }
 
-func (m *Machine) loadCost(addr uint32) sim.Time {
-	if m.Cache != nil {
-		return m.Cache.Load(addr)
-	}
-	return sim.Time(m.Prof.LoadHit)
-}
-
-func (m *Machine) storeCost(addr uint32) sim.Time {
-	if m.Cache != nil {
-		return m.Cache.Store(addr)
-	}
-	return sim.Time(m.Prof.StoreCycles)
-}
-
 func fault(k FaultKind, pc int, addr uint32) *Fault {
 	return &Fault{Kind: k, PC: pc, Addr: addr}
 }
@@ -150,29 +132,58 @@ func fault(k FaultKind, pc int, addr uint32) *Fault {
 // fault (nil on clean return). Cycle and instruction counters are reset at
 // entry; persistent register contents are the caller's responsibility.
 func (m *Machine) Run(prog *Program) *Fault {
-	m.Cycles = 0
-	m.Insns = 0
-	m.budgetCounter = m.SoftBudget
+	// "<= 0 means unlimited" becomes a limit no run reaches, so the loop
+	// tests both limits unconditionally.
+	insnLimit, cycleLimit := int64(math.MaxInt64), sim.Time(math.MaxInt64)
+	if m.InsnBudget > 0 {
+		insnLimit = m.InsnBudget
+	}
+	if m.CycleLimit > 0 {
+		cycleLimit = m.CycleLimit
+	}
+	insnsLeft, cyclesLeft, f := m.run(prog, insnLimit, cycleLimit)
+	m.Insns, m.Cycles = insnLimit-insnsLeft, cycleLimit-cyclesLeft
+	return f
+}
+
+// run is the interpreter loop. Its two counters run down from the limits
+// — what it returns is what is left of each — so the per-instruction
+// budget test is the sign of a decrement and the limits themselves are not
+// live in the loop; that is what lets the compiler keep both counters in
+// registers. Around OpCall they are converted to Cycles and Insns and
+// back, because a syscall reads and charges the machine. Per-op costs,
+// PCCounts, Cache and Mem are read once, so a syscall that replaced one
+// mid-run would not be seen.
+func (m *Machine) run(prog *Program, insnLimit int64, cycleLimit sim.Time) (insnsLeft int64, cyclesLeft sim.Time, _ *Fault) {
+	insnsLeft, cyclesLeft = insnLimit, cycleLimit
+	alu := sim.Time(m.Prof.ALUOp)
+	loadHit, storeCycles := sim.Time(m.Prof.LoadHit), sim.Time(m.Prof.StoreCycles)
+	cksumExtra := sim.Time(m.Prof.CksumOp - m.Prof.ALUOp)
+	bswapExtra := sim.Time(m.Prof.BswapOp - m.Prof.ALUOp)
+	softBudget := m.SoftBudget
+	softLeft := softBudget
+	counts := m.PCCounts
+	cache := m.Cache
+	// Word accesses to a FlatMem are done in line (FlatMem's own bounds
+	// test, the same fault); every other Memory goes through the interface.
+	flat, _ := m.Mem.(*FlatMem)
 	code := prog.Insns
+	r := &m.Regs
 	pc := 0
 	for {
 		if pc < 0 || pc >= len(code) {
-			return fault(FaultBadJump, pc, 0)
+			return insnsLeft, cyclesLeft, fault(FaultBadJump, pc, 0)
 		}
 		in := &code[pc]
-		if m.PCCounts != nil && pc < len(m.PCCounts) {
-			m.PCCounts[pc]++
+		if pc < len(counts) {
+			counts[pc]++
 		}
-		m.Insns++
-		m.Cycles += sim.Time(m.Prof.ALUOp) // base issue cost; memory adds below
-		if m.InsnBudget > 0 && m.Insns > m.InsnBudget {
-			return fault(FaultBudget, pc, 0)
-		}
-		if m.CycleLimit > 0 && m.Cycles > m.CycleLimit {
-			return fault(FaultBudget, pc, 0)
+		insnsLeft--
+		cyclesLeft -= alu // base issue cost; memory adds below
+		if insnsLeft < 0 || cyclesLeft < 0 {
+			return insnsLeft, cyclesLeft, fault(FaultBudget, pc, 0)
 		}
 		next := pc + 1
-		r := &m.Regs
 		switch in.Op {
 		case OpNop:
 		case OpMovI:
@@ -225,23 +236,23 @@ func (m *Machine) Run(prog *Program) *Fault {
 			if r[in.Rt] == 0 {
 				// An unchecked divide reaching execution is a fault: the
 				// sandboxer should have inserted OpChkDiv.
-				return fault(FaultDivZero, pc, 0)
+				return insnsLeft, cyclesLeft, fault(FaultDivZero, pc, 0)
 			}
 			r[in.Rd] = r[in.Rs] / r[in.Rt]
-			m.Cycles += 34 // MIPS divide latency
+			cyclesLeft -= 34 // MIPS divide latency
 		case OpRemU:
 			if r[in.Rt] == 0 {
-				return fault(FaultDivZero, pc, 0)
+				return insnsLeft, cyclesLeft, fault(FaultDivZero, pc, 0)
 			}
 			r[in.Rd] = r[in.Rs] % r[in.Rt]
-			m.Cycles += 34
+			cyclesLeft -= 34
 		case OpAdd, OpSub, OpDiv:
 			// Signed arithmetic can trap; the verifier rejects it at
 			// download time, so reaching one at runtime means unverified
 			// code is executing.
-			return fault(FaultOverflow, pc, 0)
+			return insnsLeft, cyclesLeft, fault(FaultOverflow, pc, 0)
 		case OpFAdd, OpFMul:
-			return fault(FaultFloat, pc, 0)
+			return insnsLeft, cyclesLeft, fault(FaultFloat, pc, 0)
 
 		case OpLd32, OpLd16, OpLd8, OpLd32X, OpLd8X:
 			addr := r[in.Rs] + uint32(in.Imm)
@@ -249,18 +260,29 @@ func (m *Machine) Run(prog *Program) *Fault {
 				addr = r[in.Rs] + r[in.Rt]
 			}
 			// Base issue already charged; the cache cost includes issue.
-			m.Cycles += m.loadCost(addr) - sim.Time(m.Prof.ALUOp)
+			if cache != nil {
+				cyclesLeft -= cache.Load(addr) - alu
+			} else {
+				cyclesLeft -= loadHit - alu
+			}
 			var v uint32
 			var err error
 			switch in.Op {
 			case OpLd32, OpLd32X:
 				if addr&3 != 0 {
-					return fault(FaultUnaligned, pc, addr)
+					return insnsLeft, cyclesLeft, fault(FaultUnaligned, pc, addr)
 				}
-				v, err = m.Mem.Load32(addr)
+				if flat != nil {
+					if !flat.holds(addr, 4) {
+						return insnsLeft, cyclesLeft, fault(FaultBadAddr, pc, addr)
+					}
+					v = binary.BigEndian.Uint32(flat.Data[addr-flat.Base:])
+				} else {
+					v, err = m.Mem.Load32(addr)
+				}
 			case OpLd16:
 				if addr&1 != 0 {
-					return fault(FaultUnaligned, pc, addr)
+					return insnsLeft, cyclesLeft, fault(FaultUnaligned, pc, addr)
 				}
 				var v16 uint16
 				v16, err = m.Mem.Load16(addr)
@@ -271,7 +293,7 @@ func (m *Machine) Run(prog *Program) *Fault {
 				v = uint32(v8)
 			}
 			if err != nil {
-				return fault(FaultBadAddr, pc, addr)
+				return insnsLeft, cyclesLeft, fault(FaultBadAddr, pc, addr)
 			}
 			r[in.Rd] = v
 
@@ -282,26 +304,36 @@ func (m *Machine) Run(prog *Program) *Fault {
 				addr = r[in.Rs] + r[in.Rt]
 				val = r[in.Rd]
 			}
-			m.Cycles += m.storeCost(addr)
 			// Base issue already charged 1; store cost covers the bus.
-			m.Cycles -= sim.Time(m.Prof.ALUOp)
+			if cache != nil {
+				cyclesLeft -= cache.Store(addr) - alu
+			} else {
+				cyclesLeft -= storeCycles - alu
+			}
 			var err error
 			switch in.Op {
 			case OpSt32, OpSt32X:
 				if addr&3 != 0 {
-					return fault(FaultUnaligned, pc, addr)
+					return insnsLeft, cyclesLeft, fault(FaultUnaligned, pc, addr)
 				}
-				err = m.Mem.Store32(addr, val)
+				if flat != nil {
+					if !flat.holds(addr, 4) {
+						return insnsLeft, cyclesLeft, fault(FaultBadAddr, pc, addr)
+					}
+					binary.BigEndian.PutUint32(flat.Data[addr-flat.Base:], val)
+				} else {
+					err = m.Mem.Store32(addr, val)
+				}
 			case OpSt16:
 				if addr&1 != 0 {
-					return fault(FaultUnaligned, pc, addr)
+					return insnsLeft, cyclesLeft, fault(FaultUnaligned, pc, addr)
 				}
 				err = m.Mem.Store16(addr, uint16(val))
 			default:
 				err = m.Mem.Store8(addr, byte(val))
 			}
 			if err != nil {
-				return fault(FaultBadAddr, pc, addr)
+				return insnsLeft, cyclesLeft, fault(FaultBadAddr, pc, addr)
 			}
 
 		case OpBeq:
@@ -330,43 +362,46 @@ func (m *Machine) Run(prog *Program) *Fault {
 			t := int(r[in.Rs])
 			if m.JmpTable != nil {
 				if t < 0 || t >= len(m.JmpTable) {
-					return fault(FaultBadJump, pc, r[in.Rs])
+					return insnsLeft, cyclesLeft, fault(FaultBadJump, pc, r[in.Rs])
 				}
 				t = m.JmpTable[t]
 			}
 			if t < 0 || t >= len(code) {
-				return fault(FaultBadJump, pc, r[in.Rs])
+				return insnsLeft, cyclesLeft, fault(FaultBadJump, pc, r[in.Rs])
 			}
 			next = t
-			m.Cycles += 2 // translation table lookup
+			cyclesLeft -= 2 // translation table lookup
 		case OpCall:
 			fn, ok := m.Syms[in.Sym]
 			if !ok {
-				return fault(FaultBadCall, pc, 0)
+				return insnsLeft, cyclesLeft, fault(FaultBadCall, pc, 0)
 			}
-			m.Cycles += 2 // call linkage
-			if err := fn(m); err != nil {
+			cyclesLeft -= 2 // call linkage
+			m.Insns, m.Cycles = insnLimit-insnsLeft, cycleLimit-cyclesLeft
+			err := fn(m)
+			insnsLeft, cyclesLeft = insnLimit-m.Insns, cycleLimit-m.Cycles
+			if err != nil {
 				if f, ok := err.(*Fault); ok {
 					f.PC = pc
-					return f
+					return insnsLeft, cyclesLeft, f
 				}
-				return &Fault{Kind: FaultBadCall, PC: pc, Msg: err.Error()}
+				return insnsLeft, cyclesLeft, &Fault{Kind: FaultBadCall, PC: pc, Msg: err.Error()}
 			}
 		case OpRet:
-			return nil
+			return insnsLeft, cyclesLeft, nil
 
 		case OpCksum32:
 			s, c := bits.Add32(r[in.Rd], r[in.Rs], 0)
 			r[in.Rd] = s + c // end-around carry
-			m.Cycles += sim.Time(m.Prof.CksumOp - m.Prof.ALUOp)
+			cyclesLeft -= cksumExtra
 		case OpBswap:
 			v := r[in.Rs]
 			r[in.Rd] = v<<24 | (v&0xff00)<<8 | (v>>8)&0xff00 | v>>24
-			m.Cycles += sim.Time(m.Prof.BswapOp - m.Prof.ALUOp)
+			cyclesLeft -= bswapExtra
 
 		case OpInput32, OpOutput32:
 			// Pipe pseudo-ops are only meaningful after DILP compilation.
-			return fault(FaultIllegalOp, pc, 0)
+			return insnsLeft, cyclesLeft, fault(FaultIllegalOp, pc, 0)
 
 		case OpSboxMask:
 			// SFI address staging: compute the effective address into the
@@ -375,20 +410,22 @@ func (m *Machine) Run(prog *Program) *Fault {
 		case OpSboxChk:
 			a := r[in.Rd]
 			if a < m.SboxBase || a >= m.SboxLimit {
-				return fault(FaultBadAddr, pc, a)
+				return insnsLeft, cyclesLeft, fault(FaultBadAddr, pc, a)
 			}
 		case OpChkDiv:
 			if r[in.Rs] == 0 {
-				return fault(FaultDivZero, pc, 0)
+				return insnsLeft, cyclesLeft, fault(FaultDivZero, pc, 0)
 			}
 		case OpChkBudget:
-			m.budgetCounter -= int64(in.Imm)
-			if m.SoftBudget > 0 && m.budgetCounter <= 0 {
-				return fault(FaultBudget, pc, 0)
+			// The software-check strategy of Section III-B3: the sandboxer
+			// put one of these at every backward jump.
+			softLeft -= int64(in.Imm)
+			if softBudget > 0 && softLeft <= 0 {
+				return insnsLeft, cyclesLeft, fault(FaultBudget, pc, 0)
 			}
 
 		default:
-			return fault(FaultIllegalOp, pc, 0)
+			return insnsLeft, cyclesLeft, fault(FaultIllegalOp, pc, 0)
 		}
 		pc = next
 	}
@@ -414,8 +451,13 @@ func NewFlatMem(base uint32, n int) *FlatMem {
 	return &FlatMem{Base: base, Data: make([]byte, n)}
 }
 
+// holds reports whether the n bytes at addr are all inside Data.
+func (f *FlatMem) holds(addr uint32, n int) bool {
+	return addr >= f.Base && uint64(addr-f.Base)+uint64(n) <= uint64(len(f.Data))
+}
+
 func (f *FlatMem) idx(addr uint32, n int) (int, error) {
-	if addr < f.Base || uint64(addr)+uint64(n) > uint64(f.Base)+uint64(len(f.Data)) {
+	if !f.holds(addr, n) {
 		return 0, &Fault{Kind: FaultBadAddr, Addr: addr}
 	}
 	return int(addr - f.Base), nil
