@@ -19,9 +19,9 @@
 //
 //	w := ashs.NewWorld()
 //	app := w.Host2.Spawn("app", func(p *ashs.Process) { ... })
-//	ash, err := w.Host2ASH.Download(app, prog, ashs.ASHOptions{})
+//	ash, err := w.ASH2.Download(app, prog, ashs.ASHOptions{})
 //	binding, _ := w.AN2Host2.BindVC(app, 7, 8, 4096)
-//	ash.AttachVC(binding)
+//	ash.Attach(binding)
 //	w.Run()
 //
 // Everything runs on a deterministic discrete-event simulation of a pair
@@ -63,10 +63,9 @@ type (
 	Segment = aegis.Segment
 	// Ring is a kernel/user shared notification ring.
 	Ring = aegis.Ring
-	// VCBinding is a process's binding to an AN2 virtual circuit.
-	VCBinding = aegis.VCBinding
-	// EthBinding is a process's DPF filter binding on the Ethernet.
-	EthBinding = aegis.EthBinding
+	// Binding is a process's demultiplexing point: an AN2 virtual circuit
+	// or a DPF filter on the Ethernet.
+	Binding = aegis.Binding
 	// MsgCtx is the execution context of a message handler.
 	MsgCtx = aegis.MsgCtx
 	// Disposition is a handler's verdict on a message.

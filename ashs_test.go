@@ -33,7 +33,7 @@ func TestQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ash.AttachVC(binding)
+	ash.Attach(binding)
 
 	var got []byte
 	w.Host1.Spawn("client", func(p *ashs.Process) {

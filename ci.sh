@@ -42,39 +42,48 @@ go vet -vettool="$workdir/ashlint" ./...
 echo "== go test -race"
 go test -race ./...
 
-# Chaos soak: the deterministic fault plane's canned schedules against the
-# full TCP + NFS workload, plus the fixed-seed determinism check (rerunning
-# a seed must reproduce bit-identical counters). Already covered by the
-# package sweep above, but run by name so a regression is attributable.
-echo "== chaos soak (fixed-seed determinism)"
-go test -race -count=1 -run 'TestChaosSoak|TestChaosSeedDeterminism' ./internal/fault/
+# Suites the sweep above already ran, again by name and with -count=1, so a
+# regression is attributable to the contract it breaks. One package:regexp
+# row each ("." runs the whole package):
+#   fault    chaos soak: the canned fault schedules against the full TCP + NFS
+#            workload, and rerunning a seed reproduces bit-identical counters
+#   obs, sim the PRNG contract and the trace/metrics unit tests
+#   sim      handoff differential: one scripted world over {coroutine,
+#            channel} x {calendar, heap} gives one trace, clock and counts
+#   aegis    world lifetime: a reused arena is all-zero, nothing above brk is
+#            addressable, a closed host has no memory, leases stay private;
+#            then the receive matrix: the same scenarios through an AN2 and
+#            an Ethernet world move the same RxStats field, every offered
+#            frame has exactly one fate, Binding.Free refuses bad indices
+#   bench, . world close leaves no live process and no host memory, a cell run
+#            twice grows the pool once, the public World.Close
+#   sandbox  three-way differential: every crl handler x both budget modes x
+#            measured + adversarial profiles, the profitability pin, the
+#            committed adversarial-profile shapes, the quick random sweep
+#   core     the DCG loop on installed handlers; ASH/FuncASH base parity
+#   runner,  the worker pool, the parallel chaos matrix and the golden
+#   bench    determinism tests
+echo "== by-name suites under -race"
+while IFS=: read -r pkg pattern; do
+    echo "-- $pkg -run '$pattern'"
+    go test -race -count=1 -run "$pattern" "$pkg"
+done <<'EOF'
+./internal/fault/:TestChaosSoak|TestChaosSeedDeterminism
+./internal/obs/:.
+./internal/sim/:.
+./internal/sim/:^TestHandoff
+./internal/aegis/:^TestArena
+./internal/aegis/:^TestReceiveMatrix$|^TestFrontHalfOrder$|^TestFreeChecksTheIndex$|^TestRefusedSendIsCounted$
+./internal/bench/:^TestPoolLeakGate$|^TestWorldReuse$
+.:^TestWorldClose$
+./internal/sandbox/:TestThreeWayRegistry|TestReoptActuallyImproves|TestReoptProfileSeeds|TestDifferentialSFIQuick
+./internal/core/:TestReopt|TestChainDisposition|^TestHandlerBaseParity$
+./internal/bench/runner/:.
+./internal/bench/:TestParallelByteIdentical|TestParallelChaosMatchesSerial|TestReoptParallelByteIdentical
+EOF
 
-# Observability plane: the PRNG contract and trace/metrics unit tests by
-# name, then the end-to-end determinism gate — the breakdown experiment's
-# Chrome trace JSON must be byte-identical across two full runs.
-echo "== observability plane (PRNG + trace/metrics unit tests)"
-go test -race -count=1 ./internal/obs/ ./internal/sim/
-
-# The engine<->process handoff: one scripted world over {coroutine,
-# channel} x {calendar, heap} must give one trace, one final clock and
-# one set of Fired/Cancelled/Handoffs counts. In the sweep above already;
-# by name so a divergence between the coroutine switch and its channel
-# oracle is attributable.
-echo "== handoff differential (coroutine vs channel, calendar vs heap) under -race"
-go test -race -count=1 -run '^TestHandoff' ./internal/sim/
-
-# World lifetime: the arena pool behind every host's memory (a reused
-# arena is all-zero, nothing above brk is addressable, a closed host has no
-# memory, concurrent leases stay private) and the end of a world (close
-# leaves no live process and no host memory; a cell run twice grows the
-# pool once; the public World.Close). TestHandoffDifferential above is the
-# process-teardown half. In the sweep already; by name so a leak or a
-# dirty re-lease is attributable.
-echo "== world lifetime (arena pool, world close) under -race"
-go test -race -count=1 -run '^TestArena' ./internal/aegis/
-go test -race -count=1 -run '^TestPoolLeakGate$|^TestWorldReuse$' ./internal/bench/
-go test -race -count=1 -run '^TestWorldClose$' .
-
+# The end-to-end observability gate: the breakdown experiment's Chrome trace
+# JSON must be byte-identical across two full runs.
 echo "== breakdown trace determinism (byte-identical across runs)"
 tracedir="$workdir"
 go run ./cmd/ashbench -experiment breakdown -trace "$tracedir/a.json" >/dev/null
@@ -147,18 +156,6 @@ for exp in $("$tracedir/ashbench" -experiment help | awk '{print $1}'); do
     fi
 done
 
-# Three-way differential suite by name under the race detector: the
-# registry sweep (every crl handler x both budget modes x measured +
-# adversarial profiles), the profitability pin, the committed
-# adversarial-profile corpus shapes, and the quick random-program sweep.
-# Covered by the package test run above, but a divergence in the DCG
-# loop's safety argument must be attributable to it directly.
-echo "== three-way differential suite under -race"
-go test -race -count=1 \
-    -run 'TestThreeWayRegistry|TestReoptActuallyImproves|TestReoptProfileSeeds|TestDifferentialSFIQuick' \
-    ./internal/sandbox/
-go test -race -count=1 -run 'TestReopt|TestChainDisposition' ./internal/core/
-
 # Coverage gate: per-package coverage is printed for review; the total
 # must not regress below the floor (measured baseline minus slack).
 echo "== coverage (floor 79.5%)"
@@ -170,13 +167,6 @@ if [ "$ok" != 1 ]; then
     echo "total coverage ${total}% fell below the 79.5% floor"
     exit 1
 fi
-
-# Bench runner suite by name under the race detector: the worker pool,
-# the parallel chaos matrix, and the golden determinism test. Covered by
-# the package sweep above, but attributable when it regresses.
-echo "== bench runner determinism under -race"
-go test -race -count=1 ./internal/bench/runner/
-go test -race -count=1 -run 'TestParallelByteIdentical|TestParallelChaosMatchesSerial|TestReoptParallelByteIdentical' ./internal/bench/
 
 # Hot-path microbenchmarks: a short sweep proves the fixtures still run.
 # Timings are never gated here — CI machines vary too much (cmd/perfbench

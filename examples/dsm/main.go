@@ -43,7 +43,7 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
-		a.AttachVC(b)
+		a.Attach(b)
 		return a
 	}
 	generic := install(crl.GenericWriteHandler(node.TableAddr(), crl.MaxSegments, w.AN2Host1.Addr(), 11), 11, false)
@@ -58,10 +58,9 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
-		cb.InKernel = true
-		cb.InKernelRx = func(mc *aegis.MsgCtx) {
+		cb.Handler = aegis.KernelRx(func(mc *aegis.MsgCtx) {
 			replies[vc] = append([]byte(nil), mc.Data()...)
-		}
+		})
 	}
 
 	// 1. Generic remote write: validated, acknowledged.

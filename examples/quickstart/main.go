@@ -47,7 +47,7 @@ func measure(useASH bool) float64 {
 		if err != nil {
 			panic(err)
 		}
-		ash.AttachVC(binding)
+		ash.Attach(binding)
 	} else {
 		// Conventional arrangement: a user-level process polls and echoes.
 		w.Host2.Spawn("echo-server", func(p *ashs.Process) {

@@ -53,7 +53,7 @@ func measure(nprocs int, useASH bool) float64 {
 		if err != nil {
 			panic(err)
 		}
-		ash.AttachVC(b)
+		ash.Attach(b)
 	} else {
 		w.Host2.Spawn("server", func(p *ashs.Process) {
 			ep, err := link.BindAN2(w.AN2Host2, p, vc, 8, 4096)

@@ -36,7 +36,7 @@ func echoRoundTrip(t *testing.T, w *ashs.World) ([]byte, ashs.Time) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ash.AttachVC(binding)
+	ash.Attach(binding)
 
 	var got []byte
 	w.Host1.Spawn("client", func(p *ashs.Process) {

@@ -10,8 +10,8 @@ import (
 
 // TestRingHighWaterShed: with a high watermark set, the demultiplexor
 // sheds at demux once the ring is full — per-binding Shed and aggregate
-// LoadSheds count the refusals, no pool buffer is consumed, and the
-// load-induced DroppedNoBuf counter stays untouched.
+// Rx.Shed count the refusals, no pool buffer is consumed, and the
+// load-induced Rx.NoBuffer counter stays untouched.
 func TestRingHighWaterShed(t *testing.T) {
 	eng := sim.NewEngine()
 	prof := mach.DS5000_240()
@@ -44,23 +44,22 @@ func TestRingHighWaterShed(t *testing.T) {
 	if b.Shed != frames-highWater {
 		t.Fatalf("binding shed = %d, want %d", b.Shed, frames-highWater)
 	}
-	if e2.LoadSheds != b.Shed {
-		t.Fatalf("LoadSheds = %d, want %d", e2.LoadSheds, b.Shed)
+	if e2.Rx.Shed != b.Shed {
+		t.Fatalf("Rx.Shed = %d, want %d", e2.Rx.Shed, b.Shed)
 	}
-	if e2.DroppedNoBuf != 0 {
-		t.Fatalf("shed frames counted as DroppedNoBuf (%d)", e2.DroppedNoBuf)
+	if e2.Rx.NoBuffer != 0 {
+		t.Fatalf("shed frames counted as Rx.NoBuffer (%d)", e2.Rx.NoBuffer)
 	}
 	// Shed frames must not leak pool buffers: the entries queued plus the
 	// free list must account for the whole pool.
-	if got := e2.freeBufs.len() + b.Ring.Len(); got != EthRxBuffers {
+	if got := e2.pool.count + b.Ring.Len(); got != EthRxBuffers {
 		t.Fatalf("pool accounting: free+queued = %d, want %d", got, EthRxBuffers)
 	}
 }
 
 // TestInjectedVsLoadDropSplit: fault-injected ring/pool drops land only
 // on the Injected* counters; genuine pool exhaustion lands only on
-// DroppedNoBuf. Before the split, both causes bumped DroppedNoBuf and
-// overload analysis could not tell saturation from chaos.
+// NoBuffer, so overload analysis can tell saturation from chaos.
 func TestInjectedVsLoadDropSplit(t *testing.T) {
 	eng := sim.NewEngine()
 	prof := mach.DS5000_240()
@@ -93,13 +92,8 @@ func TestInjectedVsLoadDropSplit(t *testing.T) {
 	}
 	eng.Run()
 
-	if e2.InjectedRingDrops != 1 {
-		t.Fatalf("InjectedRingDrops = %d, want 1", e2.InjectedRingDrops)
-	}
-	if e2.InjectedPoolDrops != 1 {
-		t.Fatalf("InjectedPoolDrops = %d, want 1", e2.InjectedPoolDrops)
-	}
-	if e2.DroppedNoBuf != extra {
-		t.Fatalf("DroppedNoBuf = %d, want %d (load-induced only)", e2.DroppedNoBuf, extra)
+	want := RxStats{InjectedRing: 1, InjectedPool: 1, NoBuffer: extra, Delivered: EthRxBuffers}
+	if e2.Rx != want {
+		t.Fatalf("Rx = %+v, want %+v", e2.Rx, want)
 	}
 }

@@ -52,21 +52,20 @@ type MsgCtx struct {
 	// StripedIndex (or use RawData and account for the doubling).
 	Striped bool
 
-	iface *AN2If
-	ether *EthernetIf
-	ring  *Ring // the binding's notification ring (for doorbells)
-	t0    sim.Time
-	cost  sim.Time
+	nic  *NIC  // the interface the message arrived on; nil for synthetic
+	ring *Ring // the binding's notification ring (for doorbells)
+	t0   sim.Time
+	cost sim.Time
 
 	// userLevel is set while an upcall handler runs: sends then go through
 	// the system call interface rather than straight to the driver.
 	userLevel bool
 
-	// sends queues messages the handler initiated. They are released when
-	// the handler commits (returns), at the path's completion time — an
-	// aborted handler must not have sent (the commit/abort discipline of
-	// Section II-A).
-	sends []queuedSend
+	// sends queues the messages the handler initiated, each already in a
+	// frame leased from the wire pool. They are transmitted when the handler
+	// commits (returns), at the path's completion time — an aborted handler
+	// must not have sent (the commit/abort discipline of Section II-A).
+	sends []*netdev.PacketBuf
 
 	// Freelist plumbing: pins counts scheduled events still holding this
 	// context, done marks the receive path as returned, pooled marks
@@ -76,16 +75,6 @@ type MsgCtx struct {
 	done   bool
 	pooled bool
 	next   *MsgCtx
-}
-
-// queuedSend is one handler-initiated message awaiting commit. On the
-// real receive path the frame is already leased from the wire pool; a
-// synthetic context (no attached interface) falls back to a plain copy,
-// matching its no-communication methodology.
-type queuedSend struct {
-	pkt     *netdev.PacketBuf
-	dst, vc int
-	data    []byte
 }
 
 // acquireMsgCtx takes a scrubbed context from the freelist.
@@ -114,7 +103,7 @@ func (k *Kernel) retireMsgCtx(mc *MsgCtx) {
 
 // finishRx closes a receive path: it serializes subsequent kernel work
 // behind this one and retires the context once no scheduled effect still
-// needs it. Drivers defer it at the top of their receive functions.
+// needs it.
 func (k *Kernel) finishRx(mc *MsgCtx) {
 	k.kernBusyUntil = mc.When()
 	mc.done = true
@@ -134,15 +123,9 @@ func (k *Kernel) unpin(mc *MsgCtx) {
 // mcCommit is the commit-time event: transmit the queued sends.
 func (k *Kernel) mcCommit(a any) {
 	mc := a.(*MsgCtx)
-	var port *netdev.Port
-	if mc.iface != nil {
-		port = mc.iface.Port
-	} else {
-		port = mc.ether.Port
-	}
-	for i := range mc.sends {
-		_ = port.Transmit(mc.sends[i].pkt)
-		mc.sends[i] = queuedSend{}
+	for i, pkt := range mc.sends {
+		mc.nic.transmit(pkt)
+		mc.sends[i] = nil
 	}
 	mc.sends = mc.sends[:0]
 	k.unpin(mc)
@@ -198,31 +181,20 @@ func (mc *MsgCtx) Send(dst, vc int, data []byte) {
 		mc.Charge(sim.Time(mc.K.Prof.SyscallCycles))
 	}
 	mc.Charge(sim.Time(mc.K.Prof.DeviceTxSetup))
-	var sw *netdev.Switch
-	switch {
-	case mc.iface != nil:
-		sw = mc.iface.Sw
-	case mc.ether != nil:
-		sw = mc.ether.Sw
-	default:
-		// Synthetic context (Section V-D isolation runs): there is no wire
-		// to lease from and commit never transmits; keep a plain copy.
-		buf := append([]byte(nil), data...)
-		mc.sends = append(mc.sends, queuedSend{dst: dst, vc: vc, data: buf})
+	if mc.nic == nil {
+		// Synthetic context (Section V-D isolation runs, "without the cost
+		// of communication"): no wire to lease from, nothing to transmit.
 		return
 	}
-	pkt := sw.LeaseData(data)
+	pkt := mc.nic.Sw.LeaseData(data)
 	pkt.Dst, pkt.VC = dst, vc
-	mc.sends = append(mc.sends, queuedSend{pkt: pkt, dst: dst, vc: vc})
+	mc.sends = append(mc.sends, pkt)
 }
 
 // commitSends releases queued sends at the path's completion time.
 func (mc *MsgCtx) commitSends() {
 	if len(mc.sends) == 0 {
 		return
-	}
-	if mc.iface == nil && mc.ether == nil {
-		return // synthetic context: nothing reaches a wire
 	}
 	mc.pins++
 	mc.K.Eng.ScheduleArgAt(mc.When(), mc.K.commitFn, mc)
@@ -231,11 +203,9 @@ func (mc *MsgCtx) commitSends() {
 // abortSends discards queued sends (the handler aborted), returning their
 // leases to the wire pool.
 func (mc *MsgCtx) abortSends() {
-	for i := range mc.sends {
-		if pkt := mc.sends[i].pkt; pkt != nil {
-			pkt.Release()
-		}
-		mc.sends[i] = queuedSend{}
+	for i, pkt := range mc.sends {
+		pkt.Release()
+		mc.sends[i] = nil
 	}
 	mc.sends = mc.sends[:0]
 }
@@ -263,278 +233,120 @@ func SyntheticMsg(k *Kernel, owner *Process, entry RingEntry) *MsgCtx {
 		t0: k.Eng.Now()}
 }
 
-// DeviceFault is an injected device-level failure for one arriving frame.
-// A fault plane installs an InjectFault hook on an interface; the driver
-// consults it once per frame and models the requested failure.
-type DeviceFault struct {
-	// DropRing models AN2 notification-ring overflow: the board has no
-	// ring entry for the arrival and the frame is lost.
-	DropRing bool
-	// DropPool models receive-pool exhaustion (the Ethernet's bounded
-	// kernel pool, the AN2's per-VC buffers): nowhere to DMA, frame lost.
-	DropPool bool
-	// TruncateTo > 0 models a truncated DMA: only that many bytes land in
-	// memory. The IP layer's length validation catches the damage.
-	TruncateTo int
+// KernelRx is hardwired kernel-level message code. Installed as the
+// Handler of an AN2 circuit bound with no owner, it makes the circuit the
+// in-kernel endpoint of Table I's first row: a polled driver loop with no
+// interrupt, demux, or user-level delivery costs.
+type KernelRx func(mc *MsgCtx)
+
+// HandleMsg implements MsgHandler: kernel code always consumes.
+func (f KernelRx) HandleMsg(mc *MsgCtx) Disposition {
+	f(mc)
+	return DispConsumed
 }
 
-// --------------------------------------------------------------------
-// AN2 (ATM) interface
-// --------------------------------------------------------------------
-
-// VCBinding is a process's binding to an AN2 virtual circuit: its receive
-// buffers, its notification ring, and optionally a downloaded handler or
-// an upcall (Section IV-A).
-type VCBinding struct {
-	VC      int
-	Owner   *Process
-	Ring    *Ring
-	Handler MsgHandler
-	Upcall  *Upcall
-
-	// InKernel marks the hardwired kernel-level endpoint used for the
-	// in-kernel row of Table I: a polled driver loop with no interrupt,
-	// demux, or user-level delivery costs.
-	InKernel bool
-	// InKernelRx, when InKernel, handles the message.
-	InKernelRx func(mc *MsgCtx)
-
-	iface    *AN2If
-	bufs     []Segment
-	freeBufs bufFIFO
-
-	// DroppedNoBuf counts messages lost to receive-buffer exhaustion;
-	// DroppedTooBig counts messages larger than the bound buffers. Shed
-	// counts arrivals refused by ring high-watermark admission control
-	// (see Ring.HighWater): the circuit matched, but the owner was so far
-	// behind that queueing more would only grow stale backlog.
-	DroppedNoBuf  uint64
-	DroppedTooBig uint64
-	Shed          uint64
-}
-
-// AN2If is the AN2 driver instance for one host.
+// AN2If is the AN2 (ATM) driver instance for one host: demultiplexing is
+// a table lookup on the virtual circuit, and each circuit DMAs into
+// buffers its owner provided.
 type AN2If struct {
-	K    *Kernel
-	Port *netdev.Port
-	Sw   *netdev.Switch
-
-	vcs map[int]*VCBinding
-
-	// InjectFault, when set, is consulted once per arriving frame so a
-	// fault plane can model device-level failures.
-	InjectFault func(pkt *netdev.PacketBuf) DeviceFault
-
-	// DroppedNoVC counts messages to unbound circuits. CRCDrops counts
-	// frames the board's frame check rejected; the Injected* counters
-	// record failures forced by the fault plane, and only those. LoadDrops
-	// and LoadSheds aggregate the genuine load-induced losses across
-	// circuits (buffer starvation; high-watermark refusals), so a soak can
-	// assert shed-because-saturated separately from dropped-by-chaos.
-	DroppedNoVC         uint64
-	CRCDrops            uint64
-	LoadDrops           uint64
-	LoadSheds           uint64
-	InjectedRingDrops   uint64
-	InjectedPoolDrops   uint64
-	InjectedTruncations uint64
+	NIC
+	vcs map[int]*Binding
 }
 
 // NewAN2 attaches an AN2 interface to host k on switch sw.
 func NewAN2(k *Kernel, sw *netdev.Switch) *AN2If {
-	a := &AN2If{K: k, Port: sw.NewPort(), Sw: sw, vcs: map[int]*VCBinding{}}
+	a := &AN2If{NIC: NIC{K: k, Port: sw.NewPort(), Sw: sw}, vcs: map[int]*Binding{}}
 	a.Port.SetReceiver(a.receive)
 	return a
 }
-
-// Addr is this host's address on the AN2 switch.
-func (a *AN2If) Addr() int { return a.Port.Addr() }
-
-// MaxFrame is the largest payload one packet can carry.
-func (a *AN2If) MaxFrame() int { return a.Sw.Cfg.MaxFrame }
 
 // BindVC binds a virtual circuit for process p with nbufs receive buffers
 // of bufSize bytes, allocated in p's address space ("providing a section
 // of their memory for messages to be DMA'ed to"). For in-kernel endpoints
 // pass p == nil and buffers land in kernel memory.
-func (a *AN2If) BindVC(p *Process, vc, nbufs, bufSize int) (*VCBinding, error) {
+func (a *AN2If) BindVC(p *Process, vc, nbufs, bufSize int) (*Binding, error) {
 	if _, dup := a.vcs[vc]; dup {
 		return nil, fmt.Errorf("aegis %s: VC %d already bound", a.K.Name, vc)
 	}
-	b := &VCBinding{VC: vc, Owner: p, Ring: NewRing(a.K), iface: a}
-	b.freeBufs.init(nbufs)
-	for i := 0; i < nbufs; i++ {
-		var seg Segment
+	bufs := make([]Segment, nbufs)
+	for i := range bufs {
 		if p != nil {
 			s, err := p.AS.Alloc(bufSize, fmt.Sprintf("an2-rx-vc%d-%d", vc, i))
 			if err != nil {
 				return nil, err
 			}
-			seg = s
+			bufs[i] = s
 		} else {
 			base, err := a.K.AllocPhys(bufSize, fmt.Sprintf("an2-krx-vc%d-%d", vc, i))
 			if err != nil {
 				return nil, err
 			}
-			seg = Segment{Base: base, Len: uint32(bufSize)}
+			bufs[i] = Segment{Base: base, Len: uint32(bufSize)}
 		}
-		b.bufs = append(b.bufs, seg)
 	}
+	b := &Binding{ID: vc, Owner: p, Ring: Ring{k: a.K}, nic: &a.NIC, pool: &rxPool{}}
+	b.pool.init(bufs, false)
 	a.vcs[vc] = b
 	return b, nil
 }
 
-// FreeBuf returns a receive buffer to the DMA pool ("the application is
-// allowed to use those message buffers directly, as long as it eventually
-// returns or replaces them"). The caller pays BufferMgmtCycles separately
-// (user code via Process.Compute, handlers via MsgCtx.Charge).
-func (b *VCBinding) FreeBuf(idx int) {
-	b.freeBufs.push(idx)
-}
-
-// receive is the arrival path (event context, at DMA-complete time). The
-// frame buffer is borrowed from the wire for the duration of the call:
-// the driver copies the payload into bound receive buffers and never
-// retains pkt.
+// receive is the AN2 front half (event context, at DMA-complete time).
+// The frame buffer is borrowed from the wire for the duration of the
+// call: the driver copies the payload into a bound receive buffer and
+// never retains pkt. The order of effects is pinned by the chaos goldens:
+// an injected ring drop is counted before the circuit is looked up, the
+// frame is truncated after the buffer is picked, and the buffer leaves
+// the pool only once the frame is known to fit.
 func (a *AN2If) receive(pkt *netdev.PacketBuf) {
-	// The board verifies the frame check sequence before raising any
-	// notification: frames damaged on the wire never reach software.
-	data := pkt.Bytes()
-	if pkt.FCS != netdev.FrameCheck(data) {
-		a.CRCDrops++
+	intr, df, ok := a.arrive(pkt)
+	if !ok {
 		return
-	}
-	intr := a.K.interruptEntry()
-	var df DeviceFault
-	if a.InjectFault != nil {
-		df = a.InjectFault(pkt)
 	}
 	if df.DropRing {
 		// Notification-ring overflow: the arrival is never raised.
-		a.InjectedRingDrops++
+		a.Rx.InjectedRing++
 		return
 	}
 	b := a.vcs[pkt.VC]
 	if b == nil {
-		a.DroppedNoVC++
+		a.Rx.NoMatch++
 		return
 	}
-	if df.DropPool {
-		// Injected exhaustion counts only as injected: b.DroppedNoBuf is
-		// reserved for genuine load-induced buffer starvation, so the
-		// chaos soak can assert the two causes separately.
-		a.InjectedPoolDrops++
+	if !a.admit(b, df) {
 		return
 	}
-	if hw := b.Ring.HighWater; hw > 0 && b.Ring.Len() >= hw {
-		// Shed at demux: the circuit's ring stands at its high watermark,
-		// so admission control refuses the arrival before it costs a
-		// buffer, a DMA, or any handler cycles.
-		b.Shed++
-		a.LoadSheds++
-		if o := a.K.Obs; o.Enabled() {
-			o.Inc("aegis/" + a.K.Name + "/ring_shed")
-		}
-		return
-	}
-	if b.freeBufs.len() == 0 {
-		b.DroppedNoBuf++
-		a.LoadDrops++
-		return
-	}
-	bufIdx := b.freeBufs.peek()
-	seg := b.bufs[bufIdx]
+	bufIdx, seg := b.pool.peek()
+	data := pkt.Bytes()
 	n := len(data)
 	if df.TruncateTo > 0 && df.TruncateTo < n {
-		a.InjectedTruncations++
+		a.Rx.Truncated++
 		n = df.TruncateTo
 	}
 	if uint32(n) > seg.Len {
 		// The bound receive buffers are too small for this message: the
 		// DMA engine has nowhere to put it.
-		b.DroppedTooBig++
+		a.Rx.TooBig++
 		return
 	}
-	b.freeBufs.pop()
+	b.pool.take()
 	// The DMA itself costs no CPU; the driver then flushes the cache over
 	// the message location "to ensure consistency after the DMA".
-	copy(a.K.Bytes(seg.Base, n), data[:n])
-	a.K.Cache.FlushRange(seg.Base, n)
+	k := a.K
+	copy(k.Bytes(seg.Base, n), data[:n])
+	k.Cache.FlushRange(seg.Base, n)
+	mc := a.begin(b, RingEntry{Addr: seg.Base, Len: n, VC: pkt.VC, Src: pkt.Src, BufIndex: bufIdx})
 
-	mc := a.K.acquireMsgCtx()
-	mc.K, mc.Owner, mc.VC, mc.Src = a.K, b.Owner, pkt.VC, pkt.Src
-	mc.iface, mc.ring = a, b.Ring
-	mc.Entry = RingEntry{Addr: seg.Base, Len: n, VC: pkt.VC, Src: pkt.Src, BufIndex: bufIdx}
-	mc.t0 = a.K.kernStart()
-	defer a.K.finishRx(mc)
-
-	prof := a.K.Prof
-	o := a.K.Obs
-	switch {
-	case b.InKernel:
-		// Hardwired kernel endpoint: polled driver loop.
+	prof := k.Prof
+	if rx, inKernel := b.Handler.(KernelRx); inKernel {
+		// Hardwired kernel endpoint: polled driver loop. (The interrupt
+		// entry above was still taken and counted.)
 		mc.Charge(sim.Time(prof.KernelPollCycles + prof.DeviceRxService))
-		o.Span(a.K.Name, "device", "device", "an2 rx poll", mc.t0, mc.Cost())
+		k.Obs.Span(k.Name, "device", "device", "an2 rx poll", mc.t0, mc.Cost())
 		s0 := mc.When()
-		b.InKernelRx(mc)
-		o.Span(a.K.Name, "device", "ash", "in-kernel rx", s0, mc.When()-s0)
-		mc.commitSends()
-		b.FreeBuf(bufIdx)
+		rx(mc)
+		k.Obs.Span(k.Name, "device", "ash", "in-kernel rx", s0, mc.When()-s0)
+		a.consumed(b, mc)
 		return
-	default:
-		mc.Charge(intr + sim.Time(prof.DeviceRxService+prof.DemuxVCCycles))
-		o.Span(a.K.Name, "device", "device", "an2 rx demux", mc.t0, mc.Cost())
-		if o.Enabled() {
-			o.Inc("aegis/" + a.K.Name + "/interrupts")
-		}
 	}
-
-	// "ASHs are invoked directly from the AN2 device driver, just after it
-	// performs a software cache flush of the message location."
-	if b.Handler != nil {
-		s0 := mc.When()
-		mc.Charge(sim.Time(prof.ASHDispatch))
-		o.Span(a.K.Name, "device", "kernel", "ash dispatch", s0, mc.When()-s0)
-		if b.Handler.HandleMsg(mc) == DispConsumed {
-			mc.commitSends()
-			b.FreeBuf(bufIdx)
-			return
-		}
-		mc.abortSends()
-	}
-	if b.Upcall != nil {
-		if b.Upcall.dispatch(mc) == DispConsumed {
-			mc.commitSends()
-			b.FreeBuf(bufIdx)
-			return
-		}
-		mc.abortSends()
-	}
-	a.deliverToUser(b, mc)
-}
-
-// deliverToUser pushes a ring notification at path-completion time and
-// wakes a blocked owner (charging the wake/schedule path).
-func (a *AN2If) deliverToUser(b *VCBinding, mc *MsgCtx) {
-	prof := a.K.Prof
-	s0 := mc.When()
-	mc.Charge(sim.Time(prof.RingUpdateCycles))
-	a.K.Obs.Span(a.K.Name, "device", "kernel", "ring deliver", s0, mc.When()-s0)
-	mc.pins++
-	a.K.Eng.ScheduleArgAt(mc.When(), a.K.ringPushFn, mc)
-}
-
-// Send transmits from process p over vc: the user-level transmission path
-// through the full system call interface plus device setup.
-func (a *AN2If) Send(p *Process, dst, vc int, data []byte) {
-	p.Syscall(sim.Time(a.K.Prof.DeviceTxSetup))
-	a.KernelSend(dst, vc, data)
-}
-
-// KernelSend transmits from kernel context (in-kernel endpoints): device
-// setup only, no system call.
-func (a *AN2If) KernelSend(dst, vc int, data []byte) {
-	pkt := a.Sw.LeaseData(data)
-	pkt.Dst, pkt.VC = dst, vc
-	_ = a.Port.Transmit(pkt)
+	a.deliver(b, mc, intr+sim.Time(prof.DeviceRxService+prof.DemuxVCCycles), "an2 rx demux")
 }

@@ -43,9 +43,6 @@ type Ring struct {
 	Delivered uint64
 }
 
-// NewRing creates a ring on host k.
-func NewRing(k *Kernel) *Ring { return &Ring{k: k} }
-
 // Len reports queued notifications.
 func (r *Ring) Len() int { return r.count }
 

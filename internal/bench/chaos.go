@@ -241,11 +241,12 @@ func runChaosOne(cfg *Config, seed int64, sched fault.Schedule, p ChaosParams) C
 		res.TCPMBps = float64(p.TCPBytes) / (tcpEnd - tcpStart)
 	}
 	res.Faults = pl.C
-	res.InjectedDevDrops = tb.A1.InjectedRingDrops + tb.A1.InjectedPoolDrops +
-		tb.A2.InjectedRingDrops + tb.A2.InjectedPoolDrops
-	res.LoadDevDrops = tb.A1.LoadDrops + tb.A1.LoadSheds +
-		tb.A2.LoadDrops + tb.A2.LoadSheds
-	res.CRCDrops = tb.A1.CRCDrops + tb.A2.CRCDrops
+	for _, h := range tb.hosts {
+		rx := h.nic.Rx
+		res.InjectedDevDrops += rx.InjectedRing + rx.InjectedPool
+		res.LoadDevDrops += rx.NoBuffer + rx.Shed
+		res.CRCDrops += rx.CRC
+	}
 	res.InvoluntaryAborts = tb.Sys1.InvoluntaryAborts + tb.Sys2.InvoluntaryAborts
 	res.AbortFallbacks = tb.Sys1.AbortFallbacks + tb.Sys2.AbortFallbacks
 	res.TrippedHandlers = tb.Sys1.TrippedHandlers + tb.Sys2.TrippedHandlers

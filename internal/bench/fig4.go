@@ -93,7 +93,7 @@ func fig4RT(cfg *Config, n int, system string, iters int) float64 {
 		if err != nil {
 			panic(err)
 		}
-		ash.AttachVC(b)
+		ash.Attach(b)
 	default:
 		tb.K2.Spawn("server", func(p *aegis.Process) {
 			ep, err := link.BindAN2(tb.A2, p, vc, 8, 4096)

@@ -290,13 +290,13 @@ func ProcSwitch(b *testing.B) {
 }
 
 // packetPathWorld is the PacketPath fixture: one full aegis server host
-// (Ethernet driver, DPF demux, downloaded handler) ping-ponging with a
-// raw client port over a switch — the complete per-message path of the
-// paper's Table I, wire to wire.
+// (Ethernet driver, DPF demux, downloaded handler — or the AN2 driver and
+// a bound circuit) ping-ponging with a raw client port over a switch — the
+// complete per-message path of the paper's Table I, wire to wire.
 type packetPathWorld struct {
 	eng *sim.Engine
 	sw  *netdev.Switch
-	srv *aegis.EthernetIf
+	srv *aegis.NIC
 	cli *netdev.Port
 	req []byte
 
@@ -315,7 +315,7 @@ func (w *packetPathWorld) HandleMsg(mc *aegis.MsgCtx) aegis.Disposition {
 // wire from the client port.
 func (w *packetPathWorld) send() {
 	pkt := w.sw.LeaseData(w.req)
-	pkt.Dst = w.srv.Addr()
+	pkt.Dst, pkt.VC = w.srv.Addr(), packetPathVC
 	if err := w.cli.Transmit(pkt); err != nil {
 		panic(err)
 	}
@@ -332,26 +332,39 @@ func (w *packetPathWorld) rx(pkt *netdev.PacketBuf) {
 	w.send()
 }
 
-func newPacketPathWorld() *packetPathWorld {
+// packetPathVC is the circuit the AN2 fixture binds (the Ethernet ignores
+// a frame's VC).
+const packetPathVC = 7
+
+func newPacketPathWorld(an2 bool) *packetPathWorld {
 	eng := sim.NewEngine()
 	prof := mach.DS5000_240()
 	w := &packetPathWorld{eng: eng}
-	w.sw = netdev.NewSwitch(eng, prof, netdev.EthernetConfig())
 	k := aegis.NewKernel("srv", eng, prof)
-	w.srv = aegis.NewEthernet(k, w.sw)
-	w.cli = w.sw.NewPort()
-	w.cli.SetReceiver(w.rx)
 
 	w.req = make([]byte, HandlerBytes)
 	w.req[12], w.req[13] = 0x08, 0x00 // ethertype IP
 	w.req[23] = 17                    // protocol UDP
 	w.req[36], w.req[37] = 1000>>8, 1000&0xff
-	f := dpf.NewFilter().Eq16(12, 0x0800).Eq8(23, 17).Eq16(36, 1000)
-	bind, err := w.srv.BindFilter(nil, f)
+	var bind *aegis.Binding
+	var err error
+	if an2 {
+		w.sw = netdev.NewSwitch(eng, prof, netdev.AN2Config())
+		a := aegis.NewAN2(k, w.sw)
+		w.srv = &a.NIC
+		bind, err = a.BindVC(nil, packetPathVC, 8, 4096)
+	} else {
+		w.sw = netdev.NewSwitch(eng, prof, netdev.EthernetConfig())
+		e := aegis.NewEthernet(k, w.sw)
+		w.srv = &e.NIC
+		bind, err = e.BindFilter(nil, dpf.NewFilter().Eq16(12, 0x0800).Eq8(23, 17).Eq16(36, 1000))
+	}
 	if err != nil {
 		panic(err)
 	}
 	bind.Handler = w
+	w.cli = w.sw.NewPort()
+	w.cli.SetReceiver(w.rx)
 	return w
 }
 
@@ -371,8 +384,15 @@ func (w *packetPathWorld) run(n int) {
 // downloaded handler → committed reply lease → switch delivery → client
 // re-arm. After warmup the pools and freelists are primed and the whole
 // wire-to-wire path must run at 0 allocs/op.
-func PacketPath(b *testing.B) {
-	w := newPacketPathWorld()
+func PacketPath(b *testing.B) { packetPath(b, false) }
+
+// PacketPathAN2 is the same round trip through the other front half: the
+// AN2 driver's circuit lookup and flat DMA into a per-circuit buffer, then
+// the delivery tail the two devices share.
+func PacketPathAN2(b *testing.B) { packetPath(b, true) }
+
+func packetPath(b *testing.B, an2 bool) {
+	w := newPacketPathWorld(an2)
 	w.run(64) // warmup: mint pool buffers, contexts, events
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -18,6 +18,7 @@ func BenchmarkSimEventQueue(b *testing.B)     { SimEventQueue(b) }
 func BenchmarkCalendarQueue(b *testing.B)     { CalendarQueue(b) }
 func BenchmarkProcSwitch(b *testing.B)        { ProcSwitch(b) }
 func BenchmarkPacketPath(b *testing.B)        { PacketPath(b) }
+func BenchmarkPacketPathAN2(b *testing.B)     { PacketPathAN2(b) }
 
 // TestBodiesRun drives each benchmark body through testing.Benchmark —
 // the harness cmd/perfbench replays them with — so a fixture regression
@@ -47,6 +48,7 @@ func TestBodiesRun(t *testing.T) {
 		{"CalendarQueue", CalendarQueue, true},
 		{"ProcSwitch", ProcSwitch, true},
 		{"PacketPath", PacketPath, true},
+		{"PacketPathAN2", PacketPathAN2, true},
 	} {
 		r := testing.Benchmark(bm.fn)
 		if r.N == 0 {

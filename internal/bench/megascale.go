@@ -217,18 +217,18 @@ func megaRun(cfg *Config, w *world, flt *flyweight.Fleet, wl string, n, events i
 	srv := w.srv()
 	r := MegaResult{
 		Workload: wl, N: n,
-		Filters: srv.e.Filters(), TrieDepth: srv.e.TrieDepth(),
+		Filters: srv.eth.Filters(), TrieDepth: srv.eth.TrieDepth(),
 		Msgs:       flt.Completed(),
 		BytesPerEp: flt.StaticBytesPerEndpoint(),
 		Retries:    flt.Retries, Failures: flt.Failures,
-		Sheds: srv.e.LoadSheds,
+		Sheds: srv.nic.Rx.Shed,
 	}
 	r.CycPerMsg, r.DemuxPerMsg = w.rxCost(srv)
 	r.P99Us = w.prof.Us(flt.Hist.Quantile(0.99))
 	r.IncastP99Us = w.prof.Us(flt.IncastHist.Quantile(0.99))
 
 	// The server trie's footprint, readable without a heap profile.
-	c := srv.e.TrieCensus()
+	c := srv.eth.TrieCensus()
 	cfg.note("[megascale %s N=%d server trie: nodes %d (%d free), branches %d (%d free), "+
 		"tables %d, table slots %d (%d used), atoms %d (%d free), ids %d (%d live), %.1f MiB]",
 		wl, n, c.Nodes, c.FreeNodes, c.Branches, c.FreeBranches,
@@ -300,11 +300,11 @@ func runMegaUDP(cfg *Config, n, events int) MegaResult {
 		src := &f.Atoms[len(f.Atoms)-1]
 		for i := 0; i < n; i++ {
 			src.Value = ipU32(flt.Addr(i))
-			b, err := srv.e.BindFilter(p, f)
+			b, err := srv.eth.BindFilter(p, f)
 			if err != nil {
 				panic(err)
 			}
-			// Attach directly: AttachEth also registers a detach closure
+			// Install directly: Attach also registers a detach closure
 			// per binding, which is pure overhead times 10^6 here.
 			b.Handler = ash
 		}
@@ -388,7 +388,7 @@ func runMegaNFS(cfg *Config, n, events int) MegaResult {
 	srv.k.Spawn("nfsd", func(p *aegis.Process) {
 		st := ethStack(p, srv, listenFilter(srv.ip, ip.ProtoUDP, scaleNFSPort), w.res)
 		// The overload-control admission plane: arm the ring's high water.
-		st.Ep.(*link.EthLink).Binding().Ring.HighWater = megaNFSHighWater
+		st.Ep.(*link.Link).Binding().Ring.HighWater = megaNFSHighWater
 		sock := udp.NewSocket(st, scaleNFSPort, udp.Options{})
 		nfsd.Serve(p, sock, 0)
 	})

@@ -26,7 +26,7 @@ import (
 //   - admission control: each server binding's notification ring carries a
 //     high watermark; frames arriving at a full ring are shed at demux,
 //     before they cost a pool buffer or any handler cycles
-//     (EthBinding.Shed / EthernetIf.LoadSheds);
+//     (Binding.Shed / RxStats.Shed);
 //   - tenant quotas: clients map onto tenants, and System.Quota refuses
 //     eager handler execution to a tenant over its per-window cycle
 //     budget — the message is not dropped but re-vectored to the lazy
@@ -256,7 +256,7 @@ func runOverloadCell(cfg *Config, tr overloadTrace, schedName string) OverloadRe
 			// lanes land on one binding, so its bursts concentrate on one
 			// ring and admission control has a meaningful watermark.
 			f := peerFilter(srv.ip, ip.ProtoUDP, overloadPort, c.ip)
-			b, err := srv.e.BindFilter(p, f)
+			b, err := srv.eth.BindFilter(p, f)
 			if err != nil {
 				panic(err)
 			}
@@ -292,7 +292,7 @@ func runOverloadCell(cfg *Config, tr overloadTrace, schedName string) OverloadRe
 					return aegis.DispConsumed
 				})
 			ash.Tenant = tenant
-			ash.AttachEth(b)
+			ash.Attach(b)
 
 			for {
 				e, ok := b.Ring.WaitRecvUntil(p, 0)
@@ -308,10 +308,10 @@ func runOverloadCell(cfg *Config, tr overloadTrace, schedName string) OverloadRe
 					p.Compute(w.prof.Cycles(overloadLazyUs))
 					rep, insns, memops := rsrv.Handle(w.prof.Us(p.K.Now()), tenant, req)
 					p.Compute(sim.Time(24 + 2*len(req) + insns + 2*memops))
-					srv.e.Send(p, dst, reply(lane, rep))
+					srv.nic.Send(p, dst, 0, reply(lane, rep))
 					lazyServed++
 				}
-				srv.e.FreeBuf(e.BufIndex)
+				b.Free(e.BufIndex)
 			}
 		})
 	}
@@ -436,10 +436,11 @@ func runOverloadCell(cfg *Config, tr overloadTrace, schedName string) OverloadRe
 	}
 	res.P50Us = w.prof.Us(hist.Quantile(0.50))
 	res.P99Us = w.prof.Us(hist.Quantile(0.99))
-	res.Sheds = srv.e.LoadSheds
-	res.PoolDrops = srv.e.DroppedNoBuf
-	res.InjectedDrops = srv.e.InjectedRingDrops + srv.e.InjectedPoolDrops
-	res.CRCDrops = srv.e.CRCDrops
+	rx := srv.nic.Rx
+	res.Sheds = rx.Shed
+	res.PoolDrops = rx.NoBuffer
+	res.InjectedDrops = rx.InjectedRing + rx.InjectedPool
+	res.CRCDrops = rx.CRC
 	res.QuotaThrottled = srv.sys.QuotaThrottled
 	res.LazyServed = lazyServed
 	res.RelayRejected = rsrv.Rejected

@@ -136,7 +136,7 @@ func scaleUDPASH(w *world, m int, hist *obs.Histogram, starts, ends []sim.Time) 
 	srv.k.Spawn("echo", func(p *aegis.Process) {
 		for i, c := range w.cli() {
 			f := connFilter(srv.ip, ip.ProtoUDP, scaleEchoPort, c.ip, scaleClientPort)
-			b, err := srv.e.BindFilter(p, f)
+			b, err := srv.eth.BindFilter(p, f)
 			if err != nil {
 				panic(err)
 			}
@@ -164,7 +164,7 @@ func scaleUDPASH(w *world, m int, hist *obs.Histogram, starts, ends []sim.Time) 
 					ctx.Send(dst, 0, frame)
 					return aegis.DispConsumed
 				})
-			ash.AttachEth(b)
+			ash.Attach(b)
 		}
 	})
 

@@ -52,25 +52,23 @@ func inKernelAN2RT(cfg *Config, iters int, o *obsRun) float64 {
 	if err != nil {
 		panic(err)
 	}
-	sb.InKernel = true
-	sb.InKernelRx = func(mc *aegis.MsgCtx) {
+	sb.Handler = aegis.KernelRx(func(mc *aegis.MsgCtx) {
 		mc.Send(mc.Src, mc.VC, append([]byte(nil), mc.Data()...))
-	}
+	})
 	cb, err := tb.A1.BindVC(nil, vc, 8, 4096)
 	if err != nil {
 		panic(err)
 	}
-	cb.InKernel = true
 	count := 0
 	var done sim.Time
-	cb.InKernelRx = func(mc *aegis.MsgCtx) {
+	cb.Handler = aegis.KernelRx(func(mc *aegis.MsgCtx) {
 		count++
 		if count < iters {
 			mc.Send(mc.Src, mc.VC, []byte{1, 2, 3, 4})
 		} else {
 			done = mc.When()
 		}
-	}
+	})
 	tb.A1.KernelSend(tb.A2.Addr(), vc, []byte{1, 2, 3, 4})
 	tb.run()
 	o.window(0, done)

@@ -103,7 +103,7 @@ func remoteIncrementRT(cfg *Config, mech Mechanism, suspended bool, iters int, o
 			unsafeAsh := tb.Sys2.MustDownload(owner, prog, core.Options{Unsafe: true})
 			b.Upcall = unsafeAsh.AsUpcall()
 		} else {
-			ash.AttachVC(b)
+			ash.Attach(b)
 		}
 	case MechUserLevel:
 		tb.K2.Spawn("server", func(p *aegis.Process) {

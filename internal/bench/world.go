@@ -39,19 +39,17 @@ import (
 // system and the IP address derived from the interface's switch port.
 type host struct {
 	k   *aegis.Kernel
-	a   *aegis.AN2If      // AN2 worlds
-	e   *aegis.EthernetIf // Ethernet worlds
+	nic *aegis.NIC // the interface, whichever device it is
+	// eth is the same interface as an Ethernet, for binding filters and
+	// reading demux costs; nil on the AN2 testbed, whose circuits are bound
+	// through Testbed.A1/A2.
+	eth *aegis.EthernetIf
 	sys *core.System
 	ip  ip.Addr
 }
 
 // addr is the host's switch port, which doubles as its link address.
-func (h *host) addr() int {
-	if h.a != nil {
-		return h.a.Addr()
-	}
-	return h.e.Addr()
-}
+func (h *host) addr() int { return h.nic.Addr() }
 
 // world is one simulated network and its hosts in creation order, which is
 // also switch-port order: port numbers (and the addresses derived from
@@ -60,7 +58,6 @@ type world struct {
 	eng   *sim.Engine
 	prof  *mach.Profile
 	sw    *netdev.Switch
-	an2   bool
 	hosts []*host
 	// res maps every Ethernet host's IP to its link address: static
 	// resolution, since a 512-host world cannot afford ARP daemons. The
@@ -75,23 +72,33 @@ func newWorld(an2 bool) *world {
 	}
 	eng, prof := sim.NewEngine(), mach.DS5000_240()
 	return &world{eng: eng, prof: prof, sw: netdev.NewSwitch(eng, prof, cfg),
-		an2: an2, res: ip.StaticResolver{}}
+		res: ip.StaticResolver{}}
 }
 
-// addHost boots a host with mem bytes of physical memory on the world's
-// next switch port. rxBufs sizes an Ethernet interface's receive pool; AN2
-// interfaces take their buffers per virtual circuit and ignore it.
+// addHost boots an Ethernet host with mem bytes of physical memory and a
+// receive pool of rxBufs on the world's next switch port.
 func (w *world) addHost(name string, mem, rxBufs int) *host {
-	h := &host{k: aegis.NewKernelMem(name, w.eng, w.prof, mem)}
-	if w.an2 {
-		h.a = aegis.NewAN2(h.k, w.sw)
-	} else {
-		h.e = aegis.NewEthernetPool(h.k, w.sw, rxBufs)
-	}
-	h.sys, h.ip = core.NewSystem(h.k), ip.HostAddr(h.addr())
-	if !w.an2 {
-		w.res[h.ip] = link.Addr{Port: h.addr()}
-	}
+	k := aegis.NewKernelMem(name, w.eng, w.prof, mem)
+	eth := aegis.NewEthernetPool(k, w.sw, rxBufs)
+	h := w.boot(k, &eth.NIC)
+	h.eth = eth
+	w.res[h.ip] = link.Addr{Port: h.addr()}
+	return h
+}
+
+// addAN2Host boots a default-sized host on an AN2 world's next switch
+// port. AN2 interfaces take their buffers per virtual circuit.
+func (w *world) addAN2Host(name string) *aegis.AN2If {
+	k := aegis.NewKernelMem(name, w.eng, w.prof, aegis.HostMemSize)
+	a := aegis.NewAN2(k, w.sw)
+	w.boot(k, &a.NIC)
+	return a
+}
+
+// boot gives a kernel with its interface attached an ASH system and the IP
+// address its switch port implies, and adds it to the world.
+func (w *world) boot(k *aegis.Kernel, nic *aegis.NIC) *host {
+	h := &host{k: k, nic: nic, sys: core.NewSystem(k), ip: ip.HostAddr(nic.Addr())}
 	w.hosts = append(w.hosts, h)
 	return h
 }
@@ -125,11 +132,7 @@ func (w *world) cli() []*host { return w.hosts[1:] }
 func (w *world) attachFault(pl *fault.Plane, hosts ...*host) {
 	pl.AttachWire(w.sw)
 	for _, h := range hosts {
-		if h.a != nil {
-			pl.AttachAN2(h.a)
-		} else {
-			pl.AttachEthernet(h.e)
-		}
+		pl.AttachDevice(h.nic)
 		pl.AttachSystem(h.sys)
 	}
 }
@@ -190,14 +193,14 @@ func (w *world) runUntil(done func() bool, maxSimUs, sliceUs float64) {
 // classification, and the classification share alone. Both are zero
 // before the first frame.
 func (w *world) rxCost(h *host) (cycPerMsg, demuxPerMsg float64) {
-	rx := h.e.RxFrames
+	rx := h.eth.RxFrames
 	if rx == 0 {
 		return 0, 0
 	}
 	kernel := sim.Time(h.k.Interrupts)*sim.Time(w.prof.InterruptCycles) +
 		sim.Time(rx)*sim.Time(w.prof.DeviceRxService) +
-		h.e.DemuxCycles
-	return float64(kernel) / float64(rx), float64(h.e.DemuxCycles) / float64(rx)
+		h.eth.DemuxCycles
+	return float64(kernel) / float64(rx), float64(h.eth.DemuxCycles) / float64(rx)
 }
 
 // The IPv4 endpoint-filter family. Each step pins one more field of the
@@ -243,7 +246,7 @@ func ipU32(a ip.Addr) uint32 {
 // ethStack binds filter f on h for p and builds an IP stack over it that
 // writes Ethernet link headers and resolves next hops through res.
 func ethStack(p *aegis.Process, h *host, f *dpf.Filter, res ip.Resolver) *ip.Stack {
-	ep, err := link.BindEthernet(h.e, p, f)
+	ep, err := link.BindEthernet(h.eth, p, f)
 	if err != nil {
 		panic(err)
 	}
@@ -336,11 +339,15 @@ type Testbed struct {
 // read both hosts of a pair.
 func newTestbed(cfg *Config, an2 bool) *Testbed {
 	w := newWorld(an2)
-	h1 := w.addHost("h1", aegis.HostMemSize, aegis.EthRxBuffers)
-	h2 := w.addHost("h2", aegis.HostMemSize, aegis.EthRxBuffers)
-	tb := &Testbed{world: w, Eng: w.eng, Prof: w.prof, Sw: w.sw,
-		K1: h1.k, K2: h2.k, A1: h1.a, A2: h2.a, E1: h1.e, E2: h2.e,
-		Sys1: h1.sys, Sys2: h2.sys, IP1: h1.ip, IP2: h2.ip}
+	tb := &Testbed{world: w, Eng: w.eng, Prof: w.prof, Sw: w.sw}
+	if an2 {
+		tb.A1, tb.A2 = w.addAN2Host("h1"), w.addAN2Host("h2")
+	} else {
+		tb.E1 = w.addHost("h1", aegis.HostMemSize, aegis.EthRxBuffers).eth
+		tb.E2 = w.addHost("h2", aegis.HostMemSize, aegis.EthRxBuffers).eth
+	}
+	h1, h2 := w.hosts[0], w.hosts[1]
+	tb.K1, tb.K2, tb.Sys1, tb.Sys2, tb.IP1, tb.IP2 = h1.k, h2.k, h1.sys, h2.sys, h1.ip, h2.ip
 	cfg.observe(tb)
 	return tb
 }
@@ -380,8 +387,11 @@ func (tb *Testbed) Close() { tb.close() }
 
 // StackAN2 builds an IP stack over a fresh VC binding for p.
 func (tb *Testbed) StackAN2(p *aegis.Process, host, vc int) *ip.Stack {
-	h := tb.host(host)
-	ep, err := link.BindAN2(h.a, p, vc, 16, h.a.MaxFrame())
+	a, h := tb.A1, tb.host(host)
+	if host == 2 {
+		a = tb.A2
+	}
+	ep, err := link.BindAN2(a, p, vc, 16, a.MaxFrame())
 	if err != nil {
 		panic(err)
 	}

@@ -87,7 +87,7 @@ func TestWorldShape(t *testing.T) {
 		if la, ok := w.res[h.ip]; !ok || la.Port != i {
 			t.Errorf("host %d missing from the resolver (%v, %v)", i, la, ok)
 		}
-		if h.e == nil || h.a != nil || h.sys == nil || h.sys.K != h.k {
+		if h.eth == nil || h.nic != &h.eth.NIC || h.sys == nil || h.sys.K != h.k {
 			t.Errorf("host %d: wrong interface or system", i)
 		}
 	}
@@ -95,7 +95,7 @@ func TestWorldShape(t *testing.T) {
 		t.Errorf("server-only world: %d hosts", len(so.hosts))
 	}
 
-	for _, tb := range []*Testbed{NewAN2Testbed(nil), NewEthernetTestbed(nil)} {
+	for i, tb := range []*Testbed{NewAN2Testbed(nil), NewEthernetTestbed(nil)} {
 		h1, h2 := tb.host(1), tb.host(2)
 		if tb.K1 != h1.k || tb.K2 != h2.k || tb.K1.Name != "h1" || tb.K2.Name != "h2" {
 			t.Errorf("%s: K1/K2 are not hosts h1/h2", tb.Sw.Cfg.Name)
@@ -109,11 +109,11 @@ func TestWorldShape(t *testing.T) {
 		if tb.Eng != tb.eng || tb.Prof != tb.prof || tb.Sw != tb.sw {
 			t.Errorf("%s: Eng/Prof/Sw are not the world's", tb.Sw.Cfg.Name)
 		}
-		if tb.an2 {
-			if tb.A1 == nil || tb.A2 == nil || tb.E1 != nil || tb.E2 != nil || tb.A1.Addr() != 0 || tb.A2.Addr() != 1 {
+		if i == 0 {
+			if tb.A1 == nil || tb.A2 == nil || &tb.A1.NIC != h1.nic || &tb.A2.NIC != h2.nic || tb.E1 != nil || tb.E2 != nil || tb.A1.Addr() != 0 || tb.A2.Addr() != 1 {
 				t.Error("AN2 pair: wrong interfaces")
 			}
-		} else if tb.E1 == nil || tb.E2 == nil || tb.A1 != nil || tb.A2 != nil || tb.E1.Addr() != 0 || tb.E2.Addr() != 1 {
+		} else if tb.E1 != h1.eth || tb.E2 != h2.eth || tb.E1 == nil || tb.E2 == nil || tb.A1 != nil || tb.A2 != nil || tb.E1.Addr() != 0 || tb.E2.Addr() != 1 {
 			t.Error("Ethernet pair: wrong interfaces")
 		}
 		if tb.K1.MemSize() != aegis.HostMemSize || tb.K2.MemSize() != aegis.HostMemSize {

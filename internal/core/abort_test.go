@@ -40,7 +40,7 @@ type abortWorld struct {
 	owner   *aegis.Process
 	seg     aegis.Segment
 	ash     *ASH
-	sb      *aegis.VCBinding
+	sb      *aegis.Binding
 	payload []byte
 }
 
@@ -61,7 +61,7 @@ func newAbortWorld(t *testing.T) *abortWorld {
 		t.Fatal(err)
 	}
 	w.sb = sb
-	w.ash.AttachVC(sb)
+	w.ash.Attach(sb)
 	w.payload = make([]byte, 64)
 	for i := range w.payload {
 		w.payload[i] = byte(0xa0 + i)
@@ -241,7 +241,7 @@ func TestAbortRollbackProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ash.AttachVC(sb)
+		ash.Attach(sb)
 		for i := range ash.machine.Regs[8:] {
 			ash.machine.Regs[8+i] = r.Uint32()
 		}

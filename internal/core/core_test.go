@@ -17,7 +17,7 @@ type testbed struct {
 	k1, k2   *aegis.Kernel
 	a1, a2   *aegis.AN2If
 	sys      *System
-	clientRx *aegis.VCBinding
+	clientRx *aegis.Binding
 }
 
 func newTestbed(t *testing.T) *testbed {
@@ -101,24 +101,23 @@ func runIncrement(t *testing.T, unsafe bool, iters int) (float64, *ASH, *testbed
 	if err != nil {
 		t.Fatal(err)
 	}
-	ash.AttachVC(sb)
+	ash.Attach(sb)
 
 	// Client: in-kernel endpoint to isolate the server-side path.
 	cb, err := tb.a1.BindVC(nil, 9, 8, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cb.InKernel = true
 	count := 0
 	var done sim.Time
-	cb.InKernelRx = func(mc *aegis.MsgCtx) {
+	cb.Handler = aegis.KernelRx(func(mc *aegis.MsgCtx) {
 		count++
 		if count < iters {
 			mc.Send(mc.Src, mc.VC, []byte{0, 0, 0, 1})
 		} else {
 			done = mc.When()
 		}
-	}
+	})
 	tb.a1.KernelSend(tb.a2.Addr(), 9, []byte{0, 0, 0, 1})
 	tb.eng.Run()
 	if count != iters {
@@ -184,7 +183,7 @@ func TestVoluntaryAbortFallsBackToUser(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ash.AttachVC(sb)
+	ash.Attach(sb)
 
 	tb.a1.KernelSend(tb.a2.Addr(), 4, []byte{2, 0, 0, 0}) // even: consumed
 	tb.a1.KernelSend(tb.a2.Addr(), 4, []byte{3, 0, 0, 0}) // odd: to user
@@ -209,7 +208,7 @@ func TestInvoluntaryAbortOnWildWrite(t *testing.T) {
 	b.Ret()
 	ash := tb.sys.MustDownload(owner, b.MustAssemble(), Options{})
 	sb, _ := tb.a2.BindVC(owner, 4, 8, 4096)
-	ash.AttachVC(sb)
+	ash.Attach(sb)
 
 	tb.a1.KernelSend(tb.a2.Addr(), 4, []byte{1, 2, 3, 4})
 	tb.eng.Run()
@@ -239,7 +238,7 @@ func TestInvoluntaryAbortOnNonResidentPage(t *testing.T) {
 	b.Ret()
 	ash := tb.sys.MustDownload(owner, b.MustAssemble(), Options{})
 	sb, _ := tb.a2.BindVC(owner, 4, 8, 4096)
-	ash.AttachVC(sb)
+	ash.Attach(sb)
 
 	tb.a1.KernelSend(tb.a2.Addr(), 4, []byte{1})
 	tb.eng.Run()
@@ -262,7 +261,7 @@ func TestRunawayASHAbortedByWatchdog(t *testing.T) {
 	b.Bne(r, vcode.RZero, top)
 	ash := tb.sys.MustDownload(owner, b.MustAssemble(), Options{})
 	sb, _ := tb.a2.BindVC(owner, 4, 8, 4096)
-	ash.AttachVC(sb)
+	ash.Attach(sb)
 
 	tb.a1.KernelSend(tb.a2.Addr(), 4, []byte{1})
 	tb.eng.Run()
@@ -301,7 +300,7 @@ func TestMessageVectoringViaTrustedCopy(t *testing.T) {
 	b.Ret()
 	ash := tb.sys.MustDownload(owner, b.MustAssemble(), Options{})
 	sb, _ := tb.a2.BindVC(owner, 4, 8, 4096)
-	ash.AttachVC(sb)
+	ash.Attach(sb)
 
 	payload := make([]byte, 260)
 	payload[3] = 7 // slot 7
@@ -354,7 +353,7 @@ func TestASHDILPChecksumsWhileCopying(t *testing.T) {
 	b.Ret()
 	ash := tb.sys.MustDownload(owner, b.MustAssemble(), Options{})
 	sb, _ := tb.a2.BindVC(owner, 4, 8, 4096)
-	ash.AttachVC(sb)
+	ash.Attach(sb)
 
 	payload := make([]byte, 64)
 	for i := range payload {
@@ -382,7 +381,7 @@ func TestFuncASHSandboxChargesMore(t *testing.T) {
 			return aegis.DispConsumed
 		})
 		sb, _ := tb.a2.BindVC(owner, 4, 8, 4096)
-		f.AttachVC(sb)
+		f.Attach(sb)
 		tb.a1.KernelSend(tb.a2.Addr(), 4, []byte{1, 2, 3, 4})
 		tb.eng.Run()
 		return f.LastPathCost
@@ -414,13 +413,12 @@ func TestASHRunsWhenOwnerSuspended(t *testing.T) {
 	ash := tb.sys.MustDownload(owner,
 		incrementASH(counter.Base, func() (int, int) { return 0, 9 }), Options{})
 	sb, _ := tb.a2.BindVC(owner, 9, 8, 4096)
-	ash.AttachVC(sb)
+	ash.Attach(sb)
 
 	cb, _ := tb.a1.BindVC(nil, 9, 8, 4096)
-	cb.InKernel = true
 	var rtt sim.Time
 	var sent sim.Time
-	cb.InKernelRx = func(mc *aegis.MsgCtx) { rtt = mc.When() - sent }
+	cb.Handler = aegis.KernelRx(func(mc *aegis.MsgCtx) { rtt = mc.When() - sent })
 	// Fire mid-simulation while both processes compute.
 	tb.eng.Schedule(100000, func() {
 		sent = tb.eng.Now()
@@ -447,7 +445,7 @@ func TestLivelockDefenseThrottlesFlood(t *testing.T) {
 	ash := tb.sys.MustDownload(owner,
 		incrementASH(counter.Base, func() (int, int) { return 0, 9 }), Options{})
 	sb, _ := tb.a2.BindVC(owner, 9, 64, 4096)
-	ash.AttachVC(sb)
+	ash.Attach(sb)
 
 	// Flood: 20 messages within one clock tick.
 	for i := 0; i < 20; i++ {

@@ -19,74 +19,30 @@ import (
 // declared memory operation — exactly what the instrumentation pass adds
 // to vcode handlers.
 type FuncASH struct {
-	Name      string
-	Owner     *aegis.Process
+	handler
 	Sandboxed bool
 	Fn        func(c *Ctx) aegis.Disposition
 
-	// Tenant labels this handler for quota accounting (see System.Quota).
-	// Empty opts out: the handler is never admitted against the ledger.
-	Tenant string
-
-	sys    *System
-	detach []func() // de-installs this handler from its bindings
-
-	// Statistics.
-	Invocations    uint64
-	ForcedAborts   uint64   // involuntary aborts injected by the fault plane
-	QuotaThrottled uint64   // executions refused by the tenant quota
-	Tripped        bool     // de-installed by the abort trip threshold
-	LastPathCost   sim.Time // receive-path cycles accumulated when the last invocation finished
+	// LastPathCost is the receive-path cycles accumulated when the last
+	// invocation finished. The only involuntary aborts a FuncASH sees are
+	// the fault plane's (InvolAborts counts them).
+	LastPathCost sim.Time
 }
 
 // NewFuncASH installs a Go-native handler. sandboxed selects whether the
 // handler is charged sandboxing costs (Table V/VI compare both).
 func (s *System) NewFuncASH(owner *aegis.Process, name string, sandboxed bool, fn func(c *Ctx) aegis.Disposition) *FuncASH {
-	return &FuncASH{Name: name, Owner: owner, Sandboxed: sandboxed, Fn: fn, sys: s}
+	return &FuncASH{handler: handler{Name: name, Owner: owner, sys: s}, Sandboxed: sandboxed, Fn: fn}
 }
 
-// AttachVC installs the handler on an AN2 virtual-circuit binding.
-func (f *FuncASH) AttachVC(b *aegis.VCBinding) {
-	b.Handler = f
-	f.OnTrip(func() {
-		if b.Handler == aegis.MsgHandler(f) {
-			b.Handler = nil
-		}
-	})
-}
-
-// AttachEth installs the handler on an Ethernet filter binding.
-func (f *FuncASH) AttachEth(b *aegis.EthBinding) {
-	b.Handler = f
-	f.OnTrip(func() {
-		if b.Handler == aegis.MsgHandler(f) {
-			b.Handler = nil
-		}
-	})
-}
-
-// OnTrip registers a de-installation action run if the handler trips the
-// abort threshold. Callers that install the handler through an endpoint
-// abstraction (the TCP fast path) register their own un-install here.
-func (f *FuncASH) OnTrip(fn func()) { f.detach = append(f.detach, fn) }
+// Attach installs the handler on a binding (see handler.attach).
+func (f *FuncASH) Attach(b *aegis.Binding) { f.attach(b, f) }
 
 // HandleMsg implements aegis.MsgHandler.
 func (f *FuncASH) HandleMsg(mc *aegis.MsgCtx) aegis.Disposition {
-	if q := f.sys.Quota; q != nil && f.Tenant != "" {
-		if !q.Admit(f.Tenant, f.sys.K.Now()) {
-			// Tenant over its cycle budget this window: refuse eager
-			// execution, let the message take the lazy user-level path.
-			f.QuotaThrottled++
-			f.sys.QuotaThrottled++
-			mc.Charge(2) // the refusal check itself
-			if o := f.sys.K.Obs; o.Enabled() {
-				o.Instant(f.sys.K.Name, "ash system", "ash",
-					"quota throttled "+f.Name, mc.When())
-				o.Inc("ash/quota_throttled")
-			}
-			f.LastPathCost = mc.Cost()
-			return aegis.DispToUser
-		}
+	if f.quotaRefuses(mc) {
+		f.LastPathCost = mc.Cost()
+		return aegis.DispToUser
 	}
 	f.Invocations++
 	prof := f.sys.K.Prof
@@ -100,16 +56,7 @@ func (f *FuncASH) HandleMsg(mc *aegis.MsgCtx) aegis.Disposition {
 				mc.Charge(sim.Time(prof.TimerArmCycles + f.sys.Policy.PrologueLen))
 			}
 			mc.Charge(sim.Time(after))
-			f.ForcedAborts++
-			f.sys.InvoluntaryAborts++
-			f.sys.AbortFallbacks++
-			if th := f.sys.AbortTripThreshold; th > 0 && !f.Tripped && f.ForcedAborts >= uint64(th) {
-				f.Tripped = true
-				f.sys.TrippedHandlers++
-				for _, d := range f.detach {
-					d()
-				}
-			}
+			f.noteInvoluntaryAbort()
 			f.LastPathCost = mc.Cost()
 			return aegis.DispToUser
 		}
@@ -125,11 +72,9 @@ func (f *FuncASH) HandleMsg(mc *aegis.MsgCtx) aegis.Disposition {
 		// Exit sequence + watchdog clear.
 		mc.Charge(sim.Time(f.sys.Policy.EpilogueLen + prof.TimerArmCycles))
 	}
-	if q := f.sys.Quota; q != nil && f.Tenant != "" {
-		// Debit the handler's declared costs (everything charged to the
-		// receive path by this invocation).
-		q.Charge(f.Tenant, mc.Cost()-c0)
-	}
+	// Debit the handler's declared costs: everything this invocation
+	// charged to the receive path.
+	f.quotaDebit(mc.Cost() - c0)
 	f.LastPathCost = mc.Cost()
 	return d
 }
@@ -209,7 +154,7 @@ func (c *Ctx) TrustedCopy(src, dst uint32, n int) error {
 	c.mc.Charge(12)
 	m := vcode.NewMachine(c.sys.K.Prof, c.sys.K.Mem)
 	m.Cache = c.sys.K.Cache
-	a := &ASH{Owner: c.owner, sys: c.sys}
+	a := &ASH{handler: handler{Owner: c.owner, sys: c.sys}}
 	if err := c.sys.trustedCopy(m, a, src, dst, n); err != nil {
 		return err
 	}

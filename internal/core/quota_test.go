@@ -24,7 +24,7 @@ func TestQuotaThrottlesTenantASH(t *testing.T) {
 		incrementASH(counter.Base, func() (int, int) { return 0, 9 }), Options{})
 	ash.Tenant = "t0"
 	sb, _ := tb.a2.BindVC(owner, 9, 64, 4096)
-	ash.AttachVC(sb)
+	ash.Attach(sb)
 
 	for i := 0; i < 6; i++ {
 		tb.a1.KernelSend(tb.a2.Addr(), 9, []byte{0, 0, 0, 1})
@@ -67,7 +67,7 @@ func TestQuotaIsolatesTenants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f.AttachVC(b)
+		f.Attach(b)
 		return f
 	}
 	greedy := mk("greedy", 9)

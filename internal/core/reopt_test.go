@@ -65,7 +65,7 @@ func TestReoptimizeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ash.AttachVC(sb)
+	ash.Attach(sb)
 
 	send := func(k int) {
 		for j := 0; j < k; j++ {

@@ -133,25 +133,100 @@ type Options struct {
 	Profile bool
 }
 
-// ASH is an installed handler.
-type ASH struct {
-	ID     ID
-	Name   string
-	Owner  *aegis.Process
-	Unsafe bool
+// handler is what an ASH and a FuncASH have in common: identity, where it
+// is installed, and the two ways the system refuses or retires it — the
+// tenant quota and the abort trip threshold.
+type handler struct {
+	Name  string
+	Owner *aegis.Process
 
 	// Tenant labels this handler for quota accounting (see System.Quota).
 	// Empty opts out: the handler is never admitted against the ledger.
 	Tenant string
 
-	sys     *System
+	sys    *System
+	detach []func() // de-installs this handler from its bindings
+
+	// Statistics.
+	Invocations    uint64
+	InvolAborts    uint64 // involuntary aborts of this handler
+	QuotaThrottled uint64 // executions refused by the tenant quota
+	Tripped        bool   // de-installed by the abort trip threshold
+}
+
+// attach installs self, the ASH or FuncASH embedding h, on a binding — an
+// AN2 virtual circuit or an Ethernet filter — upstream of its notification
+// ring. (The base keeps no pointer to its outer handler: two words on every
+// download are a measurable share of download-churn's memory.)
+func (h *handler) attach(b *aegis.Binding, self aegis.MsgHandler) {
+	b.Handler = self
+	h.OnTrip(func() {
+		if b.Handler == self {
+			b.Handler = nil
+		}
+	})
+}
+
+// OnTrip registers a de-installation action run if the handler trips the
+// abort threshold. Callers that install the handler through an endpoint
+// abstraction (the TCP fast path) register their own un-install here.
+func (h *handler) OnTrip(fn func()) { h.detach = append(h.detach, fn) }
+
+// quotaRefuses admits one execution against the tenant's cycle budget.
+// Over budget, it refuses eager execution — the message takes the lazy
+// user-level path — and reports true.
+func (h *handler) quotaRefuses(mc *aegis.MsgCtx) bool {
+	q := h.sys.Quota
+	if q == nil || h.Tenant == "" || q.Admit(h.Tenant, h.sys.K.Now()) {
+		return false
+	}
+	h.QuotaThrottled++
+	h.sys.QuotaThrottled++
+	mc.Charge(2) // the refusal check itself
+	if o := h.sys.K.Obs; o.Enabled() {
+		o.Instant(h.sys.K.Name, "ash system", "ash",
+			"quota throttled "+h.Name, mc.When())
+		o.Inc("ash/quota_throttled")
+	}
+	return true
+}
+
+// quotaDebit charges an admitted execution's cycles to the tenant —
+// aborted runs burned them too.
+func (h *handler) quotaDebit(cycles sim.Time) {
+	if q := h.sys.Quota; q != nil && h.Tenant != "" {
+		q.Charge(h.Tenant, cycles)
+	}
+}
+
+// noteInvoluntaryAbort does the abort bookkeeping: counters, the
+// fallback-delivery count, and the trip threshold that de-installs a
+// repeatedly faulting handler.
+func (h *handler) noteInvoluntaryAbort() {
+	h.InvolAborts++
+	h.sys.InvoluntaryAborts++
+	h.sys.AbortFallbacks++
+	if th := h.sys.AbortTripThreshold; th > 0 && !h.Tripped && h.InvolAborts >= uint64(th) {
+		h.Tripped = true
+		h.sys.TrippedHandlers++
+		for _, d := range h.detach {
+			d()
+		}
+	}
+}
+
+// ASH is an installed handler.
+type ASH struct {
+	handler
+	ID     ID
+	Unsafe bool
+
 	sandbox *sandbox.Program // nil when Unsafe
 	code    *vcode.Program
 	machine *vcode.Machine
 	journal *vcode.Journal // undo log for involuntary-abort rollback
 	budget  int64
 	curMC   *aegis.MsgCtx // live only during HandleMsg
-	detach  []func()      // de-installs this handler from its bindings
 
 	// Handler ABI: on entry RArg0 = message address, RArg1 = message
 	// length, RArg2 = VC, RArg3 = source address. On exit RRet = 0 to
@@ -162,14 +237,10 @@ type ASH struct {
 	tickSeen  sim.Time
 	tickCount int
 
-	// Statistics.
-	Invocations      uint64
+	// Statistics (see also the embedded handler's).
 	VoluntaryAborts  uint64
-	InvolAborts      uint64       // involuntary aborts of this handler
 	Throttled        uint64       // executions refused by the livelock defense
-	QuotaThrottled   uint64       // executions refused by the tenant quota
 	InvoluntaryFault *vcode.Fault // last involuntary abort, for diagnosis
-	Tripped          bool         // de-installed by the abort trip threshold
 
 	// DynamicInsns accumulates executed instructions (for the paper's
 	// instruction-count comparisons).
@@ -184,8 +255,8 @@ func (s *System) Download(owner *aegis.Process, prog *vcode.Program, opts Option
 		return nil, fmt.Errorf("core: ASH needs an owning process (addressing context)")
 	}
 	a := &ASH{
-		ID: s.nextID, Name: prog.Name, Owner: owner, Unsafe: opts.Unsafe,
-		sys: s, budget: opts.Budget,
+		handler: handler{Name: prog.Name, Owner: owner, sys: s},
+		ID:      s.nextID, Unsafe: opts.Unsafe, budget: opts.Budget,
 	}
 	if opts.Unsafe {
 		if err := sandbox.Verify(prog, s.Policy); err != nil {
@@ -252,41 +323,8 @@ func (s *System) RegisterEngine(e *pipe.Engine) int {
 	return len(s.engines) - 1
 }
 
-// AttachVC installs the handler on an AN2 virtual-circuit binding.
-func (a *ASH) AttachVC(b *aegis.VCBinding) {
-	b.Handler = a
-	a.detach = append(a.detach, func() {
-		if b.Handler == aegis.MsgHandler(a) {
-			b.Handler = nil
-		}
-	})
-}
-
-// AttachEth installs the handler on an Ethernet filter binding.
-func (a *ASH) AttachEth(b *aegis.EthBinding) {
-	b.Handler = a
-	a.detach = append(a.detach, func() {
-		if b.Handler == aegis.MsgHandler(a) {
-			b.Handler = nil
-		}
-	})
-}
-
-// noteInvoluntaryAbort does the shared abort bookkeeping: counters, the
-// fallback-delivery count, and the trip threshold that de-installs a
-// repeatedly faulting handler.
-func (a *ASH) noteInvoluntaryAbort() {
-	a.InvolAborts++
-	a.sys.InvoluntaryAborts++
-	a.sys.AbortFallbacks++
-	if th := a.sys.AbortTripThreshold; th > 0 && !a.Tripped && a.InvolAborts >= uint64(th) {
-		a.Tripped = true
-		a.sys.TrippedHandlers++
-		for _, d := range a.detach {
-			d()
-		}
-	}
-}
+// Attach installs the handler on a binding (see handler.attach).
+func (a *ASH) Attach(b *aegis.Binding) { a.attach(b, a) }
 
 // HandleMsg implements aegis.MsgHandler: the kernel invokes the ASH after
 // demultiplexing.
@@ -312,20 +350,8 @@ func (a *ASH) HandleMsg(mc *aegis.MsgCtx) aegis.Disposition {
 		}
 		a.tickCount++
 	}
-	if q := a.sys.Quota; q != nil && a.Tenant != "" {
-		if !q.Admit(a.Tenant, a.sys.K.Now()) {
-			// Tenant over its cycle budget this window: refuse eager
-			// execution, let the message take the lazy user-level path.
-			a.QuotaThrottled++
-			a.sys.QuotaThrottled++
-			mc.Charge(2) // the refusal check itself
-			if o := a.sys.K.Obs; o.Enabled() {
-				o.Instant(a.sys.K.Name, "ash system", "ash",
-					"quota throttled "+a.Name, mc.When())
-				o.Inc("ash/quota_throttled")
-			}
-			return aegis.DispToUser
-		}
+	if a.quotaRefuses(mc) {
+		return aegis.DispToUser
 	}
 	a.Invocations++
 	invokeStart := mc.When()
@@ -370,10 +396,7 @@ func (a *ASH) HandleMsg(mc *aegis.MsgCtx) aegis.Disposition {
 	fault := m.Run(a.code)
 	m.InsnBudget, m.CycleLimit = savedInsnBudget, savedCycleLimit
 	mc.Charge(m.Cycles)
-	if q := a.sys.Quota; q != nil && a.Tenant != "" {
-		// Debit the exact executed cycles — aborted runs burned them too.
-		q.Charge(a.Tenant, m.Cycles)
-	}
+	a.quotaDebit(m.Cycles)
 	a.DynamicInsns += m.Insns
 	if useTimer {
 		mc.Charge(sim.Time(prof.TimerArmCycles)) // clear the watchdog

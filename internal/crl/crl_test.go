@@ -20,7 +20,7 @@ type world struct {
 	node   *Node
 	owner  *aegis.Process
 
-	cliBind   *aegis.VCBinding
+	cliBind   *aegis.Binding
 	lastReply []byte
 }
 
@@ -50,7 +50,7 @@ func (w *world) install(t *testing.T, prog *vcode.Program, vc int, unsafe bool) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	ash.AttachVC(b)
+	ash.Attach(b)
 	return ash
 }
 
@@ -62,10 +62,9 @@ func (w *world) rpc(t *testing.T, vc int, msg []byte) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cb.InKernel = true
-	cb.InKernelRx = func(mc *aegis.MsgCtx) {
+	cb.Handler = aegis.KernelRx(func(mc *aegis.MsgCtx) {
 		reply = append([]byte(nil), mc.Data()...)
-	}
+	})
 	w.a1.KernelSend(w.a2.Addr(), vc, msg)
 	w.eng.Run()
 	return reply
@@ -249,10 +248,9 @@ func (w *world) rpcOnce(t *testing.T, vc int, msg []byte) []byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cb.InKernel = true
-		cb.InKernelRx = func(mc *aegis.MsgCtx) {
+		cb.Handler = aegis.KernelRx(func(mc *aegis.MsgCtx) {
 			w.lastReply = append([]byte(nil), mc.Data()...)
-		}
+		})
 		w.cliBind = cb
 	}
 	w.lastReply = nil
@@ -280,7 +278,7 @@ func TestFixedRecordWrite(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ash.AttachVC(b)
+		ash.Attach(b)
 
 		record := make([]byte, RecordBytes)
 		for i := range record {

@@ -56,12 +56,9 @@ func (p *Plane) AttachWire(sw *netdev.Switch) {
 	sw.Inject = p.injectWire
 }
 
-// AttachAN2 installs the device-layer faults on an AN2 interface.
-func (p *Plane) AttachAN2(a *aegis.AN2If) { a.InjectFault = p.deviceFault }
-
-// AttachEthernet installs the device-layer faults on an Ethernet
-// interface.
-func (p *Plane) AttachEthernet(e *aegis.EthernetIf) { e.InjectFault = p.deviceFault }
+// AttachDevice installs the device-layer faults on a network interface
+// (pass &iface.NIC; either device).
+func (p *Plane) AttachDevice(n *aegis.NIC) { n.InjectFault = p.deviceFault }
 
 // AttachSystem installs the kernel-layer faults: forced involuntary
 // aborts of downloaded handlers, delivered as budget exhaustion or the

@@ -109,8 +109,10 @@ type Switch struct {
 	Obs *obs.Plane
 
 	// Statistics. Redelivered counts frames an injector re-introduced
-	// (duplicates, held-back reorders) via Redeliver.
-	Sent, Delivered, Dropped, Redelivered uint64
+	// (duplicates, held-back reorders) via Redeliver. Refused counts frames
+	// Transmit turned away (oversize, no such port): senders on the
+	// receive path cannot act on its error, so the loss is recorded here.
+	Sent, Delivered, Dropped, Redelivered, Refused uint64
 
 	// deliverFn is the one bound delivery callback every in-flight frame
 	// is scheduled through (ScheduleArgAt), so transmit builds no
@@ -204,11 +206,13 @@ func (p *Port) Transmit(pkt *PacketBuf) error {
 	if pkt.Len() > s.Cfg.MaxFrame {
 		n := pkt.Len()
 		pkt.Release()
+		s.Refused++
 		return fmt.Errorf("%s: frame of %d bytes exceeds max %d", s.Cfg.Name, n, s.Cfg.MaxFrame)
 	}
 	if pkt.Dst != Broadcast && (pkt.Dst < 0 || pkt.Dst >= len(s.ports)) {
 		dst := pkt.Dst
 		pkt.Release()
+		s.Refused++
 		return fmt.Errorf("%s: no port %d", s.Cfg.Name, dst)
 	}
 	pkt.Src = p.addr

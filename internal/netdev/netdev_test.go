@@ -98,6 +98,9 @@ func TestOversizeFrameRejected(t *testing.T) {
 	if err := a.Transmit(lease(sw, b.Addr(), 0, make([]byte, 4000))); err == nil {
 		t.Fatal("oversize Ethernet frame accepted")
 	}
+	if sw.Refused != 1 || sw.Sent != 0 {
+		t.Fatalf("Refused = %d, Sent = %d, want 1 and 0", sw.Refused, sw.Sent)
+	}
 	if sw.Pool.InUse() != 0 {
 		t.Fatal("Transmit error path leaked the lease")
 	}
@@ -110,6 +113,9 @@ func TestBadDestinationRejected(t *testing.T) {
 	_ = eng
 	if err := a.Transmit(lease(sw, 7, 0, []byte{1})); err == nil {
 		t.Fatal("transmit to nonexistent port accepted")
+	}
+	if sw.Refused != 1 || sw.Sent != 0 {
+		t.Fatalf("Refused = %d, Sent = %d, want 1 and 0", sw.Refused, sw.Sent)
 	}
 	if sw.Pool.InUse() != 0 {
 		t.Fatal("Transmit error path leaked the lease")

@@ -77,7 +77,7 @@ type Service struct {
 	MyMAC ether.MAC
 
 	eth   *aegis.EthernetIf
-	ep    *link.EthLink
+	ep    *link.Link
 	proc  *aegis.Process
 	cache map[ip.Addr]ether.MAC
 	cond  aegis.Cond
@@ -162,7 +162,7 @@ func (s *Service) transmit(p *aegis.Process, dst ether.MAC, pkt *Packet) {
 	frame := h.Marshal(nil)
 	frame = pkt.Marshal(frame)
 	if port, ok := ether.PortOfMAC(dst); ok && !dst.IsBroadcast() {
-		s.eth.Send(p, port, frame)
+		s.eth.Send(p, port, 0, frame)
 	} else {
 		s.eth.Broadcast(p, frame)
 	}

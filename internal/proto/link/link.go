@@ -146,161 +146,99 @@ type Endpoint interface {
 	InstallUpcall(u *aegis.Upcall)
 }
 
-// AN2Link is an Endpoint over an AN2 virtual circuit.
-type AN2Link struct {
-	iface *aegis.AN2If
-	bind  *aegis.VCBinding
-	owner *aegis.Process
-	vc    int
+// Link is the Endpoint over a kernel binding: an AN2 virtual circuit or
+// an Ethernet DPF filter. Which one only matters to the constructor.
+type Link struct {
+	nic  *aegis.NIC
+	bind *aegis.Binding
+	vc   int // AN2 virtual circuit; 0 on Ethernet
 }
 
 // BindAN2 binds process owner to virtual circuit vc with nbufs receive
 // buffers of bufSize bytes.
-func BindAN2(iface *aegis.AN2If, owner *aegis.Process, vc, nbufs, bufSize int) (*AN2Link, error) {
+func BindAN2(iface *aegis.AN2If, owner *aegis.Process, vc, nbufs, bufSize int) (*Link, error) {
 	b, err := iface.BindVC(owner, vc, nbufs, bufSize)
 	if err != nil {
 		return nil, err
 	}
-	return &AN2Link{iface: iface, bind: b, owner: owner, vc: vc}, nil
-}
-
-// Kernel implements Endpoint.
-func (l *AN2Link) Kernel() *aegis.Kernel { return l.iface.K }
-
-// Owner implements Endpoint.
-func (l *AN2Link) Owner() *aegis.Process { return l.owner }
-
-// LocalAddr implements Endpoint.
-func (l *AN2Link) LocalAddr() Addr { return Addr{Port: l.iface.Addr(), VC: l.vc} }
-
-// MTU implements Endpoint.
-func (l *AN2Link) MTU() int { return l.iface.MaxFrame() }
-
-// Send implements Endpoint.
-func (l *AN2Link) Send(dst Addr, payload []byte) {
-	l.iface.Send(l.owner, dst.Port, dst.VC, payload)
-}
-
-// Recv implements Endpoint.
-func (l *AN2Link) Recv(polling bool) Frame {
-	f, _ := l.RecvUntil(polling, 0)
-	return f
-}
-
-// RecvUntil implements Endpoint.
-func (l *AN2Link) RecvUntil(polling bool, deadline sim.Time) (Frame, bool) {
-	var e aegis.RingEntry
-	var ok bool
-	if polling {
-		e, ok = l.bind.Ring.PollRecvUntil(l.owner, deadline)
-	} else {
-		e, ok = l.bind.Ring.WaitRecvUntil(l.owner, deadline)
-	}
-	return Frame{Entry: e, k: l.iface.K}, ok
-}
-
-// TryRecv implements Endpoint.
-func (l *AN2Link) TryRecv() (Frame, bool) {
-	e, ok := l.bind.Ring.TryRecv()
-	if !ok {
-		return Frame{}, false
-	}
-	return Frame{Entry: e, k: l.iface.K}, true
-}
-
-// Release implements Endpoint.
-func (l *AN2Link) Release(f Frame) {
-	l.owner.Compute(sim.Time(l.iface.K.Prof.BufferMgmtCycles))
-	l.bind.FreeBuf(f.Entry.BufIndex)
-}
-
-// InstallHandler implements Endpoint.
-func (l *AN2Link) InstallHandler(h aegis.MsgHandler) { l.bind.Handler = h }
-
-// InstallUpcall implements Endpoint.
-func (l *AN2Link) InstallUpcall(u *aegis.Upcall) { l.bind.Upcall = u }
-
-// Binding exposes the underlying VC binding (for drop statistics).
-func (l *AN2Link) Binding() *aegis.VCBinding { return l.bind }
-
-// EthLink is an Endpoint over an Ethernet DPF filter.
-type EthLink struct {
-	iface *aegis.EthernetIf
-	bind  *aegis.EthBinding
-	owner *aegis.Process
+	return &Link{nic: &iface.NIC, bind: b, vc: vc}, nil
 }
 
 // BindEthernet installs filter f for owner and returns the endpoint.
-func BindEthernet(iface *aegis.EthernetIf, owner *aegis.Process, f *dpf.Filter) (*EthLink, error) {
+func BindEthernet(iface *aegis.EthernetIf, owner *aegis.Process, f *dpf.Filter) (*Link, error) {
 	b, err := iface.BindFilter(owner, f)
 	if err != nil {
 		return nil, err
 	}
-	return &EthLink{iface: iface, bind: b, owner: owner}, nil
+	return &Link{nic: &iface.NIC, bind: b}, nil
 }
 
 // Kernel implements Endpoint.
-func (l *EthLink) Kernel() *aegis.Kernel { return l.iface.K }
+func (l *Link) Kernel() *aegis.Kernel { return l.nic.K }
 
 // Owner implements Endpoint.
-func (l *EthLink) Owner() *aegis.Process { return l.owner }
+func (l *Link) Owner() *aegis.Process { return l.bind.Owner }
 
 // LocalAddr implements Endpoint.
-func (l *EthLink) LocalAddr() Addr { return Addr{Port: l.iface.Addr()} }
+func (l *Link) LocalAddr() Addr { return Addr{Port: l.nic.Addr(), VC: l.vc} }
 
 // MTU implements Endpoint.
-func (l *EthLink) MTU() int { return l.iface.MaxFrame() }
+func (l *Link) MTU() int { return l.nic.MaxFrame() }
 
 // Send implements Endpoint.
-func (l *EthLink) Send(dst Addr, payload []byte) {
-	l.iface.Send(l.owner, dst.Port, payload)
+func (l *Link) Send(dst Addr, payload []byte) {
+	l.nic.Send(l.bind.Owner, dst.Port, dst.VC, payload)
 }
 
 // Recv implements Endpoint.
-func (l *EthLink) Recv(polling bool) Frame {
+func (l *Link) Recv(polling bool) Frame {
 	f, _ := l.RecvUntil(polling, 0)
 	return f
 }
 
 // RecvUntil implements Endpoint.
-func (l *EthLink) RecvUntil(polling bool, deadline sim.Time) (Frame, bool) {
+func (l *Link) RecvUntil(polling bool, deadline sim.Time) (Frame, bool) {
 	var e aegis.RingEntry
 	var ok bool
 	if polling {
-		e, ok = l.bind.Ring.PollRecvUntil(l.owner, deadline)
+		e, ok = l.bind.Ring.PollRecvUntil(l.bind.Owner, deadline)
 	} else {
-		e, ok = l.bind.Ring.WaitRecvUntil(l.owner, deadline)
+		e, ok = l.bind.Ring.WaitRecvUntil(l.bind.Owner, deadline)
 	}
-	return Frame{Entry: e, Striped: true, k: l.iface.K}, ok
+	return l.frame(e), ok
 }
 
 // TryRecv implements Endpoint.
-func (l *EthLink) TryRecv() (Frame, bool) {
+func (l *Link) TryRecv() (Frame, bool) {
 	e, ok := l.bind.Ring.TryRecv()
 	if !ok {
 		return Frame{}, false
 	}
-	return Frame{Entry: e, Striped: true, k: l.iface.K}, true
+	return l.frame(e), true
 }
 
-// Release implements Endpoint.
-func (l *EthLink) Release(f Frame) {
-	l.owner.Compute(sim.Time(l.iface.K.Prof.BufferMgmtCycles))
-	l.iface.FreeBuf(f.Entry.BufIndex)
+func (l *Link) frame(e aegis.RingEntry) Frame {
+	return Frame{Entry: e, Striped: l.bind.Striped(), k: l.nic.K}
+}
+
+// Release implements Endpoint. The kernel refuses (and counts) the release
+// of a frame that holds no buffer, such as a doorbell.
+func (l *Link) Release(f Frame) {
+	l.bind.Owner.Compute(sim.Time(l.nic.K.Prof.BufferMgmtCycles))
+	l.bind.Free(f.Entry.BufIndex)
 }
 
 // InstallHandler implements Endpoint.
-func (l *EthLink) InstallHandler(h aegis.MsgHandler) { l.bind.Handler = h }
+func (l *Link) InstallHandler(h aegis.MsgHandler) { l.bind.Handler = h }
 
 // InstallUpcall implements Endpoint.
-func (l *EthLink) InstallUpcall(u *aegis.Upcall) { l.bind.Upcall = u }
+func (l *Link) InstallUpcall(u *aegis.Upcall) { l.bind.Upcall = u }
 
-// Binding exposes the underlying filter binding (for admission control
+// Binding exposes the underlying kernel binding (for admission control
 // and drop statistics).
-func (l *EthLink) Binding() *aegis.EthBinding { return l.bind }
+func (l *Link) Binding() *aegis.Binding { return l.bind }
 
-var _ Endpoint = (*AN2Link)(nil)
-var _ Endpoint = (*EthLink)(nil)
+var _ Endpoint = (*Link)(nil)
 
 // ErrNoEndpoint reports a send to an unresolvable destination.
 var ErrNoEndpoint = fmt.Errorf("link: no route to destination")
