@@ -30,6 +30,8 @@
 package ashs
 
 import (
+	"fmt"
+
 	"ashs/internal/aegis"
 	"ashs/internal/bench"
 	"ashs/internal/core"
@@ -338,22 +340,32 @@ func (w *World) Us(t Time) float64 { return w.Prof.Us(t) }
 
 // IPStackAN2 builds a user-level IP stack over a fresh AN2 virtual
 // circuit for process p on host 1 or 2 (the paper's user-level protocol
-// library arrangement).
+// library arrangement). It panics, naming the host number and the world's
+// network, on any other host or on an Ethernet world.
 func (w *World) IPStackAN2(p *Process, host, vc int) *ip.Stack {
 	return w.tb.StackAN2(p, host, vc)
 }
 
-// StartARP launches an ARP daemon on an Ethernet host and returns it (it
-// implements the stack's resolver).
+// StartARP launches an ARP daemon on host 1 or 2 of an Ethernet world and
+// returns it (it implements the stack's resolver). Like the stack
+// constructors, it panics on any other host number or on an AN2 world.
 func (w *World) StartARP(host int) (*arp.Service, error) {
-	if host == 1 {
-		return arp.Start(w.Host1, w.EthHost1, w.IP1)
+	if w.EthHost1 == nil {
+		panic(fmt.Sprintf("ashs: StartARP(%d) on an AN2 world: build it with WithEthernet()", host))
 	}
-	return arp.Start(w.Host2, w.EthHost2, w.IP2)
+	switch host {
+	case 1:
+		return arp.Start(w.Host1, w.EthHost1, w.IP1)
+	case 2:
+		return arp.Start(w.Host2, w.EthHost2, w.IP2)
+	}
+	panic(fmt.Sprintf("ashs: StartARP(%d): an Ethernet world has hosts 1 and 2", host))
 }
 
 // IPStackEthernet builds a user-level IP stack over the Ethernet for a
 // given transport protocol and local port, demultiplexed by a DPF filter.
+// It panics, naming the host number and the world's network, on a host
+// other than 1 or 2 or on an AN2 world.
 func (w *World) IPStackEthernet(p *Process, host int, proto byte, port uint16, svc *arp.Service) *ip.Stack {
 	return w.tb.EthStack(p, host, proto, port, svc)
 }

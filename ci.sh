@@ -82,17 +82,6 @@ done <<'EOF'
 ./internal/bench/:TestParallelByteIdentical|TestParallelChaosMatchesSerial|TestReoptParallelByteIdentical
 EOF
 
-# The end-to-end observability gate: the breakdown experiment's Chrome trace
-# JSON must be byte-identical across two full runs.
-echo "== breakdown trace determinism (byte-identical across runs)"
-tracedir="$workdir"
-go run ./cmd/ashbench -experiment breakdown -trace "$tracedir/a.json" >/dev/null
-go run ./cmd/ashbench -experiment breakdown -trace "$tracedir/b.json" >/dev/null
-if ! cmp -s "$tracedir/a.json" "$tracedir/b.json"; then
-    echo "breakdown trace JSON differs between identical runs"
-    exit 1
-fi
-
 # Fuzz targets: each parser/demux fuzzer runs a short wall-clock sweep on
 # top of its committed seed corpus. FuzzDPFDemux is differential (trie vs
 # linear scan vs an atom-count oracle), so a divergence in either engine
@@ -116,6 +105,7 @@ go test -run '^$' -fuzz '^FuzzReoptProfile$' -fuzztime 10s ./internal/sandbox/
 # reference) and at one-worker-per-CPU must print byte-identical stdout.
 # Wall-time and trace summaries go to stderr, so cmp sees results only.
 echo "== serial vs parallel ashbench (byte-identical stdout)"
+tracedir="$workdir"
 go build -o "$tracedir/ashbench" ./cmd/ashbench
 "$tracedir/ashbench" -parallel 1 >"$tracedir/serial.txt" 2>"$tracedir/serial.err"
 "$tracedir/ashbench" >"$tracedir/parallel.txt" 2>/dev/null
@@ -136,6 +126,21 @@ fi
 # The serial run's wall time and arena-pool counters, for the log: leases
 # must equal returned, and grown jumps when a cell stops closing its world.
 cat "$tracedir/serial.err" >&2
+
+# The end-to-end observability gate: the Chrome trace JSON of the breakdown
+# experiment and of the whole quick suite must hash to the committed
+# digests. Two runs of one tree agreeing would not catch a renamed process
+# or two reordered Spawns, which change the trace and no printed number.
+echo "== ashbench traces match committed ashbench_trace.sha256"
+"$tracedir/ashbench" -experiment breakdown -trace "$tracedir/breakdown.json" >/dev/null 2>&1
+"$tracedir/ashbench" -quick -parallel 1 -trace "$tracedir/quick.json" >/dev/null 2>&1
+if ! (cd "$tracedir" && sha256sum --quiet -c -) <ashbench_trace.sha256; then
+    echo "ashbench trace diverged from the committed ashbench_trace.sha256; if intended, regenerate:"
+    echo "  go run ./cmd/ashbench -experiment breakdown -trace breakdown.json >/dev/null &&"
+    echo "  go run ./cmd/ashbench -quick -parallel 1 -trace quick.json >/dev/null &&"
+    echo "  sha256sum breakdown.json quick.json >ashbench_trace.sha256 && rm breakdown.json quick.json"
+    exit 1
+fi
 
 # Every registered experiment gets its own gate, in quick mode: serial vs
 # the default pool must print byte-identical stdout, so a determinism

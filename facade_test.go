@@ -1,6 +1,8 @@
 package ashs_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"ashs"
@@ -156,5 +158,43 @@ func TestFaultPlaneInjectionPoints(t *testing.T) {
 		if f, c := facade(), chaos(); f != c || f != ([5]bool{true, true, true, true, true}) {
 			t.Errorf("eth=%v: facade attached %v, chaos testbed %v, want all five points on both", eth, f, c)
 		}
+	}
+}
+
+// TestFacadeRejectsBadHostAndNetwork: the stack constructors and StartARP
+// take a host number and presume a network; anything but host 1 or 2 on a
+// world that has the device asked for panics with a message naming both,
+// instead of silently meaning host 1 (or 2) or dying on a nil interface.
+func TestFacadeRejectsBadHostAndNetwork(t *testing.T) {
+	an2, eth := ashs.NewWorld(), ashs.NewWorld(ashs.WithEthernet())
+	defer an2.Close()
+	defer eth.Close()
+	cases := []struct {
+		name string
+		call func(p *ashs.Process)
+		want []string // substrings of the panic message
+	}{
+		{"AN2 host 0", func(p *ashs.Process) { an2.IPStackAN2(p, 0, 7) }, []string{"host 0", "AN2"}},
+		{"AN2 host 3", func(p *ashs.Process) { an2.IPStackAN2(p, 3, 7) }, []string{"host 3", "AN2"}},
+		{"Ethernet host 0", func(p *ashs.Process) { eth.IPStackEthernet(p, 0, 17, 53, nil) }, []string{"host 0", "Ethernet"}},
+		{"Ethernet host 3", func(p *ashs.Process) { eth.IPStackEthernet(p, 3, 17, 53, nil) }, []string{"host 3", "Ethernet"}},
+		{"ARP host 7", func(*ashs.Process) { _, _ = eth.StartARP(7) }, []string{"StartARP(7)", "Ethernet"}},
+		{"AN2 stack on Ethernet", func(p *ashs.Process) { eth.IPStackAN2(p, 1, 7) }, []string{"AN2 stack", "host 1", "Ethernet"}},
+		{"Ethernet stack on AN2", func(p *ashs.Process) { an2.IPStackEthernet(p, 2, 17, 53, nil) }, []string{"Ethernet stack", "host 2", "AN2"}},
+		{"ARP on AN2", func(*ashs.Process) { _, _ = an2.StartARP(1) }, []string{"StartARP(1)", "AN2"}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				for _, w := range c.want {
+					if !strings.Contains(msg, w) {
+						t.Errorf("panic %q does not mention %q", msg, w)
+					}
+				}
+			}()
+			c.call(nil) // the arguments are checked before the process is touched
+			t.Error("no panic")
+		})
 	}
 }

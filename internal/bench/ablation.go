@@ -1,9 +1,8 @@
 package bench
 
 import (
-	"ashs/internal/aegis"
 	"ashs/internal/core"
-	"ashs/internal/crl"
+	"ashs/internal/mach"
 	"ashs/internal/sandbox"
 )
 
@@ -70,9 +69,11 @@ func ablationCells() []Cell {
 	for i, pc := range pols {
 		pc := pc
 		cells[i] = Cell{"ablation/" + pc.label, func(cfg *Config) any {
-			insns, us := ablationRun(cfg, ablationWrite, pc.pol, pc.unsafe)
-			loop, _ := ablationRun(cfg, ablationRecord, pc.pol, pc.unsafe)
-			return ablationCell{insns: insns, loop: loop, us: us}
+			opts := core.Options{Unsafe: pc.unsafe, Budget: 100000}
+			write := runIsolated(cfg, pc.pol, opts, trustedWrite, 40)
+			loop := runIsolated(cfg, pc.pol, opts, recordWrite, 0)
+			// Every world runs on this profile.
+			return ablationCell{insns: write.insns, loop: loop.insns, us: mach.DS5000_240().Us(write.cycles)}
 		}}
 	}
 	return cells
@@ -93,63 +94,6 @@ func mergeAblation(vs []any) AblationResult {
 // RunAblation regenerates the safety-strategy comparison.
 func RunAblation(cfg *Config) AblationResult {
 	return mergeAblation(runCells(cfg, ablationCells()))
-}
-
-// ablationHandler selects which library handler an ablation run measures.
-type ablationHandler int
-
-const (
-	ablationWrite  ablationHandler = iota // trusted remote write, 40 B
-	ablationRecord                        // fixed-record copy loop
-)
-
-// ablationRun executes a handler once under a policy and returns
-// (dynamic instructions, path microseconds).
-func ablationRun(cfg *Config, h ablationHandler, pol *sandbox.Policy, unsafe bool) (int64, float64) {
-	tb := NewAN2Testbed(cfg)
-	defer tb.close()
-	if pol != nil {
-		tb.Sys2.Policy = pol
-	}
-	owner := tb.K2.Spawn("dsm-app", func(p *aegis.Process) {})
-	node := crl.NewNode(tb.Sys2, owner)
-	_, seg, err := node.AddSegment(8192, "shared")
-	if err != nil {
-		panic(err)
-	}
-	prog := crl.TrustedWriteHandler()
-	if h == ablationRecord {
-		prog = crl.FixedRecordWriteHandler(seg.Base+64, seg.Base)
-	}
-	ash := tb.Sys2.MustDownload(owner, prog, core.Options{Unsafe: unsafe, Budget: 100000})
-
-	msgSeg := owner.AS.MustAlloc(4096, "synthetic-msg")
-	msg := tb.K2.Bytes(msgSeg.Base, 4096)
-	msgLen := crl.RecordBytes
-	if h == ablationWrite {
-		putU32 := func(off int, v uint32) {
-			msg[off] = byte(v >> 24)
-			msg[off+1] = byte(v >> 16)
-			msg[off+2] = byte(v >> 8)
-			msg[off+3] = byte(v)
-		}
-		putU32(0, seg.Base)
-		putU32(4, 40)
-		msgLen = 48
-	}
-
-	var insns int64
-	var us float64
-	tb.Eng.Schedule(0, func() {
-		mc := aegis.SyntheticMsg(tb.K2, owner, aegis.RingEntry{Addr: msgSeg.Base, Len: msgLen})
-		if d := ash.HandleMsg(mc); d != aegis.DispConsumed {
-			panic(ash.InvoluntaryFault)
-		}
-		insns = ash.LastInsns()
-		us = tb.Us(mc.Cost())
-	})
-	tb.run()
-	return insns, us
 }
 
 // Table renders the ablation.

@@ -82,9 +82,9 @@ func breakdownSpecs(iters int) []struct {
 		{"Table I: in-kernel AN2", PaperTable1.InKernelAN2,
 			func(cfg *Config, o *obsRun) float64 { return inKernelAN2RT(cfg, iters, o) }},
 		{"Table I: user-level AN2", PaperTable1.UserAN2,
-			func(cfg *Config, o *obsRun) float64 { return userAN2RT(cfg, iters, o) }},
+			func(cfg *Config, o *obsRun) float64 { return rawPingPong(cfg, false, iters, o) }},
 		{"Table I: Ethernet", PaperTable1.Ethernet,
-			func(cfg *Config, o *obsRun) float64 { return ethernetRT(cfg, iters, o) }},
+			func(cfg *Config, o *obsRun) float64 { return rawPingPong(cfg, true, iters, o) }},
 		{"Table V: sandboxed ASH (polling)", PaperTable5.Polling[MechSandboxedASH],
 			func(cfg *Config, o *obsRun) float64 {
 				return remoteIncrementRT(cfg, MechSandboxedASH, false, iters, o)

@@ -6,6 +6,7 @@ import (
 
 	"ashs/internal/aegis"
 	"ashs/internal/fault"
+	"ashs/internal/proto/ip"
 	"ashs/internal/proto/nfs"
 	"ashs/internal/proto/tcp"
 	"ashs/internal/proto/udp"
@@ -118,7 +119,7 @@ func runChaosOne(cfg *Config, seed int64, sched fault.Schedule, p ChaosParams) C
 		c.Checksum = true
 		c.Polling = true
 		c.MaxRetransmit = 16
-		c.Sys = tb.host(host).sys
+		c.Sys = tb.hosts[host-1].sys
 		return c
 	}
 
@@ -127,7 +128,7 @@ func runChaosOne(cfg *Config, seed int64, sched fault.Schedule, p ChaosParams) C
 	tcpSunk, tcpDone := 0, false
 	tcpVerified := true
 	tb.K2.Spawn("tcp-server", func(proc *aegis.Process) {
-		conn, err := tcp.Accept(tb.StackAN2(proc, 2, 7), tcpCfg(2), 80)
+		conn, err := tcp.Accept(tb.stack(proc, 2, ip.ProtoTCP, 80), tcpCfg(2), 80)
 		if err != nil {
 			tcpDone = true
 			return
@@ -152,7 +153,7 @@ func runChaosOne(cfg *Config, seed int64, sched fault.Schedule, p ChaosParams) C
 	})
 	var tcpStart, tcpEnd float64
 	tb.K1.Spawn("tcp-client", func(proc *aegis.Process) {
-		conn, err := tcp.Connect(tb.StackAN2(proc, 1, 7), tcpCfg(1), 1234, tb.IP2, 80)
+		conn, err := tcp.Connect(tb.stack(proc, 1, ip.ProtoTCP, 1234), tcpCfg(1), 1234, tb.IP2, 80)
 		if err != nil {
 			return
 		}
@@ -178,7 +179,7 @@ func runChaosOne(cfg *Config, seed int64, sched fault.Schedule, p ChaosParams) C
 
 	srv := nfs.NewServer()
 	tb.K2.Spawn("nfsd", func(proc *aegis.Process) {
-		st := tb.StackAN2(proc, 2, 5)
+		st := tb.stack(proc, 2, ip.ProtoUDP, 2049)
 		sock := udp.NewSocket(st, 2049, udp.Options{Checksum: true})
 		srv.Serve(proc, sock, 0)
 	})
@@ -186,7 +187,7 @@ func runChaosOne(cfg *Config, seed int64, sched fault.Schedule, p ChaosParams) C
 	nfsDone, nfsVerified := false, false
 	tb.K1.Spawn("nfs-client", func(proc *aegis.Process) {
 		defer func() { nfsDone = true }()
-		st := tb.StackAN2(proc, 1, 5)
+		st := tb.stack(proc, 1, ip.ProtoUDP, 900)
 		sock := udp.NewSocket(st, 900, udp.Options{Checksum: true})
 		c := nfs.NewClient(sock, tb.IP2, 2049)
 		c.RetryUs, c.MaxRetryUs, c.Retries = 10_000, 200_000, 12

@@ -6,10 +6,7 @@ import (
 
 	"ashs/internal/aegis"
 	"ashs/internal/core"
-	"ashs/internal/crl"
 	"ashs/internal/mach"
-	"ashs/internal/proto/link"
-	"ashs/internal/sim"
 )
 
 // Fig4Point is the remote-increment round trip with n active processes on
@@ -64,16 +61,16 @@ func RunFig4(cfg *Config, maxProcs, iters int) Fig4 {
 func fig4RT(cfg *Config, n int, system string, iters int) float64 {
 	tb := NewAN2Testbed(cfg)
 	defer tb.close()
-	const vc = 9
-	const warmup = 2
 
 	if system == "ultrix" {
 		// The Ultrix-style scheduler "raises the priority of a process
 		// immediately after a network interrupt", but every kernel
 		// operation costs Ultrix-class cycles (an order of magnitude over
-		// Aegis: Section V's discussion of kernel crossing costs).
+		// Aegis: Section V's discussion of kernel crossing costs). A world
+		// has one profile, shared by both kernels and the switch, so the
+		// client host and the wire pay Ultrix-class costs as well.
 		tb.K2.Sched = aegis.NewPriorityBoost(tb.K2)
-		ultrixify(tb.K2.Prof)
+		ultrixify(tb.Prof)
 	}
 
 	// Competitors: n-1 compute-bound processes on the serving host.
@@ -82,72 +79,15 @@ func fig4RT(cfg *Config, n int, system string, iters int) float64 {
 			p.SpinForever()
 		})
 	}
-
-	switch system {
-	case "ash":
-		owner := tb.K2.Spawn("dsm-app", func(p *aegis.Process) {})
-		node := crl.NewNode(tb.Sys2, owner)
-		prog := crl.IncrementHandler(node.CounterSeg.Base, tb.A1.Addr(), vc)
-		ash := tb.Sys2.MustDownload(owner, prog, core.Options{})
-		b, err := tb.A2.BindVC(owner, vc, 8, 4096)
-		if err != nil {
-			panic(err)
-		}
-		ash.Attach(b)
-	default:
-		tb.K2.Spawn("server", func(p *aegis.Process) {
-			ep, err := link.BindAN2(tb.A2, p, vc, 8, 4096)
-			if err != nil {
-				panic(err)
-			}
-			counter := p.AS.MustAlloc(64, "counter")
-			for i := 0; i < warmup+iters; i++ {
-				f := ep.Recv(false) // interrupt-driven wait
-				inc := f.U32(0)
-				v, _ := p.AS.Load32(counter.Base)
-				_ = p.AS.Store32(counter.Base, v+inc)
-				p.Compute(10)
-				reply := make([]byte, 4)
-				ep.Release(f)
-				ep.Send(link.Addr{Port: f.Entry.Src, VC: vc}, reply)
-			}
-		})
+	if system == "ash" {
+		installIncrement(tb, core.Options{}, false)
+	} else {
+		incrementServer(tb, false, iters) // interrupt-driven wait
 	}
-
-	var total sim.Time
-	done := 0
-	finished := false
-	tb.K1.Spawn("client", func(p *aegis.Process) {
-		ep, err := link.BindAN2(tb.A1, p, vc, 8, 4096)
-		if err != nil {
-			panic(err)
-		}
-		var start sim.Time
-		for i := 0; i < warmup+iters; i++ {
-			if i == warmup {
-				start = p.K.Now()
-			}
-			for {
-				ep.Send(link.Addr{Port: tb.A2.Addr(), VC: vc}, []byte{0, 0, 0, 1})
-				// Messages can be lost before the server binds, and waits
-				// can span many competitor quanta: retry generously.
-				f, ok := ep.RecvUntil(true, p.K.Now()+tb.Prof.Cycles(400_000))
-				if ok {
-					ep.Release(f)
-					break
-				}
-			}
-			done = i + 1
-		}
-		total = p.K.Now() - start
-		finished = true
-	})
-	// Round-robin waits grow with n; bound the run generously.
-	tb.runUntil(func() bool { return finished }, 60_000_000_000, 100_000)
-	if done < warmup+iters {
-		panic(fmt.Sprintf("fig4: %s with %d procs completed %d/%d", system, n, done, warmup+iters))
-	}
-	return tb.Us(total) / float64(iters)
+	// Round-robin waits grow with n; retry and bound the run generously.
+	r := incrementClient(tb, iters, 400_000)
+	tb.runUntil(func() bool { return r.done }, 60_000_000_000, 100_000)
+	return tb.Us(r.total) / float64(iters)
 }
 
 // ultrixify scales the kernel-operation costs of a profile to Ultrix-class

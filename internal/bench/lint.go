@@ -9,17 +9,11 @@ import (
 	"ashs/internal/vcode/analysis"
 )
 
-// RunLint runs the static-analysis lint pass over the CRL handler
-// library plus a deliberately sloppy demonstration handler, and renders
-// a report. Handlers run on the paper's per-instruction-costed fast
-// path, so dead work and unbounded loops are worth flagging at
-// download time even when they are safe.
-func RunLint(cfg *Config) string {
-	return runCells(cfg, lintCells())[0].(string)
-}
-
 // lintCells wraps the lint pass as one cell (pure static analysis, no
-// testbed).
+// testbed): it runs over the CRL handler library plus a deliberately
+// sloppy demonstration handler. Handlers run on the paper's
+// per-instruction-costed fast path, so dead work and unbounded loops are
+// worth flagging at download time even when they are safe.
 func lintCells() []Cell {
 	return []Cell{{"lint", func(cfg *Config) any { return runLint() }}}
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"ashs/internal/aegis"
-	"ashs/internal/core"
 	"ashs/internal/dpf"
 	"ashs/internal/flyweight"
 	"ashs/internal/proto/ether"
@@ -14,7 +13,6 @@ import (
 	"ashs/internal/proto/nfs"
 	"ashs/internal/proto/retry"
 	"ashs/internal/proto/tcp"
-	"ashs/internal/proto/udp"
 	"ashs/internal/workload"
 )
 
@@ -274,26 +272,9 @@ func runMegaUDP(cfg *Config, n, events int) MegaResult {
 	flt := megaFleet(w, flyweight.UDPEcho, n, scaleEchoPort, megaRetry("udp-echo"))
 
 	srv.k.Spawn("echo", func(p *aegis.Process) {
-		ash := srv.sys.NewFuncASH(p, "mega-echo", true, func(ctx *core.Ctx) aegis.Disposition {
-			const off = ether.HeaderLen + ip.HeaderLen + udp.HeaderLen
-			nb := ctx.Entry().Len
-			if nb < off+8 {
-				return aegis.DispToUser
-			}
-			// Header validation (same modeled cost as the scale ASH).
-			ctx.Straightline(48, 12)
-			src := ctx.Entry().Src
-			pl := nb - off
-			frame := udpReplyHeader(nil, srv, src, scaleEchoPort, scaleClientPort, pl)
-			raw := ctx.RawData()
-			for j := 0; j < pl; j++ {
-				frame = append(frame, raw[aegis.StripedIndex(off+j)])
-			}
-			// Byte-wise echo copy out of the striped buffer.
-			ctx.Straightline(2*pl, pl)
-			ctx.Send(src, 0, frame)
-			return aegis.DispConsumed
-		})
+		// A flyweight's echo request starts with 8 bytes of tag: its
+		// sequence number and the client id.
+		ash := udpEchoASH(srv, p, "mega-echo", 8)
 		// The engine copies what it installs, so one filter is built and
 		// its source-address atom patched per endpoint.
 		f := megaSourceFilter(ip.Addr{})
@@ -335,19 +316,7 @@ func runMegaTCP(cfg *Config, n, events int) MegaResult {
 			if l := tbl.Len(); l > peak {
 				peak, peakLoads = l, tbl.Loads()
 			}
-			buf := p.AS.MustAlloc(megaPayload, "echo")
-			for {
-				if err := conn.ReadFull(buf.Base, megaPayload); err != nil {
-					break // client FIN: the schedule is done
-				}
-				if err := conn.WriteBytes(srv.k.Bytes(buf.Base, megaPayload)); err != nil {
-					break
-				}
-			}
-			if !tbl.Remove(conn.Tuple()) {
-				panic("megascale: connection already removed")
-			}
-			_ = conn.Close()
+			echoFanIn(p, conn, tbl, megaPayload, -1)
 		})
 	}
 
@@ -371,27 +340,11 @@ func runMegaTCP(cfg *Config, n, events int) MegaResult {
 func runMegaNFS(cfg *Config, n, events int) MegaResult {
 	w := newFanIn(fanInServerMem, megaNFSPool, 0, 0, 0)
 	defer w.close()
-	srv, nfsd := w.srv(), nfs.NewServer()
-	data := make([]byte, megaFileBytes)
-	for i := range data {
-		data[i] = byte(i * 7)
-	}
-	fh := nfsd.AddFile("mega", data)
 	flt := megaFleet(w, flyweight.NFSRead, n, scaleNFSPort, megaRetry("nfs-read"))
-	if uint32(fh) != uint32(nfs.RootHandle)+1 {
+	megaResolve(w, flt)
+	if fh, _ := w.startNFSD(megaFileBytes, megaNFSHighWater); uint32(fh) != uint32(nfs.RootHandle)+1 {
 		panic("megascale: unexpected NFS file handle")
 	}
-	megaResolve(w, flt)
-
-	// Serve forever: a retry-born duplicate must not consume a
-	// straggler's slot; the engine drains once the fleet is done.
-	srv.k.Spawn("nfsd", func(p *aegis.Process) {
-		st := ethStack(p, srv, listenFilter(srv.ip, ip.ProtoUDP, scaleNFSPort), w.res)
-		// The overload-control admission plane: arm the ring's high water.
-		st.Ep.(*link.Link).Binding().Ring.HighWater = megaNFSHighWater
-		sock := udp.NewSocket(st, scaleNFSPort, udp.Options{})
-		nfsd.Serve(p, sock, 0)
-	})
 	return megaRun(cfg, w, flt, "nfs-read", n, events)
 }
 

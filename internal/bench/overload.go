@@ -265,9 +265,7 @@ func runOverloadCell(cfg *Config, tr overloadTrace, schedName string) OverloadRe
 			// reply wraps a relay reply in headers addressed back to
 			// client i's lane, in one buffer sized for the whole frame.
 			reply := func(lane uint16, rep []byte) []byte {
-				const hdr = ether.HeaderLen + ip.HeaderLen + udp.HeaderLen
-				b := make([]byte, 0, hdr+len(rep))
-				return append(udpReplyHeader(b, srv, dst, overloadPort, lane, len(rep)), rep...)
+				return append(udpReplyHeader(srv, dst, overloadPort, lane, len(rep)), rep...)
 			}
 			// The handler is done with a request before it returns (the
 			// relay copies what it keeps), so every invocation on this

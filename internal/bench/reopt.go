@@ -134,13 +134,7 @@ func runReoptHandler(cfg *Config, sparse bool) ReoptRun {
 
 	run := ReoptRun{Name: prog.Name}
 	tb.Eng.Schedule(0, func() {
-		once := func() (int64, sim.Time) {
-			mc := aegis.SyntheticMsg(tb.K2, owner, entry)
-			if d := ash.HandleMsg(mc); d != aegis.DispConsumed || ash.InvoluntaryFault != nil {
-				panic(fmt.Sprintf("reopt %s: disposition %v fault %v", prog.Name, d, ash.InvoluntaryFault))
-			}
-			return ash.LastInsns(), mc.Cost()
-		}
+		once := func() (int64, sim.Time) { return runSynthetic(tb, owner, entry, ash) }
 		for i := 0; i < reoptWarmup; i++ {
 			run.StaticInsns, run.StaticCycles = once()
 		}
@@ -173,7 +167,7 @@ func reoptBumpHandler(addr uint32) *vcode.Program {
 }
 
 // runReoptChain measures the validate→bump chain both ways: two installed
-// handlers dispatched in sequence (core.Chain) vs one fused download
+// handlers dispatched in sequence over one message vs one fused download
 // whose seam test replaces the second dispatch.
 func runReoptChain(cfg *Config) ChainRun {
 	tb := NewAN2Testbed(cfg)
@@ -186,7 +180,6 @@ func runReoptChain(cfg *Config) ChainRun {
 	tailProg := reoptBumpHandler(seg.Base)
 	head := tb.Sys2.MustDownload(owner, headProg, opts)
 	tail := tb.Sys2.MustDownload(owner, tailProg, opts)
-	seq := &core.Chain{Members: []*core.ASH{head, tail}}
 
 	fusedProg, err := reopt.FuseChain("bench-chain-fused", headProg, tailProg)
 	if err != nil {
@@ -202,19 +195,8 @@ func runReoptChain(cfg *Config) ChainRun {
 
 	var run ChainRun
 	tb.Eng.Schedule(0, func() {
-		mc := aegis.SyntheticMsg(tb.K2, owner, entry)
-		if d := seq.HandleMsg(mc); d != aegis.DispConsumed {
-			panic(fmt.Sprintf("sequential chain disposition %v", d))
-		}
-		run.SeqInsns = head.LastInsns() + tail.LastInsns()
-		run.SeqCycles = mc.Cost()
-
-		mc = aegis.SyntheticMsg(tb.K2, owner, entry)
-		if d := fused.HandleMsg(mc); d != aegis.DispConsumed {
-			panic(fmt.Sprintf("fused chain disposition %v", d))
-		}
-		run.FusedInsns = fused.LastInsns()
-		run.FusedCycles = mc.Cost()
+		run.SeqInsns, run.SeqCycles = runSynthetic(tb, owner, entry, head, tail)
+		run.FusedInsns, run.FusedCycles = runSynthetic(tb, owner, entry, fused)
 	})
 	tb.run()
 	return run

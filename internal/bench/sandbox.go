@@ -1,12 +1,14 @@
 package bench
 
 import (
+	"encoding/binary"
 	"strconv"
 
 	"ashs/internal/aegis"
 	"ashs/internal/core"
 	"ashs/internal/crl"
 	"ashs/internal/dpf"
+	"ashs/internal/sandbox"
 	"ashs/internal/sim"
 )
 
@@ -44,28 +46,26 @@ var PaperSandbox = SandboxResult{
 // sandboxCells enumerates every (handler, mode, size) measurement; the
 // merge step derives the reported deltas and ratios.
 func sandboxCells() []Cell {
-	write := func(label string, generic bool, mode sboxMode, nbytes int) Cell {
+	// How a measured handler is downloaded: verified only, with per-access
+	// SFI checks, or with SFI under the static-analysis optimizer.
+	unsafe, naive, opt := core.Options{Unsafe: true}, core.Options{}, core.Options{OptimizeSFI: true}
+	cell := func(label string, h isolatedHandler, opts core.Options, nbytes int) Cell {
 		return Cell{"sandbox/" + label, func(cfg *Config) any {
-			return runWriteHandler(cfg, generic, mode, nbytes)
-		}}
-	}
-	record := func(label string, mode sboxMode) Cell {
-		return Cell{"sandbox/" + label, func(cfg *Config) any {
-			return runRecordHandler(cfg, mode)
+			return runIsolated(cfg, nil, opts, h, nbytes)
 		}}
 	}
 	return []Cell{
-		write("generic-unsafe-40", true, sbUnsafe, 40),
-		write("specific-unsafe-40", false, sbUnsafe, 40),
-		write("specific-naive-40", false, sbNaive, 40),
-		write("specific-unsafe-4096", false, sbUnsafe, 4096),
-		write("specific-naive-4096", false, sbNaive, 4096),
-		write("generic-naive-40", true, sbNaive, 40),
-		write("generic-opt-40", true, sbOptimized, 40),
-		write("specific-opt-40", false, sbOptimized, 40),
-		record("record-unsafe", sbUnsafe),
-		record("record-naive", sbNaive),
-		record("record-opt", sbOptimized),
+		cell("generic-unsafe-40", genericWrite, unsafe, 40),
+		cell("specific-unsafe-40", trustedWrite, unsafe, 40),
+		cell("specific-naive-40", trustedWrite, naive, 40),
+		cell("specific-unsafe-4096", trustedWrite, unsafe, 4096),
+		cell("specific-naive-4096", trustedWrite, naive, 4096),
+		cell("generic-naive-40", genericWrite, naive, 40),
+		cell("generic-opt-40", genericWrite, opt, 40),
+		cell("specific-opt-40", trustedWrite, opt, 40),
+		cell("record-unsafe", recordWrite, unsafe, 0),
+		cell("record-naive", recordWrite, naive, 0),
+		cell("record-opt", recordWrite, opt, 0),
 	}
 }
 
@@ -99,26 +99,25 @@ type handlerRun struct {
 	cycles sim.Time
 }
 
-// sboxMode selects how a measured handler is downloaded.
-type sboxMode int
+// isolatedHandler names the remote-write variants run in isolation.
+type isolatedHandler int
 
 const (
-	sbUnsafe    sboxMode = iota // verified only, no instrumentation
-	sbNaive                     // per-access SFI checks
-	sbOptimized                 // SFI with the static-analysis optimizer
+	trustedWrite isolatedHandler = iota // application-specific: the message names its destination
+	genericWrite                        // the generic protocol: header, segment-table lookup, bounds
+	recordWrite                         // the fixed-record copy loop (the loop-shaped variant)
 )
 
-func (m sboxMode) options() core.Options {
-	return core.Options{Unsafe: m == sbUnsafe, OptimizeSFI: m == sbOptimized}
-}
-
-// runWriteHandler executes a remote-write handler on a synthetic message
-// in isolation (Section V-D's methodology) and reports its dynamic
-// instruction count (excluding data copying, which runs through the
-// trusted engine) and total cycles.
-func runWriteHandler(cfg *Config, generic bool, mode sboxMode, nbytes int) handlerRun {
+// runIsolated executes one remote-write handler on a synthetic message (see
+// runSynthetic), downloaded with opts under safety policy pol (nil: the
+// system's default). The two writes carry nbytes of payload; the record
+// loop's message is one record.
+func runIsolated(cfg *Config, pol *sandbox.Policy, opts core.Options, h isolatedHandler, nbytes int) handlerRun {
 	tb := NewAN2Testbed(cfg)
 	defer tb.close()
+	if pol != nil {
+		tb.Sys2.Policy = pol
+	}
 	owner := tb.K2.Spawn("dsm-app", func(p *aegis.Process) {})
 	node := crl.NewNode(tb.Sys2, owner)
 	segID, seg, err := node.AddSegment(8192, "shared")
@@ -126,86 +125,42 @@ func runWriteHandler(cfg *Config, generic bool, mode sboxMode, nbytes int) handl
 		panic(err)
 	}
 
-	var prog = crl.TrustedWriteHandler()
-	if generic {
+	prog := crl.TrustedWriteHandler()
+	switch h {
+	case genericWrite:
 		prog = crl.GenericWriteHandler(node.TableAddr(), crl.MaxSegments, 0, 1)
+	case recordWrite:
+		prog = crl.FixedRecordWriteHandler(seg.Base+64, seg.Base)
 	}
-	ash := tb.Sys2.MustDownload(owner, prog, mode.options())
+	ash := tb.Sys2.MustDownload(owner, prog, opts)
 
 	// Build the message in a buffer in the owner's space.
 	msgSeg := owner.AS.MustAlloc(8192, "synthetic-msg")
 	msg := tb.K2.Bytes(msgSeg.Base, 8192)
 	var msgLen int
-	if generic {
-		be := func(off int, v uint32) {
-			msg[off] = byte(v >> 24)
-			msg[off+1] = byte(v >> 16)
-			msg[off+2] = byte(v >> 8)
-			msg[off+3] = byte(v)
-		}
-		be(0, 0x44534d21)
-		be(4, 1<<16)
-		be(8, 42)
-		be(12, uint32(segID))
-		be(16, 64)
-		be(20, uint32(nbytes))
-		msgLen = 24 + nbytes
-	} else {
-		be := func(off int, v uint32) {
-			msg[off] = byte(v >> 24)
-			msg[off+1] = byte(v >> 16)
-			msg[off+2] = byte(v >> 8)
-			msg[off+3] = byte(v)
-		}
-		be(0, seg.Base+64)
-		be(4, uint32(nbytes))
+	switch h {
+	case trustedWrite:
+		binary.BigEndian.PutUint32(msg[0:], seg.Base+64)
+		binary.BigEndian.PutUint32(msg[4:], uint32(nbytes))
 		msgLen = 8 + nbytes
+	case genericWrite:
+		binary.BigEndian.PutUint32(msg[0:], 0x44534d21)
+		binary.BigEndian.PutUint32(msg[4:], 1<<16)
+		binary.BigEndian.PutUint32(msg[8:], 42)
+		binary.BigEndian.PutUint32(msg[12:], uint32(segID))
+		binary.BigEndian.PutUint32(msg[16:], 64)
+		binary.BigEndian.PutUint32(msg[20:], uint32(nbytes))
+		msgLen = 24 + nbytes
+	case recordWrite:
+		for i := 0; i < crl.RecordBytes; i++ {
+			msg[i] = byte(i)
+		}
+		msgLen = crl.RecordBytes
 	}
 
 	var run handlerRun
 	tb.Eng.Schedule(0, func() {
-		mc := aegis.SyntheticMsg(tb.K2, owner, aegis.RingEntry{Addr: msgSeg.Base, Len: msgLen})
-		d := ash.HandleMsg(mc)
-		if d != aegis.DispConsumed || ash.InvoluntaryFault != nil {
-			panic(ash.InvoluntaryFault)
-		}
-		run.insns = ash.LastInsns()
-		run.cycles = mc.Cost()
-	})
-	tb.run()
-	return run
-}
-
-// runRecordHandler executes the fixed-record copy loop (the loop-shaped
-// variant of the Section V-D write) on a synthetic message and reports
-// its dynamic instruction count.
-func runRecordHandler(cfg *Config, mode sboxMode) handlerRun {
-	tb := NewAN2Testbed(cfg)
-	defer tb.close()
-	owner := tb.K2.Spawn("dsm-app", func(p *aegis.Process) {})
-	node := crl.NewNode(tb.Sys2, owner)
-	_, seg, err := node.AddSegment(8192, "shared")
-	if err != nil {
-		panic(err)
-	}
-	prog := crl.FixedRecordWriteHandler(seg.Base+64, seg.Base)
-	ash := tb.Sys2.MustDownload(owner, prog, mode.options())
-
-	msgSeg := owner.AS.MustAlloc(4096, "synthetic-msg")
-	msg := tb.K2.Bytes(msgSeg.Base, 4096)
-	for i := 0; i < crl.RecordBytes; i++ {
-		msg[i] = byte(i)
-	}
-
-	var run handlerRun
-	tb.Eng.Schedule(0, func() {
-		mc := aegis.SyntheticMsg(tb.K2, owner, aegis.RingEntry{Addr: msgSeg.Base, Len: crl.RecordBytes})
-		d := ash.HandleMsg(mc)
-		if d != aegis.DispConsumed || ash.InvoluntaryFault != nil {
-			panic(ash.InvoluntaryFault)
-		}
-		run.insns = ash.LastInsns()
-		run.cycles = mc.Cost()
+		run.insns, run.cycles = runSynthetic(tb, owner, aegis.RingEntry{Addr: msgSeg.Base, Len: msgLen}, ash)
 	})
 	tb.run()
 	return run

@@ -5,9 +5,7 @@ import (
 	"strings"
 
 	"ashs/internal/aegis"
-	"ashs/internal/core"
 	"ashs/internal/obs"
-	"ashs/internal/proto/ether"
 	"ashs/internal/proto/ip"
 	"ashs/internal/proto/nfs"
 	"ashs/internal/proto/tcp"
@@ -140,31 +138,7 @@ func scaleUDPASH(w *world, m int, hist *obs.Histogram, starts, ends []sim.Time) 
 			if err != nil {
 				panic(err)
 			}
-			// The reply headers are prebuilt per client; the handler
-			// appends the echoed payload.
-			dst := c.addr()
-			tmpl := udpReplyHeader(nil, srv, dst, scaleEchoPort, scaleClientPort, scalePayload)
-			ash := srv.sys.NewFuncASH(p, fmt.Sprintf("udp-echo-%d", i), true,
-				func(ctx *core.Ctx) aegis.Disposition {
-					const off = ether.HeaderLen + ip.HeaderLen + udp.HeaderLen
-					n := ctx.Entry().Len
-					if n < off {
-						return aegis.DispToUser
-					}
-					// Header validation: the filter already pinned the
-					// tuple, the handler re-checks lengths.
-					ctx.Straightline(48, 12)
-					raw := ctx.RawData()
-					frame := append(append([]byte(nil), tmpl...), make([]byte, n-off)...)
-					for j := 0; j < n-off; j++ {
-						frame[len(tmpl)+j] = raw[aegis.StripedIndex(off+j)]
-					}
-					// Byte-wise echo copy out of the striped buffer.
-					ctx.Straightline(2*(n-off), n-off)
-					ctx.Send(dst, 0, frame)
-					return aegis.DispConsumed
-				})
-			ash.Attach(b)
+			udpEchoASH(srv, p, fmt.Sprintf("udp-echo-%d", i), 0).Attach(b)
 		}
 	})
 
@@ -207,23 +181,7 @@ func scaleTCPFast(w *world, m int, hist *obs.Histogram, starts, ends []sim.Time)
 	tbl := tcp.NewConnTable(0)
 	for i, c := range w.cli() {
 		srv.k.Spawn(fmt.Sprintf("srv-%d", i), func(p *aegis.Process) {
-			conn := w.acceptFanIn(p, scaleTCPPort, c.ip, tbl)
-			buf := p.AS.MustAlloc(scalePayload, "echo")
-			for j := 0; j < m; j++ {
-				if err := conn.ReadFull(buf.Base, scalePayload); err != nil {
-					panic(err)
-				}
-				if _, ok := tbl.Lookup(conn.Tuple()); !ok {
-					panic("scale: live connection missing from table")
-				}
-				if err := conn.WriteBytes(srv.k.Bytes(buf.Base, scalePayload)); err != nil {
-					panic(err)
-				}
-			}
-			if !tbl.Remove(conn.Tuple()) {
-				panic("scale: connection already removed")
-			}
-			_ = conn.Close()
+			echoFanIn(p, w.acceptFanIn(p, scaleTCPPort, c.ip, tbl), tbl, scalePayload, m)
 		})
 	}
 
@@ -261,22 +219,8 @@ func scaleTCPFast(w *world, m int, hist *obs.Histogram, starts, ends []sim.Time)
 // client issues m 1 KiB reads. The server is one process draining one
 // ring — fan-in pressure shows up as queueing in the latency tail.
 func scaleNFSRead(w *world, m int, hist *obs.Histogram, starts, ends []sim.Time) {
-	srv, nfsd := w.srv(), nfs.NewServer()
-	data := make([]byte, scaleFileBytes)
-	for i := range data {
-		data[i] = byte(i * 7)
-	}
-	fh := nfsd.AddFile("scale", data)
-
-	// Serve forever: a duplicate request born of a client retry must not
-	// consume a straggler's slot. The engine drains once the clients are
-	// done and the server parks on an empty ring.
-	srv.k.Spawn("nfsd", func(p *aegis.Process) {
-		sock := udp.NewSocket(
-			ethStack(p, srv, listenFilter(srv.ip, ip.ProtoUDP, scaleNFSPort), w.res),
-			scaleNFSPort, udp.Options{})
-		nfsd.Serve(p, sock, 0)
-	})
+	srv := w.srv()
+	fh, data := w.startNFSD(scaleFileBytes, 0)
 
 	for i, c := range w.cli() {
 		c.k.Spawn("client", func(p *aegis.Process) {

@@ -2,8 +2,6 @@ package bench
 
 import (
 	"ashs/internal/aegis"
-	"ashs/internal/dpf"
-	"ashs/internal/proto/link"
 	"ashs/internal/sim"
 )
 
@@ -22,8 +20,8 @@ var PaperTable1 = Table1{InKernelAN2: 112, UserAN2: 182, Ethernet: 309}
 func table1Cells(iters int) []Cell {
 	return []Cell{
 		{"table1/in-kernel", func(cfg *Config) any { return inKernelAN2RT(cfg, iters, nil) }},
-		{"table1/user-level", func(cfg *Config) any { return userAN2RT(cfg, iters, nil) }},
-		{"table1/ethernet", func(cfg *Config) any { return ethernetRT(cfg, iters, nil) }},
+		{"table1/user-level", func(cfg *Config) any { return rawPingPong(cfg, false, iters, nil) }},
+		{"table1/ethernet", func(cfg *Config) any { return rawPingPong(cfg, true, iters, nil) }},
 	}
 }
 
@@ -73,85 +71,6 @@ func inKernelAN2RT(cfg *Config, iters int, o *obsRun) float64 {
 	tb.run()
 	o.window(0, done)
 	return tb.Us(done) / float64(iters)
-}
-
-// userAN2RT measures the user-level ping-pong: polling processes using
-// the full system call interface.
-func userAN2RT(cfg *Config, iters int, o *obsRun) float64 {
-	tb := NewAN2Testbed(cfg)
-	defer tb.close()
-	o.attach(tb)
-	const vc = 5
-	tb.K2.Spawn("echo", func(p *aegis.Process) {
-		ep, err := link.BindAN2(tb.A2, p, vc, 8, 4096)
-		if err != nil {
-			panic(err)
-		}
-		for i := 0; i < iters; i++ {
-			f := ep.Recv(true)
-			msg := make([]byte, f.Len())
-			f.Bytes(msg, 0, f.Len())
-			ep.Release(f)
-			ep.Send(link.Addr{Port: f.Entry.Src, VC: vc}, msg)
-		}
-	})
-	var total, start sim.Time
-	tb.K1.Spawn("client", func(p *aegis.Process) {
-		ep, err := link.BindAN2(tb.A1, p, vc, 8, 4096)
-		if err != nil {
-			panic(err)
-		}
-		start = p.K.Now()
-		for i := 0; i < iters; i++ {
-			ep.Send(link.Addr{Port: tb.A2.Addr(), VC: vc}, []byte{1, 2, 3, 4})
-			f := ep.Recv(true)
-			ep.Release(f)
-		}
-		total = p.K.Now() - start
-	})
-	tb.run()
-	o.window(start, start+total)
-	return tb.Us(total) / float64(iters)
-}
-
-// ethernetRT measures the user-level Ethernet ping-pong with DPF demux.
-func ethernetRT(cfg *Config, iters int, o *obsRun) float64 {
-	tb := NewEthernetTestbed(cfg)
-	defer tb.close()
-	o.attach(tb)
-	tagged := func(tag byte) *dpf.Filter { return dpf.NewFilter().Eq8(0, tag) }
-
-	tb.K2.Spawn("echo", func(p *aegis.Process) {
-		ep, err := link.BindEthernet(tb.E2, p, tagged(0xAA))
-		if err != nil {
-			panic(err)
-		}
-		for i := 0; i < iters; i++ {
-			f := ep.Recv(true)
-			msg := make([]byte, f.Len())
-			f.Bytes(msg, 0, f.Len())
-			msg[0] = 0xBB
-			ep.Release(f)
-			ep.Send(link.Addr{Port: f.Entry.Src}, msg)
-		}
-	})
-	var total, start sim.Time
-	tb.K1.Spawn("client", func(p *aegis.Process) {
-		ep, err := link.BindEthernet(tb.E1, p, tagged(0xBB))
-		if err != nil {
-			panic(err)
-		}
-		start = p.K.Now()
-		for i := 0; i < iters; i++ {
-			ep.Send(link.Addr{Port: tb.E2.Addr()}, []byte{0xAA, 0, 0, 4})
-			f := ep.Recv(true)
-			ep.Release(f)
-		}
-		total = p.K.Now() - start
-	})
-	tb.run()
-	o.window(start, start+total)
-	return tb.Us(total) / float64(iters)
 }
 
 // Table renders Table I.

@@ -3,9 +3,6 @@ package bench
 import (
 	"ashs/internal/aegis"
 	"ashs/internal/core"
-	"ashs/internal/crl"
-	"ashs/internal/proto/link"
-	"ashs/internal/sim"
 )
 
 // Mechanism is a message-handling placement compared in Table V.
@@ -76,8 +73,6 @@ func remoteIncrementRT(cfg *Config, mech Mechanism, suspended bool, iters int, o
 	tb := NewAN2Testbed(cfg)
 	defer tb.close()
 	o.attach(tb)
-	const vc = 9
-	const warmup = 2
 
 	if suspended {
 		// "Suspended (interrupts)": the serving application is not
@@ -85,77 +80,16 @@ func remoteIncrementRT(cfg *Config, mech Mechanism, suspended bool, iters int, o
 		tb.K2.Sched = aegis.NewPriorityBoost(tb.K2)
 		tb.K2.Spawn("competitor", func(p *aegis.Process) { p.SpinForever() })
 	}
-
-	// Server side.
-	switch mech {
-	case MechUnsafeASH, MechSandboxedASH, MechUpcall, MechOptASH:
-		owner := tb.K2.Spawn("dsm-app", func(p *aegis.Process) {})
-		node := crl.NewNode(tb.Sys2, owner)
-		prog := crl.IncrementHandler(node.CounterSeg.Base, tb.A1.Addr(), vc)
-		ash := tb.Sys2.MustDownload(owner, prog,
-			core.Options{Unsafe: mech == MechUnsafeASH, OptimizeSFI: mech == MechOptASH})
-		b, err := tb.A2.BindVC(owner, vc, 8, 4096)
-		if err != nil {
-			panic(err)
-		}
-		if mech == MechUpcall {
-			// Same handler code, run at user level via the upcall path.
-			unsafeAsh := tb.Sys2.MustDownload(owner, prog, core.Options{Unsafe: true})
-			b.Upcall = unsafeAsh.AsUpcall()
-		} else {
-			ash.Attach(b)
-		}
-	case MechUserLevel:
-		tb.K2.Spawn("server", func(p *aegis.Process) {
-			ep, err := link.BindAN2(tb.A2, p, vc, 8, 4096)
-			if err != nil {
-				panic(err)
-			}
-			counter := p.AS.MustAlloc(64, "counter")
-			for i := 0; i < warmup+iters; i++ {
-				f := ep.Recv(!suspended)
-				// Increment: read the amount, bump, build the reply.
-				inc := f.U32(0)
-				v, _ := p.AS.Load32(counter.Base)
-				_ = p.AS.Store32(counter.Base, v+inc)
-				p.Compute(10)
-				reply := make([]byte, 4)
-				ep.Release(f)
-				ep.Send(link.Addr{Port: f.Entry.Src, VC: vc}, reply)
-			}
-		})
+	if mech == MechUserLevel {
+		incrementServer(tb, !suspended, iters)
+	} else {
+		installIncrement(tb, core.Options{Unsafe: mech == MechUnsafeASH, OptimizeSFI: mech == MechOptASH},
+			mech == MechUpcall)
 	}
-
-	// Client: user-level polling ping-pong.
-	var total, start sim.Time
-	done := false
-	tb.K1.Spawn("client", func(p *aegis.Process) {
-		ep, err := link.BindAN2(tb.A1, p, vc, 8, 4096)
-		if err != nil {
-			panic(err)
-		}
-		for i := 0; i < warmup+iters; i++ {
-			if i == warmup {
-				start = p.K.Now()
-			}
-			// The very first message can race the server's VC binding
-			// (its process may be queued behind a competitor's quantum);
-			// retry on a generous timeout during warmup.
-			for {
-				ep.Send(link.Addr{Port: tb.A2.Addr(), VC: vc}, []byte{0, 0, 0, 1})
-				f, ok := ep.RecvUntil(true, p.K.Now()+tb.Prof.Cycles(50_000))
-				if ok {
-					ep.Release(f)
-					break
-				}
-			}
-		}
-		total = p.K.Now() - start
-		done = true
-	})
-	tb.runUntil(func() bool { return done }, 5_000_000_000, 100_000)
-	o.window(start, start+total)
-	return tb.Us(total) / float64(iters)
+	r := incrementClient(tb, iters, 50_000)
+	tb.runUntil(func() bool { return r.done }, 5_000_000_000, 100_000)
+	o.window(r.start, r.start+r.total)
+	return tb.Us(r.total) / float64(iters)
 }
 
 // Table renders Table V.

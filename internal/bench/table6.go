@@ -102,38 +102,29 @@ func table6Testbed(cfg *Config, m table6Mode) *Testbed {
 	return tb
 }
 
-func table6Cfg(tb *Testbed, m table6Mode, host, mss int) tcp.Config {
-	cfg := tcp.DefaultConfig()
-	cfg.Mode = m.mode
-	cfg.Polling = m.polling
-	cfg.Checksum = true
-	cfg.MSS = mss
-	cfg.Sys = tb.host(host).sys
-	return cfg
+// cfgFor is the mode's connection config for either end of tb's pair.
+func (m table6Mode) cfgFor(tb *Testbed, mss int) func(host int) tcp.Config {
+	return func(host int) tcp.Config {
+		cfg := tcp.DefaultConfig()
+		cfg.Mode = m.mode
+		cfg.Polling = m.polling
+		cfg.Checksum = true
+		cfg.MSS = mss
+		cfg.Sys = tb.hosts[host-1].sys
+		return cfg
+	}
 }
 
 func table6Latency(cfg *Config, m table6Mode, iters int, o *obsRun) float64 {
 	tb := table6Testbed(cfg, m)
 	defer tb.close()
-	return tcpPingPong(tb, iters, o,
-		func(p *aegis.Process) (*tcp.Conn, error) {
-			return tcp.Accept(tb.StackAN2(p, 2, 7), table6Cfg(tb, m, 2, 3072), 80)
-		},
-		func(p *aegis.Process) (*tcp.Conn, error) {
-			return tcp.Connect(tb.StackAN2(p, 1, 7), table6Cfg(tb, m, 1, 3072), 1234, tb.IP2, 80)
-		})
+	return tcpPingPong(tb, iters, o, m.cfgFor(tb, 3072))
 }
 
 func table6Tput(cfg *Config, m table6Mode, totalBytes, mss, writeSize int) float64 {
 	tb := table6Testbed(cfg, m)
 	defer tb.close()
-	return tcpStream(tb, totalBytes, writeSize,
-		func(p *aegis.Process) (*tcp.Conn, error) {
-			return tcp.Accept(tb.StackAN2(p, 2, 7), table6Cfg(tb, m, 2, mss), 80)
-		},
-		func(p *aegis.Process) (*tcp.Conn, error) {
-			return tcp.Connect(tb.StackAN2(p, 1, 7), table6Cfg(tb, m, 1, mss), 1234, tb.IP2, 80)
-		})
+	return tcpStream(tb, totalBytes, writeSize, m.cfgFor(tb, mss))
 }
 
 // Table renders Table VI.

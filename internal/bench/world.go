@@ -9,7 +9,6 @@
 package bench
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"ashs/internal/aegis"
@@ -23,8 +22,6 @@ import (
 	"ashs/internal/proto/ether"
 	"ashs/internal/proto/ip"
 	"ashs/internal/proto/link"
-	"ashs/internal/proto/tcp"
-	"ashs/internal/proto/udp"
 	"ashs/internal/sim"
 )
 
@@ -40,10 +37,14 @@ import (
 type host struct {
 	k   *aegis.Kernel
 	nic *aegis.NIC // the interface, whichever device it is
-	// eth is the same interface as an Ethernet, for binding filters and
-	// reading demux costs; nil on the AN2 testbed, whose circuits are bound
-	// through Testbed.A1/A2.
+	// The same interface as the device it is, for binding circuits or
+	// filters and reading demux costs: exactly one of the two is set.
+	an2 *aegis.AN2If
 	eth *aegis.EthernetIf
+	// arp is the host's ARP daemon on the two-host Ethernet testbed
+	// (ethWorld starts it); fan-in worlds resolve statically through
+	// world.res instead.
+	arp *arp.Service
 	sys *core.System
 	ip  ip.Addr
 }
@@ -88,11 +89,12 @@ func (w *world) addHost(name string, mem, rxBufs int) *host {
 
 // addAN2Host boots a default-sized host on an AN2 world's next switch
 // port. AN2 interfaces take their buffers per virtual circuit.
-func (w *world) addAN2Host(name string) *aegis.AN2If {
+func (w *world) addAN2Host(name string) *host {
 	k := aegis.NewKernelMem(name, w.eng, w.prof, aegis.HostMemSize)
 	a := aegis.NewAN2(k, w.sw)
-	w.boot(k, &a.NIC)
-	return a
+	h := w.boot(k, &a.NIC)
+	h.an2 = a
+	return h
 }
 
 // boot gives a kernel with its interface attached an ASH system and the IP
@@ -260,65 +262,6 @@ func ethStack(p *aegis.Process, h *host, f *dpf.Filter, res ip.Resolver) *ip.Sta
 	return st
 }
 
-// udpReplyHeader appends the Ethernet, IP and UDP headers of a datagram
-// from srv to the host on switch port dst, carrying n payload bytes the
-// caller appends. Handlers answering from the interrupt path send raw
-// frames, so they build the headers a stack would have.
-func udpReplyHeader(b []byte, srv *host, dst int, sport, dport uint16, n int) []byte {
-	eh := ether.Header{Dst: ether.PortMAC(dst), Src: ether.PortMAC(srv.addr()), Type: ether.TypeIPv4}
-	b = eh.Marshal(b)
-	ih := ip.Header{TotalLen: uint16(ip.HeaderLen + udp.HeaderLen + n),
-		TTL: 64, Proto: ip.ProtoUDP, DF: true, Src: srv.ip, Dst: ip.HostAddr(dst)}
-	b = ih.Marshal(b)
-	b = binary.BigEndian.AppendUint16(b, sport)
-	b = binary.BigEndian.AppendUint16(b, dport)
-	b = binary.BigEndian.AppendUint16(b, uint16(udp.HeaderLen+n))
-	return binary.BigEndian.AppendUint16(b, 0) // checksum not used
-}
-
-// fanInTCPCfg is the connection config of the fan-in TCP workloads; a
-// non-nil sys selects the server side, whose fast path runs as an ASH.
-// Blocking waits (no polling): hundreds of pollers time-sharing the server
-// CPU would spin each other out of the schedule.
-func fanInTCPCfg(sys *core.System) tcp.Config {
-	cfg := tcp.DefaultConfig()
-	cfg.MSS = EthernetTCPMSS
-	cfg.Polling = false
-	if sys != nil {
-		cfg.Mode = tcp.ModeASH
-		cfg.Sys = sys
-	}
-	return cfg
-}
-
-// acceptFanIn accepts the one connection peer opens to the server's port,
-// the way a server with per-client state does it: a per-client listen
-// endpoint consumes the SYN, a 6-atom connection filter claims the rest of
-// the flow before the SYN|ACK goes out, AcceptHandoff completes the
-// handshake, and the shared table records ownership.
-func (w *world) acceptFanIn(p *aegis.Process, port uint16, peer ip.Addr, tbl *tcp.ConnTable) *tcp.Conn {
-	srv := w.srv()
-	lst := ethStack(p, srv, peerFilter(srv.ip, ip.ProtoTCP, port, peer), w.res)
-	d, ok, err := lst.RecvUntil(false, 0)
-	if err != nil || !ok {
-		panic(fmt.Sprintf("bench: fan-in listener for %s: ok=%v err=%v", peer, ok, err))
-	}
-	syn, isSyn := tcp.ParseSyn(d)
-	lst.Release(d)
-	if !isSyn {
-		panic(fmt.Sprintf("bench: fan-in listener for %s got non-SYN", peer))
-	}
-	st := ethStack(p, srv, connFilter(srv.ip, ip.ProtoTCP, port, syn.RemoteIP, syn.RemotePort), w.res)
-	conn, err := tcp.AcceptHandoff(st, fanInTCPCfg(srv.sys), port, syn)
-	if err != nil {
-		panic(err)
-	}
-	if err := tbl.Bind(conn.Tuple(), conn); err != nil {
-		panic(err)
-	}
-	return conn
-}
-
 // Testbed is a pair of simulated hosts on one network.
 type Testbed struct {
 	*world
@@ -340,13 +283,15 @@ type Testbed struct {
 func newTestbed(cfg *Config, an2 bool) *Testbed {
 	w := newWorld(an2)
 	tb := &Testbed{world: w, Eng: w.eng, Prof: w.prof, Sw: w.sw}
-	if an2 {
-		tb.A1, tb.A2 = w.addAN2Host("h1"), w.addAN2Host("h2")
-	} else {
-		tb.E1 = w.addHost("h1", aegis.HostMemSize, aegis.EthRxBuffers).eth
-		tb.E2 = w.addHost("h2", aegis.HostMemSize, aegis.EthRxBuffers).eth
+	for _, name := range []string{"h1", "h2"} {
+		if an2 {
+			w.addAN2Host(name)
+		} else {
+			w.addHost(name, aegis.HostMemSize, aegis.EthRxBuffers)
+		}
 	}
 	h1, h2 := w.hosts[0], w.hosts[1]
+	tb.A1, tb.A2, tb.E1, tb.E2 = h1.an2, h2.an2, h1.eth, h2.eth
 	tb.K1, tb.K2, tb.Sys1, tb.Sys2, tb.IP1, tb.IP2 = h1.k, h2.k, h1.sys, h2.sys, h1.ip, h2.ip
 	cfg.observe(tb)
 	return tb
@@ -358,14 +303,32 @@ func NewAN2Testbed(cfg *Config) *Testbed { return newTestbed(cfg, true) }
 // NewEthernetTestbed builds the two-host Ethernet world.
 func NewEthernetTestbed(cfg *Config) *Testbed { return newTestbed(cfg, false) }
 
-// host returns host 2 for n == 2 and host 1 otherwise — StackAN2 and
-// EthStack, which the public facade forwards to, have always read their
-// host argument that way.
-func (tb *Testbed) host(n int) *host {
-	if n == 2 {
-		return tb.hosts[1]
+// ethWorld builds the two-host Ethernet world with an ARP daemon on each
+// host, spawned before any workload process: the harness's Ethernet stacks
+// resolve through them.
+func ethWorld(cfg *Config) *Testbed {
+	tb := NewEthernetTestbed(cfg)
+	for _, h := range tb.hosts {
+		svc, err := arp.Start(h.k, h.eth, h.ip)
+		if err != nil {
+			panic(err)
+		}
+		h.arp = svc
 	}
-	return tb.hosts[0]
+	return tb
+}
+
+// host resolves the host argument of StackAN2 and EthStack, here and nowhere
+// else: n is 1 or 2, and the testbed is on the network the call is for. Both
+// arrive from outside through the public facade, so a bad one is reported in
+// its own terms rather than as a nil interface several frames down.
+func (tb *Testbed) host(n int, eth bool) *host {
+	if onEth := tb.E1 != nil; (n != 1 && n != 2) || eth != onEth {
+		network := map[bool]string{false: "AN2", true: "Ethernet"}
+		panic(fmt.Sprintf("bench: %s stack asked of host %d: this testbed has hosts 1 and 2, on the %s",
+			network[eth], n, network[onEth]))
+	}
+	return tb.hosts[n-1]
 }
 
 // AttachObs wires an observability plane into the testbed's switch and
@@ -385,27 +348,40 @@ func (tb *Testbed) AttachFault(pl *fault.Plane) { tb.attachFault(pl, tb.hosts...
 // Close is close for the public facade, whose worlds are testbeds.
 func (tb *Testbed) Close() { tb.close() }
 
+// stack builds p's IP stack for one transport endpoint on host 1 or 2. It
+// is the one place the harness asks which network the testbed is on: the
+// AN2 binds the circuit the suite uses for that protocol, the Ethernet a
+// listen filter on (proto, port) resolving through the host's ARP daemon.
+func (tb *Testbed) stack(p *aegis.Process, host int, proto byte, port uint16) *ip.Stack {
+	if tb.E1 != nil {
+		return tb.EthStack(p, host, proto, port, tb.hosts[host-1].arp)
+	}
+	vc := 5 // UDP
+	if proto == ip.ProtoTCP {
+		vc = 7
+	}
+	return tb.StackAN2(p, host, vc)
+}
+
 // StackAN2 builds an IP stack over a fresh VC binding for p.
 func (tb *Testbed) StackAN2(p *aegis.Process, host, vc int) *ip.Stack {
-	a, h := tb.A1, tb.host(host)
-	if host == 2 {
-		a = tb.A2
-	}
-	ep, err := link.BindAN2(a, p, vc, 16, a.MaxFrame())
+	h := tb.host(host, false)
+	ep, err := link.BindAN2(h.an2, p, vc, 16, h.an2.MaxFrame())
 	if err != nil {
 		panic(err)
 	}
-	return ip.NewStack(ep, h.ip, ip.StaticResolver{
-		tb.IP1: {Port: tb.A1.Addr(), VC: vc},
-		tb.IP2: {Port: tb.A2.Addr(), VC: vc},
-	})
+	res := ip.StaticResolver{}
+	for _, peer := range tb.hosts {
+		res[peer.ip] = link.Addr{Port: peer.addr(), VC: vc}
+	}
+	return ip.NewStack(ep, h.ip, res)
 }
 
 // EthStack builds an IP stack over the Ethernet for p, demuxing with a DPF
 // filter on (ethertype, local IP, protocol, local port) and resolving
 // through the host's ARP daemon.
 func (tb *Testbed) EthStack(p *aegis.Process, host int, proto byte, port uint16, svc *arp.Service) *ip.Stack {
-	h := tb.host(host)
+	h := tb.host(host, true)
 	return ethStack(p, h, listenFilter(h.ip, proto, port), svc)
 }
 

@@ -96,7 +96,7 @@ func TestWorldShape(t *testing.T) {
 	}
 
 	for i, tb := range []*Testbed{NewAN2Testbed(nil), NewEthernetTestbed(nil)} {
-		h1, h2 := tb.host(1), tb.host(2)
+		h1, h2 := tb.host(1, i == 1), tb.host(2, i == 1)
 		if tb.K1 != h1.k || tb.K2 != h2.k || tb.K1.Name != "h1" || tb.K2.Name != "h2" {
 			t.Errorf("%s: K1/K2 are not hosts h1/h2", tb.Sw.Cfg.Name)
 		}
@@ -110,7 +110,7 @@ func TestWorldShape(t *testing.T) {
 			t.Errorf("%s: Eng/Prof/Sw are not the world's", tb.Sw.Cfg.Name)
 		}
 		if i == 0 {
-			if tb.A1 == nil || tb.A2 == nil || &tb.A1.NIC != h1.nic || &tb.A2.NIC != h2.nic || tb.E1 != nil || tb.E2 != nil || tb.A1.Addr() != 0 || tb.A2.Addr() != 1 {
+			if tb.A1 != h1.an2 || tb.A2 != h2.an2 || tb.A1 == nil || tb.A2 == nil || &tb.A1.NIC != h1.nic || &tb.A2.NIC != h2.nic || tb.E1 != nil || tb.E2 != nil || tb.A1.Addr() != 0 || tb.A2.Addr() != 1 {
 				t.Error("AN2 pair: wrong interfaces")
 			}
 		} else if tb.E1 != h1.eth || tb.E2 != h2.eth || tb.E1 == nil || tb.E2 == nil || tb.A1 != nil || tb.A2 != nil || tb.E1.Addr() != 0 || tb.E2.Addr() != 1 {
