@@ -49,7 +49,7 @@ go test -race ./...
 #            workload, and rerunning a seed reproduces bit-identical counters
 #   obs, sim the PRNG contract and the trace/metrics unit tests
 #   sim      handoff differential: one scripted world over {coroutine,
-#            channel} x {calendar, heap} gives one trace, clock and counts
+#            channel} x {wheel, heap} gives one trace, clock and counts
 #   aegis    world lifetime: a reused arena is all-zero, nothing above brk is
 #            addressable, a closed host has no memory, leases stay private;
 #            then the receive matrix: the same scenarios through an AN2 and
@@ -91,7 +91,10 @@ EOF
 # reuse) against the same oracle. FuzzDifferentialSFI drives random
 # verifiable programs through the three-way naive/optimized/re-optimized
 # oracle, and FuzzReoptProfile attacks the same oracle from the profile
-# side with raw fuzzer bytes as the profile.
+# side with raw fuzzer bytes as the profile. FuzzQueueMatchesHeap turns its
+# input into an insert / pop / peek / cancel schedule with near, far and
+# equal-time deltas and requires the timing wheel to pop what the reference
+# heap pops.
 echo "== fuzz sweep (10s per target)"
 go test -run '^$' -fuzz '^FuzzIPParse$' -fuzztime 10s ./internal/proto/ip/
 go test -run '^$' -fuzz '^FuzzTCPHeader$' -fuzztime 10s ./internal/proto/tcp/
@@ -100,6 +103,7 @@ go test -run '^$' -fuzz '^FuzzDPFChurn$' -fuzztime 10s ./internal/dpf/
 go test -run '^$' -fuzz '^FuzzTraceParse$' -fuzztime 10s ./internal/workload/
 go test -run '^$' -fuzz '^FuzzDifferentialSFI$' -fuzztime 10s ./internal/sandbox/
 go test -run '^$' -fuzz '^FuzzReoptProfile$' -fuzztime 10s ./internal/sandbox/
+go test -run '^$' -fuzz '^FuzzQueueMatchesHeap$' -fuzztime 10s ./internal/sim/
 
 # Parallel runner determinism: the full suite at -parallel=1 (serial
 # reference) and at one-worker-per-CPU must print byte-identical stdout.
@@ -133,12 +137,25 @@ cat "$tracedir/serial.err" >&2
 # or two reordered Spawns, which change the trace and no printed number.
 echo "== ashbench traces match committed ashbench_trace.sha256"
 "$tracedir/ashbench" -experiment breakdown -trace "$tracedir/breakdown.json" >/dev/null 2>&1
-"$tracedir/ashbench" -quick -parallel 1 -trace "$tracedir/quick.json" >/dev/null 2>&1
+"$tracedir/ashbench" -quick -parallel 1 -trace "$tracedir/quick.json" >/dev/null 2>"$tracedir/quick.err"
 if ! (cd "$tracedir" && sha256sum --quiet -c -) <ashbench_trace.sha256; then
     echo "ashbench trace diverged from the committed ashbench_trace.sha256; if intended, regenerate:"
     echo "  go run ./cmd/ashbench -experiment breakdown -trace breakdown.json >/dev/null &&"
     echo "  go run ./cmd/ashbench -quick -parallel 1 -trace quick.json >/dev/null &&"
     echo "  sha256sum breakdown.json quick.json >ashbench_trace.sha256 && rm breakdown.json quick.json"
+    exit 1
+fi
+
+# The schedule itself, from the same quick run: engines closed, events
+# fired and cancelled and process handoffs are functions of the simulations
+# alone, and the cascade count of the event queue's work on them. None of
+# them can be noisy, so a changed count is either intended or a bug.
+echo "== ashbench engine counts match committed ashbench_counts.txt"
+if ! grep '^\[sim engines:' "$tracedir/quick.err" | cmp -s - ashbench_counts.txt; then
+    echo "ashbench engine counts diverged from the committed ashbench_counts.txt:"
+    grep '^\[sim engines:' "$tracedir/quick.err" | diff ashbench_counts.txt - || true
+    echo "if intended, regenerate:"
+    echo "  go run ./cmd/ashbench -quick -parallel 1 2>&1 >/dev/null | grep '^\[sim engines:' >ashbench_counts.txt"
     exit 1
 fi
 

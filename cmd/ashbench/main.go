@@ -106,6 +106,12 @@ func main() {
 	a := aegis.ArenaStats()
 	fmt.Fprintf(os.Stderr, "[host memory arenas: %d leases, %d returned, %d grown, %.1f MiB zeroed on return]\n",
 		a.Leases, a.Returned, a.Grown, float64(a.ZeroedBytes)/(1<<20))
+	// And the schedule itself: the first four are functions of the
+	// simulations alone (ci.sh compares the -quick -parallel 1 line with
+	// ashbench_counts.txt); cascades is what the event queue did with them.
+	e := bench.EngineStats()
+	fmt.Fprintf(os.Stderr, "[sim engines: %d closed, %d fired, %d cancelled, %d handoffs, %d cascades]\n",
+		e.Closed, e.Fired, e.Cancelled, e.Handoffs, e.Cascades)
 	// And whatever the experiments report about the simulator itself
 	// (megascale: the server DPF trie's slab census per cell).
 	fmt.Fprint(os.Stderr, notes.String())

@@ -235,15 +235,14 @@ func SimEventQueue(b *testing.B) {
 	}
 }
 
-// CalendarQueue measures the retransmit-timer pattern against the
-// calendar event queue — the dominant schedule shape of the megascale
-// fleet, where every request arms a far-future reply-wait timer that the
-// reply almost always cancels. Each dispatched event arms a timer a
-// million ticks out (a sparse far bucket), cancels it, and reschedules
-// itself QueueDepth ticks out through the closure-free ScheduleArg path,
-// so one iteration is one pop, one far insert, one remove, and one near
-// insert — all at 0 allocs/op through the engine's event freelist.
-func CalendarQueue(b *testing.B) {
+// QueueTimerChurn measures the retransmit-timer pattern on the dense
+// schedule of SimEventQueue. Each dispatched event arms a timer a billion
+// ticks out, cancels it (the reply almost always arrives first), and
+// reschedules itself QueueDepth ticks out through the closure-free
+// ScheduleArg path, so one iteration is one pop, one far insert, one
+// remove, and one near insert — all at 0 allocs/op through the engine's
+// event freelist.
+func QueueTimerChurn(b *testing.B) {
 	eng := sim.NewEngine()
 	fired := 0
 	var tick func(any)
@@ -260,6 +259,76 @@ func CalendarQueue(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	eng.RunUntil(sim.Time(b.N - 1))
+	b.StopTimer()
+	if fired != b.N {
+		b.Fatalf("fired %d events, want %d", fired, b.N)
+	}
+}
+
+// QueueTwoHost measures the queue a ping-pong world keeps — the shape of
+// rtt-small, tcp-bulk and chaos, which the two dense bodies above never
+// show: three chains of events, each rescheduling itself 2000 to 20000
+// cycles out (wire, interrupt and process wake-up latencies), so the
+// population is three events thousands of cycles apart; every pop also
+// arms and cancels one retransmit timer a million cycles out, the fourth.
+func QueueTwoHost(b *testing.B) {
+	eng := sim.NewEngine()
+	rng := sim.NewRand(1)
+	fired := 0
+	var tick func(any)
+	tick = func(any) {
+		fired++
+		if fired == b.N {
+			eng.Stop()
+		}
+		eng.Cancel(eng.ScheduleArg(1_000_000, tick, nil))
+		eng.ScheduleArg(2000+sim.Time(rng.Intn(18000)), tick, nil)
+	}
+	for i := 0; i < 3; i++ {
+		eng.ScheduleArg(sim.Time(1+i), tick, nil)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	eng.Run()
+	b.StopTimer()
+	if fired != b.N {
+		b.Fatalf("fired %d events, want %d", fired, b.N)
+	}
+}
+
+// QueueFanIn measures the queue of the scale experiment's server world at
+// N = Filters: one parked retry timer per client about a million cycles
+// out, and one chain of imminent packet events. Every pop schedules the
+// next packet event 50 to 250 cycles on and re-arms one client's timer
+// (a reply arrived, the next request went out) — a population of a few
+// near events and hundreds of far ones.
+func QueueFanIn(b *testing.B) {
+	eng := sim.NewEngine()
+	rng := sim.NewRand(1)
+	expire := func(any) { panic("a parked retry timer fired") }
+	timers := make([]sim.Timer, Filters)
+	arm := func(i int) {
+		timers[i] = eng.ScheduleArg(1_000_000+sim.Time(rng.Intn(65536)), expire, nil)
+	}
+	for i := range timers {
+		arm(i)
+	}
+	fired := 0
+	var tick func(any)
+	tick = func(any) {
+		fired++
+		if fired == b.N {
+			eng.Stop()
+		}
+		i := fired % Filters
+		eng.Cancel(timers[i])
+		arm(i)
+		eng.ScheduleArg(50+sim.Time(rng.Intn(200)), tick, nil)
+	}
+	eng.ScheduleArg(1, tick, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	eng.Run()
 	b.StopTimer()
 	if fired != b.N {
 		b.Fatalf("fired %d events, want %d", fired, b.N)

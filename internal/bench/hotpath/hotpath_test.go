@@ -15,7 +15,9 @@ func BenchmarkCachePass(b *testing.B)         { CachePass(b) }
 func BenchmarkDILPRun(b *testing.B)           { DILPRun(b) }
 func BenchmarkSandboxInstrument(b *testing.B) { SandboxInstrument(b) }
 func BenchmarkSimEventQueue(b *testing.B)     { SimEventQueue(b) }
-func BenchmarkCalendarQueue(b *testing.B)     { CalendarQueue(b) }
+func BenchmarkQueueTimerChurn(b *testing.B)   { QueueTimerChurn(b) }
+func BenchmarkQueueTwoHost(b *testing.B)      { QueueTwoHost(b) }
+func BenchmarkQueueFanIn(b *testing.B)        { QueueFanIn(b) }
 func BenchmarkProcSwitch(b *testing.B)        { ProcSwitch(b) }
 func BenchmarkPacketPath(b *testing.B)        { PacketPath(b) }
 func BenchmarkPacketPathAN2(b *testing.B)     { PacketPathAN2(b) }
@@ -45,7 +47,9 @@ func TestBodiesRun(t *testing.T) {
 		{"DILPRun", DILPRun, true},
 		{"SandboxInstrument", SandboxInstrument, false},
 		{"SimEventQueue", SimEventQueue, true},
-		{"CalendarQueue", CalendarQueue, true},
+		{"QueueTimerChurn", QueueTimerChurn, true},
+		{"QueueTwoHost", QueueTwoHost, true},
+		{"QueueFanIn", QueueFanIn, true},
 		{"ProcSwitch", ProcSwitch, true},
 		{"PacketPath", PacketPath, true},
 		{"PacketPathAN2", PacketPathAN2, true},

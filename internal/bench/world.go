@@ -10,6 +10,7 @@ package bench
 
 import (
 	"fmt"
+	"sync"
 
 	"ashs/internal/aegis"
 	"ashs/internal/core"
@@ -162,6 +163,35 @@ func (w *world) close() {
 	for _, h := range w.hosts {
 		h.k.Close()
 	}
+	st := w.eng.Stats()
+	engines.Lock()
+	engines.Closed++
+	engines.Fired += st.Fired
+	engines.Cancelled += st.Cancelled
+	engines.Handoffs += st.Handoffs
+	engines.Cascades += st.Cascades
+	engines.Unlock()
+}
+
+// engines sums sim.Engine.Stats over every world closed in this process
+// (cells run in parallel, hence the lock; sums do not depend on the order).
+var engines struct {
+	sync.Mutex
+	EngineCounts
+}
+
+// EngineCounts is the schedule the process has run, summed over its closed
+// worlds. Fired, Cancelled and Handoffs are functions of the simulations
+// alone; Cascades is the event queue's own work on them.
+type EngineCounts struct {
+	Closed, Fired, Cancelled, Handoffs, Cascades uint64
+}
+
+// EngineStats reports the totals.
+func EngineStats() EngineCounts {
+	engines.Lock()
+	defer engines.Unlock()
+	return engines.EngineCounts
 }
 
 // run drains the engine and applies the leak gate. Cells that run to

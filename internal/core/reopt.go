@@ -13,7 +13,6 @@ package core
 import (
 	"fmt"
 
-	"ashs/internal/aegis"
 	"ashs/internal/sandbox"
 	"ashs/internal/vcode/reopt"
 )
@@ -88,25 +87,4 @@ func (s *System) Reoptimize(a *ASH) (*reopt.Profile, error) {
 		o.Inc("ash/reoptimizations")
 	}
 	return prof, nil
-}
-
-// Chain runs several installed handlers in sequence over one message —
-// the interpreted baseline the fused (reopt.FuseChain) download is
-// measured against. Semantics match the fusion seams: a member that
-// consumes the message (RRet = 0) passes control to the next; the first
-// member that does not consume it (voluntary abort, throttle, or
-// involuntary abort) ends the chain with that disposition. All members
-// consuming yields DispConsumed.
-type Chain struct {
-	Members []*ASH
-}
-
-// HandleMsg implements aegis.MsgHandler over the whole chain.
-func (c *Chain) HandleMsg(mc *aegis.MsgCtx) aegis.Disposition {
-	for _, a := range c.Members {
-		if d := a.HandleMsg(mc); d != aegis.DispConsumed {
-			return d
-		}
-	}
-	return aegis.DispConsumed
 }

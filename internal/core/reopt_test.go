@@ -7,6 +7,7 @@ import (
 	"ashs/internal/aegis"
 	"ashs/internal/obs"
 	"ashs/internal/vcode"
+	"ashs/internal/vcode/reopt"
 )
 
 // shardASH mirrors the crl shard-counter shape (core cannot import crl):
@@ -158,8 +159,7 @@ func TestReoptimizeRefusals(t *testing.T) {
 }
 
 // chainValidateASH consumes messages whose first word matches magic and
-// voluntarily aborts the rest — the head of the sequential chain the
-// fused download is measured against.
+// voluntarily aborts the rest — the head of the fused chain.
 func chainValidateASH(magic uint32) *vcode.Program {
 	b := vcode.NewBuilder("chain-validate")
 	v, want := b.Temp(), b.Temp()
@@ -187,22 +187,25 @@ func chainBumpASH(addr uint32) *vcode.Program {
 	return b.MustAssemble()
 }
 
-// TestChainDisposition: the interpreted chain matches the fusion seam
-// semantics — a member that consumes passes control on, the first member
-// that does not ends the chain with its disposition (here: to-user).
+// TestChainDisposition: a fused chain, downloaded as one handler, keeps
+// the seam semantics — a member that consumes passes control on, the first
+// member that does not ends the chain with its disposition (here: to-user).
 func TestChainDisposition(t *testing.T) {
 	const magic = 0x41534821
 	tb := newTestbed(t)
 	owner := tb.k2.Spawn("app", func(p *aegis.Process) {})
 	seg := owner.AS.MustAlloc(4096, "counter")
 
-	head := tb.sys.MustDownload(owner, chainValidateASH(magic), Options{})
-	tail := tb.sys.MustDownload(owner, chainBumpASH(seg.Base), Options{})
+	fused, err := reopt.FuseChain("chain", chainValidateASH(magic), chainBumpASH(seg.Base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain := tb.sys.MustDownload(owner, fused, Options{})
 	sb, err := tb.a2.BindVC(owner, 7, 8, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb.Handler = &Chain{Members: []*ASH{head, tail}}
+	sb.Handler = chain
 
 	good := binary.BigEndian.AppendUint32(nil, magic)
 	good = append(good, 0, 0, 0, 9)
@@ -226,10 +229,7 @@ func TestChainDisposition(t *testing.T) {
 		t.Fatalf("ring length = %d after rejected message, want 1 (to user)", n)
 	}
 
-	if got := head.Invocations; got != 2 {
-		t.Fatalf("head ran %d times, want 2", got)
-	}
-	if got := tail.Invocations; got != 1 {
-		t.Fatalf("tail ran %d times, want 1", got)
+	if got := chain.Invocations; got != 2 {
+		t.Fatalf("chain ran %d times, want 2", got)
 	}
 }

@@ -207,7 +207,7 @@ func TestSteadyStateWireZeroAlloc(t *testing.T) {
 	first := sw.LeaseData(payload)
 	first.Dst = b.Addr()
 	_ = a.Transmit(first)
-	eng.RunFor(sw.Prof.Cycles(10_000)) // warm pools and calendar
+	eng.RunFor(sw.Prof.Cycles(10_000)) // warm pools and event queue
 	allocs := testing.AllocsPerRun(50, func() {
 		eng.RunFor(sw.Prof.Cycles(1000))
 	})

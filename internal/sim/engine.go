@@ -18,12 +18,12 @@
 // (FIFO by sequence number). Processes only advance when the engine resumes
 // them, and the engine only advances when the running process parks.
 //
-// The engine runs against a pluggable EventQueue (a calendar queue by
-// default; see CalendarQueue) and recycles Events through a freelist, so
-// steady-state scheduling performs zero heap allocations. Because fired
-// events are reused, Schedule/ScheduleAt hand back a Timer — a
-// generation-checked handle — rather than the *Event itself; cancelling a
-// Timer whose event already fired (and possibly now carries an unrelated
+// The engine runs against an EventQueue (a hierarchical timing wheel; the
+// tests swap in a binary heap as its oracle) and recycles Events through a
+// freelist, so steady-state scheduling performs zero heap allocations.
+// Because fired events are reused, Schedule/ScheduleAt hand back a Timer —
+// a generation-checked handle — rather than the *Event itself; cancelling
+// a Timer whose event already fired (and possibly now carries an unrelated
 // callback) is a safe no-op.
 package sim
 
@@ -62,30 +62,30 @@ type Engine struct {
 // Stats is the engine's own work, counted since it was built. Fired,
 // Cancelled and Handoffs are functions of the schedule alone: the same
 // simulation gives the same counts on any queue and any handoff.
-// QueueResizes and SparseFallbacks describe how the calendar queue coped
-// with that schedule and are zero on the reference heap.
+// Cascades and EarlyInserts are the timing wheel's work on that schedule,
+// as deterministic as it is, and are zero on the reference heap.
 type Stats struct {
-	Fired           uint64 // events dispatched
-	Cancelled       uint64 // pending events removed by Cancel
-	Handoffs        uint64 // engine -> process -> engine round trips
-	LiveProcs       int    // processes created and not yet finished
-	QueueResizes    uint64 // calendar rebuilds (grow, shrink)
-	SparseFallbacks uint64 // PeekMin scans that found nothing due this year
+	Fired        uint64 // events dispatched
+	Cancelled    uint64 // pending events removed by Cancel
+	Handoffs     uint64 // engine -> process -> engine round trips
+	LiveProcs    int    // processes created and not yet finished
+	Cascades     uint64 // events moved to a lower wheel level as the clock neared them
+	EarlyInserts uint64 // events scheduled below the wheel's floor (after a RunUntil peeked ahead)
 }
 
 // Stats reports the engine's counters.
 func (e *Engine) Stats() Stats {
 	s := Stats{Fired: e.fired, Cancelled: e.cancelled, Handoffs: e.handoffs, LiveProcs: e.procs}
-	if c, ok := e.q.(*CalendarQueue); ok {
-		s.QueueResizes, s.SparseFallbacks = c.resizes, c.sparseFallbacks
+	if w, ok := e.q.(*wheel); ok {
+		s.Cascades, s.EarlyInserts = w.cascaded, w.earlyInserts
 	}
 	return s
 }
 
 // NewEngine returns an empty engine at virtual time zero, scheduling
-// against a calendar queue.
+// against a timing wheel.
 func NewEngine() *Engine {
-	return newEngineWithQueue(NewCalendarQueue())
+	return newEngineWithQueue(new(wheel))
 }
 
 // newEngineWithQueue returns an empty engine scheduling against q, so the

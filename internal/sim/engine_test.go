@@ -313,3 +313,26 @@ func BenchmarkScheduleRun(b *testing.B) {
 		e.Run()
 	}
 }
+
+// TestCancelAfterClose: Close recycles what it drains, so a Timer taken
+// before it is stale afterwards and cancelling it — from a deferred
+// cleanup, or a facade user after World.Close — touches nothing.
+func TestCancelAfterClose(t *testing.T) {
+	e := NewEngine()
+	first := e.Schedule(100, func() {})
+	e.Schedule(100, func() {})
+	e.Close()
+	e.Cancel(first)
+	if n, c := e.Pending(), e.Stats().Cancelled; n != 0 || c != 0 {
+		t.Fatalf("after Close and a late Cancel: %d pending, %d cancelled, want 0 and 0", n, c)
+	}
+	fired := false
+	e.Schedule(1, func() { fired = true })
+	if n := e.Pending(); n != 1 {
+		t.Fatalf("%d pending after one Schedule, want 1", n)
+	}
+	e.Run()
+	if !fired {
+		t.Fatal("the event scheduled after Close did not fire")
+	}
+}

@@ -22,7 +22,7 @@ var queues = []struct {
 	name string
 	fn   func() EventQueue
 }{
-	{"calendar", NewCalendarQueue},
+	{"wheel", func() EventQueue { return new(wheel) }},
 	{"heap", newHeapQueue},
 }
 
@@ -167,7 +167,7 @@ func settleGoroutines(want int) int {
 }
 
 // TestHandoffDifferential runs the scenario, then Engine.Close, over
-// {coroutine, channel} x {calendar, heap}: the trace, the final clock and
+// {coroutine, channel} x {wheel, heap}: the trace, the final clock and
 // the schedule-determined counters must not depend on either choice, and
 // Close must end every process the scenario left behind — parked forever,
 // in Sleep, in ParkTimeout, never started, blocking again in a deferred
@@ -209,8 +209,8 @@ func TestHandoffDifferential(t *testing.T) {
 				}
 			}
 
-			// QueueResizes and SparseFallbacks are the calendar's own.
-			st.QueueResizes, st.SparseFallbacks = 0, 0
+			// Cascades and EarlyInserts are the wheel's own.
+			st.Cascades, st.EarlyInserts = 0, 0
 			got := result{trace, end, st}
 			if i == 0 && j == 0 {
 				want = got

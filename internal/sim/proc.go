@@ -101,7 +101,10 @@ func (e *Engine) Close() {
 			panic(fmt.Sprintf("sim: process %q recovered from Close and blocked again", p.name))
 		}
 	}
-	for e.q.PopMin() != nil {
+	// Recycled, not just dropped: a Timer taken before Close must go stale,
+	// or cancelling it afterwards would unlink an event no queue holds.
+	for ev := e.q.PopMin(); ev != nil; ev = e.q.PopMin() {
+		e.recycle(ev)
 	}
 }
 

@@ -22,12 +22,11 @@ type Event struct {
 	afn func(any)
 	arg any
 
-	// Queue linkage: doubly linked within a calendar bucket (and the
-	// freelist reuses next). heapIdx is the position when the event sits
-	// in a heapQueue instead.
+	// Queue linkage: doubly linked within a wheel slot (and the freelist
+	// reuses next), with heapIdx naming the slot; in a heapQueue heapIdx is
+	// the event's position instead.
 	next, prev *Event
 	heapIdx    int
-	queued     bool
 }
 
 // At reports the virtual time at which the event is scheduled.
@@ -61,8 +60,8 @@ type EventQueue interface {
 
 // heapQueue is a plain binary heap over the intrusive events. It is the
 // reference implementation: O(log n) everywhere, no tuning knobs. The
-// engine's default is the calendar queue; the heap stays as the oracle
-// for differential tests.
+// engine runs on the wheel; the heap stays as the oracle for differential
+// tests.
 type heapQueue struct {
 	evs []*Event
 }
@@ -74,7 +73,6 @@ func (h *heapQueue) Len() int { return len(h.evs) }
 
 func (h *heapQueue) Insert(ev *Event) {
 	ev.heapIdx = len(h.evs)
-	ev.queued = true
 	h.evs = append(h.evs, ev)
 	h.siftUp(ev.heapIdx)
 }
@@ -93,7 +91,6 @@ func (h *heapQueue) Remove(ev *Event) {
 			h.siftDown(i)
 		}
 	}
-	ev.queued = false
 }
 
 func (h *heapQueue) PeekMin() *Event {

@@ -19,10 +19,10 @@ func fuseReserved(r vcode.Reg) bool {
 	return false
 }
 
-// FuseChain splices two or more handler programs into one unit with the
-// semantics of core.Chain: run members in order, stop at the first member
-// that returns nonzero RRet (voluntary abort → deliver to user), consume
-// when every member returns zero. Fusing amortizes the per-invocation
+// FuseChain splices two or more handler programs into one unit that runs
+// them as back-to-back handlers would: members in order, stop at the first
+// member that returns nonzero RRet (voluntary abort → deliver to user),
+// consume when every member returns zero. Fusing amortizes the per-invocation
 // sandbox entry/exit — one prologue, one epilogue, one timer arm/clear,
 // one journal reset — across the whole chain.
 //
