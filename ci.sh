@@ -94,7 +94,10 @@ EOF
 # side with raw fuzzer bytes as the profile. FuzzQueueMatchesHeap turns its
 # input into an insert / pop / peek / cancel schedule with near, far and
 # equal-time deltas and requires the timing wheel to pop what the reference
-# heap pops.
+# heap pops. FuzzStreamMatchesReference places the two streams of a DILP
+# loop, sets the budgets and warms the cache, and requires Machine.Run —
+# whose streaming-loop executor takes most of such a loop — to leave what
+# the per-instruction reference interpreter leaves.
 echo "== fuzz sweep (10s per target)"
 go test -run '^$' -fuzz '^FuzzIPParse$' -fuzztime 10s ./internal/proto/ip/
 go test -run '^$' -fuzz '^FuzzTCPHeader$' -fuzztime 10s ./internal/proto/tcp/
@@ -104,6 +107,7 @@ go test -run '^$' -fuzz '^FuzzTraceParse$' -fuzztime 10s ./internal/workload/
 go test -run '^$' -fuzz '^FuzzDifferentialSFI$' -fuzztime 10s ./internal/sandbox/
 go test -run '^$' -fuzz '^FuzzReoptProfile$' -fuzztime 10s ./internal/sandbox/
 go test -run '^$' -fuzz '^FuzzQueueMatchesHeap$' -fuzztime 10s ./internal/sim/
+go test -run '^$' -fuzz '^FuzzStreamMatchesReference$' -fuzztime 10s ./internal/vcode/
 
 # Parallel runner determinism: the full suite at -parallel=1 (serial
 # reference) and at one-worker-per-CPU must print byte-identical stdout.

@@ -11,6 +11,7 @@ import (
 func BenchmarkDPFTrieWalk(b *testing.B)       { DPFTrieWalk(b) }
 func BenchmarkDPFLinearScan(b *testing.B)     { DPFLinearScan(b) }
 func BenchmarkVCODEDispatch(b *testing.B)     { VCODEDispatch(b) }
+func BenchmarkVCODEBranchy(b *testing.B)      { VCODEBranchy(b) }
 func BenchmarkCachePass(b *testing.B)         { CachePass(b) }
 func BenchmarkDILPRun(b *testing.B)           { DILPRun(b) }
 func BenchmarkSandboxInstrument(b *testing.B) { SandboxInstrument(b) }
@@ -43,6 +44,7 @@ func TestBodiesRun(t *testing.T) {
 		{"DPFTrieWalk", DPFTrieWalk, true},
 		{"DPFLinearScan", DPFLinearScan, true},
 		{"VCODEDispatch", VCODEDispatch, true},
+		{"VCODEBranchy", VCODEBranchy, true},
 		{"CachePass", CachePass, true},
 		{"DILPRun", DILPRun, true},
 		{"SandboxInstrument", SandboxInstrument, false},
@@ -89,6 +91,37 @@ func TestHandlerProgramShape(t *testing.T) {
 	}
 	if sp.AddedStatic == 0 {
 		t.Fatal("default policy added no instrumentation to the handler")
+	}
+}
+
+// TestHeaderCheckShape pins the VCODEBranchy fixture: the benchmark packet
+// is accepted on the long path, none of it by the streaming executor, and
+// the forward branches really do select: a TCP frame and a foreign
+// ethertype leave early.
+func TestHeaderCheckShape(t *testing.T) {
+	prog := NewHeaderCheckProgram()
+	for _, c := range []struct {
+		name   string
+		mutate func(pkt []byte)
+		ret    uint32
+		insns  int64
+	}{
+		{"udp", func([]byte) {}, 1, 20},
+		{"udp with options", func(pkt []byte) { pkt[43] = 7 }, 1, 22},
+		{"tcp", func(pkt []byte) { pkt[23] = 6 }, 2, 10},
+		{"not ip", func(pkt []byte) { pkt[12] = 0x86 }, 0, 6},
+		{"port out of range", func(pkt []byte) { pkt[36] = 0x40 }, 0, 18},
+	} {
+		mem := NewHeaderCheckPacket()
+		c.mutate(mem.Data)
+		m := vcode.NewMachine(mach.DS5000_240(), mem)
+		if f := m.Run(prog); f != nil {
+			t.Fatalf("%s: %v", c.name, f)
+		}
+		if m.Regs[vcode.RRet] != c.ret || m.Insns != c.insns || m.Streamed != 0 {
+			t.Errorf("%s: returned %d after %d instructions (%d streamed), want %d after %d (0)",
+				c.name, m.Regs[vcode.RRet], m.Insns, m.Streamed, c.ret, c.insns)
+		}
 	}
 }
 

@@ -160,6 +160,13 @@ func (c *Cache) CopyRange(src, dst uint32, n int) sim.Time {
 	return t
 }
 
+// WorstWord returns the most one Load and one Store can cost. LoadRange and
+// CopyRange charge no more than that per word, so a caller with a cycle
+// budget can bound a range before it charges one.
+func (c *Cache) WorstWord() (load, store sim.Time) {
+	return max(c.hit, c.miss), c.store
+}
+
 // Warm marks [addr, addr+n) resident without charging cycles (for setting
 // up "cached" experimental conditions).
 func (c *Cache) Warm(addr uint32, n int) {

@@ -603,3 +603,54 @@ func TestStripedEngineRejectsNon16Multiple(t *testing.T) {
 		t.Fatal("striped engine accepted a non-16-multiple length")
 	}
 }
+
+// TestCompiledEnginesStream is the contract between what Compile emits and
+// what vcode's streaming-loop executor matches (vcode/stream.go): of every
+// non-striped engine — each composition of the built-in pipes, copying or
+// not — the interpreter loop runs the prologue, the first iteration and
+// the ret, and the executor everything else. Reorder two instructions of
+// the emitted loop and this test, not a profile, says the fast path is
+// gone. The striped engine is unrolled by four and is the documented miss.
+func TestCompiledEnginesStream(t *testing.T) {
+	builtins := []struct {
+		name string
+		add  func(*List) error
+	}{
+		{"cksum", func(l *List) error { _, _, err := Cksum(l); return err }},
+		{"byteswap", func(l *List) error { _, err := Byteswap(l); return err }},
+		{"xor", func(l *List) error { _, err := Xor(l, 0xdeadbeef); return err }},
+		{"cksum16", func(l *List) error { _, _, err := Cksum16(l); return err }},
+	}
+	const n = 256
+	m, mem := newEnv(t, n)
+	fillRandom(mem, srcAddr, 2*n, 1)
+	for subset := 0; subset < 1<<len(builtins); subset++ {
+		l := NewList(len(builtins))
+		for i, p := range builtins {
+			if subset&(1<<i) != 0 {
+				if err := p.add(l); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, opts := range []Options{{}, {Output: true}, {StripedSrc: true}, {Output: true, StripedSrc: true}} {
+			e, err := Compile(l, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, f := e.Run(m, srcAddr, dstAddr, n); f != nil {
+				t.Fatalf("%s: %v", e.Prog.Name, f)
+			}
+			// Guard and index set-up, one trip round the loop, ret: the
+			// non-striped program once through.
+			want := m.Insns - int64(len(e.Prog.Insns))
+			if opts.StripedSrc {
+				want = 0
+			}
+			if m.Streamed != want {
+				t.Errorf("%s (Output %v): Streamed = %d of %d instructions, want %d\n%s",
+					e.Prog.Name, opts.Output, m.Streamed, m.Insns, want, e.Prog)
+			}
+		}
+	}
+}

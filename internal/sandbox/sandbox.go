@@ -142,9 +142,16 @@ func verifyProgram(p *vcode.Program, pol *Policy) error {
 			}
 		}
 		// Writes to reserved registers would subvert the SFI staging
-		// register; reject them.
+		// register; reject them. The zero register is part of the staging:
+		// an indexed access is rewritten to [RSbox + RZero] after RSbox has
+		// been checked, and the machine stores to r0 like to any other
+		// register, so a handler that wrote it would move the access by
+		// what it wrote.
 		if writesReg(in, vcode.RSbox) {
 			return &VerifyError{pc, in, "write to reserved sandbox register"}
+		}
+		if writesReg(in, vcode.RZero) {
+			return &VerifyError{pc, in, "write to the zero register"}
 		}
 	}
 	if n == 0 || p.Insns[n-1].Op != vcode.OpRet {

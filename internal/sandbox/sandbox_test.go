@@ -1,6 +1,7 @@
 package sandbox
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -418,12 +419,16 @@ func TestSandboxOverheadRatioShrinksWithDataSize(t *testing.T) {
 
 // TestRandomProgramsNeverEscape is the safety property at the heart of the
 // ASH design: no sandboxed program, however adversarial, may read or write
-// outside its region, divide by zero, or run forever.
+// outside its region, divide by zero, or run forever. Now and then the
+// generator aims a destination at r0 or at the staging register, which the
+// instrumented accesses rely on; those programs must not get as far as
+// running.
 func TestRandomProgramsNeverEscape(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	pol := DefaultPolicy()
 	pol.Budget = BudgetSoftware
 
+	rejected := 0
 	for trial := 0; trial < 300; trial++ {
 		b := vcode.NewBuilder("fuzz")
 		regs := make([]vcode.Reg, 6)
@@ -432,12 +437,19 @@ func TestRandomProgramsNeverEscape(t *testing.T) {
 		}
 		lbl := b.NewLabel()
 		bound := false
+		reserved := false // some instruction writes r0 or r28
 		count := 5 + rng.Intn(30)
 		for i := 0; i < count; i++ {
 			rd := regs[rng.Intn(len(regs))]
 			rs := regs[rng.Intn(len(regs))]
 			rt := regs[rng.Intn(len(regs))]
-			switch rng.Intn(10) {
+			if rng.Intn(200) == 0 {
+				rd = []vcode.Reg{vcode.RZero, vcode.RSbox}[rng.Intn(2)]
+			}
+			op := rng.Intn(12)
+			// St32, the label/branch case and St32X read rd or ignore it.
+			reserved = reserved || (rd == vcode.RZero || rd == vcode.RSbox) && op != 3 && op != 7 && op != 11
+			switch op {
 			case 0:
 				b.MovI(rd, int32(rng.Uint32()))
 			case 1:
@@ -463,6 +475,10 @@ func TestRandomProgramsNeverEscape(t *testing.T) {
 				b.MulU(rd, rs, rt)
 			case 9:
 				b.Bswap(rd, rs)
+			case 10:
+				b.Ld32X(rd, rs, rt)
+			case 11:
+				b.St32X(rs, rt, rd)
 			}
 		}
 		if !bound {
@@ -474,8 +490,16 @@ func TestRandomProgramsNeverEscape(t *testing.T) {
 			t.Fatal(err)
 		}
 		sp, err := Sandbox(p, pol)
+		if reserved {
+			var ve *VerifyError
+			if !errors.As(err, &ve) {
+				t.Fatalf("trial %d: a program that writes a reserved register was accepted (err = %v)\n%s", trial, err, p)
+			}
+			rejected++
+			continue
+		}
 		if err != nil {
-			t.Fatal(err) // generated ops are all verifiable
+			t.Fatal(err) // the other generated ops are all verifiable
 		}
 
 		const base, size = 0x1000, 4096
@@ -487,6 +511,45 @@ func TestRandomProgramsNeverEscape(t *testing.T) {
 		if guarded.escaped {
 			t.Fatalf("trial %d: sandboxed program touched memory outside its region\n%s", trial, sp.Code)
 		}
+	}
+	if rejected < 5 {
+		t.Errorf("only %d of 300 programs wrote a reserved register: the rejection went untested", rejected)
+	}
+}
+
+// TestZeroRegisterWriteRejected is the hole the clause in verifyProgram
+// closes. Both instrumenters rewrite an indexed access to [r28 + r0] once
+// r28 has been checked, and Machine.Run stores to r0 like to any other
+// register: a handler allowed to write r0 is checked at one address and
+// touches another.
+func TestZeroRegisterWriteRejected(t *testing.T) {
+	p := &vcode.Program{Name: "r0", Insns: []vcode.Insn{
+		{Op: vcode.OpMovI, Rd: vcode.RZero, Imm: 0x2000},
+		{Op: vcode.OpMovI, Rd: 8, Imm: 0x1000},
+		{Op: vcode.OpMovI, Rd: 9, Imm: 0},
+		{Op: vcode.OpLd32X, Rd: 10, Rs: 8, Rt: 9},
+		{Op: vcode.OpRet},
+	}}
+	for _, optimize := range []bool{false, true} {
+		pol := DefaultPolicy()
+		pol.Optimize = optimize
+		var ve *VerifyError
+		if _, err := Sandbox(p, pol); !errors.As(err, &ve) || ve.PC != 0 {
+			t.Fatalf("Optimize=%v: Sandbox accepted a write to r0 (err = %v)", optimize, err)
+		}
+	}
+
+	// Why: the same program past the verifier. The check passes at 0x1000
+	// and the load reads 0x3000, outside the attached [0x1000, 0x1100).
+	code, _ := instrumentNaive(p, DefaultPolicy())
+	guarded := &guardMem{inner: vcode.NewFlatMem(0, 0x10000), lo: 0x1000, hi: 0x1100}
+	m := vcode.NewMachine(mach.DS5000_240(), guarded)
+	m.SboxBase, m.SboxLimit = guarded.lo, guarded.hi
+	if f := m.Run(&vcode.Program{Name: "r0.unverified", Insns: code}); f != nil {
+		t.Fatal(f)
+	}
+	if !guarded.escaped {
+		t.Fatal("the instrumented access stayed inside the region: the clause guards nothing")
 	}
 }
 

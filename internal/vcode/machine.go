@@ -99,9 +99,13 @@ type Machine struct {
 	// address then they are translated").
 	JmpTable []int
 
-	// Accounting (reset by Run).
-	Cycles sim.Time
-	Insns  int64
+	// Accounting (reset by Run). Streamed is the part of Insns that the
+	// streaming-loop executor (stream.go) ran instead of the interpreter
+	// loop: zero for a loop of a shape it was expected to match means the
+	// matcher and whatever emitted the loop have drifted apart.
+	Cycles   sim.Time
+	Insns    int64
+	Streamed int64
 
 	// PCCounts, when non-nil, accumulates per-pc execution counts across
 	// runs (indices are post-instrumentation; the DCG loop maps them back
@@ -141,6 +145,7 @@ func (m *Machine) Run(prog *Program) *Fault {
 	if m.CycleLimit > 0 {
 		cycleLimit = m.CycleLimit
 	}
+	m.Streamed = 0
 	insnsLeft, cyclesLeft, f := m.run(prog, insnLimit, cycleLimit)
 	m.Insns, m.Cycles = insnLimit-insnsLeft, cycleLimit-cyclesLeft
 	return f
@@ -347,6 +352,16 @@ func (m *Machine) run(prog *Program, insnLimit int64, cycleLimit sim.Time) (insn
 		case OpBltU:
 			if r[in.Rs] < r[in.Rt] {
 				next = in.Target
+				// A backward branch onto a ld32x may close a streaming loop:
+				// stream runs as many whole iterations of it as cannot
+				// differ from running them here (possibly none), and the
+				// branch is decided again.
+				if 0 <= next && next < pc-1 && flat != nil && code[next].Op == OpLd32X {
+					insnsLeft, cyclesLeft = m.stream(code, pc, flat, cache, counts, insnsLeft, cyclesLeft)
+					if r[in.Rs] >= r[in.Rt] {
+						next = pc + 1
+					}
+				}
 			}
 		case OpBgeU:
 			if r[in.Rs] >= r[in.Rt] {
@@ -454,6 +469,18 @@ func NewFlatMem(base uint32, n int) *FlatMem {
 // holds reports whether the n bytes at addr are all inside Data.
 func (f *FlatMem) holds(addr uint32, n int) bool {
 	return addr >= f.Base && uint64(addr-f.Base)+uint64(n) <= uint64(len(f.Data))
+}
+
+// words reports how many words of a 4-byte-stride stream starting at addr
+// every word access would accept: none when addr is unaligned or outside
+// Data, otherwise those that end inside Data and below the top of the
+// address space.
+func (f *FlatMem) words(addr uint32) int64 {
+	end := min(uint64(f.Base)+uint64(len(f.Data)), 1<<32)
+	if addr&3 != 0 || addr < f.Base || uint64(addr) >= end {
+		return 0
+	}
+	return int64(end-uint64(addr)) / 4
 }
 
 func (f *FlatMem) idx(addr uint32, n int) (int, error) {
