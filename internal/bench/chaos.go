@@ -1,8 +1,10 @@
 package bench
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
+	"sync"
 
 	"ashs/internal/aegis"
 	"ashs/internal/fault"
@@ -99,6 +101,37 @@ func RunChaos(cfg *Config, p ChaosParams) []ChaosResult {
 // chaosPattern is the deterministic payload byte at offset i.
 func chaosPattern(i int) byte { return byte((i*31 + 7) ^ (i >> 8)) }
 
+// The pattern depends on the low 16 bits of the offset only. chaosTable
+// holds two periods of it, so the window of up to a period that starts at
+// any offset is one contiguous slice, and the workloads fill and verify
+// their chunks with a copy and a compare instead of a call per byte. It is
+// built by the first cell that needs it (cells run in parallel), not at
+// package initialisation: every process that links this package would pay
+// for that, and only chaos reads it.
+const chaosPeriod = 1 << 16
+
+var chaosTable struct {
+	once sync.Once
+	b    [2 * chaosPeriod]byte
+}
+
+// chaosWindow is the pattern at offsets [off, off+n), n <= chaosPeriod.
+func chaosWindow(off, n int) []byte {
+	chaosTable.once.Do(func() {
+		for i := range chaosTable.b {
+			chaosTable.b[i] = chaosPattern(i)
+		}
+	})
+	off %= chaosPeriod
+	return chaosTable.b[off : off+n]
+}
+
+// chaosFill writes the pattern at offsets off.. into data.
+func chaosFill(data []byte, off int) { copy(data, chaosWindow(off, len(data))) }
+
+// chaosCheck reports whether data is the pattern at offsets off...
+func chaosCheck(data []byte, off int) bool { return bytes.Equal(data, chaosWindow(off, len(data))) }
+
 // runChaosOne runs one (schedule, seed) cell: a fresh two-host AN2 world
 // with the fault plane attached at every layer, a TCP bulk transfer on
 // VC 7 (ASH fast path on both ends), and an NFS session on VC 5 — both
@@ -140,11 +173,8 @@ func runChaosOne(cfg *Config, seed int64, sched fault.Schedule, p ChaosParams) C
 			if err != nil {
 				break
 			}
-			data := proc.AS.MustBytes(buf.Base, n)
-			for i := 0; i < n; i++ {
-				if data[i] != chaosPattern(tcpSunk+i) {
-					tcpVerified = false
-				}
+			if !chaosCheck(proc.AS.MustBytes(buf.Base, n), tcpSunk) {
+				tcpVerified = false
 			}
 			tcpSunk += n
 		}
@@ -165,10 +195,7 @@ func runChaosOne(cfg *Config, seed int64, sched fault.Schedule, p ChaosParams) C
 			if p.TCPBytes-sent < n {
 				n = p.TCPBytes - sent
 			}
-			data := proc.AS.MustBytes(buf.Base, n)
-			for i := 0; i < n; i++ {
-				data[i] = chaosPattern(sent + i)
-			}
+			chaosFill(proc.AS.MustBytes(buf.Base, n), sent)
 			if err := conn.Write(buf.Base, n); err != nil {
 				return
 			}
@@ -203,9 +230,7 @@ func runChaosOne(cfg *Config, seed int64, sched fault.Schedule, p ChaosParams) C
 				n = p.NFSBytes - off
 			}
 			data := make([]byte, n)
-			for i := range data {
-				data[i] = chaosPattern(off + i)
-			}
+			chaosFill(data, off)
 			if _, err := c.Write(proc, attr.Handle, uint32(off), data); err != nil {
 				return
 			}
@@ -220,10 +245,8 @@ func runChaosOne(cfg *Config, seed int64, sched fault.Schedule, p ChaosParams) C
 			if err != nil || len(data) != n {
 				return
 			}
-			for i := range data {
-				if data[i] != chaosPattern(off+i) {
-					ok = false
-				}
+			if !chaosCheck(data, off) {
+				ok = false
 			}
 		}
 		nfsVerified = ok
