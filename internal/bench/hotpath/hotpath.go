@@ -67,11 +67,16 @@ func NewLoadedEngine() (*dpf.Engine, []byte) {
 		}
 	}
 	pkt := make([]byte, 64)
-	port := uint16(1000 + Filters/2)
+	setUDPHeader(pkt, 1000+Filters/2)
+	return e, pkt
+}
+
+// setUDPHeader writes the three fields the fixtures' filters and handlers
+// look at: ethertype IP, protocol UDP, destination port.
+func setUDPHeader(pkt []byte, port uint16) {
 	pkt[12], pkt[13] = 0x08, 0x00
 	pkt[23] = 17
 	pkt[36], pkt[37] = byte(port>>8), byte(port)
-	return e, pkt
 }
 
 // DPFTrieWalk measures one Demux through the discrimination trie with
@@ -190,9 +195,7 @@ func NewHeaderCheckProgram() *vcode.Program {
 // accepts, in a memory of its own at the address the program expects.
 func NewHeaderCheckPacket() *vcode.FlatMem {
 	mem := vcode.NewFlatMem(0x1000, HandlerBytes)
-	mem.Data[12], mem.Data[13] = 0x08, 0x00 // ethertype IP
-	mem.Data[23] = 17                       // protocol UDP
-	mem.Data[36], mem.Data[37] = 1000>>8, 1000&0xff
+	setUDPHeader(mem.Data, 1000)
 	return mem
 }
 
@@ -481,9 +484,7 @@ func newPacketPathWorld(an2 bool) *packetPathWorld {
 	k := aegis.NewKernel("srv", eng, prof)
 
 	w.req = make([]byte, HandlerBytes)
-	w.req[12], w.req[13] = 0x08, 0x00 // ethertype IP
-	w.req[23] = 17                    // protocol UDP
-	w.req[36], w.req[37] = 1000>>8, 1000&0xff
+	setUDPHeader(w.req, 1000)
 	var bind *aegis.Binding
 	var err error
 	if an2 {

@@ -464,9 +464,11 @@ var streamShapes = []streamShape{
 	}},
 }
 
+// strHead is the pc of the loop's load in streamProgram's programs.
+const strHead = 2
+
 // streamProgram assembles the engine: guard, index from i0, the loop, ret.
-// It returns the program and the pc of the loop's load.
-func streamProgram(sh streamShape, i0 uint32) (*vcode.Program, int) {
+func streamProgram(sh streamShape, i0 uint32) *vcode.Program {
 	ins := []vcode.Insn{
 		{Op: vcode.OpBeq, Rs: strLen, Rt: vcode.RZero},
 		insn(vcode.OpMovI, strIdx, 0, 0, int32(i0)),
@@ -477,9 +479,9 @@ func streamProgram(sh streamShape, i0 uint32) (*vcode.Program, int) {
 		ins = append(ins, insn(vcode.OpSt32X, sh.out, strDst, strIdx, 0))
 	}
 	ins = append(ins, insn(vcode.OpAddIU, strIdx, strIdx, 0, 4),
-		vcode.Insn{Op: vcode.OpBltU, Rs: strIdx, Rt: strLen, Target: 2}, vcode.Insn{Op: vcode.OpRet})
+		vcode.Insn{Op: vcode.OpBltU, Rs: strIdx, Rt: strLen, Target: strHead}, vcode.Insn{Op: vcode.OpRet})
 	ins[0].Target = len(ins) - 1
-	return &vcode.Program{Name: "stream " + sh.name, Insns: ins}, 2
+	return &vcode.Program{Name: "stream " + sh.name, Insns: ins}
 }
 
 // streamRun is where one run's streams lie, relative to the 16-KiB memory
@@ -582,7 +584,7 @@ func compareStream(t *testing.T, what string, s diffSetup, prog *vcode.Program, 
 func TestStreamMatchesReference(t *testing.T) {
 	for _, sh := range streamShapes {
 		for _, run := range streamRuns {
-			prog, _ := streamProgram(sh, run.i0)
+			prog := streamProgram(sh, run.i0)
 			for _, s := range streamSetups {
 				what := fmt.Sprintf("%s, %s, %s", sh.name, run.name, s.name)
 				streamed := compareStream(t, what, s, prog, run, nil)
@@ -601,7 +603,7 @@ func TestStreamMatchesReference(t *testing.T) {
 	// cycle count up to what the whole run takes.
 	run := streamRun{name: "three lines", src: diffMemBase + 0x108, dst: diffMemBase + 0x2004, n: 48}
 	for _, sh := range streamShapes {
-		prog, _ := streamProgram(sh, 0)
+		prog := streamProgram(sh, 0)
 		whole, _ := streamSides(diffSetup{}, prog, run, nil)
 		if f := whole.m.Run(prog); f != nil {
 			t.Fatal(f)
@@ -622,8 +624,8 @@ func TestStreamMatchesReference(t *testing.T) {
 // checksum-and-copy, all but the prologue, the first iteration and the ret
 // is the executor's.
 func TestStreamSegmentShare(t *testing.T) {
-	prog, _ := streamProgram(streamShapes[2], 0)
-	got, _ := streamSides(diffSetup{}, prog, streamRuns[1], nil)
+	prog := streamProgram(streamShape{mid: []vcode.Insn{insn(vcode.OpCksum32, 10, strWord, 0, 0)}, out: strWord}, 0)
+	got, _ := streamSides(diffSetup{}, prog, streamRun{src: diffMemBase + 0x40, dst: diffMemBase + 0x2040, n: 3072}, nil)
 	if f := got.m.Run(prog); f != nil {
 		t.Fatal(f)
 	}
@@ -642,13 +644,13 @@ func TestStreamMisses(t *testing.T) {
 	}
 	// Offsets from the loop's load in body()'s program.
 	const ld, st, adv, br = 0, 2, 3, 4
-	edit := func(at int, f func(*vcode.Insn)) func(*vcode.Program, int) {
-		return func(p *vcode.Program, head int) { f(&p.Insns[head+at]) }
+	edit := func(at int, f func(*vcode.Insn)) func(*vcode.Program) {
+		return func(p *vcode.Program) { f(&p.Insns[strHead+at]) }
 	}
 	misses := []struct {
 		name  string
 		shape streamShape
-		edit  func(p *vcode.Program, head int)
+		edit  func(p *vcode.Program)
 	}{
 		{name: "body writes the index", shape: body(insn(vcode.OpAddIU, strIdx, strIdx, 0, 0))},
 		{name: "body writes the bound", shape: body(insn(vcode.OpOrI, strLen, strLen, 0, 0))},
@@ -677,9 +679,9 @@ func TestStreamMisses(t *testing.T) {
 	}
 	run := streamRun{src: diffMemBase + 0x100, dst: diffMemBase + 0x2000, n: 256}
 	for _, miss := range misses {
-		prog, head := streamProgram(miss.shape, 0)
+		prog := streamProgram(miss.shape, 0)
 		if miss.edit != nil {
-			miss.edit(prog, head)
+			miss.edit(prog)
 		}
 		for _, s := range []diffSetup{{insnBudget: 4000}, {insnBudget: 4000, noCache: true, pcCounts: true}} {
 			if streamed := compareStream(t, miss.name, s, prog, run, nil); streamed != 0 {
@@ -697,8 +699,8 @@ func TestStreamMisses(t *testing.T) {
 func TestStreamEnteredMidBody(t *testing.T) {
 	run := streamRun{src: diffMemBase + 0x100, dst: diffMemBase + 0x2000, n: 256}
 	for _, sh := range streamShapes {
-		whole, head := streamProgram(sh, 0)
-		for entry := head + 1; entry < len(whole.Insns)-1; entry++ {
+		whole := streamProgram(sh, 0)
+		for entry := strHead + 1; entry < len(whole.Insns)-1; entry++ {
 			prog := whole.Clone()
 			prog.Insns[0] = vcode.Insn{Op: vcode.OpJmp, Target: entry} // idx is whatever attach left in r8
 			prog.Insns[1] = vcode.Insn{Op: vcode.OpNop}
@@ -742,7 +744,7 @@ func FuzzStreamMatchesReference(f *testing.F) {
 		for len(data) > 0 {
 			warm = append(warm, diffMemBase+16*(next()%(diffMemSize/16)))
 		}
-		prog, _ := streamProgram(sh, run.i0)
+		prog := streamProgram(sh, run.i0)
 		compareStream(t, sh.name, s, prog, run, warm)
 	})
 }

@@ -61,7 +61,7 @@ func (m *Machine) stream(code []Insn, tail int, flat *FlatMem, cache *mach.Cache
 		a == i || w == a || w == i || w == n {
 		return insnsLeft, cyclesLeft
 	}
-	mid, b := code[head+1:tail-1], a
+	mid, b := code[head+1:tail-1], a // without a store, b is a: nothing more to check
 	var st *Insn
 	if last := len(mid) - 1; last >= 0 && mid[last].Op == OpSt32X {
 		st, mid = &mid[last], mid[:last]
