@@ -16,6 +16,7 @@ import (
 	"ashs"
 	"ashs/internal/crl"
 	"ashs/internal/proto/link"
+	"ashs/internal/vcode"
 )
 
 const vc = 9
@@ -63,8 +64,8 @@ func measure(nprocs int, useASH bool) float64 {
 			counter := p.AS.MustAlloc(64, "counter")
 			for i := 0; i < warmup+iters; i++ {
 				f := ep.Recv(false)
-				v, _ := p.AS.Load32(counter.Base)
-				_ = p.AS.Store32(counter.Base, v+f.U32(0))
+				v, _ := vcode.Load32(p.AS, counter.Base)
+				_ = vcode.Store32(p.AS, counter.Base, v+f.U32(0))
 				reply := make([]byte, 4)
 				ep.Release(f)
 				ep.Send(ashs.LinkAddr{Port: f.Entry.Src, VC: vc}, reply)

@@ -18,7 +18,7 @@ type Segment struct {
 
 // Contains reports whether [addr, addr+n) lies inside the segment.
 func (s Segment) Contains(addr uint32, n int) bool {
-	return addr >= s.Base && uint64(addr)+uint64(n) <= uint64(s.Base)+uint64(s.Len)
+	return n >= 0 && addr >= s.Base && uint64(addr)+uint64(n) <= uint64(s.Base)+uint64(s.Len)
 }
 
 // AddrSpace is a process's addressing context. ASHs execute inside it
@@ -71,17 +71,14 @@ func (as *AddrSpace) MustAlloc(n int, name string) Segment {
 // region shared with the kernel).
 func (as *AddrSpace) Map(seg Segment) { as.segs = append(as.segs, seg) }
 
-// Segments returns the mapped segments.
-func (as *AddrSpace) Segments() []Segment { return append([]Segment(nil), as.segs...) }
-
-// find returns the segment containing [addr, addr+n).
-func (as *AddrSpace) find(addr uint32, n int) (Segment, bool) {
+// mapped reports whether one segment holds all of [addr, addr+n).
+func (as *AddrSpace) mapped(addr uint32, n int) bool {
 	for _, s := range as.segs {
 		if s.Contains(addr, n) {
-			return s, true
+			return true
 		}
 	}
-	return Segment{}, false
+	return false
 }
 
 // Unpin marks the page containing addr non-resident (failure injection:
@@ -101,25 +98,19 @@ func (as *AddrSpace) Resident(addr uint32, n int) bool {
 	return true
 }
 
-// check validates an access for protection and residency.
-func (as *AddrSpace) check(addr uint32, n int) error {
-	if _, ok := as.find(addr, n); !ok {
-		return &vcode.Fault{Kind: vcode.FaultBadAddr, Addr: addr,
-			Msg: fmt.Sprintf("address outside %s's address space", as.owner)}
-	}
-	if !as.Resident(addr, n) {
-		return &vcode.Fault{Kind: vcode.FaultBadAddr, Addr: addr,
-			Msg: "non-resident page"}
-	}
-	return nil
-}
-
-// Bytes returns a raw view of [addr, addr+n) for application-level (Go)
-// code. Applications are trusted in this simulation; handlers are not and
-// must go through the vcode.Memory interface below.
+// Bytes lends [addr, addr+n) itself, not a copy, once all of it has passed
+// the protection and residency checks (n = 0 lends nothing and never
+// faults). It is the one way into an address space: application-level Go
+// code calls it by name, handlers reach it as vcode.Memory.
 func (as *AddrSpace) Bytes(addr uint32, n int) ([]byte, error) {
-	if err := as.check(addr, n); err != nil {
-		return nil, err
+	switch {
+	case n == 0:
+		return nil, nil
+	case !as.mapped(addr, n):
+		return nil, &vcode.Fault{Kind: vcode.FaultBadAddr, Addr: addr,
+			Msg: fmt.Sprintf("address outside %s's address space", as.owner)}
+	case !as.Resident(addr, n):
+		return nil, &vcode.Fault{Kind: vcode.FaultBadAddr, Addr: addr, Msg: "non-resident page"}
 	}
 	return as.k.Bytes(addr, n), nil
 }
@@ -133,50 +124,8 @@ func (as *AddrSpace) MustBytes(addr uint32, n int) []byte {
 	return b
 }
 
-// Load32 implements vcode.Memory with protection and residency checks.
-func (as *AddrSpace) Load32(addr uint32) (uint32, error) {
-	if err := as.check(addr, 4); err != nil {
-		return 0, err
-	}
-	return as.k.Mem.Load32(addr)
-}
+// Load implements vcode.Memory.
+func (as *AddrSpace) Load(addr uint32, n int) ([]byte, error) { return as.Bytes(addr, n) }
 
-// Load16 implements vcode.Memory.
-func (as *AddrSpace) Load16(addr uint32) (uint16, error) {
-	if err := as.check(addr, 2); err != nil {
-		return 0, err
-	}
-	return as.k.Mem.Load16(addr)
-}
-
-// Load8 implements vcode.Memory.
-func (as *AddrSpace) Load8(addr uint32) (byte, error) {
-	if err := as.check(addr, 1); err != nil {
-		return 0, err
-	}
-	return as.k.Mem.Load8(addr)
-}
-
-// Store32 implements vcode.Memory.
-func (as *AddrSpace) Store32(addr uint32, v uint32) error {
-	if err := as.check(addr, 4); err != nil {
-		return err
-	}
-	return as.k.Mem.Store32(addr, v)
-}
-
-// Store16 implements vcode.Memory.
-func (as *AddrSpace) Store16(addr uint32, v uint16) error {
-	if err := as.check(addr, 2); err != nil {
-		return err
-	}
-	return as.k.Mem.Store16(addr, v)
-}
-
-// Store8 implements vcode.Memory.
-func (as *AddrSpace) Store8(addr uint32, v byte) error {
-	if err := as.check(addr, 1); err != nil {
-		return err
-	}
-	return as.k.Mem.Store8(addr, v)
-}
+// Store implements vcode.Memory.
+func (as *AddrSpace) Store(addr uint32, n int) ([]byte, error) { return as.Bytes(addr, n) }

@@ -8,6 +8,7 @@ import (
 	"ashs/internal/mach"
 	"ashs/internal/netdev"
 	"ashs/internal/sim"
+	"ashs/internal/vcode"
 )
 
 // dpfFilter matches frames whose first byte equals tag.
@@ -63,15 +64,15 @@ func TestAddrSpaceProtection(t *testing.T) {
 	var seg Segment
 	k.Spawn("app", func(p *Process) {
 		seg = p.AS.MustAlloc(4096, "data")
-		if err := p.AS.Store32(seg.Base+8, 42); err != nil {
+		if err := vcode.Store32(p.AS, seg.Base+8, 42); err != nil {
 			t.Error(err)
 		}
-		v, err := p.AS.Load32(seg.Base + 8)
+		v, err := vcode.Load32(p.AS, seg.Base+8)
 		if err != nil || v != 42 {
 			t.Errorf("load = %d, %v", v, err)
 		}
 		// Outside any segment: fault.
-		if _, err := p.AS.Load32(HostMemBase + HostMemSize - 4); err == nil {
+		if _, err := vcode.Load32(p.AS, HostMemBase+HostMemSize-4); err == nil {
 			t.Error("load outside address space succeeded")
 		}
 	})
@@ -84,14 +85,14 @@ func TestAddrSpaceResidency(t *testing.T) {
 	k.Spawn("app", func(p *Process) {
 		seg := p.AS.MustAlloc(2*PageSize, "data")
 		p.AS.Unpin(seg.Base + PageSize)
-		if _, err := p.AS.Load32(seg.Base); err != nil {
+		if _, err := vcode.Load32(p.AS, seg.Base); err != nil {
 			t.Error("resident page faulted")
 		}
-		if _, err := p.AS.Load32(seg.Base + PageSize); err == nil {
+		if _, err := vcode.Load32(p.AS, seg.Base+PageSize); err == nil {
 			t.Error("non-resident page loaded")
 		}
 		p.AS.Pin(seg.Base + PageSize)
-		if _, err := p.AS.Load32(seg.Base + PageSize); err != nil {
+		if _, err := vcode.Load32(p.AS, seg.Base+PageSize); err != nil {
 			t.Error("re-pinned page faulted")
 		}
 	})

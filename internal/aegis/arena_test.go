@@ -40,16 +40,16 @@ func TestArenaBrkIsTheLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	above := base + 64 // == brk: the first unallocated byte
-	if err := k.Mem.Store32(above-4, 7); err != nil {
+	if err := vcode.Store32(k.Mem, above-4, 7); err != nil {
 		t.Fatalf("store to the last allocated word: %v", err)
 	}
-	if _, err := k.Mem.Load32(above); !isBadAddr(err) {
+	if _, err := vcode.Load32(k.Mem, above); !isBadAddr(err) {
 		t.Errorf("Load32 just above brk: %v, want FaultBadAddr", err)
 	}
-	if err := k.Mem.Store32(above, 1); !isBadAddr(err) {
+	if err := vcode.Store32(k.Mem, above, 1); !isBadAddr(err) {
 		t.Errorf("Store32 just above brk: %v, want FaultBadAddr", err)
 	}
-	if _, err := k.Mem.Load32(above - 2); !isBadAddr(err) {
+	if _, err := vcode.Load32(k.Mem, above-2); !isBadAddr(err) {
 		t.Errorf("Load32 straddling brk: %v, want FaultBadAddr", err)
 	}
 	for _, view := range []struct {
@@ -72,17 +72,17 @@ func TestArenaBrkIsTheLimit(t *testing.T) {
 	if _, err := k.AllocPhys(64, "second"); err != nil {
 		t.Fatal(err)
 	}
-	if err := k.Mem.Store32(above, 0xfeedface); err != nil {
+	if err := vcode.Store32(k.Mem, above, 0xfeedface); err != nil {
 		t.Errorf("Store32 at the old brk after AllocPhys: %v", err)
 	}
-	if v, err := k.Mem.Load32(above); err != nil || v != 0xfeedface {
+	if v, err := vcode.Load32(k.Mem, above); err != nil || v != 0xfeedface {
 		t.Errorf("Load32 at the old brk after AllocPhys: %#x, %v", v, err)
 	}
 	if b := k.Bytes(above, 4); b[0] != 0xfe || cap(b) != 4 {
 		t.Errorf("Bytes at the old brk after AllocPhys: % x cap %d", b, cap(b))
 	}
-	if v, _ := k.Mem.Load8(base); v != 0xAB {
-		t.Errorf("a Bytes slice taken before AllocPhys no longer aliases memory (read %#x)", v)
+	if v, err := k.Mem.Load(base, 1); err != nil || v[0] != 0xAB {
+		t.Errorf("a Bytes slice taken before AllocPhys no longer aliases memory (read %#x, %v)", v, err)
 	}
 	if k.MemSize() != HostMemSize {
 		t.Errorf("MemSize %d, want %d", k.MemSize(), HostMemSize)
@@ -112,9 +112,12 @@ func TestArenaReuseIsClean(t *testing.T) {
 		b[i] = 0xFF
 	}
 	last := HostMemBase + uint32(prefix)
-	if k.Mem.Store32(last-4, 0xdeadbeef) != nil || k.Mem.Store16(last-6, 0xbeef) != nil || k.Mem.Store8(HostMemBase, 0x5A) != nil {
+	half, err1 := k.Mem.Store(last-6, 2)
+	one, err2 := k.Mem.Store(HostMemBase, 1)
+	if vcode.Store32(k.Mem, last-4, 0xdeadbeef) != nil || err1 != nil || err2 != nil {
 		t.Fatal("store inside the allocated prefix failed")
 	}
+	half[0], half[1], one[0] = 0xbe, 0xef, 0x5A
 	first := &k.arena[:1][0]
 
 	before := ArenaStats()
@@ -157,10 +160,10 @@ func TestArenaUseAfterClose(t *testing.T) {
 	if k.Mem.Data != nil || k.MemSize() != 0 {
 		t.Errorf("closed host still has Data len %d, MemSize %d", len(k.Mem.Data), k.MemSize())
 	}
-	if _, err := k.Mem.Load32(base); !isBadAddr(err) {
+	if _, err := vcode.Load32(k.Mem, base); !isBadAddr(err) {
 		t.Errorf("Load32 on a closed host: %v, want FaultBadAddr", err)
 	}
-	if err := k.Mem.Store32(base, 1); !isBadAddr(err) {
+	if err := vcode.Store32(k.Mem, base, 1); !isBadAddr(err) {
 		t.Errorf("Store32 on a closed host: %v, want FaultBadAddr", err)
 	}
 	for what, fn := range map[string]func(){

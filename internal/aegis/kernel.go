@@ -92,7 +92,7 @@ func NewKernel(name string, eng *sim.Engine, prof *mach.Profile) *Kernel {
 // capacity both clamped. Only AllocPhys re-slices it forward — over the
 // same backing array, so every slice Bytes has handed out stays valid — and
 // only Close takes it away. An access above brk therefore fails the bounds
-// checks that exist anyway (FaultBadAddr from the FlatMem accessors, a
+// checks that exist anyway (FaultBadAddr from FlatMem.Load and Store, a
 // panic from Bytes) instead of reading zeros, and Data itself is the
 // record of which bytes the world may have dirtied.
 func NewKernelMem(name string, eng *sim.Engine, prof *mach.Profile, memSize int) *Kernel {
@@ -120,7 +120,7 @@ func (k *Kernel) MemSize() int { return cap(k.arena) }
 
 // Close ends the host: it zeroes the memory the host allocated, returns the
 // arena to the pool and leaves Mem.Data nil, so a later access through the
-// closed kernel faults (FlatMem accessors) or panics (Bytes, AllocPhys)
+// closed kernel faults (FlatMem.Load and Store) or panics (Bytes, AllocPhys)
 // rather than scribbling on whichever world leases the arena next. Slices
 // obtained from Bytes must not be used afterwards either. Close is a
 // performance contract, not an obligation: a kernel never closed is

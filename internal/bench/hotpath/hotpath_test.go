@@ -73,7 +73,7 @@ func TestHandlerProgramShape(t *testing.T) {
 	mem := vcode.NewFlatMem(0x1000, HandlerBytes)
 	want := uint32(0)
 	for j := 0; j < HandlerBytes/4; j++ {
-		if err := mem.Store32(uint32(0x1000+4*j), uint32(j)); err != nil {
+		if err := vcode.Store32(mem, uint32(0x1000+4*j), uint32(j)); err != nil {
 			t.Fatal(err)
 		}
 		want += uint32(j)

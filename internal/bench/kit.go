@@ -11,6 +11,7 @@ import (
 	"ashs/internal/proto/link"
 	"ashs/internal/proto/tcp"
 	"ashs/internal/sim"
+	"ashs/internal/vcode"
 )
 
 // The pair kit: the paper's two-host workloads, each written once. The
@@ -235,8 +236,8 @@ func incrementServer(tb *Testbed, polling bool, iters int) {
 			f := ep.Recv(polling)
 			// Increment: read the amount, bump, build the reply.
 			inc := f.U32(0)
-			v, _ := p.AS.Load32(counter.Base)
-			_ = p.AS.Store32(counter.Base, v+inc)
+			v, _ := vcode.Load32(p.AS, counter.Base)
+			_ = vcode.Store32(p.AS, counter.Base, v+inc)
 			p.Compute(10)
 			reply := make([]byte, 4)
 			ep.Release(f)

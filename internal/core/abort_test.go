@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ashs/internal/aegis"
+	"ashs/internal/pipe"
 	"ashs/internal/sim"
 	"ashs/internal/vcode"
 )
@@ -276,5 +277,162 @@ func TestAbortRollbackProperty(t *testing.T) {
 		if got := owner.AS.MustBytes(e.Addr, e.Len); !bytes.Equal(got, payload) {
 			t.Fatalf("trial %d: fallback message corrupted", trial)
 		}
+	}
+}
+
+// TestZeroLengthTransfersSucceedAnywhere pins what the aggregated checks do
+// with nothing to check: ash_copy and ash_dilp of zero bytes name no byte,
+// so they succeed at any address — and the same calls for one word at those
+// addresses are an involuntary abort.
+func TestZeroLengthTransfersSucceedAnywhere(t *testing.T) {
+	tb := newTestbed(t)
+	owner := tb.k2.Spawn("app", func(p *aegis.Process) {})
+	pl := pipe.NewList(1)
+	if _, _, err := pipe.Cksum(pl); err != nil {
+		t.Fatal(err)
+	}
+	eng, err := pipe.Compile(pl, pipe.Options{Output: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	engID := tb.sys.RegisterEngine(eng)
+
+	const wildSrc, wildDst = 0xdead0000, 0x00000040
+	b := vcode.NewBuilder("nothing-anywhere")
+	n := b.Temp()
+	b.Ld32(n, vcode.RArg0, 0) // the length comes in the message
+	b.MovI(vcode.RArg0, wildSrc-(1<<32))
+	b.MovI(vcode.RArg1, wildDst)
+	b.Mov(vcode.RArg2, n)
+	b.Call("ash_copy")
+	b.MovI(vcode.RArg0, int32(engID))
+	b.MovI(vcode.RArg1, wildSrc-(1<<32))
+	b.MovI(vcode.RArg2, wildDst)
+	b.Mov(vcode.RArg3, n)
+	b.Call("ash_dilp")
+	b.MovI(vcode.RRet, 0)
+	b.Ret()
+	ash := tb.sys.MustDownload(owner, b.MustAssemble(), Options{})
+	sb, _ := tb.a2.BindVC(owner, 4, 8, 4096)
+	ash.Attach(sb)
+
+	tb.a1.KernelSend(tb.a2.Addr(), 4, []byte{0, 0, 0, 0})
+	tb.eng.Run()
+	if ash.InvoluntaryFault != nil || ash.Invocations != 1 || sb.Ring.Len() != 0 {
+		t.Fatalf("zero-length transfers at wild addresses: fault %v, %d invocations, %d messages left to the user",
+			ash.InvoluntaryFault, ash.Invocations, sb.Ring.Len())
+	}
+	tb.a1.KernelSend(tb.a2.Addr(), 4, []byte{0, 0, 0, 4})
+	tb.eng.Run()
+	if f := ash.InvoluntaryFault; f == nil || f.Kind != vcode.FaultBadAddr || f.Addr != wildSrc {
+		t.Fatalf("a one-word copy from %#x: fault %v, want a bad address there", uint32(wildSrc), f)
+	}
+}
+
+// TestStreamedLoopRollsBack: a handler's own copy loop — uninstrumented, so
+// vcode's streaming executor runs it over the journal on the owner's address
+// space — is pre-imaged like any other store. Aborted between two batches,
+// it leaves the destination as it found it.
+func TestStreamedLoopRollsBack(t *testing.T) {
+	tb := newTestbed(t)
+	owner := tb.k2.Spawn("app", func(p *aegis.Process) {})
+	seg := owner.AS.MustAlloc(4096, "data")
+	data := owner.AS.MustBytes(seg.Base, 256)
+	for i := range data {
+		data[i] = byte(i*13 + 5)
+	}
+
+	b := vcode.NewBuilder("copy-loop")
+	dst, idx, w := b.Temp(), b.Temp(), b.Temp()
+	head := b.NewLabel()
+	b.MovI(dst, int32(seg.Base))
+	b.MovI(idx, 0)
+	b.Bind(head)
+	b.Ld32X(w, vcode.RArg0, idx)
+	b.St32X(dst, idx, w)
+	b.AddIU(idx, idx, 4)
+	b.BltU(idx, vcode.RArg1, head)
+	b.MovI(vcode.RRet, 0)
+	b.Ret()
+	ash := tb.sys.MustDownload(owner, b.MustAssemble(), Options{Unsafe: true})
+	sb, _ := tb.a2.BindVC(owner, 4, 8, 4096)
+	ash.Attach(sb)
+	payload := make([]byte, 256)
+	for i := range payload {
+		payload[i] = byte(0xa0 + i)
+	}
+
+	// Enough budget for the first iteration and a batch of streamed ones,
+	// not for the loop.
+	before := bytes.Clone(data)
+	tb.sys.InjectAbort = func(string) (AbortMode, int64) { return AbortBudget, 2 + 4*40 }
+	tb.a1.KernelSend(tb.a2.Addr(), 4, payload)
+	tb.eng.Run()
+	if ash.InvolAborts != 1 || ash.machine.Streamed == 0 {
+		t.Fatalf("InvolAborts = %d, Streamed = %d; want an abort after the executor had run", ash.InvolAborts, ash.machine.Streamed)
+	}
+	if !bytes.Equal(data, before) {
+		t.Fatal("the aborted loop left bytes in the destination")
+	}
+
+	tb.sys.InjectAbort = nil
+	tb.a1.KernelSend(tb.a2.Addr(), 4, payload)
+	tb.eng.Run()
+	if want := int64(4 * (len(payload)/4 - 1)); ash.machine.Streamed != want || !bytes.Equal(data, payload) {
+		t.Fatalf("clean run: Streamed = %d, want %d; copied correctly: %v", ash.machine.Streamed, want, bytes.Equal(data, payload))
+	}
+}
+
+// TestDILPDestinationRollsBack: an engine run by ash_dilp writes its
+// destination through the kernel's memory, not through the handler's, so
+// the call itself has the handler's memory pre-image the range. Aborted
+// after the call returned, the handler leaves the destination untouched.
+func TestDILPDestinationRollsBack(t *testing.T) {
+	tb := newTestbed(t)
+	owner := tb.k2.Spawn("app", func(p *aegis.Process) {})
+	seg := owner.AS.MustAlloc(4096, "data")
+	data := owner.AS.MustBytes(seg.Base, 64)
+	for i := range data {
+		data[i] = byte(i*13 + 5)
+	}
+	before := bytes.Clone(data)
+	pl := pipe.NewList(1)
+	if _, _, err := pipe.Cksum(pl); err != nil {
+		t.Fatal(err)
+	}
+	eng, err := pipe.Compile(pl, pipe.Options{Output: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	engID := tb.sys.RegisterEngine(eng)
+
+	b := vcode.NewBuilder("dilp-then-abort")
+	b.Mov(vcode.RArg3, vcode.RArg1) // length
+	b.Mov(vcode.RArg1, vcode.RArg0) // src: the message
+	b.MovI(vcode.RArg0, int32(engID))
+	b.MovI(vcode.RArg2, int32(seg.Base))
+	b.Call("ash_dilp")
+	const throughTheCall = 5
+	b.MovI(vcode.RRet, 0)
+	b.Ret()
+	ash := tb.sys.MustDownload(owner, b.MustAssemble(), Options{Unsafe: true})
+	sb, _ := tb.a2.BindVC(owner, 4, 8, 4096)
+	ash.Attach(sb)
+	payload := make([]byte, 64)
+	for i := range payload {
+		payload[i] = byte(0xa0 + i)
+	}
+
+	tb.sys.InjectAbort = func(string) (AbortMode, int64) { return AbortBudget, throughTheCall }
+	tb.a1.KernelSend(tb.a2.Addr(), 4, payload)
+	tb.eng.Run()
+	if ash.InvolAborts != 1 || !bytes.Equal(data, before) {
+		t.Fatalf("InvolAborts = %d, destination restored: %v", ash.InvolAborts, bytes.Equal(data, before))
+	}
+	tb.sys.InjectAbort = nil
+	tb.a1.KernelSend(tb.a2.Addr(), 4, payload)
+	tb.eng.Run()
+	if !bytes.Equal(data, payload) {
+		t.Fatal("the unaborted handler did not move the payload: the test above proves nothing")
 	}
 }

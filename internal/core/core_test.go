@@ -124,7 +124,7 @@ func runIncrement(t *testing.T, unsafe bool, iters int) (float64, *ASH, *testbed
 		t.Fatalf("completed %d/%d round trips (last fault: %v)", count, iters, ash.InvoluntaryFault)
 	}
 	// Verify the counter really incremented (control initiation worked).
-	got, err := owner.AS.Load32(counterSeg.Base)
+	got, err := vcode.Load32(owner.AS, counterSeg.Base)
 	if err != nil || got != uint32(iters) {
 		t.Fatalf("counter = %d, %v; want %d", got, err, iters)
 	}

@@ -129,14 +129,14 @@ func (c *Ctx) Straightline(insns, memops int) {
 func (c *Ctx) Load32(addr uint32) (uint32, error) {
 	c.chargeMemOp()
 	c.mc.Charge(c.sys.K.Cache.Load(addr))
-	return c.owner.AS.Load32(addr)
+	return vcode.Load32(c.owner.AS, addr)
 }
 
 // Store32 writes a word to the owner's address space with cache costing.
 func (c *Ctx) Store32(addr uint32, v uint32) error {
 	c.chargeMemOp()
 	c.mc.Charge(c.sys.K.Cache.Store(addr))
-	return c.owner.AS.Store32(addr, v)
+	return vcode.Store32(c.owner.AS, addr, v)
 }
 
 func (c *Ctx) chargeMemOp() {
@@ -148,19 +148,6 @@ func (c *Ctx) chargeMemOp() {
 // Send transmits a message from the handler (kernel level for ASHs, via
 // the system call interface for upcalls — the context knows which).
 func (c *Ctx) Send(dst, vc int, data []byte) { c.mc.Send(dst, vc, data) }
-
-// TrustedCopy is the aggregated-check bulk copy.
-func (c *Ctx) TrustedCopy(src, dst uint32, n int) error {
-	c.mc.Charge(12)
-	m := vcode.NewMachine(c.sys.K.Prof, c.sys.K.Mem)
-	m.Cache = c.sys.K.Cache
-	a := &ASH{handler: handler{Owner: c.owner, sys: c.sys}}
-	if err := c.sys.trustedCopy(m, a, src, dst, n); err != nil {
-		return err
-	}
-	c.mc.Charge(m.Cycles)
-	return nil
-}
 
 // DILP runs a registered transfer engine over [src, src+n) -> dst,
 // returning the engine's first persistent register (e.g. the checksum

@@ -125,7 +125,7 @@ func TestReoptimizeEndToEnd(t *testing.T) {
 	// five buckets by the same histogram (8 increments per message).
 	var total uint32
 	for k := uint32(0); k < 5; k++ {
-		v, err := owner.AS.Load32(seg.Base + 4*k)
+		v, err := vcode.Load32(owner.AS, seg.Base+4*k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +211,7 @@ func TestChainDisposition(t *testing.T) {
 	good = append(good, 0, 0, 0, 9)
 	tb.a1.KernelSend(tb.a2.Addr(), 7, good)
 	tb.eng.Run()
-	if v, _ := owner.AS.Load32(seg.Base); v != 1 {
+	if v, _ := vcode.Load32(owner.AS, seg.Base); v != 1 {
 		t.Fatalf("counter = %d after accepted message, want 1", v)
 	}
 	if n := sb.Ring.Len(); n != 0 {
@@ -222,7 +222,7 @@ func TestChainDisposition(t *testing.T) {
 	bad = append(bad, 0, 0, 0, 9)
 	tb.a1.KernelSend(tb.a2.Addr(), 7, bad)
 	tb.eng.Run()
-	if v, _ := owner.AS.Load32(seg.Base); v != 1 {
+	if v, _ := vcode.Load32(owner.AS, seg.Base); v != 1 {
 		t.Fatalf("counter = %d after rejected message, want 1 (follower must not run)", v)
 	}
 	if n := sb.Ring.Len(); n != 1 {

@@ -11,7 +11,11 @@ import (
 // "to operating system calls explicitly allowed by the system (such as the
 // network send system call)" proceed; everything else aborts). These are
 // the trusted, aggregated-check services that keep per-reference
-// sandboxing off the bulk-data path.
+// sandboxing off the bulk-data path: each asks the handler's own memory
+// (m.Mem, the journal over the owner's address space) once for a whole
+// range — Load for what it reads, Store for what it writes — which is the
+// protection check, the residency check and the rollback pre-image in one.
+// A zero-length range is lent anywhere.
 
 // syscalls builds the entry-point table for handler a.
 func (s *System) syscalls(a *ASH) map[string]vcode.SyscallFn {
@@ -24,7 +28,7 @@ func (s *System) syscalls(a *ASH) map[string]vcode.SyscallFn {
 			vc := int(m.Regs[vcode.RArg1])
 			addr := m.Regs[vcode.RArg2]
 			n := int(m.Regs[vcode.RArg3])
-			data, err := a.Owner.AS.Bytes(addr, n)
+			data, err := m.Mem.Load(addr, n)
 			if err != nil {
 				return err
 			}
@@ -41,7 +45,19 @@ func (s *System) syscalls(a *ASH) map[string]vcode.SyscallFn {
 			dst := m.Regs[vcode.RArg1]
 			n := int(m.Regs[vcode.RArg2])
 			m.Charge(12) // aggregated access check
-			return s.trustedCopy(m, a, src, dst, n)
+			from, err := m.Mem.Load(src, n)
+			if err != nil {
+				return err
+			}
+			to, err := m.Mem.Store(dst, n)
+			if err != nil {
+				return err
+			}
+			copy(to, from)
+			// The cost of a word-by-word copy loop, without per-reference
+			// sandboxing.
+			m.Charge(m.Cache.CopyRange(src, dst, n) + sim.Time((n+3)/4)*sim.Time(s.K.Prof.LoopOverhead))
+			return nil
 		},
 
 		// ash_dilp(engine, src, dst, len): run a registered integrated
@@ -57,16 +73,13 @@ func (s *System) syscalls(a *ASH) map[string]vcode.SyscallFn {
 			}
 			re := s.engines[id]
 			m.Charge(12) // aggregated access check
-			if err := s.checkRange(a, src, n); err != nil {
+			// The engine itself runs over the kernel's memory; the handler's
+			// memory vouches for both ranges and pre-images dst.
+			if _, err := m.Mem.Load(src, n); err != nil {
 				return err
 			}
-			if err := s.checkRange(a, dst, n); err != nil {
+			if _, err := m.Mem.Store(dst, n); err != nil {
 				return err
-			}
-			if a.journal != nil {
-				// The engine writes dst through the kernel's raw view, so
-				// pre-image the range for involuntary-abort rollback.
-				a.journal.PreImageRange(dst, n)
 			}
 			// Reset persistent registers for a fresh application.
 			for _, r := range re.eng.Prog.Persistent {
@@ -94,7 +107,7 @@ func (s *System) syscalls(a *ASH) map[string]vcode.SyscallFn {
 			if m.Cache != nil {
 				m.Charge(m.Cache.Load(addr))
 			}
-			v, err := s.K.Mem.Load32(addr)
+			v, err := vcode.Load32(s.K.Mem, addr)
 			if err != nil {
 				return err
 			}
@@ -103,34 +116,4 @@ func (s *System) syscalls(a *ASH) map[string]vcode.SyscallFn {
 			return nil
 		},
 	}
-}
-
-// checkRange validates [addr, addr+n) against the owner's address space.
-func (s *System) checkRange(a *ASH, addr uint32, n int) error {
-	if n == 0 {
-		return nil
-	}
-	if _, err := a.Owner.AS.Bytes(addr, n); err != nil {
-		return err
-	}
-	return nil
-}
-
-// trustedCopy moves n bytes at the cost of a word-by-word copy loop but no
-// per-reference sandboxing (the checks were aggregated).
-func (s *System) trustedCopy(m *vcode.Machine, a *ASH, src, dst uint32, n int) error {
-	if err := s.checkRange(a, src, n); err != nil {
-		return err
-	}
-	if err := s.checkRange(a, dst, n); err != nil {
-		return err
-	}
-	if a.journal != nil {
-		// The copy below bypasses the journaled Memory, so pre-image the
-		// destination for involuntary-abort rollback.
-		a.journal.PreImageRange(dst, n)
-	}
-	copy(s.K.Bytes(dst, n), s.K.Bytes(src, n))
-	m.Charge(m.Cache.CopyRange(src, dst, n) + sim.Time((n+3)/4)*sim.Time(s.K.Prof.LoopOverhead))
-	return nil
 }

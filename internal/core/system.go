@@ -280,9 +280,6 @@ func (s *System) Download(owner *aegis.Process, prog *vcode.Program, opts Option
 	// Every store the handler performs goes through an undo journal so an
 	// involuntary abort can roll the owner's memory back bit-for-bit.
 	a.journal = vcode.NewJournal(owner.AS)
-	a.journal.Raw = func(addr uint32, n int) ([]byte, error) {
-		return owner.AS.Bytes(addr, n)
-	}
 	a.machine = vcode.NewMachine(s.K.Prof, a.journal)
 	a.machine.Cache = s.K.Cache
 	a.machine.Syms = s.syscalls(a)

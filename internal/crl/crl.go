@@ -70,8 +70,8 @@ func (n *Node) AddSegment(size int, name string) (int, aegis.Segment, error) {
 	n.segs = append(n.segs, seg)
 	k := n.Sys.K
 	entry := n.tableSeg.Base + uint32(id*8)
-	_ = k.Mem.Store32(entry, seg.Base)
-	_ = k.Mem.Store32(entry+4, uint32(size))
+	_ = vcode.Store32(k.Mem, entry, seg.Base)
+	_ = vcode.Store32(k.Mem, entry+4, uint32(size))
 	return id, seg, nil
 }
 

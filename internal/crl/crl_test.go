@@ -81,7 +81,7 @@ func TestRemoteIncrement(t *testing.T) {
 	if len(reply) != 4 || binary.BigEndian.Uint32(reply) != 7 {
 		t.Fatalf("reply = %v", reply)
 	}
-	if v, _ := w.k2.Mem.Load32(w.node.CounterSeg.Base); v != 7 {
+	if v, _ := vcode.Load32(w.k2.Mem, w.node.CounterSeg.Base); v != 7 {
 		t.Fatalf("counter = %d", v)
 	}
 	if ash.Invocations != 1 || ash.InvoluntaryFault != nil {
@@ -292,7 +292,7 @@ func TestFixedRecordWrite(t *testing.T) {
 		if got := w.k2.Bytes(seg.Base+64, RecordBytes); string(got) != string(record) {
 			t.Fatalf("optimize=%v: wrote %q", optimize, got)
 		}
-		if v, _ := w.k2.Mem.Load32(seg.Base); v != RecordBytes {
+		if v, _ := vcode.Load32(w.k2.Mem, seg.Base); v != RecordBytes {
 			t.Fatalf("optimize=%v: progress word = %d, want %d", optimize, v, RecordBytes)
 		}
 	}

@@ -1,6 +1,8 @@
 package pipe
 
 import (
+	"encoding/binary"
+
 	"ashs/internal/sim"
 	"ashs/internal/vcode"
 )
@@ -22,7 +24,7 @@ func HandIntegrated(m *vcode.Machine, src, dst uint32, n int, withBswap bool) (u
 		} else {
 			cycles += sim.Time(prof.LoadHit)
 		}
-		return m.Mem.Load32(addr)
+		return vcode.Load32(m.Mem, addr)
 	}
 	store := func(addr uint32, v uint32) error {
 		if m.Cache != nil {
@@ -30,7 +32,7 @@ func HandIntegrated(m *vcode.Machine, src, dst uint32, n int, withBswap bool) (u
 		} else {
 			cycles += sim.Time(prof.StoreCycles)
 		}
-		return m.Mem.Store32(addr, v)
+		return vcode.Store32(m.Mem, addr, v)
 	}
 	var acc uint32
 	for off := 0; off < n; off += 4 {
@@ -77,11 +79,11 @@ func LibCksumPass(m *vcode.Machine, addr uint32, n int) (uint32, sim.Time, error
 		} else {
 			cycles += sim.Time(prof.LoadHit)
 		}
-		v, err := m.Mem.Load16(a)
+		b, err := m.Mem.Load(a, 2)
 		if err != nil {
 			return 0, cycles, err
 		}
-		acc = cksumStep(acc, uint32(v))
+		acc = cksumStep(acc, uint32(binary.BigEndian.Uint16(b)))
 		cycles += 2 + sim.Time(prof.LoopOverhead)/2
 	}
 	m.Charge(cycles)

@@ -1,7 +1,9 @@
 package pipe
 
 import (
+	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -241,7 +243,7 @@ func TestCompositionEqualsFunctionComposition(t *testing.T) {
 		n := len(words) * 4
 		m, mem := newEnvQ()
 		for i, w := range words {
-			_ = mem.Store32(srcAddr+uint32(i*4), w)
+			_ = vcode.Store32(mem, srcAddr+uint32(i*4), w)
 		}
 		l := NewList(3)
 		ck, acc, err := Cksum(l)
@@ -267,7 +269,7 @@ func TestCompositionEqualsFunctionComposition(t *testing.T) {
 			wantAcc = cksumStep(wantAcc, w)
 			x := w ^ key
 			s := x<<24 | (x&0xff00)<<8 | (x>>8)&0xff00 | x>>24
-			got, err := mem.Load32(dstAddr + uint32(i*4))
+			got, err := vcode.Load32(mem, dstAddr+uint32(i*4))
 			if err != nil || got != s {
 				return false
 			}
@@ -491,13 +493,13 @@ func TestPipeWithInternalBranch(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, mem := newEnv(t, 32)
-	_ = mem.Store32(srcAddr, 0x42)
-	_ = mem.Store32(srcAddr+4, 0x12345)
+	_ = vcode.Store32(mem, srcAddr, 0x42)
+	_ = vcode.Store32(mem, srcAddr+4, 0x12345)
 	if _, f := e.Run(m, srcAddr, dstAddr, 8); f != nil {
 		t.Fatal(f)
 	}
-	v0, _ := mem.Load32(dstAddr)
-	v1, _ := mem.Load32(dstAddr + 4)
+	v0, _ := vcode.Load32(mem, dstAddr)
+	v1, _ := vcode.Load32(mem, dstAddr+4)
 	if v0 != 0x42 || v1 != 0xff {
 		t.Fatalf("clamp pipe produced %#x, %#x; want 0x42, 0xff", v0, v1)
 	}
@@ -611,6 +613,12 @@ func TestStripedEngineRejectsNon16Multiple(t *testing.T) {
 // the ret, and the executor everything else. Reorder two instructions of
 // the emitted loop and this test, not a profile, says the fast path is
 // gone. The striped engine is unrolled by four and is the documented miss.
+//
+// The executor asks the machine's Memory for both streams whole, so the
+// share is the same over what a downloaded handler runs on — a Journal on
+// an address space — and a stream that crosses the end of its segment is
+// not lent: nothing is streamed, the interpreter faults on the loop's load
+// at the first address outside, and Undo takes back what had been copied.
 func TestCompiledEnginesStream(t *testing.T) {
 	builtins := []struct {
 		name string
@@ -624,6 +632,14 @@ func TestCompiledEnginesStream(t *testing.T) {
 	const n = 256
 	m, mem := newEnv(t, n)
 	fillRandom(mem, srcAddr, 2*n, 1)
+	k := aegis.NewKernelMem("pipe", sim.NewEngine(), m.Prof, 4*n)
+	defer k.Close()
+	as := k.NewAddrSpace("pipe")
+	dst, src := as.MustAlloc(n, "dst"), as.MustAlloc(n, "src") // src last: nothing is mapped past its end
+	copy(k.Bytes(src.Base, n), mem.Data[srcAddr:][:n])
+	journal := vcode.NewJournal(as)
+	jm := vcode.NewMachine(m.Prof, journal)
+	jm.Cache = mach.NewCache(m.Prof)
 	for subset := 0; subset < 1<<len(builtins); subset++ {
 		l := NewList(len(builtins))
 		for i, p := range builtins {
@@ -650,6 +666,32 @@ func TestCompiledEnginesStream(t *testing.T) {
 			if m.Streamed != want {
 				t.Errorf("%s (Output %v): Streamed = %d of %d instructions, want %d\n%s",
 					e.Prog.Name, opts.Output, m.Streamed, m.Insns, want, e.Prog)
+			}
+			if opts.StripedSrc {
+				continue
+			}
+			journal.Reset()
+			if _, f := e.Run(jm, src.Base, dst.Base, n); f != nil {
+				t.Fatalf("%s over a Journal on an AddrSpace: %v", e.Prog.Name, f)
+			}
+			if jm.Streamed != want || jm.Insns != m.Insns {
+				t.Errorf("%s (Output %v) over a Journal on an AddrSpace: Streamed = %d of %d instructions, want %d of %d",
+					e.Prog.Name, opts.Output, jm.Streamed, jm.Insns, want, m.Insns)
+			}
+			if opts.Output && !bytes.Equal(k.Bytes(dst.Base, n), mem.Data[dstAddr:][:n]) {
+				t.Errorf("%s over a Journal on an AddrSpace wrote other bytes than over a FlatMem", e.Prog.Name)
+			}
+
+			before := bytes.Clone(k.Bytes(dst.Base, n))
+			journal.Reset()
+			_, f := e.Run(jm, src.Base+n/2, dst.Base, n)
+			load := slices.IndexFunc(e.Prog.Insns, func(in vcode.Insn) bool { return in.Op == vcode.OpLd32X })
+			if f == nil || f.Kind != vcode.FaultBadAddr || f.Addr != src.Base+n || f.PC != load || jm.Streamed != 0 {
+				t.Errorf("%s, src crossing the end of its segment: fault %v, Streamed %d; want a bad address %#x at pc %d and nothing streamed",
+					e.Prog.Name, f, jm.Streamed, src.Base+n, load)
+			}
+			if journal.Undo(); !bytes.Equal(k.Bytes(dst.Base, n), before) {
+				t.Errorf("%s: Undo after the fault did not restore dst", e.Prog.Name)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package sandbox
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 
 	"ashs/internal/mach"
@@ -87,32 +88,28 @@ type diffVariant struct {
 	msgLen int
 }
 
-// escapeGuard wraps a Memory and latches any access outside [lo, hi).
+// escapeGuard wraps a Memory and latches any request that names a byte
+// outside [lo, hi), whether or not the inner memory goes on to lend it.
 type escapeGuard struct {
 	inner   vcode.Memory
 	lo, hi  uint32
 	escaped bool
 }
 
-func (g *escapeGuard) check(addr uint32) {
-	if addr < g.lo || addr >= g.hi {
+func (g *escapeGuard) check(addr uint32, n int) {
+	if n != 0 && (addr < g.lo || uint64(addr)+uint64(n) > uint64(g.hi)) {
 		g.escaped = true
 	}
 }
-func (g *escapeGuard) Load32(a uint32) (uint32, error) { g.check(a); return g.inner.Load32(a) }
-func (g *escapeGuard) Load16(a uint32) (uint16, error) { g.check(a); return g.inner.Load16(a) }
-func (g *escapeGuard) Load8(a uint32) (byte, error)    { g.check(a); return g.inner.Load8(a) }
-func (g *escapeGuard) Store32(a uint32, v uint32) error {
-	g.check(a)
-	return g.inner.Store32(a, v)
+
+func (g *escapeGuard) Load(addr uint32, n int) ([]byte, error) {
+	g.check(addr, n)
+	return g.inner.Load(addr, n)
 }
-func (g *escapeGuard) Store16(a uint32, v uint16) error {
-	g.check(a)
-	return g.inner.Store16(a, v)
-}
-func (g *escapeGuard) Store8(a uint32, v byte) error {
-	g.check(a)
-	return g.inner.Store8(a, v)
+
+func (g *escapeGuard) Store(addr uint32, n int) ([]byte, error) {
+	g.check(addr, n)
+	return g.inner.Store(addr, n)
 }
 
 // newDiffVariant compiles p under pol and prepares its private machine,
@@ -122,12 +119,14 @@ func newDiffVariant(p *vcode.Program, pol *Policy, cfg *DiffConfig) (*diffVarian
 	if err != nil {
 		return nil, err
 	}
+	// The flat memory starts at address 0: Data[a] is the byte at a. The
+	// harness fills and compares the region a word at a time on Data itself.
 	v := &diffVariant{sp: sp, flat: vcode.NewFlatMem(0, diffMemSize)}
 	for a := uint32(DiffBase); a < DiffLimit; a += 4 {
-		_ = v.flat.Store32(a, a*2654435761)
+		binary.BigEndian.PutUint32(v.flat.Data[a:], a*2654435761)
 	}
 	if cfg.Setup != nil {
-		cfg.Setup(func(addr, val uint32) { _ = v.flat.Store32(addr, val) })
+		cfg.Setup(func(addr, val uint32) { _ = vcode.Store32(v.flat, addr, val) })
 	}
 	v.guard = &escapeGuard{inner: v.flat, lo: DiffBase, hi: DiffLimit}
 	v.m = vcode.NewMachine(mach.DS5000_240(), v.guard)
@@ -158,14 +157,11 @@ func diffSyscalls(v *diffVariant) map[string]vcode.SyscallFn {
 			if err := inRegion(addr, n); err != nil {
 				return err
 			}
-			data := make([]byte, n)
-			for i := range data {
-				data[i], _ = v.flat.Load8(addr + uint32(i))
-			}
+			data, _ := v.flat.Load(addr, n)
 			m.Charge(4)
 			v.sends = append(v.sends, sendRec{
 				dst: int(m.Regs[vcode.RArg0]), vc: int(m.Regs[vcode.RArg1]),
-				data: data,
+				data: append([]byte(nil), data...),
 			})
 			return nil
 		},
@@ -179,9 +175,10 @@ func diffSyscalls(v *diffVariant) map[string]vcode.SyscallFn {
 				return err
 			}
 			m.Charge(12)
-			for i := 0; i < n; i++ {
-				b, _ := v.flat.Load8(src + uint32(i))
-				_ = v.flat.Store8(dst+uint32(i), b)
+			from, _ := v.flat.Load(src, n)
+			to, _ := v.flat.Store(dst, n)
+			for i := range to { // a byte at a time, ascending, where they overlap
+				to[i] = from[i]
 			}
 			return nil
 		},
@@ -191,7 +188,7 @@ func diffSyscalls(v *diffVariant) map[string]vcode.SyscallFn {
 				return &vcode.Fault{Kind: vcode.FaultBadAddr, Addr: off,
 					Msg: "beyond message"}
 			}
-			w, err := v.flat.Load32(DiffBase + off)
+			w, err := vcode.Load32(v.flat, DiffBase+off)
 			if err != nil {
 				return err
 			}
@@ -208,9 +205,7 @@ func (v *diffVariant) round(i int, cfg *DiffConfig) *vcode.Fault {
 	if cfg.Msg != nil {
 		msg = cfg.Msg(i)
 	}
-	for j, b := range msg {
-		_ = v.flat.Store8(DiffBase+uint32(j), b)
-	}
+	copy(v.flat.Data[DiffBase:], msg)
 	v.msgLen = len(msg)
 	v.m.Regs[vcode.RArg0] = DiffBase
 	v.m.Regs[vcode.RArg1] = uint32(len(msg))
@@ -342,9 +337,9 @@ func ThreeWay(p *vcode.Program, prof *reopt.Profile, cfg DiffConfig) (*DiffOutco
 
 	if out.FaultRounds == 0 && !cfg.ConfinementOnly {
 		for a := uint32(DiffBase); a < DiffLimit; a += 4 {
-			v0, _ := vs[0].flat.Load32(a)
+			v0 := binary.BigEndian.Uint32(vs[0].flat.Data[a:])
 			for k := 1; k < 3; k++ {
-				vk, _ := vs[k].flat.Load32(a)
+				vk := binary.BigEndian.Uint32(vs[k].flat.Data[a:])
 				if vk != v0 {
 					return nil, fmt.Errorf("mem[%#x]: naive=%#x %s=%#x\n%s",
 						a, v0, names[k], vk, p)

@@ -156,7 +156,7 @@ func TestOptimizedStillCatchesOutOfRegion(t *testing.T) {
 	if f == nil || f.Kind != vcode.FaultBadAddr {
 		t.Fatalf("fault = %v, want bad address", f)
 	}
-	if v, _ := mem.Load32(0x1080); v != 0 {
+	if v, _ := vcode.Load32(mem, 0x1080); v != 0 {
 		t.Fatal("out-of-region store went through")
 	}
 }

@@ -347,11 +347,11 @@ func trustedCopy(mem *vcode.FlatMem) vcode.SyscallFn {
 		n := m.Regs[vcode.RArg2]
 		m.Charge(12) // aggregated access check at initiation
 		for off := uint32(0); off < n; off += 4 {
-			v, err := mem.Load32(src + off)
+			v, err := vcode.Load32(mem, src+off)
 			if err != nil {
 				return err
 			}
-			if err := mem.Store32(dst+off, v); err != nil {
+			if err := vcode.Store32(mem, dst+off, v); err != nil {
 				return err
 			}
 			m.Charge(8) // uncached load + store + loop, per word
@@ -382,8 +382,8 @@ func TestSandboxOverheadRatioShrinksWithDataSize(t *testing.T) {
 			p := writeProg(n)
 			mem := vcode.NewFlatMem(0x1000, 0x8000)
 			// Message header: destination pointer then length.
-			_ = mem.Store32(0x1000, 0x5000)
-			_ = mem.Store32(0x1004, uint32(n))
+			_ = vcode.Store32(mem, 0x1000, 0x5000)
+			_ = vcode.Store32(mem, 0x1004, uint32(n))
 			m := vcode.NewMachine(mach.DS5000_240(), mem)
 			m.Syms["ash_copy"] = trustedCopy(mem)
 			if !sandboxed {
@@ -503,7 +503,7 @@ func TestRandomProgramsNeverEscape(t *testing.T) {
 		}
 
 		const base, size = 0x1000, 4096
-		guarded := &guardMem{inner: vcode.NewFlatMem(0, 0x10000), lo: base, hi: base + size}
+		guarded := &escapeGuard{inner: vcode.NewFlatMem(0, 0x10000), lo: base, hi: base + size}
 		m := vcode.NewMachine(mach.DS5000_240(), guarded)
 		m.CycleLimit = 200000 // backstop so the test terminates even on bugs
 		sp.Attach(m, base, base+size, 5000)
@@ -542,7 +542,7 @@ func TestZeroRegisterWriteRejected(t *testing.T) {
 	// Why: the same program past the verifier. The check passes at 0x1000
 	// and the load reads 0x3000, outside the attached [0x1000, 0x1100).
 	code, _ := instrumentNaive(p, DefaultPolicy())
-	guarded := &guardMem{inner: vcode.NewFlatMem(0, 0x10000), lo: 0x1000, hi: 0x1100}
+	guarded := &escapeGuard{inner: vcode.NewFlatMem(0, 0x10000), lo: 0x1000, hi: 0x1100}
 	m := vcode.NewMachine(mach.DS5000_240(), guarded)
 	m.SboxBase, m.SboxLimit = guarded.lo, guarded.hi
 	if f := m.Run(&vcode.Program{Name: "r0.unverified", Insns: code}); f != nil {
@@ -551,34 +551,6 @@ func TestZeroRegisterWriteRejected(t *testing.T) {
 	if !guarded.escaped {
 		t.Fatal("the instrumented access stayed inside the region: the clause guards nothing")
 	}
-}
-
-// guardMem wraps a Memory and records accesses outside [lo, hi).
-type guardMem struct {
-	inner   vcode.Memory
-	lo, hi  uint32
-	escaped bool
-}
-
-func (g *guardMem) check(addr uint32) {
-	if addr < g.lo || addr >= g.hi {
-		g.escaped = true
-	}
-}
-func (g *guardMem) Load32(a uint32) (uint32, error) { g.check(a); return g.inner.Load32(a) }
-func (g *guardMem) Load16(a uint32) (uint16, error) { g.check(a); return g.inner.Load16(a) }
-func (g *guardMem) Load8(a uint32) (byte, error)    { g.check(a); return g.inner.Load8(a) }
-func (g *guardMem) Store32(a uint32, v uint32) error {
-	g.check(a)
-	return g.inner.Store32(a, v)
-}
-func (g *guardMem) Store16(a uint32, v uint16) error {
-	g.check(a)
-	return g.inner.Store16(a, v)
-}
-func (g *guardMem) Store8(a uint32, v byte) error {
-	g.check(a)
-	return g.inner.Store8(a, v)
 }
 
 func TestOptimisticExceptionsOmitDivChecks(t *testing.T) {

@@ -120,8 +120,6 @@ const (
 	OpSboxChk   // fault unless rd lies inside the data region
 	OpChkDiv    // fault if rs == 0
 	OpChkBudget // decrement budget by imm; fault if exhausted
-
-	opMax
 )
 
 var opNames = [...]string{
@@ -172,6 +170,18 @@ func (o Op) IsStore() bool {
 // IsIndexed reports whether the op uses rs+rt addressing.
 func (o Op) IsIndexed() bool {
 	return o == OpLd32X || o == OpSt32X || o == OpLd8X || o == OpSt8X
+}
+
+// Width reports how many bytes a load or store moves (0 for any other op);
+// a power of two, so an address is aligned when addr&(width-1) is 0. It is
+// a table because it is inlined into Machine.run's load and store arms,
+// where a second switch cost hotpath.VCODEBranchy a fifth.
+func (o Op) Width() int { return int(opWidth[o]) }
+
+var opWidth = [256]uint8{
+	OpLd32: 4, OpSt32: 4, OpLd32X: 4, OpSt32X: 4,
+	OpLd16: 2, OpSt16: 2,
+	OpLd8: 1, OpSt8: 1, OpLd8X: 1, OpSt8X: 1,
 }
 
 // IsSandboxOp reports whether the op is reserved for sandboxer insertion.

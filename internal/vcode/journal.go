@@ -2,30 +2,28 @@ package vcode
 
 // Journal wraps a Memory with an undo log, giving the kernel the rollback
 // half of the paper's abort discipline: an involuntarily aborted handler
-// must leave no trace, so every store it performed is recorded with the
-// value it overwrote and can be replayed backwards. Loads pass straight
-// through.
+// must leave no trace. Store is the one place anything is lent for writing
+// — a handler's own store, the destination of ash_copy or ash_dilp, the
+// output stream of a streaming loop — so that is where the range's current
+// bytes are copied into the log, before the caller sees the window. Loads
+// pass straight through.
 //
-// Stores that fail (bad address, absent page) record nothing — they never
-// modified memory, and the fault they raise is what triggers the undo.
+// A Store that fails (bad address, absent page) records nothing: nothing was
+// lent, and the fault it raises is what triggers the undo.
 type Journal struct {
 	Mem Memory
 
-	// Raw, when set, gives the journal direct byte access to the
-	// underlying memory so trusted bulk paths (ash_copy, ash_dilp) that
-	// bypass the Memory interface can pre-image their destination ranges
-	// with PreImageRange before writing.
-	Raw func(addr uint32, n int) ([]byte, error)
-
-	entries []journalEntry
+	// pre holds the pre-images back to back, in the order they were taken;
+	// ranges says where each came from. Both keep their capacity across
+	// invocations, so a handler that has run once journals without
+	// allocating.
+	pre    []byte
+	ranges []journalRange
 }
 
-// journalEntry is one overwritten region: old holds the prior bytes and
-// its length selects the store width on undo (1, 2, 4, or raw range).
-type journalEntry struct {
+type journalRange struct {
 	addr uint32
-	old  []byte
-	raw  bool
+	n    int
 }
 
 // NewJournal wraps mem.
@@ -35,82 +33,32 @@ func NewJournal(mem Memory) *Journal {
 
 // Reset discards the log; call it at handler entry so Undo rolls back to
 // exactly the pre-invocation state.
-func (j *Journal) Reset() { j.entries = j.entries[:0] }
+func (j *Journal) Reset() { j.pre, j.ranges = j.pre[:0], j.ranges[:0] }
 
-// Undo replays the log backwards, restoring every journaled region to its
-// pre-invocation bytes, then clears the log.
+// Undo copies the pre-images back, newest first (ranges may overlap: the
+// oldest image of a byte is the pre-invocation one), then clears the log.
 func (j *Journal) Undo() {
-	for i := len(j.entries) - 1; i >= 0; i-- {
-		e := j.entries[i]
-		switch {
-		case e.raw:
-			if j.Raw != nil {
-				if dst, err := j.Raw(e.addr, len(e.old)); err == nil {
-					copy(dst, e.old)
-				}
-			}
-		case len(e.old) == 4:
-			v := uint32(e.old[0]) | uint32(e.old[1])<<8 | uint32(e.old[2])<<16 | uint32(e.old[3])<<24
-			_ = j.Mem.Store32(e.addr, v)
-		case len(e.old) == 2:
-			_ = j.Mem.Store16(e.addr, uint16(e.old[0])|uint16(e.old[1])<<8)
-		default:
-			_ = j.Mem.Store8(e.addr, e.old[0])
+	end := len(j.pre)
+	for i := len(j.ranges) - 1; i >= 0; i-- {
+		r := j.ranges[i]
+		if dst, err := j.Mem.Store(r.addr, r.n); err == nil {
+			copy(dst, j.pre[end-r.n:end])
 		}
+		end -= r.n
 	}
-	j.entries = j.entries[:0]
+	j.Reset()
 }
 
-// PreImageRange records the current contents of [addr, addr+n) so a later
-// Undo restores them. Trusted copy/DILP paths call it once per transfer —
-// the journal's analogue of their aggregated access checks.
-func (j *Journal) PreImageRange(addr uint32, n int) {
-	if n <= 0 || j.Raw == nil {
-		return
+// Load implements Memory.
+func (j *Journal) Load(addr uint32, n int) ([]byte, error) { return j.Mem.Load(addr, n) }
+
+// Store implements Memory, pre-imaging the range it lends.
+func (j *Journal) Store(addr uint32, n int) ([]byte, error) {
+	b, err := j.Mem.Store(addr, n)
+	if err != nil || n == 0 {
+		return b, err
 	}
-	src, err := j.Raw(addr, n)
-	if err != nil {
-		return
-	}
-	j.entries = append(j.entries, journalEntry{
-		addr: addr, old: append([]byte(nil), src...), raw: true,
-	})
-}
-
-// Load32 implements Memory.
-func (j *Journal) Load32(addr uint32) (uint32, error) { return j.Mem.Load32(addr) }
-
-// Load16 implements Memory.
-func (j *Journal) Load16(addr uint32) (uint16, error) { return j.Mem.Load16(addr) }
-
-// Load8 implements Memory.
-func (j *Journal) Load8(addr uint32) (byte, error) { return j.Mem.Load8(addr) }
-
-// Store32 implements Memory, journaling the overwritten word.
-func (j *Journal) Store32(addr uint32, v uint32) error {
-	if old, err := j.Mem.Load32(addr); err == nil {
-		j.entries = append(j.entries, journalEntry{
-			addr: addr,
-			old:  []byte{byte(old), byte(old >> 8), byte(old >> 16), byte(old >> 24)},
-		})
-	}
-	return j.Mem.Store32(addr, v)
-}
-
-// Store16 implements Memory, journaling the overwritten halfword.
-func (j *Journal) Store16(addr uint32, v uint16) error {
-	if old, err := j.Mem.Load16(addr); err == nil {
-		j.entries = append(j.entries, journalEntry{
-			addr: addr, old: []byte{byte(old), byte(old >> 8)},
-		})
-	}
-	return j.Mem.Store16(addr, v)
-}
-
-// Store8 implements Memory, journaling the overwritten byte.
-func (j *Journal) Store8(addr uint32, v byte) error {
-	if old, err := j.Mem.Load8(addr); err == nil {
-		j.entries = append(j.entries, journalEntry{addr: addr, old: []byte{old}})
-	}
-	return j.Mem.Store8(addr, v)
+	j.pre = append(j.pre, b...)
+	j.ranges = append(j.ranges, journalRange{addr, n})
+	return b, nil
 }

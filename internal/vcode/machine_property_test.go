@@ -1,6 +1,8 @@
 package vcode
 
 import (
+	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -153,5 +155,84 @@ func TestMemoryRoundTripWidths(t *testing.T) {
 	}, &quick.Config{MaxCount: 200})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestJournalUndoProperty: whatever was lent for writing — bytes, halfwords,
+// words, bulk ranges, overlapping in any order, some refused — and whatever
+// was written into it, Undo leaves the memory as it was at Reset, bit for
+// bit; and once an invocation has sized the log, the next one journals
+// without allocating.
+func TestJournalUndoProperty(t *testing.T) {
+	const base, size = 0x1000, 1024
+	r := rand.New(rand.NewSource(41))
+	mem := NewFlatMem(base, size)
+	j := NewJournal(mem)
+	type lent struct {
+		addr uint32
+		n    int
+	}
+	invocation := func(stores []lent) {
+		j.Reset()
+		for _, s := range stores {
+			w, err := j.Store(s.addr, s.n)
+			if in := s.addr >= base && uint64(s.addr)+uint64(s.n) <= base+size; (err == nil) != (in || s.n == 0) {
+				t.Fatalf("Store(%#x, %d): %v", s.addr, s.n, err)
+			}
+			for i := range w {
+				w[i] ^= byte(0x80 | i) // never the byte that was there
+			}
+		}
+	}
+	wrote := 0
+	for trial := 0; trial < 200; trial++ {
+		for i := range mem.Data {
+			mem.Data[i] = byte(r.Intn(256))
+		}
+		snapshot := bytes.Clone(mem.Data)
+		stores := make([]lent, 1+r.Intn(40))
+		for i := range stores {
+			n := []int{0, 1, 2, 4, 4, 4, 16, 1 + r.Intn(300)}[r.Intn(8)]
+			// Mostly inside and close together, so that ranges overlap; now
+			// and then off either end.
+			stores[i] = lent{addr: base + uint32(r.Intn(200)), n: n}
+			switch r.Intn(12) {
+			case 0:
+				stores[i].addr = base + size - uint32(r.Intn(n+1))
+			case 1:
+				stores[i].addr = base - 1 - uint32(r.Intn(4))
+			}
+		}
+		invocation(stores)
+		if !bytes.Equal(mem.Data, snapshot) {
+			wrote++
+		}
+		j.Undo()
+		if !bytes.Equal(mem.Data, snapshot) {
+			for i := range snapshot {
+				if mem.Data[i] != snapshot[i] {
+					t.Fatalf("trial %d: byte +%d is %#x after Undo, was %#x (stores %v)", trial, i, mem.Data[i], snapshot[i], stores)
+				}
+			}
+		}
+		// Undo empties the log: after new writes, a second one restores nothing.
+		mem.Data[0] ^= 0xff
+		j.Undo()
+		if mem.Data[0] == snapshot[0] {
+			t.Fatalf("trial %d: a second Undo replayed the log", trial)
+		}
+	}
+	if wrote < 190 {
+		t.Fatalf("only %d of 200 trials changed the memory before Undo", wrote)
+	}
+
+	// The handler's second invocation: same stores, log already sized.
+	stores := []lent{{base, 4}, {base + 2, 2}, {base + 7, 1}, {base + 64, 512}, {base + 4, 4}, {base + size, 4}}
+	invocation(stores)
+	if allocs := testing.AllocsPerRun(100, func() { invocation(stores[:5]) }); allocs != 0 {
+		t.Errorf("an invocation after Reset allocates %v times, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { invocation(stores[:5]); j.Undo() }); allocs != 0 {
+		t.Errorf("an aborted invocation allocates %v times, want 0", allocs)
 	}
 }

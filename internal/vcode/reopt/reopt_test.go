@@ -276,23 +276,23 @@ func TestFuseChainSemantics(t *testing.T) {
 
 	// Accepted message: head passes, follower bumps the counter, RRet=0.
 	mem := vcode.NewFlatMem(0, 0x1000)
-	_ = mem.Store32(0x100, 99)
+	_ = vcode.Store32(mem, 0x100, 99)
 	m := runOn(t, fused, 0x100, mem)
 	if m.Regs[vcode.RRet] != 0 {
 		t.Fatalf("accepted chain returned %d", m.Regs[vcode.RRet])
 	}
-	if v, _ := mem.Load32(counter); v != 1 {
+	if v, _ := vcode.Load32(mem, counter); v != 1 {
 		t.Fatalf("counter = %d after accepted chain, want 1", v)
 	}
 
 	// Rejected message: seam exits with the head's RRet, follower skipped.
 	mem2 := vcode.NewFlatMem(0, 0x1000)
-	_ = mem2.Store32(0x100, 7)
+	_ = vcode.Store32(mem2, 0x100, 7)
 	m2 := runOn(t, fused, 0x100, mem2)
 	if m2.Regs[vcode.RRet] != 1 {
 		t.Fatalf("rejected chain returned %d, want the head's 1", m2.Regs[vcode.RRet])
 	}
-	if v, _ := mem2.Load32(counter); v != 0 {
+	if v, _ := vcode.Load32(mem2, counter); v != 0 {
 		t.Fatalf("follower ran after seam exit: counter = %d", v)
 	}
 }
@@ -319,9 +319,9 @@ func TestFuseChainRestoresArgRegisters(t *testing.T) {
 		t.Fatal(err)
 	}
 	mem := vcode.NewFlatMem(0, 0x10000)
-	_ = mem.Store32(0x300, 0xabcd)
+	_ = vcode.Store32(mem, 0x300, 0xabcd)
 	runOn(t, fused, 0x300, mem)
-	if v, _ := mem.Load32(0x304); v != 0xabcd {
+	if v, _ := vcode.Load32(mem, 0x304); v != 0xabcd {
 		t.Fatalf("follower read through clobbered RArg0: stored %#x", v)
 	}
 }

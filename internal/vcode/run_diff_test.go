@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"ashs/internal/aegis"
 	"ashs/internal/crl"
 	"ashs/internal/mach"
 	"ashs/internal/sandbox"
@@ -25,6 +26,17 @@ const (
 	diffMemSize = 0x4000
 )
 
+// memKind is what the machine's Memory is made of.
+type memKind int
+
+const (
+	memFlat             memKind = iota // a FlatMem at diffMemBase
+	memJournal                         // a Journal over that
+	memAddrSpace                       // an aegis.AddrSpace: one segment, all of a small host's memory
+	memJournalAddrSpace                // a Journal over that: what a downloaded handler runs over
+	numMemKinds
+)
+
 // diffSetup is one machine configuration both sides are built with.
 type diffSetup struct {
 	name       string
@@ -32,9 +44,19 @@ type diffSetup struct {
 	cycleLimit sim.Time
 	softBudget int64
 	pcCounts   bool
-	journal    bool // memory is a Journal over the FlatMem
+	mem        memKind
+	absent     bool // the last page of an AddrSpace memory is not resident
 	noCache    bool
 	cacheBytes int // a smaller cache than the profile's, so that lines of the window conflict
+}
+
+// base is where the setup's memory starts: the tests write their addresses
+// against diffMemBase and add base()-diffMemBase when they load them.
+func (s diffSetup) base() uint32 {
+	if s.mem == memAddrSpace || s.mem == memJournalAddrSpace {
+		return aegis.HostMemBase
+	}
+	return diffMemBase
 }
 
 var diffSetups = []diffSetup{
@@ -44,27 +66,43 @@ var diffSetups = []diffSetup{
 	{name: "CycleLimit", cycleLimit: 333},
 	{name: "SoftBudget", softBudget: 40},
 	{name: "PCCounts", pcCounts: true},
-	{name: "Journal", journal: true},
-	{name: "everything", insnBudget: 5000, cycleLimit: 9000, softBudget: 900, pcCounts: true, journal: true},
+	{name: "Journal", mem: memJournal},
+	{name: "everything", insnBudget: 5000, cycleLimit: 9000, softBudget: 900, pcCounts: true, mem: memJournal},
 }
 
-// diffSide is one of the two machines of a comparison.
+// diffSide is one of the two machines of a comparison. flat is the bytes
+// under whatever the machine's Memory is; journal is that Memory when it is
+// one.
 type diffSide struct {
-	m    *vcode.Machine
-	flat *vcode.FlatMem
+	m       *vcode.Machine
+	flat    *vcode.FlatMem
+	journal *vcode.Journal
 }
 
 func newDiffSide(s diffSetup, codeLen int, seed func(*vcode.FlatMem), attach func(*vcode.Machine)) *diffSide {
-	d := &diffSide{flat: vcode.NewFlatMem(diffMemBase, diffMemSize)}
-	seed(d.flat)
-	var mem vcode.Memory = d.flat
-	if s.journal {
-		mem = vcode.NewJournal(d.flat)
-	}
 	prof := mach.DS5000_240()
 	if s.cacheBytes != 0 {
 		prof = prof.Clone()
 		prof.CacheBytes = s.cacheBytes
+	}
+	d := &diffSide{}
+	var mem vcode.Memory
+	if s.base() == diffMemBase {
+		d.flat = vcode.NewFlatMem(diffMemBase, diffMemSize)
+		mem = d.flat
+	} else {
+		k := aegis.NewKernelMem("diff", sim.NewEngine(), prof, diffMemSize)
+		as := k.NewAddrSpace("diff")
+		as.MustAlloc(diffMemSize, "mem")
+		if s.absent {
+			as.Unpin(aegis.HostMemBase + diffMemSize - 1)
+		}
+		d.flat, mem = k.Mem, as
+	}
+	seed(d.flat)
+	if s.mem == memJournal || s.mem == memJournalAddrSpace {
+		d.journal = vcode.NewJournal(mem)
+		mem = d.journal
 	}
 	d.m = vcode.NewMachine(prof, mem)
 	if !s.noCache {
@@ -128,7 +166,7 @@ func diffSyms(d *diffSide) map[string]vcode.SyscallFn {
 			return nil
 		},
 		"ash_msg_load": func(m *vcode.Machine) error {
-			w, err := d.flat.Load32(crl.LibSegBase + 0x800 + m.Regs[vcode.RArg0])
+			w, err := vcode.Load32(d.flat, crl.LibSegBase+0x800+m.Regs[vcode.RArg0])
 			if err != nil {
 				return err
 			}
@@ -173,7 +211,7 @@ func compare(t *testing.T, what string, got, want *diffSide, prog *vcode.Program
 			gc.Hits, gc.Misses, gc.Stores, wc.Hits, wc.Misses, wc.Stores, prog)
 	}
 	if got.m.Cache != nil {
-		for addr := uint32(diffMemBase); addr < diffMemBase+diffMemSize; addr += 16 {
+		for addr := got.flat.Base; addr < got.flat.Base+diffMemSize; addr += 16 {
 			if g, w := got.m.Cache.Resident(addr), want.m.Cache.Resident(addr); g != w {
 				t.Fatalf("%s: line of %#x resident: %v, reference %v\n%s", what, addr, g, w, prog)
 			}
@@ -368,7 +406,7 @@ func TestRunMatchesReferenceOnLibrary(t *testing.T) {
 			seed := func(f *vcode.FlatMem) {
 				if e.Setup != nil {
 					e.Setup(func(addr, val uint32) {
-						if err := f.Store32(addr, val); err != nil {
+						if err := vcode.Store32(f, addr, val); err != nil {
 							t.Fatal(err)
 						}
 					})
@@ -485,12 +523,14 @@ func streamProgram(sh streamShape, i0 uint32) *vcode.Program {
 }
 
 // streamRun is where one run's streams lie, relative to the 16-KiB memory
-// at diffMemBase. engages: with no budget and a FlatMem the executor must
-// take part of it.
+// at diffMemBase. engages: with no budget the executor takes part of it —
+// and with engages unset none of it: a stream that is going to leave the
+// memory is not lent, and the whole loop is the interpreter's. dstOnly: it
+// is dst that keeps the executor out, so a loop without a store engages.
 type streamRun struct {
-	name            string
-	src, dst, n, i0 uint32
-	engages         bool
+	name             string
+	src, dst, n, i0  uint32
+	engages, dstOnly bool
 }
 
 const strEnd = diffMemBase + diffMemSize
@@ -506,18 +546,19 @@ var streamRuns = []streamRun{
 	{name: "index at the bound", src: diffMemBase + 0x100, dst: diffMemBase + 0x2000, n: 64, i0: 64},
 	{name: "index past the bound", src: diffMemBase + 0x100, dst: diffMemBase + 0x2000, n: 64, i0: 0x100},
 	{name: "src unaligned", src: diffMemBase + 0x102, dst: diffMemBase + 0x2000, n: 64},
-	{name: "dst unaligned", src: diffMemBase + 0x100, dst: diffMemBase + 0x2001, n: 64},
-	{name: "src runs off the end", src: strEnd - 40, dst: diffMemBase + 0x2000, n: 256, engages: true},
-	{name: "dst runs off the end", src: diffMemBase + 0x100, dst: strEnd - 24, n: 256, engages: true},
+	{name: "dst unaligned", src: diffMemBase + 0x100, dst: diffMemBase + 0x2001, n: 64, dstOnly: true},
+	{name: "src runs off the end", src: strEnd - 40, dst: diffMemBase + 0x2000, n: 256},
+	{name: "dst runs off the end", src: diffMemBase + 0x100, dst: strEnd - 24, n: 256, dstOnly: true},
 	{name: "src below memory", src: diffMemBase - 8, dst: diffMemBase + 0x2000, n: 64},
-	{name: "dst below memory", src: diffMemBase + 0x100, dst: diffMemBase - 16, n: 64},
+	{name: "dst below memory", src: diffMemBase + 0x100, dst: diffMemBase - 16, n: 64, dstOnly: true},
 	{name: "src far outside", src: 0x9000, dst: diffMemBase + 0x2000, n: 64},
 	{name: "in place", src: diffMemBase + 0x100, dst: diffMemBase + 0x100, n: 256, engages: true},
 	{name: "dst one word ahead", src: diffMemBase + 0x100, dst: diffMemBase + 0x104, n: 256, engages: true},
 	{name: "dst one word behind", src: diffMemBase + 0x100, dst: diffMemBase + 0xfc, n: 256, engages: true},
 	{name: "dst one line ahead", src: diffMemBase + 0x100, dst: diffMemBase + 0x110, n: 256, engages: true},
 	{name: "dst 1 KiB ahead", src: diffMemBase + 0x104, dst: diffMemBase + 0x508, n: 512, engages: true},
-	{name: "huge bound", src: diffMemBase + 0x3000, dst: diffMemBase + 0x1000, n: 0xfffffff0, engages: true},
+	{name: "huge bound", src: diffMemBase + 0x3000, dst: diffMemBase + 0x1000, n: 0xfffffff0},
+	// One iteration is streamed before the index wraps to 0; the rest runs off the end.
 	{name: "index wraps", src: diffMemBase + 0x3f08, dst: diffMemBase + 0x108, n: 0xffffffff, i0: 0xfffffff8, engages: true},
 }
 
@@ -526,7 +567,10 @@ var streamSetups = []diffSetup{
 	{name: "no cache", noCache: true},
 	{name: "PCCounts", pcCounts: true},
 	{name: "1-KiB cache", cacheBytes: 1024},
-	{name: "Journal", journal: true},
+	{name: "Journal", mem: memJournal},
+	{name: "AddrSpace", mem: memAddrSpace},
+	{name: "Journal over AddrSpace", mem: memJournalAddrSpace, pcCounts: true},
+	{name: "Journal over AddrSpace, last page absent", mem: memJournalAddrSpace, absent: true},
 	{name: "1 insn", insnBudget: 1},
 	{name: "3 insns", insnBudget: 3},
 	{name: "8 insns", insnBudget: 8},
@@ -538,12 +582,20 @@ var streamSetups = []diffSetup{
 	{name: "333 cycles, no cache", cycleLimit: 333, noCache: true},
 	{name: "2000 cycles, PCCounts", cycleLimit: 2000, pcCounts: true},
 	{name: "both limits", insnBudget: 600, cycleLimit: 900, pcCounts: true, cacheBytes: 1024},
+	{name: "both limits, Journal over AddrSpace", insnBudget: 600, cycleLimit: 900, mem: memJournalAddrSpace},
 }
 
 func seedStream(f *vcode.FlatMem) {
 	for i := range f.Data {
 		f.Data[i] = byte(i*7 + i>>8)
 	}
+}
+
+// loadArgs puts the run's streams, moved to where the setup's memory is,
+// and its length in the argument registers.
+func (run streamRun) loadArgs(s diffSetup, m *vcode.Machine) {
+	delta := s.base() - diffMemBase
+	m.Regs[strSrc], m.Regs[strDst], m.Regs[strLen] = run.src+delta, run.dst+delta, run.n
 }
 
 // streamSides builds the two machines of one run: every register holds
@@ -553,10 +605,10 @@ func streamSides(s diffSetup, prog *vcode.Program, run streamRun, warm []uint32)
 		for j := 1; j < vcode.NumRegs; j++ {
 			m.Regs[j] = uint32(j) * 0x9e3779b1
 		}
-		m.Regs[strSrc], m.Regs[strDst], m.Regs[strLen] = run.src, run.dst, run.n
+		run.loadArgs(s, m)
 		for _, addr := range warm {
 			if m.Cache != nil {
-				m.Cache.Warm(addr, 4)
+				m.Cache.Warm(addr+s.base()-diffMemBase, 4)
 			}
 		}
 	}
@@ -564,18 +616,27 @@ func streamSides(s diffSetup, prog *vcode.Program, run streamRun, warm []uint32)
 }
 
 // compareStream runs one case twice (the second run starts from the first
-// one's registers, memory, cache and counts) and reports the instructions
-// the executor ran in the first.
+// one's registers, cache and counts, and from its memory unless that is
+// journaled: then the first run is undone, which must leave the memory as it
+// was seeded, however the run ended) and reports the instructions the
+// executor ran in the first.
 func compareStream(t *testing.T, what string, s diffSetup, prog *vcode.Program, run streamRun, warm []uint32) int64 {
 	t.Helper()
 	got, want := streamSides(s, prog, run, warm)
+	seeded := bytes.Clone(got.flat.Data)
 	compare(t, what, got, want, prog)
 	streamed := got.m.Streamed
 	if streamed < 0 || streamed > got.m.Insns {
 		t.Fatalf("%s: Streamed = %d of %d instructions", what, streamed, got.m.Insns)
 	}
 	for _, d := range []*diffSide{got, want} {
-		d.m.Regs[strSrc], d.m.Regs[strDst], d.m.Regs[strLen] = run.src, run.dst, run.n
+		run.loadArgs(s, d.m)
+		if d.journal != nil {
+			d.journal.Undo()
+			if !bytes.Equal(d.flat.Data, seeded) {
+				t.Fatalf("%s: Undo did not restore the memory\n%s", what, prog)
+			}
+		}
 	}
 	compare(t, what+", second run", got, want, prog)
 	return streamed
@@ -589,11 +650,11 @@ func TestStreamMatchesReference(t *testing.T) {
 				what := fmt.Sprintf("%s, %s, %s", sh.name, run.name, s.name)
 				streamed := compareStream(t, what, s, prog, run, nil)
 				unlimited := s.insnBudget == 0 && s.cycleLimit == 0
-				switch {
-				case s.journal && streamed != 0:
-					t.Fatalf("%s: the executor ran %d instructions over a Journal", what, streamed)
-				case !s.journal && unlimited && run.engages && streamed == 0:
-					t.Fatalf("%s: the executor did not engage\n%s", what, prog)
+				// A source that starts in the absent page faults on the first load.
+				engages := run.engages || run.dstOnly && sh.out == vcode.RZero
+				engages = engages && !(s.absent && run.src >= strEnd-aegis.PageSize)
+				if unlimited && (streamed != 0) != engages {
+					t.Fatalf("%s: the executor ran %d instructions, engages is %v\n%s", what, streamed, engages, prog)
 				}
 			}
 		}
@@ -695,26 +756,40 @@ func TestStreamMisses(t *testing.T) {
 // loop. The match is made on the instructions and the registers as they
 // are when a taken bltu is reached, so how control got there does not
 // matter: the executor engages from the second iteration and the run is
-// the reference's.
+// the reference's. Entered past the load (or the store), an unaligned
+// stream reaches that bltu without having faulted: the executor must leave
+// it to the interpreter, which faults on it.
 func TestStreamEnteredMidBody(t *testing.T) {
-	run := streamRun{src: diffMemBase + 0x100, dst: diffMemBase + 0x2000, n: 256}
+	runs := []streamRun{
+		{name: "aligned", src: diffMemBase + 0x100, dst: diffMemBase + 0x2000, n: 256, engages: true},
+		{name: "src unaligned", src: diffMemBase + 0x101, dst: diffMemBase + 0x2000, n: 256},
+		{name: "dst unaligned", src: diffMemBase + 0x100, dst: diffMemBase + 0x2002, n: 256, dstOnly: true},
+	}
 	for _, sh := range streamShapes {
 		whole := streamProgram(sh, 0)
 		for entry := strHead + 1; entry < len(whole.Insns)-1; entry++ {
 			prog := whole.Clone()
-			prog.Insns[0] = vcode.Insn{Op: vcode.OpJmp, Target: entry} // idx is whatever attach left in r8
-			prog.Insns[1] = vcode.Insn{Op: vcode.OpNop}
-			for _, s := range []diffSetup{{insnBudget: 4000}, {cycleLimit: 700, pcCounts: true}} {
-				compareStream(t, fmt.Sprintf("%s entered at %d", sh.name, entry), s, prog, run, nil)
+			prog.Insns[0] = insn(vcode.OpMovI, strIdx, 0, 0, 8)
+			prog.Insns[1] = vcode.Insn{Op: vcode.OpJmp, Target: entry}
+			for _, run := range runs {
+				for _, s := range []diffSetup{{insnBudget: 4000}, {cycleLimit: 700, pcCounts: true}, {mem: memJournalAddrSpace}} {
+					what := fmt.Sprintf("%s entered at %d, %s", sh.name, entry, run.name)
+					streamed := compareStream(t, what, s, prog, run, nil)
+					if engages := run.engages || run.dstOnly && sh.out == vcode.RZero; (streamed != 0) != engages {
+						t.Fatalf("%s: the executor ran %d instructions, engages is %v\n%s", what, streamed, engages, prog)
+					}
+				}
 			}
 		}
 	}
 }
 
-// FuzzStreamMatchesReference lets the fuzzer place the streams, set the
-// budgets and warm the cache: shape, flags (no cache, PCCounts, 1-KiB
-// cache, huge bound, index start), src, dst, length, instruction budget,
-// cycle limit, then two bytes per warmed line.
+// FuzzStreamMatchesReference lets the fuzzer pick the memory, place the
+// streams, set the budgets and warm the cache: a byte that is shape and
+// memory kind (kind·9 + shape, so the seeds written when FlatMem was the
+// only kind still mean what their names say), flags (no cache, PCCounts,
+// 1-KiB cache, huge bound, last page absent, index start), src, dst,
+// length, instruction budget, cycle limit, then two bytes per warmed line.
 func FuzzStreamMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() uint32 { // big-endian 16 bits, zeros past the end
@@ -729,9 +804,10 @@ func FuzzStreamMatchesReference(f *testing.F) {
 		}
 		head := next()
 		sh, flags := streamShapes[int(head>>8)%len(streamShapes)], head&0xff
+		kind := memKind(int(head>>8) / len(streamShapes) % int(numMemKinds))
 		const span = diffMemSize + 0x40 // from just below memory to just past it
 		run := streamRun{src: diffMemBase - 0x20 + next()%span, dst: diffMemBase - 0x20 + next()%span, n: next() % 0x1400}
-		s := diffSetup{noCache: flags&1 != 0, pcCounts: flags&2 != 0}
+		s := diffSetup{noCache: flags&1 != 0, pcCounts: flags&2 != 0, mem: kind, absent: flags&16 != 0}
 		if flags&4 != 0 {
 			s.cacheBytes = 1024
 		}

@@ -9,9 +9,10 @@ import (
 // RunReference is Machine.Run as it stood before the register-resident
 // loop: every counter and limit read and written through the machine on
 // every instruction, memory reached through the Memory interface only. It
-// is kept verbatim — but for its name and the soft-budget counter, a
-// machine field then and a local now — as the oracle of the differential
-// tests in run_diff_test.go.
+// is kept verbatim — but for its name, the soft-budget counter (a machine
+// field then, a local now) and refLoad/refStore, which stand where the
+// typed Memory accessors were — as the oracle of the differential tests in
+// run_diff_test.go.
 func RunReference(m *Machine, prog *Program) *Fault {
 	m.Cycles = 0
 	m.Insns = 0
@@ -120,18 +121,14 @@ func RunReference(m *Machine, prog *Program) *Fault {
 				if addr&3 != 0 {
 					return fault(FaultUnaligned, pc, addr)
 				}
-				v, err = m.Mem.Load32(addr)
+				v, err = refLoad(m.Mem, addr, 4)
 			case OpLd16:
 				if addr&1 != 0 {
 					return fault(FaultUnaligned, pc, addr)
 				}
-				var v16 uint16
-				v16, err = m.Mem.Load16(addr)
-				v = uint32(v16)
+				v, err = refLoad(m.Mem, addr, 2)
 			default:
-				var v8 byte
-				v8, err = m.Mem.Load8(addr)
-				v = uint32(v8)
+				v, err = refLoad(m.Mem, addr, 1)
 			}
 			if err != nil {
 				return fault(FaultBadAddr, pc, addr)
@@ -154,14 +151,14 @@ func RunReference(m *Machine, prog *Program) *Fault {
 				if addr&3 != 0 {
 					return fault(FaultUnaligned, pc, addr)
 				}
-				err = m.Mem.Store32(addr, val)
+				err = refStore(m.Mem, addr, 4, val)
 			case OpSt16:
 				if addr&1 != 0 {
 					return fault(FaultUnaligned, pc, addr)
 				}
-				err = m.Mem.Store16(addr, uint16(val))
+				err = refStore(m.Mem, addr, 2, val)
 			default:
-				err = m.Mem.Store8(addr, byte(val))
+				err = refStore(m.Mem, addr, 1, val)
 			}
 			if err != nil {
 				return fault(FaultBadAddr, pc, addr)
@@ -255,6 +252,25 @@ func RunReference(m *Machine, prog *Program) *Fault {
 		}
 		pc = next
 	}
+}
+
+// refLoad and refStore are the reference's typed accesses: one request of
+// the access's own width, the value put together a byte at a time.
+func refLoad(mem Memory, addr uint32, n int) (uint32, error) {
+	b, err := mem.Load(addr, n)
+	var v uint32
+	for _, x := range b {
+		v = v<<8 | uint32(x)
+	}
+	return v, err
+}
+
+func refStore(mem Memory, addr uint32, n int, v uint32) error {
+	b, err := mem.Store(addr, n)
+	for i := range b {
+		b[i] = byte(v >> (8 * (len(b) - 1 - i)))
+	}
+	return err
 }
 
 func (m *Machine) loadCost(addr uint32) sim.Time {

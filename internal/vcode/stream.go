@@ -21,36 +21,42 @@ import (
 //	    addiu  i, i, 4
 //	    bltu   i, n, L
 //
-// with w, a and b all different from i and w not a, n or b, over a
-// *FlatMem, stream runs k whole iterations itself: per word a big-endian
-// load into w, the mid ops applied to the machine's own register file, a
-// big-endian store of v and i += 4, in program order, so src and dst may
-// overlap. Cycles are the per-iteration constant times k plus one
-// Cache.CopyRange (LoadRange without a store), which mach defines as the
-// per-word Load/Store sequence run would have issued.
+// with w, a and b all different from i and w not a, n or b, stream runs k
+// whole iterations itself: per word a big-endian load into w, the mid ops
+// applied to the machine's own register file, a big-endian store of v and
+// i += 4, in program order, so src and dst may overlap. Cycles are the
+// per-iteration constant times k plus one Cache.CopyRange (LoadRange
+// without a store), which mach defines as the per-word Load/Store sequence
+// run would have issued.
 //
 // k is clipped so that nothing observable can differ from interpretation:
 // to the trips left (the first k-1 branches are taken, the k-th is
-// re-evaluated by run), to the budgets (insnsLeft/len, and cyclesLeft over
-// a bound on what one iteration can have charged at any budget test, a
-// miss and a store per word) and to the 4-aligned prefix of both streams
-// that lies inside flat.Data. k = 0 changes nothing; every fault and every
-// budget abort is therefore still raised by run, on the same pc with the
-// same counters.
+// re-evaluated by run) and to the budgets (insnsLeft/len, and cyclesLeft
+// over a bound on what one iteration can have charged at any budget test,
+// a miss and a store per word). Then the memory is asked for both streams
+// whole, 4k bytes each: the source with Load, the destination with Store
+// (under a Journal, its pre-image). If either stream is unaligned or is not
+// lent — it leaves the memory, crosses a segment's end, touches an absent
+// page, would wrap the address space — k is 0. k = 0 changes nothing; every
+// fault and every budget abort is therefore still raised by run, on the
+// same pc with the same counters, and a loop that is going to fault is
+// interpreted up to the fault.
 //
 // The match is made on the live instructions at every engagement, in
 // O(loop length), and nothing is kept: there is no state on Program to go
 // stale when the sandboxer rewrites in place or to share between machines.
 // It covers every non-striped engine pipe.Compile emits and the checksum
-// loop of hotpath.NewHandlerProgram. Not matched, and interpreted as
-// before: the striped (unroll-4) engine, loops over Journal or AddrSpace
-// memory, and SFI-instrumented loops (sbox.mask/sbox.chk/chk.budget are
-// not register-only ops).
+// loop of hotpath.NewHandlerProgram, over any Memory. Not matched, and
+// interpreted as before: SFI-instrumented loops (sbox.mask/sbox.chk/
+// chk.budget are not register-only ops) and the striped (unroll-4) engine —
+// which only pipe's tests build: no production path sets
+// pipe.Options.StripedSrc (the TCP fast path leaves striped payloads to the
+// library, costed in link.passCost).
 //
 // It is kept out of line so that run's register allocation is what it was.
 //
 //go:noinline
-func (m *Machine) stream(code []Insn, tail int, flat *FlatMem, cache *mach.Cache, counts []uint64,
+func (m *Machine) stream(code []Insn, tail int, mem Memory, cache *mach.Cache, counts []uint64,
 	insnsLeft int64, cyclesLeft sim.Time) (int64, sim.Time) {
 	// run has checked that head < tail-1 and that code[head] is a ld32x.
 	br := &code[tail]
@@ -110,22 +116,23 @@ func (m *Machine) stream(code []Insn, tail int, flat *FlatMem, cache *mach.Cache
 	r := &m.Regs
 	perIter := int64(tail - head + 1)
 	src, dst := r[a]+r[i], r[b]+r[i]
-	k := min(int64((uint64(r[n])-uint64(r[i])+3)/4), insnsLeft/perIter, flat.words(src))
-	if st != nil {
-		k = min(k, flat.words(dst))
-	}
+	k := min(int64((uint64(r[n])-uint64(r[i])+3)/4), insnsLeft/perIter)
 	if worst > 0 {
 		k = min(k, int64(cyclesLeft/worst))
 	}
-	if k <= 0 {
+	if k <= 0 || (src|dst)&3 != 0 {
 		return insnsLeft, cyclesLeft
 	}
-
 	nbytes := int(4 * k)
-	from := flat.Data[src-flat.Base:][:nbytes]
+	from, err := mem.Load(src, nbytes)
+	if err != nil {
+		return insnsLeft, cyclesLeft
+	}
 	var to []byte
 	if st != nil {
-		to = flat.Data[dst-flat.Base:][:nbytes]
+		if to, err = mem.Store(dst, nbytes); err != nil {
+			return insnsLeft, cyclesLeft
+		}
 	}
 	for off := 0; off < nbytes; off += 4 {
 		r[w] = binary.BigEndian.Uint32(from[off:])

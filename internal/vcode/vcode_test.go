@@ -542,16 +542,16 @@ func TestDisassemblyRendersAllOps(t *testing.T) {
 
 func TestFlatMemBounds(t *testing.T) {
 	mem := NewFlatMem(0x1000, 16)
-	if _, err := mem.Load32(0x100c); err != nil {
+	if _, err := Load32(mem, 0x100c); err != nil {
 		t.Fatal("in-bounds load failed")
 	}
-	if _, err := mem.Load32(0x100e); err == nil {
+	if _, err := Load32(mem, 0x100e); err == nil {
 		t.Fatal("straddling load succeeded")
 	}
-	if _, err := mem.Load8(0xfff); err == nil {
+	if _, err := mem.Load(0xfff, 1); err == nil {
 		t.Fatal("below-base load succeeded")
 	}
-	if err := mem.Store32(0x1010, 1); err == nil {
+	if err := Store32(mem, 0x1010, 1); err == nil {
 		t.Fatal("out-of-bounds store succeeded")
 	}
 }
@@ -560,10 +560,10 @@ func TestFlatMemRoundTrip(t *testing.T) {
 	err := quick.Check(func(off uint8, v uint32) bool {
 		mem := NewFlatMem(0x2000, 1024)
 		addr := 0x2000 + uint32(off)*4
-		if err := mem.Store32(addr, v); err != nil {
+		if err := Store32(mem, addr, v); err != nil {
 			return false
 		}
-		got, err := mem.Load32(addr)
+		got, err := Load32(mem, addr)
 		return err == nil && got == v
 	}, nil)
 	if err != nil {
