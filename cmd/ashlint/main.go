@@ -2,34 +2,17 @@
 // the module: determinism, obsguard, lockdiscipline, allocdiscipline,
 // bufdiscipline.
 //
-// Standalone:
-//
 //	go run ./cmd/ashlint ./...          # whole module
 //	go run ./cmd/ashlint internal/sim   # one package (module-relative)
 //	go run ./cmd/ashlint -list          # describe the analyzers
 //
-// As a go vet tool (same diagnostics, vet's build cache and package
-// loading):
-//
-//	go build -o /tmp/ashlint ./cmd/ashlint
-//	go vet -vettool=/tmp/ashlint ./...
-//
-// Exit status: 0 clean, 1 findings (standalone), 2 findings (vet
-// protocol, which reserves 1 for tool failure).
+// Packages are loaded with internal/lint's own loader. Exit status: 0
+// clean, 1 findings or failure.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/build"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -37,39 +20,7 @@ import (
 	"ashs/internal/lint"
 )
 
-func main() {
-	args := os.Args[1:]
-	// The go vet tool protocol probes the tool before handing it work:
-	// -V=full must print a stable version line for the build cache, and
-	// -flags must enumerate the tool's flags (we expose none to vet).
-	if len(args) == 1 && strings.HasPrefix(args[0], "-V") {
-		fmt.Println(versionLine())
-		return
-	}
-	if len(args) == 1 && args[0] == "-flags" {
-		fmt.Println("[]")
-		return
-	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(vetUnit(args[0]))
-	}
-	os.Exit(standalone(args))
-}
-
-// versionLine mimics the line go expects from a vet tool: the buildID
-// hashes the executable so the vet cache invalidates when the analyzers
-// change.
-func versionLine() string {
-	name := strings.TrimSuffix(filepath.Base(os.Args[0]), ".exe")
-	h := sha256.New()
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			io.Copy(h, f)
-			f.Close()
-		}
-	}
-	return fmt.Sprintf("%s version devel comments-go-here buildID=%x", name, h.Sum(nil)[:16])
-}
+func main() { os.Exit(run(os.Args[1:])) }
 
 // active returns the analyzers whose scope covers importPath.
 func active(importPath string) []*lint.Analyzer {
@@ -82,11 +33,7 @@ func active(importPath string) []*lint.Analyzer {
 	return out
 }
 
-// --------------------------------------------------------------------
-// Standalone mode: load with internal/lint's own loader.
-// --------------------------------------------------------------------
-
-func standalone(args []string) int {
+func run(args []string) int {
 	fs := flag.NewFlagSet("ashlint", flag.ExitOnError)
 	list := fs.Bool("list", false, "describe the analyzers and exit")
 	fs.Usage = func() {
@@ -141,146 +88,3 @@ func standalone(args []string) int {
 	}
 	return exit
 }
-
-// --------------------------------------------------------------------
-// go vet tool protocol: analyze one package unit described by a JSON
-// config, type-checking against the compiler's export data.
-// --------------------------------------------------------------------
-
-// vetConfig is the unit description go vet writes for each package (the
-// fields ashlint consumes; unknown fields are ignored by encoding/json).
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoVersion                 string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-func vetUnit(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ashlint:", err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "ashlint: parsing %s: %v\n", cfgPath, err)
-		return 1
-	}
-	// go vet requires the facts file to exist even though ashlint's
-	// analyzers export no facts.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, []byte{}, 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, "ashlint:", err)
-			return 1
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-	// Test variants ("pkg [pkg.test]", "pkg.test") re-present the same
-	// shipped files plus tests; the analyzers cover shipped code only.
-	if strings.Contains(cfg.ImportPath, " [") || strings.HasSuffix(cfg.ImportPath, ".test") {
-		return 0
-	}
-	analyzers := active(cfg.ImportPath)
-	if len(analyzers) == 0 {
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				return 0
-			}
-			fmt.Fprintln(os.Stderr, "ashlint:", err)
-			return 1
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return 0
-	}
-
-	compiler := cfg.Compiler
-	if compiler == "" {
-		compiler = "gc"
-	}
-	compImp := importer.ForCompiler(fset, compiler, func(path string) (io.ReadCloser, error) {
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	})
-	imp := importerFunc(func(importPath string) (*types.Package, error) {
-		path, ok := cfg.ImportMap[importPath]
-		if !ok {
-			return nil, fmt.Errorf("can't resolve import %q", importPath)
-		}
-		if path == "unsafe" {
-			return types.Unsafe, nil
-		}
-		return compImp.Import(path)
-	})
-
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Scopes:     map[ast.Node]*types.Scope{},
-	}
-	conf := types.Config{
-		Importer:  imp,
-		GoVersion: cfg.GoVersion,
-		Sizes:     types.SizesFor(compiler, build.Default.GOARCH),
-	}
-	tpkg, err := conf.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintln(os.Stderr, "ashlint:", err)
-		return 1
-	}
-
-	pkg := &lint.Package{
-		Path:  cfg.ImportPath,
-		Dir:   cfg.Dir,
-		Fset:  fset,
-		Files: files,
-		Types: tpkg,
-		Info:  info,
-	}
-	diags, err := lint.Run(pkg, analyzers)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	for _, d := range diags {
-		pos := fset.Position(d.Pos)
-		fmt.Fprintf(os.Stderr, "%s:%d:%d: ashlint/%s: %s\n", pos.Filename, pos.Line, pos.Column, d.Analyzer, d.Message)
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
-}
-
-type importerFunc func(string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

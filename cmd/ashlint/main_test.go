@@ -1,25 +1,10 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"ashs/internal/lint"
 )
-
-func TestVersionLine(t *testing.T) {
-	line := versionLine()
-	fields := strings.Fields(line)
-	if len(fields) < 3 || fields[1] != "version" {
-		t.Fatalf("version line %q does not match the go vet tool protocol (<name> version ...)", line)
-	}
-	if !strings.Contains(line, "buildID=") {
-		t.Errorf("version line %q carries no buildID", line)
-	}
-}
 
 func TestActiveFilters(t *testing.T) {
 	if got := active("ashs/internal/proto/tcp"); len(got) != len(lint.All) {
@@ -34,114 +19,16 @@ func TestActiveFilters(t *testing.T) {
 
 // TestStandaloneList exercises the -list path.
 func TestStandaloneList(t *testing.T) {
-	if code := standalone([]string{"-list"}); code != 0 {
+	if code := run([]string{"-list"}); code != 0 {
 		t.Fatalf("ashlint -list exited %d, want 0", code)
 	}
-}
-
-// writeUnit writes a vet unit config plus one source file and returns
-// the cfg path. The source must be self-contained (no imports), so the
-// unit needs no export data.
-func writeUnit(t *testing.T, cfg vetConfig, src string) string {
-	t.Helper()
-	dir := t.TempDir()
-	if src != "" {
-		goFile := filepath.Join(dir, "unit.go")
-		if err := os.WriteFile(goFile, []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		cfg.GoFiles = append(cfg.GoFiles, goFile)
-	}
-	data, err := json.Marshal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgPath := filepath.Join(dir, "vet.cfg")
-	if err := os.WriteFile(cfgPath, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return cfgPath
-}
-
-// TestVetUnit drives the go vet unit-checker protocol end to end on
-// synthetic configs: findings exit 2, clean units exit 0, the facts
-// file is always produced, and test variants are skipped.
-func TestVetUnit(t *testing.T) {
-	const dirty = `package aegis
-
-type space struct{ brk int }
-
-func (s *space) MustAlloc(n int) int { s.brk += n; return s.brk }
-
-func runtimeUse(s *space) int { return s.MustAlloc(64) }
-`
-	const clean = `package aegis
-
-type space struct{ brk int }
-
-func (s *space) MustAlloc(n int) int { s.brk += n; return s.brk }
-
-func NewSpace() int { s := &space{}; return s.MustAlloc(64) }
-`
-	t.Run("findings exit 2", func(t *testing.T) {
-		vetx := filepath.Join(t.TempDir(), "out.vetx")
-		cfgPath := writeUnit(t, vetConfig{ImportPath: "ashs/internal/aegis", VetxOutput: vetx}, dirty)
-		if code := vetUnit(cfgPath); code != 2 {
-			t.Errorf("dirty unit exited %d, want 2", code)
-		}
-		if _, err := os.Stat(vetx); err != nil {
-			t.Errorf("facts file not written: %v", err)
-		}
-	})
-	t.Run("clean exits 0", func(t *testing.T) {
-		cfgPath := writeUnit(t, vetConfig{ImportPath: "ashs/internal/aegis"}, clean)
-		if code := vetUnit(cfgPath); code != 0 {
-			t.Errorf("clean unit exited %d, want 0", code)
-		}
-	})
-	t.Run("test variant skipped", func(t *testing.T) {
-		cfgPath := writeUnit(t, vetConfig{ImportPath: "ashs/internal/aegis [ashs/internal/aegis.test]"}, dirty)
-		if code := vetUnit(cfgPath); code != 0 {
-			t.Errorf("test-variant unit exited %d, want 0 (skipped)", code)
-		}
-	})
-	t.Run("vetx only", func(t *testing.T) {
-		vetx := filepath.Join(t.TempDir(), "only.vetx")
-		cfgPath := writeUnit(t, vetConfig{ImportPath: "ashs/internal/aegis", VetxOnly: true, VetxOutput: vetx}, dirty)
-		if code := vetUnit(cfgPath); code != 0 {
-			t.Errorf("vetx-only unit exited %d, want 0", code)
-		}
-		if _, err := os.Stat(vetx); err != nil {
-			t.Errorf("facts file not written: %v", err)
-		}
-	})
-	t.Run("out of scope skipped", func(t *testing.T) {
-		cfgPath := writeUnit(t, vetConfig{ImportPath: "othermodule/pkg"}, dirty)
-		if code := vetUnit(cfgPath); code != 0 {
-			t.Errorf("out-of-scope unit exited %d, want 0", code)
-		}
-	})
-	t.Run("missing config", func(t *testing.T) {
-		if code := vetUnit(filepath.Join(t.TempDir(), "absent.cfg")); code != 1 {
-			t.Errorf("missing config exited %d, want 1", code)
-		}
-	})
-	t.Run("malformed config", func(t *testing.T) {
-		bad := filepath.Join(t.TempDir(), "bad.cfg")
-		if err := os.WriteFile(bad, []byte("{"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if code := vetUnit(bad); code != 1 {
-			t.Errorf("malformed config exited %d, want 1", code)
-		}
-	})
 }
 
 // TestStandaloneCleanPackage runs the real loader over a package that is
 // in-scope for every analyzer and known clean; this is the same path
 // ci.sh gates with `go run ./cmd/ashlint ./...`.
 func TestStandaloneCleanPackage(t *testing.T) {
-	if code := standalone([]string{"internal/obs"}); code != 0 {
+	if code := run([]string{"internal/obs"}); code != 0 {
 		t.Fatalf("ashlint internal/obs exited %d, want 0 (package should be clean)", code)
 	}
 }

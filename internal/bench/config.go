@@ -9,10 +9,11 @@ import (
 
 // Config carries the cross-cutting experiment parameters that used to be
 // threaded by hand (or, worse, through the package-global Observe hook):
-// workload sizing, observability, fault injection, and parallelism. It is
-// passed explicitly into every Run* entry point and every testbed builder.
-// A nil *Config is valid everywhere and means: full workloads, no
-// observability, no fault injection, default parallelism.
+// workload sizing, observability, and parallelism. It is passed explicitly
+// into every Run* entry point and every testbed builder. A nil *Config is
+// valid everywhere and means: full workloads, no observability, default
+// parallelism. (Fault planes are attached by the experiments that inject
+// faults, to the worlds they build — Testbed.AttachFault.)
 //
 // Configs are cheap values; the runner gives every concurrently executing
 // cell its own copy, so nothing here needs locking.
@@ -28,12 +29,6 @@ type Config struct {
 	// deterministic cell-then-creation order. Returning nil leaves the
 	// testbed unobserved (the hook may still inspect it).
 	Obs func(tb *Testbed) *obs.Plane
-
-	// Fault, when non-nil, is called with every freshly built testbed
-	// after Obs, so a fault plane can be attached to every world an
-	// experiment builds. Note the chaos matrix attaches its own fault
-	// planes on top of whatever this hook does.
-	Fault func(tb *Testbed)
 
 	// Parallel bounds the worker pool executing experiment cells.
 	// Values below 1 select one worker per available CPU. Results are
@@ -61,20 +56,15 @@ func (cfg *Config) note(format string, args ...any) {
 	}
 }
 
-// observe applies the config's per-testbed hooks to a new testbed. Called
-// from the testbed builders; nil-safe.
+// observe applies the config's Obs hook to a new testbed. Called from the
+// testbed builders; nil-safe.
 func (cfg *Config) observe(tb *Testbed) {
-	if cfg == nil {
+	if cfg == nil || cfg.Obs == nil {
 		return
 	}
-	if cfg.Obs != nil {
-		if pl := cfg.Obs(tb); pl != nil {
-			tb.AttachObs(pl)
-			cfg.planes = append(cfg.planes, pl)
-		}
-	}
-	if cfg.Fault != nil {
-		cfg.Fault(tb)
+	if pl := cfg.Obs(tb); pl != nil {
+		tb.AttachObs(pl)
+		cfg.planes = append(cfg.planes, pl)
 	}
 }
 

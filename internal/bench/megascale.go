@@ -41,31 +41,125 @@ import (
 // separately. Worlds are self-contained and deterministic, so output is
 // byte-identical at any -parallel level.
 
-var megaWorkloads = []string{"udp-echo", "tcp-pp", "nfs-read"}
+// megaWorkload is one row of the experiment: everything that differs
+// between the three sweeps, as data.
+type megaWorkload struct {
+	name, desc string
 
-// megascaleNs is the per-workload endpoint sweep. TCP and NFS keep full
-// server-side state per client (connections; resolver entries), so their
-// sweeps stop earlier; udp-echo is the pure-demux ladder that reaches
-// 10^6 installed filters. Quick mode caps the ladders for CI.
-func megascaleNs(cfg *Config, wl string) []int {
-	switch wl {
-	case "udp-echo":
-		if cfg.quick() {
-			return []int{1024, 8192, 65536}
-		}
-		return []int{1024, 8192, 65536, 262144, 1048576}
-	case "tcp-pp":
-		if cfg.quick() {
-			return []int{256, 1024}
-		}
-		return []int{256, 1024, 4096}
-	case "nfs-read":
-		if cfg.quick() {
-			return []int{1024, 8192}
-		}
-		return []int{1024, 8192, 65536}
+	// full and quick are the endpoint ladders (quick caps them for CI). TCP
+	// and NFS keep full server-side state per client (connections; resolver
+	// entries), so their sweeps stop earlier; udp-echo is the pure-demux
+	// ladder that reaches 10^6 installed filters.
+	full, quick []int
+
+	// events sizes the steady-state trace (a quarter of it in quick mode);
+	// eventsPerClient, when set, caps it for small fleets.
+	events, eventsPerClient int
+
+	// waveClients sizes the incast waves: each wave must be drainable
+	// within the fleet's retry span.
+	waveClients int
+
+	// retry is the backoff schedule (Budget counts reply-wait windows; see
+	// flyweight.Config). Windows sit well above each workload's worst
+	// incast tail so a queued-but-alive request is not retransmitted into
+	// the burst that delayed it.
+	retry retry.Policy
+
+	// gapUs is the offered steady-state load, the fleet-wide mean
+	// inter-arrival gap, chosen below the workload's service capacity so
+	// the Poisson phase measures queueing, not collapse. Capacity is
+	// reply-serialization bound on the 10-Mb/s Ethernet (the scale
+	// experiment's measured ceilings). size is the traced message size.
+	gapUs float64
+	size  int
+
+	run func(wl *megaWorkload, cfg *Config, n, events int) MegaResult
+
+	// extra are the columns only this workload has: bucket spread is a
+	// ConnTable property, sheds an admission-control one.
+	extra []megaColumn
+}
+
+// megaColumn is one extra column: six wide, value printed with format.
+type megaColumn struct {
+	name, format string
+	value        func(MegaResult) any
+}
+
+var megaWorkloads = []*megaWorkload{
+	{
+		name:        "udp-echo",
+		desc:        fmt.Sprintf("%d-byte UDP echo, one 3-atom filter + shared ASH per endpoint", megaPayload),
+		full:        []int{1024, 8192, 65536, 262144, 1048576},
+		quick:       []int{1024, 8192, 65536},
+		events:      32768,
+		waveClients: 1024,
+		retry:       retry.Policy{BaseUs: 400_000, Budget: 4},
+		gapUs:       150, // capacity ~10 echoes/ms
+		size:        megaPayload,
+		run:         runMegaUDP,
+	},
+	{
+		name:            "tcp-pp",
+		desc:            fmt.Sprintf("%d-byte TCP ping-pong via fan-in accept + ConnTable", megaPayload),
+		full:            []int{256, 1024, 4096},
+		quick:           []int{256, 1024},
+		events:          32768,
+		eventsPerClient: 8, // ~8 ping-pong rounds per connection
+		waveClients:     1024,
+		retry:           retry.Policy{BaseUs: 800_000, Budget: 6},
+		gapUs:           600, // capacity ~3.6 TCP rounds/ms
+		size:            megaPayload,
+		run:             runMegaTCP,
+		extra: []megaColumn{
+			{"conns", "%6d", func(r MegaResult) any { return r.Conns }},
+			{"spread", "%6.2f", func(r MegaResult) any { return r.Spread }},
+		},
+	},
+	{
+		// The server serves only ~1.1 reads/ms (a 1-KiB read reply alone
+		// serializes for ~870 us), ~9x slower than the echo path: a
+		// shorter trace and half-size waves. The tighter retry window is
+		// the point: shed requests must come back quickly, and the van der
+		// Corput first slot spreads the comeback.
+		name:        "nfs-read",
+		desc:        fmt.Sprintf("%d-byte NFS reads, one socket, ring high-water %d", megaReadBytes, megaNFSHighWater),
+		full:        []int{1024, 8192, 65536},
+		quick:       []int{1024, 8192},
+		events:      8192,
+		waveClients: 512,
+		retry:       retry.Policy{BaseUs: 50_000, CapUs: 800_000, Budget: 10},
+		gapUs:       2500,
+		size:        megaReadBytes,
+		run:         runMegaNFS,
+		extra:       []megaColumn{{"sheds", "%6d", func(r MegaResult) any { return r.Sheds }}},
+	},
+}
+
+// ns is the workload's endpoint sweep.
+func (wl *megaWorkload) ns(cfg *Config) []int {
+	if cfg.quick() {
+		return wl.quick
 	}
-	panic("bench: unknown megascale workload " + wl)
+	return wl.full
+}
+
+// traceEvents sizes the steady-state trace of an n-endpoint cell.
+func (wl *megaWorkload) traceEvents(cfg *Config, n int) int {
+	events := wl.events
+	if wl.eventsPerClient > 0 {
+		events = min(events, wl.eventsPerClient*n)
+	}
+	if cfg.quick() {
+		events /= 4
+	}
+	return events
+}
+
+// cell runs the workload's n-endpoint cell.
+func (wl *megaWorkload) cell(n int, cfg *Config) MegaResult {
+	return wl.run(wl, cfg, n, wl.traceEvents(cfg, n))
 }
 
 const (
@@ -77,16 +171,6 @@ const (
 	megaQuietUs   = 50_000
 	megaWaveGapUs = 500_000
 
-	// Offered steady-state load: fleet-wide mean inter-arrival gaps,
-	// chosen below each workload's service capacity so the Poisson phase
-	// measures queueing, not collapse. Capacity is reply-serialization
-	// bound on the 10-Mb/s Ethernet (the scale experiment's measured
-	// ceilings): ~10 echoes/ms, ~3.6 TCP rounds/ms, and only ~1.1 NFS
-	// reads/ms (a 1-KiB read reply alone serializes for ~870 us).
-	megaUDPGapUs = 150
-	megaTCPGapUs = 600
-	megaNFSGapUs = 2500
-
 	// megaNFSHighWater is the nfsd ring's admission limit: the incast
 	// wave overruns it and the shed-then-retry path must recover.
 	megaNFSHighWater = 96
@@ -95,52 +179,6 @@ const (
 	megaUDPPool      = 64        // echo ASH consumes in the interrupt path
 	megaNFSPool      = 256       // ring holds frames up to the high water
 )
-
-// megaEvents sizes the steady-state trace.
-func megaEvents(cfg *Config, wl string, n int) int {
-	full := 32768
-	switch wl {
-	case "tcp-pp":
-		full = 8 * n // ~8 ping-pong rounds per connection
-		if full > 32768 {
-			full = 32768
-		}
-	case "nfs-read":
-		full = 8192 // NFS service is ~9x slower than the echo path
-	}
-	if cfg.quick() {
-		full /= 4
-	}
-	return full
-}
-
-// megaWaveClients sizes the incast waves: each wave must be drainable
-// within the fleet's retry span, and the NFS server serves ~1.1 req/ms,
-// so its waves are half-size.
-func megaWaveClients(wl string) int {
-	if wl == "nfs-read" {
-		return 512
-	}
-	return 1024
-}
-
-// megaRetry is the per-workload backoff schedule (Budget counts
-// reply-wait windows; see flyweight.Config). Windows sit well above each
-// workload's worst incast tail so a queued-but-alive request is not
-// retransmitted into the burst that delayed it — except NFS, whose
-// tighter window is the point: shed requests must come back quickly, and
-// the van der Corput first slot spreads the comeback.
-func megaRetry(wl string) retry.Policy {
-	switch wl {
-	case "udp-echo":
-		return retry.Policy{BaseUs: 400_000, Budget: 4}
-	case "tcp-pp":
-		return retry.Policy{BaseUs: 800_000, Budget: 6}
-	case "nfs-read":
-		return retry.Policy{BaseUs: 50_000, CapUs: 800_000, Budget: 10}
-	}
-	panic("bench: unknown megascale workload " + wl)
-}
 
 // MegaResult is one (workload, N) cell's measurement.
 type MegaResult struct {
@@ -199,22 +237,15 @@ func megaResolve(w *world, flt *flyweight.Fleet) {
 // megaRun drives the cell's open-loop Poisson trace and incast waves to
 // quiescence and folds the server counters and fleet histograms into the
 // result.
-func megaRun(cfg *Config, w *world, flt *flyweight.Fleet, wl string, n, events int) MegaResult {
-	gapUs, size := float64(megaUDPGapUs), megaPayload
-	switch wl {
-	case "tcp-pp":
-		gapUs = megaTCPGapUs
-	case "nfs-read":
-		gapUs, size = megaNFSGapUs, megaReadBytes
-	}
+func megaRun(cfg *Config, w *world, flt *flyweight.Fleet, wl *megaWorkload, n, events int) MegaResult {
 	tr := workload.Poisson(megaSeed, workload.Spec{
-		Clients: n, Events: events, MeanGapUs: gapUs, Size: size})
-	flt.Run(tr, megaWaves, megaWaveClients(wl), megaQuietUs, megaWaveGapUs)
+		Clients: n, Events: events, MeanGapUs: wl.gapUs, Size: wl.size})
+	flt.Run(tr, megaWaves, wl.waveClients, megaQuietUs, megaWaveGapUs)
 	w.run()
 
 	srv := w.srv()
 	r := MegaResult{
-		Workload: wl, N: n,
+		Workload: wl.name, N: n,
 		Filters: srv.eth.Filters(), TrieDepth: srv.eth.TrieDepth(),
 		Msgs:       flt.Completed(),
 		BytesPerEp: flt.StaticBytesPerEndpoint(),
@@ -229,23 +260,10 @@ func megaRun(cfg *Config, w *world, flt *flyweight.Fleet, wl string, n, events i
 	c := srv.eth.TrieCensus()
 	cfg.note("[megascale %s N=%d server trie: nodes %d (%d free), branches %d (%d free), "+
 		"tables %d, table slots %d (%d used), atoms %d (%d free), ids %d (%d live), %.1f MiB]",
-		wl, n, c.Nodes, c.FreeNodes, c.Branches, c.FreeBranches,
+		wl.name, n, c.Nodes, c.FreeNodes, c.Branches, c.FreeBranches,
 		c.Tables, c.TableSlots, c.TableKids, c.Atoms, c.FreeAtoms, c.IDs, c.LiveIDs,
 		float64(c.Bytes)/(1<<20))
 	return r
-}
-
-func runMegaCell(wl string, n int, cfg *Config) MegaResult {
-	events := megaEvents(cfg, wl, n)
-	switch wl {
-	case "udp-echo":
-		return runMegaUDP(cfg, n, events)
-	case "tcp-pp":
-		return runMegaTCP(cfg, n, events)
-	case "nfs-read":
-		return runMegaNFS(cfg, n, events)
-	}
-	panic("bench: unknown megascale workload " + wl)
 }
 
 // megaSourceFilter is the per-endpoint demux filter of the udp-echo
@@ -265,11 +283,11 @@ func megaSourceFilter(src ip.Addr) *dpf.Filter {
 // closure pins on the heap — so it derives the reply's destination from
 // the frame's provenance (the ring entry's source port) instead of
 // captured state.
-func runMegaUDP(cfg *Config, n, events int) MegaResult {
+func runMegaUDP(wl *megaWorkload, cfg *Config, n, events int) MegaResult {
 	w := newFanIn(fanInServerMem, megaUDPPool, 0, 0, 0)
 	defer w.close()
 	srv := w.srv()
-	flt := megaFleet(w, flyweight.UDPEcho, n, scaleEchoPort, megaRetry("udp-echo"))
+	flt := megaFleet(w, flyweight.UDPEcho, n, scaleEchoPort, wl.retry)
 
 	srv.k.Spawn("echo", func(p *aegis.Process) {
 		// A flyweight's echo request starts with 8 bytes of tag: its
@@ -291,18 +309,18 @@ func runMegaUDP(cfg *Config, n, events int) MegaResult {
 		}
 	})
 
-	return megaRun(cfg, w, flt, "udp-echo", n, events)
+	return megaRun(cfg, w, flt, wl, n, events)
 }
 
 // runMegaTCP: the scale experiment's fan-in accept path (acceptFanIn),
 // served to flyweight FlyConn clients. The server echoes
 // until the client's FIN (flyweights close first), so connection
 // lifetimes follow the trace without the server knowing the schedule.
-func runMegaTCP(cfg *Config, n, events int) MegaResult {
+func runMegaTCP(wl *megaWorkload, cfg *Config, n, events int) MegaResult {
 	w := newFanIn(megaTCPServerMem, 2*n+fanInServerRxSlack, 0, 0, 0)
 	defer w.close()
 	srv := w.srv()
-	flt := megaFleet(w, flyweight.TCPPingPong, n, scaleTCPPort, megaRetry("tcp-pp"))
+	flt := megaFleet(w, flyweight.TCPPingPong, n, scaleTCPPort, wl.retry)
 	megaResolve(w, flt)
 
 	tbl := tcp.NewConnTable(n / 4)
@@ -320,7 +338,7 @@ func runMegaTCP(cfg *Config, n, events int) MegaResult {
 		})
 	}
 
-	r := megaRun(cfg, w, flt, "tcp-pp", n, events)
+	r := megaRun(cfg, w, flt, wl, n, events)
 	r.Conns = peak
 	if peak > 0 && len(peakLoads) > 0 {
 		max := 0
@@ -337,41 +355,33 @@ func runMegaTCP(cfg *Config, n, events int) MegaResult {
 // runMegaNFS: RPC fan-in against one nfsd socket whose ring runs the
 // high-watermark admission plane. The incast waves overrun it; sheds and
 // the fleet's jittered retries are the measurement.
-func runMegaNFS(cfg *Config, n, events int) MegaResult {
+func runMegaNFS(wl *megaWorkload, cfg *Config, n, events int) MegaResult {
 	w := newFanIn(fanInServerMem, megaNFSPool, 0, 0, 0)
 	defer w.close()
-	flt := megaFleet(w, flyweight.NFSRead, n, scaleNFSPort, megaRetry("nfs-read"))
+	flt := megaFleet(w, flyweight.NFSRead, n, scaleNFSPort, wl.retry)
 	megaResolve(w, flt)
 	if fh, _ := w.startNFSD(megaFileBytes, megaNFSHighWater); uint32(fh) != uint32(nfs.RootHandle)+1 {
 		panic("megascale: unexpected NFS file handle")
 	}
-	return megaRun(cfg, w, flt, "nfs-read", n, events)
+	return megaRun(cfg, w, flt, wl, n, events)
 }
 
 // megascaleCells enumerates the sweep, workload-major like scale.
 func megascaleCells(cfg *Config) []Cell {
 	var cells []Cell
 	for _, wl := range megaWorkloads {
-		for _, n := range megascaleNs(cfg, wl) {
-			wl, n := wl, n
+		for _, n := range wl.ns(cfg) {
 			cells = append(cells, Cell{
-				Label: fmt.Sprintf("megascale/%s/N=%d", wl, n),
-				Run:   func(cc *Config) any { return runMegaCell(wl, n, cc) },
+				Label: fmt.Sprintf("megascale/%s/N=%d", wl.name, n),
+				Run:   func(cc *Config) any { return wl.cell(n, cc) },
 			})
 		}
 	}
 	return cells
 }
 
-var megaWorkloadDesc = map[string]string{
-	"udp-echo": fmt.Sprintf("%d-byte UDP echo, one 3-atom filter + shared ASH per endpoint", megaPayload),
-	"tcp-pp":   fmt.Sprintf("%d-byte TCP ping-pong via fan-in accept + ConnTable", megaPayload),
-	"nfs-read": fmt.Sprintf("%d-byte NFS reads, one socket, ring high-water %d", megaReadBytes, megaNFSHighWater),
-}
-
-// renderMegascale formats one table per workload. Column sets differ
-// where the workloads measure different things (bucket spread is a
-// ConnTable property; sheds an admission-control one).
+// renderMegascale formats one table per workload: the common columns, then
+// the workload's own.
 func renderMegascale(cfg *Config, vs []any) string {
 	var b strings.Builder
 	b.WriteString("Megascale: flyweight fan-in, one full server host\n")
@@ -379,28 +389,22 @@ func renderMegascale(cfg *Config, vs []any) string {
 	b.WriteString("   aegis kernel as `scale` — cyc/msg computed identically)\n")
 	idx := 0
 	for _, wl := range megaWorkloads {
-		fmt.Fprintf(&b, "  %s: %s\n", wl, megaWorkloadDesc[wl])
+		fmt.Fprintf(&b, "  %s: %s\n", wl.name, wl.desc)
 		fmt.Fprintf(&b, "    %8s  %8s  %5s  %6s  %9s  %8s  %5s  %8s  %11s  %7s  %5s",
 			"N", "filters", "depth", "msgs", "demux/msg", "cyc/msg", "B/ep",
 			"p99[us]", "incast[us]", "retries", "fail")
-		switch wl {
-		case "tcp-pp":
-			fmt.Fprintf(&b, "  %6s  %6s", "conns", "spread")
-		case "nfs-read":
-			fmt.Fprintf(&b, "  %6s", "sheds")
+		for _, col := range wl.extra {
+			fmt.Fprintf(&b, "  %6s", col.name)
 		}
 		b.WriteByte('\n')
-		for range megascaleNs(cfg, wl) {
+		for range wl.ns(cfg) {
 			r := vs[idx].(MegaResult)
 			idx++
 			fmt.Fprintf(&b, "    %8d  %8d  %5d  %6d  %9.1f  %8.1f  %5d  %8.1f  %11.1f  %7d  %5d",
 				r.N, r.Filters, r.TrieDepth, r.Msgs, r.DemuxPerMsg, r.CycPerMsg,
 				r.BytesPerEp, r.P99Us, r.IncastP99Us, r.Retries, r.Failures)
-			switch wl {
-			case "tcp-pp":
-				fmt.Fprintf(&b, "  %6d  %6.2f", r.Conns, r.Spread)
-			case "nfs-read":
-				fmt.Fprintf(&b, "  %6d", r.Sheds)
+			for _, col := range wl.extra {
+				fmt.Fprintf(&b, "  "+col.format, col.value(r))
 			}
 			b.WriteByte('\n')
 		}

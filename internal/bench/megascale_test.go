@@ -6,14 +6,26 @@ import (
 	"testing"
 )
 
+// megaWL finds a row of the megascale table by name.
+func megaWL(t *testing.T, name string) *megaWorkload {
+	t.Helper()
+	for _, wl := range megaWorkloads {
+		if wl.name == name {
+			return wl
+		}
+	}
+	t.Fatalf("no megascale workload %q", name)
+	return nil
+}
+
 // TestMegascaleSubLinearDemux is the acceptance check on the flyweight
 // sweep's headline claim: multiplying the installed filter count 64x
 // must leave the server's per-message demux cost essentially flat (the
 // trie deepens by zero levels; the walk never touches the width).
 func TestMegascaleSubLinearDemux(t *testing.T) {
 	cfg := &Config{Quick: true}
-	small := runMegaCell("udp-echo", 1024, cfg)
-	big := runMegaCell("udp-echo", 65536, cfg)
+	wl := megaWL(t, "udp-echo")
+	small, big := wl.cell(1024, cfg), wl.cell(65536, cfg)
 
 	if small.Msgs == 0 || big.Msgs == 0 {
 		t.Fatalf("no completed operations: small=%d big=%d", small.Msgs, big.Msgs)
@@ -47,14 +59,14 @@ func TestMegascaleSubLinearDemux(t *testing.T) {
 func TestMegascaleWorkloadsComplete(t *testing.T) {
 	cfg := &Config{Quick: true}
 
-	udp := runMegaCell("udp-echo", 1024, cfg)
-	wantUDP := uint64(megaEvents(cfg, "udp-echo", 1024) + megaWaves*1024)
+	udp := megaWL(t, "udp-echo").cell(1024, cfg)
+	wantUDP := uint64(megaWL(t, "udp-echo").traceEvents(cfg, 1024) + megaWaves*1024)
 	if udp.Failures != 0 || udp.Msgs != wantUDP {
 		t.Errorf("udp-echo: %d/%d ops completed, %d failed", udp.Msgs, wantUDP, udp.Failures)
 	}
 
-	tcp := runMegaCell("tcp-pp", 128, cfg)
-	wantTCP := uint64(megaEvents(cfg, "tcp-pp", 128) + megaWaves*128)
+	tcp := megaWL(t, "tcp-pp").cell(128, cfg)
+	wantTCP := uint64(megaWL(t, "tcp-pp").traceEvents(cfg, 128) + megaWaves*128)
 	if tcp.Failures != 0 || tcp.Msgs != wantTCP {
 		t.Errorf("tcp-pp: %d/%d ops completed, %d failed", tcp.Msgs, wantTCP, tcp.Failures)
 	}
@@ -62,8 +74,8 @@ func TestMegascaleWorkloadsComplete(t *testing.T) {
 		t.Errorf("tcp-pp: no connection-table peak recorded: %+v", tcp)
 	}
 
-	nfs := runMegaCell("nfs-read", 512, cfg)
-	wantNFS := uint64(megaEvents(cfg, "nfs-read", 512) + megaWaves*512)
+	nfs := megaWL(t, "nfs-read").cell(512, cfg)
+	wantNFS := uint64(megaWL(t, "nfs-read").traceEvents(cfg, 512) + megaWaves*512)
 	if nfs.Msgs+nfs.Failures != wantNFS {
 		t.Errorf("nfs-read: %d completed + %d failed != %d arrivals", nfs.Msgs, nfs.Failures, wantNFS)
 	}
@@ -77,10 +89,11 @@ func TestMegascaleWorkloadsComplete(t *testing.T) {
 // -parallel=4: results (and therefore rendered bytes) must match the
 // serial run field for field.
 func TestMegascaleParallelByteIdentical(t *testing.T) {
+	udp, tcp, nfs := megaWL(t, "udp-echo"), megaWL(t, "tcp-pp"), megaWL(t, "nfs-read")
 	cells := []Cell{
-		{Label: "megascale/udp-echo/N=512", Run: func(cc *Config) any { return runMegaCell("udp-echo", 512, cc) }},
-		{Label: "megascale/tcp-pp/N=128", Run: func(cc *Config) any { return runMegaCell("tcp-pp", 128, cc) }},
-		{Label: "megascale/nfs-read/N=256", Run: func(cc *Config) any { return runMegaCell("nfs-read", 256, cc) }},
+		{Label: "megascale/udp-echo/N=512", Run: func(cc *Config) any { return udp.cell(512, cc) }},
+		{Label: "megascale/tcp-pp/N=128", Run: func(cc *Config) any { return tcp.cell(128, cc) }},
+		{Label: "megascale/nfs-read/N=256", Run: func(cc *Config) any { return nfs.cell(256, cc) }},
 	}
 	serial := runCells(&Config{Quick: true, Parallel: 1}, cells)
 	par := runCells(&Config{Quick: true, Parallel: 4}, cells)
@@ -95,8 +108,8 @@ func TestMegascaleRenderShape(t *testing.T) {
 	cfg := &Config{Quick: true}
 	var vs []any
 	for _, wl := range megaWorkloads {
-		for _, n := range megascaleNs(cfg, wl) {
-			vs = append(vs, MegaResult{Workload: wl, N: n, Filters: n, TrieDepth: 3})
+		for _, n := range wl.ns(cfg) {
+			vs = append(vs, MegaResult{Workload: wl.name, N: n, Filters: n, TrieDepth: 3})
 		}
 	}
 	if len(vs) != len(megascaleCells(cfg)) {

@@ -307,9 +307,9 @@ type Testbed struct {
 }
 
 // newTestbed builds the paper's world: two default-sized hosts, "h1" then
-// "h2". The config's Obs/Fault hooks (nil-safe) run before any workload
-// touches the testbed. Fan-in worlds never reach them: the hooks' users
-// read both hosts of a pair.
+// "h2". The config's Obs hook (nil-safe) runs before any workload touches
+// the testbed. Fan-in worlds never reach it: the hook's users read both
+// hosts of a pair.
 func newTestbed(cfg *Config, an2 bool) *Testbed {
 	w := newWorld(an2)
 	tb := &Testbed{world: w, Eng: w.eng, Prof: w.prof, Sw: w.sw}

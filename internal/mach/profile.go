@@ -54,7 +54,6 @@ type Profile struct {
 	DeviceTxSetup       int // program the NIC for a transmit (per packet)
 	DeviceRxService     int // driver work per received packet (incl. software cache flush)
 	KernelPollCycles    int // in-kernel descriptor poll-detect (hardwired kernel path)
-	DemuxPFCycles       int // packet-filter demultiplex decision (DPF, compiled)
 	DemuxVCCycles       int // ATM virtual-circuit demultiplex decision
 	QuantumCycles       int // scheduler time slice
 	ClockTickCycles     int // period of the system clock interrupt ("one tick")
@@ -94,7 +93,6 @@ func DS5000_240() *Profile {
 		DeviceTxSetup:    100,        // 2.5 us: write descriptors to the board
 		DeviceRxService:  100,        // 2.5 us: driver + software cache flush
 		KernelPollCycles: 120,        // 3 us: hardwired kernel poll loop detect
-		DemuxPFCycles:    60,         // 1.5 us: compiled DPF filter
 		DemuxVCCycles:    20,         // 0.5 us: VC index lookup
 		QuantumCycles:    40 * 15625, // 15.625 ms (64 Hz round-robin slice)
 		ClockTickCycles:  40 * 15625, // one clock tick (64 Hz)

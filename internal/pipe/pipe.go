@@ -103,15 +103,6 @@ func (l *List) Lambda(name string, g Gauge, attrs Attr, body func(b *vcode.Build
 	return p, nil
 }
 
-// MustLambda is Lambda that panics on error (for the standard pipes).
-func (l *List) MustLambda(name string, g Gauge, attrs Attr, body func(b *vcode.Builder)) *Pipe {
-	p, err := l.Lambda(name, g, attrs, body)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // validate enforces the pipe shape the compiler can fuse: the first
 // instruction is the only Input32, the last instruction before Ret is the
 // only Output32, and intra-body branches stay inside the body.
@@ -153,10 +144,6 @@ func (p *Pipe) validate() error {
 	}
 	return nil
 }
-
-// PersistentRegs returns the pipe's persistent registers in allocation
-// order (e.g. a checksum accumulator).
-func (p *Pipe) PersistentRegs() []vcode.Reg { return append([]vcode.Reg(nil), p.persist...) }
 
 // Cksum declares the Internet-checksum pipe of the paper's Fig. 2: a
 // 32-bit, commutative, non-modifying pipe that folds each input word into a

@@ -32,9 +32,8 @@ func (a Addr) String() string { return fmt.Sprintf("%d.%d.%d.%d", a[0], a[1], a[
 
 // Protocol numbers.
 const (
-	ProtoICMP = 1
-	ProtoTCP  = 6
-	ProtoUDP  = 17
+	ProtoTCP = 6
+	ProtoUDP = 17
 )
 
 // HeaderLen is the size of a header without options (the library never

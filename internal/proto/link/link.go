@@ -11,8 +11,6 @@
 package link
 
 import (
-	"fmt"
-
 	"ashs/internal/aegis"
 	"ashs/internal/dpf"
 	"ashs/internal/sim"
@@ -239,6 +237,3 @@ func (l *Link) InstallUpcall(u *aegis.Upcall) { l.bind.Upcall = u }
 func (l *Link) Binding() *aegis.Binding { return l.bind }
 
 var _ Endpoint = (*Link)(nil)
-
-// ErrNoEndpoint reports a send to an unresolvable destination.
-var ErrNoEndpoint = fmt.Errorf("link: no route to destination")

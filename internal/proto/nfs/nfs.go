@@ -33,7 +33,6 @@ const (
 	OK         = 0
 	ErrNoEnt   = 2
 	ErrIO      = 5
-	ErrExist   = 17
 	ErrNotDir  = 20
 	ErrFBig    = 27
 	ErrBadProc = 10004

@@ -58,9 +58,6 @@ func (c *FlyConn) State() State { return c.state }
 // Established reports whether the three-way handshake has completed.
 func (c *FlyConn) Established() bool { return c.state == Established }
 
-// PeerClosed reports whether the peer's FIN has been accepted.
-func (c *FlyConn) PeerClosed() bool { return c.peerClosed }
-
 // AllAcked reports whether everything sent has been acknowledged.
 func (c *FlyConn) AllAcked() bool { return c.sndUna == c.sndNxt }
 

@@ -97,10 +97,6 @@ func NewSocket(st *ip.Stack, lp uint16, opts Options) *Socket {
 	return s
 }
 
-// TxAddr exposes the staging buffer so applications can place data
-// directly (in-place sends).
-func (s *Socket) TxAddr() uint32 { return s.txApp.Base }
-
 // SendTo transmits n bytes at addr (in the owner's address space) to
 // dst:port. The checksum traversal, when enabled, is charged against the
 // data's real cache state.
