@@ -29,15 +29,9 @@ echo "== cmd/perfbench module (vet + test)"
 (cd cmd/perfbench && GOWORK=off go vet ./... && GOWORK=off go test ./...)
 
 # ashlint: the custom analyzer suite (determinism, obsguard,
-# lockdiscipline, allocdiscipline — see DESIGN.md §12). Run standalone
-# for module-wide coverage, then through go vet's -vettool protocol so
-# the unit-checker path stays working.
-echo "== ashlint (standalone)"
+# lockdiscipline, allocdiscipline — see DESIGN.md §12) over the module.
+echo "== ashlint"
 go run ./cmd/ashlint ./...
-
-echo "== ashlint (go vet -vettool)"
-go build -o "$workdir/ashlint" ./cmd/ashlint
-go vet -vettool="$workdir/ashlint" ./...
 
 echo "== go test -race"
 go test -race ./...
@@ -60,6 +54,10 @@ go test -race ./...
 #   sandbox  three-way differential: every crl handler x both budget modes x
 #            measured + adversarial profiles, the profitability pin, the
 #            committed adversarial-profile shapes, the quick random sweep
+#   sandbox, the lending contract of vcode.Memory over every memory in the
+#   vcode    tree, the escape guard's any-byte latch; Journal.Undo restores a
+#            snapshot after random overlapping stores and a second
+#            invocation allocates nothing
 #   core     the DCG loop on installed handlers; ASH/FuncASH base parity
 #   runner,  the worker pool, the parallel chaos matrix and the golden
 #   bench    determinism tests
@@ -77,6 +75,8 @@ done <<'EOF'
 ./internal/bench/:^TestPoolLeakGate$|^TestWorldReuse$
 .:^TestWorldClose$
 ./internal/sandbox/:TestThreeWayRegistry|TestReoptActuallyImproves|TestReoptProfileSeeds|TestDifferentialSFIQuick
+./internal/sandbox/:^TestMemoryConformance$|^TestEscapeGuardLatchesOnAnyByte$
+./internal/vcode/:^TestJournalUndoProperty$
 ./internal/core/:TestReopt|TestChainDisposition|^TestHandlerBaseParity$
 ./internal/bench/runner/:.
 ./internal/bench/:TestParallelByteIdentical|TestParallelChaosMatchesSerial|TestReoptParallelByteIdentical
@@ -94,10 +94,12 @@ EOF
 # side with raw fuzzer bytes as the profile. FuzzQueueMatchesHeap turns its
 # input into an insert / pop / peek / cancel schedule with near, far and
 # equal-time deltas and requires the timing wheel to pop what the reference
-# heap pops. FuzzStreamMatchesReference places the two streams of a DILP
-# loop, sets the budgets and warms the cache, and requires Machine.Run —
-# whose streaming-loop executor takes most of such a loop — to leave what
-# the per-instruction reference interpreter leaves.
+# heap pops. FuzzStreamMatchesReference picks the memory (FlatMem,
+# AddrSpace, a Journal over either; maybe a page absent), places the two
+# streams of a DILP loop, sets the budgets and warms the cache, and requires
+# Machine.Run — whose streaming-loop executor takes such a loop whenever the
+# memory lends both streams whole — to leave what the per-instruction
+# reference interpreter leaves, and Undo to take all of it back.
 echo "== fuzz sweep (10s per target)"
 go test -run '^$' -fuzz '^FuzzIPParse$' -fuzztime 10s ./internal/proto/ip/
 go test -run '^$' -fuzz '^FuzzTCPHeader$' -fuzztime 10s ./internal/proto/tcp/
