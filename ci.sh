@@ -29,7 +29,7 @@ echo "== cmd/perfbench module (vet + test)"
 (cd cmd/perfbench && GOWORK=off go vet ./... && GOWORK=off go test ./...)
 
 # ashlint: the custom analyzer suite (determinism, obsguard,
-# lockdiscipline, allocdiscipline — see DESIGN.md §12) over the module.
+# allocdiscipline, bufdiscipline — see DESIGN.md §12) over the module.
 echo "== ashlint"
 go run ./cmd/ashlint ./...
 
@@ -43,7 +43,10 @@ go test -race ./...
 #            workload, and rerunning a seed reproduces bit-identical counters
 #   obs, sim the PRNG contract and the trace/metrics unit tests
 #   sim      handoff differential: one scripted world over {coroutine,
-#            channel} x {wheel, heap} gives one trace, clock and counts
+#            channel} x {wheel, heap} x {elide, never elide} gives one
+#            trace, clock and counts; the elision's edges (a tie, the run's
+#            limit, a pending Stop, Close — one row per guard) and 300
+#            random worlds, eliding or not, run event for event the same
 #   aegis    world lifetime: a reused arena is all-zero, nothing above brk is
 #            addressable, a closed host has no memory, leases stay private;
 #            then the receive matrix: the same scenarios through an AN2 and
@@ -70,6 +73,7 @@ done <<'EOF'
 ./internal/obs/:.
 ./internal/sim/:.
 ./internal/sim/:^TestHandoff
+./internal/sim/:^TestElideEdges$|^TestElideRejectsWhatSchedulingRejects$|^TestElideMatchesNeverElide$
 ./internal/aegis/:^TestArena
 ./internal/aegis/:^TestReceiveMatrix$|^TestFrontHalfOrder$|^TestFreeChecksTheIndex$|^TestRefusedSendIsCounted$
 ./internal/bench/:^TestPoolLeakGate$|^TestWorldReuse$
@@ -94,7 +98,8 @@ EOF
 # side with raw fuzzer bytes as the profile. FuzzQueueMatchesHeap turns its
 # input into an insert / pop / peek / cancel schedule with near, far and
 # equal-time deltas and requires the timing wheel to pop what the reference
-# heap pops. FuzzStreamMatchesReference picks the memory (FlatMem,
+# heap pops, and its MinBound to stay at or below the heap's minimum without
+# moving the wheel. FuzzStreamMatchesReference picks the memory (FlatMem,
 # AddrSpace, a Journal over either; maybe a page absent), places the two
 # streams of a DILP loop, sets the budgets and warms the cache, and requires
 # Machine.Run — whose streaming-loop executor takes such a loop whenever the
@@ -154,8 +159,9 @@ fi
 
 # The schedule itself, from the same quick run: engines closed, events
 # fired and cancelled and process handoffs are functions of the simulations
-# alone, and the cascade count of the event queue's work on them. None of
-# them can be noisy, so a changed count is either intended or a bug.
+# alone; elided (the handoffs a sleeping process took itself, its wake-up
+# being the next event) and cascades are the event queue's work on them.
+# None of them can be noisy, so a changed count is either intended or a bug.
 echo "== ashbench engine counts match committed ashbench_counts.txt"
 if ! grep '^\[sim engines:' "$tracedir/quick.err" | cmp -s - ashbench_counts.txt; then
     echo "ashbench engine counts diverged from the committed ashbench_counts.txt:"

@@ -108,10 +108,12 @@ func main() {
 		a.Leases, a.Returned, a.Grown, float64(a.ZeroedBytes)/(1<<20))
 	// And the schedule itself: the first four are functions of the
 	// simulations alone (ci.sh compares the -quick -parallel 1 line with
-	// ashbench_counts.txt); cascades is what the event queue did with them.
+	// ashbench_counts.txt); elided (how many of those handoffs the sleeping
+	// process took itself, no event and no switch) and cascades are what the
+	// event queue did with them.
 	e := bench.EngineStats()
-	fmt.Fprintf(os.Stderr, "[sim engines: %d closed, %d fired, %d cancelled, %d handoffs, %d cascades]\n",
-		e.Closed, e.Fired, e.Cancelled, e.Handoffs, e.Cascades)
+	fmt.Fprintf(os.Stderr, "[sim engines: %d closed, %d fired, %d cancelled, %d handoffs, %d elided, %d cascades]\n",
+		e.Closed, e.Fired, e.Cancelled, e.Handoffs, e.Elided, e.Cascades)
 	// And whatever the experiments report about the simulator itself
 	// (megascale: the server DPF trie's slab census per cell).
 	fmt.Fprint(os.Stderr, notes.String())

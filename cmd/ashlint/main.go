@@ -1,6 +1,5 @@
 // Command ashlint runs the ashlint analyzer suite (internal/lint) over
-// the module: determinism, obsguard, lockdiscipline, allocdiscipline,
-// bufdiscipline.
+// the module: determinism, obsguard, allocdiscipline, bufdiscipline.
 //
 //	go run ./cmd/ashlint ./...          # whole module
 //	go run ./cmd/ashlint internal/sim   # one package (module-relative)

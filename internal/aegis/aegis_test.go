@@ -666,3 +666,64 @@ func TestBroadcastReachesAllButSender(t *testing.T) {
 		}
 	}
 }
+
+// TestSleepUntilOwnsOneTimer: a process woken before its deadline goes back
+// to sleep on one timer, not two, and the deadline does not reach past
+// SleepUntil into whatever the process blocks on next.
+func TestSleepUntilOwnsOneTimer(t *testing.T) {
+	eng := sim.NewEngine()
+	defer eng.Close()
+	k := newHost(eng, "h")
+	var cond Cond
+	var slept, signalled sim.Time
+	sleeper := k.Spawn("sleeper", func(p *Process) {
+		p.SleepUntil(10000)
+		slept = p.K.Now()
+		cond.Wait(p)
+		signalled = p.K.Now()
+	})
+	eng.Schedule(1000, func() { sleeper.Wake(0) })
+	eng.RunUntil(5000)
+	if slept != 0 {
+		t.Fatalf("SleepUntil(10000) returned at %d after an early Wake", slept)
+	}
+	if n := eng.Pending(); n != 1 {
+		t.Fatalf("%d events pending after the early Wake, want the one re-armed timer", n)
+	}
+	eng.RunUntil(15000)
+	if slept < 10000 || slept > 11000 {
+		t.Fatalf("SleepUntil(10000) returned at %d", slept)
+	}
+	if signalled != 0 || cond.Waiters() != 1 {
+		t.Fatalf("the cancelled timer woke the later Cond.Wait at %d", signalled)
+	}
+	eng.Schedule(0, func() { cond.Signal(0) })
+	eng.Run()
+	if signalled < 15000 {
+		t.Fatalf("Cond.Wait returned at %d, signalled at 15000", signalled)
+	}
+}
+
+// TestSleepUntilAllocatesNothing: the timer carries the process as its
+// argument, so the steady-state call (once per arrival in every overload
+// cell) builds no closure.
+func TestSleepUntilAllocatesNothing(t *testing.T) {
+	eng := sim.NewEngine()
+	defer eng.Close()
+	k := newHost(eng, "h")
+	ticks := 0
+	k.Spawn("ticker", func(p *Process) {
+		for next := sim.Time(1000); ; next += 1000 {
+			p.SleepUntil(next)
+			ticks++
+		}
+	})
+	eng.RunUntil(10500)
+	before := ticks
+	if allocs := testing.AllocsPerRun(100, func() { eng.RunFor(1000) }); allocs != 0 {
+		t.Fatalf("SleepUntil allocates %.1f times per call", allocs)
+	}
+	if ticks-before != 101 {
+		t.Fatalf("%d ticks in 101 periods", ticks-before)
+	}
+}

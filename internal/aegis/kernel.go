@@ -199,8 +199,12 @@ func (k *Kernel) maybeDispatch() {
 		return
 	}
 	k.dispatchPend = true
-	k.Eng.Schedule(0, k.dispatch)
+	k.Eng.ScheduleArg(0, kernelDispatch, k)
 }
+
+// kernelDispatch is the dispatch event; the kernel is its argument, so
+// every block and wake does not build a method value.
+func kernelDispatch(a any) { a.(*Kernel).dispatch() }
 
 // dispatch gives the CPU to the next runnable process (event context).
 func (k *Kernel) dispatch() {

@@ -196,14 +196,20 @@ func (p *Process) Syscall(extra sim.Time) {
 // SleepUntil releases the CPU until virtual time t (a timer block):
 // unlike Compute, the waiting process holds no CPU, so sibling processes
 // on the same kernel run during the wait. Returns immediately if t has
-// already passed.
+// already passed. A Wake before t puts it back to sleep on a fresh timer:
+// the old one is cancelled, so it cannot fire into a later, unrelated block.
 func (p *Process) SleepUntil(t sim.Time) {
 	p.ensureCPU()
 	for p.K.Now() < t {
-		p.K.Eng.ScheduleAt(t, func() { p.Wake(0) })
+		timer := p.K.Eng.ScheduleArgAt(t, wakeProcess, p)
 		p.block()
+		p.K.Eng.Cancel(timer) // a no-op when it is what woke us
 	}
 }
+
+// wakeProcess is SleepUntil's timer event; the process is its argument, so
+// arming one builds no closure.
+func wakeProcess(a any) { a.(*Process).Wake(0) }
 
 // SpinForever makes the process compute-bound until the simulation ends.
 func (p *Process) SpinForever() {

@@ -407,13 +407,12 @@ func QueueFanIn(b *testing.B) {
 	}
 }
 
-// ProcSwitch measures one simulated context switch: a process sleeps one
-// cycle, so every iteration is a wake-up event scheduled, the process
-// yielding to the engine, the event popped and the engine resuming the
-// process — the unit every blocking syscall, Compute and Sleep in the
-// system is made of, and the shape perfbench replays as
-// sim.proc_switch_ns. The wake-up carries the process as its argument, so
-// the round trip builds no closure and allocates nothing.
+// ProcSwitch is the lone sleeper: a process sleeps one cycle at a time with
+// nothing else in the world, the shape perfbench replays as
+// sim.proc_switch_ns. It does not time a switch: the wake-up would always
+// be the next event, so every Sleep is elided (the clock moves, the process
+// keeps running) and what is measured is the best case — the cost of
+// finding that out. ProcSwitchContended times the round trip itself.
 func ProcSwitch(b *testing.B) {
 	eng := sim.NewEngine()
 	eng.Go("sleeper", func(p *sim.Proc) {
@@ -427,6 +426,40 @@ func ProcSwitch(b *testing.B) {
 	b.StopTimer()
 	if now := eng.Now(); now != sim.Time(b.N) {
 		b.Fatalf("clock at %d after %d one-cycle sleeps", now, b.N)
+	}
+}
+
+// ProcSwitchContended measures one simulated context switch: two processes
+// sleep two cycles at a time, one waking on even cycles and one on odd, so
+// every Sleep finds the other's wake-up ahead of its own and none is
+// elided. Every iteration is a bound query, a wake-up event scheduled, the
+// process yielding to the engine, the event popped and the engine resuming
+// the other process — the unit every blocking syscall, Compute and Sleep
+// that cannot be elided is made of. The wake-up carries the process as its
+// argument, so the round trip builds no closure and allocates nothing.
+func ProcSwitchContended(b *testing.B) {
+	eng := sim.NewEngine()
+	sleeper := func(n int, first sim.Time) func(*sim.Proc) {
+		return func(p *sim.Proc) {
+			if n > 0 {
+				p.Sleep(first)
+			}
+			for i := 1; i < n; i++ {
+				p.Sleep(2)
+			}
+		}
+	}
+	eng.Go("even", sleeper((b.N+1)/2, 2))
+	eng.Go("odd", sleeper(b.N/2, 3))
+	b.ReportAllocs()
+	b.ResetTimer()
+	eng.Run()
+	b.StopTimer()
+	if now := eng.Now(); now != sim.Time(b.N+1) {
+		b.Fatalf("clock at %d after %d interleaved two-cycle sleeps", now, b.N)
+	}
+	if st := eng.Stats(); st.Elided != 0 {
+		b.Fatalf("%d of %d contended sleeps were elided", st.Elided, b.N)
 	}
 }
 

@@ -8,20 +8,21 @@ import (
 	"ashs/internal/vcode"
 )
 
-func BenchmarkDPFTrieWalk(b *testing.B)       { DPFTrieWalk(b) }
-func BenchmarkDPFLinearScan(b *testing.B)     { DPFLinearScan(b) }
-func BenchmarkVCODEDispatch(b *testing.B)     { VCODEDispatch(b) }
-func BenchmarkVCODEBranchy(b *testing.B)      { VCODEBranchy(b) }
-func BenchmarkCachePass(b *testing.B)         { CachePass(b) }
-func BenchmarkDILPRun(b *testing.B)           { DILPRun(b) }
-func BenchmarkSandboxInstrument(b *testing.B) { SandboxInstrument(b) }
-func BenchmarkSimEventQueue(b *testing.B)     { SimEventQueue(b) }
-func BenchmarkQueueTimerChurn(b *testing.B)   { QueueTimerChurn(b) }
-func BenchmarkQueueTwoHost(b *testing.B)      { QueueTwoHost(b) }
-func BenchmarkQueueFanIn(b *testing.B)        { QueueFanIn(b) }
-func BenchmarkProcSwitch(b *testing.B)        { ProcSwitch(b) }
-func BenchmarkPacketPath(b *testing.B)        { PacketPath(b) }
-func BenchmarkPacketPathAN2(b *testing.B)     { PacketPathAN2(b) }
+func BenchmarkDPFTrieWalk(b *testing.B)         { DPFTrieWalk(b) }
+func BenchmarkDPFLinearScan(b *testing.B)       { DPFLinearScan(b) }
+func BenchmarkVCODEDispatch(b *testing.B)       { VCODEDispatch(b) }
+func BenchmarkVCODEBranchy(b *testing.B)        { VCODEBranchy(b) }
+func BenchmarkCachePass(b *testing.B)           { CachePass(b) }
+func BenchmarkDILPRun(b *testing.B)             { DILPRun(b) }
+func BenchmarkSandboxInstrument(b *testing.B)   { SandboxInstrument(b) }
+func BenchmarkSimEventQueue(b *testing.B)       { SimEventQueue(b) }
+func BenchmarkQueueTimerChurn(b *testing.B)     { QueueTimerChurn(b) }
+func BenchmarkQueueTwoHost(b *testing.B)        { QueueTwoHost(b) }
+func BenchmarkQueueFanIn(b *testing.B)          { QueueFanIn(b) }
+func BenchmarkProcSwitch(b *testing.B)          { ProcSwitch(b) }
+func BenchmarkProcSwitchContended(b *testing.B) { ProcSwitchContended(b) }
+func BenchmarkPacketPath(b *testing.B)          { PacketPath(b) }
+func BenchmarkPacketPathAN2(b *testing.B)       { PacketPathAN2(b) }
 
 // TestBodiesRun drives each benchmark body through testing.Benchmark —
 // the harness cmd/perfbench replays them with — so a fixture regression
@@ -53,6 +54,7 @@ func TestBodiesRun(t *testing.T) {
 		{"QueueTwoHost", QueueTwoHost, true},
 		{"QueueFanIn", QueueFanIn, true},
 		{"ProcSwitch", ProcSwitch, true},
+		{"ProcSwitchContended", ProcSwitchContended, true},
 		{"PacketPath", PacketPath, true},
 		{"PacketPathAN2", PacketPathAN2, true},
 	} {

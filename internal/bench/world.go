@@ -169,6 +169,7 @@ func (w *world) close() {
 	engines.Fired += st.Fired
 	engines.Cancelled += st.Cancelled
 	engines.Handoffs += st.Handoffs
+	engines.Elided += st.Elided
 	engines.Cascades += st.Cascades
 	engines.Unlock()
 }
@@ -182,9 +183,11 @@ var engines struct {
 
 // EngineCounts is the schedule the process has run, summed over its closed
 // worlds. Fired, Cancelled and Handoffs are functions of the simulations
-// alone; Cascades is the event queue's own work on them.
+// alone; Elided (wake-ups the sleeping process took itself, counted in Fired
+// and Handoffs all the same) and Cascades are the event queue's own work on
+// them.
 type EngineCounts struct {
-	Closed, Fired, Cancelled, Handoffs, Cascades uint64
+	Closed, Fired, Cancelled, Handoffs, Elided, Cascades uint64
 }
 
 // EngineStats reports the totals.

@@ -10,7 +10,6 @@ import (
 
 func TestDeterminism(t *testing.T)     { linttest.Run(t, lint.Determinism, "determinism") }
 func TestObsGuard(t *testing.T)        { linttest.Run(t, lint.ObsGuard, "obsguard") }
-func TestLockDiscipline(t *testing.T)  { linttest.Run(t, lint.LockDiscipline, "lockdiscipline") }
 func TestAllocDiscipline(t *testing.T) { linttest.Run(t, lint.AllocDiscipline, "allocdiscipline") }
 func TestBufDiscipline(t *testing.T)   { linttest.Run(t, lint.BufDiscipline, "bufdiscipline") }
 
@@ -59,8 +58,6 @@ func TestScopes(t *testing.T) {
 		{lint.ObsGuard, "ashs/internal/aegis", true},
 		{lint.ObsGuard, "ashs/internal/netdev", true},
 		{lint.ObsGuard, "ashs/internal/obs", false},
-		{lint.LockDiscipline, "ashs/internal/proto/tcp", true},
-		{lint.LockDiscipline, "ashs/internal/proto/ip", false},
 		{lint.AllocDiscipline, "ashs/internal/aegis", true},
 		{lint.AllocDiscipline, "ashs/internal/crl", true},
 		{lint.AllocDiscipline, "ashs/cmd/ashbench", true},

@@ -2,7 +2,6 @@ package tcp
 
 import (
 	"fmt"
-	"sync"
 
 	"ashs/internal/proto/ip"
 )
@@ -48,15 +47,10 @@ func (t FourTuple) hash() uint32 {
 // the same per-segment routing cost as one serving a single client. A
 // connection is published only after it is fully constructed and removed
 // before it is torn down, so a successful lookup never observes a
-// half-built or closed Conn; each bucket carries its own RWMutex so the
-// table is safe under the parallel experiment runner.
+// half-built or closed Conn. Like everything else in a world it is touched
+// by one goroutine at a time (DESIGN.md §9) and takes no locks.
 type ConnTable struct {
-	buckets []connBucket
-}
-
-type connBucket struct {
-	mu sync.RWMutex
-	m  map[FourTuple]*Conn
+	buckets []map[FourTuple]*Conn
 }
 
 // NewConnTable builds a table with nbuckets hash buckets (rounded up to a
@@ -70,15 +64,15 @@ func NewConnTable(nbuckets int) *ConnTable {
 	for n < nbuckets {
 		n <<= 1
 	}
-	t := &ConnTable{buckets: make([]connBucket, n)}
+	t := &ConnTable{buckets: make([]map[FourTuple]*Conn, n)}
 	for i := range t.buckets {
-		t.buckets[i].m = map[FourTuple]*Conn{}
+		t.buckets[i] = map[FourTuple]*Conn{}
 	}
 	return t
 }
 
-func (t *ConnTable) bucket(k FourTuple) *connBucket {
-	return &t.buckets[k.hash()&uint32(len(t.buckets)-1)]
+func (t *ConnTable) bucket(k FourTuple) map[FourTuple]*Conn {
+	return t.buckets[k.hash()&uint32(len(t.buckets)-1)]
 }
 
 // Bind publishes an established connection under its tuple. The caller
@@ -89,21 +83,16 @@ func (t *ConnTable) Bind(k FourTuple, c *Conn) error {
 		panic("tcp: ConnTable.Bind of nil Conn")
 	}
 	b := t.bucket(k)
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if _, dup := b.m[k]; dup {
+	if _, dup := b[k]; dup {
 		return fmt.Errorf("tcp: connection %s already bound", k)
 	}
-	b.m[k] = c
+	b[k] = c
 	return nil
 }
 
 // Lookup returns the connection bound under k, if any.
 func (t *ConnTable) Lookup(k FourTuple) (*Conn, bool) {
-	b := t.bucket(k)
-	b.mu.RLock()
-	c, ok := b.m[k]
-	b.mu.RUnlock()
+	c, ok := t.bucket(k)[k]
 	return c, ok
 }
 
@@ -111,10 +100,8 @@ func (t *ConnTable) Lookup(k FourTuple) (*Conn, bool) {
 // remove a connection from the table *before* closing it.
 func (t *ConnTable) Remove(k FourTuple) bool {
 	b := t.bucket(k)
-	b.mu.Lock()
-	_, ok := b.m[k]
-	delete(b.m, k)
-	b.mu.Unlock()
+	_, ok := b[k]
+	delete(b, k)
 	return ok
 }
 
@@ -124,11 +111,8 @@ func (t *ConnTable) Remove(k FourTuple) bool {
 // whole fleet into a few chains.
 func (t *ConnTable) Loads() []int {
 	out := make([]int, len(t.buckets))
-	for i := range t.buckets {
-		b := &t.buckets[i]
-		b.mu.RLock()
-		out[i] = len(b.m)
-		b.mu.RUnlock()
+	for i, b := range t.buckets {
+		out[i] = len(b)
 	}
 	return out
 }
@@ -136,11 +120,8 @@ func (t *ConnTable) Loads() []int {
 // Len counts bound connections.
 func (t *ConnTable) Len() int {
 	n := 0
-	for i := range t.buckets {
-		b := &t.buckets[i]
-		b.mu.RLock()
-		n += len(b.m)
-		b.mu.RUnlock()
+	for _, b := range t.buckets {
+		n += len(b)
 	}
 	return n
 }

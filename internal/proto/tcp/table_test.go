@@ -2,7 +2,6 @@ package tcp
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"ashs/internal/aegis"
@@ -15,20 +14,6 @@ import (
 	"ashs/internal/proto/link"
 	"ashs/internal/sim"
 )
-
-// lookupInspect runs inspect(c) while still holding the bucket's read
-// lock, so tests can examine a connection's fields with a happens-before
-// edge against any writer that later removes and tears it down.
-func (t *ConnTable) lookupInspect(k FourTuple, inspect func(c *Conn)) bool {
-	b := t.bucket(k)
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	c, ok := b.m[k]
-	if ok {
-		inspect(c)
-	}
-	return ok
-}
 
 func tupleFor(i int) FourTuple {
 	return FourTuple{
@@ -90,7 +75,7 @@ func TestConnTableHashSpread(t *testing.T) {
 	}
 	max := 0
 	for i := range tbl.buckets {
-		if l := len(tbl.buckets[i].m); l > max {
+		if l := len(tbl.buckets[i]); l > max {
 			max = l
 		}
 	}
@@ -101,90 +86,71 @@ func TestConnTableHashSpread(t *testing.T) {
 	}
 }
 
-// TestConnTableChurn opens and closes hundreds of connections from several
-// writer goroutines while reader goroutines continuously look tuples up —
-// the shape of segment delivery racing connection teardown in the parallel
-// experiment runner. Run under -race; the invariant is that a successful
-// lookup never observes a torn or closed Conn: every published connection
-// is fully constructed (identity fields set, state Established) and is
-// removed from the table before teardown flips its state.
+// TestConnTableChurn opens and closes hundreds of connections in rounds,
+// shard by shard, looking every tuple up between the steps — segment
+// delivery interleaved with connection set-up and teardown, as one world's
+// single thread of control interleaves them. The table's contract is the
+// caller's order of operations: a connection is published fully constructed
+// (identity fields set, state Established) and removed before teardown flips
+// its state, so a successful lookup never returns a torn or closed Conn and
+// a removed tuple is never found.
 func TestConnTableChurn(t *testing.T) {
 	tbl := NewConnTable(0)
 	const (
-		writers       = 4
+		shards        = 4
 		connsPerShard = 64
 		rounds        = 25
 	)
-	var readers, writersWG sync.WaitGroup
-	stop := make(chan struct{})
-
-	// Readers: model the demux path, delivering "segments" to whatever
-	// connection currently owns the tuple.
-	for r := 0; r < 3; r++ {
-		readers.Add(1)
-		go func() {
-			defer readers.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				k := tupleFor(i % (writers * connsPerShard))
-				tbl.lookupInspect(k, func(c *Conn) {
-					if c == nil {
-						t.Errorf("lookup %s returned nil conn", k)
-						return
-					}
-					if c.state != Established {
-						t.Errorf("lookup %s observed state %v (torn or closed conn published)", k, c.state)
-					}
-					if c.remotePort != k.RemotePort || c.remoteIP != k.RemoteIP {
-						t.Errorf("lookup %s observed mismatched identity %s:%d", k, c.remoteIP, c.remotePort)
-					}
-				})
+	live := make([]*Conn, shards*connsPerShard) // nil: not bound
+	deliver := func(when string) {
+		t.Helper()
+		for i, want := range live {
+			k := tupleFor(i)
+			c, ok := tbl.Lookup(k)
+			switch {
+			case ok != (want != nil) || c != want:
+				t.Fatalf("%s: lookup %s = %p, %v, want %p", when, k, c, ok, want)
+			case !ok:
+			case c.state != Established:
+				t.Fatalf("%s: lookup %s observed state %v (torn or closed conn published)", when, k, c.state)
+			case c.remotePort != k.RemotePort || c.remoteIP != k.RemoteIP:
+				t.Fatalf("%s: lookup %s observed mismatched identity %s:%d", when, k, c.remoteIP, c.remotePort)
 			}
-		}()
+		}
 	}
-
-	// Writers: each churns its own shard of tuples through
-	// bind → (deliveries happen) → remove → close.
-	for w := 0; w < writers; w++ {
-		writersWG.Add(1)
-		go func(w int) {
-			defer writersWG.Done()
-			lo := w * connsPerShard
-			for round := 0; round < rounds; round++ {
-				conns := make([]*Conn, connsPerShard)
-				for i := 0; i < connsPerShard; i++ {
-					k := tupleFor(lo + i)
+	for round := 0; round < rounds; round++ {
+		// Shards open in turn, and each closes while the next is open.
+		for sh := 0; sh <= shards; sh++ {
+			if sh < shards {
+				for i := sh * connsPerShard; i < (sh+1)*connsPerShard; i++ {
+					k := tupleFor(i)
 					c := &Conn{
 						localPort:  k.LocalPort,
 						remoteIP:   k.RemoteIP,
 						remotePort: k.RemotePort,
 						state:      Established,
 					}
-					conns[i] = c
 					if err := tbl.Bind(k, c); err != nil {
-						t.Errorf("round %d Bind %s: %v", round, k, err)
+						t.Fatalf("round %d Bind %s: %v", round, k, err)
 					}
+					live[i] = c
 				}
-				for i := 0; i < connsPerShard; i++ {
-					k := tupleFor(lo + i)
-					if !tbl.Remove(k) {
-						t.Errorf("round %d Remove %s: absent", round, k)
-					}
-					// Teardown happens strictly after removal; a racing
-					// reader must never see this write.
-					conns[i].state = Closed
-				}
+				deliver(fmt.Sprintf("round %d, shard %d bound", round, sh))
 			}
-		}(w)
+			if sh > 0 {
+				for i := (sh - 1) * connsPerShard; i < sh*connsPerShard; i++ {
+					k := tupleFor(i)
+					if !tbl.Remove(k) {
+						t.Fatalf("round %d Remove %s: absent", round, k)
+					}
+					// Teardown happens strictly after removal.
+					live[i].state = Closed
+					live[i] = nil
+				}
+				deliver(fmt.Sprintf("round %d, shard %d removed", round, sh-1))
+			}
+		}
 	}
-
-	writersWG.Wait()
-	close(stop)
-	readers.Wait()
 	if tbl.Len() != 0 {
 		t.Fatalf("table not empty after churn: %d", tbl.Len())
 	}

@@ -15,8 +15,12 @@
 //     moment, so simulations are fully deterministic.
 //
 // Determinism: events at equal virtual times fire in scheduling order
-// (FIFO by sequence number). Processes only advance when the engine resumes
-// them, and the engine only advances when the running process parks.
+// (FIFO by sequence number). A process only starts running when the engine
+// resumes it, and the clock moves only through the schedule: the engine
+// fires the next event, or the one running process, finding that its own
+// wake-up would be that next event, moves the clock there itself and keeps
+// running (Proc.Sleep; the schedule is the same, the wake-up and the two
+// coroutine switches around it are never made).
 //
 // The engine runs against an EventQueue (a hierarchical timing wheel; the
 // tests swap in a binary heap as its oracle) and recycles Events through a
@@ -27,11 +31,17 @@
 // callback) is a safe no-op.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Time is a virtual timestamp or duration, measured in CPU cycles of the
 // simulated machine. The zero Time is the beginning of the simulation.
 type Time int64
+
+// maxTime is the limit of a Run and an empty queue's MinBound.
+const maxTime Time = math.MaxInt64
 
 // Timer is a cancellable handle on a scheduled event. The zero Timer is
 // inert: cancelling it does nothing. Timers are plain values — copy them
@@ -53,29 +63,42 @@ type Engine struct {
 	panicV  any    // propagated panic from a process
 	stopped bool
 
+	// limit is the time the Run or RunUntil in progress (or, between runs,
+	// the last one) fires events up to: a process may not move the clock
+	// past it (Proc.elide).
+	limit Time
+
 	// handoff is newHandoff; the differential tests swap in newChanHandoff.
 	handoff func(body func(yield func())) (resume func())
+	// neverElide makes every wake-up a queued event; only the differential
+	// tests set it.
+	neverElide bool
 
-	fired, cancelled, handoffs uint64
+	fired, cancelled, handoffs, elided uint64
 }
 
 // Stats is the engine's own work, counted since it was built. Fired,
-// Cancelled and Handoffs are functions of the schedule alone: the same
-// simulation gives the same counts on any queue and any handoff.
-// Cascades and EarlyInserts are the timing wheel's work on that schedule,
-// as deterministic as it is, and are zero on the reference heap.
+// Cancelled and Handoffs are the schedule's: the same simulation gives the
+// same counts on any queue and any handoff, whether or not a wake-up was
+// elided (an elided one counts in Fired and in Handoffs as the event and the
+// round trip it stood for). Elided, Cascades and EarlyInserts are the
+// queue's work on that schedule, as deterministic as it is: how much of it
+// never reached the queue, and what the timing wheel did with the rest (the
+// heap's exact bound elides more than the wheel's coarse one, and cascades
+// nothing).
 type Stats struct {
-	Fired        uint64 // events dispatched
+	Fired        uint64 // events of the schedule that came due: dispatched, or elided
 	Cancelled    uint64 // pending events removed by Cancel
-	Handoffs     uint64 // engine -> process -> engine round trips
+	Handoffs     uint64 // times a process was woken: engine -> process -> engine round trips, made or elided
 	LiveProcs    int    // processes created and not yet finished
+	Elided       uint64 // wake-ups that were the next event, so the process kept running: no event, no switch
 	Cascades     uint64 // events moved to a lower wheel level as the clock neared them
 	EarlyInserts uint64 // events scheduled below the wheel's floor (after a RunUntil peeked ahead)
 }
 
 // Stats reports the engine's counters.
 func (e *Engine) Stats() Stats {
-	s := Stats{Fired: e.fired, Cancelled: e.cancelled, Handoffs: e.handoffs, LiveProcs: e.procs}
+	s := Stats{Fired: e.fired, Cancelled: e.cancelled, Handoffs: e.handoffs, LiveProcs: e.procs, Elided: e.elided}
 	if w, ok := e.q.(*wheel); ok {
 		s.Cascades, s.EarlyInserts = w.cascaded, w.earlyInserts
 	}
@@ -191,12 +214,8 @@ func (e *Engine) Pending() int { return e.q.Len() }
 // RunFor again expects the stop to win).
 func (e *Engine) Stop() { e.stopped = true }
 
-// step fires the next event. It reports false when the queue is empty.
-func (e *Engine) step() bool {
-	ev := e.q.PopMin()
-	if ev == nil {
-		return false
-	}
+// fire dispatches ev, which the caller has just popped.
+func (e *Engine) fire(ev *Event) {
 	if ev.at < e.now {
 		panic("sim: time went backwards")
 	}
@@ -217,18 +236,29 @@ func (e *Engine) step() bool {
 		e.panicV = nil
 		panic(v)
 	}
-	return true
+}
+
+// run fires events with timestamps <= limit until none is left or Stop is
+// called, and reports which. The stop is consumed either way.
+func (e *Engine) run(limit Time) (stopped bool) {
+	e.limit = limit
+	for !e.stopped {
+		ev := e.q.PeekMin()
+		if ev == nil || ev.at > limit {
+			break
+		}
+		e.fire(e.q.PopMin())
+	}
+	stopped = e.stopped
+	e.stopped = false
+	return stopped
 }
 
 // Run fires events until the queue is empty or Stop is called. If a process
 // panicked, Run re-panics with the same value. A Stop pending from before
 // the call makes Run return immediately, firing nothing; either way the
 // stop is consumed, so a subsequent Run proceeds normally.
-func (e *Engine) Run() {
-	for !e.stopped && e.step() {
-	}
-	e.stopped = false
-}
+func (e *Engine) Run() { e.run(maxTime) }
 
 // RunUntil fires events with timestamps <= t. If the run completes without
 // being stopped, the clock is then advanced to t (if the simulation had not
@@ -237,19 +267,7 @@ func (e *Engine) Run() {
 // would strand still-pending events in the past, making the next Run panic
 // with "time went backwards". The stop is consumed either way.
 func (e *Engine) RunUntil(t Time) {
-	for !e.stopped {
-		ev := e.q.PeekMin()
-		if ev == nil || ev.at > t {
-			break
-		}
-		e.step()
-	}
-	stopped := e.stopped
-	e.stopped = false
-	if stopped {
-		return
-	}
-	if e.now < t {
+	if !e.run(t) && e.now < t {
 		e.now = t
 	}
 }

@@ -167,59 +167,71 @@ func settleGoroutines(want int) int {
 }
 
 // TestHandoffDifferential runs the scenario, then Engine.Close, over
-// {coroutine, channel} x {wheel, heap}: the trace, the final clock and
-// the schedule-determined counters must not depend on either choice, and
-// Close must end every process the scenario left behind — parked forever,
-// in Sleep, in ParkTimeout, never started, blocking again in a deferred
-// call — along with its goroutine.
+// {coroutine, channel} x {wheel, heap} x {elide, never elide}: the trace,
+// the final clock and the schedule-determined counters must not depend on
+// any of the three, and Close must end every process the scenario left
+// behind — parked forever, in Sleep, in ParkTimeout, never started, blocking
+// again in a deferred call — along with its goroutine.
 func TestHandoffDifferential(t *testing.T) {
 	type result struct {
 		trace string
 		end   Time
 		st    Stats
 	}
+	type axes struct {
+		handoff, queue string
+		neverElide     bool
+	}
 	var want result
-	for i, h := range handoffs {
-		for j, q := range queues {
-			goroutines := runtime.NumGoroutine() // earlier tests leave some parked for good
-			e := newEngineWithQueue(q.fn())
-			e.handoff = h.fn
-			var log strings.Builder
-			end, st, panicked := handoffScenario(e, &log)
+	var first axes
+	for _, h := range handoffs {
+		for _, q := range queues {
+			for _, neverElide := range []bool{false, true} {
+				leg := axes{h.name, q.name, neverElide}
+				goroutines := runtime.NumGoroutine() // earlier tests leave some parked for good
+				e := newEngineWithQueue(q.fn())
+				e.handoff = h.fn
+				e.neverElide = neverElide
+				var log strings.Builder
+				end, st, panicked := handoffScenario(e, &log)
 
-			e.Close()
-			if closed := e.Stats(); closed.LiveProcs != 0 || e.Pending() != 0 || e.panicV != nil ||
-				closed.Fired != st.Fired || closed.Handoffs != st.Handoffs {
-				t.Errorf("%s/%s: after Close %+v, %d pending, panic %v; at the end of Run %+v",
-					h.name, q.name, closed, e.Pending(), e.panicV, st)
-			}
-			if n := settleGoroutines(goroutines); n > goroutines {
-				t.Errorf("%s/%s: %d goroutines after Close, %d before the engine was built", h.name, q.name, n, goroutines)
-			}
-			e.Close() // nothing left to end
-			trace := log.String()
-
-			err, ok := panicked.(error)
-			if !ok {
-				t.Fatalf("%s/%s: Run panicked with %v, want the process's error", h.name, q.name, panicked)
-			}
-			for _, sub := range []string{`process "bad" panicked: boom`, "handoffScenario", "handoff_test.go"} {
-				if !strings.Contains(err.Error(), sub) {
-					t.Errorf("%s/%s: panic %q lacks %q", h.name, q.name, err, sub)
+				e.Close()
+				if closed := e.Stats(); closed.LiveProcs != 0 || e.Pending() != 0 || e.panicV != nil ||
+					closed.Fired != st.Fired || closed.Handoffs != st.Handoffs || closed.Elided != st.Elided {
+					t.Errorf("%+v: after Close %+v, %d pending, panic %v; at the end of Run %+v",
+						leg, closed, e.Pending(), e.panicV, st)
 				}
-			}
+				if n := settleGoroutines(goroutines); n > goroutines {
+					t.Errorf("%+v: %d goroutines after Close, %d before the engine was built", leg, n, goroutines)
+				}
+				e.Close() // nothing left to end
+				trace := log.String()
 
-			// Cascades and EarlyInserts are the wheel's own.
-			st.Cascades, st.EarlyInserts = 0, 0
-			got := result{trace, end, st}
-			if i == 0 && j == 0 {
-				want = got
-				continue
-			}
-			if got != want {
-				t.Errorf("%s/%s differs from %s/%s:\nclock %d, %+v\n%s\nwant clock %d, %+v\n%s",
-					h.name, q.name, handoffs[0].name, queues[0].name,
-					got.end, got.st, got.trace, want.end, want.st, want.trace)
+				err, ok := panicked.(error)
+				if !ok {
+					t.Fatalf("%+v: Run panicked with %v, want the process's error", leg, panicked)
+				}
+				for _, sub := range []string{`process "bad" panicked: boom`, "handoffScenario", "handoff_test.go"} {
+					if !strings.Contains(err.Error(), sub) {
+						t.Errorf("%+v: panic %q lacks %q", leg, err, sub)
+					}
+				}
+
+				// Elided is the queue's own (the heap's bound is exact, the
+				// wheel's is not), as Cascades and EarlyInserts are the wheel's.
+				if (st.Elided == 0) != neverElide {
+					t.Errorf("%+v: %d wake-ups elided", leg, st.Elided)
+				}
+				st.Elided, st.Cascades, st.EarlyInserts = 0, 0, 0
+				got := result{trace, end, st}
+				if want.trace == "" {
+					want, first = got, leg
+					continue
+				}
+				if got != want {
+					t.Errorf("%+v differs from %+v:\nclock %d, %+v\n%s\nwant clock %d, %+v\n%s",
+						leg, first, got.end, got.st, got.trace, want.end, want.st, want.trace)
+				}
 			}
 		}
 	}
@@ -311,10 +323,10 @@ func TestEngineStats(t *testing.T) {
 	e := NewEngine()
 	e.Schedule(1, func() {})
 	e.Cancel(e.Schedule(2, func() {}))
-	e.Go("p", func(p *Proc) { p.Sleep(5); p.Sleep(5) }) // start + two wake-ups
+	e.Go("p", func(p *Proc) { p.Sleep(5); p.Sleep(5) }) // start + two wake-ups, the second with nothing else queued
 	e.Go("parked", func(p *Proc) { p.Park() })
 	e.Run()
-	want := Stats{Fired: 5, Cancelled: 1, Handoffs: 4, LiveProcs: 1}
+	want := Stats{Fired: 5, Cancelled: 1, Handoffs: 4, LiveProcs: 1, Elided: 1}
 	if got := e.Stats(); got != want {
 		t.Fatalf("Stats = %+v, want %+v", got, want)
 	}

@@ -147,11 +147,34 @@ func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		panic("sim: negative sleep")
 	}
-	if d == 0 {
+	if d == 0 || p.elide(d) {
 		return
 	}
 	p.eng.ScheduleArg(d, procRun, p)
 	p.block()
+}
+
+// elide is the fast path of Sleep and ParkTimeout. The process's wake-up,
+// d cycles from now, would be the very next event the engine fires when
+// every queued event is strictly later (one at the same instant was
+// scheduled first and fires first), the run in progress reaches that far,
+// no Stop is waiting for this event to complete, and Close is not ending
+// the process. Then queueing it, yielding, popping it and resuming would
+// change nothing but the host's clock: elide moves the engine's clock
+// there, counts the event and the round trip that were not made, and
+// reports true; the process just keeps running. Otherwise it reports false
+// and has touched nothing, the queue included.
+func (p *Proc) elide(d Time) bool {
+	e := p.eng
+	t := e.now + d
+	if t < e.now || t > e.limit || e.stopped || p.killed || e.neverElide || t >= e.q.MinBound() {
+		return false
+	}
+	e.now = t
+	e.fired++
+	e.handoffs++
+	e.elided++
+	return true
 }
 
 // Park blocks the process until another event or process calls Unpark.
@@ -194,6 +217,9 @@ func (p *Proc) Unpark() {
 // ParkTimeout parks the process for at most d cycles. It reports true if the
 // process was explicitly unparked and false if the timeout expired.
 func (p *Proc) ParkTimeout(d Time) bool {
+	if p.elide(d) {
+		return false // nothing could have unparked it before the timeout
+	}
 	// The timer is cancelled before returning, so no expiry from an
 	// earlier call can still be queued to set timedOut behind this one.
 	p.timedOut = false

@@ -54,6 +54,10 @@ type EventQueue interface {
 	PeekMin() *Event
 	// PopMin unlinks and returns the next event, or nil.
 	PopMin() *Event
+	// MinBound returns a time no later than any queued event's (maxTime
+	// when there is none) and leaves the queue exactly as it was: where
+	// PeekMin may reorganise to find the minimum, MinBound may only look.
+	MinBound() Time
 	// Len reports the number of queued events.
 	Len() int
 }
@@ -98,6 +102,13 @@ func (h *heapQueue) PeekMin() *Event {
 		return nil
 	}
 	return h.evs[0]
+}
+
+func (h *heapQueue) MinBound() Time {
+	if len(h.evs) == 0 {
+		return maxTime
+	}
+	return h.evs[0].at
 }
 
 func (h *heapQueue) PopMin() *Event {

@@ -19,7 +19,10 @@ func (s *splitmix64) next() uint64 {
 }
 
 // queueScript drives a wheel and the reference heap through one schedule
-// and requires identical (at, seq) peeks, pops and lengths. The schedule is
+// and requires identical (at, seq) peeks, pops and lengths, and after every
+// operation a MinBound from the wheel that is no later than the heap's
+// minimum and was free: floor, cascades and length as they were. The
+// schedule is
 // a string of two-byte operations, so that the shapes below and whatever
 // the fuzzer makes of them run through one interpreter:
 //
@@ -104,12 +107,30 @@ func queueScript(t testing.TB, script []byte) (*wheel, uint64) {
 		if q.Len() != ref.Len() {
 			t.Fatalf("length diverged: wheel %d, heap %d", q.Len(), ref.Len())
 		}
+		bound(t, q, ref)
 	}
 	for q.Len() > 0 {
 		pop()
 	}
 	same("peek of the empty queues", q.PeekMin(), ref.PeekMin())
 	return q, seq
+}
+
+// bound asks the wheel for its MinBound and checks it against the heap's
+// exact one and against the wheel's own state before the call.
+func bound(t testing.TB, q *wheel, ref EventQueue) {
+	floor, cascaded, peeked, n := q.floor, q.cascaded, q.peeked, q.Len()
+	got, exact := q.MinBound(), ref.MinBound()
+	if min := ref.PeekMin(); min == nil && exact != maxTime || min != nil && exact != min.at {
+		t.Fatalf("heap MinBound %d, its minimum is %v", exact, min)
+	}
+	if got > exact || n == 0 && got != maxTime {
+		t.Fatalf("wheel MinBound %d with %d queued, the earliest at %d", got, n, exact)
+	}
+	if q.floor != floor || q.cascaded != cascaded || q.peeked != peeked || q.Len() != n {
+		t.Fatalf("MinBound moved the wheel: floor %d -> %d, cascaded %d -> %d, peeked %v -> %v, len %d -> %d",
+			floor, q.floor, cascaded, q.cascaded, peeked, q.peeked, n, q.Len())
+	}
 }
 
 // queueOp encodes one queueScript operation.
@@ -258,8 +279,9 @@ func TestCascadeDepth(t *testing.T) {
 }
 
 // FuzzQueueMatchesHeap lets the fuzzer write the schedule. The oracle is
-// queueScript's — the heap's pop sequence and length — plus the structural
-// bound on cascades: an event moves down at most once per level.
+// queueScript's — the heap's pop sequence, length and minimum, the last as
+// the ceiling of a side-effect-free MinBound — plus the structural bound on
+// cascades: an event moves down at most once per level.
 func FuzzQueueMatchesHeap(f *testing.F) {
 	for _, shape := range queueShapes {
 		f.Add(shape.script(200))

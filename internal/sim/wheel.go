@@ -187,8 +187,7 @@ func (q *wheel) PeekMin() *Event {
 		// the rest of level l is in higher slots, so I1-I3 still hold) and
 		// the slot's events, which now agree with floor from digit l up,
 		// are re-placed below l in list order.
-		shift := l * wheelBits
-		q.floor = q.floor&^(1<<(shift+wheelBits)-1) | Time(s<<shift)
+		q.floor = q.slotStart(l, s)
 		ev := b.head
 		*b = slot{}
 		q.clear(l, s)
@@ -200,6 +199,31 @@ func (q *wheel) PeekMin() *Event {
 		}
 	}
 	return nil
+}
+
+// slotStart is the earliest time slot s of level l can hold: floor's digits
+// above l, digit l = s, lower digits 0.
+func (q *wheel) slotStart(l, s uint) Time {
+	shift := l * wheelBits
+	return q.floor&^(1<<(shift+wheelBits)-1) | Time(s<<shift)
+}
+
+// MinBound is exact when the minimum is already known (the early list, a
+// cached peek, a level-0 slot) and otherwise the start of the slot PeekMin
+// would cascade next. It must not cascade itself: moving floor up to a far
+// timer's slot would send every near-term insert after it to the sorted
+// early list.
+func (q *wheel) MinBound() Time {
+	switch {
+	case q.early.head != nil:
+		return q.early.head.at
+	case q.peeked != nil:
+		return q.peeked.at
+	case q.levels == 0:
+		return maxTime
+	}
+	l := uint(bits.TrailingZeros16(q.levels))
+	return q.slotStart(l, uint(bits.TrailingZeros64(q.occ[l])))
 }
 
 func (q *wheel) PopMin() *Event {
