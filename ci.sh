@@ -64,6 +64,13 @@ go test -race ./...
 #   core     the DCG loop on installed handlers; ASH/FuncASH base parity
 #   runner,  the worker pool, the parallel chaos matrix and the golden
 #   bench    determinism tests
+#   bench,   the transmit path: six worlds put the frames on the wire that
+#   ip, tcp, testdata/wire_golden.txt recorded before the gather send (never
+#   udp      regenerated); hdr||payload cut at every fragment edge
+#            reassembles, is captured before Send blocks, and re-entry
+#            panics with the owner; 3 MB more of stream or 2000 more
+#            datagrams allocate nothing; the retransmit store keeps what
+#            was sent, recycles its slabs and ends whole
 echo "== by-name suites under -race"
 while IFS=: read -r pkg pattern; do
     echo "-- $pkg -run '$pattern'"
@@ -84,6 +91,10 @@ done <<'EOF'
 ./internal/core/:TestReopt|TestChainDisposition|^TestHandlerBaseParity$
 ./internal/bench/runner/:.
 ./internal/bench/:TestParallelByteIdentical|TestParallelChaosMatchesSerial|TestReoptParallelByteIdentical
+./internal/bench/:^TestWireIdentity$
+./internal/proto/ip/:^TestGatherSendEdges$|^TestSendCapturesPayloadBeforeItBlocks$|^TestSendReentryPanicsWithOwner$
+./internal/proto/tcp/:^TestNoAllocationPerSegment$|^TestRtxStore
+./internal/proto/udp/:^TestSendToDoesNotAllocatePerDatagram$
 EOF
 
 # Fuzz targets: each parser/demux fuzzer runs a short wall-clock sweep on

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"ashs/internal/aegis"
@@ -19,21 +18,19 @@ import (
 // endpoints; how many clients there are, which filters demultiplex them and
 // how a handler is installed stay with those callers.
 
-// udpReplyHeader returns the Ethernet, IP and UDP headers of a datagram from
-// srv to the host on switch port dst, in a buffer with room for the n
-// payload bytes the caller appends. Handlers answering from the interrupt
-// path send raw frames, so they build the headers a stack would have.
-func udpReplyHeader(srv *host, dst int, sport, dport uint16, n int) []byte {
-	const hdr = ether.HeaderLen + ip.HeaderLen + udp.HeaderLen
+// udpReplyHeader appends to b the Ethernet, IP and UDP headers of a datagram
+// of n payload bytes from srv to the host on switch port dst; the caller
+// appends the payload. Handlers answering from the interrupt path send raw
+// frames, so they build the headers a stack would have — in a scratch they
+// keep, since the send copies the frame out before it returns.
+func udpReplyHeader(b []byte, srv *host, dst int, sport, dport uint16, n int) []byte {
 	eh := ether.Header{Dst: ether.PortMAC(dst), Src: ether.PortMAC(srv.addr()), Type: ether.TypeIPv4}
-	b := eh.Marshal(make([]byte, 0, hdr+n))
+	b = eh.Marshal(b)
 	ih := ip.Header{TotalLen: uint16(ip.HeaderLen + udp.HeaderLen + n),
 		TTL: 64, Proto: ip.ProtoUDP, DF: true, Src: srv.ip, Dst: ip.HostAddr(dst)}
 	b = ih.Marshal(b)
-	b = binary.BigEndian.AppendUint16(b, sport)
-	b = binary.BigEndian.AppendUint16(b, dport)
-	b = binary.BigEndian.AppendUint16(b, uint16(udp.HeaderLen+n))
-	return binary.BigEndian.AppendUint16(b, 0) // checksum not used
+	uh := udp.Header{SrcPort: sport, DstPort: dport, Length: uint16(udp.HeaderLen + n)} // checksum not used
+	return uh.Marshal(b)
 }
 
 // fanInTCPCfg is the connection config of the fan-in TCP workloads; a
@@ -85,6 +82,7 @@ func (w *world) acceptFanIn(p *aegis.Process, port uint16, peer ip.Addr, tbl *tc
 // and leaves anything shorter to user level. It holds no per-client state,
 // so one handler can serve every endpoint bound to it.
 func udpEchoASH(srv *host, p *aegis.Process, name string, minPayload int) *core.FuncASH {
+	var frame []byte // reply scratch, reused by every invocation
 	return srv.sys.NewFuncASH(p, name, true, func(ctx *core.Ctx) aegis.Disposition {
 		const off = ether.HeaderLen + ip.HeaderLen + udp.HeaderLen
 		n := ctx.Entry().Len
@@ -95,7 +93,7 @@ func udpEchoASH(srv *host, p *aegis.Process, name string, minPayload int) *core.
 		// handler re-checks lengths.
 		ctx.Straightline(48, 12)
 		src, pl := ctx.Entry().Src, n-off
-		frame := udpReplyHeader(srv, src, scaleEchoPort, scaleClientPort, pl)
+		frame = udpReplyHeader(frame[:0], srv, src, scaleEchoPort, scaleClientPort, pl)
 		raw := ctx.RawData()
 		for j := 0; j < pl; j++ {
 			frame = append(frame, raw[aegis.StripedIndex(off+j)])

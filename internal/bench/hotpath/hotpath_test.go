@@ -23,6 +23,7 @@ func BenchmarkProcSwitch(b *testing.B)          { ProcSwitch(b) }
 func BenchmarkProcSwitchContended(b *testing.B) { ProcSwitchContended(b) }
 func BenchmarkPacketPath(b *testing.B)          { PacketPath(b) }
 func BenchmarkPacketPathAN2(b *testing.B)       { PacketPathAN2(b) }
+func BenchmarkTCPSegment(b *testing.B)          { TCPSegment(b) }
 
 // TestBodiesRun drives each benchmark body through testing.Benchmark —
 // the harness cmd/perfbench replays them with — so a fixture regression
@@ -30,8 +31,8 @@ func BenchmarkPacketPathAN2(b *testing.B)       { PacketPathAN2(b) }
 // hot-path gate (ci.sh runs it by name): timings vary by machine and are
 // never asserted, but allocation counts are deterministic, and the demux,
 // dispatch, event-queue, process-switch and packet paths must not allocate
-// per operation; nor may the cache model's range charging or the DILP
-// engine's run.
+// per operation; nor may the cache model's range charging, the DILP
+// engine's run or a steady-state TCP segment.
 // SandboxInstrument is download-time work and allocates by design.
 func TestBodiesRun(t *testing.T) {
 	if testing.Short() {
@@ -57,6 +58,7 @@ func TestBodiesRun(t *testing.T) {
 		{"ProcSwitchContended", ProcSwitchContended, true},
 		{"PacketPath", PacketPath, true},
 		{"PacketPathAN2", PacketPathAN2, true},
+		{"TCPSegment", TCPSegment, true},
 	} {
 		r := testing.Benchmark(bm.fn)
 		if r.N == 0 {

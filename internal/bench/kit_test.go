@@ -18,7 +18,9 @@ import (
 //
 // Do that for testdata/kit_golden.txt only together with a deliberate
 // regeneration of ashbench_output.txt: its values are simulated results.
-var update = flag.Bool("update", false, "rewrite testdata/kit_golden.txt and testdata/cell_labels.txt")
+// TestWireIdentity's testdata/wire_golden.txt goes by the same flag and the
+// same rule: it is what the protocol libraries put on the wire.
+var update = flag.Bool("update", false, "rewrite the testdata/ file a golden test of this package compares against")
 
 // kitCells is every workload the pair kit and the fan-in server carry, on
 // both devices and under every configuration that reaches them, at sizes

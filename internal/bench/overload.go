@@ -263,16 +263,18 @@ func runOverloadCell(cfg *Config, tr overloadTrace, schedName string) OverloadRe
 			b.Ring.HighWater = overloadHighWater
 			dst := c.addr()
 			// reply wraps a relay reply in headers addressed back to
-			// client i's lane, in one buffer sized for the whole frame.
-			reply := func(lane uint16, rep []byte) []byte {
-				return append(udpReplyHeader(srv, dst, overloadPort, lane, len(rep)), rep...)
+			// client i's lane, as one frame built in buf.
+			reply := func(buf []byte, lane uint16, rep []byte) []byte {
+				return append(udpReplyHeader(buf, srv, dst, overloadPort, lane, len(rep)), rep...)
 			}
 			// The handler is done with a request before it returns (the
-			// relay copies what it keeps), so every invocation on this
-			// binding de-stripes into the same buffer. The drainer below
-			// holds its request across a Compute, during which the handler
-			// can run, and takes a fresh one.
-			var scratch []byte
+			// relay copies what it keeps) and its send copies the reply
+			// frame out at once, so every invocation on this binding
+			// de-stripes into one buffer and builds its reply in another.
+			// The drainer below holds its request across a Compute and its
+			// reply across a system call, during which the handler can run:
+			// it takes fresh ones.
+			var scratch, frame []byte
 			ash := srv.sys.NewFuncASH(p, fmt.Sprintf("relay-%d", i), true,
 				func(ctx *core.Ctx) aegis.Disposition {
 					// Header validation against the UDP length field.
@@ -286,7 +288,8 @@ func runOverloadCell(cfg *Config, tr overloadTrace, schedName string) OverloadRe
 					ctx.Straightline(2*len(req), len(req))
 					rep, insns, memops := rsrv.Handle(w.prof.Us(ctx.When()), tenant, req)
 					ctx.Straightline(insns, memops)
-					ctx.Send(dst, 0, reply(lane, rep))
+					frame = reply(frame[:0], lane, rep)
+					ctx.Send(dst, 0, frame)
 					return aegis.DispConsumed
 				})
 			ash.Tenant = tenant
@@ -306,7 +309,7 @@ func runOverloadCell(cfg *Config, tr overloadTrace, schedName string) OverloadRe
 					p.Compute(w.prof.Cycles(overloadLazyUs))
 					rep, insns, memops := rsrv.Handle(w.prof.Us(p.K.Now()), tenant, req)
 					p.Compute(sim.Time(24 + 2*len(req) + insns + 2*memops))
-					srv.nic.Send(p, dst, 0, reply(lane, rep))
+					srv.nic.Send(p, dst, 0, reply(nil, lane, rep))
 					lazyServed++
 				}
 				b.Free(e.BufIndex)

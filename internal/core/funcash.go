@@ -27,6 +27,10 @@ type FuncASH struct {
 	// invocation finished. The only involuntary aborts a FuncASH sees are
 	// the fault plane's (InvolAborts counts them).
 	LastPathCost sim.Time
+
+	// ctx is the invocation's environment. Invocations do not nest and Fn
+	// may not keep it, so one serves them all.
+	ctx Ctx
 }
 
 // NewFuncASH installs a Go-native handler. sandboxed selects whether the
@@ -66,8 +70,8 @@ func (f *FuncASH) HandleMsg(mc *aegis.MsgCtx) aegis.Disposition {
 		// Watchdog arm + sandbox entry sequence.
 		mc.Charge(sim.Time(prof.TimerArmCycles + f.sys.Policy.PrologueLen))
 	}
-	c := &Ctx{mc: mc, sys: f.sys, owner: f.Owner, sandboxed: f.Sandboxed}
-	d := f.Fn(c)
+	f.ctx = Ctx{mc: mc, sys: f.sys, owner: f.Owner, sandboxed: f.Sandboxed}
+	d := f.Fn(&f.ctx)
 	if f.Sandboxed {
 		// Exit sequence + watchdog clear.
 		mc.Charge(sim.Time(f.sys.Policy.EpilogueLen + prof.TimerArmCycles))

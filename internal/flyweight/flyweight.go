@@ -174,7 +174,7 @@ type op struct {
 	frame  []byte
 	sentAt sim.Time
 	timer  sim.Timer
-	bo     *retry.State
+	bo     retry.State
 	incast bool
 }
 
@@ -404,9 +404,11 @@ func (ep *Endpoint) startDgram(incast bool) {
 	var frame []byte
 	switch ep.f.cfg.Kind {
 	case UDPEcho:
-		frame = ep.udpFrame(ep.echoPayload(seq))
+		frame = ep.udpFrame(ep.f.cfg.Payload)
+		ep.echoPayload(frame[udpPayloadOff:], seq)
 	case NFSRead:
-		frame = ep.udpFrame(ep.readCall(seq))
+		frame = ep.udpFrame(readCallLen)
+		ep.readCall(frame[udpPayloadOff:], seq)
 	}
 	o := &op{step: stepDgram, seq: seq, frame: frame, incast: incast,
 		bo: retry.New(ep.f.cfg.Retry, ep.f.cfg.Seed, ep.id)}
@@ -468,47 +470,52 @@ func (ep *Endpoint) rxNFS(data []byte) {
 	ep.settle(o, true)
 }
 
-// echoPayload tags an echo request: seq, then the client id, then
+// echoPayload tags an echo request in place: seq, then the client id, then
 // deterministic filler.
-func (ep *Endpoint) echoPayload(seq uint32) []byte {
-	p := make([]byte, ep.f.cfg.Payload)
+func (ep *Endpoint) echoPayload(p []byte, seq uint32) {
 	binary.BigEndian.PutUint32(p, seq)
 	binary.BigEndian.PutUint32(p[4:], uint32(ep.id))
 	for i := 8; i < len(p); i++ {
 		p[i] = byte(ep.id + i)
 	}
-	return p
 }
 
-// readCall marshals one NFS READ RPC, xid = seq, reading ReadBytes at a
-// rotating offset.
-func (ep *Endpoint) readCall(seq uint32) []byte {
+// readCallLen is the size of a READ call: xid, procedure, handle, offset,
+// count.
+const readCallLen = 20
+
+// readCall marshals one NFS READ RPC in place, xid = seq, reading ReadBytes
+// at a rotating offset.
+func (ep *Endpoint) readCall(p []byte, seq uint32) {
 	cfg := &ep.f.cfg
-	off := (seq * cfg.ReadBytes) % cfg.FileBytes
-	b := make([]byte, 0, 20)
-	b = binary.BigEndian.AppendUint32(b, seq)
-	b = binary.BigEndian.AppendUint32(b, nfs.ProcRead)
-	b = binary.BigEndian.AppendUint32(b, cfg.Handle)
-	b = binary.BigEndian.AppendUint32(b, off)
-	return binary.BigEndian.AppendUint32(b, cfg.ReadBytes)
+	binary.BigEndian.PutUint32(p, seq)
+	binary.BigEndian.PutUint32(p[4:], nfs.ProcRead)
+	binary.BigEndian.PutUint32(p[8:], cfg.Handle)
+	binary.BigEndian.PutUint32(p[12:], (seq*cfg.ReadBytes)%cfg.FileBytes)
+	binary.BigEndian.PutUint32(p[16:], cfg.ReadBytes)
 }
 
-// udpFrame wraps payload in Ethernet+IP+UDP headers from this endpoint
-// to the server. The UDP checksum is zero (unused), matching the full
-// library's default and the receive path's checksum-zero skip.
-func (ep *Endpoint) udpFrame(payload []byte) []byte {
+// udpFrame is the one allocation of a datagram operation: a frame with
+// room for n payload bytes, which the caller writes in place behind the
+// Ethernet+IP+UDP headers from this endpoint to the server. The UDP
+// checksum is zero (unused), matching the full library's default and the
+// receive path's checksum-zero skip.
+func (ep *Endpoint) udpFrame(n int) []byte {
+	cfg := &ep.f.cfg
+	b := ep.linkIP(make([]byte, 0, udpPayloadOff+n), ip.ProtoUDP, udp.HeaderLen+n)
+	uh := udp.Header{SrcPort: cfg.ClientPort, DstPort: cfg.ServerPort, Length: uint16(udp.HeaderLen + n)}
+	return uh.Marshal(b)[:udpPayloadOff+n]
+}
+
+// linkIP appends the Ethernet and IP headers of a datagram of n transport
+// bytes from this endpoint to the server.
+func (ep *Endpoint) linkIP(b []byte, proto byte, n int) []byte {
 	cfg := &ep.f.cfg
 	eh := ether.Header{Dst: ether.PortMAC(cfg.ServerLink), Src: ether.PortMAC(ep.port.Addr()),
 		Type: ether.TypeIPv4}
-	b := eh.Marshal(nil)
-	ih := ip.Header{TotalLen: uint16(ip.HeaderLen + udp.HeaderLen + len(payload)),
-		TTL: 64, Proto: ip.ProtoUDP, DF: true, Src: ep.addr, Dst: cfg.ServerIP}
-	b = ih.Marshal(b)
-	b = binary.BigEndian.AppendUint16(b, cfg.ClientPort)
-	b = binary.BigEndian.AppendUint16(b, cfg.ServerPort)
-	b = binary.BigEndian.AppendUint16(b, uint16(udp.HeaderLen+len(payload)))
-	b = binary.BigEndian.AppendUint16(b, 0)
-	return append(b, payload...)
+	ih := ip.Header{TotalLen: uint16(ip.HeaderLen + n),
+		TTL: 64, Proto: proto, DF: true, Src: ep.addr, Dst: cfg.ServerIP}
+	return ih.Marshal(eh.Marshal(b))
 }
 
 // ---- TCPPingPong ----
@@ -534,7 +541,9 @@ func (ep *Endpoint) pump() {
 		ep.issued++
 		seq := ep.nextSeq
 		ep.nextSeq++
-		ep.startStep(stepPing, ep.conn.Data(ep.echoPayload(seq)), incast)
+		p := make([]byte, cfg.Payload)
+		ep.echoPayload(p, seq)
+		ep.startStep(stepPing, ep.conn.Data(p), incast)
 	case ep.issued == ep.total:
 		ep.closing = true
 		ep.startStep(stepFin, ep.conn.Fin(), false)
@@ -597,12 +606,6 @@ func (ep *Endpoint) rxTCP(data []byte) {
 
 // tcpFrame wraps a raw segment in Ethernet+IP headers to the server.
 func (ep *Endpoint) tcpFrame(seg []byte) []byte {
-	cfg := &ep.f.cfg
-	eh := ether.Header{Dst: ether.PortMAC(cfg.ServerLink), Src: ether.PortMAC(ep.port.Addr()),
-		Type: ether.TypeIPv4}
-	b := eh.Marshal(nil)
-	ih := ip.Header{TotalLen: uint16(ip.HeaderLen + len(seg)),
-		TTL: 64, Proto: ip.ProtoTCP, DF: true, Src: ep.addr, Dst: cfg.ServerIP}
-	b = ih.Marshal(b)
-	return append(b, seg...)
+	b := make([]byte, 0, ether.HeaderLen+ip.HeaderLen+len(seg))
+	return append(ep.linkIP(b, ip.ProtoTCP, len(seg)), seg...)
 }

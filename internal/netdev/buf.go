@@ -45,19 +45,10 @@ func (b *PacketBuf) Len() int { return b.n }
 // switch still rejects them at Transmit; growing keeps that error path
 // reachable instead of turning it into a pool panic).
 func (b *PacketBuf) SetData(d []byte) {
-	copy(b.Grow(len(d)), d)
-}
-
-// Grow sets the payload length to n — enlarging the backing store on the
-// rare oversize request — and returns the writable payload slice, so
-// protocol layers can marshal frames in place instead of building a
-// scratch slice and copying it in.
-func (b *PacketBuf) Grow(n int) []byte {
-	if n > cap(b.buf) {
-		b.buf = make([]byte, n)
+	if len(d) > cap(b.buf) {
+		b.buf = make([]byte, len(d))
 	}
-	b.n = n
-	return b.buf[:n]
+	b.n = copy(b.buf, d)
 }
 
 // Retain adds a reference: the holder promises a matching Release.

@@ -52,8 +52,12 @@ type Stack struct {
 	PrependLink func(dst link.Addr, b []byte) []byte
 
 	nextID uint16
-	reasm  map[reasmKey]*reasmBuf
-	slots  []*reasmBuf
+	// frame is the one transmit frame, composed in place by Send and grown
+	// to the largest frame this stack has sent; sending guards it.
+	frame   []byte
+	sending bool
+	reasm   map[reasmKey]*reasmBuf
+	slots   []*reasmBuf
 
 	// Statistics.
 	BadHeader, NotMine, ReasmTimeouts uint64
@@ -102,58 +106,62 @@ func (s *Stack) maxFragPayload() int {
 	return (s.MTU() - HeaderLen) &^ 7 // fragment data is 8-byte aligned
 }
 
-// Send transmits payload as an IP datagram to dst, fragmenting if needed.
-// The caller has already charged transport-level costs; Send charges IP
-// header construction per fragment.
-func (s *Stack) Send(proto byte, dst Addr, payload []byte) error {
-	la, err := s.Res.Resolve(s.Ep.Owner(), dst)
+// Send transmits the datagram hdr‖payload — a transport header, then
+// application bytes as the address space lent them — to dst, fragmenting if
+// needed. The caller has already charged transport-level costs; Send charges
+// IP header construction per fragment.
+//
+// Each fragment is composed once, in the stack's own transmit frame, before
+// the charge and the link's system call block: whatever a handler does to the
+// lent payload meanwhile, the wire gets the bytes captured here, and the copy
+// into the wire buffer (after the system call) stays the only other one.
+func (s *Stack) Send(proto byte, dst Addr, hdr, payload []byte) error {
+	p := s.Ep.Owner()
+	if s.sending {
+		panic(fmt.Sprintf("ip: Stack.Send re-entered while %s's send is in progress: a stack is its owner's alone", p.Name))
+	}
+	s.sending = true
+	defer func() { s.sending = false }()
+	la, err := s.Res.Resolve(p, dst)
 	if err != nil {
 		return err
 	}
 	id := s.nextID
 	s.nextID++
-	mtu := s.MTU()
-	p := s.Ep.Owner()
 
-	if HeaderLen+len(payload) <= mtu {
-		p.Compute(s.Costs.Build)
-		h := Header{TotalLen: uint16(HeaderLen + len(payload)), ID: id, TTL: 64,
-			Proto: proto, Src: s.Local, Dst: dst}
-		buf := s.prepend(la, nil)
-		buf = h.Marshal(buf)
-		buf = append(buf, payload...)
-		s.Ep.Send(la, buf)
-		return nil
+	total := len(hdr) + len(payload)
+	step := total // one datagram unless it exceeds the MTU
+	if HeaderLen+total > s.MTU() {
+		if step = s.maxFragPayload(); step <= 0 {
+			return fmt.Errorf("ip: MTU %d too small to fragment", s.MTU())
+		}
 	}
-
-	// Fragmentation path.
-	step := s.maxFragPayload()
-	if step <= 0 {
-		return fmt.Errorf("ip: MTU %d too small to fragment", mtu)
-	}
-	for off := 0; off < len(payload); off += step {
-		end := off + step
-		mf := true
-		if end >= len(payload) {
-			end = len(payload)
-			mf = false
+	for off := 0; ; off += step {
+		end := min(off+step, total)
+		h := Header{TotalLen: uint16(HeaderLen + end - off), ID: id, TTL: 64,
+			Proto: proto, Src: s.Local, Dst: dst, MF: end < total, FragOff: off}
+		if need := s.LinkHdrLen + int(h.TotalLen); cap(s.frame) < need {
+			s.frame = make([]byte, 0, need) // at most LinkHdrLen+MTU: the largest frame sent so far
+		}
+		f := s.frame[:0]
+		if s.PrependLink != nil {
+			f = s.PrependLink(la, f)
+		}
+		f = h.Marshal(f)
+		// [off, end) of the logical concatenation: the header/payload
+		// boundary may fall anywhere in a fragment, or on its edge.
+		if off < len(hdr) {
+			f = append(f, hdr[off:min(end, len(hdr))]...)
+		}
+		if end > len(hdr) {
+			f = append(f, payload[max(off, len(hdr))-len(hdr):end-len(hdr)]...)
 		}
 		p.Compute(s.Costs.Build)
-		h := Header{TotalLen: uint16(HeaderLen + end - off), ID: id, TTL: 64,
-			Proto: proto, Src: s.Local, Dst: dst, MF: mf, FragOff: off}
-		buf := s.prepend(la, nil)
-		buf = h.Marshal(buf)
-		buf = append(buf, payload[off:end]...)
-		s.Ep.Send(la, buf)
+		s.Ep.Send(la, f)
+		if end == total {
+			return nil
+		}
 	}
-	return nil
-}
-
-func (s *Stack) prepend(la link.Addr, b []byte) []byte {
-	if s.PrependLink != nil {
-		return s.PrependLink(la, b)
-	}
-	return b
 }
 
 // Dgram is a received, complete IP datagram. Unfragmented datagrams stay
@@ -273,7 +281,9 @@ func (s *Stack) inputFragment(h Header, f link.Frame) (Dgram, bool, error) {
 			s.Ep.Release(f)
 			return Dgram{}, false, nil
 		}
-		buf.have = map[int]int{}
+		if buf.have == nil {
+			buf.have = map[int]int{}
+		}
 		buf.totalLen = -1
 		s.reasm[key] = buf
 	}
@@ -373,7 +383,7 @@ func (s *Stack) allocSlot(now sim.Time) *reasmBuf {
 	sl := s.reasm[k]
 	delete(s.reasm, k)
 	s.ReasmTimeouts++
-	sl.have = map[int]int{}
+	clear(sl.have)
 	return sl
 }
 
@@ -393,7 +403,7 @@ func (s *Stack) complete(buf *reasmBuf) bool {
 func (s *Stack) Release(d Dgram) {
 	if d.slot != nil {
 		d.slot.inUse = false
-		d.slot.have = nil
+		clear(d.slot.have)
 		return
 	}
 	s.Ep.Release(d.Frame)

@@ -15,7 +15,8 @@ func TestBackoffBudgetExhausts(t *testing.T) {
 	srv := NewServer()
 	world(t, srv, 1, func(p *aegis.Process, c *Client) {
 		c.Port = 2051 // nobody home
-		c.Backoff = retry.New(retry.Policy{BaseUs: 2000, CapUs: 16000, Budget: 3}, 7, 0)
+		bo := retry.New(retry.Policy{BaseUs: 2000, CapUs: 16000, Budget: 3}, 7, 0)
+		c.Backoff = &bo
 		_, err := c.Lookup(p, RootHandle, "x")
 		if err == nil {
 			t.Error("lookup against a dead port succeeded")
@@ -36,7 +37,8 @@ func TestBackoffBudgetRefillsPerRPC(t *testing.T) {
 	srv := NewServer()
 	srv.AddFile("f", []byte("x"))
 	world(t, srv, 1, func(p *aegis.Process, c *Client) {
-		c.Backoff = retry.New(retry.Policy{BaseUs: 2000, CapUs: 16000, Budget: 2}, 7, 0)
+		bo := retry.New(retry.Policy{BaseUs: 2000, CapUs: 16000, Budget: 2}, 7, 0)
+		c.Backoff = &bo
 		good := c.Port
 		c.Port = 2051
 		if _, err := c.Lookup(p, RootHandle, "f"); err == nil {

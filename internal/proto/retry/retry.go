@@ -88,9 +88,10 @@ type State struct {
 }
 
 // New builds the backoff state for client `client` under pol, seeded by
-// the run seed.
-func New(pol Policy, seed int64, client int) *State {
-	return &State{Pol: pol, j: NewJitter(seed, client)}
+// the run seed. It is a value, so an operation record can embed it; copies
+// share the one jitter stream.
+func New(pol Policy, seed int64, client int) State {
+	return State{Pol: pol, j: NewJitter(seed, client)}
 }
 
 // Next returns the jittered delay in microseconds to wait before the next

@@ -168,6 +168,7 @@ type Conn struct {
 
 	// Timers (absolute deadlines; 0 = unarmed).
 	rtxq            []rtxSeg
+	rtxFree         [][]byte // the retransmit store's idle slabs (see hold)
 	ackDue          bool
 	ackDeadline     sim.Time
 	unacked         int
@@ -318,32 +319,67 @@ func (c *Conn) sendSegment(flags Flags, seq uint32, payloadAddr *uint32, n int, 
 	if flags&ACK != 0 {
 		h.Ack = c.rcvNxt
 	}
+	var acc uint32
 	if c.Cfg.Checksum {
 		p.Compute(c.Costs.CksumFixed)
-		acc := ip.PseudoCksum(c.St.Local, c.remoteIP, ip.ProtoTCP, HeaderLen+n)
-		acc += h.headerAccum()
 		if n > 0 {
-			acc += link.CksumRange(p, c.kern(), *payloadAddr, n)
+			acc = link.CksumRange(p, c.kern(), *payloadAddr, n)
 		}
-		ck := ^link.FoldCksum(acc)
-		h.Checksum = ck
 	}
-	buf := h.Marshal(nil)
-	buf = append(buf, data...)
-	c.SegsOut++
-	c.traceSpan("tcp output", t0)
 	c.ackDue = false
 	c.ackDeadline = 0
 	c.unacked = 0
 	if addToRtx {
+		// The segment's bytes are copied now: a retransmission resends what
+		// was sent, not what the application's buffer holds by then. The
+		// first transmission goes out from the same copy.
+		data = c.hold(data)
 		rto := c.currentRTO()
 		c.rtxq = append(c.rtxq, rtxSeg{
-			seq: seq, flags: flags, data: append([]byte(nil), data...),
+			seq: seq, flags: flags, data: data,
 			deadline: c.now() + rto, rto: rto, sentAt: c.now(),
 		})
 	}
-	if err := c.St.Send(ip.ProtoTCP, c.remoteIP, buf); err != nil {
+	c.emit(&h, data, acc, "tcp output", t0)
+}
+
+// emit is the one segment builder, of first transmissions and
+// retransmissions alike: it completes h's checksum from the payload's sum,
+// marshals h on the stack and hands header and payload to the IP stack,
+// which composes the frame.
+func (c *Conn) emit(h *Header, data []byte, dataAcc uint32, span string, t0 sim.Time) {
+	if c.Cfg.Checksum {
+		acc := ip.PseudoCksum(c.St.Local, c.remoteIP, ip.ProtoTCP, HeaderLen+len(data))
+		h.Checksum = ^link.FoldCksum(acc + h.headerAccum() + dataAcc)
+	}
+	c.SegsOut++
+	c.traceSpan(span, t0)
+	var hdr [HeaderLen]byte
+	if err := c.St.Send(ip.ProtoTCP, c.remoteIP, h.Marshal(hdr[:0]), data); err != nil {
 		c.err = err
+	}
+}
+
+// hold copies a queued segment's bytes into a slab of the retransmit store
+// and returns the copy. The store is the slabs themselves: one goes out per
+// data segment in flight — Write never has more than Cfg.Window bytes
+// unacknowledged — and comes back through release when the segment leaves
+// the queue, so a steady transfer recycles the few it minted at the start.
+func (c *Conn) hold(data []byte) []byte {
+	if len(data) == 0 {
+		return nil
+	}
+	var slab []byte
+	if k := len(c.rtxFree); k > 0 {
+		slab, c.rtxFree = c.rtxFree[k-1], c.rtxFree[:k-1]
+	}
+	return append(slab, data...)
+}
+
+// release returns the slab of a segment that is leaving the queue.
+func (c *Conn) release(r *rtxSeg) {
+	if r.data != nil {
+		c.rtxFree = append(c.rtxFree, r.data[:0])
 	}
 }
 
@@ -512,6 +548,7 @@ func (c *Conn) checkTimers() {
 		if seqLE(r.seq+uint32(len(r.data)), c.sndUna) && r.flags&(SYN|FIN) == 0 ||
 			r.flags&(SYN|FIN) != 0 && seqLT(r.seq, c.sndUna) {
 			// Acknowledged (possibly by the fast path); drop.
+			c.release(r)
 			c.rtxq = append(c.rtxq[:i], c.rtxq[i+1:]...)
 			i--
 			continue
@@ -631,6 +668,9 @@ func (c *Conn) sampleRTT(ack uint32) {
 func (c *Conn) teardown(err error) {
 	c.err = err
 	c.state = Closed
+	for i := range c.rtxq {
+		c.release(&c.rtxq[i])
+	}
 	c.rtxq = nil
 	c.ackDue = false
 	c.ackDeadline = 0
@@ -650,20 +690,12 @@ func (c *Conn) retransmit(r *rtxSeg) {
 		h.Flags |= ACK
 		h.Ack = c.rcvNxt
 	}
+	var acc uint32
 	if c.Cfg.Checksum {
 		p.Compute(c.Costs.CksumFixed)
-		acc := ip.PseudoCksum(c.St.Local, c.remoteIP, ip.ProtoTCP, HeaderLen+len(r.data))
-		acc += h.headerAccum()
-		acc = link.CksumData(acc, r.data)
-		h.Checksum = ^link.FoldCksum(acc)
+		acc = link.CksumData(0, r.data)
 	}
-	buf := h.Marshal(nil)
-	buf = append(buf, r.data...)
-	c.SegsOut++
-	c.traceSpan("tcp rexmit output", t0)
-	if err := c.St.Send(ip.ProtoTCP, c.remoteIP, buf); err != nil {
-		c.err = err
-	}
+	c.emit(&h, r.data, acc, "tcp rexmit output", t0)
 }
 
 // lockTCB marks the TCB busy so the downloaded handler aborts rather than
@@ -678,7 +710,8 @@ func (c *Conn) input(d ip.Dgram) {
 	defer c.unlockTCB()
 	c.SegsIn++
 
-	raw := make([]byte, min(d.PayloadLen(), HeaderLen))
+	var hdr [HeaderLen]byte
+	raw := hdr[:min(d.PayloadLen(), HeaderLen)]
 	d.Frame.Bytes(raw, d.Off, len(raw))
 	h, dataOff, err := Parse(raw)
 	if err != nil || d.Hdr.Proto != ip.ProtoTCP || h.DstPort != c.localPort {
@@ -922,6 +955,8 @@ func (c *Conn) dropAcked() {
 		}
 		if !seqLE(end, c.sndUna) {
 			out = append(out, r)
+		} else {
+			c.release(&r)
 		}
 	}
 	c.rtxq = out
@@ -979,9 +1014,7 @@ func (c *Conn) Read(dst uint32, maxBytes int) (int, error) {
 		if c.Cfg.InPlace {
 			// The application uses the data where it landed; surface it
 			// at dst for API uniformity (bookkeeping cost only).
-			buf := make([]byte, n)
-			s.d.Frame.Bytes(buf, s.d.Off+s.off+s.read, n)
-			copy(c.kern().Bytes(dst+uint32(read), n), buf)
+			s.d.Frame.Bytes(c.kern().Bytes(dst+uint32(read), n), s.d.Off+s.off+s.read, n)
 			p.Compute(40)
 		} else {
 			// The "traditional read interface" copy into application
@@ -993,7 +1026,7 @@ func (c *Conn) Read(dst uint32, maxBytes int) (int, error) {
 		c.rxqBytes -= n
 		if s.read == s.n {
 			c.St.Release(s.d)
-			c.rxq = c.rxq[1:]
+			c.rxq = c.rxq[:copy(c.rxq, c.rxq[1:])] // shift down: the next append reuses the array
 		}
 		c.unlockTCB()
 	}

@@ -28,6 +28,7 @@ type fastPath struct {
 	engID int // DILP engine: integrated copy(+checksum)
 
 	remote link.Addr // pre-resolved reply destination
+	ack    []byte    // scratch for the ACK frame the handler sends
 }
 
 // installFastPath compiles the handler's DILP engine, downloads the
@@ -59,6 +60,7 @@ func installFastPath(c *Conn) *fastPath {
 		panic(err)
 	}
 	f.remote = la
+	f.ack = make([]byte, 0, c.St.LinkHdrLen+ip.HeaderLen+HeaderLen)
 
 	switch c.Cfg.Mode {
 	case ModeASH:
@@ -129,7 +131,8 @@ func (f *fastPath) handle(ctx *core.Ctx) aegis.Disposition {
 		if hdrN > fastHdrMax {
 			hdrN = fastHdrMax
 		}
-		hdr := make([]byte, hdrN)
+		var gathered [fastHdrMax]byte
+		hdr := gathered[:hdrN]
 		for i := range hdr {
 			hdr[i] = raw[aegis.StripedIndex(i)]
 		}
@@ -312,7 +315,7 @@ func (f *fastPath) sendAckFromHandler(ctx *core.Ctx) {
 	}
 	iph := ip.Header{TotalLen: uint16(ip.HeaderLen + HeaderLen), TTL: 64,
 		Proto: ip.ProtoTCP, Src: c.St.Local, Dst: c.remoteIP}
-	var buf []byte
+	buf := f.ack[:0] // ctx.Send copies it out at once
 	if c.St.PrependLink != nil {
 		buf = c.St.PrependLink(f.remote, buf)
 	}

@@ -115,9 +115,7 @@ func (s *Socket) SendTo(dst ip.Addr, dstPort uint16, addr uint32, n int) error {
 	h := Header{SrcPort: s.LocalPort, DstPort: dstPort, Length: uint16(HeaderLen + n)}
 	if s.Opts.Checksum {
 		p.Compute(s.Costs.CksumFixed)
-		acc := ip.PseudoCksum(s.St.Local, dst, ip.ProtoUDP, HeaderLen+n)
-		hdr := h.Marshal(nil)
-		acc = link.CksumData(acc, hdr)
+		acc := ip.PseudoCksum(s.St.Local, dst, ip.ProtoUDP, HeaderLen+n) + h.headerAccum()
 		acc += link.CksumRange(p, k, addr, n) // charged traversal
 		ck := ^link.FoldCksum(acc)
 		if ck == 0 {
@@ -125,9 +123,8 @@ func (s *Socket) SendTo(dst ip.Addr, dstPort uint16, addr uint32, n int) error {
 		}
 		h.Checksum = ck
 	}
-	buf := h.Marshal(nil)
-	buf = append(buf, data...)
-	return s.St.Send(ip.ProtoUDP, dst, buf)
+	var hdr [HeaderLen]byte
+	return s.St.Send(ip.ProtoUDP, dst, h.Marshal(hdr[:0]), data)
 }
 
 // SendBytes stages data into the socket's transmit buffer and sends it.

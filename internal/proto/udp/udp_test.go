@@ -1,6 +1,7 @@
 package udp
 
 import (
+	"runtime"
 	"testing"
 
 	"ashs/internal/aegis"
@@ -261,5 +262,69 @@ func TestTable2UDPLatencyShape(t *testing.T) {
 	}
 	if withCk < noCk+8 || withCk > noCk+35 {
 		t.Fatalf("checksum adds %.1f us, want ~19 (Table II: 225->244)", withCk-noCk)
+	}
+}
+
+// sendToMallocs builds a world in which the client SendTo's n datagrams of
+// size bytes from application memory, each answered by a 4-byte SendTo, and
+// returns the heap allocations the whole run made.
+func sendToMallocs(t *testing.T, size, n int) uint64 {
+	t.Helper()
+	w := newWorld()
+	opts := Options{Checksum: true}
+	echoed := 0
+	w.k2.Spawn("server", func(p *aegis.Process) {
+		sock := NewSocket(w.stackFor(p, w.a2, 5, w.ip2), 53, opts)
+		ack := p.AS.MustAlloc(4, "ack")
+		for i := 0; i < n; i++ {
+			m, err := sock.Recv(true)
+			if err != nil || m.N != size {
+				t.Errorf("datagram %d: %d bytes, %v", i, m.N, err)
+				return
+			}
+			sock.Release(m)
+			if err := sock.SendTo(m.From, m.FromPort, ack.Base, 4); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	})
+	w.k1.Spawn("client", func(p *aegis.Process) {
+		sock := NewSocket(w.stackFor(p, w.a1, 5, w.ip1), 1234, opts)
+		buf := p.AS.MustAlloc(size, "tx")
+		for ; echoed < n; echoed++ {
+			if err := sock.SendTo(w.ip2, 53, buf.Base, size); err != nil {
+				t.Error(err)
+				return
+			}
+			m, err := sock.Recv(true)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			sock.Release(m)
+		}
+	})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	w.eng.Run()
+	runtime.ReadMemStats(&after)
+	if echoed != n {
+		t.Fatalf("%d of %d datagrams answered", echoed, n)
+	}
+	return after.Mallocs - before.Mallocs
+}
+
+// TestSendToDoesNotAllocatePerDatagram: a thousand more datagrams through
+// the same world, one frame or two fragments each, cost fewer than one heap
+// allocation per eight sends — the header is marshalled on the stack and the
+// frame composed in the IP stack's own.
+func TestSendToDoesNotAllocatePerDatagram(t *testing.T) {
+	for _, size := range []int{3072, 20000} {
+		few, many := sendToMallocs(t, size, 300), sendToMallocs(t, size, 1300)
+		t.Logf("%d-byte datagrams: %d mallocs for 300 round trips, %d for 1300", size, few, many)
+		if extra := int64(many) - int64(few); extra*8 >= 2*1000 {
+			t.Errorf("%d-byte datagrams: 2000 more sends cost %d more allocations, want under one per eight", size, extra)
+		}
 	}
 }
