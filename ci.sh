@@ -71,6 +71,11 @@ go test -race ./...
 #            panics with the owner; 3 MB more of stream or 2000 more
 #            datagrams allocate nothing; the retransmit store keeps what
 #            was sent, recycles its slabs and ends whole
+#   netdev   a buffer has one owner: recycling, double Release panics, receivers borrow and copy
+#   core     §VI-4: a tenant over its cycle quota takes the lazy path, tenants are isolated
+#   pipe     every compiled engine streams all but its first iteration
+#   tcp      retransmissions after 200/400/800/1600 ms, capped; teardown after MaxRetransmit
+#   nfs      a dead port gets Retries+1 sends at doubling, capped intervals, then an error
 echo "== by-name suites under -race"
 while IFS=: read -r pkg pattern; do
     echo "-- $pkg -run '$pattern'"
@@ -95,6 +100,11 @@ done <<'EOF'
 ./internal/proto/ip/:^TestGatherSendEdges$|^TestSendCapturesPayloadBeforeItBlocks$|^TestSendReentryPanicsWithOwner$
 ./internal/proto/tcp/:^TestNoAllocationPerSegment$|^TestRtxStore
 ./internal/proto/udp/:^TestSendToDoesNotAllocatePerDatagram$
+./internal/netdev/:^TestBuf|^TestRefcountHandoffRace$
+./internal/core/:^TestQuota
+./internal/pipe/:^TestCompiledEnginesStream$
+./internal/proto/tcp/:^TestRetransmitBackoffSchedule$|^TestMaxRetransmitTearsDownConnection$
+./internal/proto/nfs/:^TestDeadPortGivesUpAfterRetries$
 EOF
 
 # Fuzz targets: each parser/demux fuzzer runs a short wall-clock sweep on

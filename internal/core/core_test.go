@@ -433,40 +433,3 @@ func TestASHRunsWhenOwnerSuspended(t *testing.T) {
 		t.Fatalf("RT with suspended owner = %.1f us — ASH waited for scheduling?", us)
 	}
 }
-
-func TestLivelockDefenseThrottlesFlood(t *testing.T) {
-	// Section VI-4: under a flood, the system refuses eager handler
-	// execution beyond the process's share; excess messages take the
-	// (lazy, fair) user-level path instead of starving everything else.
-	tb := newTestbed(t)
-	tb.sys.RatePerTick = 4
-	owner := tb.k2.Spawn("app", func(p *aegis.Process) {})
-	counter := owner.AS.MustAlloc(4096, "counter")
-	ash := tb.sys.MustDownload(owner,
-		incrementASH(counter.Base, func() (int, int) { return 0, 9 }), Options{})
-	sb, _ := tb.a2.BindVC(owner, 9, 64, 4096)
-	ash.Attach(sb)
-
-	// Flood: 20 messages within one clock tick.
-	for i := 0; i < 20; i++ {
-		tb.a1.KernelSend(tb.a2.Addr(), 9, []byte{0, 0, 0, 1})
-	}
-	tb.eng.RunUntil(sim.Time(tb.k2.Prof.ClockTickCycles) / 2)
-	if ash.Invocations != 4 {
-		t.Fatalf("handler ran %d times in one tick, limit 4", ash.Invocations)
-	}
-	if ash.Throttled != 16 {
-		t.Fatalf("throttled %d, want 16", ash.Throttled)
-	}
-	if sb.Ring.Len() != 16 {
-		t.Fatalf("ring has %d fallback messages, want 16", sb.Ring.Len())
-	}
-
-	// Next tick: the budget refreshes.
-	tb.eng.RunUntil(sim.Time(tb.k2.Prof.ClockTickCycles) + 1000)
-	tb.a1.KernelSend(tb.a2.Addr(), 9, []byte{0, 0, 0, 1})
-	tb.eng.Run()
-	if ash.Invocations != 5 {
-		t.Fatalf("budget did not refresh: %d invocations", ash.Invocations)
-	}
-}

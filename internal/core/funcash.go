@@ -2,6 +2,7 @@ package core
 
 import (
 	"ashs/internal/aegis"
+	"ashs/internal/sandbox"
 	"ashs/internal/sim"
 	"ashs/internal/vcode"
 )
@@ -57,7 +58,7 @@ func (f *FuncASH) HandleMsg(mc *aegis.MsgCtx) aegis.Disposition {
 			// partial cycles already burned; the message re-vectors to the
 			// default user-level path, delivered exactly once.
 			if f.Sandboxed {
-				mc.Charge(sim.Time(prof.TimerArmCycles + f.sys.Policy.PrologueLen))
+				mc.Charge(sim.Time(prof.TimerArmCycles + sandbox.PrologueLen))
 			}
 			mc.Charge(sim.Time(after))
 			f.noteInvoluntaryAbort()
@@ -68,13 +69,13 @@ func (f *FuncASH) HandleMsg(mc *aegis.MsgCtx) aegis.Disposition {
 	c0 := mc.Cost()
 	if f.Sandboxed {
 		// Watchdog arm + sandbox entry sequence.
-		mc.Charge(sim.Time(prof.TimerArmCycles + f.sys.Policy.PrologueLen))
+		mc.Charge(sim.Time(prof.TimerArmCycles + sandbox.PrologueLen))
 	}
 	f.ctx = Ctx{mc: mc, sys: f.sys, owner: f.Owner, sandboxed: f.Sandboxed}
 	d := f.Fn(&f.ctx)
 	if f.Sandboxed {
 		// Exit sequence + watchdog clear.
-		mc.Charge(sim.Time(f.sys.Policy.EpilogueLen + prof.TimerArmCycles))
+		mc.Charge(sim.Time(sandbox.EpilogueLen + prof.TimerArmCycles))
 	}
 	// Debit the handler's declared costs: everything this invocation
 	// charged to the receive path.

@@ -46,23 +46,18 @@ type System struct {
 	engines []*registeredEngine
 	nextID  ID
 
-	// RatePerTick bounds how many handler executions each ASH gets per
-	// clock tick; beyond it, messages fall back to the (lazy, fair)
-	// user-level path. This is the receive-livelock defense of
-	// Section VI-4: "the operating system must track the number of ASHs
-	// recently executed for each process and refuse to execute any more
-	// for processes receiving more than their share of messages" —
-	// handlers are "fundamentally an eager technique", disabled under
-	// high load. Zero means unlimited.
-	RatePerTick int
-
 	// Quota, when set, meters eager handler execution against per-tenant
 	// windowed cycle budgets (see sandbox.QuotaLedger). Handlers carrying
 	// a Tenant label are admitted against the ledger before running and
 	// debited their exact SFI-accounted cycles after; over-budget tenants
 	// are throttled, not aborted — their messages degrade to the lazy
 	// user-level path, where processing is paid from the tenant's own
-	// scheduler quantum. Nil disables metering entirely.
+	// scheduler quantum. This is the receive-livelock defense of
+	// Section VI-4: "the operating system must track the number of ASHs
+	// recently executed for each process and refuse to execute any more
+	// for processes receiving more than their share of messages" —
+	// handlers are "fundamentally an eager technique", disabled under
+	// high load. Nil disables metering entirely.
 	Quota *sandbox.QuotaLedger
 
 	// QuotaThrottled counts handler executions refused by the quota
@@ -233,13 +228,8 @@ type ASH struct {
 	// consume the message, nonzero to return it to the kernel (voluntary
 	// abort to the user-level path).
 
-	// Rate limiting (Section VI-4).
-	tickSeen  sim.Time
-	tickCount int
-
 	// Statistics (see also the embedded handler's).
 	VoluntaryAborts  uint64
-	Throttled        uint64       // executions refused by the livelock defense
 	InvoluntaryFault *vcode.Fault // last involuntary abort, for diagnosis
 
 	// DynamicInsns accumulates executed instructions (for the paper's
@@ -327,26 +317,6 @@ func (a *ASH) Attach(b *aegis.Binding) { a.attach(b, a) }
 // demultiplexing.
 func (a *ASH) HandleMsg(mc *aegis.MsgCtx) aegis.Disposition {
 	prof := a.sys.K.Prof
-	if limit := a.sys.RatePerTick; limit > 0 {
-		tick := a.sys.K.Now() / sim.Time(prof.ClockTickCycles)
-		if tick != a.tickSeen {
-			a.tickSeen = tick
-			a.tickCount = 0
-		}
-		if a.tickCount >= limit {
-			// Over its share this tick: refuse eager execution, let the
-			// message take the lazy user-level path.
-			a.Throttled++
-			mc.Charge(2) // the refusal check itself
-			if o := a.sys.K.Obs; o.Enabled() {
-				o.Instant(a.sys.K.Name, "ash system", "ash",
-					"throttled "+a.Name, mc.When())
-				o.Inc("ash/throttled")
-			}
-			return aegis.DispToUser
-		}
-		a.tickCount++
-	}
 	if a.quotaRefuses(mc) {
 		return aegis.DispToUser
 	}

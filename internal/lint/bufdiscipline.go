@@ -116,7 +116,7 @@ func checkUseAfterRelease(pass *Pass, fd *ast.FuncDecl) {
 			if obj != nil && released[obj] {
 				pass.Reportf(id.Pos(),
 					"%s used after Release; the pool may already have recycled the buffer — "+
-						"Retain before Release to keep a reference", id.Name)
+						"copy what you need before Release", id.Name)
 				delete(released, obj) // one report per release, not per use
 			}
 			return true

@@ -7,10 +7,10 @@
 // it dynamically. internal/vcode/analysis applies that to downloaded
 // VCODE; this package applies it to the Go codebase itself. The repo's
 // headline guarantees (byte-identical output at any -parallel level,
-// publish-fully-constructed ConnTable entries, nil-obs-plane = zero
-// cost, no alloc panics on the data path) are otherwise enforced only by
-// golden tests that catch violations after the fact; each analyzer here
-// turns one of them into a compile-time-style gate.
+// the packet-buffer lease contract, nil-obs-plane = zero cost, no alloc
+// panics on the data path) are otherwise enforced only by golden tests
+// that catch violations after the fact; each analyzer here turns one of
+// them into a compile-time-style gate.
 //
 // Why not golang.org/x/tools/go/analysis: the module is intentionally
 // dependency-free (go.mod has no requires), so the framework is built on
@@ -274,38 +274,6 @@ func enclosingFuncDecl(stack []ast.Node) *ast.FuncDecl {
 		}
 	}
 	return nil
-}
-
-// containsLock reports whether t transitively contains a sync.Mutex or
-// sync.RWMutex by value (through struct fields and arrays, not through
-// pointers, slices, maps, or channels).
-func containsLock(t types.Type) bool {
-	return containsLock1(t, map[types.Type]bool{})
-}
-
-func containsLock1(t types.Type, seen map[types.Type]bool) bool {
-	if seen[t] {
-		return false
-	}
-	seen[t] = true
-	if n, ok := t.(*types.Named); ok {
-		if obj := n.Obj(); obj.Pkg() != nil && obj.Pkg().Path() == "sync" &&
-			(obj.Name() == "Mutex" || obj.Name() == "RWMutex" || obj.Name() == "WaitGroup" || obj.Name() == "Once") {
-			return true
-		}
-		return containsLock1(n.Underlying(), seen)
-	}
-	switch u := t.(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsLock1(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsLock1(u.Elem(), seen)
-	}
-	return false
 }
 
 // pathIn reports whether pkgPath is path or lies beneath it.

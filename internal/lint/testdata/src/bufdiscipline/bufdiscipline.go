@@ -7,19 +7,18 @@ import "errors"
 
 type PacketBuf struct {
 	Src, Dst, VC int
-	refs         int
+	leased       bool
 	n            int
 }
 
-func (b *PacketBuf) Release()         { b.refs-- }
-func (b *PacketBuf) Retain()          { b.refs++ }
+func (b *PacketBuf) Release()         { b.leased = false }
 func (b *PacketBuf) Len() int         { return b.n }
 func (b *PacketBuf) Bytes() []byte    { return nil }
 func (b *PacketBuf) SetData(d []byte) { b.n = len(d) }
 
 type BufPool struct{ free []*PacketBuf }
 
-func (p *BufPool) Lease() *PacketBuf { return &PacketBuf{refs: 1} }
+func (p *BufPool) Lease() *PacketBuf { return &PacketBuf{leased: true} }
 
 type Switch struct{ Pool *BufPool }
 
@@ -55,12 +54,6 @@ func useAfterRelease(s *Switch, d []byte) int {
 	pkt := s.LeaseData(d)
 	pkt.Release()
 	return pkt.Len() // want "pkt used after Release"
-}
-
-func retainAfterRelease(s *Switch, d []byte) {
-	pkt := s.LeaseData(d)
-	pkt.Release()
-	pkt.Retain() // want "pkt used after Release"
 }
 
 func doubleRelease(s *Switch, d []byte) {

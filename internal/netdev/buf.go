@@ -3,14 +3,14 @@ package netdev
 // PacketBuf is a frame in flight, leased from a switch's BufPool. The
 // lease discipline is explicit, exokernel-style resource ownership:
 //
-//   - Lease hands out a buffer with one reference, owned by the caller.
-//   - Transmit and Redeliver consume the caller's reference; after either
+//   - Lease hands out a buffer with exactly one owner, the caller.
+//   - Transmit and Redeliver consume the caller's lease; after either
 //     call the caller must not touch the buffer again.
-//   - A receiver that wants the frame past the rx callback's return calls
-//     Retain (the switch releases its own reference when the callback
-//     returns).
-//   - Release returns the reference; the last Release recycles the buffer
-//     into the pool. Releasing a buffer that is already free panics.
+//   - A receiver borrows the frame for the rx callback only (the switch
+//     still owns it and releases it when the callback returns); what the
+//     receiver keeps, it copies.
+//   - Release ends the lease and recycles the buffer into the pool.
+//     Releasing a buffer that is already free panics.
 //
 // VC carries the ATM virtual-circuit identifier on AN2 links (ignored on
 // Ethernet).
@@ -26,15 +26,15 @@ type PacketBuf struct {
 	// sneaks past the CRC and must be caught by the end-to-end checksums.
 	FCS uint32
 
-	pool *BufPool
-	refs int32
-	buf  []byte // backing store, cap fixed at the pool's frame size
-	n    int
-	next *PacketBuf // pool freelist
+	pool   *BufPool
+	leased bool
+	buf    []byte // backing store, cap fixed at the pool's frame size
+	n      int
+	next   *PacketBuf // pool freelist
 }
 
 // Bytes is the frame payload. The slice aliases pooled storage: it is
-// valid only while the caller holds a reference.
+// valid only while the caller holds or borrows the lease.
 func (b *PacketBuf) Bytes() []byte { return b.buf[:b.n] }
 
 // Len reports the payload length.
@@ -51,26 +51,15 @@ func (b *PacketBuf) SetData(d []byte) {
 	b.n = copy(b.buf, d)
 }
 
-// Retain adds a reference: the holder promises a matching Release.
-func (b *PacketBuf) Retain() {
-	if b.refs <= 0 {
-		panic("netdev: Retain of a released PacketBuf")
-	}
-	b.refs++
-}
-
-// Release drops a reference; the last one recycles the buffer into its
-// pool. Releasing an already-free buffer panics — a double release means
-// two owners both believed the frame was theirs, which the lease API
-// exists to make impossible.
+// Release ends the lease and recycles the buffer into its pool. Releasing
+// an already-free buffer panics — a double release means two owners both
+// believed the frame was theirs, which the lease API exists to make
+// impossible.
 func (b *PacketBuf) Release() {
-	b.refs--
-	if b.refs > 0 {
-		return
-	}
-	if b.refs < 0 {
+	if !b.leased {
 		panic("netdev: double Release of PacketBuf")
 	}
+	b.leased = false
 	p := b.pool
 	p.inUse--
 	p.Releases++
@@ -79,9 +68,6 @@ func (b *PacketBuf) Release() {
 	b.next = p.free
 	p.free = b
 }
-
-// Refs reports the current reference count (diagnostics and tests).
-func (b *PacketBuf) Refs() int { return int(b.refs) }
 
 // BufPool recycles PacketBufs of one frame size. Pools are per-switch and
 // single-threaded like everything else under one engine; the accounting
@@ -104,7 +90,7 @@ func NewBufPool(frameCap int) *BufPool {
 	return &BufPool{frameCap: frameCap}
 }
 
-// Lease takes a zero-length buffer with one reference from the pool.
+// Lease takes a zero-length buffer from the pool; the caller owns it.
 func (p *BufPool) Lease() *PacketBuf {
 	b := p.free
 	if b != nil {
@@ -114,11 +100,11 @@ func (p *BufPool) Lease() *PacketBuf {
 		b = &PacketBuf{pool: p, buf: make([]byte, p.frameCap)}
 		p.Grown++
 	}
-	b.refs = 1
+	b.leased = true
 	p.inUse++
 	p.Leases++
 	return b
 }
 
-// InUse reports the number of leased buffers not yet fully released.
+// InUse reports the number of leased buffers not yet released.
 func (p *BufPool) InUse() int { return p.inUse }

@@ -11,8 +11,8 @@ import (
 func TestBufPoolLeaseReleaseRecycles(t *testing.T) {
 	p := NewBufPool(64)
 	a := p.Lease()
-	if p.InUse() != 1 || a.Refs() != 1 {
-		t.Fatalf("after lease: inUse=%d refs=%d", p.InUse(), a.Refs())
+	if p.InUse() != 1 || !a.leased {
+		t.Fatalf("after lease: inUse=%d leased=%v", p.InUse(), a.leased)
 	}
 	a.SetData([]byte{1, 2, 3})
 	a.Src, a.Dst, a.VC, a.FCS = 4, 5, 6, 7
@@ -45,27 +45,21 @@ func TestBufDoubleReleasePanics(t *testing.T) {
 	b.Release()
 }
 
-func TestBufRetainAfterReleasePanics(t *testing.T) {
-	p := NewBufPool(16)
-	b := p.Lease()
-	b.Release()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Retain of a free buffer did not panic")
-		}
-	}()
-	b.Retain()
-}
-
+// TestBufRefcountHandoff pins single ownership: while one owner holds a
+// lease the pool hands out other buffers, and the owner's one Release
+// gives it back.
 func TestBufRefcountHandoff(t *testing.T) {
 	p := NewBufPool(16)
-	b := p.Lease()
-	b.Retain() // second owner
-	b.Release()
-	if p.InUse() != 1 {
-		t.Fatal("buffer freed while a reference remained")
+	held := p.Lease()
+	other := p.Lease()
+	if other == held {
+		t.Fatal("pool handed out a buffer that is still leased")
 	}
-	b.Release()
+	other.Release()
+	if p.InUse() != 1 {
+		t.Fatalf("inUse=%d with one lease held", p.InUse())
+	}
+	held.Release()
 	if p.InUse() != 0 {
 		t.Fatalf("inUse=%d after final release", p.InUse())
 	}
@@ -83,45 +77,10 @@ func TestBufGrowOversize(t *testing.T) {
 	b.Release()
 }
 
-// TestReceiverRetainsAcrossDelivery pins the handoff rule: a receiver
-// that Retains the frame owns it after the switch's own reference is
-// released, and the pool does not recycle it until the receiver lets go.
-func TestReceiverRetainsAcrossDelivery(t *testing.T) {
-	eng := sim.NewEngine()
-	sw := NewSwitch(eng, mach.DS5000_240(), AN2Config())
-	a, b := sw.NewPort(), sw.NewPort()
-	var held *PacketBuf
-	b.SetReceiver(func(pkt *PacketBuf) {
-		pkt.Retain()
-		held = pkt
-	})
-	pkt := sw.LeaseData([]byte{42})
-	pkt.Dst = b.Addr()
-	if err := a.Transmit(pkt); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	if held == nil || sw.Pool.InUse() != 1 {
-		t.Fatalf("retained buffer not held: inUse=%d", sw.Pool.InUse())
-	}
-	if held.Bytes()[0] != 42 {
-		t.Fatal("retained payload scrubbed while held")
-	}
-	// A concurrent lease must not hand out the held buffer.
-	other := sw.Lease()
-	if other == held {
-		t.Fatal("pool recycled a buffer that was still retained")
-	}
-	other.Release()
-	held.Release()
-	if sw.Pool.InUse() != 0 {
-		t.Fatalf("leak after final release: inUse=%d", sw.Pool.InUse())
-	}
-}
-
 // TestRefcountHandoffRace runs independent worlds on parallel goroutines,
-// each doing retain/release handoffs, so `go test -race` can prove the
-// lease discipline never shares a pool across engines.
+// each delivering frames to a receiver that borrows them and copies what
+// it keeps, so `go test -race` can prove the lease discipline never shares
+// a pool across engines, and the pool drains once the switch releases.
 func TestRefcountHandoffRace(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -131,10 +90,9 @@ func TestRefcountHandoffRace(t *testing.T) {
 			eng := sim.NewEngine()
 			sw := NewSwitch(eng, mach.DS5000_240(), AN2Config())
 			a, b := sw.NewPort(), sw.NewPort()
-			var held []*PacketBuf
+			var kept []byte
 			b.SetReceiver(func(pkt *PacketBuf) {
-				pkt.Retain()
-				held = append(held, pkt)
+				kept = append(kept, pkt.Bytes()...)
 			})
 			for i := 0; i < 100; i++ {
 				pkt := sw.LeaseData([]byte{byte(i)})
@@ -142,11 +100,16 @@ func TestRefcountHandoffRace(t *testing.T) {
 				_ = a.Transmit(pkt)
 			}
 			eng.Run()
-			for _, pkt := range held {
-				pkt.Release()
-			}
 			if sw.Pool.InUse() != 0 {
 				panic("pool leak in race worker")
+			}
+			if len(kept) != 100 {
+				panic("receiver missed frames")
+			}
+			for i, v := range kept {
+				if v != byte(i) {
+					panic("receiver copied other bytes than were sent")
+				}
 			}
 		}()
 	}

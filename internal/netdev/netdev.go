@@ -158,7 +158,7 @@ func (p *Port) Addr() int { return p.addr }
 
 // SetReceiver installs the function invoked (in event context) when a
 // packet's DMA into this port completes. The receiver borrows the buffer
-// for the duration of the call; it must Retain it to keep it longer.
+// for the duration of the call; it must copy what it keeps longer.
 func (p *Port) SetReceiver(fn func(pkt *PacketBuf)) { p.rx = fn }
 
 // wireBytes is the on-the-wire size of a payload.

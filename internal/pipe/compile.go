@@ -14,13 +14,6 @@ type Options struct {
 	// destination (a copying engine) or only traverses the source (a pure
 	// manipulation pass such as checksum verification).
 	Output bool
-	// StripedSrc selects the Ethernet DMA engine's back end: the source is
-	// laid out as alternating 16-byte data and padding lines (Section
-	// III-C: "our Ethernet DMA engine stripes an N-byte contiguous packet
-	// into a 2N-byte buffer... Different loops may be generated for
-	// different network interfaces"). The generated loop unrolls by one
-	// data line and skips the pad; lengths must be multiples of 16.
-	StripedSrc bool
 }
 
 // Engine is a compiled integrated transfer engine: the specialized data
@@ -28,9 +21,8 @@ type Options struct {
 // against a machine to move/manipulate a buffer while charging exactly the
 // cycles the generated loop would cost.
 type Engine struct {
-	Prog    *vcode.Program
-	output  bool
-	striped bool
+	Prog   *vcode.Program
+	output bool
 	// regmap translates each pipe's own registers into the fused
 	// program's register space ("binding the context inside the pipe").
 	regmap map[int]map[vcode.Reg]vcode.Reg
@@ -65,23 +57,16 @@ func (a *asm) here() int { return len(a.ins) }
 
 // Compile fuses the pipe list into one integrated engine (dynamic ILP).
 // The generated loop streams 32-bit words: load, apply every pipe in
-// order (with gauge conversions), optionally store, advance. With
-// StripedSrc the loop is unrolled by one 16-byte data line and skips the
-// interleaved padding lines.
+// order (with gauge conversions), optionally store, advance.
 //
 // Calling convention of the generated program: RArg0 = source address,
-// RArg1 = destination address, RArg2 = byte count (multiple of 4;
-// multiple of 16 for striped sources).
+// RArg1 = destination address, RArg2 = byte count (multiple of 4).
 func Compile(l *List, opts Options) (*Engine, error) {
 	a := newAsm()
 	regmap := map[int]map[vcode.Reg]vcode.Reg{}
 
 	idx := a.reg()
 	cur := a.reg()
-	var sidx vcode.Reg
-	if opts.StripedSrc {
-		sidx = a.reg() // source index advances 2x per line (data + pad)
-	}
 
 	// Pre-map every pipe's registers so persistent registers are stable
 	// regardless of loop structure.
@@ -99,41 +84,20 @@ func Compile(l *List, opts Options) (*Engine, error) {
 	// if len == 0 goto end (patched below).
 	guard := a.emit(vcode.Insn{Op: vcode.OpBeq, Rs: vcode.RArg2, Rt: vcode.RZero})
 	a.emit(vcode.Insn{Op: vcode.OpMovI, Rd: idx, Imm: 0})
-	if opts.StripedSrc {
-		a.emit(vcode.Insn{Op: vcode.OpMovI, Rd: sidx, Imm: 0})
-	}
 	loop := a.here()
-
-	unroll := 1
-	if opts.StripedSrc {
-		unroll = 4 // one 16-byte data line per iteration
-	}
-	for u := 0; u < unroll; u++ {
-		srcIdx := idx
-		if opts.StripedSrc {
-			srcIdx = sidx
-		}
-		a.emit(vcode.Insn{Op: vcode.OpLd32X, Rd: cur, Rs: vcode.RArg0, Rt: srcIdx})
-		word := cur
-		for _, p := range l.pipes {
-			var err error
-			word, err = inlinePipe(a, p, regmap[p.ID], word)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if opts.Output {
-			a.emit(vcode.Insn{Op: vcode.OpSt32X, Rs: vcode.RArg1, Rt: idx, Rd: word})
-		}
-		a.emit(vcode.Insn{Op: vcode.OpAddIU, Rd: idx, Rs: idx, Imm: 4})
-		if opts.StripedSrc {
-			a.emit(vcode.Insn{Op: vcode.OpAddIU, Rd: sidx, Rs: sidx, Imm: 4})
+	a.emit(vcode.Insn{Op: vcode.OpLd32X, Rd: cur, Rs: vcode.RArg0, Rt: idx})
+	word := cur
+	for _, p := range l.pipes {
+		var err error
+		word, err = inlinePipe(a, p, regmap[p.ID], word)
+		if err != nil {
+			return nil, err
 		}
 	}
-	if opts.StripedSrc {
-		// Skip the 16-byte padding line.
-		a.emit(vcode.Insn{Op: vcode.OpAddIU, Rd: sidx, Rs: sidx, Imm: 16})
+	if opts.Output {
+		a.emit(vcode.Insn{Op: vcode.OpSt32X, Rs: vcode.RArg1, Rt: idx, Rd: word})
 	}
+	a.emit(vcode.Insn{Op: vcode.OpAddIU, Rd: idx, Rs: idx, Imm: 4})
 	a.emit(vcode.Insn{Op: vcode.OpBltU, Rs: idx, Rt: vcode.RArg2, Target: loop})
 	end := a.here()
 	a.emit(vcode.Insn{Op: vcode.OpRet})
@@ -151,9 +115,6 @@ func Compile(l *List, opts Options) (*Engine, error) {
 	for _, p := range l.pipes {
 		name += "+" + p.Name
 	}
-	if opts.StripedSrc {
-		name += ".striped"
-	}
 	return &Engine{
 		Prog: &vcode.Program{
 			Name:       name,
@@ -161,9 +122,8 @@ func Compile(l *List, opts Options) (*Engine, error) {
 			Persistent: persist,
 			NextReg:    a.nextReg,
 		},
-		output:  opts.Output,
-		striped: opts.StripedSrc,
-		regmap:  regmap,
+		output: opts.Output,
+		regmap: regmap,
 	}, nil
 }
 
@@ -348,9 +308,6 @@ func (e *Engine) Import(m *vcode.Machine, p *Pipe, r vcode.Reg) uint32 {
 func (e *Engine) Run(m *vcode.Machine, src, dst uint32, n int) (sim.Time, *vcode.Fault) {
 	if n%4 != 0 {
 		return 0, &vcode.Fault{Kind: vcode.FaultUnaligned, Msg: "DILP length not a multiple of 4"}
-	}
-	if e.striped && n%16 != 0 {
-		return 0, &vcode.Fault{Kind: vcode.FaultUnaligned, Msg: "striped DILP length not a multiple of 16"}
 	}
 	// Persistent registers must survive Run's counter reset but argument
 	// registers are ours to set.

@@ -530,89 +530,12 @@ func TestCommutativeAttrRecorded(t *testing.T) {
 	}
 }
 
-func TestStripedEngineMatchesContiguous(t *testing.T) {
-	// The Ethernet back end: the same pipes compiled against the striped
-	// DMA layout must produce identical bytes and checksums, at slightly
-	// higher cost (the line-skip index update).
-	const n = 1024
-	m, mem := newEnv(t, 4*n)
-	payload := make([]byte, n)
-	for i := range payload {
-		payload[i] = byte(i*7 + 3)
-	}
-	// Contiguous copy at srcAddr; striped layout at srcAddr+0x8000.
-	copy(bytesAt(mem, srcAddr, n), payload)
-	stripedAddr := srcAddr + 0x8000
-	stripeBuf := bytesAt(mem, stripedAddr, 2*n)
-	aegis.Stripe(stripeBuf, payload)
-
-	mk := func(striped bool) (*Engine, *Pipe, vcode.Reg) {
-		l := NewList(1)
-		ck, acc, err := Cksum(l)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, err := Compile(l, Options{Output: true, StripedSrc: striped})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e, ck, acc
-	}
-	contEng, ck1, acc1 := mk(false)
-	strEng, ck2, acc2 := mk(true)
-
-	m.Cache.Flush()
-	contEng.Export(m, ck1, acc1, 0)
-	cCycles, f := contEng.Run(m, srcAddr, dstAddr, n)
-	if f != nil {
-		t.Fatal(f)
-	}
-	contSum := contEng.Import(m, ck1, acc1)
-
-	m.Cache.Flush()
-	strEng.Export(m, ck2, acc2, 0)
-	sCycles, f := strEng.Run(m, stripedAddr, dstAddr+0x4000, n)
-	if f != nil {
-		t.Fatal(f)
-	}
-	strSum := strEng.Import(m, ck2, acc2)
-
-	if Fold16(contSum) != Fold16(strSum) {
-		t.Fatalf("checksums differ: %#x vs %#x", contSum, strSum)
-	}
-	a := bytesAt(mem, dstAddr, n)
-	b := bytesAt(mem, dstAddr+0x4000, n)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("output differs at %d", i)
-		}
-	}
-	// Striped costs a little more, but within ~15%.
-	r := float64(sCycles) / float64(cCycles)
-	if r < 1.0 || r > 1.15 {
-		t.Fatalf("striped/contiguous cycle ratio = %.3f, want (1.0, 1.15]", r)
-	}
-}
-
-func TestStripedEngineRejectsNon16Multiple(t *testing.T) {
-	l := NewList(0)
-	e, err := Compile(l, Options{Output: true, StripedSrc: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, _ := newEnv(t, 64)
-	if _, f := e.Run(m, srcAddr, dstAddr, 24); f == nil {
-		t.Fatal("striped engine accepted a non-16-multiple length")
-	}
-}
-
 // TestCompiledEnginesStream is the contract between what Compile emits and
 // what vcode's streaming-loop executor matches (vcode/stream.go): of every
-// non-striped engine — each composition of the built-in pipes, copying or
-// not — the interpreter loop runs the prologue, the first iteration and
-// the ret, and the executor everything else. Reorder two instructions of
-// the emitted loop and this test, not a profile, says the fast path is
-// gone. The striped engine is unrolled by four and is the documented miss.
+// engine — each composition of the built-in pipes, copying or not — the
+// interpreter loop runs the prologue, the first iteration and the ret, and
+// the executor everything else. Reorder two instructions of the emitted
+// loop and this test, not a profile, says the fast path is gone.
 //
 // The executor asks the machine's Memory for both streams whole, so the
 // share is the same over what a downloaded handler runs on — a Journal on
@@ -649,7 +572,7 @@ func TestCompiledEnginesStream(t *testing.T) {
 				}
 			}
 		}
-		for _, opts := range []Options{{}, {Output: true}, {StripedSrc: true}, {Output: true, StripedSrc: true}} {
+		for _, opts := range []Options{{}, {Output: true}} {
 			e, err := Compile(l, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -658,17 +581,11 @@ func TestCompiledEnginesStream(t *testing.T) {
 				t.Fatalf("%s: %v", e.Prog.Name, f)
 			}
 			// Guard and index set-up, one trip round the loop, ret: the
-			// non-striped program once through.
+			// program once through.
 			want := m.Insns - int64(len(e.Prog.Insns))
-			if opts.StripedSrc {
-				want = 0
-			}
 			if m.Streamed != want {
 				t.Errorf("%s (Output %v): Streamed = %d of %d instructions, want %d\n%s",
 					e.Prog.Name, opts.Output, m.Streamed, m.Insns, want, e.Prog)
-			}
-			if opts.StripedSrc {
-				continue
 			}
 			journal.Reset()
 			if _, f := e.Run(jm, src.Base, dst.Base, n); f != nil {

@@ -13,7 +13,6 @@ import (
 
 	"ashs/internal/aegis"
 	"ashs/internal/proto/ip"
-	"ashs/internal/proto/retry"
 	"ashs/internal/proto/udp"
 	"ashs/internal/sim"
 )
@@ -265,15 +264,6 @@ type Client struct {
 	MaxRetryUs float64
 	Retries    int
 
-	// Backoff, when set, replaces the fixed doubling schedule: each
-	// attempt's receive window comes from the policy's deterministic
-	// jittered exponential backoff, and the policy's retry budget bounds
-	// attempts (Retries/RetryUs/MaxRetryUs are then ignored). The budget
-	// refills per RPC; the jitter stream continues across them, so a
-	// fleet of clients seeded distinctly never synchronizes its retries.
-	// Nil keeps the classic schedule bit-for-bit.
-	Backoff *retry.State
-
 	xid uint32
 	// Resent counts retransmitted requests.
 	Resent uint64
@@ -297,27 +287,15 @@ func (c *Client) call(p *aegis.Process, proc uint32, fh Handle, a, b uint32, pay
 	req = append(req, payload...)
 
 	k := c.Sock.St.Ep.Kernel()
-	if c.Backoff != nil {
-		c.Backoff.Reset() // the budget is per RPC; the jitter stream persists
-	}
 	interval := c.RetryUs
 	for attempt := 0; ; attempt++ {
-		var waitUs float64
-		if c.Backoff != nil {
-			us, ok := c.Backoff.Next()
-			if !ok {
-				return 0, nil, fmt.Errorf("nfs: retry budget exhausted after %d attempts", attempt)
-			}
-			waitUs = us
-		} else {
-			if attempt > c.Retries {
-				return 0, nil, fmt.Errorf("nfs: no reply after %d attempts", c.Retries+1)
-			}
-			waitUs = interval
-			interval *= 2
-			if c.MaxRetryUs > 0 && interval > c.MaxRetryUs {
-				interval = c.MaxRetryUs
-			}
+		if attempt > c.Retries {
+			return 0, nil, fmt.Errorf("nfs: no reply after %d attempts", c.Retries+1)
+		}
+		waitUs := interval
+		interval *= 2
+		if c.MaxRetryUs > 0 && interval > c.MaxRetryUs {
+			interval = c.MaxRetryUs
 		}
 		if attempt > 0 {
 			c.Resent++

@@ -1,6 +1,7 @@
 package nfs
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -16,9 +17,17 @@ import (
 // world builds a client/server pair; body runs in the client process.
 func world(t *testing.T, srv *Server, requests int, body func(p *aegis.Process, c *Client)) *netdev.Switch {
 	t.Helper()
+	return worldWire(t, srv, requests, nil, body)
+}
+
+// worldWire is world with inject installed on the switch before anything
+// runs (see netdev.Switch.Inject).
+func worldWire(t *testing.T, srv *Server, requests int, inject func(*netdev.PacketBuf) bool, body func(p *aegis.Process, c *Client)) *netdev.Switch {
+	t.Helper()
 	eng := sim.NewEngine()
 	prof := mach.DS5000_240()
 	sw := netdev.NewSwitch(eng, prof, netdev.AN2Config())
+	sw.Inject = inject
 	k1 := aegis.NewKernel("client", eng, prof)
 	k2 := aegis.NewKernel("server", eng, prof)
 	a1, a2 := aegis.NewAN2(k1, sw), aegis.NewAN2(k2, sw)
@@ -235,6 +244,77 @@ func TestCreateIdempotent(t *testing.T) {
 		}
 		if a1.Handle != a2.Handle {
 			t.Errorf("retransmitted CREATE made a second file: %v vs %v", a1.Handle, a2.Handle)
+		}
+	})
+}
+
+// TestDeadPortGivesUpAfterRetries pins the client's retransmission
+// schedule: an RPC to a port nobody serves goes out Retries+1 times, the
+// interval doubling from RetryUs up to MaxRetryUs (each gap longer by only
+// the send path's own, unchanging cycles), and the call fails one more
+// capped interval after the last send.
+func TestDeadPortGivesUpAfterRetries(t *testing.T) {
+	var sent []sim.Time
+	var now func() sim.Time
+	var cli *Client
+	var err error
+	var end sim.Time
+	wire := func(*netdev.PacketBuf) bool {
+		sent = append(sent, now())
+		return true
+	}
+	worldWire(t, NewServer(), 1, wire, func(p *aegis.Process, c *Client) {
+		now = c.Sock.St.Ep.Kernel().Now
+		cli = c
+		c.Port = 2051 // nobody home
+		_, err = c.Lookup(p, RootHandle, "x")
+		end = now()
+	})
+
+	wantMs := []float64{100, 200, 400, 800, 800}
+	if len(wantMs) != cli.Retries || len(sent) != cli.Retries+1 || cli.Resent != uint64(cli.Retries) {
+		t.Fatalf("%d sends, %d resent; want Retries+1 = %d sends, Retries = %d resent",
+			len(sent), cli.Resent, len(wantMs)+1, len(wantMs))
+	}
+	if want := fmt.Sprintf("nfs: no reply after %d attempts", cli.Retries+1); err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+	prof := mach.DS5000_240()
+	over := sent[1] - sent[0] - prof.Cycles(wantMs[0]*1000)
+	if over < 0 || over > prof.Cycles(100) {
+		t.Fatalf("first retry %d cycles past its interval, want a send path's worth (< 100 us)", over)
+	}
+	for i, ms := range wantMs {
+		if gap := sent[i+1] - sent[i]; gap != prof.Cycles(ms*1000)+over {
+			t.Errorf("send %d after %.3f ms, want %.0f ms + %d cycles", i+2, prof.Us(gap)/1000, ms, over)
+		}
+	}
+	capped := prof.Cycles(cli.MaxRetryUs)
+	if last := sent[len(sent)-1]; end > last+capped || end < last+capped-prof.Cycles(100) {
+		t.Errorf("gave up %.3f ms after the last send, want about %.0f ms", prof.Us(end-last)/1000, cli.MaxRetryUs/1000)
+	}
+}
+
+// TestBackoffBudgetRefillsPerRPC: the Retries allowance of the backoff
+// schedule is per RPC — after a call that spent it against a dead port,
+// the next call against the live server proceeds normally.
+func TestBackoffBudgetRefillsPerRPC(t *testing.T) {
+	srv := NewServer()
+	srv.AddFile("f", []byte("x"))
+	world(t, srv, 1, func(p *aegis.Process, c *Client) {
+		c.Retries = 1
+		good := c.Port
+		c.Port = 2051
+		if _, err := c.Lookup(p, RootHandle, "f"); err == nil {
+			t.Error("dead-port lookup succeeded")
+			return
+		}
+		c.Port = good
+		if _, err := c.Lookup(p, RootHandle, "f"); err != nil {
+			t.Errorf("post-failure lookup: %v", err)
+		}
+		if c.Resent != 1 {
+			t.Errorf("resent = %d, want 1 (the dead-port call's one retry)", c.Resent)
 		}
 	})
 }

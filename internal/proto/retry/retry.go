@@ -19,16 +19,10 @@
 package retry
 
 import (
-	"errors"
 	"math/bits"
 
 	"ashs/internal/sim"
 )
-
-// ErrBadSlotWidth is returned by FirstRetrySlot when the slot width is not
-// positive: dividing by zero (or a negative width) would yield a ±Inf-cast
-// garbage slot index rather than a quantization.
-var ErrBadSlotWidth = errors.New("retry: slot width must be > 0")
 
 // Policy describes one backoff schedule: the pre-jitter delay before the
 // k-th retry is BaseUs*2^(k-1), capped at CapUs, and at most Budget
@@ -43,28 +37,28 @@ type Policy struct {
 	Budget int
 }
 
-// Jitter is a deterministic jitter-fraction stream for one client. The
+// jitter is a deterministic jitter-fraction stream for one client. The
 // first fraction is the client's van der Corput slot (see the package
 // comment); later fractions come from the seeded splitmix64 stream.
-type Jitter struct {
+type jitter struct {
 	client uint32
 	rng    *sim.Rand
 	drawn  bool
 }
 
-// NewJitter builds the stream for client index `client` of a fleet,
+// newJitter builds the stream for client index `client` of a fleet,
 // derived from the run seed. Equal (seed, client) pairs yield equal
 // streams; distinct clients get well-separated first fractions.
-func NewJitter(seed int64, client int) *Jitter {
+func newJitter(seed int64, client int) *jitter {
 	mix := (uint64(uint32(client)) + 1) * 0x9e3779b97f4a7c15
-	return &Jitter{
+	return &jitter{
 		client: uint32(client),
 		rng:    sim.NewRand(seed ^ int64(mix)),
 	}
 }
 
-// Frac returns the next jitter fraction in [0, 1).
-func (j *Jitter) Frac() float64 {
+// frac returns the next jitter fraction in [0, 1).
+func (j *jitter) frac() float64 {
 	if !j.drawn {
 		j.drawn = true
 		// Radical-inverse base 2 of the client index, perturbed by less
@@ -84,14 +78,14 @@ type State struct {
 	// Used counts retries consumed since the last Reset.
 	Used int
 
-	j *Jitter
+	j *jitter
 }
 
 // New builds the backoff state for client `client` under pol, seeded by
 // the run seed. It is a value, so an operation record can embed it; copies
 // share the one jitter stream.
 func New(pol Policy, seed int64, client int) State {
-	return State{Pol: pol, j: NewJitter(seed, client)}
+	return State{Pol: pol, j: newJitter(seed, client)}
 }
 
 // Next returns the jittered delay in microseconds to wait before the next
@@ -114,21 +108,9 @@ func (s *State) Next() (us float64, ok bool) {
 		d = cap
 	}
 	s.Used++
-	return d/2 + d/2*s.j.Frac(), true
+	return d/2 + d/2*s.j.frac(), true
 }
 
 // Reset starts a new operation: the retry budget refills, the jitter
 // stream continues where it left off.
 func (s *State) Reset() { s.Used = 0 }
-
-// FirstRetrySlot quantizes a first-retry delay into slots of widthUs.
-// Two clients in the same slot would collide on the wire; the van der
-// Corput construction guarantees distinct slots for clients 0..N-1
-// whenever the jitter span BaseUs/2 exceeds N*widthUs. A non-positive
-// widthUs is a caller bug and yields ErrBadSlotWidth.
-func FirstRetrySlot(delayUs, widthUs float64) (int, error) {
-	if widthUs <= 0 {
-		return 0, ErrBadSlotWidth
-	}
-	return int(delayUs / widthUs), nil
-}

@@ -7,7 +7,6 @@ import (
 	"ashs/internal/core"
 	"ashs/internal/proto/ip"
 	"ashs/internal/proto/link"
-	"ashs/internal/proto/retry"
 	"ashs/internal/sim"
 )
 
@@ -58,44 +57,29 @@ type Config struct {
 	Checksum bool         // end-to-end Internet checksums
 	InPlace  bool         // app consumes data in the receive buffers (no read copy)
 	MSS      int          // maximum segment size (payload bytes)
-	Window   int          // fixed send/receive window
-	// AckDelayUs is the delayed-acknowledgment timer (piggybacking
-	// window); AckEveryBytes forces an immediate ACK once this much data
-	// is unacknowledged.
-	AckDelayUs float64
-	// RTOUs is the initial retransmission timeout, used until the first
-	// round-trip sample. The timer then adapts (srtt + 4*rttvar, RFC 6298
-	// style) within [MinRTOUs, MaxRTOUs], doubling per retransmission;
-	// Karn's rule keeps retransmitted segments out of the estimator.
-	RTOUs         float64
-	MinRTOUs      float64
-	MaxRTOUs      float64
+	// MaxRetransmit bounds the retransmissions of one segment; the next
+	// due one tears the connection down instead.
 	MaxRetransmit int
-	// JitterSeed, when nonzero, turns on deterministic jittered backoff:
-	// each backed-off retransmission timeout is scaled into [1/2, 1) of
-	// its doubled value by a per-connection stream seeded from
-	// (JitterSeed, JitterClient). Distinctly numbered clients sharing a
-	// seed desynchronize their first retries by construction (see
-	// retry.Jitter), so a synchronized loss event does not produce a
-	// synchronized retry storm. Zero keeps classic doubling bit-for-bit.
-	JitterSeed   int64
-	JitterClient int
-	// RetryBudget, when positive, bounds total retransmissions over the
-	// connection's lifetime; once spent, the next due retransmission
-	// tears the connection down instead of sending. This is the
-	// client-side half of overload control: a saturated server sheds,
-	// and budgeted clients stop amplifying the load. Zero means only
-	// the per-segment MaxRetransmit bound applies.
-	RetryBudget int
 }
+
+// The paper's fixed protocol parameters, the same for every connection.
+const (
+	window     = 8192 // fixed send/receive window (bytes)
+	ackDelayUs = 500  // delayed-acknowledgment (piggybacking) timer
+	// rtoUs is the initial retransmission timeout, used until the first
+	// round-trip sample. The timer then adapts (srtt + 4*rttvar, RFC 6298
+	// style) within [minRTOUs, maxRTOUs], doubling per retransmission;
+	// Karn's rule keeps retransmitted segments out of the estimator.
+	rtoUs    = 200_000
+	minRTOUs = 2_000
+	maxRTOUs = 1_600_000
+)
 
 // DefaultConfig is the paper's AN2 configuration: MSS 3072, window 8 KB.
 func DefaultConfig() Config {
 	return Config{
 		Mode: ModeUser, Polling: true, Checksum: true,
-		MSS: 3072, Window: 8192,
-		AckDelayUs: 500, RTOUs: 200_000, MinRTOUs: 2_000, MaxRTOUs: 1_600_000,
-		MaxRetransmit: 8,
+		MSS: 3072, MaxRetransmit: 8,
 	}
 }
 
@@ -176,12 +160,10 @@ type Conn struct {
 	persistRTO      sim.Time
 
 	// Round-trip estimation (RFC 6298 shape): rto == 0 means "no sample
-	// yet, use Cfg.RTOUs".
+	// yet, use rtoUs".
 	srtt, rttvar, rto sim.Time
 
 	fast *fastPath // installed handler, if any
-
-	jit *retry.Jitter // backoff jitter stream; nil = classic doubling
 
 	// scratchSeg backs WriteBytes staging; zero Len means unallocated.
 	scratchSeg aegis.Segment
@@ -202,15 +184,12 @@ func (c *Conn) State() State { return c.state }
 // guest's host is out of physical memory; the error propagates out of
 // Connect/Accept instead of crashing the simulation.
 func newConn(st *ip.Stack, cfg Config, localPort uint16) (*Conn, error) {
-	if cfg.MSS <= 0 || cfg.Window <= 0 {
+	if cfg.MSS <= 0 {
 		panic("tcp: bad config")
 	}
 	c := &Conn{St: st, Cfg: cfg, Costs: DefaultCosts(), localPort: localPort}
-	if cfg.JitterSeed != 0 {
-		c.jit = retry.NewJitter(cfg.JitterSeed, cfg.JitterClient)
-	}
 	if cfg.Mode != ModeUser {
-		seg, err := st.Ep.Owner().AS.Alloc(cfg.Window, fmt.Sprintf("tcp-%d-hring", localPort))
+		seg, err := st.Ep.Owner().AS.Alloc(window, fmt.Sprintf("tcp-%d-hring", localPort))
 		if err != nil {
 			return nil, err
 		}
@@ -362,7 +341,7 @@ func (c *Conn) emit(h *Header, data []byte, dataAcc uint32, span string, t0 sim.
 
 // hold copies a queued segment's bytes into a slab of the retransmit store
 // and returns the copy. The store is the slabs themselves: one goes out per
-// data segment in flight — Write never has more than Cfg.Window bytes
+// data segment in flight — Write never has more than window bytes
 // unacknowledged — and comes back through release when the segment leaves
 // the queue, so a steady transfer recycles the few it minted at the start.
 func (c *Conn) hold(data []byte) []byte {
@@ -392,7 +371,7 @@ func (c *Conn) advertisedWindow() int {
 	if c.Cfg.Mode != ModeUser {
 		used += c.hrTail - c.hrHead
 	}
-	w := c.Cfg.Window - used
+	w := window - used
 	if w < 0 {
 		w = 0
 	}
@@ -414,11 +393,7 @@ func (c *Conn) Write(addr uint32, n int) error {
 	for sent < n && c.err == nil {
 		// Respect the peer's window against unacknowledged data.
 		inFlight := int(c.sndNxt - c.sndUna)
-		window := c.sndWnd
-		if window > c.Cfg.Window {
-			window = c.Cfg.Window
-		}
-		avail := window - inFlight
+		avail := min(c.sndWnd, window) - inFlight
 		if avail <= 0 {
 			if c.sndWnd == 0 && c.sndUna == c.sndNxt && c.persistDeadline == 0 {
 				// Zero window and nothing in flight: no retransmission will
@@ -558,10 +533,6 @@ func (c *Conn) checkTimers() {
 				c.teardown(fmt.Errorf("tcp: too many retransmissions of seq %d", r.seq))
 				return
 			}
-			if b := c.Cfg.RetryBudget; b > 0 && c.Retransmits >= uint64(b) {
-				c.teardown(fmt.Errorf("tcp: retry budget (%d) exhausted at seq %d", b, r.seq))
-				return
-			}
 			r.tries++
 			c.Retransmits++
 			if o := c.kern().Obs; o.Enabled() {
@@ -573,16 +544,6 @@ func (c *Conn) checkTimers() {
 			r.rto *= 2
 			if maxRTO := c.maxRTO(); r.rto > maxRTO {
 				r.rto = maxRTO
-			}
-			if c.jit != nil {
-				// Equal jitter: land in [rto/2, rto), floored at the
-				// minimum RTO, so concurrent losers spread their retries
-				// across half the backoff window instead of colliding.
-				j := r.rto/2 + sim.Time(float64(r.rto/2)*c.jit.Frac())
-				if minv := c.minRTO(); j < minv {
-					j = minv
-				}
-				r.rto = j
 			}
 			// Karn: the backed-off timeout also governs segments sent until
 			// a fresh sample from an unretransmitted segment arrives.
@@ -598,24 +559,11 @@ func (c *Conn) currentRTO() sim.Time {
 	if c.rto != 0 {
 		return c.rto
 	}
-	return c.kern().Prof.Cycles(c.Cfg.RTOUs)
+	return c.kern().Prof.Cycles(rtoUs)
 }
 
-func (c *Conn) minRTO() sim.Time {
-	us := c.Cfg.MinRTOUs
-	if us <= 0 {
-		us = 2_000
-	}
-	return c.kern().Prof.Cycles(us)
-}
-
-func (c *Conn) maxRTO() sim.Time {
-	us := c.Cfg.MaxRTOUs
-	if us <= 0 {
-		us = 8 * c.Cfg.RTOUs
-	}
-	return c.kern().Prof.Cycles(us)
-}
+func (c *Conn) minRTO() sim.Time { return c.kern().Prof.Cycles(minRTOUs) }
+func (c *Conn) maxRTO() sim.Time { return c.kern().Prof.Cycles(maxRTOUs) }
 
 // sampleRTT feeds the estimator from segments this ACK newly covers,
 // skipping retransmitted ones (Karn's rule: an ACK for a retransmitted
@@ -805,7 +753,7 @@ func (c *Conn) input(d ip.Dgram) {
 	// in order; anything else is dropped and retransmitted).
 	if plen > 0 {
 		switch {
-		case h.Seq == c.rcvNxt && c.rxqBytes+plen <= c.Cfg.Window:
+		case h.Seq == c.rcvNxt && c.rxqBytes+plen <= window:
 			c.acceptData(d, dataOff, plen)
 			d = ip.Dgram{} // retained in rxq/hring; do not release below
 		default:
@@ -858,7 +806,7 @@ func (c *Conn) acceptData(d ip.Dgram, dataOff, plen int) {
 	if c.Cfg.Mode != ModeUser {
 		// Handler mode: the library's slow path places data in the same
 		// ring the handler uses, keeping one ordered stream.
-		if c.hrTail-c.hrHead+plen <= c.Cfg.Window {
+		if c.hrTail-c.hrHead+plen <= window {
 			c.copyIntoHring(d, dataOff, plen)
 		}
 		c.St.Release(d)
@@ -874,9 +822,8 @@ func (c *Conn) acceptData(d ip.Dgram, dataOff, plen int) {
 // handler mode), charging a copy pass.
 func (c *Conn) copyIntoHring(d ip.Dgram, dataOff, plen int) {
 	p := c.owner()
-	w := c.Cfg.Window
-	pos := c.hrTail % w
-	first := min(plen, w-pos)
+	pos := c.hrTail % window
+	first := min(plen, window-pos)
 	link.CopyFromFrame(p, d.Frame, d.Off+dataOff, c.hring.Base+uint32(pos), first, false)
 	if plen > first {
 		link.CopyFromFrame(p, d.Frame, d.Off+dataOff+first, c.hring.Base, plen-first, false)
@@ -893,7 +840,7 @@ func (c *Conn) maybeAck() {
 	}
 	if c.unacked > 0 && !c.ackDue {
 		c.ackDue = true
-		c.ackDeadline = c.now() + c.kern().Prof.Cycles(c.Cfg.AckDelayUs)
+		c.ackDeadline = c.now() + c.kern().Prof.Cycles(ackDelayUs)
 	}
 }
 
@@ -1041,9 +988,8 @@ func (c *Conn) readHring(dst uint32, maxBytes int) (int, error) {
 	defer c.unlockTCB()
 	avail := c.hrTail - c.hrHead
 	n := min(avail, maxBytes)
-	w := c.Cfg.Window
-	pos := c.hrHead % w
-	first := min(n, w-pos)
+	pos := c.hrHead % window
+	first := min(n, window-pos)
 	// The application uses the data in place; we surface it at dst for
 	// API uniformity with an uncharged view copy (bookkeeping only).
 	copy(c.kern().Bytes(dst, first), c.kern().Bytes(c.hring.Base+uint32(pos), first))
@@ -1090,7 +1036,7 @@ func (c *Conn) Close() error {
 	c.finSeq = c.sndNxt
 	c.sendSegment(FIN|ACK, c.sndNxt, nil, 0, true)
 	c.sndNxt++
-	deadline := c.now() + c.kern().Prof.Cycles(4*c.Cfg.RTOUs)
+	deadline := c.now() + c.kern().Prof.Cycles(4*rtoUs)
 	for c.state != Closed && c.state != TimeWait && c.err == nil {
 		if c.now() >= deadline {
 			break

@@ -187,11 +187,10 @@ func (f *fastPath) handle(ctx *core.Ctx) aegis.Disposition {
 	}
 
 	if isData {
-		if c.hrTail-c.hrHead+plen > c.Cfg.Window {
+		if c.hrTail-c.hrHead+plen > window {
 			return f.abort(isData) // no ring space: library path decides
 		}
 		var acc uint32
-		w := c.Cfg.Window
 		aligned := plen &^ 3
 		if striped {
 			// Striped small-message path: every payload byte moves with a
@@ -205,8 +204,8 @@ func (f *fastPath) handle(ctx *core.Ctx) aegis.Disposition {
 			// Integrated checksum-and-copy straight into the application's
 			// receive ring via dynamic ILP.
 			srcAddr := e.Addr + uint32(tcpOff+dataOff)
-			pos := c.hrTail % w
-			first := min(aligned, w-pos)
+			pos := c.hrTail % window
+			first := min(aligned, window-pos)
 			first &^= 3
 			a1, errD := ctx.DILP(f.engID, srcAddr, c.hring.Base+uint32(pos), first)
 			if errD != nil {
@@ -221,7 +220,7 @@ func (f *fastPath) handle(ctx *core.Ctx) aegis.Disposition {
 				acc = cksum32Add(acc, a2)
 			}
 		}
-		// Remaining bytes (the < 4-byte tail, or the whole striped
+		// The rest of the bytes (the < 4-byte tail, or the whole striped
 		// payload): moved with checked single-byte accesses.
 		for i := aligned; i < plen; i++ {
 			ctx.Straightline(3, 2)
@@ -231,7 +230,7 @@ func (f *fastPath) handle(ctx *core.Ctx) aegis.Disposition {
 			} else {
 				b = data[tcpOff+dataOff+i]
 			}
-			dstPos := (c.hrTail + i) % w
+			dstPos := (c.hrTail + i) % window
 			f.ringBytes()[dstPos] = b
 			if i%2 == 0 {
 				acc = cksum32Add(acc, uint32(b)<<8)
@@ -285,7 +284,7 @@ func (f *fastPath) handle(ctx *core.Ctx) aegis.Disposition {
 		f.sendAckFromHandler(ctx)
 	} else if c.unacked > 0 && !c.ackDue {
 		c.ackDue = true
-		c.ackDeadline = c.now() + c.kern().Prof.Cycles(c.Cfg.AckDelayUs)
+		c.ackDeadline = c.now() + c.kern().Prof.Cycles(ackDelayUs)
 	}
 
 	c.HandlerConsumed++
@@ -295,7 +294,7 @@ func (f *fastPath) handle(ctx *core.Ctx) aegis.Disposition {
 
 // ringBytes is the raw handler-ring view.
 func (f *fastPath) ringBytes() []byte {
-	return f.c.kern().Bytes(f.c.hring.Base, f.c.Cfg.Window)
+	return f.c.kern().Bytes(f.c.hring.Base, window)
 }
 
 // sendAckFromHandler builds and initiates a bare ACK from handler context

@@ -38,7 +38,7 @@ func rig(t *testing.T, body func(r *rigged)) {
 			return
 		}
 		c.remoteIP, c.remotePort, c.state = w.ip2, 80, Established
-		c.iss, c.sndUna, c.sndNxt, c.rcvNxt, c.sndWnd = 1000, 1001, 1001, 5001, c.Cfg.Window
+		c.iss, c.sndUna, c.sndNxt, c.rcvNxt, c.sndWnd = 1000, 1001, 1001, 5001, window
 		r.c, r.p, r.buf = c, p, p.AS.MustAlloc(c.Cfg.MSS, "app")
 		body(r)
 	})
@@ -123,12 +123,12 @@ func TestRtxStoreKeepsWhatWasSent(t *testing.T) {
 		r.queued("two in flight", 0xa1, 0xb2)
 		r.lastOnWire("first transmission", 3072, 0xb2)
 
-		c.processAck(c.rcvNxt, 1001+1000, c.Cfg.Window) // lands mid-segment
+		c.processAck(c.rcvNxt, 1001+1000, window) // lands mid-segment
 		r.queued("after a mid-segment ack", 0xa1, 0xb2)
 		c.retransmit(&c.rtxq[0])
 		r.lastOnWire("retransmission", 3072, 0xa1)
 
-		c.processAck(c.rcvNxt, 1001+3072, c.Cfg.Window)
+		c.processAck(c.rcvNxt, 1001+3072, window)
 		r.queued("first acknowledged", 0xb2)
 		if len(c.rtxFree) != 1 {
 			t.Fatalf("%d idle slabs after one acknowledged segment, want 1", len(c.rtxFree))
@@ -158,7 +158,7 @@ func TestRtxStoreWindowProbeWhileFull(t *testing.T) {
 		r.send(3072, 1)
 		r.send(3072, 2)
 		r.send(2048, 3)
-		if int(c.sndNxt-c.sndUna) != c.Cfg.Window {
+		if int(c.sndNxt-c.sndUna) != window {
 			t.Fatalf("%d bytes in flight, want the window", c.sndNxt-c.sndUna)
 		}
 		r.lastOnWire("window filled", 2048, 3)

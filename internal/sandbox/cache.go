@@ -59,9 +59,6 @@ func policyFingerprint(pol *Policy) [sha256.Size]byte {
 	putU64(uint64(pol.Hardware))
 	putU64(uint64(pol.Budget))
 	putBool(pol.Optimize)
-	putBool(pol.OptimisticExceptions)
-	putU64(uint64(pol.PrologueLen))
-	putU64(uint64(pol.EpilogueLen))
 	allowed := make([]string, 0, len(pol.AllowedCalls))
 	for name, ok := range pol.AllowedCalls {
 		if ok {

@@ -235,7 +235,6 @@ func planPreheaders(c *analysis.CFG, pol *Policy, anchorOf map[int]*memGroup,
 				in := c.Prog.Insns[pc]
 				if (in.Op == vcode.OpDivU || in.Op == vcode.OpRemU) &&
 					dec != nil && dec.HotDivs[pc] &&
-					!pol.OptimisticExceptions &&
 					!defsInLoop.Has(in.Rt) &&
 					rng.Before(pc, in.Rt).Lo < 1 { // provably-nonzero sites elide statically
 					hoistedDiv[pc] = true
@@ -349,7 +348,7 @@ func instrumentOptimized(p *vcode.Program, pol *Policy) ([]vcode.Insn, []int, op
 	plans, hoistedDiv := planPreheaders(c, pol, anchorOf, dom, loops, rng, dec, &st)
 	ins := checkFacts(c, anchorOf, plans)
 
-	out := make([]vcode.Insn, 0, len(p.Insns)*2+pol.PrologueLen+pol.EpilogueLen)
+	out := make([]vcode.Insn, 0, len(p.Insns)*2+PrologueLen+EpilogueLen)
 	outSrc := make([]int, 0, cap(out)) // original pc each emitted insn belongs to
 	emit := func(src int, in vcode.Insn) {
 		out = append(out, in)
@@ -360,7 +359,7 @@ func instrumentOptimized(p *vcode.Program, pol *Policy) ([]vcode.Insn, []int, op
 		emit(src, vcode.Insn{Op: vcode.OpSboxChk, Rd: vcode.RSbox})
 	}
 
-	for i := 0; i < pol.PrologueLen; i++ {
+	for i := 0; i < PrologueLen; i++ {
 		emit(-1, vcode.Insn{Op: vcode.OpNop})
 	}
 
@@ -429,8 +428,6 @@ func instrumentOptimized(p *vcode.Program, pol *Policy) ([]vcode.Insn, []int, op
 				}
 			case in.Op == vcode.OpDivU || in.Op == vcode.OpRemU:
 				switch {
-				case pol.OptimisticExceptions:
-					emit(pc, in)
 				case rng.Before(pc, in.Rt).Lo >= 1:
 					st.elided++ // divisor provably nonzero
 					emit(pc, in)
@@ -442,7 +439,7 @@ func instrumentOptimized(p *vcode.Program, pol *Policy) ([]vcode.Insn, []int, op
 					emit(pc, in)
 				}
 			case in.Op == vcode.OpRet:
-				for i := 0; i < pol.EpilogueLen; i++ {
+				for i := 0; i < EpilogueLen; i++ {
 					emit(pc, vcode.Insn{Op: vcode.OpNop})
 				}
 				emit(pc, in)

@@ -5,8 +5,8 @@ import (
 )
 
 // QuotaLedger meters per-tenant handler execution against cycle budgets
-// accounted over fixed windows of virtual time. It is the multi-tenant
-// complement of the per-ASH rate limit (Section VI-4): the SFI
+// accounted over fixed windows of virtual time — the receive-livelock
+// defense of Section VI-4 (see core.System.Quota). The SFI
 // instrumentation already yields an exact cycle count for every handler
 // run, so the kernel can debit each tenant's allowance precisely and
 // refuse *eager* execution once the window's budget is spent. A refused
@@ -20,41 +20,26 @@ type QuotaLedger struct {
 	// WindowCycles is the accounting window length. Non-positive keeps a
 	// single unbounded window (budgets then cap total lifetime spend).
 	WindowCycles sim.Time
-	// DefaultBudget is the per-window cycle allowance for tenants with no
-	// explicit budget. Non-positive means unlimited.
-	DefaultBudget sim.Time
+	// Budget is every tenant's per-window cycle allowance. Non-positive
+	// means unlimited.
+	Budget sim.Time
 
 	// Admitted and Refused count eager-execution decisions across tenants.
 	Admitted uint64
 	Refused  uint64
 
-	budgets map[string]sim.Time
-	spent   map[string]sim.Time
-	window  sim.Time // index of the window spent refers to
+	spent  map[string]sim.Time
+	window sim.Time // index of the window spent refers to
 }
 
-// NewQuotaLedger creates a ledger with the given window and default
-// per-tenant budget (cycles per window).
-func NewQuotaLedger(windowCycles, defaultBudget sim.Time) *QuotaLedger {
+// NewQuotaLedger creates a ledger with the given window and per-tenant
+// budget (cycles per window).
+func NewQuotaLedger(windowCycles, budget sim.Time) *QuotaLedger {
 	return &QuotaLedger{
-		WindowCycles:  windowCycles,
-		DefaultBudget: defaultBudget,
-		budgets:       map[string]sim.Time{},
-		spent:         map[string]sim.Time{},
+		WindowCycles: windowCycles,
+		Budget:       budget,
+		spent:        map[string]sim.Time{},
 	}
-}
-
-// SetBudget overrides one tenant's per-window allowance. Non-positive
-// makes that tenant unlimited.
-func (q *QuotaLedger) SetBudget(tenant string, budget sim.Time) {
-	q.budgets[tenant] = budget
-}
-
-func (q *QuotaLedger) budget(tenant string) (sim.Time, bool) {
-	if b, ok := q.budgets[tenant]; ok {
-		return b, b > 0
-	}
-	return q.DefaultBudget, q.DefaultBudget > 0
 }
 
 // roll resets the spend table when now has moved into a new window.
@@ -77,7 +62,7 @@ func (q *QuotaLedger) roll(now sim.Time) {
 // message should take the lazy user-level path instead.
 func (q *QuotaLedger) Admit(tenant string, now sim.Time) bool {
 	q.roll(now)
-	if b, bounded := q.budget(tenant); bounded && q.spent[tenant] >= b {
+	if q.Budget > 0 && q.spent[tenant] >= q.Budget {
 		q.Refused++
 		return false
 	}
@@ -92,18 +77,4 @@ func (q *QuotaLedger) Charge(tenant string, cycles sim.Time) {
 	if cycles > 0 {
 		q.spent[tenant] += cycles
 	}
-}
-
-// Remaining reports tenant's unspent allowance in the window containing
-// now. Unlimited tenants report a negative value.
-func (q *QuotaLedger) Remaining(tenant string, now sim.Time) sim.Time {
-	q.roll(now)
-	b, bounded := q.budget(tenant)
-	if !bounded {
-		return -1
-	}
-	if left := b - q.spent[tenant]; left > 0 {
-		return left
-	}
-	return 0
 }

@@ -69,17 +69,6 @@ type Policy struct {
 	// naive per-reference instrumentation.
 	Optimize bool
 
-	// OptimisticExceptions models the "more sophisticated implementation"
-	// of Section III-B1: with operating-system support for handler
-	// exceptions, runtime checks (divide-by-zero here) are omitted and the
-	// kernel catches the exception and aborts the ASH if one occurs.
-	OptimisticExceptions bool
-
-	// Entry/exit sequence lengths (instructions). The defaults reproduce
-	// the paper's observation that exit code dominates added instructions.
-	PrologueLen int
-	EpilogueLen int
-
 	// Profile, when non-nil, feeds the optimizer observed execution counts
 	// (the paper's dynamic-code-generation loop). The profile only selects
 	// among statically proven transformations — hoisting a loop-invariant
@@ -89,8 +78,16 @@ type Policy struct {
 	Profile *reopt.Profile
 }
 
+// Entry/exit sequence lengths (instructions) around every instrumented
+// handler. They reproduce the paper's observation that exit code dominates
+// added instructions.
+const (
+	PrologueLen = 8
+	EpilogueLen = 16
+)
+
 // DefaultPolicy returns the policy used by the ASH system: MIPS software
-// protection, timer-based budgets, and the standard entry/exit sequences.
+// protection and timer-based budgets.
 func DefaultPolicy() *Policy {
 	return &Policy{
 		Hardware: HardwareMIPS,
@@ -101,8 +98,6 @@ func DefaultPolicy() *Policy {
 			"ash_dilp":     true, // run a compiled DILP transfer engine
 			"ash_msg_load": true, // trusted message-word access
 		},
-		PrologueLen: 8,
-		EpilogueLen: 16,
 	}
 }
 
@@ -299,7 +294,7 @@ func compile(p *vcode.Program, pol *Policy) (*Program, error) {
 // instrumenter bug, not a bad input program.
 func checkEpilogues(sp *Program) error {
 	code := sp.Code.Insns
-	epi := sp.Policy.EpilogueLen
+	epi := EpilogueLen
 	interior := make([]bool, len(code))
 	for i, in := range code {
 		if in.Op != vcode.OpRet {
@@ -338,17 +333,17 @@ func checkEpilogues(sp *Program) error {
 // operation is staged and checked, every divide gets a zero check, and (in
 // software-budget mode) every backward jump drains the budget.
 func instrumentNaive(p *vcode.Program, pol *Policy) ([]vcode.Insn, []int) {
-	out := make([]vcode.Insn, 0, len(p.Insns)*2+pol.PrologueLen+pol.EpilogueLen)
+	out := make([]vcode.Insn, 0, len(p.Insns)*2+PrologueLen+EpilogueLen)
 	oldToNew := make([]int, len(p.Insns))
 
 	// Entry sequence: establish the sandbox context (modeled as generic
 	// register save/establish operations; cf. "overly general exit code").
-	for i := 0; i < pol.PrologueLen; i++ {
+	for i := 0; i < PrologueLen; i++ {
 		out = append(out, vcode.Insn{Op: vcode.OpNop})
 	}
 
 	epilogue := func() []vcode.Insn {
-		seq := make([]vcode.Insn, pol.EpilogueLen)
+		seq := make([]vcode.Insn, EpilogueLen)
 		for i := range seq {
 			seq[i] = vcode.Insn{Op: vcode.OpNop}
 		}
@@ -381,16 +376,10 @@ func instrumentNaive(p *vcode.Program, pol *Policy) ([]vcode.Insn, []int) {
 				out = append(out, rewritten)
 			}
 		case in.Op == vcode.OpDivU || in.Op == vcode.OpRemU:
-			if pol.OptimisticExceptions {
-				// The kernel will catch a divide fault and abort the ASH;
-				// no check emitted.
-				out = append(out, in)
-			} else {
-				out = append(out,
-					vcode.Insn{Op: vcode.OpChkDiv, Rs: in.Rt},
-					in,
-				)
-			}
+			out = append(out,
+				vcode.Insn{Op: vcode.OpChkDiv, Rs: in.Rt},
+				in,
+			)
 		case in.Op == vcode.OpRet:
 			out = append(out, epilogue()...)
 			out = append(out, in)

@@ -94,7 +94,6 @@ func TestVerifyRejectsPipeOps(t *testing.T) {
 
 func TestSandboxAddsTwoInsnsPerMemoryOp(t *testing.T) {
 	pol := DefaultPolicy()
-	pol.PrologueLen, pol.EpilogueLen = 0, 0
 	p := assemble(t, func(b *vcode.Builder) {
 		r := b.Temp()
 		b.MovI(r, 0x1000)
@@ -106,8 +105,8 @@ func TestSandboxAddsTwoInsnsPerMemoryOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sp.AddedStatic != 4 {
-		t.Fatalf("AddedStatic = %d, want 4 (2 per memory op)", sp.AddedStatic)
+	if want := 4 + PrologueLen + EpilogueLen; sp.AddedStatic != want {
+		t.Fatalf("AddedStatic = %d, want %d (2 per memory op + entry/exit)", sp.AddedStatic, want)
 	}
 }
 
@@ -121,7 +120,7 @@ func TestSandboxEntryExitOverhead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := pol.PrologueLen + pol.EpilogueLen
+	want := PrologueLen + EpilogueLen
 	if sp.AddedStatic != want {
 		t.Fatalf("AddedStatic = %d, want %d (entry/exit only)", sp.AddedStatic, want)
 	}
@@ -550,40 +549,5 @@ func TestZeroRegisterWriteRejected(t *testing.T) {
 	}
 	if !guarded.escaped {
 		t.Fatal("the instrumented access stayed inside the region: the clause guards nothing")
-	}
-}
-
-func TestOptimisticExceptionsOmitDivChecks(t *testing.T) {
-	// Section III-B1: with OS support for handler exceptions, the divide
-	// check is omitted — the program is smaller — yet a divide-by-zero
-	// still aborts the handler (the kernel catches the trap).
-	prog := assemble(t, func(b *vcode.Builder) {
-		a, d := b.Temp(), b.Temp()
-		b.MovI(a, 100)
-		b.MovI(d, 0)
-		b.DivU(vcode.RRet, a, d)
-		b.Ret()
-	})
-	checked := DefaultPolicy()
-	optimistic := DefaultPolicy()
-	optimistic.OptimisticExceptions = true
-
-	spC, err := Sandbox(prog, checked)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spO, err := Sandbox(prog, optimistic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spO.AddedStatic >= spC.AddedStatic {
-		t.Fatalf("optimistic added %d insns, checked %d — no saving", spO.AddedStatic, spC.AddedStatic)
-	}
-	mem := vcode.NewFlatMem(0x1000, 64)
-	m := vcode.NewMachine(mach.DS5000_240(), mem)
-	spO.Attach(m, 0x1000, 0x1040, 0)
-	f := m.Run(spO.Code)
-	if f == nil || f.Kind != vcode.FaultDivZero {
-		t.Fatalf("fault = %v, want divide-by-zero caught by the kernel", f)
 	}
 }

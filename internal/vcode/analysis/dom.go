@@ -186,8 +186,8 @@ func (c *CFG) NaturalLoops(d *Dom) []Loop {
 // and returns the number of times the loop body executes. Entry values
 // come from the interval analysis at the header's non-loop predecessors.
 // Blocks containing OpCall are rejected (kernel entry points receive the
-// machine and may clobber any register). The result is capped at 1<<20 so
-// callers can multiply by body lengths without overflow concerns.
+// machine and may clobber any register). The result is capped at MaxTrips
+// so callers can multiply by body lengths without overflow concerns.
 func (c *CFG) TripBound(l *Loop, r *Ranges) (int64, bool) {
 	if len(l.Blocks) != 1 || len(l.Latches) != 1 || l.Latches[0] != l.Header {
 		return 0, false
@@ -228,8 +228,8 @@ func (c *CFG) TripBound(l *Loop, r *Ranges) (int64, bool) {
 		if inc.Rd != i {
 			continue
 		}
-		a, okA := c.entryValue(l, r, i)
-		n, okN := c.entryValue(l, r, bound)
+		a, okA := c.EntryValue(l, r, i)
+		n, okN := c.EntryValue(l, r, bound)
 		if !okA || !okN {
 			continue
 		}
@@ -249,7 +249,7 @@ func (c *CFG) TripBound(l *Loop, r *Ranges) (int64, bool) {
 			trips = (int64(n) - int64(a)) / step
 		}
 		// Guard against counter wraparound past 2^32 mid-loop.
-		if trips < 1 || trips > 1<<20 || int64(a)+trips*step > int64(^uint32(0)) {
+		if trips < 1 || trips > MaxTrips || int64(a)+trips*step > int64(^uint32(0)) {
 			continue
 		}
 		return trips, true
@@ -257,9 +257,13 @@ func (c *CFG) TripBound(l *Loop, r *Ranges) (int64, bool) {
 	return 0, false
 }
 
-// entryValue returns the exact value of reg on loop entry: the meet of the
+// MaxTrips caps every trip count a loop prover returns (TripBound here,
+// reopt.TripBoundMultiBlock for multi-block loops).
+const MaxTrips = 1 << 20
+
+// EntryValue returns the exact value of reg on loop entry: the meet of the
 // interval analysis at the header's predecessors outside the loop.
-func (c *CFG) entryValue(l *Loop, r *Ranges, reg vcode.Reg) (uint32, bool) {
+func (c *CFG) EntryValue(l *Loop, r *Ranges, reg vcode.Reg) (uint32, bool) {
 	iv := Interval{}
 	first := true
 	for _, p := range c.Blocks[l.Header].Preds {

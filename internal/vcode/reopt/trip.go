@@ -5,11 +5,6 @@ import (
 	"ashs/internal/vcode/analysis"
 )
 
-// MaxTrips caps every trip count this package proves, mirroring
-// analysis.TripBound, so callers can multiply by body spans without
-// overflow concerns.
-const MaxTrips = 1 << 20
-
 // TripBoundMultiBlock tries to prove an *exact* iteration count for a
 // multi-block natural loop — the shape analysis.TripBound deliberately
 // refuses (it handles only single-block loops). Exactness is what makes a
@@ -84,8 +79,8 @@ func TripBoundMultiBlock(c *analysis.CFG, d *analysis.Dom, l *analysis.Loop, r *
 	if defsOf[bound] != 0 || defsOf[i] != 1 || incAt < 0 || !d.Dominates(incBlock, latch) {
 		return 0, false
 	}
-	a, okA := loopEntryValue(c, l, r, i)
-	n, okN := loopEntryValue(c, l, r, bound)
+	a, okA := c.EntryValue(l, r, i)
+	n, okN := c.EntryValue(l, r, bound)
 	if !okA || !okN {
 		return 0, false
 	}
@@ -96,30 +91,8 @@ func TripBoundMultiBlock(c *analysis.CFG, d *analysis.Dom, l *analysis.Loop, r *
 	} else {
 		trips = (int64(n) - int64(a) + step - 1) / step
 	}
-	if trips < 1 || trips > MaxTrips || int64(a)+trips*step > int64(^uint32(0)) {
+	if trips < 1 || trips > analysis.MaxTrips || int64(a)+trips*step > int64(^uint32(0)) {
 		return 0, false
 	}
 	return trips, true
-}
-
-// loopEntryValue returns the exact value of reg on loop entry: the meet of
-// the interval analysis at the header's predecessors outside the loop.
-func loopEntryValue(c *analysis.CFG, l *analysis.Loop, r *analysis.Ranges, reg vcode.Reg) (uint32, bool) {
-	iv := analysis.Interval{}
-	first := true
-	for _, p := range c.Blocks[l.Header].Preds {
-		if l.Contains(p) {
-			continue
-		}
-		out := r.Out[p][reg]
-		if first {
-			iv, first = out, false
-		} else {
-			iv = iv.Union(out)
-		}
-	}
-	if first {
-		return 0, false // header is the program entry: registers unknown
-	}
-	return iv.Exact()
 }

@@ -45,13 +45,10 @@ import (
 // The match is made on the live instructions at every engagement, in
 // O(loop length), and nothing is kept: there is no state on Program to go
 // stale when the sandboxer rewrites in place or to share between machines.
-// It covers every non-striped engine pipe.Compile emits and the checksum
-// loop of hotpath.NewHandlerProgram, over any Memory. Not matched, and
-// interpreted as before: SFI-instrumented loops (sbox.mask/sbox.chk/
-// chk.budget are not register-only ops) and the striped (unroll-4) engine —
-// which only pipe's tests build: no production path sets
-// pipe.Options.StripedSrc (the TCP fast path leaves striped payloads to the
-// library, costed in link.passCost).
+// It covers every engine pipe.Compile emits and the checksum loop of
+// hotpath.NewHandlerProgram, over any Memory. Not matched, and interpreted
+// as before: SFI-instrumented loops (sbox.mask/sbox.chk/chk.budget are not
+// register-only ops).
 //
 // It is kept out of line so that run's register allocation is what it was.
 //
