@@ -231,9 +231,8 @@ type World struct {
 // WorldOption configures NewWorld. Options are applied in a fixed
 // internal order (network selection, then observability, then fault
 // injection), so construction is insensitive to the order they are
-// passed in — unlike the deprecated constructor + Attach* flow, where
-// attaching a fault plane before the observability plane silently
-// skipped the fault-counter metrics mirror.
+// passed in: given both planes, the fault counters are always mirrored
+// into the observability plane's metrics.
 type WorldOption func(*worldSpec)
 
 type worldSpec struct {
@@ -268,9 +267,6 @@ func WithFaultPlane(seed int64, sched FaultSchedule) WorldOption {
 //	w := ashs.NewWorld(ashs.WithEthernet())               // Ethernet
 //	w := ashs.NewWorld(ashs.WithObs(ashs.NewObsPlane()),
 //	    ashs.WithFaultPlane(1, ashs.CannedSchedules()[0]))
-//
-// It replaces the NewAN2World/NewEthernetWorld + AttachObs /
-// AttachFaultPlane sequence with order-insensitive construction.
 func NewWorld(opts ...WorldOption) *World {
 	var s worldSpec
 	for _, o := range opts {

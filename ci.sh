@@ -52,8 +52,10 @@ go test -race ./...
 #            then the receive matrix: the same scenarios through an AN2 and
 #            an Ethernet world move the same RxStats field, every offered
 #            frame has exactly one fate, Binding.Free refuses bad indices
-#   bench, . world close leaves no live process and no host memory, a cell run
-#            twice grows the pool once, the public World.Close
+#   bench, . every distinct world of the registry's quick cells builds to its
+#            spec and closes with no live process and no host memory, every
+#            worldSpec field takes two values, a cell run twice grows the pool
+#            once, the public World.Close
 #   sandbox  three-way differential: every crl handler x both budget modes x
 #            measured + adversarial profiles, the profitability pin, the
 #            committed adversarial-profile shapes, the quick random sweep
@@ -88,7 +90,7 @@ done <<'EOF'
 ./internal/sim/:^TestElideEdges$|^TestElideRejectsWhatSchedulingRejects$|^TestElideMatchesNeverElide$
 ./internal/aegis/:^TestArena
 ./internal/aegis/:^TestReceiveMatrix$|^TestFrontHalfOrder$|^TestFreeChecksTheIndex$|^TestRefusedSendIsCounted$
-./internal/bench/:^TestPoolLeakGate$|^TestWorldReuse$
+./internal/bench/:^TestPoolLeakGate$|^TestWorldReuse$|^TestWorldShape$|^TestWorldSpecFieldsInUse$
 .:^TestWorldClose$
 ./internal/sandbox/:TestThreeWayRegistry|TestReoptActuallyImproves|TestReoptProfileSeeds|TestDifferentialSFIQuick
 ./internal/sandbox/:^TestMemoryConformance$|^TestEscapeGuardLatchesOnAnyByte$
@@ -159,8 +161,9 @@ if ! cmp -s ashbench_output.txt "$tracedir/serial.txt"; then
     diff ashbench_output.txt "$tracedir/serial.txt" | head -40
     exit 1
 fi
-# The serial run's wall time and arena-pool counters, for the log: leases
-# must equal returned, and grown jumps when a cell stops closing its world.
+# The serial run's wall time and arena-pool counters, for the log: grown
+# jumps when a cell stops closing its world (leases = returned is gated
+# below).
 cat "$tracedir/serial.err" >&2
 
 # The end-to-end observability gate: the Chrome trace JSON of the breakdown
@@ -189,6 +192,16 @@ if ! grep '^\[sim engines:' "$tracedir/quick.err" | cmp -s - ashbench_counts.txt
     grep '^\[sim engines:' "$tracedir/quick.err" | diff ashbench_counts.txt - || true
     echo "if intended, regenerate:"
     echo "  go run ./cmd/ashbench -quick -parallel 1 2>&1 >/dev/null | grep '^\[sim engines:' >ashbench_counts.txt"
+    exit 1
+fi
+
+# Every world gives its hosts' memory back when it closes: in the serial
+# run's arena line, leases must equal returned.
+echo "== ashbench arena leases all returned"
+arenas=$(sed -n 's/^\[host memory arenas: \([0-9]*\) leases, \([0-9]*\) returned,.*/\1 \2/p' "$tracedir/serial.err")
+set -- $arenas
+if [ $# -ne 2 ] || [ "$1" != "$2" ]; then
+    echo "arena leases not all returned: ${arenas:-no arena line in the serial run's stderr}"
     exit 1
 fi
 

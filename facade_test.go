@@ -55,10 +55,7 @@ func echoRoundTrip(t *testing.T, w *ashs.World) ([]byte, ashs.Time) {
 
 // TestNewWorldDeterministic is the facade-reproducibility check: two
 // equivalently built worlds must agree exactly on a real workload's
-// payload and simulated completion time. (It previously compared the
-// options API against the deprecated NewAN2World/NewEthernetWorld
-// wrappers; those are gone, and the determinism property is what the
-// comparison was really pinning.)
+// payload and simulated completion time.
 func TestNewWorldDeterministic(t *testing.T) {
 	aGot, aDone := echoRoundTrip(t, ashs.NewWorld())
 	bGot, bDone := echoRoundTrip(t, ashs.NewWorld())
@@ -127,10 +124,11 @@ func TestWorldOptionOrderInsensitive(t *testing.T) {
 	}
 }
 
-// TestFaultPlaneInjectionPoints pins that the facade and the chaos cell
-// attach a fault plane to the same injection points — the wire, both
-// network interfaces and both ASH systems, on either network — since both
-// go through Testbed.AttachFault (runChaosOne's only attach call).
+// TestFaultPlaneInjectionPoints pins that the facade attaches a fault plane
+// to the same injection points as the bench testbed — the wire, both
+// network interfaces and both ASH systems, on either network. (The chaos
+// cells' worlds get theirs from the bench world builder; internal/bench's
+// TestWorldShape pins those.)
 func TestFaultPlaneInjectionPoints(t *testing.T) {
 	// points reports which of a pair's five injection points are hooked.
 	points := func(a1, a2 *aegis.AN2If, e1, e2 *aegis.EthernetIf, s1, s2 *ashs.ASHSystem) [5]bool {
@@ -149,14 +147,14 @@ func TestFaultPlaneInjectionPoints(t *testing.T) {
 		facade := func() [5]bool {
 			return points(w.AN2Host1, w.AN2Host2, w.EthHost1, w.EthHost2, w.ASH1, w.ASH2)
 		}
-		chaos := func() [5]bool { return points(tb.A1, tb.A2, tb.E1, tb.E2, tb.Sys1, tb.Sys2) }
-		if facade() != ([5]bool{}) || chaos() != ([5]bool{}) {
+		testbed := func() [5]bool { return points(tb.A1, tb.A2, tb.E1, tb.E2, tb.Sys1, tb.Sys2) }
+		if facade() != ([5]bool{}) || testbed() != ([5]bool{}) {
 			t.Fatalf("eth=%v: injection points hooked before any attach", eth)
 		}
 		w.AttachFaultPlane(ashs.NewFaultPlane(1, sched))
 		tb.AttachFault(ashs.NewFaultPlane(1, sched))
-		if f, c := facade(), chaos(); f != c || f != ([5]bool{true, true, true, true, true}) {
-			t.Errorf("eth=%v: facade attached %v, chaos testbed %v, want all five points on both", eth, f, c)
+		if f, c := facade(), testbed(); f != c || f != ([5]bool{true, true, true, true, true}) {
+			t.Errorf("eth=%v: facade attached %v, bench testbed %v, want all five points on both", eth, f, c)
 		}
 	}
 }

@@ -62,16 +62,22 @@ type ablationCell struct {
 	us          float64
 }
 
-// ablationCells enumerates one cell per safety strategy.
+// ablationCells enumerates one cell per safety strategy. A cell measures two
+// AN2 pairs, the write's then the loop's, so it carries no spec and opens
+// each in turn: the first is closed before the second is built, and
+// download-churn, which runs these cells twelve times, never holds two.
 func ablationCells() []Cell {
 	pols := ablationPolicies()
 	cells := make([]Cell, len(pols))
 	for i, pc := range pols {
-		pc := pc
-		cells[i] = Cell{"ablation/" + pc.label, func(cfg *Config) any {
+		cells[i] = Cell{Label: "ablation/" + pc.label, measure: func(cfg *Config, _ *world) any {
 			opts := core.Options{Unsafe: pc.unsafe, Budget: 100000}
-			write := runIsolated(cfg, pc.pol, opts, trustedWrite, 40)
-			loop := runIsolated(cfg, pc.pol, opts, recordWrite, 0)
+			isolated := func(h isolatedHandler, nbytes int) handlerRun {
+				return inWorld(cfg, an2Pair, func(w *world) handlerRun {
+					return runIsolated(w.tb, pc.pol, opts, h, nbytes)
+				})
+			}
+			write, loop := isolated(trustedWrite, 40), isolated(recordWrite, 0)
 			// Every world runs on this profile.
 			return ablationCell{insns: write.insns, loop: loop.insns, us: mach.DS5000_240().Us(write.cycles)}
 		}}
@@ -93,7 +99,7 @@ func mergeAblation(vs []any) AblationResult {
 
 // RunAblation regenerates the safety-strategy comparison.
 func RunAblation(cfg *Config) AblationResult {
-	return mergeAblation(runCells(cfg, ablationCells()))
+	return mergeAblation(cellResults(cfg, ablationCells()))
 }
 
 // Table renders the ablation.

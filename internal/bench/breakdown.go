@@ -68,35 +68,36 @@ type Breakdown struct {
 	Rows  []BreakdownRow
 }
 
-// breakdownSpecs enumerates the traced latency workloads in render order.
-func breakdownSpecs(iters int) []struct {
+// breakdownSpec is one traced latency workload: its row label, the paper's
+// value, its world and the measurement.
+type breakdownSpec struct {
 	label string
 	paper float64
-	run   func(cfg *Config, o *obsRun) float64
-} {
-	return []struct {
-		label string
-		paper float64
-		run   func(cfg *Config, o *obsRun) float64
-	}{
-		{"Table I: in-kernel AN2", PaperTable1.InKernelAN2,
-			func(cfg *Config, o *obsRun) float64 { return inKernelAN2RT(cfg, iters, o) }},
-		{"Table I: user-level AN2", PaperTable1.UserAN2,
-			func(cfg *Config, o *obsRun) float64 { return rawPingPong(cfg, false, iters, o) }},
-		{"Table I: Ethernet", PaperTable1.Ethernet,
-			func(cfg *Config, o *obsRun) float64 { return rawPingPong(cfg, true, iters, o) }},
-		{"Table V: sandboxed ASH (polling)", PaperTable5.Polling[MechSandboxedASH],
-			func(cfg *Config, o *obsRun) float64 {
-				return remoteIncrementRT(cfg, MechSandboxedASH, false, iters, o)
+	world worldSpec
+	run   func(tb *Testbed, o *obsRun) float64
+}
+
+// breakdownSpecs enumerates the traced latency workloads in render order.
+func breakdownSpecs(iters int) []breakdownSpec {
+	return []breakdownSpec{
+		{"Table I: in-kernel AN2", PaperTable1.InKernelAN2, an2Pair,
+			func(tb *Testbed, o *obsRun) float64 { return inKernelAN2RT(tb, iters, o) }},
+		{"Table I: user-level AN2", PaperTable1.UserAN2, an2Pair,
+			func(tb *Testbed, o *obsRun) float64 { return rawPingPong(tb, iters, o) }},
+		{"Table I: Ethernet", PaperTable1.Ethernet, ethPair,
+			func(tb *Testbed, o *obsRun) float64 { return rawPingPong(tb, iters, o) }},
+		{"Table V: sandboxed ASH (polling)", PaperTable5.Polling[MechSandboxedASH], an2Pair,
+			func(tb *Testbed, o *obsRun) float64 {
+				return remoteIncrementRT(tb, MechSandboxedASH, false, iters, o)
 			}},
-		{"Table V: user-level (polling)", PaperTable5.Polling[MechUserLevel],
-			func(cfg *Config, o *obsRun) float64 {
-				return remoteIncrementRT(cfg, MechUserLevel, false, iters, o)
+		{"Table V: user-level (polling)", PaperTable5.Polling[MechUserLevel], an2Pair,
+			func(tb *Testbed, o *obsRun) float64 {
+				return remoteIncrementRT(tb, MechUserLevel, false, iters, o)
 			}},
-		{"Table VI: TCP latency, sandboxed ASH", PaperTable6.Latency[0],
-			func(cfg *Config, o *obsRun) float64 { return table6Latency(cfg, table6Modes[0], iters, o) }},
-		{"Table VI: TCP latency, user (polling)", PaperTable6.Latency[4],
-			func(cfg *Config, o *obsRun) float64 { return table6Latency(cfg, table6Modes[4], iters, o) }},
+		{"Table VI: TCP latency, sandboxed ASH", PaperTable6.Latency[0], an2Pair,
+			func(tb *Testbed, o *obsRun) float64 { return table6Latency(tb, table6Modes[0], iters, o) }},
+		{"Table VI: TCP latency, user (polling)", PaperTable6.Latency[4], an2Pair,
+			func(tb *Testbed, o *obsRun) float64 { return table6Latency(tb, table6Modes[4], iters, o) }},
 	}
 }
 
@@ -105,10 +106,9 @@ func breakdownCells(iters int) []Cell {
 	specs := breakdownSpecs(iters)
 	cells := make([]Cell, len(specs))
 	for i, s := range specs {
-		s := s
-		cells[i] = Cell{"breakdown/" + s.label, func(cfg *Config) any {
+		cells[i] = pairCell("breakdown/"+s.label, s.world, func(tb *Testbed) any {
 			o := &obsRun{}
-			meas := s.run(cfg, o)
+			meas := s.run(tb, o)
 			total := o.end - o.start
 			byCat := o.plane.PhaseCycles(o.start, o.end)
 			var phases []BreakdownPhase
@@ -124,7 +124,7 @@ func breakdownCells(iters int) []Cell {
 				Label: s.label, PaperUs: s.paper, MeasuredUs: meas,
 				Iters: iters, Total: total, Phases: phases, Plane: o.plane,
 			}
-		}}
+		})
 	}
 	return cells
 }
@@ -139,7 +139,7 @@ func mergeBreakdown(iters int, vs []any) *Breakdown {
 
 // RunBreakdown traces the latency workloads of Tables I, V and VI.
 func RunBreakdown(cfg *Config, iters int) *Breakdown {
-	return mergeBreakdown(iters, runCells(cfg, breakdownCells(iters)))
+	return mergeBreakdown(iters, cellResults(cfg, breakdownCells(iters)))
 }
 
 // Render produces the per-phase cost tables.

@@ -34,7 +34,7 @@ func TestBreakdownPhasesSumToWindow(t *testing.T) {
 		}
 	}
 	// Traced == untraced for a representative row.
-	if got, want := b.Rows[0].MeasuredUs, inKernelAN2RT(nil, iters, nil); got != want {
+	if got, want := b.Rows[0].MeasuredUs, table1Cells(iters)[0].Run(nil).(float64); got != want {
 		t.Errorf("traced in-kernel RT %v != untraced %v", got, want)
 	}
 }

@@ -74,15 +74,15 @@ type ChaosResult struct {
 }
 
 // chaosCells enumerates one cell per (schedule, seed) — the natural shard
-// of the soak matrix.
+// of the soak matrix. Each cell's world is an AN2 pair with the fault plane
+// at every layer of both hosts and the abort-trip threshold armed.
 func chaosCells(p ChaosParams) []Cell {
 	var cells []Cell
 	for _, sched := range p.Schedules {
-		sched := sched
 		for _, seed := range p.Seeds {
-			seed := seed
-			cells = append(cells, Cell{fmt.Sprintf("chaos/%s/seed%d", sched.Name, seed),
-				func(cfg *Config) any { return runChaosOne(cfg, seed, sched, p) }})
+			s := worldSpec{fault: &faultSpec{seed: seed, sched: sched}, tripThreshold: 64}
+			cells = append(cells, pairCell(fmt.Sprintf("chaos/%s/seed%d", sched.Name, seed), s,
+				func(tb *Testbed) any { return runChaosOne(tb, p) }))
 		}
 	}
 	return cells
@@ -90,7 +90,7 @@ func chaosCells(p ChaosParams) []Cell {
 
 // RunChaos executes the full matrix.
 func RunChaos(cfg *Config, p ChaosParams) []ChaosResult {
-	vs := runCells(cfg, chaosCells(p))
+	vs := cellResults(cfg, chaosCells(p))
 	out := make([]ChaosResult, len(vs))
 	for i, v := range vs {
 		out[i] = v.(ChaosResult)
@@ -132,19 +132,12 @@ func chaosFill(data []byte, off int) { copy(data, chaosWindow(off, len(data))) }
 // chaosCheck reports whether data is the pattern at offsets off...
 func chaosCheck(data []byte, off int) bool { return bytes.Equal(data, chaosWindow(off, len(data))) }
 
-// runChaosOne runs one (schedule, seed) cell: a fresh two-host AN2 world
-// with the fault plane attached at every layer, a TCP bulk transfer on
-// VC 7 (ASH fast path on both ends), and an NFS session on VC 5 — both
-// must finish with byte-verified payloads despite the schedule.
-func runChaosOne(cfg *Config, seed int64, sched fault.Schedule, p ChaosParams) ChaosResult {
-	tb := NewAN2Testbed(cfg)
-	defer tb.close()
-	pl := fault.New(seed, sched)
-	tb.AttachFault(pl)
-	tb.Sys1.AbortTripThreshold = 64
-	tb.Sys2.AbortTripThreshold = 64
-
-	res := ChaosResult{Schedule: sched.Name, Seed: seed}
+// runChaosOne runs one (schedule, seed) cell on its faulted pair: a TCP
+// bulk transfer on VC 7 (ASH fast path on both ends), and an NFS session on
+// VC 5 — both must finish with byte-verified payloads despite the schedule.
+func runChaosOne(tb *Testbed, p ChaosParams) ChaosResult {
+	pl := tb.fault
+	res := ChaosResult{Schedule: pl.Sched.Name, Seed: pl.Seed}
 
 	tcpCfg := func(host int) tcp.Config {
 		c := tcp.DefaultConfig()

@@ -7,13 +7,11 @@ import (
 	"ashs/internal/obs"
 )
 
-// Config carries the cross-cutting experiment parameters that used to be
-// threaded by hand (or, worse, through the package-global Observe hook):
-// workload sizing, observability, and parallelism. It is passed explicitly
-// into every Run* entry point and every testbed builder. A nil *Config is
-// valid everywhere and means: full workloads, no observability, default
-// parallelism. (Fault planes are attached by the experiments that inject
-// faults, to the worlds they build — Testbed.AttachFault.)
+// Config carries the cross-cutting experiment parameters: workload sizing,
+// observability, and parallelism. Every Run* entry point and Cell.Run takes
+// one, and build hands it every pair it makes. A nil *Config is valid
+// everywhere and means: full workloads, no observability, default
+// parallelism. (Fault planes belong to a cell's world: worldSpec.fault.)
 //
 // Configs are cheap values; the runner gives every concurrently executing
 // cell its own copy, so nothing here needs locking.
@@ -56,8 +54,9 @@ func (cfg *Config) note(format string, args ...any) {
 	}
 }
 
-// observe applies the config's Obs hook to a new testbed. Called from the
-// testbed builders; nil-safe.
+// observe applies the config's Obs hook to a new testbed. Called from
+// build, for pairs only: the hook's users read both hosts of a pair;
+// nil-safe.
 func (cfg *Config) observe(tb *Testbed) {
 	if cfg == nil || cfg.Obs == nil {
 		return
@@ -69,14 +68,14 @@ func (cfg *Config) observe(tb *Testbed) {
 }
 
 // cellConfig derives the private Config copy one cell runs under: same
-// hooks and sizing, fresh plane collection.
+// hooks and sizing (a nil config's), fresh plane and note collections.
 func (cfg *Config) cellConfig() *Config {
-	if cfg == nil {
-		return nil
+	cc := &Config{}
+	if cfg != nil {
+		*cc = *cfg
+		cc.planes, cc.notes = nil, ""
 	}
-	cc := *cfg
-	cc.planes, cc.notes = nil, ""
-	return &cc
+	return cc
 }
 
 // parallelism reports the worker count this config selects.
@@ -90,53 +89,54 @@ func (cfg *Config) parallelism() int {
 // quick reports the workload-size selection, nil-safe.
 func (cfg *Config) quick() bool { return cfg != nil && cfg.Quick }
 
-// Cell is one independent unit of experiment work under an explicit
-// config: one testbed build, one workload, one result.
+// Cell is one independent unit of experiment work: a label, the world it
+// runs on (nil for the cells that need none) and the measurement it takes
+// there.
 type Cell struct {
-	Label string
-	Run   func(cfg *Config) any
+	Label   string
+	spec    *worldSpec
+	measure func(cfg *Config, w *world) any
 }
 
-// cellOut is what a wrapped cell returns to the pool: the experiment
-// result plus the observability planes the cell's testbeds attached.
-type cellOut struct {
-	v      any
-	planes []*obs.Plane
-	notes  string
+// pairCell is a cell whose measurement takes the Testbed view of a pair.
+func pairCell(label string, s worldSpec, m func(tb *Testbed) any) Cell {
+	return Cell{label, &s, func(_ *Config, w *world) any { return m(w.tb) }}
 }
 
-// wrap binds a bench Cell to a parent config as a runner.Cell: the cell
-// executes under its own config copy and carries its planes out with the
-// result.
-func wrap(parent *Config, c Cell) runner.Cell {
-	return runner.Cell{Label: c.Label, Run: func() any {
-		cc := parent.cellConfig()
-		v := c.Run(cc)
-		if cc == nil {
-			return cellOut{v: v}
-		}
-		return cellOut{v: v, planes: cc.planes, notes: cc.notes}
-	}}
+// Run builds the cell's world, measures it and closes it. A cell without a
+// world is measured with a nil one.
+func (c Cell) Run(cfg *Config) any {
+	if c.spec == nil {
+		return c.measure(cfg, nil)
+	}
+	return inWorld(cfg, *c.spec, func(w *world) any { return c.measure(cfg, w) })
 }
 
-// runCells executes cells under cfg's parallelism and returns their
-// results in cell-index order. The planes each cell attached are folded
-// back into cfg in the same deterministic order, so a traced parallel run
-// exports exactly the planes (and ordering) of a serial one.
-func runCells(cfg *Config, cells []Cell) []any {
+// runCells executes cells under cfg's parallelism, each under its own
+// config copy, and returns their results and notes in cell-index order. The
+// planes each cell attached are folded back into cfg in the same
+// deterministic order, so a traced parallel run exports exactly the planes
+// (and ordering) of a serial one.
+func runCells(cfg *Config, cells []Cell) (results []any, notes []string) {
 	wrapped := make([]runner.Cell, len(cells))
+	ccs := make([]*Config, len(cells))
 	for i, c := range cells {
-		wrapped[i] = wrap(cfg, c)
+		ccs[i] = cfg.cellConfig()
+		wrapped[i] = runner.Cell{Label: c.Label, Run: func() any { return c.Run(ccs[i]) }}
 	}
-	outs := runner.Run(cfg.parallelism(), wrapped)
-	results := make([]any, len(outs))
-	for i, o := range outs {
-		co := o.(cellOut)
-		results[i] = co.v
+	results, notes = runner.Run(cfg.parallelism(), wrapped), make([]string, len(cells))
+	for i, cc := range ccs {
+		notes[i] = cc.notes
 		if cfg != nil {
-			cfg.planes = append(cfg.planes, co.planes...)
+			cfg.planes = append(cfg.planes, cc.planes...)
 		}
 	}
+	return results, notes
+}
+
+// cellResults is runCells for the Run* entry points, which keep no notes.
+func cellResults(cfg *Config, cells []Cell) []any {
+	results, _ := runCells(cfg, cells)
 	return results
 }
 

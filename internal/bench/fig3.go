@@ -32,10 +32,9 @@ var Fig3Sizes = []int{16, 32, 64, 128, 256, 512, 1024, 2048, 4096}
 func fig3Cells(pktsPerSize int) []Cell {
 	cells := make([]Cell, len(Fig3Sizes))
 	for i, size := range Fig3Sizes {
-		size := size
-		cells[i] = Cell{fmt.Sprintf("fig3/%dB", size), func(cfg *Config) any {
-			return fig3Throughput(cfg, size, pktsPerSize)
-		}}
+		cells[i] = pairCell(fmt.Sprintf("fig3/%dB", size), an2Pair, func(tb *Testbed) any {
+			return fig3Throughput(tb, size, pktsPerSize)
+		})
 	}
 	return cells
 }
@@ -51,12 +50,10 @@ func mergeFig3(vs []any) Fig3 {
 // RunFig3 regenerates Fig. 3: a large train of packets of each size sent
 // from user level, throughput measured at the receiver.
 func RunFig3(cfg *Config, pktsPerSize int) Fig3 {
-	return mergeFig3(runCells(cfg, fig3Cells(pktsPerSize)))
+	return mergeFig3(cellResults(cfg, fig3Cells(pktsPerSize)))
 }
 
-func fig3Throughput(cfg *Config, size, count int) float64 {
-	tb := NewAN2Testbed(cfg)
-	defer tb.close()
+func fig3Throughput(tb *Testbed, size, count int) float64 {
 	const vc = 5
 	var first, last sim.Time
 	got := 0

@@ -27,11 +27,9 @@ type Fig4 struct {
 func fig4Cells(maxProcs, iters int) []Cell {
 	var cells []Cell
 	for n := 1; n <= maxProcs; n++ {
-		n := n
 		for _, system := range []string{"ash", "oblivious", "ultrix"} {
-			system := system
-			cells = append(cells, Cell{fmt.Sprintf("fig4/%d-procs/%s", n, system),
-				func(cfg *Config) any { return fig4RT(cfg, n, system, iters) }})
+			cells = append(cells, pairCell(fmt.Sprintf("fig4/%d-procs/%s", n, system), an2Pair,
+				func(tb *Testbed) any { return fig4RT(tb, n, system, iters) }))
 		}
 	}
 	return cells
@@ -53,15 +51,12 @@ func mergeFig4(maxProcs int, vs []any) Fig4 {
 
 // RunFig4 regenerates Fig. 4 for process counts 1..maxProcs.
 func RunFig4(cfg *Config, maxProcs, iters int) Fig4 {
-	return mergeFig4(maxProcs, runCells(cfg, fig4Cells(maxProcs, iters)))
+	return mergeFig4(maxProcs, cellResults(cfg, fig4Cells(maxProcs, iters)))
 }
 
 // fig4RT measures the remote-increment RT with n processes active on the
 // server: the receiving application plus n-1 compute-bound competitors.
-func fig4RT(cfg *Config, n int, system string, iters int) float64 {
-	tb := NewAN2Testbed(cfg)
-	defer tb.close()
-
+func fig4RT(tb *Testbed, n int, system string, iters int) float64 {
 	if system == "ultrix" {
 		// The Ultrix-style scheduler "raises the priority of a process
 		// immediately after a network interrupt", but every kernel

@@ -141,14 +141,12 @@ func tcpStream(tb *Testbed, totalBytes, writeSize int, cfgFor func(host int) tcp
 // rawPingPong measures Table I's user-level rows: a 4-byte message
 // ping-ponged between polling processes that use the full system call
 // interface over raw link endpoints, on the AN2 or the Ethernet.
-func rawPingPong(cfg *Config, eth bool, iters int, o *obsRun) float64 {
-	tb := newTestbed(cfg, !eth)
-	defer tb.close()
+func rawPingPong(tb *Testbed, iters int, o *obsRun) float64 {
 	o.attach(tb)
 	// The AN2 demultiplexes on the circuit, the Ethernet with a DPF filter on
 	// the first payload byte: a message carries its receiver's tag.
 	const echoTag, clientTag = 0xAA, 0xBB
-	vc := 5
+	eth, vc := tb.E1 != nil, 5
 	if eth {
 		vc = 0
 	}

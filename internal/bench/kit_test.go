@@ -42,13 +42,10 @@ func kitCells() []Cell {
 	cs = append(cs, chaosCells(ChaosParams{Seeds: []int64{1}, TCPBytes: 64 << 10, NFSBytes: 8 << 10,
 		Schedules: fault.Canned()[:2]})...)
 	for _, wl := range scaleWorkloads {
-		wl := wl
-		cs = append(cs, Cell{"scale/" + wl + "/N=4", func(*Config) any { return runScaleCell(wl, 4, 2) }})
+		cs = append(cs, scaleCell(wl, 4, 2))
 	}
 	for i, n := range []int{512, 64, 256} { // udp-echo, tcp-pp, nfs-read: the golden's labels say so
-		wl := megaWorkloads[i]
-		cs = append(cs, Cell{fmt.Sprintf("megascale/%s/N=%d", wl.name, n),
-			func(cfg *Config) any { return wl.cell(n, cfg) }})
+		cs = append(cs, megaWorkloads[i].cell(n))
 	}
 	return cs
 }
@@ -132,11 +129,12 @@ func TestRefusedSendPanicsWithLabel(t *testing.T) {
 	for _, c := range cases {
 		for _, eth := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/eth=%v", c.label, eth), func(t *testing.T) {
-				tb := NewAN2Testbed(nil)
+				s := an2Pair
 				if eth {
-					tb = ethWorld(nil)
+					s = arpPair
 				}
-				defer tb.close()
+				tb := build(nil, s).tb
+				defer tb.Close()
 				defer func() {
 					msg := fmt.Sprint(recover())
 					if !strings.Contains(msg, c.label+": ") || !strings.Contains(msg, nowhere.String()) {

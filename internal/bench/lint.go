@@ -15,7 +15,7 @@ import (
 // per-instruction-costed fast path, so dead work and unbounded loops are
 // worth flagging at download time even when they are safe.
 func lintCells() []Cell {
-	return []Cell{{"lint", func(cfg *Config) any { return runLint() }}}
+	return []Cell{{Label: "lint", measure: func(*Config, *world) any { return runLint() }}}
 }
 
 func runLint() string {

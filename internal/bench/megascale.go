@@ -74,7 +74,10 @@ type megaWorkload struct {
 	gapUs float64
 	size  int
 
-	run func(wl *megaWorkload, cfg *Config, n, events int) MegaResult
+	// world is the server-only world of an n-endpoint cell, and run the
+	// workload on it.
+	world func(n int) worldSpec
+	run   func(wl *megaWorkload, cfg *Config, w *world, n, events int) MegaResult
 
 	// extra are the columns only this workload has: bucket spread is a
 	// ConnTable property, sheds an admission-control one.
@@ -98,6 +101,7 @@ var megaWorkloads = []*megaWorkload{
 		retry:       retry.Policy{BaseUs: 400_000, Budget: 4},
 		gapUs:       150, // capacity ~10 echoes/ms
 		size:        megaPayload,
+		world:       func(int) worldSpec { return megaServer(fanInServerMem, megaUDPPool) },
 		run:         runMegaUDP,
 	},
 	{
@@ -111,6 +115,7 @@ var megaWorkloads = []*megaWorkload{
 		retry:           retry.Policy{BaseUs: 800_000, Budget: 6},
 		gapUs:           600, // capacity ~3.6 TCP rounds/ms
 		size:            megaPayload,
+		world:           func(n int) worldSpec { return megaServer(megaTCPServerMem, 2*n+fanInServerRxSlack) },
 		run:             runMegaTCP,
 		extra: []megaColumn{
 			{"conns", "%6d", func(r MegaResult) any { return r.Conns }},
@@ -132,6 +137,7 @@ var megaWorkloads = []*megaWorkload{
 		retry:       retry.Policy{BaseUs: 50_000, CapUs: 800_000, Budget: 10},
 		gapUs:       2500,
 		size:        megaReadBytes,
+		world:       func(int) worldSpec { return megaServer(fanInServerMem, megaNFSPool) },
 		run:         runMegaNFS,
 		extra:       []megaColumn{{"sheds", "%6d", func(r MegaResult) any { return r.Sheds }}},
 	},
@@ -157,9 +163,18 @@ func (wl *megaWorkload) traceEvents(cfg *Config, n int) int {
 	return events
 }
 
-// cell runs the workload's n-endpoint cell.
-func (wl *megaWorkload) cell(n int, cfg *Config) MegaResult {
-	return wl.run(wl, cfg, n, wl.traceEvents(cfg, n))
+// cell is the workload's n-endpoint cell.
+func (wl *megaWorkload) cell(n int) Cell {
+	s := wl.world(n)
+	return Cell{fmt.Sprintf("megascale/%s/N=%d", wl.name, n), &s, func(cfg *Config, w *world) any {
+		return wl.run(wl, cfg, w, n, wl.traceEvents(cfg, n))
+	}}
+}
+
+// megaServer is a world of one server with mem bytes of memory and a
+// receive pool of rxBufs; the flyweight clients are not hosts.
+func megaServer(mem, rxBufs int) worldSpec {
+	return worldSpec{eth: true, fanIn: true, srvMem: mem, srvRxBufs: rxBufs}
 }
 
 const (
@@ -283,9 +298,7 @@ func megaSourceFilter(src ip.Addr) *dpf.Filter {
 // closure pins on the heap — so it derives the reply's destination from
 // the frame's provenance (the ring entry's source port) instead of
 // captured state.
-func runMegaUDP(wl *megaWorkload, cfg *Config, n, events int) MegaResult {
-	w := newFanIn(fanInServerMem, megaUDPPool, 0, 0, 0)
-	defer w.close()
+func runMegaUDP(wl *megaWorkload, cfg *Config, w *world, n, events int) MegaResult {
 	srv := w.srv()
 	flt := megaFleet(w, flyweight.UDPEcho, n, scaleEchoPort, wl.retry)
 
@@ -316,9 +329,7 @@ func runMegaUDP(wl *megaWorkload, cfg *Config, n, events int) MegaResult {
 // served to flyweight FlyConn clients. The server echoes
 // until the client's FIN (flyweights close first), so connection
 // lifetimes follow the trace without the server knowing the schedule.
-func runMegaTCP(wl *megaWorkload, cfg *Config, n, events int) MegaResult {
-	w := newFanIn(megaTCPServerMem, 2*n+fanInServerRxSlack, 0, 0, 0)
-	defer w.close()
+func runMegaTCP(wl *megaWorkload, cfg *Config, w *world, n, events int) MegaResult {
 	srv := w.srv()
 	flt := megaFleet(w, flyweight.TCPPingPong, n, scaleTCPPort, wl.retry)
 	megaResolve(w, flt)
@@ -355,9 +366,7 @@ func runMegaTCP(wl *megaWorkload, cfg *Config, n, events int) MegaResult {
 // runMegaNFS: RPC fan-in against one nfsd socket whose ring runs the
 // high-watermark admission plane. The incast waves overrun it; sheds and
 // the fleet's jittered retries are the measurement.
-func runMegaNFS(wl *megaWorkload, cfg *Config, n, events int) MegaResult {
-	w := newFanIn(fanInServerMem, megaNFSPool, 0, 0, 0)
-	defer w.close()
+func runMegaNFS(wl *megaWorkload, cfg *Config, w *world, n, events int) MegaResult {
 	flt := megaFleet(w, flyweight.NFSRead, n, scaleNFSPort, wl.retry)
 	megaResolve(w, flt)
 	if fh, _ := w.startNFSD(megaFileBytes, megaNFSHighWater); uint32(fh) != uint32(nfs.RootHandle)+1 {
@@ -371,10 +380,7 @@ func megascaleCells(cfg *Config) []Cell {
 	var cells []Cell
 	for _, wl := range megaWorkloads {
 		for _, n := range wl.ns(cfg) {
-			cells = append(cells, Cell{
-				Label: fmt.Sprintf("megascale/%s/N=%d", wl.name, n),
-				Run:   func(cc *Config) any { return wl.cell(n, cc) },
-			})
+			cells = append(cells, wl.cell(n))
 		}
 	}
 	return cells

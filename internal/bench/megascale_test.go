@@ -25,7 +25,7 @@ func megaWL(t *testing.T, name string) *megaWorkload {
 func TestMegascaleSubLinearDemux(t *testing.T) {
 	cfg := &Config{Quick: true}
 	wl := megaWL(t, "udp-echo")
-	small, big := wl.cell(1024, cfg), wl.cell(65536, cfg)
+	small, big := wl.cell(1024).Run(cfg).(MegaResult), wl.cell(65536).Run(cfg).(MegaResult)
 
 	if small.Msgs == 0 || big.Msgs == 0 {
 		t.Fatalf("no completed operations: small=%d big=%d", small.Msgs, big.Msgs)
@@ -59,13 +59,13 @@ func TestMegascaleSubLinearDemux(t *testing.T) {
 func TestMegascaleWorkloadsComplete(t *testing.T) {
 	cfg := &Config{Quick: true}
 
-	udp := megaWL(t, "udp-echo").cell(1024, cfg)
+	udp := megaWL(t, "udp-echo").cell(1024).Run(cfg).(MegaResult)
 	wantUDP := uint64(megaWL(t, "udp-echo").traceEvents(cfg, 1024) + megaWaves*1024)
 	if udp.Failures != 0 || udp.Msgs != wantUDP {
 		t.Errorf("udp-echo: %d/%d ops completed, %d failed", udp.Msgs, wantUDP, udp.Failures)
 	}
 
-	tcp := megaWL(t, "tcp-pp").cell(128, cfg)
+	tcp := megaWL(t, "tcp-pp").cell(128).Run(cfg).(MegaResult)
 	wantTCP := uint64(megaWL(t, "tcp-pp").traceEvents(cfg, 128) + megaWaves*128)
 	if tcp.Failures != 0 || tcp.Msgs != wantTCP {
 		t.Errorf("tcp-pp: %d/%d ops completed, %d failed", tcp.Msgs, wantTCP, tcp.Failures)
@@ -74,7 +74,7 @@ func TestMegascaleWorkloadsComplete(t *testing.T) {
 		t.Errorf("tcp-pp: no connection-table peak recorded: %+v", tcp)
 	}
 
-	nfs := megaWL(t, "nfs-read").cell(512, cfg)
+	nfs := megaWL(t, "nfs-read").cell(512).Run(cfg).(MegaResult)
 	wantNFS := uint64(megaWL(t, "nfs-read").traceEvents(cfg, 512) + megaWaves*512)
 	if nfs.Msgs+nfs.Failures != wantNFS {
 		t.Errorf("nfs-read: %d completed + %d failed != %d arrivals", nfs.Msgs, nfs.Failures, wantNFS)
@@ -89,14 +89,9 @@ func TestMegascaleWorkloadsComplete(t *testing.T) {
 // -parallel=4: results (and therefore rendered bytes) must match the
 // serial run field for field.
 func TestMegascaleParallelByteIdentical(t *testing.T) {
-	udp, tcp, nfs := megaWL(t, "udp-echo"), megaWL(t, "tcp-pp"), megaWL(t, "nfs-read")
-	cells := []Cell{
-		{Label: "megascale/udp-echo/N=512", Run: func(cc *Config) any { return udp.cell(512, cc) }},
-		{Label: "megascale/tcp-pp/N=128", Run: func(cc *Config) any { return tcp.cell(128, cc) }},
-		{Label: "megascale/nfs-read/N=256", Run: func(cc *Config) any { return nfs.cell(256, cc) }},
-	}
-	serial := runCells(&Config{Quick: true, Parallel: 1}, cells)
-	par := runCells(&Config{Quick: true, Parallel: 4}, cells)
+	cells := []Cell{megaWL(t, "udp-echo").cell(512), megaWL(t, "tcp-pp").cell(128), megaWL(t, "nfs-read").cell(256)}
+	serial := cellResults(&Config{Quick: true, Parallel: 1}, cells)
+	par := cellResults(&Config{Quick: true, Parallel: 4}, cells)
 	if !reflect.DeepEqual(serial, par) {
 		t.Fatalf("parallel results differ from serial:\nserial: %+v\nparallel: %+v", serial, par)
 	}

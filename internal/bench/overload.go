@@ -13,14 +13,13 @@ import (
 	"ashs/internal/proto/retry"
 	"ashs/internal/proto/udp"
 	"ashs/internal/relay"
-	"ashs/internal/sandbox"
 	"ashs/internal/sim"
 	"ashs/internal/workload"
 )
 
 // The overload experiment drives the scale topology with adversarial
 // open-loop traces (internal/workload) against a relay service expressed
-// as per-client ASHs (internal/proto/relay), with every stage of the
+// as per-client ASHs (internal/relay), with every stage of the
 // overload-control plane engaged:
 //
 //   - admission control: each server binding's notification ring carries a
@@ -204,18 +203,14 @@ func overloadReq(buf, raw []byte, frameLen int) (req []byte, srcPort uint16, ok 
 	return req, srcPort, true
 }
 
-// runOverloadCell replays one trace through one fault schedule: a fresh
-// 16-client scale world, per-client relay ASHs with admission control and
-// tenant quotas on the server, backoff clients replaying their trace
-// slices open-loop.
-func runOverloadCell(cfg *Config, tr overloadTrace, schedName string) OverloadResult {
-	sched, ok := fault.Named(schedName)
-	if !ok {
-		panic("bench: unknown fault schedule " + schedName)
-	}
+// runOverloadCell replays one trace of events arrivals through its world's
+// fault schedule: per-client relay ASHs with admission control and tenant
+// quotas on the server, backoff clients replaying their trace slices
+// open-loop.
+func runOverloadCell(w *world, tr overloadTrace, events int) OverloadResult {
 	spec := workload.Spec{
 		Clients:   overloadClients,
-		Events:    overloadEvents(cfg),
+		Events:    events,
 		MeanGapUs: tr.GapUs,
 		Size:      overloadSize,
 		MaxSize:   overloadMaxSize,
@@ -227,20 +222,7 @@ func runOverloadCell(cfg *Config, tr overloadTrace, schedName string) OverloadRe
 		panic(fmt.Sprintf("bench: trace codec round-trip: %v", err))
 	}
 
-	// Lane clients need room for overloadLanes sockets each (a socket
-	// allocates tx+rx staging buffers) and enough receive-pool buffers
-	// that duplicate replies to retransmitted requests don't exhaust the
-	// pool, so size them up from the scale experiment's one-socket
-	// default.
-	w := newFanIn(fanInServerMem, 2*overloadClients+fanInServerRxSlack,
-		overloadClients, 1<<20, 4*overloadLanes)
-	defer w.close()
 	srv := w.srv()
-	pl := fault.New(overloadFaultSeed, sched)
-	w.attachFault(pl, srv)
-	srv.sys.Quota = sandbox.NewQuotaLedger(
-		w.prof.Cycles(overloadQuotaWindowUs), sim.Time(overloadTenantBudget))
-
 	rsrv := relay.NewServer(overloadRelayConfig())
 	var lazyServed uint64
 
@@ -419,7 +401,7 @@ func runOverloadCell(cfg *Config, tr overloadTrace, schedName string) OverloadRe
 	w.runUntil(func() bool { return done == overloadClients*overloadLanes }, 600_000_000, 10_000)
 
 	res := OverloadResult{
-		Trace: tr.Name, Sched: schedName,
+		Trace: tr.Name, Sched: w.fault.Sched.Name,
 		Offered:   len(trace.Events),
 		Completed: completed, Failed: failed, Retries: retries,
 	}
@@ -450,16 +432,28 @@ func runOverloadCell(cfg *Config, tr overloadTrace, schedName string) OverloadRe
 }
 
 // overloadCells enumerates the matrix, trace-major so the rendered table
-// reads straight out of the result slice.
+// reads straight out of the result slice. Each cell's world is a 16-client
+// scale world with the schedule's fault plane on the server and the tenant
+// quota ledger. Lane clients need room for overloadLanes sockets each (a
+// socket allocates tx+rx staging buffers) and enough receive-pool buffers
+// that duplicate replies to retransmitted requests don't exhaust the pool,
+// so they are sized up from the scale experiment's one-socket default.
 func overloadCells(cfg *Config) []Cell {
 	var cells []Cell
+	events := overloadEvents(cfg)
 	for _, tr := range overloadTraces() {
 		for _, sc := range overloadScheds {
-			tr, sc := tr, sc
-			cells = append(cells, Cell{
-				Label: fmt.Sprintf("overload/%s/%s", tr.Name, sc),
-				Run:   func(cc *Config) any { return runOverloadCell(cc, tr, sc) },
-			})
+			sched, ok := fault.Named(sc)
+			if !ok {
+				panic("bench: unknown fault schedule " + sc)
+			}
+			s := worldSpec{eth: true, fanIn: true, clients: overloadClients,
+				srvMem: fanInServerMem, srvRxBufs: 2*overloadClients + fanInServerRxSlack,
+				cliMem: 1 << 20, cliRxBufs: 4 * overloadLanes,
+				fault: &faultSpec{seed: overloadFaultSeed, sched: sched, serverOnly: true},
+				quota: &quotaSpec{windowUs: overloadQuotaWindowUs, budget: overloadTenantBudget}}
+			cells = append(cells, Cell{fmt.Sprintf("overload/%s/%s", tr.Name, sc), &s,
+				func(_ *Config, w *world) any { return runOverloadCell(w, tr, events) }})
 		}
 	}
 	return cells
@@ -467,7 +461,7 @@ func overloadCells(cfg *Config) []Cell {
 
 // RunOverload executes the full matrix.
 func RunOverload(cfg *Config) []OverloadResult {
-	vs := runCells(cfg, overloadCells(cfg))
+	vs := cellResults(cfg, overloadCells(cfg))
 	out := make([]OverloadResult, len(vs))
 	for i, v := range vs {
 		out[i] = v.(OverloadResult)

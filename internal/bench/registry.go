@@ -1,10 +1,6 @@
 package bench
 
-import (
-	"strings"
-
-	"ashs/internal/bench/runner"
-)
+import "strings"
 
 // Experiment is one registered entry of the ashbench suite: a name, a
 // one-line description, a cell enumeration (which consults cfg.Quick for
@@ -299,36 +295,23 @@ type Output struct {
 // rendered text and any exported trace byte-identical for every
 // parallelism level.
 func RunExperiments(cfg *Config, selected []*Experiment) []Output {
-	var all []runner.Cell
+	var all []Cell
 	counts := make([]int, len(selected))
-	perExp := make([][]Cell, len(selected))
 	for i, e := range selected {
 		cells := e.Cells(cfg)
-		perExp[i] = cells
 		counts[i] = len(cells)
-		for _, c := range cells {
-			all = append(all, wrap(cfg, c))
-		}
+		all = append(all, cells...)
 	}
-	outs := runner.Run(cfg.parallelism(), all)
-	results := make([]any, len(outs))
-	notes := make([]string, len(outs))
-	for i, o := range outs {
-		co := o.(cellOut)
-		results[i], notes[i] = co.v, co.notes
-		if cfg != nil {
-			cfg.planes = append(cfg.planes, co.planes...)
-		}
-	}
+	results, notes := runCells(cfg, all)
 	var rendered []Output
 	off := 0
 	for i, e := range selected {
-		vs := results[off : off+counts[i]]
-		off += counts[i]
+		end := off + counts[i]
 		rendered = append(rendered, Output{
-			Name: e.Name, Text: e.Render(cfg, vs),
-			Notes: strings.Join(notes[off-counts[i]:off], ""),
+			Name: e.Name, Text: e.Render(cfg, results[off:end]),
+			Notes: strings.Join(notes[off:end], ""),
 		})
+		off = end
 	}
 	return rendered
 }

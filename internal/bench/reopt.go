@@ -61,11 +61,11 @@ const reoptWarmup = 6
 
 func reoptCells() []Cell {
 	return []Cell{
-		{"reopt/hoist", func(cfg *Config) any { return runReoptHandler(cfg, false) }},
-		{"reopt/coarsen", func(cfg *Config) any { return runReoptHandler(cfg, true) }},
-		{"reopt/chain", func(cfg *Config) any { return runReoptChain(cfg) }},
-		{"reopt/dpf-reorder", func(cfg *Config) any { return runReoptReorder(cfg) }},
-		{"reopt/differential", func(cfg *Config) any { return runReoptDifferential(cfg) }},
+		pairCell("reopt/hoist", an2Pair, func(tb *Testbed) any { return runReoptHandler(tb, false) }),
+		pairCell("reopt/coarsen", an2Pair, func(tb *Testbed) any { return runReoptHandler(tb, true) }),
+		pairCell("reopt/chain", an2Pair, func(tb *Testbed) any { return runReoptChain(tb) }),
+		{Label: "reopt/dpf-reorder", measure: func(*Config, *world) any { return runReoptReorder() }},
+		{Label: "reopt/differential", measure: func(cfg *Config, _ *world) any { return runReoptDifferential(cfg) }},
 	}
 }
 
@@ -81,7 +81,7 @@ func mergeReopt(vs []any) ReoptResult {
 
 // RunReopt regenerates the DCG-loop before/after measurements.
 func RunReopt(cfg *Config) ReoptResult {
-	return mergeReopt(runCells(cfg, reoptCells()))
+	return mergeReopt(cellResults(cfg, reoptCells()))
 }
 
 // runReoptHandler drives one showcase handler through the full loop on a
@@ -89,9 +89,7 @@ func RunReopt(cfg *Config) ReoptResult {
 // measured on the identical message. sparse selects the multi-block
 // budget-coarsening showcase (software budget mode); otherwise the
 // message-carried-modulus divide-hoist showcase (timer mode).
-func runReoptHandler(cfg *Config, sparse bool) ReoptRun {
-	tb := NewAN2Testbed(cfg)
-	defer tb.close()
+func runReoptHandler(tb *Testbed, sparse bool) ReoptRun {
 	opts := core.Options{OptimizeSFI: true, Profile: true}
 	if sparse {
 		pol := *tb.Sys2.Policy
@@ -169,9 +167,7 @@ func reoptBumpHandler(addr uint32) *vcode.Program {
 // runReoptChain measures the validate→bump chain both ways: two installed
 // handlers dispatched in sequence over one message vs one fused download
 // whose seam test replaces the second dispatch.
-func runReoptChain(cfg *Config) ChainRun {
-	tb := NewAN2Testbed(cfg)
-	defer tb.close()
+func runReoptChain(tb *Testbed) ChainRun {
 	owner := tb.K2.Spawn("chain-app", func(p *aegis.Process) {})
 	seg := owner.AS.MustAlloc(4096, "counter")
 	opts := core.Options{OptimizeSFI: true}
@@ -211,7 +207,7 @@ func runReoptChain(cfg *Config) ChainRun {
 // at full cost; after Reorder the hot deep branch goes first, its match
 // depth is established early, and the strictly-shallower siblings are
 // pruned at the bound-test cost instead of a full trie step.
-func runReoptReorder(cfg *Config) ReorderRun {
+func runReoptReorder() ReorderRun {
 	e := dpf.NewEngine()
 	const shallow = 12
 	for i := 0; i < shallow; i++ {

@@ -8,6 +8,7 @@ import (
 	"ashs/internal/core"
 	"ashs/internal/crl"
 	"ashs/internal/dpf"
+	"ashs/internal/mach"
 	"ashs/internal/sandbox"
 	"ashs/internal/sim"
 )
@@ -50,9 +51,9 @@ func sandboxCells() []Cell {
 	// SFI checks, or with SFI under the static-analysis optimizer.
 	unsafe, naive, opt := core.Options{Unsafe: true}, core.Options{}, core.Options{OptimizeSFI: true}
 	cell := func(label string, h isolatedHandler, opts core.Options, nbytes int) Cell {
-		return Cell{"sandbox/" + label, func(cfg *Config) any {
-			return runIsolated(cfg, nil, opts, h, nbytes)
-		}}
+		return pairCell("sandbox/"+label, an2Pair, func(tb *Testbed) any {
+			return runIsolated(tb, nil, opts, h, nbytes)
+		})
 	}
 	return []Cell{
 		cell("generic-unsafe-40", genericWrite, unsafe, 40),
@@ -91,7 +92,7 @@ func mergeSandbox(vs []any) SandboxResult {
 // RunSandbox regenerates the Section V-D measurements, plus the
 // naive-vs-optimized sandbox ablation this reproduction adds.
 func RunSandbox(cfg *Config) SandboxResult {
-	return mergeSandbox(runCells(cfg, sandboxCells()))
+	return mergeSandbox(cellResults(cfg, sandboxCells()))
 }
 
 type handlerRun struct {
@@ -112,9 +113,7 @@ const (
 // runSynthetic), downloaded with opts under safety policy pol (nil: the
 // system's default). The two writes carry nbytes of payload; the record
 // loop's message is one record.
-func runIsolated(cfg *Config, pol *sandbox.Policy, opts core.Options, h isolatedHandler, nbytes int) handlerRun {
-	tb := NewAN2Testbed(cfg)
-	defer tb.close()
+func runIsolated(tb *Testbed, pol *sandbox.Policy, opts core.Options, h isolatedHandler, nbytes int) handlerRun {
 	if pol != nil {
 		tb.Sys2.Policy = pol
 	}
@@ -201,21 +200,18 @@ type DPFResult struct {
 
 // RunDPF regenerates the comparison.
 func RunDPF(cfg *Config) DPFResult {
-	return runCells(cfg, dpfCells())[0].(DPFResult)
+	return cellResults(cfg, dpfCells())[0].(DPFResult)
 }
 
 // dpfCells wraps the demux comparison as one cell: the engine runs are
-// microseconds of pure table walking, not worth sharding.
+// microseconds of pure table walking, not worth sharding. Its world serves
+// only for the profile, but the config's Obs hook fires on every testbed a
+// cell builds and what it returns lands in the -trace output.
 func dpfCells() []Cell {
-	return []Cell{{"dpf", func(cfg *Config) any { return runDPF(cfg) }}}
+	return []Cell{pairCell("dpf", an2Pair, func(tb *Testbed) any { return runDPF(tb.Prof) })}
 }
 
-func runDPF(cfg *Config) DPFResult {
-	// Only the profile is used, but the config's Obs hook fires on every
-	// testbed a cell builds and what it returns lands in the -trace output.
-	tb := NewAN2Testbed(cfg)
-	prof := tb.Prof
-	tb.close()
+func runDPF(prof *mach.Profile) DPFResult {
 	var r DPFResult
 	for _, n := range []int{1, 4, 16, 64} {
 		e := dpf.NewEngine()

@@ -30,16 +30,27 @@ import (
 //   - nfs-read: 1 KiB NFS reads against one server socket
 //
 // Scale worlds are fan-in worlds (one server + N small client hosts), which
-// the global Obs/Fault hooks do not reach; each cell measures client RTTs
-// into its own obs.Histogram and reads the server's demux/interrupt
-// counters, which keeps every cell self-contained and its output
-// byte-identical at any -parallel level.
+// the Config.Obs hook does not reach (it serves pairs); each cell measures
+// client RTTs into its own obs.Histogram and reads the server's
+// demux/interrupt counters, which keeps every cell self-contained and its
+// output byte-identical at any -parallel level.
 
 // scaleNs is the client-count sweep.
 var scaleNs = []int{1, 4, 16, 64, 256, 512}
 
-// scaleWorkloads names the fan-in workloads, in presentation order.
-var scaleWorkloads = []string{"udp-ash", "tcp-fast", "nfs-read"}
+// scaleWorkload is one row of the experiment: a name, the line its table
+// is headed with, and the workload that fans in.
+type scaleWorkload struct {
+	name, desc string
+	run        func(w *world, m int, hist *obs.Histogram, starts, ends []sim.Time)
+}
+
+// scaleWorkloads are the fan-in workloads, in presentation order.
+var scaleWorkloads = []*scaleWorkload{
+	{"udp-ash", fmt.Sprintf("%d-byte UDP echo answered by per-client ASHs", scalePayload), scaleUDPASH},
+	{"tcp-fast", fmt.Sprintf("%d-byte TCP ping-pong through the fast path", scalePayload), scaleTCPFast},
+	{"nfs-read", fmt.Sprintf("%d-byte NFS reads against one server socket", scaleReadBytes), scaleNFSRead},
+}
 
 const (
 	scaleEchoPort   = 7
@@ -75,27 +86,25 @@ type ScaleResult struct {
 	BatchedPct  float64 // interrupt entries absorbed by batching, percent
 }
 
-// runScaleCell builds a fresh n-client world, fans the workload in, and
-// folds client latencies plus server counters into the result.
-func runScaleCell(workload string, n, m int) ScaleResult {
-	// The server's pool must absorb a burst with every client's message in
-	// flight at once.
-	w := newFanIn(fanInServerMem, 2*n+fanInServerRxSlack, n, scaleClientMem, scaleClientRxBufs)
-	defer w.close()
+// scaleCell is the workload's n-client cell, m messages per client. The
+// server's pool must absorb a burst with every client's message in flight
+// at once.
+func scaleCell(wl *scaleWorkload, n, m int) Cell {
+	s := worldSpec{eth: true, fanIn: true, clients: n,
+		srvMem: fanInServerMem, srvRxBufs: 2*n + fanInServerRxSlack,
+		cliMem: scaleClientMem, cliRxBufs: scaleClientRxBufs}
+	return Cell{fmt.Sprintf("scale/%s/N=%d", wl.name, n), &s,
+		func(_ *Config, w *world) any { return runScaleCell(w, wl, m) }}
+}
+
+// runScaleCell fans the workload in on its n-client world and folds client
+// latencies plus server counters into the result.
+func runScaleCell(w *world, wl *scaleWorkload, m int) ScaleResult {
+	n := len(w.cli())
 	hist := &obs.Histogram{}
 	starts := make([]sim.Time, n)
 	ends := make([]sim.Time, n)
-
-	switch workload {
-	case "udp-ash":
-		scaleUDPASH(w, m, hist, starts, ends)
-	case "tcp-fast":
-		scaleTCPFast(w, m, hist, starts, ends)
-	case "nfs-read":
-		scaleNFSRead(w, m, hist, starts, ends)
-	default:
-		panic("bench: unknown scale workload " + workload)
-	}
+	wl.run(w, m, hist, starts, ends)
 	w.run()
 
 	var lo, hi sim.Time
@@ -107,7 +116,7 @@ func runScaleCell(workload string, n, m int) ScaleResult {
 			hi = ends[i]
 		}
 	}
-	r := ScaleResult{Workload: workload, N: n, Msgs: hist.Count()}
+	r := ScaleResult{Workload: wl.name, N: n, Msgs: hist.Count()}
 	if us := w.prof.Us(hi - lo); us > 0 {
 		r.ThrMsgMs = float64(r.Msgs) / us * 1000
 	}
@@ -266,20 +275,10 @@ func scaleCells(m int) []Cell {
 	var cells []Cell
 	for _, wl := range scaleWorkloads {
 		for _, n := range scaleNs {
-			wl, n := wl, n
-			cells = append(cells, Cell{
-				Label: fmt.Sprintf("scale/%s/N=%d", wl, n),
-				Run:   func(*Config) any { return runScaleCell(wl, n, m) },
-			})
+			cells = append(cells, scaleCell(wl, n, m))
 		}
 	}
 	return cells
-}
-
-var scaleWorkloadDesc = map[string]string{
-	"udp-ash":  fmt.Sprintf("%d-byte UDP echo answered by per-client ASHs", scalePayload),
-	"tcp-fast": fmt.Sprintf("%d-byte TCP ping-pong through the fast path", scalePayload),
-	"nfs-read": fmt.Sprintf("%d-byte NFS reads against one server socket", scaleReadBytes),
 }
 
 // renderScale formats one table per workload: throughput and latency from
@@ -290,7 +289,7 @@ func renderScale(vs []any) string {
 	b.WriteString("  (cyc/msg = server interrupt + driver + DPF demux cycles per accepted frame)\n")
 	idx := 0
 	for _, wl := range scaleWorkloads {
-		fmt.Fprintf(&b, "  %s: %s\n", wl, scaleWorkloadDesc[wl])
+		fmt.Fprintf(&b, "  %s: %s\n", wl.name, wl.desc)
 		fmt.Fprintf(&b, "    %5s  %6s  %11s  %9s  %8s  %8s  %8s  %9s  %10s\n",
 			"N", "msgs", "thr[msg/ms]", "mean[us]", "p50[us]", "p99[us]",
 			"cyc/msg", "demux/msg", "batched[%]")

@@ -14,20 +14,20 @@ import (
 func TestScaleSubLinearDemux(t *testing.T) {
 	const m = 2
 	for _, wl := range scaleWorkloads {
-		r1 := runScaleCell(wl, 1, m)
-		r64 := runScaleCell(wl, 64, m)
+		r1 := scaleCell(wl, 1, m).Run(nil).(ScaleResult)
+		r64 := scaleCell(wl, 64, m).Run(nil).(ScaleResult)
 		if r1.Msgs != m || r64.Msgs != 64*m {
-			t.Fatalf("%s: message counts %d/%d, want %d/%d", wl, r1.Msgs, r64.Msgs, m, 64*m)
+			t.Fatalf("%s: message counts %d/%d, want %d/%d", wl.name, r1.Msgs, r64.Msgs, m, 64*m)
 		}
 		if r64.CycPerMsg >= 64*r1.CycPerMsg {
-			t.Errorf("%s: cyc/msg grew linearly: N=1 %.1f, N=64 %.1f", wl, r1.CycPerMsg, r64.CycPerMsg)
+			t.Errorf("%s: cyc/msg grew linearly: N=1 %.1f, N=64 %.1f", wl.name, r1.CycPerMsg, r64.CycPerMsg)
 		}
 		// Flat is the real expectation — allow 2x for handshake traffic mix.
 		if r64.DemuxPerMsg > 2*r1.DemuxPerMsg {
-			t.Errorf("%s: demux/msg not flat: N=1 %.1f, N=64 %.1f", wl, r1.DemuxPerMsg, r64.DemuxPerMsg)
+			t.Errorf("%s: demux/msg not flat: N=1 %.1f, N=64 %.1f", wl.name, r1.DemuxPerMsg, r64.DemuxPerMsg)
 		}
 		if r1.BatchedPct != 0 {
-			t.Errorf("%s: N=1 batched interrupts %.1f%%, want 0", wl, r1.BatchedPct)
+			t.Errorf("%s: N=1 batched interrupts %.1f%%, want 0", wl.name, r1.BatchedPct)
 		}
 	}
 }
@@ -40,11 +40,7 @@ func TestScaleDeterminism(t *testing.T) {
 		var cs []Cell
 		for _, wl := range scaleWorkloads {
 			for _, n := range []int{1, 16} {
-				wl, n := wl, n
-				cs = append(cs, Cell{
-					Label: fmt.Sprintf("scale/%s/N=%d", wl, n),
-					Run:   func(*Config) any { return runScaleCell(wl, n, 2) },
-				})
+				cs = append(cs, scaleCell(wl, n, 2))
 			}
 		}
 		return cs
@@ -52,7 +48,7 @@ func TestScaleDeterminism(t *testing.T) {
 
 	render := func(parallel int) string {
 		cfg := &Config{Parallel: parallel}
-		vs := runCells(cfg, cells())
+		vs := cellResults(cfg, cells())
 		var out string
 		for _, v := range vs {
 			r := v.(ScaleResult)
@@ -76,13 +72,13 @@ func TestScaleRenderShape(t *testing.T) {
 	var vs []any
 	for _, wl := range scaleWorkloads {
 		for _, n := range scaleNs {
-			vs = append(vs, ScaleResult{Workload: wl, N: n, Msgs: 1})
+			vs = append(vs, ScaleResult{Workload: wl.name, N: n, Msgs: 1})
 		}
 	}
 	out := renderScale(vs)
 	for _, wl := range scaleWorkloads {
-		if !strings.Contains(out, wl) {
-			t.Errorf("render lacks workload %q:\n%s", wl, out)
+		if !strings.Contains(out, wl.name) {
+			t.Errorf("render lacks workload %q:\n%s", wl.name, out)
 		}
 	}
 	if rows := strings.Count(out, "\n") - 2 - 2*len(scaleWorkloads); rows != len(scaleWorkloads)*len(scaleNs) {

@@ -19,9 +19,9 @@ var PaperTable1 = Table1{InKernelAN2: 112, UserAN2: 182, Ethernet: 309}
 // table1Cells enumerates Table I's three independent measurements.
 func table1Cells(iters int) []Cell {
 	return []Cell{
-		{"table1/in-kernel", func(cfg *Config) any { return inKernelAN2RT(cfg, iters, nil) }},
-		{"table1/user-level", func(cfg *Config) any { return rawPingPong(cfg, false, iters, nil) }},
-		{"table1/ethernet", func(cfg *Config) any { return rawPingPong(cfg, true, iters, nil) }},
+		pairCell("table1/in-kernel", an2Pair, func(tb *Testbed) any { return inKernelAN2RT(tb, iters, nil) }),
+		pairCell("table1/user-level", an2Pair, func(tb *Testbed) any { return rawPingPong(tb, iters, nil) }),
+		pairCell("table1/ethernet", ethPair, func(tb *Testbed) any { return rawPingPong(tb, iters, nil) }),
 	}
 }
 
@@ -35,15 +35,13 @@ func mergeTable1(vs []any) Table1 {
 
 // RunTable1 regenerates Table I.
 func RunTable1(cfg *Config, iters int) Table1 {
-	return mergeTable1(runCells(cfg, table1Cells(iters)))
+	return mergeTable1(cellResults(cfg, table1Cells(iters)))
 }
 
 // inKernelAN2RT measures the best in-kernel ping-pong: polled driver
 // endpoints replying directly from the kernel. A non-nil o attaches an
 // observability plane and records the measurement window for Breakdown.
-func inKernelAN2RT(cfg *Config, iters int, o *obsRun) float64 {
-	tb := NewAN2Testbed(cfg)
-	defer tb.close()
+func inKernelAN2RT(tb *Testbed, iters int, o *obsRun) float64 {
 	o.attach(tb)
 	const vc = 5
 	sb, err := tb.A2.BindVC(nil, vc, 8, 4096)

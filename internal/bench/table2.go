@@ -47,14 +47,15 @@ func DefaultTable2Params() Table2Params {
 
 // table2Rows are Table II's configurations, in row order.
 var table2Rows = []struct {
-	label               string
-	eth, inplace, cksum bool
+	label          string
+	world          worldSpec // the Ethernet row resolves through ARP
+	inplace, cksum bool
 }{
-	{"AN2; in place, no checksum", false, true, false},
-	{"AN2; in place, with checksum", false, true, true},
-	{"AN2; no checksum", false, false, false},
-	{"AN2; with checksum", false, false, true},
-	{"Ethernet; with checksum", true, false, true},
+	{"AN2; in place, no checksum", an2Pair, true, false},
+	{"AN2; in place, with checksum", an2Pair, true, true},
+	{"AN2; no checksum", an2Pair, false, false},
+	{"AN2; with checksum", an2Pair, false, true},
+	{"Ethernet; with checksum", arpPair, false, true},
 }
 
 // EthernetUDPPayload is the MSS-equivalent UDP payload on the Ethernet
@@ -70,10 +71,9 @@ const EthernetTCPMSS = 1460
 func table2Cells(p Table2Params) []Cell {
 	var cells []Cell
 	for _, r := range table2Rows {
-		r := r
 		opts := udp.Options{InPlace: r.inplace, Checksum: r.cksum}
 		udpMSS, tcpBytes := 3072, p.TCPBytes
-		if r.eth {
+		if r.world.eth {
 			// Ethernet is ~1 MB/s; keep runtime sane.
 			udpMSS, tcpBytes = EthernetUDPPayload, p.TCPBytes/4
 		}
@@ -82,7 +82,7 @@ func table2Cells(p Table2Params) []Cell {
 				cfg := tcp.DefaultConfig()
 				cfg.Checksum = r.cksum
 				cfg.InPlace = r.inplace
-				if r.eth {
+				if r.world.eth {
 					cfg.MSS = EthernetTCPMSS
 				}
 				cfg.Polling = true
@@ -92,16 +92,7 @@ func table2Cells(p Table2Params) []Cell {
 		}
 		cell := func(kind string, run func(tb *Testbed, label string) float64) Cell {
 			label := "table2/" + r.label + "/" + kind
-			return Cell{label, func(cfg *Config) any {
-				var tb *Testbed
-				if r.eth {
-					tb = ethWorld(cfg)
-				} else {
-					tb = NewAN2Testbed(cfg)
-				}
-				defer tb.close()
-				return run(tb, label)
-			}}
+			return pairCell(label, r.world, func(tb *Testbed) any { return run(tb, label) })
 		}
 		cells = append(cells,
 			cell("udp-lat", func(tb *Testbed, label string) float64 {
@@ -137,7 +128,7 @@ func mergeTable2(vs []any) Table2 {
 
 // RunTable2 regenerates Table II.
 func RunTable2(cfg *Config, p Table2Params) Table2 {
-	return mergeTable2(runCells(cfg, table2Cells(p)))
+	return mergeTable2(cellResults(cfg, table2Cells(p)))
 }
 
 // udpLatency measures a 4-byte UDP ping-pong between sockets on ports 53

@@ -48,12 +48,12 @@ func newMicroEnv() *microEnv {
 // table3Cells wraps the microbenchmark as a single cell: it is one short
 // pure-vcode run with no testbed to shard.
 func table3Cells() []Cell {
-	return []Cell{{"table3", func(cfg *Config) any { return runTable3() }}}
+	return []Cell{{Label: "table3", measure: func(*Config, *world) any { return runTable3() }}}
 }
 
 // RunTable3 regenerates Table III.
 func RunTable3(cfg *Config) Table3 {
-	return runCells(cfg, table3Cells())[0].(Table3)
+	return cellResults(cfg, table3Cells())[0].(Table3)
 }
 
 // runTable3 performs the measurements. Each case starts with the message
@@ -127,16 +127,15 @@ var PaperTable4 = Table4{
 func table4Cells() []Cell {
 	var cells []Cell
 	for _, withBswap := range []bool{false, true} {
-		withBswap := withBswap
 		suffix := "cksum"
 		if withBswap {
 			suffix = "cksum+bswap"
 		}
 		cells = append(cells,
-			Cell{"table4/separate/" + suffix, func(cfg *Config) any { return table4Separate(withBswap, false) }},
-			Cell{"table4/separate-uncached/" + suffix, func(cfg *Config) any { return table4Separate(withBswap, true) }},
-			Cell{"table4/c-integrated/" + suffix, func(cfg *Config) any { return table4Hand(withBswap) }},
-			Cell{"table4/dilp/" + suffix, func(cfg *Config) any { return table4DILP(withBswap) }},
+			Cell{Label: "table4/separate/" + suffix, measure: func(*Config, *world) any { return table4Separate(withBswap, false) }},
+			Cell{Label: "table4/separate-uncached/" + suffix, measure: func(*Config, *world) any { return table4Separate(withBswap, true) }},
+			Cell{Label: "table4/c-integrated/" + suffix, measure: func(*Config, *world) any { return table4Hand(withBswap) }},
+			Cell{Label: "table4/dilp/" + suffix, measure: func(*Config, *world) any { return table4DILP(withBswap) }},
 		)
 	}
 	return cells
@@ -158,7 +157,7 @@ func mergeTable4(vs []any) Table4 {
 // is a hand-written fused loop, and DILP is the dynamically compiled
 // engine of Figs. 1 and 2.
 func RunTable4(cfg *Config) Table4 {
-	return mergeTable4(runCells(cfg, table4Cells()))
+	return mergeTable4(cellResults(cfg, table4Cells()))
 }
 
 func table4Pipes(withBswap bool) (*pipe.List, *pipe.Pipe, vcode.Reg) {

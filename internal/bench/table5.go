@@ -39,14 +39,13 @@ var PaperTable5 = Table5{
 func table5Cells(iters int) []Cell {
 	var cells []Cell
 	for m := MechUnsafeASH; m <= MechOptASH; m++ {
-		m := m
 		cells = append(cells,
-			Cell{"table5/" + mechNames[m] + "/polling", func(cfg *Config) any {
-				return remoteIncrementRT(cfg, m, false, iters, nil)
-			}},
-			Cell{"table5/" + mechNames[m] + "/suspended", func(cfg *Config) any {
-				return remoteIncrementRT(cfg, m, true, iters, nil)
-			}},
+			pairCell("table5/"+mechNames[m]+"/polling", an2Pair, func(tb *Testbed) any {
+				return remoteIncrementRT(tb, m, false, iters, nil)
+			}),
+			pairCell("table5/"+mechNames[m]+"/suspended", an2Pair, func(tb *Testbed) any {
+				return remoteIncrementRT(tb, m, true, iters, nil)
+			}),
 		)
 	}
 	return cells
@@ -63,15 +62,13 @@ func mergeTable5(vs []any) Table5 {
 
 // RunTable5 regenerates Table V.
 func RunTable5(cfg *Config, iters int) Table5 {
-	return mergeTable5(runCells(cfg, table5Cells(iters)))
+	return mergeTable5(cellResults(cfg, table5Cells(iters)))
 }
 
 // remoteIncrementRT measures the round trip of a remote-increment active
 // message. The client is a user-level polling process; the server-side
 // handling mechanism and scheduling state vary.
-func remoteIncrementRT(cfg *Config, mech Mechanism, suspended bool, iters int, o *obsRun) float64 {
-	tb := NewAN2Testbed(cfg)
-	defer tb.close()
+func remoteIncrementRT(tb *Testbed, mech Mechanism, suspended bool, iters int, o *obsRun) float64 {
 	o.attach(tb)
 
 	if suspended {

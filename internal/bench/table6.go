@@ -59,18 +59,17 @@ var table6Modes = [5]table6Mode{
 func table6Cells(p Table6Params) []Cell {
 	var cells []Cell
 	for i, m := range table6Modes {
-		i, m := i, m
 		label := "table6/" + Table6Labels[i]
 		cells = append(cells,
-			Cell{label + "/latency", func(cfg *Config) any {
-				return table6Latency(cfg, m, p.LatIters, nil)
-			}},
-			Cell{label + "/tput", func(cfg *Config) any {
-				return table6Tput(cfg, m, p.TCPBytes, 3072, 8192)
-			}},
-			Cell{label + "/tput-small", func(cfg *Config) any {
-				return table6Tput(cfg, m, p.TCPBytes/2, 536, 4096)
-			}},
+			pairCell(label+"/latency", an2Pair, func(tb *Testbed) any {
+				return table6Latency(tb, m, p.LatIters, nil)
+			}),
+			pairCell(label+"/tput", an2Pair, func(tb *Testbed) any {
+				return table6Tput(tb, m, p.TCPBytes, 3072, 8192)
+			}),
+			pairCell(label+"/tput-small", an2Pair, func(tb *Testbed) any {
+				return table6Tput(tb, m, p.TCPBytes/2, 536, 4096)
+			}),
 		)
 	}
 	return cells
@@ -88,18 +87,18 @@ func mergeTable6(vs []any) Table6 {
 
 // RunTable6 regenerates Table VI.
 func RunTable6(cfg *Config, p Table6Params) Table6 {
-	return mergeTable6(runCells(cfg, table6Cells(p)))
+	return mergeTable6(cellResults(cfg, table6Cells(p)))
 }
 
-func table6Testbed(cfg *Config, m table6Mode) *Testbed {
-	tb := NewAN2Testbed(cfg)
+// compete gives a suspended mode's hosts the boost scheduler and one
+// compute-bound competitor each, before the connection's processes spawn.
+func (m table6Mode) compete(tb *Testbed) {
 	if m.suspended {
 		tb.K1.Sched = aegis.NewPriorityBoost(tb.K1)
 		tb.K2.Sched = aegis.NewPriorityBoost(tb.K2)
 		tb.K1.Spawn("competitor1", func(p *aegis.Process) { p.SpinForever() })
 		tb.K2.Spawn("competitor2", func(p *aegis.Process) { p.SpinForever() })
 	}
-	return tb
 }
 
 // cfgFor is the mode's connection config for either end of tb's pair.
@@ -115,15 +114,13 @@ func (m table6Mode) cfgFor(tb *Testbed, mss int) func(host int) tcp.Config {
 	}
 }
 
-func table6Latency(cfg *Config, m table6Mode, iters int, o *obsRun) float64 {
-	tb := table6Testbed(cfg, m)
-	defer tb.close()
+func table6Latency(tb *Testbed, m table6Mode, iters int, o *obsRun) float64 {
+	m.compete(tb)
 	return tcpPingPong(tb, iters, o, m.cfgFor(tb, 3072))
 }
 
-func table6Tput(cfg *Config, m table6Mode, totalBytes, mss, writeSize int) float64 {
-	tb := table6Testbed(cfg, m)
-	defer tb.close()
+func table6Tput(tb *Testbed, m table6Mode, totalBytes, mss, writeSize int) float64 {
+	m.compete(tb)
 	return tcpStream(tb, totalBytes, writeSize, m.cfgFor(tb, mss))
 }
 
@@ -143,5 +140,5 @@ func (t Table6) Table() *Table {
 
 // Table6TputDebug measures one mode's throughput, for diagnostics.
 func Table6TputDebug(mode, bytes, mss, ws int) float64 {
-	return table6Tput(nil, table6Modes[mode], bytes, mss, ws)
+	return inWorld(nil, an2Pair, func(w *world) float64 { return table6Tput(w.tb, table6Modes[mode], bytes, mss, ws) })
 }

@@ -143,10 +143,9 @@ var wireWorlds = []struct {
 		return tap
 	}},
 	{"eth/tcp-user-cksum-loss", func(t *testing.T) *wireTap {
-		tb := ethWorld(nil)
-		defer tb.close()
 		loss, _ := fault.Named("loss")
-		tb.AttachFault(fault.New(1, loss))
+		tb := build(nil, worldSpec{eth: true, arp: true, fault: &faultSpec{seed: 1, sched: loss}}).tb
+		defer tb.close()
 		tap := tapWire(tb.Sw)
 		cli := wireStream(t, tb, 300_000, 8192, wireTCPCfg(tb, tcp.ModeUser, true, EthernetTCPMSS))
 		if cli.Retransmits == 0 {
@@ -162,14 +161,14 @@ var wireWorlds = []struct {
 		return tap
 	}},
 	{"eth/udp-inplace", func(t *testing.T) *wireTap {
-		tb := ethWorld(nil)
+		tb := build(nil, arpPair).tb
 		defer tb.close()
 		tap := tapWire(tb.Sw)
 		wireUDP(t, tb, udp.Options{InPlace: true}, []int{4, EthernetUDPPayload, 1, 777})
 		return tap
 	}},
 	{"eth/nfs-8k-fragmented", func(t *testing.T) *wireTap {
-		tb := ethWorld(nil)
+		tb := build(nil, arpPair).tb
 		defer tb.close()
 		tap := tapWire(tb.Sw)
 		file := make([]byte, 3*nfs.MaxIO)

@@ -23,15 +23,69 @@ import (
 	"ashs/internal/proto/ether"
 	"ashs/internal/proto/ip"
 	"ashs/internal/proto/link"
+	"ashs/internal/sandbox"
 	"ashs/internal/sim"
 )
 
-// Every experiment cell runs on a world built here and nowhere else: one
-// engine, one switch, and the hosts attached to it. The paper's two-host
-// testbeds, the scale/overload fan-in worlds (one server plus N small
-// clients) and the megascale server-only world (its clients are flyweight
-// endpoints) differ only in how many hosts they add and how big each is,
-// so cross-workload numbers are comparable by construction.
+// worldSpec is a cell's world as a value: everything build needs, and
+// nothing a workload does once the world exists. A field is here only if
+// the registered cells give it at least two values (TestWorldSpecFieldsInUse).
+// Competitor processes, schedulers, profile changes, policy overrides and
+// the ring limits of bindings a workload creates stay in the measurement:
+// their process names and spawn order are in the trace.
+type worldSpec struct {
+	// eth selects the Ethernet segment; otherwise the AN2 switch.
+	eth bool
+	// fanIn selects one server, "srv", and clients hosts "c000"..., sized
+	// by the four fields below; otherwise the paper's pair "h1", "h2",
+	// default-sized. The server is added first so it owns the first switch
+	// port and its address precedes every client's, including flyweight
+	// clients attached to the switch later: all a megascale world
+	// (clients = 0) has.
+	fanIn             bool
+	clients           int
+	srvMem, srvRxBufs int
+	cliMem, cliRxBufs int
+	// arp starts an ARP daemon on every host of an Ethernet pair before any
+	// workload process; the pair's stacks resolve through them.
+	arp bool
+	// fault, if set, hooks a fault plane into the wire and into the
+	// interface and ASH system of every host it covers.
+	fault *faultSpec
+	// tripThreshold is every host's core.System.AbortTripThreshold.
+	tripThreshold int
+	// quota, if set, puts a tenant quota ledger on the server.
+	quota *quotaSpec
+}
+
+// faultSpec is a fault plane: one schedule driven from one seed.
+type faultSpec struct {
+	seed  int64
+	sched fault.Schedule
+	// serverOnly covers the first host alone; otherwise every host.
+	serverOnly bool
+}
+
+// quotaSpec is a tenant quota: budget cycles of eager handler execution per
+// tenant per window.
+type quotaSpec struct {
+	windowUs float64
+	budget   sim.Time
+}
+
+// The pairs: the AN2 testbed, and the Ethernet one without and with ARP.
+var (
+	an2Pair = worldSpec{}
+	ethPair = worldSpec{eth: true}
+	arpPair = worldSpec{eth: true, arp: true}
+)
+
+// Fan-in server sizing: memory for hundreds of connections' window state,
+// and receive-pool slack on top of what the workload keeps in flight.
+const (
+	fanInServerMem     = 48 << 20
+	fanInServerRxSlack = 64
+)
 
 // host is one simulated machine: a kernel, one network interface, an ASH
 // system and the IP address derived from the interface's switch port.
@@ -42,9 +96,8 @@ type host struct {
 	// filters and reading demux costs: exactly one of the two is set.
 	an2 *aegis.AN2If
 	eth *aegis.EthernetIf
-	// arp is the host's ARP daemon on the two-host Ethernet testbed
-	// (ethWorld starts it); fan-in worlds resolve statically through
-	// world.res instead.
+	// arp is the host's ARP daemon on an Ethernet pair whose spec asks for
+	// one; fan-in worlds resolve statically through world.res instead.
 	arp *arp.Service
 	sys *core.System
 	ip  ip.Addr
@@ -65,80 +118,96 @@ type world struct {
 	// resolution, since a 512-host world cannot afford ARP daemons. The
 	// two-host Ethernet testbed resolves through ARP instead.
 	res ip.StaticResolver
+	// tb is a pair's Testbed view; nil on a fan-in world.
+	tb *Testbed
+	// fault is the world's fault plane, nil without one.
+	fault *fault.Plane
 }
 
-func newWorld(an2 bool) *world {
-	cfg := netdev.EthernetConfig()
-	if an2 {
-		cfg = netdev.AN2Config()
+// build makes the world s describes. Nothing else in the package makes a
+// switch, a host, an ARP daemon, a fault plane or a quota ledger, and build
+// keeps one order, because each step shows in a result or the trace: the
+// switch; the hosts, in switch-port order; for a pair, the Testbed view and
+// cfg's Obs hook; the ARP daemons; the fault plane (the wire, then each
+// covered host's device and system); the trip threshold; the quota.
+func build(cfg *Config, s worldSpec) *world {
+	netCfg := netdev.AN2Config()
+	if s.eth {
+		netCfg = netdev.EthernetConfig()
 	}
 	eng, prof := sim.NewEngine(), mach.DS5000_240()
-	return &world{eng: eng, prof: prof, sw: netdev.NewSwitch(eng, prof, cfg),
-		res: ip.StaticResolver{}}
-}
-
-// addHost boots an Ethernet host with mem bytes of physical memory and a
-// receive pool of rxBufs on the world's next switch port.
-func (w *world) addHost(name string, mem, rxBufs int) *host {
-	k := aegis.NewKernelMem(name, w.eng, w.prof, mem)
-	eth := aegis.NewEthernetPool(k, w.sw, rxBufs)
-	h := w.boot(k, &eth.NIC)
-	h.eth = eth
-	w.res[h.ip] = link.Addr{Port: h.addr()}
-	return h
-}
-
-// addAN2Host boots a default-sized host on an AN2 world's next switch
-// port. AN2 interfaces take their buffers per virtual circuit.
-func (w *world) addAN2Host(name string) *host {
-	k := aegis.NewKernelMem(name, w.eng, w.prof, aegis.HostMemSize)
-	a := aegis.NewAN2(k, w.sw)
-	h := w.boot(k, &a.NIC)
-	h.an2 = a
-	return h
-}
-
-// boot gives a kernel with its interface attached an ASH system and the IP
-// address its switch port implies, and adds it to the world.
-func (w *world) boot(k *aegis.Kernel, nic *aegis.NIC) *host {
-	h := &host{k: k, nic: nic, sys: core.NewSystem(k), ip: ip.HostAddr(nic.Addr())}
-	w.hosts = append(w.hosts, h)
-	return h
-}
-
-// Fan-in server sizing: memory for hundreds of connections' window state,
-// and receive-pool slack on top of what the workload keeps in flight.
-const (
-	fanInServerMem     = 48 << 20
-	fanInServerRxSlack = 64
-)
-
-// newFanIn builds an Ethernet world of one server ("srv") and n clients
-// ("c000"...). The server is added first so it owns the first switch port
-// and its address precedes every client's — including flyweight clients
-// attached to the switch later, which is all a megascale world (n = 0) has.
-func newFanIn(srvMem, srvRxBufs, n, cliMem, cliRxBufs int) *world {
-	w := newWorld(false)
-	w.addHost("srv", srvMem, srvRxBufs)
-	for i := 0; i < n; i++ {
-		w.addHost(fmt.Sprintf("c%03d", i), cliMem, cliRxBufs)
+	w := &world{eng: eng, prof: prof, sw: netdev.NewSwitch(eng, prof, netCfg), res: ip.StaticResolver{}}
+	// add boots a host with mem bytes of physical memory on the next switch
+	// port. An Ethernet interface gets a receive pool of rxBufs; an AN2 one
+	// takes its buffers per virtual circuit.
+	add := func(name string, mem, rxBufs int) {
+		h := &host{k: aegis.NewKernelMem(name, eng, prof, mem)}
+		if s.eth {
+			h.eth = aegis.NewEthernetPool(h.k, w.sw, rxBufs)
+			h.nic = &h.eth.NIC
+			w.res[ip.HostAddr(h.addr())] = link.Addr{Port: h.addr()}
+		} else {
+			h.an2 = aegis.NewAN2(h.k, w.sw)
+			h.nic = &h.an2.NIC
+		}
+		h.sys, h.ip = core.NewSystem(h.k), ip.HostAddr(h.addr())
+		w.hosts = append(w.hosts, h)
+	}
+	if s.fanIn {
+		add("srv", s.srvMem, s.srvRxBufs)
+		for i := 0; i < s.clients; i++ {
+			add(fmt.Sprintf("c%03d", i), s.cliMem, s.cliRxBufs)
+		}
+	} else {
+		add("h1", aegis.HostMemSize, aegis.EthRxBuffers)
+		add("h2", aegis.HostMemSize, aegis.EthRxBuffers)
+		h1, h2 := w.hosts[0], w.hosts[1]
+		w.tb = &Testbed{world: w, Eng: eng, Prof: prof, Sw: w.sw, K1: h1.k, K2: h2.k,
+			A1: h1.an2, A2: h2.an2, E1: h1.eth, E2: h2.eth,
+			Sys1: h1.sys, Sys2: h2.sys, IP1: h1.ip, IP2: h2.ip}
+		cfg.observe(w.tb)
+	}
+	if s.arp {
+		for _, h := range w.hosts {
+			svc, err := arp.Start(h.k, h.eth, h.ip)
+			if err != nil {
+				panic(err)
+			}
+			h.arp = svc
+		}
+	}
+	if f := s.fault; f != nil {
+		w.fault = fault.New(f.seed, f.sched)
+		w.fault.AttachWire(w.sw)
+		covered := w.hosts
+		if f.serverOnly {
+			covered = covered[:1]
+		}
+		for _, h := range covered {
+			w.fault.AttachDevice(h.nic)
+			w.fault.AttachSystem(h.sys)
+		}
+	}
+	for _, h := range w.hosts {
+		h.sys.AbortTripThreshold = s.tripThreshold
+	}
+	if q := s.quota; q != nil {
+		w.srv().sys.Quota = sandbox.NewQuotaLedger(prof.Cycles(q.windowUs), q.budget)
 	}
 	return w
+}
+
+// inWorld builds the world s describes, measures it with fn and closes it:
+// the one place a cell's world opens and closes.
+func inWorld[T any](cfg *Config, s worldSpec, fn func(w *world) T) T {
+	w := build(cfg, s)
+	defer w.close()
+	return fn(w)
 }
 
 // srv is a fan-in world's server; cli its clients in creation order.
 func (w *world) srv() *host   { return w.hosts[0] }
 func (w *world) cli() []*host { return w.hosts[1:] }
-
-// attachFault hooks a fault plane into the wire and into the interface and
-// ASH system of each given host — every injection point those hosts have.
-func (w *world) attachFault(pl *fault.Plane, hosts ...*host) {
-	pl.AttachWire(w.sw)
-	for _, h := range hosts {
-		pl.AttachDevice(h.nic)
-		pl.AttachSystem(h.sys)
-	}
-}
 
 // checkPool is the end-of-cell leak gate: once the engine has drained, no
 // event can ever Release a buffer again, so any lease still outstanding is
@@ -155,15 +224,22 @@ func (w *world) checkPool() {
 
 // close ends the world: its processes are torn down and its hosts' memory
 // goes back to the arena pool. The engine goes first, so deferred calls
-// that unwind with the processes still see live memory. The function that
-// builds a world defers this; a world's results are read before it runs,
-// and nothing may touch the world afterwards.
+// that unwind with the processes still see live memory. inWorld (and the
+// facade's Testbed.Close) calls it once the results are read; nothing may
+// touch the world afterwards. It is the end-of-world gate: a process still
+// live or a host still holding memory is a leak, and panics.
 func (w *world) close() {
 	w.eng.Close()
 	for _, h := range w.hosts {
 		h.k.Close()
 	}
 	st := w.eng.Stats()
+	for _, h := range w.hosts {
+		if st.LiveProcs != 0 || h.k.Mem.Data != nil || h.k.MemSize() != 0 {
+			panic(fmt.Sprintf("bench: %s world %s..%s after close: %d processes live, host %s holds %d bytes",
+				w.sw.Cfg.Name, w.hosts[0].k.Name, w.hosts[len(w.hosts)-1].k.Name, st.LiveProcs, h.k.Name, h.k.MemSize()))
+		}
+	}
 	engines.Lock()
 	engines.Closed++
 	engines.Fired += st.Fired
@@ -309,47 +385,11 @@ type Testbed struct {
 	Obs        *obs.Plane // nil unless AttachObs was called
 }
 
-// newTestbed builds the paper's world: two default-sized hosts, "h1" then
-// "h2". The config's Obs hook (nil-safe) runs before any workload touches
-// the testbed. Fan-in worlds never reach it: the hook's users read both
-// hosts of a pair.
-func newTestbed(cfg *Config, an2 bool) *Testbed {
-	w := newWorld(an2)
-	tb := &Testbed{world: w, Eng: w.eng, Prof: w.prof, Sw: w.sw}
-	for _, name := range []string{"h1", "h2"} {
-		if an2 {
-			w.addAN2Host(name)
-		} else {
-			w.addHost(name, aegis.HostMemSize, aegis.EthRxBuffers)
-		}
-	}
-	h1, h2 := w.hosts[0], w.hosts[1]
-	tb.A1, tb.A2, tb.E1, tb.E2 = h1.an2, h2.an2, h1.eth, h2.eth
-	tb.K1, tb.K2, tb.Sys1, tb.Sys2, tb.IP1, tb.IP2 = h1.k, h2.k, h1.sys, h2.sys, h1.ip, h2.ip
-	cfg.observe(tb)
-	return tb
-}
-
 // NewAN2Testbed builds the standard two-host AN2 world.
-func NewAN2Testbed(cfg *Config) *Testbed { return newTestbed(cfg, true) }
+func NewAN2Testbed(cfg *Config) *Testbed { return build(cfg, an2Pair).tb }
 
-// NewEthernetTestbed builds the two-host Ethernet world.
-func NewEthernetTestbed(cfg *Config) *Testbed { return newTestbed(cfg, false) }
-
-// ethWorld builds the two-host Ethernet world with an ARP daemon on each
-// host, spawned before any workload process: the harness's Ethernet stacks
-// resolve through them.
-func ethWorld(cfg *Config) *Testbed {
-	tb := NewEthernetTestbed(cfg)
-	for _, h := range tb.hosts {
-		svc, err := arp.Start(h.k, h.eth, h.ip)
-		if err != nil {
-			panic(err)
-		}
-		h.arp = svc
-	}
-	return tb
-}
+// NewEthernetTestbed builds the two-host Ethernet world (no ARP daemons).
+func NewEthernetTestbed(cfg *Config) *Testbed { return build(cfg, ethPair).tb }
 
 // host resolves the host argument of StackAN2 and EthStack, here and nowhere
 // else: n is 1 or 2, and the testbed is on the network the call is for. Both
@@ -375,8 +415,15 @@ func (tb *Testbed) AttachObs(pl *obs.Plane) {
 }
 
 // AttachFault hooks a fault plane into every injection point of the
-// testbed: the wire, both network interfaces, and both ASH systems.
-func (tb *Testbed) AttachFault(pl *fault.Plane) { tb.attachFault(pl, tb.hosts...) }
+// testbed: the wire, both network interfaces, and both ASH systems — the
+// points build hooks for a pair whose spec has a fault plane.
+func (tb *Testbed) AttachFault(pl *fault.Plane) {
+	pl.AttachWire(tb.Sw)
+	for _, h := range tb.hosts {
+		pl.AttachDevice(h.nic)
+		pl.AttachSystem(h.sys)
+	}
+}
 
 // Close is close for the public facade, whose worlds are testbeds.
 func (tb *Testbed) Close() { tb.close() }

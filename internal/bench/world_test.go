@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -10,15 +11,69 @@ import (
 	"ashs/internal/sim"
 )
 
-// worldShapes is every shape the builder makes, smallest useful size each.
-var worldShapes = []struct {
-	name  string
-	build func() *world
-}{
-	{"an2-pair", func() *world { return NewAN2Testbed(&Config{}).world }},
-	{"ethernet-pair", func() *world { return NewEthernetTestbed(&Config{}).world }},
-	{"fan-in-3", func() *world { return newFanIn(1<<20, 8, 3, scaleClientMem, scaleClientRxBufs) }},
-	{"server-only", func() *world { return newFanIn(1<<20, 8, 0, 0, 0) }},
+// specKey prints one worldSpec field as comparable text: a set pointer
+// prints what it points to, nil prints <nil>.
+func specKey(f reflect.Value) string {
+	if f.Kind() == reflect.Pointer && !f.IsNil() {
+		f = f.Elem()
+	}
+	return fmt.Sprintf("%+v", f)
+}
+
+// worldCells is every registered cell that builds a world, quick cells or
+// full, in registry order. Nothing is built.
+func worldCells(quick bool) []Cell {
+	var cells []Cell
+	for _, e := range Experiments() {
+		for _, c := range e.Cells(&Config{Quick: quick}) {
+			if c.spec != nil {
+				cells = append(cells, c)
+			}
+		}
+	}
+	return cells
+}
+
+// worldShapes is the first quick cell to carry each distinct spec: every
+// world the suite builds, fault, quota and ARP variants included.
+func worldShapes() []Cell {
+	var shapes []Cell
+	seen := map[string]bool{}
+	for _, c := range worldCells(true) {
+		v := reflect.ValueOf(*c.spec)
+		var key strings.Builder
+		for f := 0; f < v.NumField(); f++ {
+			key.WriteString(specKey(v.Field(f)) + ";")
+		}
+		if !seen[key.String()] {
+			seen[key.String()] = true
+			shapes = append(shapes, c)
+		}
+	}
+	return shapes
+}
+
+// TestWorldSpecFieldsInUse: every field of worldSpec takes at least two
+// values across the registered cells, quick and full. A field that only one
+// value is given is a constant, and belongs in build.
+func TestWorldSpecFieldsInUse(t *testing.T) {
+	typ := reflect.TypeOf(worldSpec{})
+	values := make([]map[string]bool, typ.NumField())
+	for i := range values {
+		values[i] = map[string]bool{}
+	}
+	for _, c := range append(worldCells(true), worldCells(false)...) {
+		v := reflect.ValueOf(*c.spec)
+		for i := range values {
+			values[i][specKey(v.Field(i))] = true
+		}
+	}
+	for i, vs := range values {
+		if len(vs) < 2 {
+			t.Errorf("worldSpec.%s takes one value in every registered cell (%v): make it a constant",
+				typ.Field(i).Name, vs)
+		}
+	}
 }
 
 // TestPoolLeakGate pins the end-of-cell leak detector both ways on every
@@ -27,15 +82,16 @@ var worldShapes = []struct {
 // message. Then the world's own end: close leaves no live process and no
 // host memory behind.
 func TestPoolLeakGate(t *testing.T) {
-	for _, shape := range worldShapes {
-		t.Run(shape.name, func(t *testing.T) {
-			w := shape.build()
+	for _, c := range worldShapes() {
+		t.Run(c.Label, func(t *testing.T) {
+			w := build(nil, *c.spec)
+			daemons := w.eng.Stats().LiveProcs // an ARP pair's
 			var never aegis.Cond
 			w.hosts[0].k.Spawn("idle", func(p *aegis.Process) { never.Wait(p) })
 			w.eng.Go("parked", func(p *sim.Proc) { p.Park() })
 			w.run() // drains clean, both processes still waiting
-			if live := w.eng.Stats().LiveProcs; live != 2 {
-				t.Fatalf("%d live processes before close, want 2", live)
+			if live := w.eng.Stats().LiveProcs; live != daemons+2 {
+				t.Fatalf("%d live processes before close, want %d", live, daemons+2)
 			}
 
 			leaked := w.sw.LeaseData([]byte{1, 2, 3})
@@ -67,32 +123,50 @@ func TestPoolLeakGate(t *testing.T) {
 	}
 }
 
-// TestWorldShape pins what the simulated results depend on: hosts take
-// switch ports in creation order with the server first, names and
-// addresses follow from that order, and a pair testbed's exported fields
-// are the two hosts' parts.
+// TestWorldShape pins what the simulated results depend on, on every world
+// shape: hosts take switch ports in creation order with the server first,
+// names, addresses and memory follow from that order and the spec, and the
+// ARP daemons, fault hooks, trip threshold and quota are on exactly the
+// hosts the spec names. Then a pair testbed's exported fields are the two
+// hosts' parts.
 func TestWorldShape(t *testing.T) {
-	w := newFanIn(1<<20, 8, 3, scaleClientMem, scaleClientRxBufs)
-	if got := w.srv().addr(); got != 0 {
-		t.Errorf("server owns switch port %d, want the first (0)", got)
-	}
-	names := []string{"srv", "c000", "c001", "c002"}
-	if len(w.hosts) != len(names) || len(w.cli()) != 3 {
-		t.Fatalf("fan-in world has %d hosts, %d clients", len(w.hosts), len(w.cli()))
-	}
-	for i, h := range w.hosts {
-		if h.k.Name != names[i] || h.addr() != i || h.ip != ip.HostAddr(i) {
-			t.Errorf("host %d: name %q port %d ip %s", i, h.k.Name, h.addr(), h.ip)
+	for _, c := range worldShapes() {
+		s, label := *c.spec, c.Label
+		w := build(nil, s)
+		names, mems := []string{"h1", "h2"}, []int{aegis.HostMemSize, aegis.HostMemSize}
+		if s.fanIn {
+			names, mems = []string{"srv"}, []int{s.srvMem}
+			for c := 0; c < s.clients; c++ {
+				names, mems = append(names, fmt.Sprintf("c%03d", c)), append(mems, s.cliMem)
+			}
 		}
-		if la, ok := w.res[h.ip]; !ok || la.Port != i {
-			t.Errorf("host %d missing from the resolver (%v, %v)", i, la, ok)
+		if len(w.hosts) != len(names) || (w.tb != nil) == s.fanIn {
+			t.Errorf("%s: %d hosts, Testbed view %v", label, len(w.hosts), w.tb != nil)
 		}
-		if h.eth == nil || h.nic != &h.eth.NIC || h.sys == nil || h.sys.K != h.k {
-			t.Errorf("host %d: wrong interface or system", i)
+		for j, h := range w.hosts[:min(len(w.hosts), len(names))] {
+			if h.k.Name != names[j] || h.addr() != j || h.ip != ip.HostAddr(j) || h.k.MemSize() != mems[j] {
+				t.Errorf("%s: host %d is %q on port %d at %s with %d bytes", label, j, h.k.Name, h.addr(), h.ip, h.k.MemSize())
+			}
+			if (h.eth != nil) != s.eth || (h.an2 != nil) == s.eth || h.sys == nil || h.sys.K != h.k ||
+				(s.eth && h.nic != &h.eth.NIC) || (!s.eth && h.nic != &h.an2.NIC) {
+				t.Errorf("%s: host %d: wrong interface or system", label, j)
+			}
+			if la, ok := w.res[h.ip]; ok != s.eth || (ok && la.Port != j) {
+				t.Errorf("%s: host %d in the resolver: %v, %v", label, j, la, ok)
+			}
+			faulted := s.fault != nil && (j == 0 || !s.fault.serverOnly)
+			if (h.arp != nil) != s.arp || (h.nic.InjectFault != nil) != faulted || (h.sys.InjectAbort != nil) != faulted ||
+				h.sys.AbortTripThreshold != s.tripThreshold || (h.sys.Quota != nil) != (s.quota != nil && j == 0) {
+				t.Errorf("%s: host %d: arp %v, fault hooks %v/%v, trip %d, quota %v",
+					label, j, h.arp != nil, h.nic.InjectFault != nil, h.sys.InjectAbort != nil,
+					h.sys.AbortTripThreshold, h.sys.Quota != nil)
+			}
 		}
-	}
-	if so := newFanIn(1<<20, 8, 0, 0, 0); len(so.hosts) != 1 || len(so.cli()) != 0 || so.srv().addr() != 0 {
-		t.Errorf("server-only world: %d hosts", len(so.hosts))
+		if f := s.fault; (w.fault != nil) != (f != nil) || (w.sw.Inject != nil) != (f != nil) ||
+			(f != nil && (w.fault.Seed != f.seed || w.fault.Sched != f.sched)) {
+			t.Errorf("%s: fault plane %+v on the wire %v, spec %+v", label, w.fault, w.sw.Inject != nil, f)
+		}
+		w.close()
 	}
 
 	for i, tb := range []*Testbed{NewAN2Testbed(nil), NewEthernetTestbed(nil)} {
@@ -106,19 +180,17 @@ func TestWorldShape(t *testing.T) {
 		if tb.IP1 != ip.HostAddr(0) || tb.IP2 != ip.HostAddr(1) || tb.IP1 != h1.ip || tb.IP2 != h2.ip {
 			t.Errorf("%s: IP1/IP2 = %s/%s", tb.Sw.Cfg.Name, tb.IP1, tb.IP2)
 		}
-		if tb.Eng != tb.eng || tb.Prof != tb.prof || tb.Sw != tb.sw {
+		if tb.Eng != tb.eng || tb.Prof != tb.prof || tb.Sw != tb.sw || tb.world.tb != tb {
 			t.Errorf("%s: Eng/Prof/Sw are not the world's", tb.Sw.Cfg.Name)
 		}
 		if i == 0 {
-			if tb.A1 != h1.an2 || tb.A2 != h2.an2 || tb.A1 == nil || tb.A2 == nil || &tb.A1.NIC != h1.nic || &tb.A2.NIC != h2.nic || tb.E1 != nil || tb.E2 != nil || tb.A1.Addr() != 0 || tb.A2.Addr() != 1 {
+			if tb.A1 != h1.an2 || tb.A2 != h2.an2 || tb.A1 == nil || tb.A2 == nil || tb.E1 != nil || tb.E2 != nil || tb.A1.Addr() != 0 || tb.A2.Addr() != 1 {
 				t.Error("AN2 pair: wrong interfaces")
 			}
 		} else if tb.E1 != h1.eth || tb.E2 != h2.eth || tb.E1 == nil || tb.E2 == nil || tb.A1 != nil || tb.A2 != nil || tb.E1.Addr() != 0 || tb.E2.Addr() != 1 {
 			t.Error("Ethernet pair: wrong interfaces")
 		}
-		if tb.K1.MemSize() != aegis.HostMemSize || tb.K2.MemSize() != aegis.HostMemSize {
-			t.Errorf("%s: pair hosts are not default-sized", tb.Sw.Cfg.Name)
-		}
+		tb.Close()
 	}
 }
 
@@ -145,9 +217,10 @@ func TestRunUntilBoundPanics(t *testing.T) {
 // cell may grow the arena pool; the same cell run again is served entirely
 // from what the first gave back, with the same simulated result.
 func TestWorldReuse(t *testing.T) {
-	first := runScaleCell("tcp-fast", 4, 2)
+	cell := scaleCell(scaleWorkloads[1], 4, 2) // tcp-fast
+	first := cell.Run(nil)
 	warm := aegis.ArenaStats()
-	again := runScaleCell("tcp-fast", 4, 2)
+	again := cell.Run(nil)
 	got := aegis.ArenaStats()
 	if got.Grown != warm.Grown {
 		t.Errorf("second run grew the pool: Grown %d -> %d", warm.Grown, got.Grown)
