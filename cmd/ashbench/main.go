@@ -103,6 +103,8 @@ func main() {
 	// Beside it, the host-memory pool: every cell closes its world, so
 	// leases == returned, and grown stays near the worker count times the
 	// few host sizes. A cell that stops closing shows as grown jumping.
+	// Zeroed is what the returns cleared, the pages hosts wrote: like
+	// leases and returned it does not depend on -parallel.
 	a := aegis.ArenaStats()
 	fmt.Fprintf(os.Stderr, "[host memory arenas: %d leases, %d returned, %d grown, %.1f MiB zeroed on return]\n",
 		a.Leases, a.Returned, a.Grown, float64(a.ZeroedBytes)/(1<<20))

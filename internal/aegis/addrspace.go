@@ -47,9 +47,9 @@ func (k *Kernel) NewAddrSpace(owner string) *AddrSpace {
 // the ASH may reference"). Physical-memory exhaustion returns an error:
 // a guest over-asking must not take the simulation down with it.
 func (as *AddrSpace) Alloc(n int, name string) (Segment, error) {
-	base, err := as.k.AllocPhys(n, as.owner+"/"+name)
+	base, err := as.k.AllocPhys(n, name)
 	if err != nil {
-		return Segment{}, err
+		return Segment{}, fmt.Errorf("%w in %s's address space", err, as.owner)
 	}
 	seg := Segment{Base: base, Len: uint32(n), Name: name}
 	as.segs = append(as.segs, seg)

@@ -1,8 +1,10 @@
 package aegis
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -95,7 +97,7 @@ const arenaTestSize = 3<<20 + 4096
 
 // TestArenaReuseIsClean: whatever a host wrote, the next host to lease its
 // arena sees zeros across the whole capacity, and the return cleared
-// exactly the allocated prefix.
+// exactly the allocated prefix, every page of which was written.
 func TestArenaReuseIsClean(t *testing.T) {
 	prof := mach.DS5000_240()
 	k := NewKernelMem("dirty", sim.NewEngine(), prof, arenaTestSize)
@@ -157,8 +159,8 @@ func TestArenaUseAfterClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	k.Close()
-	if k.Mem.Data != nil || k.MemSize() != 0 {
-		t.Errorf("closed host still has Data len %d, MemSize %d", len(k.Mem.Data), k.MemSize())
+	if k.Mem.Data != nil || k.MemSize() != 0 || k.Cache != nil {
+		t.Errorf("closed host still has Data len %d, MemSize %d, Cache %p", len(k.Mem.Data), k.MemSize(), k.Cache)
 	}
 	if _, err := vcode.Load32(k.Mem, base); !isBadAddr(err) {
 		t.Errorf("Load32 on a closed host: %v, want FaultBadAddr", err)
@@ -182,8 +184,8 @@ func TestArenaUseAfterClose(t *testing.T) {
 }
 
 // TestArenaConcurrentLeases hammers the pool from several goroutines, the
-// way ashbench -parallel N builds and closes worlds: every lease must be
-// all-zero and private to its holder. Run under -race.
+// way ashbench -parallel N builds and closes worlds: every lease — memory
+// and cache — must be clean and private to its holder. Run under -race.
 func TestArenaConcurrentLeases(t *testing.T) {
 	const workers, rounds = 8, 40
 	prof := mach.DS5000_240()
@@ -216,6 +218,11 @@ func TestArenaConcurrentLeases(t *testing.T) {
 						return
 					}
 				}
+				if k.Cache.Hits+k.Cache.Misses+k.Cache.Stores != 0 {
+					t.Errorf("worker %d round %d: leased cache has counts", g, r)
+					return
+				}
+				k.Cache.CopyRange(base, base+uint32(n/2), n/2)
 				k.Close()
 			}
 		}(g)
@@ -227,5 +234,176 @@ func TestArenaConcurrentLeases(t *testing.T) {
 	}
 	if grown := after.Grown - before.Grown; grown > 2*workers {
 		t.Errorf("pool grew by %d arenas for %d concurrent holders of two sizes", grown, workers)
+	}
+}
+
+// TestArenaScatteredWritesLeaveNextLeaseZero: a host writes a few bytes here
+// and there — a page's last byte, a page's first word and nothing else, the
+// last byte of a partial final page, now and then a zero — through Bytes and
+// through Mem. The next lease of its arena is all-zero over its whole
+// capacity, the return cleared exactly the pages that held a nonzero byte,
+// and a host that wrote nothing costs its return nothing.
+func TestArenaScatteredWritesLeaveNextLeaseZero(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	prof := mach.DS5000_240()
+	for round := 0; round < 40; round++ {
+		k := NewKernelMem("scatter", sim.NewEngine(), prof, arenaTestSize)
+		n := 1 + rng.Intn(arenaTestSize)
+		if round%4 == 0 {
+			n = (n + PageSize - 1) &^ (PageSize - 1) // no partial final page
+		}
+		base, err := k.AllocPhys(n, "scatter")
+		if err != nil || base != HostMemBase {
+			t.Fatalf("AllocPhys(%d) = %#x, %v", n, base, err)
+		}
+		mem := k.Bytes(base, n)
+		shadow := map[int]byte{} // offset -> last value written there
+		pages := (n + PageSize - 1) / PageSize
+		for i := rng.Intn(12); i >= 0; i-- {
+			pg := rng.Intn(pages)
+			switch rng.Intn(4) {
+			case 0: // a page's last byte
+				if off := pg*PageSize + PageSize - 1; off < n {
+					mem[off] = 0x80
+					shadow[off] = 0x80
+				}
+			case 1: // a page's first word only, stored through Mem
+				if off := pg * PageSize; off+4 <= n {
+					if err := vcode.Store32(k.Mem, base+uint32(off), 1+rng.Uint32()%0xfffffffe); err != nil {
+						t.Fatal(err)
+					}
+					for j := off; j < off+4; j++ {
+						shadow[j] = mem[j]
+					}
+				}
+			case 2: // the last byte of the allocation
+				v := byte(1 + rng.Intn(255))
+				mem[n-1], shadow[n-1] = v, v
+			case 3: // anywhere, maybe a zero over an earlier write
+				off, v := rng.Intn(n), byte(rng.Intn(2))
+				mem[off], shadow[off] = v, v
+			}
+		}
+		written := map[int]bool{}
+		for off, v := range shadow {
+			if v != 0 {
+				written[off/PageSize] = true
+			}
+		}
+		want := 0
+		for pg := range written {
+			want += min(PageSize, n-pg*PageSize)
+		}
+		first := &k.arena[:1][0]
+
+		before := ArenaStats()
+		k.Close()
+		if got := ArenaStats().ZeroedBytes - before.ZeroedBytes; got != uint64(want) {
+			t.Fatalf("round %d: return cleared %d bytes, want %d (%d written pages of a %d-byte prefix)",
+				round, got, want, len(written), n)
+		}
+
+		k2 := NewKernelMem("next", sim.NewEngine(), prof, arenaTestSize)
+		full := k2.arena[:cap(k2.arena)]
+		if &full[0] != first {
+			t.Fatal("the re-lease did not receive the returned arena")
+		}
+		for off := 0; off < len(full); off += PageSize {
+			if pg := full[off:min(off+PageSize, len(full))]; !bytes.Equal(pg, zeroPage[:len(pg)]) {
+				t.Fatalf("round %d: reused arena has a nonzero byte in the page at %d (prefix was %d)", round, off, n)
+			}
+		}
+		if _, err := k2.AllocPhys(len(full), "untouched"); err != nil {
+			t.Fatal(err)
+		}
+		before = ArenaStats()
+		k2.Close()
+		if got := ArenaStats().ZeroedBytes - before.ZeroedBytes; got != 0 {
+			t.Fatalf("round %d: a host that wrote nothing cost its return %d cleared bytes", round, got)
+		}
+	}
+}
+
+// cacheOp is one step of a random cache trace.
+type cacheOp struct {
+	kind     int
+	src, dst uint32
+	n        int
+}
+
+// randomCacheTrace returns n steps over an address range four caches wide,
+// so lines conflict.
+func randomCacheTrace(rng *rand.Rand, p *mach.Profile, n int) []cacheOp {
+	span := uint32(4 * p.CacheBytes)
+	ops := make([]cacheOp, n)
+	for i := range ops {
+		ops[i] = cacheOp{kind: rng.Intn(4), src: rng.Uint32() % span, dst: rng.Uint32() % span, n: rng.Intn(600)}
+	}
+	return ops
+}
+
+// runCacheTrace applies ops to c and returns what each step charged.
+func runCacheTrace(c *mach.Cache, ops []cacheOp) []sim.Time {
+	cyc := make([]sim.Time, len(ops))
+	for i, op := range ops {
+		switch op.kind {
+		case 0:
+			cyc[i] = c.Load(op.src)
+		case 1:
+			cyc[i] = c.Store(op.dst)
+		case 2:
+			cyc[i] = c.CopyRange(op.src, op.dst, op.n)
+		case 3:
+			c.FlushRange(op.src, op.n)
+		}
+	}
+	return cyc
+}
+
+// TestArenaRecycledCacheMatchesNewCache: the cache a host leases with its
+// arena is the one the previous holder dirtied, and it charges what a new
+// one would. It comes back with every counter at zero, and under a profile
+// with other costs and the same geometry it charges, step for step over a
+// random Load/Store/CopyRange/FlushRange trace, what mach.NewCache of that
+// profile charges, ending with the same counters and the same lines
+// resident.
+func TestArenaRecycledCacheMatchesNewCache(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	base := mach.DS5000_240()
+	for round := 0; round < 20; round++ {
+		k := NewKernelMem("dirty", sim.NewEngine(), base, arenaTestSize)
+		runCacheTrace(k.Cache, randomCacheTrace(rng, base, 500))
+		old := k.Cache
+		k.Close()
+
+		p := base.Clone()
+		p.LoadHit, p.MissPenalty, p.StoreCycles = 1+rng.Intn(3), 5+rng.Intn(30), 1+rng.Intn(4)
+		k2 := NewKernelMem("recycled", sim.NewEngine(), p, arenaTestSize)
+		got := k2.Cache
+		if got != old {
+			t.Fatal("the re-lease did not receive the returned cache")
+		}
+		if got.Hits != 0 || got.Misses != 0 || got.Stores != 0 {
+			t.Fatalf("recycled cache starts at %d hits, %d misses, %d stores", got.Hits, got.Misses, got.Stores)
+		}
+		want := mach.NewCache(p)
+		ops := randomCacheTrace(rng, p, 500)
+		gc, wc := runCacheTrace(got, ops), runCacheTrace(want, ops)
+		for i := range ops {
+			if gc[i] != wc[i] {
+				t.Fatalf("round %d step %d %+v: recycled cache charged %d, new cache %d", round, i, ops[i], gc[i], wc[i])
+			}
+		}
+		if got.Hits != want.Hits || got.Misses != want.Misses || got.Stores != want.Stores {
+			t.Fatalf("round %d: counters %d/%d/%d, new cache %d/%d/%d",
+				round, got.Hits, got.Misses, got.Stores, want.Hits, want.Misses, want.Stores)
+		}
+		for a := uint32(0); a < uint32(4*p.CacheBytes); a += uint32(p.LineBytes) {
+			if got.Resident(a) != want.Resident(a) {
+				t.Fatalf("round %d: line %#x resident %v in the recycled cache, %v in a new one",
+					round, a, got.Resident(a), want.Resident(a))
+			}
+		}
+		k2.Close()
 	}
 }

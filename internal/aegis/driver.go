@@ -270,18 +270,15 @@ func (a *AN2If) BindVC(p *Process, vc, nbufs, bufSize int) (*Binding, error) {
 	}
 	bufs := make([]Segment, nbufs)
 	for i := range bufs {
+		var err error
 		if p != nil {
-			s, err := p.AS.Alloc(bufSize, fmt.Sprintf("an2-rx-vc%d-%d", vc, i))
-			if err != nil {
-				return nil, err
-			}
-			bufs[i] = s
+			bufs[i], err = p.AS.Alloc(bufSize, "an2-rx")
 		} else {
-			base, err := a.K.AllocPhys(bufSize, fmt.Sprintf("an2-krx-vc%d-%d", vc, i))
-			if err != nil {
-				return nil, err
-			}
-			bufs[i] = Segment{Base: base, Len: uint32(bufSize)}
+			bufs[i].Base, err = a.K.AllocPhys(bufSize, "an2-krx")
+			bufs[i].Len = uint32(bufSize)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%w (VC %d buffer %d of %d)", err, vc, i, nbufs)
 		}
 	}
 	b := &Binding{ID: vc, Owner: p, Ring: Ring{k: a.K}, nic: &a.NIC, pool: &rxPool{}}

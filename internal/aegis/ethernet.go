@@ -59,9 +59,9 @@ func NewEthernetPool(k *Kernel, sw *netdev.Switch, nbufs int) *EthernetIf {
 		// Boot-time device pool on a fresh host: exhaustion here is a
 		// misconfigured testbed, not guest misbehavior, so a panic is the
 		// right failure mode.
-		base, err := k.AllocPhys(bufSize, fmt.Sprintf("eth-rx-%d", i))
+		base, err := k.AllocPhys(bufSize, "eth-rx")
 		if err != nil {
-			panic(err)
+			panic(fmt.Errorf("%w (buffer %d of %d)", err, i, nbufs))
 		}
 		bufs[i] = Segment{Base: base, Len: uint32(bufSize)}
 	}

@@ -87,7 +87,8 @@ func NewKernel(name string, eng *sim.Engine, prof *mach.Profile) *Kernel {
 // fits.
 //
 // The memory is an arena leased from the package's pool (all-zero, see
-// arena.go), and the valid range is exactly what the kernel has allocated:
+// arena.go) together with the cache model, and the valid range is exactly
+// what the kernel has allocated:
 // Mem.Data is arena[:off:off] with off = brk - HostMemBase, length and
 // capacity both clamped. Only AllocPhys re-slices it forward — over the
 // same backing array, so every slice Bytes has handed out stays valid — and
@@ -99,14 +100,15 @@ func NewKernelMem(name string, eng *sim.Engine, prof *mach.Profile, memSize int)
 	if memSize <= 0 {
 		panic("aegis: NewKernelMem of nonpositive size")
 	}
+	h := leaseHost(memSize, prof)
 	k := &Kernel{
 		Name:  name,
 		Eng:   eng,
 		Prof:  prof,
-		Cache: mach.NewCache(prof),
+		Cache: h.cache,
 		Mem:   &vcode.FlatMem{Base: HostMemBase},
 		brk:   HostMemBase,
-		arena: leaseArena(memSize),
+		arena: h.mem,
 	}
 	k.Sched = NewRoundRobin()
 	k.commitFn = k.mcCommit
@@ -118,19 +120,20 @@ func NewKernelMem(name string, eng *sim.Engine, prof *mach.Profile, memSize int)
 // MemSize reports the host's physical memory size in bytes (0 once closed).
 func (k *Kernel) MemSize() int { return cap(k.arena) }
 
-// Close ends the host: it zeroes the memory the host allocated, returns the
-// arena to the pool and leaves Mem.Data nil, so a later access through the
-// closed kernel faults (FlatMem.Load and Store) or panics (Bytes, AllocPhys)
-// rather than scribbling on whichever world leases the arena next. Slices
-// obtained from Bytes must not be used afterwards either. Close is a
-// performance contract, not an obligation: a kernel never closed is
-// collected like any other garbage. A second Close is a no-op.
+// Close ends the host: it zeroes what the host wrote, returns the arena and
+// the cache to the pool and leaves Mem.Data and Cache nil, so a later access
+// through the closed kernel faults (FlatMem.Load and Store) or panics (Bytes,
+// AllocPhys, any Cache method) rather than scribbling on whichever world
+// leases them next. Slices obtained from Bytes, and machines given the
+// Cache, must not be used afterwards either. Close is a performance
+// contract, not an obligation: a kernel never closed is collected like any
+// other garbage. A second Close is a no-op.
 func (k *Kernel) Close() {
 	if k.arena == nil {
 		return
 	}
-	returnArena(k.arena, len(k.Mem.Data))
-	k.arena, k.Mem.Data = nil, nil
+	returnHost(lease{k.arena, k.Cache}, len(k.Mem.Data), k.Prof)
+	k.arena, k.Mem.Data, k.Cache = nil, nil, nil
 }
 
 // AllocPhys carves n bytes (rounded to a cache line) out of physical

@@ -35,6 +35,10 @@ type Process struct {
 	// (priority-boost scheduling).
 	preemptWanted bool
 
+	// waitRing is the ring a WaitRecvUntil with a deadline last blocked on;
+	// its timer event reads it.
+	waitRing *Ring
+
 	// CPUTime is total simulated CPU consumed.
 	CPUTime sim.Time
 }

@@ -124,17 +124,23 @@ func (r *Ring) WaitRecvUntil(p *Process, deadline sim.Time) (RingEntry, bool) {
 		}
 		var timer sim.Timer
 		if deadline != 0 {
-			timer = p.K.Eng.ScheduleAt(deadline, func() {
-				if r.waiter == p && !r.polling {
-					r.waiter = nil
-					p.Wake(0)
-				}
-			})
+			p.waitRing = r
+			timer = p.K.Eng.ScheduleArgAt(deadline, ringDeadline, p)
 		}
 		r.waiter = p
 		r.polling = false
 		p.block()
 		p.K.Eng.Cancel(timer)
+	}
+}
+
+// ringDeadline is WaitRecvUntil's timer event. The process is its argument
+// and names the ring it waits on, so arming one builds no closure.
+func ringDeadline(a any) {
+	p := a.(*Process)
+	if r := p.waitRing; r.waiter == p && !r.polling {
+		r.waiter = nil
+		p.Wake(0)
 	}
 }
 

@@ -30,13 +30,26 @@ const tagInvalid = ^uint32(0)
 // line count must be powers of two (every access is then a shift, a mask
 // and a compare); any other geometry panics.
 func NewCache(p *Profile) *Cache {
+	c := &Cache{}
+	c.Reset(p)
+	return c
+}
+
+// Reset makes c exactly what NewCache(p) returns: every tag invalid, the
+// statistics zero and the costs p's. It keeps c's tag array when p's
+// geometry fits it, so a recycled cache allocates nothing.
+func (c *Cache) Reset(p *Profile) {
 	size, line := uint(p.CacheBytes), uint(p.LineBytes)
 	if bits.OnesCount(size) != 1 || bits.OnesCount(line) != 1 || size < line {
 		panic(fmt.Sprintf("mach: cache geometry not a power of two: %d bytes in %d-byte lines", p.CacheBytes, p.LineBytes))
 	}
 	lines := size / line
-	c := &Cache{
-		tags:  make([]uint32, lines),
+	tags := c.tags
+	if uint(len(tags)) != lines {
+		tags = make([]uint32, lines)
+	}
+	*c = Cache{
+		tags:  tags,
 		shift: uint(bits.TrailingZeros(line)),
 		mask:  uint32(lines - 1),
 		hit:   sim.Time(p.LoadHit),
@@ -44,7 +57,6 @@ func NewCache(p *Profile) *Cache {
 		store: sim.Time(p.StoreCycles),
 	}
 	c.Flush()
-	return c
 }
 
 // Flush invalidates the entire cache (the paper flushes between benchmark

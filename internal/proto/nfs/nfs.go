@@ -72,6 +72,10 @@ type Server struct {
 
 	// Served counts completed requests by procedure.
 	Served map[uint32]uint64
+
+	// req holds the request being served and reply the reply dispatch
+	// builds; both are reused, so one Server serves one socket at a time.
+	req, reply []byte
 }
 
 // NewServer builds a store containing only the root directory.
@@ -103,11 +107,11 @@ func (s *Server) Serve(p *aegis.Process, sock *udp.Socket, count int) {
 		if err != nil {
 			return
 		}
-		req := append([]byte(nil), m.Bytes(sock.St.Ep.Kernel())...)
+		s.req = append(s.req[:0], m.Bytes(sock.St.Ep.Kernel())...)
 		sock.Release(m)
 		p.Compute(s.ProcCost)
-		reply := s.dispatch(req)
-		_ = sock.SendBytes(m.From, m.FromPort, reply)
+		s.reply = s.dispatch(s.req)
+		_ = sock.SendBytes(m.From, m.FromPort, s.reply)
 	}
 }
 
@@ -121,9 +125,11 @@ func (s *Server) Serve(p *aegis.Process, sock *udp.Socket, count int) {
 //	[20] payload (name bytes or write data)
 //
 // Reply: [0] xid  [4] status  [8...] result.
+//
+// The reply is built in s.reply, over whatever the previous one left there.
 func (s *Server) dispatch(req []byte) []byte {
 	if len(req) < 20 {
-		return rpcReply(0, ErrBadXdr, nil)
+		return s.header(0, ErrBadXdr)
 	}
 	xid := be32(req[0:])
 	proc := be32(req[4:])
@@ -132,43 +138,41 @@ func (s *Server) dispatch(req []byte) []byte {
 	argB := be32(req[16:])
 	payload := req[20:]
 
-	fail := func(code uint32) []byte { return rpcReply(xid, code, nil) }
 	f, ok := s.files[fh]
 	if proc != ProcNull && !ok {
-		return fail(ErrNoEnt)
+		return s.header(xid, ErrNoEnt)
 	}
 
 	switch proc {
 	case ProcNull:
 		s.Served[ProcNull]++
-		return rpcReply(xid, OK, nil)
+		return s.header(xid, OK)
 
 	case ProcGetAttr:
 		s.Served[ProcGetAttr]++
-		return rpcReply(xid, OK, marshalAttr(f.attr))
+		return appendAttr(s.header(xid, OK), f.attr)
 
 	case ProcLookup:
 		if !f.attr.IsDir {
-			return fail(ErrNotDir)
+			return s.header(xid, ErrNotDir)
 		}
 		if int(argA) > len(payload) {
-			return fail(ErrBadXdr)
+			return s.header(xid, ErrBadXdr)
 		}
-		name := string(payload[:argA])
-		child, ok := f.children[name]
+		child, ok := f.children[string(payload[:argA])]
 		if !ok {
-			return fail(ErrNoEnt)
+			return s.header(xid, ErrNoEnt)
 		}
 		s.Served[ProcLookup]++
-		return rpcReply(xid, OK, marshalAttr(s.files[child].attr))
+		return appendAttr(s.header(xid, OK), s.files[child].attr)
 
 	case ProcRead:
 		if f.attr.IsDir {
-			return fail(ErrIO)
+			return s.header(xid, ErrIO)
 		}
 		off, n := argA, argB
 		if n > MaxIO {
-			return fail(ErrFBig)
+			return s.header(xid, ErrFBig)
 		}
 		if off > uint32(len(f.data)) {
 			off = uint32(len(f.data))
@@ -178,18 +182,18 @@ func (s *Server) dispatch(req []byte) []byte {
 			end = uint32(len(f.data))
 		}
 		s.Served[ProcRead]++
-		out := marshalAttr(f.attr)
+		out := appendAttr(s.header(xid, OK), f.attr)
 		out = binary.BigEndian.AppendUint32(out, end-off)
-		return rpcReply(xid, OK, append(out, f.data[off:end]...))
+		return append(out, f.data[off:end]...)
 
 	case ProcWrite:
 		if f.attr.IsDir {
-			return fail(ErrIO)
+			return s.header(xid, ErrIO)
 		}
 		off := argA
 		data := payload
 		if len(data) > MaxIO {
-			return fail(ErrFBig)
+			return s.header(xid, ErrFBig)
 		}
 		end := int(off) + len(data)
 		if end > len(f.data) {
@@ -200,47 +204,47 @@ func (s *Server) dispatch(req []byte) []byte {
 		}
 		copy(f.data[off:], data)
 		s.Served[ProcWrite]++
-		return rpcReply(xid, OK, marshalAttr(f.attr))
+		return appendAttr(s.header(xid, OK), f.attr)
 
 	case ProcCreate:
 		if !f.attr.IsDir {
-			return fail(ErrNotDir)
+			return s.header(xid, ErrNotDir)
 		}
 		if int(argA) > len(payload) {
-			return fail(ErrBadXdr)
+			return s.header(xid, ErrBadXdr)
 		}
 		name := string(payload[:argA])
 		if _, exists := f.children[name]; exists {
 			// Idempotent retransmission of CREATE: return the existing file.
 			s.Served[ProcCreate]++
-			return rpcReply(xid, OK, marshalAttr(s.files[f.children[name]].attr))
+			return appendAttr(s.header(xid, OK), s.files[f.children[name]].attr)
 		}
 		fh := s.nextFH
 		s.nextFH++
 		s.files[fh] = &file{attr: Attr{Handle: fh}}
 		f.children[name] = fh
 		s.Served[ProcCreate]++
-		return rpcReply(xid, OK, marshalAttr(s.files[fh].attr))
+		return appendAttr(s.header(xid, OK), s.files[fh].attr)
 	}
-	return fail(ErrBadProc)
+	return s.header(xid, ErrBadProc)
 }
 
 func be32(b []byte) uint32 { return binary.BigEndian.Uint32(b) }
 
-func rpcReply(xid, status uint32, body []byte) []byte {
-	out := binary.BigEndian.AppendUint32(nil, xid)
-	out = binary.BigEndian.AppendUint32(out, status)
-	return append(out, body...)
+// header starts a reply in s.reply: xid, then status.
+func (s *Server) header(xid, status uint32) []byte {
+	return binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint32(s.reply[:0], xid), status)
 }
 
-func marshalAttr(a Attr) []byte {
-	out := binary.BigEndian.AppendUint32(nil, uint32(a.Handle))
+// appendAttr appends a's wire form to b.
+func appendAttr(b []byte, a Attr) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(a.Handle))
 	d := uint32(0)
 	if a.IsDir {
 		d = 1
 	}
-	out = binary.BigEndian.AppendUint32(out, d)
-	return binary.BigEndian.AppendUint32(out, a.Size)
+	b = binary.BigEndian.AppendUint32(b, d)
+	return binary.BigEndian.AppendUint32(b, a.Size)
 }
 
 func unmarshalAttr(b []byte) (Attr, error) {
@@ -267,6 +271,10 @@ type Client struct {
 	xid uint32
 	// Resent counts retransmitted requests.
 	Resent uint64
+
+	// req is the request being sent and reply the last reply received;
+	// both are reused from call to call.
+	req, reply []byte
 }
 
 // NewClient builds a client for server addr:port over sock.
@@ -275,16 +283,19 @@ func NewClient(sock *udp.Socket, server ip.Addr, port uint16) *Client {
 		RetryUs: 100_000, MaxRetryUs: 800_000, Retries: 5}
 }
 
-// call performs one RPC.
+// call performs one RPC. The result it returns lies in c.reply and is valid
+// until the next call; payload is copied out before anything is received,
+// so it may be an earlier call's result.
 func (c *Client) call(p *aegis.Process, proc uint32, fh Handle, a, b uint32, payload []byte) (uint32, []byte, error) {
 	c.xid++
 	xid := c.xid
-	req := binary.BigEndian.AppendUint32(nil, xid)
+	req := binary.BigEndian.AppendUint32(c.req[:0], xid)
 	req = binary.BigEndian.AppendUint32(req, proc)
 	req = binary.BigEndian.AppendUint32(req, uint32(fh))
 	req = binary.BigEndian.AppendUint32(req, a)
 	req = binary.BigEndian.AppendUint32(req, b)
 	req = append(req, payload...)
+	c.req = req
 
 	k := c.Sock.St.Ep.Kernel()
 	interval := c.RetryUs
@@ -316,8 +327,9 @@ func (c *Client) call(p *aegis.Process, proc uint32, fh Handle, a, b uint32, pay
 			if !ok {
 				break // timeout: retransmit
 			}
-			reply := append([]byte(nil), m.Bytes(k)...)
+			reply := append(c.reply[:0], m.Bytes(k)...)
 			c.Sock.Release(m)
+			c.reply = reply
 			if len(reply) < 8 || be32(reply) != xid {
 				continue // stale reply to an earlier xid
 			}
@@ -350,7 +362,9 @@ func (c *Client) GetAttr(p *aegis.Process, fh Handle) (Attr, error) {
 	return unmarshalAttr(body)
 }
 
-// Read fetches up to n bytes at offset off.
+// Read fetches up to n bytes at offset off. The bytes lie in the client's
+// reply buffer: they are valid until c's next call, which may take them as
+// its payload (Write copies them out before the reply overwrites them).
 func (c *Client) Read(p *aegis.Process, fh Handle, off, n uint32) ([]byte, error) {
 	status, body, err := c.call(p, ProcRead, fh, off, n, nil)
 	if err != nil {

@@ -24,6 +24,15 @@ func world(t *testing.T, srv *Server, requests int, body func(p *aegis.Process, 
 // runs (see netdev.Switch.Inject).
 func worldWire(t *testing.T, srv *Server, requests int, inject func(*netdev.PacketBuf) bool, body func(p *aegis.Process, c *Client)) *netdev.Switch {
 	t.Helper()
+	eng, sw := spawnWorld(t, srv, requests, inject, body)
+	eng.Run()
+	return sw
+}
+
+// spawnWorld is worldWire without the run: the server and the client are
+// spawned on the returned engine, which has fired nothing yet.
+func spawnWorld(t *testing.T, srv *Server, requests int, inject func(*netdev.PacketBuf) bool, body func(p *aegis.Process, c *Client)) (*sim.Engine, *netdev.Switch) {
+	t.Helper()
 	eng := sim.NewEngine()
 	prof := mach.DS5000_240()
 	sw := netdev.NewSwitch(eng, prof, netdev.AN2Config())
@@ -61,8 +70,52 @@ func worldWire(t *testing.T, srv *Server, requests int, inject func(*netdev.Pack
 		sock := udp.NewSocket(st, 900, udp.Options{Checksum: true})
 		body(p, NewClient(sock, ip2, 2049))
 	})
-	eng.Run()
-	return sw
+	return eng, sw
+}
+
+// TestRPCDoesNotAllocate: once warm, a GetAttr, a Read and a Write allocate
+// nothing, client and server both — each side marshals into and copies out
+// of its own reused buffers. The client stops the engine after every round,
+// so one Run is one round of three RPCs.
+func TestRPCDoesNotAllocate(t *testing.T) {
+	srv := NewServer()
+	fh := srv.AddFile("f", make([]byte, MaxIO))
+	out := make([]byte, 2048)
+	for i := range out {
+		out[i] = byte(i)
+	}
+	rounds := 0
+	eng, _ := spawnWorld(t, srv, 0, nil, func(p *aegis.Process, c *Client) {
+		for {
+			if _, err := c.GetAttr(p, fh); err != nil {
+				t.Error(err)
+				return
+			}
+			in, err := c.Read(p, fh, 1024, 2048)
+			if err != nil || len(in) != 2048 {
+				t.Errorf("read: %d bytes, %v", len(in), err)
+				return
+			}
+			if _, err := c.Write(p, fh, 0, out); err != nil {
+				t.Error(err)
+				return
+			}
+			rounds++
+			p.K.Eng.Stop()
+		}
+	})
+	defer eng.Close()
+	for i := 0; i < 10; i++ {
+		eng.Run()
+	}
+	warm := rounds
+	allocs := testing.AllocsPerRun(100, eng.Run)
+	if rounds != warm+101 || t.Failed() {
+		t.Fatalf("%d rounds for 101 runs", rounds-warm)
+	}
+	if allocs != 0 {
+		t.Errorf("a warm GetAttr+Read+Write round allocates %v times, want 0", allocs)
+	}
 }
 
 func TestLookupGetAttrRead(t *testing.T) {
