@@ -61,7 +61,11 @@ go test -race ./...
 #            once, the public World.Close
 #   sandbox  three-way differential: every crl handler x both budget modes x
 #            measured + adversarial profiles, the profitability pin, the
-#            committed adversarial-profile shapes, the quick random sweep
+#            committed adversarial-profile shapes, the quick random sweep;
+#            a stray access is reported whether it lands or faults, and
+#            harness inputs outside the region are errors; a build is
+#            compiled once, shared by every hit at a flat cost, and no
+#            caller writes into it
 #   sandbox, the lending contract of vcode.Memory over every memory in the
 #   vcode    tree, the escape guard's any-byte latch; Journal.Undo restores a
 #            snapshot after random overlapping stores and a second
@@ -96,7 +100,7 @@ done <<'EOF'
 ./internal/aegis/:^TestReceiveMatrix$|^TestFrontHalfOrder$|^TestFreeChecksTheIndex$|^TestRefusedSendIsCounted$
 ./internal/bench/:^TestPoolLeakGate$|^TestWorldReuse$|^TestWorldShape$|^TestWorldSpecFieldsInUse$
 .:^TestWorldClose$
-./internal/sandbox/:TestThreeWayRegistry|TestReoptActuallyImproves|TestReoptProfileSeeds|TestDifferentialSFIQuick
+./internal/sandbox/:TestThreeWayRegistry|TestReoptActuallyImproves|TestReoptProfileSeeds|TestDifferentialSFIQuick|^TestThreeWayReportsEscape$|^TestDiffInputsOutsideTheRegion$|^TestCompileCacheHitMatchesMiss$|^TestCacheHitCostIsFlat$|^TestCachedBuildsStayUnchanged$
 ./internal/sandbox/:^TestMemoryConformance$|^TestEscapeGuardLatchesOnAnyByte$
 ./internal/vcode/:^TestJournalUndoProperty$
 ./internal/core/:TestReopt|TestChainDisposition|^TestHandlerBaseParity$

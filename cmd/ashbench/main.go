@@ -43,6 +43,7 @@ import (
 	"ashs/internal/aegis"
 	"ashs/internal/bench"
 	"ashs/internal/obs"
+	"ashs/internal/sandbox"
 )
 
 func main() {
@@ -108,6 +109,11 @@ func main() {
 	a := aegis.ArenaStats()
 	fmt.Fprintf(os.Stderr, "[host memory arenas: %d leases, %d returned, %d grown, %.1f MiB zeroed on return]\n",
 		a.Leases, a.Returned, a.Grown, float64(a.ZeroedBytes)/(1<<20))
+	// The compile cache: how often a download reused a verified build. Not
+	// a function of the simulations alone: cells that miss on the same
+	// program at once each count a miss, so the parallel counts differ.
+	hits, misses := sandbox.CacheStats()
+	fmt.Fprintf(os.Stderr, "[compile cache: %d hits, %d misses, %d entries]\n", hits, misses, sandbox.CacheEntries())
 	// And the schedule itself: the first four are functions of the
 	// simulations alone (ci.sh compares the -quick -parallel 1 line with
 	// ashbench_counts.txt); elided (how many of those handoffs the sleeping

@@ -14,10 +14,13 @@ import (
 // sweeps download the same handful of handler programs thousands of times
 // (once per freshly built testbed), so verification and SFI instrumentation
 // are memoized under a sha256 key of program fingerprint + policy
-// fingerprint. Cached builds are cloned on every hit — callers own their
-// Program outright, exactly as if it had been instrumented from scratch —
-// so the cache is invisible except in wall time. It is safe under
-// concurrent use (the parallel bench runner compiles from many goroutines).
+// fingerprint. A build is compiled once and then shared: every caller gets
+// its own Program struct, carrying its own policy pointer, over the same
+// Orig, Code and JmpTable. That is why a build is read-only (see Program).
+// A hit costs one small struct whatever the program's size, and the cache
+// is invisible except in wall time. It is safe under concurrent use (the
+// parallel bench runner compiles from many goroutines, and shared builds
+// are only ever read).
 
 // cacheKey addresses one (program, policy) pair by content.
 type cacheKey struct {
@@ -37,6 +40,8 @@ var cache struct {
 	build  map[cacheKey]*Program
 	hits   uint64
 	misses uint64
+	// onInsert, when set, sees every build as it enters (test hook).
+	onInsert func(*Program)
 }
 
 // policyFingerprint hashes every policy field that can influence
@@ -89,14 +94,12 @@ func keyOf(p *vcode.Program, pol *Policy) cacheKey {
 	return cacheKey{prog: p.Fingerprint(), pol: policyFingerprint(pol)}
 }
 
-// cloneFor deep-copies a cached build for a new caller. The caller's own
-// policy pointer is installed so identity comparisons against the policy
-// they passed in keep working.
-func (sp *Program) cloneFor(pol *Policy) *Program {
+// withPolicy hands a cached build to a caller: a copy of the Program struct
+// that shares the build's code and carries the caller's own policy pointer,
+// so identity comparisons against the policy they passed in keep working
+// and replacing a field of their Program leaves the cache alone.
+func (sp *Program) withPolicy(pol *Policy) *Program {
 	cp := *sp
-	cp.Orig = sp.Orig.Clone()
-	cp.Code = sp.Code.Clone()
-	cp.JmpTable = append([]int(nil), sp.JmpTable...)
 	cp.Policy = pol
 	return &cp
 }
@@ -104,8 +107,10 @@ func (sp *Program) cloneFor(pol *Policy) *Program {
 // Verify performs the download-time static checks and returns nil if the
 // program may be instrumented and installed. Results (rejections included)
 // are memoized by content.
-func Verify(p *vcode.Program, pol *Policy) error {
-	k := keyOf(p, pol)
+func Verify(p *vcode.Program, pol *Policy) error { return verifyKeyed(keyOf(p, pol), p, pol) }
+
+// verifyKeyed is Verify under a key the caller has already computed.
+func verifyKeyed(k cacheKey, p *vcode.Program, pol *Policy) error {
 	cache.Lock()
 	if err, ok := cache.verify[k]; ok {
 		cache.hits++
@@ -125,18 +130,21 @@ func Verify(p *vcode.Program, pol *Policy) error {
 }
 
 // Sandbox verifies and instruments a program under pol. The input program
-// is not modified; the returned Program keeps its own private copy. Builds
-// are memoized by content and cloned on every hit.
+// is not modified, and the build does not alias it: Orig is a copy taken
+// at the miss. Builds are memoized by content and shared by every hit.
 func Sandbox(p *vcode.Program, pol *Policy) (*Program, error) {
 	k := keyOf(p, pol)
 	cache.Lock()
 	if sp, ok := cache.build[k]; ok {
 		cache.hits++
 		cache.Unlock()
-		return sp.cloneFor(pol), nil
+		return sp.withPolicy(pol), nil
 	}
 	cache.misses++
 	cache.Unlock()
+	if err := verifyKeyed(k, p, pol); err != nil {
+		return nil, err
+	}
 	sp, err := compile(p, pol)
 	if err != nil {
 		return nil, err
@@ -145,11 +153,12 @@ func Sandbox(p *vcode.Program, pol *Policy) (*Program, error) {
 	if cache.build == nil || len(cache.build) >= cacheCap {
 		cache.build = make(map[cacheKey]*Program)
 	}
-	// Store a private clone: the built Program is handed to the caller,
-	// who may attach it to a machine, and must never alias cache state.
-	cache.build[k] = sp.cloneFor(pol)
+	cache.build[k] = sp
+	if cache.onInsert != nil {
+		cache.onInsert(sp)
+	}
 	cache.Unlock()
-	return sp, nil
+	return sp.withPolicy(pol), nil
 }
 
 // CacheStats reports cumulative compile-cache hits and misses (Verify and
@@ -158,6 +167,14 @@ func CacheStats() (hits, misses uint64) {
 	cache.Lock()
 	defer cache.Unlock()
 	return cache.hits, cache.misses
+}
+
+// CacheEntries reports how many results the compile cache holds now:
+// verification outcomes and builds together, as CacheStats counts them.
+func CacheEntries() int {
+	cache.Lock()
+	defer cache.Unlock()
+	return len(cache.verify) + len(cache.build)
 }
 
 // ResetCache empties the cache and zeroes the stats (test hook).

@@ -2,6 +2,7 @@ package sandbox
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"ashs/internal/vcode"
@@ -22,6 +23,10 @@ func memProgram(t *testing.T) *vcode.Program {
 	})
 }
 
+// TestCompileCacheHitMatchesMiss: a build is compiled once and shared. A
+// hit carries the caller's policy pointer in a Program of its own, shares
+// the code and jump table of every earlier download, and is what a fresh
+// compile makes.
 func TestCompileCacheHitMatchesMiss(t *testing.T) {
 	ResetCache()
 	pol := DefaultPolicy()
@@ -31,37 +36,94 @@ func TestCompileCacheHitMatchesMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp2, err := Sandbox(p, pol)
+	pol2 := DefaultPolicy()
+	sp2, err := Sandbox(p, pol2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, misses := CacheStats()
-	if hits == 0 || misses == 0 {
-		t.Fatalf("stats after miss+hit: hits=%d misses=%d", hits, misses)
-	}
-	if sp2.Policy != pol {
-		t.Fatal("cached build does not carry the caller's policy pointer")
-	}
-	if !reflect.DeepEqual(sp1.Code.Insns, sp2.Code.Insns) ||
-		!reflect.DeepEqual(sp1.JmpTable, sp2.JmpTable) ||
-		sp1.AddedStatic != sp2.AddedStatic {
-		t.Fatal("cached build differs from fresh build")
-	}
-	if sp1.Code == sp2.Code || &sp1.JmpTable[0] == &sp2.JmpTable[0] {
-		t.Fatal("cache hit aliases a previously returned build")
-	}
-
-	// A caller may do what it likes with its copy; later hits must be
-	// unaffected.
-	sp2.Code.Insns[0] = vcode.Insn{Op: vcode.OpNop}
-	sp2.JmpTable[0] = -1
 	sp3, err := Sandbox(p, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(sp1.Code.Insns, sp3.Code.Insns) ||
-		!reflect.DeepEqual(sp1.JmpTable, sp3.JmpTable) {
-		t.Fatal("mutating a returned build poisoned the cache")
+	// The miss counts once for the build and once for its verification.
+	if hits, misses := CacheStats(); hits != 2 || misses != 2 {
+		t.Fatalf("stats after a miss and two hits: hits=%d misses=%d, want 2 and 2", hits, misses)
+	}
+	if sp1.Policy != pol || sp2.Policy != pol2 || sp3.Policy != pol {
+		t.Fatal("a build does not carry its caller's policy pointer")
+	}
+	if sp1 == sp2 || sp1 == sp3 || sp2 == sp3 {
+		t.Fatal("two downloads share one Program struct")
+	}
+	for _, sp := range []*Program{sp2, sp3} {
+		if &sp.Code.Insns[0] != &sp1.Code.Insns[0] || &sp.Orig.Insns[0] != &sp1.Orig.Insns[0] ||
+			&sp.JmpTable[0] != &sp1.JmpTable[0] {
+			t.Fatal("a cache hit copied the build instead of sharing it")
+		}
+	}
+	fresh, err := compile(p, pol2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sp2, fresh) {
+		t.Fatalf("cache hit differs from a fresh compile:\n%+v\n%+v", sp2, fresh)
+	}
+
+	// A caller may replace the fields of its own Program; later hits must
+	// be unaffected.
+	sp2.Code, sp2.JmpTable, sp2.Policy = nil, nil, nil
+	sp4, err := Sandbox(p, pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sp4, sp1) {
+		t.Fatal("replacing a field of a returned build changed the cache")
+	}
+}
+
+// TestCacheHitCostIsFlat: a hit hashes the program and hands out a small
+// struct; it copies nothing, so it costs the same on a handler a hundred
+// times longer. (The mallocs alone would not see a deep copy: one append
+// is one malloc at any length. The bytes do.)
+func TestCacheHitCostIsFlat(t *testing.T) {
+	ResetCache()
+	pol := DefaultPolicy()
+	straight := func(n int) *vcode.Program {
+		return assemble(t, func(b *vcode.Builder) {
+			r := b.Temp()
+			for i := 0; i < n-1; i++ { // and the Ret Assemble appends
+				b.AddIU(r, r, 1)
+			}
+		})
+	}
+	type cost struct{ allocs, bytes float64 }
+	hitCost := func(p *vcode.Program) cost {
+		hit := func() {
+			if _, err := Sandbox(p, pol); err != nil {
+				t.Fatal(err)
+			}
+		}
+		hit() // the miss
+		const runs = 200
+		allocs := testing.AllocsPerRun(runs, hit)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < runs; i++ {
+			hit()
+		}
+		runtime.ReadMemStats(&m1)
+		return cost{allocs, float64(m1.TotalAlloc-m0.TotalAlloc) / runs}
+	}
+	small, large := straight(8), straight(800)
+	if len(small.Insns) != 8 || len(large.Insns) != 800 {
+		t.Fatalf("programs of %d and %d instructions, want 8 and 800", len(small.Insns), len(large.Insns))
+	}
+	cs, cl := hitCost(small), hitCost(large)
+	// A few bytes of slack for whatever else the runtime allocated meanwhile;
+	// copying 800 instructions would cost tens of KiB.
+	if cs.allocs != cl.allocs || cl.bytes > cs.bytes+64 {
+		t.Fatalf("a hit on 8 instructions costs %v allocs, %.0f B; on 800, %v allocs, %.0f B",
+			cs.allocs, cs.bytes, cl.allocs, cl.bytes)
 	}
 }
 
@@ -135,7 +197,7 @@ func TestCacheDistinguishesProfiles(t *testing.T) {
 	}
 
 	// Same profile contents under a fresh policy pointer: must hit, and
-	// the clone must carry the caller's pointer, not the cached one.
+	// the hit must carry the caller's pointer, not the cached one.
 	again := DefaultPolicy()
 	again.Optimize = true
 	again.Profile = &reopt.Profile{Handler: p.Name, Invocations: 4,

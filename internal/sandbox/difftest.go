@@ -33,9 +33,11 @@ const (
 	DiffLimit = 0x4000
 )
 
-// diffMemSize is the full flat memory, much larger than the region, so
-// escapes land in real (guarded) memory instead of faulting on load.
-const diffMemSize = 0x20000
+// diffMemSize is the flat memory, [0, DiffLimit): the region and what lies
+// below it. An access beyond it faults, and that hides no escape: the
+// escape guard latches any request outside the region before the memory
+// answers it, and ThreeWay reads the latch before it compares faults.
+const diffMemSize = DiffLimit
 
 // DiffConfig parameterizes a ThreeWay run.
 type DiffConfig struct {
@@ -44,10 +46,12 @@ type DiffConfig struct {
 	// Rounds is how many messages each variant handles (default 1).
 	Rounds int
 	// Msg builds the i'th message, written at DiffBase with RArg0/RArg1
-	// pointing at it. Nil runs the program with zeroed arguments.
+	// pointing at it; one longer than the region is an error. Nil runs
+	// the program with zeroed arguments.
 	Msg func(i int) []byte
 	// Setup seeds region memory after the deterministic fill (segment
-	// tables and the like), via store(addr, word).
+	// tables and the like), via store(addr, word); a word outside the
+	// region is an error.
 	Setup func(store func(addr, val uint32))
 	// InsnBudget starves the software budget when nonzero (default is
 	// generous). Starved runs imply ConfinementOnly: the coarse drain
@@ -126,7 +130,19 @@ func newDiffVariant(p *vcode.Program, pol *Policy, cfg *DiffConfig) (*diffVarian
 		binary.BigEndian.PutUint32(v.flat.Data[a:], a*2654435761)
 	}
 	if cfg.Setup != nil {
-		cfg.Setup(func(addr, val uint32) { _ = vcode.Store32(v.flat, addr, val) })
+		cfg.Setup(func(addr, val uint32) {
+			if err != nil {
+				return
+			}
+			if addr < DiffBase || uint64(addr)+4 > DiffLimit {
+				err = fmt.Errorf("sandbox: setup store at %#x is outside the region [%#x, %#x)", addr, DiffBase, DiffLimit)
+				return
+			}
+			err = vcode.Store32(v.flat, addr, val)
+		})
+		if err != nil {
+			return nil, err
+		}
 	}
 	v.guard = &escapeGuard{inner: v.flat, lo: DiffBase, hi: DiffLimit}
 	v.m = vcode.NewMachine(mach.DS5000_240(), v.guard)
@@ -199,11 +215,15 @@ func diffSyscalls(v *diffVariant) map[string]vcode.SyscallFn {
 	}
 }
 
-// round delivers the i'th message and runs the handler once.
-func (v *diffVariant) round(i int, cfg *DiffConfig) *vcode.Fault {
+// round delivers the i'th message and runs the handler once. A message the
+// region cannot hold is an error in the input, not a handler fault.
+func (v *diffVariant) round(i int, cfg *DiffConfig) (*vcode.Fault, error) {
 	var msg []byte
 	if cfg.Msg != nil {
 		msg = cfg.Msg(i)
+	}
+	if len(msg) > DiffLimit-DiffBase {
+		return nil, fmt.Errorf("sandbox: message %d is %d bytes; the region holds %d", i, len(msg), DiffLimit-DiffBase)
 	}
 	copy(v.flat.Data[DiffBase:], msg)
 	v.msgLen = len(msg)
@@ -211,7 +231,7 @@ func (v *diffVariant) round(i int, cfg *DiffConfig) *vcode.Fault {
 	v.m.Regs[vcode.RArg1] = uint32(len(msg))
 	v.m.Regs[vcode.RArg2] = 0
 	v.m.Regs[vcode.RArg3] = uint32(i)
-	return v.m.Run(v.sp.Code)
+	return v.m.Run(v.sp.Code), nil
 }
 
 // GatherProfile runs p under naive instrumentation with per-instruction
@@ -231,7 +251,11 @@ func GatherProfile(p *vcode.Program, cfg DiffConfig) (*reopt.Profile, error) {
 		rounds = 1
 	}
 	for i := 0; i < rounds; i++ {
-		if f := v.round(i, &cfg); f != nil {
+		f, err := v.round(i, &cfg)
+		if err != nil {
+			return nil, err
+		}
+		if f != nil {
 			break // partial profiles are fine: any profile must be safe
 		}
 	}
@@ -250,7 +274,8 @@ func GatherProfile(p *vcode.Program, cfg DiffConfig) (*reopt.Profile, error) {
 // equivalence oracle, using prof for the reoptimized variant (nil
 // gathers one with a profiled naive pre-pass). A non-nil error is a
 // divergence — a genuine optimizer bug, never an artifact of the input
-// program or profile.
+// program or profile — unless it says the program does not verify or the
+// configuration puts a message or setup word outside the region.
 func ThreeWay(p *vcode.Program, prof *reopt.Profile, cfg DiffConfig) (*DiffOutcome, error) {
 	if prof == nil {
 		var err error
@@ -286,7 +311,10 @@ func ThreeWay(p *vcode.Program, prof *reopt.Profile, cfg DiffConfig) (*DiffOutco
 	for i := 0; i < rounds; i++ {
 		var faults [3]*vcode.Fault
 		for k, v := range vs {
-			faults[k] = v.round(i, &cfg)
+			var err error
+			if faults[k], err = v.round(i, &cfg); err != nil {
+				return nil, err
+			}
 			if v.guard.escaped {
 				return nil, fmt.Errorf("%s escaped the region on round %d\n%s",
 					names[k], i, v.sp.Code)

@@ -239,3 +239,67 @@ func TestEscapeGuardLatchesOnAnyByte(t *testing.T) {
 		}
 	}
 }
+
+// TestThreeWayReportsEscape: the harness memory ends where the region does,
+// so a stray access may fault instead of landing; the escape is reported
+// either way. Under an x86 policy nothing is instrumented, so each program
+// really makes its stray access, just past the region, just below it, and
+// deep in what used to be harness memory.
+func TestThreeWayReportsEscape(t *testing.T) {
+	x86 := DefaultPolicy()
+	x86.Hardware = HardwareX86
+	for _, c := range []struct {
+		name  string
+		addr  uint32
+		store bool
+	}{
+		{"store at the limit", DiffLimit, true},
+		{"load below the base", DiffBase - 4, false},
+		{"store far beyond the region", 0x1f000, true},
+	} {
+		p := assemble(t, func(b *vcode.Builder) {
+			r, v := b.Temp(), b.Temp()
+			b.MovI(r, int32(c.addr))
+			if c.store {
+				b.St32(r, 0, v)
+			} else {
+				b.Ld32(vcode.RRet, r, 0)
+			}
+		})
+		v, err := newDiffVariant(p, x86, &DiffConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := v.round(0, &DiffConfig{}); err != nil {
+			t.Fatal(err)
+		}
+		if !v.guard.escaped {
+			t.Errorf("%s: the guard did not latch", c.name)
+		}
+	}
+}
+
+// TestDiffInputsOutsideTheRegion: a setup word or a message the region
+// cannot hold is an error, not silently dropped or cut short.
+func TestDiffInputsOutsideTheRegion(t *testing.T) {
+	p := assemble(t, func(b *vcode.Builder) { b.MovI(vcode.RRet, 0) })
+	for _, c := range []struct {
+		name string
+		cfg  DiffConfig
+	}{
+		{"setup below the region", DiffConfig{Setup: func(store func(addr, val uint32)) { store(DiffBase-4, 1) }}},
+		{"setup straddling the limit", DiffConfig{Setup: func(store func(addr, val uint32)) { store(DiffLimit-2, 1) }}},
+		{"message longer than the region", DiffConfig{Msg: func(int) []byte { return make([]byte, DiffLimit-DiffBase+1) }}},
+	} {
+		if _, err := ThreeWay(p, nil, c.cfg); err == nil {
+			t.Errorf("%s: ThreeWay accepted it", c.name)
+		}
+	}
+	fits := DiffConfig{
+		Setup: func(store func(addr, val uint32)) { store(DiffLimit-4, 1) },
+		Msg:   func(int) []byte { return make([]byte, DiffLimit-DiffBase) },
+	}
+	if _, err := ThreeWay(p, nil, fits); err != nil {
+		t.Errorf("inputs that fill the region exactly: %v", err)
+	}
+}

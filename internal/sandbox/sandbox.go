@@ -22,6 +22,12 @@
 // On x86 the paper uses segmentation hardware instead of software checks;
 // HardwareX86 models that: verification still happens, but no instructions
 // are added.
+//
+// As in the paper, a handler is verified and instrumented once. Sandbox
+// memoizes builds by content and every later download of the same program
+// under the same policy shares the first build, so a build is read-only: a
+// caller may replace a field of its *Program but never writes into Code,
+// Orig or JmpTable.
 package sandbox
 
 import (
@@ -213,7 +219,9 @@ func writesReg(in vcode.Insn, r vcode.Reg) bool {
 	return in.Rd == r
 }
 
-// Program is a verified, instrumented handler ready for installation.
+// Program is a verified, instrumented handler ready for installation. Its
+// Orig, Code and JmpTable are shared with every other download of the same
+// build and must not be written into; the struct itself is the caller's.
 type Program struct {
 	Orig *vcode.Program // pre-sandbox code (for instruction accounting)
 	Code *vcode.Program // instrumented code actually executed
@@ -239,15 +247,14 @@ type Program struct {
 	DivChecksHoisted int
 }
 
-// compile is the uncached implementation behind Sandbox. It goes through
-// the cached Verify so a rejection is remembered alongside builds.
+// compile is the uncached instrumentation behind Sandbox, which has already
+// verified p. The build copies p once and never aliases it.
 func compile(p *vcode.Program, pol *Policy) (*Program, error) {
-	if err := Verify(p, pol); err != nil {
-		return nil, err
-	}
+	orig := p.Clone()
 	if pol.Hardware == HardwareX86 {
-		// Segmentation hardware isolates the handler: no software checks.
-		return &Program{Orig: p.Clone(), Code: p.Clone(), JmpTable: identity(len(p.Insns)), Policy: pol}, nil
+		// Segmentation hardware isolates the handler: no software checks,
+		// so the code that runs is the original itself.
+		return &Program{Orig: orig, Code: orig, JmpTable: identity(len(p.Insns)), Policy: pol}, nil
 	}
 
 	var (
@@ -268,11 +275,11 @@ func compile(p *vcode.Program, pol *Policy) (*Program, error) {
 	code := &vcode.Program{
 		Name:       p.Name + ".sandboxed",
 		Insns:      out,
-		Persistent: append([]vcode.Reg(nil), p.Persistent...),
+		Persistent: orig.Persistent,
 		NextReg:    p.NextReg,
 	}
 	sp := &Program{
-		Orig:             p.Clone(),
+		Orig:             orig,
 		Code:             code,
 		JmpTable:         oldToNew,
 		AddedStatic:      len(out) - len(p.Insns),

@@ -271,7 +271,9 @@ func (p *Program) String() string {
 	return s
 }
 
-// Clone returns a deep copy (the sandboxer rewrites programs in place).
+// Clone returns a deep copy, for a holder that must not see later writes
+// to the caller's program: the sandbox keeps one as a build's Orig, and an
+// unsafe download keeps one as the code it runs.
 func (p *Program) Clone() *Program {
 	q := &Program{
 		Name:       p.Name,
