@@ -386,8 +386,9 @@ type (
 	HTTPServer = http.Server
 	// HTTPResponse is a parsed HTTP response.
 	HTTPResponse = http.Response
-	// LinkEndpoint is a raw network attachment.
-	LinkEndpoint = link.Endpoint
+	// LinkEndpoint is a raw network attachment: a process's kernel
+	// binding on one AN2 circuit or Ethernet filter.
+	LinkEndpoint = link.Link
 	// LinkAddr is a link-level address.
 	LinkAddr = link.Addr
 )

@@ -21,6 +21,15 @@ go vet ./...
 echo "== go build"
 go build ./...
 
+# The examples are the only programs that drive the public ashs facade and
+# proto/http end to end, so each one runs here, not just builds.
+echo "== examples"
+for dir in examples/*/; do
+    name=$(basename "$dir")
+    echo "-- go run ./examples/$name"
+    go run "./examples/$name" >/dev/null
+done
+
 # cmd/perfbench is a module of its own (go.mod: replace ashs => ../..), so
 # the root ./... patterns never descend into it. Vet and test it here: a
 # root change that breaks its build (a go-directive bump in the root

@@ -77,7 +77,7 @@ func measure(useASH bool) float64 {
 	return rt
 }
 
-func mustBind(w *ashs.World, host int, p *ashs.Process, vc int) ashs.LinkEndpoint {
+func mustBind(w *ashs.World, host int, p *ashs.Process, vc int) *ashs.LinkEndpoint {
 	st := w.IPStackAN2(p, host, vc)
 	return st.Ep
 }

@@ -7,7 +7,6 @@ import (
 	"ashs/internal/core"
 	"ashs/internal/proto/ether"
 	"ashs/internal/proto/ip"
-	"ashs/internal/proto/link"
 	"ashs/internal/proto/nfs"
 	"ashs/internal/proto/tcp"
 	"ashs/internal/proto/udp"
@@ -148,7 +147,7 @@ func (w *world) startNFSD(size, highWater int) (nfs.Handle, []byte) {
 	fh := nfsd.AddFile("fanin", data)
 	srv.k.Spawn("nfsd", func(p *aegis.Process) {
 		st := ethStack(p, srv, listenFilter(srv.ip, ip.ProtoUDP, scaleNFSPort), w.res)
-		st.Ep.(*link.Link).Binding().Ring.HighWater = highWater
+		st.Ep.Binding().Ring.HighWater = highWater
 		nfsd.Serve(p, udp.NewSocket(st, scaleNFSPort, udp.Options{}), 0)
 	})
 	return fh, data

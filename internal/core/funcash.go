@@ -71,7 +71,7 @@ func (f *FuncASH) HandleMsg(mc *aegis.MsgCtx) aegis.Disposition {
 		// Watchdog arm + sandbox entry sequence.
 		mc.Charge(sim.Time(prof.TimerArmCycles + sandbox.PrologueLen))
 	}
-	f.ctx = Ctx{mc: mc, sys: f.sys, owner: f.Owner, sandboxed: f.Sandboxed}
+	f.ctx = Ctx{mc: mc, sys: f.sys, sandboxed: f.Sandboxed}
 	d := f.Fn(&f.ctx)
 	if f.Sandboxed {
 		// Exit sequence + watchdog clear.
@@ -90,23 +90,21 @@ func (f *FuncASH) HandleMsg(mc *aegis.MsgCtx) aegis.Disposition {
 type Ctx struct {
 	mc        *aegis.MsgCtx
 	sys       *System
-	owner     *aegis.Process
 	sandboxed bool
-	userLevel bool
 }
 
 // UpcallCtx wraps a message context for an upcall handler body, so the
 // same protocol fast path can run as either an ASH or an upcall (user
 // level: no sandboxing multiplier, sends pay the system call).
-func (s *System) UpcallCtx(owner *aegis.Process, mc *aegis.MsgCtx) *Ctx {
-	return &Ctx{mc: mc, sys: s, owner: owner, userLevel: true}
+func (s *System) UpcallCtx(mc *aegis.MsgCtx) *Ctx {
+	return &Ctx{mc: mc, sys: s}
 }
 
 // Entry returns the ring entry describing where the message landed.
 func (c *Ctx) Entry() aegis.RingEntry { return c.mc.Entry }
 
 // Data returns the raw message bytes. Reading through Data is "free";
-// handlers declare their modeled access costs via Straightline/Load/Store.
+// handlers declare their modeled access costs via Straightline.
 func (c *Ctx) Data() []byte { return c.mc.Data() }
 
 // Striped reports whether the message sits in an Ethernet buffer in the
@@ -117,9 +115,6 @@ func (c *Ctx) Striped() bool { return c.mc.Striped }
 // striped arrivals index it through aegis.StripedIndex.
 func (c *Ctx) RawData() []byte { return c.mc.RawData() }
 
-// Charge adds raw cycles.
-func (c *Ctx) Charge(cycles sim.Time) { c.mc.Charge(cycles) }
-
 // Straightline models a run of handler code: insns instructions of which
 // memops reference memory. Sandboxed handlers pay 2 extra instructions per
 // memory operation (the SFI staging + check).
@@ -128,26 +123,6 @@ func (c *Ctx) Straightline(insns, memops int) {
 		insns += 2 * memops
 	}
 	c.mc.Charge(sim.Time(insns))
-}
-
-// Load32 reads a word from the owner's address space with cache costing.
-func (c *Ctx) Load32(addr uint32) (uint32, error) {
-	c.chargeMemOp()
-	c.mc.Charge(c.sys.K.Cache.Load(addr))
-	return vcode.Load32(c.owner.AS, addr)
-}
-
-// Store32 writes a word to the owner's address space with cache costing.
-func (c *Ctx) Store32(addr uint32, v uint32) error {
-	c.chargeMemOp()
-	c.mc.Charge(c.sys.K.Cache.Store(addr))
-	return vcode.Store32(c.owner.AS, addr, v)
-}
-
-func (c *Ctx) chargeMemOp() {
-	if c.sandboxed {
-		c.mc.Charge(2)
-	}
 }
 
 // Send transmits a message from the handler (kernel level for ASHs, via

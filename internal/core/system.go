@@ -418,11 +418,3 @@ func (a *ASH) AsUpcall() *aegis.Upcall {
 
 // LastInsns reports the dynamic instruction count of the most recent run.
 func (a *ASH) LastInsns() int64 { return a.machine.Insns }
-
-// AddedStatic reports how many instructions sandboxing added (0 if unsafe).
-func (a *ASH) AddedStatic() int {
-	if a.sandbox == nil {
-		return 0
-	}
-	return a.sandbox.AddedStatic
-}

@@ -35,7 +35,6 @@ type Node struct {
 	// TableSeg holds {base, limit} pairs; TableAddr is its address.
 	tableSeg aegis.Segment
 	nsegs    int
-	segs     []aegis.Segment
 
 	// CounterSeg backs remote increments.
 	CounterSeg aegis.Segment
@@ -67,16 +66,12 @@ func (n *Node) AddSegment(size int, name string) (int, aegis.Segment, error) {
 	}
 	id := n.nsegs
 	n.nsegs++
-	n.segs = append(n.segs, seg)
 	k := n.Sys.K
 	entry := n.tableSeg.Base + uint32(id*8)
 	_ = vcode.Store32(k.Mem, entry, seg.Base)
 	_ = vcode.Store32(k.Mem, entry+4, uint32(size))
 	return id, seg, nil
 }
-
-// Segment returns a registered region.
-func (n *Node) Segment(id int) aegis.Segment { return n.segs[id] }
 
 // TableAddr is the segment table's address (baked into the generic
 // handler's code at download time — dynamic code generation's constant

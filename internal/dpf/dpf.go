@@ -5,13 +5,12 @@
 // two ways: it compiles packet filters to executable code when they are
 // installed (eliminating interpretation overhead), and it uses the filter's
 // constants to aggressively optimize that code. Our analog of "compiling to
-// executable code" is, for one filter, specialization into a closure chain
-// with constants folded (Compile) and, for the engine, merging every
-// installed filter's atoms into one discrimination trie at install time
-// (Engine); the MPF-style baseline (Interpret) walks a generic atom list
-// with fetch/decode/dispatch overhead, so the order-of-magnitude gap the
-// paper reports is reproduced in both modeled cycles and wall-clock
-// benchmarks.
+// executable code" is merging every installed filter's atoms into one
+// discrimination trie at install time (Engine), each trie step priced as a
+// specialized compare (CompiledCyclesPerAtom); the MPF-style baseline
+// (Interpret) walks a generic atom list with fetch/decode/dispatch overhead,
+// so the order-of-magnitude gap the paper reports is reproduced in both
+// modeled cycles and wall-clock benchmarks.
 //
 // The trie is stored flat: nodes, branches, per-id filter records and atoms
 // in index-addressed slabs of 4096-entry pages (the first page grows by
@@ -27,7 +26,6 @@ package dpf
 
 import (
 	"fmt"
-	"sort"
 
 	"ashs/internal/sim"
 )
@@ -105,7 +103,7 @@ func field(pkt []byte, off, size int) (uint32, bool) {
 }
 
 // Match reports whether the filter accepts the packet (reference
-// semantics; compiled and interpreted paths must agree with this).
+// semantics; the trie and interpreted paths must agree with this).
 func (f *Filter) Match(pkt []byte) bool {
 	for _, a := range f.Atoms {
 		v, ok := field(pkt, a.Offset, a.Size)
@@ -136,52 +134,4 @@ func Interpret(f *Filter, pkt []byte) (bool, sim.Time) {
 		}
 	}
 	return true, cycles
-}
-
-// Compiled is a filter specialized at install time.
-type Compiled struct {
-	fn     func(pkt []byte) bool
-	natoms int
-}
-
-// Compile specializes a single filter: constants are folded into the
-// closure chain and full-width masks are eliminated.
-func Compile(f *Filter) *Compiled {
-	// Sort atoms by offset for locality, preserving semantics (conjunction
-	// is order-independent).
-	atoms := append([]Atom(nil), f.Atoms...)
-	sort.SliceStable(atoms, func(i, j int) bool { return atoms[i].Offset < atoms[j].Offset })
-
-	fn := func(pkt []byte) bool { return true }
-	// Build innermost-last so evaluation order matches atom order.
-	for i := len(atoms) - 1; i >= 0; i-- {
-		a := atoms[i]
-		nextFn := fn
-		off, size, msk, val := a.Offset, a.Size, a.mask(), a.Value
-		end := off + size
-		fullMask := msk == (uint32(1)<<(8*size)-1) || size == 4 && msk == 0xffffffff
-		switch {
-		case size == 1 && fullMask:
-			b := byte(val)
-			fn = func(pkt []byte) bool {
-				return end <= len(pkt) && pkt[off] == b && nextFn(pkt)
-			}
-		case size == 2 && fullMask:
-			hi, lo := byte(val>>8), byte(val)
-			fn = func(pkt []byte) bool {
-				return end <= len(pkt) && pkt[off] == hi && pkt[off+1] == lo && nextFn(pkt)
-			}
-		default:
-			fn = func(pkt []byte) bool {
-				v, ok := field(pkt, off, size)
-				return ok && v&msk == val && nextFn(pkt)
-			}
-		}
-	}
-	return &Compiled{fn: fn, natoms: len(atoms)}
-}
-
-// Match runs the compiled filter and returns the modeled cycle cost.
-func (c *Compiled) Match(pkt []byte) (bool, sim.Time) {
-	return c.fn(pkt), sim.Time(c.natoms * CompiledCyclesPerAtom)
 }

@@ -62,7 +62,10 @@ func TestMaskedAtom(t *testing.T) {
 	}
 }
 
-func TestCompiledAgreesWithReference(t *testing.T) {
+// TestInterpretAgreesWithMatch: the interpreted baseline accepts exactly
+// the packets the reference Match accepts, over random filters and packets
+// of which half are forced to match wherever they are long enough.
+func TestInterpretAgreesWithMatch(t *testing.T) {
 	err := quick.Check(func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		f := NewFilter()
@@ -76,7 +79,6 @@ func TestCompiledAgreesWithReference(t *testing.T) {
 				f.Eq32(rng.Intn(56), rng.Uint32())
 			}
 		}
-		c := Compile(f)
 		for trial := 0; trial < 20; trial++ {
 			pkt := make([]byte, rng.Intn(70))
 			rng.Read(pkt)
@@ -90,10 +92,7 @@ func TestCompiledAgreesWithReference(t *testing.T) {
 					}
 				}
 			}
-			want := f.Match(pkt)
-			got, _ := c.Match(pkt)
-			iGot, _ := Interpret(f, pkt)
-			if got != want || iGot != want {
+			if got, _ := Interpret(f, pkt); got != f.Match(pkt) {
 				return false
 			}
 		}
@@ -101,20 +100,6 @@ func TestCompiledAgreesWithReference(t *testing.T) {
 	}, &quick.Config{MaxCount: 100})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCompiledCheaperThanInterpreted(t *testing.T) {
-	f := udpPortFilter(53)
-	c := Compile(f)
-	pkt := mkUDPPacket(0x0800, 17, 53)
-	_, ic := Interpret(f, pkt)
-	_, cc := c.Match(pkt)
-	if cc >= ic {
-		t.Fatalf("compiled cost %d not below interpreted %d", cc, ic)
-	}
-	if float64(ic)/float64(cc) < 3 {
-		t.Fatalf("compiled speedup only %.1fx", float64(ic)/float64(cc))
 	}
 }
 
@@ -290,17 +275,6 @@ func BenchmarkLinearDemux64Filters(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, ok := e.DemuxLinear(pkt); !ok {
-			b.Fatal("miss")
-		}
-	}
-}
-
-func BenchmarkCompiledSingleFilter(b *testing.B) {
-	c := Compile(udpPortFilter(53))
-	pkt := mkUDPPacket(0x0800, 17, 53)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if ok, _ := c.Match(pkt); !ok {
 			b.Fatal("miss")
 		}
 	}

@@ -149,20 +149,6 @@ func CompilePass(p *Pipe) (*Engine, error) {
 	return Compile(l, Options{Output: p.Attrs&NoMod == 0})
 }
 
-// CompileSeparate compiles every pipe in the list as its own pass, in
-// order: the non-integrated processing strategy.
-func CompileSeparate(l *List) ([]*Engine, error) {
-	var engines []*Engine
-	for _, p := range l.pipes {
-		e, err := CompilePass(p)
-		if err != nil {
-			return nil, err
-		}
-		engines = append(engines, e)
-	}
-	return engines, nil
-}
-
 // collectRegs returns every register the body names (other than R0).
 func collectRegs(prog *vcode.Program) []vcode.Reg {
 	seen := map[vcode.Reg]bool{}

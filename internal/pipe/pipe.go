@@ -10,10 +10,11 @@
 // composing a checksum pipe with a byteswap pipe — is reproduced verbatim
 // by Cksum + Byteswap + Compile.
 //
-// For the Table IV comparison the package can also compile the same pipe
-// list in *separate* (non-integrated) form — one full memory traversal per
-// pipe — and in hand-integrated form (HandIntegrated), the "C integrated"
-// row of the paper.
+// For the Table IV comparison the package also compiles one pipe as a pass
+// of its own (CompilePass), from which a caller composes the *separate*
+// (non-integrated) form — one full memory traversal per pipe — and gives
+// the hand-integrated form (HandIntegrated), the "C integrated" row of the
+// paper.
 //
 // Gauges: each pipe declares the width of data it consumes and produces
 // (8, 16 or 32 bits). The fused loop always moves 32-bit words; the

@@ -326,9 +326,13 @@ func TestSeparateVsIntegratedThroughput(t *testing.T) {
 			}
 		}
 		copyEng := CompileCopy()
-		passes, err := CompileSeparate(l)
-		if err != nil {
-			t.Fatal(err)
+		var passes []*Engine
+		for _, p := range l.pipes {
+			pe, err := CompilePass(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			passes = append(passes, pe)
 		}
 		m.Cache.Flush()
 		var total int64

@@ -1,15 +1,12 @@
-// Package arp implements the Address Resolution Protocol (RFC 826) and
-// its inverse lookup (RARP-style reverse queries) for the Ethernet side of
-// the testbed. Each host runs one resolver daemon that answers requests
-// for the host's address and completes outstanding resolutions; protocol
-// stacks plug the daemon in as their ip.Resolver.
+// Package arp implements the Address Resolution Protocol (RFC 826) for the
+// Ethernet side of the testbed. Each host runs one resolver daemon that
+// answers requests for the host's address and completes outstanding
+// resolutions; protocol stacks plug the daemon in as their ip.Resolver.
 package arp
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"ashs/internal/aegis"
 	"ashs/internal/dpf"
@@ -23,9 +20,6 @@ import (
 const (
 	OpRequest = 1
 	OpReply   = 2
-	// OpRevRequest/OpRevReply are the RARP opcodes (RFC 903).
-	OpRevRequest = 3
-	OpRevReply   = 4
 )
 
 // PacketLen is the ARP payload size for Ethernet/IPv4.
@@ -140,16 +134,7 @@ func (s *Service) serve(p *aegis.Process) {
 			reply := Packet{Op: OpReply, SenderMAC: s.MyMAC, SenderIP: s.MyIP,
 				TargetMAC: pkt.SenderMAC, TargetIP: pkt.SenderIP}
 			s.transmit(p, pkt.SenderMAC, &reply)
-		case OpRevRequest:
-			// RARP: answer "what IP belongs to this MAC" for our own MAC.
-			if pkt.TargetMAC != s.MyMAC {
-				continue
-			}
-			s.RequestsServed++
-			reply := Packet{Op: OpRevReply, SenderMAC: s.MyMAC, SenderIP: s.MyIP,
-				TargetMAC: pkt.SenderMAC, TargetIP: pkt.SenderIP}
-			s.transmit(p, pkt.SenderMAC, &reply)
-		case OpReply, OpRevReply:
+		case OpReply:
 			s.RepliesLearned++
 			s.cond.Broadcast(0)
 		}
@@ -172,41 +157,6 @@ func (s *Service) transmit(p *aegis.Process, dst ether.MAC, pkt *Packet) {
 func (s *Service) Lookup(a ip.Addr) (ether.MAC, bool) {
 	m, ok := s.cache[a]
 	return m, ok
-}
-
-// ReverseLookup performs the RARP query (RFC 903 flavour): which protocol
-// address belongs to hardware address m? Diskless DECstations booted this
-// way; here it completes the ARP/RARP pair the paper lists.
-func (s *Service) ReverseLookup(p *aegis.Process, m ether.MAC) (ip.Addr, error) {
-	find := func() (ip.Addr, bool) {
-		// Several protocol addresses may bind to one MAC; the lowest wins
-		// so the answer is independent of map iteration order.
-		var matches []ip.Addr
-		for addr, mac := range s.cache {
-			if mac == m {
-				matches = append(matches, addr)
-			}
-		}
-		if len(matches) == 0 {
-			return ip.Addr{}, false
-		}
-		sort.Slice(matches, func(i, j int) bool {
-			return bytes.Compare(matches[i][:], matches[j][:]) < 0
-		})
-		return matches[0], true
-	}
-	for attempt := 0; attempt < resolveAttempts; attempt++ {
-		if a, ok := find(); ok {
-			return a, nil
-		}
-		req := Packet{Op: OpRevRequest, SenderMAC: s.MyMAC, SenderIP: s.MyIP, TargetMAC: m}
-		s.transmit(p, ether.BroadcastMAC, &req)
-		s.cond.WaitTimeout(p, p.K.Prof.Cycles(resolveTimeoutUs))
-	}
-	if a, ok := find(); ok {
-		return a, nil
-	}
-	return ip.Addr{}, fmt.Errorf("arp: no reverse binding for %s", m)
 }
 
 // Resolve implements ip.Resolver: it answers from the cache or broadcasts

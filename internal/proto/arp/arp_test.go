@@ -198,33 +198,3 @@ func TestUDPOverEthernetWithARP(t *testing.T) {
 func ipToU32(a ip.Addr) uint32 {
 	return uint32(a[0])<<24 | uint32(a[1])<<16 | uint32(a[2])<<8 | uint32(a[3])
 }
-
-func TestReverseLookupRARP(t *testing.T) {
-	w := newEthWorld(t)
-	targetMAC := ether.PortMAC(w.e2.Addr())
-	wantIP := ip.HostAddr(w.e2.Addr())
-	var got ip.Addr
-	var err error
-	w.k1.Spawn("rarp-client", func(p *aegis.Process) {
-		got, err = w.s1.ReverseLookup(p, targetMAC)
-	})
-	w.eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != wantIP {
-		t.Fatalf("RARP resolved %s, want %s", got, wantIP)
-	}
-}
-
-func TestReverseLookupUnknownMACFails(t *testing.T) {
-	w := newEthWorld(t)
-	var err error
-	w.k1.Spawn("rarp-client", func(p *aegis.Process) {
-		_, err = w.s1.ReverseLookup(p, ether.MAC{0xde, 0xad, 0, 0, 0, 1})
-	})
-	w.eng.Run()
-	if err == nil {
-		t.Fatal("reverse lookup of unknown MAC succeeded")
-	}
-}

@@ -40,7 +40,7 @@ func DefaultCosts() Costs { return Costs{Build: 120, Parse: 120} }
 
 // Stack is a per-process IPv4 instance over one link endpoint.
 type Stack struct {
-	Ep    link.Endpoint
+	Ep    *link.Link
 	Local Addr
 	Res   Resolver
 	Costs Costs
@@ -91,7 +91,7 @@ const reasmTimeoutUs = 2_000_000 // 2 simulated seconds
 // unfragmented workloads never pay the ReasmSlots×64-KB footprint, which
 // is what lets a many-hundred-client fan-in world run hundreds of stacks
 // inside small kernels.
-func NewStack(ep link.Endpoint, local Addr, res Resolver) *Stack {
+func NewStack(ep *link.Link, local Addr, res Resolver) *Stack {
 	return &Stack{
 		Ep: ep, Local: local, Res: res, Costs: DefaultCosts(),
 		reasm: map[reasmKey]*reasmBuf{},
@@ -202,23 +202,6 @@ func (s *Stack) RecvUntil(polling bool, deadline sim.Time) (Dgram, bool, error) 
 		}
 		if f.Entry.Len == 0 && f.Entry.BufIndex < 0 {
 			return Dgram{Doorbell: true}, true, nil
-		}
-		d, ok, err := s.Input(f)
-		if err != nil {
-			return Dgram{}, false, err
-		}
-		if ok {
-			return d, true, nil
-		}
-	}
-}
-
-// TryRecv is Recv without blocking; ok is false when nothing is pending.
-func (s *Stack) TryRecv() (Dgram, bool, error) {
-	for {
-		f, any := s.Ep.TryRecv()
-		if !any {
-			return Dgram{}, false, nil
 		}
 		d, ok, err := s.Input(f)
 		if err != nil {

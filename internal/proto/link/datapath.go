@@ -83,25 +83,6 @@ func passCost(k *aegis.Kernel, base uint32, off int, striped bool, dst uint32, n
 	return cycles
 }
 
-// CopyRange copies [src, src+n) to [dst, dst+n) in host memory, charging
-// process p. With cksum, the Internet checksum is integrated into the same
-// pass (one traversal); the accumulator over the copied bytes is returned.
-func CopyRange(p *aegis.Process, k *aegis.Kernel, src, dst uint32, n int, cksum bool) uint32 {
-	op := 0
-	if cksum {
-		op = k.Prof.CksumOp
-	}
-	cycles := passCost(k, src, 0, false, dst, n, true, op)
-	b := k.Bytes(src, n)
-	copy(k.Bytes(dst, n), b)
-	var acc uint32
-	if cksum {
-		acc = CksumData(0, b)
-	}
-	p.Compute(cycles)
-	return acc
-}
-
 // CksumRange traverses [addr, addr+n) computing the checksum (no copy).
 func CksumRange(p *aegis.Process, k *aegis.Kernel, addr uint32, n int) uint32 {
 	p.Compute(passCost(k, addr, 0, false, 0, n, false, k.Prof.CksumOp))

@@ -4,7 +4,7 @@
 // TCP, HTTP) are libraries linked into applications; this package is the
 // seam between those libraries and the simulated kernel's devices.
 //
-// An Endpoint is one process's demultiplexing point: frames the kernel
+// A Link is one process's demultiplexing point: frames the kernel
 // accepts for it appear on its notification ring; sends go through the
 // system-call path. Downloaded handlers (ASHs) and upcalls attach at the
 // same point, upstream of the ring.
@@ -115,41 +115,12 @@ func FabricateFrame(k *aegis.Kernel, addr uint32, n int) Frame {
 	return Frame{Entry: aegis.RingEntry{Addr: addr, Len: n}, k: k}
 }
 
-// Endpoint is a process's attachment to a network.
-type Endpoint interface {
-	// Kernel returns the host kernel.
-	Kernel() *aegis.Kernel
-	// Owner returns the owning process.
-	Owner() *aegis.Process
-	// LocalAddr returns this endpoint's link address.
-	LocalAddr() Addr
-	// MTU is the largest payload a frame can carry.
-	MTU() int
-	// Send transmits payload to dst through the user-level path (system
-	// call + device setup), charging the calling process.
-	Send(dst Addr, payload []byte)
-	// Recv returns the next frame; polling selects busy-wait vs blocking.
-	Recv(polling bool) Frame
-	// RecvUntil is Recv with an absolute virtual-time deadline (0 = none);
-	// ok is false on timeout.
-	RecvUntil(polling bool, deadline sim.Time) (Frame, bool)
-	// TryRecv returns the next frame without blocking.
-	TryRecv() (Frame, bool)
-	// Release returns the frame's buffer to the receive pool, charging the
-	// buffer-management path.
-	Release(f Frame)
-	// InstallHandler attaches a downloaded handler upstream of the ring.
-	InstallHandler(h aegis.MsgHandler)
-	// InstallUpcall attaches an upcall upstream of the ring.
-	InstallUpcall(u *aegis.Upcall)
-}
-
-// Link is the Endpoint over a kernel binding: an AN2 virtual circuit or
-// an Ethernet DPF filter. Which one only matters to the constructor.
+// Link is a process's attachment to a network over a kernel binding: an
+// AN2 virtual circuit or an Ethernet DPF filter. Which one only matters to
+// the constructor.
 type Link struct {
 	nic  *aegis.NIC
 	bind *aegis.Binding
-	vc   int // AN2 virtual circuit; 0 on Ethernet
 }
 
 // BindAN2 binds process owner to virtual circuit vc with nbufs receive
@@ -159,7 +130,7 @@ func BindAN2(iface *aegis.AN2If, owner *aegis.Process, vc, nbufs, bufSize int) (
 	if err != nil {
 		return nil, err
 	}
-	return &Link{nic: &iface.NIC, bind: b, vc: vc}, nil
+	return &Link{nic: &iface.NIC, bind: b}, nil
 }
 
 // BindEthernet installs filter f for owner and returns the endpoint.
@@ -171,30 +142,29 @@ func BindEthernet(iface *aegis.EthernetIf, owner *aegis.Process, f *dpf.Filter) 
 	return &Link{nic: &iface.NIC, bind: b}, nil
 }
 
-// Kernel implements Endpoint.
+// Kernel returns the host kernel.
 func (l *Link) Kernel() *aegis.Kernel { return l.nic.K }
 
-// Owner implements Endpoint.
+// Owner returns the owning process.
 func (l *Link) Owner() *aegis.Process { return l.bind.Owner }
 
-// LocalAddr implements Endpoint.
-func (l *Link) LocalAddr() Addr { return Addr{Port: l.nic.Addr(), VC: l.vc} }
-
-// MTU implements Endpoint.
+// MTU is the largest payload a frame can carry.
 func (l *Link) MTU() int { return l.nic.MaxFrame() }
 
-// Send implements Endpoint.
+// Send transmits payload to dst through the user-level path (system call +
+// device setup), charging the owner.
 func (l *Link) Send(dst Addr, payload []byte) {
 	l.nic.Send(l.bind.Owner, dst.Port, dst.VC, payload)
 }
 
-// Recv implements Endpoint.
+// Recv returns the next frame; polling selects busy-wait vs blocking.
 func (l *Link) Recv(polling bool) Frame {
 	f, _ := l.RecvUntil(polling, 0)
 	return f
 }
 
-// RecvUntil implements Endpoint.
+// RecvUntil is Recv with an absolute virtual-time deadline (0 = none); ok
+// is false on timeout.
 func (l *Link) RecvUntil(polling bool, deadline sim.Time) (Frame, bool) {
 	var e aegis.RingEntry
 	var ok bool
@@ -206,34 +176,24 @@ func (l *Link) RecvUntil(polling bool, deadline sim.Time) (Frame, bool) {
 	return l.frame(e), ok
 }
 
-// TryRecv implements Endpoint.
-func (l *Link) TryRecv() (Frame, bool) {
-	e, ok := l.bind.Ring.TryRecv()
-	if !ok {
-		return Frame{}, false
-	}
-	return l.frame(e), true
-}
-
 func (l *Link) frame(e aegis.RingEntry) Frame {
 	return Frame{Entry: e, Striped: l.bind.Striped(), k: l.nic.K}
 }
 
-// Release implements Endpoint. The kernel refuses (and counts) the release
-// of a frame that holds no buffer, such as a doorbell.
+// Release returns the frame's buffer to the receive pool, charging the
+// buffer-management path. The kernel refuses (and counts) the release of a
+// frame that holds no buffer, such as a doorbell.
 func (l *Link) Release(f Frame) {
 	l.bind.Owner.Compute(sim.Time(l.nic.K.Prof.BufferMgmtCycles))
 	l.bind.Free(f.Entry.BufIndex)
 }
 
-// InstallHandler implements Endpoint.
+// InstallHandler attaches a downloaded handler upstream of the ring.
 func (l *Link) InstallHandler(h aegis.MsgHandler) { l.bind.Handler = h }
 
-// InstallUpcall implements Endpoint.
+// InstallUpcall attaches an upcall upstream of the ring.
 func (l *Link) InstallUpcall(u *aegis.Upcall) { l.bind.Upcall = u }
 
 // Binding exposes the underlying kernel binding (for admission control
 // and drop statistics).
 func (l *Link) Binding() *aegis.Binding { return l.bind }
-
-var _ Endpoint = (*Link)(nil)

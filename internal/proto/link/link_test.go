@@ -58,37 +58,6 @@ func TestCksumIncremental(t *testing.T) {
 	}
 }
 
-func TestCopyRangeMovesBytesAndCharges(t *testing.T) {
-	eng, k1, _, _, _ := newHostPair(t)
-	var cost sim.Time
-	k1.Spawn("app", func(p *aegis.Process) {
-		src := p.AS.MustAlloc(4096, "src")
-		dst := p.AS.MustAlloc(4096, "dst")
-		rng := rand.New(rand.NewSource(1))
-		s := k1.Bytes(src.Base, 4096)
-		rng.Read(s)
-		start := p.K.Now()
-		acc := CopyRange(p, k1, src.Base, dst.Base, 4096, true)
-		cost = p.K.Now() - start
-		d := k1.Bytes(dst.Base, 4096)
-		for i := range s {
-			if s[i] != d[i] {
-				t.Errorf("copy mismatch at %d", i)
-				return
-			}
-		}
-		if FoldCksum(acc) != FoldCksum(CksumData(0, s)) {
-			t.Error("integrated checksum wrong")
-		}
-	})
-	eng.Run()
-	// Uncached integrated copy+cksum: ~11 cycles/word = ~2.75 us/words...
-	us := k1.Prof.Us(cost)
-	if us < 200 || us > 350 {
-		t.Fatalf("integrated copy+cksum of 4096B cost %.1f us, want ~280", us)
-	}
-}
-
 func TestCopyFromStripedFrameMatchesContiguous(t *testing.T) {
 	eng, k1, _, _, _ := newHostPair(t)
 	k1.Spawn("app", func(p *aegis.Process) {

@@ -73,7 +73,7 @@ func installFastPath(c *Conn) *fastPath {
 		f.fa.OnTrip(func() { c.St.Ep.InstallHandler(nil) })
 	case ModeUpcall:
 		f.up = aegis.NewUpcall(c.owner(), func(mc *aegis.MsgCtx) aegis.Disposition {
-			return f.handle(sys.UpcallCtx(c.owner(), mc))
+			return f.handle(sys.UpcallCtx(mc))
 		})
 		c.St.Ep.InstallUpcall(f.up)
 	}

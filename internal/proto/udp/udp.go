@@ -183,22 +183,6 @@ func (s *Socket) RecvUntil(polling bool, deadline sim.Time) (Msg, bool, error) {
 	}
 }
 
-// TryRecv is Recv without blocking.
-func (s *Socket) TryRecv() (Msg, bool, error) {
-	for {
-		d, ok, err := s.St.TryRecv()
-		if err != nil {
-			return Msg{}, false, err
-		}
-		if !ok {
-			return Msg{}, false, nil
-		}
-		if m, ok := s.input(d); ok {
-			return m, true, nil
-		}
-	}
-}
-
 // input processes one IP datagram; ok=false means it was consumed/dropped.
 func (s *Socket) input(d ip.Dgram) (Msg, bool) {
 	p := s.St.Ep.Owner()
@@ -219,16 +203,13 @@ func (s *Socket) input(d ip.Dgram) (Msg, bool) {
 	}
 	n := int(h.Length) - HeaderLen
 
-	var payloadAcc uint32
-	haveAcc := false
 	var m Msg
 	if s.Opts.InPlace {
 		// Use the data wherever it landed.
 		m = Msg{From: d.Hdr.Src, FromPort: h.SrcPort, N: n, dgram: d, held: true}
 		if d.Frame.Striped {
 			// Striped layouts cannot be used in place; charge the copy out.
-			payloadAcc = link.CopyFromFrame(p, d.Frame, d.Off+HeaderLen, s.rxApp.Base, n, false)
-			haveAcc = false
+			link.CopyFromFrame(p, d.Frame, d.Off+HeaderLen, s.rxApp.Base, n, false)
 			m.Addr = s.rxApp.Base
 		} else {
 			m.Addr = d.Frame.Addr() + uint32(d.Off+HeaderLen)
@@ -243,9 +224,7 @@ func (s *Socket) input(d ip.Dgram) (Msg, bool) {
 		p.Compute(s.Costs.CksumFixed)
 		// Separate checksum pass (the library does not integrate; the
 		// data is in cache if it was just copied).
-		if !haveAcc {
-			payloadAcc = link.CksumRange(p, k, m.Addr, n)
-		}
+		payloadAcc := link.CksumRange(p, k, m.Addr, n)
 		acc := ip.PseudoCksum(d.Hdr.Src, d.Hdr.Dst, ip.ProtoUDP, int(h.Length))
 		hb := Header{SrcPort: h.SrcPort, DstPort: h.DstPort, Length: h.Length}.headerAccum()
 		acc += hb + uint32(h.Checksum) + payloadAcc

@@ -125,9 +125,6 @@ func procTimeout(a any) {
 // Name returns the process's diagnostic name.
 func (p *Proc) Name() string { return p.name }
 
-// Engine returns the engine this process belongs to.
-func (p *Proc) Engine() *Engine { return p.eng }
-
 // Now reports the current virtual time.
 func (p *Proc) Now() Time { return p.eng.now }
 

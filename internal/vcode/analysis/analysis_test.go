@@ -233,38 +233,6 @@ func TestLivenessPersistent(t *testing.T) {
 	}
 }
 
-func TestReachingDefsDiamond(t *testing.T) {
-	p := diamond(t)
-	c := Build(p)
-	rd := c.ReachingDefs()
-	// At the join-block mov (pc=5) both defs of r9 (pc=2 and pc=4) reach.
-	got := rd.ReachingAt(5)
-	has := func(pc int) bool {
-		for _, g := range got {
-			if g == pc {
-				return true
-			}
-		}
-		return false
-	}
-	if !has(2) || !has(4) {
-		t.Errorf("ReachingAt(5) = %v, want both r9 defs (2 and 4)", got)
-	}
-	// At pc=3 (inside the then-arm) only the then-def reaches.
-	got = rd.ReachingAt(3)
-	has3 := func(pc int) bool {
-		for _, g := range got {
-			if g == pc {
-				return true
-			}
-		}
-		return false
-	}
-	if !has3(2) || has3(4) {
-		t.Errorf("ReachingAt(3) = %v, want only pc=2's def of r9", got)
-	}
-}
-
 func TestRangesStraightLine(t *testing.T) {
 	b := vcode.NewBuilder("ranges")
 	x, y, z := b.Temp(), b.Temp(), b.Temp()

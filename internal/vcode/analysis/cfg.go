@@ -1,7 +1,7 @@
 // Package analysis is a static-analysis framework over vcode programs:
-// control-flow graph construction, dominators and natural loops, classic
-// forward/backward dataflow (reaching definitions, register liveness), an
-// unsigned interval analysis, and a handler lint pass.
+// control-flow graph construction, dominators and natural loops, backward
+// dataflow (register liveness), an unsigned interval analysis, and a
+// handler lint pass.
 //
 // The sandbox uses it to harden download-time verification (unreachable
 // code, undisciplined indirect jumps) and to elide provably redundant SFI

@@ -135,109 +135,3 @@ func (lv *Liveness) LiveOutAt(pc int) RegSet {
 	}
 	return live
 }
-
-// ReachingDefs holds, per block, which definition sites (instruction
-// indices that define at least one register) reach the block boundary.
-type ReachingDefs struct {
-	c *CFG
-	// Sites lists the def-site instruction indices; bit i of the sets
-	// below refers to Sites[i].
-	Sites  []int
-	siteOf map[int]int
-	In     []bitset
-	Out    []bitset
-}
-
-// ReachingDefs runs forward reaching-definitions over the CFG. OpCall
-// counts as a def site (it defines RRet).
-func (c *CFG) ReachingDefs() *ReachingDefs {
-	rd := &ReachingDefs{c: c, siteOf: map[int]int{}}
-	for pc, in := range c.Prog.Insns {
-		if len(Defs(in)) > 0 {
-			rd.siteOf[pc] = len(rd.Sites)
-			rd.Sites = append(rd.Sites, pc)
-		}
-	}
-	ns, nb := len(rd.Sites), len(c.Blocks)
-	rd.In = make([]bitset, nb)
-	rd.Out = make([]bitset, nb)
-	gen := make([]bitset, nb)
-	kill := make([]bitset, nb)
-	// Def sites grouped by register, for kill sets.
-	byReg := map[vcode.Reg][]int{}
-	for i, pc := range rd.Sites {
-		for _, d := range Defs(c.Prog.Insns[pc]) {
-			byReg[d] = append(byReg[d], i)
-		}
-	}
-	for b := range c.Blocks {
-		rd.In[b], rd.Out[b] = newBitset(ns), newBitset(ns)
-		gen[b], kill[b] = newBitset(ns), newBitset(ns)
-		blk := &c.Blocks[b]
-		for pc := blk.Start; pc < blk.End; pc++ {
-			defs := Defs(c.Prog.Insns[pc])
-			if len(defs) == 0 {
-				continue
-			}
-			for _, d := range defs {
-				for _, site := range byReg[d] {
-					kill[b].set(site)
-					gen[b][site/64] &^= 1 << uint(site%64)
-				}
-			}
-			gen[b].set(rd.siteOf[pc])
-		}
-	}
-	order := c.RPO()
-	for changed := true; changed; {
-		changed = false
-		for _, b := range order {
-			in := newBitset(ns)
-			for _, p := range c.Blocks[b].Preds {
-				for i := range in {
-					in[i] |= rd.Out[p][i]
-				}
-			}
-			out := in.clone()
-			for i := range out {
-				out[i] = (out[i] &^ kill[b][i]) | gen[b][i]
-			}
-			if !in.equal(rd.In[b]) || !out.equal(rd.Out[b]) {
-				rd.In[b], rd.Out[b] = in, out
-				changed = true
-			}
-		}
-	}
-	return rd
-}
-
-// ReachingAt returns the def sites that reach instruction pc (before it
-// executes), as instruction indices.
-func (rd *ReachingDefs) ReachingAt(pc int) []int {
-	b := &rd.c.Blocks[rd.c.BlockOf[pc]]
-	cur := rd.In[b.ID].clone()
-	for i := b.Start; i < pc; i++ {
-		defs := Defs(rd.c.Prog.Insns[i])
-		if len(defs) == 0 {
-			continue
-		}
-		// Kill all sites defining the same registers, then add this site.
-		for _, d := range defs {
-			for si, spc := range rd.Sites {
-				for _, sd := range Defs(rd.c.Prog.Insns[spc]) {
-					if sd == d {
-						cur[si/64] &^= 1 << uint(si%64)
-					}
-				}
-			}
-		}
-		cur.set(rd.siteOf[i])
-	}
-	var out []int
-	for i, spc := range rd.Sites {
-		if cur.has(i) {
-			out = append(out, spc)
-		}
-	}
-	return out
-}

@@ -20,7 +20,6 @@ func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 
 func (s bitset) has(i int) bool { return s[i/64]&(1<<uint(i%64)) != 0 }
 func (s bitset) set(i int)      { s[i/64] |= 1 << uint(i%64) }
-func (s bitset) clone() bitset  { return append(bitset(nil), s...) }
 func (s bitset) fill(n int) {
 	for i := 0; i < n; i++ {
 		s.set(i)

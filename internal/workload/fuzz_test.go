@@ -1,14 +1,19 @@
 package workload
 
-import "testing"
+import (
+	"math"
+	"strings"
+	"testing"
+)
 
 // FuzzTraceParse hammers the trace decoder with arbitrary bytes. Parse
 // must never panic, and anything it accepts must satisfy the codec
 // invariants and round-trip bit-exactly through Encode — the property
 // that makes stored traces a safe interchange format.
 func FuzzTraceParse(f *testing.F) {
-	// Seed corpus: every generator's output plus the empty and minimal
-	// traces (the committed files under testdata/fuzz add mutations).
+	// Seed corpus: every generator's output, the empty and minimal traces
+	// and one at every codec limit, with a conversation that is not its
+	// client's (the committed files under testdata/fuzz add mutations).
 	spec := Spec{Clients: 4, Events: 32, MeanGapUs: 50, Size: 128, MaxSize: 2048}
 	for _, g := range Generators() {
 		f.Add(g.Gen(1, spec).Encode())
@@ -16,6 +21,10 @@ func FuzzTraceParse(f *testing.F) {
 	f.Add((&Trace{}).Encode())
 	f.Add((&Trace{Name: "x", Events: []Event{{AtUs: 0, Client: 0, Size: 1}}}).Encode())
 	f.Add([]byte("ASHW"))
+	f.Add((&Trace{Name: strings.Repeat("n", MaxName), Events: []Event{
+		{AtUs: 0, Client: MaxClient - 1, Size: 1, Conv: 0},
+		{AtUs: MaxAtUs, Client: 0, Size: MaxSize, Conv: math.MaxUint32},
+	}}).Encode())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := Parse(data)

@@ -37,7 +37,6 @@ type Generator struct {
 func Generators() []Generator {
 	return []Generator{
 		{"poisson", Poisson},
-		{"mmpp", MMPP},
 		{"heavytail", HeavyTail},
 		{"flashcrowd", FlashCrowd},
 		{"incast", Incast},
@@ -77,33 +76,6 @@ func Poisson(seed int64, s Spec) *Trace {
 		evs = append(evs, Event{AtUs: at, Client: rng.Intn(s.Clients), Size: s.Size})
 	}
 	return finish("poisson", evs)
-}
-
-// MMPP is a two-state Markov-modulated Poisson process: a quiet state at
-// the spec rate and a burst state at 8x, with exponential dwell times.
-// The long-run load exceeds the spec's, concentrated into bursts — the
-// bursty request/response shape that defeats average-rate provisioning.
-func MMPP(seed int64, s Spec) *Trace {
-	const burstFactor = 8
-	rng := sim.NewRand(seed)
-	evs := make([]Event, 0, s.Events)
-	at := 0.0
-	burst := false
-	// Dwell long enough for each state to admit several arrivals.
-	dwellEnd := expGap(rng, 20*s.MeanGapUs)
-	for i := 0; i < s.Events; i++ {
-		gap := s.MeanGapUs
-		if burst {
-			gap /= burstFactor
-		}
-		at += expGap(rng, gap)
-		for at > dwellEnd {
-			burst = !burst
-			dwellEnd += expGap(rng, 20*s.MeanGapUs)
-		}
-		evs = append(evs, Event{AtUs: at, Client: rng.Intn(s.Clients), Size: s.Size})
-	}
-	return finish("mmpp", evs)
 }
 
 // HeavyTail keeps Poisson arrivals but draws sizes from a bounded Pareto
