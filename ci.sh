@@ -144,7 +144,11 @@ EOF
 # streams of a DILP loop, sets the budgets and warms the cache, and requires
 # Machine.Run — whose streaming-loop executor takes such a loop whenever the
 # memory lends both streams whole — to leave what the per-instruction
-# reference interpreter leaves, and Undo to take all of it back.
+# reference interpreter leaves, and Undo to take all of it back. It also
+# picks what the checksum accumulator and the source start as (seeded, zero,
+# all ones, a total that is a multiple of 2^32-1), so it guards the bulk body
+# of the copy+checksum loop — one lane sum and one copy — and the forward
+# overlap that must keep the per-word body.
 echo "== fuzz sweep (10s per target)"
 go test -run '^$' -fuzz '^FuzzIPParse$' -fuzztime 10s ./internal/proto/ip/
 go test -run '^$' -fuzz '^FuzzTCPHeader$' -fuzztime 10s ./internal/proto/tcp/

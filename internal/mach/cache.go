@@ -146,24 +146,27 @@ func (c *Cache) LoadRange(addr uint32, n int) sim.Time {
 
 // CopyRange charges a streaming word copy of [src, src+n) to [dst, dst+n):
 // Load(src+off) then Store(dst+off) for off = 0, 4, ..., exactly as that
-// per-word loop would, but a segment at a time, splitting wherever either
-// stream crosses a line. Within a segment the source line is fetched at
-// most once and the destination line validated — unless the two are
-// different lines with the same index, where every store evicts the line
-// the next load needs and the words are charged one by one.
+// per-word loop would, but a source line at a time. The k words that start
+// in one source line have their destinations in at most two lines, d1 and
+// then d2. When neither is a different line with the source line's index,
+// no store of the k can evict the source line: the first load decides hit
+// or miss, the other k-1 hit, and the stores leave d1's tag written, then
+// d2's. Otherwise every store may evict the line the next load needs, and
+// that source line's words are charged one by one.
 func (c *Cache) CopyRange(src, dst uint32, n int) sim.Time {
 	var t sim.Time
 	for words := (n + 3) / 4; words > 0; {
-		k := min(c.wordsInLine(src), c.wordsInLine(dst), words)
-		sl, dl := src>>c.shift, dst>>c.shift
-		if sl != dl && sl&c.mask == dl&c.mask {
+		k := min(c.wordsInLine(src), words)
+		sl, d1, d2 := src>>c.shift, dst>>c.shift, (dst+4*uint32(k-1))>>c.shift
+		if sl != d1 && sl&c.mask == d1&c.mask || sl != d2 && sl&c.mask == d2&c.mask {
 			for i := uint32(0); i < uint32(k); i++ {
 				t += c.Load(src+4*i) + c.Store(dst+4*i)
 			}
 		} else {
 			t += c.loadLine(src, k) + sim.Time(k)*c.store
 			c.Stores += uint64(k)
-			c.tags[dl&c.mask] = dl
+			c.tags[d1&c.mask] = d1
+			c.tags[d2&c.mask] = d2
 		}
 		src += 4 * uint32(k)
 		dst += 4 * uint32(k)

@@ -58,12 +58,28 @@ func sameCache(t *testing.T, what string, got, want *Cache, gotCyc, wantCyc sim.
 // line-granular LoadRange and CopyRange: over random bases (any
 // alignment), lengths (not only multiples of four), warm states and
 // src/dst placements — independent, aliasing one index, overlapping,
-// straddling the index wrap and the top of the address space — cycles,
-// statistics and every tag equal the per-word Load/Store loop's.
+// straddling the index wrap and the top of the address space, and dst
+// 4, 8 or 12 bytes out of phase with src within a line, aliased or not —
+// cycles, statistics and every tag equal the per-word Load/Store loop's.
 func TestRangeClosedFormsMatchPerWordLoop(t *testing.T) {
 	p := DS5000_240()
 	r := rand.New(rand.NewSource(17))
 	cache := uint32(p.CacheBytes)
+	check := func(src, dst uint32, n int, how string) {
+		t.Helper()
+		seed := r.Int63()
+		got, want := NewCache(p), NewCache(p)
+		randomWarm(rand.New(rand.NewSource(seed)), got, p, src, dst)
+		randomWarm(rand.New(rand.NewSource(seed)), want, p, src, dst)
+
+		gc, wc := got.LoadRange(src, n), loadWords(want, src, n)
+		sameCache(t, "LoadRange", got, want, gc, wc)
+		gc, wc = got.CopyRange(src, dst, n), copyWords(want, src, dst, n)
+		sameCache(t, "CopyRange ("+how+")", got, want, gc, wc)
+		// A second pass over what the first left behind (the warm case).
+		gc, wc = got.CopyRange(dst, src, n), copyWords(want, dst, src, n)
+		sameCache(t, "CopyRange back ("+how+")", got, want, gc, wc)
+	}
 	lengths := func() int {
 		switch r.Intn(8) {
 		case 0:
@@ -101,19 +117,22 @@ func TestRangeClosedFormsMatchPerWordLoop(t *testing.T) {
 		default:
 			dst, how = uint32(r.Intn(1<<22)), "independent"
 		}
-
-		seed := r.Int63()
-		got, want := NewCache(p), NewCache(p)
-		randomWarm(rand.New(rand.NewSource(seed)), got, p, src, dst)
-		randomWarm(rand.New(rand.NewSource(seed)), want, p, src, dst)
-
-		gc, wc := got.LoadRange(src, n), loadWords(want, src, n)
-		sameCache(t, "LoadRange", got, want, gc, wc)
-		gc, wc = got.CopyRange(src, dst, n), copyWords(want, src, dst, n)
-		sameCache(t, "CopyRange ("+how+")", got, want, gc, wc)
-		// A second pass over what the first left behind (the warm case).
-		gc, wc = got.CopyRange(dst, src, n), copyWords(want, dst, src, n)
-		sameCache(t, "CopyRange back ("+how+")", got, want, gc, wc)
+		check(src, dst, n, how)
+	}
+	// The phase skews a DILP copy meets: word-aligned streams whose offsets
+	// within a 16-byte line differ, in distinct lines or in lines that share
+	// an index (and in the same line, overlapping).
+	for i := 0; i < 2000; i++ {
+		src := uint32(r.Intn(1<<22)) &^ 3
+		skew := 4 * uint32(1+i%3)
+		dst, how := src+skew+uint32(r.Intn(1<<22))&^15, "skewed"
+		switch i % 9 / 3 {
+		case 0:
+			dst, how = src+skew+cache*uint32(1+r.Intn(3)), "skewed, aliased"
+		case 1:
+			dst, how = src+skew, "skewed, overlapping"
+		}
+		check(src, dst, 1+r.Intn(4096), how)
 	}
 }
 

@@ -2,6 +2,7 @@ package pipe
 
 import (
 	"encoding/binary"
+	"math/bits"
 
 	"ashs/internal/sim"
 	"ashs/internal/vcode"
@@ -14,51 +15,48 @@ import (
 // primitive costs as carefully hand-optimized C would: one load, one store,
 // one loop update and the ALU ops per word.
 //
+// n must be a multiple of 4, as for Engine.Run, and dst may not lie inside
+// (src, src+n), where the word loop would load words it had stored. The
+// bytes move as one lent range each way and the checksum is
+// vcode.CksumWords, the streaming executor's kernel; the cache is charged
+// with one CopyRange, which is the per-word Load/Store sequence.
+//
 // It returns the 32-bit checksum accumulator (caller folds with Fold16).
 func HandIntegrated(m *vcode.Machine, src, dst uint32, n int, withBswap bool) (uint32, sim.Time, error) {
+	if n%4 != 0 {
+		return 0, 0, &vcode.Fault{Kind: vcode.FaultUnaligned, Msg: "hand-integrated length not a multiple of 4"}
+	}
+	if dst > src && dst-src < uint32(n) {
+		return 0, 0, &vcode.Fault{Kind: vcode.FaultBadAddr, Addr: dst, Msg: "hand-integrated dst overlaps src ahead of it"}
+	}
+	from, err := m.Mem.Load(src, n)
+	if err != nil {
+		return 0, 0, err
+	}
+	to, err := m.Mem.Store(dst, n)
+	if err != nil {
+		return 0, 0, err
+	}
 	prof := m.Prof
-	var cycles sim.Time
-	load := func(addr uint32) (uint32, error) {
-		if m.Cache != nil {
-			cycles += m.Cache.Load(addr)
-		} else {
-			cycles += sim.Time(prof.LoadHit)
+	acc := vcode.CksumWords(0, from)
+	perWord := prof.CksumOp + prof.LoopOverhead
+	if withBswap {
+		perWord += prof.BswapOp
+		for off := 0; off < n; off += 4 {
+			binary.BigEndian.PutUint32(to[off:], bits.ReverseBytes32(binary.BigEndian.Uint32(from[off:])))
 		}
-		return vcode.Load32(m.Mem, addr)
+	} else {
+		copy(to, from)
 	}
-	store := func(addr uint32, v uint32) error {
-		if m.Cache != nil {
-			cycles += m.Cache.Store(addr)
-		} else {
-			cycles += sim.Time(prof.StoreCycles)
-		}
-		return vcode.Store32(m.Mem, addr, v)
-	}
-	var acc uint32
-	for off := 0; off < n; off += 4 {
-		v, err := load(src + uint32(off))
-		if err != nil {
-			return 0, cycles, err
-		}
-		acc = cksumStep(acc, v)
-		cycles += sim.Time(prof.CksumOp)
-		if withBswap {
-			v = v<<24 | (v&0xff00)<<8 | (v>>8)&0xff00 | v>>24
-			cycles += sim.Time(prof.BswapOp)
-		}
-		if err := store(dst+uint32(off), v); err != nil {
-			return 0, cycles, err
-		}
-		cycles += sim.Time(prof.LoopOverhead)
+	words := sim.Time(n / 4)
+	cycles := words * sim.Time(perWord)
+	if m.Cache != nil {
+		cycles += m.Cache.CopyRange(src, dst, n)
+	} else {
+		cycles += words * sim.Time(prof.LoadHit+prof.StoreCycles)
 	}
 	m.Charge(cycles)
 	return acc, cycles, nil
-}
-
-// cksumStep is one 32-bit ones-complement accumulate with end-around carry.
-func cksumStep(acc, v uint32) uint32 {
-	s := uint64(acc) + uint64(v)
-	return uint32(s) + uint32(s>>32)
 }
 
 // LibCksumPass is the classic standalone Internet-checksum routine a 1996
@@ -67,25 +65,29 @@ func cksumStep(acc, v uint32) uint32 {
 // Table IV pays for the checksum traversal — the 32-bit
 // add-with-carry trick belongs to the VCODE extensions and hence to the
 // integrated paths. Charges per halfword: one (cache-modeled) 16-bit
-// load, two ALU ops (add + carry fold), and half the loop overhead.
+// load, two ALU ops (add + carry fold), and half the loop overhead. The
+// cache is charged one Load per halfword, not with LoadRange, which issues
+// one per word: the halfword loop loads every word twice.
+//
+// An odd tail is zero-padded, as link.CksumData pads it; the byte after the
+// range is not read. It returns a 32-bit accumulator whose Fold16 is the
+// checksum of the range.
 func LibCksumPass(m *vcode.Machine, addr uint32, n int) (uint32, sim.Time, error) {
+	data, err := m.Mem.Load(addr, n)
+	if err != nil {
+		return 0, 0, err
+	}
 	prof := m.Prof
-	var cycles sim.Time
-	var acc uint32
+	cycles := sim.Time((n+1)/2) * (2 + sim.Time(prof.LoopOverhead)/2)
 	for off := 0; off < n; off += 2 {
-		a := addr + uint32(off)
 		if m.Cache != nil {
-			cycles += m.Cache.Load(a)
+			cycles += m.Cache.Load(addr + uint32(off))
 		} else {
 			cycles += sim.Time(prof.LoadHit)
 		}
-		b, err := m.Mem.Load(a, 2)
-		if err != nil {
-			return 0, cycles, err
-		}
-		acc = cksumStep(acc, uint32(binary.BigEndian.Uint16(b)))
-		cycles += 2 + sim.Time(prof.LoopOverhead)/2
 	}
 	m.Charge(cycles)
-	return acc, cycles, nil
+	var tail [4]byte
+	copy(tail[:], data[n&^3:])
+	return vcode.CksumWords(vcode.CksumWords(0, data[:n&^3]), tail[:]), cycles, nil
 }

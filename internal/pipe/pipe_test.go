@@ -50,6 +50,12 @@ func refCksum32(data []byte) uint32 {
 	return acc
 }
 
+// cksumStep is one 32-bit ones-complement accumulate with end-around carry.
+func cksumStep(acc, v uint32) uint32 {
+	s := uint64(acc) + uint64(v)
+	return uint32(s) + uint32(s>>32)
+}
+
 func TestCopyEngineCopies(t *testing.T) {
 	m, mem := newEnv(t, 4096)
 	fillRandom(mem, srcAddr, 4096, 1)
@@ -403,6 +409,85 @@ func TestHandIntegratedMatchesDILP(t *testing.T) {
 	r := float64(dilpCycles) / float64(handCycles)
 	if r < 0.9 || r > 1.15 {
 		t.Fatalf("DILP/hand cycle ratio = %.3f, want ~1.0 (Table IV)", r)
+	}
+
+	// Its cycles are the word loop's: per word a cache Load and Store, the
+	// checksum, the optional swap and the loop overhead.
+	for _, withBswap := range []bool{false, true} {
+		m, _ := newEnv(t, n)
+		m.Cache.Flush()
+		_, got, err := HandIntegrated(m, srcAddr, dstAddr, n, withBswap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, ref := m.Prof, mach.NewCache(m.Prof)
+		var want sim.Time
+		for off := uint32(0); off < n; off += 4 {
+			want += ref.Load(srcAddr+off) + ref.Store(dstAddr+off) + sim.Time(p.CksumOp+p.LoopOverhead)
+			if withBswap {
+				want += sim.Time(p.BswapOp)
+			}
+		}
+		if got != want {
+			t.Fatalf("HandIntegrated (byteswap %v) charged %d cycles, the word loop %d", withBswap, got, want)
+		}
+	}
+}
+
+// TestHandIntegratedRefuses: a word loop over n % 4 != 0 bytes would load
+// and store up to three bytes past both ranges, so HandIntegrated refuses
+// the length as Engine.Run does, and a dst inside (src, src+n), where the
+// loop would load what it stored. Nothing is written or charged; the byte
+// after dst keeps its value.
+func TestHandIntegratedRefuses(t *testing.T) {
+	const sentinel = 0xa5
+	for _, c := range []struct {
+		dst  uint32
+		n    int
+		kind vcode.FaultKind
+	}{
+		{dst: dstAddr, n: 6, kind: vcode.FaultUnaligned},
+		{dst: srcAddr + 4, n: 16, kind: vcode.FaultBadAddr},
+	} {
+		m, mem := newEnv(t, 32)
+		fillRandom(mem, srcAddr, 32, 11)
+		mem.Data[c.dst+uint32(c.n)] = sentinel
+		before := bytes.Clone(bytesAt(mem, c.dst, c.n+1))
+		_, cycles, err := HandIntegrated(m, srcAddr, c.dst, c.n, false)
+		if f, ok := err.(*vcode.Fault); !ok || f.Kind != c.kind || cycles != 0 || m.Cache.Stores != 0 {
+			t.Fatalf("HandIntegrated of %d bytes to %#x: cycles %d, err %v; want fault kind %d and nothing charged",
+				c.n, c.dst, cycles, err, c.kind)
+		}
+		if got := bytesAt(mem, c.dst, c.n+1); !bytes.Equal(got, before) {
+			t.Fatalf("dst after a refused copy = % x, want % x (the last byte is the sentinel)", got, before)
+		}
+	}
+}
+
+// TestLibCksumPassPadsOddTail: the byte after an odd-length range is not in
+// the checksum (its tail is zero-padded), and a range that ends at the last
+// byte of memory is summed, not refused.
+func TestLibCksumPassPadsOddTail(t *testing.T) {
+	m, mem := newEnv(t, 8)
+	for _, n := range []int{1, 5, 7, 255} {
+		for _, addr := range []uint32{srcAddr, mem.Base + uint32(len(mem.Data)-n)} {
+			fillRandom(mem, addr, n, int64(n))
+			padded := append(bytes.Clone(bytesAt(mem, addr, n)), 0)
+			var want uint32
+			for i := 0; i+1 < len(padded); i += 2 {
+				want = cksumStep(want, uint32(padded[i])<<8|uint32(padded[i+1]))
+			}
+			if end := addr + uint32(n) - mem.Base; int(end) < len(mem.Data) {
+				mem.Data[end] = 0xa5
+			}
+			acc, _, err := LibCksumPass(m, addr, n)
+			if err != nil {
+				t.Fatalf("%d bytes at %#x: %v", n, addr, err)
+			}
+			if Fold16(acc) != Fold16(want) {
+				t.Fatalf("%d bytes at %#x: checksum %#04x, want %#04x (the odd tail zero-padded)", n, addr, Fold16(acc), Fold16(want))
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package vcode_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -34,7 +35,6 @@ const (
 	memJournal                         // a Journal over that
 	memAddrSpace                       // an aegis.AddrSpace: one segment, all of a small host's memory
 	memJournalAddrSpace                // a Journal over that: what a downloaded handler runs over
-	numMemKinds
 )
 
 // diffSetup is one machine configuration both sides are built with.
@@ -460,9 +460,11 @@ var cksum16Body = []vcode.Insn{
 }
 
 // streamShapes are the engines pipe.Compile can emit without striping, the
-// checksum loop of hotpath.NewHandlerProgram, and one body that holds every
+// checksum loop of hotpath.NewHandlerProgram, one body that holds every
 // instruction the executor knows, each with a destination of its own so
-// that the register comparison pins each of its cases.
+// that the register comparison pins each of its cases, and four bodies one
+// edit away from cksum+copy, the shape with a bulk body, which must take
+// the per-word one.
 var streamShapes = []streamShape{
 	{name: "copy", out: strWord},
 	{name: "cksum", mid: []vcode.Insn{insn(vcode.OpCksum32, 10, strWord, 0, 0)}},
@@ -500,6 +502,10 @@ var streamShapes = []streamShape{
 		insn(vcode.OpXor, 3, 1, strWord, 0),
 		insn(vcode.OpAddU, 2, strLen, strSrc, 0),
 	}},
+	{name: "word sums itself", mid: []vcode.Insn{insn(vcode.OpCksum32, strWord, strWord, 0, 0)}, out: strWord},
+	{name: "sum of another register", mid: []vcode.Insn{insn(vcode.OpCksum32, 10, 11, 0, 0)}, out: strWord},
+	{name: "store the sum", mid: []vcode.Insn{insn(vcode.OpCksum32, 10, strWord, 0, 0)}, out: 10},
+	{name: "swap aside", mid: []vcode.Insn{insn(vcode.OpBswap, 10, strWord, 0, 0)}, out: strWord},
 }
 
 // strHead is the pc of the loop's load in streamProgram's programs.
@@ -527,10 +533,35 @@ func streamProgram(sh streamShape, i0 uint32) *vcode.Program {
 // and with engages unset none of it: a stream that is going to leave the
 // memory is not lent, and the whole loop is the interpreter's. dstOnly: it
 // is dst that keeps the executor out, so a loop without a store engages.
+// fill: what the source and the checksum accumulator hold.
 type streamRun struct {
 	name             string
 	src, dst, n, i0  uint32
 	engages, dstOnly bool
+	fill             streamFill
+}
+
+// streamFill is what the checksum accumulator (r10 in every shape that sums)
+// and the source hold when a run starts: the seeded registers and memory, or
+// an edge of the end-around sum over source words of the fill's choosing.
+type streamFill int
+
+const (
+	fillSeeded  streamFill = iota
+	fillZero               // 0 over all-zero words: the sum stays 0
+	fillOnes               // 0xffffffff over 0xffffffff words: a carry every step
+	fillModulus            // 0 over words whose total is a multiple of 2^32-1: 0xffffffff, never 0
+)
+
+// word is the source word j (from src) of a fill other than fillSeeded.
+func (f streamFill) word(j int) uint32 {
+	switch f {
+	case fillOnes:
+		return 0xffffffff
+	case fillModulus:
+		return 0x80000000 - uint32(j&1) // pairs of 0x80000000 + 0x7fffffff
+	}
+	return 0
 }
 
 const strEnd = diffMemBase + diffMemSize
@@ -557,6 +588,14 @@ var streamRuns = []streamRun{
 	{name: "dst one word behind", src: diffMemBase + 0x100, dst: diffMemBase + 0xfc, n: 256, engages: true},
 	{name: "dst one line ahead", src: diffMemBase + 0x100, dst: diffMemBase + 0x110, n: 256, engages: true},
 	{name: "dst 1 KiB ahead", src: diffMemBase + 0x104, dst: diffMemBase + 0x508, n: 512, engages: true},
+	// The executor engages after one interpreted iteration, over the last
+	// n-4 bytes: dst 8 bytes short of the source's end overlaps what it
+	// streams by one word (the per-word body), 4 bytes short not at all.
+	{name: "dst on the last streamed source word", src: diffMemBase + 0x100, dst: diffMemBase + 0x1f8, n: 256, engages: true},
+	{name: "dst just past the streamed source", src: diffMemBase + 0x100, dst: diffMemBase + 0x1fc, n: 256, engages: true},
+	{name: "zero sum of zero words", src: diffMemBase + 0x104, dst: diffMemBase + 0x2008, n: 512, engages: true, fill: fillZero},
+	{name: "all-ones sum", src: diffMemBase + 0x104, dst: diffMemBase + 0x2008, n: 512, engages: true, fill: fillOnes},
+	{name: "sum a multiple of 2^32-1", src: diffMemBase + 0x104, dst: diffMemBase + 0x2008, n: 512, engages: true, fill: fillModulus},
 	{name: "huge bound", src: diffMemBase + 0x3000, dst: diffMemBase + 0x1000, n: 0xfffffff0},
 	// One iteration is streamed before the index wraps to 0; the rest runs off the end.
 	{name: "index wraps", src: diffMemBase + 0x3f08, dst: diffMemBase + 0x108, n: 0xffffffff, i0: 0xfffffff8, engages: true},
@@ -592,10 +631,31 @@ func seedStream(f *vcode.FlatMem) {
 }
 
 // loadArgs puts the run's streams, moved to where the setup's memory is,
-// and its length in the argument registers.
+// and its length in the argument registers, and the fill's accumulator in
+// r10.
 func (run streamRun) loadArgs(s diffSetup, m *vcode.Machine) {
 	delta := s.base() - diffMemBase
 	m.Regs[strSrc], m.Regs[strDst], m.Regs[strLen] = run.src+delta, run.dst+delta, run.n
+	switch run.fill {
+	case fillZero, fillModulus:
+		m.Regs[10] = 0
+	case fillOnes:
+		m.Regs[10] = 0xffffffff
+	}
+}
+
+// seed is seedStream, then the fill's words from src to the end of the run
+// or of the memory.
+func (run streamRun) seed(f *vcode.FlatMem) {
+	seedStream(f)
+	if run.fill == fillSeeded {
+		return
+	}
+	for j, at := 0, uint64(run.src); at < uint64(run.src)+uint64(run.n) && at+4 <= strEnd; j, at = j+1, at+4 {
+		if at >= diffMemBase {
+			binary.BigEndian.PutUint32(f.Data[at-diffMemBase:], run.fill.word(j))
+		}
+	}
 }
 
 // streamSides builds the two machines of one run: every register holds
@@ -612,7 +672,7 @@ func streamSides(s diffSetup, prog *vcode.Program, run streamRun, warm []uint32)
 			}
 		}
 	}
-	return newDiffSide(s, len(prog.Insns), seedStream, attach), newDiffSide(s, len(prog.Insns), seedStream, attach)
+	return newDiffSide(s, len(prog.Insns), run.seed, attach), newDiffSide(s, len(prog.Insns), run.seed, attach)
 }
 
 // compareStream runs one case twice (the second run starts from the first
@@ -785,11 +845,11 @@ func TestStreamEnteredMidBody(t *testing.T) {
 }
 
 // FuzzStreamMatchesReference lets the fuzzer pick the memory, place the
-// streams, set the budgets and warm the cache: a byte that is shape and
-// memory kind (kind·9 + shape, so the seeds written when FlatMem was the
-// only kind still mean what their names say), flags (no cache, PCCounts,
-// 1-KiB cache, huge bound, last page absent, index start), src, dst,
-// length, instruction budget, cycle limit, then two bytes per warmed line.
+// streams, set the budgets and warm the cache: a byte that is fill (bits
+// 7-6), memory kind (5-4) and shape (3-0, modulo the shapes), flags (no
+// cache, PCCounts, 1-KiB cache, huge bound, last page absent, index start),
+// src, dst, length, instruction budget, cycle limit, then two bytes per
+// warmed line.
 func FuzzStreamMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() uint32 { // big-endian 16 bits, zeros past the end
@@ -803,10 +863,10 @@ func FuzzStreamMatchesReference(f *testing.F) {
 			return v
 		}
 		head := next()
-		sh, flags := streamShapes[int(head>>8)%len(streamShapes)], head&0xff
-		kind := memKind(int(head>>8) / len(streamShapes) % int(numMemKinds))
+		sh, flags := streamShapes[int(head>>8&15)%len(streamShapes)], head&0xff
+		kind, fill := memKind(head>>12&3), streamFill(head>>14)
 		const span = diffMemSize + 0x40 // from just below memory to just past it
-		run := streamRun{src: diffMemBase - 0x20 + next()%span, dst: diffMemBase - 0x20 + next()%span, n: next() % 0x1400}
+		run := streamRun{src: diffMemBase - 0x20 + next()%span, dst: diffMemBase - 0x20 + next()%span, n: next() % 0x1400, fill: fill}
 		s := diffSetup{noCache: flags&1 != 0, pcCounts: flags&2 != 0, mem: kind, absent: flags&16 != 0}
 		if flags&4 != 0 {
 			s.cacheBytes = 1024
