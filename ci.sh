@@ -271,13 +271,11 @@ fi
 # Hot-path microbenchmarks: a short sweep proves the fixtures still run.
 # Timings are never gated here — CI machines vary too much (cmd/perfbench
 # records them) — but allocation counts are deterministic, so the
-# zero-alloc hot-path contract IS gated: TestBodiesRun fails when the
-# demux, dispatch, event-queue or packet-path bodies report an alloc/op.
+# zero-alloc hot-path contract IS gated, by TestBodiesRun in the `go test`
+# and `-race` runs above: it fails when the demux, dispatch, event-queue
+# or packet-path bodies report an alloc/op.
 echo "== hot-path microbenchmarks (smoke)"
 go test -run '^$' -bench . -benchtime 0.1s ./internal/bench/hotpath/
-
-echo "== hot-path zero-alloc gate (TestBodiesRun)"
-go test -count=1 -run '^TestBodiesRun$' ./internal/bench/hotpath/
 
 if command -v staticcheck >/dev/null 2>&1; then
     echo "== staticcheck"

@@ -478,25 +478,33 @@ func TestUnbindFilterChecksTheBinding(t *testing.T) {
 	}
 }
 
-// TestBindFilterIsOneAllocation: the binding carries its ring, and the
-// engine and the binding table grow by amortised doubling. mega-setup
-// makes 262 144 of these, so the size is pinned too: 144 bytes is a
-// malloc size class, and one more word moves every binding to the next.
-func TestBindFilterIsOneAllocation(t *testing.T) {
+// TestBindFilterAllocatesNoObjectPerBinding: a binding, ring included, is
+// a slot in the interface's pages, and the engine grows in slabs, so 4096
+// binds on a fresh interface allocate at most one object per 32 of them.
+// mega-setup makes 262 144 bindings, so the size is pinned too: one more
+// word is 2 MiB more pages.
+func TestBindFilterAllocatesNoObjectPerBinding(t *testing.T) {
+	const n = 4096
 	eng := sim.NewEngine()
 	prof := mach.DS5000_240()
-	e := NewEthernet(NewKernel("rx", eng, prof), netdev.NewSwitch(eng, prof, netdev.EthernetConfig()))
+	sw := netdev.NewSwitch(eng, prof, netdev.EthernetConfig())
+	// AllocsPerRun makes one warm-up call: each call gets its own interface.
+	ifs := []*EthernetIf{NewEthernet(NewKernel("warm", eng, prof), sw), NewEthernet(NewKernel("rx", eng, prof), sw)}
 	f := dpf.NewFilter().Eq32(0, 0)
 	var b *Binding
-	allocs := testing.AllocsPerRun(2000, func() {
-		f.Atoms[0].Value++
-		var err error
-		if b, err = e.BindFilter(nil, f); err != nil {
-			t.Fatal(err)
+	allocs := testing.AllocsPerRun(1, func() {
+		e := ifs[0]
+		ifs = ifs[1:]
+		for i := 0; i < n; i++ {
+			f.Atoms[0].Value = uint32(i)
+			var err error
+			if b, err = e.BindFilter(nil, f); err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
-	if allocs > 1 {
-		t.Errorf("BindFilter: %v allocations per call, want 1", allocs)
+	if allocs > n/32 {
+		t.Errorf("%d BindFilter calls allocate %v objects, want at most %d", n, allocs, n/32)
 	}
 	if size := unsafe.Sizeof(*b); size > 144 {
 		t.Errorf("Binding is %d bytes, want at most 144", size)

@@ -5,6 +5,7 @@ import (
 
 	"ashs/internal/dpf"
 	"ashs/internal/netdev"
+	"ashs/internal/pages"
 	"ashs/internal/sim"
 )
 
@@ -19,9 +20,10 @@ type EthernetIf struct {
 	NIC
 
 	engine *dpf.Engine
-	// bindings is indexed by FilterID (the engine issues ids densely and
-	// never reuses one); nil once unbound.
-	bindings []*Binding
+	// bindings holds every binding by value, indexed by FilterID (the
+	// engine issues ids densely and never reuses one). An unbound slot is
+	// never reused either, so every *Binding handed out stays valid.
+	bindings pages.Array[Binding]
 
 	pool rxPool // striped kernel receive buffers (2x MTU each), shared by every binding
 
@@ -77,12 +79,10 @@ func (e *EthernetIf) BindFilter(p *Process, f *dpf.Filter) (*Binding, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &Binding{ID: int(id), Owner: p, Ring: Ring{k: e.K}, nic: &e.NIC, pool: &e.pool}
-	for len(e.bindings) <= int(id) {
-		e.bindings = append(e.bindings, nil)
+	if int(id) != e.bindings.Len() {
+		panic(fmt.Sprintf("aegis: DPF issued filter id %d, want %d", id, e.bindings.Len()))
 	}
-	e.bindings[id] = b
-	return b, nil
+	return e.bindings.Push(Binding{ID: int(id), Owner: p, Ring: Ring{k: e.K}, nic: &e.NIC, pool: &e.pool}), nil
 }
 
 // TrieDepth reports the DPF trie's deepest installed path (see
@@ -99,13 +99,13 @@ func (e *EthernetIf) TrieCensus() dpf.Census { return e.engine.Census() }
 // UnbindFilter removes a binding. It refuses a binding that is not
 // currently installed on this interface — one from another interface, or
 // one already unbound — rather than remove whatever filter this engine
-// issued the same numeric id.
+// issued the same numeric id. The slot stays: the engine marks the id
+// removed and never issues it again, so it refuses a second unbind.
 func (e *EthernetIf) UnbindFilter(b *Binding) error {
-	if b.nic != &e.NIC || b.ID >= len(e.bindings) || e.bindings[b.ID] != b {
+	if b.nic != &e.NIC || e.bindings.At(b.ID) != b || e.engine.Remove(dpf.FilterID(b.ID)) != nil {
 		return fmt.Errorf("aegis: filter %d is not bound on %s", b.ID, e.K.Name)
 	}
-	e.bindings[b.ID] = nil
-	return e.engine.Remove(dpf.FilterID(b.ID))
+	return nil
 }
 
 // Stripe writes frame into buf in the device's striped layout: 16 bytes of
@@ -160,7 +160,7 @@ func (e *EthernetIf) receive(pkt *netdev.PacketBuf) {
 		e.Rx.NoMatch++
 		return
 	}
-	b := e.bindings[id]
+	b := e.bindings.At(int(id))
 	e.RxFrames++
 	e.DemuxCycles += demuxCycles
 	if df.DropRing {

@@ -109,7 +109,9 @@ func (n *NIC) transmit(pkt *netdev.PacketBuf) { _ = n.Port.Transmit(pkt) }
 // virtual circuit (Section IV-A) or a DPF packet filter on the Ethernet
 // ("the Ethernet device is securely exported by a packet filter engine")
 // — with its notification ring and, optionally, a downloaded handler or
-// an upcall upstream of the ring. Binding and ring are one allocation.
+// an upcall upstream of the ring. Binding and ring are one value: an AN2
+// circuit's is its own allocation, an Ethernet filter's a slot in the
+// interface's pages.
 type Binding struct {
 	// ID is the virtual circuit number or the DPF filter id.
 	ID    int

@@ -1,6 +1,7 @@
 package hotpath
 
 import (
+	"flag"
 	"testing"
 
 	"ashs/internal/mach"
@@ -25,6 +26,9 @@ func BenchmarkPacketPath(b *testing.B)          { PacketPath(b) }
 func BenchmarkPacketPathAN2(b *testing.B)       { PacketPathAN2(b) }
 func BenchmarkTCPSegment(b *testing.B)          { TCPSegment(b) }
 
+// bodyIters is TestBodiesRun's -test.benchtime.
+const bodyIters = "200x"
+
 // TestBodiesRun drives each benchmark body through testing.Benchmark —
 // the harness cmd/perfbench replays them with — so a fixture regression
 // fails `go test` even when -bench is not passed. It is also the zero-alloc
@@ -34,10 +38,16 @@ func BenchmarkTCPSegment(b *testing.B)          { TCPSegment(b) }
 // per operation; nor may the cache model's range charging, the DILP
 // engine's run or a steady-state TCP segment.
 // SandboxInstrument is download-time work and allocates by design.
+// Each body runs a fixed bodyIters iterations, not to a benchtime: one
+// allocation per iteration is bodyIters allocations, and allocs/op
+// reads 1 however few iterations run.
 func TestBodiesRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark bodies are slow under -short")
+	bt := flag.Lookup("test.benchtime").Value
+	prev := bt.String()
+	if err := bt.Set(bodyIters); err != nil {
+		t.Fatal(err)
 	}
+	defer bt.Set(prev)
 	for _, bm := range []struct {
 		name      string
 		fn        func(*testing.B)

@@ -274,10 +274,11 @@ func megaRun(cfg *Config, w *world, flt *flyweight.Fleet, wl *megaWorkload, n, e
 	// The server trie's footprint, readable without a heap profile.
 	c := srv.eth.TrieCensus()
 	cfg.note("[megascale %s N=%d server trie: nodes %d (%d free), branches %d (%d free), "+
-		"tables %d, table slots %d (%d used), atoms %d (%d free), ids %d (%d live), %.1f MiB]",
+		"tables %d, table slots %d (%d used, probe mean %.3f max %d), atoms %d (%d free), "+
+		"ids %d (%d live), %.1f MiB]",
 		wl.name, n, c.Nodes, c.FreeNodes, c.Branches, c.FreeBranches,
-		c.Tables, c.TableSlots, c.TableKids, c.Atoms, c.FreeAtoms, c.IDs, c.LiveIDs,
-		float64(c.Bytes)/(1<<20))
+		c.Tables, c.TableSlots, c.TableKids, c.ProbeMean, c.ProbeMax, c.Atoms, c.FreeAtoms,
+		c.IDs, c.LiveIDs, float64(c.Bytes)/(1<<20))
 	return r
 }
 

@@ -260,6 +260,53 @@ func TestChurnSeeds(t *testing.T) {
 	}
 }
 
+// TestProbeDisplacement: three values with one home slot sit 0, 1 and 2
+// slots from it, and a fourth elsewhere at 0, so the census reads a mean of
+// 3/4 and a maximum of 2.
+func TestProbeDisplacement(t *testing.T) {
+	tab := newKidTable(3)
+	var same []uint32
+	other := uint32(0)
+	for v := uint32(1); len(same) < 3 || other == 0; v++ {
+		switch {
+		case tab.home(v) == tab.home(1) && len(same) < 3:
+			same = append(same, v)
+		case tab.home(v) == (tab.home(1)+4)&7 && other == 0:
+			other = v
+		}
+	}
+	for i, v := range append(same, other) {
+		tab.slots[tab.locate(v)] = kidSlot{val: v, kid: uint32(i + 1)}
+	}
+	if sum, longest := tab.displacement(); sum != 3 || longest != 2 {
+		t.Fatalf("displacement: sum %d, longest %d; want 3 and 2", sum, longest)
+	}
+
+	e := NewEngine()
+	for _, v := range append(same, other) {
+		if _, err := e.Insert(NewFilter().Eq32(0, v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := e.Census()
+	var sum, longest int
+	for i := uint32(0); i < e.branches.n; i++ {
+		if tb := e.branches.at(i).tab; tb != nil {
+			mask := uint32(len(tb.slots) - 1)
+			for _, v := range append(same, other) {
+				d := 0
+				for j := tb.home(v); tb.slots[j].val != v; j = (j + 1) & mask {
+					d++
+				}
+				sum, longest = sum+d, max(longest, d)
+			}
+		}
+	}
+	if c.Tables != 1 || c.ProbeMean != float64(sum)/4 || c.ProbeMax != longest {
+		t.Fatalf("census %+v; want one table, mean %v, max %d", c, float64(sum)/4, longest)
+	}
+}
+
 // FuzzDPFChurn is the differential fuzzer for the engine's storage: the
 // input drives Insert / Remove / re-Insert / Reorder / bad-id Remove over
 // a value pool wide enough to take a branch from inline children through

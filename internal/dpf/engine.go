@@ -534,6 +534,11 @@ type Census struct {
 	// Tables counts branches whose children outgrew the inline slots;
 	// TableSlots and TableKids are those tables' capacity and occupancy.
 	Tables, TableSlots, TableKids int
+	// ProbeMean and ProbeMax are the mean and the longest distance of a
+	// table entry from its home slot: how far a lookup or insert probes
+	// past the first slot it touches.
+	ProbeMean float64
+	ProbeMax  int
 	// Bytes is everything above: slab pages at capacity plus table slots.
 	Bytes int
 }
@@ -557,12 +562,19 @@ func (e *Engine) Census() Census {
 			c.FreeAtoms += n
 		}
 	}
+	probes := 0
 	for i := uint32(0); i < e.branches.n; i++ {
 		if b := e.branches.at(i); b.tab != nil {
 			c.Tables++
 			c.TableSlots += len(b.tab.slots)
 			c.TableKids += int(b.nkids)
+			sum, longest := b.tab.displacement()
+			probes += sum
+			c.ProbeMax = max(c.ProbeMax, longest)
 		}
+	}
+	if c.TableKids > 0 {
+		c.ProbeMean = float64(probes) / float64(c.TableKids)
 	}
 	c.Bytes += c.TableSlots * 8
 	return c

@@ -109,6 +109,20 @@ func (t *kidTable) grow() {
 	}
 }
 
+// displacement reports the summed and the longest distance of the table's
+// entries from their home slots: the extra slots locate steps over.
+func (t *kidTable) displacement() (sum, longest int) {
+	mask := uint32(len(t.slots) - 1)
+	for i, s := range t.slots {
+		if s.kid != 0 {
+			d := int((uint32(i) - t.home(s.val)) & mask)
+			sum += d
+			longest = max(longest, d)
+		}
+	}
+	return sum, longest
+}
+
 // del empties slot i and shifts the entries that probed past it back, so
 // every remaining entry stays reachable from its home slot.
 func (t *kidTable) del(i uint32) {

@@ -122,9 +122,13 @@ type Config struct {
 }
 
 // Fleet is a set of flyweight endpoints plus their shared accounting.
+// The endpoints live by value in one slice, allocated once, on consecutive
+// switch ports from base: a 10^6 fleet is one object for the collector to
+// mark, not a million.
 type Fleet struct {
-	cfg Config
-	eps []*Endpoint
+	cfg  Config
+	eps  []Endpoint
+	base int
 
 	// Hist collects completed-operation round-trip times from the
 	// open-loop trace; IncastHist collects those of incast-wave
@@ -185,9 +189,10 @@ const (
 	stepFin
 )
 
-// NewFleet builds n endpoints on cfg.Sw, one switch port each. The
-// server's kernel must already own its port so filters keyed on client
-// addresses (ip.HostAddr of each new port) resolve consistently.
+// NewFleet builds n endpoints on cfg.Sw, one switch port each, and installs
+// one receiver for all of them. The server's kernel must already own its
+// port so filters keyed on client addresses (ip.HostAddr of each new port)
+// resolve consistently.
 func NewFleet(cfg Config) *Fleet {
 	if cfg.N <= 0 {
 		panic("flyweight: fleet size must be positive")
@@ -202,16 +207,26 @@ func NewFleet(cfg Config) *Fleet {
 		panic("flyweight: NFSRead needs ReadBytes and FileBytes")
 	}
 	f := &Fleet{cfg: cfg, Hist: &obs.Histogram{}, IncastHist: &obs.Histogram{}}
-	f.eps = make([]*Endpoint, cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		ep := &Endpoint{f: f, id: i, port: cfg.Sw.NewPort()}
-		ep.addr = ip.HostAddr(ep.port.Addr())
-		ep.port.SetReceiver(ep.rx)
-		f.eps[i] = ep
+	f.eps = make([]Endpoint, cfg.N)
+	rx := f.rx
+	for i := range f.eps {
+		port := cfg.Sw.NewPort()
+		if i == 0 {
+			f.base = port.Addr()
+		} else if port.Addr() != f.base+i {
+			panic(fmt.Sprintf("flyweight: endpoint %d got port %d, not %d: fleet ports must be consecutive",
+				i, port.Addr(), f.base+i))
+		}
+		port.SetReceiver(rx)
+		f.eps[i] = Endpoint{f: f, id: i, port: port, addr: ip.HostAddr(port.Addr())}
 	}
 	f.cfg.Obs.SetGauge("flyweight/bytes_per_endpoint", int64(f.StaticBytesPerEndpoint()))
 	return f
 }
+
+// rx is the receiver of every endpoint's port. The switch sets Dst to the
+// receiving port, broadcasts included, so it names the endpoint.
+func (f *Fleet) rx(pkt *netdev.PacketBuf) { f.eps[pkt.Dst-f.base].rx(pkt) }
 
 // Len is the fleet size.
 func (f *Fleet) Len() int { return len(f.eps) }
@@ -267,7 +282,7 @@ func (f *Fleet) Run(tr *workload.Trace, waves, waveClients int, quietUs, waveGap
 	for w := 0; w < waves; w++ {
 		at := f.cfg.Prof.Cycles(base + float64(w)*waveGapUs)
 		for c := 0; c < waveClients; c++ {
-			ep := f.eps[c]
+			ep := &f.eps[c]
 			f.cfg.Eng.ScheduleAt(at, func() { ep.arrive(true) })
 		}
 	}

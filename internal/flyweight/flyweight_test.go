@@ -128,6 +128,41 @@ func TestFleetAccessors(t *testing.T) {
 	}
 }
 
+// TestNewFleetAllocatesNoObjectPerEndpoint: the endpoints are one slice
+// and their ports are page slots behind one shared receiver, so a
+// 4096-endpoint fleet allocates at most one object per 32 endpoints.
+func TestNewFleetAllocatesNoObjectPerEndpoint(t *testing.T) {
+	const n = 4096
+	// AllocsPerRun makes one warm-up call: each call gets its own world.
+	worlds := []*testWorld{newTestWorld(), newTestWorld()}
+	allocs := testing.AllocsPerRun(1, func() {
+		w := worlds[0]
+		worlds = worlds[1:]
+		NewFleet(w.cfg(UDPEcho, n))
+	})
+	if allocs > n/32 {
+		t.Errorf("a %d-endpoint fleet allocates %v objects, want at most %d", n, allocs, n/32)
+	}
+}
+
+// TestBroadcastReachesEveryEndpoint: an ARP-shaped broadcast from the
+// server is heard by every endpoint, each through its own port, and each
+// drops it as not IPv4.
+func TestBroadcastReachesEveryEndpoint(t *testing.T) {
+	const n = 6
+	w := newTestWorld()
+	f := NewFleet(w.cfg(UDPEcho, n))
+	arp := make([]byte, 42)
+	binary.BigEndian.PutUint16(arp[12:], 0x0806)
+	if err := w.transmit(netdev.Broadcast, arp); err != nil {
+		t.Fatal(err)
+	}
+	w.eng.Run()
+	if f.BadFrames != n {
+		t.Fatalf("BadFrames = %d, want one per endpoint (%d)", f.BadFrames, n)
+	}
+}
+
 // TestUDPEchoCompletes runs trace + incast waves against an echo server
 // and checks exact open-loop accounting.
 func TestUDPEchoCompletes(t *testing.T) {

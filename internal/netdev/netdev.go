@@ -27,6 +27,7 @@ import (
 
 	"ashs/internal/mach"
 	"ashs/internal/obs"
+	"ashs/internal/pages"
 	"ashs/internal/sim"
 )
 
@@ -97,7 +98,9 @@ type Switch struct {
 	// Pool.InUse() == 0 (the buffer-lease leak invariant).
 	Pool *BufPool
 
-	ports []*Port
+	// ports holds every attachment by value, indexed by address: a
+	// million-port switch is a thousand page objects, not a million.
+	ports pages.Array[Port]
 
 	// Fault injection for tests: called per packet before delivery.
 	// Return false to drop. May mutate the packet in place (corruption
@@ -146,11 +149,10 @@ type Port struct {
 	txBusyUntil sim.Time
 }
 
-// NewPort attaches a new NIC to the switch and returns it.
+// NewPort attaches a new NIC to the switch and returns it. Addresses are
+// issued consecutively from 0.
 func (s *Switch) NewPort() *Port {
-	p := &Port{sw: s, addr: len(s.ports)}
-	s.ports = append(s.ports, p)
-	return p
+	return s.ports.Push(Port{sw: s, addr: s.ports.Len()})
 }
 
 // Addr reports this port's address on the switch.
@@ -158,7 +160,9 @@ func (p *Port) Addr() int { return p.addr }
 
 // SetReceiver installs the function invoked (in event context) when a
 // packet's DMA into this port completes. The receiver borrows the buffer
-// for the duration of the call; it must copy what it keeps longer.
+// for the duration of the call; it must copy what it keeps longer. While
+// it runs, pkt.Dst is this port's address, broadcast or not, so one
+// receiver may serve many ports.
 func (p *Port) SetReceiver(fn func(pkt *PacketBuf)) { p.rx = fn }
 
 // wireBytes is the on-the-wire size of a payload.
@@ -188,8 +192,8 @@ const Broadcast = -1
 
 // Ports returns the addresses of all attached ports.
 func (s *Switch) Ports() []int {
-	out := make([]int, len(s.ports))
-	for i := range s.ports {
+	out := make([]int, s.ports.Len())
+	for i := range out {
 		out[i] = i
 	}
 	return out
@@ -209,7 +213,7 @@ func (p *Port) Transmit(pkt *PacketBuf) error {
 		s.Refused++
 		return fmt.Errorf("%s: frame of %d bytes exceeds max %d", s.Cfg.Name, n, s.Cfg.MaxFrame)
 	}
-	if pkt.Dst != Broadcast && (pkt.Dst < 0 || pkt.Dst >= len(s.ports)) {
+	if pkt.Dst != Broadcast && (pkt.Dst < 0 || pkt.Dst >= s.ports.Len()) {
 		dst := pkt.Dst
 		pkt.Release()
 		s.Refused++
@@ -263,26 +267,27 @@ func (s *Switch) deliverEvent(a any) {
 // deliver fans a packet out to its destination port(s) right now.
 // Unicast is O(1) in the port count: a million-endpoint switch must not
 // walk a million ports per packet. Receivers borrow the buffer for the
-// callback; the caller still owns its reference afterwards.
+// callback; the caller still owns its reference afterwards. A broadcast
+// frame carries each receiving port's address in Dst while that port's
+// receiver runs, and Broadcast again once the fan-out is done.
 func (s *Switch) deliver(pkt *PacketBuf) {
 	s.Delivered++
 	s.Obs.Inc("net/frames_delivered")
 	if pkt.Dst != Broadcast {
-		if pkt.Dst >= 0 && pkt.Dst < len(s.ports) {
-			if dst := s.ports[pkt.Dst]; dst.rx != nil {
+		if pkt.Dst >= 0 && pkt.Dst < s.ports.Len() {
+			if dst := s.ports.At(pkt.Dst); dst.rx != nil {
 				dst.rx(pkt)
 			}
 		}
 		return
 	}
-	for i, dst := range s.ports {
-		if i == pkt.Src {
-			continue
-		}
-		if dst.rx != nil {
+	for i, n := 0, s.ports.Len(); i < n; i++ {
+		if dst := s.ports.At(i); i != pkt.Src && dst.rx != nil {
+			pkt.Dst = i
 			dst.rx(pkt)
 		}
 	}
+	pkt.Dst = Broadcast
 }
 
 // Redeliver hands pkt to its destination port(s) immediately, bypassing

@@ -186,6 +186,64 @@ func TestOrderingPreserved(t *testing.T) {
 	}
 }
 
+// TestBroadcastFanOut: a broadcast frame reaches every port but the
+// sender's exactly once, and each receiver sees its own address in Dst, on
+// the wire and when an injector redelivers; the fan-out leaves Dst
+// Broadcast again for whoever holds the frame next.
+func TestBroadcastFanOut(t *testing.T) {
+	const ports, sender = 5, 2
+	eng := sim.NewEngine()
+	sw := NewSwitch(eng, mach.DS5000_240(), EthernetConfig())
+	var got [ports]int
+	for i := 0; i < ports; i++ {
+		p := sw.NewPort()
+		p.SetReceiver(func(pkt *PacketBuf) {
+			got[p.Addr()]++
+			if pkt.Dst != p.Addr() || pkt.Src != sender {
+				t.Errorf("port %d saw Dst %d, Src %d; want %d, %d", p.Addr(), pkt.Dst, pkt.Src, p.Addr(), sender)
+			}
+		})
+	}
+	check := func(path string) {
+		t.Helper()
+		for i, n := range got {
+			want := 1
+			if i == sender {
+				want = 0
+			}
+			if n != want {
+				t.Errorf("%s: port %d received %d copies, want %d", path, i, n, want)
+			}
+		}
+		got = [ports]int{}
+	}
+
+	if err := sw.ports.At(sender).Transmit(lease(sw, Broadcast, 0, []byte{1})); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	check("wire")
+
+	pkt := lease(sw, Broadcast, 0, []byte{2})
+	pkt.Src = sender
+	sw.Redeliver(pkt)
+	check("redeliver")
+
+	// Both entry points release the frame straight after deliver; what
+	// deliver leaves behind is what a holder of the frame would see.
+	pkt = lease(sw, Broadcast, 0, []byte{3})
+	pkt.Src = sender
+	sw.deliver(pkt)
+	check("deliver")
+	if pkt.Dst != Broadcast {
+		t.Errorf("after the fan-out Dst = %d, want Broadcast", pkt.Dst)
+	}
+	pkt.Release()
+	if sw.Pool.InUse() != 0 {
+		t.Fatalf("pool leak: %d buffers in use", sw.Pool.InUse())
+	}
+}
+
 func TestSteadyStateWireZeroAlloc(t *testing.T) {
 	// The tentpole claim at the wire layer: a warmed-up ping-pong loop
 	// allocates nothing per round trip.
