@@ -478,12 +478,13 @@ func TestUnbindFilterChecksTheBinding(t *testing.T) {
 	}
 }
 
-// TestBindFilterAllocatesNoObjectPerBinding: a binding, ring included, is
-// a slot in the interface's pages, and the engine grows in slabs, so 4096
-// binds on a fresh interface allocate at most one object per 32 of them.
-// mega-setup makes 262 144 bindings, so the size is pinned too: one more
-// word is 2 MiB more pages.
-func TestBindFilterAllocatesNoObjectPerBinding(t *testing.T) {
+// TestBindFilterIsOneAllocation: BindFilter costs at most one allocation,
+// and in fact far less. A binding, ring included, is a slot in the
+// interface's pages, and the engine grows in slabs, so 4096 binds on a
+// fresh interface allocate at most one object per 32 of them. mega-setup
+// makes 262 144 bindings, so the size is pinned too: one more word is
+// 2 MiB more pages.
+func TestBindFilterIsOneAllocation(t *testing.T) {
 	const n = 4096
 	eng := sim.NewEngine()
 	prof := mach.DS5000_240()
