@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/metrics"
 	"runtime/pprof"
 	"strings"
 	"time"
@@ -114,6 +115,9 @@ func main() {
 	// program at once each count a miss, so the parallel counts differ.
 	hits, misses := sandbox.CacheStats()
 	fmt.Fprintf(os.Stderr, "[compile cache: %d hits, %d misses, %d entries]\n", hits, misses, sandbox.CacheEntries())
+	// The simulator's own Go runtime cost, the collector's above all. Not a
+	// function of the simulations: it moves with the machine and -parallel.
+	fmt.Fprintln(os.Stderr, goRuntimeLine())
 	// And the schedule itself: the first four are functions of the
 	// simulations alone (ci.sh compares the -quick -parallel 1 line with
 	// ashbench_counts.txt); elided (how many of those handoffs the sleeping
@@ -179,6 +183,25 @@ func writeMemProfile(path string) {
 	if err := f.Close(); err != nil {
 		fatalf("mem profile: %v", err)
 	}
+}
+
+// goRuntimeLine reports, from runtime/metrics, the process's GC cycles, the
+// CPU time the collector took of all the CPU time the process used (the
+// total available at GOMAXPROCS less idle), and the bytes it allocated. The
+// CPU times are the runtime's estimates, brought up to date at each
+// collection.
+func goRuntimeLine() string {
+	s := []metrics.Sample{
+		{Name: "/gc/cycles/total:gc-cycles"},
+		{Name: "/cpu/classes/gc/total:cpu-seconds"},
+		{Name: "/cpu/classes/total:cpu-seconds"},
+		{Name: "/cpu/classes/idle:cpu-seconds"},
+		{Name: "/gc/heap/allocs:bytes"},
+	}
+	metrics.Read(s)
+	return fmt.Sprintf("[go runtime: %d GC cycles, %.3f s GC CPU of %.3f s total, %.1f MiB allocated]",
+		s[0].Value.Uint64(), s[1].Value.Float64(), s[2].Value.Float64()-s[3].Value.Float64(),
+		float64(s[4].Value.Uint64())/(1<<20))
 }
 
 func fatalf(format string, args ...any) {

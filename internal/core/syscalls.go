@@ -16,10 +16,14 @@ import (
 // range — Load for what it reads, Store for what it writes — which is the
 // protection check, the residency check and the rollback pre-image in one.
 // A zero-length range is lent anywhere.
+//
+// A System builds the table once and every handler it installs shares it:
+// an entry point that needs the message being handled reads s.curMC, the
+// running invocation's.
 
-// syscalls builds the entry-point table for handler a.
-func (s *System) syscalls(a *ASH) map[string]vcode.SyscallFn {
-	return map[string]vcode.SyscallFn{
+// syscalls builds the System's entry-point table, indexed by vcode.Sym.
+func (s *System) syscalls() []vcode.SyscallFn {
+	return vcode.SymTable(map[string]vcode.SyscallFn{
 		// ash_send(dst, vc, addr, len): transmit len bytes at addr as a
 		// message — message initiation from inside the kernel, no system
 		// call boundary.
@@ -33,7 +37,7 @@ func (s *System) syscalls(a *ASH) map[string]vcode.SyscallFn {
 				return err
 			}
 			m.Charge(4) // argument staging
-			a.curMC.Send(dst, vc, data)
+			s.curMC.Send(dst, vc, data)
 			return nil
 		},
 
@@ -100,10 +104,10 @@ func (s *System) syscalls(a *ASH) map[string]vcode.SyscallFn {
 		// check against the message was aggregated at handler entry.
 		"ash_msg_load": func(m *vcode.Machine) error {
 			off := m.Regs[vcode.RArg0]
-			if int(off)+4 > a.curMC.Entry.Len {
+			if int(off)+4 > s.curMC.Entry.Len {
 				return &vcode.Fault{Kind: vcode.FaultBadAddr, Addr: off, Msg: "beyond message"}
 			}
-			addr := a.curMC.Entry.Addr + off
+			addr := s.curMC.Entry.Addr + off
 			if m.Cache != nil {
 				m.Charge(m.Cache.Load(addr))
 			}
@@ -115,5 +119,5 @@ func (s *System) syscalls(a *ASH) map[string]vcode.SyscallFn {
 			m.Charge(2)
 			return nil
 		},
-	}
+	})
 }

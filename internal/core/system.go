@@ -46,6 +46,13 @@ type System struct {
 	engines []*registeredEngine
 	nextID  ID
 
+	// syms is the entry-point table every handler's machine shares, built
+	// at the first Download (most hosts of a fan-in world never make one);
+	// curMC is the message of the running invocation, live only inside
+	// HandleMsg.
+	syms  []vcode.SyscallFn
+	curMC *aegis.MsgCtx
+
 	// Quota, when set, meters eager handler execution against per-tenant
 	// windowed cycle budgets (see sandbox.QuotaLedger). Handlers carrying
 	// a Tenant label are admitted against the ledger before running and
@@ -221,7 +228,6 @@ type ASH struct {
 	machine *vcode.Machine
 	journal *vcode.Journal // undo log for involuntary-abort rollback
 	budget  int64
-	curMC   *aegis.MsgCtx // live only during HandleMsg
 
 	// Handler ABI: on entry RArg0 = message address, RArg1 = message
 	// length, RArg2 = VC, RArg3 = source address. On exit RRet = 0 to
@@ -272,7 +278,10 @@ func (s *System) Download(owner *aegis.Process, prog *vcode.Program, opts Option
 	a.journal = vcode.NewJournal(owner.AS)
 	a.machine = vcode.NewMachine(s.K.Prof, a.journal)
 	a.machine.Cache = s.K.Cache
-	a.machine.Syms = s.syscalls(a)
+	if s.syms == nil {
+		s.syms = s.syscalls()
+	}
+	a.machine.Syms = s.syms
 	if a.sandbox != nil {
 		a.sandbox.Attach(a.machine, 0, ^uint32(0), opts.Budget)
 		// Real addressing enforcement is the owner's address space (the
@@ -324,7 +333,11 @@ func (a *ASH) HandleMsg(mc *aegis.MsgCtx) aegis.Disposition {
 	invokeStart := mc.When()
 	a.sys.K.Obs.Inc("ash/invocations")
 	m := a.machine
-	a.curMC = mc
+	// Saved and restored rather than cleared, so that an invocation nested
+	// in this run (none is today: sends wait for the commit) would hand the
+	// entry points this message back.
+	outer := a.sys.curMC
+	a.sys.curMC = mc
 
 	// Time bounding (Section III-B3) is orthogonal to memory protection:
 	// the watchdog timer is armed for every safe handler except under the
@@ -368,7 +381,7 @@ func (a *ASH) HandleMsg(mc *aegis.MsgCtx) aegis.Disposition {
 	if useTimer {
 		mc.Charge(sim.Time(prof.TimerArmCycles)) // clear the watchdog
 	}
-	a.curMC = nil
+	a.sys.curMC = outer
 
 	if fault != nil {
 		// Involuntary abort: the system protects itself; the application

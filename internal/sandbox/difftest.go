@@ -158,7 +158,7 @@ func newDiffVariant(p *vcode.Program, pol *Policy, cfg *DiffConfig) (*diffVarian
 
 // diffSyscalls stubs the kernel entry points with region-confined,
 // deterministic equivalents that record side effects for comparison.
-func diffSyscalls(v *diffVariant) map[string]vcode.SyscallFn {
+func diffSyscalls(v *diffVariant) []vcode.SyscallFn {
 	inRegion := func(addr uint32, n int) error {
 		if n < 0 || uint64(addr)+uint64(n) > DiffLimit || addr < DiffBase {
 			return &vcode.Fault{Kind: vcode.FaultBadAddr, Addr: addr,
@@ -166,7 +166,7 @@ func diffSyscalls(v *diffVariant) map[string]vcode.SyscallFn {
 		}
 		return nil
 	}
-	return map[string]vcode.SyscallFn{
+	return vcode.SymTable(map[string]vcode.SyscallFn{
 		"ash_send": func(m *vcode.Machine) error {
 			addr := m.Regs[vcode.RArg2]
 			n := int(m.Regs[vcode.RArg3])
@@ -212,7 +212,7 @@ func diffSyscalls(v *diffVariant) map[string]vcode.SyscallFn {
 			m.Charge(2)
 			return nil
 		},
-	}
+	})
 }
 
 // round delivers the i'th message and runs the handler once. A message the

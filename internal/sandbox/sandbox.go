@@ -133,8 +133,8 @@ func verifyProgram(p *vcode.Program, pol *Policy) error {
 		case in.Op == vcode.OpInput32 || in.Op == vcode.OpOutput32:
 			return &VerifyError{pc, in, "pipe pseudo-op outside a pipe body"}
 		case in.Op == vcode.OpCall:
-			if pol.AllowedCalls == nil || !pol.AllowedCalls[in.Sym] {
-				return &VerifyError{pc, in, fmt.Sprintf("call to %q is not an allowed system entry point", in.Sym)}
+			if name := in.Sym.String(); pol.AllowedCalls == nil || !pol.AllowedCalls[name] {
+				return &VerifyError{pc, in, fmt.Sprintf("call to %q is not an allowed system entry point", name)}
 			}
 		case in.Op == vcode.OpBeq || in.Op == vcode.OpBne ||
 			in.Op == vcode.OpBltU || in.Op == vcode.OpBgeU || in.Op == vcode.OpJmp:

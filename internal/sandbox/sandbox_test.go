@@ -2,7 +2,9 @@ package sandbox
 
 import (
 	"errors"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"ashs/internal/mach"
@@ -52,13 +54,19 @@ func TestVerifyRejectsForgedSandboxOps(t *testing.T) {
 	}
 }
 
+// TestVerifyRejectsDisallowedCall: a call the policy does not list is
+// rejected by name — as are no entry point (Sym 0) and an id no name was
+// given, which only hand-built code holds.
 func TestVerifyRejectsDisallowedCall(t *testing.T) {
-	p := assemble(t, func(b *vcode.Builder) {
-		b.Call("kernel_format_disk")
-		b.Ret()
-	})
-	if err := Verify(p, DefaultPolicy()); err == nil {
-		t.Fatal("disallowed call verified")
+	for _, c := range []struct {
+		sym  vcode.Sym
+		name string
+	}{{vcode.Intern("kernel_format_disk"), `"kernel_format_disk"`}, {0, `""`}, {math.MaxUint32, `"sym(4294967295)"`}} {
+		p := &vcode.Program{Name: "t", Insns: []vcode.Insn{{Op: vcode.OpCall, Sym: c.sym}, {Op: vcode.OpRet}}}
+		err := Verify(p, DefaultPolicy())
+		if want := "call to " + c.name + " is not an allowed system entry point"; err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("call of Sym %d: %v, want an error saying %s", c.sym, err, want)
+		}
 	}
 }
 
@@ -384,7 +392,7 @@ func TestSandboxOverheadRatioShrinksWithDataSize(t *testing.T) {
 			_ = vcode.Store32(mem, 0x1000, 0x5000)
 			_ = vcode.Store32(mem, 0x1004, uint32(n))
 			m := vcode.NewMachine(mach.DS5000_240(), mem)
-			m.Syms["ash_copy"] = trustedCopy(mem)
+			m.Syms = vcode.SymTable(map[string]vcode.SyscallFn{"ash_copy": trustedCopy(mem)})
 			if !sandboxed {
 				if f := m.Run(p); f != nil {
 					t.Fatal(f)

@@ -245,7 +245,7 @@ func (b *Builder) Jmp(l Label) { b.emitBranch(Insn{Op: OpJmp}, l) }
 func (b *Builder) JmpR(rs Reg) { b.emit(Insn{Op: OpJmpR, Rs: rs}) }
 
 // Call emits a call to the named kernel entry point.
-func (b *Builder) Call(sym string) { b.emit(Insn{Op: OpCall, Sym: sym}) }
+func (b *Builder) Call(sym string) { b.emit(Insn{Op: OpCall, Sym: Intern(sym)}) }
 
 // Ret emits a handler return.
 func (b *Builder) Ret() { b.emit(Insn{Op: OpRet}) }

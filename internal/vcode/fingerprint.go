@@ -33,7 +33,7 @@ func (p *Program) Fingerprint() [sha256.Size]byte {
 		putU64(uint64(in.Op)<<24 | uint64(in.Rd)<<16 | uint64(in.Rs)<<8 | uint64(in.Rt))
 		putU64(uint64(uint32(in.Imm)))
 		putU64(uint64(int64(in.Target)))
-		putStr(in.Sym)
+		putStr(in.Sym.String()) // the name: an id depends on intern order
 	}
 	var out [sha256.Size]byte
 	h.Sum(out[:0])

@@ -189,15 +189,16 @@ func (o Op) IsSandboxOp() bool {
 	return o == OpSboxMask || o == OpSboxChk || o == OpChkDiv || o == OpChkBudget
 }
 
-// Insn is one decoded instruction.
+// Insn is one decoded instruction. It holds no pointer (an entry point is
+// an interned Sym, not its name), so code is plain data to the collector.
 type Insn struct {
 	Op     Op
 	Rd     Reg
 	Rs     Reg
 	Rt     Reg
 	Imm    int32
-	Target int    // branch/jump destination (instruction index)
-	Sym    string // OpCall entry point name
+	Target int // branch/jump destination (instruction index)
+	Sym    Sym // OpCall entry point
 }
 
 // String renders the instruction in assembler-like form.

@@ -103,7 +103,7 @@ type Machine struct {
 	Prof  *mach.Profile
 	Mem   Memory
 	Cache *mach.Cache // may be nil: loads then cost LoadHit
-	Syms  map[string]SyscallFn
+	Syms  []SyscallFn // indexed by Sym; see SymTable
 
 	Regs [NumRegs]uint32
 
@@ -140,7 +140,7 @@ type Machine struct {
 
 // NewMachine returns a machine over mem using profile p.
 func NewMachine(p *mach.Profile, mem Memory) *Machine {
-	return &Machine{Prof: p, Mem: mem, Syms: map[string]SyscallFn{}}
+	return &Machine{Prof: p, Mem: mem}
 }
 
 // Charge adds cycles to the accumulated cost (used by syscall handlers).
@@ -404,8 +404,11 @@ func (m *Machine) run(prog *Program, insnLimit int64, cycleLimit sim.Time) (insn
 			next = t
 			cyclesLeft -= 2 // translation table lookup
 		case OpCall:
-			fn, ok := m.Syms[in.Sym]
-			if !ok {
+			var fn SyscallFn
+			if int(in.Sym) < len(m.Syms) {
+				fn = m.Syms[in.Sym]
+			}
+			if fn == nil {
 				return insnsLeft, cyclesLeft, fault(FaultBadCall, pc, 0)
 			}
 			cyclesLeft -= 2 // call linkage

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -124,14 +125,14 @@ func newDiffSide(s diffSetup, codeLen int, seed func(*vcode.FlatMem), attach fun
 // the machine that runs it: charge cycles, count instructions, read the
 // running totals, touch registers and memory, fail with a fault and with a
 // plain error.
-func diffSyms(d *diffSide) map[string]vcode.SyscallFn {
+func diffSyms(d *diffSide) []vcode.SyscallFn {
 	inMem := func(addr uint32, n int) error {
 		if addr < diffMemBase || uint64(addr)+uint64(n) > diffMemBase+diffMemSize {
 			return &vcode.Fault{Kind: vcode.FaultBadAddr, Addr: addr, Msg: "syscall range"}
 		}
 		return nil
 	}
-	return map[string]vcode.SyscallFn{
+	return vcode.SymTable(map[string]vcode.SyscallFn{
 		"charge": func(m *vcode.Machine) error {
 			m.Charge(sim.Time(m.Regs[vcode.RArg0] & 0xff))
 			m.ChargeInsns(int64(m.Regs[vcode.RArg1] & 7))
@@ -174,7 +175,7 @@ func diffSyms(d *diffSide) map[string]vcode.SyscallFn {
 			m.Charge(2)
 			return nil
 		},
-	}
+	})
 }
 
 func describeFault(f *vcode.Fault) string {
@@ -219,6 +220,13 @@ func compare(t *testing.T, what string, got, want *diffSide, prog *vcode.Program
 	}
 }
 
+// randomSyms are what a random OpCall calls: diffSyms' entry points, a name
+// with no entry, no entry point at all, and an id past every table.
+var randomSyms = []vcode.Sym{
+	vcode.Intern("charge"), vcode.Intern("charge"), vcode.Intern("totals"), vcode.Intern("totals"),
+	vcode.Intern("fault"), vcode.Intern("error"), vcode.Intern("no such entry"), 0, math.MaxUint32,
+}
+
 // randomProgram builds a program out of every opcode the interpreter
 // knows (and one it does not). Registers r1..r7 hold data, r8..r11
 // addresses that are mostly inside memory, mostly aligned; most programs
@@ -252,7 +260,6 @@ func randomProgram(r *rand.Rand, loops bool) *vcode.Program {
 	branch := []vcode.Op{vcode.OpBeq, vcode.OpBne, vcode.OpBltU, vcode.OpBgeU, vcode.OpJmp}
 	rare := []vcode.Op{vcode.OpDivU, vcode.OpRemU, vcode.OpChkDiv, vcode.OpAdd, vcode.OpFMul,
 		vcode.OpInput32, vcode.OpJmpR, vcode.OpRet, vcode.OpSboxMask, vcode.OpSboxChk, vcode.Op(250)}
-	syms := []string{"charge", "charge", "totals", "totals", "fault", "error", "no such entry"}
 	for len(ins) < n {
 		if r.Intn(25) == 0 {
 			ins = appendStreamLoop(r, ins, alu, reg, addrReg)
@@ -280,7 +287,7 @@ func randomProgram(r *rand.Rand, loops bool) *vcode.Program {
 		case k < 18:
 			in.Op = vcode.OpChkBudget
 		case k < 19:
-			in.Op, in.Sym = vcode.OpCall, syms[r.Intn(len(syms))]
+			in.Op, in.Sym = vcode.OpCall, randomSyms[r.Intn(len(randomSyms))]
 		default:
 			in.Op = rare[r.Intn(len(rare))]
 			if in.Op == vcode.OpJmpR && !loops {
@@ -844,9 +851,14 @@ func TestStreamEnteredMidBody(t *testing.T) {
 	}
 }
 
+// fuzzCallSyms are the calls FuzzStreamMatchesReference ends a program on:
+// an id past every table, a name with no entry, an entry point.
+var fuzzCallSyms = []vcode.Sym{1 << 31, vcode.Intern("no such entry"), vcode.Intern("totals")}
+
 // FuzzStreamMatchesReference lets the fuzzer pick the memory, place the
 // streams, set the budgets and warm the cache: a byte that is fill (bits
-// 7-6), memory kind (5-4) and shape (3-0, modulo the shapes), flags (no
+// 7-6), memory kind (5-4) and shape (3-0, modulo the shapes; a value past the
+// shapes also puts a call from fuzzCallSyms before the ret), flags (no
 // cache, PCCounts, 1-KiB cache, huge bound, last page absent, index start),
 // src, dst, length, instruction budget, cycle limit, then two bytes per
 // warmed line.
@@ -881,6 +893,11 @@ func FuzzStreamMatchesReference(f *testing.F) {
 			warm = append(warm, diffMemBase+16*(next()%(diffMemSize/16)))
 		}
 		prog := streamProgram(sh, run.i0)
+		if c := int(head>>8&15) - len(streamShapes); c >= 0 {
+			// The guard's target, the ret, becomes the call.
+			call := vcode.Insn{Op: vcode.OpCall, Sym: fuzzCallSyms[c%len(fuzzCallSyms)]}
+			prog.Insns = append(prog.Insns[:len(prog.Insns)-1], call, vcode.Insn{Op: vcode.OpRet})
+		}
 		compareStream(t, sh.name, s, prog, run, warm)
 	})
 }

@@ -200,8 +200,11 @@ func RunReference(m *Machine, prog *Program) *Fault {
 			next = t
 			m.Cycles += 2 // translation table lookup
 		case OpCall:
-			fn, ok := m.Syms[in.Sym]
-			if !ok {
+			var fn SyscallFn
+			if int(in.Sym) < len(m.Syms) {
+				fn = m.Syms[in.Sym]
+			}
+			if fn == nil {
 				return fault(FaultBadCall, pc, 0)
 			}
 			m.Cycles += 2 // call linkage

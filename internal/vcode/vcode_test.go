@@ -2,8 +2,13 @@ package vcode
 
 import (
 	"encoding/binary"
+	"fmt"
+	"math"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"ashs/internal/mach"
 )
@@ -312,11 +317,11 @@ func TestCallSyscall(t *testing.T) {
 	b.Call("double")
 	b.Ret()
 	m, _ := newTestMachine(16)
-	m.Syms["double"] = func(m *Machine) error {
+	m.Syms = SymTable(map[string]SyscallFn{"double": func(m *Machine) error {
 		m.Regs[RRet] = m.Regs[RArg0] * 2
 		m.Charge(10)
 		return nil
-	}
+	}})
 	if f := m.Run(b.MustAssemble()); f != nil {
 		t.Fatal(f)
 	}
@@ -325,14 +330,95 @@ func TestCallSyscall(t *testing.T) {
 	}
 }
 
+// TestCallUnknownSymFaults: no id an OpCall can hold panics either loop —
+// no entry point, a name the table lacks, and ids at and far past its end.
 func TestCallUnknownSymFaults(t *testing.T) {
-	b := NewBuilder("badcall")
-	b.Call("no_such_entry")
-	b.Ret()
-	m, _ := newTestMachine(16)
-	f := m.Run(b.MustAssemble())
-	if f == nil || f.Kind != FaultBadCall {
-		t.Fatalf("fault = %v, want bad call", f)
+	table := SymTable(map[string]SyscallFn{"double": func(*Machine) error { return nil }})
+	for _, sym := range []Sym{0, Intern("no_such_entry"), Sym(len(table)), math.MaxUint32} {
+		prog := &Program{Name: "badcall", Insns: []Insn{{Op: OpCall, Sym: sym}, {Op: OpRet}}}
+		for _, run := range []func(*Machine, *Program) *Fault{(*Machine).Run, RunReference} {
+			for _, syms := range [][]SyscallFn{nil, table} {
+				m, _ := newTestMachine(16)
+				m.Syms = syms
+				if f := run(m, prog); f == nil || f.Kind != FaultBadCall || f.PC != 0 {
+					t.Fatalf("call %d over a table of %d: fault = %v, want bad call at pc 0", sym, len(syms), f)
+				}
+			}
+		}
+	}
+}
+
+// TestInsnIsPlainData pins the design that keeps downloaded code out of the
+// collector's scan: an Insn holds no pointer, and is no bigger than 24 bytes.
+func TestInsnIsPlainData(t *testing.T) {
+	var holdsPointer func(reflect.Type) bool
+	holdsPointer = func(typ reflect.Type) bool {
+		switch typ.Kind() {
+		case reflect.String, reflect.Slice, reflect.Map, reflect.Func, reflect.Interface,
+			reflect.Pointer, reflect.UnsafePointer, reflect.Chan:
+			return true
+		case reflect.Array:
+			return holdsPointer(typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				if holdsPointer(typ.Field(i).Type) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	typ := reflect.TypeOf(Insn{})
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); holdsPointer(f.Type) {
+			t.Errorf("Insn.%s is a %s: an instruction must hold no pointer", f.Name, f.Type)
+		}
+	}
+	if n := unsafe.Sizeof(Insn{}); n > 24 {
+		t.Errorf("unsafe.Sizeof(Insn{}) = %d, want at most 24", n)
+	}
+}
+
+func TestSymNames(t *testing.T) {
+	a := Intern("sym_test_entry")
+	if a == 0 || Intern("sym_test_entry") != a || a.String() != "sym_test_entry" {
+		t.Fatalf("Intern(%q) = %d naming %q", "sym_test_entry", a, a.String())
+	}
+	if Intern("") != 0 || Sym(0).String() != "" {
+		t.Fatal("the empty name is not Sym 0")
+	}
+	if s := Sym(math.MaxUint32).String(); s == "" {
+		t.Fatal("an id no name was given prints as nothing")
+	}
+	b := NewBuilder("call")
+	b.Call("sym_test_entry")
+	if in := b.MustAssemble().Insns[0]; in.Sym != a || in.String() != "call sym_test_entry" {
+		t.Fatalf("Builder.Call: %v (Sym %d), want call sym_test_entry (Sym %d)", in, in.Sym, a)
+	}
+
+	// Worlds are built on many goroutines at once: each name gets one id
+	// whichever goroutine interns it first.
+	const workers, names = 4, 64
+	ids := make([][names]Sym, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < names; i++ {
+				n := (i*7 + w*13) % names // each worker in its own order
+				ids[w][n] = Intern(fmt.Sprintf("sym_test_%d", n))
+				if got := ids[w][n].String(); got != fmt.Sprintf("sym_test_%d", n) {
+					t.Errorf("Sym %d names %q, want sym_test_%d", ids[w][n], got, n)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := 1; w < workers; w++ {
+		if ids[w] != ids[0] {
+			t.Fatalf("goroutine %d interned the names as %v, goroutine 0 as %v", w, ids[w], ids[0])
+		}
 	}
 }
 
