@@ -54,8 +54,12 @@ go test -race ./...
 #   sim      handoff differential: one scripted world over {coroutine,
 #            channel} x {wheel, heap} x {elide, never elide} gives one
 #            trace, clock and counts; the elision's edges (a tie, the run's
-#            limit, a pending Stop, Close — one row per guard) and 300
-#            random worlds, eliding or not, run event for event the same
+#            limit, a pending Stop, Close — one row per guard), the edges
+#            of the loop a blocked process runs itself (a callback panic,
+#            Stop, the limit, a stale expiry, a lost wake-up) and 300
+#            random worlds, with both fast paths or not, run event for
+#            event the same; pooled coroutines run the next body, and
+#            engines on parallel goroutines share the pool
 #   aegis    world lifetime: a reused arena is all-zero after scattered
 #            writes and its return cleared exactly the written pages, a
 #            recycled cache charges what a new one does, nothing above brk is
@@ -103,8 +107,8 @@ done <<'EOF'
 ./internal/fault/:TestChaosSoak|TestChaosSeedDeterminism
 ./internal/obs/:.
 ./internal/sim/:.
-./internal/sim/:^TestHandoff
-./internal/sim/:^TestElideEdges$|^TestElideRejectsWhatSchedulingRejects$|^TestElideMatchesNeverElide$
+./internal/sim/:^TestHandoff|^TestCoroutinePool
+./internal/sim/:^TestElideEdges$|^TestElideRejectsWhatSchedulingRejects$|^TestElideMatchesNeverElide$|^TestInPlaceEdges$
 ./internal/aegis/:^TestArena
 ./internal/aegis/:^TestReceiveMatrix$|^TestFrontHalfOrder$|^TestFreeChecksTheIndex$|^TestRefusedSendIsCounted$
 ./internal/bench/:^TestPoolLeakGate$|^TestWorldReuse$|^TestWorldShape$|^TestWorldSpecFieldsInUse$
@@ -139,7 +143,12 @@ EOF
 # input into an insert / pop / peek / cancel schedule with near, far and
 # equal-time deltas and requires the timing wheel to pop what the reference
 # heap pops, and its MinBound to stay at or below the heap's minimum without
-# moving the wheel. FuzzStreamMatchesReference picks the memory (FlatMem,
+# moving the wheel. FuzzElideMatchesNeverElide takes the seed of a random
+# world of processes (sleeps, parks, timeouts, unparks, Stop, callbacks
+# that start or unpark a process) and requires the engine to run it event
+# for event the same with its two fast paths, the elided wake-up and the
+# loop a blocked process runs itself, and without them.
+# FuzzStreamMatchesReference picks the memory (FlatMem,
 # AddrSpace, a Journal over either; maybe a page absent), places the two
 # streams of a DILP loop, sets the budgets and warms the cache, and requires
 # Machine.Run — whose streaming-loop executor takes such a loop whenever the
@@ -158,6 +167,7 @@ go test -run '^$' -fuzz '^FuzzTraceParse$' -fuzztime 10s ./internal/workload/
 go test -run '^$' -fuzz '^FuzzDifferentialSFI$' -fuzztime 10s ./internal/sandbox/
 go test -run '^$' -fuzz '^FuzzReoptProfile$' -fuzztime 10s ./internal/sandbox/
 go test -run '^$' -fuzz '^FuzzQueueMatchesHeap$' -fuzztime 10s ./internal/sim/
+go test -run '^$' -fuzz '^FuzzElideMatchesNeverElide$' -fuzztime 10s ./internal/sim/
 go test -run '^$' -fuzz '^FuzzStreamMatchesReference$' -fuzztime 10s ./internal/vcode/
 
 # Parallel runner determinism: the full suite at -parallel=1 (serial

@@ -45,6 +45,7 @@ import (
 	"ashs/internal/bench"
 	"ashs/internal/obs"
 	"ashs/internal/sandbox"
+	"ashs/internal/sim"
 )
 
 func main() {
@@ -126,6 +127,12 @@ func main() {
 	e := bench.EngineStats()
 	fmt.Fprintf(os.Stderr, "[sim engines: %d closed, %d fired, %d cancelled, %d handoffs, %d elided, %d cascades]\n",
 		e.Closed, e.Fired, e.Cancelled, e.Handoffs, e.Elided, e.Cascades)
+	// Which of those handoffs cost a coroutine switch: taken in place (a
+	// blocked process fired its own wake-up), made (a switch each way), and
+	// the idle coroutines the processes left for the next ones. Not gated:
+	// the pool's size depends on -parallel.
+	fmt.Fprintf(os.Stderr, "[sim switches: %d in place, %d made, %d coroutines pooled]\n",
+		e.InPlace, e.Handoffs-e.Elided-e.InPlace, sim.PooledCoroutines())
 	// And whatever the experiments report about the simulator itself
 	// (megascale: the server DPF trie's slab census per cell).
 	fmt.Fprint(os.Stderr, notes.String())

@@ -197,12 +197,12 @@ func (q *rxPool) take() {
 	q.count--
 }
 
-// arrive is how either front half meets a frame: the board verifies the
-// frame check sequence before raising anything (frames damaged on the
+// arrive is how either front half meets a frame: the board checks the
+// frame (PacketBuf.Intact) before raising anything (frames damaged on the
 // wire never reach software), then the interrupt is taken and the fault
 // plane consulted. ok is false when the frame is already dead.
 func (n *NIC) arrive(pkt *netdev.PacketBuf) (intr sim.Time, df DeviceFault, ok bool) {
-	if pkt.FCS != netdev.FrameCheck(pkt.Bytes()) {
+	if !pkt.Intact() {
 		n.Rx.CRC++
 		return 0, df, false
 	}

@@ -436,11 +436,12 @@ func ProcSwitch(b *testing.B) {
 
 // ProcSwitchContended measures one simulated context switch: two processes
 // sleep two cycles at a time, one waking on even cycles and one on odd, so
-// every Sleep finds the other's wake-up ahead of its own and none is
-// elided. Every iteration is a bound query, a wake-up event scheduled, the
-// process yielding to the engine, the event popped and the engine resuming
-// the other process — the unit every blocking syscall, Compute and Sleep
-// that cannot be elided is made of. The wake-up carries the process as its
+// every Sleep finds the other's wake-up ahead of its own: none is elided,
+// and none is woken in place (the blocked sleeper's own loop stops at the
+// other's wake-up). Every iteration is a bound query, a wake-up event
+// scheduled, the process yielding to the engine, the event popped and the
+// engine resuming the other process — the unit every blocking syscall,
+// Compute and Sleep that cannot be elided is made of. The wake-up carries the process as its
 // argument, so the round trip builds no closure and allocates nothing.
 func ProcSwitchContended(b *testing.B) {
 	eng := sim.NewEngine()
@@ -463,8 +464,8 @@ func ProcSwitchContended(b *testing.B) {
 	if now := eng.Now(); now != sim.Time(b.N+1) {
 		b.Fatalf("clock at %d after %d interleaved two-cycle sleeps", now, b.N)
 	}
-	if st := eng.Stats(); st.Elided != 0 {
-		b.Fatalf("%d of %d contended sleeps were elided", st.Elided, b.N)
+	if st := eng.Stats(); st.Elided != 0 || st.InPlace != 0 {
+		b.Fatalf("of %d contended sleeps, %d were elided and %d woken in place", b.N, st.Elided, st.InPlace)
 	}
 }
 

@@ -246,6 +246,7 @@ func (w *world) close() {
 	engines.Cancelled += st.Cancelled
 	engines.Handoffs += st.Handoffs
 	engines.Elided += st.Elided
+	engines.InPlace += st.InPlace
 	engines.Cascades += st.Cascades
 	engines.Unlock()
 }
@@ -259,11 +260,11 @@ var engines struct {
 
 // EngineCounts is the schedule the process has run, summed over its closed
 // worlds. Fired, Cancelled and Handoffs are functions of the simulations
-// alone; Elided (wake-ups the sleeping process took itself, counted in Fired
-// and Handoffs all the same) and Cascades are the event queue's own work on
-// them.
+// alone; Elided and InPlace (wake-ups the sleeping process took itself, with
+// no event or with no switch, counted in Fired and Handoffs all the same)
+// and Cascades are the event queue's own work on them.
 type EngineCounts struct {
-	Closed, Fired, Cancelled, Handoffs, Elided, Cascades uint64
+	Closed, Fired, Cancelled, Handoffs, Elided, InPlace, Cascades uint64
 }
 
 // EngineStats reports the totals.

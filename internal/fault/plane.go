@@ -101,17 +101,17 @@ func (p *Plane) injectWire(pkt *netdev.PacketBuf) bool {
 		// Deliver now and again after the hold interval.
 		p.C.WireDups++
 		p.Obs.Inc("fault/wire_dups")
-		p.holdThenRedeliver(p.clone(pkt), 1)
+		p.holdThenRedeliver(p.sw.Clone(pkt), 1)
 	case p.rng.Prob(w.ReorderProb):
 		// Hold this frame back; frames behind it overtake.
 		p.C.WireReorders++
 		p.Obs.Inc("fault/wire_reorders")
-		p.holdThenRedeliver(p.clone(pkt), 1)
+		p.holdThenRedeliver(p.sw.Clone(pkt), 1)
 		return false
 	case p.rng.Prob(w.DelayProb):
 		p.C.WireDelays++
 		p.Obs.Inc("fault/wire_delays")
-		p.holdThenRedeliver(p.clone(pkt), p.rng.Float64())
+		p.holdThenRedeliver(p.sw.Clone(pkt), p.rng.Float64())
 		return false
 	}
 	return true
@@ -130,7 +130,7 @@ func (p *Plane) flipBit(pkt *netdev.PacketBuf, refresh bool) {
 	i := p.rng.Intn(len(data) * 8)
 	data[i/8] ^= 1 << (i % 8)
 	if refresh {
-		pkt.FCS = netdev.FrameCheck(data)
+		pkt.Seal()
 	}
 }
 
@@ -169,13 +169,4 @@ func (p *Plane) deviceFault(pkt *netdev.PacketBuf) aegis.DeviceFault {
 		}
 	}
 	return df
-}
-
-// clone leases an independent copy of a frame so a held duplicate or
-// reordered original survives past the delivered one, carrying the same
-// addressing and frame check.
-func (p *Plane) clone(pkt *netdev.PacketBuf) *netdev.PacketBuf {
-	cp := p.sw.LeaseData(pkt.Bytes())
-	cp.Src, cp.Dst, cp.VC, cp.FCS = pkt.Src, pkt.Dst, pkt.VC, pkt.FCS
-	return cp
 }

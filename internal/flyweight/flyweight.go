@@ -391,11 +391,11 @@ func (ep *Endpoint) transmit(frame []byte) {
 // a corrupted frame is dropped for the retry machinery to recover,
 // never parsed.
 func (ep *Endpoint) rx(pkt *netdev.PacketBuf) {
-	data := pkt.Bytes()
-	if pkt.FCS != netdev.FrameCheck(data) {
+	if !pkt.Intact() {
 		ep.f.BadFrames++
 		return
 	}
+	data := pkt.Bytes()
 	switch ep.f.cfg.Kind {
 	case UDPEcho:
 		ep.rxEcho(data)

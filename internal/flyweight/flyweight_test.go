@@ -5,11 +5,13 @@ import (
 	"strings"
 	"testing"
 
+	"ashs/internal/fault"
 	"ashs/internal/mach"
 	"ashs/internal/netdev"
 	"ashs/internal/obs"
 	"ashs/internal/proto/ether"
 	"ashs/internal/proto/ip"
+	"ashs/internal/proto/link"
 	"ashs/internal/proto/nfs"
 	"ashs/internal/proto/retry"
 	"ashs/internal/proto/tcp"
@@ -170,7 +172,7 @@ func TestUDPEchoCompletes(t *testing.T) {
 	f := NewFleet(w.cfg(UDPEcho, 4))
 	w.srv.SetReceiver(func(pkt *netdev.PacketBuf) {
 		data := pkt.Bytes()
-		if pkt.FCS != netdev.FrameCheck(data) {
+		if !pkt.Intact() {
 			t.Fatal("server saw a damaged frame")
 		}
 		payload := data[ether.HeaderLen+ip.HeaderLen+8:]
@@ -269,13 +271,15 @@ func TestNFSReadStatuses(t *testing.T) {
 }
 
 // flyTCPServer is a minimal scripted TCP responder: SYN-ACK the
-// handshake, echo data, FIN-ACK the close. Checksums are off (the bench
-// experiment runs them on; FlyConn's own tests cover validation).
+// handshake, echo data, FIN-ACK the close. Checksums are off unless cksum
+// is set (the bench experiment runs them on; FlyConn's own tests cover
+// validation).
 type flyTCPServer struct {
 	w     *testWorld
 	iss   uint32
 	conns map[int]*flySrvConn
 	rsts  bool // answer every SYN with RST instead
+	cksum bool // put the end-to-end checksum in every segment
 }
 
 type flySrvConn struct {
@@ -288,16 +292,19 @@ func newFlyTCPServer(w *testWorld) *flyTCPServer {
 	return s
 }
 
-func (s *flyTCPServer) send(dst int, h tcp.Header) {
+// send transmits one segment, h and then payload, to the endpoint on link
+// dst.
+func (s *flyTCPServer) send(dst int, h tcp.Header, payload []byte) {
+	seg := append(h.Marshal(nil), payload...)
+	if s.cksum {
+		acc := ip.PseudoCksum(ip.HostAddr(s.w.srv.Addr()), ip.HostAddr(dst), ip.ProtoTCP, len(seg))
+		binary.BigEndian.PutUint16(seg[16:], ^link.FoldCksum(link.CksumData(acc, seg)))
+	}
 	eh := ether.Header{Dst: ether.PortMAC(dst), Src: ether.PortMAC(s.w.srv.Addr()),
 		Type: ether.TypeIPv4}
-	b := eh.Marshal(nil)
-	seg := h.Marshal(nil)
 	ih := ip.Header{TotalLen: uint16(ip.HeaderLen + len(seg)), TTL: 64,
 		Proto: ip.ProtoTCP, Src: ip.HostAddr(s.w.srv.Addr()), Dst: ip.HostAddr(dst)}
-	b = ih.Marshal(b)
-	b = append(b, seg...)
-	if err := s.w.transmit(dst, b); err != nil {
+	if err := s.w.transmit(dst, append(ih.Marshal(eh.Marshal(nil)), seg...)); err != nil {
 		panic(err)
 	}
 }
@@ -315,7 +322,7 @@ func (s *flyTCPServer) rx(pkt *netdev.PacketBuf) {
 	case h.Flags&tcp.SYN != 0:
 		if s.rsts {
 			base.Flags, base.Seq = tcp.RST, 0
-			s.send(pkt.Src, base)
+			s.send(pkt.Src, base, nil)
 			return
 		}
 		if c == nil { // a retransmitted SYN reuses the first SYN-ACK state
@@ -323,31 +330,19 @@ func (s *flyTCPServer) rx(pkt *netdev.PacketBuf) {
 			s.conns[pkt.Src] = c
 		}
 		base.Flags, base.Seq, base.Ack = tcp.SYN|tcp.ACK, s.iss, c.rcvNxt
-		s.send(pkt.Src, base)
+		s.send(pkt.Src, base, nil)
 	case c == nil:
 		return
 	case h.Flags&tcp.FIN != 0:
 		c.rcvNxt = h.Seq + uint32(plen) + 1
 		base.Flags, base.Seq, base.Ack = tcp.FIN|tcp.ACK, c.sndNxt, c.rcvNxt
 		c.sndNxt++
-		s.send(pkt.Src, base)
+		s.send(pkt.Src, base, nil)
 	case plen > 0 && h.Seq == c.rcvNxt:
 		c.rcvNxt += uint32(plen)
 		base.Flags, base.Seq, base.Ack = tcp.ACK|tcp.PSH, c.sndNxt, c.rcvNxt
 		c.sndNxt += uint32(plen)
-		echoed := append([]byte(nil), seg[dataOff:]...)
-		eh := ether.Header{Dst: ether.PortMAC(pkt.Src), Src: ether.PortMAC(s.w.srv.Addr()),
-			Type: ether.TypeIPv4}
-		b := eh.Marshal(nil)
-		hdr := base.Marshal(nil)
-		ih := ip.Header{TotalLen: uint16(ip.HeaderLen + len(hdr) + len(echoed)), TTL: 64,
-			Proto: ip.ProtoTCP, Src: ip.HostAddr(s.w.srv.Addr()), Dst: ip.HostAddr(pkt.Src)}
-		b = ih.Marshal(b)
-		b = append(b, hdr...)
-		b = append(b, echoed...)
-		if err := s.w.transmit(pkt.Src, b); err != nil {
-			panic(err)
-		}
+		s.send(pkt.Src, base, seg[dataOff:])
 	}
 }
 
@@ -388,6 +383,54 @@ func TestTCPReset(t *testing.T) {
 	w.eng.Run()
 	if f.Completed() != 0 || f.Failures != 1 {
 		t.Fatalf("completed=%d failures=%d (want 0/1)", f.Completed(), f.Failures)
+	}
+}
+
+// TestFrameCheckUnderThePlane: with the fault plane on the wire toward the
+// endpoint, every frame is sealed. A SYN-ACK corrupted without a refresh
+// fails the endpoint's frame check (BadFrames); a sneaked one passes it and
+// FlyConn's end-to-end checksum drops it. Either way no SYN-ACK gets
+// through and the connection fails; with no fault it completes.
+func TestFrameCheckUnderThePlane(t *testing.T) {
+	for _, c := range []struct {
+		name           string
+		wire           fault.WireFaults
+		seed           int64
+		completed, bad uint64
+	}{
+		{"clean", fault.WireFaults{}, 1, 2, 0},
+		{"corrupt", fault.WireFaults{CorruptProb: 1}, 1, 0, 3},
+		// Seed 10 puts all three sneaks inside the TCP segment; flips in
+		// the Ethernet or IP header are not the checksum's to catch.
+		{"sneak", fault.WireFaults{SneakProb: 1}, 10, 0, 0},
+	} {
+		w := newTestWorld()
+		cfg := w.cfg(TCPPingPong, 1)
+		cfg.Checksum = true
+		f := NewFleet(cfg)
+		newFlyTCPServer(w).cksum = true
+		fault.New(c.seed, fault.Schedule{Name: c.name, Wire: c.wire}).AttachWire(w.sw)
+		plane := w.sw.Inject
+		w.sw.Inject = func(pkt *netdev.PacketBuf) bool {
+			if pkt.Dst == w.srv.Addr() {
+				return true // toward the server: untouched
+			}
+			before := append([]byte(nil), pkt.Bytes()...)
+			ok := plane(pkt)
+			// A sneak must land where the end-to-end checksum looks.
+			for i := 0; c.wire.SneakProb > 0 && i < ether.HeaderLen+ip.HeaderLen; i++ {
+				if before[i] != pkt.Bytes()[i] {
+					t.Fatalf("%s: the plane flipped byte %d, ahead of the TCP segment", c.name, i)
+				}
+			}
+			return ok
+		}
+		f.Run(workload.Poisson(7, workload.Spec{Clients: 1, Events: 2, MeanGapUs: 100, Size: 16}), 0, 0, 0, 0)
+		w.eng.Run()
+		if f.Completed() != c.completed || f.BadFrames != c.bad {
+			t.Errorf("%s: completed %d, %d bad frames; want %d and %d (failures %d, retries %d)",
+				c.name, f.Completed(), f.BadFrames, c.completed, c.bad, f.Failures, f.Retries)
+		}
 	}
 }
 

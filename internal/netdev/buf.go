@@ -18,16 +18,18 @@ type PacketBuf struct {
 	Src, Dst int // port addresses
 	VC       int
 
-	// FCS is the frame check sequence computed by the transmitting board
-	// over the payload. Transmit fills it in; receiving boards verify it
-	// and discard frames whose payload was damaged in flight. An injector
-	// that mutates the payload without refreshing FCS models wire
+	// FCS is the frame check sequence over the payload. A frame is sealed
+	// (Seal) only where something can damage it: a switch with an injector
+	// seals every frame before the injector sees it. Receiving boards ask
+	// Intact and discard frames whose payload was damaged in flight. An
+	// injector that mutates the payload without refreshing FCS models wire
 	// corruption the board catches; refreshing it models corruption that
 	// sneaks past the CRC and must be caught by the end-to-end checksums.
 	FCS uint32
 
 	pool   *BufPool
 	leased bool
+	sealed bool   // FCS is the check of the payload as it was sealed
 	buf    []byte // backing store, cap fixed at the pool's frame size
 	n      int
 	next   *PacketBuf // pool freelist
@@ -39,6 +41,15 @@ func (b *PacketBuf) Bytes() []byte { return b.buf[:b.n] }
 
 // Len reports the payload length.
 func (b *PacketBuf) Len() int { return b.n }
+
+// Seal computes the frame check sequence over the payload as it is now.
+// An injector that refreshes the FCS after damaging a frame seals it again.
+func (b *PacketBuf) Seal() { b.FCS, b.sealed = FrameCheck(b.Bytes()), true }
+
+// Intact reports whether the payload still matches its frame check. A
+// frame never sealed is intact: the switch seals every frame an injector
+// sees, and nothing else touches a frame in flight.
+func (b *PacketBuf) Intact() bool { return !b.sealed || b.FCS == FrameCheck(b.Bytes()) }
 
 // SetData copies d into the buffer, replacing the payload. Payloads
 // beyond the pool's frame size grow this buffer's backing store (the
@@ -64,7 +75,7 @@ func (b *PacketBuf) Release() {
 	p.inUse--
 	p.Releases++
 	b.n = 0
-	b.Src, b.Dst, b.VC, b.FCS = 0, 0, 0, 0
+	b.Src, b.Dst, b.VC, b.FCS, b.sealed = 0, 0, 0, 0, false
 	b.next = p.free
 	p.free = b
 }

@@ -220,7 +220,6 @@ func (p *Port) Transmit(pkt *PacketBuf) error {
 		return fmt.Errorf("%s: no port %d", s.Cfg.Name, dst)
 	}
 	pkt.Src = p.addr
-	pkt.FCS = FrameCheck(pkt.Bytes())
 	s.Sent++
 
 	start := s.Eng.Now()
@@ -248,17 +247,24 @@ func (p *Port) Transmit(pkt *PacketBuf) error {
 
 // deliverEvent is the wire's arrival callback: it runs the injector,
 // fans the frame out, and returns the in-flight reference to the pool.
+// The injector is the one thing that can damage a frame, so a frame is
+// sealed here, just before the injector sees it, and nowhere else: the
+// switch has owned the buffer since Transmit, so the check is the one the
+// transmitting board would have computed.
 func (s *Switch) deliverEvent(a any) {
 	pkt := a.(*PacketBuf)
-	if s.Inject != nil && !s.Inject(pkt) {
-		s.Dropped++
-		if o := s.Obs; o.Enabled() {
-			o.Instant(s.Cfg.Name, "port "+strconv.Itoa(pkt.Src), "fault",
-				"injected drop", s.Eng.Now())
-			o.Inc("net/frames_dropped_injected")
+	if s.Inject != nil {
+		pkt.Seal()
+		if !s.Inject(pkt) {
+			s.Dropped++
+			if o := s.Obs; o.Enabled() {
+				o.Instant(s.Cfg.Name, "port "+strconv.Itoa(pkt.Src), "fault",
+					"injected drop", s.Eng.Now())
+				o.Inc("net/frames_dropped_injected")
+			}
+			pkt.Release()
+			return
 		}
-		pkt.Release()
-		return
 	}
 	s.deliver(pkt)
 	pkt.Release()
@@ -288,6 +294,14 @@ func (s *Switch) deliver(pkt *PacketBuf) {
 		}
 	}
 	pkt.Dst = Broadcast
+}
+
+// Clone leases a copy of pkt — payload, addressing and frame check — for
+// an injector that holds a frame back or duplicates it (see Redeliver).
+func (s *Switch) Clone(pkt *PacketBuf) *PacketBuf {
+	cp := s.LeaseData(pkt.Bytes())
+	cp.Src, cp.Dst, cp.VC, cp.FCS, cp.sealed = pkt.Src, pkt.Dst, pkt.VC, pkt.FCS, pkt.sealed
+	return cp
 }
 
 // Redeliver hands pkt to its destination port(s) immediately, bypassing

@@ -244,6 +244,45 @@ func TestBroadcastFanOut(t *testing.T) {
 	}
 }
 
+// TestFrameCheckOnlyWhereAnInjectorIs: a switch with no injector seals
+// nothing — no CRC is computed, and every frame is intact — while one with
+// an injector seals every frame before the injector sees it, so damage the
+// injector leaves unrefreshed shows and a refreshed one (a sneak) does not.
+func TestFrameCheckOnlyWhereAnInjectorIs(t *testing.T) {
+	data := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	flipped := append([]byte(nil), data...)
+	flipped[3] ^= 1
+	for _, c := range []struct {
+		name   string
+		inject func(p *PacketBuf) bool
+		fcs    uint32
+		intact bool
+	}{
+		{"no injector", nil, 0, true},
+		{"injector", func(*PacketBuf) bool { return true }, FrameCheck(data), true},
+		{"corrupting injector", func(p *PacketBuf) bool { p.Bytes()[3] ^= 1; return true }, FrameCheck(data), false},
+		{"sneaking injector", func(p *PacketBuf) bool { p.Bytes()[3] ^= 1; p.Seal(); return true }, FrameCheck(flipped), true},
+	} {
+		eng, sw := newAN2(t)
+		a, b := sw.NewPort(), sw.NewPort()
+		sw.Inject = c.inject
+		got := 0
+		b.SetReceiver(func(pkt *PacketBuf) {
+			got++
+			if pkt.FCS != c.fcs || pkt.Intact() != c.intact {
+				t.Errorf("%s: FCS %08x, intact %v; want %08x, %v", c.name, pkt.FCS, pkt.Intact(), c.fcs, c.intact)
+			}
+		})
+		if err := a.Transmit(lease(sw, b.Addr(), 0, data)); err != nil {
+			t.Fatal(err)
+		}
+		eng.Run()
+		if got != 1 {
+			t.Errorf("%s: %d frames delivered", c.name, got)
+		}
+	}
+}
+
 func TestSteadyStateWireZeroAlloc(t *testing.T) {
 	// The tentpole claim at the wire layer: a warmed-up ping-pong loop
 	// allocates nothing per round trip.

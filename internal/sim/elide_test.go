@@ -208,12 +208,148 @@ func TestElideRejectsWhatSchedulingRejects(t *testing.T) {
 	}
 }
 
+// TestInPlaceEdges walks the borders of the loop a blocked process runs
+// itself (Proc.runInPlace), one world per row, each over both queues and
+// with the fast paths on and off: the trace (what ran at what virtual time,
+// where the driver's runs returned and what they panicked with), Fired and
+// Handoffs must be the row's in all four, and with the fast paths on the
+// row takes exactly its count of wake-ups in place.
+func TestInPlaceEdges(t *testing.T) {
+	type world struct {
+		e    *Engine
+		note func(what string) // "what@now" into the trace
+	}
+	catch := func(run func()) (v any) {
+		defer func() { v = recover() }()
+		run()
+		return nil
+	}
+	for _, row := range []struct {
+		name                     string
+		drive                    func(w world)
+		trace                    string
+		fired, handoffs, inPlace uint64
+	}{
+		{
+			// The common case: the callback ahead of the wake-up is fired
+			// from the process's stack, then the wake-up, with no switch.
+			name: "a callback ahead of the process's own wake-up",
+			drive: func(w world) {
+				w.e.Go("p", func(p *Proc) {
+					w.e.Schedule(2, func() { w.note("callback") })
+					p.Sleep(5)
+					w.note("woke")
+				})
+				w.e.Run()
+			},
+			trace: "callback@2 woke@5", fired: 3, handoffs: 2, inPlace: 1,
+		},
+		{
+			// Raised by the fire that resumed the process, with the
+			// callback's own value, not as the process's panic; the process
+			// stays suspended until Close unwinds it.
+			name: "a callback fired in place panics",
+			drive: func(w world) {
+				w.e.Go("p", func(p *Proc) {
+					defer w.note("p unwound")
+					w.e.Schedule(1, func() { panic("callback boom") })
+					p.Sleep(5)
+					w.note("unreachable")
+				})
+				w.note(fmt.Sprint("run panicked: ", catch(w.e.Run)))
+				w.note(fmt.Sprint("live ", w.e.Stats().LiveProcs))
+				w.e.Close()
+			},
+			trace: "run panicked: callback boom@1 live 1@1 p unwound@1", fired: 2, handoffs: 1,
+		},
+		{
+			name: "Stop from a callback fired in place",
+			drive: func(w world) {
+				w.e.Go("p", func(p *Proc) {
+					w.e.Schedule(1, func() { w.note("stop"); w.e.Stop() })
+					w.e.Schedule(2, func() { w.note("next") })
+					p.Sleep(5)
+					w.note("woke")
+				})
+				w.e.Run()
+				w.note(fmt.Sprint("returned, pending ", w.e.Pending()))
+				w.e.Run()
+				w.note("returned")
+			},
+			trace: "stop@1 returned, pending 2@1 next@2 woke@5 returned@5", fired: 4, handoffs: 2,
+		},
+		{
+			name: "RunUntil's limit reached inside the loop",
+			drive: func(w world) {
+				w.e.Go("p", func(p *Proc) {
+					w.e.Schedule(3, func() { w.note("early") })
+					w.e.Schedule(20, func() { w.note("late") })
+					p.Sleep(30)
+					w.note("woke")
+				})
+				w.e.RunUntil(10)
+				w.note(fmt.Sprint("returned, pending ", w.e.Pending()))
+				w.e.Run()
+			},
+			trace: "early@3 returned, pending 2@10 late@20 woke@30", fired: 4, handoffs: 2,
+		},
+		{
+			// The Unpark, scheduled first, wins the tie; the expiry behind
+			// it is stale: fired in place, counted in Fired, no handoff.
+			name: "a stale ParkTimeout expiry",
+			drive: func(w world) {
+				w.e.Go("p", func(p *Proc) {
+					w.e.Schedule(5, func() { w.note("unpark"); p.Unpark() })
+					w.note(fmt.Sprint("unparked: ", p.ParkTimeout(5)))
+				})
+				w.e.Run()
+			},
+			trace: "unpark@5 unparked: true@5", fired: 4, handoffs: 2, inPlace: 1,
+		},
+		{
+			name: "Unpark of a sleeping process from a callback fired in place",
+			drive: func(w world) {
+				var sleeper *Proc
+				sleeper = w.e.Go("sleeper", func(p *Proc) {
+					w.e.Schedule(1, func() { sleeper.Unpark() })
+					p.Sleep(10)
+				})
+				w.note(fmt.Sprint("run panicked: ", catch(w.e.Run)))
+				w.e.Close()
+			},
+			trace: `run panicked: sim: Unpark of non-parked process "sleeper"@1`, fired: 2, handoffs: 1,
+		},
+	} {
+		for _, q := range queues {
+			for _, neverElide := range []bool{false, true} {
+				e := newEngineWithQueue(q.fn())
+				e.neverElide = neverElide
+				var trace []string
+				row.drive(world{e, func(what string) { trace = append(trace, fmt.Sprint(what, "@", e.Now())) }})
+				if got := strings.Join(trace, " "); got != row.trace {
+					t.Errorf("%s (%s, never elide %v):\n got %s\nwant %s", row.name, q.name, neverElide, got, row.trace)
+				}
+				inPlace := row.inPlace
+				if neverElide {
+					inPlace = 0
+				}
+				if st := e.Stats(); st.Fired != row.fired || st.Handoffs != row.handoffs || st.InPlace != inPlace {
+					t.Errorf("%s (%s, never elide %v): fired %d, handoffs %d, in place %d; want %d, %d, %d",
+						row.name, q.name, neverElide, st.Fired, st.Handoffs, st.InPlace, row.fired, row.handoffs, inPlace)
+				}
+				e.Close()
+			}
+		}
+	}
+}
+
 // elideSchedule builds a world of two to four processes out of seed — each
 // sleeping, parking with and without a timeout, unparking the others,
-// scheduling and cancelling plain callbacks, now and then stopping the run —
-// and drives it through a few bounded runs and then to quiescence. Every
-// step goes into the trace with its virtual time, as does the clock at each
-// return of a run. Small delays keep ties and exactly-next wake-ups common.
+// scheduling and cancelling plain callbacks (among them callbacks that start
+// a process or unpark one), now and then stopping the run — and drives it
+// through a few bounded runs and then to quiescence. Every step goes into
+// the trace with its virtual time, as does the clock at each return of a
+// run. Small delays keep ties and exactly-next wake-ups common.
 func elideSchedule(e *Engine, seed uint64, trace *strings.Builder) {
 	rng := splitmix64(seed)
 	procs := make([]*Proc, 2+rng.next()%3)
@@ -224,7 +360,7 @@ func elideSchedule(e *Engine, seed uint64, trace *strings.Builder) {
 		procs[i] = e.Go(fmt.Sprint("p", i), func(p *Proc) {
 			for n := 0; n < 40; n++ {
 				d := Time(rng.next() % 12)
-				switch op := rng.next() % 16; {
+				switch op := rng.next() % 18; {
 				case op < 5:
 					p.Sleep(d)
 					step("slept", d)
@@ -249,6 +385,23 @@ func elideSchedule(e *Engine, seed uint64, trace *strings.Builder) {
 						o.Unpark()
 						step("unparked", o.Name())
 					}
+				case op < 16:
+					// Firing in place meets process creation.
+					e.Schedule(d, func() {
+						e.Go(fmt.Sprint("p", i, " child"), func(c *Proc) {
+							step("child started after", d)
+							c.Sleep(d)
+							step("child slept", d)
+						})
+					})
+				case op < 17:
+					o := procs[rng.next()%uint64(len(procs))]
+					e.Schedule(d, func() {
+						if o.Parked() {
+							o.Unpark()
+							step("callback unparked", o.Name())
+						}
+					})
 				default:
 					e.Stop()
 					step("stopped the run", "")
@@ -267,44 +420,64 @@ func elideSchedule(e *Engine, seed uint64, trace *strings.Builder) {
 	}
 }
 
-// TestElideMatchesNeverElide is the property behind the elision: over
-// random schedules, on either queue, an engine that elides and one that
-// queues every wake-up run the same simulation event for event — one trace,
-// one clock at every return, one Fired/Cancelled/Handoffs.
-func TestElideMatchesNeverElide(t *testing.T) {
-	var elided, handoffs uint64
-	for seed := uint64(1); seed <= 300; seed++ {
-		for _, q := range queues {
-			var want string
-			var wantSt Stats
-			for _, neverElide := range []bool{true, false} {
-				e := newEngineWithQueue(q.fn())
-				e.neverElide = neverElide
-				var trace strings.Builder
-				elideSchedule(e, seed, &trace)
-				st := e.Stats()
-				e.Close()
-				if neverElide {
-					if st.Elided != 0 {
-						t.Fatalf("seed %d on the %s: %d wake-ups elided with the elision off", seed, q.name, st.Elided)
-					}
-					want, wantSt = trace.String(), st
-					continue
+// elideMatches runs elideSchedule(seed) on both queues with the fast paths
+// (the elided wake-up, the loop a blocked process runs itself) on and off,
+// and fails t unless the two run the same simulation event for event — one
+// trace, one clock at every return, one Fired/Cancelled/Handoffs. It
+// returns the wake-ups elided, taken in place and made in all.
+func elideMatches(t *testing.T, seed uint64) (elided, inPlace, handoffs uint64) {
+	for _, q := range queues {
+		var want string
+		var wantSt Stats
+		for _, neverElide := range []bool{true, false} {
+			e := newEngineWithQueue(q.fn())
+			e.neverElide = neverElide
+			var trace strings.Builder
+			elideSchedule(e, seed, &trace)
+			st := e.Stats()
+			e.Close()
+			if neverElide {
+				if st.Elided != 0 || st.InPlace != 0 {
+					t.Fatalf("seed %d on the %s: %d wake-ups elided, %d taken in place with the fast paths off",
+						seed, q.name, st.Elided, st.InPlace)
 				}
-				elided, handoffs = elided+st.Elided, handoffs+st.Handoffs
-				st.Elided, st.Cascades, st.EarlyInserts = 0, 0, 0
-				wantSt.Cascades, wantSt.EarlyInserts = 0, 0
-				if got := trace.String(); got != want || st != wantSt {
-					t.Fatalf("seed %d on the %s: eliding changed the simulation\n%+v\n%s\nwithout:\n%+v\n%s",
-						seed, q.name, st, firstDifference(got, want), wantSt, firstDifference(want, got))
-				}
+				want, wantSt = trace.String(), st
+				continue
+			}
+			elided, inPlace, handoffs = elided+st.Elided, inPlace+st.InPlace, handoffs+st.Handoffs
+			st.Elided, st.InPlace, st.Cascades, st.EarlyInserts = 0, 0, 0, 0
+			wantSt.Cascades, wantSt.EarlyInserts = 0, 0
+			if got := trace.String(); got != want || st != wantSt {
+				t.Fatalf("seed %d on the %s: the fast paths changed the simulation\n%+v\n%s\nwithout:\n%+v\n%s",
+					seed, q.name, st, firstDifference(got, want), wantSt, firstDifference(want, got))
 			}
 		}
 	}
-	// The schedules do reach the fast path, and do not live on it.
-	if elided == 0 || elided*10 > handoffs*9 {
-		t.Errorf("%d of %d wake-ups elided over all schedules", elided, handoffs)
+	return elided, inPlace, handoffs
+}
+
+// TestElideMatchesNeverElide is the property behind both fast paths: over
+// random schedules, on either queue, an engine that elides and fires in
+// place and one that queues every wake-up for its own loop run the same
+// simulation.
+func TestElideMatchesNeverElide(t *testing.T) {
+	var elided, inPlace, handoffs uint64
+	for seed := uint64(1); seed <= 300; seed++ {
+		e, i, h := elideMatches(t, seed)
+		elided, inPlace, handoffs = elided+e, inPlace+i, handoffs+h
 	}
+	// The schedules do reach both fast paths, and do not live on them.
+	if elided == 0 || inPlace == 0 || (elided+inPlace)*10 > handoffs*9 {
+		t.Errorf("of %d wake-ups over all schedules, %d elided and %d taken in place", handoffs, elided, inPlace)
+	}
+}
+
+// FuzzElideMatchesNeverElide is TestElideMatchesNeverElide over any seed.
+func FuzzElideMatchesNeverElide(f *testing.F) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64) { elideMatches(t, seed) })
 }
 
 // firstDifference is the few lines of a around where it first departs from b.

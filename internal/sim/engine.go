@@ -20,7 +20,10 @@
 // fires the next event, or the one running process, finding that its own
 // wake-up would be that next event, moves the clock there itself and keeps
 // running (Proc.Sleep; the schedule is the same, the wake-up and the two
-// coroutine switches around it are never made).
+// coroutine switches around it are never made). A process that blocks runs
+// the engine's loop itself, on its own goroutine, as far as its own wake-up
+// (Proc.block): the same events fire in the same order, and a switch is
+// made only where another process is to run.
 //
 // The engine runs against an EventQueue (a hierarchical timing wheel; the
 // tests swap in a binary heap as its oracle) and recycles Events through a
@@ -60,45 +63,53 @@ type Engine struct {
 	free    *Event // recycled events, chained through next
 	procs   int    // live (created, not yet finished) processes
 	live    *Proc  // those processes, newest first (Close walks it)
-	panicV  any    // propagated panic from a process
+	panicV  any    // propagated panic from a process, or from a callback it fired
 	stopped bool
 
 	// limit is the time the Run or RunUntil in progress (or, between runs,
 	// the last one) fires events up to: a process may not move the clock
-	// past it (Proc.elide).
+	// past it (Proc.elide, Proc.runInPlace).
 	limit Time
+
+	// self is the process whose blocked call is running the engine's loop
+	// on its own goroutine (Proc.runInPlace), nil while the engine's
+	// goroutine runs it. Proc.run clears it when self's wake-up fires.
+	self *Proc
 
 	// handoff is newHandoff; the differential tests swap in newChanHandoff.
 	handoff func(body func(yield func())) (resume func())
-	// neverElide makes every wake-up a queued event; only the differential
-	// tests set it.
+	// neverElide makes every wake-up a queued event that the engine's own
+	// loop fires; only the differential tests set it.
 	neverElide bool
 
-	fired, cancelled, handoffs, elided uint64
+	fired, cancelled, handoffs, elided, inPlace uint64
 }
 
 // Stats is the engine's own work, counted since it was built. Fired,
 // Cancelled and Handoffs are the schedule's: the same simulation gives the
 // same counts on any queue and any handoff, whether or not a wake-up was
 // elided (an elided one counts in Fired and in Handoffs as the event and the
-// round trip it stood for). Elided, Cascades and EarlyInserts are the
-// queue's work on that schedule, as deterministic as it is: how much of it
-// never reached the queue, and what the timing wheel did with the rest (the
-// heap's exact bound elides more than the wheel's coarse one, and cascades
-// nothing).
+// round trip it stood for; one taken in place counts in both as well).
+// Elided, InPlace, Cascades and EarlyInserts are the queue's work on that
+// schedule, as deterministic as it is: how much of it never reached the
+// queue, how much a blocked process fired itself, and what the timing wheel
+// did with the rest (the heap's exact bound elides more than the wheel's
+// coarse one, and cascades nothing).
 type Stats struct {
 	Fired        uint64 // events of the schedule that came due: dispatched, or elided
 	Cancelled    uint64 // pending events removed by Cancel
-	Handoffs     uint64 // times a process was woken: engine -> process -> engine round trips, made or elided
+	Handoffs     uint64 // times a process was woken: engine -> process -> engine round trips, made, elided or taken in place
 	LiveProcs    int    // processes created and not yet finished
 	Elided       uint64 // wake-ups that were the next event, so the process kept running: no event, no switch
+	InPlace      uint64 // wake-ups a blocked process fired from its own loop: an event, no switch
 	Cascades     uint64 // events moved to a lower wheel level as the clock neared them
 	EarlyInserts uint64 // events scheduled below the wheel's floor (after a RunUntil peeked ahead)
 }
 
 // Stats reports the engine's counters.
 func (e *Engine) Stats() Stats {
-	s := Stats{Fired: e.fired, Cancelled: e.cancelled, Handoffs: e.handoffs, LiveProcs: e.procs, Elided: e.elided}
+	s := Stats{Fired: e.fired, Cancelled: e.cancelled, Handoffs: e.handoffs, LiveProcs: e.procs,
+		Elided: e.elided, InPlace: e.inPlace}
 	if w, ok := e.q.(*wheel); ok {
 		s.Cascades, s.EarlyInserts = w.cascaded, w.earlyInserts
 	}
@@ -238,17 +249,36 @@ func (e *Engine) fire(ev *Event) {
 	}
 }
 
+// drive fires the events due in the run in progress, in order, until none
+// is: the queue is empty, the next event is past the run's limit, or Stop
+// is pending. Engine.run calls it with self nil. A blocked process calls it
+// with itself, on its own goroutine (Proc.runInPlace): then it also stops,
+// leaving the queue as it is, at another process's wake-up, which only the
+// engine can resume, and it reports true once it has fired self's own.
+func (e *Engine) drive(self *Proc) (woken bool) {
+	for !e.stopped {
+		ev := e.q.PeekMin()
+		if ev == nil || ev.at > e.limit {
+			break
+		}
+		if self != nil {
+			if p, _ := ev.arg.(*Proc); p != nil && p != self {
+				break
+			}
+		}
+		e.fire(e.q.PopMin())
+		if self != nil && e.self == nil {
+			return true
+		}
+	}
+	return false
+}
+
 // run fires events with timestamps <= limit until none is left or Stop is
 // called, and reports which. The stop is consumed either way.
 func (e *Engine) run(limit Time) (stopped bool) {
 	e.limit = limit
-	for !e.stopped {
-		ev := e.q.PeekMin()
-		if ev == nil || ev.at > limit {
-			break
-		}
-		e.fire(e.q.PopMin())
-	}
+	e.drive(nil)
 	stopped = e.stopped
 	e.stopped = false
 	return stopped

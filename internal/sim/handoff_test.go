@@ -188,7 +188,9 @@ func TestHandoffDifferential(t *testing.T) {
 		for _, q := range queues {
 			for _, neverElide := range []bool{false, true} {
 				leg := axes{h.name, q.name, neverElide}
-				goroutines := runtime.NumGoroutine() // earlier tests leave some parked for good
+				// Earlier tests leave some goroutines parked for good, and
+				// coroutines idle in the pool.
+				goroutines, pooled := runtime.NumGoroutine(), PooledCoroutines()
 				e := newEngineWithQueue(q.fn())
 				e.handoff = h.fn
 				e.neverElide = neverElide
@@ -197,12 +199,17 @@ func TestHandoffDifferential(t *testing.T) {
 
 				e.Close()
 				if closed := e.Stats(); closed.LiveProcs != 0 || e.Pending() != 0 || e.panicV != nil ||
-					closed.Fired != st.Fired || closed.Handoffs != st.Handoffs || closed.Elided != st.Elided {
+					closed.Fired != st.Fired || closed.Handoffs != st.Handoffs || closed.Elided != st.Elided ||
+					closed.InPlace != st.InPlace {
 					t.Errorf("%+v: after Close %+v, %d pending, panic %v; at the end of Run %+v",
 						leg, closed, e.Pending(), e.panicV, st)
 				}
-				if n := settleGoroutines(goroutines); n > goroutines {
-					t.Errorf("%+v: %d goroutines after Close, %d before the engine was built", leg, n, goroutines)
+				// A process's coroutine goes back to the pool; nothing else
+				// may stay behind.
+				grown := PooledCoroutines() - pooled
+				if n := settleGoroutines(goroutines + grown); n > goroutines+grown {
+					t.Errorf("%+v: %d goroutines after Close: %d before the engine was built, %d more idle in the pool",
+						leg, n, goroutines, grown)
 				}
 				e.Close() // nothing left to end
 				trace := log.String()
@@ -217,12 +224,13 @@ func TestHandoffDifferential(t *testing.T) {
 					}
 				}
 
-				// Elided is the queue's own (the heap's bound is exact, the
-				// wheel's is not), as Cascades and EarlyInserts are the wheel's.
-				if (st.Elided == 0) != neverElide {
-					t.Errorf("%+v: %d wake-ups elided", leg, st.Elided)
+				// Elided and InPlace are the queue's own (the heap's bound is
+				// exact, the wheel's is not), as Cascades and EarlyInserts
+				// are the wheel's.
+				if (st.Elided == 0) != neverElide || (st.InPlace == 0) != neverElide {
+					t.Errorf("%+v: %d wake-ups elided, %d taken in place", leg, st.Elided, st.InPlace)
 				}
-				st.Elided, st.Cascades, st.EarlyInserts = 0, 0, 0
+				st.Elided, st.InPlace, st.Cascades, st.EarlyInserts = 0, 0, 0, 0
 				got := result{trace, end, st}
 				if want.trace == "" {
 					want, first = got, leg

@@ -78,7 +78,8 @@ func (e *Engine) unlink(p *Proc) {
 }
 
 // Close ends the simulation: every live process is ended and pending
-// events are dropped, so the goroutines behind the processes exit and
+// events are dropped, so the goroutines behind the processes are done with
+// them (a pooled coroutine goes back to its pool, see newHandoff) and
 // nothing the world owned stays reachable through them. It must be called
 // from outside Run, by the goroutine that drives the engine.
 //
@@ -110,7 +111,8 @@ func (e *Engine) Close() {
 
 // procRun and procTimeout are the wake-up and ParkTimeout-expiry events.
 // They take the process as the event argument, so scheduling one builds no
-// closure.
+// closure, and an event whose argument is a *Proc is a process's wake-up
+// (Engine.drive).
 func procRun(a any) { a.(*Proc).run() }
 
 func procTimeout(a any) {
@@ -130,12 +132,21 @@ func (p *Proc) Now() Time { return p.eng.now }
 
 // run transfers control from the engine to the process until it parks or
 // finishes. Must be called from engine (event) context. A wake-up that
-// arrives after the process finished is a no-op.
+// arrives after the process finished is a no-op; one fired by the
+// process's own blocked call (Proc.runInPlace) switches nowhere, the
+// process being the one running, and tells that call so by clearing
+// e.self.
 func (p *Proc) run() {
 	if p.dead {
 		return
 	}
-	p.eng.handoffs++
+	e := p.eng
+	e.handoffs++
+	if e.self == p {
+		e.self = nil
+		e.inPlace++
+		return
+	}
 	p.resume()
 }
 
@@ -180,16 +191,44 @@ func (p *Proc) Park() {
 	p.block()
 }
 
-// block hands control to the engine until the process is next resumed. If
-// that resume is Engine.Close's, or Close already ended this body and a
-// deferred call is blocking again, it unwinds instead of returning.
+// block waits until the process is next woken. It runs the engine's loop
+// itself first (runInPlace) and yields to the engine only if that stopped
+// short of its own wake-up. If the resume is Engine.Close's, or Close
+// already ended this body and a deferred call is blocking again, it
+// unwinds instead of returning.
 func (p *Proc) block() {
-	if !p.killed {
+	if !p.killed && !p.runInPlace() {
 		p.yield()
 	}
 	if p.killed {
 		panic(procKilled{})
 	}
+}
+
+// runInPlace is Engine.run's work up to this process's wake-up, done on
+// the process's own goroutine: Engine.drive fires the events due ahead of
+// it exactly as the engine would, then the wake-up itself, which switches
+// nowhere (Proc.run), and runInPlace reports true. drive stops short,
+// leaving the queue as it is, at another process's wake-up or where the
+// run ends — its limit, a pending Stop, an empty queue — and the process
+// yields to the engine, which carries on from there. A callback that
+// panics here is recovered and handed to the engine: the fire that resumed
+// this process raises it, so Run panics with the callback's own value, not
+// as this process's panic, and the process stays suspended until Close.
+func (p *Proc) runInPlace() (woken bool) {
+	e := p.eng
+	if e.neverElide {
+		return false
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			e.self, e.panicV, woken = nil, r, false
+		}
+	}()
+	e.self = p
+	woken = e.drive(p)
+	e.self = nil
+	return woken
 }
 
 // Parked reports whether the process is blocked in Park or ParkTimeout
