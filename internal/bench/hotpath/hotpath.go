@@ -441,8 +441,9 @@ func ProcSwitch(b *testing.B) {
 // other's wake-up). Every iteration is a bound query, a wake-up event
 // scheduled, the process yielding to the engine, the event popped and the
 // engine resuming the other process — the unit every blocking syscall,
-// Compute and Sleep that cannot be elided is made of. The wake-up carries the process as its
-// argument, so the round trip builds no closure and allocates nothing.
+// Compute and Sleep that cannot be elided is made of. The wake-up carries
+// the process as its argument, so the round trip builds no closure and
+// allocates nothing.
 func ProcSwitchContended(b *testing.B) {
 	eng := sim.NewEngine()
 	sleeper := func(n int, first sim.Time) func(*sim.Proc) {
