@@ -71,7 +71,7 @@ go test -race ./...
 #   bench, . every distinct world of the registry's quick cells builds to its
 #            spec and closes with no live process and no host memory, every
 #            worldSpec field takes two values, a cell run twice grows the pool
-#            once, the public World.Close
+#            once, a cell counts its own engines, the public World.Close
 #   sandbox  three-way differential: every crl handler x both budget modes x
 #            measured + adversarial profiles, the profitability pin, the
 #            committed adversarial-profile shapes, the quick random sweep;
@@ -111,7 +111,7 @@ done <<'EOF'
 ./internal/sim/:^TestElideEdges$|^TestElideRejectsWhatSchedulingRejects$|^TestElideMatchesNeverElide$|^TestInPlaceEdges$
 ./internal/aegis/:^TestArena
 ./internal/aegis/:^TestReceiveMatrix$|^TestFrontHalfOrder$|^TestFreeChecksTheIndex$|^TestRefusedSendIsCounted$
-./internal/bench/:^TestPoolLeakGate$|^TestWorldReuse$|^TestWorldShape$|^TestWorldSpecFieldsInUse$
+./internal/bench/:^TestPoolLeakGate$|^TestWorldReuse$|^TestWorldShape$|^TestWorldSpecFieldsInUse$|^TestCellEngineCounts$|^TestWorldCloseCounts$
 .:^TestWorldClose$
 ./internal/sandbox/:TestThreeWayRegistry|TestReoptActuallyImproves|TestReoptProfileSeeds|TestDifferentialSFIQuick|^TestThreeWayReportsEscape$|^TestDiffInputsOutsideTheRegion$|^TestCompileCacheHitMatchesMiss$|^TestCacheHitCostIsFlat$|^TestCachedBuildsStayUnchanged$
 ./internal/sandbox/:^TestMemoryConformance$|^TestEscapeGuardLatchesOnAnyByte$
@@ -170,98 +170,15 @@ go test -run '^$' -fuzz '^FuzzQueueMatchesHeap$' -fuzztime 10s ./internal/sim/
 go test -run '^$' -fuzz '^FuzzElideMatchesNeverElide$' -fuzztime 10s ./internal/sim/
 go test -run '^$' -fuzz '^FuzzStreamMatchesReference$' -fuzztime 10s ./internal/vcode/
 
-# Parallel runner determinism: the full suite at -parallel=1 (serial
-# reference) and at one-worker-per-CPU must print byte-identical stdout.
-# Wall-time and trace summaries go to stderr, so cmp sees results only.
-echo "== serial vs parallel ashbench (byte-identical stdout)"
-tracedir="$workdir"
-go build -o "$tracedir/ashbench" ./cmd/ashbench
-"$tracedir/ashbench" -parallel 1 >"$tracedir/serial.txt" 2>"$tracedir/serial.err"
-"$tracedir/ashbench" >"$tracedir/parallel.txt" 2>"$tracedir/parallel.err"
-if ! cmp -s "$tracedir/serial.txt" "$tracedir/parallel.txt"; then
-    echo "ashbench output differs between -parallel=1 and the default pool"
-    diff "$tracedir/serial.txt" "$tracedir/parallel.txt" | head -40
-    exit 1
-fi
-
-# The committed reference output must match what the tree produces: any
-# behavior change has to regenerate ashbench_output.txt deliberately.
-echo "== ashbench output matches committed ashbench_output.txt"
-if ! cmp -s ashbench_output.txt "$tracedir/serial.txt"; then
-    echo "ashbench output diverged from the committed ashbench_output.txt"
-    diff ashbench_output.txt "$tracedir/serial.txt" | head -40
-    exit 1
-fi
-# The serial run's wall time and arena-pool counters, for the log: grown
-# jumps when a cell stops closing its world (leases = returned is gated
-# below).
-cat "$tracedir/serial.err" >&2
-
-# The end-to-end observability gate: the Chrome trace JSON of the breakdown
-# experiment and of the whole quick suite must hash to the committed
-# digests. Two runs of one tree agreeing would not catch a renamed process
-# or two reordered Spawns, which change the trace and no printed number.
-echo "== ashbench traces match committed ashbench_trace.sha256"
-"$tracedir/ashbench" -experiment breakdown -trace "$tracedir/breakdown.json" >/dev/null 2>&1
-"$tracedir/ashbench" -quick -parallel 1 -trace "$tracedir/quick.json" >/dev/null 2>"$tracedir/quick.err"
-if ! (cd "$tracedir" && sha256sum --quiet -c -) <ashbench_trace.sha256; then
-    echo "ashbench trace diverged from the committed ashbench_trace.sha256; if intended, regenerate:"
-    echo "  go run ./cmd/ashbench -experiment breakdown -trace breakdown.json >/dev/null &&"
-    echo "  go run ./cmd/ashbench -quick -parallel 1 -trace quick.json >/dev/null &&"
-    echo "  sha256sum breakdown.json quick.json >ashbench_trace.sha256 && rm breakdown.json quick.json"
-    exit 1
-fi
-
-# The schedule itself, from the same quick run: engines closed, events
-# fired and cancelled and process handoffs are functions of the simulations
-# alone; elided (the handoffs a sleeping process took itself, its wake-up
-# being the next event) and cascades are the event queue's work on them.
-# None of them can be noisy, so a changed count is either intended or a bug.
-echo "== ashbench engine counts match committed ashbench_counts.txt"
-if ! grep '^\[sim engines:' "$tracedir/quick.err" | cmp -s - ashbench_counts.txt; then
-    echo "ashbench engine counts diverged from the committed ashbench_counts.txt:"
-    grep '^\[sim engines:' "$tracedir/quick.err" | diff ashbench_counts.txt - || true
-    echo "if intended, regenerate:"
-    echo "  go run ./cmd/ashbench -quick -parallel 1 2>&1 >/dev/null | grep '^\[sim engines:' >ashbench_counts.txt"
-    exit 1
-fi
-
-# Every world gives its hosts' memory back when it closes: in the serial
-# run's arena line, leases must equal returned. A return clears only the
-# pages that hold a nonzero byte, so what it zeroes depends on what each
-# host wrote and not on which arena it leased: the default pool's leases,
-# returned and zeroed must equal the serial run's (grown may differ).
-echo "== ashbench arena leases all returned, zeroed bytes independent of the pool"
-arenacounts() {
-    sed -n 's/^\[host memory arenas: \([0-9]*\) leases, \([0-9]*\) returned, [0-9]* grown, \([0-9.]*\) MiB zeroed.*/\1 \2 \3/p' "$1"
-}
-arenas=$(arenacounts "$tracedir/serial.err")
-set -- $arenas
-if [ $# -ne 3 ] || [ "$1" != "$2" ]; then
-    echo "arena leases not all returned: ${arenas:-no arena line in the serial run's stderr}"
-    exit 1
-fi
-if [ "$(arenacounts "$tracedir/parallel.err")" != "$arenas" ]; then
-    echo "arena leases, returned or zeroed differ between -parallel=1 and the default pool:"
-    grep '^\[host memory arenas:' "$tracedir/serial.err" "$tracedir/parallel.err"
-    exit 1
-fi
-
-# Every registered experiment gets its own gate, in quick mode: serial vs
-# the default pool must print byte-identical stdout, so a determinism
-# regression is attributable to one experiment. The names come from the
-# registry, so a new experiment is gated by construction. What this is
-# there to catch: fan-in worlds of hundreds of hosts (scale), trace replay
-# crossed with the fault plane, quotas and client backoff (overload), 64k
-# flyweight endpoints with per-endpoint retry timers (megascale), handler
-# hot-swap under profile-distinct compile-cache keys (reopt).
-echo "== per-experiment determinism (quick, serial vs parallel, byte-identical stdout)"
-for exp in $("$tracedir/ashbench" -experiment help | awk '{print $1}'); do
-    "$tracedir/ashbench" -experiment "$exp" -quick -parallel 1 >"$tracedir/exp-serial.txt" 2>/dev/null
-    "$tracedir/ashbench" -experiment "$exp" -quick >"$tracedir/exp-parallel.txt" 2>/dev/null
-    if ! cmp -s "$tracedir/exp-serial.txt" "$tracedir/exp-parallel.txt"; then
-        echo "$exp output differs between -parallel=1 and the default pool"
-        diff "$tracedir/exp-serial.txt" "$tracedir/exp-parallel.txt" | head -40
+# The behavioural contract: contract.sh writes it into $workdir (refusing
+# if serial and parallel runs disagree or an arena leaks; the serial run's
+# stderr goes to the log), and each file must equal the committed one.
+echo "== contract.sh, compared with the committed contract"
+sh contract.sh "$workdir"
+for f in ashbench_output.txt ashbench_counts.txt ashbench_trace.sha256; do
+    if ! cmp -s "$f" "$workdir/$f"; then
+        diff -u "$f" "$workdir/$f" | head -40
+        echo "$f diverged from what the tree writes; if intended, regenerate: sh contract.sh ."
         exit 1
     fi
 done
@@ -269,8 +186,8 @@ done
 # Coverage gate: per-package coverage is printed for review; the total
 # must not regress below the floor (measured baseline minus slack).
 echo "== coverage (floor 79.5%)"
-go test -coverprofile="$tracedir/cover.out" ./... | grep -v '^---' || true
-total=$(go tool cover -func="$tracedir/cover.out" | awk '/^total:/ {sub(/%/, "", $3); print $3}')
+go test -coverprofile="$workdir/cover.out" ./... | grep -v '^---' || true
+total=$(go tool cover -func="$workdir/cover.out" | awk '/^total:/ {sub(/%/, "", $3); print $3}')
 echo "total coverage: ${total}%"
 ok=$(awk -v t="$total" 'BEGIN { print (t >= 79.5) ? 1 : 0 }')
 if [ "$ok" != 1 ]; then

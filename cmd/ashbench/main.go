@@ -17,7 +17,8 @@
 // simulated world each) executed on a worker pool; -parallel bounds the
 // pool and defaults to one worker per CPU. Results merge in cell-index
 // order, so the printed tables and any -trace file are byte-identical at
-// every parallelism level (CI asserts this); only wall time changes.
+// every parallelism level (contract.sh refuses to write otherwise); only
+// wall time changes.
 //
 // -trace works with every experiment: it attaches a tracing plane to each
 // testbed built and writes all of them as one Chrome trace_event JSON
@@ -92,47 +93,54 @@ func main() {
 
 	stopCPU := startCPUProfile(*cpuProf)
 	start := time.Now()
-	var notes strings.Builder
+	var notes, perExp strings.Builder
+	var total bench.EngineCounts
 	for _, out := range bench.RunExperiments(cfg, selected) {
 		fmt.Print(out.Text)
 		fmt.Println()
 		notes.WriteString(out.Notes)
+		perExp.WriteString(engineLine(" "+out.Name, out.Engines))
+		total = total.Add(out.Engines)
 	}
 	stopCPU()
 	writeMemProfile(*memProf)
-	// Wall time goes to stderr: stdout must stay byte-identical across
-	// runs and parallelism levels.
+	// Stdout is the result and stays byte-identical across runs and
+	// parallelism levels. Stderr describes the simulator itself. Every line
+	// below except the wall time and [go runtime: …] is reproducible run to
+	// run at -parallel 1, so contract.sh gates all the others: it writes the
+	// -quick -parallel 1 run's stderr, less those two lines, to
+	// ashbench_counts.txt. A value that turns out not to repeat at -parallel
+	// 1 belongs in the [go runtime: …] line.
 	fmt.Fprintf(os.Stderr, "[%d experiment(s) ran in %.1fs wall]\n", len(selected), time.Since(start).Seconds())
-	// Beside it, the host-memory pool: every cell closes its world, so
-	// leases == returned, and grown stays near the worker count times the
-	// few host sizes. A cell that stops closing shows as grown jumping.
-	// Zeroed is what the returns cleared, the pages hosts wrote: like
-	// leases and returned it does not depend on -parallel.
+	// The host-memory pool: every cell closes its world, so leases ==
+	// returned, and grown stays near the worker count times the few host
+	// sizes. A cell that stops closing shows as grown jumping. Zeroed is
+	// what the returns cleared, the pages hosts wrote: like leases and
+	// returned it does not depend on -parallel.
 	a := aegis.ArenaStats()
 	fmt.Fprintf(os.Stderr, "[host memory arenas: %d leases, %d returned, %d grown, %.1f MiB zeroed on return]\n",
 		a.Leases, a.Returned, a.Grown, float64(a.ZeroedBytes)/(1<<20))
-	// The compile cache: how often a download reused a verified build. Not
-	// a function of the simulations alone: cells that miss on the same
-	// program at once each count a miss, so the parallel counts differ.
+	// The compile cache: how often a download reused a verified build.
+	// Cells that miss on the same program at once each count a miss, so the
+	// counts move with -parallel.
 	hits, misses := sandbox.CacheStats()
 	fmt.Fprintf(os.Stderr, "[compile cache: %d hits, %d misses, %d entries]\n", hits, misses, sandbox.CacheEntries())
-	// The simulator's own Go runtime cost, the collector's above all. Not a
-	// function of the simulations: it moves with the machine and -parallel.
+	// The simulator's own Go runtime cost, the collector's above all: it
+	// moves with the machine and -parallel, run to run.
 	fmt.Fprintln(os.Stderr, goRuntimeLine())
-	// And the schedule itself: the first four are functions of the
-	// simulations alone (ci.sh compares the -quick -parallel 1 line with
-	// ashbench_counts.txt); elided (how many of those handoffs the sleeping
-	// process took itself, no event and no switch) and cascades are what the
-	// event queue did with them.
-	e := bench.EngineStats()
-	fmt.Fprintf(os.Stderr, "[sim engines: %d closed, %d fired, %d cancelled, %d handoffs, %d elided, %d cascades]\n",
-		e.Closed, e.Fired, e.Cancelled, e.Handoffs, e.Elided, e.Cascades)
+	// The schedule, per experiment and then in total: closed, fired,
+	// cancelled and handoffs are functions of the simulations alone;
+	// elided (how many of those handoffs the sleeping process took itself,
+	// no event and no switch) and cascades are what the event queue did
+	// with them.
+	fmt.Fprint(os.Stderr, perExp.String())
+	fmt.Fprint(os.Stderr, engineLine("", total))
 	// Which of those handoffs cost a coroutine switch: taken in place (a
 	// blocked process fired its own wake-up), made (a switch each way), and
-	// the idle coroutines the processes left for the next ones. Not gated:
-	// the pool's size depends on -parallel.
+	// the idle coroutines the processes left for the next ones (the pool
+	// follows -parallel).
 	fmt.Fprintf(os.Stderr, "[sim switches: %d in place, %d made, %d coroutines pooled]\n",
-		e.InPlace, e.Handoffs-e.Elided-e.InPlace, sim.PooledCoroutines())
+		total.InPlace, total.Handoffs-total.Elided-total.InPlace, sim.PooledCoroutines())
 	// And whatever the experiments report about the simulator itself
 	// (megascale: the server DPF trie's slab census per cell).
 	fmt.Fprint(os.Stderr, notes.String())
@@ -209,6 +217,12 @@ func goRuntimeLine() string {
 	return fmt.Sprintf("[go runtime: %d GC cycles, %.3f s GC CPU of %.3f s total, %.1f MiB allocated]",
 		s[0].Value.Uint64(), s[1].Value.Float64(), s[2].Value.Float64()-s[3].Value.Float64(),
 		float64(s[4].Value.Uint64())/(1<<20))
+}
+
+// engineLine prints one schedule count line; label is "" for the total.
+func engineLine(label string, e bench.EngineCounts) string {
+	return fmt.Sprintf("[sim engines%s: %d closed, %d fired, %d cancelled, %d handoffs, %d elided, %d cascades]\n",
+		label, e.Closed, e.Fired, e.Cancelled, e.Handoffs, e.Elided, e.Cascades)
 }
 
 func fatalf(format string, args ...any) {

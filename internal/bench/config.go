@@ -5,6 +5,7 @@ import (
 
 	"ashs/internal/bench/runner"
 	"ashs/internal/obs"
+	"ashs/internal/sim"
 )
 
 // Config carries the cross-cutting experiment parameters: workload sizing,
@@ -43,6 +44,34 @@ type Config struct {
 	// notes is what this cell said about the simulator itself (note):
 	// per-cell like planes, surfaced as Output.Notes.
 	notes string
+
+	// engines sums the schedules of the worlds built under this config
+	// and closed: per-cell like notes, surfaced as Output.Engines.
+	engines EngineCounts
+}
+
+// EngineCounts is a schedule summed over closed worlds. Fired, Cancelled
+// and Handoffs are functions of the simulations alone; Elided and InPlace
+// (wake-ups the sleeping process took itself, with no event or with no
+// switch, counted in Fired and Handoffs all the same) and Cascades are the
+// event queue's own work on them.
+type EngineCounts struct {
+	Closed, Fired, Cancelled, Handoffs, Elided, InPlace, Cascades uint64
+}
+
+// Add returns the sum of c and d.
+func (c EngineCounts) Add(d EngineCounts) EngineCounts {
+	return EngineCounts{c.Closed + d.Closed, c.Fired + d.Fired, c.Cancelled + d.Cancelled,
+		c.Handoffs + d.Handoffs, c.Elided + d.Elided, c.InPlace + d.InPlace, c.Cascades + d.Cascades}
+}
+
+// countEngine adds one closed world's engine to the counts. Nil-safe: a
+// world built with a nil config counts nowhere.
+func (cfg *Config) countEngine(st sim.Stats) {
+	if cfg != nil {
+		cfg.engines = cfg.engines.Add(EngineCounts{Closed: 1, Fired: st.Fired, Cancelled: st.Cancelled,
+			Handoffs: st.Handoffs, Elided: st.Elided, InPlace: st.InPlace, Cascades: st.Cascades})
+	}
 }
 
 // note records a line about the simulator's own state — storage, pools —
@@ -68,12 +97,12 @@ func (cfg *Config) observe(tb *Testbed) {
 }
 
 // cellConfig derives the private Config copy one cell runs under: same
-// hooks and sizing (a nil config's), fresh plane and note collections.
+// hooks and sizing (a nil config's), fresh planes, notes and counts.
 func (cfg *Config) cellConfig() *Config {
 	cc := &Config{}
 	if cfg != nil {
 		*cc = *cfg
-		cc.planes, cc.notes = nil, ""
+		cc.planes, cc.notes, cc.engines = nil, "", EngineCounts{}
 	}
 	return cc
 }
@@ -113,28 +142,29 @@ func (c Cell) Run(cfg *Config) any {
 }
 
 // runCells executes cells under cfg's parallelism, each under its own
-// config copy, and returns their results and notes in cell-index order. The
-// planes each cell attached are folded back into cfg in the same
-// deterministic order, so a traced parallel run exports exactly the planes
-// (and ordering) of a serial one.
-func runCells(cfg *Config, cells []Cell) (results []any, notes []string) {
+// config copy, and returns their results and those copies, with the notes
+// and engine counts each cell left there, in cell-index order. The planes
+// each cell attached are folded back into cfg in the same deterministic
+// order, so a traced parallel run exports exactly the planes (and
+// ordering) of a serial one.
+func runCells(cfg *Config, cells []Cell) (results []any, ccs []*Config) {
 	wrapped := make([]runner.Cell, len(cells))
-	ccs := make([]*Config, len(cells))
+	ccs = make([]*Config, len(cells))
 	for i, c := range cells {
 		ccs[i] = cfg.cellConfig()
 		wrapped[i] = runner.Cell{Label: c.Label, Run: func() any { return c.Run(ccs[i]) }}
 	}
-	results, notes = runner.Run(cfg.parallelism(), wrapped), make([]string, len(cells))
-	for i, cc := range ccs {
-		notes[i] = cc.notes
-		if cfg != nil {
+	results = runner.Run(cfg.parallelism(), wrapped)
+	if cfg != nil {
+		for _, cc := range ccs {
 			cfg.planes = append(cfg.planes, cc.planes...)
 		}
 	}
-	return results, notes
+	return results, ccs
 }
 
-// cellResults is runCells for the Run* entry points, which keep no notes.
+// cellResults is runCells for the Run* entry points, which keep no notes
+// or counts.
 func cellResults(cfg *Config, cells []Cell) []any {
 	results, _ := runCells(cfg, cells)
 	return results

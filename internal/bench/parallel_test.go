@@ -26,9 +26,18 @@ func runSuite(t *testing.T, parallel int, names []string) ([]Output, []byte) {
 	return outs, obs.WriteTrace(cfg.Planes()...)
 }
 
+// sameEngines requires an experiment's schedule counts not to depend on
+// the worker count: they are sums over its own cells' worlds.
+func sameEngines(t *testing.T, serial, par Output) {
+	t.Helper()
+	if serial.Engines != par.Engines {
+		t.Errorf("%s: engine counts differ:\nserial   %+v\nparallel %+v", serial.Name, serial.Engines, par.Engines)
+	}
+}
+
 // TestParallelByteIdentical is the golden determinism check: a multi-cell
 // slice of the suite rendered at -parallel=4 must match -parallel=1 byte
-// for byte, tables and exported trace alike.
+// for byte, tables, engine counts and exported trace alike.
 func TestParallelByteIdentical(t *testing.T) {
 	names := []string{"table1", "fig3", "table4", "table5", "sandbox"}
 	serialOut, serialTrace := runSuite(t, 1, names)
@@ -44,6 +53,7 @@ func TestParallelByteIdentical(t *testing.T) {
 			t.Errorf("%s: parallel output differs from serial:\n--- serial ---\n%s--- parallel ---\n%s",
 				serialOut[i].Name, serialOut[i].Text, parOut[i].Text)
 		}
+		sameEngines(t, serialOut[i], parOut[i])
 	}
 	if !bytes.Equal(serialTrace, parTrace) {
 		t.Errorf("trace JSON differs between serial (%d bytes) and parallel (%d bytes)",
@@ -102,7 +112,8 @@ func TestFindExperimentsValidatesNames(t *testing.T) {
 // TestReoptParallelByteIdentical pins the DCG-loop experiment across
 // parallelism levels: five cells that each build testbeds, re-optimize
 // handlers, and sweep the differential harness must render the same
-// table and export the same trace at -parallel=4 as serially.
+// table, count the same schedule and export the same trace at -parallel=4
+// as serially.
 func TestReoptParallelByteIdentical(t *testing.T) {
 	serialOut, serialTrace := runSuite(t, 1, []string{"reopt"})
 	parOut, parTrace := runSuite(t, 4, []string{"reopt"})
@@ -113,6 +124,7 @@ func TestReoptParallelByteIdentical(t *testing.T) {
 		t.Errorf("reopt: parallel output differs from serial:\n--- serial ---\n%s--- parallel ---\n%s",
 			serialOut[0].Text, parOut[0].Text)
 	}
+	sameEngines(t, serialOut[0], parOut[0])
 	if !bytes.Equal(serialTrace, parTrace) {
 		t.Errorf("reopt trace JSON differs between serial (%d bytes) and parallel (%d bytes)",
 			len(serialTrace), len(parTrace))

@@ -285,6 +285,8 @@ type Output struct {
 	// Notes is what the cells said about the simulator itself (see
 	// Config.note), in cell order: for stderr, never part of the result.
 	Notes string
+	// Engines is the schedule of every world the cells closed.
+	Engines EngineCounts
 }
 
 // RunExperiments executes the selected experiments' cells on one shared
@@ -302,15 +304,17 @@ func RunExperiments(cfg *Config, selected []*Experiment) []Output {
 		counts[i] = len(cells)
 		all = append(all, cells...)
 	}
-	results, notes := runCells(cfg, all)
+	results, ccs := runCells(cfg, all)
 	var rendered []Output
 	off := 0
 	for i, e := range selected {
 		end := off + counts[i]
-		rendered = append(rendered, Output{
-			Name: e.Name, Text: e.Render(cfg, results[off:end]),
-			Notes: strings.Join(notes[off:end], ""),
-		})
+		out := Output{Name: e.Name, Text: e.Render(cfg, results[off:end])}
+		for _, cc := range ccs[off:end] {
+			out.Notes += cc.notes
+			out.Engines = out.Engines.Add(cc.engines)
+		}
+		rendered = append(rendered, out)
 		off = end
 	}
 	return rendered

@@ -10,7 +10,6 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 
 	"ashs/internal/aegis"
 	"ashs/internal/core"
@@ -122,6 +121,9 @@ type world struct {
 	tb *Testbed
 	// fault is the world's fault plane, nil without one.
 	fault *fault.Plane
+	// cfg is the config the world was built with; close adds the engine's
+	// counts to it.
+	cfg *Config
 }
 
 // build makes the world s describes. Nothing else in the package makes a
@@ -136,7 +138,7 @@ func build(cfg *Config, s worldSpec) *world {
 		netCfg = netdev.EthernetConfig()
 	}
 	eng, prof := sim.NewEngine(), mach.DS5000_240()
-	w := &world{eng: eng, prof: prof, sw: netdev.NewSwitch(eng, prof, netCfg), res: ip.StaticResolver{}}
+	w := &world{eng: eng, prof: prof, sw: netdev.NewSwitch(eng, prof, netCfg), res: ip.StaticResolver{}, cfg: cfg}
 	// add boots a host with mem bytes of physical memory on the next switch
 	// port. An Ethernet interface gets a receive pool of rxBufs; an AN2 one
 	// takes its buffers per virtual circuit.
@@ -227,7 +229,8 @@ func (w *world) checkPool() {
 // that unwind with the processes still see live memory. inWorld (and the
 // facade's Testbed.Close) calls it once the results are read; nothing may
 // touch the world afterwards. It is the end-of-world gate: a process still
-// live or a host still holding memory is a leak, and panics.
+// live or a host still holding memory is a leak, and panics. Last, the
+// engine's schedule counts go to the config the world was built with.
 func (w *world) close() {
 	w.eng.Close()
 	for _, h := range w.hosts {
@@ -240,38 +243,7 @@ func (w *world) close() {
 				w.sw.Cfg.Name, w.hosts[0].k.Name, w.hosts[len(w.hosts)-1].k.Name, st.LiveProcs, h.k.Name, h.k.MemSize()))
 		}
 	}
-	engines.Lock()
-	engines.Closed++
-	engines.Fired += st.Fired
-	engines.Cancelled += st.Cancelled
-	engines.Handoffs += st.Handoffs
-	engines.Elided += st.Elided
-	engines.InPlace += st.InPlace
-	engines.Cascades += st.Cascades
-	engines.Unlock()
-}
-
-// engines sums sim.Engine.Stats over every world closed in this process
-// (cells run in parallel, hence the lock; sums do not depend on the order).
-var engines struct {
-	sync.Mutex
-	EngineCounts
-}
-
-// EngineCounts is the schedule the process has run, summed over its closed
-// worlds. Fired, Cancelled and Handoffs are functions of the simulations
-// alone; Elided and InPlace (wake-ups the sleeping process took itself, with
-// no event or with no switch, counted in Fired and Handoffs all the same)
-// and Cascades are the event queue's own work on them.
-type EngineCounts struct {
-	Closed, Fired, Cancelled, Handoffs, Elided, InPlace, Cascades uint64
-}
-
-// EngineStats reports the totals.
-func EngineStats() EngineCounts {
-	engines.Lock()
-	defer engines.Unlock()
-	return engines.EngineCounts
+	w.cfg.countEngine(st)
 }
 
 // run drains the engine and applies the leak gate. Cells that run to

@@ -233,3 +233,44 @@ func TestWorldReuse(t *testing.T) {
 		t.Errorf("results differ on reused memory:\n%+v\n%+v", first, again)
 	}
 }
+
+// TestCellEngineCounts: a cell's schedule counts are its own. Run alone
+// under a fresh config, every cell reports what it reports inside a
+// parallel run of its experiment, and the experiment's Output.Engines is
+// their sum. An ablation cell opens two worlds, one after the other.
+func TestCellEngineCounts(t *testing.T) {
+	for name, worlds := range map[string]uint64{"table5": 1, "ablation": 2} {
+		selected, _ := FindExperiments([]string{name})
+		cfg := &Config{Quick: true, Parallel: 4}
+		cells := selected[0].Cells(cfg)
+		_, ccs := runCells(cfg, cells)
+		var sum EngineCounts
+		for i, c := range cells {
+			alone := &Config{Quick: true}
+			c.Run(alone)
+			if alone.engines != ccs[i].engines || alone.engines.Closed != worlds {
+				t.Errorf("%s: alone %+v, in the pool %+v; want %d worlds closed", c.Label, alone.engines, ccs[i].engines, worlds)
+			}
+			sum = sum.Add(alone.engines)
+		}
+		if out := RunExperiments(cfg, selected)[0]; out.Engines != sum {
+			t.Errorf("%s: Output.Engines %+v, want the cells' sum %+v", name, out.Engines, sum)
+		}
+	}
+}
+
+// TestWorldCloseCounts: close adds the engine to the config the world was
+// built with, once per world; a world built with a nil config closes
+// without panicking and counts nowhere.
+func TestWorldCloseCounts(t *testing.T) {
+	build(nil, an2Pair).close()
+	cfg := &Config{}
+	for range 2 {
+		w := build(cfg, an2Pair)
+		w.run()
+		w.close()
+	}
+	if cfg.engines.Closed != 2 {
+		t.Errorf("%d worlds counted, want 2", cfg.engines.Closed)
+	}
+}

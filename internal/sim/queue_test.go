@@ -267,14 +267,22 @@ func TestQueueMatchesHeap(t *testing.T) {
 	}
 }
 
-// TestCascadeDepth pins the worst case of one PeekMin: an event that
-// differs from floor in every digit comes down one level per cascade.
+// TestCascadeDepth pins the worst case of one PeekMin: two events that
+// differ from floor in every digit come down one level per cascade. A lone
+// one goes straight to level 0, to the state those cascades would leave.
 func TestCascadeDepth(t *testing.T) {
 	q := new(wheel)
 	ev := &Event{at: math.MaxInt64}
 	q.Insert(ev)
-	if q.PeekMin() != ev || q.cascaded != wheelLevels-1 {
-		t.Fatalf("peek of the last instant took %d cascades, want %d", q.cascaded, wheelLevels-1)
+	if q.PeekMin() != ev || q.cascaded != 0 || q.floor != math.MaxInt64&^(wheelSlots-1) || ev.heapIdx != wheelSlots-1 {
+		t.Fatalf("lone last instant: %d cascades, floor %#x, index %d; want 0, %#x, %d",
+			q.cascaded, q.floor, ev.heapIdx, int64(math.MaxInt64&^(wheelSlots-1)), wheelSlots-1)
+	}
+	q = new(wheel)
+	q.Insert(ev)
+	q.Insert(&Event{at: math.MaxInt64})
+	if q.PeekMin() != ev || q.cascaded != 2*(wheelLevels-1) {
+		t.Fatalf("peek of two at the last instant took %d cascades, want %d", q.cascaded, 2*(wheelLevels-1))
 	}
 }
 

@@ -182,6 +182,18 @@ func (q *wheel) PeekMin() *Event {
 			q.peeked = b.head
 			return q.peeked
 		}
+		if ev := b.head; ev == b.tail {
+			// A lone event is the minimum, and cascading would carry it
+			// alone level by level down to level 0, leaving floor at the
+			// start of its level-0 slot. Go there at once: the state is
+			// the one the cascades would leave, less their count.
+			q.floor = ev.at &^ (wheelSlots - 1)
+			*b = slot{}
+			q.clear(l, s)
+			q.place(ev)
+			q.peeked = ev
+			return ev
+		}
 		// Cascade: floor moves to the start of the slot (digits above l
 		// kept, digit l = s, lower digits 0; every lower level is empty and
 		// the rest of level l is in higher slots, so I1-I3 still hold) and
