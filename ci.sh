@@ -56,10 +56,13 @@ go test -race ./...
 #            trace, clock and counts; the elision's edges (a tie, the run's
 #            limit, a pending Stop, Close — one row per guard), the edges
 #            of the loop a blocked process runs itself (a callback panic,
-#            Stop, the limit, a stale expiry, a lost wake-up) and 300
-#            random worlds, with both fast paths or not, run event for
-#            event the same; pooled coroutines run the next body, and
-#            engines on parallel goroutines share the pool
+#            Stop, the limit, a stale expiry, a lost wake-up), the edges of
+#            the resume stack it resumes the next process on (a chain of
+#            three unwinding to the first, a panic in a resumed body, Stop
+#            from one, the limit inside a chain, Close of a suspended
+#            chain) and 300 random worlds, with the fast paths or not, run
+#            event for event the same; pooled coroutines run the next body,
+#            and engines on parallel goroutines share the pool
 #   aegis    world lifetime: a reused arena is all-zero after scattered
 #            writes and its return cleared exactly the written pages, a
 #            recycled cache charges what a new one does, nothing above brk is
@@ -75,8 +78,9 @@ go test -race ./...
 #   sandbox  three-way differential: every crl handler x both budget modes x
 #            measured + adversarial profiles, the profitability pin, the
 #            committed adversarial-profile shapes, the quick random sweep;
-#            a stray access is reported whether it lands or faults, and
-#            harness inputs outside the region are errors; a build is
+#            a stray access is reported whether it lands or faults,
+#            harness inputs outside the region are errors, and the harness's
+#            ash_copy moves an overlap as production's does; a build is
 #            compiled once, shared by every hit at a flat cost, and no
 #            caller writes into it
 #   sandbox, the lending contract of vcode.Memory over every memory in the
@@ -108,12 +112,12 @@ done <<'EOF'
 ./internal/obs/:.
 ./internal/sim/:.
 ./internal/sim/:^TestHandoff|^TestCoroutinePool
-./internal/sim/:^TestElideEdges$|^TestElideRejectsWhatSchedulingRejects$|^TestElideMatchesNeverElide$|^TestInPlaceEdges$
+./internal/sim/:^TestElideEdges$|^TestElideRejectsWhatSchedulingRejects$|^TestElideMatchesNeverElide$|^TestInPlaceEdges$|^TestDirectHandoffEdges$
 ./internal/aegis/:^TestArena
 ./internal/aegis/:^TestReceiveMatrix$|^TestFrontHalfOrder$|^TestFreeChecksTheIndex$|^TestRefusedSendIsCounted$
 ./internal/bench/:^TestPoolLeakGate$|^TestWorldReuse$|^TestWorldShape$|^TestWorldSpecFieldsInUse$|^TestCellEngineCounts$|^TestWorldCloseCounts$
 .:^TestWorldClose$
-./internal/sandbox/:TestThreeWayRegistry|TestReoptActuallyImproves|TestReoptProfileSeeds|TestDifferentialSFIQuick|^TestThreeWayReportsEscape$|^TestDiffInputsOutsideTheRegion$|^TestCompileCacheHitMatchesMiss$|^TestCacheHitCostIsFlat$|^TestCachedBuildsStayUnchanged$
+./internal/sandbox/:TestThreeWayRegistry|TestReoptActuallyImproves|TestReoptProfileSeeds|TestDifferentialSFIQuick|^TestThreeWayReportsEscape$|^TestDiffInputsOutsideTheRegion$|^TestDiffCopyOverlaps$|^TestCompileCacheHitMatchesMiss$|^TestCacheHitCostIsFlat$|^TestCachedBuildsStayUnchanged$
 ./internal/sandbox/:^TestMemoryConformance$|^TestEscapeGuardLatchesOnAnyByte$
 ./internal/vcode/:^TestJournalUndoProperty$
 ./internal/core/:TestReopt|TestChainDisposition|^TestHandlerBaseParity$
@@ -146,8 +150,9 @@ EOF
 # moving the wheel. FuzzElideMatchesNeverElide takes the seed of a random
 # world of processes (sleeps, parks, timeouts, unparks, Stop, callbacks
 # that start or unpark a process) and requires the engine to run it event
-# for event the same with its two fast paths, the elided wake-up and the
-# loop a blocked process runs itself, and without them.
+# for event the same with its fast paths, the elided wake-up and the loop
+# a blocked process runs itself, resuming the next process from there, and
+# without them.
 # FuzzStreamMatchesReference picks the memory (FlatMem,
 # AddrSpace, a Journal over either; maybe a page absent), places the two
 # streams of a DILP loop, sets the budgets and warms the cache, and requires

@@ -136,11 +136,12 @@ func main() {
 	fmt.Fprint(os.Stderr, perExp.String())
 	fmt.Fprint(os.Stderr, engineLine("", total))
 	// Which of those handoffs cost a coroutine switch: taken in place (a
-	// blocked process fired its own wake-up), made (a switch each way), and
-	// the idle coroutines the processes left for the next ones (the pool
-	// follows -parallel).
-	fmt.Fprintf(os.Stderr, "[sim switches: %d in place, %d made, %d coroutines pooled]\n",
-		total.InPlace, total.Handoffs-total.Elided-total.InPlace, sim.PooledCoroutines())
+	// blocked process fired its own wake-up), made (a switch each way), of
+	// those made the direct ones (a blocked process resumed the next process
+	// itself, not the engine), and the idle coroutines the processes left
+	// for the next ones (the pool follows -parallel).
+	fmt.Fprintf(os.Stderr, "[sim switches: %d in place, %d made, %d of them direct, %d coroutines pooled]\n",
+		total.InPlace, total.Handoffs-total.Elided-total.InPlace, total.Direct, sim.PooledCoroutines())
 	// And whatever the experiments report about the simulator itself
 	// (megascale: the server DPF trie's slab census per cell).
 	fmt.Fprint(os.Stderr, notes.String())

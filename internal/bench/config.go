@@ -53,16 +53,18 @@ type Config struct {
 // EngineCounts is a schedule summed over closed worlds. Fired, Cancelled
 // and Handoffs are functions of the simulations alone; Elided and InPlace
 // (wake-ups the sleeping process took itself, with no event or with no
-// switch, counted in Fired and Handoffs all the same) and Cascades are the
-// event queue's own work on them.
+// switch, counted in Fired and Handoffs all the same), Direct (switches a
+// blocked process made rather than the engine) and Cascades are the event
+// queue's own work on them.
 type EngineCounts struct {
-	Closed, Fired, Cancelled, Handoffs, Elided, InPlace, Cascades uint64
+	Closed, Fired, Cancelled, Handoffs, Elided, InPlace, Direct, Cascades uint64
 }
 
 // Add returns the sum of c and d.
 func (c EngineCounts) Add(d EngineCounts) EngineCounts {
 	return EngineCounts{c.Closed + d.Closed, c.Fired + d.Fired, c.Cancelled + d.Cancelled,
-		c.Handoffs + d.Handoffs, c.Elided + d.Elided, c.InPlace + d.InPlace, c.Cascades + d.Cascades}
+		c.Handoffs + d.Handoffs, c.Elided + d.Elided, c.InPlace + d.InPlace, c.Direct + d.Direct,
+		c.Cascades + d.Cascades}
 }
 
 // countEngine adds one closed world's engine to the counts. Nil-safe: a
@@ -70,7 +72,7 @@ func (c EngineCounts) Add(d EngineCounts) EngineCounts {
 func (cfg *Config) countEngine(st sim.Stats) {
 	if cfg != nil {
 		cfg.engines = cfg.engines.Add(EngineCounts{Closed: 1, Fired: st.Fired, Cancelled: st.Cancelled,
-			Handoffs: st.Handoffs, Elided: st.Elided, InPlace: st.InPlace, Cascades: st.Cascades})
+			Handoffs: st.Handoffs, Elided: st.Elided, InPlace: st.InPlace, Direct: st.Direct, Cascades: st.Cascades})
 	}
 }
 

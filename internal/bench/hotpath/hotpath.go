@@ -436,14 +436,17 @@ func ProcSwitch(b *testing.B) {
 
 // ProcSwitchContended measures one simulated context switch: two processes
 // sleep two cycles at a time, one waking on even cycles and one on odd, so
-// every Sleep finds the other's wake-up ahead of its own: none is elided,
-// and none is woken in place (the blocked sleeper's own loop stops at the
-// other's wake-up). Every iteration is a bound query, a wake-up event
-// scheduled, the process yielding to the engine, the event popped and the
-// engine resuming the other process — the unit every blocking syscall,
-// Compute and Sleep that cannot be elided is made of. The wake-up carries
-// the process as its argument, so the round trip builds no closure and
-// allocates nothing.
+// every Sleep finds the other's wake-up ahead of its own and none is
+// elided. The blocked sleeper's own loop fires the other's wake-up and
+// resumes that process itself (a direct switch, no trip through the
+// engine); it sleeps in turn, its loop meets the first sleeper's wake-up,
+// which is further up the resume stack, and yields back, and the first
+// takes that wake-up in place. So the iterations alternate between a direct
+// handoff — a bound query, a wake-up event scheduled, popped and fired, the
+// process resumed and yielding back — and a wake-up fired in place, the
+// unit every blocking syscall, Compute and Sleep that cannot be elided is
+// made of. The wake-up carries the process as its argument, so the round
+// trip builds no closure and allocates nothing.
 func ProcSwitchContended(b *testing.B) {
 	eng := sim.NewEngine()
 	sleeper := func(n int, first sim.Time) func(*sim.Proc) {
@@ -465,8 +468,13 @@ func ProcSwitchContended(b *testing.B) {
 	if now := eng.Now(); now != sim.Time(b.N+1) {
 		b.Fatalf("clock at %d after %d interleaved two-cycle sleeps", now, b.N)
 	}
-	if st := eng.Stats(); st.Elided != 0 || st.InPlace != 0 {
-		b.Fatalf("of %d contended sleeps, %d were elided and %d woken in place", b.N, st.Elided, st.InPlace)
+	// Two starts and b.N wake-ups: the engine starts "even", every other
+	// one is direct or in place, except that when "even" ends first the
+	// engine resumes "odd" for its last.
+	half := uint64(b.N+1) / 2
+	if st := eng.Stats(); st.Handoffs != uint64(b.N)+2 || st.Elided != 0 || st.InPlace != half || st.Direct != half {
+		b.Fatalf("of %d contended sleeps, %d handoffs, %d elided, %d woken in place and %d resumed directly; want %d, 0, %d, %d",
+			b.N, st.Handoffs, st.Elided, st.InPlace, st.Direct, b.N+2, half, half)
 	}
 }
 

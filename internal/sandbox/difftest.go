@@ -193,9 +193,7 @@ func diffSyscalls(v *diffVariant) []vcode.SyscallFn {
 			m.Charge(12)
 			from, _ := v.flat.Load(src, n)
 			to, _ := v.flat.Store(dst, n)
-			for i := range to { // a byte at a time, ascending, where they overlap
-				to[i] = from[i]
-			}
+			copy(to, from) // memmove, as production's: an overlap moves whole
 			return nil
 		},
 		"ash_msg_load": func(m *vcode.Machine) error {

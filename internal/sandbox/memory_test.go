@@ -279,6 +279,40 @@ func TestThreeWayReportsEscape(t *testing.T) {
 	}
 }
 
+// TestDiffCopyOverlaps: the harness's ash_copy moves an overlapping range
+// as production's does (core's ash_copy is Go's copy: memmove semantics,
+// the destination ends up holding what the source held before the call),
+// whichever side of the source the destination lies on.
+func TestDiffCopyOverlaps(t *testing.T) {
+	p := assemble(t, func(b *vcode.Builder) { b.MovI(vcode.RRet, 0) })
+	const n = 10
+	for _, c := range []struct {
+		name     string
+		src, dst uint32
+	}{
+		{"destination above the source", DiffBase + 0x40, DiffBase + 0x43},
+		{"destination below the source", DiffBase + 0x43, DiffBase + 0x40},
+	} {
+		v, err := newDiffVariant(p, DefaultPolicy(), &DiffConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := append([]byte(nil), v.flat.Data...)
+		copy(want[c.dst:c.dst+n], want[c.src:c.src+n])
+		v.m.Regs[vcode.RArg0], v.m.Regs[vcode.RArg1], v.m.Regs[vcode.RArg2] = c.src, c.dst, n
+		if err := v.m.Syms[vcode.Intern("ash_copy")](v.m); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		got, end := v.flat.Data, c.dst+n
+		if string(got[c.dst:end]) != string(want[c.dst:end]) {
+			t.Errorf("%s: the destination holds % x, want % x", c.name, got[c.dst:end], want[c.dst:end])
+		}
+		if string(got[:c.dst]) != string(want[:c.dst]) || string(got[end:]) != string(want[end:]) {
+			t.Errorf("%s: ash_copy wrote outside its destination", c.name)
+		}
+	}
+}
+
 // TestDiffInputsOutsideTheRegion: a setup word or a message the region
 // cannot hold is an error, not silently dropped or cut short.
 func TestDiffInputsOutsideTheRegion(t *testing.T) {

@@ -13,13 +13,9 @@ import (
 // says — on the heap, whose bound is exact; the wheel may elide less, never
 // more. Each of the four guards has a row that fails without it.
 func TestElideEdges(t *testing.T) {
-	type world struct {
-		e    *Engine
-		note func(what string) // "what@now" into the trace
-	}
 	for _, row := range []struct {
 		name   string
-		drive  func(w world)
+		drive  func(w edgeWorld)
 		trace  string
 		elided uint64
 		early  uint64 // the wheel's EarlyInserts
@@ -29,7 +25,7 @@ func TestElideEdges(t *testing.T) {
 			// first and fires first. The second sleep has nothing at its
 			// instant and is elided.
 			name: "a callback due at the same instant runs first",
-			drive: func(w world) {
+			drive: func(w edgeWorld) {
 				w.e.Go("p", func(p *Proc) {
 					w.e.Schedule(5, func() { w.note("callback") })
 					p.Sleep(5)
@@ -46,7 +42,7 @@ func TestElideEdges(t *testing.T) {
 			// The run's limit: a sleep that ends after it is queued, the
 			// clock stops at the limit, and the next run resumes the sleeper.
 			name: "a sleep that outlasts RunUntil is queued",
-			drive: func(w world) {
+			drive: func(w edgeWorld) {
 				w.e.Go("p", func(p *Proc) {
 					p.Sleep(30)
 					w.note("short")
@@ -65,7 +61,7 @@ func TestElideEdges(t *testing.T) {
 			// A pending Stop: the run must return once this event — the
 			// process's time slice — completes, so the process has to yield.
 			name: "a process that stopped the run is not advanced",
-			drive: func(w world) {
+			drive: func(w edgeWorld) {
 				w.e.Go("p", func(p *Proc) {
 					w.e.Stop()
 					p.Sleep(10)
@@ -82,7 +78,7 @@ func TestElideEdges(t *testing.T) {
 			// Close: a deferred call that sleeps while its process is being
 			// ended unwinds, however idle the world is.
 			name: "Close unwinds a deferred sleep",
-			drive: func(w world) {
+			drive: func(w edgeWorld) {
 				w.e.Go("p", func(p *Proc) {
 					defer w.note("outer defer")
 					defer func() {
@@ -105,7 +101,7 @@ func TestElideEdges(t *testing.T) {
 			// parked; with an Unpark due at the timeout's own instant —
 			// scheduled first — it parks and reports the unpark.
 			name: "ParkTimeout alone, and tied with an Unpark",
-			drive: func(w world) {
+			drive: func(w edgeWorld) {
 				w.e.Go("p", func(p *Proc) {
 					w.note(fmt.Sprint("alone: ", p.ParkTimeout(10), ", parked ", p.Parked()))
 					w.e.Schedule(10, func() {
@@ -126,7 +122,7 @@ func TestElideEdges(t *testing.T) {
 			// clock; what the driver schedules next lands on the early list,
 			// ahead of sleeps elided and queued.
 			name: "sleeps after RunUntil peeked past its limit",
-			drive: func(w world) {
+			drive: func(w edgeWorld) {
 				w.e.ScheduleAt(1_000_000, func() { w.note("far") })
 				w.e.Go("p", func(p *Proc) {
 					p.Sleep(150) // past the first limit: queued, and peeked at
@@ -156,7 +152,7 @@ func TestElideEdges(t *testing.T) {
 				e := newEngineWithQueue(q.fn())
 				e.neverElide = neverElide
 				var trace []string
-				row.drive(world{e, func(what string) { trace = append(trace, fmt.Sprint(what, "@", e.Now())) }})
+				row.drive(edgeWorld{e, func(what string) { trace = append(trace, fmt.Sprint(what, "@", e.Now())) }})
 				if got := strings.Join(trace, " "); got != row.trace {
 					t.Errorf("%s (%s, never elide %v):\n got %s\nwant %s", row.name, q.name, neverElide, got, row.trace)
 				}
@@ -208,33 +204,70 @@ func TestElideRejectsWhatSchedulingRejects(t *testing.T) {
 	}
 }
 
+// edgeWorld is what an edge row's world is driven through: the engine, and
+// note, which appends "what@now" to the row's trace.
+type edgeWorld struct {
+	e    *Engine
+	note func(what string)
+}
+
+// edgeRow is one world of TestInPlaceEdges or TestDirectHandoffEdges: the
+// trace it leaves, its Fired and Handoffs, and with the fast paths on the
+// wake-ups it takes in place and the switches a blocked process makes.
+type edgeRow struct {
+	name                             string
+	drive                            func(w edgeWorld)
+	trace                            string
+	fired, handoffs, inPlace, direct uint64
+}
+
+// runEdgeRows runs each row over both queues with the fast paths on and
+// off: the trace, Fired and Handoffs must be the row's in all four, InPlace
+// and Direct the row's with the fast paths on and 0 with them off.
+func runEdgeRows(t *testing.T, rows []edgeRow) {
+	for _, row := range rows {
+		for _, q := range queues {
+			for _, neverElide := range []bool{false, true} {
+				e := newEngineWithQueue(q.fn())
+				e.neverElide = neverElide
+				var trace []string
+				row.drive(edgeWorld{e, func(what string) { trace = append(trace, fmt.Sprint(what, "@", e.Now())) }})
+				if got := strings.Join(trace, " "); got != row.trace {
+					t.Errorf("%s (%s, never elide %v):\n got %s\nwant %s", row.name, q.name, neverElide, got, row.trace)
+				}
+				inPlace, direct := row.inPlace, row.direct
+				if neverElide {
+					inPlace, direct = 0, 0
+				}
+				if st := e.Stats(); st.Fired != row.fired || st.Handoffs != row.handoffs || st.InPlace != inPlace || st.Direct != direct {
+					t.Errorf("%s (%s, never elide %v): fired %d, handoffs %d, in place %d, direct %d; want %d, %d, %d, %d",
+						row.name, q.name, neverElide, st.Fired, st.Handoffs, st.InPlace, st.Direct,
+						row.fired, row.handoffs, inPlace, direct)
+				}
+				e.Close()
+			}
+		}
+	}
+}
+
+// catchPanic runs run and returns what it panicked with, or nil.
+func catchPanic(run func()) (v any) {
+	defer func() { v = recover() }()
+	run()
+	return nil
+}
+
 // TestInPlaceEdges walks the borders of the loop a blocked process runs
-// itself (Proc.runInPlace), one world per row, each over both queues and
-// with the fast paths on and off: the trace (what ran at what virtual time,
-// where the driver's runs returned and what they panicked with), Fired and
-// Handoffs must be the row's in all four, and with the fast paths on the
-// row takes exactly its count of wake-ups in place.
+// itself (Proc.runInPlace), one world per row (runEdgeRows); a trace holds
+// what ran at what virtual time, where the driver's runs returned and what
+// they panicked with.
 func TestInPlaceEdges(t *testing.T) {
-	type world struct {
-		e    *Engine
-		note func(what string) // "what@now" into the trace
-	}
-	catch := func(run func()) (v any) {
-		defer func() { v = recover() }()
-		run()
-		return nil
-	}
-	for _, row := range []struct {
-		name                     string
-		drive                    func(w world)
-		trace                    string
-		fired, handoffs, inPlace uint64
-	}{
+	runEdgeRows(t, []edgeRow{
 		{
 			// The common case: the callback ahead of the wake-up is fired
 			// from the process's stack, then the wake-up, with no switch.
 			name: "a callback ahead of the process's own wake-up",
-			drive: func(w world) {
+			drive: func(w edgeWorld) {
 				w.e.Go("p", func(p *Proc) {
 					w.e.Schedule(2, func() { w.note("callback") })
 					p.Sleep(5)
@@ -249,14 +282,14 @@ func TestInPlaceEdges(t *testing.T) {
 			// callback's own value, not as the process's panic; the process
 			// stays suspended until Close unwinds it.
 			name: "a callback fired in place panics",
-			drive: func(w world) {
+			drive: func(w edgeWorld) {
 				w.e.Go("p", func(p *Proc) {
 					defer w.note("p unwound")
 					w.e.Schedule(1, func() { panic("callback boom") })
 					p.Sleep(5)
 					w.note("unreachable")
 				})
-				w.note(fmt.Sprint("run panicked: ", catch(w.e.Run)))
+				w.note(fmt.Sprint("run panicked: ", catchPanic(w.e.Run)))
 				w.note(fmt.Sprint("live ", w.e.Stats().LiveProcs))
 				w.e.Close()
 			},
@@ -264,7 +297,7 @@ func TestInPlaceEdges(t *testing.T) {
 		},
 		{
 			name: "Stop from a callback fired in place",
-			drive: func(w world) {
+			drive: func(w edgeWorld) {
 				w.e.Go("p", func(p *Proc) {
 					w.e.Schedule(1, func() { w.note("stop"); w.e.Stop() })
 					w.e.Schedule(2, func() { w.note("next") })
@@ -280,7 +313,7 @@ func TestInPlaceEdges(t *testing.T) {
 		},
 		{
 			name: "RunUntil's limit reached inside the loop",
-			drive: func(w world) {
+			drive: func(w edgeWorld) {
 				w.e.Go("p", func(p *Proc) {
 					w.e.Schedule(3, func() { w.note("early") })
 					w.e.Schedule(20, func() { w.note("late") })
@@ -297,7 +330,7 @@ func TestInPlaceEdges(t *testing.T) {
 			// The Unpark, scheduled first, wins the tie; the expiry behind
 			// it is stale: fired in place, counted in Fired, no handoff.
 			name: "a stale ParkTimeout expiry",
-			drive: func(w world) {
+			drive: func(w edgeWorld) {
 				w.e.Go("p", func(p *Proc) {
 					w.e.Schedule(5, func() { w.note("unpark"); p.Unpark() })
 					w.note(fmt.Sprint("unparked: ", p.ParkTimeout(5)))
@@ -308,39 +341,141 @@ func TestInPlaceEdges(t *testing.T) {
 		},
 		{
 			name: "Unpark of a sleeping process from a callback fired in place",
-			drive: func(w world) {
+			drive: func(w edgeWorld) {
 				var sleeper *Proc
 				sleeper = w.e.Go("sleeper", func(p *Proc) {
 					w.e.Schedule(1, func() { sleeper.Unpark() })
 					p.Sleep(10)
 				})
-				w.note(fmt.Sprint("run panicked: ", catch(w.e.Run)))
+				w.note(fmt.Sprint("run panicked: ", catchPanic(w.e.Run)))
 				w.e.Close()
 			},
 			trace: `run panicked: sim: Unpark of non-parked process "sleeper"@1`, fired: 2, handoffs: 1,
 		},
-	} {
-		for _, q := range queues {
-			for _, neverElide := range []bool{false, true} {
-				e := newEngineWithQueue(q.fn())
-				e.neverElide = neverElide
-				var trace []string
-				row.drive(world{e, func(what string) { trace = append(trace, fmt.Sprint(what, "@", e.Now())) }})
-				if got := strings.Join(trace, " "); got != row.trace {
-					t.Errorf("%s (%s, never elide %v):\n got %s\nwant %s", row.name, q.name, neverElide, got, row.trace)
+	})
+}
+
+// TestDirectHandoffEdges walks the borders of the resume stack: a blocked
+// process that meets another's wake-up resumes it from its own loop
+// (Engine.drive, Proc.run), and that one, blocking in turn, drives until it
+// meets the wake-up of a process further up the stack and yields back one
+// level. One world per row (runEdgeRows).
+func TestDirectHandoffEdges(t *testing.T) {
+	runEdgeRows(t, []edgeRow{
+		{
+			// A, blocked, starts B; B, blocked, starts C; C meets A's
+			// wake-up and yields to B, whose loop meets it too and yields
+			// to A, which takes it in place. A, blocked again, resumes B
+			// and C for their wake-ups and takes its own in place.
+			name: "a chain of three unwinds to the first",
+			drive: func(w edgeWorld) {
+				w.e.Go("A", func(p *Proc) {
+					p.Sleep(10)
+					w.note("A woke")
+					p.Sleep(100)
+					w.note("A woke")
+				})
+				w.e.Go("B", func(p *Proc) {
+					p.Sleep(20)
+					w.note("B woke")
+				})
+				w.e.Go("C", func(p *Proc) {
+					p.Sleep(30)
+					w.note("C woke")
+				})
+				w.e.Run()
+				w.note(fmt.Sprint("returned, live ", w.e.Stats().LiveProcs))
+			},
+			trace: "A woke@10 B woke@20 C woke@30 A woke@110 returned, live 0@110",
+			fired: 7, handoffs: 7, inPlace: 2, direct: 4,
+		},
+		{
+			// B's panic comes back through A's loop as B's, not as a
+			// callback panic of A's: Run panics with B's own error, and A
+			// stays suspended until Close.
+			name: "a panic in a body resumed by another process",
+			drive: func(w edgeWorld) {
+				w.e.Go("A", func(p *Proc) {
+					defer w.note("A unwound")
+					p.Sleep(10)
+					w.note("unreachable")
+				})
+				w.e.Go("B", func(p *Proc) { panic("boom") })
+				msg, _, _ := strings.Cut(fmt.Sprint(catchPanic(w.e.Run)), "\n")
+				w.note("run panicked: " + msg)
+				w.note(fmt.Sprint("live ", w.e.Stats().LiveProcs))
+				w.e.Close()
+			},
+			trace: `run panicked: sim: process "B" panicked: boom@0 live 1@0 A unwound@0`,
+			fired: 2, handoffs: 2, direct: 1,
+		},
+		{
+			// Every loop on the stack sees the Stop and yields, B to A and
+			// A to the engine, which consumes it; the next Run resumes both.
+			name: "Stop from a process resumed by another",
+			drive: func(w edgeWorld) {
+				w.e.Go("A", func(p *Proc) {
+					p.Sleep(10)
+					w.note("A woke")
+				})
+				w.e.Go("B", func(p *Proc) {
+					w.e.Stop()
+					w.note("B stopped")
+					p.Sleep(5)
+					w.note("B woke")
+				})
+				w.e.Run()
+				w.note(fmt.Sprint("returned, pending ", w.e.Pending()))
+				w.e.Run()
+				w.note("returned")
+			},
+			trace: "B stopped@0 returned, pending 2@0 B woke@5 A woke@10 returned@10",
+			fired: 4, handoffs: 4, direct: 1,
+		},
+		{
+			// B's loop fires the callback and stops at the limit; so does
+			// A's below it. The next run picks the chain up again.
+			name: "RunUntil's limit reached inside a chain",
+			drive: func(w edgeWorld) {
+				w.e.Go("A", func(p *Proc) {
+					p.Sleep(10)
+					w.note("A woke")
+					p.Sleep(20)
+					w.note("A woke")
+				})
+				w.e.Go("B", func(p *Proc) {
+					w.e.Schedule(3, func() { w.note("callback") })
+					p.Sleep(20)
+					w.note("B woke")
+				})
+				w.e.RunUntil(5)
+				w.note(fmt.Sprint("returned, pending ", w.e.Pending()))
+				w.e.Run()
+			},
+			trace: "callback@3 returned, pending 2@5 A woke@10 B woke@20 A woke@30",
+			fired: 6, handoffs: 5, inPlace: 1, direct: 2,
+		},
+		{
+			// A chain of three left suspended by the limit, each process
+			// but the first resumed by the one before it: Close ends them
+			// all, newest first, from outside any run.
+			name: "Close with a suspended chain",
+			drive: func(w edgeWorld) {
+				for _, name := range []string{"A", "B", "C"} {
+					w.e.Go(name, func(p *Proc) {
+						defer w.note(name + " unwound")
+						p.Sleep(100)
+						w.note("unreachable")
+					})
 				}
-				inPlace := row.inPlace
-				if neverElide {
-					inPlace = 0
-				}
-				if st := e.Stats(); st.Fired != row.fired || st.Handoffs != row.handoffs || st.InPlace != inPlace {
-					t.Errorf("%s (%s, never elide %v): fired %d, handoffs %d, in place %d; want %d, %d, %d",
-						row.name, q.name, neverElide, st.Fired, st.Handoffs, st.InPlace, row.fired, row.handoffs, inPlace)
-				}
-				e.Close()
-			}
-		}
-	}
+				w.e.RunUntil(50)
+				w.e.Close()
+				w.note(fmt.Sprint("closed, live ", w.e.Stats().LiveProcs, ", pending ", w.e.Pending()))
+			},
+			trace: "C unwound@50 B unwound@50 A unwound@50 closed, live 0, pending 0@50",
+			fired: 3, handoffs: 3, direct: 2,
+		},
+	})
 }
 
 // elideSchedule builds a world of two to four processes out of seed — each
@@ -437,15 +572,15 @@ func elideMatches(t *testing.T, seed uint64) (elided, inPlace, handoffs uint64) 
 			st := e.Stats()
 			e.Close()
 			if neverElide {
-				if st.Elided != 0 || st.InPlace != 0 {
-					t.Fatalf("seed %d on the %s: %d wake-ups elided, %d taken in place with the fast paths off",
-						seed, q.name, st.Elided, st.InPlace)
+				if st.Elided != 0 || st.InPlace != 0 || st.Direct != 0 {
+					t.Fatalf("seed %d on the %s: %d wake-ups elided, %d taken in place, %d resumed directly with the fast paths off",
+						seed, q.name, st.Elided, st.InPlace, st.Direct)
 				}
 				want, wantSt = trace.String(), st
 				continue
 			}
 			elided, inPlace, handoffs = elided+st.Elided, inPlace+st.InPlace, handoffs+st.Handoffs
-			st.Elided, st.InPlace, st.Cascades, st.EarlyInserts = 0, 0, 0, 0
+			st.Elided, st.InPlace, st.Direct, st.Cascades, st.EarlyInserts = 0, 0, 0, 0, 0
 			wantSt.Cascades, wantSt.EarlyInserts = 0, 0
 			if got := trace.String(); got != want || st != wantSt {
 				t.Fatalf("seed %d on the %s: the fast paths changed the simulation\n%+v\n%s\nwithout:\n%+v\n%s",
@@ -476,6 +611,14 @@ func TestElideMatchesNeverElide(t *testing.T) {
 func FuzzElideMatchesNeverElide(f *testing.F) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		f.Add(seed)
+	}
+	// And eight more worlds of three or four processes (elideSchedule's
+	// first draw), where a process resumed by another can resume a third.
+	for seed, n := uint64(5), 0; n < 8; seed++ {
+		if rng := splitmix64(seed); 2+rng.next()%3 >= 3 {
+			f.Add(seed)
+			n++
+		}
 	}
 	f.Fuzz(func(t *testing.T, seed uint64) { elideMatches(t, seed) })
 }

@@ -23,7 +23,12 @@
 // coroutine switches around it are never made). A process that blocks runs
 // the engine's loop itself, on its own goroutine, as far as its own wake-up
 // (Proc.block): the same events fire in the same order, and a switch is
-// made only where another process is to run.
+// made only where another process is to run. That process it resumes
+// itself, nested on its own goroutine, and the resumed one, blocking in
+// turn, drives on until it meets the wake-up of a process that resumed it
+// (or the end of the run) and only then yields back one level, where that
+// wake-up is taken in place: a handoff from one process to the next is one
+// switch, not two through the engine's goroutine.
 //
 // The engine runs against an EventQueue (a hierarchical timing wheel; the
 // tests swap in a binary heap as its oracle) and recycles Events through a
@@ -73,7 +78,8 @@ type Engine struct {
 
 	// self is the process whose blocked call is running the engine's loop
 	// on its own goroutine (Proc.runInPlace), nil while the engine's
-	// goroutine runs it. Proc.run clears it when self's wake-up fires.
+	// goroutine runs it. Proc.run clears it when self's wake-up fires, and
+	// puts it back when a process it resumed from there yields.
 	self *Proc
 
 	// handoff is newHandoff; the differential tests swap in newChanHandoff.
@@ -82,7 +88,7 @@ type Engine struct {
 	// loop fires; only the differential tests set it.
 	neverElide bool
 
-	fired, cancelled, handoffs, elided, inPlace uint64
+	fired, cancelled, handoffs, elided, inPlace, direct uint64
 }
 
 // Stats is the engine's own work, counted since it was built. Fired,
@@ -90,11 +96,12 @@ type Engine struct {
 // same counts on any queue and any handoff, whether or not a wake-up was
 // elided (an elided one counts in Fired and in Handoffs as the event and the
 // round trip it stood for; one taken in place counts in both as well).
-// Elided, InPlace, Cascades and EarlyInserts are the queue's work on that
-// schedule, as deterministic as it is: how much of it never reached the
-// queue, how much a blocked process fired itself, and what the timing wheel
-// did with the rest (the heap's exact bound elides more than the wheel's
-// coarse one, and cascades nothing).
+// Elided, InPlace, Direct, Cascades and EarlyInserts are the queue's work on
+// that schedule, as deterministic as it is: how much of it never reached the
+// queue, how much a blocked process fired itself, how many of the switches
+// left a blocked process made rather than the engine, and what the timing
+// wheel did with the rest (the heap's exact bound elides more than the
+// wheel's coarse one, and cascades nothing).
 type Stats struct {
 	Fired        uint64 // events of the schedule that came due: dispatched, or elided
 	Cancelled    uint64 // pending events removed by Cancel
@@ -102,6 +109,7 @@ type Stats struct {
 	LiveProcs    int    // processes created and not yet finished
 	Elided       uint64 // wake-ups that were the next event, so the process kept running: no event, no switch
 	InPlace      uint64 // wake-ups a blocked process fired from its own loop: an event, no switch
+	Direct       uint64 // of the wake-ups that did switch, those a blocked process resumed from its own loop, not the engine
 	Cascades     uint64 // events moved to a lower wheel level as the clock neared them
 	EarlyInserts uint64 // events scheduled below the wheel's floor (after a RunUntil peeked ahead)
 }
@@ -109,7 +117,7 @@ type Stats struct {
 // Stats reports the engine's counters.
 func (e *Engine) Stats() Stats {
 	s := Stats{Fired: e.fired, Cancelled: e.cancelled, Handoffs: e.handoffs, LiveProcs: e.procs,
-		Elided: e.elided, InPlace: e.inPlace}
+		Elided: e.elided, InPlace: e.inPlace, Direct: e.direct}
 	if w, ok := e.q.(*wheel); ok {
 		s.Cascades, s.EarlyInserts = w.cascaded, w.earlyInserts
 	}
@@ -252,22 +260,27 @@ func (e *Engine) fire(ev *Event) {
 // drive fires the events due in the run in progress, in order, until none
 // is: the queue is empty, the next event is past the run's limit, or Stop
 // is pending. Engine.run calls it with self nil. A blocked process calls it
-// with itself, on its own goroutine (Proc.runInPlace): then it also stops,
-// leaving the queue as it is, at another process's wake-up, which only the
-// engine can resume, and it reports true once it has fired self's own.
+// with itself, on its own goroutine (Proc.runInPlace), and it reports true
+// once it has fired self's own wake-up. Either way it also stops, leaving
+// the queue as it is, at the wake-up of another process on the resume
+// stack: one that is driving the loop further up, suspended in a fire that
+// resumed the process below it, and that has to be returned to, not
+// resumed. Any other process's wake-up is fired here, and Proc.run resumes
+// that process nested on the current goroutine. No process is on the stack
+// while the engine's goroutine drives, so with self nil the stop never
+// applies.
 func (e *Engine) drive(self *Proc) (woken bool) {
 	for !e.stopped {
 		ev := e.q.PeekMin()
 		if ev == nil || ev.at > e.limit {
 			break
 		}
-		if self != nil {
-			if p, _ := ev.arg.(*Proc); p != nil && p != self {
-				break
-			}
+		if p, _ := ev.arg.(*Proc); p != nil && p.onStack && p != self {
+			break
 		}
-		e.fire(e.q.PopMin())
-		if self != nil && e.self == nil {
+		e.q.Pop(ev)
+		e.fire(ev)
+		if e.self != self {
 			return true
 		}
 	}

@@ -11,7 +11,9 @@ import (
 // starts body; each call returns when body calls yield or returns, and each
 // yield returns at the next resume. Exactly one side runs at a time. body
 // must not panic, and resume must not be called again once body has
-// returned.
+// returned. Successive resumes may come from different goroutines, the
+// engine's or a blocked process's driving the loop (Engine.drive); yield
+// returns to whichever made the last.
 //
 // iter.Pull switches straight from one goroutine to the other
 // (runtime.coroswitch): no run queue, no wake-up of a second thread. The

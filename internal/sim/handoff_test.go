@@ -200,7 +200,7 @@ func TestHandoffDifferential(t *testing.T) {
 				e.Close()
 				if closed := e.Stats(); closed.LiveProcs != 0 || e.Pending() != 0 || e.panicV != nil ||
 					closed.Fired != st.Fired || closed.Handoffs != st.Handoffs || closed.Elided != st.Elided ||
-					closed.InPlace != st.InPlace {
+					closed.InPlace != st.InPlace || closed.Direct != st.Direct {
 					t.Errorf("%+v: after Close %+v, %d pending, panic %v; at the end of Run %+v",
 						leg, closed, e.Pending(), e.panicV, st)
 				}
@@ -224,13 +224,13 @@ func TestHandoffDifferential(t *testing.T) {
 					}
 				}
 
-				// Elided and InPlace are the queue's own (the heap's bound is
-				// exact, the wheel's is not), as Cascades and EarlyInserts
-				// are the wheel's.
-				if (st.Elided == 0) != neverElide || (st.InPlace == 0) != neverElide {
-					t.Errorf("%+v: %d wake-ups elided, %d taken in place", leg, st.Elided, st.InPlace)
+				// Elided, InPlace and Direct are the queue's own (the heap's
+				// bound is exact, the wheel's is not), as Cascades and
+				// EarlyInserts are the wheel's.
+				if (st.Elided == 0) != neverElide || (st.InPlace == 0) != neverElide || (st.Direct == 0) != neverElide {
+					t.Errorf("%+v: %d wake-ups elided, %d taken in place, %d resumed directly", leg, st.Elided, st.InPlace, st.Direct)
 				}
-				st.Elided, st.InPlace, st.Cascades, st.EarlyInserts = 0, 0, 0, 0
+				st.Elided, st.InPlace, st.Direct, st.Cascades, st.EarlyInserts = 0, 0, 0, 0, 0
 				got := result{trace, end, st}
 				if want.trace == "" {
 					want, first = got, leg
@@ -334,7 +334,11 @@ func TestEngineStats(t *testing.T) {
 	e.Go("p", func(p *Proc) { p.Sleep(5); p.Sleep(5) }) // start + two wake-ups, the second with nothing else queued
 	e.Go("parked", func(p *Proc) { p.Park() })
 	e.Run()
-	want := Stats{Fired: 5, Cancelled: 1, Handoffs: 4, LiveProcs: 1, Elided: 1}
+	// The engine starts p. p, blocked, starts parked itself (direct);
+	// parked, blocked, fires the callback and stops at p's wake-up, p
+	// being further up the stack; p takes it in place, then elides its
+	// second.
+	want := Stats{Fired: 5, Cancelled: 1, Handoffs: 4, LiveProcs: 1, Elided: 1, InPlace: 1, Direct: 1}
 	if got := e.Stats(); got != want {
 		t.Fatalf("Stats = %+v, want %+v", got, want)
 	}

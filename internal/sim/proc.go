@@ -15,12 +15,13 @@ import (
 type Proc struct {
 	eng      *Engine
 	name     string
-	resume   func() // engine -> process; returns when the process yields or ends
-	yield    func() // process -> engine; returns when the engine resumes it
+	resume   func() // to the process; returns when it yields or ends
+	yield    func() // back to whoever resumed it; returns at the next resume
 	dead     bool
 	parked   bool // parked with no scheduled wakeup
 	timedOut bool // the pending ParkTimeout ended by its timer
 	killed   bool // Engine.Close is ending it: see block
+	onStack  bool // driving the engine's loop in runInPlace: on the resume stack
 
 	// Live processes form a list through these so Close can find them.
 	next, prev *Proc
@@ -104,7 +105,8 @@ func (e *Engine) Close() {
 	}
 	// Recycled, not just dropped: a Timer taken before Close must go stale,
 	// or cancelling it afterwards would unlink an event no queue holds.
-	for ev := e.q.PopMin(); ev != nil; ev = e.q.PopMin() {
+	for ev := e.q.PeekMin(); ev != nil; ev = e.q.PeekMin() {
+		e.q.Pop(ev)
 		e.recycle(ev)
 	}
 }
@@ -130,24 +132,30 @@ func (p *Proc) Name() string { return p.name }
 // Now reports the current virtual time.
 func (p *Proc) Now() Time { return p.eng.now }
 
-// run transfers control from the engine to the process until it parks or
-// finishes. Must be called from engine (event) context. A wake-up that
-// arrives after the process finished is a no-op; one fired by the
-// process's own blocked call (Proc.runInPlace) switches nowhere, the
-// process being the one running, and tells that call so by clearing
-// e.self.
+// run transfers control to the process until it parks or finishes. Must
+// be called from event context: on the engine's goroutine, or on that of a
+// blocked process driving the loop (Proc.runInPlace), which then resumes p
+// itself, nested (Engine.drive), and is what runs again when p yields. A
+// wake-up that arrives after the process finished is a no-op; one fired by
+// the process's own blocked call switches nowhere, the process being the
+// one running, and tells that call so by clearing e.self.
 func (p *Proc) run() {
 	if p.dead {
 		return
 	}
 	e := p.eng
 	e.handoffs++
-	if e.self == p {
+	driver := e.self
+	if driver == p {
 		e.self = nil
 		e.inPlace++
 		return
 	}
+	if driver != nil {
+		e.direct++
+	}
 	p.resume()
+	e.self = driver
 }
 
 // Sleep suspends the process for d cycles of virtual time.
@@ -192,10 +200,10 @@ func (p *Proc) Park() {
 }
 
 // block waits until the process is next woken. It runs the engine's loop
-// itself first (runInPlace) and yields to the engine only if that stopped
-// short of its own wake-up. If the resume is Engine.Close's, or Close
-// already ended this body and a deferred call is blocking again, it
-// unwinds instead of returning.
+// itself first (runInPlace) and yields to whoever resumed it, the engine or
+// another process's loop, only if that stopped short of its own wake-up.
+// If the resume is Engine.Close's, or Close already ended this body and a
+// deferred call is blocking again, it unwinds instead of returning.
 func (p *Proc) block() {
 	if !p.killed && !p.runInPlace() {
 		p.yield()
@@ -206,25 +214,31 @@ func (p *Proc) block() {
 }
 
 // runInPlace is Engine.run's work up to this process's wake-up, done on
-// the process's own goroutine: Engine.drive fires the events due ahead of
-// it exactly as the engine would, then the wake-up itself, which switches
-// nowhere (Proc.run), and runInPlace reports true. drive stops short,
-// leaving the queue as it is, at another process's wake-up or where the
-// run ends — its limit, a pending Stop, an empty queue — and the process
-// yields to the engine, which carries on from there. A callback that
-// panics here is recovered and handed to the engine: the fire that resumed
-// this process raises it, so Run panics with the callback's own value, not
-// as this process's panic, and the process stays suspended until Close.
+// the process's own goroutine, with the process on the resume stack:
+// Engine.drive fires the events due ahead of it exactly as the engine
+// would, resuming any other process whose wake-up comes due from here
+// (Proc.run), then the wake-up itself, which switches nowhere, and
+// runInPlace reports true. drive stops short, leaving the queue as it is,
+// at the wake-up of a process further up the stack, the one that resumed
+// this process or one before it, or where the run ends — its limit, a
+// pending Stop, an empty queue — and the process yields one level: to that
+// process's loop, which carries on from there, or to the engine's. A
+// panic raised here, a callback's or that of a process resumed from here,
+// is recovered and handed up: the fire that resumed this process raises it
+// again, so Run panics with the original value, not as this process's
+// panic, and the process stays suspended until Close.
 func (p *Proc) runInPlace() (woken bool) {
 	e := p.eng
 	if e.neverElide {
 		return false
 	}
 	defer func() {
+		p.onStack = false
 		if r := recover(); r != nil {
 			e.self, e.panicV, woken = nil, r, false
 		}
 	}()
+	p.onStack = true
 	e.self = p
 	woken = e.drive(p)
 	e.self = nil

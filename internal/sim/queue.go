@@ -43,8 +43,8 @@ func (ev *Event) before(o *Event) bool {
 
 // EventQueue is the ordered queue the engine schedules against. The
 // engine owns event allocation and recycling; a queue only links and
-// unlinks. PopMin/PeekMin follow the (at, seq) order exactly — the
-// engine's determinism contract (equal-time FIFO) is the queue's to keep.
+// unlinks. PeekMin follows the (at, seq) order exactly — the engine's
+// determinism contract (equal-time FIFO) is the queue's to keep.
 type EventQueue interface {
 	// Insert links a not-currently-queued event.
 	Insert(ev *Event)
@@ -52,8 +52,9 @@ type EventQueue interface {
 	Remove(ev *Event)
 	// PeekMin returns the next event without unlinking it, or nil.
 	PeekMin() *Event
-	// PopMin unlinks and returns the next event, or nil.
-	PopMin() *Event
+	// Pop unlinks ev, which PeekMin has just returned (nothing inserted or
+	// removed in between), as the next event to fire.
+	Pop(ev *Event)
 	// MinBound returns a time no later than any queued event's (maxTime
 	// when there is none) and leaves the queue exactly as it was: where
 	// PeekMin may reorganise to find the minimum, MinBound may only look.
@@ -111,14 +112,7 @@ func (h *heapQueue) MinBound() Time {
 	return h.evs[0].at
 }
 
-func (h *heapQueue) PopMin() *Event {
-	if len(h.evs) == 0 {
-		return nil
-	}
-	ev := h.evs[0]
-	h.Remove(ev)
-	return ev
-}
+func (h *heapQueue) Pop(ev *Event) { h.Remove(ev) }
 
 func (h *heapQueue) siftUp(i int) bool {
 	moved := false

@@ -32,7 +32,7 @@ type wheel struct {
 	floor Time
 	count int
 
-	// peeked caches the current minimum between PeekMin and PopMin (and
+	// peeked caches the current minimum between PeekMin and Pop (and
 	// across Inserts, which can only lower it). It is always on level 0
 	// or on the early list.
 	peeked *Event
@@ -238,11 +238,8 @@ func (q *wheel) MinBound() Time {
 	return q.slotStart(l, uint(bits.TrailingZeros64(q.occ[l])))
 }
 
-func (q *wheel) PopMin() *Event {
-	ev := q.PeekMin()
-	if ev == nil {
-		return nil
-	}
+// Pop takes ev, the cached peek, off the wheel without looking for it again.
+func (q *wheel) Pop(ev *Event) {
 	if ev.heapIdx != earlyIdx {
 		// ev agrees with floor above digit 0, so only that digit moves and
 		// I1-I3 hold for everything left. An early event leaves floor alone.
@@ -253,5 +250,4 @@ func (q *wheel) PopMin() *Event {
 	next := ev.next
 	q.Remove(ev)
 	q.peeked = next
-	return ev
 }
