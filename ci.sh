@@ -75,14 +75,15 @@ go test -race ./...
 #            spec and closes with no live process and no host memory, every
 #            worldSpec field takes two values, a cell run twice grows the pool
 #            once, a cell counts its own engines, the public World.Close
-#   sandbox  three-way differential: every crl handler x both budget modes x
-#            measured + adversarial profiles, the profitability pin, the
-#            committed adversarial-profile shapes, the quick random sweep;
-#            a stray access is reported whether it lands or faults,
-#            harness inputs outside the region are errors, and the harness's
-#            ash_copy moves an overlap as production's does; a build is
-#            compiled once, shared by every hit at a flat cost, and no
-#            caller writes into it
+#   sandbox  three-way differential, run over production's entry points:
+#            every crl handler x both budget modes x measured + adversarial
+#            profiles, the profitability pin, the committed adversarial-profile
+#            shapes, the quick random sweep; a stray access is reported
+#            whether it lands or faults, harness inputs outside the region are
+#            errors, ash_copy moves an overlap, and an entry-point range
+#            outside the region faults in all three without latching the
+#            guard; a build is compiled once, shared by every hit at a flat
+#            cost, and no caller writes into it
 #   sandbox, the lending contract of vcode.Memory over every memory in the
 #   vcode    tree, the escape guard's any-byte latch; Journal.Undo restores a
 #            snapshot after random overlapping stores and a second
@@ -117,7 +118,7 @@ done <<'EOF'
 ./internal/aegis/:^TestReceiveMatrix$|^TestFrontHalfOrder$|^TestFreeChecksTheIndex$|^TestRefusedSendIsCounted$
 ./internal/bench/:^TestPoolLeakGate$|^TestWorldReuse$|^TestWorldShape$|^TestWorldSpecFieldsInUse$|^TestCellEngineCounts$|^TestWorldCloseCounts$
 .:^TestWorldClose$
-./internal/sandbox/:TestThreeWayRegistry|TestReoptActuallyImproves|TestReoptProfileSeeds|TestDifferentialSFIQuick|^TestThreeWayReportsEscape$|^TestDiffInputsOutsideTheRegion$|^TestDiffCopyOverlaps$|^TestCompileCacheHitMatchesMiss$|^TestCacheHitCostIsFlat$|^TestCachedBuildsStayUnchanged$
+./internal/sandbox/:TestThreeWayRegistry|TestReoptActuallyImproves|TestReoptProfileSeeds|TestDifferentialSFIQuick|^TestThreeWayReportsEscape$|^TestDiffInputsOutsideTheRegion$|^TestDiffCopyOverlaps$|^TestDiffEntryPointsOutsideTheRegion$|^TestCompileCacheHitMatchesMiss$|^TestCacheHitCostIsFlat$|^TestCachedBuildsStayUnchanged$
 ./internal/sandbox/:^TestMemoryConformance$|^TestEscapeGuardLatchesOnAnyByte$
 ./internal/vcode/:^TestJournalUndoProperty$
 ./internal/core/:TestReopt|TestChainDisposition|^TestHandlerBaseParity$

@@ -4,7 +4,6 @@ import (
 	"ashs/internal/aegis"
 	"ashs/internal/sandbox"
 	"ashs/internal/sim"
-	"ashs/internal/vcode"
 )
 
 // FuncASH is a handler whose logic is expressed as a Go function with
@@ -134,24 +133,7 @@ func (c *Ctx) Send(dst, vc int, data []byte) { c.mc.Send(dst, vc, data) }
 // accumulator). Checks are aggregated; per-word costs come from the
 // engine's generated loop.
 func (c *Ctx) DILP(engineID int, src, dst uint32, n int) (uint32, error) {
-	if engineID < 0 || engineID >= len(c.sys.engines) {
-		return 0, &vcode.Fault{Kind: vcode.FaultBadCall, Msg: "no such engine"}
-	}
-	re := c.sys.engines[engineID]
-	c.mc.Charge(12)
-	for _, r := range re.eng.Prog.Persistent {
-		re.machine.Regs[r] = 0
-	}
-	cycles, f := re.eng.Run(re.machine, src, dst, n)
-	c.mc.Charge(cycles)
-	if f != nil {
-		return 0, f
-	}
-	var acc uint32
-	if pr := re.eng.Prog.Persistent; len(pr) > 0 {
-		acc = re.machine.Regs[pr[0]]
-	}
-	return acc, nil
+	return c.sys.runEngine(c.mc, engineID, src, dst, n)
 }
 
 // When reports the virtual time at which this handler's work completes.

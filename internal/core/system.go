@@ -279,7 +279,7 @@ func (s *System) Download(owner *aegis.Process, prog *vcode.Program, opts Option
 	a.machine = vcode.NewMachine(s.K.Prof, a.journal)
 	a.machine.Cache = s.K.Cache
 	if s.syms == nil {
-		s.syms = s.syscalls()
+		s.syms = sandbox.EntryPoints((*kernelHost)(s))
 	}
 	a.machine.Syms = s.syms
 	if a.sandbox != nil {

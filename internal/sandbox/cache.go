@@ -3,7 +3,6 @@ package sandbox
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"sort"
 	"sync"
 
 	"ashs/internal/vcode"
@@ -45,8 +44,7 @@ var cache struct {
 }
 
 // policyFingerprint hashes every policy field that can influence
-// verification or instrumentation. AllowedCalls entries mapped to false
-// are skipped: Verify treats them identically to absent entries.
+// verification or instrumentation.
 func policyFingerprint(pol *Policy) [sha256.Size]byte {
 	h := sha256.New()
 	var scratch [8]byte
@@ -64,18 +62,6 @@ func policyFingerprint(pol *Policy) [sha256.Size]byte {
 	putU64(uint64(pol.Hardware))
 	putU64(uint64(pol.Budget))
 	putBool(pol.Optimize)
-	allowed := make([]string, 0, len(pol.AllowedCalls))
-	for name, ok := range pol.AllowedCalls {
-		if ok {
-			allowed = append(allowed, name)
-		}
-	}
-	sort.Strings(allowed)
-	putU64(uint64(len(allowed)))
-	for _, name := range allowed {
-		putU64(uint64(len(name)))
-		h.Write([]byte(name))
-	}
 	// The attached profile changes which transformations fire, so the same
 	// program re-instrumented under a different profile must miss.
 	if pol.Profile != nil {
@@ -107,10 +93,10 @@ func (sp *Program) withPolicy(pol *Policy) *Program {
 // Verify performs the download-time static checks and returns nil if the
 // program may be instrumented and installed. Results (rejections included)
 // are memoized by content.
-func Verify(p *vcode.Program, pol *Policy) error { return verifyKeyed(keyOf(p, pol), p, pol) }
+func Verify(p *vcode.Program, pol *Policy) error { return verifyKeyed(keyOf(p, pol), p) }
 
 // verifyKeyed is Verify under a key the caller has already computed.
-func verifyKeyed(k cacheKey, p *vcode.Program, pol *Policy) error {
+func verifyKeyed(k cacheKey, p *vcode.Program) error {
 	cache.Lock()
 	if err, ok := cache.verify[k]; ok {
 		cache.hits++
@@ -119,7 +105,7 @@ func verifyKeyed(k cacheKey, p *vcode.Program, pol *Policy) error {
 	}
 	cache.misses++
 	cache.Unlock()
-	err := verifyProgram(p, pol)
+	err := verifyProgram(p)
 	cache.Lock()
 	if cache.verify == nil || len(cache.verify) >= cacheCap {
 		cache.verify = make(map[cacheKey]error)
@@ -142,7 +128,7 @@ func Sandbox(p *vcode.Program, pol *Policy) (*Program, error) {
 	}
 	cache.misses++
 	cache.Unlock()
-	if err := verifyKeyed(k, p, pol); err != nil {
+	if err := verifyKeyed(k, p); err != nil {
 		return nil, err
 	}
 	sp, err := compile(p, pol)

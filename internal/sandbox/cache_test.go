@@ -271,12 +271,4 @@ func TestVerifyCacheRemembersRejections(t *testing.T) {
 	if hits == 0 {
 		t.Fatal("second Verify did not hit the cache")
 	}
-
-	// Allowing the call changes the policy fingerprint: the cached
-	// rejection must not shadow the now-valid program.
-	allowed := DefaultPolicy()
-	allowed.AllowedCalls["kernel_format_disk"] = true
-	if err := Verify(bad, allowed); err != nil {
-		t.Fatalf("policy change did not miss the cache: %v", err)
-	}
 }

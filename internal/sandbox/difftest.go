@@ -80,16 +80,31 @@ type sendRec struct {
 	data    []byte
 }
 
-// diffVariant is one instrumentation under test.
+// diffVariant is one instrumentation under test, and the Host its entry
+// points run over: ranges are checked against the region alone, so an
+// out-of-region range faults as it does against production's journal, and
+// the escape guard sees only the handler's own accesses; the message is at
+// DiffBase; sends are logged; there are no engines.
 type diffVariant struct {
-	sp    *Program
-	m     *vcode.Machine
-	flat  *vcode.FlatMem
-	guard *escapeGuard
-	sends []sendRec
-	// msgAddr/msgLen describe the current round's message for the
-	// ash_msg_load stub.
-	msgLen int
+	sp     *Program
+	m      *vcode.Machine
+	flat   *vcode.FlatMem
+	region *vcode.FlatMem // [DiffBase, DiffLimit) of flat
+	guard  *escapeGuard
+	sends  []sendRec
+	msgLen int // the current round's message length
+}
+
+func (v *diffVariant) Ranges(*vcode.Machine) vcode.Memory { return v.region }
+
+func (v *diffVariant) Msg() (vcode.Memory, uint32, int) { return v.region, DiffBase, v.msgLen }
+
+func (v *diffVariant) Send(dst, vc int, data []byte) {
+	v.sends = append(v.sends, sendRec{dst: dst, vc: vc, data: append([]byte(nil), data...)})
+}
+
+func (v *diffVariant) DILP(*vcode.Machine, int, uint32, uint32, int) (uint32, error) {
+	return 0, &vcode.Fault{Kind: vcode.FaultBadCall, Msg: "no such engine"}
 }
 
 // escapeGuard wraps a Memory and latches any request that names a byte
@@ -117,7 +132,7 @@ func (g *escapeGuard) Store(addr uint32, n int) ([]byte, error) {
 }
 
 // newDiffVariant compiles p under pol and prepares its private machine,
-// seeded memory, escape guard, and kernel-call stubs.
+// seeded memory, escape guard, and entry points.
 func newDiffVariant(p *vcode.Program, pol *Policy, cfg *DiffConfig) (*diffVariant, error) {
 	sp, err := Sandbox(p, pol)
 	if err != nil {
@@ -126,6 +141,7 @@ func newDiffVariant(p *vcode.Program, pol *Policy, cfg *DiffConfig) (*diffVarian
 	// The flat memory starts at address 0: Data[a] is the byte at a. The
 	// harness fills and compares the region a word at a time on Data itself.
 	v := &diffVariant{sp: sp, flat: vcode.NewFlatMem(0, diffMemSize)}
+	v.region = &vcode.FlatMem{Base: DiffBase, Data: v.flat.Data[DiffBase:DiffLimit:DiffLimit]}
 	for a := uint32(DiffBase); a < DiffLimit; a += 4 {
 		binary.BigEndian.PutUint32(v.flat.Data[a:], a*2654435761)
 	}
@@ -152,65 +168,8 @@ func newDiffVariant(p *vcode.Program, pol *Policy, cfg *DiffConfig) (*diffVarian
 		budget = 10_000_000
 	}
 	sp.Attach(v.m, DiffBase, DiffLimit, budget)
-	v.m.Syms = diffSyscalls(v)
+	v.m.Syms = EntryPoints(v)
 	return v, nil
-}
-
-// diffSyscalls stubs the kernel entry points with region-confined,
-// deterministic equivalents that record side effects for comparison.
-func diffSyscalls(v *diffVariant) []vcode.SyscallFn {
-	inRegion := func(addr uint32, n int) error {
-		if n < 0 || uint64(addr)+uint64(n) > DiffLimit || addr < DiffBase {
-			return &vcode.Fault{Kind: vcode.FaultBadAddr, Addr: addr,
-				Msg: "syscall range outside region"}
-		}
-		return nil
-	}
-	return vcode.SymTable(map[string]vcode.SyscallFn{
-		"ash_send": func(m *vcode.Machine) error {
-			addr := m.Regs[vcode.RArg2]
-			n := int(m.Regs[vcode.RArg3])
-			if err := inRegion(addr, n); err != nil {
-				return err
-			}
-			data, _ := v.flat.Load(addr, n)
-			m.Charge(4)
-			v.sends = append(v.sends, sendRec{
-				dst: int(m.Regs[vcode.RArg0]), vc: int(m.Regs[vcode.RArg1]),
-				data: append([]byte(nil), data...),
-			})
-			return nil
-		},
-		"ash_copy": func(m *vcode.Machine) error {
-			src, dst := m.Regs[vcode.RArg0], m.Regs[vcode.RArg1]
-			n := int(m.Regs[vcode.RArg2])
-			if err := inRegion(src, n); err != nil {
-				return err
-			}
-			if err := inRegion(dst, n); err != nil {
-				return err
-			}
-			m.Charge(12)
-			from, _ := v.flat.Load(src, n)
-			to, _ := v.flat.Store(dst, n)
-			copy(to, from) // memmove, as production's: an overlap moves whole
-			return nil
-		},
-		"ash_msg_load": func(m *vcode.Machine) error {
-			off := m.Regs[vcode.RArg0]
-			if int(off)+4 > v.msgLen {
-				return &vcode.Fault{Kind: vcode.FaultBadAddr, Addr: off,
-					Msg: "beyond message"}
-			}
-			w, err := vcode.Load32(v.flat, DiffBase+off)
-			if err != nil {
-				return err
-			}
-			m.Regs[vcode.RRet] = w
-			m.Charge(2)
-			return nil
-		},
-	})
 }
 
 // round delivers the i'th message and runs the handler once. A message the

@@ -279,10 +279,11 @@ func TestThreeWayReportsEscape(t *testing.T) {
 	}
 }
 
-// TestDiffCopyOverlaps: the harness's ash_copy moves an overlapping range
-// as production's does (core's ash_copy is Go's copy: memmove semantics,
-// the destination ends up holding what the source held before the call),
-// whichever side of the source the destination lies on.
+// TestDiffCopyOverlaps: the harness runs production's ash_copy, Go's copy
+// over the two lent windows, so an overlapping range moves with memmove
+// semantics — the destination ends up holding what the source held before
+// the call — whichever side of the source the destination lies on. The
+// harness machine has no cache, as the entry point must allow.
 func TestDiffCopyOverlaps(t *testing.T) {
 	p := assemble(t, func(b *vcode.Builder) { b.MovI(vcode.RRet, 0) })
 	const n = 10
@@ -309,6 +310,60 @@ func TestDiffCopyOverlaps(t *testing.T) {
 		}
 		if string(got[:c.dst]) != string(want[:c.dst]) || string(got[end:]) != string(want[end:]) {
 			t.Errorf("%s: ash_copy wrote outside its destination", c.name)
+		}
+	}
+}
+
+// TestDiffEntryPointsOutsideTheRegion: an entry point whose range leaves
+// the region faults alike in all three variants, and the escape guard does
+// not latch — the range is checked against the region, as production's is
+// against the handler's journal, not made as an access of the handler's
+// own. With no engines registered, an in-region ash_dilp faults too.
+func TestDiffEntryPointsOutsideTheRegion(t *testing.T) {
+	const n = 8
+	in, below, straddle := uint32(DiffBase+0x40), uint32(DiffBase-n), uint32(DiffLimit-n/2)
+	for _, c := range []struct {
+		name string
+		call string
+		args [4]uint32
+		kind vcode.FaultKind
+	}{
+		{"ash_send below the base", "ash_send", [4]uint32{1, 2, below, n}, vcode.FaultBadAddr},
+		{"ash_send straddling the limit", "ash_send", [4]uint32{1, 2, straddle, n}, vcode.FaultBadAddr},
+		{"ash_copy from below the base", "ash_copy", [4]uint32{below, in, n}, vcode.FaultBadAddr},
+		{"ash_copy from across the limit", "ash_copy", [4]uint32{straddle, in, n}, vcode.FaultBadAddr},
+		{"ash_copy to below the base", "ash_copy", [4]uint32{in, below, n}, vcode.FaultBadAddr},
+		{"ash_copy to across the limit", "ash_copy", [4]uint32{in, straddle, n}, vcode.FaultBadAddr},
+		{"ash_dilp from below the base", "ash_dilp", [4]uint32{0, below, in, n}, vcode.FaultBadAddr},
+		{"ash_dilp from across the limit", "ash_dilp", [4]uint32{0, straddle, in, n}, vcode.FaultBadAddr},
+		{"ash_dilp to below the base", "ash_dilp", [4]uint32{0, in, below, n}, vcode.FaultBadAddr},
+		{"ash_dilp to across the limit", "ash_dilp", [4]uint32{0, in, straddle, n}, vcode.FaultBadAddr},
+		{"ash_dilp in the region, no engine", "ash_dilp", [4]uint32{0, in, in + n, n}, vcode.FaultBadCall},
+	} {
+		p := assemble(t, func(b *vcode.Builder) {
+			for i, a := range c.args {
+				b.MovI(vcode.RArg0+vcode.Reg(i), int32(a))
+			}
+			b.Call(c.call)
+			b.MovI(vcode.RRet, 0)
+		})
+		out, err := ThreeWay(p, nil, DiffConfig{})
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		if out.FaultRounds != 1 {
+			t.Errorf("%s: %d faulting rounds, want 1", c.name, out.FaultRounds)
+		}
+		// ThreeWay has checked every variant's latch; the fault is the one
+		// the range (or the missing engine) calls for.
+		v, err := newDiffVariant(p, DefaultPolicy(), &DiffConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f, err := v.round(0, &DiffConfig{}); err != nil || f == nil || f.Kind != c.kind || v.guard.escaped {
+			t.Errorf("%s: fault %v (%v), guard latched %v; want a %v fault and no latch",
+				c.name, f, err, v.guard.escaped, c.kind)
 		}
 	}
 }

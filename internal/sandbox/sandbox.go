@@ -5,9 +5,10 @@
 //
 //   - Verify performs the download-time checks: floating-point use and
 //     trapping signed arithmetic are rejected outright (Section III-B1),
-//     static branch targets must lie inside the program, only allowlisted
-//     kernel entry points may be called, and code may not contain the
-//     sandbox's own reserved instructions (so handlers cannot forge checks).
+//     static branch targets must lie inside the program, only the kernel
+//     entry points of EntryPoints may be called, and code may not contain
+//     the sandbox's own reserved instructions (so handlers cannot forge
+//     checks).
 //
 //   - Instrument rewrites the instruction stream with the software-based
 //     fault isolation of Wahbe et al. [54]: every load and store is staged
@@ -63,9 +64,8 @@ const (
 
 // Policy configures verification and instrumentation.
 type Policy struct {
-	Hardware     Hardware
-	Budget       BudgetMode
-	AllowedCalls map[string]bool // kernel entry points callable via OpCall
+	Hardware Hardware
+	Budget   BudgetMode
 
 	// Optimize enables the static-analysis SFI optimizer: redundant
 	// address checks are elided when a dominating check already certifies
@@ -95,16 +95,7 @@ const (
 // DefaultPolicy returns the policy used by the ASH system: MIPS software
 // protection and timer-based budgets.
 func DefaultPolicy() *Policy {
-	return &Policy{
-		Hardware: HardwareMIPS,
-		Budget:   BudgetTimer,
-		AllowedCalls: map[string]bool{
-			"ash_send":     true, // network send (Section III-B2)
-			"ash_copy":     true, // trusted aggregated-check data copy
-			"ash_dilp":     true, // run a compiled DILP transfer engine
-			"ash_msg_load": true, // trusted message-word access
-		},
-	}
+	return &Policy{Hardware: HardwareMIPS, Budget: BudgetTimer}
 }
 
 // VerifyError reports why a program was rejected at download time.
@@ -120,7 +111,7 @@ func (e *VerifyError) Error() string {
 }
 
 // verifyProgram is the uncached implementation behind Verify.
-func verifyProgram(p *vcode.Program, pol *Policy) error {
+func verifyProgram(p *vcode.Program) error {
 	n := len(p.Insns)
 	for pc, in := range p.Insns {
 		switch {
@@ -133,7 +124,7 @@ func verifyProgram(p *vcode.Program, pol *Policy) error {
 		case in.Op == vcode.OpInput32 || in.Op == vcode.OpOutput32:
 			return &VerifyError{pc, in, "pipe pseudo-op outside a pipe body"}
 		case in.Op == vcode.OpCall:
-			if name := in.Sym.String(); pol.AllowedCalls == nil || !pol.AllowedCalls[name] {
+			if name := in.Sym.String(); entryPoints[name] == nil {
 				return &VerifyError{pc, in, fmt.Sprintf("call to %q is not an allowed system entry point", name)}
 			}
 		case in.Op == vcode.OpBeq || in.Op == vcode.OpBne ||

@@ -54,7 +54,7 @@ func TestVerifyRejectsForgedSandboxOps(t *testing.T) {
 	}
 }
 
-// TestVerifyRejectsDisallowedCall: a call the policy does not list is
+// TestVerifyRejectsDisallowedCall: a call that names no entry point is
 // rejected by name — as are no entry point (Sym 0) and an id no name was
 // given, which only hand-built code holds.
 func TestVerifyRejectsDisallowedCall(t *testing.T) {
@@ -70,13 +70,16 @@ func TestVerifyRejectsDisallowedCall(t *testing.T) {
 	}
 }
 
+// TestVerifyAllowsListedCall: a call to each entry point verifies.
 func TestVerifyAllowsListedCall(t *testing.T) {
-	p := assemble(t, func(b *vcode.Builder) {
-		b.Call("ash_send")
-		b.Ret()
-	})
-	if err := Verify(p, DefaultPolicy()); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"ash_send", "ash_copy", "ash_dilp", "ash_msg_load"} {
+		p := assemble(t, func(b *vcode.Builder) {
+			b.Call(name)
+			b.Ret()
+		})
+		if err := Verify(p, DefaultPolicy()); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 }
 
