@@ -38,7 +38,8 @@ echo "== cmd/perfbench module (vet + test)"
 (cd cmd/perfbench && GOWORK=off go vet ./... && GOWORK=off go test ./...)
 
 # ashlint: the custom analyzer suite (determinism, obsguard,
-# allocdiscipline, bufdiscipline — see DESIGN.md §12) over the module.
+# allocdiscipline, bufdiscipline, costdiscipline — see DESIGN.md §12)
+# over the module.
 echo "== ashlint"
 go run ./cmd/ashlint ./...
 
@@ -80,7 +81,8 @@ go test -race ./...
 #            profiles, the profitability pin, the committed adversarial-profile
 #            shapes, the quick random sweep; a stray access is reported
 #            whether it lands or faults, harness inputs outside the region are
-#            errors, ash_copy moves an overlap, and an entry-point range
+#            errors, ash_copy moves an overlap (and a handler copying
+#            overlaps both ways runs alike in all three), an entry-point range
 #            outside the region faults in all three without latching the
 #            guard; a build is compiled once, shared by every hit at a flat
 #            cost, and no caller writes into it
@@ -118,7 +120,7 @@ done <<'EOF'
 ./internal/aegis/:^TestReceiveMatrix$|^TestFrontHalfOrder$|^TestFreeChecksTheIndex$|^TestRefusedSendIsCounted$
 ./internal/bench/:^TestPoolLeakGate$|^TestWorldReuse$|^TestWorldShape$|^TestWorldSpecFieldsInUse$|^TestCellEngineCounts$|^TestWorldCloseCounts$
 .:^TestWorldClose$
-./internal/sandbox/:TestThreeWayRegistry|TestReoptActuallyImproves|TestReoptProfileSeeds|TestDifferentialSFIQuick|^TestThreeWayReportsEscape$|^TestDiffInputsOutsideTheRegion$|^TestDiffCopyOverlaps$|^TestDiffEntryPointsOutsideTheRegion$|^TestCompileCacheHitMatchesMiss$|^TestCacheHitCostIsFlat$|^TestCachedBuildsStayUnchanged$
+./internal/sandbox/:TestThreeWayRegistry|TestReoptActuallyImproves|TestReoptProfileSeeds|TestDifferentialSFIQuick|^TestThreeWayReportsEscape$|^TestDiffInputsOutsideTheRegion$|^TestDiffCopyOverlaps$|^TestThreeWayCopyOverlaps$|^TestDiffEntryPointsOutsideTheRegion$|^TestCompileCacheHitMatchesMiss$|^TestCacheHitCostIsFlat$|^TestCachedBuildsStayUnchanged$
 ./internal/sandbox/:^TestMemoryConformance$|^TestEscapeGuardLatchesOnAnyByte$
 ./internal/vcode/:^TestJournalUndoProperty$
 ./internal/core/:TestReopt|TestChainDisposition|^TestHandlerBaseParity$

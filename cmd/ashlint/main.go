@@ -1,5 +1,6 @@
 // Command ashlint runs the ashlint analyzer suite (internal/lint) over
-// the module: determinism, obsguard, allocdiscipline, bufdiscipline.
+// the module: determinism, obsguard, allocdiscipline, bufdiscipline,
+// costdiscipline.
 //
 //	go run ./cmd/ashlint ./...          # whole module
 //	go run ./cmd/ashlint internal/sim   # one package (module-relative)

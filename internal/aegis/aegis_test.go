@@ -572,29 +572,29 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 }
 
-func TestCondSignalWakesOne(t *testing.T) {
+func TestCondBroadcastWakesEveryWaiter(t *testing.T) {
 	eng := sim.NewEngine()
 	k := newHost(eng, "h")
 	var cond Cond
 	woken := 0
 	for i := 0; i < 3; i++ {
 		k.Spawn("waiter", func(p *Process) {
-			cond.Wait(p)
-			woken++
+			if cond.WaitTimeout(p, 1_000_000) {
+				woken++
+			}
 		})
 	}
-	eng.Schedule(1000, func() { cond.Signal(0) })
-	eng.RunUntil(100000)
-	if woken != 1 {
-		t.Fatalf("Signal woke %d, want 1", woken)
-	}
-	if cond.Waiters() != 2 {
-		t.Fatalf("waiters = %d, want 2", cond.Waiters())
+	eng.RunUntil(100_000)
+	if n := len(cond.waiters); n != 3 {
+		t.Fatalf("waiters = %d, want 3", n)
 	}
 	eng.Schedule(0, func() { cond.Broadcast(0) })
-	eng.RunUntil(200000)
+	eng.Run()
 	if woken != 3 {
-		t.Fatalf("Broadcast left %d unwoken", 3-woken)
+		t.Fatalf("Broadcast woke %d of 3 waiters", woken)
+	}
+	if n := len(cond.waiters); n != 0 {
+		t.Fatalf("stale waiters: %d", n)
 	}
 }
 
@@ -609,16 +609,16 @@ func TestCondWaitTimeout(t *testing.T) {
 	k.Spawn("b", func(p *Process) {
 		timedOut = !cond.WaitTimeout(p, 1000)
 	})
-	eng.Schedule(2000, func() { cond.Signal(0) })
+	eng.Schedule(2000, func() { cond.Broadcast(0) })
 	eng.Run()
 	if !signalled {
-		t.Fatal("signal within deadline reported as timeout")
+		t.Fatal("broadcast within deadline reported as timeout")
 	}
 	if !timedOut {
 		t.Fatal("expired wait did not report timeout")
 	}
-	if cond.Waiters() != 0 {
-		t.Fatalf("stale waiters: %d", cond.Waiters())
+	if n := len(cond.waiters); n != 0 {
+		t.Fatalf("stale waiters: %d", n)
 	}
 }
 
@@ -688,7 +688,7 @@ func TestSleepUntilOwnsOneTimer(t *testing.T) {
 	sleeper := k.Spawn("sleeper", func(p *Process) {
 		p.SleepUntil(10000)
 		slept = p.K.Now()
-		cond.Wait(p)
+		cond.WaitTimeout(p, 1_000_000)
 		signalled = p.K.Now()
 	})
 	eng.Schedule(1000, func() { sleeper.Wake(0) })
@@ -703,13 +703,13 @@ func TestSleepUntilOwnsOneTimer(t *testing.T) {
 	if slept < 10000 || slept > 11000 {
 		t.Fatalf("SleepUntil(10000) returned at %d", slept)
 	}
-	if signalled != 0 || cond.Waiters() != 1 {
-		t.Fatalf("the cancelled timer woke the later Cond.Wait at %d", signalled)
+	if signalled != 0 || len(cond.waiters) != 1 {
+		t.Fatalf("the cancelled timer woke the later Cond.WaitTimeout at %d", signalled)
 	}
-	eng.Schedule(0, func() { cond.Signal(0) })
+	eng.Schedule(0, func() { cond.Broadcast(0) })
 	eng.Run()
-	if signalled < 15000 {
-		t.Fatalf("Cond.Wait returned at %d, signalled at 15000", signalled)
+	if signalled < 15000 || signalled >= 1_000_000 {
+		t.Fatalf("Cond.WaitTimeout returned at %d, broadcast at 15000", signalled)
 	}
 }
 

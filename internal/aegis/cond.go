@@ -16,14 +16,8 @@ type condWaiter struct {
 	timer    sim.Timer
 }
 
-// Wait releases the CPU and blocks p until Signal or Broadcast.
-func (c *Cond) Wait(p *Process) {
-	c.waiters = append(c.waiters, &condWaiter{p: p})
-	p.block()
-}
-
-// WaitTimeout waits for at most d cycles. It reports true if signalled and
-// false on timeout.
+// WaitTimeout releases the CPU and blocks p until Broadcast, for at most d
+// cycles. It reports true if woken by Broadcast and false on timeout.
 func (c *Cond) WaitTimeout(p *Process, d sim.Time) bool {
 	w := &condWaiter{p: p}
 	w.timer = p.K.Eng.Schedule(d, func() {
@@ -42,16 +36,6 @@ func (c *Cond) WaitTimeout(p *Process, d sim.Time) bool {
 	return !w.timedOut
 }
 
-// Signal wakes the first waiter, charging it extra wakeup-path cycles.
-func (c *Cond) Signal(extra sim.Time) {
-	if len(c.waiters) == 0 {
-		return
-	}
-	w := c.waiters[0]
-	c.waiters = c.waiters[1:]
-	w.p.Wake(extra)
-}
-
 // Broadcast wakes all waiters.
 func (c *Cond) Broadcast(extra sim.Time) {
 	ws := c.waiters
@@ -60,6 +44,3 @@ func (c *Cond) Broadcast(extra sim.Time) {
 		w.p.Wake(extra)
 	}
 }
-
-// Waiters reports how many processes are blocked on the Cond.
-func (c *Cond) Waiters() int { return len(c.waiters) }

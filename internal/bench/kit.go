@@ -196,6 +196,9 @@ func rawPingPong(tb *Testbed, iters int, o *obsRun) float64 {
 const (
 	incrementVC     = 9
 	incrementWarmup = 2
+	// incrementCycles is the user-level server's increment and reply
+	// build; uncalibrated.
+	incrementCycles sim.Time = 10
 )
 
 // installIncrement downloads crl's increment handler under opts for a fresh
@@ -236,7 +239,7 @@ func incrementServer(tb *Testbed, polling bool, iters int) {
 			inc := f.U32(0)
 			v, _ := vcode.Load32(p.AS, counter.Base)
 			_ = vcode.Store32(p.AS, counter.Base, v+inc)
-			p.Compute(10)
+			p.Compute(incrementCycles)
 			reply := make([]byte, 4)
 			ep.Release(f)
 			ep.Send(link.Addr{Port: f.Entry.Src, VC: incrementVC}, reply)

@@ -86,8 +86,8 @@ func TestPoolLeakGate(t *testing.T) {
 		t.Run(c.Label, func(t *testing.T) {
 			w := build(nil, *c.spec)
 			daemons := w.eng.Stats().LiveProcs // an ARP pair's
-			var never aegis.Cond
-			w.hosts[0].k.Spawn("idle", func(p *aegis.Process) { never.Wait(p) })
+			var never aegis.Ring
+			w.hosts[0].k.Spawn("idle", func(p *aegis.Process) { never.WaitRecv(p) })
 			w.eng.Go("parked", func(p *sim.Proc) { p.Park() })
 			w.run() // drains clean, both processes still waiting
 			if live := w.eng.Stats().LiveProcs; live != daemons+2 {

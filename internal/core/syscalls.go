@@ -1,6 +1,7 @@
 package core
 
 import (
+	"ashs/internal/sandbox"
 	"ashs/internal/sim"
 	"ashs/internal/vcode"
 )
@@ -34,7 +35,7 @@ func (s *System) runEngine(c interface{ Charge(sim.Time) }, id int, src, dst uin
 		return 0, &vcode.Fault{Kind: vcode.FaultBadCall, Msg: "no such engine"}
 	}
 	re := s.engines[id]
-	c.Charge(12) // aggregated access check
+	c.Charge(sandbox.AccessCheckCycles)
 	for _, r := range re.eng.Prog.Persistent {
 		re.machine.Regs[r] = 0
 	}

@@ -174,6 +174,10 @@ func (h *handler) attach(b *aegis.Binding, self aegis.MsgHandler) {
 // abstraction (the TCP fast path) register their own un-install here.
 func (h *handler) OnTrip(fn func()) { h.detach = append(h.detach, fn) }
 
+// quotaCheckCycles is the charge of a quota refusal check, in cycles;
+// uncalibrated.
+const quotaCheckCycles sim.Time = 2
+
 // quotaRefuses admits one execution against the tenant's cycle budget.
 // Over budget, it refuses eager execution — the message takes the lazy
 // user-level path — and reports true.
@@ -184,7 +188,7 @@ func (h *handler) quotaRefuses(mc *aegis.MsgCtx) bool {
 	}
 	h.QuotaThrottled++
 	h.sys.QuotaThrottled++
-	mc.Charge(2) // the refusal check itself
+	mc.Charge(quotaCheckCycles)
 	if o := h.sys.K.Obs; o.Enabled() {
 		o.Instant(h.sys.K.Name, "ash system", "ash",
 			"quota throttled "+h.Name, mc.When())

@@ -12,6 +12,7 @@ func TestDeterminism(t *testing.T)     { linttest.Run(t, lint.Determinism, "dete
 func TestObsGuard(t *testing.T)        { linttest.Run(t, lint.ObsGuard, "obsguard") }
 func TestAllocDiscipline(t *testing.T) { linttest.Run(t, lint.AllocDiscipline, "allocdiscipline") }
 func TestBufDiscipline(t *testing.T)   { linttest.Run(t, lint.BufDiscipline, "bufdiscipline") }
+func TestCostDiscipline(t *testing.T)  { linttest.Run(t, lint.CostDiscipline, "costdiscipline") }
 
 // TestIgnoreDirectives pins the suppression contract: a reasoned
 // //lint:ignore directive silences its finding, while a reasonless one
@@ -71,6 +72,12 @@ func TestScopes(t *testing.T) {
 		{lint.BufDiscipline, "ashs/internal/bench", true},
 		{lint.BufDiscipline, "ashs/internal/sim", false},
 		{lint.BufDiscipline, "ashs/cmd/ashbench", false},
+		{lint.CostDiscipline, "ashs/internal/sandbox", true},
+		{lint.CostDiscipline, "ashs/internal/proto/tcp", true},
+		{lint.CostDiscipline, "ashs/internal/bench", true},
+		{lint.CostDiscipline, "ashs/examples/dilp", true},
+		{lint.CostDiscipline, "ashs/internal/machx", true},
+		{lint.CostDiscipline, "ashs/internal/mach", false},
 	}
 	for _, c := range cases {
 		if got := c.a.Scope(c.path); got != c.want {

@@ -38,7 +38,7 @@ import (
 )
 
 // All is the ashlint suite, in stable reporting order.
-var All = []*Analyzer{Determinism, ObsGuard, AllocDiscipline, BufDiscipline}
+var All = []*Analyzer{Determinism, ObsGuard, AllocDiscipline, BufDiscipline, CostDiscipline}
 
 // An Analyzer describes one statically checked invariant.
 type Analyzer struct {

@@ -76,12 +76,12 @@ type Service struct {
 	cache map[ip.Addr]ether.MAC
 	cond  aegis.Cond
 
-	// parse/build cost per packet, in cycles.
-	procCost sim.Time
-
 	// Statistics.
 	RequestsServed, RepliesLearned uint64
 }
+
+// procCycles is the parse/build charge per packet, in cycles; uncalibrated.
+const procCycles sim.Time = 100
 
 // resolveTimeout is how long one resolution attempt waits for a reply.
 const resolveTimeoutUs = 100_000
@@ -93,7 +93,7 @@ const resolveAttempts = 3
 func Start(k *aegis.Kernel, eth *aegis.EthernetIf, myIP ip.Addr) (*Service, error) {
 	s := &Service{
 		MyIP: myIP, MyMAC: ether.PortMAC(eth.Addr()),
-		eth: eth, cache: map[ip.Addr]ether.MAC{}, procCost: 100,
+		eth: eth, cache: map[ip.Addr]ether.MAC{},
 	}
 	// Own address is always known.
 	s.cache[myIP] = s.MyMAC
@@ -111,7 +111,7 @@ func Start(k *aegis.Kernel, eth *aegis.EthernetIf, myIP ip.Addr) (*Service, erro
 func (s *Service) serve(p *aegis.Process) {
 	for {
 		f := s.ep.Recv(false)
-		p.Compute(s.procCost)
+		p.Compute(procCycles)
 		raw := make([]byte, PacketLen)
 		if f.Len() < ether.HeaderLen+PacketLen {
 			s.ep.Release(f)
@@ -142,7 +142,7 @@ func (s *Service) serve(p *aegis.Process) {
 }
 
 func (s *Service) transmit(p *aegis.Process, dst ether.MAC, pkt *Packet) {
-	p.Compute(s.procCost)
+	p.Compute(procCycles)
 	h := ether.Header{Dst: dst, Src: s.MyMAC, Type: ether.TypeARP}
 	frame := h.Marshal(nil)
 	frame = pkt.Marshal(frame)

@@ -157,7 +157,7 @@ func TestSendCapturesPayloadBeforeItBlocks(t *testing.T) {
 		after sim.Time // cycles after Send is called
 	}{
 		{"during the IP build charge", 1},
-		{"during the system call", DefaultCosts().Build + 1},
+		{"during the system call", buildCycles + 1},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			w := newSendWorld()
@@ -201,7 +201,7 @@ func TestSendReentryPanicsWithOwner(t *testing.T) {
 	dst := HostAddr(w.e2.Addr())
 	w.k1.Spawn("owner", func(p *aegis.Process) {
 		st := w.stack(p, w.e1)
-		w.eng.Schedule(DefaultCosts().Build+1, func() {
+		w.eng.Schedule(buildCycles+1, func() {
 			_ = st.Send(testProto, dst, nil, pattern(10, 1))
 		})
 		_ = st.Send(testProto, dst, nil, pattern(1000, 0))

@@ -28,22 +28,18 @@ func (m StaticResolver) Resolve(_ *aegis.Process, dst Addr) (link.Addr, error) {
 	return la, nil
 }
 
-// Costs are the per-operation protocol-processing charges of the IP
-// library (calibrated against Table II as described in DESIGN.md).
-type Costs struct {
-	Build sim.Time // header construction + output buffer handling
-	Parse sim.Time // header validation + demux fields
-}
-
-// DefaultCosts is the calibrated IP cost set.
-func DefaultCosts() Costs { return Costs{Build: 120, Parse: 120} }
+// The per-operation protocol-processing charges of the IP library, in
+// cycles (DESIGN.md §4).
+const (
+	buildCycles sim.Time = 120 // Table II: header construction + output buffer handling
+	parseCycles sim.Time = 120 // Table II: header validation + demux fields
+)
 
 // Stack is a per-process IPv4 instance over one link endpoint.
 type Stack struct {
 	Ep    *link.Link
 	Local Addr
 	Res   Resolver
-	Costs Costs
 
 	// LinkHdrLen is the bytes of link header preceding the IP header in
 	// received frames (0 on AN2, 14 on Ethernet).
@@ -93,7 +89,7 @@ const reasmTimeoutUs = 2_000_000 // 2 simulated seconds
 // inside small kernels.
 func NewStack(ep *link.Link, local Addr, res Resolver) *Stack {
 	return &Stack{
-		Ep: ep, Local: local, Res: res, Costs: DefaultCosts(),
+		Ep: ep, Local: local, Res: res,
 		reasm: map[reasmKey]*reasmBuf{},
 	}
 }
@@ -156,7 +152,7 @@ func (s *Stack) Send(proto byte, dst Addr, hdr, payload []byte) error {
 		if end > len(hdr) {
 			f = append(f, payload[max(off, len(hdr))-len(hdr):end-len(hdr)]...)
 		}
-		p.Compute(s.Costs.Build)
+		p.Compute(buildCycles)
 		s.Ep.Send(la, f)
 		if end == total {
 			return nil
@@ -218,7 +214,7 @@ func (s *Stack) RecvUntil(polling bool, deadline sim.Time) (Dgram, bool, error) 
 // mid-reassembly) are released internally.
 func (s *Stack) Input(f link.Frame) (Dgram, bool, error) {
 	p := s.Ep.Owner()
-	p.Compute(s.Costs.Parse)
+	p.Compute(parseCycles)
 
 	hdrBytes := make([]byte, HeaderLen)
 	if f.Len() < s.LinkHdrLen+HeaderLen {

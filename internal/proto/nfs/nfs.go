@@ -61,14 +61,14 @@ type file struct {
 	children map[string]Handle // for directories
 }
 
+// procCycles is the per-request processing charge (XDR decode, fs lookup,
+// reply build), in cycles; uncalibrated.
+const procCycles sim.Time = 900
+
 // Server is the in-memory file store plus its UDP service loop.
 type Server struct {
 	files  map[Handle]*file
 	nextFH Handle
-
-	// ProcCost is the per-request processing charge (XDR decode, fs
-	// lookup, reply build), in cycles.
-	ProcCost sim.Time
 
 	// Served counts completed requests by procedure.
 	Served map[uint32]uint64
@@ -80,7 +80,7 @@ type Server struct {
 
 // NewServer builds a store containing only the root directory.
 func NewServer() *Server {
-	s := &Server{files: map[Handle]*file{}, nextFH: RootHandle, ProcCost: 900,
+	s := &Server{files: map[Handle]*file{}, nextFH: RootHandle,
 		Served: map[uint32]uint64{}}
 	s.files[RootHandle] = &file{
 		attr:     Attr{Handle: RootHandle, IsDir: true},
@@ -109,7 +109,7 @@ func (s *Server) Serve(p *aegis.Process, sock *udp.Socket, count int) {
 		}
 		s.req = append(s.req[:0], m.Bytes(sock.St.Ep.Kernel())...)
 		sock.Release(m)
-		p.Compute(s.ProcCost)
+		p.Compute(procCycles)
 		s.reply = s.dispatch(s.req)
 		_ = sock.SendBytes(m.From, m.FromPort, s.reply)
 	}

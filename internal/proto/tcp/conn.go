@@ -83,19 +83,17 @@ func DefaultConfig() Config {
 	}
 }
 
-// Costs are the library's per-operation processing charges (cycles).
-type Costs struct {
-	Output     sim.Time // segment construction, PCB update, timer work
-	Input      sim.Time // full input processing (validation + state machine)
-	Predict    sim.Time // header-prediction hit
-	CksumFixed sim.Time // fixed checksum-path setup
-	Boundary   sim.Time // read/write call boundary (enter/exit library)
-}
-
-// DefaultCosts is the calibrated cost set (see DESIGN.md and Table II).
-func DefaultCosts() Costs {
-	return Costs{Output: 1200, Input: 1100, Predict: 380, CksumFixed: 500, Boundary: 520}
-}
+// The library's per-operation processing charges, in cycles, each with
+// where its value comes from (DESIGN.md §4).
+const (
+	outputCycles     sim.Time = 1200 // Table II: segment construction, PCB update, timer work
+	inputCycles      sim.Time = 1100 // Table II: full input processing (validation + state machine)
+	predictCycles    sim.Time = 380  // Table II: header-prediction hit
+	cksumFixedCycles sim.Time = 500  // Table II: fixed checksum-path setup
+	boundaryCycles   sim.Time = 520  // Table II: read/write call boundary (enter/exit library)
+	inPlaceCycles    sim.Time = 40   // uncalibrated: an in-place read's bookkeeping
+	consumeCycles    sim.Time = 60   // uncalibrated: a handler-ring read's consume-pointer update
+)
 
 // rseg is an in-order received segment awaiting Read (library modes).
 type rseg struct {
@@ -119,9 +117,8 @@ type rtxSeg struct {
 
 // Conn is a TCP connection endpoint.
 type Conn struct {
-	St    *ip.Stack
-	Cfg   Config
-	Costs Costs
+	St  *ip.Stack
+	Cfg Config
 
 	state      State
 	localPort  uint16
@@ -187,7 +184,7 @@ func newConn(st *ip.Stack, cfg Config, localPort uint16) (*Conn, error) {
 	if cfg.MSS <= 0 {
 		panic("tcp: bad config")
 	}
-	c := &Conn{St: st, Cfg: cfg, Costs: DefaultCosts(), localPort: localPort}
+	c := &Conn{St: st, Cfg: cfg, localPort: localPort}
 	if cfg.Mode != ModeUser {
 		seg, err := st.Ep.Owner().AS.Alloc(window, fmt.Sprintf("tcp-%d-hring", localPort))
 		if err != nil {
@@ -285,7 +282,7 @@ func (c *Conn) segPayload(addr uint32, n int) []byte {
 func (c *Conn) sendSegment(flags Flags, seq uint32, payloadAddr *uint32, n int, addToRtx bool) {
 	p := c.owner()
 	t0 := c.now()
-	p.Compute(c.Costs.Output)
+	p.Compute(outputCycles)
 
 	var data []byte
 	if n > 0 {
@@ -300,7 +297,7 @@ func (c *Conn) sendSegment(flags Flags, seq uint32, payloadAddr *uint32, n int, 
 	}
 	var acc uint32
 	if c.Cfg.Checksum {
-		p.Compute(c.Costs.CksumFixed)
+		p.Compute(cksumFixedCycles)
 		if n > 0 {
 			acc = link.CksumRange(p, c.kern(), *payloadAddr, n)
 		}
@@ -387,7 +384,7 @@ func (c *Conn) Write(addr uint32, n int) error {
 	}
 	p := c.owner()
 	t0b := c.now()
-	p.Compute(c.Costs.Boundary)
+	p.Compute(boundaryCycles)
 	c.traceSpan("tcp boundary", t0b)
 	sent := 0
 	for sent < n && c.err == nil {
@@ -629,7 +626,7 @@ func (c *Conn) teardown(err error) {
 func (c *Conn) retransmit(r *rtxSeg) {
 	p := c.owner()
 	t0 := c.now()
-	p.Compute(c.Costs.Output)
+	p.Compute(outputCycles)
 	h := Header{
 		SrcPort: c.localPort, DstPort: c.remotePort,
 		Seq: r.seq, Flags: r.flags, Window: uint16(c.advertisedWindow()),
@@ -640,7 +637,7 @@ func (c *Conn) retransmit(r *rtxSeg) {
 	}
 	var acc uint32
 	if c.Cfg.Checksum {
-		p.Compute(c.Costs.CksumFixed)
+		p.Compute(cksumFixedCycles)
 		acc = link.CksumData(0, r.data)
 	}
 	c.emit(&h, r.data, acc, "tcp rexmit output", t0)
@@ -678,10 +675,10 @@ func (c *Conn) input(d ip.Dgram) {
 	t0 := c.now()
 	if predicted {
 		c.PredictHits++
-		p.Compute(c.Costs.Predict)
+		p.Compute(predictCycles)
 	} else {
 		c.PredictMisses++
-		p.Compute(c.Costs.Input)
+		p.Compute(inputCycles)
 	}
 	c.traceSpan("tcp input", t0)
 
@@ -791,7 +788,7 @@ func (c *Conn) input(d ip.Dgram) {
 func (c *Conn) verifyChecksum(d ip.Dgram, h *Header, dataOff, plen int) bool {
 	p := c.owner()
 	t0 := c.now()
-	p.Compute(c.Costs.CksumFixed)
+	p.Compute(cksumFixedCycles)
 	seglen := dataOff + plen
 	acc := ip.PseudoCksum(d.Hdr.Src, d.Hdr.Dst, ip.ProtoTCP, seglen)
 	// Traversal over the segment where it lies (uncached after DMA).
@@ -938,7 +935,7 @@ func (c *Conn) Read(dst uint32, maxBytes int) (int, error) {
 	}
 	p := c.owner()
 	t0b := c.now()
-	p.Compute(c.Costs.Boundary)
+	p.Compute(boundaryCycles)
 	c.traceSpan("tcp boundary", t0b)
 	for c.Available() == 0 {
 		if c.err != nil {
@@ -962,7 +959,7 @@ func (c *Conn) Read(dst uint32, maxBytes int) (int, error) {
 			// The application uses the data where it landed; surface it
 			// at dst for API uniformity (bookkeeping cost only).
 			s.d.Frame.Bytes(c.kern().Bytes(dst+uint32(read), n), s.d.Off+s.off+s.read, n)
-			p.Compute(40)
+			p.Compute(inPlaceCycles)
 		} else {
 			// The "traditional read interface" copy into application
 			// data structures.
@@ -996,7 +993,7 @@ func (c *Conn) readHring(dst uint32, maxBytes int) (int, error) {
 	if n > first {
 		copy(c.kern().Bytes(dst+uint32(first), n-first), c.kern().Bytes(c.hring.Base, n-first))
 	}
-	p.Compute(60) // consume-pointer update
+	p.Compute(consumeCycles)
 	c.hrHead += n
 	return n, nil
 }
@@ -1022,7 +1019,7 @@ func (c *Conn) ReadFull(dst uint32, n int) error {
 func (c *Conn) Close() error {
 	p := c.owner()
 	t0b := c.now()
-	p.Compute(c.Costs.Boundary)
+	p.Compute(boundaryCycles)
 	c.traceSpan("tcp boundary", t0b)
 	switch c.state {
 	case Established:

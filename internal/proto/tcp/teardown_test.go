@@ -108,8 +108,7 @@ func TestRetransmitBackoffSchedule(t *testing.T) {
 		t.Fatalf("%d SYNs on the wire, want 1 + MaxRetransmit (%d)", len(sent), len(wantMs))
 	}
 	prof := w.k1.Prof
-	costs := DefaultCosts()
-	slack := costs.Output + costs.CksumFixed
+	slack := outputCycles + cksumFixedCycles
 	for i, ms := range wantMs {
 		rto := prof.Cycles(ms * 1000)
 		if gap := sent[i+1] - sent[i]; gap < rto || gap > rto+slack {

@@ -60,23 +60,18 @@ type Options struct {
 	InPlace bool
 }
 
-// Costs are the per-operation protocol-processing charges, calibrated
-// against Table II (see DESIGN.md).
-type Costs struct {
-	Build      sim.Time // allocate send buffer, initialize IP and UDP fields
-	Parse      sim.Time // header parse + port demux + length validation
-	CksumFixed sim.Time // fixed checksum-path setup (pseudo-header etc.)
-}
-
-// DefaultCosts is the calibrated cost set.
-func DefaultCosts() Costs { return Costs{Build: 380, Parse: 240, CksumFixed: 190} }
+// The per-operation protocol-processing charges, in cycles (DESIGN.md §4).
+const (
+	buildCycles      sim.Time = 380 // Table II: allocate send buffer, initialize IP and UDP fields
+	parseCycles      sim.Time = 240 // Table II: header parse + port demux + length validation
+	cksumFixedCycles sim.Time = 190 // Table II: fixed checksum-path setup (pseudo-header etc.)
+)
 
 // Socket is a bound UDP endpoint.
 type Socket struct {
 	St        *ip.Stack
 	LocalPort uint16
 	Opts      Options
-	Costs     Costs
 
 	rxApp aegis.Segment // application buffer for copying delivery
 	txApp aegis.Segment // staging for SendBytes
@@ -90,7 +85,7 @@ const MaxPayload = 56 * 1024
 
 // NewSocket binds local port lp over stack st.
 func NewSocket(st *ip.Stack, lp uint16, opts Options) *Socket {
-	s := &Socket{St: st, LocalPort: lp, Opts: opts, Costs: DefaultCosts()}
+	s := &Socket{St: st, LocalPort: lp, Opts: opts}
 	owner := st.Ep.Owner()
 	s.rxApp = owner.AS.MustAlloc(MaxPayload, fmt.Sprintf("udp-%d-rx", lp))
 	s.txApp = owner.AS.MustAlloc(MaxPayload, fmt.Sprintf("udp-%d-tx", lp))
@@ -106,7 +101,7 @@ func (s *Socket) SendTo(dst ip.Addr, dstPort uint16, addr uint32, n int) error {
 	}
 	p := s.St.Ep.Owner()
 	k := s.St.Ep.Kernel()
-	p.Compute(s.Costs.Build)
+	p.Compute(buildCycles)
 
 	data, err := p.AS.Bytes(addr, n)
 	if err != nil {
@@ -114,7 +109,7 @@ func (s *Socket) SendTo(dst ip.Addr, dstPort uint16, addr uint32, n int) error {
 	}
 	h := Header{SrcPort: s.LocalPort, DstPort: dstPort, Length: uint16(HeaderLen + n)}
 	if s.Opts.Checksum {
-		p.Compute(s.Costs.CksumFixed)
+		p.Compute(cksumFixedCycles)
 		acc := ip.PseudoCksum(s.St.Local, dst, ip.ProtoUDP, HeaderLen+n) + h.headerAccum()
 		acc += link.CksumRange(p, k, addr, n) // charged traversal
 		ck := ^link.FoldCksum(acc)
@@ -187,7 +182,7 @@ func (s *Socket) RecvUntil(polling bool, deadline sim.Time) (Msg, bool, error) {
 func (s *Socket) input(d ip.Dgram) (Msg, bool) {
 	p := s.St.Ep.Owner()
 	k := s.St.Ep.Kernel()
-	p.Compute(s.Costs.Parse)
+	p.Compute(parseCycles)
 
 	if d.Hdr.Proto != ip.ProtoUDP || d.PayloadLen() < HeaderLen {
 		s.St.Release(d)
@@ -221,7 +216,7 @@ func (s *Socket) input(d ip.Dgram) (Msg, bool) {
 	}
 
 	if s.Opts.Checksum && h.Checksum != 0 {
-		p.Compute(s.Costs.CksumFixed)
+		p.Compute(cksumFixedCycles)
 		// Separate checksum pass (the library does not integrate; the
 		// data is in cache if it was just copied).
 		payloadAcc := link.CksumRange(p, k, m.Addr, n)

@@ -18,6 +18,18 @@ import (
 // exactly when it names an entry here, core.System runs them over the
 // kernel, and the three-way harness runs them over its region.
 
+// AccessCheckCycles is the aggregated access check, in cycles: what
+// ash_copy, and the engine run behind ash_dilp and a Go handler's DILP,
+// charge once for a whole range in place of per-reference sandboxing.
+// Uncalibrated.
+const AccessCheckCycles sim.Time = 12
+
+// The other entry points' own charges, in cycles.
+const (
+	sendStagingCycles sim.Time = 4 // uncalibrated: ash_send's argument staging
+	msgLoadCycles     sim.Time = 2 // uncalibrated: ash_msg_load's trusted word access
+)
+
 // Host is what the entry points need from the system they run in.
 type Host interface {
 	// Ranges is the memory a range that the handler running on m names is
@@ -60,7 +72,7 @@ func ashSend(h Host) vcode.SyscallFn {
 		if err != nil {
 			return err
 		}
-		m.Charge(4) // argument staging
+		m.Charge(sendStagingCycles)
 		h.Send(int(m.Regs[vcode.RArg0]), int(m.Regs[vcode.RArg1]), data)
 		return nil
 	}
@@ -75,7 +87,7 @@ func ashCopy(h Host) vcode.SyscallFn {
 		src := m.Regs[vcode.RArg0]
 		dst := m.Regs[vcode.RArg1]
 		n := int(m.Regs[vcode.RArg2])
-		m.Charge(12) // aggregated access check
+		m.Charge(AccessCheckCycles)
 		mem := h.Ranges(m)
 		from, err := mem.Load(src, n)
 		if err != nil {
@@ -141,7 +153,7 @@ func ashMsgLoad(h Host) vcode.SyscallFn {
 			return err
 		}
 		m.Regs[vcode.RRet] = v
-		m.Charge(2)
+		m.Charge(msgLoadCycles)
 		return nil
 	}
 }

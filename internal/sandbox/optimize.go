@@ -470,40 +470,8 @@ func instrumentOptimized(p *vcode.Program, pol *Policy) ([]vcode.Insn, []int, op
 	}
 
 	if pol.Budget == BudgetSoftware {
-		isBackward := func(i int) bool {
-			switch out[i].Op {
-			case vcode.OpBeq, vcode.OpBne, vcode.OpBltU, vcode.OpBgeU, vcode.OpJmp:
-				return out[i].Target <= i && !suppressedLatch[outSrc[i]]
-			}
-			return false
-		}
-		shift := make([]int, len(out)+1)
-		added := 0
-		for i := range out {
-			shift[i] = i + added
-			if isBackward(i) {
-				added++
-			}
-		}
-		shift[len(out)] = len(out) + added
-
-		shifted := make([]vcode.Insn, 0, len(out)+added)
-		for i, in := range out {
-			if isBackward(i) {
-				body := int32(i - in.Target + 1)
-				shifted = append(shifted, vcode.Insn{Op: vcode.OpChkBudget, Imm: body})
-			}
-			shifted = append(shifted, in)
-		}
-		for i := range shifted {
-			switch shifted[i].Op {
-			case vcode.OpBeq, vcode.OpBne, vcode.OpBltU, vcode.OpBgeU, vcode.OpJmp:
-				shifted[i].Target = shift[shifted[i].Target]
-			}
-		}
-		for i, v := range oldToNew {
-			oldToNew[i] = shift[v]
-		}
+		var shift []int
+		out, shift = insertBudgetChecks(out, oldToNew, func(i int) bool { return suppressedLatch[outSrc[i]] })
 		// Patch the coarse drains now that final positions are known:
 		// trips x the emitted body length [header, latch branch].
 		for _, ce := range coarses {
@@ -511,9 +479,8 @@ func instrumentOptimized(p *vcode.Program, pol *Policy) ([]vcode.Insn, []int, op
 			total := ce.plan.trips * perIter
 			// planPreheaders bounded trips*(4*blockLen+8); the emitted body
 			// is at most 3 insns per original, so total fits.
-			shifted[shift[ce.budIdx]].Imm = int32(total)
+			out[shift[ce.budIdx]].Imm = int32(total)
 		}
-		out = shifted
 	}
 
 	return out, oldToNew, st, true

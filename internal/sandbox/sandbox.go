@@ -395,7 +395,7 @@ func instrumentNaive(p *vcode.Program, pol *Policy) ([]vcode.Insn, []int) {
 	}
 
 	if pol.Budget == BudgetSoftware {
-		out, oldToNew = insertBudgetChecks(out, oldToNew)
+		out, _ = insertBudgetChecks(out, oldToNew, nil)
 	}
 	return out, oldToNew
 }
@@ -409,14 +409,16 @@ func identity(n int) []int {
 }
 
 // insertBudgetChecks adds an OpChkBudget before every backward branch
-// (Section III-B3: "software checks at all backward jump locations").
-// The check's Imm approximates the loop body length so the budget drains in
-// proportion to work done.
-func insertBudgetChecks(code []vcode.Insn, oldToNew []int) ([]vcode.Insn, []int) {
+// (Section III-B3: "software checks at all backward jump locations")
+// except those whose index exempt reports; exempt may be nil. The check's
+// Imm approximates the loop body length so the budget drains in proportion
+// to work done. It remaps oldToNew in place and returns the new code and
+// the map from each index of code to its index in the new code.
+func insertBudgetChecks(code []vcode.Insn, oldToNew []int, exempt func(i int) bool) ([]vcode.Insn, []int) {
 	isBackward := func(i int) bool {
 		switch code[i].Op {
 		case vcode.OpBeq, vcode.OpBne, vcode.OpBltU, vcode.OpBgeU, vcode.OpJmp:
-			return code[i].Target <= i
+			return code[i].Target <= i && (exempt == nil || !exempt(i))
 		}
 		return false
 	}
@@ -450,11 +452,10 @@ func insertBudgetChecks(code []vcode.Insn, oldToNew []int) ([]vcode.Insn, []int)
 			out[i].Target = shift[out[i].Target]
 		}
 	}
-	newOldToNew := make([]int, len(oldToNew))
 	for i, v := range oldToNew {
-		newOldToNew[i] = shift[v]
+		oldToNew[i] = shift[v]
 	}
-	return out, newOldToNew
+	return out, shift
 }
 
 // Attach configures machine m to run the sandboxed program: the SFI region,
