@@ -91,8 +91,10 @@ go test -race ./...
 #            snapshot after random overlapping stores and a second
 #            invocation allocates nothing
 #   core     the DCG loop on installed handlers; ASH/FuncASH base parity
-#   runner,  the worker pool, the parallel chaos matrix and the golden
-#   bench    determinism tests
+#   bench    the worker pool (index-ordered merge, the parallelism default,
+#            the panicking cell named serially and on the pool, lowest index
+#            first), the parallel chaos matrix and the golden determinism
+#            tests
 #   bench,   the transmit path: six worlds put the frames on the wire that
 #   ip, tcp, testdata/wire_golden.txt recorded before the gather send (never
 #   udp      regenerated); hdr||payload cut at every fragment edge
@@ -124,8 +126,7 @@ done <<'EOF'
 ./internal/sandbox/:^TestMemoryConformance$|^TestEscapeGuardLatchesOnAnyByte$
 ./internal/vcode/:^TestJournalUndoProperty$
 ./internal/core/:TestReopt|TestChainDisposition|^TestHandlerBaseParity$
-./internal/bench/runner/:.
-./internal/bench/:TestParallelByteIdentical|TestParallelChaosMatchesSerial|TestReoptParallelByteIdentical
+./internal/bench/:^TestRunCells|^TestParallelism$|TestParallelByteIdentical|TestParallelChaosMatchesSerial|TestReoptParallelByteIdentical
 ./internal/bench/:^TestWireIdentity$
 ./internal/proto/ip/:^TestGatherSendEdges$|^TestSendCapturesPayloadBeforeItBlocks$|^TestSendReentryPanicsWithOwner$
 ./internal/proto/tcp/:^TestNoAllocationPerSegment$|^TestRtxStore

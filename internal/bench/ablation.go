@@ -97,11 +97,6 @@ func mergeAblation(vs []any) AblationResult {
 	return r
 }
 
-// RunAblation regenerates the safety-strategy comparison.
-func RunAblation(cfg *Config) AblationResult {
-	return mergeAblation(cellResults(cfg, ablationCells()))
-}
-
 // Table renders the ablation.
 func (r AblationResult) Table() *Table {
 	tab := &Table{

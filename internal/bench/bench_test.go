@@ -25,7 +25,7 @@ func TestTable1MatchesPaper(t *testing.T) {
 }
 
 func TestFig3Shape(t *testing.T) {
-	f := RunFig3(nil, 48)
+	f := mergeFig3(cellResults(nil, fig3Cells(48)))
 	// Monotone non-decreasing with size; approaches the 16.8 MB/s ceiling.
 	for i := 1; i < len(f.Points); i++ {
 		if f.Points[i].MBps+0.01 < f.Points[i-1].MBps {
@@ -39,7 +39,7 @@ func TestFig3Shape(t *testing.T) {
 
 func TestTable2Shape(t *testing.T) {
 	p := Table2Params{LatIters: 8, UDPTrains: 10, TCPBytes: 2 << 20}
-	r := RunTable2(nil, p)
+	r := mergeTable2(cellResults(nil, table2Cells(p)))
 	rows := r.Rows
 
 	// Latencies within 10% of the paper across the AN2 rows.
@@ -70,7 +70,7 @@ func TestTable2Shape(t *testing.T) {
 }
 
 func TestTable3MatchesPaper(t *testing.T) {
-	r := RunTable3(nil)
+	r := cellResults(nil, table3Cells())[0].(Table3)
 	within(t, "single copy", r.SingleCopy, PaperTable3.SingleCopy, 0.05)
 	// The paper's claims: a second copy degrades throughput by ~1.4x
 	// cached and ~2x uncached.
@@ -85,7 +85,7 @@ func TestTable3MatchesPaper(t *testing.T) {
 }
 
 func TestTable4MatchesPaper(t *testing.T) {
-	r := RunTable4(nil)
+	r := mergeTable4(cellResults(nil, table4Cells()))
 	for i, label := range []string{"copy&cksum", "copy&cksum&bswap"} {
 		within(t, "separate "+label, r.Separate[i], PaperTable4.Separate[i], 0.12)
 		within(t, "separate/uncached "+label, r.SeparateUncached[i], PaperTable4.SeparateUncached[i], 0.18)
@@ -164,7 +164,7 @@ func TestTable6Shape(t *testing.T) {
 }
 
 func TestFig4Shape(t *testing.T) {
-	f := RunFig4(nil, 6, 4)
+	f := mergeFig4(6, cellResults(nil, fig4Cells(6, 4)))
 	first, last := f.Points[0], f.Points[len(f.Points)-1]
 	// ASH: flat.
 	if math.Abs(last.ASH-first.ASH) > 10 {
@@ -231,7 +231,7 @@ func TestSandboxMatchesPaper(t *testing.T) {
 }
 
 func TestDPFOrderOfMagnitude(t *testing.T) {
-	r := RunDPF(nil)
+	r := cellResults(nil, dpfCells())[0].(DPFResult)
 	n := len(r.Filters) - 1
 	if r.Linear[n]/r.Trie[n] < 10 {
 		t.Errorf("DPF advantage at %d filters = %.1fx, paper: order of magnitude",
@@ -246,11 +246,11 @@ func TestRenderersProduceTables(t *testing.T) {
 	// Smoke-test every renderer (cheap parameter sets).
 	outs := []string{
 		RunTable1(nil, 4).Table().Render(),
-		RunTable3(nil).Table().Render(),
-		RunTable4(nil).Table().Render(),
+		cellResults(nil, table3Cells())[0].(Table3).Table().Render(),
+		mergeTable4(cellResults(nil, table4Cells())).Table().Render(),
 		RunSandbox(nil).Table().Render(),
-		RunDPF(nil).Table().Render(),
-		RunFig3(nil, 8).Render(),
+		cellResults(nil, dpfCells())[0].(DPFResult).Table().Render(),
+		mergeFig3(cellResults(nil, fig3Cells(8))).Render(),
 	}
 	for i, s := range outs {
 		if len(s) < 80 || !strings.Contains(s, "\n") {
@@ -260,7 +260,7 @@ func TestRenderersProduceTables(t *testing.T) {
 }
 
 func TestAblationOrdering(t *testing.T) {
-	r := RunAblation(nil)
+	r := mergeAblation(cellResults(nil, ablationCells()))
 	// unsafe < x86 <= timer < software-budget in instruction count.
 	byLabel := map[string]int{}
 	for i, l := range r.Labels {
@@ -296,5 +296,101 @@ func TestAblationOrdering(t *testing.T) {
 	// of the optimized timer run.
 	if loopSoftOpt-loopTimerOpt > 2 {
 		t.Errorf("budget checks not coarsened: soft-opt %d vs timer-opt %d", loopSoftOpt, loopTimerOpt)
+	}
+}
+
+// paperBands is the band a [paper] cell of Tables I-VI is held to, keyed by
+// experiment, "experiment/row" or "experiment/row/column", the most
+// specific key winning: the tolerance the test of that table above uses for
+// the cell, or 10% where it uses none.
+var paperBands = map[string]float64{
+	"table1": 0.05,
+	"table2/Ethernet; with checksum/UDP tput": 0.25,
+	"table2/Ethernet; with checksum/TCP tput": 0.25,
+	"table3/single copy/MB/s":                 0.05,
+	"table4/separate":                         0.12,
+	"table4/separate/uncached":                0.18,
+	"table4/C integrated":                     0.12,
+	"table4/DILP":                             0.16,
+	"table5":                                  0.06,
+	"table6/latency (us)/user (polling)":      0.05,
+}
+
+// paperMisses lists the [paper] cells outside their band, each with the
+// EXPERIMENTS.md section and paragraph that explains it. TestPaperCells
+// fails on a miss not listed here and on a listed cell back inside its
+// band, so the list only shrinks.
+var paperMisses = map[string]string{
+	"table2/AN2; in place, no checksum/UDP tput":   "Table II, Deviations: AN2 UDP throughputs run high",
+	"table2/AN2; in place, with checksum/UDP tput": "Table II, Deviations: AN2 UDP throughputs run high",
+	"table2/AN2; no checksum/UDP tput":             "Table II, Deviations: AN2 UDP throughputs run high",
+	"table2/AN2; with checksum/UDP tput":           "Table II, Deviations: AN2 UDP throughputs run high",
+	"table2/AN2; in place, no checksum/TCP tput":   "Table II, Deviations: no-checksum AN2 TCP throughputs run high",
+	"table2/AN2; no checksum/TCP tput":             "Table II, Deviations: no-checksum AN2 TCP throughputs run high",
+	"table2/Ethernet; with checksum/TCP lat":       "Table II, Deviations: Ethernet TCP latency",
+	"table3/double copy/MB/s":                      "Table III: the cached double copy runs low",
+	"table6/latency (us)/sandboxed ASH":            "Table VI, Deviations (1): sandboxing costs ~13 us/RT",
+	"table6/throughput, small MSS/sandboxed ASH":   "Table VI, Deviations (1): sandboxing costs ~13 us/RT",
+	"table6/latency (us)/user (interrupt)":         "Table VI: user (interrupt) latency reschedules at both ends",
+	"table6/throughput (MB/s)/sandboxed ASH":       "Table VI, Deviations (2): handler-mode throughput",
+	"table6/throughput (MB/s)/unsafe ASH":          "Table VI, Deviations (2): handler-mode throughput",
+	"table6/throughput (MB/s)/upcall":              "Table VI, Deviations (2): handler-mode throughput",
+}
+
+// paperTables folds each experiment's cell results into its table, as the
+// registry's Render does before rendering.
+var paperTables = map[string]func(vs []any) *Table{
+	"table1": func(vs []any) *Table { return mergeTable1(vs).Table() },
+	"table2": func(vs []any) *Table { return mergeTable2(vs).Table() },
+	"table3": func(vs []any) *Table { return vs[0].(Table3).Table() },
+	"table4": func(vs []any) *Table { return mergeTable4(vs).Table() },
+	"table5": func(vs []any) *Table { return mergeTable5(vs).Table() },
+	"table6": func(vs []any) *Table { return mergeTable6(vs).Table() },
+}
+
+// TestPaperCells holds every [paper] cell of Tables I-VI, at the registry's
+// full size (the values of ashbench_output.txt), to its band.
+func TestPaperCells(t *testing.T) {
+	selected, _ := FindExperiments([]string{"table1", "table2", "table3", "table4", "table5", "table6"})
+	var cells []Cell
+	counts := make([]int, len(selected))
+	for i, e := range selected {
+		cs := e.Cells(nil)
+		counts[i] = len(cs)
+		cells = append(cells, cs...)
+	}
+	results := cellResults(nil, cells)
+	seen := map[string]bool{}
+	for i, e := range selected {
+		tab := paperTables[e.Name](results[:counts[i]])
+		results = results[counts[i]:]
+		for _, row := range tab.Rows {
+			for j, paper := range row.Paper {
+				key := e.Name + "/" + row.Label + "/" + tab.Columns[j]
+				band := 0.10
+				for _, k := range []string{e.Name, e.Name + "/" + row.Label, key} {
+					if b, ok := paperBands[k]; ok {
+						band = b
+					}
+				}
+				got := row.Measured[j]
+				dev := math.Abs(got-paper) / paper
+				_, listed := paperMisses[key]
+				seen[key] = true
+				switch {
+				case dev > band && !listed:
+					t.Errorf("%s = %.2f, paper %.2f: %.1f%% off, outside its %.0f%% band and not a listed miss",
+						key, got, paper, 100*dev, 100*band)
+				case dev <= band && listed:
+					t.Errorf("%s = %.2f, paper %.2f: back inside its %.0f%% band; take it off paperMisses",
+						key, got, paper, 100*band)
+				}
+			}
+		}
+	}
+	for key := range paperMisses {
+		if !seen[key] {
+			t.Errorf("paperMisses lists %q, which is no [paper] cell of Tables I-VI", key)
+		}
 	}
 }

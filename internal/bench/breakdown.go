@@ -2,39 +2,12 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"ashs/internal/obs"
 	"ashs/internal/sim"
 )
-
-// obsRun carries the observability plane and measurement window of one
-// traced workload run. A nil *obsRun is valid everywhere and turns
-// observation off — the normal path every table experiment takes.
-type obsRun struct {
-	plane      *obs.Plane
-	start, end sim.Time
-}
-
-// attach wires a plane into tb. If a -trace hook already attached one
-// (tb.Obs non-nil), it is reused so the run produces a single trace.
-func (o *obsRun) attach(tb *Testbed) {
-	if o == nil {
-		return
-	}
-	if tb.Obs == nil {
-		tb.AttachObs(obs.New(float64(tb.Prof.MHz)))
-	}
-	o.plane = tb.Obs
-}
-
-// window records the [start, end) cycle window the workload measured.
-func (o *obsRun) window(start, end sim.Time) {
-	if o == nil {
-		return
-	}
-	o.start, o.end = start, end
-}
 
 // phaseOrder is the fixed rendering order of span categories. Everything
 // in the window not covered by a span lands in the trailing "wait/other"
@@ -68,78 +41,64 @@ type Breakdown struct {
 	Rows  []BreakdownRow
 }
 
-// breakdownSpec is one traced latency workload: its row label, the paper's
-// value, its world and the measurement.
-type breakdownSpec struct {
-	label string
-	paper float64
-	world worldSpec
-	run   func(tb *Testbed, o *obsRun) float64
+// breakdownRows names the traced latency workloads in render order: each
+// row's label, the table cell whose measurement it traces, and the paper's
+// value.
+var breakdownRows = []struct {
+	label, cell string
+	paper       float64
+}{
+	{"Table I: in-kernel AN2", "table1/in-kernel", PaperTable1.InKernelAN2},
+	{"Table I: user-level AN2", "table1/user-level", PaperTable1.UserAN2},
+	{"Table I: Ethernet", "table1/ethernet", PaperTable1.Ethernet},
+	{"Table V: sandboxed ASH (polling)", "table5/sandboxed ASH/polling", PaperTable5.Polling[MechSandboxedASH]},
+	{"Table V: user-level (polling)", "table5/user-level/polling", PaperTable5.Polling[MechUserLevel]},
+	{"Table VI: TCP latency, sandboxed ASH", "table6/sandboxed ASH/latency", PaperTable6.Latency[0]},
+	{"Table VI: TCP latency, user (polling)", "table6/user (polling)/latency", PaperTable6.Latency[4]},
 }
 
-// breakdownSpecs enumerates the traced latency workloads in render order.
-func breakdownSpecs(iters int) []breakdownSpec {
-	return []breakdownSpec{
-		{"Table I: in-kernel AN2", PaperTable1.InKernelAN2, an2Pair,
-			func(tb *Testbed, o *obsRun) float64 { return inKernelAN2RT(tb, iters, o) }},
-		{"Table I: user-level AN2", PaperTable1.UserAN2, an2Pair,
-			func(tb *Testbed, o *obsRun) float64 { return rawPingPong(tb, iters, o) }},
-		{"Table I: Ethernet", PaperTable1.Ethernet, ethPair,
-			func(tb *Testbed, o *obsRun) float64 { return rawPingPong(tb, iters, o) }},
-		{"Table V: sandboxed ASH (polling)", PaperTable5.Polling[MechSandboxedASH], an2Pair,
-			func(tb *Testbed, o *obsRun) float64 {
-				return remoteIncrementRT(tb, MechSandboxedASH, false, iters, o)
-			}},
-		{"Table V: user-level (polling)", PaperTable5.Polling[MechUserLevel], an2Pair,
-			func(tb *Testbed, o *obsRun) float64 {
-				return remoteIncrementRT(tb, MechUserLevel, false, iters, o)
-			}},
-		{"Table VI: TCP latency, sandboxed ASH", PaperTable6.Latency[0], an2Pair,
-			func(tb *Testbed, o *obsRun) float64 { return table6Latency(tb, table6Modes[0], iters, o) }},
-		{"Table VI: TCP latency, user (polling)", PaperTable6.Latency[4], an2Pair,
-			func(tb *Testbed, o *obsRun) float64 { return table6Latency(tb, table6Modes[4], iters, o) }},
-	}
-}
-
-// breakdownCells enumerates one cell per traced workload.
+// breakdownCells enumerates one cell per traced workload: the table cell
+// itself, run with a plane attached (unless a -trace hook already attached
+// one, so the run produces a single trace), and the window its driver
+// measured attributed to phases.
 func breakdownCells(iters int) []Cell {
-	specs := breakdownSpecs(iters)
-	cells := make([]Cell, len(specs))
-	for i, s := range specs {
-		cells[i] = pairCell("breakdown/"+s.label, s.world, func(tb *Testbed) any {
-			o := &obsRun{}
-			meas := s.run(tb, o)
-			total := o.end - o.start
-			byCat := o.plane.PhaseCycles(o.start, o.end)
+	tables := map[string]Cell{}
+	for _, c := range slices.Concat(table1Cells(iters), table5Cells(iters), table6Cells(Table6Params{LatIters: iters})) {
+		tables[c.Label] = c
+	}
+	cells := make([]Cell, len(breakdownRows))
+	for i, r := range breakdownRows {
+		c, ok := tables[r.cell]
+		if !ok {
+			panic(fmt.Sprintf("bench: breakdown row %q traces table cell %q, which no table enumerates", r.label, r.cell))
+		}
+		cells[i] = Cell{"breakdown/" + r.label, c.spec, func(cfg *Config, w *world) any {
+			if w.tb.Obs == nil {
+				w.tb.AttachObs(obs.New(float64(w.prof.MHz)))
+			}
+			meas := c.measure(cfg, w).(float64)
+			start, end := w.window[0], w.window[1]
+			byCat := w.tb.Obs.PhaseCycles(start, end)
 			var phases []BreakdownPhase
 			var sum sim.Time
 			for _, name := range phaseOrder {
-				c := byCat[name]
-				sum += c
-				phases = append(phases, BreakdownPhase{name, c})
+				cyc := byCat[name]
+				sum += cyc
+				phases = append(phases, BreakdownPhase{name, cyc})
 			}
 			// Residual by construction: the row always sums to the window.
-			phases = append(phases, BreakdownPhase{"wait/other", total - sum})
+			phases = append(phases, BreakdownPhase{"wait/other", end - start - sum})
 			return BreakdownRow{
-				Label: s.label, PaperUs: s.paper, MeasuredUs: meas,
-				Iters: iters, Total: total, Phases: phases, Plane: o.plane,
+				Label: r.label, PaperUs: r.paper, MeasuredUs: meas,
+				Iters: iters, Total: end - start, Phases: phases, Plane: w.tb.Obs,
 			}
-		})
+		}}
 	}
 	return cells
 }
 
 func mergeBreakdown(iters int, vs []any) *Breakdown {
-	b := &Breakdown{Iters: iters}
-	for _, v := range vs {
-		b.Rows = append(b.Rows, v.(BreakdownRow))
-	}
-	return b
-}
-
-// RunBreakdown traces the latency workloads of Tables I, V and VI.
-func RunBreakdown(cfg *Config, iters int) *Breakdown {
-	return mergeBreakdown(iters, cellResults(cfg, breakdownCells(iters)))
+	return &Breakdown{Iters: iters, Rows: as[BreakdownRow](vs)}
 }
 
 // Render produces the per-phase cost tables.

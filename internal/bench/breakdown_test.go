@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 // (tracing charges no simulated cycles).
 func TestBreakdownPhasesSumToWindow(t *testing.T) {
 	const iters = 4
-	b := RunBreakdown(nil, iters)
+	b := mergeBreakdown(iters, cellResults(nil, breakdownCells(iters)))
 	if len(b.Rows) == 0 {
 		t.Fatal("no rows")
 	}
@@ -33,9 +34,24 @@ func TestBreakdownPhasesSumToWindow(t *testing.T) {
 			t.Errorf("%s: no trace events recorded", r.Label)
 		}
 	}
-	// Traced == untraced for a representative row.
-	if got, want := b.Rows[0].MeasuredUs, table1Cells(iters)[0].Run(nil).(float64); got != want {
-		t.Errorf("traced in-kernel RT %v != untraced %v", got, want)
+	// Traced == untraced on every row: each measures what the table cell
+	// it traces measures, run without a plane.
+	untraced := map[string]float64{}
+	tables := slices.Concat(table1Cells(iters), table5Cells(iters), table6Cells(Table6Params{LatIters: iters}))
+	for i, v := range cellResults(nil, tables) {
+		untraced[tables[i].Label] = v.(float64)
+	}
+	if len(b.Rows) != len(breakdownRows) {
+		t.Fatalf("%d rows, want %d", len(b.Rows), len(breakdownRows))
+	}
+	for i, r := range breakdownRows {
+		want, ok := untraced[r.cell]
+		if !ok {
+			t.Fatalf("%s: no table cell %q", r.label, r.cell)
+		}
+		if got := b.Rows[i].MeasuredUs; b.Rows[i].Label != r.label || got != want {
+			t.Errorf("row %d %q: traced %v us/RT, untraced %s %v", i, b.Rows[i].Label, got, r.cell, want)
+		}
 	}
 }
 
@@ -43,8 +59,8 @@ func TestBreakdownPhasesSumToWindow(t *testing.T) {
 // trace JSON — the determinism contract the CI gate enforces.
 func TestBreakdownTraceByteIdentical(t *testing.T) {
 	const iters = 3
-	a := obs.WriteTrace(RunBreakdown(nil, iters).Planes()...)
-	b := obs.WriteTrace(RunBreakdown(nil, iters).Planes()...)
+	a := obs.WriteTrace(mergeBreakdown(iters, cellResults(nil, breakdownCells(iters))).Planes()...)
+	b := obs.WriteTrace(mergeBreakdown(iters, cellResults(nil, breakdownCells(iters))).Planes()...)
 	if !bytes.Equal(a, b) {
 		t.Fatal("breakdown traces differ between identical runs")
 	}
@@ -55,7 +71,7 @@ func TestBreakdownTraceByteIdentical(t *testing.T) {
 
 // Render must include every phase row and the exact-total line.
 func TestBreakdownRender(t *testing.T) {
-	b := RunBreakdown(nil, 2)
+	b := mergeBreakdown(2, cellResults(nil, breakdownCells(2)))
 	out := b.Render()
 	for _, want := range append(phaseOrder, "wait/other", "total", "paper") {
 		if !strings.Contains(out, want) {

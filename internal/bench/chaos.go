@@ -90,12 +90,7 @@ func chaosCells(p ChaosParams) []Cell {
 
 // RunChaos executes the full matrix.
 func RunChaos(cfg *Config, p ChaosParams) []ChaosResult {
-	vs := cellResults(cfg, chaosCells(p))
-	out := make([]ChaosResult, len(vs))
-	for i, v := range vs {
-		out[i] = v.(ChaosResult)
-	}
-	return out
+	return as[ChaosResult](cellResults(cfg, chaosCells(p)))
 }
 
 // chaosPattern is the deterministic payload byte at offset i.

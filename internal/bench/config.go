@@ -2,8 +2,9 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 
-	"ashs/internal/bench/runner"
 	"ashs/internal/obs"
 	"ashs/internal/sim"
 )
@@ -14,7 +15,7 @@ import (
 // everywhere and means: full workloads, no observability, default
 // parallelism. (Fault planes belong to a cell's world: worldSpec.fault.)
 //
-// Configs are cheap values; the runner gives every concurrently executing
+// Configs are cheap values; runCells gives every concurrently executing
 // cell its own copy, so nothing here needs locking.
 type Config struct {
 	// Quick selects reduced workload sizes (faster, slightly noisier
@@ -109,12 +110,13 @@ func (cfg *Config) cellConfig() *Config {
 	return cc
 }
 
-// parallelism reports the worker count this config selects.
+// parallelism reports the worker count this config selects: Parallel, or
+// one worker per available CPU when that is below 1 or the config is nil.
 func (cfg *Config) parallelism() int {
-	if cfg == nil {
-		return runner.DefaultParallelism()
+	if cfg == nil || cfg.Parallel < 1 {
+		return runtime.GOMAXPROCS(0)
 	}
-	return runner.Normalize(cfg.Parallel)
+	return cfg.Parallel
 }
 
 // quick reports the workload-size selection, nil-safe.
@@ -143,20 +145,63 @@ func (c Cell) Run(cfg *Config) any {
 	return inWorld(cfg, *c.spec, func(w *world) any { return c.measure(cfg, w) })
 }
 
-// runCells executes cells under cfg's parallelism, each under its own
-// config copy, and returns their results and those copies, with the notes
-// and engine counts each cell left there, in cell-index order. The planes
-// each cell attached are folded back into cfg in the same deterministic
-// order, so a traced parallel run exports exactly the planes (and
-// ordering) of a serial one.
+// runCells executes cells on at most cfg's parallelism workers, each cell
+// under its own config copy, and returns their results and those copies,
+// with the notes and engine counts each cell left there, in cell-index
+// order. The planes each cell attached are folded back into cfg in the
+// same deterministic order, so a traced parallel run exports exactly the
+// planes (and ordering) of a serial one.
+//
+// A panicking cell is re-raised with its label. With one worker the cells
+// run inline in index order, the serial reference, and the first panic is
+// re-raised where it happened, so its stack still prints. The pool attempts
+// every cell and then re-raises the lowest-indexed panic: the same cell and
+// message as the serial run, whatever the completion order.
 func runCells(cfg *Config, cells []Cell) (results []any, ccs []*Config) {
-	wrapped := make([]runner.Cell, len(cells))
+	results = make([]any, len(cells))
 	ccs = make([]*Config, len(cells))
-	for i, c := range cells {
+	for i := range cells {
 		ccs[i] = cfg.cellConfig()
-		wrapped[i] = runner.Cell{Label: c.Label, Run: func() any { return c.Run(ccs[i]) }}
 	}
-	results = runner.Run(cfg.parallelism(), wrapped)
+	run := func(i int) {
+		defer func() {
+			if p := recover(); p != nil {
+				panic(fmt.Sprintf("bench: cell %q panicked: %v", cells[i].Label, p))
+			}
+		}()
+		results[i] = cells[i].Run(ccs[i])
+	}
+	if workers := min(cfg.parallelism(), len(cells)); workers <= 1 {
+		for i := range cells {
+			run(i)
+		}
+	} else {
+		panics := make([]any, len(cells))
+		next := make(chan int)
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for range workers {
+			go func() {
+				defer wg.Done()
+				for i := range next {
+					func() {
+						defer func() { panics[i] = recover() }()
+						run(i)
+					}()
+				}
+			}()
+		}
+		for i := range cells {
+			next <- i
+		}
+		close(next)
+		wg.Wait()
+		for _, p := range panics {
+			if p != nil {
+				panic(p)
+			}
+		}
+	}
 	if cfg != nil {
 		for _, cc := range ccs {
 			cfg.planes = append(cfg.planes, cc.planes...)
@@ -170,6 +215,15 @@ func runCells(cfg *Config, cells []Cell) (results []any, ccs []*Config) {
 func cellResults(cfg *Config, cells []Cell) []any {
 	results, _ := runCells(cfg, cells)
 	return results
+}
+
+// as converts cell results that all hold a T to a []T.
+func as[T any](vs []any) []T {
+	out := make([]T, len(vs))
+	for i, v := range vs {
+		out[i] = v.(T)
+	}
+	return out
 }
 
 // Planes returns the observability planes cfg's testbeds attached so far,

@@ -28,7 +28,8 @@ const PaperFig3Max = 16.11
 // Fig3Sizes are the packet sizes swept.
 var Fig3Sizes = []int{16, 32, 64, 128, 256, 512, 1024, 2048, 4096}
 
-// fig3Cells enumerates one cell per packet size.
+// fig3Cells enumerates one cell per packet size: a large train of packets
+// of that size sent from user level, throughput measured at the receiver.
 func fig3Cells(pktsPerSize int) []Cell {
 	cells := make([]Cell, len(Fig3Sizes))
 	for i, size := range Fig3Sizes {
@@ -45,12 +46,6 @@ func mergeFig3(vs []any) Fig3 {
 		out.Points = append(out.Points, Fig3Point{size, vs[i].(float64)})
 	}
 	return out
-}
-
-// RunFig3 regenerates Fig. 3: a large train of packets of each size sent
-// from user level, throughput measured at the receiver.
-func RunFig3(cfg *Config, pktsPerSize int) Fig3 {
-	return mergeFig3(cellResults(cfg, fig3Cells(pktsPerSize)))
 }
 
 func fig3Throughput(tb *Testbed, size, count int) float64 {

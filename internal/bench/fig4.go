@@ -49,11 +49,6 @@ func mergeFig4(maxProcs int, vs []any) Fig4 {
 	return out
 }
 
-// RunFig4 regenerates Fig. 4 for process counts 1..maxProcs.
-func RunFig4(cfg *Config, maxProcs, iters int) Fig4 {
-	return mergeFig4(maxProcs, cellResults(cfg, fig4Cells(maxProcs, iters)))
-}
-
 // fig4RT measures the remote-increment RT with n processes active on the
 // server: the receiving application plus n-1 compute-bound competitors.
 func fig4RT(tb *Testbed, n int, system string, iters int) float64 {

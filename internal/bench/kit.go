@@ -54,11 +54,8 @@ func pairTCP(tb *Testbed, cfgFor func(host int) tcp.Config) (accept, connect fun
 	return accept, connect
 }
 
-// tcpPingPong measures a 4-byte application-level ping-pong. A non-nil o
-// attaches an observability plane and records the measurement window for
-// Breakdown.
-func tcpPingPong(tb *Testbed, iters int, o *obsRun, cfgFor func(host int) tcp.Config) float64 {
-	o.attach(tb)
+// tcpPingPong measures a 4-byte application-level ping-pong.
+func tcpPingPong(tb *Testbed, iters int, cfgFor func(host int) tcp.Config) float64 {
 	accept, connect := pairTCP(tb, cfgFor)
 	tb.K2.Spawn("server", func(p *aegis.Process) {
 		conn := accept(p)
@@ -94,7 +91,7 @@ func tcpPingPong(tb *Testbed, iters int, o *obsRun, cfgFor func(host int) tcp.Co
 		_ = conn.Close()
 	})
 	tb.runUntil(func() bool { return done }, 60_000_000_000, 100_000)
-	o.window(start, start+total)
+	tb.window = [2]sim.Time{start, start + total}
 	return tb.Us(total) / float64(iters)
 }
 
@@ -141,8 +138,7 @@ func tcpStream(tb *Testbed, totalBytes, writeSize int, cfgFor func(host int) tcp
 // rawPingPong measures Table I's user-level rows: a 4-byte message
 // ping-ponged between polling processes that use the full system call
 // interface over raw link endpoints, on the AN2 or the Ethernet.
-func rawPingPong(tb *Testbed, iters int, o *obsRun) float64 {
-	o.attach(tb)
+func rawPingPong(tb *Testbed, iters int) float64 {
 	// The AN2 demultiplexes on the circuit, the Ethernet with a DPF filter on
 	// the first payload byte: a message carries its receiver's tag.
 	const echoTag, clientTag = 0xAA, 0xBB
@@ -186,7 +182,7 @@ func rawPingPong(tb *Testbed, iters int, o *obsRun) float64 {
 		total = p.K.Now() - start
 	})
 	tb.run()
-	o.window(start, start+total)
+	tb.window = [2]sim.Time{start, start + total}
 	return tb.Us(total) / float64(iters)
 }
 

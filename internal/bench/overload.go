@@ -459,16 +459,6 @@ func overloadCells(cfg *Config) []Cell {
 	return cells
 }
 
-// RunOverload executes the full matrix.
-func RunOverload(cfg *Config) []OverloadResult {
-	vs := cellResults(cfg, overloadCells(cfg))
-	out := make([]OverloadResult, len(vs))
-	for i, v := range vs {
-		out[i] = v.(OverloadResult)
-	}
-	return out
-}
-
 // RenderOverload formats the matrix: offered vs completed load, latency
 // from scheduled arrival, and where the excess went (shed, throttled,
 // lazily served, rejected).

@@ -22,7 +22,7 @@ func overloadPick(t *testing.T, rs []OverloadResult, trace, sched string) Overlo
 // bounded tail — it degrades, it does not collapse.
 func TestOverloadGracefulDegradation(t *testing.T) {
 	cfg := &Config{Quick: true}
-	rs := RunOverload(cfg)
+	rs := as[OverloadResult](cellResults(cfg, overloadCells(cfg)))
 	if len(rs) < 12 {
 		t.Fatalf("matrix has %d cells, want >= 12", len(rs))
 	}
@@ -86,7 +86,7 @@ func TestOverloadGracefulDegradation(t *testing.T) {
 func TestOverloadParallelByteIdentical(t *testing.T) {
 	render := func(par int) string {
 		cfg := &Config{Quick: true, Parallel: par}
-		return RenderOverload(RunOverload(cfg))
+		return RenderOverload(as[OverloadResult](cellResults(cfg, overloadCells(cfg))))
 	}
 	serial := render(1)
 	for _, par := range []int{4, 8} {

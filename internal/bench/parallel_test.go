@@ -2,7 +2,10 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"ashs/internal/fault"
@@ -128,5 +131,106 @@ func TestReoptParallelByteIdentical(t *testing.T) {
 	if !bytes.Equal(serialTrace, parTrace) {
 		t.Errorf("reopt trace JSON differs between serial (%d bytes) and parallel (%d bytes)",
 			len(serialTrace), len(parTrace))
+	}
+}
+
+// indexCells returns n world-less cells whose result is their own index,
+// with a bit of busywork so parallel workers genuinely interleave.
+func indexCells(n int) []Cell {
+	cells := make([]Cell, n)
+	for i := range cells {
+		cells[i] = Cell{Label: fmt.Sprintf("cell%d", i), measure: func(*Config, *world) any {
+			s := 0
+			for k := 0; k < 1000*(n-i); k++ {
+				s += k
+			}
+			_ = s
+			return i
+		}}
+	}
+	return cells
+}
+
+func TestRunCellsMergesInIndexOrder(t *testing.T) {
+	for _, parallel := range []int{1, 2, 4, 8, 33} {
+		results := cellResults(&Config{Parallel: parallel}, indexCells(32))
+		if len(results) != 32 {
+			t.Fatalf("parallel=%d: got %d results", parallel, len(results))
+		}
+		for i, v := range results {
+			if v.(int) != i {
+				t.Fatalf("parallel=%d: results[%d] = %v", parallel, i, v)
+			}
+		}
+	}
+}
+
+func TestParallelism(t *testing.T) {
+	def := runtime.GOMAXPROCS(0)
+	for _, cfg := range []*Config{nil, {}, {Parallel: -1}, {Parallel: -100}} {
+		if got := cfg.parallelism(); got != def {
+			t.Fatalf("%+v.parallelism() = %d, want one worker per CPU (%d)", cfg, got, def)
+		}
+	}
+	if got := (&Config{Parallel: 7}).parallelism(); got != 7 {
+		t.Fatalf("Parallel 7 gives %d workers", got)
+	}
+}
+
+// panicCells is indexCells with cells 3, 7 and 11 panicking after their
+// work, recording in ran which cells were attempted.
+func panicCells(ran []bool) []Cell {
+	cells := indexCells(len(ran))
+	for i := range cells {
+		inner := cells[i].measure
+		cells[i].measure = func(cfg *Config, w *world) any {
+			ran[i] = true
+			v := inner(cfg, w)
+			if i == 3 || i == 7 || i == 11 {
+				panic(fmt.Sprintf("boom %d", i))
+			}
+			return v
+		}
+	}
+	return cells
+}
+
+// runPanic runs cells at parallel workers and returns what runCells
+// panicked with.
+func runPanic(t *testing.T, parallel int, cells []Cell) string {
+	t.Helper()
+	var p any
+	func() {
+		defer func() { p = recover() }()
+		cellResults(&Config{Parallel: parallel}, cells)
+	}()
+	if p == nil {
+		t.Fatalf("parallel=%d: no panic propagated", parallel)
+	}
+	return fmt.Sprint(p)
+}
+
+func TestRunCellsReportsLowestIndexedPanic(t *testing.T) {
+	ran := make([]bool, 16)
+	msg := runPanic(t, 4, panicCells(ran))
+	if !strings.Contains(msg, `"cell3"`) || !strings.Contains(msg, "boom 3") {
+		t.Fatalf("panic message %q does not report the lowest-indexed failing cell", msg)
+	}
+	for i, ok := range ran {
+		if !ok {
+			t.Fatalf("cell %d was never attempted", i)
+		}
+	}
+}
+
+// The serial path names the panicking cell too, with the pool's message.
+func TestRunCellsSerialPanicNamesCell(t *testing.T) {
+	msg := runPanic(t, 1, []Cell{{Label: "bad", measure: func(*Config, *world) any { panic("x") }}})
+	if !strings.Contains(msg, `"bad"`) || !strings.Contains(msg, "x") {
+		t.Fatalf("serial panic %q does not name the cell", msg)
+	}
+	serial := runPanic(t, 1, panicCells(make([]bool, 16)))
+	if pool := runPanic(t, 4, panicCells(make([]bool, 16))); serial != pool {
+		t.Fatalf("serial panic %q, pool panic %q", serial, pool)
 	}
 }

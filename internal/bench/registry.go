@@ -130,11 +130,7 @@ var experiments = []*Experiment{
 			return chaosCells(chaosParams(cfg))
 		},
 		Render: func(cfg *Config, vs []any) string {
-			results := make([]ChaosResult, len(vs))
-			for i, v := range vs {
-				results[i] = v.(ChaosResult)
-			}
-			return RenderChaos(results)
+			return RenderChaos(as[ChaosResult](vs))
 		},
 	},
 	{
@@ -158,11 +154,7 @@ var experiments = []*Experiment{
 		Help:  "overload control: adversarial traces vs graceful degradation",
 		Cells: overloadCells,
 		Render: func(cfg *Config, vs []any) string {
-			results := make([]OverloadResult, len(vs))
-			for i, v := range vs {
-				results[i] = v.(OverloadResult)
-			}
-			return RenderOverload(results)
+			return RenderOverload(as[OverloadResult](vs))
 		},
 	},
 	{

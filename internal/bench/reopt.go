@@ -79,11 +79,6 @@ func mergeReopt(vs []any) ReoptResult {
 	}
 }
 
-// RunReopt regenerates the DCG-loop before/after measurements.
-func RunReopt(cfg *Config) ReoptResult {
-	return mergeReopt(cellResults(cfg, reoptCells()))
-}
-
 // runReoptHandler drives one showcase handler through the full loop on a
 // live testbed: profile-downloaded, warmed, re-optimized in place, then
 // measured on the identical message. sparse selects the multi-block

@@ -8,7 +8,7 @@ import "testing"
 // sequential dispatch, the reordered trie beats insertion order, and the
 // safety sweep reports zero divergences.
 func TestReoptImprovesHandlers(t *testing.T) {
-	r := RunReopt(&Config{Quick: true})
+	r := mergeReopt(cellResults(&Config{Quick: true}, reoptCells()))
 
 	improved := 0
 	for _, run := range []ReoptRun{r.Shard, r.Sparse} {

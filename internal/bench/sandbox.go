@@ -198,11 +198,6 @@ type DPFResult struct {
 	Linear  []float64
 }
 
-// RunDPF regenerates the comparison.
-func RunDPF(cfg *Config) DPFResult {
-	return cellResults(cfg, dpfCells())[0].(DPFResult)
-}
-
 // dpfCells wraps the demux comparison as one cell: the engine runs are
 // microseconds of pure table walking, not worth sharding. Its world serves
 // only for the profile, but the config's Obs hook fires on every testbed a

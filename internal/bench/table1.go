@@ -19,9 +19,9 @@ var PaperTable1 = Table1{InKernelAN2: 112, UserAN2: 182, Ethernet: 309}
 // table1Cells enumerates Table I's three independent measurements.
 func table1Cells(iters int) []Cell {
 	return []Cell{
-		pairCell("table1/in-kernel", an2Pair, func(tb *Testbed) any { return inKernelAN2RT(tb, iters, nil) }),
-		pairCell("table1/user-level", an2Pair, func(tb *Testbed) any { return rawPingPong(tb, iters, nil) }),
-		pairCell("table1/ethernet", ethPair, func(tb *Testbed) any { return rawPingPong(tb, iters, nil) }),
+		pairCell("table1/in-kernel", an2Pair, func(tb *Testbed) any { return inKernelAN2RT(tb, iters) }),
+		pairCell("table1/user-level", an2Pair, func(tb *Testbed) any { return rawPingPong(tb, iters) }),
+		pairCell("table1/ethernet", ethPair, func(tb *Testbed) any { return rawPingPong(tb, iters) }),
 	}
 }
 
@@ -39,10 +39,8 @@ func RunTable1(cfg *Config, iters int) Table1 {
 }
 
 // inKernelAN2RT measures the best in-kernel ping-pong: polled driver
-// endpoints replying directly from the kernel. A non-nil o attaches an
-// observability plane and records the measurement window for Breakdown.
-func inKernelAN2RT(tb *Testbed, iters int, o *obsRun) float64 {
-	o.attach(tb)
+// endpoints replying directly from the kernel.
+func inKernelAN2RT(tb *Testbed, iters int) float64 {
 	const vc = 5
 	sb, err := tb.A2.BindVC(nil, vc, 8, 4096)
 	if err != nil {
@@ -67,7 +65,7 @@ func inKernelAN2RT(tb *Testbed, iters int, o *obsRun) float64 {
 	})
 	tb.A1.KernelSend(tb.A2.Addr(), vc, []byte{1, 2, 3, 4})
 	tb.run()
-	o.window(0, done)
+	tb.window = [2]sim.Time{0, done}
 	return tb.Us(done) / float64(iters)
 }
 

@@ -102,7 +102,7 @@ func table2Cells(p Table2Params) []Cell {
 				return udpThroughput(tb, label, opts, udpMSS, p.UDPTrains)
 			}),
 			cell("tcp-lat", func(tb *Testbed, _ string) float64 {
-				return tcpPingPong(tb, p.LatIters, nil, tcpCfg(tb))
+				return tcpPingPong(tb, p.LatIters, tcpCfg(tb))
 			}),
 			cell("tcp-tput", func(tb *Testbed, _ string) float64 {
 				return tcpStream(tb, tcpBytes, 8192, tcpCfg(tb))
@@ -124,11 +124,6 @@ func mergeTable2(vs []any) Table2 {
 		})
 	}
 	return t
-}
-
-// RunTable2 regenerates Table II.
-func RunTable2(cfg *Config, p Table2Params) Table2 {
-	return mergeTable2(cellResults(cfg, table2Cells(p)))
 }
 
 // udpLatency measures a 4-byte UDP ping-pong between sockets on ports 53

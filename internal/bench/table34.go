@@ -51,11 +51,6 @@ func table3Cells() []Cell {
 	return []Cell{{Label: "table3", measure: func(*Config, *world) any { return runTable3() }}}
 }
 
-// RunTable3 regenerates Table III.
-func RunTable3(cfg *Config) Table3 {
-	return cellResults(cfg, table3Cells())[0].(Table3)
-}
-
 // runTable3 performs the measurements. Each case starts with the message
 // uncached ("we assume that the message and its application-space
 // destination are not cached when the message arrives, and so perform
@@ -123,7 +118,10 @@ var PaperTable4 = Table4{
 }
 
 // table4Cells enumerates one cell per (strategy, operation mix): each is an
-// independent micro-machine run.
+// independent micro-machine run of the real pipe machinery. The separate
+// strategy runs one full traversal per operation, "C integrated" is a
+// hand-written fused loop, and DILP is the dynamically compiled engine of
+// Figs. 1 and 2.
 func table4Cells() []Cell {
 	var cells []Cell
 	for _, withBswap := range []bool{false, true} {
@@ -150,14 +148,6 @@ func mergeTable4(vs []any) Table4 {
 		out.DILP[i] = vs[4*i+3].(float64)
 	}
 	return out
-}
-
-// RunTable4 regenerates Table IV using the real pipe machinery: the
-// separate strategy runs one full traversal per operation, "C integrated"
-// is a hand-written fused loop, and DILP is the dynamically compiled
-// engine of Figs. 1 and 2.
-func RunTable4(cfg *Config) Table4 {
-	return mergeTable4(cellResults(cfg, table4Cells()))
 }
 
 func table4Pipes(withBswap bool) (*pipe.List, *pipe.Pipe, vcode.Reg) {

@@ -3,6 +3,7 @@ package bench
 import (
 	"ashs/internal/aegis"
 	"ashs/internal/core"
+	"ashs/internal/sim"
 )
 
 // Mechanism is a message-handling placement compared in Table V.
@@ -41,10 +42,10 @@ func table5Cells(iters int) []Cell {
 	for m := MechUnsafeASH; m <= MechOptASH; m++ {
 		cells = append(cells,
 			pairCell("table5/"+mechNames[m]+"/polling", an2Pair, func(tb *Testbed) any {
-				return remoteIncrementRT(tb, m, false, iters, nil)
+				return remoteIncrementRT(tb, m, false, iters)
 			}),
 			pairCell("table5/"+mechNames[m]+"/suspended", an2Pair, func(tb *Testbed) any {
-				return remoteIncrementRT(tb, m, true, iters, nil)
+				return remoteIncrementRT(tb, m, true, iters)
 			}),
 		)
 	}
@@ -68,9 +69,7 @@ func RunTable5(cfg *Config, iters int) Table5 {
 // remoteIncrementRT measures the round trip of a remote-increment active
 // message. The client is a user-level polling process; the server-side
 // handling mechanism and scheduling state vary.
-func remoteIncrementRT(tb *Testbed, mech Mechanism, suspended bool, iters int, o *obsRun) float64 {
-	o.attach(tb)
-
+func remoteIncrementRT(tb *Testbed, mech Mechanism, suspended bool, iters int) float64 {
 	if suspended {
 		// "Suspended (interrupts)": the serving application is not
 		// polling; wakeups go through the interrupt/reschedule path.
@@ -85,7 +84,7 @@ func remoteIncrementRT(tb *Testbed, mech Mechanism, suspended bool, iters int, o
 	}
 	r := incrementClient(tb, iters, 50_000)
 	tb.runUntil(func() bool { return r.done }, 5_000_000_000, 100_000)
-	o.window(r.start, r.start+r.total)
+	tb.window = [2]sim.Time{r.start, r.start + r.total}
 	return tb.Us(r.total) / float64(iters)
 }
 

@@ -62,7 +62,7 @@ func table6Cells(p Table6Params) []Cell {
 		label := "table6/" + Table6Labels[i]
 		cells = append(cells,
 			pairCell(label+"/latency", an2Pair, func(tb *Testbed) any {
-				return table6Latency(tb, m, p.LatIters, nil)
+				return table6Latency(tb, m, p.LatIters)
 			}),
 			pairCell(label+"/tput", an2Pair, func(tb *Testbed) any {
 				return table6Tput(tb, m, p.TCPBytes, 3072, 8192)
@@ -114,9 +114,9 @@ func (m table6Mode) cfgFor(tb *Testbed, mss int) func(host int) tcp.Config {
 	}
 }
 
-func table6Latency(tb *Testbed, m table6Mode, iters int, o *obsRun) float64 {
+func table6Latency(tb *Testbed, m table6Mode, iters int) float64 {
 	m.compete(tb)
-	return tcpPingPong(tb, iters, o, m.cfgFor(tb, 3072))
+	return tcpPingPong(tb, iters, m.cfgFor(tb, 3072))
 }
 
 func table6Tput(tb *Testbed, m table6Mode, totalBytes, mss, writeSize int) float64 {

@@ -124,6 +124,9 @@ type world struct {
 	// cfg is the config the world was built with; close adds the engine's
 	// counts to it.
 	cfg *Config
+	// window is the [start, end) cycle window a latency driver measured,
+	// for the breakdown to attribute to phases.
+	window [2]sim.Time
 }
 
 // build makes the world s describes. Nothing else in the package makes a
@@ -180,15 +183,11 @@ func build(cfg *Config, s worldSpec) *world {
 	}
 	if f := s.fault; f != nil {
 		w.fault = fault.New(f.seed, f.sched)
-		w.fault.AttachWire(w.sw)
 		covered := w.hosts
 		if f.serverOnly {
 			covered = covered[:1]
 		}
-		for _, h := range covered {
-			w.fault.AttachDevice(h.nic)
-			w.fault.AttachSystem(h.sys)
-		}
+		w.attachFault(w.fault, covered)
 	}
 	for _, h := range w.hosts {
 		h.sys.AbortTripThreshold = s.tripThreshold
@@ -197,6 +196,17 @@ func build(cfg *Config, s worldSpec) *world {
 		w.srv().sys.Quota = sandbox.NewQuotaLedger(prof.Cycles(q.windowUs), q.budget)
 	}
 	return w
+}
+
+// attachFault hooks pl into the wire, then into the device and system of
+// each of hosts in order: the injection points of a world whose spec has a
+// fault plane (build), or of a whole pair (Testbed.AttachFault).
+func (w *world) attachFault(pl *fault.Plane, hosts []*host) {
+	pl.AttachWire(w.sw)
+	for _, h := range hosts {
+		pl.AttachDevice(h.nic)
+		pl.AttachSystem(h.sys)
+	}
 }
 
 // inWorld builds the world s describes, measures it with fn and closes it:
@@ -390,13 +400,7 @@ func (tb *Testbed) AttachObs(pl *obs.Plane) {
 // AttachFault hooks a fault plane into every injection point of the
 // testbed: the wire, both network interfaces, and both ASH systems — the
 // points build hooks for a pair whose spec has a fault plane.
-func (tb *Testbed) AttachFault(pl *fault.Plane) {
-	pl.AttachWire(tb.Sw)
-	for _, h := range tb.hosts {
-		pl.AttachDevice(h.nic)
-		pl.AttachSystem(h.sys)
-	}
-}
+func (tb *Testbed) AttachFault(pl *fault.Plane) { tb.attachFault(pl, tb.hosts) }
 
 // Close is close for the public facade, whose worlds are testbeds.
 func (tb *Testbed) Close() { tb.close() }
