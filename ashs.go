@@ -359,9 +359,10 @@ func (w *World) StartARP(host int) (*arp.Service, error) {
 }
 
 // IPStackEthernet builds a user-level IP stack over the Ethernet for a
-// given transport protocol and local port, demultiplexed by a DPF filter.
-// It panics, naming the host number and the world's network, on a host
-// other than 1 or 2 or on an AN2 world.
+// given transport protocol and local port, demultiplexed by a DPF filter
+// and resolving through svc, the host's ARP daemon (StartARP). It panics,
+// naming the host number and the world's network, on a host other than 1
+// or 2 or on an AN2 world, and, naming the host, on a nil svc.
 func (w *World) IPStackEthernet(p *Process, host int, proto byte, port uint16, svc *arp.Service) *ip.Stack {
 	return w.tb.EthStack(p, host, proto, port, svc)
 }

@@ -102,6 +102,9 @@ go test -race ./...
 #            panics with the owner; 3 MB more of stream or 2000 more
 #            datagrams allocate nothing; the retransmit store keeps what
 #            was sent, recycles its slabs and ends whole
+#   bench    a cell is data: every kit workload's result and every registered
+#            label as committed, and each experiment's cells, quick and full,
+#            enumerate to deeply equal values with no func in reach
 #   netdev   a buffer has one owner: recycling, double Release panics, receivers borrow and copy
 #   core     §VI-4: a tenant over its cycle quota takes the lazy path, tenants are isolated
 #   pipe     every compiled engine streams all but its first iteration
@@ -128,6 +131,7 @@ done <<'EOF'
 ./internal/core/:TestReopt|TestChainDisposition|^TestHandlerBaseParity$
 ./internal/bench/:^TestRunCells|^TestParallelism$|TestParallelByteIdentical|TestParallelChaosMatchesSerial|TestReoptParallelByteIdentical
 ./internal/bench/:^TestWireIdentity$
+./internal/bench/:^TestKitMatchesParent$|^TestCellLabelsStable$|^TestCellsAreValues$
 ./internal/proto/ip/:^TestGatherSendEdges$|^TestSendCapturesPayloadBeforeItBlocks$|^TestSendReentryPanicsWithOwner$
 ./internal/proto/tcp/:^TestNoAllocationPerSegment$|^TestRtxStore
 ./internal/proto/udp/:^TestSendToDoesNotAllocatePerDatagram$

@@ -163,6 +163,8 @@ func TestFaultPlaneInjectionPoints(t *testing.T) {
 // take a host number and presume a network; anything but host 1 or 2 on a
 // world that has the device asked for panics with a message naming both,
 // instead of silently meaning host 1 (or 2) or dying on a nil interface.
+// An Ethernet stack with no ARP service to resolve through is refused the
+// same way, naming the host and StartARP, not at its first send.
 func TestFacadeRejectsBadHostAndNetwork(t *testing.T) {
 	an2, eth := ashs.NewWorld(), ashs.NewWorld(ashs.WithEthernet())
 	defer an2.Close()
@@ -180,6 +182,7 @@ func TestFacadeRejectsBadHostAndNetwork(t *testing.T) {
 		{"AN2 stack on Ethernet", func(p *ashs.Process) { eth.IPStackAN2(p, 1, 7) }, []string{"AN2 stack", "host 1", "Ethernet"}},
 		{"Ethernet stack on AN2", func(p *ashs.Process) { an2.IPStackEthernet(p, 2, 17, 53, nil) }, []string{"Ethernet stack", "host 2", "AN2"}},
 		{"ARP on AN2", func(*ashs.Process) { _, _ = an2.StartARP(1) }, []string{"StartARP(1)", "AN2"}},
+		{"Ethernet stack without ARP", func(p *ashs.Process) { eth.IPStackEthernet(p, 1, 17, 53, nil) }, []string{"host 1", "StartARP"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -25,71 +25,62 @@ type AblationResult struct {
 	Us        []float64 // trusted-write handler path time per invocation
 }
 
-// ablationPolicies enumerates the compared safety strategies in render
-// order.
-func ablationPolicies() []struct {
-	label  string
-	pol    *sandbox.Policy
-	unsafe bool
-} {
-	mipsTimerOpt := sandbox.DefaultPolicy()
-	mipsTimerOpt.Optimize = true
-	mipsSoft := sandbox.DefaultPolicy()
-	mipsSoft.Budget = sandbox.BudgetSoftware
-	mipsSoftOpt := sandbox.DefaultPolicy()
-	mipsSoftOpt.Budget = sandbox.BudgetSoftware
-	mipsSoftOpt.Optimize = true
-	x86 := sandbox.DefaultPolicy()
-	x86.Hardware = sandbox.HardwareX86
-	return []struct {
-		label  string
-		pol    *sandbox.Policy
-		unsafe bool
-	}{
-		{"unsafe (no protection)", nil, true},
-		{"MIPS SFI + watchdog timer", sandbox.DefaultPolicy(), false},
-		{"MIPS SFI + watchdog timer (optimized)", mipsTimerOpt, false},
-		{"MIPS SFI + software budget", mipsSoft, false},
-		{"MIPS SFI + software budget (optimized)", mipsSoftOpt, false},
-		{"x86 segmentation", x86, false},
-	}
+// ablationStrategies are the compared safety strategies in render order.
+// The zero Policy is the system's default: MIPS SFI with the watchdog
+// timer.
+var ablationStrategies = []struct {
+	label string
+	ablationRun
+}{
+	{"unsafe (no protection)", ablationRun{unsafe: true}},
+	{"MIPS SFI + watchdog timer", ablationRun{}},
+	{"MIPS SFI + watchdog timer (optimized)", ablationRun{pol: sandbox.Policy{Optimize: true}}},
+	{"MIPS SFI + software budget", ablationRun{pol: sandbox.Policy{Budget: sandbox.BudgetSoftware}}},
+	{"MIPS SFI + software budget (optimized)", ablationRun{pol: sandbox.Policy{Budget: sandbox.BudgetSoftware, Optimize: true}}},
+	{"x86 segmentation", ablationRun{pol: sandbox.Policy{Hardware: sandbox.HardwareX86}}},
 }
 
-// ablationCell is what one policy's cell measures: both handlers under one
-// safety strategy.
+// ablationCell is what one strategy's cell measures: both handlers under
+// it.
 type ablationCell struct {
 	insns, loop int64
 	us          float64
 }
 
-// ablationCells enumerates one cell per safety strategy. A cell measures two
-// AN2 pairs, the write's then the loop's, so it carries no spec and opens
-// each in turn: the first is closed before the second is built, and
-// download-churn, which runs these cells twelve times, never holds two.
+// ablationRun measures both handlers under one safety strategy: downloads
+// under pol, or unsafe. It measures two AN2 pairs, the write's then the
+// loop's, so its cell carries no spec and opens each in turn: the first is
+// closed before the second is built, and download-churn, which runs these
+// cells twelve times, never holds two.
+type ablationRun struct {
+	pol    sandbox.Policy
+	unsafe bool
+}
+
+func (d ablationRun) drive(cfg *Config, _ *world) any {
+	opts := core.Options{Unsafe: d.unsafe, Budget: 100000}
+	run := func(h isolatedHandler, nbytes int) handlerRun {
+		return onWorld("", an2Pair, isolated{h, opts, nbytes, d.pol}).Run(cfg).(handlerRun)
+	}
+	write, loop := run(trustedWrite, 40), run(recordWrite, 0)
+	// Every world runs on this profile.
+	return ablationCell{insns: write.insns, loop: loop.insns, us: mach.DS5000_240().Us(write.cycles)}
+}
+
+// ablationCells enumerates one cell per safety strategy.
 func ablationCells() []Cell {
-	pols := ablationPolicies()
-	cells := make([]Cell, len(pols))
-	for i, pc := range pols {
-		cells[i] = Cell{Label: "ablation/" + pc.label, measure: func(cfg *Config, _ *world) any {
-			opts := core.Options{Unsafe: pc.unsafe, Budget: 100000}
-			isolated := func(h isolatedHandler, nbytes int) handlerRun {
-				return inWorld(cfg, an2Pair, func(w *world) handlerRun {
-					return runIsolated(w.tb, pc.pol, opts, h, nbytes)
-				})
-			}
-			write, loop := isolated(trustedWrite, 40), isolated(recordWrite, 0)
-			// Every world runs on this profile.
-			return ablationCell{insns: write.insns, loop: loop.insns, us: mach.DS5000_240().Us(write.cycles)}
-		}}
+	cells := make([]Cell, len(ablationStrategies))
+	for i, st := range ablationStrategies {
+		cells[i] = Cell{Label: "ablation/" + st.label, drive: st.ablationRun}
 	}
 	return cells
 }
 
 func mergeAblation(vs []any) AblationResult {
 	r := AblationResult{}
-	for i, pc := range ablationPolicies() {
+	for i, st := range ablationStrategies {
 		c := vs[i].(ablationCell)
-		r.Labels = append(r.Labels, pc.label)
+		r.Labels = append(r.Labels, st.label)
 		r.Insns = append(r.Insns, c.insns)
 		r.LoopInsns = append(r.LoopInsns, c.loop)
 		r.Us = append(r.Us, c.us)

@@ -72,29 +72,41 @@ func breakdownCells(iters int) []Cell {
 		if !ok {
 			panic(fmt.Sprintf("bench: breakdown row %q traces table cell %q, which no table enumerates", r.label, r.cell))
 		}
-		cells[i] = Cell{"breakdown/" + r.label, c.spec, func(cfg *Config, w *world) any {
-			if w.tb.Obs == nil {
-				w.tb.AttachObs(obs.New(float64(w.prof.MHz)))
-			}
-			meas := c.measure(cfg, w).(float64)
-			start, end := w.window[0], w.window[1]
-			byCat := w.tb.Obs.PhaseCycles(start, end)
-			var phases []BreakdownPhase
-			var sum sim.Time
-			for _, name := range phaseOrder {
-				cyc := byCat[name]
-				sum += cyc
-				phases = append(phases, BreakdownPhase{name, cyc})
-			}
-			// Residual by construction: the row always sums to the window.
-			phases = append(phases, BreakdownPhase{"wait/other", end - start - sum})
-			return BreakdownRow{
-				Label: r.label, PaperUs: r.paper, MeasuredUs: meas,
-				Iters: iters, Total: end - start, Phases: phases, Plane: w.tb.Obs,
-			}
-		}}
+		cells[i] = Cell{"breakdown/" + r.label, c.spec, traced{r.label, r.paper, iters, c.drive}}
 	}
 	return cells
+}
+
+// traced runs a table cell's own driver, which measured iters round trips,
+// and attributes the window it recorded to phases: a breakdown row,
+// labelled with the paper's value beside it.
+type traced struct {
+	label string
+	paper float64
+	iters int
+	table driver
+}
+
+func (d traced) drive(cfg *Config, w *world) any {
+	if w.tb.Obs == nil {
+		w.tb.AttachObs(obs.New(float64(w.prof.MHz)))
+	}
+	meas := d.table.drive(cfg, w).(float64)
+	start, end := w.window[0], w.window[1]
+	byCat := w.tb.Obs.PhaseCycles(start, end)
+	var phases []BreakdownPhase
+	var sum sim.Time
+	for _, name := range phaseOrder {
+		cyc := byCat[name]
+		sum += cyc
+		phases = append(phases, BreakdownPhase{name, cyc})
+	}
+	// Residual by construction: the row always sums to the window.
+	phases = append(phases, BreakdownPhase{"wait/other", end - start - sum})
+	return BreakdownRow{
+		Label: d.label, PaperUs: d.paper, MeasuredUs: meas,
+		Iters: d.iters, Total: end - start, Phases: phases, Plane: w.tb.Obs,
+	}
 }
 
 func mergeBreakdown(iters int, vs []any) *Breakdown {

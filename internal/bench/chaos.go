@@ -81,8 +81,8 @@ func chaosCells(p ChaosParams) []Cell {
 	for _, sched := range p.Schedules {
 		for _, seed := range p.Seeds {
 			s := worldSpec{fault: &faultSpec{seed: seed, sched: sched}, tripThreshold: 64}
-			cells = append(cells, pairCell(fmt.Sprintf("chaos/%s/seed%d", sched.Name, seed), s,
-				func(tb *Testbed) any { return runChaosOne(tb, p) }))
+			cells = append(cells, onWorld(fmt.Sprintf("chaos/%s/seed%d", sched.Name, seed), s,
+				chaosSoak{p.TCPBytes, p.NFSBytes}))
 		}
 	}
 	return cells
@@ -127,36 +127,31 @@ func chaosFill(data []byte, off int) { copy(data, chaosWindow(off, len(data))) }
 // chaosCheck reports whether data is the pattern at offsets off...
 func chaosCheck(data []byte, off int) bool { return bytes.Equal(data, chaosWindow(off, len(data))) }
 
-// runChaosOne runs one (schedule, seed) cell on its faulted pair: a TCP
-// bulk transfer on VC 7 (ASH fast path on both ends), and an NFS session on
-// VC 5 — both must finish with byte-verified payloads despite the schedule.
-func runChaosOne(tb *Testbed, p ChaosParams) ChaosResult {
-	pl := tb.fault
-	res := ChaosResult{Schedule: pl.Sched.Name, Seed: pl.Seed}
+// chaosSoak runs one (schedule, seed) cell on its faulted pair: a TCP bulk
+// transfer of tcpBytes on VC 7 (ASH fast path on both ends), and an NFS
+// session over a file of nfsBytes on VC 5 — both must finish with
+// byte-verified payloads despite the schedule.
+type chaosSoak struct{ tcpBytes, nfsBytes int }
 
-	tcpCfg := func(host int) tcp.Config {
-		c := tcp.DefaultConfig()
-		c.Mode = tcp.ModeASH
-		c.Checksum = true
-		c.Polling = true
-		c.MaxRetransmit = 16
-		c.Sys = tb.hosts[host-1].sys
-		return c
-	}
+func (d chaosSoak) drive(_ *Config, w *world) any {
+	tb, pl := w.tb, w.fault
+	res := ChaosResult{Schedule: pl.Sched.Name, Seed: pl.Seed}
+	tcpCfg := tcp.DefaultConfig()
+	tcpCfg.Mode, tcpCfg.MaxRetransmit = tcp.ModeASH, 16
 
 	const chunk = 8192
 	var srvConn, cliConn *tcp.Conn
 	tcpSunk, tcpDone := 0, false
 	tcpVerified := true
 	tb.K2.Spawn("tcp-server", func(proc *aegis.Process) {
-		conn, err := tcp.Accept(tb.stack(proc, 2, ip.ProtoTCP, 80), tcpCfg(2), 80)
+		conn, err := tcp.Accept(tb.stack(proc, 2, ip.ProtoTCP, 80), tb.tcpAt(tcpCfg, 2), 80)
 		if err != nil {
 			tcpDone = true
 			return
 		}
 		srvConn = conn
 		buf := proc.AS.MustAlloc(chunk+64, "rx")
-		for tcpSunk < p.TCPBytes {
+		for tcpSunk < d.tcpBytes {
 			n, err := conn.Read(buf.Base, chunk)
 			if err != nil {
 				break
@@ -171,18 +166,15 @@ func runChaosOne(tb *Testbed, p ChaosParams) ChaosResult {
 	})
 	var tcpStart, tcpEnd float64
 	tb.K1.Spawn("tcp-client", func(proc *aegis.Process) {
-		conn, err := tcp.Connect(tb.stack(proc, 1, ip.ProtoTCP, 1234), tcpCfg(1), 1234, tb.IP2, 80)
+		conn, err := tcp.Connect(tb.stack(proc, 1, ip.ProtoTCP, 1234), tb.tcpAt(tcpCfg, 1), 1234, tb.IP2, 80)
 		if err != nil {
 			return
 		}
 		cliConn = conn
 		buf := proc.AS.MustAlloc(chunk, "tx")
 		tcpStart = tb.Us(proc.K.Now())
-		for sent := 0; sent < p.TCPBytes; {
-			n := chunk
-			if p.TCPBytes-sent < n {
-				n = p.TCPBytes - sent
-			}
+		for sent := 0; sent < d.tcpBytes; {
+			n := min(chunk, d.tcpBytes-sent)
 			chaosFill(proc.AS.MustBytes(buf.Base, n), sent)
 			if err := conn.Write(buf.Base, n); err != nil {
 				return
@@ -212,11 +204,8 @@ func runChaosOne(tb *Testbed, p ChaosParams) ChaosResult {
 			return
 		}
 		const nchunk = 4096
-		for off := 0; off < p.NFSBytes; off += nchunk {
-			n := nchunk
-			if p.NFSBytes-off < n {
-				n = p.NFSBytes - off
-			}
+		for off := 0; off < d.nfsBytes; off += nchunk {
+			n := min(nchunk, d.nfsBytes-off)
 			data := make([]byte, n)
 			chaosFill(data, off)
 			if _, err := c.Write(proc, attr.Handle, uint32(off), data); err != nil {
@@ -224,11 +213,8 @@ func runChaosOne(tb *Testbed, p ChaosParams) ChaosResult {
 			}
 		}
 		ok := true
-		for off := 0; off < p.NFSBytes; off += nchunk {
-			n := nchunk
-			if p.NFSBytes-off < n {
-				n = p.NFSBytes - off
-			}
+		for off := 0; off < d.nfsBytes; off += nchunk {
+			n := min(nchunk, d.nfsBytes-off)
 			data, err := c.Read(proc, attr.Handle, uint32(off), uint32(n))
 			if err != nil || len(data) != n {
 				return
@@ -247,10 +233,10 @@ func runChaosOne(tb *Testbed, p ChaosParams) ChaosResult {
 	tb.runUntil(func() bool { return (tcpDone && nfsDone) || tb.Eng.Pending() == 0 },
 		600_000_000, 1_000_000)
 
-	res.TCPOk = tcpDone && tcpVerified && tcpSunk == p.TCPBytes
+	res.TCPOk = tcpDone && tcpVerified && tcpSunk == d.tcpBytes
 	res.NFSOk = nfsDone && nfsVerified
 	if res.TCPOk && tcpEnd > tcpStart {
-		res.TCPMBps = float64(p.TCPBytes) / (tcpEnd - tcpStart)
+		res.TCPMBps = float64(d.tcpBytes) / (tcpEnd - tcpStart)
 	}
 	res.Faults = pl.C
 	for _, h := range tb.hosts {

@@ -122,27 +122,42 @@ func (cfg *Config) parallelism() int {
 // quick reports the workload-size selection, nil-safe.
 func (cfg *Config) quick() bool { return cfg != nil && cfg.Quick }
 
+// sized is a workload size cfg selects: quick under a Quick config, full
+// otherwise.
+func sized[T any](cfg *Config, quick, full T) T {
+	if cfg.quick() {
+		return quick
+	}
+	return full
+}
+
 // Cell is one independent unit of experiment work: a label, the world it
-// runs on (nil for the cells that need none) and the measurement it takes
-// there.
+// runs on (nil for the cells that need none) and the driver that measures
+// it there. A cell is data — no field holds a func — so two enumerations of
+// an experiment give equal cells (TestCellsAreValues).
 type Cell struct {
-	Label   string
-	spec    *worldSpec
-	measure func(cfg *Config, w *world) any
+	Label string
+	spec  *worldSpec
+	drive driver
 }
 
-// pairCell is a cell whose measurement takes the Testbed view of a pair.
-func pairCell(label string, s worldSpec, m func(tb *Testbed) any) Cell {
-	return Cell{label, &s, func(_ *Config, w *world) any { return m(w.tb) }}
+// driver is a workload as a value: a comparable struct of its parameters,
+// whose drive method runs it on the cell's world (nil for a cell without
+// one) and returns the measurement.
+type driver interface {
+	drive(cfg *Config, w *world) any
 }
 
-// Run builds the cell's world, measures it and closes it. A cell without a
-// world is measured with a nil one.
+// onWorld is the cell label whose driver d runs on the world s describes.
+func onWorld(label string, s worldSpec, d driver) Cell { return Cell{label, &s, d} }
+
+// Run builds the cell's world, drives it and closes it. A cell without a
+// world is driven with a nil one.
 func (c Cell) Run(cfg *Config) any {
 	if c.spec == nil {
-		return c.measure(cfg, nil)
+		return c.drive.drive(cfg, nil)
 	}
-	return inWorld(cfg, *c.spec, func(w *world) any { return c.measure(cfg, w) })
+	return inWorld(cfg, *c.spec, func(w *world) any { return c.drive.drive(cfg, w) })
 }
 
 // runCells executes cells on at most cfg's parallelism workers, each cell

@@ -33,9 +33,7 @@ var Fig3Sizes = []int{16, 32, 64, 128, 256, 512, 1024, 2048, 4096}
 func fig3Cells(pktsPerSize int) []Cell {
 	cells := make([]Cell, len(Fig3Sizes))
 	for i, size := range Fig3Sizes {
-		cells[i] = pairCell(fmt.Sprintf("fig3/%dB", size), an2Pair, func(tb *Testbed) any {
-			return fig3Throughput(tb, size, pktsPerSize)
-		})
+		cells[i] = onWorld(fmt.Sprintf("fig3/%dB", size), an2Pair, fig3Stream{size, pktsPerSize})
 	}
 	return cells
 }
@@ -48,7 +46,12 @@ func mergeFig3(vs []any) Fig3 {
 	return out
 }
 
-func fig3Throughput(tb *Testbed, size, count int) float64 {
+// fig3Stream measures the receiver's throughput, MB/s, over count packets
+// of size bytes sent back to back from user level.
+type fig3Stream struct{ size, count int }
+
+func (d fig3Stream) drive(_ *Config, w *world) any {
+	tb, size, count := w.tb, d.size, d.count
 	const vc = 5
 	var first, last sim.Time
 	got := 0
@@ -79,7 +82,7 @@ func fig3Throughput(tb *Testbed, size, count int) float64 {
 	})
 	tb.run()
 	if got < 2 {
-		return 0
+		return 0.0
 	}
 	return tb.Prof.MBps((got-1)*size, last-first)
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"ashs/internal/aegis"
-	"ashs/internal/core"
 	"ashs/internal/mach"
 )
 
@@ -23,14 +21,29 @@ type Fig4 struct {
 	Points []Fig4Point
 }
 
-// fig4Cells enumerates one cell per (process count, system).
+// fig4Cells enumerates one cell per (process count, system): n active
+// processes on the serving host, the receiving application plus n-1
+// compute-bound competitors. The ASH is handled in the kernel; the other
+// two systems serve at user level, interrupt-driven. The Ultrix-style
+// scheduler "raises the priority of a process immediately after a network
+// interrupt", but every kernel operation costs Ultrix-class cycles (an
+// order of magnitude over Aegis: Section V's discussion of kernel crossing
+// costs). A world has one profile, shared by both kernels and the switch,
+// so the client host and the wire pay Ultrix-class costs as well.
+// Round-robin waits grow with n; the client retries and the run is bounded
+// generously.
 func fig4Cells(maxProcs, iters int) []Cell {
 	var cells []Cell
 	for n := 1; n <= maxProcs; n++ {
-		for _, system := range []string{"ash", "oblivious", "ultrix"} {
-			cells = append(cells, pairCell(fmt.Sprintf("fig4/%d-procs/%s", n, system), an2Pair,
-				func(tb *Testbed) any { return fig4RT(tb, n, system, iters) }))
-		}
+		ash := remoteIncrement{mech: MechSandboxedASH, iters: iters, competitors: n - 1, numbered: true,
+			timeoutUs: 400_000, boundUs: 60_000_000_000}
+		oblivious := ash
+		oblivious.mech = MechUserLevel
+		ultrix := oblivious
+		ultrix.boost, ultrix.ultrix = true, true
+		label := fmt.Sprintf("fig4/%d-procs/", n)
+		cells = append(cells, onWorld(label+"ash", an2Pair, ash), onWorld(label+"oblivious", an2Pair, oblivious),
+			onWorld(label+"ultrix", an2Pair, ultrix))
 	}
 	return cells
 }
@@ -47,37 +60,6 @@ func mergeFig4(maxProcs int, vs []any) Fig4 {
 		})
 	}
 	return out
-}
-
-// fig4RT measures the remote-increment RT with n processes active on the
-// server: the receiving application plus n-1 compute-bound competitors.
-func fig4RT(tb *Testbed, n int, system string, iters int) float64 {
-	if system == "ultrix" {
-		// The Ultrix-style scheduler "raises the priority of a process
-		// immediately after a network interrupt", but every kernel
-		// operation costs Ultrix-class cycles (an order of magnitude over
-		// Aegis: Section V's discussion of kernel crossing costs). A world
-		// has one profile, shared by both kernels and the switch, so the
-		// client host and the wire pay Ultrix-class costs as well.
-		tb.K2.Sched = aegis.NewPriorityBoost(tb.K2)
-		ultrixify(tb.Prof)
-	}
-
-	// Competitors: n-1 compute-bound processes on the serving host.
-	for i := 1; i < n; i++ {
-		tb.K2.Spawn(fmt.Sprintf("competitor-%d", i), func(p *aegis.Process) {
-			p.SpinForever()
-		})
-	}
-	if system == "ash" {
-		installIncrement(tb, core.Options{}, false)
-	} else {
-		incrementServer(tb, false, iters) // interrupt-driven wait
-	}
-	// Round-robin waits grow with n; retry and bound the run generously.
-	r := incrementClient(tb, iters, 400_000)
-	tb.runUntil(func() bool { return r.done }, 60_000_000_000, 100_000)
-	return tb.Us(r.total) / float64(iters)
 }
 
 // ultrixify scales the kernel-operation costs of a profile to Ultrix-class

@@ -12,12 +12,11 @@ import (
 	"testing"
 
 	"ashs/internal/aegis"
+	"ashs/internal/bench"
 	"ashs/internal/dpf"
 	"ashs/internal/mach"
 	"ashs/internal/netdev"
 	"ashs/internal/pipe"
-	"ashs/internal/proto/ip"
-	"ashs/internal/proto/link"
 	"ashs/internal/proto/tcp"
 	"ashs/internal/sandbox"
 	"ashs/internal/sim"
@@ -594,24 +593,12 @@ func packetPath(b *testing.B, an2 bool) {
 // The connection is opened and a few windows are sent before the clock
 // starts; from there a segment allocates nothing.
 func TCPSegment(b *testing.B) {
-	eng, prof := sim.NewEngine(), mach.DS5000_240()
-	sw := netdev.NewSwitch(eng, prof, netdev.AN2Config())
-	k1, k2 := aegis.NewKernel("h1", eng, prof), aegis.NewKernel("h2", eng, prof)
-	a1, a2 := aegis.NewAN2(k1, sw), aegis.NewAN2(k2, sw)
+	tb := bench.NewAN2Testbed(nil)
 	const vc, warmup = 7, 16
-	ip1, ip2 := ip.HostAddr(a1.Addr()), ip.HostAddr(a2.Addr())
-	stack := func(p *aegis.Process, a *aegis.AN2If, local ip.Addr) *ip.Stack {
-		ep, err := link.BindAN2(a, p, vc, 16, a.MaxFrame())
-		if err != nil {
-			panic(err)
-		}
-		return ip.NewStack(ep, local, ip.StaticResolver{
-			ip1: {Port: a1.Addr(), VC: vc}, ip2: {Port: a2.Addr(), VC: vc}})
-	}
 	cfg := tcp.DefaultConfig()
 	cfg.MSS = SegmentBytes
-	k2.Spawn("sink", func(p *aegis.Process) {
-		conn, err := tcp.Accept(stack(p, a2, ip2), cfg, 80)
+	tb.K2.Spawn("sink", func(p *aegis.Process) {
+		conn, err := tcp.Accept(tb.StackAN2(p, 2, vc), cfg, 80)
 		if err != nil {
 			panic(err)
 		}
@@ -626,8 +613,8 @@ func TCPSegment(b *testing.B) {
 		_ = conn.Close() // acknowledges what it read last
 	})
 	sent := 0
-	k1.Spawn("source", func(p *aegis.Process) {
-		conn, err := tcp.Connect(stack(p, a1, ip1), cfg, 1234, ip2, 80)
+	tb.K1.Spawn("source", func(p *aegis.Process) {
+		conn, err := tcp.Connect(tb.StackAN2(p, 1, vc), cfg, 1234, tb.IP2, 80)
 		if err != nil {
 			panic(err)
 		}
@@ -644,11 +631,9 @@ func TCPSegment(b *testing.B) {
 		b.StopTimer()
 		_ = conn.Close()
 	})
-	eng.Run()
+	tb.Eng.Run()
 	if sent != warmup+b.N {
 		b.Fatalf("stream stalled after %d of %d segments", sent, warmup+b.N)
 	}
-	eng.Close()
-	k1.Close()
-	k2.Close()
+	tb.Close()
 }

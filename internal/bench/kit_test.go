@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -42,7 +43,7 @@ func kitCells() []Cell {
 	cs = append(cs, chaosCells(ChaosParams{Seeds: []int64{1}, TCPBytes: 64 << 10, NFSBytes: 8 << 10,
 		Schedules: fault.Canned()[:2]})...)
 	for _, wl := range scaleWorkloads {
-		cs = append(cs, scaleCell(wl, 4, 2))
+		cs = append(cs, scaleCell(wl.name, 4, 2))
 	}
 	for i, n := range []int{512, 64, 256} { // udp-echo, tcp-pp, nfs-read: the golden's labels say so
 		cs = append(cs, megaWorkloads[i].cell(n))
@@ -106,6 +107,58 @@ func TestCellLabelsStable(t *testing.T) {
 	compareGolden(t, "testdata/cell_labels.txt", got)
 }
 
+// TestCellsAreValues: a registered cell is data. Every experiment's cells,
+// quick and full, enumerate to deeply equal values twice over, and nothing
+// reachable from a cell is a func: a closure equals nothing, not even
+// itself, and can be neither printed nor decoded.
+func TestCellsAreValues(t *testing.T) {
+	for _, quick := range []bool{true, false} {
+		for _, e := range Experiments() {
+			cells := e.Cells(&Config{Quick: quick})
+			if again := e.Cells(&Config{Quick: quick}); !reflect.DeepEqual(cells, again) {
+				t.Errorf("%s, quick=%v: two enumerations of the cells differ", e.Name, quick)
+			}
+			for _, c := range cells {
+				if path := funcIn(reflect.ValueOf(c), "Cell"); path != "" {
+					t.Errorf("%s: %s is a func", c.Label, path)
+				}
+			}
+		}
+	}
+}
+
+// funcIn is the path to the first func, channel or unsafe pointer
+// reachable from v, or "" when there is none.
+func funcIn(v reflect.Value, path string) string {
+	switch v.Kind() {
+	case reflect.Func, reflect.Chan, reflect.UnsafePointer:
+		return fmt.Sprintf("%s (%s)", path, v.Type())
+	case reflect.Pointer, reflect.Interface:
+		if !v.IsNil() {
+			return funcIn(v.Elem(), path)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if p := funcIn(v.Field(i), path+"."+v.Type().Field(i).Name); p != "" {
+				return p
+			}
+		}
+	case reflect.Slice, reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			if p := funcIn(v.Index(i), fmt.Sprintf("%s[%d]", path, i)); p != "" {
+				return p
+			}
+		}
+	case reflect.Map:
+		for it := v.MapRange(); it.Next(); {
+			if p := funcIn(it.Value(), fmt.Sprintf("%s[%v]", path, it.Key())); p != "" {
+				return p
+			}
+		}
+	}
+	return ""
+}
+
 // TestRefusedSendPanicsWithLabel: a UDP driver whose send is refused — here
 // the resolver has no route to the peer the testbed names — must end the
 // cell with its label and the error. When the error was dropped the peer
@@ -115,15 +168,15 @@ func TestRefusedSendPanicsWithLabel(t *testing.T) {
 	nowhere := ip.V4(10, 99, 0, 1)
 	cases := []struct {
 		label string
-		run   func(tb *Testbed, label string) float64
+		run   func(tb *Testbed, label string) any
 	}{
-		{"table2/test/udp-lat", func(tb *Testbed, label string) float64 {
+		{"table2/test/udp-lat", func(tb *Testbed, label string) any {
 			tb.IP2 = nowhere // the client's request
-			return udpLatency(tb, label, udp.Options{}, 3)
+			return udpPingPong{label, udp.Options{}, 3}.drive(nil, tb.world)
 		}},
-		{"table2/test/udp-tput", func(tb *Testbed, label string) float64 {
+		{"table2/test/udp-tput", func(tb *Testbed, label string) any {
 			tb.IP1 = nowhere // the server's acknowledgment of a train
-			return udpThroughput(tb, label, udp.Options{}, EthernetUDPPayload, 2)
+			return udpTrains{label, udp.Options{}, EthernetUDPPayload, 2}.drive(nil, tb.world)
 		}},
 	}
 	for _, c := range cases {

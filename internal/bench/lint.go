@@ -14,11 +14,11 @@ import (
 // sloppy demonstration handler. Handlers run on the paper's
 // per-instruction-costed fast path, so dead work and unbounded loops are
 // worth flagging at download time even when they are safe.
-func lintCells() []Cell {
-	return []Cell{{Label: "lint", measure: func(*Config, *world) any { return runLint() }}}
-}
+func lintCells() []Cell { return []Cell{{Label: "lint", drive: lintRun{}}} }
 
-func runLint() string {
+type lintRun struct{}
+
+func (lintRun) drive(*Config, *world) any {
 	var b strings.Builder
 	b.WriteString("Handler lint: static-analysis findings over downloadable handler code\n")
 	progs := []*vcode.Program{

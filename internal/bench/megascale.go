@@ -74,10 +74,14 @@ type megaWorkload struct {
 	gapUs float64
 	size  int
 
-	// world is the server-only world of an n-endpoint cell, and run the
-	// workload on it.
-	world func(n int) worldSpec
-	run   func(wl *megaWorkload, cfg *Config, w *world, n, events int) MegaResult
+	// kind is what the fleet's endpoints run, against the server's port.
+	kind flyweight.Kind
+	port uint16
+
+	// The server of an n-endpoint world (the flyweight clients are not
+	// hosts) has srvMem bytes of memory and a receive pool of rxBufs plus
+	// rxPerClient per endpoint.
+	srvMem, rxBufs, rxPerClient int
 
 	// extra are the columns only this workload has: bucket spread is a
 	// ConnTable property, sheds an admission-control one.
@@ -101,8 +105,10 @@ var megaWorkloads = []*megaWorkload{
 		retry:       retry.Policy{BaseUs: 400_000, Budget: 4},
 		gapUs:       150, // capacity ~10 echoes/ms
 		size:        megaPayload,
-		world:       func(int) worldSpec { return megaServer(fanInServerMem, megaUDPPool) },
-		run:         runMegaUDP,
+		kind:        flyweight.UDPEcho,
+		port:        scaleEchoPort,
+		srvMem:      fanInServerMem,
+		rxBufs:      megaUDPPool,
 	},
 	{
 		name:            "tcp-pp",
@@ -115,8 +121,11 @@ var megaWorkloads = []*megaWorkload{
 		retry:           retry.Policy{BaseUs: 800_000, Budget: 6},
 		gapUs:           600, // capacity ~3.6 TCP rounds/ms
 		size:            megaPayload,
-		world:           func(n int) worldSpec { return megaServer(megaTCPServerMem, 2*n+fanInServerRxSlack) },
-		run:             runMegaTCP,
+		kind:            flyweight.TCPPingPong,
+		port:            scaleTCPPort,
+		srvMem:          megaTCPServerMem,
+		rxBufs:          fanInServerRxSlack,
+		rxPerClient:     2,
 		extra: []megaColumn{
 			{"conns", "%6d", func(r MegaResult) any { return r.Conns }},
 			{"spread", "%6.2f", func(r MegaResult) any { return r.Spread }},
@@ -137,18 +146,12 @@ var megaWorkloads = []*megaWorkload{
 		retry:       retry.Policy{BaseUs: 50_000, CapUs: 800_000, Budget: 10},
 		gapUs:       2500,
 		size:        megaReadBytes,
-		world:       func(int) worldSpec { return megaServer(fanInServerMem, megaNFSPool) },
-		run:         runMegaNFS,
+		kind:        flyweight.NFSRead,
+		port:        scaleNFSPort,
+		srvMem:      fanInServerMem,
+		rxBufs:      megaNFSPool,
 		extra:       []megaColumn{{"sheds", "%6d", func(r MegaResult) any { return r.Sheds }}},
 	},
-}
-
-// ns is the workload's endpoint sweep.
-func (wl *megaWorkload) ns(cfg *Config) []int {
-	if cfg.quick() {
-		return wl.quick
-	}
-	return wl.full
 }
 
 // traceEvents sizes the steady-state trace of an n-endpoint cell.
@@ -165,16 +168,39 @@ func (wl *megaWorkload) traceEvents(cfg *Config, n int) int {
 
 // cell is the workload's n-endpoint cell.
 func (wl *megaWorkload) cell(n int) Cell {
-	s := wl.world(n)
-	return Cell{fmt.Sprintf("megascale/%s/N=%d", wl.name, n), &s, func(cfg *Config, w *world) any {
-		return wl.run(wl, cfg, w, n, wl.traceEvents(cfg, n))
-	}}
+	return onWorld(fmt.Sprintf("megascale/%s/N=%d", wl.name, n),
+		worldSpec{eth: true, fanIn: true, srvMem: wl.srvMem, srvRxBufs: wl.rxBufs + wl.rxPerClient*n},
+		megaFanIn{wl.name, n})
 }
 
-// megaServer is a world of one server with mem bytes of memory and a
-// receive pool of rxBufs; the flyweight clients are not hosts.
-func megaServer(mem, rxBufs int) worldSpec {
-	return worldSpec{eth: true, fanIn: true, srvMem: mem, srvRxBufs: rxBufs}
+// megaWorkloadNamed is the row of the experiment called name.
+func megaWorkloadNamed(name string) *megaWorkload {
+	for _, wl := range megaWorkloads {
+		if wl.name == name {
+			return wl
+		}
+	}
+	panic("bench: no megascale workload " + name)
+}
+
+// megaFanIn drives the named workload's fleet of n flyweight endpoints
+// against the server of its world.
+type megaFanIn struct {
+	workload string
+	n        int
+}
+
+func (d megaFanIn) drive(cfg *Config, w *world) any {
+	wl := megaWorkloadNamed(d.workload)
+	flt := megaFleet(w, wl.kind, d.n, wl.port, wl.retry)
+	events := wl.traceEvents(cfg, d.n)
+	switch wl.kind {
+	case flyweight.TCPPingPong:
+		return runMegaTCP(wl, cfg, w, flt, d.n, events)
+	case flyweight.NFSRead:
+		return runMegaNFS(wl, cfg, w, flt, d.n, events)
+	}
+	return runMegaUDP(wl, cfg, w, flt, d.n, events)
 }
 
 const (
@@ -299,9 +325,8 @@ func megaSourceFilter(src ip.Addr) *dpf.Filter {
 // closure pins on the heap — so it derives the reply's destination from
 // the frame's provenance (the ring entry's source port) instead of
 // captured state.
-func runMegaUDP(wl *megaWorkload, cfg *Config, w *world, n, events int) MegaResult {
+func runMegaUDP(wl *megaWorkload, cfg *Config, w *world, flt *flyweight.Fleet, n, events int) MegaResult {
 	srv := w.srv()
-	flt := megaFleet(w, flyweight.UDPEcho, n, scaleEchoPort, wl.retry)
 
 	srv.k.Spawn("echo", func(p *aegis.Process) {
 		// A flyweight's echo request starts with 8 bytes of tag: its
@@ -330,9 +355,8 @@ func runMegaUDP(wl *megaWorkload, cfg *Config, w *world, n, events int) MegaResu
 // served to flyweight FlyConn clients. The server echoes
 // until the client's FIN (flyweights close first), so connection
 // lifetimes follow the trace without the server knowing the schedule.
-func runMegaTCP(wl *megaWorkload, cfg *Config, w *world, n, events int) MegaResult {
+func runMegaTCP(wl *megaWorkload, cfg *Config, w *world, flt *flyweight.Fleet, n, events int) MegaResult {
 	srv := w.srv()
-	flt := megaFleet(w, flyweight.TCPPingPong, n, scaleTCPPort, wl.retry)
 	megaResolve(w, flt)
 
 	tbl := tcp.NewConnTable(n / 4)
@@ -367,8 +391,7 @@ func runMegaTCP(wl *megaWorkload, cfg *Config, w *world, n, events int) MegaResu
 // runMegaNFS: RPC fan-in against one nfsd socket whose ring runs the
 // high-watermark admission plane. The incast waves overrun it; sheds and
 // the fleet's jittered retries are the measurement.
-func runMegaNFS(wl *megaWorkload, cfg *Config, w *world, n, events int) MegaResult {
-	flt := megaFleet(w, flyweight.NFSRead, n, scaleNFSPort, wl.retry)
+func runMegaNFS(wl *megaWorkload, cfg *Config, w *world, flt *flyweight.Fleet, n, events int) MegaResult {
 	megaResolve(w, flt)
 	if fh, _ := w.startNFSD(megaFileBytes, megaNFSHighWater); uint32(fh) != uint32(nfs.RootHandle)+1 {
 		panic("megascale: unexpected NFS file handle")
@@ -380,7 +403,7 @@ func runMegaNFS(wl *megaWorkload, cfg *Config, w *world, n, events int) MegaResu
 func megascaleCells(cfg *Config) []Cell {
 	var cells []Cell
 	for _, wl := range megaWorkloads {
-		for _, n := range wl.ns(cfg) {
+		for _, n := range sized(cfg, wl.quick, wl.full) {
 			cells = append(cells, wl.cell(n))
 		}
 	}
@@ -404,7 +427,7 @@ func renderMegascale(cfg *Config, vs []any) string {
 			fmt.Fprintf(&b, "  %6s", col.name)
 		}
 		b.WriteByte('\n')
-		for range wl.ns(cfg) {
+		for range sized(cfg, wl.quick, wl.full) {
 			r := vs[idx].(MegaResult)
 			idx++
 			fmt.Fprintf(&b, "    %8d  %8d  %5d  %6d  %9.1f  %8.1f  %5d  %8.1f  %11.1f  %7d  %5d",

@@ -103,7 +103,7 @@ func TestMegascaleRenderShape(t *testing.T) {
 	cfg := &Config{Quick: true}
 	var vs []any
 	for _, wl := range megaWorkloads {
-		for _, n := range wl.ns(cfg) {
+		for _, n := range sized(cfg, wl.quick, wl.full) {
 			vs = append(vs, MegaResult{Workload: wl.name, N: n, Filters: n, TrieDepth: 3})
 		}
 	}

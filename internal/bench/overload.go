@@ -105,36 +105,26 @@ const (
 	overloadJitterSeed = 33  // client backoff jitter seed
 )
 
-// overloadTrace names one arrival-schedule shape of the matrix.
+// overloadTrace is one arrival-schedule shape of the matrix: a generator,
+// by its name in workload.Generators, at a fleet-wide mean gap.
 type overloadTrace struct {
-	Name  string
-	Gen   func(seed int64, s workload.Spec) *workload.Trace
-	GapUs float64
+	name, gen string
+	gapUs     float64
 }
 
 // overloadTraces is the trace axis, in presentation order.
-func overloadTraces() []overloadTrace {
-	return []overloadTrace{
-		{"pois-1x", workload.Poisson, overloadGap1xUs},
-		{"pois-2x", workload.Poisson, overloadGap1xUs / 2},
-		{"pois-4x", workload.Poisson, overloadGap1xUs / 4},
-		{"heavytail", workload.HeavyTail, overloadGap1xUs},
-		{"flashcrowd", workload.FlashCrowd, overloadGap1xUs},
-		{"incast", workload.Incast, overloadGap1xUs},
-	}
+var overloadTraces = []overloadTrace{
+	{"pois-1x", "poisson", overloadGap1xUs},
+	{"pois-2x", "poisson", overloadGap1xUs / 2},
+	{"pois-4x", "poisson", overloadGap1xUs / 4},
+	{"heavytail", "heavytail", overloadGap1xUs},
+	{"flashcrowd", "flashcrowd", overloadGap1xUs},
+	{"incast", "incast", overloadGap1xUs},
 }
 
 // overloadScheds is the fault-schedule axis (names resolved via
 // fault.Named): no faults, wire loss, and device ring/pool/truncate chaos.
 var overloadScheds = []string{"baseline", "loss", "device"}
-
-// overloadEvents is the trace length (arrivals across the whole fleet).
-func overloadEvents(cfg *Config) int {
-	if cfg.quick() {
-		return 256
-	}
-	return 768
-}
 
 // OverloadResult is one (trace, schedule) cell. Comparable: rerunning a
 // cell must reproduce it field-for-field.
@@ -203,21 +193,32 @@ func overloadReq(buf, raw []byte, frameLen int) (req []byte, srcPort uint16, ok 
 	return req, srcPort, true
 }
 
-// runOverloadCell replays one trace of events arrivals through its world's
+// overloadReplay replays events arrivals of one trace through its world's
 // fault schedule: per-client relay ASHs with admission control and tenant
 // quotas on the server, backoff clients replaying their trace slices
 // open-loop.
-func runOverloadCell(w *world, tr overloadTrace, events int) OverloadResult {
+type overloadReplay struct {
+	trace  overloadTrace
+	events int
+}
+
+func (d overloadReplay) drive(_ *Config, w *world) any {
 	spec := workload.Spec{
 		Clients:   overloadClients,
-		Events:    events,
-		MeanGapUs: tr.GapUs,
+		Events:    d.events,
+		MeanGapUs: d.trace.gapUs,
 		Size:      overloadSize,
 		MaxSize:   overloadMaxSize,
 	}
+	var gen *workload.Trace
+	for _, g := range workload.Generators() {
+		if g.Name == d.trace.gen {
+			gen = g.Gen(overloadTraceSeed, spec)
+		}
+	}
 	// Round-trip the generated trace through the binary codec: the replay
 	// consumes exactly what a stored trace file would parse to.
-	trace, err := workload.Parse(tr.Gen(overloadTraceSeed, spec).Encode())
+	trace, err := workload.Parse(gen.Encode())
 	if err != nil {
 		panic(fmt.Sprintf("bench: trace codec round-trip: %v", err))
 	}
@@ -401,24 +402,11 @@ func runOverloadCell(w *world, tr overloadTrace, events int) OverloadResult {
 	w.runUntil(func() bool { return done == overloadClients*overloadLanes }, 600_000_000, 10_000)
 
 	res := OverloadResult{
-		Trace: tr.Name, Sched: w.fault.Sched.Name,
+		Trace: d.trace.name, Sched: w.fault.Sched.Name,
 		Offered:   len(trace.Events),
 		Completed: completed, Failed: failed, Retries: retries,
 	}
-	var hi sim.Time
-	for _, e := range ends {
-		if e > hi {
-			hi = e
-		}
-	}
-	if us := w.prof.Us(hi); us > 0 {
-		res.GoodputMsgMs = float64(completed) / us * 1000
-	}
-	if n := hist.Count(); n > 0 {
-		res.MeanUs = w.prof.Us(hist.Sum()) / float64(n)
-	}
-	res.P50Us = w.prof.Us(hist.Quantile(0.50))
-	res.P99Us = w.prof.Us(hist.Quantile(0.99))
+	res.GoodputMsgMs, res.MeanUs, res.P50Us, res.P99Us = w.clientStats(hist, nil, ends)
 	rx := srv.nic.Rx
 	res.Sheds = rx.Shed
 	res.PoolDrops = rx.NoBuffer
@@ -440,8 +428,8 @@ func runOverloadCell(w *world, tr overloadTrace, events int) OverloadResult {
 // so they are sized up from the scale experiment's one-socket default.
 func overloadCells(cfg *Config) []Cell {
 	var cells []Cell
-	events := overloadEvents(cfg)
-	for _, tr := range overloadTraces() {
+	events := sized(cfg, 256, 768) // arrivals across the whole fleet
+	for _, tr := range overloadTraces {
 		for _, sc := range overloadScheds {
 			sched, ok := fault.Named(sc)
 			if !ok {
@@ -452,8 +440,7 @@ func overloadCells(cfg *Config) []Cell {
 				cliMem: 1 << 20, cliRxBufs: 4 * overloadLanes,
 				fault: &faultSpec{seed: overloadFaultSeed, sched: sched, serverOnly: true},
 				quota: &quotaSpec{windowUs: overloadQuotaWindowUs, budget: overloadTenantBudget}}
-			cells = append(cells, Cell{fmt.Sprintf("overload/%s/%s", tr.Name, sc), &s,
-				func(_ *Config, w *world) any { return runOverloadCell(w, tr, events) }})
+			cells = append(cells, onWorld(fmt.Sprintf("overload/%s/%s", tr.name, sc), s, overloadReplay{tr, events}))
 		}
 	}
 	return cells

@@ -134,19 +134,25 @@ func TestReoptParallelByteIdentical(t *testing.T) {
 	}
 }
 
+// driveFunc adapts a func to the driver interface, for cells that exist
+// only in a test: a registered cell holds a value (TestCellsAreValues).
+type driveFunc func(cfg *Config, w *world) any
+
+func (f driveFunc) drive(cfg *Config, w *world) any { return f(cfg, w) }
+
 // indexCells returns n world-less cells whose result is their own index,
 // with a bit of busywork so parallel workers genuinely interleave.
 func indexCells(n int) []Cell {
 	cells := make([]Cell, n)
 	for i := range cells {
-		cells[i] = Cell{Label: fmt.Sprintf("cell%d", i), measure: func(*Config, *world) any {
+		cells[i] = Cell{Label: fmt.Sprintf("cell%d", i), drive: driveFunc(func(*Config, *world) any {
 			s := 0
 			for k := 0; k < 1000*(n-i); k++ {
 				s += k
 			}
 			_ = s
 			return i
-		}}
+		})}
 	}
 	return cells
 }
@@ -182,15 +188,15 @@ func TestParallelism(t *testing.T) {
 func panicCells(ran []bool) []Cell {
 	cells := indexCells(len(ran))
 	for i := range cells {
-		inner := cells[i].measure
-		cells[i].measure = func(cfg *Config, w *world) any {
+		inner := cells[i].drive
+		cells[i].drive = driveFunc(func(cfg *Config, w *world) any {
 			ran[i] = true
-			v := inner(cfg, w)
+			v := inner.drive(cfg, w)
 			if i == 3 || i == 7 || i == 11 {
 				panic(fmt.Sprintf("boom %d", i))
 			}
 			return v
-		}
+		})
 	}
 	return cells
 }
@@ -225,7 +231,7 @@ func TestRunCellsReportsLowestIndexedPanic(t *testing.T) {
 
 // The serial path names the panicking cell too, with the pool's message.
 func TestRunCellsSerialPanicNamesCell(t *testing.T) {
-	msg := runPanic(t, 1, []Cell{{Label: "bad", measure: func(*Config, *world) any { panic("x") }}})
+	msg := runPanic(t, 1, []Cell{{Label: "bad", drive: driveFunc(func(*Config, *world) any { panic("x") })}})
 	if !strings.Contains(msg, `"bad"`) || !strings.Contains(msg, "x") {
 		t.Fatalf("serial panic %q does not name the cell", msg)
 	}

@@ -31,7 +31,7 @@ var experiments = []*Experiment{
 		Name: "fig3",
 		Help: "Fig. 3: user-level AN2 throughput vs packet size",
 		Cells: func(cfg *Config) []Cell {
-			return fig3Cells(fig3Pkts(cfg))
+			return fig3Cells(sized(cfg, 24, 64))
 		},
 		Render: func(cfg *Config, vs []any) string {
 			return mergeFig3(vs).Render()
@@ -85,7 +85,7 @@ var experiments = []*Experiment{
 		Name: "fig4",
 		Help: "Fig. 4: scheduling decoupling vs active process count",
 		Cells: func(cfg *Config) []Cell {
-			return fig4Cells(fig4MaxProcs, fig4Iters(cfg))
+			return fig4Cells(fig4MaxProcs, sized(cfg, 4, 8))
 		},
 		Render: func(cfg *Config, vs []any) string {
 			return mergeFig4(fig4MaxProcs, vs).Render()
@@ -127,7 +127,7 @@ var experiments = []*Experiment{
 		Name: "chaos",
 		Help: "chaos soak: fault schedules vs delivery integrity",
 		Cells: func(cfg *Config) []Cell {
-			return chaosCells(chaosParams(cfg))
+			return chaosCells(sized(cfg, QuickChaosParams(), DefaultChaosParams()))
 		},
 		Render: func(cfg *Config, vs []any) string {
 			return RenderChaos(as[ChaosResult](vs))
@@ -144,7 +144,7 @@ var experiments = []*Experiment{
 	{
 		Name:  "scale",
 		Help:  "many-client fan-in: sub-linear demux vs client count",
-		Cells: func(cfg *Config) []Cell { return scaleCells(scaleMsgs(cfg)) },
+		Cells: func(cfg *Config) []Cell { return scaleCells(sized(cfg, 4, 8)) },
 		Render: func(cfg *Config, vs []any) string {
 			return renderScale(vs)
 		},
@@ -181,20 +181,6 @@ const (
 	breakdownIters = 10
 )
 
-func fig3Pkts(cfg *Config) int {
-	if cfg.quick() {
-		return 24
-	}
-	return 64
-}
-
-func fig4Iters(cfg *Config) int {
-	if cfg.quick() {
-		return 4
-	}
-	return 8
-}
-
 func table2Params(cfg *Config) Table2Params {
 	p := DefaultTable2Params()
 	if cfg.quick() {
@@ -210,13 +196,6 @@ func table6Params(cfg *Config) Table6Params {
 		p.TCPBytes = 2 << 20
 	}
 	return p
-}
-
-func chaosParams(cfg *Config) ChaosParams {
-	if cfg.quick() {
-		return QuickChaosParams()
-	}
-	return DefaultChaosParams()
 }
 
 // Experiments returns the registered suite in canonical run order.

@@ -61,11 +61,11 @@ const reoptWarmup = 6
 
 func reoptCells() []Cell {
 	return []Cell{
-		pairCell("reopt/hoist", an2Pair, func(tb *Testbed) any { return runReoptHandler(tb, false) }),
-		pairCell("reopt/coarsen", an2Pair, func(tb *Testbed) any { return runReoptHandler(tb, true) }),
-		pairCell("reopt/chain", an2Pair, func(tb *Testbed) any { return runReoptChain(tb) }),
-		{Label: "reopt/dpf-reorder", measure: func(*Config, *world) any { return runReoptReorder() }},
-		{Label: "reopt/differential", measure: func(cfg *Config, _ *world) any { return runReoptDifferential(cfg) }},
+		onWorld("reopt/hoist", an2Pair, reoptHandler{sparse: false}),
+		onWorld("reopt/coarsen", an2Pair, reoptHandler{sparse: true}),
+		onWorld("reopt/chain", an2Pair, reoptChain{}),
+		{Label: "reopt/dpf-reorder", drive: reoptReorder{}},
+		{Label: "reopt/differential", drive: reoptDifferential{}},
 	}
 }
 
@@ -79,68 +79,59 @@ func mergeReopt(vs []any) ReoptResult {
 	}
 }
 
-// runReoptHandler drives one showcase handler through the full loop on a
+// reoptHandler drives one showcase handler through the full loop on a
 // live testbed: profile-downloaded, warmed, re-optimized in place, then
 // measured on the identical message. sparse selects the multi-block
 // budget-coarsening showcase (software budget mode); otherwise the
 // message-carried-modulus divide-hoist showcase (timer mode).
-func runReoptHandler(tb *Testbed, sparse bool) ReoptRun {
+type reoptHandler struct{ sparse bool }
+
+func (d reoptHandler) drive(_ *Config, w *world) any {
+	tb := w.tb
 	opts := core.Options{OptimizeSFI: true, Profile: true}
-	if sparse {
+	if d.sparse {
 		pol := *tb.Sys2.Policy
 		pol.Budget = sandbox.BudgetSoftware
 		tb.Sys2.Policy = &pol
 		opts.Budget = 1 << 20
 	}
-	owner := tb.K2.Spawn("reopt-app", func(p *aegis.Process) {})
-	seg := owner.AS.MustAlloc(4096, "state")
-
 	var prog *vcode.Program
-	var msg []byte
-	if sparse {
-		prog = crl.SparseRecordWriteHandler(seg.Base, seg.Base+2048)
-		msg = make([]byte, crl.RecordBytes)
-		for w := 0; w < crl.RecordBytes/4; w++ {
-			v := uint32(w*7 + 1)
-			if w%3 == 0 {
-				v = 0 // skipped word: keeps the loop multi-block at run time
+	var ash *core.ASH
+	var run ReoptRun
+	synthetic(tb, "reopt-app", 4096, func(owner *aegis.Process) (msg []byte) {
+		seg := owner.AS.MustAlloc(4096, "state")
+		if d.sparse {
+			prog = crl.SparseRecordWriteHandler(seg.Base, seg.Base+2048)
+			for i := 0; i < crl.RecordBytes/4; i++ {
+				v := uint32(i*7 + 1)
+				if i%3 == 0 {
+					v = 0 // skipped word: keeps the loop multi-block at run time
+				}
+				msg = binary.BigEndian.AppendUint32(msg, v)
 			}
-			binary.BigEndian.PutUint32(msg[w*4:], v)
+		} else {
+			prog = crl.ShardedCounterHandler(seg.Base)
+			msg = binary.BigEndian.AppendUint32(msg, 5) // modulus: message-carried, statically opaque
+			for i := 0; i < crl.NumShardValues; i++ {
+				msg = binary.BigEndian.AppendUint32(msg, uint32(i*13+1))
+			}
 		}
-	} else {
-		prog = crl.ShardedCounterHandler(seg.Base)
-		vals := make([]uint32, 1+crl.NumShardValues)
-		vals[0] = 5 // modulus: message-carried, statically opaque
-		for w := 0; w < crl.NumShardValues; w++ {
-			vals[1+w] = uint32(w*13 + 1)
-		}
-		msg = make([]byte, 4*len(vals))
-		for i, v := range vals {
-			binary.BigEndian.PutUint32(msg[i*4:], v)
-		}
-	}
-	ash := tb.Sys2.MustDownload(owner, prog, opts)
-
-	msgSeg := owner.AS.MustAlloc(4096, "synthetic-msg")
-	copy(tb.K2.Bytes(msgSeg.Base, len(msg)), msg)
-	entry := aegis.RingEntry{Addr: msgSeg.Base, Len: len(msg)}
-
-	run := ReoptRun{Name: prog.Name}
-	tb.Eng.Schedule(0, func() {
-		once := func() (int64, sim.Time) { return runSynthetic(tb, owner, entry, ash) }
+		ash = tb.Sys2.MustDownload(owner, prog, opts)
+		return msg
+	}, func(once func(...*core.ASH) (int64, sim.Time)) {
+		run.Name = prog.Name
 		for i := 0; i < reoptWarmup; i++ {
-			run.StaticInsns, run.StaticCycles = once()
+			run.StaticInsns, run.StaticCycles = once(ash)
 		}
 		if _, err := tb.Sys2.Reoptimize(ash); err != nil {
 			panic(err)
 		}
-		run.ReoptInsns, run.ReoptCycles = once()
+		run.ReoptInsns, run.ReoptCycles = once(ash)
 		if run.ReoptInsns >= run.StaticInsns {
 			panic(fmt.Sprintf("reopt %s: %d insns after re-optimization, %d before — no win",
 				prog.Name, run.ReoptInsns, run.StaticInsns))
 		}
 	})
-	tb.run()
 	return run
 }
 
@@ -159,41 +150,36 @@ func reoptBumpHandler(addr uint32) *vcode.Program {
 	return b.MustAssemble()
 }
 
-// runReoptChain measures the validate→bump chain both ways: two installed
+// reoptChain measures the validate→bump chain both ways: two installed
 // handlers dispatched in sequence over one message vs one fused download
 // whose seam test replaces the second dispatch.
-func runReoptChain(tb *Testbed) ChainRun {
-	owner := tb.K2.Spawn("chain-app", func(p *aegis.Process) {})
-	seg := owner.AS.MustAlloc(4096, "counter")
+type reoptChain struct{}
+
+func (reoptChain) drive(_ *Config, w *world) any {
+	tb := w.tb
 	opts := core.Options{OptimizeSFI: true}
-
-	headProg := crl.ValidateHandler(0, crl.ChainMagic)
-	tailProg := reoptBumpHandler(seg.Base)
-	head := tb.Sys2.MustDownload(owner, headProg, opts)
-	tail := tb.Sys2.MustDownload(owner, tailProg, opts)
-
-	fusedProg, err := reopt.FuseChain("bench-chain-fused", headProg, tailProg)
-	if err != nil {
-		panic(err)
-	}
-	fused := tb.Sys2.MustDownload(owner, fusedProg, opts)
-
-	msgSeg := owner.AS.MustAlloc(4096, "synthetic-msg")
-	msg := tb.K2.Bytes(msgSeg.Base, 8)
-	binary.BigEndian.PutUint32(msg, crl.ChainMagic)
-	binary.BigEndian.PutUint32(msg[4:], 9)
-	entry := aegis.RingEntry{Addr: msgSeg.Base, Len: 8}
-
+	var head, tail, fused *core.ASH
 	var run ChainRun
-	tb.Eng.Schedule(0, func() {
-		run.SeqInsns, run.SeqCycles = runSynthetic(tb, owner, entry, head, tail)
-		run.FusedInsns, run.FusedCycles = runSynthetic(tb, owner, entry, fused)
+	synthetic(tb, "chain-app", 4096, func(owner *aegis.Process) []byte {
+		seg := owner.AS.MustAlloc(4096, "counter")
+		headProg := crl.ValidateHandler(0, crl.ChainMagic)
+		tailProg := reoptBumpHandler(seg.Base)
+		head = tb.Sys2.MustDownload(owner, headProg, opts)
+		tail = tb.Sys2.MustDownload(owner, tailProg, opts)
+		fusedProg, err := reopt.FuseChain("bench-chain-fused", headProg, tailProg)
+		if err != nil {
+			panic(err)
+		}
+		fused = tb.Sys2.MustDownload(owner, fusedProg, opts)
+		return binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint32(nil, crl.ChainMagic), 9)
+	}, func(once func(...*core.ASH) (int64, sim.Time)) {
+		run.SeqInsns, run.SeqCycles = once(head, tail)
+		run.FusedInsns, run.FusedCycles = once(fused)
 	})
-	tb.run()
 	return run
 }
 
-// runReoptReorder measures the DPF trie on skewed traffic before and
+// reoptReorder measures the DPF trie on skewed traffic before and
 // after hit-frequency branch reordering. Filters sharing a field share
 // one branch (kid dispatch is a hash, order-free), so the scenario that
 // reordering improves is sibling branches on distinct fields: a dozen
@@ -202,7 +188,9 @@ func runReoptChain(tb *Testbed) ChainRun {
 // at full cost; after Reorder the hot deep branch goes first, its match
 // depth is established early, and the strictly-shallower siblings are
 // pruned at the bound-test cost instead of a full trie step.
-func runReoptReorder() ReorderRun {
+type reoptReorder struct{}
+
+func (reoptReorder) drive(*Config, *world) any {
 	e := dpf.NewEngine()
 	const shallow = 12
 	for i := 0; i < shallow; i++ {
@@ -255,18 +243,17 @@ func runReoptReorder() ReorderRun {
 	return run
 }
 
-// runReoptDifferential re-runs the three-way harness over the full crl
+// reoptDifferential re-runs the three-way harness over the full crl
 // registry under both budget strategies with the measured profile and the
 // adversarial bank — the safety receipt printed beside the speedups. Any
 // divergence panics the cell.
-func runReoptDifferential(cfg *Config) DiffSummary {
+type reoptDifferential struct{}
+
+func (reoptDifferential) drive(cfg *Config, _ *world) any {
 	modes := []sandbox.BudgetMode{sandbox.BudgetTimer, sandbox.BudgetSoftware}
 	lib := crl.Library()
 	s := DiffSummary{Handlers: len(lib), Modes: len(modes)}
-	rounds := 4
-	if !cfg.quick() {
-		rounds = 6
-	}
+	rounds := sized(cfg, 4, 6)
 	for _, e := range lib {
 		n := len(e.Prog.Insns)
 		sat := make([]uint64, n)

@@ -8,7 +8,6 @@ import (
 	"ashs/internal/core"
 	"ashs/internal/crl"
 	"ashs/internal/dpf"
-	"ashs/internal/mach"
 	"ashs/internal/sandbox"
 	"ashs/internal/sim"
 )
@@ -51,9 +50,7 @@ func sandboxCells() []Cell {
 	// SFI checks, or with SFI under the static-analysis optimizer.
 	unsafe, naive, opt := core.Options{Unsafe: true}, core.Options{}, core.Options{OptimizeSFI: true}
 	cell := func(label string, h isolatedHandler, opts core.Options, nbytes int) Cell {
-		return pairCell("sandbox/"+label, an2Pair, func(tb *Testbed) any {
-			return runIsolated(tb, nil, opts, h, nbytes)
-		})
+		return onWorld("sandbox/"+label, an2Pair, isolated{h: h, opts: opts, nbytes: nbytes})
 	}
 	return []Cell{
 		cell("generic-unsafe-40", genericWrite, unsafe, 40),
@@ -109,60 +106,56 @@ const (
 	recordWrite                         // the fixed-record copy loop (the loop-shaped variant)
 )
 
-// runIsolated executes one remote-write handler on a synthetic message (see
-// runSynthetic), downloaded with opts under safety policy pol (nil: the
-// system's default). The two writes carry nbytes of payload; the record
-// loop's message is one record.
-func runIsolated(tb *Testbed, pol *sandbox.Policy, opts core.Options, h isolatedHandler, nbytes int) handlerRun {
-	if pol != nil {
-		tb.Sys2.Policy = pol
-	}
-	owner := tb.K2.Spawn("dsm-app", func(p *aegis.Process) {})
-	node := crl.NewNode(tb.Sys2, owner)
-	segID, seg, err := node.AddSegment(8192, "shared")
-	if err != nil {
-		panic(err)
-	}
+// isolated runs one remote-write handler on a synthetic message (see
+// synthetic), downloaded with opts under safety policy pol (the zero
+// Policy is the system's default). The two writes carry nbytes of payload;
+// the record loop's message is one record.
+type isolated struct {
+	h      isolatedHandler
+	opts   core.Options
+	nbytes int
+	pol    sandbox.Policy
+}
 
-	prog := crl.TrustedWriteHandler()
-	switch h {
-	case genericWrite:
-		prog = crl.GenericWriteHandler(node.TableAddr(), crl.MaxSegments, 0, 1)
-	case recordWrite:
-		prog = crl.FixedRecordWriteHandler(seg.Base+64, seg.Base)
-	}
-	ash := tb.Sys2.MustDownload(owner, prog, opts)
-
-	// Build the message in a buffer in the owner's space.
-	msgSeg := owner.AS.MustAlloc(8192, "synthetic-msg")
-	msg := tb.K2.Bytes(msgSeg.Base, 8192)
-	var msgLen int
-	switch h {
-	case trustedWrite:
-		binary.BigEndian.PutUint32(msg[0:], seg.Base+64)
-		binary.BigEndian.PutUint32(msg[4:], uint32(nbytes))
-		msgLen = 8 + nbytes
-	case genericWrite:
-		binary.BigEndian.PutUint32(msg[0:], 0x44534d21)
-		binary.BigEndian.PutUint32(msg[4:], 1<<16)
-		binary.BigEndian.PutUint32(msg[8:], 42)
-		binary.BigEndian.PutUint32(msg[12:], uint32(segID))
-		binary.BigEndian.PutUint32(msg[16:], 64)
-		binary.BigEndian.PutUint32(msg[20:], uint32(nbytes))
-		msgLen = 24 + nbytes
-	case recordWrite:
-		for i := 0; i < crl.RecordBytes; i++ {
-			msg[i] = byte(i)
+func (d isolated) drive(_ *Config, w *world) any {
+	tb := w.tb
+	tb.Sys2.Policy = &d.pol
+	var ash *core.ASH
+	var r handlerRun
+	synthetic(tb, "dsm-app", 8192, func(owner *aegis.Process) []byte {
+		node := crl.NewNode(tb.Sys2, owner)
+		segID, seg, err := node.AddSegment(8192, "shared")
+		if err != nil {
+			panic(err)
 		}
-		msgLen = crl.RecordBytes
-	}
-
-	var run handlerRun
-	tb.Eng.Schedule(0, func() {
-		run.insns, run.cycles = runSynthetic(tb, owner, aegis.RingEntry{Addr: msgSeg.Base, Len: msgLen}, ash)
+		prog := crl.TrustedWriteHandler()
+		switch d.h {
+		case genericWrite:
+			prog = crl.GenericWriteHandler(node.TableAddr(), crl.MaxSegments, 0, 1)
+		case recordWrite:
+			prog = crl.FixedRecordWriteHandler(seg.Base+64, seg.Base)
+		}
+		ash = tb.Sys2.MustDownload(owner, prog, d.opts)
+		var msg []byte
+		switch d.h {
+		case trustedWrite:
+			msg = binary.BigEndian.AppendUint32(nil, seg.Base+64)
+			msg = binary.BigEndian.AppendUint32(msg, uint32(d.nbytes))
+		case genericWrite:
+			for _, v := range []uint32{0x44534d21, 1 << 16, 42, uint32(segID), 64, uint32(d.nbytes)} {
+				msg = binary.BigEndian.AppendUint32(msg, v)
+			}
+		case recordWrite:
+			for i := 0; i < crl.RecordBytes; i++ {
+				msg = append(msg, byte(i))
+			}
+			return msg
+		}
+		return append(msg, make([]byte, d.nbytes)...)
+	}, func(run func(...*core.ASH) (int64, sim.Time)) {
+		r.insns, r.cycles = run(ash)
 	})
-	tb.run()
-	return run
+	return r
 }
 
 // Table renders the Section V-D results.
@@ -202,11 +195,14 @@ type DPFResult struct {
 // microseconds of pure table walking, not worth sharding. Its world serves
 // only for the profile, but the config's Obs hook fires on every testbed a
 // cell builds and what it returns lands in the -trace output.
-func dpfCells() []Cell {
-	return []Cell{pairCell("dpf", an2Pair, func(tb *Testbed) any { return runDPF(tb.Prof) })}
-}
+func dpfCells() []Cell { return []Cell{onWorld("dpf", an2Pair, dpfCompare{})} }
 
-func runDPF(prof *mach.Profile) DPFResult {
+// dpfCompare times the worst-case filter's demux, trie and linear, as 1 to
+// 64 filters accumulate.
+type dpfCompare struct{}
+
+func (dpfCompare) drive(_ *Config, w *world) any {
+	prof := w.prof
 	var r DPFResult
 	for _, n := range []int{1, 4, 16, 64} {
 		e := dpf.NewEngine()

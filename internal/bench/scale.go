@@ -38,18 +38,12 @@ import (
 // scaleNs is the client-count sweep.
 var scaleNs = []int{1, 4, 16, 64, 256, 512}
 
-// scaleWorkload is one row of the experiment: a name, the line its table
-// is headed with, and the workload that fans in.
-type scaleWorkload struct {
-	name, desc string
-	run        func(w *world, m int, hist *obs.Histogram, starts, ends []sim.Time)
-}
-
-// scaleWorkloads are the fan-in workloads, in presentation order.
-var scaleWorkloads = []*scaleWorkload{
-	{"udp-ash", fmt.Sprintf("%d-byte UDP echo answered by per-client ASHs", scalePayload), scaleUDPASH},
-	{"tcp-fast", fmt.Sprintf("%d-byte TCP ping-pong through the fast path", scalePayload), scaleTCPFast},
-	{"nfs-read", fmt.Sprintf("%d-byte NFS reads against one server socket", scaleReadBytes), scaleNFSRead},
+// scaleWorkloads are the fan-in workloads, in presentation order: a name
+// and the line its table is headed with.
+var scaleWorkloads = []struct{ name, desc string }{
+	{"udp-ash", fmt.Sprintf("%d-byte UDP echo answered by per-client ASHs", scalePayload)},
+	{"tcp-fast", fmt.Sprintf("%d-byte TCP ping-pong through the fast path", scalePayload)},
+	{"nfs-read", fmt.Sprintf("%d-byte NFS reads against one server socket", scaleReadBytes)},
 }
 
 const (
@@ -89,56 +83,106 @@ type ScaleResult struct {
 // scaleCell is the workload's n-client cell, m messages per client. The
 // server's pool must absorb a burst with every client's message in flight
 // at once.
-func scaleCell(wl *scaleWorkload, n, m int) Cell {
-	s := worldSpec{eth: true, fanIn: true, clients: n,
+func scaleCell(workload string, n, m int) Cell {
+	return onWorld(fmt.Sprintf("scale/%s/N=%d", workload, n), worldSpec{eth: true, fanIn: true, clients: n,
 		srvMem: fanInServerMem, srvRxBufs: 2*n + fanInServerRxSlack,
-		cliMem: scaleClientMem, cliRxBufs: scaleClientRxBufs}
-	return Cell{fmt.Sprintf("scale/%s/N=%d", wl.name, n), &s,
-		func(_ *Config, w *world) any { return runScaleCell(w, wl, m) }}
+		cliMem: scaleClientMem, cliRxBufs: scaleClientRxBufs}, scaleFanIn{workload, m})
 }
 
-// runScaleCell fans the workload in on its n-client world and folds client
-// latencies plus server counters into the result.
-func runScaleCell(w *world, wl *scaleWorkload, m int) ScaleResult {
+// scaleFanIn fans the named workload in on its n-client world, m messages
+// per client, and folds client latencies plus server counters into the
+// result.
+type scaleFanIn struct {
+	workload string
+	m        int
+}
+
+func (d scaleFanIn) drive(_ *Config, w *world) any {
 	n := len(w.cli())
-	hist := &obs.Histogram{}
-	starts := make([]sim.Time, n)
-	ends := make([]sim.Time, n)
-	wl.run(w, m, hist, starts, ends)
+	r := &scaleRun{w: w, m: d.m, hist: &obs.Histogram{}, starts: make([]sim.Time, n), ends: make([]sim.Time, n)}
+	switch d.workload {
+	case "udp-ash":
+		r.udpASH()
+	case "tcp-fast":
+		r.tcpFast()
+	case "nfs-read":
+		r.nfsRead()
+	default:
+		panic("bench: no scale workload " + d.workload)
+	}
 	w.run()
 
-	var lo, hi sim.Time
-	for i := 0; i < n; i++ {
-		if i == 0 || starts[i] < lo {
-			lo = starts[i]
-		}
-		if ends[i] > hi {
-			hi = ends[i]
-		}
-	}
-	r := ScaleResult{Workload: wl.name, N: n, Msgs: hist.Count()}
-	if us := w.prof.Us(hi - lo); us > 0 {
-		r.ThrMsgMs = float64(r.Msgs) / us * 1000
-	}
-	if r.Msgs > 0 {
-		r.MeanUs = w.prof.Us(hist.Sum()) / float64(r.Msgs)
-	}
-	r.P50Us = w.prof.Us(hist.Quantile(0.50))
-	r.P99Us = w.prof.Us(hist.Quantile(0.99))
-
+	res := ScaleResult{Workload: d.workload, N: n, Msgs: r.hist.Count()}
+	res.ThrMsgMs, res.MeanUs, res.P50Us, res.P99Us = w.clientStats(r.hist, r.starts, r.ends)
 	k := w.srv().k
-	r.CycPerMsg, r.DemuxPerMsg = w.rxCost(w.srv())
+	res.CycPerMsg, res.DemuxPerMsg = w.rxCost(w.srv())
 	if total := k.Interrupts + k.BatchedInterrupts; total > 0 {
-		r.BatchedPct = 100 * float64(k.BatchedInterrupts) / float64(total)
+		res.BatchedPct = 100 * float64(k.BatchedInterrupts) / float64(total)
 	}
-	return r
+	return res
 }
 
-// scaleUDPASH installs one 6-atom filter plus echo ASH per client on the
+// clientStats folds what a fan-in cell's clients measured: the throughput
+// of hist's operations, per millisecond, over the clients' window — from
+// the earliest start (0 without starts) to the latest end — and the
+// operations' mean latency and quantiles, in us.
+func (w *world) clientStats(hist *obs.Histogram, starts, ends []sim.Time) (thrMsgMs, meanUs, p50Us, p99Us float64) {
+	var lo, hi sim.Time
+	for i, t := range starts {
+		if i == 0 || t < lo {
+			lo = t
+		}
+	}
+	for _, t := range ends {
+		hi = max(hi, t)
+	}
+	if us := w.prof.Us(hi - lo); us > 0 {
+		thrMsgMs = float64(hist.Count()) / us * 1000
+	}
+	if n := hist.Count(); n > 0 {
+		meanUs = w.prof.Us(hist.Sum()) / float64(n)
+	}
+	return thrMsgMs, meanUs, w.prof.Us(hist.Quantile(0.50)), w.prof.Us(hist.Quantile(0.99))
+}
+
+// scaleRun is a scale cell's clients as they run: m operations each, timed
+// into hist, client i's window in starts[i] and ends[i].
+type scaleRun struct {
+	w            *world
+	m            int
+	hist         *obs.Histogram
+	starts, ends []sim.Time
+}
+
+// clients spawns a "client" process on every client host. Each opens its
+// endpoint with open, which calls stagger — the client's start offset —
+// where that workload waits, and returns one operation; the client times
+// m of them, op(0)..op(m-1), and then calls the finish open returned, if
+// any.
+func (r *scaleRun) clients(open func(p *aegis.Process, i int, c *host, stagger func()) (op func(j int), finish func())) {
+	for i, c := range r.w.cli() {
+		c.k.Spawn("client", func(p *aegis.Process) {
+			op, finish := open(p, i, c, func() { p.Compute(r.w.prof.Cycles(float64(i) * scaleStaggerUs)) })
+			r.starts[i] = p.K.Now()
+			for j := 0; j < r.m; j++ {
+				t0 := p.K.Now()
+				op(j)
+				r.hist.Observe(p.K.Now() - t0)
+			}
+			r.ends[i] = p.K.Now()
+			if finish != nil {
+				finish()
+			}
+		})
+	}
+}
+
+// udpASH installs one 6-atom filter plus echo ASH per client on the
 // server; each client ping-pongs m 64-byte datagrams through its own
 // socket. The server never schedules a process: the handlers answer from
 // the interrupt path.
-func scaleUDPASH(w *world, m int, hist *obs.Histogram, starts, ends []sim.Time) {
+func (r *scaleRun) udpASH() {
+	w := r.w
 	srv := w.srv()
 	srv.k.Spawn("echo", func(p *aegis.Process) {
 		for i, c := range w.cli() {
@@ -150,132 +194,104 @@ func scaleUDPASH(w *world, m int, hist *obs.Histogram, starts, ends []sim.Time) 
 			udpEchoASH(srv, p, fmt.Sprintf("udp-echo-%d", i), 0).Attach(b)
 		}
 	})
-
-	for i, c := range w.cli() {
-		c.k.Spawn("client", func(p *aegis.Process) {
-			sock := udp.NewSocket(
-				ethStack(p, c, listenFilter(c.ip, ip.ProtoUDP, scaleClientPort), w.res),
-				scaleClientPort, udp.Options{})
-			payload := make([]byte, scalePayload)
-			for j := range payload {
-				payload[j] = byte(i + j)
+	r.clients(func(p *aegis.Process, i int, c *host, stagger func()) (func(int), func()) {
+		sock := udp.NewSocket(
+			ethStack(p, c, listenFilter(c.ip, ip.ProtoUDP, scaleClientPort), w.res),
+			scaleClientPort, udp.Options{})
+		payload := make([]byte, scalePayload)
+		for j := range payload {
+			payload[j] = byte(i + j)
+		}
+		stagger()
+		return func(int) {
+			if err := sock.SendBytes(srv.ip, scaleEchoPort, payload); err != nil {
+				panic(err)
 			}
-			p.Compute(w.prof.Cycles(float64(i) * scaleStaggerUs))
-			starts[i] = p.K.Now()
-			for j := 0; j < m; j++ {
-				t0 := p.K.Now()
-				if err := sock.SendBytes(srv.ip, scaleEchoPort, payload); err != nil {
-					panic(err)
-				}
-				msg, err := sock.Recv(false)
-				if err != nil {
-					panic(err)
-				}
-				if msg.N != scalePayload {
-					panic(fmt.Sprintf("scale: echo returned %d bytes", msg.N))
-				}
-				sock.Release(msg)
-				hist.Observe(p.K.Now() - t0)
+			msg, err := sock.Recv(false)
+			if err != nil {
+				panic(err)
 			}
-			ends[i] = p.K.Now()
-		})
-	}
+			if msg.N != scalePayload {
+				panic(fmt.Sprintf("scale: echo returned %d bytes", msg.N))
+			}
+			sock.Release(msg)
+		}, nil
+	})
 }
 
-// scaleTCPFast accepts one connection per client through the fan-in path
+// tcpFast accepts one connection per client through the fan-in path
 // (acceptFanIn), then echoes m small messages through the fast path, with
 // the shared ConnTable tracking ownership.
-func scaleTCPFast(w *world, m int, hist *obs.Histogram, starts, ends []sim.Time) {
+func (r *scaleRun) tcpFast() {
+	w := r.w
 	srv := w.srv()
 	tbl := tcp.NewConnTable(0)
 	for i, c := range w.cli() {
 		srv.k.Spawn(fmt.Sprintf("srv-%d", i), func(p *aegis.Process) {
-			echoFanIn(p, w.acceptFanIn(p, scaleTCPPort, c.ip, tbl), tbl, scalePayload, m)
+			echoFanIn(p, w.acceptFanIn(p, scaleTCPPort, c.ip, tbl), tbl, scalePayload, r.m)
 		})
 	}
+	r.clients(func(p *aegis.Process, i int, c *host, stagger func()) (func(int), func()) {
+		stagger()
+		st := ethStack(p, c, listenFilter(c.ip, ip.ProtoTCP, scaleClientPort), w.res)
+		conn, err := tcp.Connect(st, fanInTCPCfg(nil), scaleClientPort, srv.ip, scaleTCPPort)
+		if err != nil {
+			panic(err)
+		}
+		payload := make([]byte, scalePayload)
+		for j := range payload {
+			payload[j] = byte(i ^ j)
+		}
+		buf := p.AS.MustAlloc(scalePayload, "reply")
+		return func(int) {
+			if err := conn.WriteBytes(payload); err != nil {
+				panic(err)
+			}
+			if err := conn.ReadFull(buf.Base, scalePayload); err != nil {
+				panic(err)
+			}
+		}, func() { _ = conn.Close() }
+	})
+}
 
-	for i, c := range w.cli() {
-		c.k.Spawn("client", func(p *aegis.Process) {
-			p.Compute(w.prof.Cycles(float64(i) * scaleStaggerUs))
-			st := ethStack(p, c, listenFilter(c.ip, ip.ProtoTCP, scaleClientPort), w.res)
-			conn, err := tcp.Connect(st, fanInTCPCfg(nil), scaleClientPort, srv.ip, scaleTCPPort)
+// nfsRead serves one in-memory file from a single server socket; each
+// client issues m 1 KiB reads. The server is one process draining one
+// ring — fan-in pressure shows up as queueing in the latency tail.
+func (r *scaleRun) nfsRead() {
+	w := r.w
+	srv := w.srv()
+	fh, data := w.startNFSD(scaleFileBytes, 0)
+	r.clients(func(p *aegis.Process, i int, c *host, stagger func()) (func(int), func()) {
+		stagger()
+		sock := udp.NewSocket(
+			ethStack(p, c, listenFilter(c.ip, ip.ProtoUDP, scaleClientPort), w.res),
+			scaleClientPort, udp.Options{})
+		cli := nfs.NewClient(sock, srv.ip, scaleNFSPort)
+		// Fan-in queueing at N=512 runs to hundreds of milliseconds; the
+		// default 100 ms retry timer would fire on queued-but-alive
+		// requests and double the load exactly when it hurts.
+		cli.RetryUs = 1_000_000
+		cli.MaxRetryUs = 4_000_000
+		return func(j int) {
+			off := uint32(j*scaleReadBytes) % scaleFileBytes
+			b, err := cli.Read(p, fh, off, scaleReadBytes)
 			if err != nil {
 				panic(err)
 			}
-			payload := make([]byte, scalePayload)
-			for j := range payload {
-				payload[j] = byte(i ^ j)
+			if len(b) != scaleReadBytes || b[0] != data[off] {
+				panic("scale: short or corrupt NFS read")
 			}
-			buf := p.AS.MustAlloc(scalePayload, "reply")
-			starts[i] = p.K.Now()
-			for j := 0; j < m; j++ {
-				t0 := p.K.Now()
-				if err := conn.WriteBytes(payload); err != nil {
-					panic(err)
-				}
-				if err := conn.ReadFull(buf.Base, scalePayload); err != nil {
-					panic(err)
-				}
-				hist.Observe(p.K.Now() - t0)
-			}
-			ends[i] = p.K.Now()
-			_ = conn.Close()
-		})
-	}
+		}, nil
+	})
 }
 
-// scaleNFSRead serves one in-memory file from a single server socket; each
-// client issues m 1 KiB reads. The server is one process draining one
-// ring — fan-in pressure shows up as queueing in the latency tail.
-func scaleNFSRead(w *world, m int, hist *obs.Histogram, starts, ends []sim.Time) {
-	srv := w.srv()
-	fh, data := w.startNFSD(scaleFileBytes, 0)
-
-	for i, c := range w.cli() {
-		c.k.Spawn("client", func(p *aegis.Process) {
-			p.Compute(w.prof.Cycles(float64(i) * scaleStaggerUs))
-			sock := udp.NewSocket(
-				ethStack(p, c, listenFilter(c.ip, ip.ProtoUDP, scaleClientPort), w.res),
-				scaleClientPort, udp.Options{})
-			cli := nfs.NewClient(sock, srv.ip, scaleNFSPort)
-			// Fan-in queueing at N=512 runs to hundreds of milliseconds;
-			// the default 100 ms retry timer would fire on queued-but-alive
-			// requests and double the load exactly when it hurts.
-			cli.RetryUs = 1_000_000
-			cli.MaxRetryUs = 4_000_000
-			starts[i] = p.K.Now()
-			for j := 0; j < m; j++ {
-				off := uint32(j*scaleReadBytes) % scaleFileBytes
-				t0 := p.K.Now()
-				b, err := cli.Read(p, fh, off, scaleReadBytes)
-				if err != nil {
-					panic(err)
-				}
-				if len(b) != scaleReadBytes || b[0] != data[off] {
-					panic("scale: short or corrupt NFS read")
-				}
-				hist.Observe(p.K.Now() - t0)
-			}
-			ends[i] = p.K.Now()
-		})
-	}
-}
-
-// scaleMsgs is the per-client message count.
-func scaleMsgs(cfg *Config) int {
-	if cfg.quick() {
-		return 4
-	}
-	return 8
-}
-
-// scaleCells enumerates the sweep, workload-major so each workload's table
+// scaleCells enumerates the sweep, m messages per client, workload-major so each workload's table
 // reads straight out of the result slice.
 func scaleCells(m int) []Cell {
 	var cells []Cell
 	for _, wl := range scaleWorkloads {
 		for _, n := range scaleNs {
-			cells = append(cells, scaleCell(wl, n, m))
+			cells = append(cells, scaleCell(wl.name, n, m))
 		}
 	}
 	return cells

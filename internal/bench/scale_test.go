@@ -14,8 +14,8 @@ import (
 func TestScaleSubLinearDemux(t *testing.T) {
 	const m = 2
 	for _, wl := range scaleWorkloads {
-		r1 := scaleCell(wl, 1, m).Run(nil).(ScaleResult)
-		r64 := scaleCell(wl, 64, m).Run(nil).(ScaleResult)
+		r1 := scaleCell(wl.name, 1, m).Run(nil).(ScaleResult)
+		r64 := scaleCell(wl.name, 64, m).Run(nil).(ScaleResult)
 		if r1.Msgs != m || r64.Msgs != 64*m {
 			t.Fatalf("%s: message counts %d/%d, want %d/%d", wl.name, r1.Msgs, r64.Msgs, m, 64*m)
 		}
@@ -40,7 +40,7 @@ func TestScaleDeterminism(t *testing.T) {
 		var cs []Cell
 		for _, wl := range scaleWorkloads {
 			for _, n := range []int{1, 16} {
-				cs = append(cs, scaleCell(wl, n, 2))
+				cs = append(cs, scaleCell(wl.name, n, 2))
 			}
 		}
 		return cs

@@ -19,9 +19,9 @@ var PaperTable1 = Table1{InKernelAN2: 112, UserAN2: 182, Ethernet: 309}
 // table1Cells enumerates Table I's three independent measurements.
 func table1Cells(iters int) []Cell {
 	return []Cell{
-		pairCell("table1/in-kernel", an2Pair, func(tb *Testbed) any { return inKernelAN2RT(tb, iters) }),
-		pairCell("table1/user-level", an2Pair, func(tb *Testbed) any { return rawPingPong(tb, iters) }),
-		pairCell("table1/ethernet", ethPair, func(tb *Testbed) any { return rawPingPong(tb, iters) }),
+		onWorld("table1/in-kernel", an2Pair, inKernelPingPong{iters}),
+		onWorld("table1/user-level", an2Pair, rawPingPong{iters}),
+		onWorld("table1/ethernet", ethPair, rawPingPong{iters}),
 	}
 }
 
@@ -38,9 +38,12 @@ func RunTable1(cfg *Config, iters int) Table1 {
 	return mergeTable1(cellResults(cfg, table1Cells(iters)))
 }
 
-// inKernelAN2RT measures the best in-kernel ping-pong: polled driver
-// endpoints replying directly from the kernel.
-func inKernelAN2RT(tb *Testbed, iters int) float64 {
+// inKernelPingPong measures the best in-kernel ping-pong, us per round
+// trip: polled driver endpoints replying directly from the kernel.
+type inKernelPingPong struct{ iters int }
+
+func (d inKernelPingPong) drive(_ *Config, w *world) any {
+	tb, iters := w.tb, d.iters
 	const vc = 5
 	sb, err := tb.A2.BindVC(nil, vc, 8, 4096)
 	if err != nil {

@@ -71,42 +71,20 @@ const EthernetTCPMSS = 1460
 func table2Cells(p Table2Params) []Cell {
 	var cells []Cell
 	for _, r := range table2Rows {
+		label := "table2/" + r.label + "/"
 		opts := udp.Options{InPlace: r.inplace, Checksum: r.cksum}
+		tcpCfg := tcp.DefaultConfig()
+		tcpCfg.Checksum, tcpCfg.InPlace, tcpCfg.Polling = r.cksum, r.inplace, true
 		udpMSS, tcpBytes := 3072, p.TCPBytes
 		if r.world.eth {
 			// Ethernet is ~1 MB/s; keep runtime sane.
-			udpMSS, tcpBytes = EthernetUDPPayload, p.TCPBytes/4
-		}
-		tcpCfg := func(tb *Testbed) func(host int) tcp.Config {
-			return func(host int) tcp.Config {
-				cfg := tcp.DefaultConfig()
-				cfg.Checksum = r.cksum
-				cfg.InPlace = r.inplace
-				if r.world.eth {
-					cfg.MSS = EthernetTCPMSS
-				}
-				cfg.Polling = true
-				cfg.Sys = tb.hosts[host-1].sys
-				return cfg
-			}
-		}
-		cell := func(kind string, run func(tb *Testbed, label string) float64) Cell {
-			label := "table2/" + r.label + "/" + kind
-			return pairCell(label, r.world, func(tb *Testbed) any { return run(tb, label) })
+			udpMSS, tcpBytes, tcpCfg.MSS = EthernetUDPPayload, p.TCPBytes/4, EthernetTCPMSS
 		}
 		cells = append(cells,
-			cell("udp-lat", func(tb *Testbed, label string) float64 {
-				return udpLatency(tb, label, opts, p.LatIters)
-			}),
-			cell("udp-tput", func(tb *Testbed, label string) float64 {
-				return udpThroughput(tb, label, opts, udpMSS, p.UDPTrains)
-			}),
-			cell("tcp-lat", func(tb *Testbed, _ string) float64 {
-				return tcpPingPong(tb, p.LatIters, tcpCfg(tb))
-			}),
-			cell("tcp-tput", func(tb *Testbed, _ string) float64 {
-				return tcpStream(tb, tcpBytes, 8192, tcpCfg(tb))
-			}),
+			onWorld(label+"udp-lat", r.world, udpPingPong{label + "udp-lat", opts, p.LatIters}),
+			onWorld(label+"udp-tput", r.world, udpTrains{label + "udp-tput", opts, udpMSS, p.UDPTrains}),
+			onWorld(label+"tcp-lat", r.world, tcpPingPong{tcpPair{cfg: tcpCfg}, p.LatIters}),
+			onWorld(label+"tcp-tput", r.world, tcpStream{tcpPair{cfg: tcpCfg}, tcpBytes, 8192}),
 		)
 	}
 	return cells
@@ -126,9 +104,17 @@ func mergeTable2(vs []any) Table2 {
 	return t
 }
 
-// udpLatency measures a 4-byte UDP ping-pong between sockets on ports 53
-// (host 2, echoing) and 1234 (host 1), after two warm-up round trips.
-func udpLatency(tb *Testbed, label string, opts udp.Options, iters int) float64 {
+// udpPingPong measures a 4-byte UDP ping-pong, us per round trip, between
+// sockets on ports 53 (host 2, echoing) and 1234 (host 1), after two
+// warm-up round trips. A refused step ends the cell, naming label.
+type udpPingPong struct {
+	label string
+	opts  udp.Options
+	iters int
+}
+
+func (d udpPingPong) drive(_ *Config, w *world) any {
+	tb, label, opts, iters := w.tb, d.label, d.opts, d.iters
 	const warmup = 2
 	tb.K2.Spawn("server", func(p *aegis.Process) {
 		sock := udp.NewSocket(tb.stack(p, 2, ip.ProtoUDP, 53), 53, opts)
@@ -159,10 +145,17 @@ func udpLatency(tb *Testbed, label string, opts udp.Options, iters int) float64 
 	return tb.Us(total) / float64(iters)
 }
 
-// udpThroughput runs the paper's UDP throughput workload between the same
-// two sockets: trains of 6 MSS-sized packets, each train followed by a
+// udpTrains runs the paper's UDP throughput workload, MB/s, between the
+// same two sockets: trains of 6 mss-byte packets, each train followed by a
 // small acknowledgment, after one warm-up train.
-func udpThroughput(tb *Testbed, label string, opts udp.Options, mss, trains int) float64 {
+type udpTrains struct {
+	label       string
+	opts        udp.Options
+	mss, trains int
+}
+
+func (d udpTrains) drive(_ *Config, w *world) any {
+	tb, label, opts, mss, trains := w.tb, d.label, d.opts, d.mss, d.trains
 	const perTrain = 6
 	const warmup = 1
 	var total sim.Time

@@ -47,15 +47,15 @@ func newMicroEnv() *microEnv {
 
 // table3Cells wraps the microbenchmark as a single cell: it is one short
 // pure-vcode run with no testbed to shard.
-func table3Cells() []Cell {
-	return []Cell{{Label: "table3", measure: func(*Config, *world) any { return runTable3() }}}
-}
+func table3Cells() []Cell { return []Cell{{Label: "table3", drive: table3Copies{}}} }
 
-// runTable3 performs the measurements. Each case starts with the message
-// uncached ("we assume that the message and its application-space
+// table3Copies performs the measurements. Each case starts with the
+// message uncached ("we assume that the message and its application-space
 // destination are not cached when the message arrives, and so perform
 // cache flushes at every iteration").
-func runTable3() Table3 {
+type table3Copies struct{}
+
+func (table3Copies) drive(*Config, *world) any {
 	copyEng := pipe.CompileCopy()
 	run := func(passes int, flushBetween bool) float64 {
 		env := newMicroEnv()
@@ -124,16 +124,16 @@ var PaperTable4 = Table4{
 // Figs. 1 and 2.
 func table4Cells() []Cell {
 	var cells []Cell
-	for _, withBswap := range []bool{false, true} {
+	for _, bswap := range []bool{false, true} {
 		suffix := "cksum"
-		if withBswap {
+		if bswap {
 			suffix = "cksum+bswap"
 		}
 		cells = append(cells,
-			Cell{Label: "table4/separate/" + suffix, measure: func(*Config, *world) any { return table4Separate(withBswap, false) }},
-			Cell{Label: "table4/separate-uncached/" + suffix, measure: func(*Config, *world) any { return table4Separate(withBswap, true) }},
-			Cell{Label: "table4/c-integrated/" + suffix, measure: func(*Config, *world) any { return table4Hand(withBswap) }},
-			Cell{Label: "table4/dilp/" + suffix, measure: func(*Config, *world) any { return table4DILP(withBswap) }},
+			Cell{Label: "table4/separate/" + suffix, drive: table4Separate{bswap, false}},
+			Cell{Label: "table4/separate-uncached/" + suffix, drive: table4Separate{bswap, true}},
+			Cell{Label: "table4/c-integrated/" + suffix, drive: table4Hand{bswap}},
+			Cell{Label: "table4/dilp/" + suffix, drive: table4DILP{bswap}},
 		)
 	}
 	return cells
@@ -150,24 +150,13 @@ func mergeTable4(vs []any) Table4 {
 	return out
 }
 
-func table4Pipes(withBswap bool) (*pipe.List, *pipe.Pipe, vcode.Reg) {
-	pl := pipe.NewList(2)
-	ck, acc, err := pipe.Cksum(pl)
-	if err != nil {
-		panic(err)
-	}
-	if withBswap {
-		if _, err := pipe.Byteswap(pl); err != nil {
-			panic(err)
-		}
-	}
-	return pl, ck, acc
-}
+// table4Separate is non-integrated processing: the data is copied, then
+// checksummed by the library's classic halfword in_cksum routine, then
+// (possibly) byteswapped by a third traversal.
+type table4Separate struct{ withBswap, uncachedBetween bool }
 
-func table4Separate(withBswap, uncachedBetween bool) float64 {
-	// Non-integrated processing: the data is copied, then checksummed by
-	// the library's classic halfword in_cksum routine, then (possibly)
-	// byteswapped by a third traversal.
+func (d table4Separate) drive(*Config, *world) any {
+	withBswap, uncachedBetween := d.withBswap, d.uncachedBetween
 	copyEng := pipe.CompileCopy()
 	env := newMicroEnv()
 	env.m.Cache.Flush()
@@ -212,18 +201,34 @@ func table4Separate(withBswap, uncachedBetween bool) float64 {
 	return env.prof.MBps(microBytes, total)
 }
 
-func table4Hand(withBswap bool) float64 {
+// table4Hand is the hand-written fused loop.
+type table4Hand struct{ withBswap bool }
+
+func (d table4Hand) drive(*Config, *world) any {
 	env := newMicroEnv()
 	env.m.Cache.Flush()
-	_, cycles, err := pipe.HandIntegrated(env.m, env.src, env.dst, microBytes, withBswap)
+	_, cycles, err := pipe.HandIntegrated(env.m, env.src, env.dst, microBytes, d.withBswap)
 	if err != nil {
 		panic(err)
 	}
 	return env.prof.MBps(microBytes, cycles)
 }
 
-func table4DILP(withBswap bool) float64 {
-	pl, ck, acc := table4Pipes(withBswap)
+// table4DILP is the dynamically compiled engine of the checksum pipe,
+// with a byteswap pipe after it when withBswap is set.
+type table4DILP struct{ withBswap bool }
+
+func (d table4DILP) drive(*Config, *world) any {
+	pl := pipe.NewList(2)
+	ck, acc, err := pipe.Cksum(pl)
+	if err != nil {
+		panic(err)
+	}
+	if d.withBswap {
+		if _, err := pipe.Byteswap(pl); err != nil {
+			panic(err)
+		}
+	}
 	eng, err := pipe.Compile(pl, pipe.Options{Output: true})
 	if err != nil {
 		panic(err)

@@ -1,11 +1,5 @@
 package bench
 
-import (
-	"ashs/internal/aegis"
-	"ashs/internal/core"
-	"ashs/internal/sim"
-)
-
 // Mechanism is a message-handling placement compared in Table V.
 type Mechanism int
 
@@ -36,18 +30,18 @@ var PaperTable5 = Table5{
 	Suspended: [5]float64{147, 151, 193, 247},
 }
 
-// table5Cells enumerates one cell per (mechanism, scheduling state).
+// table5Cells enumerates one cell per (mechanism, scheduling state). A
+// suspended server is not polling: it has the boost scheduler and a
+// competitor, and wake-ups go through the interrupt/reschedule path.
 func table5Cells(iters int) []Cell {
 	var cells []Cell
 	for m := MechUnsafeASH; m <= MechOptASH; m++ {
+		polling := remoteIncrement{mech: m, iters: iters, poll: true, timeoutUs: 50_000, boundUs: 5_000_000_000}
+		suspended := polling
+		suspended.poll, suspended.boost, suspended.competitors = false, true, 1
 		cells = append(cells,
-			pairCell("table5/"+mechNames[m]+"/polling", an2Pair, func(tb *Testbed) any {
-				return remoteIncrementRT(tb, m, false, iters)
-			}),
-			pairCell("table5/"+mechNames[m]+"/suspended", an2Pair, func(tb *Testbed) any {
-				return remoteIncrementRT(tb, m, true, iters)
-			}),
-		)
+			onWorld("table5/"+mechNames[m]+"/polling", an2Pair, polling),
+			onWorld("table5/"+mechNames[m]+"/suspended", an2Pair, suspended))
 	}
 	return cells
 }
@@ -64,28 +58,6 @@ func mergeTable5(vs []any) Table5 {
 // RunTable5 regenerates Table V.
 func RunTable5(cfg *Config, iters int) Table5 {
 	return mergeTable5(cellResults(cfg, table5Cells(iters)))
-}
-
-// remoteIncrementRT measures the round trip of a remote-increment active
-// message. The client is a user-level polling process; the server-side
-// handling mechanism and scheduling state vary.
-func remoteIncrementRT(tb *Testbed, mech Mechanism, suspended bool, iters int) float64 {
-	if suspended {
-		// "Suspended (interrupts)": the serving application is not
-		// polling; wakeups go through the interrupt/reschedule path.
-		tb.K2.Sched = aegis.NewPriorityBoost(tb.K2)
-		tb.K2.Spawn("competitor", func(p *aegis.Process) { p.SpinForever() })
-	}
-	if mech == MechUserLevel {
-		incrementServer(tb, !suspended, iters)
-	} else {
-		installIncrement(tb, core.Options{Unsafe: mech == MechUnsafeASH, OptimizeSFI: mech == MechOptASH},
-			mech == MechUpcall)
-	}
-	r := incrementClient(tb, iters, 50_000)
-	tb.runUntil(func() bool { return r.done }, 5_000_000_000, 100_000)
-	tb.window = [2]sim.Time{r.start, r.start + r.total}
-	return tb.Us(r.total) / float64(iters)
 }
 
 // Table renders Table V.

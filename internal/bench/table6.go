@@ -1,9 +1,6 @@
 package bench
 
-import (
-	"ashs/internal/aegis"
-	"ashs/internal/proto/tcp"
-)
+import "ashs/internal/proto/tcp"
 
 // Table6 is the end-to-end TCP comparison of handler placements
 // (Section V-B, Table VI): latency and throughput for TCP on the AN2 with
@@ -40,18 +37,21 @@ func DefaultTable6Params() Table6Params {
 	return Table6Params{LatIters: 10, TCPBytes: 10 << 20}
 }
 
-type table6Mode struct {
-	mode      tcp.Mode
-	polling   bool
-	suspended bool // competitor + boost scheduler on both hosts
+// table6Mode is a column's connection, MSS 3072: where the fast path runs,
+// and whether the user-level library polls or, suspended, competes for
+// its host's CPU.
+func table6Mode(mode tcp.Mode, polling, suspended bool) tcpPair {
+	cfg := tcp.DefaultConfig()
+	cfg.Mode, cfg.Polling = mode, polling
+	return tcpPair{cfg, suspended}
 }
 
-var table6Modes = [5]table6Mode{
-	{tcp.ModeASH, true, false},
-	{tcp.ModeASHUnsafe, true, false},
-	{tcp.ModeUpcall, true, false},
-	{tcp.ModeUser, false, true},
-	{tcp.ModeUser, true, false},
+var table6Modes = [5]tcpPair{
+	table6Mode(tcp.ModeASH, true, false),
+	table6Mode(tcp.ModeASHUnsafe, true, false),
+	table6Mode(tcp.ModeUpcall, true, false),
+	table6Mode(tcp.ModeUser, false, true),
+	table6Mode(tcp.ModeUser, true, false),
 }
 
 // table6Cells enumerates one cell per (mode, measurement): 15 independent
@@ -60,16 +60,12 @@ func table6Cells(p Table6Params) []Cell {
 	var cells []Cell
 	for i, m := range table6Modes {
 		label := "table6/" + Table6Labels[i]
+		small := m
+		small.cfg.MSS = 536
 		cells = append(cells,
-			pairCell(label+"/latency", an2Pair, func(tb *Testbed) any {
-				return table6Latency(tb, m, p.LatIters)
-			}),
-			pairCell(label+"/tput", an2Pair, func(tb *Testbed) any {
-				return table6Tput(tb, m, p.TCPBytes, 3072, 8192)
-			}),
-			pairCell(label+"/tput-small", an2Pair, func(tb *Testbed) any {
-				return table6Tput(tb, m, p.TCPBytes/2, 536, 4096)
-			}),
+			onWorld(label+"/latency", an2Pair, tcpPingPong{m, p.LatIters}),
+			onWorld(label+"/tput", an2Pair, tcpStream{m, p.TCPBytes, 8192}),
+			onWorld(label+"/tput-small", an2Pair, tcpStream{small, p.TCPBytes / 2, 4096}),
 		)
 	}
 	return cells
@@ -90,40 +86,6 @@ func RunTable6(cfg *Config, p Table6Params) Table6 {
 	return mergeTable6(cellResults(cfg, table6Cells(p)))
 }
 
-// compete gives a suspended mode's hosts the boost scheduler and one
-// compute-bound competitor each, before the connection's processes spawn.
-func (m table6Mode) compete(tb *Testbed) {
-	if m.suspended {
-		tb.K1.Sched = aegis.NewPriorityBoost(tb.K1)
-		tb.K2.Sched = aegis.NewPriorityBoost(tb.K2)
-		tb.K1.Spawn("competitor1", func(p *aegis.Process) { p.SpinForever() })
-		tb.K2.Spawn("competitor2", func(p *aegis.Process) { p.SpinForever() })
-	}
-}
-
-// cfgFor is the mode's connection config for either end of tb's pair.
-func (m table6Mode) cfgFor(tb *Testbed, mss int) func(host int) tcp.Config {
-	return func(host int) tcp.Config {
-		cfg := tcp.DefaultConfig()
-		cfg.Mode = m.mode
-		cfg.Polling = m.polling
-		cfg.Checksum = true
-		cfg.MSS = mss
-		cfg.Sys = tb.hosts[host-1].sys
-		return cfg
-	}
-}
-
-func table6Latency(tb *Testbed, m table6Mode, iters int) float64 {
-	m.compete(tb)
-	return tcpPingPong(tb, iters, m.cfgFor(tb, 3072))
-}
-
-func table6Tput(tb *Testbed, m table6Mode, totalBytes, mss, writeSize int) float64 {
-	m.compete(tb)
-	return tcpStream(tb, totalBytes, writeSize, m.cfgFor(tb, mss))
-}
-
 // Table renders Table VI.
 func (t Table6) Table() *Table {
 	return &Table{
@@ -140,5 +102,7 @@ func (t Table6) Table() *Table {
 
 // Table6TputDebug measures one mode's throughput, for diagnostics.
 func Table6TputDebug(mode, bytes, mss, ws int) float64 {
-	return inWorld(nil, an2Pair, func(w *world) float64 { return table6Tput(w.tb, table6Modes[mode], bytes, mss, ws) })
+	pair := table6Modes[mode]
+	pair.cfg.MSS = mss
+	return onWorld("", an2Pair, tcpStream{pair, bytes, ws}).Run(nil).(float64)
 }

@@ -44,22 +44,19 @@ func (w *wireTap) line(world string) string {
 }
 
 // wireTCPCfg is a connection config of the wire-identity worlds.
-func wireTCPCfg(tb *Testbed, mode tcp.Mode, cksum bool, mss int) func(host int) tcp.Config {
-	return func(host int) tcp.Config {
-		cfg := tcp.DefaultConfig()
-		cfg.Mode, cfg.Checksum, cfg.MSS = mode, cksum, mss
-		cfg.MaxRetransmit = 16
-		cfg.Sys = tb.hosts[host-1].sys
-		return cfg
-	}
+func wireTCPCfg(mode tcp.Mode, cksum bool, mss int) tcp.Config {
+	cfg := tcp.DefaultConfig()
+	cfg.Mode, cfg.Checksum, cfg.MSS = mode, cksum, mss
+	cfg.MaxRetransmit = 16
+	return cfg
 }
 
 // wireStream moves total pattern bytes from host 1 to host 2 in chunk-byte
 // writes over the suite's connection and returns the sender. (tcpStream
 // sends an untouched buffer: a frame of zeros checks the same wherever the
 // payload landed in it.)
-func wireStream(t *testing.T, tb *Testbed, total, chunk int, cfgFor func(host int) tcp.Config) *tcp.Conn {
-	accept, connect := pairTCP(tb, cfgFor)
+func wireStream(t *testing.T, tb *Testbed, total, chunk int, cfg tcp.Config) *tcp.Conn {
+	accept, connect := tcpPair{cfg: cfg}.open(tb)
 	tb.K2.Spawn("server", func(p *aegis.Process) {
 		conn := accept(p)
 		buf := p.AS.MustAlloc(chunk, "rx")
@@ -132,14 +129,14 @@ var wireWorlds = []struct {
 		tb := NewAN2Testbed(nil)
 		defer tb.close()
 		tap := tapWire(tb.Sw)
-		wireStream(t, tb, 200_000, 8192, wireTCPCfg(tb, tcp.ModeASH, true, 3072))
+		wireStream(t, tb, 200_000, 8192, wireTCPCfg(tcp.ModeASH, true, 3072))
 		return tap
 	}},
 	{"an2/tcp-user-nocksum", func(t *testing.T) *wireTap {
 		tb := NewAN2Testbed(nil)
 		defer tb.close()
 		tap := tapWire(tb.Sw)
-		wireStream(t, tb, 200_000, 5000, wireTCPCfg(tb, tcp.ModeUser, false, 536))
+		wireStream(t, tb, 200_000, 5000, wireTCPCfg(tcp.ModeUser, false, 536))
 		return tap
 	}},
 	{"eth/tcp-user-cksum-loss", func(t *testing.T) *wireTap {
@@ -147,7 +144,7 @@ var wireWorlds = []struct {
 		tb := build(nil, worldSpec{eth: true, arp: true, fault: &faultSpec{seed: 1, sched: loss}}).tb
 		defer tb.close()
 		tap := tapWire(tb.Sw)
-		cli := wireStream(t, tb, 300_000, 8192, wireTCPCfg(tb, tcp.ModeUser, true, EthernetTCPMSS))
+		cli := wireStream(t, tb, 300_000, 8192, wireTCPCfg(tcp.ModeUser, true, EthernetTCPMSS))
 		if cli.Retransmits == 0 {
 			t.Error("the loss schedule forced no retransmission")
 		}

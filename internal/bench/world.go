@@ -436,9 +436,13 @@ func (tb *Testbed) StackAN2(p *aegis.Process, host, vc int) *ip.Stack {
 
 // EthStack builds an IP stack over the Ethernet for p, demuxing with a DPF
 // filter on (ethertype, local IP, protocol, local port) and resolving
-// through the host's ARP daemon.
+// through the host's ARP daemon, svc. Without one the stack could not
+// resolve its first next hop, so a nil svc is refused here.
 func (tb *Testbed) EthStack(p *aegis.Process, host int, proto byte, port uint16, svc *arp.Service) *ip.Stack {
 	h := tb.host(host, true)
+	if svc == nil {
+		panic(fmt.Sprintf("bench: Ethernet stack asked of host %d with a nil ARP service: start one with StartARP", host))
+	}
 	return ethStack(p, h, listenFilter(h.ip, proto, port), svc)
 }
 

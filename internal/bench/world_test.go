@@ -217,7 +217,7 @@ func TestRunUntilBoundPanics(t *testing.T) {
 // cell may grow the arena pool; the same cell run again is served entirely
 // from what the first gave back, with the same simulated result.
 func TestWorldReuse(t *testing.T) {
-	cell := scaleCell(scaleWorkloads[1], 4, 2) // tcp-fast
+	cell := scaleCell("tcp-fast", 4, 2)
 	first := cell.Run(nil)
 	warm := aegis.ArenaStats()
 	again := cell.Run(nil)

@@ -116,10 +116,16 @@ func (f *Filter) Match(pkt []byte) bool {
 
 // InterpCyclesPerAtom models the fetch/decode/dispatch cost of a classic
 // interpreted filter engine (CSPF/MPF-class) per atom evaluated.
+// Uncalibrated: the paper reports no interpreter timing, only that DPF is
+// "an order of magnitude faster"; the dpf experiment shows the ratio this
+// value gives.
 const InterpCyclesPerAtom = 18
 
 // CompiledCyclesPerAtom models one specialized compare in generated code:
-// load, mask (often folded away), compare-and-branch.
+// load, mask (often folded away), compare-and-branch. Uncalibrated: an
+// instruction count, not fit to a measurement. Table I's Ethernet round
+// trip includes it; the Ethernet fixed hardware cost is what is fit to
+// that row's 309 us (DESIGN §4).
 const CompiledCyclesPerAtom = 3
 
 // Interpret evaluates the filter the way an interpreted engine would,

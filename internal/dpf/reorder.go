@@ -5,6 +5,7 @@ import "ashs/internal/sim"
 // prunedStepCycles models the generated code's depth-bound test on a
 // branch Demux skips after Reorder: one compare against the running best
 // depth instead of a full field load + dispatch (trieStepCycles).
+// Uncalibrated: the paper has no reordering to measure.
 const prunedStepCycles = sim.Time(1)
 
 // Reorder is the DCG loop applied to demux: it sorts every node's branch
