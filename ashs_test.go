@@ -180,4 +180,21 @@ func TestLintFacade(t *testing.T) {
 	if fs := ashs.LintASH(cp); len(fs) != 0 {
 		t.Fatalf("clean handler flagged: %v", fs)
 	}
+
+	// Lint runs before the verifier, so a branch out of the program (beq
+	// @99, jmp @-3) is linted, not a panic.
+	for _, target := range []int32{99, -3} {
+		b := ashs.NewCodeBuilder("wild")
+		out := b.NewLabel()
+		if target > 0 {
+			b.Beq(ashs.RArg0, ashs.RArg1, out)
+		} else {
+			b.Jmp(out)
+		}
+		b.Bind(out)
+		b.Ret()
+		wild := b.MustAssemble()
+		wild.Insns[0].Target = target
+		ashs.LintASH(wild)
+	}
 }

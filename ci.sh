@@ -108,6 +108,11 @@ go test -race ./...
 #   netdev   a buffer has one owner: recycling, double Release panics, receivers borrow and copy
 #   core     §VI-4: a tenant over its cycle quota takes the lazy path, tenants are isolated
 #   pipe     every compiled engine streams all but its first iteration
+#   vcode    the opcode table: every op has a row, prints as before, and its
+#            register effects bound what the interpreter reads and writes
+#   pipe     a pipe body refuses every op class the handler verifier refuses
+#   analysis a static target outside the program is control leaving it, and
+#            Lint survives it
 #   tcp      retransmissions after 200/400/800/1600 ms, capped; teardown after MaxRetransmit
 #   nfs      a dead port gets Retries+1 sends at doubling, capped intervals, then an error;
 #            a warm GetAttr, Read and Write allocate nothing on either side
@@ -138,6 +143,9 @@ done <<'EOF'
 ./internal/netdev/:^TestBuf|^TestRefcountHandoffRace$
 ./internal/core/:^TestQuota
 ./internal/pipe/:^TestCompiledEnginesStream$
+./internal/vcode/:^TestOpTable$
+./internal/pipe/:^TestPipeRefusesWhatTheVerifierRefuses$
+./internal/vcode/analysis/:^TestTargetOutsideProgram$
 ./internal/proto/tcp/:^TestRetransmitBackoffSchedule$|^TestMaxRetransmitTearsDownConnection$
 ./internal/proto/nfs/:^TestDeadPortGivesUpAfterRetries$|^TestRPCDoesNotAllocate$
 EOF

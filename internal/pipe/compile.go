@@ -98,10 +98,10 @@ func Compile(l *List, opts Options) (*Engine, error) {
 		a.emit(vcode.Insn{Op: vcode.OpSt32X, Rs: vcode.RArg1, Rt: idx, Rd: word})
 	}
 	a.emit(vcode.Insn{Op: vcode.OpAddIU, Rd: idx, Rs: idx, Imm: 4})
-	a.emit(vcode.Insn{Op: vcode.OpBltU, Rs: idx, Rt: vcode.RArg2, Target: loop})
+	a.emit(vcode.Insn{Op: vcode.OpBltU, Rs: idx, Rt: vcode.RArg2, Target: int32(loop)})
 	end := a.here()
 	a.emit(vcode.Insn{Op: vcode.OpRet})
-	a.ins[guard].Target = end
+	a.ins[guard].Target = int32(end)
 
 	// Collect remapped persistent registers.
 	var persist []vcode.Reg
@@ -233,36 +233,20 @@ func inlineBodyOnce(a *asm, p *Pipe, pm map[vcode.Reg]vcode.Reg, in vcode.Reg) (
 		return r
 	}
 	for _, insn := range inner {
-		if writesTo(insn, p.inReg) {
+		if p.inReg != vcode.RZero && insn.Defs().Has(p.inReg) {
 			return 0, fmt.Errorf("pipe %s: body writes its input register; cannot coalesce", p.Name)
 		}
 		out := insn
 		out.Rd = mapReg(insn.Rd)
 		out.Rs = mapReg(insn.Rs)
 		out.Rt = mapReg(insn.Rt)
-		switch insn.Op {
-		case vcode.OpBeq, vcode.OpBne, vcode.OpBltU, vcode.OpBgeU, vcode.OpJmp:
+		if insn.Op.Is(vcode.Branch) {
 			// Body targets are in [1, len-2]; re-base onto the fused code.
-			out.Target = start + (insn.Target - 1)
+			out.Target = int32(start) + insn.Target - 1
 		}
 		a.emit(out)
 	}
 	return mapReg(p.outReg), nil
-}
-
-func writesTo(in vcode.Insn, r vcode.Reg) bool {
-	if r == vcode.RZero {
-		return false
-	}
-	if in.Op.IsStore() {
-		return false
-	}
-	switch in.Op {
-	case vcode.OpNop, vcode.OpRet, vcode.OpJmp, vcode.OpJmpR,
-		vcode.OpBeq, vcode.OpBne, vcode.OpBltU, vcode.OpBgeU, vcode.OpOutput32:
-		return false
-	}
-	return in.Rd == r
 }
 
 // RegOf translates a pipe's own register handle (e.g. the checksum

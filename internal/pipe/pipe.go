@@ -106,7 +106,9 @@ func (l *List) Lambda(name string, g Gauge, attrs Attr, body func(b *vcode.Build
 
 // validate enforces the pipe shape the compiler can fuse: the first
 // instruction is the only Input32, the last instruction before Ret is the
-// only Output32, and intra-body branches stay inside the body.
+// only Output32, and intra-body branches stay inside the body. The body
+// runs in the kernel, so it also refuses every op the handler verifier
+// refuses at download time, by the same opcode classes.
 func (p *Pipe) validate() error {
 	ins := p.Body.Insns
 	if len(ins) < 3 {
@@ -124,18 +126,16 @@ func (p *Pipe) validate() error {
 	p.inReg = ins[0].Rd
 	p.outReg = ins[len(ins)-2].Rs
 	for i, in := range ins[1 : len(ins)-2] {
-		switch in.Op {
-		case vcode.OpInput32, vcode.OpOutput32:
+		switch {
+		case in.Op.Is(vcode.PipeOp):
 			return fmt.Errorf("pipe %s: stray pipe pseudo-op mid-body at %d", p.Name, i+1)
-		case vcode.OpCall, vcode.OpJmpR, vcode.OpRet:
+		case in.Op >= vcode.NumOps, in.Op.Is(vcode.Float | vcode.Signed | vcode.Reserved),
+			in.Op == vcode.OpCall, in.Op == vcode.OpJmpR, in.Op == vcode.OpRet:
 			return fmt.Errorf("pipe %s: %v not allowed inside a pipe body", p.Name, in.Op)
-		case vcode.OpBeq, vcode.OpBne, vcode.OpBltU, vcode.OpBgeU, vcode.OpJmp:
-			if in.Target < 1 || in.Target > len(ins)-2 {
-				return fmt.Errorf("pipe %s: branch escapes pipe body", p.Name)
-			}
-		}
-		if in.Op.IsLoad() || in.Op.IsStore() {
+		case in.Op.Is(vcode.Load | vcode.Store):
 			return fmt.Errorf("pipe %s: pipes may not access memory directly", p.Name)
+		case in.Op.Is(vcode.Branch) && (in.Target < 1 || int(in.Target) > len(ins)-2):
+			return fmt.Errorf("pipe %s: branch escapes pipe body", p.Name)
 		}
 	}
 	// The body must not overwrite its own input register if it is NoMod:

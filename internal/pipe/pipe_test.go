@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"ashs/internal/aegis"
 	"ashs/internal/mach"
+	"ashs/internal/sandbox"
 	"ashs/internal/sim"
 	"ashs/internal/vcode"
 )
@@ -555,6 +557,41 @@ func TestPipeValidationRejectsBadShapes(t *testing.T) {
 		b.Output32(r)
 	}); err == nil {
 		t.Fatal("NoMod pipe that outputs a different register accepted")
+	}
+}
+
+// TestPipeRefusesWhatTheVerifierRefuses: a pipe body runs in the kernel
+// (ash_dilp), so every op class the handler verifier refuses at download
+// time is refused in a body too, and the same op in a handler is refused
+// by the verifier.
+func TestPipeRefusesWhatTheVerifierRefuses(t *testing.T) {
+	for _, c := range []struct {
+		class string
+		op    vcode.Op
+		emit  func(b *vcode.Builder, out vcode.Reg)
+	}{
+		{"float", vcode.OpFAdd, func(b *vcode.Builder, out vcode.Reg) { b.Float(vcode.OpFAdd, out, vcode.RInput, vcode.RInput) }},
+		{"signed", vcode.OpAdd, func(b *vcode.Builder, out vcode.Reg) { b.Signed(vcode.OpAdd, out, vcode.RInput, vcode.RInput) }},
+		{"sandbox-reserved", vcode.OpChkBudget, func(b *vcode.Builder, out vcode.Reg) {
+			b.RawSandboxOp(vcode.OpChkBudget)
+			b.Mov(out, vcode.RInput)
+		}},
+		{"unknown opcode", vcode.NumOps, func(b *vcode.Builder, out vcode.Reg) { b.Op3(vcode.NumOps, out, vcode.RInput, vcode.RInput) }},
+	} {
+		l := NewList(1)
+		_, err := l.Lambda(c.class, Gauge32, 0, func(b *vcode.Builder) {
+			out := b.Temp()
+			b.Input32(vcode.RInput)
+			c.emit(b, out)
+			b.Output32(out)
+		})
+		if err == nil || !strings.Contains(err.Error(), c.op.String()) {
+			t.Errorf("%s: pipe body with %v: err = %v, want it refused", c.class, c.op, err)
+		}
+		handler := &vcode.Program{Name: c.class, Insns: []vcode.Insn{{Op: c.op, Rd: 8}, {Op: vcode.OpRet}}}
+		if sandbox.Verify(handler, sandbox.DefaultPolicy()) == nil {
+			t.Errorf("%s: the verifier accepts a handler with %v", c.class, c.op)
+		}
 	}
 }
 

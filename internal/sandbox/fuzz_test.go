@@ -101,7 +101,7 @@ func genProgram(rng *rand.Rand) *vcode.Program {
 			ops := []vcode.Op{vcode.OpBeq, vcode.OpBne, vcode.OpBltU, vcode.OpBgeU}
 			pendingBranches = append(pendingBranches, len(insns))
 			add(vcode.Insn{Op: ops[rng.Intn(len(ops))], Rs: reg(), Rt: reg(),
-				Target: len(insns) + 2 + rng.Intn(5)})
+				Target: int32(len(insns) + 2 + rng.Intn(5))})
 		case 10: // counted loop with a memory op in the body
 			i, bound := regs[4], regs[5] // dedicated; body avoids them
 			trips := int32(1+rng.Intn(8)) * 4
@@ -117,7 +117,7 @@ func genProgram(rng *rand.Rand) *vcode.Program {
 				add(vcode.Insn{Op: vcode.OpAddU, Rd: regs[2], Rs: regs[2], Rt: regs[0]})
 			}
 			add(vcode.Insn{Op: vcode.OpAddIU, Rd: i, Rs: i, Imm: 4})
-			add(vcode.Insn{Op: vcode.OpBltU, Rs: i, Rt: bound, Target: top})
+			add(vcode.Insn{Op: vcode.OpBltU, Rs: i, Rt: bound, Target: int32(top)})
 		case 11:
 			add(vcode.Insn{Op: vcode.OpMulU, Rd: reg(), Rs: reg(), Rt: reg()})
 		case 12:
@@ -128,8 +128,8 @@ func genProgram(rng *rand.Rand) *vcode.Program {
 	}
 	add(vcode.Insn{Op: vcode.OpRet})
 	for _, b := range pendingBranches {
-		if insns[b].Target >= len(insns) {
-			insns[b].Target = len(insns) - 1 // the ret
+		if int(insns[b].Target) >= len(insns) {
+			insns[b].Target = int32(len(insns) - 1) // the ret
 		}
 	}
 	return &vcode.Program{Name: "fuzz", Insns: insns, NextReg: 16}

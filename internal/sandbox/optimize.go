@@ -77,14 +77,6 @@ type coarsePlan struct {
 	latchPC  int // original pc of the backward branch
 }
 
-func isDirectMem(op vcode.Op) bool {
-	return (op.IsLoad() || op.IsStore()) && !op.IsIndexed()
-}
-
-func isIndexedMem(op vcode.Op) bool {
-	return (op.IsLoad() || op.IsStore()) && op.IsIndexed()
-}
-
 // buildGroups clusters the direct memory ops of every block. A group is
 // open per base register and closes when the register is redefined, a call
 // clobbers everything, the block ends, or adding an op would stretch the
@@ -98,7 +90,7 @@ func buildGroups(c *analysis.CFG) map[int]*memGroup {
 			if in.Op == vcode.OpCall {
 				open = map[vcode.Reg]*memGroup{}
 			}
-			if isDirectMem(in.Op) {
+			if in.Op.Is(vcode.Load|vcode.Store) && !in.Op.Is(vcode.Indexed) {
 				imm := int64(in.Imm)
 				g := open[in.Rs]
 				if g != nil {
@@ -121,9 +113,7 @@ func buildGroups(c *analysis.CFG) map[int]*memGroup {
 					anchorOf[pc] = g
 				}
 			}
-			for _, d := range analysis.Defs(in) {
-				delete(open, d)
-			}
+			in.Defs().Each(func(d vcode.Reg) { delete(open, d) })
 		}
 	}
 	return anchorOf
@@ -142,12 +132,10 @@ func stepCheck(s *analysis.CheckSet, in vcode.Insn, anchor *memGroup) {
 	if anchor != nil {
 		s.AddSpan(anchor.reg, anchor.minImm, anchor.maxImm)
 	}
-	if isIndexedMem(in.Op) {
+	if in.Op.Is(vcode.Indexed) {
 		s.AddPair(in.Rs, in.Rt)
 	}
-	for _, d := range analysis.Defs(in) {
-		s.KillReg(d)
-	}
+	in.Defs().Each(s.KillReg)
 }
 
 // planPreheaders selects, per loop, the group anchors whose checks hoist
@@ -189,13 +177,11 @@ func planPreheaders(c *analysis.CFG, pol *Policy, anchorOf map[int]*memGroup,
 			continue
 		}
 
-		var defsInLoop analysis.RegSet
+		var defsInLoop vcode.RegSet
 		for _, p := range l.Blocks {
 			pb := &c.Blocks[p]
 			for pc := pb.Start; pc < pb.End; pc++ {
-				for _, d := range analysis.Defs(c.Prog.Insns[pc]) {
-					defsInLoop = defsInLoop.Add(d)
-				}
+				defsInLoop |= c.Prog.Insns[pc].Defs()
 			}
 		}
 
@@ -398,7 +384,19 @@ func instrumentOptimized(p *vcode.Program, pol *Policy) ([]vcode.Insn, []int, op
 			in := p.Insns[pc]
 			oldToNew[pc] = len(out)
 			switch {
-			case isDirectMem(in.Op):
+			case in.Op.Is(vcode.Indexed):
+				if state.CoversPair(in.Rs, in.Rt) {
+					st.elided++
+					emit(pc, in)
+				} else {
+					emit(pc, vcode.Insn{Op: vcode.OpAddU, Rd: vcode.RSbox, Rs: in.Rs, Rt: in.Rt})
+					emit(pc, vcode.Insn{Op: vcode.OpSboxChk, Rd: vcode.RSbox})
+					rewritten := in
+					rewritten.Rs = vcode.RSbox
+					rewritten.Rt = vcode.RZero
+					emit(pc, rewritten)
+				}
+			case in.Op.Is(vcode.Load | vcode.Store):
 				if g := anchorOf[pc]; g != nil {
 					pairs := 0
 					if !state.Covers(g.reg, g.minImm) {
@@ -414,18 +412,6 @@ func instrumentOptimized(p *vcode.Program, pol *Policy) ([]vcode.Insn, []int, op
 				// The access itself runs in original form: its address is
 				// inside the certified hull.
 				emit(pc, in)
-			case isIndexedMem(in.Op):
-				if state.CoversPair(in.Rs, in.Rt) {
-					st.elided++
-					emit(pc, in)
-				} else {
-					emit(pc, vcode.Insn{Op: vcode.OpAddU, Rd: vcode.RSbox, Rs: in.Rs, Rt: in.Rt})
-					emit(pc, vcode.Insn{Op: vcode.OpSboxChk, Rd: vcode.RSbox})
-					rewritten := in
-					rewritten.Rs = vcode.RSbox
-					rewritten.Rt = vcode.RZero
-					emit(pc, rewritten)
-				}
 			case in.Op == vcode.OpDivU || in.Op == vcode.OpRemU:
 				switch {
 				case rng.Before(pc, in.Rt).Lo >= 1:
@@ -455,18 +441,18 @@ func instrumentOptimized(p *vcode.Program, pol *Policy) ([]vcode.Insn, []int, op
 	// it is a back edge (iterations must not repeat the preheader).
 	// Fall-through entry edges pass through the preheader naturally.
 	for i := range out {
-		switch out[i].Op {
-		case vcode.OpBeq, vcode.OpBne, vcode.OpBltU, vcode.OpBgeU, vcode.OpJmp:
-			t := out[i].Target
-			if php, ok := preheaderPos[t]; ok {
-				src := outSrc[i]
-				if src < 0 || !plans[t].loop.Contains(c.BlockOf[src]) {
-					out[i].Target = php
-					continue
-				}
-			}
-			out[i].Target = oldToNew[t]
+		if !out[i].Op.Is(vcode.Branch) {
+			continue
 		}
+		t := int(out[i].Target)
+		if php, ok := preheaderPos[t]; ok {
+			src := outSrc[i]
+			if src < 0 || !plans[t].loop.Contains(c.BlockOf[src]) {
+				out[i].Target = int32(php)
+				continue
+			}
+		}
+		out[i].Target = int32(oldToNew[t])
 	}
 
 	if pol.Budget == BudgetSoftware {

@@ -115,21 +115,22 @@ func verifyProgram(p *vcode.Program) error {
 	n := len(p.Insns)
 	for pc, in := range p.Insns {
 		switch {
-		case in.Op.IsFloat():
+		case in.Op >= vcode.NumOps:
+			return &VerifyError{pc, in, "unknown opcode"}
+		case in.Op.Is(vcode.Float):
 			return &VerifyError{pc, in, "floating-point instructions are disallowed at download time"}
-		case in.Op.IsSignedArith():
+		case in.Op.Is(vcode.Signed):
 			return &VerifyError{pc, in, "signed (trapping) arithmetic is disallowed; use unsigned forms"}
-		case in.Op.IsSandboxOp():
+		case in.Op.Is(vcode.Reserved):
 			return &VerifyError{pc, in, "sandbox-reserved instruction in downloaded code"}
-		case in.Op == vcode.OpInput32 || in.Op == vcode.OpOutput32:
+		case in.Op.Is(vcode.PipeOp):
 			return &VerifyError{pc, in, "pipe pseudo-op outside a pipe body"}
 		case in.Op == vcode.OpCall:
 			if name := in.Sym.String(); entryPoints[name] == nil {
 				return &VerifyError{pc, in, fmt.Sprintf("call to %q is not an allowed system entry point", name)}
 			}
-		case in.Op == vcode.OpBeq || in.Op == vcode.OpBne ||
-			in.Op == vcode.OpBltU || in.Op == vcode.OpBgeU || in.Op == vcode.OpJmp:
-			if in.Target < 0 || in.Target >= n {
+		case in.Op.Is(vcode.Branch):
+			if in.Target < 0 || int(in.Target) >= n {
 				return &VerifyError{pc, in, "static branch target outside program"}
 			}
 		}
@@ -139,10 +140,10 @@ func verifyProgram(p *vcode.Program) error {
 		// been checked, and the machine stores to r0 like to any other
 		// register, so a handler that wrote it would move the access by
 		// what it wrote.
-		if writesReg(in, vcode.RSbox) {
+		if in.Defs().Has(vcode.RSbox) {
 			return &VerifyError{pc, in, "write to reserved sandbox register"}
 		}
-		if writesReg(in, vcode.RZero) {
+		if in.Defs().Has(vcode.RZero) {
 			return &VerifyError{pc, in, "write to the zero register"}
 		}
 	}
@@ -194,20 +195,6 @@ func verifyCFG(p *vcode.Program) error {
 		}
 	}
 	return nil
-}
-
-func writesReg(in vcode.Insn, r vcode.Reg) bool {
-	if in.Op.IsStore() && !in.Op.IsIndexed() {
-		return false // stores read Rt, write memory
-	}
-	switch in.Op {
-	case vcode.OpNop, vcode.OpRet, vcode.OpJmp, vcode.OpJmpR, vcode.OpCall,
-		vcode.OpBeq, vcode.OpBne, vcode.OpBltU, vcode.OpBgeU,
-		vcode.OpSt32, vcode.OpSt16, vcode.OpSt8, vcode.OpSt32X, vcode.OpSt8X,
-		vcode.OpOutput32:
-		return false
-	}
-	return in.Rd == r
 }
 
 // Program is a verified, instrumented handler ready for installation. Its
@@ -312,11 +299,8 @@ func checkEpilogues(sp *Program) error {
 	}
 	intoInterior := func(t int) bool { return t >= 0 && t < len(interior) && interior[t] }
 	for i, in := range code {
-		switch in.Op {
-		case vcode.OpBeq, vcode.OpBne, vcode.OpBltU, vcode.OpBgeU, vcode.OpJmp:
-			if intoInterior(in.Target) {
-				return fmt.Errorf("sandbox: internal error: branch at %d jumps into an exit sequence", i)
-			}
+		if in.Op.Is(vcode.Branch) && intoInterior(int(in.Target)) {
+			return fmt.Errorf("sandbox: internal error: branch at %d jumps into an exit sequence", i)
 		}
 	}
 	for old, t := range sp.JmpTable {
@@ -351,10 +335,10 @@ func instrumentNaive(p *vcode.Program, pol *Policy) ([]vcode.Insn, []int) {
 	for pc, in := range p.Insns {
 		oldToNew[pc] = len(out)
 		switch {
-		case in.Op.IsLoad() || in.Op.IsStore():
+		case in.Op.Is(vcode.Load | vcode.Store):
 			// Stage the effective address through RSbox and bounds-check
 			// it: +2 instructions per memory operation (Wahbe et al.).
-			if in.Op.IsIndexed() {
+			if in.Op.Is(vcode.Indexed) {
 				out = append(out,
 					vcode.Insn{Op: vcode.OpAddU, Rd: vcode.RSbox, Rs: in.Rs, Rt: in.Rt},
 					vcode.Insn{Op: vcode.OpSboxChk, Rd: vcode.RSbox},
@@ -388,9 +372,8 @@ func instrumentNaive(p *vcode.Program, pol *Policy) ([]vcode.Insn, []int) {
 
 	// Retarget static branches using oldToNew.
 	for i := range out {
-		switch out[i].Op {
-		case vcode.OpBeq, vcode.OpBne, vcode.OpBltU, vcode.OpBgeU, vcode.OpJmp:
-			out[i].Target = oldToNew[out[i].Target]
+		if out[i].Op.Is(vcode.Branch) {
+			out[i].Target = int32(oldToNew[out[i].Target])
 		}
 	}
 
@@ -416,11 +399,7 @@ func identity(n int) []int {
 // the map from each index of code to its index in the new code.
 func insertBudgetChecks(code []vcode.Insn, oldToNew []int, exempt func(i int) bool) ([]vcode.Insn, []int) {
 	isBackward := func(i int) bool {
-		switch code[i].Op {
-		case vcode.OpBeq, vcode.OpBne, vcode.OpBltU, vcode.OpBgeU, vcode.OpJmp:
-			return code[i].Target <= i && (exempt == nil || !exempt(i))
-		}
-		return false
+		return code[i].Op.Is(vcode.Branch) && int(code[i].Target) <= i && (exempt == nil || !exempt(i))
 	}
 	// Map from current index to final index after insertions. For a
 	// backward branch, the mapped position is the inserted ChkBudget, not
@@ -440,16 +419,15 @@ func insertBudgetChecks(code []vcode.Insn, oldToNew []int, exempt func(i int) bo
 	out := make([]vcode.Insn, 0, len(code)+added)
 	for i, in := range code {
 		if isBackward(i) {
-			body := int32(i - in.Target + 1)
+			body := int32(i) - in.Target + 1
 			out = append(out, vcode.Insn{Op: vcode.OpChkBudget, Imm: body})
 		}
 		out = append(out, in)
 	}
 	// Retarget branches to shifted positions.
 	for i := range out {
-		switch out[i].Op {
-		case vcode.OpBeq, vcode.OpBne, vcode.OpBltU, vcode.OpBgeU, vcode.OpJmp:
-			out[i].Target = shift[out[i].Target]
+		if out[i].Op.Is(vcode.Branch) {
+			out[i].Target = int32(shift[out[i].Target])
 		}
 	}
 	for i, v := range oldToNew {

@@ -126,6 +126,22 @@ func TestCFGUnreachableAndFallsOff(t *testing.T) {
 	}
 }
 
+// TestTargetOutsideProgram: a static target outside the program is control
+// leaving it, as a fall-through past the end is. Lint is advisory and runs
+// before the verifier, so it must survive such a program.
+func TestTargetOutsideProgram(t *testing.T) {
+	for _, p := range []*vcode.Program{
+		{Name: "beq @99", Insns: []vcode.Insn{{Op: vcode.OpBeq, Rs: 8, Target: 99}, {Op: vcode.OpRet}}},
+		{Name: "jmp @-3", Insns: []vcode.Insn{{Op: vcode.OpJmp, Target: -3}, {Op: vcode.OpRet}}},
+	} {
+		c := Build(p)
+		if len(c.FallsOff) != 1 || c.FallsOff[0] != 0 {
+			t.Errorf("%s: FallsOff = %v, want the branch's block", p.Name, c.FallsOff)
+		}
+		Lint(p)
+	}
+}
+
 func TestDominatorsDiamond(t *testing.T) {
 	p := diamond(t)
 	c := Build(p)

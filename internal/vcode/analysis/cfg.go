@@ -42,42 +42,15 @@ type CFG struct {
 	// refuse to run at all.
 	HasIndirect bool
 
-	// FallsOff lists blocks whose fall-through successor would be past the
-	// end of the program (the machine faults with a wild jump there).
+	// FallsOff lists blocks from which control can leave the program other
+	// than by ret: a fall-through past the end or a static target outside
+	// it (the machine faults with a wild jump there).
 	FallsOff []int
 }
 
-// isTerminator reports whether op ends a basic block.
-func isTerminator(op vcode.Op) bool {
-	switch op {
-	case vcode.OpBeq, vcode.OpBne, vcode.OpBltU, vcode.OpBgeU,
-		vcode.OpJmp, vcode.OpJmpR, vcode.OpRet:
-		return true
-	}
-	return false
-}
-
-// isBranch reports whether op carries a static Target.
-func isBranch(op vcode.Op) bool {
-	switch op {
-	case vcode.OpBeq, vcode.OpBne, vcode.OpBltU, vcode.OpBgeU, vcode.OpJmp:
-		return true
-	}
-	return false
-}
-
-// isCondBranch reports whether op branches conditionally (falls through
-// when the condition does not hold).
-func isCondBranch(op vcode.Op) bool {
-	switch op {
-	case vcode.OpBeq, vcode.OpBne, vcode.OpBltU, vcode.OpBgeU:
-		return true
-	}
-	return false
-}
-
-// Build constructs the CFG of p. Branch targets must be inside the
-// program (the verifier's linear pass checks this first).
+// Build constructs the CFG of p. It takes unverified code (Lint runs before
+// the verifier), so a static target outside the program is control leaving
+// it, as a fall-through past the end is.
 func Build(p *vcode.Program) *CFG {
 	n := len(p.Insns)
 	c := &CFG{Prog: p, BlockOf: make([]int, n)}
@@ -89,10 +62,10 @@ func Build(p *vcode.Program) *CFG {
 	leader := make([]bool, n)
 	leader[0] = true
 	for pc, in := range p.Insns {
-		if isBranch(in.Op) && in.Target >= 0 && in.Target < n {
+		if in.Op.Is(vcode.Branch) && in.Target >= 0 && int(in.Target) < n {
 			leader[in.Target] = true
 		}
-		if isTerminator(in.Op) && pc+1 < n {
+		if in.Op.Is(vcode.EndsBlock) && pc+1 < n {
 			leader[pc+1] = true
 		}
 		if in.Op == vcode.OpJmpR {
@@ -117,26 +90,23 @@ func Build(p *vcode.Program) *CFG {
 	// Edges.
 	for i := range c.Blocks {
 		b := &c.Blocks[i]
-		last := p.Insns[b.Last()]
-		fallThrough := func() {
-			if b.End < n {
-				b.Succs = append(b.Succs, c.BlockOf[b.End])
+		leaves := false
+		edge := func(to int) {
+			if to >= 0 && to < n {
+				b.Succs = append(b.Succs, c.BlockOf[to])
 			} else {
-				c.FallsOff = append(c.FallsOff, b.ID)
+				leaves = true
 			}
 		}
-		switch {
-		case last.Op == vcode.OpRet:
-			// no successors
-		case last.Op == vcode.OpJmp:
-			b.Succs = append(b.Succs, c.BlockOf[last.Target])
-		case last.Op == vcode.OpJmpR:
-			// indirect: no static successors (HasIndirect is set)
-		case isCondBranch(last.Op):
-			b.Succs = append(b.Succs, c.BlockOf[last.Target])
-			fallThrough()
-		default:
-			fallThrough()
+		last := p.Insns[b.Last()]
+		if last.Op.Is(vcode.Branch) {
+			edge(int(last.Target))
+		}
+		if !last.Op.Is(vcode.EndsBlock) || last.Op.Is(vcode.Cond) {
+			edge(b.End)
+		}
+		if leaves {
+			c.FallsOff = append(c.FallsOff, b.ID)
 		}
 	}
 	for i := range c.Blocks {

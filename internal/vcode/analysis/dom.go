@@ -193,7 +193,7 @@ func (c *CFG) TripBound(l *Loop, r *Ranges) (int64, bool) {
 	}
 	b := &c.Blocks[l.Header]
 	last := c.Prog.Insns[b.Last()]
-	if (last.Op != vcode.OpBltU && last.Op != vcode.OpBne) || last.Target != b.Start {
+	if (last.Op != vcode.OpBltU && last.Op != vcode.OpBne) || int(last.Target) != b.Start {
 		return 0, false
 	}
 	// Count defs inside the block; find the counter increment.
@@ -204,11 +204,9 @@ func (c *CFG) TripBound(l *Loop, r *Ranges) (int64, bool) {
 		if in.Op == vcode.OpCall {
 			return 0, false
 		}
-		for _, d := range Defs(in) {
-			defsOf[d]++
-			if in.Op == vcode.OpAddIU && in.Rd == in.Rs && in.Imm > 0 {
-				incAt = pc
-			}
+		in.Defs().Each(func(d vcode.Reg) { defsOf[d]++ })
+		if in.Op == vcode.OpAddIU && in.Rd == in.Rs && in.Imm > 0 {
+			incAt = pc
 		}
 	}
 	// Identify counter and bound among the branch operands. Only the

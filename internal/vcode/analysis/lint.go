@@ -64,31 +64,26 @@ func Lint(p *vcode.Program) []Finding {
 	// Dead stores/loads: a defined register not live after the def, from
 	// an instruction with no other architectural effect worth keeping.
 	for pc, in := range p.Insns {
-		defs := Defs(in)
-		if len(defs) == 0 || in.Op == vcode.OpCall || in.Op == vcode.OpNop {
+		defs := in.Defs()
+		if defs == 0 || in.Op == vcode.OpCall {
 			continue
 		}
-		live := lv.LiveOutAt(pc)
-		for _, d := range defs {
-			if d == vcode.RZero || live.Has(d) {
-				continue
-			}
-			if in.Op.IsLoad() {
+		dead := (defs &^ lv.LiveOutAt(pc)).Remove(vcode.RZero)
+		dead.Each(func(d vcode.Reg) {
+			if in.Op.Is(vcode.Load) {
 				out = append(out, Finding{LintDeadLoad, pc, d,
 					fmt.Sprintf("value loaded into r%d is never read (%s)", d, in)})
 			} else {
 				out = append(out, Finding{LintDeadStore, pc, d,
 					fmt.Sprintf("value written to r%d is never read (%s)", d, in)})
 			}
-		}
+		})
 	}
 
 	// Persistent registers never read anywhere.
-	used := RegSet(0)
+	var used vcode.RegSet
 	for _, in := range p.Insns {
-		for _, u := range Uses(in) {
-			used = used.Add(u)
-		}
+		used |= in.Uses()
 	}
 	for _, r := range p.Persistent {
 		if !used.Has(r) {

@@ -161,9 +161,7 @@ func step(r *RegIntervals, in vcode.Insn) {
 	default:
 		// Anything else that defines a register produces an unknown value
 		// (loads, or/xor/nor, cksum32, bswap, reg-count shifts, ...).
-		for _, d := range Defs(in) {
-			set(d, Top)
-		}
+		in.Defs().Each(func(d vcode.Reg) { set(d, Top) })
 	}
 }
 

@@ -266,7 +266,7 @@ func (b *Builder) Output32(rs Reg) { b.emit(Insn{Op: OpOutput32, Rs: rs}) }
 
 // Signed emits a signed (trapping) arithmetic op, for verifier tests.
 func (b *Builder) Signed(op Op, rd, rs, rt Reg) {
-	if !op.IsSignedArith() {
+	if !op.Is(Signed) {
 		b.fail("Signed() with non-signed op %v", op)
 		return
 	}
@@ -275,7 +275,7 @@ func (b *Builder) Signed(op Op, rd, rs, rt Reg) {
 
 // Float emits a floating-point op, for verifier tests.
 func (b *Builder) Float(op Op, rd, rs, rt Reg) {
-	if !op.IsFloat() {
+	if !op.Is(Float) {
 		b.fail("Float() with non-float op %v", op)
 		return
 	}
@@ -296,7 +296,7 @@ func (b *Builder) Assemble() (*Program, error) {
 		if at == -1 {
 			return nil, fmt.Errorf("vcode %s: label %d never bound", b.name, f.label)
 		}
-		b.insns[f.insn].Target = at
+		b.insns[f.insn].Target = int32(at)
 	}
 	// A program must end in Ret so the machine always terminates cleanly.
 	if len(b.insns) == 0 || b.insns[len(b.insns)-1].Op != OpRet {

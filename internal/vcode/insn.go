@@ -15,7 +15,10 @@
 // sandbox verifier has something to reject (Section III-B1 of the paper).
 package vcode
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Reg names one of the 32 machine registers. R0 is hardwired to zero.
 type Reg uint8
@@ -120,129 +123,256 @@ const (
 	OpSboxChk   // fault unless rd lies inside the data region
 	OpChkDiv    // fault if rs == 0
 	OpChkBudget // decrement budget by imm; fault if exhausted
+
+	// NumOps is one past the last opcode: every op below it has a row in
+	// opTable, and the verifier refuses any op at or above it.
+	NumOps
 )
 
-var opNames = [...]string{
-	OpNop: "nop", OpMovI: "movi", OpMov: "mov",
-	OpAddU: "addu", OpSubU: "subu", OpAnd: "and", OpOr: "or", OpXor: "xor",
-	OpNor: "nor", OpSll: "sll", OpSrl: "srl", OpSltU: "sltu", OpMulU: "mulu",
-	OpAddIU: "addiu", OpAndI: "andi", OpOrI: "ori", OpXorI: "xori",
-	OpSllI: "slli", OpSrlI: "srli", OpSltIU: "sltiu",
-	OpDivU: "divu", OpRemU: "remu",
-	OpAdd: "add", OpSub: "sub", OpDiv: "div",
-	OpFAdd: "fadd", OpFMul: "fmul",
-	OpLd32: "ld32", OpLd16: "ld16", OpLd8: "ld8",
-	OpSt32: "st32", OpSt16: "st16", OpSt8: "st8",
-	OpLd32X: "ld32x", OpSt32X: "st32x", OpLd8X: "ld8x", OpSt8X: "st8x",
-	OpBeq: "beq", OpBne: "bne", OpBltU: "bltu", OpBgeU: "bgeu",
-	OpJmp: "jmp", OpJmpR: "jmpr", OpCall: "call", OpRet: "ret",
-	OpCksum32: "cksum32", OpBswap: "bswap",
-	OpInput32: "input32", OpOutput32: "output32",
-	OpSboxMask: "sbox.mask", OpSboxChk: "sbox.chk",
-	OpChkDiv: "chk.div", OpChkBudget: "chk.budget",
+// Class is a set of facts about an op that code outside the interpreter
+// branches on: the verifier, the instrumenters, the CFG builder and the
+// DILP compiler all read them from opTable through Op.Is.
+type Class uint16
+
+const (
+	Load      Class = 1 << iota // reads memory
+	Store                       // writes memory
+	Indexed                     // addresses memory as rs+rt
+	Branch                      // carries a static Target (beq, bne, bltu, bgeu, jmp)
+	Cond                        // falls through when its condition does not hold
+	EndsBlock                   // ends a basic block
+	Float                       // floating point: refused at download (§III-B1)
+	Signed                      // trapping signed arithmetic: refused at download (§III-B1)
+	Reserved                    // inserted by the sandboxer only: refused in downloaded code
+	PipeOp                      // pipe pseudo-op: valid only inside a pipe body
+)
+
+// format is an operand format: the fields an op names and how Insn.String
+// prints them. The zero format is the three-register form, which is also
+// what an op without a row prints.
+type format uint8
+
+const (
+	fmtRRR    format = iota // rd, rs, rt
+	fmtNone                 // no operands
+	fmtRdImm                // rd, imm
+	fmtRdRs                 // rd, rs
+	fmtRdRsI                // rd, rs, imm
+	fmtLoad                 // rd, [rs+imm]
+	fmtStore                // [rs+imm], rt
+	fmtLoadX                // rd, [rs+rt]
+	fmtStoreX               // [rs+rt], rd
+	fmtBranch               // rs, rt, @target
+	fmtJump                 // @target
+	fmtRs                   // rs
+	fmtRd                   // rd
+	fmtCall                 // sym
+	fmtMask                 // rd, rs+imm
+	fmtImm                  // imm
+)
+
+// operands is a set of the registers an op reads or writes: its own
+// fields, or the calling-convention registers a call names implicitly.
+type operands uint8
+
+const (
+	fRd   operands = 1 << iota // rd
+	fRs                        // rs
+	fRt                        // rt
+	fRet                       // RRet
+	fArgs                      // RArg0..RArg3
+)
+
+// opInfo is one row of opTable.
+type opInfo struct {
+	name       string
+	format     format
+	class      Class
+	width      uint8 // bytes a load or store moves
+	defs, uses operands
+}
+
+// opTable states, once, every fact about an op that is not what it
+// computes (that is Machine.run's switch). It is indexed by Op, so Width
+// and Is are one array load.
+var opTable = [256]opInfo{
+	// op: {name, format, class, width, defs, uses}
+	OpNop:  {"nop", fmtNone, 0, 0, 0, 0},
+	OpMovI: {"movi", fmtRdImm, 0, 0, fRd, 0},
+	OpMov:  {"mov", fmtRdRs, 0, 0, fRd, fRs},
+
+	OpAddU: {"addu", fmtRRR, 0, 0, fRd, fRs | fRt},
+	OpSubU: {"subu", fmtRRR, 0, 0, fRd, fRs | fRt},
+	OpAnd:  {"and", fmtRRR, 0, 0, fRd, fRs | fRt},
+	OpOr:   {"or", fmtRRR, 0, 0, fRd, fRs | fRt},
+	OpXor:  {"xor", fmtRRR, 0, 0, fRd, fRs | fRt},
+	OpNor:  {"nor", fmtRRR, 0, 0, fRd, fRs | fRt},
+	OpSll:  {"sll", fmtRRR, 0, 0, fRd, fRs | fRt},
+	OpSrl:  {"srl", fmtRRR, 0, 0, fRd, fRs | fRt},
+	OpSltU: {"sltu", fmtRRR, 0, 0, fRd, fRs | fRt},
+	OpMulU: {"mulu", fmtRRR, 0, 0, fRd, fRs | fRt},
+
+	OpAddIU: {"addiu", fmtRdRsI, 0, 0, fRd, fRs},
+	OpAndI:  {"andi", fmtRdRsI, 0, 0, fRd, fRs},
+	OpOrI:   {"ori", fmtRdRsI, 0, 0, fRd, fRs},
+	OpXorI:  {"xori", fmtRdRsI, 0, 0, fRd, fRs},
+	OpSllI:  {"slli", fmtRdRsI, 0, 0, fRd, fRs},
+	OpSrlI:  {"srli", fmtRdRsI, 0, 0, fRd, fRs},
+	OpSltIU: {"sltiu", fmtRdRsI, 0, 0, fRd, fRs},
+
+	OpDivU: {"divu", fmtRRR, 0, 0, fRd, fRs | fRt},
+	OpRemU: {"remu", fmtRRR, 0, 0, fRd, fRs | fRt},
+
+	OpAdd:  {"add", fmtRRR, Signed, 0, fRd, fRs | fRt},
+	OpSub:  {"sub", fmtRRR, Signed, 0, fRd, fRs | fRt},
+	OpDiv:  {"div", fmtRRR, Signed, 0, fRd, fRs | fRt},
+	OpFAdd: {"fadd", fmtRRR, Float, 0, fRd, fRs | fRt},
+	OpFMul: {"fmul", fmtRRR, Float, 0, fRd, fRs | fRt},
+
+	OpLd32:  {"ld32", fmtLoad, Load, 4, fRd, fRs},
+	OpLd16:  {"ld16", fmtLoad, Load, 2, fRd, fRs},
+	OpLd8:   {"ld8", fmtLoad, Load, 1, fRd, fRs},
+	OpSt32:  {"st32", fmtStore, Store, 4, 0, fRs | fRt},
+	OpSt16:  {"st16", fmtStore, Store, 2, 0, fRs | fRt},
+	OpSt8:   {"st8", fmtStore, Store, 1, 0, fRs | fRt},
+	OpLd32X: {"ld32x", fmtLoadX, Load | Indexed, 4, fRd, fRs | fRt},
+	OpSt32X: {"st32x", fmtStoreX, Store | Indexed, 4, 0, fRs | fRt | fRd},
+	OpLd8X:  {"ld8x", fmtLoadX, Load | Indexed, 1, fRd, fRs | fRt},
+	OpSt8X:  {"st8x", fmtStoreX, Store | Indexed, 1, 0, fRs | fRt | fRd},
+
+	OpBeq:  {"beq", fmtBranch, Branch | Cond | EndsBlock, 0, 0, fRs | fRt},
+	OpBne:  {"bne", fmtBranch, Branch | Cond | EndsBlock, 0, 0, fRs | fRt},
+	OpBltU: {"bltu", fmtBranch, Branch | Cond | EndsBlock, 0, 0, fRs | fRt},
+	OpBgeU: {"bgeu", fmtBranch, Branch | Cond | EndsBlock, 0, 0, fRs | fRt},
+	OpJmp:  {"jmp", fmtJump, Branch | EndsBlock, 0, 0, 0},
+	OpJmpR: {"jmpr", fmtRs, EndsBlock, 0, 0, fRs},
+	OpCall: {"call", fmtCall, 0, 0, fRet, fArgs},
+	OpRet:  {"ret", fmtNone, EndsBlock, 0, 0, 0},
+
+	OpCksum32: {"cksum32", fmtRdRs, 0, 0, fRd, fRd | fRs},
+	OpBswap:   {"bswap", fmtRdRs, 0, 0, fRd, fRs},
+
+	OpInput32:  {"input32", fmtRd, PipeOp, 0, fRd, 0},
+	OpOutput32: {"output32", fmtRs, PipeOp, 0, 0, fRs},
+
+	OpSboxMask:  {"sbox.mask", fmtMask, Reserved, 0, fRd, fRs},
+	OpSboxChk:   {"sbox.chk", fmtRd, Reserved, 0, 0, fRd},
+	OpChkDiv:    {"chk.div", fmtRs, Reserved, 0, 0, fRs},
+	OpChkBudget: {"chk.budget", fmtImm, Reserved, 0, 0, 0},
 }
 
 // String returns the assembler mnemonic.
 func (o Op) String() string {
-	if int(o) < len(opNames) && opNames[o] != "" {
-		return opNames[o]
+	if name := opTable[o].name; name != "" {
+		return name
 	}
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
 
-// IsFloat reports whether the op uses floating-point hardware.
-func (o Op) IsFloat() bool { return o == OpFAdd || o == OpFMul }
-
-// IsSignedArith reports whether the op can raise an arithmetic-overflow
-// exception on the base machine.
-func (o Op) IsSignedArith() bool { return o == OpAdd || o == OpSub || o == OpDiv }
-
-// IsLoad reports whether the op reads memory.
-func (o Op) IsLoad() bool {
-	return o == OpLd32 || o == OpLd16 || o == OpLd8 || o == OpLd32X || o == OpLd8X
-}
-
-// IsStore reports whether the op writes memory.
-func (o Op) IsStore() bool {
-	return o == OpSt32 || o == OpSt16 || o == OpSt8 || o == OpSt32X || o == OpSt8X
-}
-
-// IsIndexed reports whether the op uses rs+rt addressing.
-func (o Op) IsIndexed() bool {
-	return o == OpLd32X || o == OpSt32X || o == OpLd8X || o == OpSt8X
-}
+// Is reports whether the op is in any of the classes c names.
+func (o Op) Is(c Class) bool { return opTable[o].class&c != 0 }
 
 // Width reports how many bytes a load or store moves (0 for any other op);
 // a power of two, so an address is aligned when addr&(width-1) is 0. It is
-// a table because it is inlined into Machine.run's load and store arms,
-// where a second switch cost hotpath.VCODEBranchy a fifth.
-func (o Op) Width() int { return int(opWidth[o]) }
+// inlined into Machine.run's load and store arms, where a switch cost
+// hotpath.VCODEBranchy a fifth.
+func (o Op) Width() int { return int(opTable[o].width) }
 
-var opWidth = [256]uint8{
-	OpLd32: 4, OpSt32: 4, OpLd32X: 4, OpSt32X: 4,
-	OpLd16: 2, OpSt16: 2,
-	OpLd8: 1, OpSt8: 1, OpLd8X: 1, OpSt8X: 1,
+// RegSet is a set of machine registers as a bitmask (NumRegs <= 32).
+type RegSet uint32
+
+// Has reports membership.
+func (s RegSet) Has(r Reg) bool { return s&(1<<uint(r)) != 0 }
+
+// Add returns s with r added.
+func (s RegSet) Add(r Reg) RegSet { return s | 1<<uint(r) }
+
+// Remove returns s without r.
+func (s RegSet) Remove(r Reg) RegSet { return s &^ (1 << uint(r)) }
+
+// Each calls f on every register of s, lowest first.
+func (s RegSet) Each(f func(Reg)) {
+	for ; s != 0; s &= s - 1 {
+		f(Reg(bits.TrailingZeros32(uint32(s))))
+	}
 }
 
-// IsSandboxOp reports whether the op is reserved for sandboxer insertion.
-func (o Op) IsSandboxOp() bool {
-	return o == OpSboxMask || o == OpSboxChk || o == OpChkDiv || o == OpChkBudget
-}
-
-// Insn is one decoded instruction. It holds no pointer (an entry point is
-// an interned Sym, not its name), so code is plain data to the collector.
+// Insn is one decoded instruction: 16 bytes, so indexing code is a shift.
+// It holds no pointer (an entry point is an interned Sym, not its name), so
+// code is plain data to the collector.
 type Insn struct {
 	Op     Op
 	Rd     Reg
 	Rs     Reg
 	Rt     Reg
 	Imm    int32
-	Target int // branch/jump destination (instruction index)
-	Sym    Sym // OpCall entry point
+	Target int32 // branch/jump destination (instruction index)
+	Sym    Sym   // OpCall entry point
+}
+
+// Defs returns the registers the instruction writes. A call is modeled by
+// the calling convention (it defines RRet); clients that must be sound
+// against arbitrary syscall behaviour (the SFI optimizer) additionally
+// invalidate everything at calls.
+func (in Insn) Defs() RegSet { return in.regs(opTable[in.Op].defs) }
+
+// Uses returns the registers the instruction reads.
+func (in Insn) Uses() RegSet { return in.regs(opTable[in.Op].uses) }
+
+func (in Insn) regs(f operands) RegSet {
+	var s RegSet
+	if f&fRd != 0 {
+		s = s.Add(in.Rd)
+	}
+	if f&fRs != 0 {
+		s = s.Add(in.Rs)
+	}
+	if f&fRt != 0 {
+		s = s.Add(in.Rt)
+	}
+	if f&fRet != 0 {
+		s = s.Add(RRet)
+	}
+	if f&fArgs != 0 {
+		s = s.Add(RArg0).Add(RArg1).Add(RArg2).Add(RArg3)
+	}
+	return s
 }
 
 // String renders the instruction in assembler-like form.
 func (in Insn) String() string {
-	switch in.Op {
-	case OpNop, OpRet:
+	switch opTable[in.Op].format {
+	case fmtNone:
 		return in.Op.String()
-	case OpMovI:
+	case fmtRdImm:
 		return fmt.Sprintf("%s r%d, %d", in.Op, in.Rd, in.Imm)
-	case OpMov, OpBswap:
+	case fmtRdRs:
 		return fmt.Sprintf("%s r%d, r%d", in.Op, in.Rd, in.Rs)
-	case OpAddIU, OpAndI, OpOrI, OpXorI, OpSllI, OpSrlI, OpSltIU:
+	case fmtRdRsI:
 		return fmt.Sprintf("%s r%d, r%d, %d", in.Op, in.Rd, in.Rs, in.Imm)
-	case OpLd32, OpLd16, OpLd8:
+	case fmtLoad:
 		return fmt.Sprintf("%s r%d, [r%d%+d]", in.Op, in.Rd, in.Rs, in.Imm)
-	case OpSt32, OpSt16, OpSt8:
+	case fmtStore:
 		return fmt.Sprintf("%s [r%d%+d], r%d", in.Op, in.Rs, in.Imm, in.Rt)
-	case OpLd32X, OpLd8X:
+	case fmtLoadX:
 		return fmt.Sprintf("%s r%d, [r%d+r%d]", in.Op, in.Rd, in.Rs, in.Rt)
-	case OpSt32X, OpSt8X:
+	case fmtStoreX:
 		return fmt.Sprintf("%s [r%d+r%d], r%d", in.Op, in.Rs, in.Rt, in.Rd)
-	case OpBeq, OpBne, OpBltU, OpBgeU:
+	case fmtBranch:
 		return fmt.Sprintf("%s r%d, r%d, @%d", in.Op, in.Rs, in.Rt, in.Target)
-	case OpJmp:
+	case fmtJump:
 		return fmt.Sprintf("%s @%d", in.Op, in.Target)
-	case OpJmpR:
+	case fmtRs:
 		return fmt.Sprintf("%s r%d", in.Op, in.Rs)
-	case OpCall:
+	case fmtRd:
+		return fmt.Sprintf("%s r%d", in.Op, in.Rd)
+	case fmtCall:
 		return fmt.Sprintf("%s %s", in.Op, in.Sym)
-	case OpCksum32:
-		return fmt.Sprintf("%s r%d, r%d", in.Op, in.Rd, in.Rs)
-	case OpInput32:
-		return fmt.Sprintf("%s r%d", in.Op, in.Rd)
-	case OpOutput32:
-		return fmt.Sprintf("%s r%d", in.Op, in.Rs)
-	case OpSboxMask:
+	case fmtMask:
 		return fmt.Sprintf("%s r%d, r%d%+d", in.Op, in.Rd, in.Rs, in.Imm)
-	case OpSboxChk:
-		return fmt.Sprintf("%s r%d", in.Op, in.Rd)
-	case OpChkDiv:
-		return fmt.Sprintf("%s r%d", in.Op, in.Rs)
-	case OpChkBudget:
+	case fmtImm:
 		return fmt.Sprintf("%s %d", in.Op, in.Imm)
-	default:
+	default: // fmtRRR
 		return fmt.Sprintf("%s r%d, r%d, r%d", in.Op, in.Rd, in.Rs, in.Rt)
 	}
 }

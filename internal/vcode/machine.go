@@ -290,7 +290,7 @@ func (m *Machine) run(prog *Program, insnLimit int64, cycleLimit sim.Time) (insn
 
 		case OpLd32, OpLd16, OpLd8, OpLd32X, OpLd8X:
 			addr := r[in.Rs] + uint32(in.Imm)
-			if in.Op.IsIndexed() {
+			if in.Op.Is(Indexed) {
 				addr = r[in.Rs] + r[in.Rt]
 			}
 			// Base issue already charged; the cache cost includes issue.
@@ -325,7 +325,7 @@ func (m *Machine) run(prog *Program, insnLimit int64, cycleLimit sim.Time) (insn
 		case OpSt32, OpSt16, OpSt8, OpSt32X, OpSt8X:
 			addr := r[in.Rs] + uint32(in.Imm)
 			val := r[in.Rt]
-			if in.Op.IsIndexed() {
+			if in.Op.Is(Indexed) {
 				addr = r[in.Rs] + r[in.Rt]
 				val = r[in.Rd]
 			}
@@ -360,15 +360,15 @@ func (m *Machine) run(prog *Program, insnLimit int64, cycleLimit sim.Time) (insn
 
 		case OpBeq:
 			if r[in.Rs] == r[in.Rt] {
-				next = in.Target
+				next = int(in.Target)
 			}
 		case OpBne:
 			if r[in.Rs] != r[in.Rt] {
-				next = in.Target
+				next = int(in.Target)
 			}
 		case OpBltU:
 			if r[in.Rs] < r[in.Rt] {
-				next = in.Target
+				next = int(in.Target)
 				// A backward branch onto a ld32x may close a streaming loop:
 				// stream runs as many whole iterations of it as cannot
 				// differ from running them here (possibly none), and the
@@ -382,10 +382,10 @@ func (m *Machine) run(prog *Program, insnLimit int64, cycleLimit sim.Time) (insn
 			}
 		case OpBgeU:
 			if r[in.Rs] >= r[in.Rt] {
-				next = in.Target
+				next = int(in.Target)
 			}
 		case OpJmp:
-			next = in.Target
+			next = int(in.Target)
 		case OpJmpR:
 			// Unchecked indirect jumps reaching execution are wild: the
 			// sandboxer translates them (Section III-B2). We model the

@@ -56,7 +56,7 @@ func FuseChain(name string, progs ...*vcode.Program) (*vcode.Program, error) {
 
 	// Per-member register usage (semantic uses and defs only; unused Insn
 	// fields hold RZero, which renames to itself).
-	used := make([]analysis.RegSet, len(progs))
+	used := make([]vcode.RegSet, len(progs))
 	for i, p := range progs {
 		c := analysis.Build(p)
 		if c.HasIndirect {
@@ -68,16 +68,9 @@ func FuseChain(name string, progs ...*vcode.Program) (*vcode.Program, error) {
 				return nil, fmt.Errorf("reopt: fuse %q: member %q reads RRet before writing it", name, p.Name)
 			}
 		}
-		var u analysis.RegSet
 		for _, in := range p.Insns {
-			for _, r := range analysis.Defs(in) {
-				u = u.Add(r)
-			}
-			for _, r := range analysis.Uses(in) {
-				u = u.Add(r)
-			}
+			used[i] |= in.Defs() | in.Uses()
 		}
-		used[i] = u
 	}
 
 	// Fresh registers start above everything the head uses.
@@ -149,7 +142,7 @@ func FuseChain(name string, progs ...*vcode.Program) (*vcode.Program, error) {
 	for i, p := range progs {
 		if i > 0 {
 			// Seam: stop the chain on a nonzero verdict, then restore args.
-			fused.Insns = append(fused.Insns, vcode.Insn{Op: vcode.OpBne, Rs: vcode.RRet, Rt: vcode.RZero, Target: exitAt})
+			fused.Insns = append(fused.Insns, vcode.Insn{Op: vcode.OpBne, Rs: vcode.RRet, Rt: vcode.RZero, Target: int32(exitAt)})
 			for k, s := range shadows {
 				fused.Insns = append(fused.Insns, vcode.Insn{Op: vcode.OpMov, Rd: args[k], Rs: s})
 			}
@@ -161,9 +154,9 @@ func FuseChain(name string, progs ...*vcode.Program) (*vcode.Program, error) {
 			switch {
 			case in.Op == vcode.OpRet && i < len(progs)-1:
 				// Jump to the next member's seam, right after this segment.
-				out = vcode.Insn{Op: vcode.OpJmp, Target: base[i] + len(p.Insns)}
-			case isFuseBranch(in.Op):
-				out.Target = in.Target + base[i]
+				out = vcode.Insn{Op: vcode.OpJmp, Target: int32(base[i] + len(p.Insns))}
+			case in.Op.Is(vcode.Branch):
+				out.Target = in.Target + int32(base[i])
 			}
 			fused.Insns = append(fused.Insns, out)
 		}
@@ -174,12 +167,4 @@ func FuseChain(name string, progs ...*vcode.Program) (*vcode.Program, error) {
 	fused.Insns = append(fused.Insns, vcode.Insn{Op: vcode.OpRet})
 	fused.NextReg = cursor
 	return fused, nil
-}
-
-func isFuseBranch(op vcode.Op) bool {
-	switch op {
-	case vcode.OpBeq, vcode.OpBne, vcode.OpBltU, vcode.OpBgeU, vcode.OpJmp:
-		return true
-	}
-	return false
 }

@@ -41,7 +41,7 @@ func TripBoundMultiBlock(c *analysis.CFG, d *analysis.Dom, l *analysis.Loop, r *
 	lb := &c.Blocks[latch]
 	header := &c.Blocks[l.Header]
 	last := c.Prog.Insns[lb.Last()]
-	if last.Op != vcode.OpBltU || last.Target != header.Start || lb.Last() <= header.Start {
+	if last.Op != vcode.OpBltU || int(last.Target) != header.Start || lb.Last() <= header.Start {
 		return 0, false
 	}
 	// The latch must be the only exit block.
@@ -60,19 +60,15 @@ func TripBoundMultiBlock(c *analysis.CFG, d *analysis.Dom, l *analysis.Loop, r *
 		b := &c.Blocks[bi]
 		for pc := b.Start; pc < b.End; pc++ {
 			in := c.Prog.Insns[pc]
-			switch in.Op {
-			case vcode.OpCall, vcode.OpRet, vcode.OpJmpR:
+			switch {
+			case in.Op == vcode.OpCall || in.Op == vcode.OpRet || in.Op == vcode.OpJmpR:
 				return 0, false
-			case vcode.OpBeq, vcode.OpBne, vcode.OpBltU, vcode.OpBgeU, vcode.OpJmp:
-				if pc != lb.Last() && in.Target <= pc {
-					return 0, false
-				}
+			case in.Op.Is(vcode.Branch) && pc != lb.Last() && int(in.Target) <= pc:
+				return 0, false
 			}
-			for _, def := range analysis.Defs(in) {
-				defsOf[def]++
-				if def == i && in.Op == vcode.OpAddIU && in.Rd == in.Rs && in.Imm > 0 {
-					incAt, incBlock = pc, bi
-				}
+			in.Defs().Each(func(d vcode.Reg) { defsOf[d]++ })
+			if in.Op == vcode.OpAddIU && in.Rd == i && in.Rs == i && in.Imm > 0 {
+				incAt, incBlock = pc, bi
 			}
 		}
 	}

@@ -280,9 +280,9 @@ func randomProgram(r *rand.Rand, loops bool) *vcode.Program {
 			in.Rs, in.Rt = addrReg(), vcode.Reg(12)
 			ins = append(ins, vcode.Insn{Op: vcode.OpMovI, Rd: 12, Imm: int32(4 * r.Intn(16))})
 		case k < 17:
-			in.Op, in.Target = branch[r.Intn(len(branch))], r.Intn(n+2)
+			in.Op, in.Target = branch[r.Intn(len(branch))], int32(r.Intn(n+2))
 			if !loops {
-				in.Target = len(ins) + 1 + r.Intn(n)
+				in.Target = int32(len(ins) + 1 + r.Intn(n))
 			}
 		case k < 18:
 			in.Op = vcode.OpChkBudget
@@ -323,7 +323,7 @@ func appendStreamLoop(r *rand.Rand, ins []vcode.Insn, alu []vcode.Op, reg, addrR
 	}
 	return append(ins,
 		vcode.Insn{Op: vcode.OpAddIU, Rd: idx, Rs: idx, Imm: 4},
-		vcode.Insn{Op: vcode.OpBltU, Rs: idx, Rt: end, Target: head})
+		vcode.Insn{Op: vcode.OpBltU, Rs: idx, Rt: end, Target: int32(head)})
 }
 
 func TestRunMatchesReferenceOnRandomPrograms(t *testing.T) {
@@ -531,7 +531,7 @@ func streamProgram(sh streamShape, i0 uint32) *vcode.Program {
 	}
 	ins = append(ins, insn(vcode.OpAddIU, strIdx, strIdx, 0, 4),
 		vcode.Insn{Op: vcode.OpBltU, Rs: strIdx, Rt: strLen, Target: strHead}, vcode.Insn{Op: vcode.OpRet})
-	ins[0].Target = len(ins) - 1
+	ins[0].Target = int32(len(ins) - 1)
 	return &vcode.Program{Name: "stream " + sh.name, Insns: ins}
 }
 
@@ -837,7 +837,7 @@ func TestStreamEnteredMidBody(t *testing.T) {
 		for entry := strHead + 1; entry < len(whole.Insns)-1; entry++ {
 			prog := whole.Clone()
 			prog.Insns[0] = insn(vcode.OpMovI, strIdx, 0, 0, 8)
-			prog.Insns[1] = vcode.Insn{Op: vcode.OpJmp, Target: entry}
+			prog.Insns[1] = vcode.Insn{Op: vcode.OpJmp, Target: int32(entry)}
 			for _, run := range runs {
 				for _, s := range []diffSetup{{insnBudget: 4000}, {cycleLimit: 700, pcCounts: true}, {mem: memJournalAddrSpace}} {
 					what := fmt.Sprintf("%s entered at %d, %s", sh.name, entry, run.name)

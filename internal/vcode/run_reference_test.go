@@ -109,7 +109,7 @@ func RunReference(m *Machine, prog *Program) *Fault {
 
 		case OpLd32, OpLd16, OpLd8, OpLd32X, OpLd8X:
 			addr := r[in.Rs] + uint32(in.Imm)
-			if in.Op.IsIndexed() {
+			if in.Op.Is(Indexed) {
 				addr = r[in.Rs] + r[in.Rt]
 			}
 			// Base issue already charged; the cache cost includes issue.
@@ -138,7 +138,7 @@ func RunReference(m *Machine, prog *Program) *Fault {
 		case OpSt32, OpSt16, OpSt8, OpSt32X, OpSt8X:
 			addr := r[in.Rs] + uint32(in.Imm)
 			val := r[in.Rt]
-			if in.Op.IsIndexed() {
+			if in.Op.Is(Indexed) {
 				addr = r[in.Rs] + r[in.Rt]
 				val = r[in.Rd]
 			}
@@ -166,22 +166,22 @@ func RunReference(m *Machine, prog *Program) *Fault {
 
 		case OpBeq:
 			if r[in.Rs] == r[in.Rt] {
-				next = in.Target
+				next = int(in.Target)
 			}
 		case OpBne:
 			if r[in.Rs] != r[in.Rt] {
-				next = in.Target
+				next = int(in.Target)
 			}
 		case OpBltU:
 			if r[in.Rs] < r[in.Rt] {
-				next = in.Target
+				next = int(in.Target)
 			}
 		case OpBgeU:
 			if r[in.Rs] >= r[in.Rt] {
-				next = in.Target
+				next = int(in.Target)
 			}
 		case OpJmp:
-			next = in.Target
+			next = int(in.Target)
 		case OpJmpR:
 			// Unchecked indirect jumps reaching execution are wild: the
 			// sandboxer translates them (Section III-B2). We model the

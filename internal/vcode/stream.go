@@ -73,7 +73,7 @@ func (m *Machine) stream(code []Insn, tail int, mem Memory, cache *mach.Cache, c
 	insnsLeft int64, cyclesLeft sim.Time) (int64, sim.Time) {
 	// run has checked that head < tail-1 and that code[head] is a ld32x.
 	br := &code[tail]
-	head := br.Target
+	head := int(br.Target)
 	ld, adv := &code[head], &code[tail-1]
 	w, a, i, n := ld.Rd, ld.Rs, br.Rs, br.Rt
 	if ld.Rt != i || adv.Op != OpAddIU || adv.Rd != i || adv.Rs != i || adv.Imm != 4 ||
