@@ -113,6 +113,11 @@ go test -race ./...
 #   pipe     a pipe body refuses every op class the handler verifier refuses
 #   analysis a static target outside the program is control leaving it, and
 #            Lint survives it
+#   analysis the one counted-loop prover: exact counts for single- and
+#            multi-block loops (bltu, bne), refusals for an early exit, an
+#            unknown or moving bound and a double step
+#   pipe     an rd, rs or rt past the register file: the handler verifier
+#            and a pipe body both refuse it
 #   tcp      retransmissions after 200/400/800/1600 ms, capped; teardown after MaxRetransmit
 #   nfs      a dead port gets Retries+1 sends at doubling, capped intervals, then an error;
 #            a warm GetAttr, Read and Write allocate nothing on either side
@@ -146,6 +151,8 @@ done <<'EOF'
 ./internal/vcode/:^TestOpTable$
 ./internal/pipe/:^TestPipeRefusesWhatTheVerifierRefuses$
 ./internal/vcode/analysis/:^TestTargetOutsideProgram$
+./internal/vcode/analysis/:^TestTripBoundShapes$
+./internal/pipe/:^TestRegisterPastTheFileIsRefused$
 ./internal/proto/tcp/:^TestRetransmitBackoffSchedule$|^TestMaxRetransmitTearsDownConnection$
 ./internal/proto/nfs/:^TestDeadPortGivesUpAfterRetries$|^TestRPCDoesNotAllocate$
 EOF

@@ -32,12 +32,7 @@ func (a *ASH) ExportProfile() *reopt.Profile {
 		// Unsafe handlers run the original code directly: identity map.
 		counts = append([]uint64(nil), m.PCCounts...)
 	} else {
-		counts = make([]uint64, len(a.sandbox.Orig.Insns))
-		for old, inst := range a.sandbox.JmpTable {
-			if old < len(counts) && inst >= 0 && inst < len(m.PCCounts) {
-				counts[old] = m.PCCounts[inst]
-			}
-		}
+		counts = a.sandbox.OrigCounts(m.PCCounts)
 	}
 	prof := &reopt.Profile{
 		Handler:     a.Name,

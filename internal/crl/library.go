@@ -56,11 +56,10 @@ func ShardedCounterHandler(bucketBase uint32) *vcode.Program {
 // SparseRecordWriteHandler builds the sparse variant of the Section V-D
 // record write: zero words in the record are skipped instead of stored
 // (the reader treats the destination as zero-initialized). The skip makes
-// the copy loop multi-block, which defeats the static optimizer's
-// single-block trip-count analysis — its per-iteration budget checks
-// survive. The trip count is still exact (the skip rejoins before the
-// latch), so a profile marking the loop hot lets the re-optimizer prove
-// the bound with the multi-block analysis and coarsen the budget checks
+// the copy loop multi-block, and the optimizer coarsens a multi-block
+// loop only under a profile marking it hot, so without one its
+// per-iteration budget checks survive. The trip count is exact (the skip
+// rejoins before the latch), so under a hot profile the checks coarsen
 // into one up-front drain.
 //
 // Message layout: [RecordBytes: record data].

@@ -108,7 +108,8 @@ func (l *List) Lambda(name string, g Gauge, attrs Attr, body func(b *vcode.Build
 // instruction is the only Input32, the last instruction before Ret is the
 // only Output32, and intra-body branches stay inside the body. The body
 // runs in the kernel, so it also refuses every op the handler verifier
-// refuses at download time, by the same opcode classes.
+// refuses at download time, by the same opcode classes, and every
+// register field past the register file.
 func (p *Pipe) validate() error {
 	ins := p.Body.Insns
 	if len(ins) < 3 {
@@ -122,6 +123,11 @@ func (p *Pipe) validate() error {
 	}
 	if ins[len(ins)-2].Op != vcode.OpOutput32 {
 		return fmt.Errorf("pipe %s: body must end with p_output32", p.Name)
+	}
+	for i, in := range ins {
+		if !in.RegsInFile() {
+			return fmt.Errorf("pipe %s: register outside the register file at %d (%s)", p.Name, i, in)
+		}
 	}
 	p.inReg = ins[0].Rd
 	p.outReg = ins[len(ins)-2].Rs

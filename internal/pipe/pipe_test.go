@@ -595,6 +595,35 @@ func TestPipeRefusesWhatTheVerifierRefuses(t *testing.T) {
 	}
 }
 
+// TestRegisterPastTheFileIsRefused: an rd, rs or rt field at or past
+// vcode.NumRegs would index past the machine's register file, so the
+// handler verifier and a pipe body refuse it, one row per field.
+func TestRegisterPastTheFileIsRefused(t *testing.T) {
+	const bad = vcode.NumRegs + 8
+	for _, c := range []struct {
+		field string
+		in    vcode.Insn
+	}{
+		{"rd", vcode.Insn{Op: vcode.OpMovI, Rd: bad, Imm: 1}},
+		{"rs", vcode.Insn{Op: vcode.OpMov, Rd: 8, Rs: bad}},
+		{"rt", vcode.Insn{Op: vcode.OpAddU, Rd: 8, Rs: 8, Rt: bad}},
+	} {
+		handler := &vcode.Program{Name: c.field, Insns: []vcode.Insn{c.in, {Op: vcode.OpRet}}}
+		if err := sandbox.Verify(handler, sandbox.DefaultPolicy()); err == nil {
+			t.Errorf("%s: the verifier accepts %v", c.field, c.in)
+		}
+		l := NewList(1)
+		_, err := l.Lambda(c.field, Gauge32, 0, func(b *vcode.Builder) {
+			b.Input32(vcode.RInput)
+			b.Op3(c.in.Op, c.in.Rd, c.in.Rs, c.in.Rt)
+			b.Output32(vcode.RInput)
+		})
+		if err == nil || !strings.Contains(err.Error(), "register file") {
+			t.Errorf("%s: pipe body with %v: err = %v, want it refused", c.field, c.in, err)
+		}
+	}
+}
+
 func TestPipeWithInternalBranch(t *testing.T) {
 	// A pipe that clamps each word to 0xff via a branch, to exercise
 	// branch retargeting during inlining.

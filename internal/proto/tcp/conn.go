@@ -446,13 +446,6 @@ func (c *Conn) scratch(n int) (uint32, error) {
 	return c.scratchSeg.Base, nil
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // -------------------------------------------------------------------
 // Input / event loop
 // -------------------------------------------------------------------
@@ -904,13 +897,6 @@ func (c *Conn) dropAcked() {
 		}
 	}
 	c.rtxq = out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // -------------------------------------------------------------------

@@ -216,14 +216,8 @@ func GatherProfile(p *vcode.Program, cfg DiffConfig) (*reopt.Profile, error) {
 			break // partial profiles are fine: any profile must be safe
 		}
 	}
-	counts := make([]uint64, len(p.Insns))
-	for old, inst := range v.sp.JmpTable {
-		if old < len(counts) && inst >= 0 && inst < len(v.m.PCCounts) {
-			counts[old] = v.m.PCCounts[inst]
-		}
-	}
 	return &reopt.Profile{
-		Handler: p.Name, Invocations: uint64(rounds), Counts: counts,
+		Handler: p.Name, Invocations: uint64(rounds), Counts: v.sp.OrigCounts(v.m.PCCounts),
 	}, nil
 }
 

@@ -19,16 +19,15 @@
 //     register value on every iteration; its endpoint checks move to a
 //     preheader that runs once per loop entry.
 //
-//  3. Budget coarsening. A single-block counted loop with a provable trip
-//     count drains trips x bodyLen from the software budget once in the
-//     preheader instead of bodyLen per iteration at the latch.
+//  3. Budget coarsening. A loop whose trip count analysis.TripBound proves
+//     drains trips x its body length from the software budget once in the
+//     preheader instead of per iteration at the latch.
 //
-// With a Policy.Profile attached (the DCG loop, DESIGN.md §16), two more
-// transformations fire on measured-hot sites, each re-proven statically
-// here so the profile can only select them, never weaken them: divide
-// checks on loop-invariant divisors hoist to the preheader, and exactly
-// counted multi-block loops (reopt.TripBoundMultiBlock) coarsen like the
-// single-block case.
+// With a Policy.Profile attached (the DCG loop, DESIGN.md §16), the profile
+// selects among sites the static analyses here have already proven, so it
+// can change cost, never semantics: divide checks on loop-invariant
+// divisors hoist to the preheader when the divide is hot, and multi-block
+// loops coarsen only when their header is hot (single-block loops always).
 //
 // Programs containing indirect jumps fall back to naive instrumentation:
 // jump-table entry points would invalidate the dataflow's edge set.
@@ -39,7 +38,6 @@ import (
 
 	"ashs/internal/vcode"
 	"ashs/internal/vcode/analysis"
-	"ashs/internal/vcode/reopt"
 )
 
 type optStats struct {
@@ -140,13 +138,12 @@ func stepCheck(s *analysis.CheckSet, in vcode.Insn, anchor *memGroup) {
 
 // planPreheaders selects, per loop, the group anchors whose checks hoist
 // and the budget coarsening, returning plans keyed by header start pc plus
-// the set of divide pcs whose zero check the preheader absorbs. The
-// profile decisions in dec only *nominate* sites; every soundness
-// condition is re-derived here from the static analyses, so a corrupt
-// profile cannot smuggle in an unsound transform.
+// the set of divide pcs whose zero check the preheader absorbs. The profile
+// (nil-safe) only gates sites that pass every static condition here, so a
+// corrupt profile cannot smuggle in an unsound transform.
 func planPreheaders(c *analysis.CFG, pol *Policy, anchorOf map[int]*memGroup,
 	dom *analysis.Dom, loops []analysis.Loop, rng *analysis.Ranges,
-	dec *reopt.Decisions, st *optStats) (map[int]*preheader, map[int]bool) {
+	st *optStats) (map[int]*preheader, map[int]bool) {
 
 	plans := map[int]*preheader{}
 	hoistedDiv := map[int]bool{}
@@ -220,7 +217,7 @@ func planPreheaders(c *analysis.CFG, pol *Policy, anchorOf map[int]*memGroup,
 				// divide, hence at the preheader too (no in-loop defs).
 				in := c.Prog.Insns[pc]
 				if (in.Op == vcode.OpDivU || in.Op == vcode.OpRemU) &&
-					dec != nil && dec.HotDivs[pc] &&
+					pol.Profile.Hot(pc) &&
 					!defsInLoop.Has(in.Rt) &&
 					rng.Before(pc, in.Rt).Lo < 1 { // provably-nonzero sites elide statically
 					hoistedDiv[pc] = true
@@ -235,29 +232,17 @@ func planPreheaders(c *analysis.CFG, pol *Policy, anchorOf map[int]*memGroup,
 			}
 		}
 
-		if pol.Budget == BudgetSoftware {
-			if trips, tok := c.TripBound(l, rng); tok {
-				blockLen := int64(header.End - header.Start)
+		// Multi-block loops coarsen only where the profile says the loop
+		// runs; single-block ones always.
+		if pol.Budget == BudgetSoftware && (len(l.Blocks) == 1 || pol.Profile.Hot(header.Start)) {
+			if trips, tok := c.TripBound(l, dom, rng); tok {
+				latch := &c.Blocks[l.Latches[0]]
+				span := int64(latch.Last() - header.Start + 1)
 				// The emitted body is at most 3 instructions per original
-				// one, so trips*(4*blockLen+8) bounds the final drain.
-				if trips*(4*blockLen+8) <= math.MaxInt32 {
-					ph.coarse = &coarsePlan{trips: trips, headerPC: header.Start, latchPC: header.Last()}
+				// one, so trips*(4*span+8) bounds the final drain.
+				if trips*(4*span+8) <= math.MaxInt32 {
+					ph.coarse = &coarsePlan{trips: trips, headerPC: header.Start, latchPC: latch.Last()}
 					st.coarsened++
-				}
-			} else if dec != nil && dec.HotLoops[header.Start] && len(l.Latches) == 1 {
-				// Profile-guided multi-block coarsening: the static pass
-				// only handles single-block loops; for measured-hot loops,
-				// reopt.TripBoundMultiBlock proves an exact count for the
-				// larger counted-loop shape (single backward latch, latch is
-				// the only exit, one increment dominating it). Exactness
-				// makes the one-shot drain equal the naive per-latch total.
-				if trips, tok := reopt.TripBoundMultiBlock(c, dom, l, rng); tok {
-					latch := &c.Blocks[l.Latches[0]]
-					span := int64(latch.Last() - header.Start + 1)
-					if trips*(4*span+8) <= math.MaxInt32 {
-						ph.coarse = &coarsePlan{trips: trips, headerPC: header.Start, latchPC: latch.Last()}
-						st.coarsened++
-					}
 				}
 			}
 		}
@@ -327,11 +312,7 @@ func instrumentOptimized(p *vcode.Program, pol *Policy) ([]vcode.Insn, []int, op
 	dom := c.Dominators()
 	loops := c.NaturalLoops(dom)
 	rng := c.Ranges()
-	var dec *reopt.Decisions
-	if pol.Profile != nil {
-		dec = reopt.Plan(p, pol.Profile)
-	}
-	plans, hoistedDiv := planPreheaders(c, pol, anchorOf, dom, loops, rng, dec, &st)
+	plans, hoistedDiv := planPreheaders(c, pol, anchorOf, dom, loops, rng, &st)
 	ins := checkFacts(c, anchorOf, plans)
 
 	out := make([]vcode.Insn, 0, len(p.Insns)*2+PrologueLen+EpilogueLen)
@@ -463,7 +444,7 @@ func instrumentOptimized(p *vcode.Program, pol *Policy) ([]vcode.Insn, []int, op
 		for _, ce := range coarses {
 			perIter := int64(oldToNew[ce.plan.latchPC]) - int64(oldToNew[ce.plan.headerPC]) + 1
 			total := ce.plan.trips * perIter
-			// planPreheaders bounded trips*(4*blockLen+8); the emitted body
+			// planPreheaders bounded trips*(4*span+8); the emitted body
 			// is at most 3 insns per original, so total fits.
 			out[shift[ce.budIdx]].Imm = int32(total)
 		}

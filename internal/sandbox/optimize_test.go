@@ -5,6 +5,7 @@ import (
 
 	"ashs/internal/mach"
 	"ashs/internal/vcode"
+	"ashs/internal/vcode/reopt"
 )
 
 func TestVerifyRejectsUnreachableCode(t *testing.T) {
@@ -272,5 +273,63 @@ func TestOptimizeFallsBackOnIndirectJumps(t *testing.T) {
 	sp.Attach(m, 0x1000, 0x1040, 0)
 	if f := m.Run(sp.Code); f != nil {
 		t.Fatal(f)
+	}
+}
+
+// loopDivProgram is a counted single-block loop containing a divide by a
+// loop-invariant register of unknown range.
+func loopDivProgram() *vcode.Program {
+	b := vcode.NewBuilder("loopdiv")
+	mod, i, n, v := b.Temp(), b.Temp(), b.Temp(), b.Temp()
+	b.Ld32(mod, vcode.RArg0, 0)
+	b.MovI(i, 0)
+	b.MovI(n, 40)
+	top := b.NewLabel()
+	b.Bind(top)
+	b.Ld32X(v, vcode.RArg0, i)
+	b.RemU(v, v, mod)
+	b.AddIU(i, i, 4)
+	b.BltU(i, n, top)
+	b.MovI(vcode.RRet, 0)
+	b.Ret()
+	return b.MustAssemble()
+}
+
+// TestOptimizerDivHoistFollowsProfile: only a profile marking the divide
+// hot moves its zero check to the preheader, and the single-block loop
+// coarsens under every profile, none included.
+func TestOptimizerDivHoistFollowsProfile(t *testing.T) {
+	p := loopDivProgram()
+	filled := func(c uint64) []uint64 {
+		counts := make([]uint64, len(p.Insns))
+		for i := range counts {
+			counts[i] = c
+		}
+		return counts
+	}
+	for _, tc := range []struct {
+		name string
+		prof *reopt.Profile
+		hot  bool
+	}{
+		{"hot", &reopt.Profile{Invocations: 1, Counts: filled(reopt.HotTrips)}, true},
+		{"nil", nil, false},
+		{"all-zero", &reopt.Profile{Counts: filled(0)}, false},
+		{"sub-hot", &reopt.Profile{Counts: filled(reopt.HotTrips - 1)}, false},
+		{"empty", &reopt.Profile{}, false},
+	} {
+		pol := optPolicy()
+		pol.Budget = BudgetSoftware
+		pol.Profile = tc.prof
+		sp, err := Sandbox(p, pol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (sp.DivChecksHoisted > 0) != tc.hot {
+			t.Errorf("%s profile: DivChecksHoisted = %d", tc.name, sp.DivChecksHoisted)
+		}
+		if sp.BudgetCoarsened != 1 {
+			t.Errorf("%s profile: BudgetCoarsened = %d, want 1", tc.name, sp.BudgetCoarsened)
+		}
 	}
 }

@@ -134,6 +134,9 @@ func verifyProgram(p *vcode.Program) error {
 				return &VerifyError{pc, in, "static branch target outside program"}
 			}
 		}
+		if !in.RegsInFile() {
+			return &VerifyError{pc, in, "register outside the register file"}
+		}
 		// Writes to reserved registers would subvert the SFI staging
 		// register; reject them. The zero register is part of the staging:
 		// an indexed access is rewritten to [RSbox + RZero] after RSbox has
@@ -223,6 +226,19 @@ type Program struct {
 	// DivChecksHoisted counts divide sites whose zero check moved to a
 	// loop preheader under a profile (zero without Policy.Profile).
 	DivChecksHoisted int
+}
+
+// OrigCounts maps per-pc execution counts of Code (a machine's PCCounts)
+// back through JmpTable to Orig's instruction indices: the coordinates a
+// reopt.Profile is keyed by.
+func (sp *Program) OrigCounts(pcCounts []uint64) []uint64 {
+	counts := make([]uint64, len(sp.Orig.Insns))
+	for old, inst := range sp.JmpTable {
+		if old < len(counts) && inst >= 0 && inst < len(pcCounts) {
+			counts[old] = pcCounts[inst]
+		}
+	}
+	return counts
 }
 
 // compile is the uncached instrumentation behind Sandbox, which has already

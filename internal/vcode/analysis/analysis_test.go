@@ -178,7 +178,7 @@ func TestNaturalLoopAndTripBound(t *testing.T) {
 	if len(l.Exits) != 1 || l.Exits[0] != l.Header {
 		t.Errorf("exits=%v, want the header", l.Exits)
 	}
-	trips, ok := c.TripBound(&l, c.Ranges())
+	trips, ok := c.TripBound(&l, d, c.Ranges())
 	if !ok || trips != 10 {
 		t.Errorf("TripBound = %d,%v, want 10,true", trips, ok)
 	}
@@ -199,12 +199,172 @@ func TestTripBoundRejectsUnbounded(t *testing.T) {
 	b.Ret()
 	p := b.MustAssemble()
 	c := Build(p)
-	loops := c.NaturalLoops(c.Dominators())
+	d := c.Dominators()
+	loops := c.NaturalLoops(d)
 	if len(loops) != 1 {
 		t.Fatalf("%d loops, want 1", len(loops))
 	}
-	if trips, ok := c.TripBound(&loops[0], c.Ranges()); ok {
+	if trips, ok := c.TripBound(&loops[0], d, c.Ranges()); ok {
 		t.Errorf("TripBound proved %d trips for a memory-dependent bound", trips)
+	}
+}
+
+// TestTripBoundShapes runs the one counted-loop prover over single- and
+// multi-block loops: want is the exact trip count, 0 a refusal.
+func TestTripBoundShapes(t *testing.T) {
+	cases := []struct {
+		name  string
+		want  int64
+		build func(b *vcode.Builder)
+	}{
+		// The sparse-record shape: a skip branch inside the body rejoins
+		// before the latch, which is the only exit.
+		{"multi-block", 10, func(b *vcode.Builder) {
+			dst, i, n, v := b.Temp(), b.Temp(), b.Temp(), b.Temp()
+			b.MovI(dst, 0x2000)
+			b.MovI(i, 0)
+			b.MovI(n, 40)
+			top, skip := b.NewLabel(), b.NewLabel()
+			b.Bind(top)
+			b.Ld32X(v, vcode.RArg0, i)
+			b.Beq(v, vcode.RZero, skip)
+			b.St32X(dst, i, v)
+			b.Bind(skip)
+			b.AddIU(i, i, 4)
+			b.BltU(i, n, top)
+			b.MovI(vcode.RRet, 0)
+		}},
+		// A multi-block loop closed by bne, bound first.
+		{"multi-block-bne", 10, func(b *vcode.Builder) {
+			i, n, v := b.Temp(), b.Temp(), b.Temp()
+			b.MovI(i, 0)
+			b.MovI(n, 40)
+			top, skip := b.NewLabel(), b.NewLabel()
+			b.Bind(top)
+			b.Ld32X(v, vcode.RArg0, i)
+			b.Beq(v, vcode.RZero, skip)
+			b.St32X(vcode.RArg1, i, v)
+			b.Bind(skip)
+			b.AddIU(i, i, 4)
+			b.Bne(n, i, top)
+		}},
+		// A second self-incremented register after the counter's increment
+		// is not the counter.
+		{"second-increment", 10, func(b *vcode.Builder) {
+			i, n, acc := b.Temp(), b.Temp(), b.Temp()
+			b.MovI(i, 0)
+			b.MovI(n, 40)
+			b.MovI(acc, 0)
+			top := b.NewLabel()
+			b.Bind(top)
+			b.AddIU(i, i, 4)
+			b.AddIU(acc, acc, 1)
+			b.BltU(i, n, top)
+			b.Mov(vcode.RRet, acc)
+		}},
+		// A second exit (break out of the body): the latch-drain total
+		// would overcharge short runs.
+		{"early-exit", 0, func(b *vcode.Builder) {
+			i, n, v := b.Temp(), b.Temp(), b.Temp()
+			b.MovI(i, 0)
+			b.MovI(n, 40)
+			top, out := b.NewLabel(), b.NewLabel()
+			b.Bind(top)
+			b.Ld32X(v, vcode.RArg0, i)
+			b.Beq(v, vcode.RZero, out) // jumps past the latch
+			b.AddIU(i, i, 4)
+			b.BltU(i, n, top)
+			b.Bind(out)
+			b.MovI(vcode.RRet, 0)
+		}},
+		// Bound loaded from memory: entry value inexact.
+		{"unknown-bound", 0, func(b *vcode.Builder) {
+			i, n := b.Temp(), b.Temp()
+			b.MovI(i, 0)
+			b.Ld32(n, vcode.RArg0, 0)
+			top := b.NewLabel()
+			b.Bind(top)
+			b.AddIU(i, i, 4)
+			b.BltU(i, n, top)
+		}},
+		// Two increments of the counter: step is path-dependent.
+		{"double-step", 0, func(b *vcode.Builder) {
+			i, n, v := b.Temp(), b.Temp(), b.Temp()
+			b.MovI(i, 0)
+			b.MovI(n, 40)
+			top, skip := b.NewLabel(), b.NewLabel()
+			b.Bind(top)
+			b.Ld32X(v, vcode.RArg0, i)
+			b.Beq(v, vcode.RZero, skip)
+			b.AddIU(i, i, 4)
+			b.Bind(skip)
+			b.AddIU(i, i, 4)
+			b.BltU(i, n, top)
+		}},
+		// The one increment sits on a skip path: it does not run on every
+		// iteration.
+		{"conditional-step", 0, func(b *vcode.Builder) {
+			i, n, v := b.Temp(), b.Temp(), b.Temp()
+			b.MovI(i, 0)
+			b.MovI(n, 40)
+			top, skip := b.NewLabel(), b.NewLabel()
+			b.Bind(top)
+			b.Ld32X(v, vcode.RArg0, i)
+			b.Beq(v, vcode.RZero, skip)
+			b.AddIU(i, i, 4)
+			b.Bind(skip)
+			b.BltU(i, n, top)
+		}},
+		// An inner loop: a second backward branch inside the body.
+		{"inner-loop", 0, func(b *vcode.Builder) {
+			i, n, j, k := b.Temp(), b.Temp(), b.Temp(), b.Temp()
+			b.MovI(i, 0)
+			b.MovI(n, 40)
+			b.MovI(k, 3)
+			top, inner := b.NewLabel(), b.NewLabel()
+			b.Bind(top)
+			b.MovI(j, 0)
+			b.Bind(inner)
+			b.AddIU(j, j, 1)
+			b.BltU(j, k, inner)
+			b.AddIU(i, i, 4)
+			b.BltU(i, n, top)
+		}},
+		// Bound redefined inside the loop.
+		{"moving-bound", 0, func(b *vcode.Builder) {
+			i, n := b.Temp(), b.Temp()
+			b.MovI(i, 0)
+			b.MovI(n, 40)
+			top := b.NewLabel()
+			b.Bind(top)
+			b.AddIU(n, n, 0)
+			b.AddIU(i, i, 4)
+			b.BltU(i, n, top)
+		}},
+	}
+	for _, tc := range cases {
+		b := vcode.NewBuilder(tc.name)
+		tc.build(b)
+		p := b.MustAssemble()
+		c := Build(p)
+		d := c.Dominators()
+		loops := c.NaturalLoops(d)
+		if len(loops) == 0 {
+			t.Fatalf("%s: no loop\n%s", tc.name, p)
+		}
+		outer := &loops[0] // the loop whose header comes first
+		for k := range loops {
+			if c.Blocks[loops[k].Header].Start < c.Blocks[outer.Header].Start {
+				outer = &loops[k]
+			}
+		}
+		trips, ok := c.TripBound(outer, d, c.Ranges())
+		if tc.want == 0 && ok {
+			t.Errorf("%s: accepted with trips=%d\n%s", tc.name, trips, p)
+		}
+		if tc.want != 0 && (!ok || trips != tc.want) {
+			t.Errorf("%s: TripBound = %d,%v, want %d,true\n%s", tc.name, trips, ok, tc.want, p)
+		}
 	}
 }
 

@@ -175,54 +175,72 @@ func (c *CFG) NaturalLoops(d *Dom) []Loop {
 	return loops
 }
 
-// TripBound tries to prove an exact iteration count for l. It recognizes
-// the counted-loop idiom on single-block loops:
+// TripBound tries to prove an exact iteration count for l, of any shape:
 //
-//	head: ...                  ; exactly one def of i: addiu i, i, c (c > 0)
-//	      addiu i, i, c        ; bound n loop-invariant, exact at entry
-//	      bltu  i, n, head     ; or: bne i, n, head
+//	head: ...                  ; every branch but the latch's is forward
+//	      addiu i, i, c        ; the one def of i (c > 0), dominating the latch
+//	      ...
+//	      bltu  i, n, head     ; or bne, either operand order
 //
-// and returns the number of times the loop body executes. Entry values
-// come from the interval analysis at the header's non-loop predecessors.
-// Blocks containing OpCall are rejected (kernel entry points receive the
-// machine and may clobber any register). The result is capped at MaxTrips
-// so callers can multiply by body lengths without overflow concerns.
-func (c *CFG) TripBound(l *Loop, r *Ranges) (int64, bool) {
-	if len(l.Blocks) != 1 || len(l.Latches) != 1 || l.Latches[0] != l.Header {
+// It returns how many times the latch test runs on every entry. The
+// conditions are strict because exactness is what lets a one-shot budget
+// drain replace the per-latch drain at every budget level:
+//
+//   - a single latch, after the header in program order, that is also the
+//     loop's only exit, so its test alone decides termination;
+//   - exactly one def of i in the loop, `addiu i, i, c` with c > 0, in a
+//     block dominating the latch, so i advances by c once per iteration;
+//   - n has no def in the loop, and i and n are exact at entry (the
+//     interval analysis at the header's non-loop predecessors);
+//   - no call (it may clobber any register), ret or jmpr, and every other
+//     branch is strictly forward: the body is acyclic but for the latch
+//     edge, and the latch is the only budget check the naive pass puts
+//     inside it.
+//
+// The result is capped at MaxTrips.
+func (c *CFG) TripBound(l *Loop, d *Dom, r *Ranges) (int64, bool) {
+	if len(l.Latches) != 1 {
 		return 0, false
 	}
-	b := &c.Blocks[l.Header]
-	last := c.Prog.Insns[b.Last()]
-	if (last.Op != vcode.OpBltU && last.Op != vcode.OpBne) || int(last.Target) != b.Start {
+	latch := l.Latches[0]
+	lb, header := &c.Blocks[latch], &c.Blocks[l.Header]
+	last := c.Prog.Insns[lb.Last()]
+	if (last.Op != vcode.OpBltU && last.Op != vcode.OpBne) ||
+		int(last.Target) != header.Start || lb.Last() <= header.Start {
 		return 0, false
 	}
-	// Count defs inside the block; find the counter increment.
-	defsOf := map[vcode.Reg]int{}
-	incAt := -1
-	for pc := b.Start; pc < b.End; pc++ {
-		in := c.Prog.Insns[pc]
-		if in.Op == vcode.OpCall {
+	for _, e := range l.Exits {
+		if e != latch {
 			return 0, false
 		}
-		in.Defs().Each(func(d vcode.Reg) { defsOf[d]++ })
-		if in.Op == vcode.OpAddIU && in.Rd == in.Rs && in.Imm > 0 {
-			incAt = pc
+	}
+	defsOf := map[vcode.Reg]int{}
+	defAt := map[vcode.Reg]int{}
+	for _, bi := range l.Blocks {
+		b := &c.Blocks[bi]
+		for pc := b.Start; pc < b.End; pc++ {
+			in := c.Prog.Insns[pc]
+			switch {
+			case in.Op == vcode.OpCall || in.Op == vcode.OpRet || in.Op == vcode.OpJmpR:
+				return 0, false
+			case in.Op.Is(vcode.Branch) && pc != lb.Last() && int(in.Target) <= pc:
+				return 0, false
+			}
+			in.Defs().Each(func(reg vcode.Reg) { defsOf[reg]++; defAt[reg] = pc })
 		}
 	}
-	// Identify counter and bound among the branch operands. Only the
-	// "counter first" form (bltu i, n / bne i, n) and its bne-swapped
-	// variant are recognized.
 	candidates := [][2]vcode.Reg{{last.Rs, last.Rt}}
 	if last.Op == vcode.OpBne {
 		candidates = append(candidates, [2]vcode.Reg{last.Rt, last.Rs})
 	}
 	for _, cand := range candidates {
 		i, bound := cand[0], cand[1]
-		if defsOf[bound] != 0 || defsOf[i] != 1 || incAt < 0 {
+		if defsOf[bound] != 0 || defsOf[i] != 1 {
 			continue
 		}
-		inc := c.Prog.Insns[incAt]
-		if inc.Rd != i {
+		inc := c.Prog.Insns[defAt[i]]
+		if inc.Op != vcode.OpAddIU || inc.Rs != i || inc.Imm <= 0 ||
+			!d.Dominates(c.BlockOf[defAt[i]], latch) {
 			continue
 		}
 		a, okA := c.EntryValue(l, r, i)
@@ -254,8 +272,8 @@ func (c *CFG) TripBound(l *Loop, r *Ranges) (int64, bool) {
 	return 0, false
 }
 
-// MaxTrips caps every trip count a loop prover returns (TripBound here,
-// reopt.TripBoundMultiBlock for multi-block loops).
+// MaxTrips caps the trip count TripBound returns, so callers can multiply
+// it by a body length without overflow concerns.
 const MaxTrips = 1 << 20
 
 // EntryValue returns the exact value of reg on loop entry: the meet of the

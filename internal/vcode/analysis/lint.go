@@ -97,7 +97,7 @@ func Lint(p *vcode.Program) []Finding {
 		dom := c.Dominators()
 		rng := c.Ranges()
 		for _, l := range c.NaturalLoops(dom) {
-			if _, ok := c.TripBound(&l, rng); !ok {
+			if _, ok := c.TripBound(&l, dom, rng); !ok {
 				out = append(out, Finding{LintUnboundedLoop, c.Blocks[l.Header].Start, 0,
 					"no statically bounded trip count; termination relies on the watchdog timer or software budget"})
 			}

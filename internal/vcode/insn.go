@@ -171,6 +171,22 @@ const (
 	fmtImm                  // imm
 )
 
+// formatFields is the register fields each format names.
+var formatFields = [fmtImm + 1]operands{
+	fmtRRR:    fRd | fRs | fRt,
+	fmtRdImm:  fRd,
+	fmtRdRs:   fRd | fRs,
+	fmtRdRsI:  fRd | fRs,
+	fmtLoad:   fRd | fRs,
+	fmtStore:  fRs | fRt,
+	fmtLoadX:  fRd | fRs | fRt,
+	fmtStoreX: fRd | fRs | fRt,
+	fmtBranch: fRs | fRt,
+	fmtRs:     fRs,
+	fmtRd:     fRd,
+	fmtMask:   fRd | fRs,
+}
+
 // operands is a set of the registers an op reads or writes: its own
 // fields, or the calling-convention registers a call names implicitly.
 type operands uint8
@@ -318,6 +334,14 @@ func (in Insn) Defs() RegSet { return in.regs(opTable[in.Op].defs) }
 
 // Uses returns the registers the instruction reads.
 func (in Insn) Uses() RegSet { return in.regs(opTable[in.Op].uses) }
+
+// RegsInFile reports whether every register field the op's operand format
+// names is below NumRegs. Defs and Uses cannot tell: a RegSet has no bit
+// for a register past the file, so such a register drops out of them.
+func (in Insn) RegsInFile() bool {
+	f := formatFields[opTable[in.Op].format]
+	return !(f&fRd != 0 && in.Rd >= NumRegs || f&fRs != 0 && in.Rs >= NumRegs || f&fRt != 0 && in.Rt >= NumRegs)
+}
 
 func (in Insn) regs(f operands) RegSet {
 	var s RegSet

@@ -74,7 +74,8 @@ var sampleText = [NumOps]string{
 
 // TestOpTable checks opTable against what it describes: every op has a
 // row, the row prints the instruction as the per-op switch it replaced
-// did, and its register effects bound what the interpreter does.
+// did, its format names the fields its register effects touch, and those
+// effects bound what the interpreter does.
 func TestOpTable(t *testing.T) {
 	if n := unsafe.Sizeof(Insn{}); n != 16 {
 		t.Errorf("unsafe.Sizeof(Insn{}) = %d, want 16", n)
@@ -85,6 +86,10 @@ func TestOpTable(t *testing.T) {
 		}
 		if got := sampleInsn(op).String(); got != sampleText[op] {
 			t.Errorf("%v prints %q, want %q", op, got, sampleText[op])
+		}
+		row := opTable[op]
+		if got, want := formatFields[row.format], (row.defs|row.uses)&(fRd|fRs|fRt); got != want {
+			t.Errorf("%v's format names fields %03b, its effects %03b", op, got, want)
 		}
 	}
 	if got, want := sampleInsn(NumOps).String(), fmt.Sprintf("op(%d) r1, r2, r3", NumOps); got != want {

@@ -1,12 +1,12 @@
-// Package reopt closes the paper's dynamic-code-generation loop: it turns
-// measured handler behavior (per-instruction execution counts exported by
-// the obs plane) into re-optimization decisions the SFI instrumenter
-// consumes on a re-download. The package deliberately contains no unsound
-// transformation: a profile only *selects among* statically proven
-// candidates (which loop-invariant divide checks to hoist, which exactly
-// counted loops to coarsen), so an adversarial or stale profile can change
-// cost but never semantics — the three-way differential harness
-// (naive ≡ optimized ≡ reoptimized) enforces exactly that.
+// Package reopt closes the paper's dynamic-code-generation loop. A Profile
+// is a handler's measured per-instruction execution counts (exported by
+// the obs plane); the SFI optimizer reads it through Profile.Hot to choose
+// among transformations it has already proven sound (which loop-invariant
+// divide checks to hoist, which exactly counted multi-block loops to
+// coarsen), so an adversarial or stale profile can change cost but never
+// semantics — the three-way differential harness (naive ≡ optimized ≡
+// reoptimized) enforces exactly that. FuseChain splices back-to-back
+// handlers into one download.
 package reopt
 
 import (
@@ -18,7 +18,7 @@ import (
 // observed execution count reaches it is worth re-optimizing. The value is
 // deliberately small — one coarse drain or hoisted check pays for itself
 // after a handful of iterations — and deterministic, so identical profiles
-// always produce identical plans.
+// always produce identical code.
 const HotTrips = 8
 
 // Profile is the execution profile of one handler, keyed by *original*

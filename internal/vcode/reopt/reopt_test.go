@@ -50,67 +50,13 @@ func TestProfileFingerprint(t *testing.T) {
 	}
 }
 
-// loopDivProgram is the plan/trip test fixture: a counted single-block
-// loop containing a divide by a loop-invariant, unknown-range register.
-func loopDivProgram() *vcode.Program {
-	b := vcode.NewBuilder("loopdiv")
-	mod, i, n, v := b.Temp(), b.Temp(), b.Temp(), b.Temp()
-	b.Ld32(mod, vcode.RArg0, 0)
-	b.MovI(i, 0)
-	b.MovI(n, 40)
-	top := b.NewLabel()
-	b.Bind(top)
-	b.Ld32X(v, vcode.RArg0, i)
-	b.RemU(v, v, mod)
-	b.AddIU(i, i, 4)
-	b.BltU(i, n, top)
-	b.MovI(vcode.RRet, 0)
-	b.Ret()
-	return b.MustAssemble()
-}
+// --------------------------------------------------------------------
+// Multi-block trip counts
+// --------------------------------------------------------------------
 
-func TestPlanMarksHotCandidates(t *testing.T) {
-	p := loopDivProgram()
-	const header = 3 // first insn after the three loads/movs
-	hot := make([]uint64, len(p.Insns))
-	for i := range hot {
-		hot[i] = HotTrips
-	}
-	dec := Plan(p, &Profile{Handler: p.Name, Invocations: 1, Counts: hot})
-	if !dec.Hot() {
-		t.Fatal("saturated profile produced no decisions")
-	}
-	if !dec.HotLoops[header] {
-		t.Fatalf("loop header %d not marked hot: %+v", header, dec.HotLoops)
-	}
-	found := false
-	for pc := range dec.HotDivs {
-		if p.Insns[pc].Op != vcode.OpRemU && p.Insns[pc].Op != vcode.OpDivU {
-			t.Fatalf("HotDivs[%d] marks a %v", pc, p.Insns[pc].Op)
-		}
-		found = true
-	}
-	if !found {
-		t.Fatal("hot in-loop divide not nominated")
-	}
-
-	for name, prof := range map[string]*Profile{
-		"nil":      nil,
-		"all-zero": {Counts: make([]uint64, len(p.Insns))},
-		"sub-hot": {Counts: func() []uint64 {
-			c := make([]uint64, len(p.Insns))
-			for i := range c {
-				c[i] = HotTrips - 1
-			}
-			return c
-		}()},
-		"empty": {},
-	} {
-		if dec := Plan(p, prof); dec.Hot() {
-			t.Errorf("%s profile produced decisions: %+v", name, dec)
-		}
-	}
-}
+// The profile-guided budget coarsening relies on analysis.TripBound
+// proving exact counts for multi-block loops; these pin the sparse-record
+// shape it must accept and the shapes it must refuse.
 
 // multiBlockLoop builds the sparse-record shape: header with a skip
 // branch, conditional body, single latch that is also the only exit.
@@ -133,20 +79,18 @@ func multiBlockLoop() *vcode.Program {
 	return b.MustAssemble()
 }
 
-func tripOf(t *testing.T, p *vcode.Program) (int64, bool) {
-	t.Helper()
+func TestTripBoundMultiBlockExact(t *testing.T) {
+	p := multiBlockLoop()
 	c := analysis.Build(p)
 	d := c.Dominators()
-	rng := c.Ranges()
 	loops := c.NaturalLoops(d)
 	if len(loops) != 1 {
 		t.Fatalf("expected 1 loop, found %d\n%s", len(loops), p)
 	}
-	return TripBoundMultiBlock(c, d, &loops[0], rng)
-}
-
-func TestTripBoundMultiBlockExact(t *testing.T) {
-	trips, ok := tripOf(t, multiBlockLoop())
+	if len(loops[0].Blocks) < 2 {
+		t.Fatalf("loop has %d blocks, want a multi-block loop\n%s", len(loops[0].Blocks), p)
+	}
+	trips, ok := c.TripBound(&loops[0], d, c.Ranges())
 	if !ok || trips != 10 {
 		t.Fatalf("trips = %d, %v; want 10, true", trips, ok)
 	}
@@ -218,7 +162,7 @@ func TestTripBoundMultiBlockRejections(t *testing.T) {
 		rng := c.Ranges()
 		for _, l := range c.NaturalLoops(d) {
 			l := l
-			if trips, ok := TripBoundMultiBlock(c, d, &l, rng); ok {
+			if trips, ok := c.TripBound(&l, d, rng); ok {
 				t.Errorf("%s: accepted with trips=%d\n%s", name, trips, p)
 			}
 		}
