@@ -121,6 +121,11 @@ go test -race ./...
 #   tcp      retransmissions after 200/400/800/1600 ms, capped; teardown after MaxRetransmit
 #   nfs      a dead port gets Retries+1 sends at doubling, capped intervals, then an error;
 #            a warm GetAttr, Read and Write allocate nothing on either side
+#   core     ash_msg_load on an Ethernet arrival reads the frame's bytes at every
+#            offset, not the striping DMA's pad lines
+#   udp      Recv skips a doorbell, as RecvUntil does, and frees no buffer for it
+#   aegis    the one frame reader: Byte/U16/U32 at offsets 0-40, Bytes and the
+#            in-place checksum at every offset and length, striped and contiguous
 echo "== by-name suites under -race"
 while IFS=: read -r pkg pattern; do
     echo "-- $pkg -run '$pattern'"
@@ -155,6 +160,9 @@ done <<'EOF'
 ./internal/pipe/:^TestRegisterPastTheFileIsRefused$
 ./internal/proto/tcp/:^TestRetransmitBackoffSchedule$|^TestMaxRetransmitTearsDownConnection$
 ./internal/proto/nfs/:^TestDeadPortGivesUpAfterRetries$|^TestRPCDoesNotAllocate$
+./internal/core/:^TestMsgLoadReadsThroughTheStripe$
+./internal/proto/udp/:^TestRecvSkipsDoorbell$
+./internal/aegis/:^TestFrameReaders$
 EOF
 
 # Fuzz targets: each parser/demux fuzzer runs a short wall-clock sweep on

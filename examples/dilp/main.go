@@ -53,7 +53,7 @@ func main() {
 	if fault != nil {
 		panic(fault)
 	}
-	sum := pipe.Fold16(ilp.Import(m, cksum, cksumReg))
+	sum := vcode.Fold16(ilp.Import(m, cksum, cksumReg))
 	fmt.Printf("\nintegrated (DILP):   %5.1f us  %5.1f MB/s   checksum=0x%04x\n",
 		prof.Us(cycles), prof.MBps(n, cycles), sum)
 

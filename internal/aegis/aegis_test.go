@@ -232,9 +232,9 @@ func TestTable1EthernetLatency(t *testing.T) {
 		}
 		for i := 0; i < 10; i++ {
 			en := b.Ring.PollRecv(p)
-			buf := p.K.Bytes(en.Addr, 2*en.Len)
+			f := b.Frame(en)
 			frame := make([]byte, en.Len)
-			Unstripe(frame, buf, en.Len)
+			f.Bytes(frame, 0, en.Len)
 			frame[0] = 0xBB // retag for the client's filter
 			p.Compute(sim.Time(p.K.Prof.BufferMgmtCycles))
 			b.Free(en.BufIndex)
@@ -369,24 +369,28 @@ func TestAN2UnboundVCDrops(t *testing.T) {
 }
 
 func TestStripeUnstripeRoundTrip(t *testing.T) {
+	const base = 0x1000
 	for _, n := range []int{1, 15, 16, 17, 100, 1514} {
 		frame := make([]byte, n)
 		for i := range frame {
 			frame[i] = byte(i * 7)
 		}
-		buf := make([]byte, 2*(n+StripeChunk))
-		Stripe(buf, frame)
+		mem := vcode.NewFlatMem(base, 2*(n+StripeChunk))
+		Stripe(mem.Data, frame)
+		f := Frame{Entry: RingEntry{Addr: base, Len: n}, Striped: true, mem: mem}
 		out := make([]byte, n)
-		Unstripe(out, buf, n)
+		f.Bytes(out, 0, n)
 		for i := range frame {
 			if out[i] != frame[i] {
 				t.Fatalf("n=%d: mismatch at %d", n, i)
 			}
 		}
-		// Verify the layout: data byte i lives at StripedIndex(i).
+		// Verify the layout: data byte i lives in data line i/16, which
+		// starts after i/16 data and i/16 pad lines.
 		for i := 0; i < n; i++ {
-			if buf[StripedIndex(i)] != frame[i] {
-				t.Fatalf("n=%d: StripedIndex(%d) wrong", n, i)
+			at := 2*(i/StripeChunk)*StripeChunk + i%StripeChunk
+			if addr, _ := f.Line(i); addr != base+uint32(at) || mem.Data[at] != frame[i] {
+				t.Fatalf("n=%d: data byte %d at %#x, want %#x", n, i, addr, base+at)
 			}
 		}
 	}
@@ -427,7 +431,8 @@ func TestEthernetDemuxToCorrectBinding(t *testing.T) {
 	}
 	en, _ := bA.Ring.TryRecv()
 	got := make([]byte, en.Len)
-	Unstripe(got, k2.Bytes(en.Addr, 2*en.Len), en.Len)
+	f := bA.Frame(en)
+	f.Bytes(got, 0, en.Len)
 	if got[0] != 0x11 || got[1] != 8 {
 		t.Fatalf("wrong frame content %v", got)
 	}

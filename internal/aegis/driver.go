@@ -46,11 +46,9 @@ type MsgCtx struct {
 	VC    int
 	Src   int
 
-	// Striped marks an Ethernet arrival whose kernel buffer holds the
-	// frame in the striping DMA's alternating 16-byte data/pad layout;
-	// handlers that touch the buffer in place must index it through
-	// StripedIndex (or use RawData and account for the doubling).
-	Striped bool
+	// striped marks an Ethernet arrival, in the striping DMA's layout (see
+	// Frame).
+	striped bool
 
 	nic  *NIC  // the interface the message arrived on; nil for synthetic
 	ring *Ring // the binding's notification ring (for doorbells)
@@ -156,20 +154,10 @@ func (mc *MsgCtx) When() sim.Time { return mc.t0 + mc.cost }
 
 // Data returns the received bytes (the DMA'd message in the owner's
 // buffer). Handlers performing modeled data access must charge separately.
-// For striped arrivals only the first data line is contiguous — use
-// RawData with StripedIndex to address the rest.
+// For striped arrivals only the first data line is contiguous: Frame is
+// the reader of either layout.
 func (mc *MsgCtx) Data() []byte {
 	return mc.K.Bytes(mc.Entry.Addr, mc.Entry.Len)
-}
-
-// RawData returns the buffer as the device laid it out: for striped
-// Ethernet arrivals that is the alternating data/pad window covering the
-// whole frame (index it with StripedIndex); otherwise it is Data.
-func (mc *MsgCtx) RawData() []byte {
-	if !mc.Striped || mc.Entry.Len == 0 {
-		return mc.Data()
-	}
-	return mc.K.Bytes(mc.Entry.Addr, StripedIndex(mc.Entry.Len-1)+1)
 }
 
 // Send initiates a message from the handler ("ASHs can send messages...

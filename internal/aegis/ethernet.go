@@ -109,7 +109,7 @@ func (e *EthernetIf) UnbindFilter(b *Binding) error {
 }
 
 // Stripe writes frame into buf in the device's striped layout: 16 bytes of
-// data, 16 bytes of padding, repeating.
+// data, 16 bytes of padding, repeating. Frame reads it back.
 func Stripe(buf, frame []byte) {
 	for off := 0; off < len(frame); off += StripeChunk {
 		end := off + StripeChunk
@@ -118,22 +118,6 @@ func Stripe(buf, frame []byte) {
 		}
 		copy(buf[2*off:], frame[off:end])
 	}
-}
-
-// Unstripe reads n data bytes back out of a striped buffer.
-func Unstripe(dst, buf []byte, n int) {
-	for off := 0; off < n; off += StripeChunk {
-		end := off + StripeChunk
-		if end > n {
-			end = n
-		}
-		copy(dst[off:end], buf[2*off:])
-	}
-}
-
-// StripedIndex maps a data offset to its offset inside a striped buffer.
-func StripedIndex(off int) int {
-	return 2*(off/StripeChunk)*StripeChunk + off%StripeChunk
 }
 
 // receive is the Ethernet front half. The frame buffer is borrowed from

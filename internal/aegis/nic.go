@@ -135,10 +135,6 @@ type Binding struct {
 	pool *rxPool // the circuit's own buffers, or the Ethernet's shared pool
 }
 
-// Striped reports whether arrivals land in the Ethernet striping DMA's
-// alternating 16-byte data/pad layout (see MsgCtx.Striped).
-func (b *Binding) Striped() bool { return b.pool.striped }
-
 // Free returns a receive buffer to the DMA pool ("the application is
 // allowed to use those message buffers directly, as long as it eventually
 // returns or replaces them"; Ethernet buffers are scarce, so user code
@@ -246,7 +242,7 @@ func (n *NIC) begin(b *Binding, entry RingEntry) *MsgCtx {
 	n.Rx.Delivered++
 	mc := n.K.acquireMsgCtx()
 	mc.K, mc.Owner, mc.VC, mc.Src = n.K, b.Owner, entry.VC, entry.Src
-	mc.nic, mc.ring, mc.Striped = n, &b.Ring, b.pool.striped
+	mc.nic, mc.ring, mc.striped = n, &b.Ring, b.pool.striped
 	mc.Entry = entry
 	mc.t0 = n.K.kernStart()
 	return mc

@@ -268,7 +268,7 @@ func TestFrontHalfOrder(t *testing.T) {
 			var cost sim.Time
 			var striped bool
 			w.b.Handler = handlerFunc(func(mc *MsgCtx) Disposition {
-				cost, striped = mc.Cost(), mc.Striped
+				cost, striped = mc.Cost(), mc.Frame().Striped
 				return DispConsumed
 			})
 			w.offer(0, true, big)
@@ -282,10 +282,10 @@ func TestFrontHalfOrder(t *testing.T) {
 			} else {
 				want += w.eth.DemuxCycles
 				flushed *= 2
-				layout = make([]byte, StripedIndex(len(big)-1)+1)
+				layout = make([]byte, 2*len(big))
 				Stripe(layout, big)
 			}
-			if cost != want || striped != (dev == "ethernet") || striped != w.b.Striped() {
+			if cost != want || striped != (dev == "ethernet") || striped != w.b.Frame(RingEntry{}).Striped {
 				t.Errorf("%s: cost at handler entry %d, want %d; striped %v", dev, cost, want, striped)
 			}
 			if got := w.k.Bytes(seg.Base, len(layout)); !bytes.Equal(got, layout) {

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"ashs/internal/aegis"
 	"ashs/internal/core"
@@ -93,15 +94,19 @@ func udpEchoASH(srv *host, p *aegis.Process, name string, minPayload int) *core.
 		ctx.Straightline(48, 12)
 		src, pl := ctx.Entry().Src, n-off
 		frame = udpReplyHeader(frame[:0], srv, src, scaleEchoPort, scaleClientPort, pl)
-		raw := ctx.RawData()
-		for j := 0; j < pl; j++ {
-			frame = append(frame, raw[aegis.StripedIndex(off+j)])
-		}
+		frame = appendFrame(frame, ctx.Frame(), off, pl)
 		// Byte-wise echo copy out of the striped buffer.
 		ctx.Straightline(2*pl, pl)
 		ctx.Send(src, 0, frame)
 		return aegis.DispConsumed
 	})
+}
+
+// appendFrame appends data bytes [off, off+n) of f to dst.
+func appendFrame(dst []byte, f aegis.Frame, off, n int) []byte {
+	dst = slices.Grow(dst, n)
+	f.Bytes(dst[len(dst):len(dst)+n], off, n)
+	return dst[:len(dst)+n]
 }
 
 // echoFanIn is the body of one fan-in TCP server process once acceptFanIn

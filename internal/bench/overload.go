@@ -170,27 +170,22 @@ func overloadTenant(client int) string {
 }
 
 // overloadReq extracts the relay request and its UDP source port (the
-// client lane to answer) from a striped receive buffer, validating lengths
-// against the UDP header. ok=false means the frame is malformed or
-// truncated and must take the garbage path. The request is appended to
-// buf[:0], so a caller that is done with one request before it extracts the
-// next can hand the same buffer back.
-func overloadReq(buf, raw []byte, frameLen int) (req []byte, srcPort uint16, ok bool) {
+// client lane to answer) from a received frame, validating lengths against
+// the UDP header. ok=false means the frame is malformed or truncated and
+// must take the garbage path. The request is appended to buf[:0], so a
+// caller that is done with one request before it extracts the next can
+// hand the same buffer back.
+func overloadReq(buf []byte, f aegis.Frame) (req []byte, srcPort uint16, ok bool) {
 	const off = ether.HeaderLen + ip.HeaderLen + udp.HeaderLen
-	if frameLen < off {
+	if f.Len() < off {
 		return nil, 0, false
 	}
-	srcPort = uint16(raw[aegis.StripedIndex(off-8)])<<8 | uint16(raw[aegis.StripedIndex(off-7)])
-	udpLen := int(raw[aegis.StripedIndex(off-4)])<<8 | int(raw[aegis.StripedIndex(off-3)])
-	n := udpLen - udp.HeaderLen
-	if n <= 0 || off+n > frameLen {
+	srcPort = f.U16(off - 8)
+	n := int(f.U16(off-4)) - udp.HeaderLen
+	if n <= 0 || off+n > f.Len() {
 		return nil, 0, false
 	}
-	req = buf[:0]
-	for j := 0; j < n; j++ {
-		req = append(req, raw[aegis.StripedIndex(off+j)])
-	}
-	return req, srcPort, true
+	return appendFrame(buf[:0], f, off, n), srcPort, true
 }
 
 // overloadReplay replays events arrivals of one trace through its world's
@@ -262,7 +257,7 @@ func (d overloadReplay) drive(_ *Config, w *world) any {
 				func(ctx *core.Ctx) aegis.Disposition {
 					// Header validation against the UDP length field.
 					ctx.Straightline(24, 8)
-					req, lane, ok := overloadReq(scratch, ctx.RawData(), ctx.Entry().Len)
+					req, lane, ok := overloadReq(scratch, ctx.Frame())
 					if !ok {
 						return aegis.DispToUser
 					}
@@ -283,8 +278,7 @@ func (d overloadReplay) drive(_ *Config, w *world) any {
 				if !ok {
 					return
 				}
-				raw := p.K.Bytes(e.Addr, 2*e.Len)
-				req, lane, wellFormed := overloadReq(nil, raw, e.Len)
+				req, lane, wellFormed := overloadReq(nil, b.Frame(e))
 				if wellFormed {
 					// User-level service: wakeup, scheduling, and copy-out
 					// overhead first, then parse + copy + relay work with

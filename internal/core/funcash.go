@@ -106,13 +106,9 @@ func (c *Ctx) Entry() aegis.RingEntry { return c.mc.Entry }
 // handlers declare their modeled access costs via Straightline.
 func (c *Ctx) Data() []byte { return c.mc.Data() }
 
-// Striped reports whether the message sits in an Ethernet buffer in the
-// striping DMA's alternating data/pad layout (see RawData).
-func (c *Ctx) Striped() bool { return c.mc.Striped }
-
-// RawData returns the message buffer as the device laid it out; for
-// striped arrivals index it through aegis.StripedIndex.
-func (c *Ctx) RawData() []byte { return c.mc.RawData() }
+// Frame is the message as its device laid it out: the reader of a striped
+// Ethernet arrival, which Data reads only up to its first pad line.
+func (c *Ctx) Frame() aegis.Frame { return c.mc.Frame() }
 
 // Straightline models a run of handler code: insns instructions of which
 // memops reference memory. Sandboxed handlers pay 2 extra instructions per

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"ashs/internal/aegis"
 	"ashs/internal/sandbox"
 	"ashs/internal/sim"
 	"ashs/internal/vcode"
@@ -15,9 +16,7 @@ type kernelHost System
 
 func (h *kernelHost) Ranges(m *vcode.Machine) vcode.Memory { return m.Mem }
 
-func (h *kernelHost) Msg() (vcode.Memory, uint32, int) {
-	return h.K.Mem, h.curMC.Entry.Addr, h.curMC.Entry.Len
-}
+func (h *kernelHost) Msg() aegis.Frame { return h.curMC.Frame() }
 
 func (h *kernelHost) Send(dst, vc int, data []byte) { h.curMC.Send(dst, vc, data) }
 

@@ -1,9 +1,14 @@
 package core
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"ashs/internal/aegis"
+	"ashs/internal/dpf"
+	"ashs/internal/mach"
+	"ashs/internal/netdev"
+	"ashs/internal/sim"
 	"ashs/internal/vcode"
 )
 
@@ -59,5 +64,74 @@ func TestHandlersShareOneSyscallTable(t *testing.T) {
 	}
 	if tb.sys.curMC != nil {
 		t.Fatal("the System still holds a message after its handlers returned")
+	}
+}
+
+// landedAt notes where each message landed before handing it on.
+type landedAt struct {
+	next aegis.MsgHandler
+	addr uint32
+}
+
+func (l *landedAt) HandleMsg(mc *aegis.MsgCtx) aegis.Disposition {
+	l.addr = mc.Entry.Addr
+	return l.next.HandleMsg(mc)
+}
+
+// TestMsgLoadReadsThroughTheStripe: a vcode handler bound to an Ethernet
+// filter reads its message through ash_msg_load, and gets the frame's
+// bytes at every offset, not the pad lines the striping DMA left between
+// its 16-byte data lines; the cache is charged for the lines it read.
+func TestMsgLoadReadsThroughTheStripe(t *testing.T) {
+	eng := sim.NewEngine()
+	prof := mach.DS5000_240()
+	sw := netdev.NewSwitch(eng, prof, netdev.EthernetConfig())
+	k1, k2 := aegis.NewKernel("client", eng, prof), aegis.NewKernel("server", eng, prof)
+	e1, e2 := aegis.NewEthernet(k1, sw), aegis.NewEthernet(k2, sw)
+	sys := NewSystem(k2)
+	owner := k2.Spawn("app", func(p *aegis.Process) {})
+	out := owner.AS.MustAlloc(4096, "words")
+
+	offsets := []int32{0, 16, 20, 44}
+	b := vcode.NewBuilder("msg-load-striped")
+	dst := b.Temp()
+	b.MovI(dst, int32(out.Base))
+	for j, off := range offsets {
+		b.MovI(vcode.RArg0, off)
+		b.Call("ash_msg_load")
+		b.St32(dst, int32(4*j), vcode.RRet)
+	}
+	b.MovI(vcode.RRet, 0) // consumed
+	b.Ret()
+	ash := sys.MustDownload(owner, b.MustAssemble(), Options{})
+	bind, err := e2.BindFilter(owner, dpf.NewFilter().Eq8(0, 0x01))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ash.Attach(bind)
+	landed := &landedAt{next: bind.Handler}
+	bind.Handler = landed
+
+	frame := make([]byte, 64)
+	for i := range frame {
+		frame[i] = byte(i + 1)
+	}
+	e1.KernelSend(e2.Addr(), 0, frame)
+	eng.Run()
+	if ash.Invocations != 1 {
+		t.Fatalf("%d invocations, want 1 (fault %v)", ash.Invocations, ash.InvoluntaryFault)
+	}
+	for j, off := range offsets {
+		got, err := vcode.Load32(owner.AS, out.Base+uint32(4*j))
+		if want := binary.BigEndian.Uint32(frame[off:]); err != nil || got != want {
+			t.Errorf("ash_msg_load(%d) = %#08x (%v), want %#08x", off, got, err, want)
+		}
+	}
+	// The driver flushed the landing area; the loads brought in the data
+	// lines holding bytes 0, 16-23 and 44-47, and no pad line.
+	for line, want := range []bool{true, false, true, false, true} {
+		if got := k2.Cache.Resident(landed.addr + uint32(16*line)); got != want {
+			t.Errorf("line %d of the buffer resident %v, want %v", line, got, want)
+		}
 	}
 }

@@ -8,8 +8,8 @@ import (
 	"ashs/internal/fault"
 	"ashs/internal/mach"
 	"ashs/internal/netdev"
-	"ashs/internal/proto/link"
 	"ashs/internal/sim"
+	"ashs/internal/vcode"
 )
 
 // summed is frame i of a test: 16 bytes and the Internet checksum that
@@ -19,7 +19,7 @@ func summed(i int) []byte {
 	for j := 0; j < 16; j++ {
 		f[j] = byte(16*i + j)
 	}
-	binary.BigEndian.PutUint16(f[16:], ^link.FoldCksum(link.CksumData(0, f[:16])))
+	binary.BigEndian.PutUint16(f[16:], ^vcode.Fold16(vcode.CksumData(0, f[:16])))
 	return f
 }
 
@@ -62,7 +62,7 @@ func TestBoardCheckUnderThePlane(t *testing.T) {
 		}
 		for b.Ring.Len() > 0 {
 			e, _ := b.Ring.TryRecv()
-			ok := link.FoldCksum(link.CksumData(0, k.Bytes(e.Addr, e.Len))) == 0xffff
+			ok := vcode.Fold16(vcode.CksumData(0, k.Bytes(e.Addr, e.Len))) == 0xffff
 			if ok != (c.name == "clean") {
 				t.Errorf("%s: a delivered frame passes its end-to-end checksum: %v", c.name, ok)
 			}

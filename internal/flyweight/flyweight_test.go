@@ -11,11 +11,11 @@ import (
 	"ashs/internal/obs"
 	"ashs/internal/proto/ether"
 	"ashs/internal/proto/ip"
-	"ashs/internal/proto/link"
 	"ashs/internal/proto/nfs"
 	"ashs/internal/proto/retry"
 	"ashs/internal/proto/tcp"
 	"ashs/internal/sim"
+	"ashs/internal/vcode"
 	"ashs/internal/workload"
 )
 
@@ -298,7 +298,7 @@ func (s *flyTCPServer) send(dst int, h tcp.Header, payload []byte) {
 	seg := append(h.Marshal(nil), payload...)
 	if s.cksum {
 		acc := ip.PseudoCksum(ip.HostAddr(s.w.srv.Addr()), ip.HostAddr(dst), ip.ProtoTCP, len(seg))
-		binary.BigEndian.PutUint16(seg[16:], ^link.FoldCksum(link.CksumData(acc, seg)))
+		binary.BigEndian.PutUint16(seg[16:], ^vcode.Fold16(vcode.CksumData(acc, seg)))
 	}
 	eh := ether.Header{Dst: ether.PortMAC(dst), Src: ether.PortMAC(s.w.srv.Addr()),
 		Type: ether.TypeIPv4}

@@ -287,13 +287,3 @@ func (e *Engine) Run(m *vcode.Machine, src, dst uint32, n int) (sim.Time, *vcode
 	f := m.Run(e.Prog)
 	return m.Cycles, f
 }
-
-// Fold16 folds a 32-bit ones-complement accumulator into the final 16-bit
-// Internet checksum value (the handler is "responsible for ... folding it
-// to 16 bits").
-func Fold16(v uint32) uint16 {
-	for v>>16 != 0 {
-		v = v&0xffff + v>>16
-	}
-	return uint16(v)
-}

@@ -21,7 +21,7 @@ import (
 // vcode.CksumWords, the streaming executor's kernel; the cache is charged
 // with one CopyRange, which is the per-word Load/Store sequence.
 //
-// It returns the 32-bit checksum accumulator (caller folds with Fold16).
+// It returns the 32-bit checksum accumulator (caller folds with vcode.Fold16).
 func HandIntegrated(m *vcode.Machine, src, dst uint32, n int, withBswap bool) (uint32, sim.Time, error) {
 	if n%4 != 0 {
 		return 0, 0, &vcode.Fault{Kind: vcode.FaultUnaligned, Msg: "hand-integrated length not a multiple of 4"}
@@ -69,9 +69,9 @@ func HandIntegrated(m *vcode.Machine, src, dst uint32, n int, withBswap bool) (u
 // cache is charged one Load per halfword, not with LoadRange, which issues
 // one per word: the halfword loop loads every word twice.
 //
-// An odd tail is zero-padded, as link.CksumData pads it; the byte after the
-// range is not read. It returns a 32-bit accumulator whose Fold16 is the
-// checksum of the range.
+// An odd tail is zero-padded, as vcode.CksumData pads it; the byte after
+// the range is not read. It returns a 32-bit accumulator whose
+// vcode.Fold16 is the checksum of the range.
 func LibCksumPass(m *vcode.Machine, addr uint32, n int) (uint32, sim.Time, error) {
 	data, err := m.Mem.Load(addr, n)
 	if err != nil {

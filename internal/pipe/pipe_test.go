@@ -225,14 +225,14 @@ func TestGaugeConversion16(t *testing.T) {
 	if _, f := e.Run(m, srcAddr, 0, 256); f != nil {
 		t.Fatal(f)
 	}
-	got := Fold16(e.Import(m, ck, acc))
+	got := vcode.Fold16(e.Import(m, ck, acc))
 
 	data := bytesAt(mem, srcAddr, 256)
 	var sum uint32
 	for i := 0; i+1 < len(data); i += 2 {
 		sum = cksumStep(sum, uint32(data[i])<<8|uint32(data[i+1]))
 	}
-	want := Fold16(sum)
+	want := vcode.Fold16(sum)
 	if got != want {
 		t.Fatalf("gauge-16 cksum = %#x, want %#x", got, want)
 	}
@@ -486,8 +486,8 @@ func TestLibCksumPassPadsOddTail(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%d bytes at %#x: %v", n, addr, err)
 			}
-			if Fold16(acc) != Fold16(want) {
-				t.Fatalf("%d bytes at %#x: checksum %#04x, want %#04x (the odd tail zero-padded)", n, addr, Fold16(acc), Fold16(want))
+			if vcode.Fold16(acc) != vcode.Fold16(want) {
+				t.Fatalf("%d bytes at %#x: checksum %#04x, want %#04x (the odd tail zero-padded)", n, addr, vcode.Fold16(acc), vcode.Fold16(want))
 			}
 		}
 	}
@@ -657,20 +657,6 @@ func TestPipeWithInternalBranch(t *testing.T) {
 	v1, _ := vcode.Load32(mem, dstAddr+4)
 	if v0 != 0x42 || v1 != 0xff {
 		t.Fatalf("clamp pipe produced %#x, %#x; want 0x42, 0xff", v0, v1)
-	}
-}
-
-func TestFold16(t *testing.T) {
-	cases := []struct {
-		in   uint32
-		want uint16
-	}{
-		{0, 0}, {0xffff, 0xffff}, {0x10000, 1}, {0x1fffe, 0xffff}, {0xffffffff, 0xffff},
-	}
-	for _, tc := range cases {
-		if got := Fold16(tc.in); got != tc.want {
-			t.Errorf("Fold16(%#x) = %#x, want %#x", tc.in, got, tc.want)
-		}
 	}
 }
 

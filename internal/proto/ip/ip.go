@@ -8,6 +8,8 @@ package ip
 import (
 	"encoding/binary"
 	"fmt"
+
+	"ashs/internal/vcode"
 )
 
 // Addr is an IPv4 address.
@@ -77,21 +79,9 @@ func (h *Header) Marshal(b []byte) []byte {
 	b = append(b, h.TTL, h.Proto, 0, 0) // checksum filled below
 	b = append(b, h.Src[:]...)
 	b = append(b, h.Dst[:]...)
-	ck := headerChecksum(b[start : start+HeaderLen])
+	ck := ^vcode.Fold16(vcode.CksumData(0, b[start:start+HeaderLen]))
 	binary.BigEndian.PutUint16(b[start+10:], ck)
 	return b
-}
-
-// headerChecksum computes the ones-complement header checksum.
-func headerChecksum(hdr []byte) uint16 {
-	var sum uint32
-	for i := 0; i+1 < len(hdr); i += 2 {
-		sum += uint32(hdr[i])<<8 | uint32(hdr[i+1])
-	}
-	for sum>>16 != 0 {
-		sum = sum&0xffff + sum>>16
-	}
-	return ^uint16(sum)
 }
 
 // Parse reads and validates a header from the front of b.
@@ -110,9 +100,9 @@ func Parse(b []byte) (Header, error) {
 		// buffer) keeps corrupted headers on the error path.
 		return h, fmt.Errorf("ip: bad IHL %d", ihl)
 	}
-	if headerChecksum(b[:ihl]) != 0 {
+	if vcode.Fold16(vcode.CksumData(0, b[:ihl])) != 0xffff {
 		// Checksum over a valid header (including its checksum field)
-		// sums to 0xffff; complemented: 0.
+		// folds to 0xffff.
 		return h, fmt.Errorf("ip: header checksum failure")
 	}
 	h.TOS = b[1]

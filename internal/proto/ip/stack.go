@@ -166,9 +166,9 @@ func (s *Stack) Send(proto byte, dst Addr, hdr, payload []byte) error {
 type Dgram struct {
 	Hdr Header
 	// Frame backs the payload: either the receive buffer (Off is the
-	// transport payload's offset) or a fabricated view of the reassembly
-	// buffer.
-	Frame link.Frame
+	// transport payload's offset) or a contiguous frame over the
+	// reassembly buffer.
+	Frame aegis.Frame
 	Off   int
 	// Doorbell marks a zero-length kernel notification (a downloaded
 	// handler consumed a message and is waking the library to re-examine
@@ -212,7 +212,7 @@ func (s *Stack) RecvUntil(polling bool, deadline sim.Time) (Dgram, bool, error) 
 // Input processes one received frame: ok reports whether a complete
 // datagram is ready. Frames that do not produce a datagram (bad, not ours,
 // mid-reassembly) are released internally.
-func (s *Stack) Input(f link.Frame) (Dgram, bool, error) {
+func (s *Stack) Input(f aegis.Frame) (Dgram, bool, error) {
 	p := s.Ep.Owner()
 	p.Compute(parseCycles)
 
@@ -247,7 +247,7 @@ func (s *Stack) Input(f link.Frame) (Dgram, bool, error) {
 }
 
 // inputFragment folds one fragment into its reassembly buffer.
-func (s *Stack) inputFragment(h Header, f link.Frame) (Dgram, bool, error) {
+func (s *Stack) inputFragment(h Header, f aegis.Frame) (Dgram, bool, error) {
 	p := s.Ep.Owner()
 	now := s.Ep.Kernel().Now()
 	s.sweepReasm(now)
@@ -288,11 +288,10 @@ func (s *Stack) inputFragment(h Header, f link.Frame) (Dgram, bool, error) {
 		h.MF = false
 		h.FragOff = 0
 		d := Dgram{
-			Hdr: h,
-			Frame: link.FabricateFrame(s.Ep.Kernel(),
-				buf.seg.Base, buf.totalLen),
-			Off:  0,
-			slot: buf,
+			Hdr:   h,
+			Frame: aegis.ContiguousFrame(s.Ep.Kernel().Mem, buf.seg.Base, buf.totalLen),
+			Off:   0,
+			slot:  buf,
 		}
 		return d, true, nil
 	}

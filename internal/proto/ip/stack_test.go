@@ -43,8 +43,8 @@ func runFragWorld(t *testing.T, body func(w *fragWorld)) {
 }
 
 // mkFragment builds a raw IP fragment datagram in a fresh segment and
-// returns a fabricated frame over it.
-func (w *fragWorld) mkFragment(id uint16, off int, mf bool, payload []byte) link.Frame {
+// returns a contiguous frame over it.
+func (w *fragWorld) mkFragment(id uint16, off int, mf bool, payload []byte) aegis.Frame {
 	h := Header{
 		TotalLen: uint16(HeaderLen + len(payload)), ID: id, TTL: 64,
 		Proto: ProtoUDP, Src: V4(10, 0, 0, 1), Dst: V4(10, 0, 0, 9),
@@ -54,7 +54,7 @@ func (w *fragWorld) mkFragment(id uint16, off int, mf bool, payload []byte) link
 	buf = append(buf, payload...)
 	seg := w.p.AS.MustAlloc(len(buf)+16, "frag")
 	copy(w.k.Bytes(seg.Base, len(buf)), buf)
-	return link.FabricateFrame(w.k, seg.Base, len(buf))
+	return aegis.ContiguousFrame(w.k.Mem, seg.Base, len(buf))
 }
 
 func TestReassemblyOutOfOrder(t *testing.T) {

@@ -1,10 +1,9 @@
 package link
 
 import (
-	"encoding/binary"
-
 	"ashs/internal/aegis"
 	"ashs/internal/sim"
+	"ashs/internal/vcode"
 )
 
 // Costed data-movement helpers for the user-level protocol libraries.
@@ -15,68 +14,24 @@ import (
 // charge, so library passes and generated engines are directly comparable
 // (Table IV).
 
-// CksumData folds data into a 32-bit ones-complement accumulator
-// (RFC 1071): big-endian 16-bit words, odd tail zero-padded. Pure
-// computation — no cycles charged.
-//
-// The accumulator is the end-around-carry sum of acc and every halfword:
-// 0 if all of them are 0, else the representative of their total modulo
-// 2^32-1 in [1, 2^32-1]. So the halfwords can be summed in any grouping —
-// here eight bytes a step, as two pairs of 16-bit lanes in a uint64 —
-// and reduced once. A carry out of the low 32 bits lands on bit 32, which
-// is worth 1 modulo 2^32-1, so it is not lost; the uint64 itself cannot
-// wrap below 2^47 bytes of data.
-func CksumData(acc uint32, data []byte) uint32 {
-	const lanes = 0x0000ffff0000ffff
-	total := uint64(acc)
-	for ; len(data) >= 8; data = data[8:] {
-		x := binary.BigEndian.Uint64(data)
-		total += x&lanes + x>>16&lanes
-	}
-	for ; len(data) >= 2; data = data[2:] {
-		total += uint64(data[0])<<8 | uint64(data[1])
-	}
-	if len(data) == 1 {
-		total += uint64(data[0]) << 8
-	}
-	if total == 0 {
-		return 0
-	}
-	return uint32((total-1)%0xffffffff) + 1
-}
-
-// FoldCksum reduces an accumulator to the 16-bit Internet checksum value
-// (not yet complemented).
-func FoldCksum(acc uint32) uint16 {
-	for acc>>16 != 0 {
-		acc = acc&0xffff + acc>>16
-	}
-	return uint16(acc)
-}
-
-// passCost charges one streaming pass over n bytes whose byte o is read at
-// base + index(off+o) — index being the striping DMA layout for striped
-// sources, the identity otherwise — and, with store, written at dst+o: per
-// 32-bit word a cache-modeled load, the optional store, the loop overhead
-// and opCycles of ALU work. The cache is charged a contiguous run at a
-// time: the whole pass, or for a striped source the words that start in
-// one 16-byte data line.
-func passCost(k *aegis.Kernel, base uint32, off int, striped bool, dst uint32, n int, store bool, opCycles int) sim.Time {
+// passCost charges one streaming pass over data bytes [off, off+n) of f
+// and, with store, their writes at dst+o: per 32-bit word a cache-modeled
+// load, the optional store, the loop overhead and opCycles of ALU work.
+// The cache is charged a contiguous run at a time: the words that start in
+// one of the frame's lines (see aegis.Frame.Line), which for a contiguous
+// frame is the whole pass.
+func passCost(k *aegis.Kernel, f *aegis.Frame, off int, dst uint32, n int, store bool, opCycles int) sim.Time {
 	if n <= 0 {
 		return 0
 	}
 	cycles := sim.Time((n+3)/4) * sim.Time(k.Prof.LoopOverhead+opCycles)
 	for o := 0; o < n; {
-		at, run := off+o, n-o
-		if striped {
-			words := (aegis.StripeChunk - at%aegis.StripeChunk + 3) / 4
-			run = min(run, 4*words)
-			at = aegis.StripedIndex(at)
-		}
+		addr, line := f.Line(off + o)
+		run := min(n-o, (line+3)&^3)
 		if store {
-			cycles += k.Cache.CopyRange(base+uint32(at), dst+uint32(o), run)
+			cycles += k.Cache.CopyRange(addr, dst+uint32(o), run)
 		} else {
-			cycles += k.Cache.LoadRange(base+uint32(at), run)
+			cycles += k.Cache.LoadRange(addr, run)
 		}
 		o += run
 	}
@@ -85,19 +40,16 @@ func passCost(k *aegis.Kernel, base uint32, off int, striped bool, dst uint32, n
 
 // CksumRange traverses [addr, addr+n) computing the checksum (no copy).
 func CksumRange(p *aegis.Process, k *aegis.Kernel, addr uint32, n int) uint32 {
-	p.Compute(passCost(k, addr, 0, false, 0, n, false, k.Prof.CksumOp))
-	return CksumData(0, k.Bytes(addr, n))
+	f := aegis.ContiguousFrame(k.Mem, addr, n)
+	p.Compute(passCost(k, &f, 0, 0, n, false, k.Prof.CksumOp))
+	return vcode.CksumData(0, k.Bytes(addr, n))
 }
 
 // framePassCost is passCost over frame payload from offset off. Striped
 // (Ethernet) frames cost slightly more per line, as the generated strided
 // loops do.
-func framePassCost(f Frame, off int, dst uint32, n int, store bool, opCycles int) sim.Time {
-	cycles := passCost(f.k, f.Entry.Addr, off, f.Striped, dst, n, store, opCycles)
-	if f.Striped {
-		cycles += sim.Time(n / aegis.StripeChunk) // line-skip index update
-	}
-	return cycles
+func framePassCost(k *aegis.Kernel, f *aegis.Frame, off int, dst uint32, n int, store bool, opCycles int) sim.Time {
+	return passCost(k, f, off, dst, n, store, opCycles) + sim.Time(f.WholeLines(n))
 }
 
 // CopyFromFrame copies n bytes of frame payload (from offset off) to dst,
@@ -105,17 +57,18 @@ func framePassCost(f Frame, off int, dst uint32, n int, store bool, opCycles int
 // over the destination once the bytes are there, which for a destination
 // overlapping the payload is what was copied, not what is left of the
 // source.
-func CopyFromFrame(p *aegis.Process, f Frame, off int, dst uint32, n int, cksum bool) uint32 {
+func CopyFromFrame(p *aegis.Process, f aegis.Frame, off int, dst uint32, n int, cksum bool) uint32 {
+	k := p.K
 	op := 0
 	if cksum {
-		op = f.k.Prof.CksumOp
+		op = k.Prof.CksumOp
 	}
-	cycles := framePassCost(f, off, dst, n, true, op)
-	d := f.k.Bytes(dst, n)
+	cycles := framePassCost(k, &f, off, dst, n, true, op)
+	d := k.Bytes(dst, n)
 	f.Bytes(d, off, n)
 	var acc uint32
 	if cksum {
-		acc = CksumData(0, d)
+		acc = vcode.CksumData(0, d)
 	}
 	p.Compute(cycles)
 	return acc
@@ -123,9 +76,9 @@ func CopyFromFrame(p *aegis.Process, f Frame, off int, dst uint32, n int, cksum 
 
 // CksumFromFrame traverses n bytes of frame payload computing the
 // checksum in place (the "in place, with checksum" receive variant).
-func CksumFromFrame(p *aegis.Process, f Frame, off int, n int) uint32 {
-	cycles := framePassCost(f, off, 0, n, false, f.k.Prof.CksumOp)
-	acc := f.cksum(off, n)
+func CksumFromFrame(p *aegis.Process, f aegis.Frame, off int, n int) uint32 {
+	cycles := framePassCost(p.K, &f, off, 0, n, false, p.K.Prof.CksumOp)
+	acc := f.Cksum(off, n)
 	p.Compute(cycles)
 	return acc
 }

@@ -3,12 +3,13 @@ package link
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"ashs/internal/aegis"
+	"ashs/internal/dpf"
 	"ashs/internal/mach"
 	"ashs/internal/netdev"
 	"ashs/internal/sim"
+	"ashs/internal/vcode"
 )
 
 func newHostPair(t *testing.T) (*sim.Engine, *aegis.Kernel, *aegis.Kernel, *aegis.AN2If, *aegis.AN2If) {
@@ -21,43 +22,6 @@ func newHostPair(t *testing.T) (*sim.Engine, *aegis.Kernel, *aegis.Kernel, *aegi
 	return eng, k1, k2, aegis.NewAN2(k1, sw), aegis.NewAN2(k2, sw)
 }
 
-func TestCksumDataMatchesReference(t *testing.T) {
-	err := quick.Check(func(data []byte) bool {
-		got := FoldCksum(CksumData(0, data))
-		// Reference: textbook 16-bit accumulation.
-		var sum uint32
-		for i := 0; i < len(data); i += 2 {
-			w := uint32(data[i]) << 8
-			if i+1 < len(data) {
-				w |= uint32(data[i+1])
-			}
-			sum += w
-			if sum > 0xffff {
-				sum = sum&0xffff + sum>>16
-			}
-		}
-		return got == uint16(sum)
-	}, &quick.Config{MaxCount: 300})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCksumIncremental(t *testing.T) {
-	// Property: checksumming in chunks at even boundaries equals one pass.
-	err := quick.Check(func(a, b []byte) bool {
-		if len(a)%2 == 1 {
-			a = a[:len(a)-1]
-		}
-		whole := CksumData(0, append(append([]byte(nil), a...), b...))
-		split := CksumData(CksumData(0, a), b)
-		return FoldCksum(whole) == FoldCksum(split)
-	}, &quick.Config{MaxCount: 300})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCopyFromStripedFrameMatchesContiguous(t *testing.T) {
 	eng, k1, _, _, _ := newHostPair(t)
 	k1.Spawn("app", func(p *aegis.Process) {
@@ -66,14 +30,11 @@ func TestCopyFromStripedFrameMatchesContiguous(t *testing.T) {
 		payload := make([]byte, 1000)
 		rand.New(rand.NewSource(2)).Read(payload)
 
-		stripedSeg := p.AS.MustAlloc(2048+32, "striped")
-		aegis.Stripe(k1.Bytes(stripedSeg.Base, 2048+32), payload)
-		fs := Frame{Entry: aegis.RingEntry{Addr: stripedSeg.Base, Len: len(payload)}, Striped: true}
-		setFrameKernel(&fs, k1)
+		fs := stripedFrame(t, p, payload)
 
 		contSeg := p.AS.MustAlloc(1024, "cont")
 		copy(k1.Bytes(contSeg.Base, 1000), payload)
-		fc := FabricateFrame(k1, contSeg.Base, 1000)
+		fc := aegis.ContiguousFrame(k1.Mem, contSeg.Base, 1000)
 
 		d1 := p.AS.MustAlloc(1024, "d1")
 		d2 := p.AS.MustAlloc(1024, "d2")
@@ -87,15 +48,27 @@ func TestCopyFromStripedFrameMatchesContiguous(t *testing.T) {
 				return
 			}
 		}
-		if FoldCksum(a1) != FoldCksum(a2) {
+		if vcode.Fold16(a1) != vcode.Fold16(a2) {
 			t.Error("striped/contiguous checksum mismatch")
 		}
 	})
 	eng.Run()
 }
 
-// setFrameKernel lets tests fabricate striped frames.
-func setFrameKernel(f *Frame, k *aegis.Kernel) { f.k = k }
+// stripedFrame lays payload out in a fresh segment of p as the Ethernet's
+// striping DMA does, and returns it as an Ethernet binding reads it.
+func stripedFrame(t *testing.T, p *aegis.Process, payload []byte) aegis.Frame {
+	t.Helper()
+	k := p.K
+	eth := aegis.NewEthernet(k, netdev.NewSwitch(k.Eng, k.Prof, netdev.EthernetConfig()))
+	b, err := eth.BindFilter(p, dpf.NewFilter().Eq8(0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := p.AS.MustAlloc(2*len(payload)+32, "striped")
+	aegis.Stripe(k.Bytes(seg.Base, 2*len(payload)+32), payload)
+	return b.Frame(aegis.RingEntry{Addr: seg.Base, Len: len(payload)})
+}
 
 func TestFrameFieldAccessors(t *testing.T) {
 	eng, k1, _, _, _ := newHostPair(t)
@@ -105,7 +78,7 @@ func TestFrameFieldAccessors(t *testing.T) {
 		for i := range b {
 			b[i] = byte(i)
 		}
-		f := FabricateFrame(k1, seg.Base, 64)
+		f := aegis.ContiguousFrame(k1.Mem, seg.Base, 64)
 		if f.Byte(5) != 5 {
 			t.Errorf("Byte(5) = %d", f.Byte(5))
 		}
@@ -193,48 +166,6 @@ func TestRecvUntilPollingTimesOut(t *testing.T) {
 	}
 }
 
-// cksumHalfwords is the halfword-at-a-time loop CksumData replaced: one
-// end-around-carry add per big-endian 16-bit word. It defines the
-// accumulator CksumData must return, bit for bit.
-func cksumHalfwords(acc uint32, data []byte) uint32 {
-	step := func(acc, v uint32) uint32 {
-		s := uint64(acc) + uint64(v)
-		return uint32(s) + uint32(s>>32)
-	}
-	i := 0
-	for ; i+1 < len(data); i += 2 {
-		acc = step(acc, uint32(data[i])<<8|uint32(data[i+1]))
-	}
-	if i < len(data) {
-		acc = step(acc, uint32(data[i])<<8)
-	}
-	return acc
-}
-
-func TestCksumDataMatchesHalfwordLoop(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	random := make([]byte, 4099)
-	rng.Read(random)
-	ones := make([]byte, 70000) // 0xffff halfwords: the sum carries out of 32 bits
-	for i := range ones {
-		ones[i] = 0xff
-	}
-	zeros := make([]byte, 64)
-	seeds := []uint32{0, 1, 0xffff, 0xfffffffe, 0xffffffff, 0x80000000, rng.Uint32()}
-	for _, data := range [][]byte{random, ones, zeros} {
-		for _, n := range []int{0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 63, 64, 65, 1459, 1460, len(data) - 1, len(data)} {
-			for _, seed := range seeds {
-				for start := 0; start < 3 && start+n <= len(data); start++ {
-					d := data[start : start+n]
-					if got, want := CksumData(seed, d), cksumHalfwords(seed, d); got != want {
-						t.Fatalf("CksumData(%#x, %d bytes of %#x...) = %#x, halfword loop %#x", seed, n, data[0], got, want)
-					}
-				}
-			}
-		}
-	}
-}
-
 // passCostPerWord is the per-word charging loop passCost replaced: one
 // Cache.Load (and Store) call per 32-bit word, the source address of a
 // striped frame computed a word at a time.
@@ -243,7 +174,7 @@ func passCostPerWord(k *aegis.Kernel, base uint32, off int, striped bool, dst ui
 	for o := 0; o < n; o += 4 {
 		at := off + o
 		if striped {
-			at = aegis.StripedIndex(at)
+			at = 2*(at/16)*16 + at%16 // data line at/16 follows as many data and pad lines
 		}
 		cycles += k.Cache.Load(base + uint32(at))
 		if store {
@@ -273,7 +204,8 @@ func TestPassCostMatchesPerWordLoop(t *testing.T) {
 					got.Cache.Flush()
 					want.Cache.Flush()
 					for pass := 0; pass < 2; pass++ {
-						g := passCost(got, base, off, striped, dst, n, store, prof.CksumOp)
+						f := aegis.Frame{Entry: aegis.RingEntry{Addr: base, Len: off + n}, Striped: striped}
+						g := passCost(got, &f, off, dst, n, store, prof.CksumOp)
 						w := passCostPerWord(want, base, off, striped, dst, n, store, prof.CksumOp)
 						if g != w || got.Cache.Hits != want.Cache.Hits || got.Cache.Misses != want.Cache.Misses || got.Cache.Stores != want.Cache.Stores {
 							t.Fatalf("striped %v store %v off %d n %d pass %d: %d cycles (hits %d misses %d stores %d), per-word loop %d (%d/%d/%d)",
@@ -285,25 +217,21 @@ func TestPassCostMatchesPerWordLoop(t *testing.T) {
 			}
 		}
 	}
-	if passCost(got, base, 0, true, dst, 0, true, 1) != 0 {
+	if f := (aegis.Frame{Entry: aegis.RingEntry{Addr: base}, Striped: true}); passCost(got, &f, 0, dst, 0, true, 1) != 0 {
 		t.Error("an empty pass is not free")
 	}
 }
 
-// TestFrameReadsInPlace checks the temporary-free frame readers against
-// the byte-at-a-time definition: payload byte i of a striped frame lives at
-// StripedIndex(i), and the checksum is CksumData over those bytes — at
-// every offset parity and length, including ranges that open and close
-// mid-line.
+// TestFrameReadsInPlace checks the costed passes over a striped frame
+// against its payload: the bytes copied and the checksum are those of the
+// payload — at every offset parity and length, including ranges that open
+// and close mid-line.
 func TestFrameReadsInPlace(t *testing.T) {
 	eng, k1, _, _, _ := newHostPair(t)
 	k1.Spawn("app", func(p *aegis.Process) {
 		payload := make([]byte, 200)
 		rand.New(rand.NewSource(4)).Read(payload)
-		seg := p.AS.MustAlloc(2*len(payload)+32, "striped")
-		aegis.Stripe(k1.Bytes(seg.Base, 2*len(payload)+32), payload)
-		fs := Frame{Entry: aegis.RingEntry{Addr: seg.Base, Len: len(payload)}, Striped: true}
-		setFrameKernel(&fs, k1)
+		fs := stripedFrame(t, p, payload)
 		dst := p.AS.MustAlloc(256, "dst")
 
 		for off := 0; off < 40; off++ {
@@ -314,11 +242,11 @@ func TestFrameReadsInPlace(t *testing.T) {
 				if string(out) != string(want) {
 					t.Fatalf("Bytes(off %d, n %d) differs from the payload", off, n)
 				}
-				if got := CksumFromFrame(p, fs, off, n); got != cksumHalfwords(0, want) {
-					t.Fatalf("CksumFromFrame(off %d, n %d) = %#x, want %#x", off, n, got, cksumHalfwords(0, want))
+				if got := CksumFromFrame(p, fs, off, n); got != vcode.CksumData(0, want) {
+					t.Fatalf("CksumFromFrame(off %d, n %d) = %#x, want %#x", off, n, got, vcode.CksumData(0, want))
 				}
-				if got := CopyFromFrame(p, fs, off, dst.Base, n, true); got != cksumHalfwords(0, want) {
-					t.Fatalf("CopyFromFrame(off %d, n %d) checksum = %#x, want %#x", off, n, got, cksumHalfwords(0, want))
+				if got := CopyFromFrame(p, fs, off, dst.Base, n, true); got != vcode.CksumData(0, want) {
+					t.Fatalf("CopyFromFrame(off %d, n %d) checksum = %#x, want %#x", off, n, got, vcode.CksumData(0, want))
 				}
 				if string(k1.Bytes(dst.Base, n)) != string(want) {
 					t.Fatalf("CopyFromFrame(off %d, n %d) copied the wrong bytes", off, n)
@@ -330,12 +258,12 @@ func TestFrameReadsInPlace(t *testing.T) {
 		// is the copy through a temporary, and so is its checksum.
 		cont := p.AS.MustAlloc(256, "cont")
 		copy(k1.Bytes(cont.Base, 200), payload)
-		fc := FabricateFrame(k1, cont.Base, 200)
+		fc := aegis.ContiguousFrame(k1.Mem, cont.Base, 200)
 		got := CopyFromFrame(p, fc, 0, cont.Base+6, 150, true)
 		if string(k1.Bytes(cont.Base+6, 150)) != string(payload[:150]) {
 			t.Error("overlapping CopyFromFrame did not copy through a temporary")
 		}
-		if got != cksumHalfwords(0, payload[:150]) {
+		if got != vcode.CksumData(0, payload[:150]) {
 			t.Error("overlapping CopyFromFrame checksummed something other than what it copied")
 		}
 	})

@@ -8,6 +8,7 @@ import (
 	"ashs/internal/proto/ip"
 	"ashs/internal/proto/link"
 	"ashs/internal/sim"
+	"ashs/internal/vcode"
 )
 
 // State is the RFC 793 connection state.
@@ -326,7 +327,7 @@ func (c *Conn) sendSegment(flags Flags, seq uint32, payloadAddr *uint32, n int, 
 func (c *Conn) emit(h *Header, data []byte, dataAcc uint32, span string, t0 sim.Time) {
 	if c.Cfg.Checksum {
 		acc := ip.PseudoCksum(c.St.Local, c.remoteIP, ip.ProtoTCP, HeaderLen+len(data))
-		h.Checksum = ^link.FoldCksum(acc + h.headerAccum() + dataAcc)
+		h.Checksum = ^vcode.Fold16(acc + h.headerAccum() + dataAcc)
 	}
 	c.SegsOut++
 	c.traceSpan(span, t0)
@@ -631,7 +632,7 @@ func (c *Conn) retransmit(r *rtxSeg) {
 	var acc uint32
 	if c.Cfg.Checksum {
 		p.Compute(cksumFixedCycles)
-		acc = link.CksumData(0, r.data)
+		acc = vcode.CksumData(0, r.data)
 	}
 	c.emit(&h, r.data, acc, "tcp rexmit output", t0)
 }
@@ -787,7 +788,7 @@ func (c *Conn) verifyChecksum(d ip.Dgram, h *Header, dataOff, plen int) bool {
 	// Traversal over the segment where it lies (uncached after DMA).
 	acc += link.CksumFromFrame(p, d.Frame, d.Off, seglen)
 	c.traceSpan("tcp cksum verify", t0)
-	return link.FoldCksum(acc) == 0xffff
+	return vcode.Fold16(acc) == 0xffff
 }
 
 // acceptData queues in-order payload for Read.

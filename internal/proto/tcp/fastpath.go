@@ -8,6 +8,7 @@ import (
 	"ashs/internal/pipe"
 	"ashs/internal/proto/ip"
 	"ashs/internal/proto/link"
+	"ashs/internal/vcode"
 )
 
 // fastPath is the downloaded common-case receive handler of Section V-B:
@@ -123,21 +124,14 @@ func (f *fastPath) handle(ctx *core.Ctx) aegis.Disposition {
 	// (16 data bytes, 16 pad, repeating): the handler gathers the header
 	// region into a scratch with word reads through the stripe and only
 	// handles small payloads itself (see fastStripedMax).
-	striped := ctx.Striped()
-	var data, raw []byte
-	if striped {
-		raw = ctx.RawData()
-		hdrN := n
-		if hdrN > fastHdrMax {
-			hdrN = fastHdrMax
-		}
+	fr := ctx.Frame()
+	var data []byte
+	if fr.Striped {
+		hdrN := min(n, fastHdrMax)
 		var gathered [fastHdrMax]byte
-		hdr := gathered[:hdrN]
-		for i := range hdr {
-			hdr[i] = raw[aegis.StripedIndex(i)]
-		}
+		fr.Bytes(gathered[:], 0, hdrN)
 		ctx.Straightline(hdrN/2, hdrN/4)
-		data = hdr
+		data = gathered[:hdrN]
 	} else {
 		data = ctx.Data()
 	}
@@ -192,7 +186,7 @@ func (f *fastPath) handle(ctx *core.Ctx) aegis.Disposition {
 		}
 		var acc uint32
 		aligned := plen &^ 3
-		if striped {
+		if fr.Striped {
 			// Striped small-message path: every payload byte moves with a
 			// checked access through the stripe. DILP's word loop would
 			// fault on the pad lines, so the handler caps what it moves.
@@ -217,25 +211,20 @@ func (f *fastPath) handle(ctx *core.Ctx) aegis.Disposition {
 				if errD != nil {
 					return f.abort(isData)
 				}
-				acc = cksum32Add(acc, a2)
+				acc = vcode.CksumAdd(acc, a2)
 			}
 		}
 		// The rest of the bytes (the < 4-byte tail, or the whole striped
 		// payload): moved with checked single-byte accesses.
 		for i := aligned; i < plen; i++ {
 			ctx.Straightline(3, 2)
-			var b byte
-			if striped {
-				b = raw[aegis.StripedIndex(tcpOff+dataOff+i)]
-			} else {
-				b = data[tcpOff+dataOff+i]
-			}
+			b := fr.Byte(tcpOff + dataOff + i)
 			dstPos := (c.hrTail + i) % window
 			f.ringBytes()[dstPos] = b
 			if i%2 == 0 {
-				acc = cksum32Add(acc, uint32(b)<<8)
+				acc = vcode.CksumAdd(acc, uint32(b)<<8)
 			} else {
-				acc = cksum32Add(acc, uint32(b))
+				acc = vcode.CksumAdd(acc, uint32(b))
 			}
 		}
 
@@ -244,7 +233,7 @@ func (f *fastPath) handle(ctx *core.Ctx) aegis.Disposition {
 			ctx.Straightline(24, 2)
 			want := ip.PseudoCksum(d(srcIP(data, ipOff)), d(dstIP(data, ipOff)), ip.ProtoTCP, totalLen-ihl)
 			want += h.headerAccum() + uint32(h.Checksum)
-			if link.FoldCksum(cksum32Add(want, acc)) != 0xffff {
+			if vcode.Fold16(vcode.CksumAdd(want, acc)) != 0xffff {
 				c.BadChecksum++
 				// Drop silently: state untouched (hrTail uncommitted), the
 				// peer retransmits.
@@ -310,7 +299,7 @@ func (f *fastPath) sendAckFromHandler(ctx *core.Ctx) {
 	if c.Cfg.Checksum {
 		acc := ip.PseudoCksum(c.St.Local, c.remoteIP, ip.ProtoTCP, HeaderLen)
 		acc += h.headerAccum()
-		h.Checksum = ^link.FoldCksum(acc)
+		h.Checksum = ^vcode.Fold16(acc)
 	}
 	iph := ip.Header{TotalLen: uint16(ip.HeaderLen + HeaderLen), TTL: 64,
 		Proto: ip.ProtoTCP, Src: c.St.Local, Dst: c.remoteIP}
@@ -323,12 +312,6 @@ func (f *fastPath) sendAckFromHandler(ctx *core.Ctx) {
 	ctx.Send(f.remote.Port, f.remote.VC, buf)
 	c.unacked = 0
 	c.ackDue = false
-}
-
-// cksum32Add combines two ones-complement accumulators.
-func cksum32Add(a, b uint32) uint32 {
-	s := uint64(a) + uint64(b)
-	return uint32(s) + uint32(s>>32)
 }
 
 // srcIP / dstIP extract addresses from a raw IP header.

@@ -5,7 +5,7 @@ import (
 	"fmt"
 
 	"ashs/internal/proto/ip"
-	"ashs/internal/proto/link"
+	"ashs/internal/vcode"
 )
 
 // FlyConn is the kernel-free client half of a TCP connection: a pure state
@@ -114,8 +114,8 @@ func (c *FlyConn) OnSegment(seg []byte) (reply []byte, payload []byte, err error
 	}
 	if c.Checksum {
 		acc := ip.PseudoCksum(c.RemoteIP, c.LocalIP, ip.ProtoTCP, len(seg))
-		acc = link.CksumData(acc, seg)
-		if link.FoldCksum(acc) != 0xffff {
+		acc = vcode.CksumData(acc, seg)
+		if vcode.Fold16(acc) != 0xffff {
 			return nil, nil, nil // damaged in flight; peer retransmits
 		}
 	}
@@ -179,8 +179,8 @@ func (c *FlyConn) seg(flags Flags, seq uint32, payload []byte) []byte {
 	if c.Checksum {
 		acc := ip.PseudoCksum(c.LocalIP, c.RemoteIP, ip.ProtoTCP, len(buf))
 		acc += h.headerAccum()
-		acc = link.CksumData(acc, payload)
-		binary.BigEndian.PutUint16(buf[16:18], ^link.FoldCksum(acc))
+		acc = vcode.CksumData(acc, payload)
+		binary.BigEndian.PutUint16(buf[16:18], ^vcode.Fold16(acc))
 	}
 	return buf
 }

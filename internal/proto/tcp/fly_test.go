@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"ashs/internal/proto/ip"
-	"ashs/internal/proto/link"
+	"ashs/internal/vcode"
 )
 
 // flySeg hand-crafts a peer segment the way the full library would emit
@@ -17,8 +17,8 @@ func flySeg(src, dst ip.Addr, sport, dport uint16, seq, ack uint32, flags Flags,
 	b = append(b, payload...)
 	acc := ip.PseudoCksum(src, dst, ip.ProtoTCP, len(b))
 	acc += h.headerAccum()
-	acc = link.CksumData(acc, payload)
-	binary.BigEndian.PutUint16(b[16:18], ^link.FoldCksum(acc))
+	acc = vcode.CksumData(acc, payload)
+	binary.BigEndian.PutUint16(b[16:18], ^vcode.Fold16(acc))
 	return b
 }
 
@@ -31,8 +31,8 @@ func flyVerify(t *testing.T, src, dst ip.Addr, seg []byte) Header {
 		t.Fatalf("Parse: %v", err)
 	}
 	acc := ip.PseudoCksum(src, dst, ip.ProtoTCP, len(seg))
-	acc = link.CksumData(acc, seg)
-	if link.FoldCksum(acc) != 0xffff {
+	acc = vcode.CksumData(acc, seg)
+	if vcode.Fold16(acc) != 0xffff {
 		t.Fatalf("segment %v fails end-to-end checksum", h.Flags)
 	}
 	return h

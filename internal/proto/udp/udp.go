@@ -15,6 +15,7 @@ import (
 	"ashs/internal/proto/ip"
 	"ashs/internal/proto/link"
 	"ashs/internal/sim"
+	"ashs/internal/vcode"
 )
 
 // HeaderLen is the UDP header size.
@@ -112,7 +113,7 @@ func (s *Socket) SendTo(dst ip.Addr, dstPort uint16, addr uint32, n int) error {
 		p.Compute(cksumFixedCycles)
 		acc := ip.PseudoCksum(s.St.Local, dst, ip.ProtoUDP, HeaderLen+n) + h.headerAccum()
 		acc += link.CksumRange(p, k, addr, n) // charged traversal
-		ck := ^link.FoldCksum(acc)
+		ck := ^vcode.Fold16(acc)
 		if ck == 0 {
 			ck = 0xffff // RFC 768: transmitted as all ones
 		}
@@ -150,19 +151,12 @@ func (m *Msg) Bytes(k *aegis.Kernel) []byte { return k.Bytes(m.Addr, m.N) }
 // Recv returns the next datagram for this socket's port. Datagrams failing
 // checksum or port match are dropped and the wait continues.
 func (s *Socket) Recv(polling bool) (Msg, error) {
-	for {
-		d, err := s.St.Recv(polling)
-		if err != nil {
-			return Msg{}, err
-		}
-		if m, ok := s.input(d); ok {
-			return m, nil
-		}
-	}
+	m, _, err := s.RecvUntil(polling, 0)
+	return m, err
 }
 
 // RecvUntil is Recv with an absolute virtual-time deadline (0 = none);
-// ok is false on timeout.
+// ok is false on timeout. Doorbells are skipped: they carry no datagram.
 func (s *Socket) RecvUntil(polling bool, deadline sim.Time) (Msg, bool, error) {
 	for {
 		d, ok, err := s.St.RecvUntil(polling, deadline)
@@ -207,7 +201,7 @@ func (s *Socket) input(d ip.Dgram) (Msg, bool) {
 			link.CopyFromFrame(p, d.Frame, d.Off+HeaderLen, s.rxApp.Base, n, false)
 			m.Addr = s.rxApp.Base
 		} else {
-			m.Addr = d.Frame.Addr() + uint32(d.Off+HeaderLen)
+			m.Addr = d.Frame.Entry.Addr + uint32(d.Off+HeaderLen)
 		}
 	} else {
 		// Copy into the application's data structures.
@@ -223,7 +217,7 @@ func (s *Socket) input(d ip.Dgram) (Msg, bool) {
 		acc := ip.PseudoCksum(d.Hdr.Src, d.Hdr.Dst, ip.ProtoUDP, int(h.Length))
 		hb := Header{SrcPort: h.SrcPort, DstPort: h.DstPort, Length: h.Length}.headerAccum()
 		acc += hb + uint32(h.Checksum) + payloadAcc
-		if link.FoldCksum(acc) != 0xffff {
+		if vcode.Fold16(acc) != 0xffff {
 			s.BadChecksum++
 			s.St.Release(d)
 			return Msg{}, false

@@ -328,3 +328,49 @@ func TestSendToDoesNotAllocatePerDatagram(t *testing.T) {
 		}
 	}
 }
+
+// handlerFunc is a downloaded handler written as a function.
+type handlerFunc func(*aegis.MsgCtx) aegis.Disposition
+
+func (f handlerFunc) HandleMsg(mc *aegis.MsgCtx) aegis.Disposition { return f(mc) }
+
+// TestRecvSkipsDoorbell: a handler consumes the first datagram and rings
+// the doorbell; Recv passes over the doorbell, as RecvUntil does, returns
+// the second datagram and frees no buffer the doorbell does not hold.
+func TestRecvSkipsDoorbell(t *testing.T) {
+	w := newWorld()
+	var got string
+	rang := 0
+	w.k2.Spawn("server", func(p *aegis.Process) {
+		st := w.stackFor(p, w.a2, 5, w.ip2)
+		st.Ep.InstallHandler(handlerFunc(func(mc *aegis.MsgCtx) aegis.Disposition {
+			if rang > 0 {
+				return aegis.DispToUser
+			}
+			rang++
+			mc.Doorbell()
+			return aegis.DispConsumed
+		}))
+		sock := NewSocket(st, 53, Options{})
+		m, err := sock.Recv(true)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		got = string(m.Bytes(w.k2))
+		sock.Release(m)
+	})
+	w.k1.Spawn("client", func(p *aegis.Process) {
+		sock := NewSocket(w.stackFor(p, w.a1, 5, w.ip1), 1234, Options{})
+		for _, msg := range []string{"first", "second"} {
+			if err := sock.SendBytes(w.ip2, 53, []byte(msg)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	})
+	w.eng.Run()
+	if rang != 1 || got != "second" || w.a2.Rx.BadFrees != 0 {
+		t.Fatalf("doorbells rung %d, Recv returned %q, BadFrees %d; want 1, \"second\", 0", rang, got, w.a2.Rx.BadFrees)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"ashs/internal/aegis"
 	"ashs/internal/mach"
 	"ashs/internal/vcode"
 	"ashs/internal/vcode/reopt"
@@ -97,7 +98,7 @@ type diffVariant struct {
 
 func (v *diffVariant) Ranges(*vcode.Machine) vcode.Memory { return v.region }
 
-func (v *diffVariant) Msg() (vcode.Memory, uint32, int) { return v.region, DiffBase, v.msgLen }
+func (v *diffVariant) Msg() aegis.Frame { return aegis.ContiguousFrame(v.region, DiffBase, v.msgLen) }
 
 func (v *diffVariant) Send(dst, vc int, data []byte) {
 	v.sends = append(v.sends, sendRec{dst: dst, vc: vc, data: append([]byte(nil), data...)})

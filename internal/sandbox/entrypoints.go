@@ -1,6 +1,7 @@
 package sandbox
 
 import (
+	"ashs/internal/aegis"
 	"ashs/internal/sim"
 	"ashs/internal/vcode"
 )
@@ -35,9 +36,8 @@ type Host interface {
 	// Ranges is the memory a range that the handler running on m names is
 	// checked against and lent from.
 	Ranges(m *vcode.Machine) vcode.Memory
-	// Msg is the message being handled: the memory it lies in, its address
-	// and its length.
-	Msg() (mem vcode.Memory, addr uint32, n int)
+	// Msg is the message being handled, as its device laid it out.
+	Msg() aegis.Frame
 	// Send transmits data, which is only lent for the call.
 	Send(dst, vc int, data []byte)
 	// DILP runs registered transfer engine id over [src, src+n) → dst,
@@ -135,24 +135,21 @@ func ashDILP(h Host) vcode.SyscallFn {
 	}
 }
 
-// ash_msg_load(offset): trusted message-word access; the bounds check
-// against the message was aggregated at handler entry.
+// ash_msg_load(offset): trusted message-word access, the big-endian word
+// at data offset offset of the message read through its frame; the bounds
+// check against the message was aggregated at handler entry.
 func ashMsgLoad(h Host) vcode.SyscallFn {
 	return func(m *vcode.Machine) error {
 		off := m.Regs[vcode.RArg0]
-		mem, base, n := h.Msg()
-		if int(off)+4 > n {
+		f := h.Msg()
+		if int(off)+4 > f.Len() {
 			return &vcode.Fault{Kind: vcode.FaultBadAddr, Addr: off, Msg: "beyond message"}
 		}
-		addr := base + off
 		if m.Cache != nil {
+			addr, _ := f.Line(int(off))
 			m.Charge(m.Cache.Load(addr))
 		}
-		v, err := vcode.Load32(mem, addr)
-		if err != nil {
-			return err
-		}
-		m.Regs[vcode.RRet] = v
+		m.Regs[vcode.RRet] = f.U32(int(off))
 		m.Charge(msgLoadCycles)
 		return nil
 	}

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/bits"
 
 	"ashs/internal/mach"
 	"ashs/internal/sim"
@@ -426,8 +425,7 @@ func (m *Machine) run(prog *Program, insnLimit int64, cycleLimit sim.Time) (insn
 			return insnsLeft, cyclesLeft, nil
 
 		case OpCksum32:
-			s, c := bits.Add32(r[in.Rd], r[in.Rs], 0)
-			r[in.Rd] = s + c // end-around carry
+			r[in.Rd] = CksumAdd(r[in.Rd], r[in.Rs])
 			cyclesLeft -= cksumExtra
 		case OpBswap:
 			v := r[in.Rs]

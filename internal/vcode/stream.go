@@ -200,8 +200,7 @@ func (m *Machine) stream(code []Insn, tail int, mem Memory, cache *mach.Cache, c
 				case OpSltIU:
 					r[in.Rd] = b2u(r[in.Rs] < uint32(in.Imm))
 				case OpCksum32:
-					s, c := bits.Add32(r[in.Rd], r[in.Rs], 0)
-					r[in.Rd] = s + c // end-around carry
+					r[in.Rd] = CksumAdd(r[in.Rd], r[in.Rs])
 				case OpBswap:
 					r[in.Rd] = bits.ReverseBytes32(r[in.Rs])
 				}
@@ -227,28 +226,6 @@ func (m *Machine) stream(code []Insn, tail int, mem Memory, cache *mach.Cache, c
 	}
 	m.Streamed += k * perIter
 	return insnsLeft - k*perIter, cyclesLeft - cycles
-}
-
-// CksumWords returns what cksum32 leaves in an accumulator that starts at
-// acc and takes each big-endian word of data in turn (len(data) a multiple
-// of 4): 0 if acc and every word are 0, else the representative of their
-// total modulo 2^32-1 in [1, 2^32-1]. A carry out of bit 31 is worth 1
-// modulo 2^32-1, which is the end-around carry, so the words can be summed
-// in any grouping — here eight bytes a step in a uint64 — and reduced once,
-// as link.CksumData reduces its halfwords.
-func CksumWords(acc uint32, data []byte) uint32 {
-	total := uint64(acc)
-	for ; len(data) >= 8; data = data[8:] {
-		x := binary.BigEndian.Uint64(data)
-		total += x>>32 + x&0xffffffff
-	}
-	if len(data) >= 4 {
-		total += uint64(binary.BigEndian.Uint32(data))
-	}
-	if total == 0 {
-		return 0
-	}
-	return uint32((total-1)%0xffffffff) + 1
 }
 
 func b2u(b bool) uint32 {
