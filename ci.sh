@@ -68,7 +68,8 @@ go test -race ./...
 #            writes and its return cleared exactly the written pages, a
 #            recycled cache charges what a new one does, nothing above brk is
 #            addressable, a closed host has no memory and no cache, leases
-#            stay private;
+#            stay private, a host promoted past its first MiB keeps every
+#            address and byte; a slice held across the move reads poison;
 #            then the receive matrix: the same scenarios through an AN2 and
 #            an Ethernet world move the same RxStats field, every offered
 #            frame has exactly one fate, Binding.Free refuses bad indices
@@ -119,6 +120,7 @@ go test -race ./...
 #   pipe     an rd, rs or rt past the register file: the handler verifier
 #            and a pipe body both refuse it
 #   tcp      retransmissions after 200/400/800/1600 ms, capped; teardown after MaxRetransmit
+#   tcp      accept-handoff churn: echoes written from host memory by address
 #   nfs      a dead port gets Retries+1 sends at doubling, capped intervals, then an error;
 #            a warm GetAttr, Read and Write allocate nothing on either side
 #   core     ash_msg_load on an Ethernet arrival reads the frame's bytes at every
@@ -159,6 +161,7 @@ done <<'EOF'
 ./internal/vcode/analysis/:^TestTripBoundShapes$
 ./internal/pipe/:^TestRegisterPastTheFileIsRefused$
 ./internal/proto/tcp/:^TestRetransmitBackoffSchedule$|^TestMaxRetransmitTearsDownConnection$
+./internal/proto/tcp/:^TestAcceptHandoffChurn$
 ./internal/proto/nfs/:^TestDeadPortGivesUpAfterRetries$|^TestRPCDoesNotAllocate$
 ./internal/core/:^TestMsgLoadReadsThroughTheStripe$
 ./internal/proto/udp/:^TestRecvSkipsDoorbell$

@@ -93,9 +93,23 @@ func main() {
 
 	stopCPU := startCPUProfile(*cpuProf)
 	start := time.Now()
-	var notes, perExp strings.Builder
+	var notes, perExp, allocs strings.Builder
+	var outs []bench.Output
+	if *parallel == 1 {
+		// Serial, one experiment at a time, so what each allocated is the
+		// runtime's count across its run.
+		for _, e := range selected {
+			bytes0, objects0 := goAllocs()
+			outs = append(outs, bench.RunExperiments(cfg, []*bench.Experiment{e})...)
+			bytes1, objects1 := goAllocs()
+			fmt.Fprintf(&allocs, "[go alloc %s: %.1f MiB, %d objects]\n",
+				e.Name, float64(bytes1-bytes0)/(1<<20), objects1-objects0)
+		}
+	} else {
+		outs = bench.RunExperiments(cfg, selected)
+	}
 	var total bench.EngineCounts
-	for _, out := range bench.RunExperiments(cfg, selected) {
+	for _, out := range outs {
 		fmt.Print(out.Text)
 		fmt.Println()
 		notes.WriteString(out.Notes)
@@ -106,11 +120,11 @@ func main() {
 	writeMemProfile(*memProf)
 	// Stdout is the result and stays byte-identical across runs and
 	// parallelism levels. Stderr describes the simulator itself. Every line
-	// below except the wall time and [go runtime: …] is reproducible run to
-	// run at -parallel 1, so contract.sh gates all the others: it writes the
-	// -quick -parallel 1 run's stderr, less those two lines, to
-	// ashbench_counts.txt. A value that turns out not to repeat at -parallel
-	// 1 belongs in the [go runtime: …] line.
+	// below except the wall time, [go runtime: …] and [go alloc …] is
+	// reproducible run to run at -parallel 1, so contract.sh gates all the
+	// others: it writes the -quick -parallel 1 run's stderr, less those
+	// lines, to ashbench_counts.txt. A value that turns out not to repeat at
+	// -parallel 1 belongs in the [go runtime: …] line.
 	fmt.Fprintf(os.Stderr, "[%d experiment(s) ran in %.1fs wall]\n", len(selected), time.Since(start).Seconds())
 	// The host-memory pool: every cell closes its world, so leases ==
 	// returned, and grown stays near the worker count times the few host
@@ -128,6 +142,9 @@ func main() {
 	// The simulator's own Go runtime cost, the collector's above all: it
 	// moves with the machine and -parallel, run to run.
 	fmt.Fprintln(os.Stderr, goRuntimeLine())
+	// At -parallel 1, what each experiment allocated (runtime/metrics, with
+	// the span-sized slack of its accounting).
+	fmt.Fprint(os.Stderr, allocs.String())
 	// The schedule, per experiment and then in total: closed, fired,
 	// cancelled and handoffs are functions of the simulations alone;
 	// elided (how many of those handoffs the sleeping process took itself,
@@ -218,6 +235,14 @@ func goRuntimeLine() string {
 	return fmt.Sprintf("[go runtime: %d GC cycles, %.3f s GC CPU of %.3f s total, %.1f MiB allocated]",
 		s[0].Value.Uint64(), s[1].Value.Float64(), s[2].Value.Float64()-s[3].Value.Float64(),
 		float64(s[4].Value.Uint64())/(1<<20))
+}
+
+// goAllocs reports, from runtime/metrics, the bytes and objects the process
+// has allocated on the heap since it started.
+func goAllocs() (bytes, objects uint64) {
+	s := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}, {Name: "/gc/heap/allocs:objects"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64(), s[1].Value.Uint64()
 }
 
 // engineLine prints one schedule count line; label is "" for the total.

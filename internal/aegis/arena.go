@@ -8,15 +8,24 @@ import (
 )
 
 // A host's memory and its cache model are leased together from one
-// process-wide pool. The memory is an arena, a byte array of the host's full
-// memory size, every byte zero while pooled; the cache is a mach.Cache that
-// Reset makes what NewCache would return. A kernel exposes only the prefix
-// of its arena it has allocated (see NewKernelMem), so the bytes a world may
-// have dirtied lie in that prefix, and Kernel.Close re-zeroes the pages of
-// it that hold a nonzero byte — and nothing else — before the lease goes
-// back. Which lease a kernel receives is therefore unobservable, and worlds
-// built on concurrent goroutines (ashbench -parallel N) share the pool
-// freely.
+// process-wide pool. The memory is an arena, a byte array every byte of
+// which is zero while pooled; the cache is a mach.Cache that Reset makes
+// what NewCache would return. A kernel exposes only the prefix of its arena
+// it has allocated (see NewKernelMem), so the bytes a world may have dirtied
+// lie in that prefix, and Kernel.Close re-zeroes the pages of it that hold
+// a nonzero byte — and nothing else — before the lease goes back. Which
+// lease a kernel receives is therefore unobservable, and worlds built on
+// concurrent goroutines (ashbench -parallel N) share the pool freely.
+//
+// An arena starts at min(memory size, arenaStart) bytes and is promoted,
+// once, to the full memory size when the kernel allocates past it (see
+// promote); the pool keeps it at whichever size it has, on the free list of
+// the host's memory size. Hosts use a small part of what they reserve: in
+// the whole suite the paper's 8 MiB hosts never pass a brk of 656 KiB,
+// overload's 48 MiB server stays at 287 KiB and megascale's echo and NFS
+// servers at 880 KiB; only the scale server (up to 15.6 MiB of 48) and
+// megascale's tcp-pp server (up to 120 MiB of 512) outgrow the start, and
+// those mostly while their world is built.
 //
 // The free lists are explicit rather than a sync.Pool: a pool the collector
 // may empty would make the bytes a run allocates follow collector timing.
@@ -27,13 +36,14 @@ var arenas = struct {
 }{free: map[leaseKey][]lease{}}
 
 // lease is what the pool hands a kernel: its memory, length 0 and capacity
-// the memory size, and its cache model.
+// arenaStart or, once promoted, the memory size, and its cache model.
 type lease struct {
 	mem   []byte
 	cache *mach.Cache
 }
 
-// leaseKey is a lease's geometry: memory size and cache shape.
+// leaseKey is a lease's geometry: the host's memory size (not the arena's
+// capacity, which may still be arenaStart) and cache shape.
 type leaseKey struct{ mem, cacheBytes, lineBytes int }
 
 // ArenaCounts is the pool's lifecycle accounting since process start.
@@ -54,8 +64,13 @@ func ArenaStats() ArenaCounts {
 	return arenas.stats
 }
 
-// leaseHost returns an all-zero arena of exactly size bytes of capacity and
-// length 0, and a cache that is NewCache(p).
+// arenaStart is the capacity a new arena starts at: a host's brk stays below
+// it everywhere but in the two servers named above.
+const arenaStart = 1 << 20
+
+// leaseHost returns an all-zero arena of length 0 for a host of size bytes
+// — capacity min(size, arenaStart), or size if the pool hands back one a
+// holder promoted — and a cache that is NewCache(p).
 func leaseHost(size int, p *mach.Profile) lease {
 	key := leaseKey{size, p.CacheBytes, p.LineBytes}
 	arenas.Lock()
@@ -71,14 +86,33 @@ func leaseHost(size int, p *mach.Profile) lease {
 	arenas.stats.Grown++
 	arenas.Unlock()
 	// Zeroed by the runtime, outside the lock.
-	return lease{make([]byte, 0, size), mach.NewCache(p)}
+	return lease{make([]byte, 0, min(size, arenaStart)), mach.NewCache(p)}
 }
 
+// promote returns an all-zero arena of length 0 and capacity size whose
+// first n bytes are a copy of old's, and overwrites those n bytes of old
+// with poisonByte: a slice of the old arena still held reads garbage rather
+// than stale bytes that happen to match.
+func promote(old []byte, n, size int) []byte {
+	mem := make([]byte, 0, size)
+	prefix := old[:n]
+	copy(mem[:n], prefix)
+	for i := range prefix {
+		prefix[i] = poisonByte
+	}
+	return mem
+}
+
+// poisonByte is what every byte of an arena a host was promoted out of
+// reads as.
+const poisonByte = 0xA5
+
 // returnHost clears the written pages of h's first dirty bytes — all its
-// holder could have written — and puts h back on its geometry's free list.
-func returnHost(h lease, dirty int, p *mach.Profile) {
+// holder could have written — and puts h back on the free list of hosts of
+// size bytes.
+func returnHost(h lease, size, dirty int, p *mach.Profile) {
 	cleared := clearWritten(h.mem[:dirty])
-	key := leaseKey{cap(h.mem), p.CacheBytes, p.LineBytes}
+	key := leaseKey{size, p.CacheBytes, p.LineBytes}
 	arenas.Lock()
 	defer arenas.Unlock()
 	arenas.free[key] = append(arenas.free[key], h)

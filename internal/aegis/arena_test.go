@@ -2,6 +2,7 @@ package aegis
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -69,8 +70,6 @@ func TestArenaBrkIsTheLimit(t *testing.T) {
 		}
 	}
 
-	held := k.Bytes(base, 64) // must survive the re-slice below
-	held[0] = 0xAB
 	if _, err := k.AllocPhys(64, "second"); err != nil {
 		t.Fatal(err)
 	}
@@ -83,9 +82,6 @@ func TestArenaBrkIsTheLimit(t *testing.T) {
 	if b := k.Bytes(above, 4); b[0] != 0xfe || cap(b) != 4 {
 		t.Errorf("Bytes at the old brk after AllocPhys: % x cap %d", b, cap(b))
 	}
-	if v, err := k.Mem.Load(base, 1); err != nil || v[0] != 0xAB {
-		t.Errorf("a Bytes slice taken before AllocPhys no longer aliases memory (read %#x, %v)", v, err)
-	}
 	if k.MemSize() != HostMemSize {
 		t.Errorf("MemSize %d, want %d", k.MemSize(), HostMemSize)
 	}
@@ -96,8 +92,9 @@ func TestArenaBrkIsTheLimit(t *testing.T) {
 const arenaTestSize = 3<<20 + 4096
 
 // TestArenaReuseIsClean: whatever a host wrote, the next host to lease its
-// arena sees zeros across the whole capacity, and the return cleared
-// exactly the allocated prefix, every page of which was written.
+// arena — the same backing, promoted past arenaStart by the writer, with no
+// new one minted — sees zeros across the whole capacity, and the return
+// cleared exactly the allocated prefix, every page of which was written.
 func TestArenaReuseIsClean(t *testing.T) {
 	prof := mach.DS5000_240()
 	k := NewKernelMem("dirty", sim.NewEngine(), prof, arenaTestSize)
@@ -140,13 +137,88 @@ func TestArenaReuseIsClean(t *testing.T) {
 	if &full[0] != first {
 		t.Fatal("the re-lease did not receive the returned arena")
 	}
-	if len(k2.Mem.Data) != 0 || len(full) != arenaTestSize {
-		t.Fatalf("fresh host exposes %d bytes of a %d-byte arena", len(k2.Mem.Data), len(full))
+	if len(k2.Mem.Data) != 0 || k2.MemSize() != arenaTestSize {
+		t.Fatalf("fresh host exposes %d bytes and reports %d bytes of memory", len(k2.Mem.Data), k2.MemSize())
 	}
 	for i, b := range full {
 		if b != 0 {
 			t.Fatalf("reused arena has %#x at offset %d (prefix was %d)", b, i, prefix)
 		}
+	}
+}
+
+// TestArenaPromotion: a host that allocates past arenaStart moves to an
+// arena of its full memory size once. Every address and byte stays where it
+// was, a slice taken before the move reads poison, the memory size and the
+// exhaustion limit are the host's throughout, and the next lease of its
+// geometry gets the promoted arena without minting one.
+func TestArenaPromotion(t *testing.T) {
+	const size = 3 << 20
+	prof := mach.DS5000_240()
+	arenas.Lock()
+	delete(arenas.free, leaseKey{size, prof.CacheBytes, prof.LineBytes}) // start from a new arena
+	arenas.Unlock()
+	k := NewKernelMem("grows", sim.NewEngine(), prof, size)
+	if cap(k.arena) != arenaStart || k.MemSize() != size {
+		t.Fatalf("new host: arena of %d bytes, MemSize %d; want %d and %d", cap(k.arena), k.MemSize(), arenaStart, size)
+	}
+	low, err := k.AllocPhys(arenaStart/2, "low")
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := k.Bytes(low, arenaStart/2)
+	for i := range held {
+		held[i] = byte(i*7 + 1)
+	}
+	want := bytes.Clone(held)
+	if err := vcode.Store32(k.Mem, low, 0xfeedface); err != nil {
+		t.Fatal(err)
+	}
+	binary.BigEndian.PutUint32(want, 0xfeedface)
+
+	high, err := k.AllocPhys(arenaStart, "past the start")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if high != low+arenaStart/2 || cap(k.arena) != size || k.MemSize() != size {
+		t.Fatalf("promotion: AllocPhys at %#x, arena of %d bytes, MemSize %d", high, cap(k.arena), k.MemSize())
+	}
+	if got := k.Bytes(low, len(want)); !bytes.Equal(got, want) {
+		t.Error("the promoted arena lost bytes of the allocated prefix")
+	}
+	if v, err := vcode.Load32(k.Mem, low); err != nil || v != 0xfeedface {
+		t.Errorf("Load32 through Mem after the promotion: %#x, %v", v, err)
+	}
+	if !bytes.Equal(k.Bytes(high, arenaStart), make([]byte, arenaStart)) {
+		t.Error("memory the promotion exposed is not zero")
+	}
+	for i, b := range held {
+		if b != poisonByte {
+			t.Fatalf("a slice held across the promotion reads %#x at %d, want the poison %#x", b, i, poisonByte)
+		}
+	}
+
+	last := size - int(k.brk-HostMemBase)
+	if _, err := k.AllocPhys(last+1, "one byte too many"); err == nil {
+		t.Error("AllocPhys one byte past the memory size succeeded")
+	}
+	if _, err := k.AllocPhys(last, "the rest"); err != nil || k.MemSize() != size || len(k.Mem.Data) != size {
+		t.Errorf("AllocPhys of the rest: %v; MemSize %d, Data %d bytes", err, k.MemSize(), len(k.Mem.Data))
+	}
+	promoted := &k.arena[:1][0]
+	k.Close()
+	if k.MemSize() != 0 {
+		t.Errorf("MemSize %d after Close", k.MemSize())
+	}
+
+	mid := ArenaStats()
+	k2 := NewKernelMem("next", sim.NewEngine(), prof, size)
+	defer k2.Close()
+	if after := ArenaStats(); after.Grown != mid.Grown || after.Leases != mid.Leases+1 {
+		t.Errorf("re-lease: Grown %d -> %d, Leases %d -> %d", mid.Grown, after.Grown, mid.Leases, after.Leases)
+	}
+	if full := k2.arena[:cap(k2.arena)]; &full[0] != promoted || len(full) != size {
+		t.Fatalf("the re-lease did not receive the promoted arena (%d bytes)", len(full))
 	}
 }
 

@@ -47,10 +47,11 @@ type Kernel struct {
 	// overlapping in virtual time.
 	kernBusyUntil sim.Time
 
-	// arena is the leased backing array of the host's whole memory, length
-	// 0 and capacity the memory size; Mem.Data is its allocated prefix. nil
+	// arena is the leased backing array of the host's memory, length 0 and
+	// capacity arenaStart or memSize; Mem.Data is its allocated prefix. nil
 	// once the host is closed.
-	arena []byte
+	arena   []byte
+	memSize int
 
 	// mcFree recycles receive-path MsgCtxs; the *Fn fields are the
 	// bound event callbacks scheduled per arrival (bound once here so the
@@ -90,25 +91,28 @@ func NewKernel(name string, eng *sim.Engine, prof *mach.Profile) *Kernel {
 // arena.go) together with the cache model, and the valid range is exactly
 // what the kernel has allocated:
 // Mem.Data is arena[:off:off] with off = brk - HostMemBase, length and
-// capacity both clamped. Only AllocPhys re-slices it forward — over the
-// same backing array, so every slice Bytes has handed out stays valid — and
-// only Close takes it away. An access above brk therefore fails the bounds
-// checks that exist anyway (FaultBadAddr from FlatMem.Load and Store, a
-// panic from Bytes) instead of reading zeros, and Data itself is the
-// record of which bytes the world may have dirtied.
+// capacity both clamped. Only AllocPhys re-slices it forward and only Close
+// takes it away. An access above brk therefore fails the bounds checks that
+// exist anyway (FaultBadAddr from FlatMem.Load and Store, a panic from
+// Bytes) instead of reading zeros, and Data itself is the record of which
+// bytes the world may have dirtied. The arena starts smaller than memSize
+// and AllocPhys may move the allocated prefix into a larger one, so a slice
+// from Bytes is valid until the next AllocPhys on the host: code that
+// allocates re-reads its views by address afterwards.
 func NewKernelMem(name string, eng *sim.Engine, prof *mach.Profile, memSize int) *Kernel {
 	if memSize <= 0 {
 		panic("aegis: NewKernelMem of nonpositive size")
 	}
 	h := leaseHost(memSize, prof)
 	k := &Kernel{
-		Name:  name,
-		Eng:   eng,
-		Prof:  prof,
-		Cache: h.cache,
-		Mem:   &vcode.FlatMem{Base: HostMemBase},
-		brk:   HostMemBase,
-		arena: h.mem,
+		Name:    name,
+		Eng:     eng,
+		Prof:    prof,
+		Cache:   h.cache,
+		Mem:     &vcode.FlatMem{Base: HostMemBase},
+		brk:     HostMemBase,
+		arena:   h.mem,
+		memSize: memSize,
 	}
 	k.Sched = NewRoundRobin()
 	k.commitFn = k.mcCommit
@@ -118,7 +122,7 @@ func NewKernelMem(name string, eng *sim.Engine, prof *mach.Profile, memSize int)
 }
 
 // MemSize reports the host's physical memory size in bytes (0 once closed).
-func (k *Kernel) MemSize() int { return cap(k.arena) }
+func (k *Kernel) MemSize() int { return k.memSize }
 
 // Close ends the host: it zeroes what the host wrote, returns the arena and
 // the cache to the pool and leaves Mem.Data and Cache nil, so a later access
@@ -132,8 +136,8 @@ func (k *Kernel) Close() {
 	if k.arena == nil {
 		return
 	}
-	returnHost(lease{k.arena, k.Cache}, len(k.Mem.Data), k.Prof)
-	k.arena, k.Mem.Data, k.Cache = nil, nil, nil
+	returnHost(lease{k.arena, k.Cache}, k.memSize, len(k.Mem.Data), k.Prof)
+	k.arena, k.memSize, k.Mem.Data, k.Cache = nil, 0, nil, nil
 }
 
 // AllocPhys carves n bytes (rounded to a cache line) out of physical
@@ -141,6 +145,9 @@ func (k *Kernel) Close() {
 // a guest can trigger (by asking for too much), so it surfaces as an
 // error rather than crashing the whole simulation; only a nonpositive
 // size or a closed host — programming errors in the caller — still panic.
+// The first allocation past the arena's capacity promotes the host to an
+// arena of its full memory size (see promote): every address and byte
+// stays, and every slice Bytes handed out before reads poison.
 func (k *Kernel) AllocPhys(n int, why string) (uint32, error) {
 	if n <= 0 {
 		panic("aegis: AllocPhys of nonpositive size")
@@ -150,7 +157,7 @@ func (k *Kernel) AllocPhys(n int, why string) (uint32, error) {
 	}
 	line := uint32(k.Prof.LineBytes)
 	base := (k.brk + line - 1) &^ (line - 1)
-	if uint64(base)+uint64(n) > HostMemBase+uint64(cap(k.arena)) {
+	if uint64(base)+uint64(n) > HostMemBase+uint64(k.memSize) {
 		if o := k.Obs; o.Enabled() {
 			o.Inc("aegis/" + k.Name + "/alloc_failures")
 		}
@@ -159,13 +166,18 @@ func (k *Kernel) AllocPhys(n int, why string) (uint32, error) {
 	}
 	k.brk = base + uint32(n)
 	off := k.brk - HostMemBase
+	if int(off) > cap(k.arena) {
+		k.arena = promote(k.arena, len(k.Mem.Data), k.memSize)
+	}
 	k.Mem.Data = k.arena[:off:off]
 	return base, nil
 }
 
 // Bytes returns the raw byte view of physical range [addr, addr+n), which
 // must lie inside allocated memory. The capacity is clamped to n so
-// overruns fail loudly instead of silently reading neighboring memory.
+// overruns fail loudly instead of silently reading neighboring memory. The
+// view is valid until the next AllocPhys on the host, which may move its
+// memory.
 func (k *Kernel) Bytes(addr uint32, n int) []byte {
 	i := addr - k.Mem.Base
 	if uint64(i)+uint64(n) > uint64(len(k.Mem.Data)) {

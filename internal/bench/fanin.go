@@ -121,7 +121,7 @@ func echoFanIn(p *aegis.Process, conn *tcp.Conn, tbl *tcp.ConnTable, size, round
 			if _, ok := tbl.Lookup(conn.Tuple()); !ok {
 				panic("bench: live fan-in connection missing from table")
 			}
-			err = conn.WriteBytes(p.K.Bytes(buf.Base, size))
+			err = conn.WriteFrom(buf.Base, size)
 		}
 		if err != nil {
 			if rounds < 0 {

@@ -250,7 +250,9 @@ func TestAbortRollbackProperty(t *testing.T) {
 		for i := range payload {
 			payload[i] = byte(r.Uint32())
 		}
-		segWant := append([]byte(nil), segBytes...)
+		// Read back after the last allocation: Download and BindVC may
+		// have moved host memory under segBytes.
+		segWant := append([]byte(nil), owner.AS.MustBytes(seg.Base, int(seg.Len))...)
 		regsWant := ash.machine.Regs
 
 		// The random program has at least 23 static instructions, so a
@@ -357,6 +359,7 @@ func TestStreamedLoopRollsBack(t *testing.T) {
 	ash := tb.sys.MustDownload(owner, b.MustAssemble(), Options{Unsafe: true})
 	sb, _ := tb.a2.BindVC(owner, 4, 8, 4096)
 	ash.Attach(sb)
+	data = owner.AS.MustBytes(seg.Base, 256) // the allocations above may have moved it
 	payload := make([]byte, 256)
 	for i := range payload {
 		payload[i] = byte(0xa0 + i)
@@ -418,6 +421,7 @@ func TestDILPDestinationRollsBack(t *testing.T) {
 	ash := tb.sys.MustDownload(owner, b.MustAssemble(), Options{Unsafe: true})
 	sb, _ := tb.a2.BindVC(owner, 4, 8, 4096)
 	ash.Attach(sb)
+	data = owner.AS.MustBytes(seg.Base, 64) // the allocations above may have moved it
 	payload := make([]byte, 64)
 	for i := range payload {
 		payload[i] = byte(0xa0 + i)

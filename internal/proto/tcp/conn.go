@@ -423,7 +423,9 @@ func (c *Conn) Write(addr uint32, n int) error {
 	return c.err
 }
 
-// WriteBytes stages data into a scratch segment and writes it.
+// WriteBytes stages data into a scratch segment and writes it. data must
+// not be host memory: taking the scratch segment may move the host's memory
+// under it (see aegis.Kernel.Bytes). Host memory goes through WriteFrom.
 func (c *Conn) WriteBytes(data []byte) error {
 	seg, err := c.scratch(len(data))
 	if err != nil {
@@ -431,6 +433,19 @@ func (c *Conn) WriteBytes(data []byte) error {
 	}
 	copy(c.kern().Bytes(seg, len(data)), data)
 	return c.Write(seg, len(data))
+}
+
+// WriteFrom is WriteBytes of the n bytes at host address addr: the scratch
+// segment is taken first and the bytes are copied to it by address, so it
+// allocates, copies (uncosted) and writes exactly as WriteBytes does.
+func (c *Conn) WriteFrom(addr uint32, n int) error {
+	seg, err := c.scratch(n)
+	if err != nil {
+		return err
+	}
+	k := c.kern()
+	copy(k.Bytes(seg, n), k.Bytes(addr, n))
+	return c.Write(seg, n)
 }
 
 // scratch returns the base of a scratch segment of at least n bytes,

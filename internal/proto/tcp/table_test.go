@@ -301,7 +301,7 @@ func TestAcceptHandoffChurn(t *testing.T) {
 					return
 				}
 			}
-			if err := c.WriteBytes(w.k2.Bytes(buf.Base, 64)); err != nil {
+			if err := c.WriteFrom(buf.Base, 64); err != nil {
 				srvDone <- fmt.Errorf("conn %d: write: %v", i, err)
 				return
 			}

@@ -470,9 +470,10 @@ func (m *Machine) run(prog *Program, insnLimit int64, cycleLimit sim.Time) (insn
 //
 // It backs every aegis host as well as standalone machines. A host's Data
 // is the allocated prefix of a leased arena: only the owning aegis.Kernel
-// re-slices it (forward in AllocPhys, over the same backing array; to nil
-// in Close, which zeroes the prefix before the arena is reused). Everyone
-// else treats Base and Data as read-only fields.
+// re-slices it (forward in AllocPhys, which may first move the prefix into
+// a larger arena; to nil in Close, which zeroes the prefix before the arena
+// is reused). Everyone else treats Base and Data as read-only fields, and
+// a range Load or Store lent is valid until the host's next AllocPhys.
 type FlatMem struct {
 	Base uint32
 	Data []byte
