@@ -128,6 +128,11 @@ go test -race ./...
 #   udp      Recv skips a doorbell, as RecvUntil does, and frees no buffer for it
 #   aegis    the one frame reader: Byte/U16/U32 at offsets 0-40, Bytes and the
 #            in-place checksum at every offset and length, striped and contiguous
+#   bench    megascale allocates what it keeps: doubling the trace of the
+#            udp-echo and nfs-read cells grows the heap by the trace slice alone;
+#            a binding, a flyweight endpoint and its port keep their sizes (B/ep)
+#   flyweight a recycled operation record: a late duplicate reply and a
+#            cancelled timer leave its new owner's counts as without reuse
 echo "== by-name suites under -race"
 while IFS=: read -r pkg pattern; do
     echo "-- $pkg -run '$pattern'"
@@ -166,6 +171,8 @@ done <<'EOF'
 ./internal/core/:^TestMsgLoadReadsThroughTheStripe$
 ./internal/proto/udp/:^TestRecvSkipsDoorbell$
 ./internal/aegis/:^TestFrameReaders$
+./internal/bench/:^TestMegascaleAllocFlatInMessages$|^TestMegascaleFootprints$
+./internal/flyweight/:^TestRecycledOperationIsNotDisturbed$
 EOF
 
 # Fuzz targets: each parser/demux fuzzer runs a short wall-clock sweep on

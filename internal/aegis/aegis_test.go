@@ -271,7 +271,7 @@ func TestPollRecvSingleProcessPromptness(t *testing.T) {
 	// of the ring push, not a quantum later.
 	eng := sim.NewEngine()
 	k := newHost(eng, "h")
-	r := &Ring{k: k}
+	r := &Ring{}
 	var sawAt sim.Time
 	k.Spawn("poller", func(p *Process) {
 		e := r.PollRecv(p)
@@ -290,7 +290,7 @@ func TestWaitRecvChargesWakePath(t *testing.T) {
 	// A blocked receiver pays the scheduling + context-switch path: ~60+ us.
 	eng := sim.NewEngine()
 	k := newHost(eng, "h")
-	r := &Ring{k: k}
+	r := &Ring{}
 	var sawAt sim.Time
 	k.Spawn("sleeper", func(p *Process) {
 		e := r.WaitRecv(p)
@@ -318,7 +318,7 @@ func TestPriorityBoostWakesFast(t *testing.T) {
 	eng := sim.NewEngine()
 	k := newHost(eng, "h")
 	k.Sched = NewPriorityBoost(k)
-	r := &Ring{k: k}
+	r := &Ring{}
 	var sawAt sim.Time
 	k.Spawn("sleeper", func(p *Process) {
 		e := r.WaitRecv(p)
@@ -512,8 +512,8 @@ func TestBindFilterIsOneAllocation(t *testing.T) {
 	if allocs > n/32 {
 		t.Errorf("%d BindFilter calls allocate %v objects, want at most %d", n, allocs, n/32)
 	}
-	if size := unsafe.Sizeof(*b); size > 144 {
-		t.Errorf("Binding is %d bytes, want at most 144", size)
+	if size := unsafe.Sizeof(*b); size > 128 {
+		t.Errorf("Binding is %d bytes, want at most 128", size)
 	}
 }
 

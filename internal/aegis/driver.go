@@ -269,7 +269,7 @@ func (a *AN2If) BindVC(p *Process, vc, nbufs, bufSize int) (*Binding, error) {
 			return nil, fmt.Errorf("%w (VC %d buffer %d of %d)", err, vc, i, nbufs)
 		}
 	}
-	b := &Binding{ID: vc, Owner: p, Ring: Ring{k: a.K}, nic: &a.NIC, pool: &rxPool{}}
+	b := &Binding{ID: vc, Owner: p, nic: &a.NIC, pool: &rxPool{}}
 	b.pool.init(bufs, false)
 	a.vcs[vc] = b
 	return b, nil

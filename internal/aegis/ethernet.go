@@ -82,7 +82,7 @@ func (e *EthernetIf) BindFilter(p *Process, f *dpf.Filter) (*Binding, error) {
 	if int(id) != e.bindings.Len() {
 		panic(fmt.Sprintf("aegis: DPF issued filter id %d, want %d", id, e.bindings.Len()))
 	}
-	return e.bindings.Push(Binding{ID: int(id), Owner: p, Ring: Ring{k: e.K}, nic: &e.NIC, pool: &e.pool}), nil
+	return e.bindings.Push(Binding{ID: int(id), Owner: p, nic: &e.NIC, pool: &e.pool}), nil
 }
 
 // TrieDepth reports the DPF trie's deepest installed path (see

@@ -22,11 +22,12 @@ type RingEntry struct {
 // power-of-two circular buffer that doubles when full: steady-state
 // push/pop traffic recirculates the same storage and allocates nothing
 // (the old slide-forward slice re-allocated continuously under load).
+// Every binding embeds one, and megascale installs 262 144 bindings, so
+// head and count are 32 bits: a ring of 2^31 entries would be 80 GiB.
 type Ring struct {
-	k       *Kernel
 	buf     []RingEntry // circular; len(buf) is a power of two
-	head    int         // index of the oldest entry
-	count   int
+	head    int32       // index of the oldest entry
+	count   int32
 	waiter  *Process
 	polling bool
 
@@ -44,7 +45,7 @@ type Ring struct {
 }
 
 // Len reports queued notifications.
-func (r *Ring) Len() int { return r.count }
+func (r *Ring) Len() int { return int(r.count) }
 
 // grow doubles the circular buffer (or seeds it).
 func (r *Ring) grow() {
@@ -53,8 +54,8 @@ func (r *Ring) grow() {
 		n = 8
 	}
 	next := make([]RingEntry, n)
-	for i := 0; i < r.count; i++ {
-		next[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+	for i := 0; i < int(r.count); i++ {
+		next[i] = r.buf[(int(r.head)+i)&(len(r.buf)-1)]
 	}
 	r.buf = next
 	r.head = 0
@@ -63,10 +64,10 @@ func (r *Ring) grow() {
 // push appends an entry (kernel side, event context) and wakes any waiter.
 // wakeExtra is charged to a blocked waiter's wakeup path.
 func (r *Ring) push(e RingEntry, wakeExtra sim.Time) {
-	if r.count == len(r.buf) {
+	if int(r.count) == len(r.buf) {
 		r.grow()
 	}
-	r.buf[(r.head+r.count)&(len(r.buf)-1)] = e
+	r.buf[int(r.head+r.count)&(len(r.buf)-1)] = e
 	r.count++
 	r.Delivered++
 	if r.waiter == nil {
@@ -89,7 +90,7 @@ func (r *Ring) TryRecv() (RingEntry, bool) {
 		return RingEntry{}, false
 	}
 	e := r.buf[r.head]
-	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.head = int32((int(r.head) + 1) & (len(r.buf) - 1))
 	r.count--
 	return e, true
 }

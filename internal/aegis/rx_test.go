@@ -385,7 +385,7 @@ func TestRefusedSendIsCounted(t *testing.T) {
 			w := newRxWorld(t, dev, 4, 4096)
 			w.b.Handler = handlerFunc(func(mc *MsgCtx) Disposition {
 				mc.Send(w.tx.Addr(), rxVC, make([]byte, w.nic.MaxFrame()+1))
-				mc.Send(len(w.sw.Ports()), rxVC, []byte{1}) // no such port
+				mc.Send(w.sw.NumPorts(), rxVC, []byte{1}) // no such port
 				mc.Send(w.tx.Addr(), rxVC, []byte{1})
 				return DispConsumed
 			})

@@ -9,7 +9,6 @@ import (
 	"ashs/internal/flyweight"
 	"ashs/internal/proto/ether"
 	"ashs/internal/proto/ip"
-	"ashs/internal/proto/link"
 	"ashs/internal/proto/nfs"
 	"ashs/internal/proto/retry"
 	"ashs/internal/proto/tcp"
@@ -47,8 +46,8 @@ type megaWorkload struct {
 	name, desc string
 
 	// full and quick are the endpoint ladders (quick caps them for CI). TCP
-	// and NFS keep full server-side state per client (connections; resolver
-	// entries), so their sweeps stop earlier; udp-echo is the pure-demux
+	// keeps a connection of server state per client and NFS serves ~1.1
+	// reads/ms, so their sweeps stop earlier; udp-echo is the pure-demux
 	// ladder that reaches 10^6 installed filters.
 	full, quick []int
 
@@ -192,15 +191,20 @@ type megaFanIn struct {
 
 func (d megaFanIn) drive(cfg *Config, w *world) any {
 	wl := megaWorkloadNamed(d.workload)
-	flt := megaFleet(w, wl.kind, d.n, wl.port, wl.retry)
-	events := wl.traceEvents(cfg, d.n)
+	return wl.run(cfg, w, d.n, wl.traceEvents(cfg, d.n))
+}
+
+// run drives a fleet of n endpoints through a trace of events arrivals
+// against the server of w.
+func (wl *megaWorkload) run(cfg *Config, w *world, n, events int) MegaResult {
+	flt := megaFleet(w, wl.kind, n, wl.port, wl.retry)
 	switch wl.kind {
 	case flyweight.TCPPingPong:
-		return runMegaTCP(wl, cfg, w, flt, d.n, events)
+		return runMegaTCP(wl, cfg, w, flt, n, events)
 	case flyweight.NFSRead:
-		return runMegaNFS(wl, cfg, w, flt, d.n, events)
+		return runMegaNFS(wl, cfg, w, flt, n, events)
 	}
-	return runMegaUDP(wl, cfg, w, flt, d.n, events)
+	return runMegaUDP(wl, cfg, w, flt, n, events)
 }
 
 const (
@@ -264,15 +268,6 @@ func megaFleet(w *world, kind flyweight.Kind, n int, port uint16, pol retry.Poli
 		Window: 8192, Checksum: true,
 		Retry: pol, Seed: megaSeed,
 	})
-}
-
-// megaResolve adds the fleet's addresses to the world's resolver (the
-// server replies through its stack for tcp-pp and nfs-read; udp-echo
-// answers raw from the ASH).
-func megaResolve(w *world, flt *flyweight.Fleet) {
-	for i := 0; i < flt.Len(); i++ {
-		w.res[flt.Addr(i)] = link.Addr{Port: flt.Link(i)}
-	}
 }
 
 // megaRun drives the cell's open-loop Poisson trace and incast waves to
@@ -357,7 +352,6 @@ func runMegaUDP(wl *megaWorkload, cfg *Config, w *world, flt *flyweight.Fleet, n
 // lifetimes follow the trace without the server knowing the schedule.
 func runMegaTCP(wl *megaWorkload, cfg *Config, w *world, flt *flyweight.Fleet, n, events int) MegaResult {
 	srv := w.srv()
-	megaResolve(w, flt)
 
 	tbl := tcp.NewConnTable(n / 4)
 	peak := 0
@@ -392,7 +386,6 @@ func runMegaTCP(wl *megaWorkload, cfg *Config, w *world, flt *flyweight.Fleet, n
 // high-watermark admission plane. The incast waves overrun it; sheds and
 // the fleet's jittered retries are the measurement.
 func runMegaNFS(wl *megaWorkload, cfg *Config, w *world, flt *flyweight.Fleet, n, events int) MegaResult {
-	megaResolve(w, flt)
 	if fh, _ := w.startNFSD(megaFileBytes, megaNFSHighWater); uint32(fh) != uint32(nfs.RootHandle)+1 {
 		panic("megascale: unexpected NFS file handle")
 	}

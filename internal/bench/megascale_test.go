@@ -2,8 +2,16 @@ package bench
 
 import (
 	"reflect"
+	"runtime"
+	"runtime/metrics"
 	"strings"
 	"testing"
+	"unsafe"
+
+	"ashs/internal/aegis"
+	"ashs/internal/flyweight"
+	"ashs/internal/netdev"
+	"ashs/internal/workload"
 )
 
 // megaWL finds a row of the megascale table by name.
@@ -115,5 +123,56 @@ func TestMegascaleRenderShape(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendered table missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// megaHeapAllocs runs wl's n-endpoint cell over a trace of events arrivals
+// and returns the bytes it allocated on the Go heap. A collection on each
+// side flushes the per-P caches, so the count is exact.
+func megaHeapAllocs(wl *megaWorkload, n, events int) uint64 {
+	sample := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	cfg := &Config{}
+	spec := *wl.cell(n).spec
+	runtime.GC()
+	metrics.Read(sample)
+	before := sample[0].Value.Uint64()
+	inWorld(cfg, spec, func(w *world) MegaResult { return wl.run(cfg, w, n, events) })
+	runtime.GC()
+	metrics.Read(sample)
+	return sample[0].Value.Uint64() - before
+}
+
+// TestMegascaleAllocFlatInMessages: a megascale cell allocates what it
+// keeps, not what it sends. Doubling the open-loop trace of the udp-echo
+// and nfs-read cells at N=1024 may grow the heap allocated by the longer
+// trace slice itself and nothing per message: operations, frames, retry
+// state, reply-wait timers and the trace pump are all recycled or static.
+func TestMegascaleAllocFlatInMessages(t *testing.T) {
+	const n = 1024
+	for _, name := range []string{"udp-echo", "nfs-read"} {
+		wl := megaWL(t, name)
+		e := wl.traceEvents(&Config{}, n)
+		megaHeapAllocs(wl, n, e) // warm the arena pool
+		once, twice := megaHeapAllocs(wl, n, e), megaHeapAllocs(wl, n, 2*e)
+		bound := uint64(e)*uint64(unsafe.Sizeof(workload.Event{})) + 64<<10
+		t.Logf("%s N=%d: %d arrivals allocate %d B, %d allocate %d B", name, n, e, once, 2*e, twice)
+		if twice > once+bound {
+			t.Errorf("%s N=%d: %d arrivals allocate %d B, %d allocate %d B: +%d B, want at most +%d B (the trace slice)",
+				name, n, e, once, 2*e, twice, twice-once, bound)
+		}
+	}
+}
+
+// TestMegascaleFootprints pins the per-filter and per-endpoint sizes the
+// megascale cells multiply by up to 10^6: a server binding (262 144 in
+// mega-setup), a flyweight endpoint and its switch port.
+func TestMegascaleFootprints(t *testing.T) {
+	if size := unsafe.Sizeof(aegis.Binding{}); size > 128 {
+		t.Errorf("aegis.Binding is %d B, want at most 128", size)
+	}
+	ep, port := unsafe.Sizeof(flyweight.Endpoint{}), unsafe.Sizeof(netdev.Port{})
+	if ep != 120 || port != 32 {
+		t.Errorf("flyweight.Endpoint is %d B and netdev.Port %d B, want 120 and 32: "+
+			"their sum is the B/ep column of ashbench_output.txt (152, 200 with a tcp.FlyConn)", ep, port)
 	}
 }

@@ -113,10 +113,10 @@ type world struct {
 	prof  *mach.Profile
 	sw    *netdev.Switch
 	hosts []*host
-	// res maps every Ethernet host's IP to its link address: static
-	// resolution, since a 512-host world cannot afford ARP daemons. The
-	// two-host Ethernet testbed resolves through ARP instead.
-	res ip.StaticResolver
+	// res resolves hosts and flyweight endpoints alike by arithmetic: a
+	// 512-host world cannot afford ARP daemons, nor a 65 536-endpoint one
+	// a table. The two-host Ethernet testbed resolves through ARP instead.
+	res portResolver
 	// tb is a pair's Testbed view; nil on a fan-in world.
 	tb *Testbed
 	// fault is the world's fault plane, nil without one.
@@ -141,7 +141,10 @@ func build(cfg *Config, s worldSpec) *world {
 		netCfg = netdev.EthernetConfig()
 	}
 	eng, prof := sim.NewEngine(), mach.DS5000_240()
-	w := &world{eng: eng, prof: prof, sw: netdev.NewSwitch(eng, prof, netCfg), res: ip.StaticResolver{}, cfg: cfg}
+	w := &world{eng: eng, prof: prof, sw: netdev.NewSwitch(eng, prof, netCfg), cfg: cfg}
+	if s.eth {
+		w.res.sw = w.sw
+	}
 	// add boots a host with mem bytes of physical memory on the next switch
 	// port. An Ethernet interface gets a receive pool of rxBufs; an AN2 one
 	// takes its buffers per virtual circuit.
@@ -150,7 +153,6 @@ func build(cfg *Config, s worldSpec) *world {
 		if s.eth {
 			h.eth = aegis.NewEthernetPool(h.k, w.sw, rxBufs)
 			h.nic = &h.eth.NIC
-			w.res[ip.HostAddr(h.addr())] = link.Addr{Port: h.addr()}
 		} else {
 			h.an2 = aegis.NewAN2(h.k, w.sw)
 			h.nic = &h.an2.NIC
@@ -215,6 +217,19 @@ func inWorld[T any](cfg *Config, s worldSpec, fn func(w *world) T) T {
 	w := build(cfg, s)
 	defer w.close()
 	return fn(w)
+}
+
+// portResolver is a world's static resolver: on an Ethernet world (sw
+// set) an address resolves to the port ip.HostAddr made it from, if the
+// switch has that port; an AN2 world's resolves nothing.
+type portResolver struct{ sw *netdev.Switch }
+
+// Resolve implements ip.Resolver.
+func (r portResolver) Resolve(_ *aegis.Process, dst ip.Addr) (link.Addr, error) {
+	if port, ok := ip.HostPort(dst); ok && r.sw != nil && port < r.sw.NumPorts() {
+		return link.Addr{Port: port}, nil
+	}
+	return link.Addr{}, fmt.Errorf("ip: no route to %s", dst)
 }
 
 // srv is a fan-in world's server; cli its clients in creation order.

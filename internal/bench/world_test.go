@@ -8,6 +8,7 @@ import (
 
 	"ashs/internal/aegis"
 	"ashs/internal/proto/ip"
+	"ashs/internal/proto/link"
 	"ashs/internal/sim"
 )
 
@@ -151,8 +152,8 @@ func TestWorldShape(t *testing.T) {
 				(s.eth && h.nic != &h.eth.NIC) || (!s.eth && h.nic != &h.an2.NIC) {
 				t.Errorf("%s: host %d: wrong interface or system", label, j)
 			}
-			if la, ok := w.res[h.ip]; ok != s.eth || (ok && la.Port != j) {
-				t.Errorf("%s: host %d in the resolver: %v, %v", label, j, la, ok)
+			if la, err := w.res.Resolve(nil, h.ip); (err == nil) != s.eth || (err == nil && la != (link.Addr{Port: j})) {
+				t.Errorf("%s: host %d resolves to %+v, %v", label, j, la, err)
 			}
 			faulted := s.fault != nil && (j == 0 || !s.fault.serverOnly)
 			if (h.arp != nil) != s.arp || (h.nic.InjectFault != nil) != faulted || (h.sys.InjectAbort != nil) != faulted ||
@@ -160,6 +161,12 @@ func TestWorldShape(t *testing.T) {
 				t.Errorf("%s: host %d: arp %v, fault hooks %v/%v, trip %d, quota %v",
 					label, j, h.arp != nil, h.nic.InjectFault != nil, h.sys.InjectAbort != nil,
 					h.sys.AbortTripThreshold, h.sys.Quota != nil)
+			}
+		}
+		// Nothing past the last port resolves, nor an address outside 10/8.
+		for _, dst := range []ip.Addr{ip.HostAddr(w.sw.NumPorts()), ip.V4(192, 168, 0, 1)} {
+			if la, err := w.res.Resolve(nil, dst); err == nil || !strings.Contains(err.Error(), "no route") {
+				t.Errorf("%s: %s resolves to %+v, %v; want no route", label, dst, la, err)
 			}
 		}
 		if f := s.fault; (w.fault != nil) != (f != nil) || (w.sw.Inject != nil) != (f != nil) ||

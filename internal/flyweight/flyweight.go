@@ -2,9 +2,11 @@
 // experiment: traffic endpoints that attach directly to a netdev.Switch
 // port with no aegis kernel, no address space, and no scheduled process
 // behind them. A full simulated host costs hundreds of kilobytes (kernel
-// arena, receive pool, page tables); a flyweight endpoint is a few
-// hundred bytes of protocol state machine plus its switch port, which is
-// what lets one simulation drive 10^6 clients at a single server.
+// arena, receive pool, page tables); a flyweight endpoint is its switch
+// port and a small protocol state machine, 152 bytes before a TCP
+// connection, and an operation in flight is a record the fleet recycles
+// with its frame buffer, so a message costs no allocation. That is what
+// lets one simulation drive 10^6 clients at a single server.
 //
 // The asymmetry is deliberate and one-sided: the *measured* side of the
 // experiment — the server — remains a full aegis kernel with its real
@@ -130,6 +132,19 @@ type Fleet struct {
 	eps  []Endpoint
 	base int
 
+	// free holds settled and abandoned operation records, frame buffers
+	// kept, for the next operation of any endpoint; noRecycle (a test
+	// seam) drops them instead.
+	free      []*op
+	noRecycle bool
+	// trace and next are the open-loop cursor: next is the trace event
+	// the one pending traceArrival delivers.
+	trace []workload.Event
+	next  int
+	// tx is scratch for bytes the wire copies at once (a ping's payload,
+	// an acknowledgment's frame).
+	tx []byte
+
 	// Hist collects completed-operation round-trip times from the
 	// open-loop trace; IncastHist collects those of incast-wave
 	// operations, kept apart so the synchronized burst does not smear
@@ -146,9 +161,10 @@ type Fleet struct {
 }
 
 // Endpoint is one flyweight client: a switch port, an address, and a
-// minimal per-kind state machine. Dynamic state (outstanding operations,
-// the TCP connection) is allocated only once the endpoint first sends,
-// so an idle endpoint in a 10^6 fleet stays at its static footprint.
+// minimal per-kind state machine. An idle endpoint in a 10^6 fleet stays
+// at this static footprint: the list of outstanding operations grows on
+// its first send and the TCP connection is made at its first arrival,
+// and the operations themselves are records borrowed from the fleet.
 type Endpoint struct {
 	f    *Fleet
 	id   int
@@ -172,7 +188,10 @@ type Endpoint struct {
 
 // op is one in-flight operation: the exact frame on the wire (kept for
 // verbatim retransmission), its backoff state, and its reply-wait timer.
+// Records are recycled through Fleet.free, so ep names the endpoint that
+// holds this one now.
 type op struct {
+	ep     *Endpoint
 	step   int // stepDgram, or the TCP step in flight
 	seq    uint32
 	frame  []byte
@@ -257,8 +276,9 @@ func (f *Fleet) StaticBytesPerEndpoint() int {
 // arrivals first, then `waves` synchronized incast waves over endpoints
 // [0, waveClients), the first wave quietUs after the trace ends and
 // subsequent waves waveGapUs apart. Trace events are pumped one engine
-// event at a time (a cursor, not a million pre-scheduled closures), so
-// the event heap stays O(outstanding), not O(trace).
+// event at a time by the fleet's cursor, not a million pre-scheduled
+// closures, so the event queue stays O(outstanding), not O(trace), and an
+// event costs no allocation.
 func (f *Fleet) Run(tr *workload.Trace, waves, waveClients int, quietUs, waveGapUs float64) {
 	if waveClients > len(f.eps) {
 		waveClients = len(f.eps)
@@ -275,30 +295,63 @@ func (f *Fleet) Run(tr *workload.Trace, waves, waveClients int, quietUs, waveGap
 			}
 		}
 	}
-	if len(tr.Events) > 0 {
-		f.pumpFrom(tr.Events, 0)
-	}
+	f.trace, f.next = tr.Events, 0
+	f.armTrace()
 	base := tr.Duration() + quietUs
 	for w := 0; w < waves; w++ {
 		at := f.cfg.Prof.Cycles(base + float64(w)*waveGapUs)
 		for c := 0; c < waveClients; c++ {
-			ep := &f.eps[c]
-			f.cfg.Eng.ScheduleAt(at, func() { ep.arrive(true) })
+			f.cfg.Eng.ScheduleArgAt(at, incastArrival, &f.eps[c])
 		}
 	}
 }
 
-// pumpFrom schedules trace event i and, from inside its callback, the
-// next one — the lazy cursor that keeps 10^6-client traces cheap.
-func (f *Fleet) pumpFrom(evs []workload.Event, i int) {
-	f.cfg.Eng.ScheduleAt(f.cfg.Prof.Cycles(evs[i].AtUs), func() {
-		if c := evs[i].Client; c < len(f.eps) {
-			f.eps[c].arrive(false)
-		}
-		if i+1 < len(evs) {
-			f.pumpFrom(evs, i+1)
-		}
-	})
+// armTrace schedules the cursor's event for the next trace arrival, if
+// any.
+func (f *Fleet) armTrace() {
+	if f.next < len(f.trace) {
+		f.cfg.Eng.ScheduleArgAt(f.cfg.Prof.Cycles(f.trace[f.next].AtUs), traceArrival, f)
+	}
+}
+
+// traceArrival is the cursor's event, its argument the fleet: it delivers
+// one trace arrival and then arms the next.
+func traceArrival(a any) {
+	f := a.(*Fleet)
+	c := f.trace[f.next].Client
+	f.next++
+	if c < len(f.eps) {
+		f.eps[c].arrive(false)
+	}
+	f.armTrace()
+}
+
+// incastArrival is an incast wave's arrival event; its argument is the
+// endpoint.
+func incastArrival(a any) { a.(*Endpoint).arrive(true) }
+
+// get takes an operation record off the free list, or makes one, and
+// gives it to ep with its backoff state fresh.
+func (f *Fleet) get(ep *Endpoint, step int, incast bool) *op {
+	var o *op
+	if n := len(f.free); n > 0 {
+		o, f.free = f.free[n-1], f.free[:n-1]
+	} else {
+		o = &op{}
+	}
+	o.ep, o.step, o.incast = ep, step, incast
+	o.bo = retry.New(f.cfg.Retry, f.cfg.Seed, ep.id)
+	return o
+}
+
+// put returns a settled or abandoned operation, whose timer is off, to
+// the free list; only its frame buffer survives.
+func (f *Fleet) put(o *op) {
+	if f.noRecycle {
+		return
+	}
+	*o = op{frame: o.frame[:0]}
+	f.free = append(f.free, o)
 }
 
 // arrive is one open-loop arrival: a datagram kind launches the
@@ -327,13 +380,17 @@ func (ep *Endpoint) launch(o *op) bool {
 	}
 	o.sentAt = ep.f.cfg.Eng.Now()
 	ep.transmit(o.frame)
-	o.timer = ep.f.cfg.Eng.Schedule(ep.f.cfg.Prof.Cycles(wait), func() { ep.expire(o) })
+	o.timer = ep.f.cfg.Eng.ScheduleArg(ep.f.cfg.Prof.Cycles(wait), expire, o)
 	return true
 }
 
-// expire handles a reply-wait window running out: retransmit the exact
-// bytes and back off, or — budget exhausted — abandon the operation.
-func (ep *Endpoint) expire(o *op) {
+// expire is the reply-wait timer's event, its argument the operation: a
+// window ran out, so retransmit the exact bytes and back off, or — budget
+// exhausted — abandon the operation. A settled operation's timer is
+// cancelled, so this never sees a record after it went back to the fleet.
+func expire(a any) {
+	o := a.(*op)
+	ep := o.ep
 	o.timer = sim.Timer{}
 	wait, ok := o.bo.Next()
 	if !ok {
@@ -343,30 +400,32 @@ func (ep *Endpoint) expire(o *op) {
 	}
 	ep.f.Retries++
 	ep.transmit(o.frame)
-	o.timer = ep.f.cfg.Eng.Schedule(ep.f.cfg.Prof.Cycles(wait), func() { ep.expire(o) })
+	o.timer = ep.f.cfg.Eng.ScheduleArg(ep.f.cfg.Prof.Cycles(wait), expire, o)
 }
 
-// abandon removes a failed operation. A TCP endpoint cannot make
-// progress past a lost step (the connection is serial), so it dies.
+// abandon removes a failed operation and returns it to the fleet. A TCP
+// endpoint cannot make progress past a lost step (the connection is
+// serial), so it dies.
 func (ep *Endpoint) abandon(o *op) {
 	if ep.f.cfg.Kind == TCPPingPong {
 		ep.cur = nil
 		ep.dead = true
-		return
-	}
-	for i, q := range ep.out {
-		if q == o {
-			ep.out = append(ep.out[:i], ep.out[i+1:]...)
-			return
+	} else {
+		for i, q := range ep.out {
+			if q == o {
+				ep.out = append(ep.out[:i], ep.out[i+1:]...)
+				break
+			}
 		}
 	}
+	ep.f.put(o)
 }
 
-// settle completes an operation: timer off, round trip observed (TCP
-// handshake and close steps are bookkeeping, not operations).
+// settle completes an operation, which its endpoint no longer lists:
+// timer off, round trip observed (TCP handshake and close steps are
+// bookkeeping, not operations), record back to the fleet.
 func (ep *Endpoint) settle(o *op, observe bool) {
 	ep.f.cfg.Eng.Cancel(o.timer) // zero or stale timers cancel as no-ops
-	o.timer = sim.Timer{}
 	if observe {
 		h := ep.f.Hist
 		if o.incast {
@@ -374,6 +433,7 @@ func (ep *Endpoint) settle(o *op, observe bool) {
 		}
 		h.Observe(ep.f.cfg.Eng.Now() - o.sentAt)
 	}
+	ep.f.put(o)
 }
 
 // transmit leases a pooled buffer and copies the frame in (LeaseData
@@ -416,19 +476,20 @@ const (
 func (ep *Endpoint) startDgram(incast bool) {
 	seq := ep.nextSeq
 	ep.nextSeq++
-	var frame []byte
+	o := ep.f.get(ep, stepDgram, incast)
+	o.seq = seq
 	switch ep.f.cfg.Kind {
 	case UDPEcho:
-		frame = ep.udpFrame(ep.f.cfg.Payload)
-		ep.echoPayload(frame[udpPayloadOff:], seq)
+		o.frame = ep.udpFrame(o.frame, ep.f.cfg.Payload)
+		ep.echoPayload(o.frame[udpPayloadOff:], seq)
 	case NFSRead:
-		frame = ep.udpFrame(readCallLen)
-		ep.readCall(frame[udpPayloadOff:], seq)
+		o.frame = ep.udpFrame(o.frame, readCallLen)
+		ep.readCall(o.frame[udpPayloadOff:], seq)
 	}
-	o := &op{step: stepDgram, seq: seq, frame: frame, incast: incast,
-		bo: retry.New(ep.f.cfg.Retry, ep.f.cfg.Seed, ep.id)}
 	if ep.launch(o) {
 		ep.out = append(ep.out, o)
+	} else {
+		ep.f.put(o)
 	}
 }
 
@@ -510,14 +571,18 @@ func (ep *Endpoint) readCall(p []byte, seq uint32) {
 	binary.BigEndian.PutUint32(p[16:], cfg.ReadBytes)
 }
 
-// udpFrame is the one allocation of a datagram operation: a frame with
-// room for n payload bytes, which the caller writes in place behind the
-// Ethernet+IP+UDP headers from this endpoint to the server. The UDP
-// checksum is zero (unused), matching the full library's default and the
-// receive path's checksum-zero skip.
-func (ep *Endpoint) udpFrame(n int) []byte {
+// udpFrame writes, over buf's storage when it has room, a frame with room
+// for n payload bytes, which the caller writes in place behind the
+// Ethernet+IP+UDP headers from this endpoint to the server. A recycled
+// operation's buffer always has room, so a datagram allocates nothing.
+// The UDP checksum is zero (unused), matching the full library's default
+// and the receive path's checksum-zero skip.
+func (ep *Endpoint) udpFrame(buf []byte, n int) []byte {
 	cfg := &ep.f.cfg
-	b := ep.linkIP(make([]byte, 0, udpPayloadOff+n), ip.ProtoUDP, udp.HeaderLen+n)
+	if cap(buf) < udpPayloadOff+n {
+		buf = make([]byte, 0, udpPayloadOff+n)
+	}
+	b := ep.linkIP(buf[:0], ip.ProtoUDP, udp.HeaderLen+n)
 	uh := udp.Header{SrcPort: cfg.ClientPort, DstPort: cfg.ServerPort, Length: uint16(udp.HeaderLen + n)}
 	return uh.Marshal(b)[:udpPayloadOff+n]
 }
@@ -556,9 +621,10 @@ func (ep *Endpoint) pump() {
 		ep.issued++
 		seq := ep.nextSeq
 		ep.nextSeq++
-		p := make([]byte, cfg.Payload)
-		ep.echoPayload(p, seq)
-		ep.startStep(stepPing, ep.conn.Data(p), incast)
+		f := ep.f
+		f.tx = append(f.tx[:0], make([]byte, cfg.Payload)...) // Data copies it into the segment
+		ep.echoPayload(f.tx, seq)
+		ep.startStep(stepPing, ep.conn.Data(f.tx), incast)
 	case ep.issued == ep.total:
 		ep.closing = true
 		ep.startStep(stepFin, ep.conn.Fin(), false)
@@ -568,11 +634,12 @@ func (ep *Endpoint) pump() {
 // startStep launches one serial connection step (SYN, ping, or FIN) with
 // the usual retransmission machinery around the raw segment.
 func (ep *Endpoint) startStep(step int, seg []byte, incast bool) {
-	o := &op{step: step, frame: ep.tcpFrame(seg), incast: incast,
-		bo: retry.New(ep.f.cfg.Retry, ep.f.cfg.Seed, ep.id)}
+	o := ep.f.get(ep, step, incast)
+	o.frame = ep.tcpFrame(o.frame[:0], seg)
 	if ep.launch(o) {
 		ep.cur = o
 	} else {
+		ep.f.put(o)
 		ep.dead = true
 	}
 }
@@ -599,7 +666,9 @@ func (ep *Endpoint) rxTCP(data []byte) {
 		return
 	}
 	if reply != nil {
-		ep.transmit(ep.tcpFrame(reply))
+		f := ep.f
+		f.tx = ep.tcpFrame(f.tx[:0], reply) // the lease copies it
+		ep.transmit(f.tx)
 	}
 	if o := ep.cur; o != nil {
 		switch {
@@ -619,8 +688,8 @@ func (ep *Endpoint) rxTCP(data []byte) {
 	ep.pump()
 }
 
-// tcpFrame wraps a raw segment in Ethernet+IP headers to the server.
-func (ep *Endpoint) tcpFrame(seg []byte) []byte {
-	b := make([]byte, 0, ether.HeaderLen+ip.HeaderLen+len(seg))
+// tcpFrame appends to b a raw segment wrapped in Ethernet+IP headers to
+// the server.
+func (ep *Endpoint) tcpFrame(b, seg []byte) []byte {
 	return append(ep.linkIP(b, ip.ProtoTCP, len(seg)), seg...)
 }

@@ -449,3 +449,72 @@ func TestTCPDeafServer(t *testing.T) {
 			f.Completed(), f.Failures, f.Retries)
 	}
 }
+
+// TestRecycledOperationIsNotDisturbed: endpoint 0's operation is settled
+// (with a duplicate reply still on its way and its reply-wait timer
+// cancelled before it would have fired) or abandoned, and endpoint 1's
+// next operation reuses the record from the fleet's free list. The
+// duplicate then arrives, and the old timer's instant passes, while the
+// reused record is in flight: neither may settle, retransmit or fail it,
+// so the counts and both histograms equal those of the same run with
+// recycling off.
+func TestRecycledOperationIsNotDisturbed(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		ep1  float64           // endpoint 1's arrival, us
+		plan map[int][]float64 // request index -> reply delays, us
+	}{
+		// Endpoint 0's first window would end near 5000 us, endpoint
+		// 1's (its van der Corput slot is 1/2) near 8500 us: the reply
+		// 6000 us after its request lands between, the duplicate 3000 us
+		// after endpoint 0's before both.
+		{"settled", 1000, map[int][]float64{0: {100, 3000}, 1: {6000}}},
+		// Endpoint 0 burns its three windows (< 70 ms) against silence;
+		// the reply to its first send comes at 90 ms, inside endpoint 1's.
+		{"abandoned", 80_000, map[int][]float64{0: {90_000}, 1: {}, 2: {}, 3: {15_000}}},
+	} {
+		type counts struct {
+			retries, failures uint64
+			hist, incast      obs.Histogram
+		}
+		run := func(recycle bool) counts {
+			w := newTestWorld()
+			f := NewFleet(w.cfg(UDPEcho, 2))
+			f.noRecycle = !recycle
+			i := 0
+			w.srv.SetReceiver(func(pkt *netdev.PacketBuf) {
+				payload := append([]byte(nil), pkt.Bytes()[ether.HeaderLen+ip.HeaderLen+8:]...)
+				delays, ok := c.plan[i]
+				if !ok {
+					delays = []float64{100}
+				}
+				i++
+				src := pkt.Src
+				for _, d := range delays {
+					w.eng.Schedule(w.prof.Cycles(d), func() { w.reply(src, ip.HostAddr(src), payload) })
+				}
+			})
+			var first *op
+			w.eng.ScheduleAt(w.prof.Cycles(1), func() { first = f.eps[0].out[0] })
+			w.eng.ScheduleAt(w.prof.Cycles(c.ep1+1), func() {
+				if reused := f.eps[1].out[0] == first; reused != recycle {
+					t.Errorf("%s: endpoint 1 reuses endpoint 0's record: %v, want %v", c.name, reused, recycle)
+				}
+			})
+			tr := &workload.Trace{Events: []workload.Event{{AtUs: 0, Client: 0}, {AtUs: c.ep1, Client: 1}}}
+			f.Run(tr, 1, 2, 20_000, 0)
+			w.eng.Run()
+			return counts{f.Retries, f.Failures, *f.Hist, *f.IncastHist}
+		}
+		with, without := run(true), run(false)
+		if with != without {
+			t.Errorf("%s: with recycling %d retries, %d failures, %d+%d completed; without %d, %d, %d+%d",
+				c.name, with.retries, with.failures, with.hist.Count(), with.incast.Count(),
+				without.retries, without.failures, without.hist.Count(), without.incast.Count())
+		}
+		if with.incast.Count() != 2 || with.hist.Count()+with.failures != 2 {
+			t.Errorf("%s: %d+%d completed, %d failed; want both trace operations settled or failed and both incast ones completed",
+				c.name, with.hist.Count(), with.incast.Count(), with.failures)
+		}
+	}
+}

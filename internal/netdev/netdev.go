@@ -190,14 +190,9 @@ func (s *Switch) FixedCycles() sim.Time {
 // the sender (shared-medium Ethernet semantics).
 const Broadcast = -1
 
-// Ports returns the addresses of all attached ports.
-func (s *Switch) Ports() []int {
-	out := make([]int, s.ports.Len())
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
+// NumPorts is the number of attached ports; their addresses are
+// 0..NumPorts()-1.
+func (s *Switch) NumPorts() int { return s.ports.Len() }
 
 // Transmit queues pkt for transmission from this port, consuming the
 // caller's reference — on success and on error alike, the caller must

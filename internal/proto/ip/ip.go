@@ -29,6 +29,16 @@ func HostAddr(port int) Addr {
 	return V4(10, byte(n>>16), byte(n>>8), byte(n))
 }
 
+// HostPort inverts HostAddr: the switch port whose conventional address a
+// is, and false for an address outside 10/8 or 10.0.0.0, which no port has.
+func HostPort(a Addr) (int, bool) {
+	if a[0] != 10 {
+		return 0, false
+	}
+	port := (int(a[1])<<16 | int(a[2])<<8 | int(a[3])) - 1
+	return port, port >= 0
+}
+
 // String formats dotted quad.
 func (a Addr) String() string { return fmt.Sprintf("%d.%d.%d.%d", a[0], a[1], a[2], a[3]) }
 

@@ -78,3 +78,18 @@ func TestHostAddr(t *testing.T) {
 		t.Fatalf("String = %s", V4(10, 0, 0, 1))
 	}
 }
+
+// TestHostPortInvertsHostAddr: every port across the octet carries maps
+// back to itself, and the addresses no port has are refused.
+func TestHostPortInvertsHostAddr(t *testing.T) {
+	for _, port := range []int{0, 1, 253, 254, 255, 256, 65534, 65535, 65536, 1 << 20, 1<<24 - 2} {
+		if got, ok := HostPort(HostAddr(port)); !ok || got != port {
+			t.Errorf("HostPort(HostAddr(%d)) = %d, %v", port, got, ok)
+		}
+	}
+	for _, a := range []Addr{V4(10, 0, 0, 0), V4(11, 0, 0, 1), V4(192, 168, 0, 1)} {
+		if port, ok := HostPort(a); ok {
+			t.Errorf("HostPort(%s) = %d, want no port", a, port)
+		}
+	}
+}

@@ -42,18 +42,18 @@ type Policy struct {
 // comment); later fractions come from the seeded splitmix64 stream.
 type jitter struct {
 	client uint32
-	rng    *sim.Rand
+	rng    sim.Rand
 	drawn  bool
 }
 
 // newJitter builds the stream for client index `client` of a fleet,
 // derived from the run seed. Equal (seed, client) pairs yield equal
 // streams; distinct clients get well-separated first fractions.
-func newJitter(seed int64, client int) *jitter {
+func newJitter(seed int64, client int) jitter {
 	mix := (uint64(uint32(client)) + 1) * 0x9e3779b97f4a7c15
-	return &jitter{
+	return jitter{
 		client: uint32(client),
-		rng:    sim.NewRand(seed ^ int64(mix)),
+		rng:    *sim.NewRand(seed ^ int64(mix)),
 	}
 }
 
@@ -78,12 +78,13 @@ type State struct {
 	// Used counts retries consumed since the last Reset.
 	Used int
 
-	j *jitter
+	j jitter
 }
 
 // New builds the backoff state for client `client` under pol, seeded by
-// the run seed. It is a value, so an operation record can embed it; copies
-// share the one jitter stream.
+// the run seed. It is a plain value, jitter stream included, so an
+// operation record embeds it and building one allocates nothing; a copy
+// draws its own continuation of the stream.
 func New(pol Policy, seed int64, client int) State {
 	return State{Pol: pol, j: newJitter(seed, client)}
 }

@@ -86,3 +86,18 @@ func TestFirstRetryDesync(t *testing.T) {
 		}
 	}
 }
+
+// TestStateIsAPlainValue: building a backoff state and drawing from it
+// allocates nothing, so an operation record that embeds one costs no
+// object per operation.
+func TestStateIsAPlainValue(t *testing.T) {
+	pol := Policy{BaseUs: 1000, Budget: 4}
+	var s State
+	if n := testing.AllocsPerRun(100, func() {
+		s = New(pol, 7, 3)
+		s.Next()
+		s.Next()
+	}); n != 0 {
+		t.Fatalf("New + Next allocate %v objects, want 0", n)
+	}
+}
