@@ -220,77 +220,27 @@ type World struct {
 	EthHost1, EthHost2 *aegis.EthernetIf
 	ASH1, ASH2         *ASHSystem
 	IP1, IP2           ip.Addr
-	// Obs is the observability plane attached at construction (WithObs)
-	// or via AttachObs; nil when unobserved.
+	// Obs is the observability plane attached by AttachObs; nil when
+	// unobserved.
 	Obs *ObsPlane
-	// Fault is the fault plane attached at construction (WithFaultPlane)
-	// or via AttachFaultPlane; nil when no faults are injected.
+	// Fault is the fault plane attached by AttachFaultPlane; nil when no
+	// faults are injected.
 	Fault *FaultPlane
 }
 
-// WorldOption configures NewWorld. Options are applied in a fixed
-// internal order (network selection, then observability, then fault
-// injection), so construction is insensitive to the order they are
-// passed in: given both planes, the fault counters are always mirrored
-// into the observability plane's metrics.
-type WorldOption func(*worldSpec)
+// NewWorld builds a two-host testbed on the AN2 switch.
+func NewWorld() *World { return newWorld(bench.NewAN2Testbed(nil)) }
 
-type worldSpec struct {
-	ethernet bool
-	obs      *ObsPlane
-	faults   []*FaultPlane
-}
+// NewEthernetWorld builds a two-host testbed on an Ethernet segment.
+func NewEthernetWorld() *World { return newWorld(bench.NewEthernetTestbed(nil)) }
 
-// WithEthernet selects the two-host Ethernet segment instead of the
-// default AN2 switch.
-func WithEthernet() WorldOption {
-	return func(s *worldSpec) { s.ethernet = true }
-}
-
-// WithObs attaches an observability plane to the world's switch and both
-// kernels. Tracing charges no simulated cycles, so observing a world
-// never changes simulated results.
-func WithObs(pl *ObsPlane) WorldOption {
-	return func(s *worldSpec) { s.obs = pl }
-}
-
-// WithFaultPlane builds a deterministic fault plane from seed and sched
-// and hooks it into every injection point of the world (wire, both
-// interfaces, both ASH systems). The plane is reachable as World.Fault.
-func WithFaultPlane(seed int64, sched FaultSchedule) WorldOption {
-	return func(s *worldSpec) { s.faults = append(s.faults, fault.New(seed, sched)) }
-}
-
-// NewWorld builds a two-host testbed from functional options:
-//
-//	w := ashs.NewWorld()                                  // AN2, plain
-//	w := ashs.NewWorld(ashs.WithEthernet())               // Ethernet
-//	w := ashs.NewWorld(ashs.WithObs(ashs.NewObsPlane()),
-//	    ashs.WithFaultPlane(1, ashs.CannedSchedules()[0]))
-func NewWorld(opts ...WorldOption) *World {
-	var s worldSpec
-	for _, o := range opts {
-		o(&s)
-	}
-	var tb *bench.Testbed
-	if s.ethernet {
-		tb = bench.NewEthernetTestbed(nil)
-	} else {
-		tb = bench.NewAN2Testbed(nil)
-	}
-	w := &World{tb: tb, Eng: tb.Eng, Prof: tb.Prof,
+func newWorld(tb *bench.Testbed) *World {
+	return &World{tb: tb, Eng: tb.Eng, Prof: tb.Prof,
 		Host1: tb.K1, Host2: tb.K2,
 		AN2Host1: tb.A1, AN2Host2: tb.A2,
 		EthHost1: tb.E1, EthHost2: tb.E2,
 		ASH1: tb.Sys1, ASH2: tb.Sys2,
 		IP1: tb.IP1, IP2: tb.IP2}
-	if s.obs != nil {
-		w.AttachObs(s.obs)
-	}
-	for _, p := range s.faults {
-		w.AttachFaultPlane(p)
-	}
-	return w
 }
 
 // AttachObs wires an observability plane into the world's switch and
@@ -302,17 +252,10 @@ func (w *World) AttachObs(pl *ObsPlane) {
 }
 
 // AttachFaultPlane hooks a fault plane into every injection point of the
-// world: the wire, both network interfaces, and both ASH systems. Note
-// the fault-counter metrics mirror only engages if an observability
-// plane is already attached — NewWorld's options apply in that order
-// regardless of how they are passed.
+// world: the wire, both network interfaces, and both ASH systems.
 func (w *World) AttachFaultPlane(p *FaultPlane) {
 	w.Fault = p
 	w.tb.AttachFault(p)
-	if w.tb.Obs != nil {
-		// Mirror injected-fault counts into the metrics registry.
-		p.Observe(w.tb.Obs)
-	}
 }
 
 // Run drives the simulation until no work remains.
@@ -347,7 +290,7 @@ func (w *World) IPStackAN2(p *Process, host, vc int) *ip.Stack {
 // constructors, it panics on any other host number or on an AN2 world.
 func (w *World) StartARP(host int) (*arp.Service, error) {
 	if w.EthHost1 == nil {
-		panic(fmt.Sprintf("ashs: StartARP(%d) on an AN2 world: build it with WithEthernet()", host))
+		panic(fmt.Sprintf("ashs: StartARP(%d) on an AN2 world: build it with NewEthernetWorld()", host))
 	}
 	switch host {
 	case 1:

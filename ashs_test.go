@@ -118,7 +118,7 @@ func TestTCPOverFacade(t *testing.T) {
 
 // TestEthernetWorldFacade builds the Ethernet world with ARP.
 func TestEthernetWorldFacade(t *testing.T) {
-	w := ashs.NewWorld(ashs.WithEthernet())
+	w := ashs.NewEthernetWorld()
 	s1, err := w.StartARP(1)
 	if err != nil {
 		t.Fatal(err)

@@ -133,6 +133,10 @@ go test -race ./...
 #            a binding, a flyweight endpoint and its port keep their sizes (B/ep)
 #   flyweight a recycled operation record: a late duplicate reply and a
 #            cancelled timer leave its new owner's counts as without reuse
+#   ip       a datagram with no payload or with options is dropped as
+#            BadHeader, whole or as a fragment; each sequence under a deadline
+#   nfs      a WRITE past the end of the file is refused with ErrIO and
+#            leaves the file as it was
 echo "== by-name suites under -race"
 while IFS=: read -r pkg pattern; do
     echo "-- $pkg -run '$pattern'"
@@ -173,6 +177,8 @@ done <<'EOF'
 ./internal/aegis/:^TestFrameReaders$
 ./internal/bench/:^TestMegascaleAllocFlatInMessages$|^TestMegascaleFootprints$
 ./internal/flyweight/:^TestRecycledOperationIsNotDisturbed$
+./internal/proto/ip/:^TestInputRefusesWhatReassemblyCannotTake$
+./internal/proto/nfs/:^TestWritePastTheEndIsRefused$
 EOF
 
 # Fuzz targets: each parser/demux fuzzer runs a short wall-clock sweep on
@@ -204,8 +210,15 @@ EOF
 # all ones, a total that is a multiple of 2^32-1), so it guards the bulk body
 # of the copy+checksum loop — one lane sum and one copy — and the forward
 # overlap that must keep the per-word body.
+# FuzzIPInput feeds one stack a short sequence of datagrams and fragments
+# (ID, offset, MF, payload length, options, an idle gap): every call
+# returns within a deadline, slots are held only by live reassemblies and
+# all are free after the timeout, and a completed datagram is as long as
+# its last fragment's end. No experiment fragments, so this is the
+# reassembly's traffic.
 echo "== fuzz sweep (10s per target)"
 go test -run '^$' -fuzz '^FuzzIPParse$' -fuzztime 10s ./internal/proto/ip/
+go test -run '^$' -fuzz '^FuzzIPInput$' -fuzztime 10s ./internal/proto/ip/
 go test -run '^$' -fuzz '^FuzzTCPHeader$' -fuzztime 10s ./internal/proto/tcp/
 go test -run '^$' -fuzz '^FuzzDPFDemux$' -fuzztime 10s ./internal/dpf/
 go test -run '^$' -fuzz '^FuzzDPFChurn$' -fuzztime 10s ./internal/dpf/
@@ -228,6 +241,56 @@ for f in ashbench_output.txt ashbench_counts.txt ashbench_trace.sha256; do
         exit 1
     fi
 done
+
+# Traffic: the functions that nothing the repository runs ever calls. The
+# programs are built with -cover over every package except the lint
+# analyzers (the ashlint step above is their traffic) and the hot-path
+# fixtures (the benchmark is theirs), and run as contract.sh runs them,
+# serially: the registry, the full suite, the quick and breakdown traced
+# runs, then every example. A function at 0% must have its line in
+# untrafficked.txt, "path/file.go:Func<TAB>category: reason", with one of
+# the categories perfbench, oracle, api, diagnostic, no-cell or roadmap;
+# a listed function that gained traffic must lose its line.
+echo "== traffic (untrafficked.txt)"
+bad=$(awk -F '\t' 'NF != 2 || $2 !~ /^(perfbench|oracle|api|diagnostic|no-cell|roadmap): ./' untrafficked.txt)
+if [ -n "$bad" ]; then
+    echo "untrafficked.txt lines without a category and a reason:"
+    echo "$bad"
+    exit 1
+fi
+traffic=$workdir/traffic
+mkdir -p "$traffic/bin" "$traffic/cov"
+go list -f '{{if ne .Name "main"}}{{.ImportPath}}{{end}}' ./... |
+    grep -v -e '^ashs/internal/lint' -e '^ashs/internal/bench/hotpath$' >"$traffic/lib"
+for main in ./cmd/ashbench ./examples/*/; do
+    main=${main%/}
+    go list "$main" >"$traffic/pkgs"
+    cat "$traffic/lib" >>"$traffic/pkgs"
+    pkgs=$(go list -deps "$main" | grep -x -F -f "$traffic/pkgs" | paste -sd, -)
+    go build -cover -coverpkg="$pkgs" -o "$traffic/bin/$(basename "$main")" "$main"
+done
+(
+    cd "$traffic"
+    export GOCOVERDIR="$traffic/cov"
+    bin/ashbench -experiment help >/dev/null
+    bin/ashbench -parallel 1 >/dev/null 2>&1
+    bin/ashbench -quick -parallel 1 -trace quick.json >/dev/null 2>&1
+    bin/ashbench -parallel 1 -experiment breakdown -trace breakdown.json >/dev/null 2>&1
+    for ex in bin/*; do
+        [ "$ex" = bin/ashbench ] || "$ex" >/dev/null
+    done
+)
+go tool covdata func -i "$traffic/cov" |
+    awk '$NF == "0.0%" { f = $1; sub(/^ashs\//, "", f); sub(/:[0-9]+:$/, "", f); print f ":" $2 }' |
+    LC_ALL=C sort >"$traffic/zero"
+cut -f1 untrafficked.txt | LC_ALL=C sort >"$traffic/listed"
+if ! cmp -s "$traffic/zero" "$traffic/listed"; then
+    echo "no traffic, and not in untrafficked.txt (delete it, give it traffic, or list it):"
+    LC_ALL=C comm -23 "$traffic/zero" "$traffic/listed"
+    echo "in untrafficked.txt, but has traffic now (drop its line):"
+    LC_ALL=C comm -13 "$traffic/zero" "$traffic/listed"
+    exit 1
+fi
 
 # Coverage gate: per-package coverage is printed for review; the total
 # must not regress below the floor (measured baseline minus slack).

@@ -64,9 +64,9 @@ func TestNewWorldDeterministic(t *testing.T) {
 			aGot, bGot, aDone, bDone)
 	}
 
-	eth := ashs.NewWorld(ashs.WithEthernet())
+	eth := ashs.NewEthernetWorld()
 	if eth.EthHost1 == nil || eth.EthHost2 == nil {
-		t.Fatal("WithEthernet() world missing Ethernet interfaces")
+		t.Fatal("NewEthernetWorld() world missing Ethernet interfaces")
 	}
 }
 
@@ -98,26 +98,33 @@ func TestWorldClose(t *testing.T) {
 	}
 }
 
-// TestWorldOptionOrderInsensitive checks the fix for the old
-// AttachObs/AttachFaultPlane ordering hazard: with NewWorld the obs plane
-// sees the fault plane's counters no matter how the options are listed.
-func TestWorldOptionOrderInsensitive(t *testing.T) {
+// TestAttachOrderInsensitive: a world observed and faulted runs the same
+// whichever plane is attached first.
+func TestAttachOrderInsensitive(t *testing.T) {
 	sched := ashs.CannedSchedules()[0]
-	run := func(opts ...ashs.WorldOption) (*ashs.ObsPlane, ashs.Time) {
-		w := ashs.NewWorld(opts...)
-		if w.Obs == nil || w.Fault == nil {
-			t.Fatal("options did not populate World.Obs / World.Fault")
+	run := func(obsFirst bool) (*ashs.ObsPlane, ashs.Time) {
+		w := ashs.NewWorld()
+		pl, fp := ashs.NewObsPlane(), ashs.NewFaultPlane(1, sched)
+		if obsFirst {
+			w.AttachObs(pl)
+			w.AttachFaultPlane(fp)
+		} else {
+			w.AttachFaultPlane(fp)
+			w.AttachObs(pl)
+		}
+		if w.Obs != pl || w.Fault != fp {
+			t.Fatal("attach did not populate World.Obs / World.Fault")
 		}
 		_, done := echoRoundTrip(t, w)
 		return w.Obs, done
 	}
-	plA, doneA := run(ashs.WithObs(ashs.NewObsPlane()), ashs.WithFaultPlane(1, sched))
-	plB, doneB := run(ashs.WithFaultPlane(1, sched), ashs.WithObs(ashs.NewObsPlane()))
+	plA, doneA := run(true)
+	plB, doneB := run(false)
 	if doneA != doneB {
-		t.Fatalf("option order changed simulated time: %d vs %d", doneA, doneB)
+		t.Fatalf("attach order changed simulated time: %d vs %d", doneA, doneB)
 	}
 	if plA.Events() != plB.Events() {
-		t.Fatalf("option order changed traced events: %d vs %d", plA.Events(), plB.Events())
+		t.Fatalf("attach order changed traced events: %d vs %d", plA.Events(), plB.Events())
 	}
 	if plA.Events() == 0 {
 		t.Fatal("obs plane recorded nothing")
@@ -142,7 +149,7 @@ func TestFaultPlaneInjectionPoints(t *testing.T) {
 	for _, eth := range []bool{false, true} {
 		w, tb := ashs.NewWorld(), bench.NewAN2Testbed(nil)
 		if eth {
-			w, tb = ashs.NewWorld(ashs.WithEthernet()), bench.NewEthernetTestbed(nil)
+			w, tb = ashs.NewEthernetWorld(), bench.NewEthernetTestbed(nil)
 		}
 		facade := func() [5]bool {
 			return points(w.AN2Host1, w.AN2Host2, w.EthHost1, w.EthHost2, w.ASH1, w.ASH2)
@@ -166,7 +173,7 @@ func TestFaultPlaneInjectionPoints(t *testing.T) {
 // An Ethernet stack with no ARP service to resolve through is refused the
 // same way, naming the host and StartARP, not at its first send.
 func TestFacadeRejectsBadHostAndNetwork(t *testing.T) {
-	an2, eth := ashs.NewWorld(), ashs.NewWorld(ashs.WithEthernet())
+	an2, eth := ashs.NewWorld(), ashs.NewEthernetWorld()
 	defer an2.Close()
 	defer eth.Close()
 	cases := []struct {

@@ -67,10 +67,6 @@ func (as *AddrSpace) MustAlloc(n int, name string) Segment {
 	return seg
 }
 
-// Map adds an existing physical range as a segment (e.g. a device buffer
-// region shared with the kernel).
-func (as *AddrSpace) Map(seg Segment) { as.segs = append(as.segs, seg) }
-
 // mapped reports whether one segment holds all of [addr, addr+n).
 func (as *AddrSpace) mapped(addr uint32, n int) bool {
 	for _, s := range as.segs {

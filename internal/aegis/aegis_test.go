@@ -148,7 +148,7 @@ func TestTable1InKernelAN2Latency(t *testing.T) {
 	if count != iters {
 		t.Fatalf("count = %d", count)
 	}
-	rt := k1.Us(done) / iters
+	rt := k1.Prof.Us(done) / iters
 	if rt < 106 || rt > 118 {
 		t.Fatalf("in-kernel AN2 RT = %.1f us, want ~112 (Table I)", rt)
 	}
@@ -165,7 +165,7 @@ func userEcho(t *testing.T, k *Kernel, iface *AN2If, vc, iters int) {
 			return
 		}
 		for i := 0; i < iters; i++ {
-			e := b.Ring.PollRecv(p)
+			e, _ := b.Ring.PollRecvUntil(p, 0)
 			data, err := p.AS.Bytes(e.Addr, e.Len)
 			if err != nil {
 				t.Error(err)
@@ -194,14 +194,14 @@ func userPingPong(t *testing.T, eng *sim.Engine, k1 *Kernel, a1 *AN2If, dstAddr,
 		start := p.K.Now()
 		for i := 0; i < iters; i++ {
 			a1.Send(p, dstAddr, vc, []byte{1, 2, 3, 4})
-			e := b.Ring.PollRecv(p)
+			e, _ := b.Ring.PollRecvUntil(p, 0)
 			p.Compute(sim.Time(p.K.Prof.BufferMgmtCycles))
 			b.Free(e.BufIndex)
 		}
 		total = p.K.Now() - start
 	})
 	eng.Run()
-	return k1.Us(total) / float64(iters)
+	return k1.Prof.Us(total) / float64(iters)
 }
 
 func TestTable1UserLevelAN2Latency(t *testing.T) {
@@ -231,7 +231,7 @@ func TestTable1EthernetLatency(t *testing.T) {
 			return
 		}
 		for i := 0; i < 10; i++ {
-			en := b.Ring.PollRecv(p)
+			en, _ := b.Ring.PollRecvUntil(p, 0)
 			f := b.Frame(en)
 			frame := make([]byte, en.Len)
 			f.Bytes(frame, 0, en.Len)
@@ -253,14 +253,14 @@ func TestTable1EthernetLatency(t *testing.T) {
 		start := p.K.Now()
 		for i := 0; i < iters; i++ {
 			e1.Send(p, e2.Addr(), 0, []byte{0xAA, 0, 0, 4})
-			en := b.Ring.PollRecv(p)
+			en, _ := b.Ring.PollRecvUntil(p, 0)
 			p.Compute(sim.Time(p.K.Prof.BufferMgmtCycles))
 			b.Free(en.BufIndex)
 		}
 		total = p.K.Now() - start
 	})
 	eng.Run()
-	rt := k1.Us(total) / iters
+	rt := k1.Prof.Us(total) / iters
 	if rt < 296 || rt > 322 {
 		t.Fatalf("Ethernet RT = %.1f us, want ~309 (Table I)", rt)
 	}
@@ -274,13 +274,13 @@ func TestPollRecvSingleProcessPromptness(t *testing.T) {
 	r := &Ring{}
 	var sawAt sim.Time
 	k.Spawn("poller", func(p *Process) {
-		e := r.PollRecv(p)
+		e, _ := r.PollRecvUntil(p, 0)
 		_ = e
 		sawAt = p.K.Now()
 	})
 	eng.Schedule(10000, func() { r.push(RingEntry{Len: 4}, 0) })
 	eng.Run()
-	lag := k.Us(sawAt - 10000)
+	lag := k.Prof.Us(sawAt - 10000)
 	if lag < 0.5 || lag > 5 {
 		t.Fatalf("polling lag = %.2f us, want ~1.5", lag)
 	}
@@ -293,7 +293,7 @@ func TestWaitRecvChargesWakePath(t *testing.T) {
 	r := &Ring{}
 	var sawAt sim.Time
 	k.Spawn("sleeper", func(p *Process) {
-		e := r.WaitRecv(p)
+		e, _ := r.WaitRecvUntil(p, 0)
 		_ = e
 		sawAt = p.K.Now()
 	})
@@ -306,7 +306,7 @@ func TestWaitRecvChargesWakePath(t *testing.T) {
 	if sawAt == 0 {
 		t.Fatal("receiver never woke")
 	}
-	lag := k.Us(sawAt - 50000)
+	lag := k.Prof.Us(sawAt - 50000)
 	// Under oblivious round-robin the sleeper waits for the spinner's
 	// quantum to end; lag is between the switch cost and a full quantum.
 	if lag < 60 {
@@ -321,7 +321,7 @@ func TestPriorityBoostWakesFast(t *testing.T) {
 	r := &Ring{}
 	var sawAt sim.Time
 	k.Spawn("sleeper", func(p *Process) {
-		e := r.WaitRecv(p)
+		e, _ := r.WaitRecvUntil(p, 0)
 		_ = e
 		sawAt = p.K.Now()
 	})
@@ -333,7 +333,7 @@ func TestPriorityBoostWakesFast(t *testing.T) {
 	if sawAt == 0 {
 		t.Fatal("receiver never woke under priority boost")
 	}
-	lag := k.Us(sawAt - 50000)
+	lag := k.Prof.Us(sawAt - 50000)
 	if lag > 100 {
 		t.Fatalf("boost wake lag = %.1f us, want well under a quantum (15625)", lag)
 	}
@@ -540,7 +540,7 @@ func TestUpcallRunsWithoutScheduling(t *testing.T) {
 	}
 	// The upcall ran at arrival + dispatch costs, not after the owner's
 	// long computation.
-	us := k2.Us(ranAt)
+	us := k2.Prof.Us(ranAt)
 	if us > 200 {
 		t.Fatalf("upcall ran at %.1f us — waited for scheduling?", us)
 	}
@@ -561,7 +561,7 @@ func TestDeterministicReplay(t *testing.T) {
 			start := p.K.Now()
 			for i := 0; i < 5; i++ {
 				a1.Send(p, a2.Addr(), 5, []byte{1, 2, 3, 4})
-				e := b.Ring.PollRecv(p)
+				e, _ := b.Ring.PollRecvUntil(p, 0)
 				b.Free(e.BufIndex)
 			}
 			total = p.K.Now() - start

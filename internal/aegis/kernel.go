@@ -205,9 +205,6 @@ func (e *bytesRangeError) Error() string {
 // Now reports virtual time.
 func (k *Kernel) Now() sim.Time { return k.Eng.Now() }
 
-// Us converts cycles to microseconds under this host's profile.
-func (k *Kernel) Us(c sim.Time) float64 { return k.Prof.Us(c) }
-
 // maybeDispatch schedules a dispatch pass if the CPU is free.
 func (k *Kernel) maybeDispatch() {
 	if k.current != nil || k.dispatchPend {

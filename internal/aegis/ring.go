@@ -95,25 +95,10 @@ func (r *Ring) TryRecv() (RingEntry, bool) {
 	return e, true
 }
 
-// PollRecv busy-waits for a notification while holding the CPU: the
-// "application sitting in a tight loop polling for a message" of
-// Section IV-C. Under multiprogramming the poller still rotates at quantum
-// boundaries, so polling with competitors only helps during its own slice.
-func (r *Ring) PollRecv(p *Process) RingEntry {
-	e, _ := r.PollRecvUntil(p, 0)
-	return e
-}
-
-// WaitRecv blocks (releases the CPU) until a notification arrives: the
-// interrupt-driven receive path. The wakeup pays the scheduling cost the
-// kernel imposes on suspended receivers.
-func (r *Ring) WaitRecv(p *Process) RingEntry {
-	e, _ := r.WaitRecvUntil(p, 0)
-	return e
-}
-
-// WaitRecvUntil is WaitRecv with an absolute virtual-time deadline
-// (0 = none). ok is false if the deadline passed with no notification.
+// WaitRecvUntil blocks (releases the CPU) until a notification arrives:
+// the interrupt-driven receive path. The wakeup pays the scheduling cost
+// the kernel imposes on suspended receivers. deadline is an absolute
+// virtual time (0 = none); ok is false if it passed with no notification.
 func (r *Ring) WaitRecvUntil(p *Process, deadline sim.Time) (RingEntry, bool) {
 	for {
 		if e, ok := r.TryRecv(); ok {
@@ -145,7 +130,11 @@ func ringDeadline(a any) {
 	}
 }
 
-// PollRecvUntil is PollRecv with an absolute deadline (0 = none).
+// PollRecvUntil busy-waits for a notification while holding the CPU: the
+// "application sitting in a tight loop polling for a message" of Section
+// IV-C. Under multiprogramming the poller still rotates at quantum
+// boundaries, so polling with competitors only helps during its own slice.
+// deadline is as for WaitRecvUntil.
 func (r *Ring) PollRecvUntil(p *Process, deadline sim.Time) (RingEntry, bool) {
 	for {
 		p.ensureCPU()

@@ -15,7 +15,6 @@ import "ashs/internal/sim"
 //
 // ASHs bypass scheduling entirely, which is the paper's point.
 type Scheduler interface {
-	Name() string
 	// Enqueue adds a runnable process (end of quantum, spawn, plain wake).
 	Enqueue(p *Process)
 	// Wake adds a process that just received a message.
@@ -31,9 +30,6 @@ type RoundRobin struct {
 
 // NewRoundRobin returns the default Aegis scheduler.
 func NewRoundRobin() *RoundRobin { return &RoundRobin{} }
-
-// Name implements Scheduler.
-func (s *RoundRobin) Name() string { return "round-robin (oblivious)" }
 
 // Enqueue implements Scheduler.
 func (s *RoundRobin) Enqueue(p *Process) { s.queue = append(s.queue, p) }
@@ -60,9 +56,6 @@ type PriorityBoost struct {
 
 // NewPriorityBoost returns a boost scheduler for host k.
 func NewPriorityBoost(k *Kernel) *PriorityBoost { return &PriorityBoost{k: k} }
-
-// Name implements Scheduler.
-func (s *PriorityBoost) Name() string { return "priority boost (Ultrix-like)" }
 
 // Enqueue implements Scheduler.
 func (s *PriorityBoost) Enqueue(p *Process) { s.queue = append(s.queue, p) }

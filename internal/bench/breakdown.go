@@ -166,12 +166,3 @@ func (b *Breakdown) Render() string {
 	}
 	return out.String()
 }
-
-// Planes returns the rows' planes in order, for trace export.
-func (b *Breakdown) Planes() []*obs.Plane {
-	var ps []*obs.Plane
-	for _, r := range b.Rows {
-		ps = append(ps, r.Plane)
-	}
-	return ps
-}

@@ -59,8 +59,14 @@ func TestBreakdownPhasesSumToWindow(t *testing.T) {
 // trace JSON — the determinism contract the CI gate enforces.
 func TestBreakdownTraceByteIdentical(t *testing.T) {
 	const iters = 3
-	a := obs.WriteTrace(mergeBreakdown(iters, cellResults(nil, breakdownCells(iters))).Planes()...)
-	b := obs.WriteTrace(mergeBreakdown(iters, cellResults(nil, breakdownCells(iters))).Planes()...)
+	trace := func() []byte {
+		var ps []*obs.Plane
+		for _, r := range mergeBreakdown(iters, cellResults(nil, breakdownCells(iters))).Rows {
+			ps = append(ps, r.Plane)
+		}
+		return obs.WriteTrace(ps...)
+	}
+	a, b := trace(), trace()
 	if !bytes.Equal(a, b) {
 		t.Fatal("breakdown traces differ between identical runs")
 	}

@@ -265,7 +265,6 @@ func megaFleet(w *world, kind flyweight.Kind, n int, port uint16, pol retry.Poli
 		ClientPort: scaleClientPort,
 		Payload:    megaPayload,
 		ReadBytes:  megaReadBytes, FileBytes: megaFileBytes, Handle: uint32(nfs.RootHandle) + 1,
-		Window: 8192, Checksum: true,
 		Retry: pol, Seed: megaSeed,
 	})
 }

@@ -88,7 +88,7 @@ func TestPoolLeakGate(t *testing.T) {
 			w := build(nil, *c.spec)
 			daemons := w.eng.Stats().LiveProcs // an ARP pair's
 			var never aegis.Ring
-			w.hosts[0].k.Spawn("idle", func(p *aegis.Process) { never.WaitRecv(p) })
+			w.hosts[0].k.Spawn("idle", func(p *aegis.Process) { never.WaitRecvUntil(p, 0) })
 			w.eng.Go("parked", func(p *sim.Proc) { p.Park() })
 			w.run() // drains clean, both processes still waiting
 			if live := w.eng.Stats().LiveProcs; live != daemons+2 {

@@ -128,7 +128,7 @@ func runIncrement(t *testing.T, unsafe bool, iters int) (float64, *ASH, *testbed
 	if err != nil || got != uint32(iters) {
 		t.Fatalf("counter = %d, %v; want %d", got, err, iters)
 	}
-	return tb.k1.Us(done) / float64(iters), ash, tb
+	return tb.k1.Prof.Us(done) / float64(iters), ash, tb
 }
 
 func TestIncrementASHUnsafe(t *testing.T) {
@@ -428,7 +428,7 @@ func TestASHRunsWhenOwnerSuspended(t *testing.T) {
 	if rtt == 0 {
 		t.Fatal("no reply")
 	}
-	us := tb.k1.Us(rtt)
+	us := tb.k1.Prof.Us(rtt)
 	if us > 130 {
 		t.Fatalf("RT with suspended owner = %.1f us — ASH waited for scheduling?", us)
 	}

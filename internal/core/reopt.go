@@ -34,15 +34,11 @@ func (a *ASH) ExportProfile() *reopt.Profile {
 	} else {
 		counts = a.sandbox.OrigCounts(m.PCCounts)
 	}
-	prof := &reopt.Profile{
+	return &reopt.Profile{
 		Handler:     a.Name,
 		Invocations: a.Invocations,
 		Counts:      counts,
 	}
-	if o := a.sys.K.Obs; o.Enabled() {
-		o.RecordProfile(a.Name, prof.Invocations, prof.Counts)
-	}
-	return prof
 }
 
 // Reoptimize re-instruments the handler's original program with its

@@ -4,7 +4,6 @@ import (
 	"ashs/internal/aegis"
 	"ashs/internal/core"
 	"ashs/internal/netdev"
-	"ashs/internal/obs"
 	"ashs/internal/sim"
 )
 
@@ -31,16 +30,7 @@ type Plane struct {
 
 	rng *sim.Rand
 	sw  *netdev.Switch
-
-	// Obs optionally mirrors every injected-fault count into an
-	// observability plane's metrics registry (nil disables). The Counters
-	// struct stays the source of truth — the chaos soak's determinism
-	// check compares it with one `==`.
-	Obs *obs.Plane
 }
-
-// Observe mirrors the plane's fault counts into o's metrics registry.
-func (p *Plane) Observe(o *obs.Plane) { p.Obs = o }
 
 // New builds a plane for one run.
 func New(seed int64, sched Schedule) *Plane {
@@ -69,11 +59,9 @@ func (p *Plane) AttachSystem(sys *core.System) {
 		switch {
 		case p.rng.Prob(a.BudgetProb):
 			p.C.AbortBudget++
-			p.Obs.Inc("fault/abort_budget")
 			return core.AbortBudget, int64(4 + p.rng.Intn(24))
 		case p.rng.Prob(a.TimerProb):
 			p.C.AbortTimer++
-			p.Obs.Inc("fault/abort_timer")
 			return core.AbortTimer, int64(100 + p.rng.Intn(900))
 		}
 		return core.AbortNone, 0
@@ -87,30 +75,24 @@ func (p *Plane) injectWire(pkt *netdev.PacketBuf) bool {
 	switch {
 	case p.rng.Prob(w.DropProb):
 		p.C.WireDrops++
-		p.Obs.Inc("fault/wire_drops")
 		return false
 	case p.rng.Prob(w.CorruptProb):
 		p.C.WireCorruptions++
-		p.Obs.Inc("fault/wire_corruptions")
 		p.flipBit(pkt, false)
 	case p.rng.Prob(w.SneakProb):
 		p.C.WireSneaks++
-		p.Obs.Inc("fault/wire_sneaks")
 		p.flipBit(pkt, true)
 	case p.rng.Prob(w.DupProb):
 		// Deliver now and again after the hold interval.
 		p.C.WireDups++
-		p.Obs.Inc("fault/wire_dups")
 		p.holdThenRedeliver(p.sw.Clone(pkt), 1)
 	case p.rng.Prob(w.ReorderProb):
 		// Hold this frame back; frames behind it overtake.
 		p.C.WireReorders++
-		p.Obs.Inc("fault/wire_reorders")
 		p.holdThenRedeliver(p.sw.Clone(pkt), 1)
 		return false
 	case p.rng.Prob(w.DelayProb):
 		p.C.WireDelays++
-		p.Obs.Inc("fault/wire_delays")
 		p.holdThenRedeliver(p.sw.Clone(pkt), p.rng.Float64())
 		return false
 	}
@@ -155,16 +137,13 @@ func (p *Plane) deviceFault(pkt *netdev.PacketBuf) aegis.DeviceFault {
 	switch {
 	case p.rng.Prob(d.RingOverflowProb):
 		p.C.DeviceRingDrops++
-		p.Obs.Inc("fault/device_ring_drops")
 		df.DropRing = true
 	case p.rng.Prob(d.PoolExhaustProb):
 		p.C.DevicePoolDrops++
-		p.Obs.Inc("fault/device_pool_drops")
 		df.DropPool = true
 	case p.rng.Prob(d.TruncateProb):
 		if n := pkt.Len(); n > 1 {
 			p.C.DeviceTruncations++
-			p.Obs.Inc("fault/device_truncations")
 			df.TruncateTo = 1 + p.rng.Intn(n-1)
 		}
 	}

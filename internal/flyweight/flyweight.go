@@ -106,10 +106,6 @@ type Config struct {
 	FileBytes uint32
 	Handle    uint32
 
-	// Window and Checksum configure tcp.FlyConn.
-	Window   uint16
-	Checksum bool
-
 	// Retry is the per-operation backoff schedule. Budget counts
 	// reply-wait windows, Next-style: an operation is transmitted once
 	// per window and declared failed when the last window expires, so
@@ -247,14 +243,8 @@ func NewFleet(cfg Config) *Fleet {
 // receiving port, broadcasts included, so it names the endpoint.
 func (f *Fleet) rx(pkt *netdev.PacketBuf) { f.eps[pkt.Dst-f.base].rx(pkt) }
 
-// Len is the fleet size.
-func (f *Fleet) Len() int { return len(f.eps) }
-
 // Addr is endpoint i's IP address (for building server-side filters).
 func (f *Fleet) Addr(i int) ip.Addr { return f.eps[i].addr }
-
-// Link is endpoint i's switch port.
-func (f *Fleet) Link(i int) int { return f.eps[i].port.Addr() }
 
 // Completed counts finished operations across both phases.
 func (f *Fleet) Completed() uint64 { return f.Hist.Count() + f.IncastHist.Count() }
@@ -613,7 +603,7 @@ func (ep *Endpoint) pump() {
 			return
 		}
 		ep.conn = tcp.NewFlyConn(ep.addr, cfg.ServerIP, cfg.ClientPort, cfg.ServerPort,
-			1000*uint32(ep.id)+1, cfg.Window, cfg.Checksum)
+			1000*uint32(ep.id)+1)
 		ep.startStep(stepSyn, ep.conn.Syn(), false)
 	case len(ep.pend) > 0:
 		incast := ep.pend[0]

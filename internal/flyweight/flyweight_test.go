@@ -45,9 +45,8 @@ func (w *testWorld) cfg(kind Kind, n int) Config {
 		ServerPort: 7, ClientPort: 1234,
 		Payload:   16,
 		ReadBytes: 512, FileBytes: 2048, Handle: 9,
-		Window: 8192,
-		Retry:  retry.Policy{BaseUs: 10_000, Budget: 3},
-		Seed:   42,
+		Retry: retry.Policy{BaseUs: 10_000, Budget: 3},
+		Seed:  42,
 	}
 }
 
@@ -114,10 +113,10 @@ func TestFleetAccessors(t *testing.T) {
 	c := w.cfg(UDPEcho, 3)
 	c.Obs = plane
 	f := NewFleet(c)
-	if f.Len() != 3 {
-		t.Fatalf("Len = %d", f.Len())
+	if len(f.eps) != 3 {
+		t.Fatalf("Len = %d", len(f.eps))
 	}
-	if f.Addr(0) == f.Addr(1) || f.Link(0) == f.Link(1) {
+	if f.Addr(0) == f.Addr(1) || f.eps[0].port.Addr() == f.eps[1].port.Addr() {
 		t.Fatalf("endpoints share an address: %v %v", f.Addr(0), f.Addr(1))
 	}
 	if per := f.StaticBytesPerEndpoint(); per <= 0 || per > 1024 {
@@ -213,7 +212,7 @@ func TestUDPEchoRetryThenFail(t *testing.T) {
 func TestUDPEchoIgnoresForeignFrames(t *testing.T) {
 	w := newTestWorld()
 	f := NewFleet(w.cfg(UDPEcho, 1))
-	link := f.Link(0)
+	link := f.eps[0].port.Addr()
 	w.eng.Schedule(1, func() {
 		w.reply(link, f.Addr(0), binary.BigEndian.AppendUint32(nil, 77)) // short (4 < 8)
 		garbage := make([]byte, 60)                                      // not IPv4 at all
@@ -271,15 +270,13 @@ func TestNFSReadStatuses(t *testing.T) {
 }
 
 // flyTCPServer is a minimal scripted TCP responder: SYN-ACK the
-// handshake, echo data, FIN-ACK the close. Checksums are off unless cksum
-// is set (the bench experiment runs them on; FlyConn's own tests cover
-// validation).
+// handshake, echo data, FIN-ACK the close. Every segment carries the
+// end-to-end checksum, as FlyConn requires.
 type flyTCPServer struct {
 	w     *testWorld
 	iss   uint32
 	conns map[int]*flySrvConn
 	rsts  bool // answer every SYN with RST instead
-	cksum bool // put the end-to-end checksum in every segment
 }
 
 type flySrvConn struct {
@@ -296,10 +293,8 @@ func newFlyTCPServer(w *testWorld) *flyTCPServer {
 // dst.
 func (s *flyTCPServer) send(dst int, h tcp.Header, payload []byte) {
 	seg := append(h.Marshal(nil), payload...)
-	if s.cksum {
-		acc := ip.PseudoCksum(ip.HostAddr(s.w.srv.Addr()), ip.HostAddr(dst), ip.ProtoTCP, len(seg))
-		binary.BigEndian.PutUint16(seg[16:], ^vcode.Fold16(vcode.CksumData(acc, seg)))
-	}
+	acc := ip.PseudoCksum(ip.HostAddr(s.w.srv.Addr()), ip.HostAddr(dst), ip.ProtoTCP, len(seg))
+	binary.BigEndian.PutUint16(seg[16:], ^vcode.Fold16(vcode.CksumData(acc, seg)))
 	eh := ether.Header{Dst: ether.PortMAC(dst), Src: ether.PortMAC(s.w.srv.Addr()),
 		Type: ether.TypeIPv4}
 	ih := ip.Header{TotalLen: uint16(ip.HeaderLen + len(seg)), TTL: 64,
@@ -351,7 +346,6 @@ func (s *flyTCPServer) rx(pkt *netdev.PacketBuf) {
 func TestTCPPingPongLifecycle(t *testing.T) {
 	w := newTestWorld()
 	c := w.cfg(TCPPingPong, 2)
-	c.Checksum = false
 	f := NewFleet(c)
 	newFlyTCPServer(w)
 
@@ -374,7 +368,6 @@ func TestTCPPingPongLifecycle(t *testing.T) {
 func TestTCPReset(t *testing.T) {
 	w := newTestWorld()
 	c := w.cfg(TCPPingPong, 1)
-	c.Checksum = false
 	f := NewFleet(c)
 	newFlyTCPServer(w).rsts = true
 
@@ -405,10 +398,8 @@ func TestFrameCheckUnderThePlane(t *testing.T) {
 		{"sneak", fault.WireFaults{SneakProb: 1}, 10, 0, 0},
 	} {
 		w := newTestWorld()
-		cfg := w.cfg(TCPPingPong, 1)
-		cfg.Checksum = true
-		f := NewFleet(cfg)
-		newFlyTCPServer(w).cksum = true
+		f := NewFleet(w.cfg(TCPPingPong, 1))
+		newFlyTCPServer(w)
 		fault.New(c.seed, fault.Schedule{Name: c.name, Wire: c.wire}).AttachWire(w.sw)
 		plane := w.sw.Inject
 		w.sw.Inject = func(pkt *netdev.PacketBuf) bool {
@@ -439,7 +430,6 @@ func TestFrameCheckUnderThePlane(t *testing.T) {
 func TestTCPDeafServer(t *testing.T) {
 	w := newTestWorld()
 	c := w.cfg(TCPPingPong, 1)
-	c.Checksum = false
 	f := NewFleet(c) // Budget: 3
 	tr := workload.Poisson(7, workload.Spec{Clients: 1, Events: 2, MeanGapUs: 100, Size: 16})
 	f.Run(tr, 0, 0, 0, 0)

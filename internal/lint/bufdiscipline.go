@@ -79,13 +79,13 @@ func isBufRelease(pass *Pass, call *ast.CallExpr) (types.Object, bool) {
 }
 
 // isLeaseCall reports whether call mints a fresh PacketBuf reference:
-// BufPool.Lease, Switch.Lease, or Switch.LeaseData.
+// BufPool.Lease or Switch.LeaseData.
 func isLeaseCall(pass *Pass, call *ast.CallExpr) bool {
 	if name, _, ok := methodOn(pass.Info, call, "", "BufPool"); ok {
 		return name == "Lease"
 	}
 	if name, _, ok := methodOn(pass.Info, call, "", "Switch"); ok {
-		return name == "Lease" || name == "LeaseData"
+		return name == "LeaseData"
 	}
 	return false
 }
@@ -124,7 +124,7 @@ func checkUseAfterRelease(pass *Pass, fd *ast.FuncDecl) {
 	}
 
 	// handleAssign clears released state for plain-ident targets (a
-	// re-lease like pkt = sw.Lease() makes the name valid again) after
+	// re-lease like pkt = sw.LeaseData(d) makes the name valid again) after
 	// flagging uses on the RHS and in any non-ident LHS (pkt.Dst = 1 is
 	// a use of pkt).
 	handleAssign := func(as *ast.AssignStmt) {
@@ -262,7 +262,7 @@ func checkUseAfterRelease(pass *Pass, fd *ast.FuncDecl) {
 
 // checkLeakedLease finds Lease/LeaseData results that never leave the
 // function: not Released, not passed to any call, not stored, not
-// returned. Results consumed in place (return sw.Lease(), f(sw.Lease()))
+// returned. Results consumed in place (return sw.LeaseData(d), f(sw.LeaseData(d)))
 // escape by construction and are skipped; a bare lease statement whose
 // result is dropped is reported outright.
 func checkLeakedLease(pass *Pass, fd *ast.FuncDecl) {
@@ -314,7 +314,7 @@ func checkLeakedLease(pass *Pass, fd *ast.FuncDecl) {
 				}
 			}
 		default:
-			// return sw.Lease(), f(sw.LeaseData(d)), T{pkt: sw.Lease()}:
+			// return sw.LeaseData(d), f(sw.LeaseData(d)), T{pkt: sw.LeaseData(d)}:
 			// the reference escapes where it is minted.
 		}
 		return true

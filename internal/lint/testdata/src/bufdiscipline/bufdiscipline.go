@@ -22,8 +22,6 @@ func (p *BufPool) Lease() *PacketBuf { return &PacketBuf{leased: true} }
 
 type Switch struct{ Pool *BufPool }
 
-func (s *Switch) Lease() *PacketBuf { return s.Pool.Lease() }
-
 func (s *Switch) LeaseData(data []byte) *PacketBuf {
 	b := s.Pool.Lease()
 	b.SetData(data)
@@ -88,7 +86,7 @@ func maybeReleased(s *Switch, d []byte, drop bool) {
 func releaseThenRelease(s *Switch, d []byte) {
 	pkt := s.LeaseData(d)
 	pkt.Release()
-	pkt = s.Lease()
+	pkt = s.LeaseData(d)
 	pkt.Release()
 }
 

@@ -30,13 +30,6 @@ func TestMBps(t *testing.T) {
 	}
 }
 
-func TestLoadMissAvg(t *testing.T) {
-	p := DS5000_240()
-	if got := p.LoadMissAvg(); got != 4 {
-		t.Fatalf("LoadMissAvg = %d, want 4 (1 issue + 12/4 amortized miss)", got)
-	}
-}
-
 func TestCacheColdLoadsMissOncePerLine(t *testing.T) {
 	p := DS5000_240()
 	c := NewCache(p)

@@ -126,12 +126,3 @@ func (p *Profile) MBps(bytes int, c sim.Time) float64 {
 	us := p.Us(c)
 	return float64(bytes) / us // bytes/us == MB/s
 }
-
-// WordsPerLine reports 32-bit words per cache line.
-func (p *Profile) WordsPerLine() int { return p.LineBytes / 4 }
-
-// LoadMissAvg reports the average per-word cost of streaming uncached loads
-// (issue cost plus the line miss amortized over the line's words).
-func (p *Profile) LoadMissAvg() int {
-	return p.LoadHit + p.MissPenalty/p.WordsPerLine()
-}

@@ -130,11 +130,9 @@ func NewSwitch(eng *sim.Engine, prof *mach.Profile, cfg LinkConfig) *Switch {
 	return s
 }
 
-// Lease takes an empty frame buffer from the switch's pool. The caller
-// owns it until it hands it to Transmit/Redeliver or Releases it.
-func (s *Switch) Lease() *PacketBuf { return s.Pool.Lease() }
-
-// LeaseData leases a buffer holding a copy of data.
+// LeaseData leases a buffer from the switch's pool holding a copy of
+// data. The caller owns it until it hands it to Transmit/Redeliver or
+// Releases it.
 func (s *Switch) LeaseData(data []byte) *PacketBuf {
 	b := s.Pool.Lease()
 	b.SetData(data)

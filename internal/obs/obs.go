@@ -46,23 +46,6 @@ type Plane struct {
 	tracks   []trackInfo
 	trackIDs map[trackInfo]int
 	events   []event
-
-	// Handler execution profiles exported by the DCG loop, in first-export
-	// order (deterministic under the single-threaded engine). Re-exporting
-	// a name replaces its vector: the latest profile is the one a
-	// re-optimization would consume.
-	profiles   []ProfileVec
-	profileIdx map[string]int
-}
-
-// ProfileVec is one handler's execution profile as exported through the
-// plane: per-original-instruction execution counts plus the invocation
-// count they accumulate over. The obs plane stores it as plain data —
-// the reopt package defines what the counts mean.
-type ProfileVec struct {
-	Name        string
-	Invocations uint64
-	Counts      []uint64
 }
 
 type trackInfo struct{ proc, thread string }
@@ -127,50 +110,6 @@ func (p *Plane) Instant(proc, thread, cat, name string, at sim.Time) {
 	p.events = append(p.events, event{
 		track: p.track(proc, thread), ph: 'i', cat: cat, name: name, at: at,
 	})
-}
-
-// RecordProfile stores (or replaces) the named handler's execution
-// profile. The counts slice is copied: the caller's live counter array
-// keeps accumulating without mutating the exported snapshot.
-func (p *Plane) RecordProfile(name string, invocations uint64, counts []uint64) {
-	if p == nil {
-		return
-	}
-	pv := ProfileVec{Name: name, Invocations: invocations,
-		Counts: append([]uint64(nil), counts...)}
-	if p.profileIdx == nil {
-		p.profileIdx = map[string]int{}
-	}
-	if i, ok := p.profileIdx[name]; ok {
-		p.profiles[i] = pv
-		return
-	}
-	p.profileIdx[name] = len(p.profiles)
-	p.profiles = append(p.profiles, pv)
-}
-
-// Profile returns the last exported profile for name.
-func (p *Plane) Profile(name string) (ProfileVec, bool) {
-	if p == nil {
-		return ProfileVec{}, false
-	}
-	i, ok := p.profileIdx[name]
-	if !ok {
-		return ProfileVec{}, false
-	}
-	return p.profiles[i], true
-}
-
-// ProfileNames lists exported profile names in first-export order.
-func (p *Plane) ProfileNames() []string {
-	if p == nil {
-		return nil
-	}
-	names := make([]string, len(p.profiles))
-	for i := range p.profiles {
-		names[i] = p.profiles[i].Name
-	}
-	return names
 }
 
 // Inc bumps the named counter by one (nil-safe).

@@ -144,38 +144,3 @@ func TestSpanFeedsCategoryHistogram(t *testing.T) {
 		t.Fatalf("span/wire count=%d sum=%d", h.Count(), h.Sum())
 	}
 }
-
-func TestProfileRecordingReplacesByName(t *testing.T) {
-	var nilp *Plane
-	nilp.RecordProfile("h", 1, []uint64{1}) // nil plane: no-op
-	if _, ok := nilp.Profile("h"); ok {
-		t.Fatal("nil plane returned a profile")
-	}
-	if nilp.ProfileNames() != nil {
-		t.Fatal("nil plane returned profile names")
-	}
-
-	p := New(25)
-	src := []uint64{3, 0, 9}
-	p.RecordProfile("alpha", 2, src)
-	p.RecordProfile("beta", 1, []uint64{7})
-	src[0] = 99 // the plane must have copied, not aliased
-	got, ok := p.Profile("alpha")
-	if !ok || got.Invocations != 2 || got.Counts[0] != 3 {
-		t.Fatalf("alpha = %+v, %v", got, ok)
-	}
-
-	// Re-recording a name replaces in place and keeps insertion order.
-	p.RecordProfile("alpha", 5, []uint64{4, 4})
-	names := p.ProfileNames()
-	if len(names) != 2 || names[0] != "alpha" || names[1] != "beta" {
-		t.Fatalf("names = %v", names)
-	}
-	got, _ = p.Profile("alpha")
-	if got.Invocations != 5 || len(got.Counts) != 2 {
-		t.Fatalf("replaced alpha = %+v", got)
-	}
-	if _, ok := p.Profile("missing"); ok {
-		t.Fatal("missing profile reported present")
-	}
-}

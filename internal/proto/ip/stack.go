@@ -97,7 +97,7 @@ func NewStack(ep *link.Link, local Addr, res Resolver) *Stack {
 // MTU is the largest IP datagram the link carries unfragmented.
 func (s *Stack) MTU() int { return s.Ep.MTU() - s.LinkHdrLen }
 
-// MaxPayload is the largest transport payload per fragment.
+// maxFragPayload is the largest transport payload per fragment.
 func (s *Stack) maxFragPayload() int {
 	return (s.MTU() - HeaderLen) &^ 7 // fragment data is 8-byte aligned
 }
@@ -223,8 +223,12 @@ func (s *Stack) Input(f aegis.Frame) (Dgram, bool, error) {
 		return Dgram{}, false, nil
 	}
 	f.Bytes(hdrBytes, s.LinkHdrLen, HeaderLen)
+	// Parse sees only the fixed header, so a datagram with options fails
+	// its IHL check: every payload below starts at LinkHdrLen+HeaderLen. A
+	// datagram with no payload is refused too; as a fragment it would
+	// never advance complete's walk. The library sends neither.
 	h, err := Parse(hdrBytes)
-	if err != nil {
+	if err != nil || h.TotalLen == HeaderLen {
 		s.BadHeader++
 		s.Ep.Release(f)
 		return Dgram{}, false, nil

@@ -195,6 +195,11 @@ func (s *Server) dispatch(req []byte) []byte {
 		if len(data) > MaxIO {
 			return s.header(xid, ErrFBig)
 		}
+		if off > uint32(len(f.data)) {
+			// A hole: every writer appends at or before the end, and an
+			// offset from the datagram must not size a Go allocation.
+			return s.header(xid, ErrIO)
+		}
 		end := int(off) + len(data)
 		if end > len(f.data) {
 			grown := make([]byte, end)

@@ -214,6 +214,34 @@ func TestWriteIdempotent(t *testing.T) {
 	})
 }
 
+// TestWritePastTheEndIsRefused: a WRITE whose offset, taken from the
+// datagram, lies past the end of the file is refused with ErrIO and leaves
+// the file as it was; it does not size a Go allocation. One at the end
+// still appends.
+func TestWritePastTheEndIsRefused(t *testing.T) {
+	srv := NewServer()
+	fh := srv.AddFile("f", []byte("0123456789"))
+	world(t, srv, 5, func(p *aegis.Process, c *Client) {
+		status, _, err := c.call(p, ProcWrite, fh, 40<<20, 0, []byte("XY"))
+		if err != nil || status != ErrIO {
+			t.Errorf("write at 40 MiB: status %d, %v; want %d", status, err, ErrIO)
+		}
+		status, _, err = c.call(p, ProcWrite, fh, 11, 0, []byte("XY"))
+		if err != nil || status != ErrIO {
+			t.Errorf("write one past the end: status %d, %v; want %d", status, err, ErrIO)
+		}
+		if a, err := c.GetAttr(p, fh); err != nil || a.Size != 10 {
+			t.Errorf("after the refused writes: %+v, %v; want size 10", a, err)
+		}
+		if got, err := c.Read(p, fh, 0, 16); err != nil || string(got) != "0123456789" {
+			t.Errorf("after the refused writes: %q, %v", got, err)
+		}
+		if a, err := c.Write(p, fh, 10, []byte("AB")); err != nil || a.Size != 12 {
+			t.Errorf("write at the end: %+v, %v; want size 12", a, err)
+		}
+	})
+}
+
 func TestRetransmissionWithLoss(t *testing.T) {
 	srv := NewServer()
 	fh := srv.AddFile("f", []byte("0123456789"))

@@ -26,12 +26,6 @@ import (
 type FlyConn struct {
 	LocalIP, RemoteIP     ip.Addr
 	LocalPort, RemotePort uint16
-	// Checksum enables end-to-end Internet checksums, matching the peer's
-	// Config.Checksum.
-	Checksum bool
-	// Window is the receive window advertised on every segment. The
-	// flyweight side consumes payload immediately, so it never shrinks.
-	Window uint16
 
 	state          State
 	iss            uint32
@@ -42,18 +36,16 @@ type FlyConn struct {
 }
 
 // NewFlyConn builds a closed flyweight connection with initial send
-// sequence iss. Call Syn to start the handshake.
-func NewFlyConn(local, remote ip.Addr, lport, rport uint16, iss uint32, window uint16, checksum bool) *FlyConn {
+// sequence iss. Call Syn to start the handshake. Every segment carries the
+// end-to-end checksum and advertises the library's fixed window: the
+// flyweight side consumes payload immediately, so it never shrinks.
+func NewFlyConn(local, remote ip.Addr, lport, rport uint16, iss uint32) *FlyConn {
 	return &FlyConn{
 		LocalIP: local, RemoteIP: remote,
 		LocalPort: lport, RemotePort: rport,
-		Checksum: checksum, Window: window,
 		iss: iss,
 	}
 }
-
-// State reports the connection state (Closed, SynSent, or Established).
-func (c *FlyConn) State() State { return c.state }
 
 // Established reports whether the three-way handshake has completed.
 func (c *FlyConn) Established() bool { return c.state == Established }
@@ -112,12 +104,9 @@ func (c *FlyConn) OnSegment(seg []byte) (reply []byte, payload []byte, err error
 	if perr != nil || h.DstPort != c.LocalPort || h.SrcPort != c.RemotePort {
 		return nil, nil, nil
 	}
-	if c.Checksum {
-		acc := ip.PseudoCksum(c.RemoteIP, c.LocalIP, ip.ProtoTCP, len(seg))
-		acc = vcode.CksumData(acc, seg)
-		if vcode.Fold16(acc) != 0xffff {
-			return nil, nil, nil // damaged in flight; peer retransmits
-		}
+	acc := ip.PseudoCksum(c.RemoteIP, c.LocalIP, ip.ProtoTCP, len(seg))
+	if vcode.Fold16(vcode.CksumData(acc, seg)) != 0xffff {
+		return nil, nil, nil // damaged in flight; peer retransmits
 	}
 	plen := len(seg) - dataOff
 	if h.Flags&RST != 0 {
@@ -164,23 +153,21 @@ func (c *FlyConn) OnSegment(seg []byte) (reply []byte, payload []byte, err error
 	return reply, payload, nil
 }
 
-// seg builds one raw segment with the current acknowledgment state and,
-// when enabled, the end-to-end checksum patched in.
+// seg builds one raw segment with the current acknowledgment state and
+// the end-to-end checksum patched in.
 func (c *FlyConn) seg(flags Flags, seq uint32, payload []byte) []byte {
 	h := Header{
 		SrcPort: c.LocalPort, DstPort: c.RemotePort,
-		Seq: seq, Flags: flags, Window: c.Window,
+		Seq: seq, Flags: flags, Window: window,
 	}
 	if flags&ACK != 0 {
 		h.Ack = c.rcvNxt
 	}
 	buf := h.Marshal(nil)
 	buf = append(buf, payload...)
-	if c.Checksum {
-		acc := ip.PseudoCksum(c.LocalIP, c.RemoteIP, ip.ProtoTCP, len(buf))
-		acc += h.headerAccum()
-		acc = vcode.CksumData(acc, payload)
-		binary.BigEndian.PutUint16(buf[16:18], ^vcode.Fold16(acc))
-	}
+	acc := ip.PseudoCksum(c.LocalIP, c.RemoteIP, ip.ProtoTCP, len(buf))
+	acc += h.headerAccum()
+	acc = vcode.CksumData(acc, payload)
+	binary.BigEndian.PutUint16(buf[16:18], ^vcode.Fold16(acc))
 	return buf
 }

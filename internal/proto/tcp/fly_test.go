@@ -40,7 +40,7 @@ func flyVerify(t *testing.T, src, dst ip.Addr, seg []byte) Header {
 
 func TestFlyConnHandshakeEchoClose(t *testing.T) {
 	cli, srv := ip.V4(10, 0, 0, 2), ip.V4(10, 0, 0, 1)
-	c := NewFlyConn(cli, srv, 1234, 80, 100, 8192, true)
+	c := NewFlyConn(cli, srv, 1234, 80, 100)
 
 	syn := c.Syn()
 	h := flyVerify(t, cli, srv, syn)
@@ -113,7 +113,7 @@ func TestFlyConnHandshakeEchoClose(t *testing.T) {
 
 func TestFlyConnDropsDamageAndStrangers(t *testing.T) {
 	cli, srv := ip.V4(10, 0, 0, 2), ip.V4(10, 0, 0, 1)
-	c := NewFlyConn(cli, srv, 1234, 80, 100, 8192, true)
+	c := NewFlyConn(cli, srv, 1234, 80, 100)
 	c.Syn()
 
 	// Wrong ports: silently ignored.
@@ -146,7 +146,7 @@ func TestFlyConnDropsDamageAndStrangers(t *testing.T) {
 	if _, _, err := c.OnSegment(flySeg(srv, cli, 80, 1234, 5001, 101, RST, nil)); err == nil {
 		t.Fatal("RST did not error")
 	}
-	if c.State() != Closed {
+	if c.state != Closed {
 		t.Fatal("RST did not close")
 	}
 }

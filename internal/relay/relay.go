@@ -112,9 +112,6 @@ func NewServer(cfg Config) *Server {
 	return &Server{Cfg: cfg, convs: map[uint32]*conv{}, tenantBytes: map[string]int{}}
 }
 
-// QueuedBytes reports tenant's live queued bytes (for quota inspection).
-func (s *Server) QueuedBytes(tenant string) int { return s.tenantBytes[tenant] }
-
 // expire drops dead blobs from the front of cv's queue (FIFO insertion
 // order means expiry is always front-first) and clears a lapsed burn flag.
 func (s *Server) expire(cv *conv, nowUs float64) (insns int) {

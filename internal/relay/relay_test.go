@@ -63,7 +63,7 @@ func TestTTLExpiry(t *testing.T) {
 	if s.Expired != 1 {
 		t.Fatalf("expired = %d, want 1", s.Expired)
 	}
-	if got := s.QueuedBytes("a"); got != 0 {
+	if got := s.tenantBytes["a"]; got != 0 {
 		t.Fatalf("tenant bytes after expiry+poll = %d, want 0", got)
 	}
 }
@@ -112,8 +112,8 @@ func TestBurn(t *testing.T) {
 	if rep, _, _ := s.Handle(2, "a", BurnReq(5)); status(t, rep) != StatusOK {
 		t.Fatal("burn refused")
 	}
-	if s.BurnDrops != 1 || s.QueuedBytes("a") != 0 {
-		t.Fatalf("burn left state: drops=%d bytes=%d", s.BurnDrops, s.QueuedBytes("a"))
+	if s.BurnDrops != 1 || s.tenantBytes["a"] != 0 {
+		t.Fatalf("burn left state: drops=%d bytes=%d", s.BurnDrops, s.tenantBytes["a"])
 	}
 	if rep, _, _ := s.Handle(3, "a", SubmitReq(5, 1, []byte("x"))); status(t, rep) != StatusBurned {
 		t.Fatal("submit accepted inside burn window")

@@ -36,13 +36,15 @@ func TestMemoryConformance(t *testing.T) {
 		// nobody, on either side: what stops a request there is protection,
 		// not the end of physical memory.
 		k := aegis.NewKernelMem("conf", sim.NewEngine(), mach.DS5000_240(), size+2*aegis.PageSize)
-		base, err := k.AllocPhys(size+2*aegis.PageSize, "all")
+		base, err := k.AllocPhys(aegis.PageSize, "below")
 		if err != nil || base%aegis.PageSize != 0 {
 			t.Fatalf("AllocPhys = %#x, %v", base, err)
 		}
-		lo := base + aegis.PageSize
 		as := k.NewAddrSpace("conf")
-		as.Map(aegis.Segment{Base: lo, Len: size, Name: "mem"})
+		lo := as.MustAlloc(size, "mem").Base
+		if _, err := k.AllocPhys(aegis.PageSize, "above"); err != nil || lo != base+aegis.PageSize {
+			t.Fatalf("segment at %#x, want %#x: %v", lo, base+aegis.PageSize, err)
+		}
 		return subject{mem: as, lo: uint64(lo), hi: uint64(lo) + size, raw: k.Bytes(lo, size), unpin: as.Unpin}
 	}
 	over := func(inner func() subject, wrap func(vcode.Memory) vcode.Memory) func() subject {

@@ -518,7 +518,7 @@ func elideSchedule(e *Engine, seed uint64, trace *strings.Builder) {
 				case op < 15:
 					if o := procs[rng.next()%uint64(len(procs))]; o != nil && o.Parked() {
 						o.Unpark()
-						step("unparked", o.Name())
+						step("unparked", o.name)
 					}
 				case op < 16:
 					// Firing in place meets process creation.
@@ -534,7 +534,7 @@ func elideSchedule(e *Engine, seed uint64, trace *strings.Builder) {
 					e.Schedule(d, func() {
 						if o.Parked() {
 							o.Unpark()
-							step("callback unparked", o.Name())
+							step("callback unparked", o.name)
 						}
 					})
 				default:

@@ -187,11 +187,11 @@ func TestProcSleep(t *testing.T) {
 	e := NewEngine()
 	var trace []Time
 	e.Go("sleeper", func(p *Proc) {
-		trace = append(trace, p.Now())
+		trace = append(trace, p.eng.Now())
 		p.Sleep(100)
-		trace = append(trace, p.Now())
+		trace = append(trace, p.eng.Now())
 		p.Sleep(50)
-		trace = append(trace, p.Now())
+		trace = append(trace, p.eng.Now())
 	})
 	e.Run()
 	want := []Time{0, 100, 150}
@@ -210,7 +210,7 @@ func TestProcParkUnpark(t *testing.T) {
 	var wokeAt Time = -1
 	p := e.Go("waiter", func(p *Proc) {
 		p.Park()
-		wokeAt = p.Now()
+		wokeAt = p.eng.Now()
 	})
 	e.Schedule(500, func() { p.Unpark() })
 	e.Run()
@@ -247,7 +247,7 @@ func TestProcParkTimeoutWoken(t *testing.T) {
 	var at Time
 	p := e.Go("w", func(p *Proc) {
 		ok = p.ParkTimeout(1000)
-		at = p.Now()
+		at = p.eng.Now()
 	})
 	e.Schedule(10, func() { p.Unpark() })
 	e.Run()

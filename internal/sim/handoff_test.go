@@ -80,9 +80,9 @@ func handoffScenario(e *Engine, trace *strings.Builder) (end Time, st Stats, pan
 	}
 	tmo = e.Go("timeouts", func(p *Proc) {
 		step("timeouts", fmt.Sprint("plain timeout: ", p.ParkTimeout(10)))
-		unparkAt(p.Now() + 4)
+		unparkAt(p.eng.Now() + 4)
 		step("timeouts", fmt.Sprint("unparked early: ", p.ParkTimeout(100)))
-		unparkAt(p.Now() + 15) // scheduled before the timer: unpark first
+		unparkAt(p.eng.Now() + 15) // scheduled before the timer: unpark first
 		step("timeouts", fmt.Sprint("tie, unpark first: ", p.ParkTimeout(15)))
 		e.Schedule(0, func() { unparkAt(e.Now() + 15) }) // fires after ParkTimeout armed its timer
 		step("timeouts", fmt.Sprint("tie, timer first: ", p.ParkTimeout(15)))

@@ -126,12 +126,6 @@ func procTimeout(a any) {
 	}
 }
 
-// Name returns the process's diagnostic name.
-func (p *Proc) Name() string { return p.name }
-
-// Now reports the current virtual time.
-func (p *Proc) Now() Time { return p.eng.now }
-
 // run transfers control to the process until it parks or finishes. Must
 // be called from event context: on the engine's goroutine, or on that of a
 // blocked process driving the loop (Proc.runInPlace), which then resumes p

@@ -29,9 +29,6 @@ type Event struct {
 	heapIdx    int
 }
 
-// At reports the virtual time at which the event is scheduled.
-func (ev *Event) At() Time { return ev.at }
-
 // before is the engine's total order: time, then scheduling sequence, so
 // events at equal times fire FIFO.
 func (ev *Event) before(o *Event) bool {

@@ -438,7 +438,7 @@ func TestRangesStraightLine(t *testing.T) {
 		t.Errorf("z after slli 2 = %v, want [0,1020]", iv)
 	}
 	// Entry state: everything unknown (registers persist across runs).
-	if iv := r.Before(0, x); !iv.IsTop() {
+	if iv := r.Before(0, x); iv != Top {
 		t.Errorf("entry interval of x = %v, want Top", iv)
 	}
 }
@@ -481,7 +481,7 @@ func TestRangesMergeAndCall(t *testing.T) {
 			callPC = pc
 		}
 	}
-	if iv := r.Before(callPC+1, x); !iv.IsTop() {
+	if iv := r.Before(callPC+1, x); iv != Top {
 		t.Errorf("x after call = %v, want Top", iv)
 	}
 }
@@ -556,7 +556,7 @@ func TestCheckSetMeet(t *testing.T) {
 	}
 	d := TopCheckSet()
 	d.Meet(c)
-	if d.IsTop() || !d.Covers(8, 4) || d.Covers(8, 8) {
+	if d.top || !d.Covers(8, 4) || d.Covers(8, 8) {
 		t.Error("top meet concrete wrong")
 	}
 }

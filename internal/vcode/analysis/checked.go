@@ -50,9 +50,6 @@ func TopCheckSet() *CheckSet {
 	return s
 }
 
-// IsTop reports whether the set is the optimistic top element.
-func (s *CheckSet) IsTop() bool { return s.top }
-
 // Clone deep-copies the set.
 func (s *CheckSet) Clone() *CheckSet {
 	n := &CheckSet{top: s.top, ranges: make(map[vcode.Reg][]Span, len(s.ranges)),

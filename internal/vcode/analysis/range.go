@@ -13,14 +13,8 @@ type Interval struct {
 // Top is the unconstrained interval.
 var Top = Interval{0, ^uint32(0)}
 
-// IsTop reports whether the interval carries no information.
-func (iv Interval) IsTop() bool { return iv == Top }
-
 // Exact returns the value and true when the interval is a single point.
 func (iv Interval) Exact() (uint32, bool) { return iv.Lo, iv.Lo == iv.Hi }
-
-// Contains reports whether v lies in the interval.
-func (iv Interval) Contains(v uint32) bool { return iv.Lo <= v && v <= iv.Hi }
 
 // Union returns the convex hull of two intervals (the join at a CFG merge:
 // the value may come from either path).

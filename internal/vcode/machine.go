@@ -145,12 +145,6 @@ func NewMachine(p *mach.Profile, mem Memory) *Machine {
 // Charge adds cycles to the accumulated cost (used by syscall handlers).
 func (m *Machine) Charge(c sim.Time) { m.Cycles += c }
 
-// ChargeInsns models n straight-line instructions (n cycles, n counted).
-func (m *Machine) ChargeInsns(n int64) {
-	m.Insns += n
-	m.Cycles += sim.Time(n)
-}
-
 func fault(k FaultKind, pc int, addr uint32) *Fault {
 	return &Fault{Kind: k, PC: pc, Addr: addr}
 }

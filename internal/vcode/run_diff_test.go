@@ -135,7 +135,9 @@ func diffSyms(d *diffSide) []vcode.SyscallFn {
 	return vcode.SymTable(map[string]vcode.SyscallFn{
 		"charge": func(m *vcode.Machine) error {
 			m.Charge(sim.Time(m.Regs[vcode.RArg0] & 0xff))
-			m.ChargeInsns(int64(m.Regs[vcode.RArg1] & 7))
+			n := m.Regs[vcode.RArg1] & 7 // n straight-line instructions
+			m.Insns += int64(n)
+			m.Cycles += sim.Time(n)
 			return nil
 		},
 		"totals": func(m *vcode.Machine) error {
