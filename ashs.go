@@ -63,7 +63,8 @@ type (
 	Process = aegis.Process
 	// Segment is a memory allocation in a process's address space.
 	Segment = aegis.Segment
-	// Ring is a kernel/user shared notification ring.
+	// Ring is a kernel/user shared notification ring; a binding makes its
+	// own on first use (Binding.Ring).
 	Ring = aegis.Ring
 	// Binding is a process's demultiplexing point: an AN2 virtual circuit
 	// or a DPF filter on the Ethernet.

@@ -129,8 +129,10 @@ go test -race ./...
 #   aegis    the one frame reader: Byte/U16/U32 at offsets 0-40, Bytes and the
 #            in-place checksum at every offset and length, striped and contiguous
 #   bench    megascale allocates what it keeps: doubling the trace of the
-#            udp-echo and nfs-read cells grows the heap by the trace slice alone;
-#            a binding, a flyweight endpoint and its port keep their sizes (B/ep)
+#            udp-echo, tcp-pp and nfs-read cells grows the heap by the trace
+#            slice alone; a binding, a flyweight endpoint and its port keep
+#            their sizes (B/ep); a binding whose handler consumes every
+#            message has no ring
 #   flyweight a recycled operation record: a late duplicate reply and a
 #            cancelled timer leave its new owner's counts as without reuse
 #   ip       a datagram with no payload or with options is dropped as
@@ -175,11 +177,30 @@ done <<'EOF'
 ./internal/core/:^TestMsgLoadReadsThroughTheStripe$
 ./internal/proto/udp/:^TestRecvSkipsDoorbell$
 ./internal/aegis/:^TestFrameReaders$
-./internal/bench/:^TestMegascaleAllocFlatInMessages$|^TestMegascaleFootprints$
+./internal/bench/:^TestMegascaleAllocFlatInMessages$|^TestMegascaleFootprints$|^TestMegascaleRingsOnlyWhereQueued$
 ./internal/flyweight/:^TestRecycledOperationIsNotDisturbed$
 ./internal/proto/ip/:^TestInputRefusesWhatReassemblyCannotTake$
 ./internal/proto/nfs/:^TestWritePastTheEndIsRefused$
 EOF
+
+# Arena stress: built with -tags arenastress, AllocPhys moves a host's
+# memory at every allocation up to 1 MiB and doubles it past that, each
+# time poisoning the old backing, so a Kernel.Bytes slice held across an
+# allocation reads poison. The tests must pass under it, and the quick
+# suite must print exactly what the untagged build prints.
+echo "== arena stress (-tags arenastress)"
+go test -tags arenastress ./...
+stress=$workdir/stress
+mkdir -p "$stress"
+go build -o "$stress/ashbench" ./cmd/ashbench
+go build -tags arenastress -o "$stress/ashbench-stress" ./cmd/ashbench
+"$stress/ashbench" -quick -parallel 1 >"$stress/plain.txt" 2>/dev/null
+"$stress/ashbench-stress" -quick -parallel 1 >"$stress/stress.txt" 2>/dev/null
+if ! cmp -s "$stress/plain.txt" "$stress/stress.txt"; then
+    diff -u "$stress/plain.txt" "$stress/stress.txt" | head -40
+    echo "the quick suite differs under -tags arenastress: a Kernel.Bytes slice outlived an AllocPhys"
+    exit 1
+fi
 
 # Fuzz targets: each parser/demux fuzzer runs a short wall-clock sweep on
 # top of its committed seed corpus. FuzzDPFDemux is differential (trie vs

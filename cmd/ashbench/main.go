@@ -97,13 +97,17 @@ func main() {
 	var outs []bench.Output
 	if *parallel == 1 {
 		// Serial, one experiment at a time, so what each allocated is the
-		// runtime's count across its run.
+		// runtime's count across its run, and its wall time over the events
+		// its engines fired is the host's cost per simulated event.
 		for _, e := range selected {
 			bytes0, objects0 := goAllocs()
+			t0 := time.Now()
 			outs = append(outs, bench.RunExperiments(cfg, []*bench.Experiment{e})...)
+			wall := time.Since(t0)
 			bytes1, objects1 := goAllocs()
-			fmt.Fprintf(&allocs, "[go alloc %s: %.1f MiB, %d objects]\n",
-				e.Name, float64(bytes1-bytes0)/(1<<20), objects1-objects0)
+			fmt.Fprintf(&allocs, "[go alloc %s: %.1f MiB, %d objects, %.0f ms wall, %s]\n",
+				e.Name, float64(bytes1-bytes0)/(1<<20), objects1-objects0,
+				float64(wall)/float64(time.Millisecond), nsPerEvent(wall, outs[len(outs)-1].Engines.Fired))
 		}
 	} else {
 		outs = bench.RunExperiments(cfg, selected)
@@ -249,6 +253,15 @@ func goAllocs() (bytes, objects uint64) {
 func engineLine(label string, e bench.EngineCounts) string {
 	return fmt.Sprintf("[sim engines%s: %d closed, %d fired, %d cancelled, %d handoffs, %d elided, %d cascades]\n",
 		label, e.Closed, e.Fired, e.Cancelled, e.Handoffs, e.Elided, e.Cascades)
+}
+
+// nsPerEvent is wall time over the events fired, as the [go alloc …] line
+// prints it.
+func nsPerEvent(wall time.Duration, fired uint64) string {
+	if fired == 0 {
+		return "no events"
+	}
+	return fmt.Sprintf("%.0f ns/event", float64(wall.Nanoseconds())/float64(fired))
 }
 
 func fatalf(format string, args ...any) {

@@ -9,7 +9,7 @@ import (
 )
 
 // TestRingHighWaterShed: with a high watermark set, the demultiplexor
-// sheds at demux once the ring is full — per-binding Shed and aggregate
+// sheds at demux once the ring is full — the ring's Shed and aggregate
 // Rx.Shed count the refusals, no pool buffer is consumed, and the
 // load-induced Rx.NoBuffer counter stays untouched.
 func TestRingHighWaterShed(t *testing.T) {
@@ -25,7 +25,7 @@ func TestRingHighWaterShed(t *testing.T) {
 	}
 	const highWater = 4
 	const frames = 20
-	b.Ring.HighWater = highWater
+	b.Ring().HighWater = highWater
 
 	// Space arrivals out so each ring push settles before the next
 	// admission decision (the watermark reads the ring, not the in-flight
@@ -38,21 +38,21 @@ func TestRingHighWaterShed(t *testing.T) {
 	}
 	eng.Run()
 
-	if b.Ring.Len() != highWater {
-		t.Fatalf("ring depth = %d, want %d", b.Ring.Len(), highWater)
+	if b.Ring().Len() != highWater {
+		t.Fatalf("ring depth = %d, want %d", b.Ring().Len(), highWater)
 	}
-	if b.Shed != frames-highWater {
-		t.Fatalf("binding shed = %d, want %d", b.Shed, frames-highWater)
+	if b.Ring().Shed != frames-highWater {
+		t.Fatalf("ring shed = %d, want %d", b.Ring().Shed, frames-highWater)
 	}
-	if e2.Rx.Shed != b.Shed {
-		t.Fatalf("Rx.Shed = %d, want %d", e2.Rx.Shed, b.Shed)
+	if e2.Rx.Shed != b.Ring().Shed {
+		t.Fatalf("Rx.Shed = %d, want %d", e2.Rx.Shed, b.Ring().Shed)
 	}
 	if e2.Rx.NoBuffer != 0 {
 		t.Fatalf("shed frames counted as Rx.NoBuffer (%d)", e2.Rx.NoBuffer)
 	}
 	// Shed frames must not leak pool buffers: the entries queued plus the
 	// free list must account for the whole pool.
-	if got := e2.pool.count + b.Ring.Len(); got != EthRxBuffers {
+	if got := e2.pool.count + b.Ring().Len(); got != EthRxBuffers {
 		t.Fatalf("pool accounting: free+queued = %d, want %d", got, EthRxBuffers)
 	}
 }

@@ -165,7 +165,7 @@ func userEcho(t *testing.T, k *Kernel, iface *AN2If, vc, iters int) {
 			return
 		}
 		for i := 0; i < iters; i++ {
-			e, _ := b.Ring.PollRecvUntil(p, 0)
+			e, _ := b.Ring().PollRecvUntil(p, 0)
 			data, err := p.AS.Bytes(e.Addr, e.Len)
 			if err != nil {
 				t.Error(err)
@@ -194,7 +194,7 @@ func userPingPong(t *testing.T, eng *sim.Engine, k1 *Kernel, a1 *AN2If, dstAddr,
 		start := p.K.Now()
 		for i := 0; i < iters; i++ {
 			a1.Send(p, dstAddr, vc, []byte{1, 2, 3, 4})
-			e, _ := b.Ring.PollRecvUntil(p, 0)
+			e, _ := b.Ring().PollRecvUntil(p, 0)
 			p.Compute(sim.Time(p.K.Prof.BufferMgmtCycles))
 			b.Free(e.BufIndex)
 		}
@@ -231,7 +231,7 @@ func TestTable1EthernetLatency(t *testing.T) {
 			return
 		}
 		for i := 0; i < 10; i++ {
-			en, _ := b.Ring.PollRecvUntil(p, 0)
+			en, _ := b.Ring().PollRecvUntil(p, 0)
 			f := b.Frame(en)
 			frame := make([]byte, en.Len)
 			f.Bytes(frame, 0, en.Len)
@@ -253,7 +253,7 @@ func TestTable1EthernetLatency(t *testing.T) {
 		start := p.K.Now()
 		for i := 0; i < iters; i++ {
 			e1.Send(p, e2.Addr(), 0, []byte{0xAA, 0, 0, 4})
-			en, _ := b.Ring.PollRecvUntil(p, 0)
+			en, _ := b.Ring().PollRecvUntil(p, 0)
 			p.Compute(sim.Time(p.K.Prof.BufferMgmtCycles))
 			b.Free(en.BufIndex)
 		}
@@ -353,8 +353,8 @@ func TestAN2BufferExhaustionDrops(t *testing.T) {
 	if a2.Rx.NoBuffer != 3 {
 		t.Fatalf("dropped = %d, want 3", a2.Rx.NoBuffer)
 	}
-	if b.Ring.Len() != 2 {
-		t.Fatalf("ring has %d entries, want 2", b.Ring.Len())
+	if b.Ring().Len() != 2 {
+		t.Fatalf("ring has %d entries, want 2", b.Ring().Len())
 	}
 }
 
@@ -423,13 +423,13 @@ func TestEthernetDemuxToCorrectBinding(t *testing.T) {
 	ethTx(e1, e2.Addr(), []byte{0x11, 8, 8, 8})
 	ethTx(e1, e2.Addr(), []byte{0x33, 7, 7, 7})
 	eng.Run()
-	if bA.Ring.Len() != 1 || bB.Ring.Len() != 1 {
-		t.Fatalf("ring lengths %d/%d, want 1/1", bA.Ring.Len(), bB.Ring.Len())
+	if bA.Ring().Len() != 1 || bB.Ring().Len() != 1 {
+		t.Fatalf("ring lengths %d/%d, want 1/1", bA.Ring().Len(), bB.Ring().Len())
 	}
 	if e2.Rx.NoMatch != 1 {
 		t.Fatalf("Rx.NoMatch = %d, want 1", e2.Rx.NoMatch)
 	}
-	en, _ := bA.Ring.TryRecv()
+	en, _ := bA.Ring().TryRecv()
 	got := make([]byte, en.Len)
 	f := bA.Frame(en)
 	f.Bytes(got, 0, en.Len)
@@ -477,9 +477,9 @@ func TestUnbindFilterChecksTheBinding(t *testing.T) {
 	ethTx(e1, e2.Addr(), []byte{0x11, 8, 8, 8})
 	ethTx(e1, e2.Addr(), []byte{0x22, 9, 9, 9})
 	eng.Run()
-	if innocent.Ring.Len() != 1 || e2.Rx.NoMatch != 1 {
+	if innocent.Ring().Len() != 1 || e2.Rx.NoMatch != 1 {
 		t.Fatalf("innocent ring holds %d frames, %d dropped for no filter; want 1 and 1",
-			innocent.Ring.Len(), e2.Rx.NoMatch)
+			innocent.Ring().Len(), e2.Rx.NoMatch)
 	}
 }
 
@@ -561,7 +561,7 @@ func TestDeterministicReplay(t *testing.T) {
 			start := p.K.Now()
 			for i := 0; i < 5; i++ {
 				a1.Send(p, a2.Addr(), 5, []byte{1, 2, 3, 4})
-				e, _ := b.Ring.PollRecvUntil(p, 0)
+				e, _ := b.Ring().PollRecvUntil(p, 0)
 				b.Free(e.BufIndex)
 			}
 			total = p.K.Now() - start
@@ -648,8 +648,8 @@ func TestEthernetBufferPoolExhaustion(t *testing.T) {
 	if e2.Rx.NoBuffer != 10 {
 		t.Fatalf("Rx.NoBuffer = %d, want 10", e2.Rx.NoBuffer)
 	}
-	if b.Ring.Len() != EthRxBuffers {
-		t.Fatalf("ring = %d, want %d", b.Ring.Len(), EthRxBuffers)
+	if b.Ring().Len() != EthRxBuffers {
+		t.Fatalf("ring = %d, want %d", b.Ring().Len(), EthRxBuffers)
 	}
 }
 
@@ -671,12 +671,12 @@ func TestBroadcastReachesAllButSender(t *testing.T) {
 		ifs[0].Broadcast(p, []byte{0x7e, 1, 2, 3})
 	})
 	eng.Run()
-	if binds[0].Ring.Len() != 0 {
+	if binds[0].Ring().Len() != 0 {
 		t.Fatal("broadcast delivered to the sender")
 	}
 	for i := 1; i < 3; i++ {
-		if binds[i].Ring.Len() != 1 {
-			t.Fatalf("host %d got %d frames, want 1", i, binds[i].Ring.Len())
+		if binds[i].Ring().Len() != 1 {
+			t.Fatalf("host %d got %d frames, want 1", i, binds[i].Ring().Len())
 		}
 	}
 }

@@ -22,9 +22,9 @@ import (
 // promote); the pool keeps it at whichever size it has, on the free list of
 // the host's memory size. Hosts use a small part of what they reserve: in
 // the whole suite the paper's 8 MiB hosts never pass a brk of 656 KiB,
-// overload's 48 MiB server stays at 287 KiB and megascale's echo and NFS
-// servers at 880 KiB; only the scale server (up to 15.6 MiB of 48) and
-// megascale's tcp-pp server (up to 120 MiB of 512) outgrow the start, and
+// overload's 24 MiB server stays at 288 KiB and megascale's echo and NFS
+// servers at 880 KiB; only the scale server (up to 15.2 MiB of 24) and
+// megascale's tcp-pp server (up to 120.4 MiB of 160) outgrow the start, and
 // those mostly while their world is built.
 //
 // The free lists are explicit rather than a sync.Pool: a pool the collector

@@ -50,8 +50,8 @@ type MsgCtx struct {
 	// Frame).
 	striped bool
 
-	nic  *NIC  // the interface the message arrived on; nil for synthetic
-	ring *Ring // the binding's notification ring (for doorbells)
+	nic  *NIC     // the interface the message arrived on; nil for synthetic
+	bind *Binding // the binding it matched (for ring pushes and doorbells)
 	t0   sim.Time
 	cost sim.Time
 
@@ -132,14 +132,14 @@ func (k *Kernel) mcCommit(a any) {
 // mcRingPush is the delivery-time event: push the arrival notification.
 func (k *Kernel) mcRingPush(a any) {
 	mc := a.(*MsgCtx)
-	mc.ring.push(mc.Entry, sim.Time(k.Prof.SchedDecision))
+	mc.bind.Ring().push(mc.Entry, sim.Time(k.Prof.SchedDecision))
 	k.unpin(mc)
 }
 
 // mcDoorbell is the doorbell event: push a zero-length notification.
 func (k *Kernel) mcDoorbell(a any) {
 	mc := a.(*MsgCtx)
-	mc.ring.push(RingEntry{Len: 0, BufIndex: -1}, sim.Time(k.Prof.SchedDecision))
+	mc.bind.Ring().push(RingEntry{Len: 0, BufIndex: -1}, sim.Time(k.Prof.SchedDecision))
 	k.unpin(mc)
 }
 
@@ -203,7 +203,7 @@ func (mc *MsgCtx) abortSends() {
 // to tell the user-level library to re-examine shared state. The ring
 // update is charged like any other.
 func (mc *MsgCtx) Doorbell() {
-	if mc.ring == nil {
+	if mc.bind == nil {
 		return
 	}
 	mc.Charge(sim.Time(mc.K.Prof.RingUpdateCycles))
@@ -269,8 +269,8 @@ func (a *AN2If) BindVC(p *Process, vc, nbufs, bufSize int) (*Binding, error) {
 			return nil, fmt.Errorf("%w (VC %d buffer %d of %d)", err, vc, i, nbufs)
 		}
 	}
-	b := &Binding{ID: vc, Owner: p, nic: &a.NIC, pool: &rxPool{}}
-	b.pool.init(bufs, false)
+	b := &Binding{ID: vc, Owner: p, pool: &rxPool{}}
+	b.pool.init(&a.NIC, bufs, false)
 	a.vcs[vc] = b
 	return b, nil
 }

@@ -67,7 +67,7 @@ func NewEthernetPool(k *Kernel, sw *netdev.Switch, nbufs int) *EthernetIf {
 		}
 		bufs[i] = Segment{Base: base, Len: uint32(bufSize)}
 	}
-	e.pool.init(bufs, true)
+	e.pool.init(&e.NIC, bufs, true)
 	e.Port.SetReceiver(e.receive)
 	return e
 }
@@ -82,7 +82,7 @@ func (e *EthernetIf) BindFilter(p *Process, f *dpf.Filter) (*Binding, error) {
 	if int(id) != e.bindings.Len() {
 		panic(fmt.Sprintf("aegis: DPF issued filter id %d, want %d", id, e.bindings.Len()))
 	}
-	return e.bindings.Push(Binding{ID: int(id), Owner: p, nic: &e.NIC, pool: &e.pool}), nil
+	return e.bindings.Push(Binding{ID: int(id), Owner: p, pool: &e.pool}), nil
 }
 
 // TrieDepth reports the DPF trie's deepest installed path (see
@@ -102,7 +102,7 @@ func (e *EthernetIf) TrieCensus() dpf.Census { return e.engine.Census() }
 // issued the same numeric id. The slot stays: the engine marks the id
 // removed and never issues it again, so it refuses a second unbind.
 func (e *EthernetIf) UnbindFilter(b *Binding) error {
-	if b.nic != &e.NIC || e.bindings.At(b.ID) != b || e.engine.Remove(dpf.FilterID(b.ID)) != nil {
+	if b.pool != &e.pool || e.bindings.At(b.ID) != b || e.engine.Remove(dpf.FilterID(b.ID)) != nil {
 		return fmt.Errorf("aegis: filter %d is not bound on %s", b.ID, e.K.Name)
 	}
 	return nil

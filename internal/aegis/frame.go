@@ -32,7 +32,7 @@ func (mc *MsgCtx) Frame() Frame {
 
 // Frame is arrival e of this binding as its device laid it out.
 func (b *Binding) Frame(e RingEntry) Frame {
-	return Frame{Entry: e, Striped: b.pool.striped, mem: b.nic.K.Mem}
+	return Frame{Entry: e, Striped: b.pool.striped, mem: b.pool.nic.K.Mem}
 }
 
 // Len is the frame's length in data bytes.

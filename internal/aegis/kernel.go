@@ -166,8 +166,8 @@ func (k *Kernel) AllocPhys(n int, why string) (uint32, error) {
 	}
 	k.brk = base + uint32(n)
 	off := k.brk - HostMemBase
-	if int(off) > cap(k.arena) {
-		k.arena = promote(k.arena, len(k.Mem.Data), k.memSize)
+	if size, move := arenaMove(int(off), cap(k.arena), k.memSize); move {
+		k.arena = promote(k.arena, len(k.Mem.Data), size)
 	}
 	k.Mem.Data = k.arena[:off:off]
 	return base, nil

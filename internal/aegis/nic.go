@@ -2,6 +2,7 @@ package aegis
 
 import (
 	"ashs/internal/netdev"
+	"ashs/internal/pages"
 	"ashs/internal/sim"
 )
 
@@ -24,6 +25,10 @@ type NIC struct {
 
 	// Rx records what became of every frame the wire offered.
 	Rx RxStats
+
+	// rings holds the notification rings of this interface's bindings,
+	// one slot each, made on a binding's first push or wait.
+	rings pages.Array[Ring]
 }
 
 // RxStats names each fate of an offered frame once, for both devices, in
@@ -43,7 +48,7 @@ type RxStats struct {
 	InjectedRing uint64
 	InjectedPool uint64
 	// Shed counts frames refused by ring high-watermark admission control
-	// (the sum of the per-binding Shed counters; see Ring.HighWater).
+	// (the sum of the per-ring Shed counters; see Ring.HighWater).
 	Shed uint64
 	// NoBuffer counts genuine, load-induced receive-buffer exhaustion.
 	NoBuffer uint64
@@ -81,6 +86,9 @@ type DeviceFault struct {
 // Addr is this host's address on the switch.
 func (n *NIC) Addr() int { return n.Port.Addr() }
 
+// Rings reports how many of the interface's bindings have a ring.
+func (n *NIC) Rings() int { return n.rings.Len() }
+
 // MaxFrame is the largest payload one frame can carry.
 func (n *NIC) MaxFrame() int { return n.Sw.Cfg.MaxFrame }
 
@@ -109,14 +117,12 @@ func (n *NIC) transmit(pkt *netdev.PacketBuf) { _ = n.Port.Transmit(pkt) }
 // virtual circuit (Section IV-A) or a DPF packet filter on the Ethernet
 // ("the Ethernet device is securely exported by a packet filter engine")
 // — with its notification ring and, optionally, a downloaded handler or
-// an upcall upstream of the ring. Binding and ring are one value: an AN2
-// circuit's is its own allocation, an Ethernet filter's a slot in the
-// interface's pages.
+// an upcall upstream of the ring. An AN2 circuit's binding is its own
+// allocation, an Ethernet filter's a slot in the interface's pages.
 type Binding struct {
 	// ID is the virtual circuit number or the DPF filter id.
 	ID    int
 	Owner *Process // nil for in-kernel endpoints
-	Ring  Ring
 
 	// Handler and Upcall run at arrival, in that order; a message neither
 	// consumes goes on the ring. A KernelRx handler on an AN2 circuit
@@ -124,15 +130,17 @@ type Binding struct {
 	Handler MsgHandler
 	Upcall  *Upcall
 
-	// Shed counts arrivals admission control refused for this binding: it
-	// matched, but the ring stood at its high watermark (see
-	// Ring.HighWater), so the frame was dropped before it consumed a
-	// buffer. Per binding, so an overloaded endpoint's shedding is
-	// attributable to it.
-	Shed uint64
-
-	nic  *NIC
 	pool *rxPool // the circuit's own buffers, or the Ethernet's shared pool
+	ring *Ring   // nil until the first push or wait
+}
+
+// Ring is the binding's notification ring. The first call makes it, so a
+// binding whose handler consumes every message never has one.
+func (b *Binding) Ring() *Ring {
+	if b.ring == nil {
+		b.ring = b.pool.nic.rings.Push(Ring{})
+	}
+	return b.ring
 }
 
 // Free returns a receive buffer to the DMA pool ("the application is
@@ -147,7 +155,7 @@ type Binding struct {
 func (b *Binding) Free(idx int) {
 	q := b.pool
 	if idx < 0 || idx >= len(q.onLoan) || !q.onLoan[idx] {
-		b.nic.Rx.BadFrees++
+		q.nic.Rx.BadFrees++
 		return
 	}
 	q.onLoan[idx] = false
@@ -160,6 +168,7 @@ func (b *Binding) Free(idx int) {
 // the FIFO cannot outgrow its boot capacity and take/Free allocate
 // nothing; buffers come back into service in the order they were freed.
 type rxPool struct {
+	nic     *NIC
 	bufs    []Segment
 	striped bool // buffers are 2× wide and filled by the striping DMA
 	onLoan  []bool
@@ -168,9 +177,10 @@ type rxPool struct {
 	count   int
 }
 
-// init adopts bufs, all free in index order: the boot state of a pool.
-func (q *rxPool) init(bufs []Segment, striped bool) {
-	q.bufs, q.striped = bufs, striped
+// init adopts bufs, all free in index order: the boot state of a pool on
+// interface nic.
+func (q *rxPool) init(nic *NIC, bufs []Segment, striped bool) {
+	q.nic, q.bufs, q.striped = nic, bufs, striped
 	q.onLoan = make([]bool, len(bufs))
 	q.free = make([]int, len(bufs))
 	for i := range q.free {
@@ -213,16 +223,16 @@ func (n *NIC) arrive(pkt *netdev.PacketBuf) (intr sim.Time, df DeviceFault, ok b
 // b: may it have a receive buffer? Injected exhaustion counts only as
 // injected — NoBuffer is reserved for genuine starvation.
 func (n *NIC) admit(b *Binding, df DeviceFault) bool {
-	hw := b.Ring.HighWater
+	r := b.ring
 	switch {
 	case df.DropPool:
 		n.Rx.InjectedPool++
-	case hw > 0 && b.Ring.Len() >= hw:
+	case r != nil && r.HighWater > 0 && r.Len() >= r.HighWater:
 		// Shed at demux: the ring stands at its high watermark, so the
 		// arrival is refused before it costs a buffer, a DMA, or any
 		// handler cycles. The sender sees a loss and backs off; the frames
 		// already queued stay serviceable.
-		b.Shed++
+		r.Shed++
 		n.Rx.Shed++
 		if o := n.K.Obs; o.Enabled() {
 			o.Inc("aegis/" + n.K.Name + "/ring_shed")
@@ -242,7 +252,7 @@ func (n *NIC) begin(b *Binding, entry RingEntry) *MsgCtx {
 	n.Rx.Delivered++
 	mc := n.K.acquireMsgCtx()
 	mc.K, mc.Owner, mc.VC, mc.Src = n.K, b.Owner, entry.VC, entry.Src
-	mc.nic, mc.ring, mc.striped = n, &b.Ring, b.pool.striped
+	mc.nic, mc.bind, mc.striped = n, b, b.pool.striped
 	mc.Entry = entry
 	mc.t0 = n.K.kernStart()
 	return mc

@@ -22,8 +22,9 @@ type RingEntry struct {
 // power-of-two circular buffer that doubles when full: steady-state
 // push/pop traffic recirculates the same storage and allocates nothing
 // (the old slide-forward slice re-allocated continuously under load).
-// Every binding embeds one, and megascale installs 262 144 bindings, so
-// head and count are 32 bits: a ring of 2^31 entries would be 80 GiB.
+// A binding gets its ring on the first push or wait (Binding.Ring), in a
+// slot of its interface's pages, so a binding whose handler consumes
+// every message has none.
 type Ring struct {
 	buf     []RingEntry // circular; len(buf) is a power of two
 	head    int32       // index of the oldest entry
@@ -42,6 +43,12 @@ type Ring struct {
 
 	// Delivered counts entries ever pushed.
 	Delivered uint64
+
+	// Shed counts arrivals admission control refused: the frame matched
+	// this ring's binding, but the ring stood at HighWater, so it was
+	// dropped before it consumed a buffer. Per ring, so an overloaded
+	// endpoint's shedding is attributable to it.
+	Shed uint64
 }
 
 // Len reports queued notifications.

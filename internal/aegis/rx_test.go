@@ -129,7 +129,7 @@ func TestReceiveMatrix(t *testing.T) {
 		{name: "no match", nbufs: 8, free: 8, noMatch: true,
 			want: RxStats{NoMatch: frames}},
 		{name: "high-water shed", nbufs: 8, free: 6, ring: 2,
-			setup: func(w *rxWorld) { w.b.Ring.HighWater = 2 },
+			setup: func(w *rxWorld) { w.b.Ring().HighWater = 2 },
 			want:  RxStats{Shed: frames - 2, Delivered: 2}},
 		{name: "pool exhaustion", nbufs: 3, free: 0, ring: 3,
 			want: RxStats{NoBuffer: frames - 3, Delivered: 3}},
@@ -175,8 +175,13 @@ func TestReceiveMatrix(t *testing.T) {
 				if got := fates(w.nic.Rx); got != w.offered {
 					t.Errorf("fates sum to %d, %d frames offered", got, w.offered)
 				}
-				if w.b.Shed != sc.want.Shed {
-					t.Errorf("binding Shed = %d, interface Shed = %d", w.b.Shed, sc.want.Shed)
+				// Only a binding that queued, or armed a high watermark,
+				// has a ring.
+				if hasRing := sc.ring > 0 || sc.want.Shed > 0; (w.b.ring != nil) != hasRing {
+					t.Errorf("binding has a ring: %v, want %v", w.b.ring != nil, hasRing)
+				}
+				if w.b.Ring().Shed != sc.want.Shed {
+					t.Errorf("ring Shed = %d, interface Shed = %d", w.b.Ring().Shed, sc.want.Shed)
 				}
 				if got := w.sw.Sent - w.offered; got != sc.replies {
 					t.Errorf("receiver transmitted %d frames, want %d", got, sc.replies)
@@ -184,12 +189,12 @@ func TestReceiveMatrix(t *testing.T) {
 				if n := w.sw.Pool.InUse(); n != 0 {
 					t.Errorf("%d wire leases outstanding: an aborted stage's sends were not released", n)
 				}
-				if w.b.Ring.Len() != sc.ring || w.b.pool.count != sc.free {
+				if w.b.Ring().Len() != sc.ring || w.b.pool.count != sc.free {
 					t.Errorf("ring holds %d, pool has %d free; want %d and %d",
-						w.b.Ring.Len(), w.b.pool.count, sc.ring, sc.free)
+						w.b.Ring().Len(), w.b.pool.count, sc.ring, sc.free)
 				}
-				for w.b.Ring.Len() > 0 {
-					e, _ := w.b.Ring.TryRecv()
+				for w.b.Ring().Len() > 0 {
+					e, _ := w.b.Ring().TryRecv()
 					want := rxFrame(int(w.k.Bytes(e.Addr, 2)[1]))
 					if sc.want.Truncated > 0 {
 						want = want[:2]
@@ -242,7 +247,7 @@ func TestFrontHalfOrder(t *testing.T) {
 		w.nic.InjectFault = func(*netdev.PacketBuf) DeviceFault { return DeviceFault{TruncateTo: 1} }
 		w.offer(0, true, f)
 		w.eng.Run()
-		if w.nic.Rx != (RxStats{Truncated: 1, NoMatch: 1}) || b.Ring.Len() != 0 {
+		if w.nic.Rx != (RxStats{Truncated: 1, NoMatch: 1}) || b.Ring().Len() != 0 {
 			t.Errorf("ethernet: %+v", w.nic.Rx)
 		}
 		a := one(t, "an2", 4096, true, DeviceFault{TruncateTo: 1}, f)
@@ -328,7 +333,7 @@ func TestFreeChecksTheIndex(t *testing.T) {
 				w.offer(0, true, rxFrame(seq))
 				seq++
 				w.eng.Run()
-				e, ok := w.b.Ring.TryRecv()
+				e, ok := w.b.Ring().TryRecv()
 				if !ok {
 					t.Fatalf("frame %d was not delivered: %+v", seq-1, w.nic.Rx)
 				}

@@ -152,7 +152,7 @@ func (w *world) startNFSD(size, highWater int) (nfs.Handle, []byte) {
 	fh := nfsd.AddFile("fanin", data)
 	srv.k.Spawn("nfsd", func(p *aegis.Process) {
 		st := ethStack(p, srv, listenFilter(srv.ip, ip.ProtoUDP, scaleNFSPort), w.res)
-		st.Ep.Binding().Ring.HighWater = highWater
+		st.Ep.Binding().Ring().HighWater = highWater
 		nfsd.Serve(p, udp.NewSocket(st, scaleNFSPort, udp.Options{}), 0)
 	})
 	return fh, data

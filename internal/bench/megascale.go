@@ -220,7 +220,7 @@ const (
 	// wave overruns it and the shed-then-retry path must recover.
 	megaNFSHighWater = 96
 
-	megaTCPServerMem = 512 << 20 // 4096 live connections of window state
+	megaTCPServerMem = 160 << 20 // 4096 live connections of window state: a brk of 120.4 MiB
 	megaUDPPool      = 64        // echo ASH consumes in the interrupt path
 	megaNFSPool      = 256       // ring holds frames up to the high water
 )
@@ -353,31 +353,21 @@ func runMegaTCP(wl *megaWorkload, cfg *Config, w *world, flt *flyweight.Fleet, n
 	srv := w.srv()
 
 	tbl := tcp.NewConnTable(n / 4)
-	peak := 0
-	var peakLoads []int
+	peak, spread := 0, 0.0
 	for i := 0; i < n; i++ {
 		srv.k.Spawn(fmt.Sprintf("srv-%06d", i), func(p *aegis.Process) {
 			conn := w.acceptFanIn(p, scaleTCPPort, flt.Addr(i), tbl)
 			// The engine serializes processes, so the peak snapshot needs
 			// no lock; deterministic because accept order is.
 			if l := tbl.Len(); l > peak {
-				peak, peakLoads = l, tbl.Loads()
+				peak, spread = l, tbl.Spread()
 			}
 			echoFanIn(p, conn, tbl, megaPayload, -1)
 		})
 	}
 
 	r := megaRun(cfg, w, flt, wl, n, events)
-	r.Conns = peak
-	if peak > 0 && len(peakLoads) > 0 {
-		max := 0
-		for _, l := range peakLoads {
-			if l > max {
-				max = l
-			}
-		}
-		r.Spread = float64(max) * float64(len(peakLoads)) / float64(peak)
-	}
+	r.Conns, r.Spread = peak, spread
 	return r
 }
 

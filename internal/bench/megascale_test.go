@@ -9,8 +9,10 @@ import (
 	"unsafe"
 
 	"ashs/internal/aegis"
+	"ashs/internal/dpf"
 	"ashs/internal/flyweight"
 	"ashs/internal/netdev"
+	"ashs/internal/proto/ip"
 	"ashs/internal/workload"
 )
 
@@ -143,13 +145,14 @@ func megaHeapAllocs(wl *megaWorkload, n, events int) uint64 {
 }
 
 // TestMegascaleAllocFlatInMessages: a megascale cell allocates what it
-// keeps, not what it sends. Doubling the open-loop trace of the udp-echo
-// and nfs-read cells at N=1024 may grow the heap allocated by the longer
-// trace slice itself and nothing per message: operations, frames, retry
-// state, reply-wait timers and the trace pump are all recycled or static.
+// keeps, not what it sends. Doubling the open-loop trace of each cell at
+// N=1024 may grow the heap allocated by the longer trace slice itself and
+// nothing per message: operations, frames, segments, retry state,
+// reply-wait timers, the trace pump and the connection table's peak
+// snapshot are all recycled or static.
 func TestMegascaleAllocFlatInMessages(t *testing.T) {
 	const n = 1024
-	for _, name := range []string{"udp-echo", "nfs-read"} {
+	for _, name := range []string{"udp-echo", "tcp-pp", "nfs-read"} {
 		wl := megaWL(t, name)
 		e := wl.traceEvents(&Config{}, n)
 		megaHeapAllocs(wl, n, e) // warm the arena pool
@@ -164,15 +167,57 @@ func TestMegascaleAllocFlatInMessages(t *testing.T) {
 }
 
 // TestMegascaleFootprints pins the per-filter and per-endpoint sizes the
-// megascale cells multiply by up to 10^6: a server binding (262 144 in
-// mega-setup), a flyweight endpoint and its switch port.
+// megascale cells multiply by up to 10^6 and logs each record on a line of
+// its own: a server binding (262 144 in mega-setup) and the DPF storage
+// its filter takes, then a flyweight endpoint and its switch port.
 func TestMegascaleFootprints(t *testing.T) {
-	if size := unsafe.Sizeof(aegis.Binding{}); size > 128 {
-		t.Errorf("aegis.Binding is %d B, want at most 128", size)
+	const n = 1024
+	e := dpf.NewEngine()
+	f := megaSourceFilter(ip.Addr{})
+	for i := 0; i < n; i++ {
+		f.Atoms[len(f.Atoms)-1].Value = uint32(i)
+		if _, err := e.Insert(f); err != nil {
+			t.Fatal(err)
+		}
 	}
+	binding := unsafe.Sizeof(aegis.Binding{})
 	ep, port := unsafe.Sizeof(flyweight.Endpoint{}), unsafe.Sizeof(netdev.Port{})
+	t.Logf("server, per filter: aegis.Binding %d B", binding)
+	t.Logf("server, per filter: DPF storage %d B (udp-echo, N=%d)", e.Census().Bytes/n, n)
+	t.Logf("client, per endpoint: flyweight.Endpoint %d B", ep)
+	t.Logf("client, per endpoint: netdev.Port %d B", port)
+	t.Logf("client, per endpoint: B/ep column %d B", ep+port)
+	if binding > 56 {
+		t.Errorf("aegis.Binding is %d B, want at most 56", binding)
+	}
 	if ep != 120 || port != 32 {
 		t.Errorf("flyweight.Endpoint is %d B and netdev.Port %d B, want 120 and 32: "+
 			"their sum is the B/ep column of ashbench_output.txt (152, 200 with a tcp.FlyConn)", ep, port)
+	}
+}
+
+// TestMegascaleRingsOnlyWhereQueued: a binding gets its notification ring
+// when a message first queues on it. Every udp-echo message is consumed
+// by the echo handler in the interrupt path, so none of the N=1024 cell's
+// bindings has one; the nfs-read cell's one socket queues, so it has one.
+func TestMegascaleRingsOnlyWhereQueued(t *testing.T) {
+	const n = 1024
+	cfg := &Config{Quick: true}
+	for _, c := range []struct {
+		name string
+		want int
+	}{{"udp-echo", 0}, {"nfs-read", 1}} {
+		name, want := c.name, c.want
+		wl := megaWL(t, name)
+		rings := inWorld(cfg, *wl.cell(n).spec, func(w *world) int {
+			r := wl.run(cfg, w, n, wl.traceEvents(cfg, n))
+			if r.Msgs == 0 {
+				t.Errorf("%s N=%d: no operation completed", name, n)
+			}
+			return w.srv().nic.Rings()
+		})
+		if rings != want {
+			t.Errorf("%s N=%d: the server made %d rings, want %d", name, n, rings, want)
+		}
 	}
 }

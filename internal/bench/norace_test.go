@@ -1,0 +1,6 @@
+//go:build !race
+
+package bench
+
+// raceEnabled reports a build with the race detector.
+const raceEnabled = false

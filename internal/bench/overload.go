@@ -25,7 +25,7 @@ import (
 //   - admission control: each server binding's notification ring carries a
 //     high watermark; frames arriving at a full ring are shed at demux,
 //     before they cost a pool buffer or any handler cycles
-//     (Binding.Shed / RxStats.Shed);
+//     (Ring.Shed / RxStats.Shed);
 //   - tenant quotas: clients map onto tenants, and System.Quota refuses
 //     eager handler execution to a tenant over its per-window cycle
 //     budget — the message is not dropped but re-vectored to the lazy
@@ -238,7 +238,7 @@ func (d overloadReplay) drive(_ *Config, w *world) any {
 			if err != nil {
 				panic(err)
 			}
-			b.Ring.HighWater = overloadHighWater
+			b.Ring().HighWater = overloadHighWater
 			dst := c.addr()
 			// reply wraps a relay reply in headers addressed back to
 			// client i's lane, as one frame built in buf.
@@ -274,7 +274,7 @@ func (d overloadReplay) drive(_ *Config, w *world) any {
 			ash.Attach(b)
 
 			for {
-				e, ok := b.Ring.WaitRecvUntil(p, 0)
+				e, ok := b.Ring().WaitRecvUntil(p, 0)
 				if !ok {
 					return
 				}

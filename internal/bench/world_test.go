@@ -281,3 +281,41 @@ func TestWorldCloseCounts(t *testing.T) {
 		t.Errorf("%d worlds counted, want 2", cfg.engines.Closed)
 	}
 }
+
+// TestServerMemoryFitsItsLargestCell: a fan-in server's memory is sized to
+// what it uses. For each workload of each fan-in experiment it runs the
+// last, largest full cell and requires the server's brk — its peak, since
+// the allocator only bumps — to stay within 80 % of the server's memory,
+// so a workload that outgrows its server fails here rather than in the
+// middle of a run. The race detector adds nothing to a single-goroutine
+// measurement and multiplies the 10^6-filter world's footprint, so the
+// plain run alone takes it.
+func TestServerMemoryFitsItsLargestCell(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sized by the run without -race")
+	}
+	var fanIn []Cell
+	for _, c := range worldCells(false) {
+		if c.spec.fanIn {
+			fanIn = append(fanIn, c)
+		}
+	}
+	// A workload's cells are enumerated together, smallest first.
+	group := func(c Cell) string { return c.Label[:strings.LastIndexByte(c.Label, '/')] }
+	cfg := &Config{}
+	for i, c := range fanIn {
+		if i+1 < len(fanIn) && group(fanIn[i+1]) == group(c) {
+			continue
+		}
+		brk := inWorld(cfg, *c.spec, func(w *world) int {
+			c.drive.drive(cfg, w)
+			return len(w.srv().k.Mem.Data)
+		})
+		share := float64(brk) / float64(c.spec.srvMem)
+		t.Logf("%s: server brk %d B of %d MiB (%.1f %%)", c.Label, brk, c.spec.srvMem>>20, 100*share)
+		if share > 0.8 {
+			t.Errorf("%s: server brk %d B is %.1f %% of its %d MiB, want at most 80 %%",
+				c.Label, brk, 100*share, c.spec.srvMem>>20)
+		}
+	}
+}

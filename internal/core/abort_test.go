@@ -92,10 +92,10 @@ func (w *abortWorld) checkRollback(t *testing.T, seg []byte, regs [vcode.NumRegs
 		t.Fatalf("persistent registers differ after abort:\n got %v\nwant %v",
 			w.ash.machine.Regs, regs)
 	}
-	if n := w.sb.Ring.Len(); n != 1 {
+	if n := w.sb.Ring().Len(); n != 1 {
 		t.Fatalf("ring holds %d entries after abort, want exactly 1 (fallback delivery)", n)
 	}
-	e, _ := w.sb.Ring.TryRecv()
+	e, _ := w.sb.Ring().TryRecv()
 	got := w.owner.AS.MustBytes(e.Addr, e.Len)
 	if !bytes.Equal(got, w.payload) {
 		t.Fatalf("fallback-delivered message corrupted: %x != %x", got, w.payload)
@@ -177,7 +177,7 @@ func TestAbortTripThresholdDeinstallsHandler(t *testing.T) {
 		t.Fatalf("Invocations = %d after trip, want 3 (de-installed handler must not run)",
 			w.ash.Invocations)
 	}
-	if n := w.sb.Ring.Len(); n != msgs {
+	if n := w.sb.Ring().Len(); n != msgs {
 		t.Fatalf("ring holds %d entries, want %d (every message delivered exactly once)", n, msgs)
 	}
 }
@@ -272,10 +272,10 @@ func TestAbortRollbackProperty(t *testing.T) {
 		if ash.machine.Regs != regsWant {
 			t.Fatalf("trial %d (budget %d): registers not rolled back", trial, budget)
 		}
-		if n := sb.Ring.Len(); n != 1 {
+		if n := sb.Ring().Len(); n != 1 {
 			t.Fatalf("trial %d: ring holds %d entries, want 1", trial, n)
 		}
-		e, _ := sb.Ring.TryRecv()
+		e, _ := sb.Ring().TryRecv()
 		if got := owner.AS.MustBytes(e.Addr, e.Len); !bytes.Equal(got, payload) {
 			t.Fatalf("trial %d: fallback message corrupted", trial)
 		}
@@ -320,9 +320,9 @@ func TestZeroLengthTransfersSucceedAnywhere(t *testing.T) {
 
 	tb.a1.KernelSend(tb.a2.Addr(), 4, []byte{0, 0, 0, 0})
 	tb.eng.Run()
-	if ash.InvoluntaryFault != nil || ash.Invocations != 1 || sb.Ring.Len() != 0 {
+	if ash.InvoluntaryFault != nil || ash.Invocations != 1 || sb.Ring().Len() != 0 {
 		t.Fatalf("zero-length transfers at wild addresses: fault %v, %d invocations, %d messages left to the user",
-			ash.InvoluntaryFault, ash.Invocations, sb.Ring.Len())
+			ash.InvoluntaryFault, ash.Invocations, sb.Ring().Len())
 	}
 	tb.a1.KernelSend(tb.a2.Addr(), 4, []byte{0, 0, 0, 4})
 	tb.eng.Run()

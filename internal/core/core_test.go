@@ -188,7 +188,7 @@ func TestVoluntaryAbortFallsBackToUser(t *testing.T) {
 	tb.a1.KernelSend(tb.a2.Addr(), 4, []byte{2, 0, 0, 0}) // even: consumed
 	tb.a1.KernelSend(tb.a2.Addr(), 4, []byte{3, 0, 0, 0}) // odd: to user
 	tb.eng.Run()
-	ringLen = sb.Ring.Len()
+	ringLen = sb.Ring().Len()
 	if ringLen != 1 {
 		t.Fatalf("ring length = %d, want 1 (one voluntary abort)", ringLen)
 	}
@@ -219,8 +219,8 @@ func TestInvoluntaryAbortOnWildWrite(t *testing.T) {
 		t.Fatalf("fault = %v", ash.InvoluntaryFault)
 	}
 	// The message fell back to the user path.
-	if sb.Ring.Len() != 1 {
-		t.Fatalf("ring length = %d, want 1", sb.Ring.Len())
+	if sb.Ring().Len() != 1 {
+		t.Fatalf("ring length = %d, want 1", sb.Ring().Len())
 	}
 }
 

@@ -33,7 +33,7 @@ func TestHandlerBaseParity(t *testing.T) {
 		snap := func() state {
 			return state{tb.sys.QuotaThrottled, tb.sys.InvoluntaryAborts, tb.sys.AbortFallbacks, tb.sys.TrippedHandlers,
 				h.Invocations, h.QuotaThrottled, h.InvolAborts,
-				h.Tripped, b.Handler != nil, b.Ring.Len(), tb.a2.Rx}
+				h.Tripped, b.Handler != nil, b.Ring().Len(), tb.a2.Rx}
 		}
 		send := func(n int) {
 			for i := 0; i < n; i++ {

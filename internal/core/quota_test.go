@@ -36,8 +36,8 @@ func TestQuotaThrottlesTenantASH(t *testing.T) {
 	if ash.QuotaThrottled != 5 || tb.sys.QuotaThrottled != 5 {
 		t.Fatalf("quota throttled %d/%d, want 5/5", ash.QuotaThrottled, tb.sys.QuotaThrottled)
 	}
-	if sb.Ring.Len() != 5 {
-		t.Fatalf("ring has %d fallback messages, want 5 (throttled, not lost)", sb.Ring.Len())
+	if sb.Ring().Len() != 5 {
+		t.Fatalf("ring has %d fallback messages, want 5 (throttled, not lost)", sb.Ring().Len())
 	}
 
 	// Next window: the allowance refreshes.

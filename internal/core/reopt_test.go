@@ -209,7 +209,7 @@ func TestChainDisposition(t *testing.T) {
 	if v, _ := vcode.Load32(owner.AS, seg.Base); v != 1 {
 		t.Fatalf("counter = %d after accepted message, want 1", v)
 	}
-	if n := sb.Ring.Len(); n != 0 {
+	if n := sb.Ring().Len(); n != 0 {
 		t.Fatalf("ring length = %d after consumed chain, want 0", n)
 	}
 
@@ -220,7 +220,7 @@ func TestChainDisposition(t *testing.T) {
 	if v, _ := vcode.Load32(owner.AS, seg.Base); v != 1 {
 		t.Fatalf("counter = %d after rejected message, want 1 (follower must not run)", v)
 	}
-	if n := sb.Ring.Len(); n != 1 {
+	if n := sb.Ring().Len(); n != 1 {
 		t.Fatalf("ring length = %d after rejected message, want 1 (to user)", n)
 	}
 

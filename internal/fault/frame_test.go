@@ -60,8 +60,8 @@ func TestBoardCheckUnderThePlane(t *testing.T) {
 		if an2.Rx != c.want {
 			t.Errorf("%s: Rx = %+v, want %+v", c.name, an2.Rx, c.want)
 		}
-		for b.Ring.Len() > 0 {
-			e, _ := b.Ring.TryRecv()
+		for b.Ring().Len() > 0 {
+			e, _ := b.Ring().TryRecv()
 			ok := vcode.Fold16(vcode.CksumData(0, k.Bytes(e.Addr, e.Len))) == 0xffff
 			if ok != (c.name == "clean") {
 				t.Errorf("%s: a delivered frame passes its end-to-end checksum: %v", c.name, ok)

@@ -32,6 +32,7 @@ package flyweight
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"unsafe"
 
 	"ashs/internal/mach"
@@ -138,8 +139,9 @@ type Fleet struct {
 	trace []workload.Event
 	next  int
 	// tx is scratch for bytes the wire copies at once (a ping's payload,
-	// an acknowledgment's frame).
-	tx []byte
+	// an acknowledgment's frame); seg is where a connection marshals the
+	// raw segment that a frame then wraps.
+	tx, seg []byte
 
 	// Hist collects completed-operation round-trip times from the
 	// open-loop trace; IncastHist collects those of incast-wave
@@ -604,7 +606,7 @@ func (ep *Endpoint) pump() {
 		}
 		ep.conn = tcp.NewFlyConn(ep.addr, cfg.ServerIP, cfg.ClientPort, cfg.ServerPort,
 			1000*uint32(ep.id)+1)
-		ep.startStep(stepSyn, ep.conn.Syn(), false)
+		ep.startStep(stepSyn, ep.conn.Syn(ep.f.seg[:0]), false)
 	case len(ep.pend) > 0:
 		incast := ep.pend[0]
 		ep.pend = ep.pend[1:]
@@ -612,18 +614,20 @@ func (ep *Endpoint) pump() {
 		seq := ep.nextSeq
 		ep.nextSeq++
 		f := ep.f
-		f.tx = append(f.tx[:0], make([]byte, cfg.Payload)...) // Data copies it into the segment
+		f.tx = slices.Grow(f.tx[:0], cfg.Payload)[:cfg.Payload] // Data copies it into the segment
 		ep.echoPayload(f.tx, seq)
-		ep.startStep(stepPing, ep.conn.Data(f.tx), incast)
+		ep.startStep(stepPing, ep.conn.Data(f.seg[:0], f.tx), incast)
 	case ep.issued == ep.total:
 		ep.closing = true
-		ep.startStep(stepFin, ep.conn.Fin(), false)
+		ep.startStep(stepFin, ep.conn.Fin(ep.f.seg[:0]), false)
 	}
 }
 
 // startStep launches one serial connection step (SYN, ping, or FIN) with
-// the usual retransmission machinery around the raw segment.
+// the usual retransmission machinery around the raw segment, which the
+// fleet's seg scratch holds.
 func (ep *Endpoint) startStep(step int, seg []byte, incast bool) {
+	ep.f.seg = seg
 	o := ep.f.get(ep, step, incast)
 	o.frame = ep.tcpFrame(o.frame[:0], seg)
 	if ep.launch(o) {
@@ -644,7 +648,7 @@ func (ep *Endpoint) rxTCP(data []byte) {
 	if ep.conn == nil {
 		return
 	}
-	reply, payload, err := ep.conn.OnSegment(data[ether.HeaderLen+ip.HeaderLen:])
+	reply, payload, err := ep.conn.OnSegment(ep.f.seg[:0], data[ether.HeaderLen+ip.HeaderLen:])
 	if err != nil {
 		// Peer reset: the connection is gone; fail the in-flight step.
 		if ep.cur != nil {
@@ -657,6 +661,7 @@ func (ep *Endpoint) rxTCP(data []byte) {
 	}
 	if reply != nil {
 		f := ep.f
+		f.seg = reply
 		f.tx = ep.tcpFrame(f.tx[:0], reply) // the lease copies it
 		ep.transmit(f.tx)
 	}

@@ -77,9 +77,9 @@ func (l *Link) RecvUntil(polling bool, deadline sim.Time) (aegis.Frame, bool) {
 	var e aegis.RingEntry
 	var ok bool
 	if polling {
-		e, ok = l.bind.Ring.PollRecvUntil(l.bind.Owner, deadline)
+		e, ok = l.bind.Ring().PollRecvUntil(l.bind.Owner, deadline)
 	} else {
-		e, ok = l.bind.Ring.WaitRecvUntil(l.bind.Owner, deadline)
+		e, ok = l.bind.Ring().WaitRecvUntil(l.bind.Owner, deadline)
 	}
 	return l.bind.Frame(e), ok
 }

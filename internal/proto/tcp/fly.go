@@ -23,6 +23,12 @@ import (
 // internal timers. Retransmission is the caller's job: resend the exact
 // bytes a send method returned if progress stalls (the server treats a
 // duplicate as out-of-order data and answers with a dup-ACK).
+//
+// Every method that emits a segment appends it to a buffer the caller
+// passes and returns the extended buffer, so a fleet of connections
+// marshals into one scratch buffer and a conversation of any length
+// allocates nothing. The struct's size is part of a flyweight endpoint's
+// footprint, which is why the buffer is the caller's.
 type FlyConn struct {
 	LocalIP, RemoteIP     ip.Addr
 	LocalPort, RemotePort uint16
@@ -57,49 +63,50 @@ func (c *FlyConn) AllAcked() bool { return c.sndUna == c.sndNxt }
 // acknowledged, the peer's FIN accepted.
 func (c *FlyConn) Done() bool { return c.finSent && c.peerClosed && c.AllAcked() }
 
-// Syn opens the connection: it returns the SYN segment to transmit and
-// moves to SYN-SENT.
-func (c *FlyConn) Syn() []byte {
+// Syn opens the connection: it appends the SYN segment to transmit to b
+// and moves to SYN-SENT.
+func (c *FlyConn) Syn(b []byte) []byte {
 	if c.state != Closed || c.sndNxt != 0 {
 		panic("tcp: FlyConn.Syn on a non-fresh connection")
 	}
 	c.state = SynSent
-	seg := c.seg(SYN, c.iss, nil)
+	seg := c.seg(b, SYN, c.iss, nil)
 	c.sndNxt = c.iss + 1
 	c.sndUna = c.iss
 	return seg
 }
 
-// Data returns a PSH|ACK segment carrying payload and advances the send
-// sequence. The caller retains the returned bytes for retransmission
-// until AllAcked reports true.
-func (c *FlyConn) Data(payload []byte) []byte {
+// Data appends to b a PSH|ACK segment carrying payload and advances the
+// send sequence. The caller retains a copy of the segment for
+// retransmission until AllAcked reports true.
+func (c *FlyConn) Data(b, payload []byte) []byte {
 	if c.state != Established {
 		panic("tcp: FlyConn.Data before establishment")
 	}
-	seg := c.seg(ACK|PSH, c.sndNxt, payload)
+	seg := c.seg(b, ACK|PSH, c.sndNxt, payload)
 	c.sndNxt += uint32(len(payload))
 	return seg
 }
 
-// Fin returns our FIN|ACK segment and advances the send sequence over it.
-func (c *FlyConn) Fin() []byte {
+// Fin appends our FIN|ACK segment to b and advances the send sequence
+// over it.
+func (c *FlyConn) Fin(b []byte) []byte {
 	if c.finSent {
 		panic("tcp: FlyConn.Fin twice")
 	}
-	seg := c.seg(FIN|ACK, c.sndNxt, nil)
+	seg := c.seg(b, FIN|ACK, c.sndNxt, nil)
 	c.sndNxt++
 	c.finSent = true
 	return seg
 }
 
 // OnSegment consumes one raw TCP segment addressed to this connection and
-// returns the segment to transmit in response (nil when none is due) plus
-// any in-order payload delivered to the application. Segments for other
-// ports, bad checksums, and out-of-order data are handled the way the
-// full library handles them (drop; dup-ACK for data), never fatally — the
-// only error is a peer RST.
-func (c *FlyConn) OnSegment(seg []byte) (reply []byte, payload []byte, err error) {
+// returns the segment to transmit in response, appended to b (nil when
+// none is due), plus any in-order payload delivered to the application, a
+// slice of seg. Segments for other ports, bad checksums, and out-of-order
+// data are handled the way the full library handles them (drop; dup-ACK
+// for data), never fatally — the only error is a peer RST.
+func (c *FlyConn) OnSegment(b, seg []byte) (reply []byte, payload []byte, err error) {
 	h, dataOff, perr := Parse(seg)
 	if perr != nil || h.DstPort != c.LocalPort || h.SrcPort != c.RemotePort {
 		return nil, nil, nil
@@ -120,7 +127,7 @@ func (c *FlyConn) OnSegment(seg []byte) (reply []byte, payload []byte, err error
 			c.rcvNxt = h.Seq + 1
 			c.sndUna = h.Ack
 			c.state = Established
-			return c.seg(ACK, c.sndNxt, nil), nil, nil
+			return c.seg(b, ACK, c.sndNxt, nil), nil, nil
 		}
 		return nil, nil, nil
 	case Closed:
@@ -133,7 +140,7 @@ func (c *FlyConn) OnSegment(seg []byte) (reply []byte, payload []byte, err error
 	ackDue := false
 	if plen > 0 {
 		if h.Seq == c.rcvNxt {
-			payload = append([]byte(nil), seg[dataOff:]...)
+			payload = seg[dataOff:]
 			c.rcvNxt += uint32(plen)
 		}
 		// In-order data is acknowledged immediately; anything else draws
@@ -148,14 +155,14 @@ func (c *FlyConn) OnSegment(seg []byte) (reply []byte, payload []byte, err error
 		ackDue = true
 	}
 	if ackDue {
-		reply = c.seg(ACK, c.sndNxt, nil)
+		reply = c.seg(b, ACK, c.sndNxt, nil)
 	}
 	return reply, payload, nil
 }
 
-// seg builds one raw segment with the current acknowledgment state and
-// the end-to-end checksum patched in.
-func (c *FlyConn) seg(flags Flags, seq uint32, payload []byte) []byte {
+// seg appends to b one raw segment with the current acknowledgment state
+// and the end-to-end checksum patched in.
+func (c *FlyConn) seg(b []byte, flags Flags, seq uint32, payload []byte) []byte {
 	h := Header{
 		SrcPort: c.LocalPort, DstPort: c.RemotePort,
 		Seq: seq, Flags: flags, Window: window,
@@ -163,11 +170,11 @@ func (c *FlyConn) seg(flags Flags, seq uint32, payload []byte) []byte {
 	if flags&ACK != 0 {
 		h.Ack = c.rcvNxt
 	}
-	buf := h.Marshal(nil)
-	buf = append(buf, payload...)
-	acc := ip.PseudoCksum(c.LocalIP, c.RemoteIP, ip.ProtoTCP, len(buf))
+	start := len(b)
+	b = append(h.Marshal(b), payload...)
+	acc := ip.PseudoCksum(c.LocalIP, c.RemoteIP, ip.ProtoTCP, len(b)-start)
 	acc += h.headerAccum()
 	acc = vcode.CksumData(acc, payload)
-	binary.BigEndian.PutUint16(buf[16:18], ^vcode.Fold16(acc))
-	return buf
+	binary.BigEndian.PutUint16(b[start+16:start+18], ^vcode.Fold16(acc))
+	return b
 }

@@ -42,13 +42,13 @@ func TestFlyConnHandshakeEchoClose(t *testing.T) {
 	cli, srv := ip.V4(10, 0, 0, 2), ip.V4(10, 0, 0, 1)
 	c := NewFlyConn(cli, srv, 1234, 80, 100)
 
-	syn := c.Syn()
+	syn := c.Syn(nil)
 	h := flyVerify(t, cli, srv, syn)
 	if h.Flags != SYN || h.Seq != 100 {
 		t.Fatalf("SYN = %v seq=%d, want S seq=100", h.Flags, h.Seq)
 	}
 
-	reply, payload, err := c.OnSegment(flySeg(srv, cli, 80, 1234, 5000, 101, SYN|ACK, nil))
+	reply, payload, err := c.OnSegment(nil, flySeg(srv, cli, 80, 1234, 5000, 101, SYN|ACK, nil))
 	if err != nil || payload != nil {
 		t.Fatalf("SYN|ACK: err=%v payload=%v", err, payload)
 	}
@@ -60,7 +60,7 @@ func TestFlyConnHandshakeEchoClose(t *testing.T) {
 		t.Fatal("not established after SYN|ACK")
 	}
 
-	data := c.Data([]byte("ping"))
+	data := c.Data(nil, []byte("ping"))
 	h = flyVerify(t, cli, srv, data)
 	if h.Flags != ACK|PSH || h.Seq != 101 || !bytes.Equal(data[HeaderLen:], []byte("ping")) {
 		t.Fatalf("data segment = %v seq=%d", h.Flags, h.Seq)
@@ -70,7 +70,7 @@ func TestFlyConnHandshakeEchoClose(t *testing.T) {
 	}
 
 	// Server echo piggybacks the ACK of our 4 bytes.
-	reply, payload, err = c.OnSegment(flySeg(srv, cli, 80, 1234, 5001, 105, ACK|PSH, []byte("pong")))
+	reply, payload, err = c.OnSegment(nil, flySeg(srv, cli, 80, 1234, 5001, 105, ACK|PSH, []byte("pong")))
 	if err != nil || !bytes.Equal(payload, []byte("pong")) {
 		t.Fatalf("echo: err=%v payload=%q", err, payload)
 	}
@@ -83,7 +83,7 @@ func TestFlyConnHandshakeEchoClose(t *testing.T) {
 	}
 
 	// Duplicate (retransmitted) echo draws a dup-ACK, no payload.
-	reply, payload, err = c.OnSegment(flySeg(srv, cli, 80, 1234, 5001, 105, ACK|PSH, []byte("pong")))
+	reply, payload, err = c.OnSegment(nil, flySeg(srv, cli, 80, 1234, 5001, 105, ACK|PSH, []byte("pong")))
 	if err != nil || payload != nil {
 		t.Fatalf("dup echo: err=%v payload=%q", err, payload)
 	}
@@ -91,15 +91,15 @@ func TestFlyConnHandshakeEchoClose(t *testing.T) {
 		t.Fatalf("dup-ACK ack=%d, want 5005", h.Ack)
 	}
 
-	fin := c.Fin()
+	fin := c.Fin(nil)
 	if h := flyVerify(t, cli, srv, fin); h.Flags != FIN|ACK || h.Seq != 105 {
 		t.Fatalf("FIN = %v seq=%d", h.Flags, h.Seq)
 	}
 	// Peer ACKs our FIN and sends its own.
-	if _, _, err := c.OnSegment(flySeg(srv, cli, 80, 1234, 5005, 106, ACK, nil)); err != nil {
+	if _, _, err := c.OnSegment(nil, flySeg(srv, cli, 80, 1234, 5005, 106, ACK, nil)); err != nil {
 		t.Fatalf("FIN ack: %v", err)
 	}
-	reply, _, err = c.OnSegment(flySeg(srv, cli, 80, 1234, 5005, 106, FIN|ACK, nil))
+	reply, _, err = c.OnSegment(nil, flySeg(srv, cli, 80, 1234, 5005, 106, FIN|ACK, nil))
 	if err != nil {
 		t.Fatalf("peer FIN: %v", err)
 	}
@@ -114,27 +114,27 @@ func TestFlyConnHandshakeEchoClose(t *testing.T) {
 func TestFlyConnDropsDamageAndStrangers(t *testing.T) {
 	cli, srv := ip.V4(10, 0, 0, 2), ip.V4(10, 0, 0, 1)
 	c := NewFlyConn(cli, srv, 1234, 80, 100)
-	c.Syn()
+	c.Syn(nil)
 
 	// Wrong ports: silently ignored.
-	if reply, _, err := c.OnSegment(flySeg(srv, cli, 81, 1234, 5000, 101, SYN|ACK, nil)); reply != nil || err != nil {
+	if reply, _, err := c.OnSegment(nil, flySeg(srv, cli, 81, 1234, 5000, 101, SYN|ACK, nil)); reply != nil || err != nil {
 		t.Fatalf("stranger segment: reply=%v err=%v", reply, err)
 	}
 	// Damaged checksum: silently dropped.
 	bad := flySeg(srv, cli, 80, 1234, 5000, 101, SYN|ACK, nil)
 	bad[HeaderLen-1] ^= 0xff
-	if reply, _, err := c.OnSegment(bad); reply != nil || err != nil {
+	if reply, _, err := c.OnSegment(nil, bad); reply != nil || err != nil {
 		t.Fatalf("damaged segment: reply=%v err=%v", reply, err)
 	}
 	if c.Established() {
 		t.Fatal("established off a dropped segment")
 	}
 
-	if _, _, err := c.OnSegment(flySeg(srv, cli, 80, 1234, 5000, 101, SYN|ACK, nil)); err != nil {
+	if _, _, err := c.OnSegment(nil, flySeg(srv, cli, 80, 1234, 5000, 101, SYN|ACK, nil)); err != nil {
 		t.Fatal(err)
 	}
 	// Out-of-order data: dup-ACK, no delivery.
-	reply, payload, err := c.OnSegment(flySeg(srv, cli, 80, 1234, 6000, 101, ACK|PSH, []byte("late")))
+	reply, payload, err := c.OnSegment(nil, flySeg(srv, cli, 80, 1234, 6000, 101, ACK|PSH, []byte("late")))
 	if err != nil || payload != nil {
 		t.Fatalf("ooo data: err=%v payload=%q", err, payload)
 	}
@@ -143,7 +143,7 @@ func TestFlyConnDropsDamageAndStrangers(t *testing.T) {
 	}
 
 	// RST is fatal.
-	if _, _, err := c.OnSegment(flySeg(srv, cli, 80, 1234, 5001, 101, RST, nil)); err == nil {
+	if _, _, err := c.OnSegment(nil, flySeg(srv, cli, 80, 1234, 5001, 101, RST, nil)); err == nil {
 		t.Fatal("RST did not error")
 	}
 	if c.state != Closed {

@@ -105,16 +105,16 @@ func (t *ConnTable) Remove(k FourTuple) bool {
 	return ok
 }
 
-// Loads reports the number of bound connections per bucket, in bucket
-// order. The megascale experiment uses it to show the FNV fold spreads a
-// large fan-in across buckets (max/mean near 1) instead of piling the
+// Spread reports the fullest bucket's load over the mean load (NaN for an
+// empty table). The megascale experiment uses it to show the FNV fold
+// spreads a large fan-in across buckets (near 1) instead of piling the
 // whole fleet into a few chains.
-func (t *ConnTable) Loads() []int {
-	out := make([]int, len(t.buckets))
-	for i, b := range t.buckets {
-		out[i] = len(b)
+func (t *ConnTable) Spread() float64 {
+	most, n := 0, 0
+	for _, b := range t.buckets {
+		most, n = max(most, len(b)), n+len(b)
 	}
-	return out
+	return float64(most) * float64(len(t.buckets)) / float64(n)
 }
 
 // Len counts bound connections.
