@@ -139,6 +139,15 @@ go test -race ./...
 #            BadHeader, whole or as a fragment; each sequence under a deadline
 #   nfs      a WRITE past the end of the file is refused with ErrIO and
 #            leaves the file as it was
+#   bench    every experiment allocates what it keeps: doubling the messages
+#            of a scale cell per workload, an overload cell and a chaos cell
+#            grows the heap by the longer trace or the larger NFS file alone
+#   nfs      the write path: appends, overwrites, a write across the end and
+#            a refused hole read back byte for byte across block boundaries,
+#            and a file's writes allocate at most twice its size
+#   relay    a blob buffer recycled after a poll, a burn or an expiry reads
+#            back as submitted; a warm submit+poll allocates nothing; a
+#            seeded op mix gives the recorded replies, costs and counters
 echo "== by-name suites under -race"
 while IFS=: read -r pkg pattern; do
     echo "-- $pkg -run '$pattern'"
@@ -181,6 +190,9 @@ done <<'EOF'
 ./internal/flyweight/:^TestRecycledOperationIsNotDisturbed$
 ./internal/proto/ip/:^TestInputRefusesWhatReassemblyCannotTake$
 ./internal/proto/nfs/:^TestWritePastTheEndIsRefused$
+./internal/bench/:^TestAllocFlatInMessages$
+./internal/proto/nfs/:^TestWritePath$
+./internal/relay/:^TestRecycledBlobsReadBack$|^TestWarmRelayDoesNotAllocate$|^TestSeededOpsReplay$
 EOF
 
 # Arena stress: built with -tags arenastress, AllocPhys moves a host's

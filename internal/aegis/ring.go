@@ -41,9 +41,6 @@ type Ring struct {
 	// the ring unbounded.
 	HighWater int
 
-	// Delivered counts entries ever pushed.
-	Delivered uint64
-
 	// Shed counts arrivals admission control refused: the frame matched
 	// this ring's binding, but the ring stood at HighWater, so it was
 	// dropped before it consumed a buffer. Per ring, so an overloaded
@@ -76,7 +73,6 @@ func (r *Ring) push(e RingEntry, wakeExtra sim.Time) {
 	}
 	r.buf[int(r.head+r.count)&(len(r.buf)-1)] = e
 	r.count++
-	r.Delivered++
 	if r.waiter == nil {
 		return
 	}

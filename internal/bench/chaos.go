@@ -204,9 +204,11 @@ func (d chaosSoak) drive(_ *Config, w *world) any {
 			return
 		}
 		const nchunk = 4096
+		// Write copies its payload into the request, so one buffer
+		// serves every write.
+		wbuf := make([]byte, nchunk)
 		for off := 0; off < d.nfsBytes; off += nchunk {
-			n := min(nchunk, d.nfsBytes-off)
-			data := make([]byte, n)
+			data := wbuf[:min(nchunk, d.nfsBytes-off)]
 			chaosFill(data, off)
 			if _, err := c.Write(proc, attr.Handle, uint32(off), data); err != nil {
 				return

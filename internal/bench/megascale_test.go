@@ -2,8 +2,6 @@ package bench
 
 import (
 	"reflect"
-	"runtime"
-	"runtime/metrics"
 	"strings"
 	"testing"
 	"unsafe"
@@ -129,19 +127,12 @@ func TestMegascaleRenderShape(t *testing.T) {
 }
 
 // megaHeapAllocs runs wl's n-endpoint cell over a trace of events arrivals
-// and returns the bytes it allocated on the Go heap. A collection on each
-// side flushes the per-P caches, so the count is exact.
+// and returns the bytes it allocated on the Go heap.
 func megaHeapAllocs(wl *megaWorkload, n, events int) uint64 {
-	sample := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
 	cfg := &Config{}
-	spec := *wl.cell(n).spec
-	runtime.GC()
-	metrics.Read(sample)
-	before := sample[0].Value.Uint64()
-	inWorld(cfg, spec, func(w *world) MegaResult { return wl.run(cfg, w, n, events) })
-	runtime.GC()
-	metrics.Read(sample)
-	return sample[0].Value.Uint64() - before
+	return heapAllocs(func() {
+		inWorld(cfg, *wl.cell(n).spec, func(w *world) MegaResult { return wl.run(cfg, w, n, events) })
+	})
 }
 
 // TestMegascaleAllocFlatInMessages: a megascale cell allocates what it

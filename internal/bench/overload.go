@@ -57,6 +57,11 @@ const (
 	// request per client.
 	overloadLanes = 4
 
+	// overloadClientMem is a lane client's memory: room for overloadLanes
+	// sockets (each allocates tx+rx staging buffers). The largest cell's
+	// clients reach a brk of 496 KiB (TestHostMemoryFitsItsLargestCell).
+	overloadClientMem = 640 << 10
+
 	// overloadGap1xUs is the fleet-wide mean inter-arrival gap of the 1x
 	// traces, in microseconds. The server's measured service capacity is
 	// ~10-12 ops/ms, so 1x (10 ops/ms offered) sits right at saturation —
@@ -248,11 +253,12 @@ func (d overloadReplay) drive(_ *Config, w *world) any {
 			// The handler is done with a request before it returns (the
 			// relay copies what it keeps) and its send copies the reply
 			// frame out at once, so every invocation on this binding
-			// de-stripes into one buffer and builds its reply in another.
-			// The drainer below holds its request across a Compute and its
-			// reply across a system call, during which the handler can run:
-			// it takes fresh ones.
-			var scratch, frame []byte
+			// de-stripes into one buffer, has the relay answer into a
+			// second and builds its reply frame in a third. The drainer
+			// below holds its request across a Compute and its reply across
+			// a system call, during which the handler can run: it has three
+			// of its own.
+			var scratch, answer, frame []byte
 			ash := srv.sys.NewFuncASH(p, fmt.Sprintf("relay-%d", i), true,
 				func(ctx *core.Ctx) aegis.Disposition {
 					// Header validation against the UDP length field.
@@ -264,7 +270,8 @@ func (d overloadReplay) drive(_ *Config, w *world) any {
 					scratch = req
 					// Copy-in from the striped buffer, byte-wise.
 					ctx.Straightline(2*len(req), len(req))
-					rep, insns, memops := rsrv.Handle(w.prof.Us(ctx.When()), tenant, req)
+					rep, insns, memops := rsrv.HandleAppend(answer[:0], w.prof.Us(ctx.When()), tenant, req)
+					answer = rep
 					ctx.Straightline(insns, memops)
 					frame = reply(frame[:0], lane, rep)
 					ctx.Send(dst, 0, frame)
@@ -273,20 +280,24 @@ func (d overloadReplay) drive(_ *Config, w *world) any {
 			ash.Tenant = tenant
 			ash.Attach(b)
 
+			var lreq, lanswer, lframe []byte
 			for {
 				e, ok := b.Ring().WaitRecvUntil(p, 0)
 				if !ok {
 					return
 				}
-				req, lane, wellFormed := overloadReq(nil, b.Frame(e))
+				req, lane, wellFormed := overloadReq(lreq, b.Frame(e))
 				if wellFormed {
+					lreq = req
 					// User-level service: wakeup, scheduling, and copy-out
 					// overhead first, then parse + copy + relay work with
 					// no SFI multiplier but a full syscall per reply send.
 					p.Compute(w.prof.Cycles(overloadLazyUs))
-					rep, insns, memops := rsrv.Handle(w.prof.Us(p.K.Now()), tenant, req)
+					rep, insns, memops := rsrv.HandleAppend(lanswer[:0], w.prof.Us(p.K.Now()), tenant, req)
+					lanswer = rep
 					p.Compute(sim.Time(24 + 2*len(req) + insns + 2*memops))
-					srv.nic.Send(p, dst, 0, reply(nil, lane, rep))
+					lframe = reply(lframe[:0], lane, rep)
+					srv.nic.Send(p, dst, 0, lframe)
 					lazyServed++
 				}
 				b.Free(e.BufIndex)
@@ -294,21 +305,20 @@ func (d overloadReplay) drive(_ *Config, w *world) any {
 		})
 	}
 
-	// Clients: replay the per-client trace slices open-loop, striped
-	// across overloadLanes concurrent sender processes per client (one UDP
-	// source port each) so a burst of closely-spaced arrivals is actually
-	// offered concurrently instead of serializing behind one outstanding
-	// request. Arrival times come from the trace alone; a lane running
-	// behind schedule issues immediately but measures latency from the
-	// scheduled arrival, so queueing delay is charged to the system, not
-	// forgiven.
-	perClient := trace.PerClient(overloadClients)
+	// Clients: replay each client's arrivals open-loop, striped across
+	// overloadLanes concurrent sender processes per client (one UDP source
+	// port each) so a burst of closely-spaced arrivals is actually offered
+	// concurrently instead of serializing behind one outstanding request.
+	// Each lane walks the trace for its share of its client's arrivals,
+	// so the trace is not copied per client. Arrival times come from the
+	// trace alone; a lane running behind schedule issues immediately but
+	// measures latency from the scheduled arrival, so queueing delay is
+	// charged to the system, not forgiven.
 	hist := &obs.Histogram{}
 	ends := make([]sim.Time, overloadClients*overloadLanes)
 	var completed, failed, retries uint64
 	done := 0
 	for i, c := range w.cli() {
-		evs := perClient[i]
 		for lane := 0; lane < overloadLanes; lane++ {
 			lanePort := uint16(scaleClientPort + lane)
 			c.k.Spawn(fmt.Sprintf("client-%d", lane), func(p *aegis.Process) {
@@ -321,8 +331,13 @@ func (d overloadReplay) drive(_ *Config, w *world) any {
 					CapUs:  overloadBackoffCapUs,
 					Budget: overloadRetryBudget,
 				}, overloadJitterSeed, i*overloadLanes+lane)
-				var payload []byte // SubmitReq copies it, so one per lane
-				for idx, ev := range evs {
+				var req []byte // one request at a time per lane
+				idx := -1      // ev's index among client i's arrivals
+				for _, ev := range trace.Events {
+					if ev.Client != i {
+						continue
+					}
+					idx++
 					if idx%overloadLanes != lane {
 						continue
 					}
@@ -330,18 +345,16 @@ func (d overloadReplay) drive(_ *Config, w *world) any {
 					p.SleepUntil(schedAt)
 					seq := uint16(idx)
 					var op byte
-					var req []byte
 					switch {
 					case idx%16 == 11:
-						op, req = relay.OpBurn, relay.BurnReq(ev.Conv)
+						op, req = relay.OpBurn, relay.AppendRequest(req[:0], relay.OpBurn, ev.Conv, 0, nil)
 					case idx%4 == 3:
-						op, req = relay.OpPoll, relay.PollReq(ev.Conv)
+						op, req = relay.OpPoll, relay.AppendRequest(req[:0], relay.OpPoll, ev.Conv, 0, nil)
 					default:
-						payload = payload[:0]
+						op, req = relay.OpSubmit, relay.AppendRequest(req[:0], relay.OpSubmit, ev.Conv, seq, nil)
 						for j := 0; j < ev.Size; j++ {
-							payload = append(payload, byte(i+j))
+							req = append(req, byte(i+j))
 						}
-						op, req = relay.OpSubmit, relay.SubmitReq(ev.Conv, seq, payload)
 					}
 					bo.Reset()
 					acked := false
@@ -416,10 +429,10 @@ func (d overloadReplay) drive(_ *Config, w *world) any {
 // overloadCells enumerates the matrix, trace-major so the rendered table
 // reads straight out of the result slice. Each cell's world is a 16-client
 // scale world with the schedule's fault plane on the server and the tenant
-// quota ledger. Lane clients need room for overloadLanes sockets each (a
-// socket allocates tx+rx staging buffers) and enough receive-pool buffers
-// that duplicate replies to retransmitted requests don't exhaust the pool,
-// so they are sized up from the scale experiment's one-socket default.
+// quota ledger. Lane clients need room for overloadLanes sockets each and
+// enough receive-pool buffers that duplicate replies to retransmitted
+// requests don't exhaust the pool, so they are sized up from the scale
+// experiment's one-socket default.
 func overloadCells(cfg *Config) []Cell {
 	var cells []Cell
 	events := sized(cfg, 256, 768) // arrivals across the whole fleet
@@ -431,7 +444,7 @@ func overloadCells(cfg *Config) []Cell {
 			}
 			s := worldSpec{eth: true, fanIn: true, clients: overloadClients,
 				srvMem: fanInServerMem, srvRxBufs: 2*overloadClients + fanInServerRxSlack,
-				cliMem: 1 << 20, cliRxBufs: 4 * overloadLanes,
+				cliMem: overloadClientMem, cliRxBufs: 4 * overloadLanes,
 				fault: &faultSpec{seed: overloadFaultSeed, sched: sched, serverOnly: true},
 				quota: &quotaSpec{windowUs: overloadQuotaWindowUs, budget: overloadTenantBudget}}
 			cells = append(cells, onWorld(fmt.Sprintf("overload/%s/%s", tr.name, sc), s, overloadReplay{tr, events}))

@@ -58,8 +58,9 @@ const (
 
 	// Client hosts are deliberately tiny (a 512-host world must fit in
 	// memory): enough for one UDP socket, one TCP connection, and an
-	// 8-buffer receive pool.
-	scaleClientMem    = 256 << 10
+	// 8-buffer receive pool. The largest cell's clients reach a brk of
+	// 136 KiB (TestHostMemoryFitsItsLargestCell).
+	scaleClientMem    = 176 << 10
 	scaleClientRxBufs = 8
 )
 

@@ -282,15 +282,15 @@ func TestWorldCloseCounts(t *testing.T) {
 	}
 }
 
-// TestServerMemoryFitsItsLargestCell: a fan-in server's memory is sized to
-// what it uses. For each workload of each fan-in experiment it runs the
-// last, largest full cell and requires the server's brk — its peak, since
-// the allocator only bumps — to stay within 80 % of the server's memory,
-// so a workload that outgrows its server fails here rather than in the
-// middle of a run. The race detector adds nothing to a single-goroutine
-// measurement and multiplies the 10^6-filter world's footprint, so the
-// plain run alone takes it.
-func TestServerMemoryFitsItsLargestCell(t *testing.T) {
+// TestHostMemoryFitsItsLargestCell: a fan-in world's hosts are sized to
+// what they use. For each workload of each fan-in experiment it runs the
+// last, largest full cell and requires every host's brk — its peak, since
+// the allocator only bumps — to stay within 80 % of its memory, the
+// server's and each client's, so a workload that outgrows a host fails
+// here rather than in the middle of a run. The race detector adds nothing
+// to a single-goroutine measurement and multiplies the 10^6-filter world's
+// footprint, so the plain run alone takes it.
+func TestHostMemoryFitsItsLargestCell(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sized by the run without -race")
 	}
@@ -307,15 +307,28 @@ func TestServerMemoryFitsItsLargestCell(t *testing.T) {
 		if i+1 < len(fanIn) && group(fanIn[i+1]) == group(c) {
 			continue
 		}
-		brk := inWorld(cfg, *c.spec, func(w *world) int {
+		// The server's brk, then the largest client's.
+		brk := inWorld(cfg, *c.spec, func(w *world) [2]int {
 			c.drive.drive(cfg, w)
-			return len(w.srv().k.Mem.Data)
+			b := [2]int{len(w.srv().k.Mem.Data), 0}
+			for _, h := range w.cli() {
+				b[1] = max(b[1], len(h.k.Mem.Data))
+			}
+			return b
 		})
-		share := float64(brk) / float64(c.spec.srvMem)
-		t.Logf("%s: server brk %d B of %d MiB (%.1f %%)", c.Label, brk, c.spec.srvMem>>20, 100*share)
-		if share > 0.8 {
-			t.Errorf("%s: server brk %d B is %.1f %% of its %d MiB, want at most 80 %%",
-				c.Label, brk, 100*share, c.spec.srvMem>>20)
+		for _, h := range []struct {
+			name     string
+			brk, mem int
+		}{{"server", brk[0], c.spec.srvMem}, {"client", brk[1], c.spec.cliMem}} {
+			if h.mem == 0 {
+				continue // no clients: a flyweight fleet
+			}
+			share := float64(h.brk) / float64(h.mem)
+			t.Logf("%s: %s brk %d B of %d KiB (%.1f %%)", c.Label, h.name, h.brk, h.mem>>10, 100*share)
+			if share > 0.8 {
+				t.Errorf("%s: %s brk %d B is %.1f %% of its %d KiB, want at most 80 %%",
+					c.Label, h.name, h.brk, 100*share, h.mem>>10)
+			}
 		}
 	}
 }

@@ -54,11 +54,41 @@ type Attr struct {
 	Size   uint32
 }
 
+// blockSize is the unit a file's data is stored in. A write that extends a
+// file adds blocks and never moves the ones it has, so a file written in
+// appends allocates its size rounded up to a block, not the sum of every
+// size it passed through.
+const blockSize = 4096
+
 // file is the server-side object.
 type file struct {
 	attr     Attr
-	data     []byte
-	children map[string]Handle // for directories
+	blocks   []*[blockSize]byte // data, attr.Size bytes of it
+	children map[string]Handle  // for directories
+}
+
+// writeAt stores data at off, which is at most the file's size, and grows
+// the file to cover it.
+func (f *file) writeAt(off int, data []byte) {
+	end := off + len(data)
+	for len(f.blocks)*blockSize < end {
+		f.blocks = append(f.blocks, new([blockSize]byte))
+	}
+	for len(data) > 0 {
+		n := copy(f.blocks[off/blockSize][off%blockSize:], data)
+		data, off = data[n:], off+n
+	}
+	f.attr.Size = max(f.attr.Size, uint32(end))
+}
+
+// appendRange appends the file's bytes [off, end) to b.
+func (f *file) appendRange(b []byte, off, end int) []byte {
+	for off < end {
+		n := min(blockSize-off%blockSize, end-off)
+		b = append(b, f.blocks[off/blockSize][off%blockSize:][:n]...)
+		off += n
+	}
+	return b
 }
 
 // procCycles is the per-request processing charge (XDR decode, fs lookup,
@@ -94,8 +124,9 @@ func NewServer() *Server {
 func (s *Server) AddFile(name string, data []byte) Handle {
 	fh := s.nextFH
 	s.nextFH++
-	s.files[fh] = &file{attr: Attr{Handle: fh, Size: uint32(len(data))},
-		data: append([]byte(nil), data...)}
+	f := &file{attr: Attr{Handle: fh}}
+	f.writeAt(0, data)
+	s.files[fh] = f
 	s.files[RootHandle].children[name] = fh
 	return fh
 }
@@ -174,40 +205,26 @@ func (s *Server) dispatch(req []byte) []byte {
 		if n > MaxIO {
 			return s.header(xid, ErrFBig)
 		}
-		if off > uint32(len(f.data)) {
-			off = uint32(len(f.data))
-		}
-		end := off + n
-		if end > uint32(len(f.data)) {
-			end = uint32(len(f.data))
-		}
+		off = min(off, f.attr.Size)
+		end := min(off+n, f.attr.Size)
 		s.Served[ProcRead]++
 		out := appendAttr(s.header(xid, OK), f.attr)
 		out = binary.BigEndian.AppendUint32(out, end-off)
-		return append(out, f.data[off:end]...)
+		return f.appendRange(out, int(off), int(end))
 
 	case ProcWrite:
 		if f.attr.IsDir {
 			return s.header(xid, ErrIO)
 		}
-		off := argA
-		data := payload
-		if len(data) > MaxIO {
+		if len(payload) > MaxIO {
 			return s.header(xid, ErrFBig)
 		}
-		if off > uint32(len(f.data)) {
+		if argA > f.attr.Size {
 			// A hole: every writer appends at or before the end, and an
 			// offset from the datagram must not size a Go allocation.
 			return s.header(xid, ErrIO)
 		}
-		end := int(off) + len(data)
-		if end > len(f.data) {
-			grown := make([]byte, end)
-			copy(grown, f.data)
-			f.data = grown
-			f.attr.Size = uint32(end)
-		}
-		copy(f.data[off:], data)
+		f.writeAt(int(argA), payload)
 		s.Served[ProcWrite]++
 		return appendAttr(s.header(xid, OK), f.attr)
 

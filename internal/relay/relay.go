@@ -18,6 +18,7 @@ package relay
 
 import (
 	"encoding/binary"
+	"math/bits"
 )
 
 // Request opcodes.
@@ -84,9 +85,31 @@ type blob struct {
 	tenant   string
 }
 
+// conv is one conversation. Its queue is blobs[head:], oldest first: a
+// poll advances head and a submit into a full array first moves the queue
+// down to its start, so the array is reused rather than regrown.
 type conv struct {
 	blobs       []blob
+	head        int
 	burnedUntil float64
+}
+
+func (cv *conv) queued() []blob { return cv.blobs[cv.head:] }
+
+func (cv *conv) push(b blob) {
+	if len(cv.blobs) == cap(cv.blobs) && cv.head > 0 {
+		cv.blobs, cv.head = cv.blobs[:copy(cv.blobs, cv.queued())], 0
+	}
+	cv.blobs = append(cv.blobs, b)
+}
+
+func (cv *conv) pop() blob {
+	b := cv.blobs[cv.head]
+	cv.head++
+	if cv.head == len(cv.blobs) {
+		cv.blobs, cv.head = cv.blobs[:0], 0
+	}
+	return b
 }
 
 // Server is one relay instance. Not safe for concurrent use; in the
@@ -96,6 +119,9 @@ type Server struct {
 
 	convs       map[uint32]*conv
 	tenantBytes map[string]int
+	// free holds the buffers of delivered, expired and burned blobs for
+	// the next submit to copy into: free[c] has buffers of 1<<c bytes.
+	free [][][]byte
 
 	// Counters.
 	Submitted uint64 // blobs accepted
@@ -112,13 +138,37 @@ func NewServer(cfg Config) *Server {
 	return &Server{Cfg: cfg, convs: map[uint32]*conv{}, tenantBytes: map[string]int{}}
 }
 
+// blobClass is the free-list class of an n-byte blob (n > 0): the
+// smallest power of two that holds it, and no less than the 8 bytes of
+// Go's smallest allocation, so a class-c buffer's capacity is exactly 1<<c.
+func blobClass(n int) int { return max(3, bits.Len(uint(n-1))) }
+
+// keep copies data into a recycled buffer of its class, or a new one.
+func (s *Server) keep(data []byte) []byte {
+	c := blobClass(len(data))
+	for len(s.free) <= c {
+		s.free = append(s.free, nil)
+	}
+	if l := s.free[c]; len(l) > 0 {
+		s.free[c] = l[:len(l)-1]
+		return append(l[len(l)-1][:0], data...)
+	}
+	return append(make([]byte, 0, 1<<c), data...)
+}
+
+// drop releases a blob that leaves its queue: its bytes stop counting
+// against its tenant and its buffer goes back on the free list.
+func (s *Server) drop(b blob) {
+	s.tenantBytes[b.tenant] -= len(b.data)
+	c := blobClass(cap(b.data))
+	s.free[c] = append(s.free[c], b.data)
+}
+
 // expire drops dead blobs from the front of cv's queue (FIFO insertion
 // order means expiry is always front-first) and clears a lapsed burn flag.
 func (s *Server) expire(cv *conv, nowUs float64) (insns int) {
-	for len(cv.blobs) > 0 && cv.blobs[0].expireUs <= nowUs {
-		b := cv.blobs[0]
-		cv.blobs = cv.blobs[1:]
-		s.tenantBytes[b.tenant] -= len(b.data)
+	for len(cv.queued()) > 0 && cv.queued()[0].expireUs <= nowUs {
+		s.drop(cv.pop())
 		s.Expired++
 		insns += 8
 	}
@@ -129,25 +179,30 @@ func (s *Server) expire(cv *conv, nowUs float64) (insns int) {
 	return insns + 6
 }
 
-func reply(op, status byte, seq uint16, cid uint32, payload []byte) []byte {
-	out := make([]byte, replyHeader, replyHeader+len(payload))
-	out[0] = op | ReplyBit
-	out[1] = status
-	binary.BigEndian.PutUint16(out[2:], seq)
-	binary.BigEndian.PutUint32(out[4:], cid)
-	return append(out, payload...)
+// appendReply appends a reply frame carrying payload to b.
+func appendReply(b []byte, op, status byte, seq uint16, cid uint32, payload []byte) []byte {
+	b = append(b, op|ReplyBit, status)
+	b = binary.BigEndian.AppendUint16(b, seq)
+	b = binary.BigEndian.AppendUint32(b, cid)
+	return append(b, payload...)
 }
 
-// Handle applies one request at virtual time nowUs on behalf of tenant,
-// returning the reply frame and the modeled cost of the work performed
-// (straight-line instructions and memory operations, for the embedding
-// handler to charge).
+// Handle is HandleAppend into a new frame.
 func (s *Server) Handle(nowUs float64, tenant string, req []byte) (out []byte, insns, memops int) {
+	return s.HandleAppend(nil, nowUs, tenant, req)
+}
+
+// HandleAppend applies one request at virtual time nowUs on behalf of
+// tenant, appending the reply frame to b, and returns it with the modeled
+// cost of the work performed (straight-line instructions and memory
+// operations, for the embedding handler to charge). The relay copies what
+// it keeps of req.
+func (s *Server) HandleAppend(b []byte, nowUs float64, tenant string, req []byte) (out []byte, insns, memops int) {
 	insns = 12 // dispatch + header parse
 	memops = 4
 	if len(req) < reqHeader {
 		s.Rejected++
-		return reply(0, StatusRejected, 0, 0, nil), insns, memops
+		return appendReply(b, 0, StatusRejected, 0, 0, nil), insns, memops
 	}
 	op := req[0]
 	cid := binary.BigEndian.Uint32(req[1:])
@@ -166,15 +221,15 @@ func (s *Server) Handle(nowUs float64, tenant string, req []byte) (out []byte, i
 		switch {
 		case cv.burnedUntil > nowUs:
 			s.Rejected++
-			return reply(op, StatusBurned, seq, cid, nil), insns, memops
+			return appendReply(b, op, StatusBurned, seq, cid, nil), insns, memops
 		case len(data) == 0 || len(data) > s.Cfg.MaxBlobBytes,
-			len(cv.blobs) >= s.Cfg.MaxBlobsPerConv,
+			len(cv.queued()) >= s.Cfg.MaxBlobsPerConv,
 			s.Cfg.MaxTenantBytes > 0 && s.tenantBytes[tenant]+len(data) > s.Cfg.MaxTenantBytes:
 			s.Rejected++
-			return reply(op, StatusRejected, seq, cid, nil), insns, memops
+			return appendReply(b, op, StatusRejected, seq, cid, nil), insns, memops
 		}
-		cv.blobs = append(cv.blobs, blob{
-			seq: seq, data: append([]byte(nil), data...),
+		cv.push(blob{
+			seq: seq, data: s.keep(data),
 			expireUs: nowUs + s.Cfg.TTLUs, tenant: tenant,
 		})
 		s.tenantBytes[tenant] += len(data)
@@ -182,56 +237,54 @@ func (s *Server) Handle(nowUs float64, tenant string, req []byte) (out []byte, i
 		// Copy-in: one word per 4 blob bytes.
 		insns += len(data) / 4
 		memops += len(data) / 4
-		return reply(op, StatusOK, seq, cid, nil), insns, memops
+		return appendReply(b, op, StatusOK, seq, cid, nil), insns, memops
 
 	case OpPoll:
 		if cv.burnedUntil > nowUs {
-			return reply(op, StatusBurned, seq, cid, nil), insns, memops
+			return appendReply(b, op, StatusBurned, seq, cid, nil), insns, memops
 		}
-		if len(cv.blobs) == 0 {
+		if len(cv.queued()) == 0 {
 			s.Empty++
-			return reply(op, StatusEmpty, seq, cid, nil), insns, memops
+			return appendReply(b, op, StatusEmpty, seq, cid, nil), insns, memops
 		}
-		b := cv.blobs[0]
-		cv.blobs = cv.blobs[1:]
-		s.tenantBytes[b.tenant] -= len(b.data)
+		bl := cv.pop()
+		out = appendReply(b, op, StatusOK, bl.seq, cid, bl.data)
+		s.drop(bl)
 		s.Polled++
-		insns += len(b.data) / 4
-		memops += len(b.data) / 4
-		return reply(op, StatusOK, b.seq, cid, b.data), insns, memops
+		insns += len(bl.data) / 4
+		memops += len(bl.data) / 4
+		return out, insns, memops
 
 	case OpBurn:
-		for _, b := range cv.blobs {
-			s.tenantBytes[b.tenant] -= len(b.data)
+		for _, bl := range cv.queued() {
+			s.drop(bl)
 			s.BurnDrops++
 		}
-		cv.blobs = nil
+		cv.blobs, cv.head = cv.blobs[:0], 0
 		cv.burnedUntil = nowUs + s.Cfg.BurnTTLUs
 		s.Burned++
-		return reply(op, StatusOK, seq, cid, nil), insns, memops
+		return appendReply(b, op, StatusOK, seq, cid, nil), insns, memops
 	}
 	s.Rejected++
-	return reply(op, StatusRejected, seq, cid, nil), insns, memops
+	return appendReply(b, op, StatusRejected, seq, cid, nil), insns, memops
+}
+
+// AppendRequest appends a request frame to b: op on conversation cid,
+// with sequence seq and blob (a submit's; nil for the others).
+func AppendRequest(b []byte, op byte, cid uint32, seq uint16, blob []byte) []byte {
+	b = append(b, op)
+	b = binary.BigEndian.AppendUint32(b, cid)
+	b = binary.BigEndian.AppendUint16(b, seq)
+	return append(b, blob...)
 }
 
 // SubmitReq builds a submit request frame.
 func SubmitReq(cid uint32, seq uint16, data []byte) []byte {
-	return append(request(OpSubmit, cid, seq), data...)
+	return AppendRequest(nil, OpSubmit, cid, seq, data)
 }
 
 // PollReq builds a poll request frame.
-func PollReq(cid uint32) []byte { return request(OpPoll, cid, 0) }
-
-// BurnReq builds a burn request frame.
-func BurnReq(cid uint32) []byte { return request(OpBurn, cid, 0) }
-
-func request(op byte, cid uint32, seq uint16) []byte {
-	out := make([]byte, reqHeader, reqHeader+64)
-	out[0] = op
-	binary.BigEndian.PutUint32(out[1:], cid)
-	binary.BigEndian.PutUint16(out[5:], seq)
-	return out
-}
+func PollReq(cid uint32) []byte { return AppendRequest(nil, OpPoll, cid, 0, nil) }
 
 // ParseReply splits a reply frame.
 func ParseReply(b []byte) (op, status byte, seq uint16, cid uint32, payload []byte, ok bool) {

@@ -109,7 +109,7 @@ func TestTenantQuota(t *testing.T) {
 func TestBurn(t *testing.T) {
 	s := newTest()
 	s.Handle(1, "a", SubmitReq(5, 0, []byte("secret")))
-	if rep, _, _ := s.Handle(2, "a", BurnReq(5)); status(t, rep) != StatusOK {
+	if rep, _, _ := s.Handle(2, "a", AppendRequest(nil, OpBurn, 5, 0, nil)); status(t, rep) != StatusOK {
 		t.Fatal("burn refused")
 	}
 	if s.BurnDrops != 1 || s.tenantBytes["a"] != 0 {
@@ -136,7 +136,7 @@ func TestDeterministicReplay(t *testing.T) {
 		var insns, memops int
 		ops := [][]byte{
 			SubmitReq(1, 0, []byte("aa")), SubmitReq(1, 1, []byte("bb")),
-			PollReq(1), BurnReq(1), PollReq(1), SubmitReq(2, 0, []byte("cc")),
+			PollReq(1), AppendRequest(nil, OpBurn, 1, 0, nil), PollReq(1), SubmitReq(2, 0, []byte("cc")),
 		}
 		for i, req := range ops {
 			rep, in, mem := s.Handle(float64(i*10), "t", req)

@@ -67,17 +67,6 @@ func (t *Trace) Duration() float64 {
 	return t.Events[len(t.Events)-1].AtUs
 }
 
-// PerClient splits the schedule by client index, preserving order.
-func (t *Trace) PerClient(clients int) [][]Event {
-	out := make([][]Event, clients)
-	for _, e := range t.Events {
-		if e.Client < clients {
-			out[e.Client] = append(out[e.Client], e)
-		}
-	}
-	return out
-}
-
 // Encode serializes the trace:
 //
 //	"ASHW" | version u8 | nameLen u8 | name | count u32 |

@@ -166,30 +166,6 @@ func TestParseRejects(t *testing.T) {
 	}
 }
 
-// TestPerClient: the split preserves per-client order and drops nothing
-// inside the fleet.
-func TestPerClient(t *testing.T) {
-	tr := Poisson(2, testSpec)
-	per := tr.PerClient(testSpec.Clients)
-	total := 0
-	for c, evs := range per {
-		prev := -1.0
-		for _, e := range evs {
-			if e.Client != c {
-				t.Fatalf("client %d got event for %d", c, e.Client)
-			}
-			if e.AtUs < prev {
-				t.Fatalf("client %d: order broken", c)
-			}
-			prev = e.AtUs
-		}
-		total += len(evs)
-	}
-	if total != len(tr.Events) {
-		t.Fatalf("split lost events: %d of %d", total, len(tr.Events))
-	}
-}
-
 func putU64(b []byte, v uint64) {
 	for i := 0; i < 8; i++ {
 		b[i] = byte(v >> (56 - 8*i))
