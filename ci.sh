@@ -148,6 +148,13 @@ go test -race ./...
 #   relay    a blob buffer recycled after a poll, a burn or an expiry reads
 #            back as submitted; a warm submit+poll allocates nothing; a
 #            seeded op mix gives the recorded replies, costs and counters
+#   sandbox  the download path allocates what it keeps: a harness memory
+#            leased again after an escaping or a faulting run reads as a
+#            fresh one, four goroutines sweeping the registry at once see
+#            the serial outcomes, a warm ThreeWay and a steady-state
+#            compile-cache miss stay within their bytes, a cold cache's
+#            first miss allocates no more than before, and every build
+#            and CFG is made at its final length
 echo "== by-name suites under -race"
 while IFS=: read -r pkg pattern; do
     echo "-- $pkg -run '$pattern'"
@@ -193,6 +200,7 @@ done <<'EOF'
 ./internal/bench/:^TestAllocFlatInMessages$
 ./internal/proto/nfs/:^TestWritePath$
 ./internal/relay/:^TestRecycledBlobsReadBack$|^TestWarmRelayDoesNotAllocate$|^TestSeededOpsReplay$
+./internal/sandbox/:^TestLeasedHarnessMemoryReadsFresh$|^TestThreeWayConcurrentMatchesSerial$|^TestWarmThreeWayAllocations$|^TestCacheMissAllocations$|^TestBuildsAreExact$
 EOF
 
 # Arena stress: built with -tags arenastress, AllocPhys moves a host's

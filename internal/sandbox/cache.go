@@ -28,9 +28,10 @@ type cacheKey struct {
 }
 
 // cacheCap bounds each memo table; when an insert would exceed it the
-// table is flushed. Real workloads use a few dozen distinct handlers, so
-// a flush means something is generating programs in a loop — starting
-// over is cheaper than tracking recency.
+// table is cleared in place, keeping the buckets it grew. Real workloads
+// use a few dozen distinct handlers, so a flush means something is
+// generating programs in a loop — starting over is cheaper than tracking
+// recency.
 const cacheCap = 256
 
 var cache struct {
@@ -107,8 +108,10 @@ func verifyKeyed(k cacheKey, p *vcode.Program) error {
 	cache.Unlock()
 	err := verifyProgram(p)
 	cache.Lock()
-	if cache.verify == nil || len(cache.verify) >= cacheCap {
+	if cache.verify == nil {
 		cache.verify = make(map[cacheKey]error)
+	} else if len(cache.verify) >= cacheCap {
+		clear(cache.verify)
 	}
 	cache.verify[k] = err
 	cache.Unlock()
@@ -136,8 +139,10 @@ func Sandbox(p *vcode.Program, pol *Policy) (*Program, error) {
 		return nil, err
 	}
 	cache.Lock()
-	if cache.build == nil || len(cache.build) >= cacheCap {
+	if cache.build == nil {
 		cache.build = make(map[cacheKey]*Program)
+	} else if len(cache.build) >= cacheCap {
+		clear(cache.build)
 	}
 	cache.build[k] = sp
 	if cache.onInsert != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"ashs/internal/aegis"
 	"ashs/internal/mach"
@@ -39,6 +40,40 @@ const (
 // escape guard latches any request outside the region before the memory
 // answers it, and ThreeWay reads the latch before it compares faults.
 const diffMemSize = DiffLimit
+
+// diffMems is the harness's free list of flat memories: GatherProfile makes
+// one variant and ThreeWay three, and each returns its memories on every
+// exit path, so a warm sweep allocates none. A returned memory is zeroed
+// below DiffBase and newDiffVariant refills the region, so a leased memory
+// is byte-equal to a fresh one. The list is explicit rather than a
+// sync.Pool: a pool the collector may empty would make the bytes a run
+// allocates follow collector timing.
+var diffMems struct {
+	sync.Mutex
+	free []*vcode.FlatMem
+}
+
+// leaseDiffMem takes a memory off the free list, or makes one.
+func leaseDiffMem() *vcode.FlatMem {
+	diffMems.Lock()
+	defer diffMems.Unlock()
+	n := len(diffMems.free)
+	if n == 0 {
+		return vcode.NewFlatMem(0, diffMemSize)
+	}
+	m := diffMems.free[n-1]
+	diffMems.free = diffMems.free[:n-1]
+	return m
+}
+
+// release returns v's memory to the free list; v must not run again.
+func (v *diffVariant) release() {
+	clear(v.flat.Data[:DiffBase])
+	diffMems.Lock()
+	diffMems.free = append(diffMems.free, v.flat)
+	diffMems.Unlock()
+	v.flat, v.region = nil, nil
+}
 
 // DiffConfig parameterizes a ThreeWay run.
 type DiffConfig struct {
@@ -133,7 +168,8 @@ func (g *escapeGuard) Store(addr uint32, n int) ([]byte, error) {
 }
 
 // newDiffVariant compiles p under pol and prepares its private machine,
-// seeded memory, escape guard, and entry points.
+// seeded memory (leased: the caller releases the variant), escape guard,
+// and entry points.
 func newDiffVariant(p *vcode.Program, pol *Policy, cfg *DiffConfig) (*diffVariant, error) {
 	sp, err := Sandbox(p, pol)
 	if err != nil {
@@ -141,7 +177,7 @@ func newDiffVariant(p *vcode.Program, pol *Policy, cfg *DiffConfig) (*diffVarian
 	}
 	// The flat memory starts at address 0: Data[a] is the byte at a. The
 	// harness fills and compares the region a word at a time on Data itself.
-	v := &diffVariant{sp: sp, flat: vcode.NewFlatMem(0, diffMemSize)}
+	v := &diffVariant{sp: sp, flat: leaseDiffMem()}
 	v.region = &vcode.FlatMem{Base: DiffBase, Data: v.flat.Data[DiffBase:DiffLimit:DiffLimit]}
 	for a := uint32(DiffBase); a < DiffLimit; a += 4 {
 		binary.BigEndian.PutUint32(v.flat.Data[a:], a*2654435761)
@@ -158,6 +194,7 @@ func newDiffVariant(p *vcode.Program, pol *Policy, cfg *DiffConfig) (*diffVarian
 			err = vcode.Store32(v.flat, addr, val)
 		})
 		if err != nil {
+			v.release()
 			return nil, err
 		}
 	}
@@ -203,6 +240,7 @@ func GatherProfile(p *vcode.Program, cfg DiffConfig) (*reopt.Profile, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer v.release()
 	v.m.PCCounts = make([]uint64, len(v.sp.Code.Insns))
 	rounds := cfg.Rounds
 	if rounds <= 0 {
@@ -245,7 +283,14 @@ func ThreeWay(p *vcode.Program, prof *reopt.Profile, cfg DiffConfig) (*DiffOutco
 	re.Optimize = true
 	re.Profile = prof
 
-	vs := make([]*diffVariant, 3)
+	var vs [3]*diffVariant
+	defer func() {
+		for _, v := range vs {
+			if v != nil {
+				v.release()
+			}
+		}
+	}()
 	names := [3]string{"naive", "optimized", "reoptimized"}
 	for i, pol := range []*Policy{naive, opt, re} {
 		v, err := newDiffVariant(p, pol, &cfg)

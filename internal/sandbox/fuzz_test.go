@@ -141,9 +141,28 @@ func genProgram(rng *rand.Rand) *vcode.Program {
 // the failing seed.
 func checkDifferential(t *testing.T, p *vcode.Program, budget BudgetMode) bool {
 	t.Helper()
-	if _, err := ThreeWay(p, nil, DiffConfig{Budget: budget}); err != nil {
+	out, err := ThreeWay(p, nil, DiffConfig{Budget: budget})
+	if err != nil {
 		t.Error(err)
 		return false
+	}
+	// Each of the three builds is made at its final length.
+	naive := DefaultPolicy()
+	naive.Budget = budget
+	opt := *naive
+	opt.Optimize = true
+	re := opt
+	re.Profile = out.Profile
+	for _, pol := range []*Policy{naive, &opt, &re} {
+		sp, err := Sandbox(p, pol)
+		if err != nil {
+			t.Error(err)
+			return false
+		}
+		if n, c := len(sp.Code.Insns), cap(sp.Code.Insns); n != c {
+			t.Errorf("optimize %v, profile %v: a build of %d insns has capacity %d\n%s", pol.Optimize, pol.Profile != nil, n, c, p)
+			return false
+		}
 	}
 	// Starved-budget runs (software mode): equivalence is not required —
 	// the coarse drain faults earlier than per-iteration checks — but

@@ -281,6 +281,75 @@ func TestThreeWayReportsEscape(t *testing.T) {
 	}
 }
 
+// TestLeasedHarnessMemoryReadsFresh: a harness memory goes back to the
+// free list after a run dirtied it — below the region by an escaping store
+// that landed, inside it by stores, message and setup words, and then by a
+// fault — and the next variant that leases it sees bytes equal to those of
+// a memory never leased.
+func TestLeasedHarnessMemoryReadsFresh(t *testing.T) {
+	x86 := DefaultPolicy()
+	x86.Hardware = HardwareX86
+	cfg := &DiffConfig{
+		Msg:   func(i int) []byte { return []byte("a message that lands at the base") },
+		Setup: func(store func(addr, val uint32)) { store(DiffBase+0x100, 0xfeedface) },
+	}
+	dirty := func(fault bool) *vcode.Program {
+		return assemble(t, func(b *vcode.Builder) {
+			r, v := b.Temp(), b.Temp()
+			b.MovI(v, -1)
+			for _, a := range []int32{0, 0x20, DiffBase - 4, DiffBase + 0x200, DiffLimit - 4} {
+				b.MovI(r, a)
+				b.St32(r, 0, v)
+			}
+			if fault {
+				b.MovI(r, 0x10000) // past the harness memory
+				b.Ld32(vcode.RRet, r, 0)
+			}
+		})
+	}
+	clean := assemble(t, func(b *vcode.Builder) { b.MovI(vcode.RRet, 0) })
+
+	// A memory never leased: the free list is set aside while it is made.
+	diffMems.Lock()
+	saved := diffMems.free
+	diffMems.free = nil
+	diffMems.Unlock()
+	fresh, err := newDiffVariant(clean, x86, cfg)
+	diffMems.Lock()
+	diffMems.free = saved
+	diffMems.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, fault := range []bool{false, true} {
+		v, err := newDiffVariant(dirty(fault), x86, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := v.round(0, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (f != nil) != fault || !v.guard.escaped {
+			t.Fatalf("fault %v: the run faulted with %v, escaped %v", fault, f, v.guard.escaped)
+		}
+		mem := v.flat
+		v.release()
+		next, err := newDiffVariant(clean, x86, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if next.flat != mem {
+			t.Fatalf("fault %v: the next variant did not lease the returned memory", fault)
+		}
+		if string(next.flat.Data) != string(fresh.flat.Data) {
+			t.Errorf("fault %v: a leased memory differs from one never leased", fault)
+		}
+		next.release()
+	}
+}
+
 // TestDiffCopyOverlaps: the harness runs production's ash_copy, Go's copy
 // over the two lent windows, so an overlapping range moves with memmove
 // semantics — the destination ends up holding what the source held before

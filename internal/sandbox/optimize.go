@@ -299,6 +299,84 @@ func checkFacts(c *analysis.CFG, anchorOf map[int]*memGroup, plans map[int]*preh
 	return ins
 }
 
+// The checks planChecks keeps in front of an instruction.
+const (
+	checkLo uint8 = 1 << iota // indexed: stage and check; anchor: the hull's low pair; divide: the zero check
+	checkHi                   // anchor: the hull's high pair
+)
+
+// planChecks walks the blocks as the emission does, under the availability
+// facts, and decides which checks stay: it returns the checks kept in
+// front of each instruction and the length of the code before budget
+// checks, so the emission fills a slice made at its final length. It
+// counts the elided and hoisted sites into st.
+func planChecks(c *analysis.CFG, anchorOf map[int]*memGroup, plans map[int]*preheader,
+	hoistedDiv map[int]bool, rng *analysis.Ranges, ins []*analysis.CheckSet,
+	st *optStats) ([]uint8, int) {
+
+	need := make([]uint8, len(c.Prog.Insns))
+	size := PrologueLen
+	for bi := range c.Blocks {
+		b := &c.Blocks[bi]
+		if ph, ok := plans[b.Start]; ok {
+			if ph.coarse != nil {
+				size++
+			}
+			for _, g := range ph.hoisted {
+				size += 2
+				st.hoisted++
+				if g.maxImm != g.minImm {
+					size += 2
+					st.hoisted++
+				}
+			}
+			size += len(ph.hoistDivs)
+		}
+		state := ins[bi].Clone()
+		for pc := b.Start; pc < b.End; pc++ {
+			in := c.Prog.Insns[pc]
+			size++ // the instruction itself
+			switch {
+			case in.Op.Is(vcode.Indexed):
+				if state.CoversPair(in.Rs, in.Rt) {
+					st.elided++
+				} else {
+					need[pc] = checkLo
+					size += 2
+				}
+			case in.Op.Is(vcode.Load | vcode.Store):
+				if g := anchorOf[pc]; g != nil {
+					pairs := 0
+					if !state.Covers(g.reg, g.minImm) {
+						need[pc] |= checkLo
+						pairs++
+					}
+					if g.maxImm != g.minImm && !state.Covers(g.reg, g.maxImm) {
+						need[pc] |= checkHi
+						pairs++
+					}
+					st.elided += g.members - pairs
+					size += 2 * pairs
+				}
+			case in.Op == vcode.OpDivU || in.Op == vcode.OpRemU:
+				switch {
+				case rng.Before(pc, in.Rt).Lo >= 1:
+					st.elided++ // divisor provably nonzero
+				case hoistedDiv[pc]:
+					st.divHoisted++ // zero check runs once in the preheader
+				default:
+					need[pc] = checkLo
+					size++
+				}
+			case in.Op == vcode.OpRet:
+				size += EpilogueLen
+			}
+			stepCheck(state, in, anchorOf[pc])
+		}
+	}
+	return need, size
+}
+
 // instrumentOptimized emits optimized SFI instrumentation for p, returning
 // ok=false when the program is outside the optimizer's domain (indirect
 // jumps) and the caller should fall back to instrumentNaive.
@@ -315,8 +393,9 @@ func instrumentOptimized(p *vcode.Program, pol *Policy) ([]vcode.Insn, []int, op
 	plans, hoistedDiv := planPreheaders(c, pol, anchorOf, dom, loops, rng, &st)
 	ins := checkFacts(c, anchorOf, plans)
 
-	out := make([]vcode.Insn, 0, len(p.Insns)*2+PrologueLen+EpilogueLen)
-	outSrc := make([]int, 0, cap(out)) // original pc each emitted insn belongs to
+	need, size := planChecks(c, anchorOf, plans, hoistedDiv, rng, ins, &st)
+	out := make([]vcode.Insn, 0, size)
+	outSrc := make([]int, 0, size) // original pc each emitted insn belongs to
 	emit := func(src int, in vcode.Insn) {
 		out = append(out, in)
 		outSrc = append(outSrc, src)
@@ -350,24 +429,20 @@ func instrumentOptimized(p *vcode.Program, pol *Policy) ([]vcode.Insn, []int, op
 			}
 			for _, g := range ph.hoisted {
 				emitPair(-1, g.reg, g.minImm)
-				st.hoisted++
 				if g.maxImm != g.minImm {
 					emitPair(-1, g.reg, g.maxImm)
-					st.hoisted++
 				}
 			}
 			for _, r := range ph.hoistDivs {
 				emit(-1, vcode.Insn{Op: vcode.OpChkDiv, Rs: r})
 			}
 		}
-		state := ins[bi].Clone()
 		for pc := b.Start; pc < b.End; pc++ {
 			in := p.Insns[pc]
 			oldToNew[pc] = len(out)
 			switch {
 			case in.Op.Is(vcode.Indexed):
-				if state.CoversPair(in.Rs, in.Rt) {
-					st.elided++
+				if need[pc]&checkLo == 0 {
 					emit(pc, in)
 				} else {
 					emit(pc, vcode.Insn{Op: vcode.OpAddU, Rd: vcode.RSbox, Rs: in.Rs, Rt: in.Rt})
@@ -379,32 +454,21 @@ func instrumentOptimized(p *vcode.Program, pol *Policy) ([]vcode.Insn, []int, op
 				}
 			case in.Op.Is(vcode.Load | vcode.Store):
 				if g := anchorOf[pc]; g != nil {
-					pairs := 0
-					if !state.Covers(g.reg, g.minImm) {
+					if need[pc]&checkLo != 0 {
 						emitPair(pc, g.reg, g.minImm)
-						pairs++
 					}
-					if g.maxImm != g.minImm && !state.Covers(g.reg, g.maxImm) {
+					if need[pc]&checkHi != 0 {
 						emitPair(pc, g.reg, g.maxImm)
-						pairs++
 					}
-					st.elided += g.members - pairs
 				}
 				// The access itself runs in original form: its address is
 				// inside the certified hull.
 				emit(pc, in)
 			case in.Op == vcode.OpDivU || in.Op == vcode.OpRemU:
-				switch {
-				case rng.Before(pc, in.Rt).Lo >= 1:
-					st.elided++ // divisor provably nonzero
-					emit(pc, in)
-				case hoistedDiv[pc]:
-					st.divHoisted++ // zero check runs once in the preheader
-					emit(pc, in)
-				default:
+				if need[pc]&checkLo != 0 {
 					emit(pc, vcode.Insn{Op: vcode.OpChkDiv, Rs: in.Rt})
-					emit(pc, in)
 				}
+				emit(pc, in)
 			case in.Op == vcode.OpRet:
 				for i := 0; i < EpilogueLen; i++ {
 					emit(pc, vcode.Insn{Op: vcode.OpNop})
@@ -413,7 +477,6 @@ func instrumentOptimized(p *vcode.Program, pol *Policy) ([]vcode.Insn, []int, op
 			default:
 				emit(pc, in)
 			}
-			stepCheck(state, in, anchorOf[pc])
 		}
 	}
 

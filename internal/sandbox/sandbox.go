@@ -331,21 +331,13 @@ func checkEpilogues(sp *Program) error {
 // operation is staged and checked, every divide gets a zero check, and (in
 // software-budget mode) every backward jump drains the budget.
 func instrumentNaive(p *vcode.Program, pol *Policy) ([]vcode.Insn, []int) {
-	out := make([]vcode.Insn, 0, len(p.Insns)*2+PrologueLen+EpilogueLen)
+	out := make([]vcode.Insn, 0, naiveLen(p))
 	oldToNew := make([]int, len(p.Insns))
 
 	// Entry sequence: establish the sandbox context (modeled as generic
 	// register save/establish operations; cf. "overly general exit code").
 	for i := 0; i < PrologueLen; i++ {
 		out = append(out, vcode.Insn{Op: vcode.OpNop})
-	}
-
-	epilogue := func() []vcode.Insn {
-		seq := make([]vcode.Insn, EpilogueLen)
-		for i := range seq {
-			seq[i] = vcode.Insn{Op: vcode.OpNop}
-		}
-		return seq
 	}
 
 	for pc, in := range p.Insns {
@@ -379,7 +371,9 @@ func instrumentNaive(p *vcode.Program, pol *Policy) ([]vcode.Insn, []int) {
 				in,
 			)
 		case in.Op == vcode.OpRet:
-			out = append(out, epilogue()...)
+			for i := 0; i < EpilogueLen; i++ {
+				out = append(out, vcode.Insn{Op: vcode.OpNop})
+			}
 			out = append(out, in)
 		default:
 			out = append(out, in)
@@ -397,6 +391,26 @@ func instrumentNaive(p *vcode.Program, pol *Policy) ([]vcode.Insn, []int) {
 		out, _ = insertBudgetChecks(out, oldToNew, nil)
 	}
 	return out, oldToNew
+}
+
+// naiveLen is the length of instrumentNaive's code before budget checks:
+// the prologue, then 3 slots per load or store, 2 per divide or remainder,
+// the exit sequence and the ret per ret, and 1 for any other instruction.
+func naiveLen(p *vcode.Program) int {
+	n := PrologueLen
+	for _, in := range p.Insns {
+		switch {
+		case in.Op.Is(vcode.Load | vcode.Store):
+			n += 3
+		case in.Op == vcode.OpDivU || in.Op == vcode.OpRemU:
+			n += 2
+		case in.Op == vcode.OpRet:
+			n += EpilogueLen + 1
+		default:
+			n++
+		}
+	}
+	return n
 }
 
 func identity(n int) []int {

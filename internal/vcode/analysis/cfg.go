@@ -73,6 +73,13 @@ func Build(p *vcode.Program) *CFG {
 		}
 	}
 
+	leaders := 0
+	for _, l := range leader {
+		if l {
+			leaders++
+		}
+	}
+	c.Blocks = make([]Block, 0, leaders)
 	for pc := 0; pc < n; pc++ {
 		if leader[pc] {
 			c.Blocks = append(c.Blocks, Block{ID: len(c.Blocks), Start: pc})
