@@ -1,0 +1,172 @@
+#!/bin/sh
+# sh bench.sh [-n N] [--append] [--differ] [REV]: the host-time ledger.
+# Run from the repo root. It builds this tree's ashbench and, given REV,
+# REV's from `git archive REV` (no network), then runs them N times each
+# (default 5)
+# at -parallel 1, alternating which goes first. Per experiment, and for the
+# whole suite, it prints the median wall time, host ns per fired event and
+# MiB allocated, from ashbench's [go alloc …] lines, and how many of the N
+# pairs this tree won; then the same wall times host-normalized: each run's
+# wall divided by that run's host reference (the [go host …] line: fixed
+# work timed before and after the suite), so a host that changed speed
+# between runs moves both sides alike. A REV older than the [go host …]
+# line borrows the reference of this tree's run in the same pair. The
+# suite row sums the experiments' walls.
+#
+# The two sides' stdout of the first pair must be byte-identical: a tree
+# that is faster but computes something else records no row. --differ
+# lets through a change that is meant to alter the output.
+#
+# --append adds the result as one row to BENCH_trajectory.json, the
+# append-only ledger of the suite's host cost; bench.sh is its only
+# writer. A row is keyed by `git describe --always --dirty` of this tree.
+set -eu
+
+n=5
+append=
+differ=
+rev=
+while [ $# -gt 0 ]; do
+    case $1 in
+    -n) n=$2; shift 2 ;;
+    --append) append=1; shift ;;
+    --differ) differ=1; shift ;;
+    -*) echo "usage: sh bench.sh [-n N] [--append] [--differ] [REV]" >&2; exit 2 ;;
+    *) rev=$1; shift ;;
+    esac
+done
+
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+go build -o "$tmp/this" ./cmd/ashbench
+sides=this
+if [ -n "$rev" ]; then
+    revid=$(git rev-parse --short "$rev^{commit}")
+    mkdir "$tmp/src"
+    git archive "$revid" | tar -x -C "$tmp/src"
+    (cd "$tmp/src" && go build -o "$tmp/rev" ./cmd/ashbench)
+    sides="this rev"
+fi
+
+# run SIDE PAIR: one serial suite, its ledger lines as
+# "side pair experiment wall_ms ns_per_event mib ref_ms". The first
+# pair's stdout is kept as $tmp/out.SIDE.
+run() {
+    out=/dev/null
+    [ "$2" -eq 1 ] && out="$tmp/out.$1"
+    "$tmp/$1" -parallel 1 2>"$tmp/err" >"$out"
+    awk -v side="$1" -v pair="$2" '
+        /^\[go host: / {
+            ref = 0
+            s = $0; sub(/.*reference before /, "", s)
+            m = split(s, f, /[ ,;]+/)
+            for (i = 1; i < m; i++) if (f[i+1] == "ms") ref += f[i]
+            ref /= 2
+        }
+        /^\[go alloc / {
+            x = $3; sub(/:$/, "", x)
+            e[++k] = x; mib[k] = $4; wall[k] = $8
+            ns[k] = ($12 == "ns/event]") ? $11 : "-"
+        }
+        /^\[go runtime: / { total = $(NF-2) }
+        END {
+            for (i = 1; i <= k; i++) suite += wall[i]
+            for (i = 1; i <= k; i++) print side, pair, e[i], wall[i], ns[i], mib[i], ref + 0
+            print side, pair, "suite", suite, "-", total, ref + 0
+        }' "$tmp/err"
+}
+
+for i in $(seq 1 "$n"); do
+    if [ $((i % 2)) -eq 1 ]; then order=$sides; else order=$(echo "$sides" | awk '{for (i = NF; i > 0; i--) printf "%s ", $i}'); fi
+    for side in $order; do
+        run "$side" "$i" >>"$tmp/runs"
+    done
+    if [ "$i" -eq 1 ] && [ -n "$rev" ] && [ -z "$differ" ] && ! cmp -s "$tmp/out.this" "$tmp/out.rev"; then
+        echo "bench.sh: this tree's ashbench stdout differs from $revid's; no row (--differ accepts it)" >&2
+        diff "$tmp/out.rev" "$tmp/out.this" | head -20 >&2
+        exit 1
+    fi
+done
+
+commit=$(git describe --always --dirty)
+goversion=$(go env GOVERSION)
+awk -v n="$n" -v commit="$commit" -v against="${revid:-}" -v gov="$goversion" \
+    -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v row="$tmp/row" '
+    function sort(a, m,   i, j, t) {
+        for (i = 2; i <= m; i++) for (j = i; j > 1 && a[j-1] > a[j]; j--) { t = a[j]; a[j] = a[j-1]; a[j-1] = t }
+    }
+    # q: the q-quantile of the m sorted values in a, interpolated.
+    function q(a, m, p,   h, lo) {
+        if (m == 0) return "-"
+        h = 1 + (m - 1) * p; lo = int(h)
+        return (lo >= m) ? a[m] : a[lo] + (h - lo) * (a[lo+1] - a[lo])
+    }
+    function stat(side, e, col, p,   a, m, i) {
+        m = 0
+        for (i = 1; i <= n; i++) if ((side, e, i) in wall) {
+            if (col == "wall") a[++m] = wall[side, e, i]
+            else if (col == "norm") a[++m] = wall[side, e, i] / ref[side, i]
+            else if (col == "ns" && ns[side, e, i] != "-") a[++m] = ns[side, e, i]
+            else if (col == "mib") a[++m] = mib[side, e, i]
+            else if (col == "ref") a[++m] = ref[side, i]
+        }
+        sort(a, m)
+        return q(a, m, p)
+    }
+    function wins(e, norm,   i, c) {
+        c = 0
+        for (i = 1; i <= n; i++) {
+            if (norm && wall["this", e, i] / ref["this", i] < wall["rev", e, i] / ref["rev", i]) c++
+            if (!norm && wall["this", e, i] < wall["rev", e, i]) c++
+        }
+        return c
+    }
+    function fmt(v, d) { return (v == "-") ? "-" : sprintf("%." d "f", v) }
+    function pair(col, e, d) {
+        return against == "" ? fmt(stat("this", e, col, 0.5), d) : fmt(stat("rev", e, col, 0.5), d) " -> " fmt(stat("this", e, col, 0.5), d)
+    }
+    {
+        side = $1; i = $2; e = $3
+        if (!(e in seen)) { seen[e] = 1; order[++k] = e }
+        wall[side, e, i] = $4; ns[side, e, i] = $5; mib[side, e, i] = $6; ref[side, i] = $7
+    }
+    END {
+        for (i = 1; i <= n; i++) if (ref["rev", i] == 0) ref["rev", i] = ref["this", i]
+        head = against == "" ? commit : against " -> " commit
+        printf "%d serial runs per side; wall (ms), ns/event and MiB are medians, %s\n", n, head
+        printf "%-11s %-15s %-17s %-17s %-6s %-15s %s\n", "experiment", "wall ms", "ns/event", "MiB", "wins", "wall/ref", "wins"
+        for (j = 1; j <= k; j++) {
+            e = order[j]
+            printf "%-11s %-15s %-17s %-17s %-6s %-15s %s\n", e, pair("wall", e, 0), pair("ns", e, 0), pair("mib", e, 1),
+                against == "" ? "-" : wins(e, 0) "/" n, pair("norm", e, 2), against == "" ? "-" : wins(e, 1) "/" n
+        }
+        printf "host reference (ms, median of before and after): %s\n", pair("ref", "suite", 2)
+        printf "  {\"commit\": \"%s\", \"against\": \"%s\", \"date\": \"%s\", \"go\": \"%s\", \"runs\": %d, \"parallel\": 1,\n", commit, against, date, gov, n > row
+        printf "   \"host_ref_ms\": %s, \"experiments\": {", fmt(stat("this", "suite", "ref", 0.5), 2) > row
+        for (j = 1; j <= k; j++) {
+            e = order[j]
+            printf "%s\n    \"%s\": {\"wall_ms\": [%s, %s, %s], \"ns_per_event\": %s, \"mib\": %s, \"wall_per_ref\": %s", (j > 1 ? "," : ""), e,
+                fmt(stat("this", e, "wall", 0.25), 1), fmt(stat("this", e, "wall", 0.5), 1), fmt(stat("this", e, "wall", 0.75), 1),
+                stat("this", e, "ns", 0.5) == "-" ? "null" : fmt(stat("this", e, "ns", 0.5), 0), fmt(stat("this", e, "mib", 0.5), 1),
+                fmt(stat("this", e, "norm", 0.5), 3) > row
+            if (against != "")
+                printf ", \"against_wall_ms\": [%s, %s, %s], \"wins\": %d, \"wins_per_ref\": %d",
+                    fmt(stat("rev", e, "wall", 0.25), 1), fmt(stat("rev", e, "wall", 0.5), 1), fmt(stat("rev", e, "wall", 0.75), 1),
+                    wins(e, 0), wins(e, 1) > row
+            printf "}" > row
+        }
+        printf "}}" > row
+    }' "$tmp/runs"
+
+if [ -n "$append" ]; then
+    # Append-only: the file is a JSON list, one row per line group; the
+    # new row goes before its closing bracket and nothing else moves.
+    ledger=BENCH_trajectory.json
+    [ -f "$ledger" ] || printf '[\n]\n' >"$ledger"
+    sed '$d' "$ledger" >"$tmp/ledger"
+    if grep -q '}' "$tmp/ledger"; then
+        sed '$s/$/,/' "$tmp/ledger" >"$tmp/ledger2" && mv "$tmp/ledger2" "$tmp/ledger"
+    fi
+    { cat "$tmp/ledger" "$tmp/row"; printf '\n]\n'; } >"$ledger"
+    echo "appended a row to $ledger"
+fi

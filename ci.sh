@@ -74,7 +74,8 @@ go test -race ./...
 #            an Ethernet world move the same RxStats field, every offered
 #            frame has exactly one fate, Binding.Free refuses bad indices
 #   bench, . every distinct world of the registry's quick cells builds to its
-#            spec and closes with no live process and no host memory, every
+#            spec and closes with no live process, no host memory and every
+#            frame the switch handed a receiver given one fate, every
 #            worldSpec field takes two values, a cell run twice grows the pool
 #            once, a cell counts its own engines, the public World.Close
 #   sandbox  three-way differential, run over production's entry points:
@@ -155,6 +156,15 @@ go test -race ./...
 #            compile-cache miss stay within their bytes, a cold cache's
 #            first miss allocates no more than before, and every build
 #            and CFG is made at its final length
+#   mach     a data pass is charged a step per line: LoadRange, CopyRange
+#            (disjoint line-index intervals in one step, any other placement
+#            a source line at a time) and FlushRange leave the cycles,
+#            counts and tags of the per-word and per-byte loops, across the
+#            index wrap, address 2^32, ranges longer than the cache,
+#            intervals that abut or fill the cache, and striped runs
+#   vcode,   CksumData, CksumWords and Frame.Cksum at 1 and 4 MiB of 0xff and
+#   aegis    of random bytes equal the per-halfword and per-word loops: no
+#            lane wraps
 echo "== by-name suites under -race"
 while IFS=: read -r pkg pattern; do
     echo "-- $pkg -run '$pattern'"
@@ -201,6 +211,9 @@ done <<'EOF'
 ./internal/proto/nfs/:^TestWritePath$
 ./internal/relay/:^TestRecycledBlobsReadBack$|^TestWarmRelayDoesNotAllocate$|^TestSeededOpsReplay$
 ./internal/sandbox/:^TestLeasedHarnessMemoryReadsFresh$|^TestThreeWayConcurrentMatchesSerial$|^TestWarmThreeWayAllocations$|^TestCacheMissAllocations$|^TestBuildsAreExact$
+./internal/mach/:^TestRangeClosedFormsMatchPerWordLoop$|^TestRangeClosedFormsOddGeometry$
+./internal/vcode/:^TestCksumPastALaneBlock$
+./internal/aegis/:^TestFrameCksumPastALaneBlock$
 EOF
 
 # Arena stress: built with -tags arenastress, AllocPhys moves a host's

@@ -91,6 +91,7 @@ func main() {
 	fmt.Println("reproduction of the SIGCOMM'96 / ToN'97 evaluation on the simulated testbed")
 	fmt.Println()
 
+	refBefore := timeHostRef()
 	stopCPU := startCPUProfile(*cpuProf)
 	start := time.Now()
 	var notes, perExp, allocs strings.Builder
@@ -121,14 +122,16 @@ func main() {
 		total = total.Add(out.Engines)
 	}
 	stopCPU()
+	refAfter := timeHostRef()
 	writeMemProfile(*memProf)
 	// Stdout is the result and stays byte-identical across runs and
 	// parallelism levels. Stderr describes the simulator itself. Every line
-	// below except the wall time, [go runtime: …] and [go alloc …] is
-	// reproducible run to run at -parallel 1, so contract.sh gates all the
-	// others: it writes the -quick -parallel 1 run's stderr, less those
-	// lines, to ashbench_counts.txt. A value that turns out not to repeat at
-	// -parallel 1 belongs in the [go runtime: …] line.
+	// below except the wall time, [go runtime: …], [go host …] and
+	// [go alloc …] is reproducible run to run at -parallel 1, so
+	// contract.sh gates all the others: it writes the -quick -parallel 1
+	// run's stderr, less those lines, to ashbench_counts.txt. A value that
+	// turns out not to repeat at -parallel 1 belongs in the
+	// [go runtime: …] line.
 	fmt.Fprintf(os.Stderr, "[%d experiment(s) ran in %.1fs wall]\n", len(selected), time.Since(start).Seconds())
 	// The host-memory pool: every cell closes its world, so leases ==
 	// returned, and grown stays near the worker count times the few host
@@ -146,6 +149,9 @@ func main() {
 	// The simulator's own Go runtime cost, the collector's above all: it
 	// moves with the machine and -parallel, run to run.
 	fmt.Fprintln(os.Stderr, goRuntimeLine())
+	// The host: CPU time and peak memory from the kernel, and the reference
+	// work that says how fast the machine was running (hostref.go).
+	fmt.Fprintln(os.Stderr, hostLine(refBefore, refAfter))
 	// At -parallel 1, what each experiment allocated (runtime/metrics, with
 	// the span-sized slack of its accounting).
 	fmt.Fprint(os.Stderr, allocs.String())

@@ -72,7 +72,7 @@ fi
     ashbench breakdown.err -experiment breakdown -trace breakdown.json >/dev/null
     ashbench quick.err -quick -parallel 1 -trace quick.json >/dev/null
     sha256sum breakdown.json quick.json >out/ashbench_trace.sha256
-    grep -v -e '^\[[0-9]* experiment(s) ran in ' -e '^\[go runtime: ' -e '^\[go alloc ' quick.err >out/ashbench_counts.txt
+    grep -v -e '^\[[0-9]* experiment(s) ran in ' -e '^\[go runtime: ' -e '^\[go host: ' -e '^\[go alloc ' quick.err >out/ashbench_counts.txt
 )
 
 mv "$tmp"/out/* "$dir/"

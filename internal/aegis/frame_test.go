@@ -1,6 +1,7 @@
 package aegis
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/rand"
 	"testing"
@@ -57,5 +58,34 @@ func TestFrameReaders(t *testing.T) {
 			}()
 			f.Line(len(payload))
 		}()
+	}
+}
+
+// TestFrameCksumPastALaneBlock: Frame.Cksum over 1 and 4 MiB of 0xff and
+// of random bytes, contiguous (one CksumData call for the whole range) and
+// striped, equals the per-halfword end-around-carry loop.
+func TestFrameCksumPastALaneBlock(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, mib := range []int{1, 4} {
+		n := mib << 20
+		random := make([]byte, n)
+		rng.Read(random)
+		for name, payload := range map[string][]byte{"0xff": bytes.Repeat([]byte{0xff}, n), "random": random} {
+			var want uint32
+			for i := 0; i < n; i += 2 {
+				want = vcode.CksumAdd(want, uint32(payload[i])<<8|uint32(payload[i+1]))
+			}
+			mem := vcode.NewFlatMem(0x1000, 2*n)
+			cont := ContiguousFrame(mem, 0x1000, n)
+			copy(mem.Data, payload)
+			if got := cont.Cksum(0, n); got != want {
+				t.Errorf("contiguous, %d MiB of %s: Cksum = %#x, halfword loop %#x", mib, name, got, want)
+			}
+			Stripe(mem.Data, payload)
+			striped := Frame{Entry: RingEntry{Addr: 0x1000, Len: n}, Striped: true, mem: mem}
+			if got := striped.Cksum(0, n); got != want {
+				t.Errorf("striped, %d MiB of %s: Cksum = %#x, halfword loop %#x", mib, name, got, want)
+			}
+		}
 	}
 }

@@ -68,6 +68,12 @@ type RxStats struct {
 	BadFrees uint64
 }
 
+// Fates is the number of frames with a fate: every frame the wire handed
+// the interface, once.
+func (s *RxStats) Fates() uint64 {
+	return s.CRC + s.NoMatch + s.InjectedRing + s.InjectedPool + s.Shed + s.NoBuffer + s.TooBig + s.Delivered
+}
+
 // DeviceFault is an injected device-level failure for one arriving frame.
 // A fault plane installs an InjectFault hook on an interface; the driver
 // consults it once per frame and models the requested failure.

@@ -83,11 +83,6 @@ func rxFrame(i int) []byte {
 	return []byte{rxTag, byte(i), 0xA0, 0xA1, 0xA2, 0xA3, 0xA4, 0xA5}
 }
 
-// fates sums the terminal fates of RxStats: what the ledger must equal.
-func fates(s RxStats) uint64 {
-	return s.CRC + s.NoMatch + s.InjectedRing + s.InjectedPool + s.Shed + s.NoBuffer + s.TooBig + s.Delivered
-}
-
 type handlerFunc func(mc *MsgCtx) Disposition
 
 func (f handlerFunc) HandleMsg(mc *MsgCtx) Disposition { return f(mc) }
@@ -172,7 +167,7 @@ func TestReceiveMatrix(t *testing.T) {
 				if w.nic.Rx != sc.want {
 					t.Errorf("Rx = %+v, want %+v", w.nic.Rx, sc.want)
 				}
-				if got := fates(w.nic.Rx); got != w.offered {
+				if got := w.nic.Rx.Fates(); got != w.offered {
 					t.Errorf("fates sum to %d, %d frames offered", got, w.offered)
 				}
 				// Only a binding that queued, or armed a high watermark,

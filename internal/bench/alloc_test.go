@@ -1,26 +1,12 @@
 package bench
 
 import (
-	"runtime"
-	"runtime/metrics"
 	"testing"
 	"unsafe"
 
+	"ashs/internal/alloctest"
 	"ashs/internal/workload"
 )
-
-// heapAllocs returns the bytes run allocates on the Go heap. A collection
-// on each side flushes the per-P caches, so the count is exact.
-func heapAllocs(run func()) uint64 {
-	sample := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
-	runtime.GC()
-	metrics.Read(sample)
-	before := sample[0].Value.Uint64()
-	run()
-	runtime.GC()
-	metrics.Read(sample)
-	return sample[0].Value.Uint64() - before
-}
 
 // TestAllocFlatInMessages: a cell allocates what it keeps, not what it
 // sends. For one full-size cell of each scale workload, of overload and of
@@ -49,8 +35,7 @@ func TestAllocFlatInMessages(t *testing.T) {
 
 	cfg := &Config{}
 	for _, r := range runs {
-		allocs := func(c Cell) uint64 { return heapAllocs(func() { c.Run(cfg) }) }
-		allocs(r.once) // warm the arena pool
+		allocs := func(c Cell) uint64 { return alloctest.Bytes(nil, func() { c.Run(cfg) }) }
 		once, twice := allocs(r.once), allocs(r.twice)
 		bound := r.keep + 64<<10
 		t.Logf("%s: %d B at E messages, %d B at 2E", r.once.Label, once, twice)

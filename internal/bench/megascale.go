@@ -258,7 +258,7 @@ type MegaResult struct {
 // so its port (and therefore its address) precedes the fleet's.
 func megaFleet(w *world, kind flyweight.Kind, n int, port uint16, pol retry.Policy) *flyweight.Fleet {
 	srv := w.srv()
-	return flyweight.NewFleet(flyweight.Config{
+	flt := flyweight.NewFleet(flyweight.Config{
 		Eng: w.eng, Prof: w.prof, Sw: w.sw,
 		Kind: kind, N: n,
 		ServerIP: srv.ip, ServerLink: srv.addr(), ServerPort: port,
@@ -267,6 +267,8 @@ func megaFleet(w *world, kind flyweight.Kind, n int, port uint16, pol retry.Poli
 		ReadBytes:  megaReadBytes, FileBytes: megaFileBytes, Handle: uint32(nfs.RootHandle) + 1,
 		Retry: pol, Seed: megaSeed,
 	})
+	srv.fleet = flt
+	return flt
 }
 
 // megaRun drives the cell's open-loop Poisson trace and incast waves to

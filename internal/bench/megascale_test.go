@@ -7,6 +7,7 @@ import (
 	"unsafe"
 
 	"ashs/internal/aegis"
+	"ashs/internal/alloctest"
 	"ashs/internal/dpf"
 	"ashs/internal/flyweight"
 	"ashs/internal/netdev"
@@ -130,7 +131,7 @@ func TestMegascaleRenderShape(t *testing.T) {
 // and returns the bytes it allocated on the Go heap.
 func megaHeapAllocs(wl *megaWorkload, n, events int) uint64 {
 	cfg := &Config{}
-	return heapAllocs(func() {
+	return alloctest.Bytes(nil, func() {
 		inWorld(cfg, *wl.cell(n).spec, func(w *world) MegaResult { return wl.run(cfg, w, n, events) })
 	})
 }
@@ -146,7 +147,6 @@ func TestMegascaleAllocFlatInMessages(t *testing.T) {
 	for _, name := range []string{"udp-echo", "tcp-pp", "nfs-read"} {
 		wl := megaWL(t, name)
 		e := wl.traceEvents(&Config{}, n)
-		megaHeapAllocs(wl, n, e) // warm the arena pool
 		once, twice := megaHeapAllocs(wl, n, e), megaHeapAllocs(wl, n, 2*e)
 		bound := uint64(e)*uint64(unsafe.Sizeof(workload.Event{})) + 64<<10
 		t.Logf("%s N=%d: %d arrivals allocate %d B, %d allocate %d B", name, n, e, once, 2*e, twice)

@@ -15,6 +15,7 @@ import (
 	"ashs/internal/core"
 	"ashs/internal/dpf"
 	"ashs/internal/fault"
+	"ashs/internal/flyweight"
 	"ashs/internal/mach"
 	"ashs/internal/netdev"
 	"ashs/internal/obs"
@@ -102,6 +103,9 @@ type host struct {
 	arp *arp.Service
 	sys *core.System
 	ip  ip.Addr
+	// fleet is the flyweight fleet a megascale cell drives at this host,
+	// nil elsewhere: the world's fate ledger counts what its ports took.
+	fleet *flyweight.Fleet
 }
 
 // addr is the host's switch port, which doubles as its link address.
@@ -259,6 +263,7 @@ func (w *world) checkPool() {
 // live or a host still holding memory is a leak, and panics. Last, the
 // engine's schedule counts go to the config the world was built with.
 func (w *world) close() {
+	w.checkFates()
 	w.eng.Close()
 	for _, h := range w.hosts {
 		h.k.Close()
@@ -271,6 +276,38 @@ func (w *world) close() {
 		}
 	}
 	w.cfg.countEngine(st)
+}
+
+// checkFates is the world's message-fate ledger, taken before the engine
+// drops what it still has scheduled. A frame offered to the switch is
+// refused there (Refused), dropped by the wire's injector (Dropped, which
+// also counts a frame the injector holds back to redeliver later), still
+// in flight, or delivered (Delivered, less the Redelivered copies an
+// injector put back). In-flight frames are each a leased buffer and are
+// none once the engine has drained. A delivered frame reaches no receiver
+// (Unreceived) or is handed to the receivers of the ports it reaches
+// (Received). Each frame a receiver took ends in exactly one fate: one of
+// its host interface's RxStats fates (CRC, no match, injected ring or pool
+// drop, shed, no buffer, too big, delivered, which covers re-vectoring
+// after an abort) or a reception by a flyweight fleet. A path that loses a
+// frame without naming its fate, or names two, fails here, in every cell.
+func (w *world) checkFates() {
+	sw := w.sw
+	inFlight := int64(sw.Sent) - int64(sw.Dropped) - int64(sw.Delivered-sw.Redelivered)
+	drained := w.eng.Pending() == 0
+	fates := uint64(0)
+	for _, h := range w.hosts {
+		fates += h.nic.Rx.Fates()
+		if h.fleet != nil {
+			fates += h.fleet.Received
+		}
+	}
+	if inFlight < 0 || inFlight > int64(sw.Pool.InUse()) || drained && inFlight != 0 || fates != sw.Received() {
+		panic(fmt.Sprintf("bench: %s world %s..%s: fates do not sum: %d offered (%d refused, %d sent), %d dropped, %d delivered, %d redelivered, %d in flight (%d buffers leased, drained %t); %d received, %d unreceived; the receivers gave %d fates",
+			sw.Cfg.Name, w.hosts[0].k.Name, w.hosts[len(w.hosts)-1].k.Name, sw.Sent+sw.Refused, sw.Refused, sw.Sent,
+			sw.Dropped, sw.Delivered, sw.Redelivered, inFlight, sw.Pool.InUse(), drained,
+			sw.Received(), sw.Unreceived, fates))
+	}
 }
 
 // run drains the engine and applies the leak gate. Cells that run to

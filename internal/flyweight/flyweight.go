@@ -128,6 +128,8 @@ type Fleet struct {
 	cfg  Config
 	eps  []Endpoint
 	base int
+	// Received counts the frames the switch handed the fleet's ports.
+	Received uint64
 
 	// free holds settled and abandoned operation records, frame buffers
 	// kept, for the next operation of any endpoint; noRecycle (a test
@@ -243,7 +245,10 @@ func NewFleet(cfg Config) *Fleet {
 
 // rx is the receiver of every endpoint's port. The switch sets Dst to the
 // receiving port, broadcasts included, so it names the endpoint.
-func (f *Fleet) rx(pkt *netdev.PacketBuf) { f.eps[pkt.Dst-f.base].rx(pkt) }
+func (f *Fleet) rx(pkt *netdev.PacketBuf) {
+	f.Received++
+	f.eps[pkt.Dst-f.base].rx(pkt)
+}
 
 // Addr is endpoint i's IP address (for building server-side filters).
 func (f *Fleet) Addr(i int) ip.Addr { return f.eps[i].addr }

@@ -115,12 +115,24 @@ type Switch struct {
 	// (duplicates, held-back reorders) via Redeliver. Refused counts frames
 	// Transmit turned away (oversize, no such port): senders on the
 	// receive path cannot act on its error, so the loss is recorded here.
+	// Unreceived counts delivered frames no receiver took (a unicast to a
+	// port without one, a broadcast no other port has one for), and Fanout
+	// a broadcast's receptions past its first; a world is far from 2^32 of
+	// either, and 32 bits keep the switch in its size class.
 	Sent, Delivered, Dropped, Redelivered, Refused uint64
+	Unreceived, Fanout                             uint32
 
 	// deliverFn is the one bound delivery callback every in-flight frame
 	// is scheduled through (ScheduleArgAt), so transmit builds no
 	// per-packet closure.
 	deliverFn func(any)
+}
+
+// Received is the number of frames handed to a port's receiver, a
+// broadcast once per port it reaches: the receivers' own fates must sum
+// to it.
+func (s *Switch) Received() uint64 {
+	return s.Delivered + uint64(s.Fanout) - uint64(s.Unreceived)
 }
 
 // NewSwitch builds a switch over engine eng with profile prof.
@@ -276,15 +288,24 @@ func (s *Switch) deliver(pkt *PacketBuf) {
 		if pkt.Dst >= 0 && pkt.Dst < s.ports.Len() {
 			if dst := s.ports.At(pkt.Dst); dst.rx != nil {
 				dst.rx(pkt)
+				return
 			}
 		}
+		s.Unreceived++
 		return
 	}
+	reached := uint32(0)
 	for i, n := 0, s.ports.Len(); i < n; i++ {
 		if dst := s.ports.At(i); i != pkt.Src && dst.rx != nil {
 			pkt.Dst = i
+			reached++
 			dst.rx(pkt)
 		}
+	}
+	if reached == 0 {
+		s.Unreceived++
+	} else {
+		s.Fanout += reached - 1
 	}
 	pkt.Dst = Broadcast
 }

@@ -146,6 +146,35 @@ func TestInjectDrop(t *testing.T) {
 	}
 }
 
+// TestEveryDeliveredFrameHasAFate checks the switch's side of the fate
+// ledger: a frame reaching no receiver is Unreceived, and a broadcast
+// counts once per receiver it reaches.
+func TestEveryDeliveredFrameHasAFate(t *testing.T) {
+	eng, sw := newAN2(t)
+	a, b, _, d := sw.NewPort(), sw.NewPort(), sw.NewPort(), sw.NewPort()
+	got := 0
+	b.SetReceiver(func(*PacketBuf) { got++ })
+	d.SetReceiver(func(*PacketBuf) { got++ })
+	_ = a.Transmit(lease(sw, 2, 0, []byte{1}))         // port 2 has no receiver
+	_ = a.Transmit(lease(sw, Broadcast, 0, []byte{2})) // reaches b and d
+	_ = b.Transmit(lease(sw, Broadcast, 0, []byte{3})) // reaches d
+	_ = d.Transmit(lease(sw, b.Addr(), 0, []byte{4}))
+	eng.Run()
+	if sw.Delivered != 4 || sw.Unreceived != 1 || sw.Fanout != 1 || sw.Received() != 4 || uint64(got) != sw.Received() {
+		t.Fatalf("delivered %d, unreceived %d, fanout %d, received %d; the receivers took %d",
+			sw.Delivered, sw.Unreceived, sw.Fanout, sw.Received(), got)
+	}
+	c := sw.NewPort()
+	_ = c.Transmit(lease(sw, Broadcast, 0, []byte{5})) // a has no receiver either
+	a.SetReceiver(nil)
+	b.SetReceiver(nil)
+	d.SetReceiver(nil)
+	eng.Run()
+	if sw.Unreceived != 2 || sw.Received() != 4 {
+		t.Fatalf("a broadcast no port took: unreceived %d, received %d", sw.Unreceived, sw.Received())
+	}
+}
+
 func TestVCCarried(t *testing.T) {
 	eng, sw := newAN2(t)
 	a, b := sw.NewPort(), sw.NewPort()

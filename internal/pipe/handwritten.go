@@ -66,8 +66,8 @@ func HandIntegrated(m *vcode.Machine, src, dst uint32, n int, withBswap bool) (u
 // add-with-carry trick belongs to the VCODE extensions and hence to the
 // integrated paths. Charges per halfword: one (cache-modeled) 16-bit
 // load, two ALU ops (add + carry fold), and half the loop overhead. The
-// cache is charged one Load per halfword, not with LoadRange, which issues
-// one per word: the halfword loop loads every word twice.
+// cache is charged one Load per halfword (LoadHalfwords), not one per word
+// (LoadRange): the halfword loop loads every word twice.
 //
 // An odd tail is zero-padded, as vcode.CksumData pads it; the byte after
 // the range is not read. It returns a 32-bit accumulator whose
@@ -79,12 +79,10 @@ func LibCksumPass(m *vcode.Machine, addr uint32, n int) (uint32, sim.Time, error
 	}
 	prof := m.Prof
 	cycles := sim.Time((n+1)/2) * (2 + sim.Time(prof.LoopOverhead)/2)
-	for off := 0; off < n; off += 2 {
-		if m.Cache != nil {
-			cycles += m.Cache.Load(addr + uint32(off))
-		} else {
-			cycles += sim.Time(prof.LoadHit)
-		}
+	if m.Cache != nil {
+		cycles += m.Cache.LoadHalfwords(addr, n)
+	} else {
+		cycles += sim.Time((n+1)/2) * sim.Time(prof.LoadHit)
 	}
 	m.Charge(cycles)
 	var tail [4]byte

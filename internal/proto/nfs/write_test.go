@@ -3,9 +3,9 @@ package nfs
 import (
 	"bytes"
 	"encoding/binary"
-	"runtime"
-	"runtime/metrics"
 	"testing"
+
+	"ashs/internal/alloctest"
 )
 
 // rpc is a request frame for Server.dispatch.
@@ -16,19 +16,6 @@ func rpc(proc uint32, fh Handle, a, b uint32, payload []byte) []byte {
 	binary.BigEndian.PutUint32(req[12:], a)
 	binary.BigEndian.PutUint32(req[16:], b)
 	return append(req, payload...)
-}
-
-// heapAllocs returns the bytes run allocates on the Go heap, with a
-// collection on each side so the count is exact.
-func heapAllocs(run func()) uint64 {
-	sample := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
-	runtime.GC()
-	metrics.Read(sample)
-	before := sample[0].Value.Uint64()
-	run()
-	runtime.GC()
-	metrics.Read(sample)
-	return sample[0].Value.Uint64() - before
 }
 
 // TestWritePath: WRITEs against the server, one table row per shape —
@@ -48,7 +35,6 @@ func TestWritePath(t *testing.T) {
 		}
 		return ws
 	}
-	heapAllocs(func() {}) // the process's first metrics.Read allocates
 	for _, c := range []struct {
 		name   string
 		writes []write
@@ -64,22 +50,21 @@ func TestWritePath(t *testing.T) {
 			write{8193, 10}, write{40 << 20, 10}, write{8192, 1}, write{8194, 1})},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			s := NewServer()
-			fh := s.AddFile("f", nil)
+			var s *Server
+			var fh Handle
 			// call serves req as Serve does, into the reused reply buffer.
 			call := func(req []byte) []byte {
 				s.reply = s.dispatch(req)
 				return s.reply
 			}
+			data := make([][]byte, len(c.writes))
 			var model []byte
-			var reqs [][]byte
 			var want []uint32
 			for i, w := range c.writes {
-				data := make([]byte, w.n)
-				for j := range data {
-					data[j] = byte(i*131 + j*7 + 1)
+				data[i] = make([]byte, w.n)
+				for j := range data[i] {
+					data[i][j] = byte(i*131 + j*7 + 1)
 				}
-				reqs = append(reqs, rpc(ProcWrite, fh, uint32(w.off), 0, data))
 				if w.off > len(model) {
 					want = append(want, ErrIO)
 					continue
@@ -88,11 +73,20 @@ func TestWritePath(t *testing.T) {
 				if end := w.off + w.n; end > len(model) {
 					model = append(model, make([]byte, end-len(model))...)
 				}
-				copy(model[w.off:], data)
+				copy(model[w.off:], data[i])
 			}
-			call(rpc(ProcGetAttr, fh, 0, 0, nil)) // grows the reply buffer
-			got := make([]uint32, len(reqs))
-			allocs := heapAllocs(func() {
+			// Each measured run writes into a fresh file on a fresh server.
+			var reqs [][]byte
+			got := make([]uint32, len(c.writes))
+			allocs := alloctest.Bytes(func() {
+				s = NewServer()
+				fh = s.AddFile("f", nil)
+				reqs = reqs[:0]
+				for i, w := range c.writes {
+					reqs = append(reqs, rpc(ProcWrite, fh, uint32(w.off), 0, data[i]))
+				}
+				call(rpc(ProcGetAttr, fh, 0, 0, nil)) // grows the reply buffer
+			}, func() {
 				for i, req := range reqs {
 					got[i] = be32(call(req)[4:])
 				}

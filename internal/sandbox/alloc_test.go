@@ -2,30 +2,16 @@ package sandbox_test
 
 import (
 	"reflect"
-	"runtime"
-	"runtime/metrics"
 	"sync"
 	"testing"
 
+	"ashs/internal/alloctest"
 	"ashs/internal/bench/hotpath"
 	"ashs/internal/crl"
 	"ashs/internal/sandbox"
 	"ashs/internal/vcode"
 	"ashs/internal/vcode/analysis"
 )
-
-// heapAllocs returns the bytes run allocates on the Go heap. A collection
-// on each side flushes the per-P caches, so the count is exact.
-func heapAllocs(run func()) uint64 {
-	sample := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
-	runtime.GC()
-	metrics.Read(sample)
-	before := sample[0].Value.Uint64()
-	run()
-	runtime.GC()
-	metrics.Read(sample)
-	return sample[0].Value.Uint64() - before
-}
 
 var budgetModes = []sandbox.BudgetMode{sandbox.BudgetTimer, sandbox.BudgetSoftware}
 
@@ -76,7 +62,7 @@ func TestThreeWayConcurrentMatchesSerial(t *testing.T) {
 func TestWarmThreeWayAllocations(t *testing.T) {
 	sandbox.ResetCache()
 	calls := len(libraryDiffs(t)) // warms the cache and the free list
-	per := heapAllocs(func() { libraryDiffs(t) }) / uint64(calls)
+	per := alloctest.Bytes(nil, func() { libraryDiffs(t) }) / uint64(calls)
 	t.Logf("warm ThreeWay: %d B per call over %d calls", per, calls)
 	if per > 16<<10 {
 		t.Errorf("a warm ThreeWay allocates %d B per call, want at most 16 KiB", per)
@@ -92,10 +78,8 @@ func TestWarmThreeWayAllocations(t *testing.T) {
 // insert (presizing them to the cap would show here).
 func TestCacheMissAllocations(t *testing.T) {
 	pol := sandbox.DefaultPolicy()
-	heapAllocs(func() {}) // the first metrics.Read in a process sets itself up
-	sandbox.ResetCache()
 	first := hotpath.NewHandlerProgram(-1)
-	cold := heapAllocs(func() {
+	cold := alloctest.Bytes(sandbox.ResetCache, func() {
 		if _, err := sandbox.Sandbox(first, pol); err != nil {
 			t.Fatal(err)
 		}
@@ -117,9 +101,12 @@ func TestCacheMissAllocations(t *testing.T) {
 			}
 		}
 	}
-	miss(progs[:warm])
-	_, misses0 := sandbox.CacheStats()
-	per := heapAllocs(func() { miss(progs[warm:]) }) / measured
+	var misses0 uint64
+	per := alloctest.Bytes(func() {
+		sandbox.ResetCache()
+		miss(progs[:warm])
+		_, misses0 = sandbox.CacheStats()
+	}, func() { miss(progs[warm:]) }) / measured
 	if _, misses := sandbox.CacheStats(); misses-misses0 != 2*measured {
 		t.Fatalf("%d misses, want %d: every download must miss", misses-misses0, 2*measured)
 	}

@@ -1,6 +1,8 @@
 package vcode
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -95,6 +97,41 @@ func TestFold16(t *testing.T) {
 	for _, tc := range cases {
 		if got := Fold16(tc.in); got != tc.want {
 			t.Errorf("Fold16(%#x) = %#x, want %#x", tc.in, got, tc.want)
+		}
+	}
+}
+
+// cksumWords is the word-at-a-time loop CksumWords replaced: cksum32 on
+// each big-endian word in turn.
+func cksumWords(acc uint32, data []byte) uint32 {
+	for ; len(data) >= 4; data = data[4:] {
+		acc = CksumAdd(acc, binary.BigEndian.Uint32(data))
+	}
+	return acc
+}
+
+// TestCksumPastALaneBlock: at 1 and 4 MiB of 0xff and of random bytes —
+// past where a single uint64 of paired 16-bit lanes wraps (256 KiB of
+// 0xff) and across several folded blocks — CksumData and CksumWords return,
+// bit for bit, what the per-halfword and per-word loops do.
+func TestCksumPastALaneBlock(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, mib := range []int{1, 4} {
+		ones := bytes.Repeat([]byte{0xff}, mib<<20)
+		random := make([]byte, mib<<20)
+		rng.Read(random)
+		for name, data := range map[string][]byte{"0xff": ones, "random": random} {
+			for _, seed := range []uint32{0, 0xffffffff} {
+				for _, d := range [][]byte{data, data[:len(data)-6], data[2 : len(data)-1]} {
+					if got, want := CksumData(seed, d), cksumHalfwords(seed, d); got != want {
+						t.Errorf("CksumData(%#x, %d bytes of %s) = %#x, halfword loop %#x", seed, len(d), name, got, want)
+					}
+					w := d[:len(d)&^3]
+					if got, want := CksumWords(seed, w), cksumWords(seed, w); got != want {
+						t.Errorf("CksumWords(%#x, %d bytes of %s) = %#x, word loop %#x", seed, len(w), name, got, want)
+					}
+				}
+			}
 		}
 	}
 }
