@@ -109,7 +109,8 @@ go test -race ./...
 #            enumerate to deeply equal values with no func in reach
 #   netdev   a buffer has one owner: recycling, double Release panics, receivers borrow and copy
 #   core     §VI-4: a tenant over its cycle quota takes the lazy path, tenants are isolated
-#   pipe     every compiled engine streams all but its first iteration
+#   pipe     the copying checksum engine streams all but its first
+#            iteration; every other compiled engine is interpreted whole
 #   vcode    the opcode table: every op has a row, prints as before, and its
 #            register effects bound what the interpreter reads and writes
 #   pipe     a pipe body refuses every op class the handler verifier refuses
@@ -257,13 +258,13 @@ fi
 # FuzzStreamMatchesReference picks the memory (FlatMem,
 # AddrSpace, a Journal over either; maybe a page absent), places the two
 # streams of a DILP loop, sets the budgets and warms the cache, and requires
-# Machine.Run — whose streaming-loop executor takes such a loop whenever the
-# memory lends both streams whole — to leave what the per-instruction
-# reference interpreter leaves, and Undo to take all of it back. It also
-# picks what the checksum accumulator and the source start as (seeded, zero,
-# all ones, a total that is a multiple of 2^32-1), so it guards the bulk body
-# of the copy+checksum loop — one lane sum and one copy — and the forward
-# overlap that must keep the per-word body.
+# Machine.Run — whose streaming-loop executor takes the copy+checksum loop
+# whenever the memory lends both streams whole — to leave what the
+# per-instruction reference interpreter leaves, and Undo to take all of it
+# back. It also picks what the checksum accumulator and the source start as
+# (seeded, zero, all ones, a total that is a multiple of 2^32-1), so it
+# guards the bulk body — one lane sum and one copy — and the forward overlap
+# it leaves to the interpreter; every other loop shape must stream nothing.
 # FuzzIPInput feeds one stack a short sequence of datagrams and fragments
 # (ID, offset, MF, payload length, options, an idle gap): every call
 # returns within a deadline, slots are held only by live reassemblies and

@@ -106,7 +106,7 @@ func main() {
 			outs = append(outs, bench.RunExperiments(cfg, []*bench.Experiment{e})...)
 			wall := time.Since(t0)
 			bytes1, objects1 := goAllocs()
-			fmt.Fprintf(&allocs, "[go alloc %s: %.1f MiB, %d objects, %.0f ms wall, %s]\n",
+			fmt.Fprintf(&allocs, "[go alloc %s: %.1f MiB, %d objects, %.2f ms wall, %s]\n",
 				e.Name, float64(bytes1-bytes0)/(1<<20), objects1-objects0,
 				float64(wall)/float64(time.Millisecond), nsPerEvent(wall, outs[len(outs)-1].Engines.Fired))
 		}

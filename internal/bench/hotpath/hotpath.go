@@ -137,9 +137,9 @@ func NewHandlerProgram(tweak int32) *vcode.Program {
 // VCODEDispatch measures one full handler execution (16 loads + ALU + a
 // store) over a resident packet: the per-message cost floor of every ASH
 // invocation — the loop the paper attacks with dynamic code generation.
-// The handler's loop is a streaming loop, so all but its first iteration
-// runs in vcode.Machine's executor (stream.go); VCODEBranchy is the body
-// that stays in the interpreter's own loop.
+// Its load-only loop is not the copy+checksum that vcode.Machine streams
+// (stream.go), so every instruction is interpreted; VCODEBranchy is the
+// straight-line body beside it.
 func VCODEDispatch(b *testing.B) {
 	prog := NewHandlerProgram(0)
 	mem := vcode.NewFlatMem(0x1000, HandlerBytes)
@@ -202,10 +202,8 @@ func NewHeaderCheckPacket() *vcode.FlatMem {
 }
 
 // VCODEBranchy measures the interpreter's general loop, one instruction
-// per dispatch: the header-check handler over a resident packet. The
-// checksum loop of VCODEDispatch is a streaming loop and runs in
-// vcode.Machine's executor, so this is the body that says what a handler
-// pays per instruction when it is not one.
+// per dispatch: the header-check handler over a resident packet, forward
+// branches taken and not where VCODEDispatch runs one backward loop.
 func VCODEBranchy(b *testing.B) {
 	prog := NewHeaderCheckProgram()
 	m := vcode.NewMachine(mach.DS5000_240(), NewHeaderCheckPacket())

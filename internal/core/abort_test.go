@@ -331,10 +331,10 @@ func TestZeroLengthTransfersSucceedAnywhere(t *testing.T) {
 	}
 }
 
-// TestStreamedLoopRollsBack: a handler's own copy loop — uninstrumented, so
-// vcode's streaming executor runs it over the journal on the owner's address
-// space — is pre-imaged like any other store. Aborted between two batches,
-// it leaves the destination as it found it.
+// TestStreamedLoopRollsBack: a handler's own copy+checksum loop —
+// uninstrumented, so vcode's streaming executor runs it over the journal on
+// the owner's address space — is pre-imaged like any other store. Aborted
+// between two batches, it leaves the destination as it found it.
 func TestStreamedLoopRollsBack(t *testing.T) {
 	tb := newTestbed(t)
 	owner := tb.k2.Spawn("app", func(p *aegis.Process) {})
@@ -345,12 +345,13 @@ func TestStreamedLoopRollsBack(t *testing.T) {
 	}
 
 	b := vcode.NewBuilder("copy-loop")
-	dst, idx, w := b.Temp(), b.Temp(), b.Temp()
+	dst, idx, w, sum := b.Temp(), b.Temp(), b.Temp(), b.Temp()
 	head := b.NewLabel()
 	b.MovI(dst, int32(seg.Base))
 	b.MovI(idx, 0)
 	b.Bind(head)
 	b.Ld32X(w, vcode.RArg0, idx)
+	b.Cksum32(sum, w)
 	b.St32X(dst, idx, w)
 	b.AddIU(idx, idx, 4)
 	b.BltU(idx, vcode.RArg1, head)
@@ -368,7 +369,7 @@ func TestStreamedLoopRollsBack(t *testing.T) {
 	// Enough budget for the first iteration and a batch of streamed ones,
 	// not for the loop.
 	before := bytes.Clone(data)
-	tb.sys.InjectAbort = func(string) (AbortMode, int64) { return AbortBudget, 2 + 4*40 }
+	tb.sys.InjectAbort = func(string) (AbortMode, int64) { return AbortBudget, 2 + 5*40 }
 	tb.a1.KernelSend(tb.a2.Addr(), 4, payload)
 	tb.eng.Run()
 	if ash.InvolAborts != 1 || ash.machine.Streamed == 0 {
@@ -381,7 +382,7 @@ func TestStreamedLoopRollsBack(t *testing.T) {
 	tb.sys.InjectAbort = nil
 	tb.a1.KernelSend(tb.a2.Addr(), 4, payload)
 	tb.eng.Run()
-	if want := int64(4 * (len(payload)/4 - 1)); ash.machine.Streamed != want || !bytes.Equal(data, payload) {
+	if want := int64(5 * (len(payload)/4 - 1)); ash.machine.Streamed != want || !bytes.Equal(data, payload) {
 		t.Fatalf("clean run: Streamed = %d, want %d; copied correctly: %v", ash.machine.Streamed, want, bytes.Equal(data, payload))
 	}
 }

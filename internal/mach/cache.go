@@ -178,7 +178,10 @@ func (c *Cache) LoadHalfwords(addr uint32, n int) sim.Time { return c.loadStream
 // disjoint (which needs them to fit in the cache together), no store can
 // evict a source line and no line is touched twice: the source lines are
 // loaded as LoadRange loads them and the destination's tags are written
-// after them, in order. Otherwise the copy goes a source line at a time.
+// after them, in order. That case carries 82 % of the words copied over a
+// serial ashbench run (82.3 % of tcp-bulk's, 81.5 % of chaos's), and
+// without it tcp-bulk's cpu_s rises 8.5 % (ten alternated pairs on a
+// 2-vCPU host). Otherwise the copy goes a source line at a time.
 // The k words that start in one source line have their destinations in at
 // most two lines, d1 and then d2. When neither is a different line with
 // the source line's index, no store of the k can evict the source line: the

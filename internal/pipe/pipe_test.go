@@ -672,11 +672,14 @@ func TestCommutativeAttrRecorded(t *testing.T) {
 }
 
 // TestCompiledEnginesStream is the contract between what Compile emits and
-// what vcode's streaming-loop executor matches (vcode/stream.go): of every
-// engine — each composition of the built-in pipes, copying or not — the
-// interpreter loop runs the prologue, the first iteration and the ret, and
-// the executor everything else. Reorder two instructions of the emitted
-// loop and this test, not a profile, says the fast path is gone.
+// what vcode's streaming-loop executor matches (vcode/stream.go): of the
+// copying checksum engine, the DILP loop, the interpreter loop runs the
+// prologue, the first iteration and the ret, and the executor everything
+// else. Reorder two instructions of the emitted loop and this test, not a
+// profile, says the fast path is gone. Every other engine — each other
+// composition of the built-in pipes, copying or not — is interpreted
+// whole (vcode's TestStreamMatchesReference runs each of their loops
+// against the reference interpreter).
 //
 // The executor asks the machine's Memory for both streams whole, so the
 // share is the same over what a downloaded handler runs on — a Journal on
@@ -723,7 +726,10 @@ func TestCompiledEnginesStream(t *testing.T) {
 			}
 			// Guard and index set-up, one trip round the loop, ret: the
 			// program once through.
-			want := m.Insns - int64(len(e.Prog.Insns))
+			want := int64(0)
+			if subset == 1 && opts.Output {
+				want = m.Insns - int64(len(e.Prog.Insns))
+			}
 			if m.Streamed != want {
 				t.Errorf("%s (Output %v): Streamed = %d of %d instructions, want %d\n%s",
 					e.Prog.Name, opts.Output, m.Streamed, m.Insns, want, e.Prog)

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"ashs/internal/vcode"
+	"ashs/internal/vcode/analysis"
 )
 
 // The compile cache makes Verify and Sandbox content-addressed: both are
@@ -94,19 +95,23 @@ func (sp *Program) withPolicy(pol *Policy) *Program {
 // Verify performs the download-time static checks and returns nil if the
 // program may be instrumented and installed. Results (rejections included)
 // are memoized by content.
-func Verify(p *vcode.Program, pol *Policy) error { return verifyKeyed(keyOf(p, pol), p) }
+func Verify(p *vcode.Program, pol *Policy) error {
+	_, err := verifyKeyed(keyOf(p, pol), p)
+	return err
+}
 
-// verifyKeyed is Verify under a key the caller has already computed.
-func verifyKeyed(k cacheKey, p *vcode.Program) error {
+// verifyKeyed is Verify under a key the caller has already computed. On a
+// miss it also returns the CFG it verified; on a hit, none.
+func verifyKeyed(k cacheKey, p *vcode.Program) (*analysis.CFG, error) {
 	cache.Lock()
 	if err, ok := cache.verify[k]; ok {
 		cache.hits++
 		cache.Unlock()
-		return err
+		return nil, err
 	}
 	cache.misses++
 	cache.Unlock()
-	err := verifyProgram(p)
+	c, err := verifyProgram(p)
 	cache.Lock()
 	if cache.verify == nil {
 		cache.verify = make(map[cacheKey]error)
@@ -115,7 +120,7 @@ func verifyKeyed(k cacheKey, p *vcode.Program) error {
 	}
 	cache.verify[k] = err
 	cache.Unlock()
-	return err
+	return c, err
 }
 
 // Sandbox verifies and instruments a program under pol. The input program
@@ -131,10 +136,11 @@ func Sandbox(p *vcode.Program, pol *Policy) (*Program, error) {
 	}
 	cache.misses++
 	cache.Unlock()
-	if err := verifyKeyed(k, p); err != nil {
+	c, err := verifyKeyed(k, p)
+	if err != nil {
 		return nil, err
 	}
-	sp, err := compile(p, pol)
+	sp, err := compile(p, pol, c)
 	if err != nil {
 		return nil, err
 	}

@@ -61,7 +61,7 @@ func TestCompileCacheHitMatchesMiss(t *testing.T) {
 			t.Fatal("a cache hit copied the build instead of sharing it")
 		}
 	}
-	fresh, err := compile(p, pol2)
+	fresh, err := compile(p, pol2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -260,6 +260,22 @@ func GatherProfile(p *vcode.Program, cfg DiffConfig) (*reopt.Profile, error) {
 	}, nil
 }
 
+// threeWayNames names ThreeWay's builds, in the order threeWayPolicies
+// makes their policies.
+var threeWayNames = [3]string{"naive", "optimized", "reoptimized"}
+
+// threeWayPolicies are the policies of ThreeWay's three builds under
+// budget: naive, optimized, and reoptimized under prof.
+func threeWayPolicies(budget BudgetMode, prof *reopt.Profile) [3]*Policy {
+	naive := DefaultPolicy()
+	naive.Budget = budget
+	opt := *naive
+	opt.Optimize = true
+	re := opt
+	re.Profile = prof
+	return [3]*Policy{naive, &opt, &re}
+}
+
 // ThreeWay runs p under all three instrumentations and enforces the
 // equivalence oracle, using prof for the reoptimized variant (nil
 // gathers one with a profiled naive pre-pass). A non-nil error is a
@@ -273,16 +289,6 @@ func ThreeWay(p *vcode.Program, prof *reopt.Profile, cfg DiffConfig) (*DiffOutco
 			return nil, err
 		}
 	}
-	naive := DefaultPolicy()
-	naive.Budget = cfg.Budget
-	opt := DefaultPolicy()
-	opt.Budget = cfg.Budget
-	opt.Optimize = true
-	re := DefaultPolicy()
-	re.Budget = cfg.Budget
-	re.Optimize = true
-	re.Profile = prof
-
 	var vs [3]*diffVariant
 	defer func() {
 		for _, v := range vs {
@@ -291,11 +297,10 @@ func ThreeWay(p *vcode.Program, prof *reopt.Profile, cfg DiffConfig) (*DiffOutco
 			}
 		}
 	}()
-	names := [3]string{"naive", "optimized", "reoptimized"}
-	for i, pol := range []*Policy{naive, opt, re} {
+	for i, pol := range threeWayPolicies(cfg.Budget, prof) {
 		v, err := newDiffVariant(p, pol, &cfg)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", names[i], err)
+			return nil, fmt.Errorf("%s: %w", threeWayNames[i], err)
 		}
 		vs[i] = v
 	}
@@ -314,7 +319,7 @@ func ThreeWay(p *vcode.Program, prof *reopt.Profile, cfg DiffConfig) (*DiffOutco
 			}
 			if v.guard.escaped {
 				return nil, fmt.Errorf("%s escaped the region on round %d\n%s",
-					names[k], i, v.sp.Code)
+					threeWayNames[k], i, v.sp.Code)
 			}
 		}
 		out.Rounds++
@@ -327,7 +332,7 @@ func ThreeWay(p *vcode.Program, prof *reopt.Profile, cfg DiffConfig) (*DiffOutco
 				if (faults[k] != nil) != (faults[0] != nil) {
 					return nil, fmt.Errorf(
 						"round %d: naive fault=%v but %s fault=%v\n%s",
-						i, faults[0], names[k], faults[k], p)
+						i, faults[0], threeWayNames[k], faults[k], p)
 				}
 			}
 			// A faulting round ends the run: without rollback, partial
@@ -354,7 +359,7 @@ func ThreeWay(p *vcode.Program, prof *reopt.Profile, cfg DiffConfig) (*DiffOutco
 				if vs[k].m.Regs[r] != vs[0].m.Regs[r] {
 					return nil, fmt.Errorf(
 						"round %d: r%d naive=%#x %s=%#x\n%s",
-						i, r, vs[0].m.Regs[r], names[k], vs[k].m.Regs[r], p)
+						i, r, vs[0].m.Regs[r], threeWayNames[k], vs[k].m.Regs[r], p)
 				}
 			}
 		}
@@ -367,12 +372,12 @@ func ThreeWay(p *vcode.Program, prof *reopt.Profile, cfg DiffConfig) (*DiffOutco
 				vk := binary.BigEndian.Uint32(vs[k].flat.Data[a:])
 				if vk != v0 {
 					return nil, fmt.Errorf("mem[%#x]: naive=%#x %s=%#x\n%s",
-						a, v0, names[k], vk, p)
+						a, v0, threeWayNames[k], vk, p)
 				}
 			}
 		}
 		for k := 1; k < 3; k++ {
-			if err := sameSends(vs[0].sends, vs[k].sends, names[k]); err != nil {
+			if err := sameSends(vs[0].sends, vs[k].sends, threeWayNames[k]); err != nil {
 				return nil, fmt.Errorf("%w\n%s", err, p)
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ashs/internal/vcode"
+	"ashs/internal/vcode/analysis"
 	"ashs/internal/vcode/reopt"
 )
 
@@ -57,8 +58,14 @@ func reoptProfileSeed(t *testing.T, seed int64, raw []byte) {
 	if seed%2 == 0 {
 		mode = BudgetSoftware
 	}
-	if _, err := ThreeWay(p, prof, DiffConfig{Budget: mode}); err != nil {
+	out, err := ThreeWay(p, prof, DiffConfig{Budget: mode})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if _, err := analysis.Bound(p, fuzzBoundMsg); err == nil {
+		if err := CheckBound(p, mode, out, fuzzBoundMsg); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if mode == BudgetSoftware {
 		for _, b := range []int64{5, 60} {

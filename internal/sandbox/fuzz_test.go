@@ -5,7 +5,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ashs/internal/netdev"
 	"ashs/internal/vcode"
+	"ashs/internal/vcode/analysis"
 )
 
 // The differential property at the heart of the optimizer's safety story:
@@ -30,6 +32,10 @@ const (
 	fuzzBase = 0x1000
 	fuzzSize = 0x1000
 )
+
+// fuzzBoundMsg is the largest message a handler can be given, the AN2 MTU:
+// the bound a generated program with one is held to, in every build.
+var fuzzBoundMsg = netdev.AN2Config().MaxFrame
 
 // genProgram builds a random verifiable program: straight-line unsigned
 // arithmetic, direct and indexed memory ops through a few base registers
@@ -146,14 +152,14 @@ func checkDifferential(t *testing.T, p *vcode.Program, budget BudgetMode) bool {
 		t.Error(err)
 		return false
 	}
+	if _, err := analysis.Bound(p, fuzzBoundMsg); err == nil {
+		if err := CheckBound(p, budget, out, fuzzBoundMsg); err != nil {
+			t.Error(err)
+			return false
+		}
+	}
 	// Each of the three builds is made at its final length.
-	naive := DefaultPolicy()
-	naive.Budget = budget
-	opt := *naive
-	opt.Optimize = true
-	re := opt
-	re.Profile = out.Profile
-	for _, pol := range []*Policy{naive, &opt, &re} {
+	for _, pol := range threeWayPolicies(budget, out.Profile) {
 		sp, err := Sandbox(p, pol)
 		if err != nil {
 			t.Error(err)

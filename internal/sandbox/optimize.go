@@ -124,7 +124,7 @@ func buildGroups(c *analysis.CFG) map[int]*memGroup {
 // always establish it), which keeps the transfer monotone.
 func stepCheck(s *analysis.CheckSet, in vcode.Insn, anchor *memGroup) {
 	if in.Op == vcode.OpCall {
-		s.KillAll() // syscalls may write any register
+		s.Reset(false) // syscalls may write any register
 		return
 	}
 	if anchor != nil {
@@ -260,23 +260,22 @@ func planPreheaders(c *analysis.CFG, pol *Policy, anchorOf map[int]*memGroup,
 // header's IN (the preheader establishes them on every entry path, and
 // nothing in the loop kills them). Verify has already rejected unreachable
 // code, so every block's fixpoint IN derives from the concrete entry state.
+// Each block's IN and OUT are made once and met into in place; a sweep's
+// new OUT is built in a spare set and swapped in when it differs.
 func checkFacts(c *analysis.CFG, anchorOf map[int]*memGroup, plans map[int]*preheader) []*analysis.CheckSet {
 	n := len(c.Blocks)
 	ins := make([]*analysis.CheckSet, n)
 	outs := make([]*analysis.CheckSet, n)
 	for b := 0; b < n; b++ {
-		outs[b] = analysis.TopCheckSet()
+		ins[b], outs[b] = analysis.NewCheckSet(), analysis.TopCheckSet()
 	}
+	out := analysis.NewCheckSet()
 	order := c.RPO()
 	for changed := true; changed; {
 		changed = false
 		for _, b := range order {
-			var in *analysis.CheckSet
-			if b == 0 {
-				in = analysis.NewCheckSet() // entry: nothing certified yet
-			} else {
-				in = analysis.TopCheckSet()
-			}
+			in := ins[b]
+			in.Reset(b != 0) // entry: nothing certified yet
 			for _, p := range c.Blocks[b].Preds {
 				in.Meet(outs[p])
 			}
@@ -285,13 +284,12 @@ func checkFacts(c *analysis.CFG, anchorOf map[int]*memGroup, plans map[int]*preh
 					in.AddSpan(g.reg, g.minImm, g.maxImm)
 				}
 			}
-			ins[b] = in
-			out := in.Clone()
+			out.CopyFrom(in)
 			for pc := c.Blocks[b].Start; pc < c.Blocks[b].End; pc++ {
 				stepCheck(out, c.Prog.Insns[pc], anchorOf[pc])
 			}
 			if !out.Equal(outs[b]) {
-				outs[b] = out
+				outs[b], out = out, outs[b]
 				changed = true
 			}
 		}
@@ -377,12 +375,13 @@ func planChecks(c *analysis.CFG, anchorOf map[int]*memGroup, plans map[int]*preh
 	return need, size
 }
 
-// instrumentOptimized emits optimized SFI instrumentation for p, returning
-// ok=false when the program is outside the optimizer's domain (indirect
-// jumps) and the caller should fall back to instrumentNaive.
-func instrumentOptimized(p *vcode.Program, pol *Policy) ([]vcode.Insn, []int, optStats, bool) {
+// instrumentOptimized emits optimized SFI instrumentation for the program
+// of c, returning ok=false when the program is outside the optimizer's
+// domain (indirect jumps) and the caller should fall back to
+// instrumentNaive.
+func instrumentOptimized(c *analysis.CFG, pol *Policy) ([]vcode.Insn, []int, optStats, bool) {
 	var st optStats
-	c := analysis.Build(p)
+	p := c.Prog
 	if c.HasIndirect {
 		return nil, nil, st, false
 	}

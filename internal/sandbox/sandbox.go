@@ -110,32 +110,33 @@ func (e *VerifyError) Error() string {
 	return fmt.Sprintf("sandbox: rejected at pc=%d (%s): %s", e.PC, e.Insn, e.Reason)
 }
 
-// verifyProgram is the uncached implementation behind Verify.
-func verifyProgram(p *vcode.Program) error {
+// verifyProgram is the uncached implementation behind Verify. It returns
+// the CFG it verified, which the optimizing instrumenter goes on to use.
+func verifyProgram(p *vcode.Program) (*analysis.CFG, error) {
 	n := len(p.Insns)
 	for pc, in := range p.Insns {
 		switch {
 		case in.Op >= vcode.NumOps:
-			return &VerifyError{pc, in, "unknown opcode"}
+			return nil, &VerifyError{pc, in, "unknown opcode"}
 		case in.Op.Is(vcode.Float):
-			return &VerifyError{pc, in, "floating-point instructions are disallowed at download time"}
+			return nil, &VerifyError{pc, in, "floating-point instructions are disallowed at download time"}
 		case in.Op.Is(vcode.Signed):
-			return &VerifyError{pc, in, "signed (trapping) arithmetic is disallowed; use unsigned forms"}
+			return nil, &VerifyError{pc, in, "signed (trapping) arithmetic is disallowed; use unsigned forms"}
 		case in.Op.Is(vcode.Reserved):
-			return &VerifyError{pc, in, "sandbox-reserved instruction in downloaded code"}
+			return nil, &VerifyError{pc, in, "sandbox-reserved instruction in downloaded code"}
 		case in.Op.Is(vcode.PipeOp):
-			return &VerifyError{pc, in, "pipe pseudo-op outside a pipe body"}
+			return nil, &VerifyError{pc, in, "pipe pseudo-op outside a pipe body"}
 		case in.Op == vcode.OpCall:
 			if name := in.Sym.String(); entryPoints[name] == nil {
-				return &VerifyError{pc, in, fmt.Sprintf("call to %q is not an allowed system entry point", name)}
+				return nil, &VerifyError{pc, in, fmt.Sprintf("call to %q is not an allowed system entry point", name)}
 			}
 		case in.Op.Is(vcode.Branch):
 			if in.Target < 0 || int(in.Target) >= n {
-				return &VerifyError{pc, in, "static branch target outside program"}
+				return nil, &VerifyError{pc, in, "static branch target outside program"}
 			}
 		}
 		if !in.RegsInFile() {
-			return &VerifyError{pc, in, "register outside the register file"}
+			return nil, &VerifyError{pc, in, "register outside the register file"}
 		}
 		// Writes to reserved registers would subvert the SFI staging
 		// register; reject them. The zero register is part of the staging:
@@ -144,16 +145,17 @@ func verifyProgram(p *vcode.Program) error {
 		// register, so a handler that wrote it would move the access by
 		// what it wrote.
 		if in.Defs().Has(vcode.RSbox) {
-			return &VerifyError{pc, in, "write to reserved sandbox register"}
+			return nil, &VerifyError{pc, in, "write to reserved sandbox register"}
 		}
 		if in.Defs().Has(vcode.RZero) {
-			return &VerifyError{pc, in, "write to the zero register"}
+			return nil, &VerifyError{pc, in, "write to the zero register"}
 		}
 	}
 	if n == 0 || p.Insns[n-1].Op != vcode.OpRet {
-		return &VerifyError{n - 1, vcode.Insn{}, "program must end in ret"}
+		return nil, &VerifyError{n - 1, vcode.Insn{}, "program must end in ret"}
 	}
-	return verifyCFG(p)
+	c := analysis.Build(p)
+	return c, verifyCFG(c)
 }
 
 // verifyCFG runs the control-flow half of verification: code that cannot
@@ -161,8 +163,8 @@ func verifyProgram(p *vcode.Program) error {
 // jumps whose target is not statically confined to the program ("jump-table
 // discipline"). Straight-line checks have already passed, so branch targets
 // are in range and the CFG is well formed.
-func verifyCFG(p *vcode.Program) error {
-	c := analysis.Build(p)
+func verifyCFG(c *analysis.CFG) error {
+	p := c.Prog
 	for _, b := range c.FallsOff {
 		last := c.Blocks[b].Last()
 		return &VerifyError{last, p.Insns[last], "control can fall through past the final ret"}
@@ -242,8 +244,9 @@ func (sp *Program) OrigCounts(pcCounts []uint64) []uint64 {
 }
 
 // compile is the uncached instrumentation behind Sandbox, which has already
-// verified p. The build copies p once and never aliases it.
-func compile(p *vcode.Program, pol *Policy) (*Program, error) {
+// verified p and passes the CFG it verified (nil when the verdict was
+// cached). The build copies p once and never aliases it.
+func compile(p *vcode.Program, pol *Policy, c *analysis.CFG) (*Program, error) {
 	orig := p.Clone()
 	if pol.Hardware == HardwareX86 {
 		// Segmentation hardware isolates the handler: no software checks,
@@ -257,8 +260,11 @@ func compile(p *vcode.Program, pol *Policy) (*Program, error) {
 		st       optStats
 	)
 	if pol.Optimize {
+		if c == nil {
+			c = analysis.Build(p)
+		}
 		var ok bool
-		out, oldToNew, st, ok = instrumentOptimized(p, pol)
+		out, oldToNew, st, ok = instrumentOptimized(c, pol)
 		if !ok {
 			out, oldToNew = instrumentNaive(p, pol)
 		}

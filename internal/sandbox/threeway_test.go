@@ -10,10 +10,15 @@ import (
 	"testing"
 
 	"ashs/internal/crl"
+	"ashs/internal/netdev"
 	"ashs/internal/sandbox"
 	"ashs/internal/vcode"
+	"ashs/internal/vcode/analysis"
 	"ashs/internal/vcode/reopt"
 )
+
+// boundMsg is the largest message a handler can be given: the AN2 MTU.
+var boundMsg = netdev.AN2Config().MaxFrame
 
 // adversarialProfiles builds the profile bank for a program: profiles
 // the optimizer must survive even though no execution produced them.
@@ -38,12 +43,18 @@ func adversarialProfiles(p *vcode.Program) map[string]*reopt.Profile {
 	}
 }
 
+// TestThreeWayRegistry also holds every handler to its proven bound: each
+// has one, and each build of it runs at most its own bound a round.
 func TestThreeWayRegistry(t *testing.T) {
 	modes := map[string]sandbox.BudgetMode{
 		"timer":    sandbox.BudgetTimer,
 		"software": sandbox.BudgetSoftware,
 	}
 	for _, e := range crl.Library() {
+		if _, err := analysis.Bound(e.Prog, boundMsg); err != nil {
+			t.Errorf("%s has no bound: %v", e.Name, err)
+			continue
+		}
 		for mname, mode := range modes {
 			cfg := sandbox.DiffConfig{
 				Budget: mode, Rounds: 6, Msg: e.Msg, Setup: e.Setup,
@@ -56,10 +67,17 @@ func TestThreeWayRegistry(t *testing.T) {
 				if out.FaultRounds != 0 {
 					t.Fatalf("registry handler faulted: %+v", out)
 				}
+				if err := sandbox.CheckBound(e.Prog, mode, out, boundMsg); err != nil {
+					t.Fatal(err)
+				}
 			})
 			for pname, prof := range adversarialProfiles(e.Prog) {
 				t.Run(e.Name+"/"+mname+"/"+pname, func(t *testing.T) {
-					if _, err := sandbox.ThreeWay(e.Prog, prof, cfg); err != nil {
+					out, err := sandbox.ThreeWay(e.Prog, prof, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := sandbox.CheckBound(e.Prog, mode, out, boundMsg); err != nil {
 						t.Fatal(err)
 					}
 				})

@@ -52,15 +52,35 @@ func TopCheckSet() *CheckSet {
 
 // Clone deep-copies the set.
 func (s *CheckSet) Clone() *CheckSet {
-	n := &CheckSet{top: s.top, ranges: make(map[vcode.Reg][]Span, len(s.ranges)),
-		pairs: make(map[[2]vcode.Reg]bool, len(s.pairs))}
-	for r, spans := range s.ranges {
-		n.ranges[r] = append([]Span(nil), spans...)
-	}
-	for p := range s.pairs {
-		n.pairs[p] = true
-	}
+	n := NewCheckSet()
+	n.CopyFrom(s)
 	return n
+}
+
+// CopyFrom makes s equal to o in s's own storage: a register's spans reuse
+// its slice when s already has one.
+func (s *CheckSet) CopyFrom(o *CheckSet) {
+	s.top = o.top
+	for r := range s.ranges {
+		if _, ok := o.ranges[r]; !ok {
+			delete(s.ranges, r)
+		}
+	}
+	for r, spans := range o.ranges {
+		s.ranges[r] = append(s.ranges[r][:0], spans...)
+	}
+	clear(s.pairs)
+	for p := range o.pairs {
+		s.pairs[p] = true
+	}
+}
+
+// Reset empties s in place: to top when top is set, else to nothing
+// certified. A top set holds no facts, as TopCheckSet's does not.
+func (s *CheckSet) Reset(top bool) {
+	s.top = top
+	clear(s.ranges)
+	clear(s.pairs)
 }
 
 // Covers reports whether reg+imm is certified.
@@ -124,14 +144,6 @@ func (s *CheckSet) KillReg(reg vcode.Reg) {
 	}
 }
 
-// KillAll drops every fact (an OpCall executed: syscalls may write any
-// register).
-func (s *CheckSet) KillAll() {
-	s.top = false
-	s.ranges = map[vcode.Reg][]Span{}
-	s.pairs = map[[2]vcode.Reg]bool{}
-}
-
 // Meet intersects o into s (the dataflow meet at a CFG merge: a fact holds
 // only if it holds on every incoming path).
 func (s *CheckSet) Meet(o *CheckSet) {
@@ -139,15 +151,7 @@ func (s *CheckSet) Meet(o *CheckSet) {
 		return
 	}
 	if s.top {
-		s.top = false
-		s.ranges = make(map[vcode.Reg][]Span, len(o.ranges))
-		for r, spans := range o.ranges {
-			s.ranges[r] = append([]Span(nil), spans...)
-		}
-		s.pairs = make(map[[2]vcode.Reg]bool, len(o.pairs))
-		for p := range o.pairs {
-			s.pairs[p] = true
-		}
+		s.CopyFrom(o)
 		return
 	}
 	for r, spans := range s.ranges {

@@ -362,11 +362,11 @@ func (m *Machine) run(prog *Program, insnLimit int64, cycleLimit sim.Time) (insn
 		case OpBltU:
 			if r[in.Rs] < r[in.Rt] {
 				next = int(in.Target)
-				// A backward branch onto a ld32x may close a streaming loop:
-				// stream runs as many whole iterations of it as cannot
-				// differ from running them here (possibly none), and the
-				// branch is decided again.
-				if 0 <= next && next < pc-1 && code[next].Op == OpLd32X {
+				// A branch four back onto a ld32x may close the streaming
+				// copy+checksum loop: stream runs as many whole iterations
+				// of it as cannot differ from running them here (possibly
+				// none), and the branch is decided again.
+				if next == pc-4 && code[next].Op == OpLd32X {
 					insnsLeft, cyclesLeft = m.stream(code, pc, mem, cache, counts, insnsLeft, cyclesLeft)
 					if r[in.Rs] >= r[in.Rt] {
 						next = pc + 1

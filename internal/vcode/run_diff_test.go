@@ -304,24 +304,33 @@ func randomProgram(r *rand.Rand, loops bool) *vcode.Program {
 	return &vcode.Program{Name: "random", Insns: ins}
 }
 
-// appendStreamLoop embeds the idiom the streaming-loop executor matches
-// (stream.go): r12 steps by 4 up to a small bound in r13, neither of which
-// the caller's register choosers return, so the loop ends whatever its
-// body does. The body's registers are drawn like everyone else's: some
-// loops match, some write their own address register, and the random code
-// around them may jump into the middle of one.
+// appendStreamLoop embeds a word loop: r12 steps by 4 up to a small bound
+// in r13, neither of which the caller's register choosers return, so the
+// loop ends whatever its body does. Three bodies in four are the
+// copy+checksum the streaming-loop executor matches (stream.go), the rest
+// are drawn from the ALU ops with or without a store, which it must leave
+// to the interpreter.
+// The registers are drawn like everyone else's: some copy+checksum loops
+// match, some write their own address register, and the random code around
+// them may jump into the middle of one.
 func appendStreamLoop(r *rand.Rand, ins []vcode.Insn, alu []vcode.Op, reg, addrReg func() vcode.Reg) []vcode.Insn {
 	const idx, end = vcode.Reg(12), vcode.Reg(13)
 	ins = append(ins,
 		vcode.Insn{Op: vcode.OpMovI, Rd: idx, Imm: int32(4 * r.Intn(4))},
 		vcode.Insn{Op: vcode.OpMovI, Rd: end, Imm: int32(r.Intn(160))})
 	head := len(ins)
-	ins = append(ins, vcode.Insn{Op: vcode.OpLd32X, Rd: reg(), Rs: addrReg(), Rt: idx})
-	for j := r.Intn(4); j > 0; j-- {
-		ins = append(ins, vcode.Insn{Op: alu[r.Intn(len(alu))], Rd: reg(), Rs: reg(), Rt: reg(), Imm: int32(r.Intn(64))})
-	}
-	if r.Intn(2) == 0 {
-		ins = append(ins, vcode.Insn{Op: vcode.OpSt32X, Rd: reg(), Rs: addrReg(), Rt: idx})
+	w := reg()
+	ins = append(ins, vcode.Insn{Op: vcode.OpLd32X, Rd: w, Rs: addrReg(), Rt: idx})
+	if r.Intn(4) > 0 {
+		ins = append(ins, vcode.Insn{Op: vcode.OpCksum32, Rd: reg(), Rs: w},
+			vcode.Insn{Op: vcode.OpSt32X, Rd: w, Rs: addrReg(), Rt: idx})
+	} else {
+		for j := r.Intn(4); j > 0; j-- {
+			ins = append(ins, vcode.Insn{Op: alu[r.Intn(len(alu))], Rd: reg(), Rs: reg(), Rt: reg(), Imm: int32(r.Intn(64))})
+		}
+		if r.Intn(2) == 0 {
+			ins = append(ins, vcode.Insn{Op: vcode.OpSt32X, Rd: reg(), Rs: addrReg(), Rt: idx})
+		}
 	}
 	return append(ins,
 		vcode.Insn{Op: vcode.OpAddIU, Rd: idx, Rs: idx, Imm: 4},
@@ -456,11 +465,12 @@ func insn(op vcode.Op, rd, rs, rt vcode.Reg, imm int32) vcode.Insn {
 
 // streamShape is one loop body: the register-only instructions between the
 // load and the store, and the register the store writes out (no store when
-// out is RZero).
+// out is RZero). streams marks the one body the executor runs.
 type streamShape struct {
-	name string
-	mid  []vcode.Insn
-	out  vcode.Reg
+	name    string
+	mid     []vcode.Insn
+	out     vcode.Reg
+	streams bool
 }
 
 var cksum16Body = []vcode.Insn{
@@ -470,14 +480,15 @@ var cksum16Body = []vcode.Insn{
 
 // streamShapes are the engines pipe.Compile can emit without striping, the
 // checksum loop of hotpath.NewHandlerProgram, one body that holds every
-// instruction the executor knows, each with a destination of its own so
-// that the register comparison pins each of its cases, and four bodies one
-// edit away from cksum+copy, the shape with a bulk body, which must take
-// the per-word one.
+// register-only op, each with a destination of its own so that the
+// register comparison pins each of its cases, and four bodies one edit
+// away from cksum+copy. cksum+copy is the executor's; every other shape is
+// the interpreter's (Streamed stays 0), and all of them run as the
+// reference runs them.
 var streamShapes = []streamShape{
 	{name: "copy", out: strWord},
 	{name: "cksum", mid: []vcode.Insn{insn(vcode.OpCksum32, 10, strWord, 0, 0)}},
-	{name: "cksum+copy", mid: []vcode.Insn{insn(vcode.OpCksum32, 10, strWord, 0, 0)}, out: strWord},
+	{name: "cksum+copy", mid: []vcode.Insn{insn(vcode.OpCksum32, 10, strWord, 0, 0)}, out: strWord, streams: true},
 	{name: "byteswap", mid: []vcode.Insn{insn(vcode.OpBswap, 10, strWord, 0, 0)}, out: 10},
 	{name: "xor", mid: []vcode.Insn{insn(vcode.OpMovI, 10, 0, 0, 0x5a5a1234), insn(vcode.OpXor, 11, strWord, 10, 0)}, out: 11},
 	{name: "cksum16", mid: cksum16Body},
@@ -538,16 +549,17 @@ func streamProgram(sh streamShape, i0 uint32) *vcode.Program {
 }
 
 // streamRun is where one run's streams lie, relative to the 16-KiB memory
-// at diffMemBase. engages: with no budget the executor takes part of it —
-// and with engages unset none of it: a stream that is going to leave the
-// memory is not lent, and the whole loop is the interpreter's. dstOnly: it
-// is dst that keeps the executor out, so a loop without a store engages.
-// fill: what the source and the checksum accumulator hold.
+// at diffMemBase. engages: with no budget the executor takes part of a
+// copy+checksum over it — and with engages unset none of it: a stream that
+// is going to leave the memory is not lent, and the whole loop is the
+// interpreter's. A dst ahead of src inside the streamed source is not
+// copied in bulk until the trips left fit between the two. fill: what the
+// source and the checksum accumulator hold.
 type streamRun struct {
-	name             string
-	src, dst, n, i0  uint32
-	engages, dstOnly bool
-	fill             streamFill
+	name            string
+	src, dst, n, i0 uint32
+	engages         bool
+	fill            streamFill
 }
 
 // streamFill is what the checksum accumulator (r10 in every shape that sums)
@@ -586,20 +598,20 @@ var streamRuns = []streamRun{
 	{name: "index at the bound", src: diffMemBase + 0x100, dst: diffMemBase + 0x2000, n: 64, i0: 64},
 	{name: "index past the bound", src: diffMemBase + 0x100, dst: diffMemBase + 0x2000, n: 64, i0: 0x100},
 	{name: "src unaligned", src: diffMemBase + 0x102, dst: diffMemBase + 0x2000, n: 64},
-	{name: "dst unaligned", src: diffMemBase + 0x100, dst: diffMemBase + 0x2001, n: 64, dstOnly: true},
+	{name: "dst unaligned", src: diffMemBase + 0x100, dst: diffMemBase + 0x2001, n: 64},
 	{name: "src runs off the end", src: strEnd - 40, dst: diffMemBase + 0x2000, n: 256},
-	{name: "dst runs off the end", src: diffMemBase + 0x100, dst: strEnd - 24, n: 256, dstOnly: true},
+	{name: "dst runs off the end", src: diffMemBase + 0x100, dst: strEnd - 24, n: 256},
 	{name: "src below memory", src: diffMemBase - 8, dst: diffMemBase + 0x2000, n: 64},
-	{name: "dst below memory", src: diffMemBase + 0x100, dst: diffMemBase - 16, n: 64, dstOnly: true},
+	{name: "dst below memory", src: diffMemBase + 0x100, dst: diffMemBase - 16, n: 64},
 	{name: "src far outside", src: 0x9000, dst: diffMemBase + 0x2000, n: 64},
 	{name: "in place", src: diffMemBase + 0x100, dst: diffMemBase + 0x100, n: 256, engages: true},
 	{name: "dst one word ahead", src: diffMemBase + 0x100, dst: diffMemBase + 0x104, n: 256, engages: true},
 	{name: "dst one word behind", src: diffMemBase + 0x100, dst: diffMemBase + 0xfc, n: 256, engages: true},
 	{name: "dst one line ahead", src: diffMemBase + 0x100, dst: diffMemBase + 0x110, n: 256, engages: true},
 	{name: "dst 1 KiB ahead", src: diffMemBase + 0x104, dst: diffMemBase + 0x508, n: 512, engages: true},
-	// The executor engages after one interpreted iteration, over the last
-	// n-4 bytes: dst 8 bytes short of the source's end overlaps what it
-	// streams by one word (the per-word body), 4 bytes short not at all.
+	// The executor first tries after one interpreted iteration, over the
+	// last n-4 bytes: dst 8 bytes short of the source's end overlaps that by
+	// one word (one more iteration is interpreted), 4 bytes short not at all.
 	{name: "dst on the last streamed source word", src: diffMemBase + 0x100, dst: diffMemBase + 0x1f8, n: 256, engages: true},
 	{name: "dst just past the streamed source", src: diffMemBase + 0x100, dst: diffMemBase + 0x1fc, n: 256, engages: true},
 	{name: "zero sum of zero words", src: diffMemBase + 0x104, dst: diffMemBase + 0x2008, n: 512, engages: true, fill: fillZero},
@@ -720,8 +732,7 @@ func TestStreamMatchesReference(t *testing.T) {
 				streamed := compareStream(t, what, s, prog, run, nil)
 				unlimited := s.insnBudget == 0 && s.cycleLimit == 0
 				// A source that starts in the absent page faults on the first load.
-				engages := run.engages || run.dstOnly && sh.out == vcode.RZero
-				engages = engages && !(s.absent && run.src >= strEnd-aegis.PageSize)
+				engages := sh.streams && run.engages && !(s.absent && run.src >= strEnd-aegis.PageSize)
 				if unlimited && (streamed != 0) != engages {
 					t.Fatalf("%s: the executor ran %d instructions, engages is %v\n%s", what, streamed, engages, prog)
 				}
@@ -832,7 +843,7 @@ func TestStreamEnteredMidBody(t *testing.T) {
 	runs := []streamRun{
 		{name: "aligned", src: diffMemBase + 0x100, dst: diffMemBase + 0x2000, n: 256, engages: true},
 		{name: "src unaligned", src: diffMemBase + 0x101, dst: diffMemBase + 0x2000, n: 256},
-		{name: "dst unaligned", src: diffMemBase + 0x100, dst: diffMemBase + 0x2002, n: 256, dstOnly: true},
+		{name: "dst unaligned", src: diffMemBase + 0x100, dst: diffMemBase + 0x2002, n: 256},
 	}
 	for _, sh := range streamShapes {
 		whole := streamProgram(sh, 0)
@@ -844,7 +855,7 @@ func TestStreamEnteredMidBody(t *testing.T) {
 				for _, s := range []diffSetup{{insnBudget: 4000}, {cycleLimit: 700, pcCounts: true}, {mem: memJournalAddrSpace}} {
 					what := fmt.Sprintf("%s entered at %d, %s", sh.name, entry, run.name)
 					streamed := compareStream(t, what, s, prog, run, nil)
-					if engages := run.engages || run.dstOnly && sh.out == vcode.RZero; (streamed != 0) != engages {
+					if engages := sh.streams && run.engages; (streamed != 0) != engages {
 						t.Fatalf("%s: the executor ran %d instructions, engages is %v\n%s", what, streamed, engages, prog)
 					}
 				}
@@ -900,6 +911,8 @@ func FuzzStreamMatchesReference(f *testing.F) {
 			call := vcode.Insn{Op: vcode.OpCall, Sym: fuzzCallSyms[c%len(fuzzCallSyms)]}
 			prog.Insns = append(prog.Insns[:len(prog.Insns)-1], call, vcode.Insn{Op: vcode.OpRet})
 		}
-		compareStream(t, sh.name, s, prog, run, warm)
+		if streamed := compareStream(t, sh.name, s, prog, run, warm); streamed != 0 && !sh.streams {
+			t.Fatalf("%s: the executor ran %d instructions of a loop it must leave to the interpreter\n%s", sh.name, streamed, prog)
+		}
 	})
 }
