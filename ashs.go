@@ -189,6 +189,17 @@ type LintFinding = analysis.Finding
 // verifier, not the linter, decides downloadability.
 func LintASH(p *Program) []LintFinding { return analysis.Lint(p) }
 
+// HandlerCost is a handler's proven worst case for one run: instructions
+// executed, and bytes its ash_copy and ash_dilp calls move.
+type HandlerCost = analysis.Cost
+
+// BoundASH returns the most one run of p can cost when no message exceeds
+// maxMsg bytes: the paper bounds an ASH's running time (§III-B3), and this
+// states that bound before download. A handler with an indirect jump or a
+// loop whose trip count cannot be proven has no bound; the error names
+// where it is.
+func BoundASH(p *Program, maxMsg int) (HandlerCost, error) { return analysis.Bound(p, maxMsg) }
+
 // NewPipeList initializes a pipe list with the given capacity hint.
 func NewPipeList(capacity int) *PipeList { return pipe.NewList(capacity) }
 

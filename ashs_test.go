@@ -1,9 +1,13 @@
 package ashs_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"ashs"
+	"ashs/internal/crl"
+	"ashs/internal/netdev"
 )
 
 // TestQuickstartFlow exercises the documented public-API flow: build a
@@ -196,5 +200,44 @@ func TestLintFacade(t *testing.T) {
 		wild := b.MustAssemble()
 		wild.Insns[0].Target = target
 		ashs.LintASH(wild)
+	}
+}
+
+// TestBoundFacade: every library handler has a proven bound at the AN2 MTU,
+// and a handler whose loop bound is loaded from the message on every trip
+// has none, with an error naming that loop.
+func TestBoundFacade(t *testing.T) {
+	mtu := netdev.AN2Config().MaxFrame
+	lib := crl.Library()
+	if len(lib) != 9 {
+		t.Fatalf("the library has %d handlers, want 9", len(lib))
+	}
+	for _, e := range lib {
+		c, err := ashs.BoundASH(e.Prog, mtu)
+		if err != nil {
+			t.Errorf("%s has no bound: %v", e.Name, err)
+			continue
+		}
+		if c.Insns < 1 { // every run executes at least its return
+			t.Errorf("%s: a bound of %d instructions", e.Name, c.Insns)
+		}
+	}
+
+	b := ashs.NewCodeBuilder("moving-bound")
+	i, n := b.Temp(), b.Temp()
+	b.MovI(i, 0)
+	top := b.NewLabel()
+	b.Bind(top) // pc 1
+	b.Ld32(n, ashs.RArg0, 0)
+	b.AddIU(i, i, 4)
+	b.BltU(i, n, top)
+	b.MovI(ashs.RRet, 0)
+	b.Ret()
+	prog, err := b.Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, err := ashs.BoundASH(prog, mtu); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("loop at pc %d", 1)) {
+		t.Fatalf("a loop bound reloaded every trip: bound %+v, error %v; want an error naming the loop at pc 1", c, err)
 	}
 }

@@ -87,11 +87,18 @@ go test -race ./...
 #            overlaps both ways runs alike in all three), an entry-point range
 #            outside the region faults in all three without latching the
 #            guard; a build is compiled once, shared by every hit at a flat
-#            cost, and no caller writes into it
+#            cost, and no caller writes into it; every region is seeded with
+#            the per-word fill to its last word, and a region compared as a
+#            block still names the first differing word and its variant;
+#            goroutines keying programs with calls while others intern
+#            names get the serial builds and rejections
 #   sandbox, the lending contract of vcode.Memory over every memory in the
 #   vcode    tree, the escape guard's any-byte latch; Journal.Undo restores a
 #            snapshot after random overlapping stores and a second
-#            invocation allocates nothing
+#            invocation allocates nothing; a program's compile-cache key
+#            changes with any one field or any re-split of its strings, is
+#            equal for equal content across chunk boundaries, and
+#            allocates nothing
 #   core     the DCG loop on installed handlers; ASH/FuncASH base parity
 #   bench    the worker pool (index-ordered merge, the parallelism default,
 #            the panicking cell named serially and on the pool, lowest index
@@ -180,9 +187,9 @@ done <<'EOF'
 ./internal/aegis/:^TestReceiveMatrix$|^TestFrontHalfOrder$|^TestFreeChecksTheIndex$|^TestRefusedSendIsCounted$
 ./internal/bench/:^TestPoolLeakGate$|^TestWorldReuse$|^TestWorldShape$|^TestWorldSpecFieldsInUse$|^TestCellEngineCounts$|^TestWorldCloseCounts$
 .:^TestWorldClose$
-./internal/sandbox/:TestThreeWayRegistry|TestReoptActuallyImproves|TestReoptProfileSeeds|TestDifferentialSFIQuick|^TestThreeWayReportsEscape$|^TestDiffInputsOutsideTheRegion$|^TestDiffCopyOverlaps$|^TestThreeWayCopyOverlaps$|^TestDiffEntryPointsOutsideTheRegion$|^TestCompileCacheHitMatchesMiss$|^TestCacheHitCostIsFlat$|^TestCachedBuildsStayUnchanged$
+./internal/sandbox/:TestThreeWayRegistry|TestReoptActuallyImproves|TestReoptProfileSeeds|TestDifferentialSFIQuick|^TestThreeWayReportsEscape$|^TestDiffInputsOutsideTheRegion$|^TestDiffCopyOverlaps$|^TestThreeWayCopyOverlaps$|^TestDiffEntryPointsOutsideTheRegion$|^TestCompileCacheHitMatchesMiss$|^TestCacheHitCostIsFlat$|^TestCachedBuildsStayUnchanged$|^TestRegionSeedIsTheFormula$|^TestThreeWayNamesTheFirstRegionDifference$|^TestConcurrentSandboxWithCalls$
 ./internal/sandbox/:^TestMemoryConformance$|^TestEscapeGuardLatchesOnAnyByte$
-./internal/vcode/:^TestJournalUndoProperty$
+./internal/vcode/:^TestJournalUndoProperty$|^TestFingerprintSeesEveryField$|^TestFingerprintLengthPrefixes$|^TestFingerprintIsContent$|^TestFingerprintAllocatesNothing$
 ./internal/core/:TestReopt|TestChainDisposition|^TestHandlerBaseParity$
 ./internal/bench/:^TestRunCells|^TestParallelism$|TestParallelByteIdentical|TestParallelChaosMatchesSerial|TestReoptParallelByteIdentical
 ./internal/bench/:^TestWireIdentity$

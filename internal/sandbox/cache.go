@@ -13,14 +13,18 @@ import (
 // pure functions of (program contents, policy contents), and the bench
 // sweeps download the same handful of handler programs thousands of times
 // (once per freshly built testbed), so verification and SFI instrumentation
-// are memoized under a sha256 key of program fingerprint + policy
-// fingerprint. A build is compiled once and then shared: every caller gets
-// its own Program struct, carrying its own policy pointer, over the same
-// Orig, Code and JmpTable. That is why a build is read-only (see Program).
-// A hit costs one small struct whatever the program's size, and the cache
-// is invisible except in wall time. It is safe under concurrent use (the
-// parallel bench runner compiles from many goroutines, and shared builds
-// are only ever read).
+// are memoized under a key of program fingerprint + policy fingerprint. Each
+// half is one SHA-256 pass over its fields encoded at fixed widths in a
+// stack buffer (vcode.Program.Fingerprint, policyFingerprint), so keying a
+// lookup allocates nothing and costs one hash of the program. The key stays
+// a cryptographic hash, not a cheaper checksum, because a collision would
+// hand one program another's verified and instrumented build. A build is
+// compiled once and then shared: every caller gets its own Program struct,
+// carrying its own policy pointer, over the same Orig, Code and JmpTable.
+// That is why a build is read-only (see Program). A hit costs one small
+// struct whatever the program's size, and the cache is invisible except in
+// wall time. It is safe under concurrent use (the parallel bench runner
+// compiles from many goroutines, and shared builds are only ever read).
 
 // cacheKey addresses one (program, policy) pair by content.
 type cacheKey struct {
@@ -46,36 +50,22 @@ var cache struct {
 }
 
 // policyFingerprint hashes every policy field that can influence
-// verification or instrumentation.
+// verification or instrumentation, at fixed widths, in one pass.
 func policyFingerprint(pol *Policy) [sha256.Size]byte {
-	h := sha256.New()
-	var scratch [8]byte
-	putU64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(scratch[:], v)
-		h.Write(scratch[:])
+	var buf [8 + 8 + 1 + 1 + sha256.Size]byte
+	binary.LittleEndian.PutUint64(buf[0:], uint64(pol.Hardware))
+	binary.LittleEndian.PutUint64(buf[8:], uint64(pol.Budget))
+	if pol.Optimize {
+		buf[16] = 1
 	}
-	putBool := func(b bool) {
-		if b {
-			putU64(1)
-		} else {
-			putU64(0)
-		}
-	}
-	putU64(uint64(pol.Hardware))
-	putU64(uint64(pol.Budget))
-	putBool(pol.Optimize)
 	// The attached profile changes which transformations fire, so the same
 	// program re-instrumented under a different profile must miss.
 	if pol.Profile != nil {
-		putU64(1)
+		buf[17] = 1
 		fp := pol.Profile.Fingerprint()
-		h.Write(fp[:])
-	} else {
-		putU64(0)
+		copy(buf[18:], fp[:])
 	}
-	var out [sha256.Size]byte
-	h.Sum(out[:0])
-	return out
+	return sha256.Sum256(buf[:])
 }
 
 func keyOf(p *vcode.Program, pol *Policy) cacheKey {

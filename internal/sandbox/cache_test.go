@@ -1,8 +1,11 @@
 package sandbox
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
+	"sync"
 	"testing"
 
 	"ashs/internal/vcode"
@@ -270,5 +273,60 @@ func TestVerifyCacheRemembersRejections(t *testing.T) {
 	hits, _ := CacheStats()
 	if hits == 0 {
 		t.Fatal("second Verify did not hit the cache")
+	}
+}
+
+// TestConcurrentSandboxWithCalls: a key reads each call's entry-point name
+// under the intern table's lock, so goroutines keying and compiling
+// programs with calls, while others intern new names, must each get what a
+// serial download gets: the same build for an allowed entry point, a
+// rejection naming an unknown one.
+func TestConcurrentSandboxWithCalls(t *testing.T) {
+	ResetCache()
+	pol := DefaultPolicy()
+	calls := func(name string, n int) *vcode.Program {
+		b := vcode.NewBuilder("calls")
+		for i := 0; i < n; i++ {
+			b.Call(name)
+		}
+		return b.MustAssemble()
+	}
+	var progs []*vcode.Program
+	var want []*vcode.Program
+	for _, name := range []string{"ash_send", "ash_copy", "ash_dilp", "ash_msg_load"} {
+		for _, n := range []int{1, 40} { // the second's key spans chunks
+			p := calls(name, n)
+			sp, err := Sandbox(p, pol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			progs, want = append(progs, p), append(want, sp.Code)
+		}
+	}
+	const goroutines, rounds = 4, 25
+	errs := make([][]string, goroutines)
+	var wg sync.WaitGroup
+	for g := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for i, p := range progs {
+					if sp, err := Sandbox(p, pol); err != nil || sp.Code != want[i] {
+						errs[g] = append(errs[g], fmt.Sprintf("program %d: build %p, error %v; serially %p", i, sp.Code, err, want[i]))
+					}
+				}
+				name := fmt.Sprintf("unknown_%d_%d", g, r)
+				if _, err := Sandbox(calls(name, 3), pol); err == nil || !strings.Contains(err.Error(), name) {
+					errs[g] = append(errs[g], fmt.Sprintf("a call to %s: error %v", name, err))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for g, es := range errs {
+		for _, e := range es {
+			t.Errorf("goroutine %d: %s", g, e)
+		}
 	}
 }

@@ -56,20 +56,25 @@ func (p *Profile) Hot(pc int) bool { return p.Count(pc) >= HotTrips }
 // Fingerprint hashes the profile's optimization-relevant content
 // (invocation and per-pc counts). The compile cache mixes it into the
 // policy fingerprint so the same program re-instrumented under different
-// profiles occupies distinct cache entries.
+// profiles occupies distinct cache entries. The counts are encoded eight
+// bytes each, after the invocations and their number, into a stack chunk
+// that goes to the digest one Write at a time, as vcode.Program's key does.
 func (p *Profile) Fingerprint() [sha256.Size]byte {
 	h := sha256.New()
-	var scratch [8]byte
-	putU64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(scratch[:], v)
-		h.Write(scratch[:])
-	}
 	if p != nil {
-		putU64(p.Invocations)
-		putU64(uint64(len(p.Counts)))
+		var buf [512]byte
+		binary.LittleEndian.PutUint64(buf[0:], p.Invocations)
+		binary.LittleEndian.PutUint64(buf[8:], uint64(len(p.Counts)))
+		n := 16
 		for _, c := range p.Counts {
-			putU64(c)
+			if n+8 > len(buf) {
+				h.Write(buf[:n])
+				n = 0
+			}
+			binary.LittleEndian.PutUint64(buf[n:], c)
+			n += 8
 		}
+		h.Write(buf[:n])
 	}
 	var out [sha256.Size]byte
 	h.Sum(out[:0])

@@ -28,12 +28,28 @@ func TestProfileFingerprint(t *testing.T) {
 	if a.Fingerprint() != b.Fingerprint() {
 		t.Fatal("identical profiles fingerprint differently")
 	}
+	// Each differs from a in exactly one field, and the last from the
+	// others in the chunk boundary its counts cross.
+	long := func(n int, last uint64) *Profile {
+		c := make([]uint64, n)
+		for i := range c {
+			c[i] = uint64(i) * 0x9e3779b97f4a7c15
+		}
+		c[n-1] = last
+		return &Profile{Invocations: 3, Counts: c}
+	}
 	distinct := []*Profile{
 		a,
-		{Invocations: 4, Counts: []uint64{1, 2, 3}}, // invocations folded
-		{Invocations: 3, Counts: []uint64{1, 2, 4}}, // counts folded
-		{Invocations: 3, Counts: []uint64{1, 2}},    // length folded
+		{Invocations: 4, Counts: []uint64{1, 2, 3}},       // invocations folded
+		{Invocations: 3 << 60, Counts: []uint64{1, 2, 3}}, // its high bytes too
+		{Invocations: 3, Counts: []uint64{1, 2, 4}},       // counts folded
+		{Invocations: 3, Counts: []uint64{1 << 63, 2, 3}}, // a count's high byte
+		{Invocations: 3, Counts: []uint64{1, 2}},          // length folded
+		{Invocations: 3, Counts: []uint64{1, 2, 3, 0}},    // a zero count is a count
 		{Invocations: 3, Counts: nil},
+		{Invocations: 0, Counts: nil}, // a profile, unlike nil
+		nil,
+		long(62, 1), long(62, 2), long(63, 1), long(64, 1), long(65, 1), long(200, 1), long(200, 2),
 	}
 	seen := map[[32]byte]int{}
 	for i, p := range distinct {
@@ -42,6 +58,16 @@ func TestProfileFingerprint(t *testing.T) {
 			t.Fatalf("profiles %d and %d collide", i, j)
 		}
 		seen[fp] = i
+	}
+	// Counts that cross chunk boundaries fingerprint as their content does.
+	for _, n := range []int{62, 63, 64, 65, 200} {
+		if long(n, 7).Fingerprint() != long(n, 7).Fingerprint() {
+			t.Errorf("two profiles of %d equal counts fingerprint differently", n)
+		}
+	}
+	// The chunk is on the stack: a compile-cache key allocates nothing.
+	if p := long(200, 7); testing.AllocsPerRun(100, func() { p.Fingerprint() }) != 0 {
+		t.Error("Fingerprint of 200 counts allocates")
 	}
 	// A nil profile's fingerprint is stable (the compile cache hashes it).
 	var nilProf *Profile
