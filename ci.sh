@@ -21,6 +21,41 @@ go vet ./...
 echo "== go build"
 go build ./...
 
+# The docs name only what exists: every Test*, Fuzz* or Benchmark*
+# identifier in DESIGN.md, README.md and EXPERIMENTS.md is a func in the
+# tree, and every backticked internal/, cmd/ or examples/ path exists (a
+# trailing /... is a package pattern, {a,b} alternatives are each checked,
+# a :line or :Func suffix is dropped).
+echo "== docs name what exists"
+grep -rhoE --include='*.go' '^func (Test|Fuzz|Benchmark)[A-Za-z0-9_]*' . |
+    sed 's/^func //' | LC_ALL=C sort -u >"$workdir/funcs"
+docbad=
+for doc in DESIGN.md README.md EXPERIMENTS.md; do
+    for name in $(grep -oE '\b(Test|Fuzz|Benchmark)[A-Z0-9_][A-Za-z0-9_]*' "$doc" | LC_ALL=C sort -u); do
+        grep -qxF "$name" "$workdir/funcs" || docbad="$docbad $doc:$name"
+    done
+    for path in $(grep -oE '`(internal|cmd|examples)/[^` ]*' "$doc" | sed 's/^`//; s/:.*//' | LC_ALL=C sort -u); do
+        paths=$path
+        case $path in
+        *{*}*)
+            pre=${path%%\{*} alts=${path#*\{} post=${path#*\}}
+            paths=$(echo "${alts%%\}*}" | tr , '\n' | sed "s|^|$pre|; s|\$|$post|")
+            ;;
+        esac
+        for p in $paths; do
+            case $p in
+            */...) [ -d "${p%/...}" ] ;;
+            *) [ -e "$p" ] ;;
+            esac || docbad="$docbad $doc:$p"
+        done
+    done
+done
+if [ -n "$docbad" ]; then
+    echo "the docs name what the tree does not have (no such func, or no such path):"
+    echo "$docbad" | tr ' ' '\n' | sed '/^$/d'
+    exit 1
+fi
+
 # The examples are the only programs that drive the public ashs facade and
 # proto/http end to end, so each one runs here, not just builds.
 echo "== examples"
@@ -106,7 +141,10 @@ go test -race ./...
 #            tests
 #   bench,   the transmit path: six worlds put the frames on the wire that
 #   ip, tcp, testdata/wire_golden.txt recorded before the gather send (never
-#   udp      regenerated); hdr||payload cut at every fragment edge
+#   udp      regenerated), and a one-endpoint flyweight fleet puts a full
+#            client host's frames on the wire for one udp-echo, tcp-pp and
+#            nfs-read request, but for the fields flyweightWireDiffs names
+#            with a reason; hdr||payload cut at every fragment edge
 #            reassembles, is captured before Send blocks, and re-entry
 #            panics with the owner; 3 MB more of stream or 2000 more
 #            datagrams allocate nothing; the retransmit store keeps what
@@ -192,7 +230,7 @@ done <<'EOF'
 ./internal/vcode/:^TestJournalUndoProperty$|^TestFingerprintSeesEveryField$|^TestFingerprintLengthPrefixes$|^TestFingerprintIsContent$|^TestFingerprintAllocatesNothing$
 ./internal/core/:TestReopt|TestChainDisposition|^TestHandlerBaseParity$
 ./internal/bench/:^TestRunCells|^TestParallelism$|TestParallelByteIdentical|TestParallelChaosMatchesSerial|TestReoptParallelByteIdentical
-./internal/bench/:^TestWireIdentity$
+./internal/bench/:^TestWireIdentity$|^TestFlyweightIsAHostOnTheWire$
 ./internal/bench/:^TestKitMatchesParent$|^TestCellLabelsStable$|^TestCellsAreValues$
 ./internal/proto/ip/:^TestGatherSendEdges$|^TestSendCapturesPayloadBeforeItBlocks$|^TestSendReentryPanicsWithOwner$
 ./internal/proto/tcp/:^TestNoAllocationPerSegment$|^TestRtxStore
@@ -284,7 +322,6 @@ go test -run '^$' -fuzz '^FuzzIPInput$' -fuzztime 10s ./internal/proto/ip/
 go test -run '^$' -fuzz '^FuzzTCPHeader$' -fuzztime 10s ./internal/proto/tcp/
 go test -run '^$' -fuzz '^FuzzDPFDemux$' -fuzztime 10s ./internal/dpf/
 go test -run '^$' -fuzz '^FuzzDPFChurn$' -fuzztime 10s ./internal/dpf/
-go test -run '^$' -fuzz '^FuzzTraceParse$' -fuzztime 10s ./internal/workload/
 go test -run '^$' -fuzz '^FuzzDifferentialSFI$' -fuzztime 10s ./internal/sandbox/
 go test -run '^$' -fuzz '^FuzzReoptProfile$' -fuzztime 10s ./internal/sandbox/
 go test -run '^$' -fuzz '^FuzzQueueMatchesHeap$' -fuzztime 10s ./internal/sim/

@@ -40,10 +40,6 @@ import (
 // serving at a high fraction of peak goodput with a bounded tail, because
 // excess load is shed or deferred at the cheapest possible point instead
 // of being absorbed into queues (overload_test.go asserts this).
-//
-// Traces round-trip through the versioned binary codec on the way in
-// (Encode then Parse), so the replayed schedule is exactly what a stored
-// trace file would produce and the hostile parser sits on the live path.
 
 const (
 	overloadClients = 16
@@ -210,17 +206,11 @@ func (d overloadReplay) drive(_ *Config, w *world) any {
 		Size:      overloadSize,
 		MaxSize:   overloadMaxSize,
 	}
-	var gen *workload.Trace
+	var trace *workload.Trace
 	for _, g := range workload.Generators() {
 		if g.Name == d.trace.gen {
-			gen = g.Gen(overloadTraceSeed, spec)
+			trace = g.Gen(overloadTraceSeed, spec)
 		}
-	}
-	// Round-trip the generated trace through the binary codec: the replay
-	// consumes exactly what a stored trace file would parse to.
-	trace, err := workload.Parse(gen.Encode())
-	if err != nil {
-		panic(fmt.Sprintf("bench: trace codec round-trip: %v", err))
 	}
 
 	srv := w.srv()

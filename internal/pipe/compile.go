@@ -57,7 +57,7 @@ func (a *asm) here() int { return len(a.ins) }
 
 // Compile fuses the pipe list into one integrated engine (dynamic ILP).
 // The generated loop streams 32-bit words: load, apply every pipe in
-// order (with gauge conversions), optionally store, advance.
+// order, optionally store, advance.
 //
 // Calling convention of the generated program: RArg0 = source address,
 // RArg1 = destination address, RArg2 = byte count (multiple of 4).
@@ -167,55 +167,10 @@ func collectRegs(prog *vcode.Program) []vcode.Reg {
 	return out
 }
 
-// inlinePipe emits pipe p's body with its input mapped to register word,
-// returning the register holding the pipe's output. Narrow-gauge pipes are
-// applied 32/G times with extraction and merge code (gauge conversion).
-func inlinePipe(a *asm, p *Pipe, pm map[vcode.Reg]vcode.Reg, word vcode.Reg) (vcode.Reg, error) {
-	if p.Gauge == Gauge32 {
-		return inlineBodyOnce(a, p, pm, word)
-	}
-
-	g := int32(p.Gauge)
-	chunks := 32 / int(g)
-	mask := int32((int64(1) << g) - 1)
-	chunkIn := a.reg()
-	var merged vcode.Reg
-	modifies := p.Attrs&NoMod == 0
-	if modifies {
-		merged = a.reg()
-		a.emit(vcode.Insn{Op: vcode.OpMovI, Rd: merged, Imm: 0})
-	}
-	for i := 0; i < chunks; i++ {
-		shift := 32 - g*int32(i+1)
-		if shift != 0 {
-			a.emit(vcode.Insn{Op: vcode.OpSrlI, Rd: chunkIn, Rs: word, Imm: shift})
-			a.emit(vcode.Insn{Op: vcode.OpAndI, Rd: chunkIn, Rs: chunkIn, Imm: mask})
-		} else {
-			a.emit(vcode.Insn{Op: vcode.OpAndI, Rd: chunkIn, Rs: word, Imm: mask})
-		}
-		out, err := inlineBodyOnce(a, p, pm, chunkIn)
-		if err != nil {
-			return 0, err
-		}
-		if modifies {
-			if shift != 0 {
-				tmp := chunkIn // reuse as shift scratch
-				a.emit(vcode.Insn{Op: vcode.OpSllI, Rd: tmp, Rs: out, Imm: shift})
-				a.emit(vcode.Insn{Op: vcode.OpOr, Rd: merged, Rs: merged, Rt: tmp})
-			} else {
-				a.emit(vcode.Insn{Op: vcode.OpOr, Rd: merged, Rs: merged, Rt: out})
-			}
-		}
-	}
-	if modifies {
-		return merged, nil
-	}
-	return word, nil
-}
-
-// inlineBodyOnce emits the pipe body once with input register in, applying
-// the register map and retargeting internal branches.
-func inlineBodyOnce(a *asm, p *Pipe, pm map[vcode.Reg]vcode.Reg, in vcode.Reg) (vcode.Reg, error) {
+// inlinePipe emits pipe p's body once with its input mapped to register
+// in, applying the register map and retargeting internal branches, and
+// returns the register holding the pipe's output.
+func inlinePipe(a *asm, p *Pipe, pm map[vcode.Reg]vcode.Reg, in vcode.Reg) (vcode.Reg, error) {
 	body := p.Body.Insns
 	// Drop Input32 (index 0), Output32 (len-2) and Ret (len-1).
 	inner := body[1 : len(body)-2]

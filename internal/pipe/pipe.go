@@ -2,13 +2,13 @@
 // (DILP), Sections II-B and III-C of the paper.
 //
 // A pipe is a small computation on streaming data (a checksum accumulate, a
-// byteswap, an XOR cipher step) written in vcode against the pipe
-// pseudo-instructions p_input32/p_output32. Pipes are gathered into a pipe
-// list and handed to the DILP compiler, which fuses them into a single
-// integrated data-transfer engine: one loop, one memory traversal, all
-// manipulations applied per word. The paper's Fig. 1/Fig. 2 example —
-// composing a checksum pipe with a byteswap pipe — is reproduced verbatim
-// by Cksum + Byteswap + Compile.
+// byteswap) written in vcode against the pipe pseudo-instructions
+// p_input32/p_output32: it consumes and produces one 32-bit word. Pipes
+// are gathered into a pipe list and handed to the DILP compiler, which
+// fuses them into a single integrated data-transfer engine: one loop, one
+// memory traversal, all manipulations applied per word. The paper's
+// Fig. 1/Fig. 2 example — composing a checksum pipe with a byteswap pipe —
+// is reproduced verbatim by Cksum + Byteswap + Compile.
 //
 // For the Table IV comparison the package also compiles one pipe as a pass
 // of its own (CompilePass), from which a caller composes the *separate*
@@ -16,11 +16,10 @@
 // the hand-integrated form (HandIntegrated), the "C integrated" row of the
 // paper.
 //
-// Gauges: each pipe declares the width of data it consumes and produces
-// (8, 16 or 32 bits). The fused loop always moves 32-bit words; the
-// compiler inserts extraction/merge code to apply narrower pipes to each
-// sub-word chunk, performing the gauge conversions the paper describes
-// ("the ASH system performs conversions between the required sizes").
+// The paper also lets a pipe declare a narrower gauge (8 or 16 bits) and
+// has the system convert between sizes. Every pipe of the paper's tables
+// is 32-bit, so this package has no gauges: the fused loop applies each
+// pipe once per word.
 package pipe
 
 import (
@@ -29,33 +28,19 @@ import (
 	"ashs/internal/vcode"
 )
 
-// Gauge is the bit width a pipe consumes and produces.
-type Gauge int
-
-// Supported gauges. The fused loop streams 32-bit words, so every gauge
-// must divide 32.
-const (
-	Gauge8  Gauge = 8
-	Gauge16 Gauge = 16
-	Gauge32 Gauge = 32
-)
-
-// Attr is a pipe attribute bitmask (the paper's P_COMMUTATIVE | P_NO_MOD).
+// Attr is a pipe attribute bitmask: the paper's P_NO_MOD. Its
+// P_COMMUTATIVE, which lets a pipe see message data out of order, is not
+// kept: the fused loop always traverses the data in order.
 type Attr uint
 
-const (
-	// Commutative pipes may be applied to message data out of order.
-	Commutative Attr = 1 << iota
-	// NoMod pipes do not alter their input (e.g. a checksum); in separate
-	// compilation they need no store pass.
-	NoMod
-)
+// NoMod pipes do not alter their input (e.g. a checksum); in separate
+// compilation they need no store pass.
+const NoMod Attr = 1
 
 // Pipe is one data-manipulation stage.
 type Pipe struct {
 	ID      int
 	Name    string
-	Gauge   Gauge
 	Attrs   Attr
 	Body    *vcode.Program
 	inReg   vcode.Reg // register the body's p_input32 names
@@ -84,17 +69,14 @@ func (l *List) Pipes() []*Pipe { return append([]*Pipe(nil), l.pipes...) }
 // b.Input32 into a register of its choosing and end by emitting exactly one
 // b.Output32. Registers allocated with b.Persistent survive across pipe
 // applications and can be imported/exported through the compiled engine.
-func (l *List) Lambda(name string, g Gauge, attrs Attr, body func(b *vcode.Builder)) (*Pipe, error) {
-	if g != Gauge8 && g != Gauge16 && g != Gauge32 {
-		return nil, fmt.Errorf("pipe %s: unsupported gauge %d", name, g)
-	}
+func (l *List) Lambda(name string, attrs Attr, body func(b *vcode.Builder)) (*Pipe, error) {
 	b := vcode.NewBuilder(name)
 	body(b)
 	prog, err := b.Assemble()
 	if err != nil {
 		return nil, err
 	}
-	p := &Pipe{ID: l.nextID, Name: name, Gauge: g, Attrs: attrs, Body: prog,
+	p := &Pipe{ID: l.nextID, Name: name, Attrs: attrs, Body: prog,
 		persist: prog.Persistent}
 	if err := p.validate(); err != nil {
 		return nil, err
@@ -153,13 +135,13 @@ func (p *Pipe) validate() error {
 }
 
 // Cksum declares the Internet-checksum pipe of the paper's Fig. 2: a
-// 32-bit, commutative, non-modifying pipe that folds each input word into a
-// persistent accumulator with end-around carry. It returns the pipe and the
+// non-modifying pipe that folds each input word into a persistent
+// accumulator with end-around carry. It returns the pipe and the
 // accumulator register handle (the paper's cksum_reg) for import/export
 // through the compiled engine.
 func Cksum(l *List) (*Pipe, vcode.Reg, error) {
 	var acc vcode.Reg
-	p, err := l.Lambda("cksum", Gauge32, Commutative|NoMod, func(b *vcode.Builder) {
+	p, err := l.Lambda("cksum", NoMod, func(b *vcode.Builder) {
 		acc = b.Persistent()         // accumulate register, preserved across applications
 		b.Input32(vcode.RInput)      // get 32 bits of input from the pipe
 		b.Cksum32(acc, vcode.RInput) // add input value to checksum accumulator
@@ -174,39 +156,10 @@ func Cksum(l *List) (*Pipe, vcode.Reg, error) {
 // Byteswap declares a pipe swapping each word between big and little
 // endian (the second pipe of the paper's Fig. 1).
 func Byteswap(l *List) (*Pipe, error) {
-	return l.Lambda("byteswap", Gauge32, 0, func(b *vcode.Builder) {
+	return l.Lambda("byteswap", 0, func(b *vcode.Builder) {
 		out := b.Temp()
 		b.Input32(vcode.RInput)
 		b.Bswap(out, vcode.RInput)
 		b.Output32(out)
 	})
-}
-
-// Xor declares a toy stream-cipher pipe (models the "encryption" layer the
-// paper discusses for ILP): XOR each word with a key.
-func Xor(l *List, key uint32) (*Pipe, error) {
-	return l.Lambda("xor", Gauge32, 0, func(b *vcode.Builder) {
-		k := b.Temp()
-		out := b.Temp()
-		b.Input32(vcode.RInput)
-		b.MovI(k, int32(key))
-		b.Xor(out, vcode.RInput, k)
-		b.Output32(out)
-	})
-}
-
-// Cksum16 declares a 16-bit-gauge checksum pipe, used to exercise the
-// compiler's gauge conversion (a 16-b pipe applied twice per 32-b word).
-func Cksum16(l *List) (*Pipe, vcode.Reg, error) {
-	var acc vcode.Reg
-	p, err := l.Lambda("cksum16", Gauge16, Commutative|NoMod, func(b *vcode.Builder) {
-		acc = b.Persistent()
-		b.Input32(vcode.RInput)
-		b.Cksum32(acc, vcode.RInput) // inputs are 16-bit chunks: plain accumulate
-		b.Output32(vcode.RInput)
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return p, acc, nil
 }

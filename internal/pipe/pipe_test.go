@@ -179,13 +179,26 @@ func TestFig1CksumPlusByteswapComposition(t *testing.T) {
 	}
 }
 
+// xorPipe is a second modifying pipe for the tests, built the way a user
+// builds one (a toy stream cipher): XOR each word with key.
+func xorPipe(l *List, key uint32) (*Pipe, error) {
+	return l.Lambda("xor", 0, func(b *vcode.Builder) {
+		k := b.Temp()
+		out := b.Temp()
+		b.Input32(vcode.RInput)
+		b.MovI(k, int32(key))
+		b.Xor(out, vcode.RInput, k)
+		b.Output32(out)
+	})
+}
+
 func TestXorPipeRoundTrips(t *testing.T) {
 	m, mem := newEnv(t, 64)
 	fillRandom(mem, srcAddr, 64, 4)
 	orig := append([]byte(nil), bytesAt(mem, srcAddr, 64)...)
 
 	l := NewList(1)
-	if _, err := Xor(l, 0xdeadbeef); err != nil {
+	if _, err := xorPipe(l, 0xdeadbeef); err != nil {
 		t.Fatal(err)
 	}
 	e, err := Compile(l, Options{Output: true})
@@ -204,37 +217,6 @@ func TestXorPipeRoundTrips(t *testing.T) {
 		if got[i] != orig[i] {
 			t.Fatalf("xor round trip mismatch at %d", i)
 		}
-	}
-}
-
-func TestGaugeConversion16(t *testing.T) {
-	// A 16-bit checksum pipe applied through the 32-bit stream must equal
-	// summing the 16-bit big-endian halves.
-	m, mem := newEnv(t, 256)
-	fillRandom(mem, srcAddr, 256, 5)
-	l := NewList(1)
-	ck, acc, err := Cksum16(l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := Compile(l, Options{Output: false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Export(m, ck, acc, 0)
-	if _, f := e.Run(m, srcAddr, 0, 256); f != nil {
-		t.Fatal(f)
-	}
-	got := vcode.Fold16(e.Import(m, ck, acc))
-
-	data := bytesAt(mem, srcAddr, 256)
-	var sum uint32
-	for i := 0; i+1 < len(data); i += 2 {
-		sum = cksumStep(sum, uint32(data[i])<<8|uint32(data[i+1]))
-	}
-	want := vcode.Fold16(sum)
-	if got != want {
-		t.Fatalf("gauge-16 cksum = %#x, want %#x", got, want)
 	}
 }
 
@@ -258,7 +240,7 @@ func TestCompositionEqualsFunctionComposition(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if _, err := Xor(l, key); err != nil {
+		if _, err := xorPipe(l, key); err != nil {
 			return false
 		}
 		if _, err := Byteswap(l); err != nil {
@@ -523,20 +505,20 @@ func TestEngineFaultsOutsideMemory(t *testing.T) {
 
 func TestPipeValidationRejectsBadShapes(t *testing.T) {
 	l := NewList(4)
-	if _, err := l.Lambda("no-input", Gauge32, 0, func(b *vcode.Builder) {
+	if _, err := l.Lambda("no-input", 0, func(b *vcode.Builder) {
 		r := b.Temp()
 		b.MovI(r, 1)
 		b.Output32(r)
 	}); err == nil {
 		t.Fatal("pipe without leading input32 accepted")
 	}
-	if _, err := l.Lambda("no-output", Gauge32, 0, func(b *vcode.Builder) {
+	if _, err := l.Lambda("no-output", 0, func(b *vcode.Builder) {
 		b.Input32(vcode.RInput)
 		b.Nop()
 	}); err == nil {
 		t.Fatal("pipe without trailing output32 accepted")
 	}
-	if _, err := l.Lambda("memory", Gauge32, 0, func(b *vcode.Builder) {
+	if _, err := l.Lambda("memory", 0, func(b *vcode.Builder) {
 		r := b.Temp()
 		b.Input32(vcode.RInput)
 		b.Ld32(r, vcode.RInput, 0)
@@ -544,13 +526,7 @@ func TestPipeValidationRejectsBadShapes(t *testing.T) {
 	}); err == nil {
 		t.Fatal("pipe with direct memory access accepted")
 	}
-	if _, err := l.Lambda("badgauge", Gauge(12), 0, func(b *vcode.Builder) {
-		b.Input32(vcode.RInput)
-		b.Output32(vcode.RInput)
-	}); err == nil {
-		t.Fatal("unsupported gauge accepted")
-	}
-	if _, err := l.Lambda("nomod-lie", Gauge32, NoMod, func(b *vcode.Builder) {
+	if _, err := l.Lambda("nomod-lie", NoMod, func(b *vcode.Builder) {
 		r := b.Temp()
 		b.Input32(vcode.RInput)
 		b.Bswap(r, vcode.RInput)
@@ -579,7 +555,7 @@ func TestPipeRefusesWhatTheVerifierRefuses(t *testing.T) {
 		{"unknown opcode", vcode.NumOps, func(b *vcode.Builder, out vcode.Reg) { b.Op3(vcode.NumOps, out, vcode.RInput, vcode.RInput) }},
 	} {
 		l := NewList(1)
-		_, err := l.Lambda(c.class, Gauge32, 0, func(b *vcode.Builder) {
+		_, err := l.Lambda(c.class, 0, func(b *vcode.Builder) {
 			out := b.Temp()
 			b.Input32(vcode.RInput)
 			c.emit(b, out)
@@ -613,7 +589,7 @@ func TestRegisterPastTheFileIsRefused(t *testing.T) {
 			t.Errorf("%s: the verifier accepts %v", c.field, c.in)
 		}
 		l := NewList(1)
-		_, err := l.Lambda(c.field, Gauge32, 0, func(b *vcode.Builder) {
+		_, err := l.Lambda(c.field, 0, func(b *vcode.Builder) {
 			b.Input32(vcode.RInput)
 			b.Op3(c.in.Op, c.in.Rd, c.in.Rs, c.in.Rt)
 			b.Output32(vcode.RInput)
@@ -628,7 +604,7 @@ func TestPipeWithInternalBranch(t *testing.T) {
 	// A pipe that clamps each word to 0xff via a branch, to exercise
 	// branch retargeting during inlining.
 	l := NewList(1)
-	p, err := l.Lambda("clamp", Gauge32, 0, func(b *vcode.Builder) {
+	p, err := l.Lambda("clamp", 0, func(b *vcode.Builder) {
 		lim, out := b.Temp(), b.Temp()
 		b.Input32(vcode.RInput)
 		b.MovI(lim, 0x100)
@@ -660,14 +636,20 @@ func TestPipeWithInternalBranch(t *testing.T) {
 	}
 }
 
-func TestCommutativeAttrRecorded(t *testing.T) {
-	l := NewList(1)
+// TestNoModAttrRecorded: the checksum pipe is NoMod, so its separate pass
+// stores nothing; the byteswap pipe is not.
+func TestNoModAttrRecorded(t *testing.T) {
+	l := NewList(2)
 	ck, _, err := Cksum(l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ck.Attrs&Commutative == 0 || ck.Attrs&NoMod == 0 {
-		t.Fatal("cksum pipe missing Commutative|NoMod attributes")
+	bs, err := Byteswap(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.Attrs&NoMod == 0 || bs.Attrs&NoMod != 0 {
+		t.Fatalf("attributes: cksum %#x, byteswap %#x; want NoMod on cksum alone", ck.Attrs, bs.Attrs)
 	}
 }
 
@@ -677,7 +659,8 @@ func TestCommutativeAttrRecorded(t *testing.T) {
 // prologue, the first iteration and the ret, and the executor everything
 // else. Reorder two instructions of the emitted loop and this test, not a
 // profile, says the fast path is gone. Every other engine — each other
-// composition of the built-in pipes, copying or not — is interpreted
+// composition of the built-in pipes and a modifying xor pipe, copying or
+// not — is interpreted
 // whole (vcode's TestStreamMatchesReference runs each of their loops
 // against the reference interpreter).
 //
@@ -693,8 +676,7 @@ func TestCompiledEnginesStream(t *testing.T) {
 	}{
 		{"cksum", func(l *List) error { _, _, err := Cksum(l); return err }},
 		{"byteswap", func(l *List) error { _, err := Byteswap(l); return err }},
-		{"xor", func(l *List) error { _, err := Xor(l, 0xdeadbeef); return err }},
-		{"cksum16", func(l *List) error { _, _, err := Cksum16(l); return err }},
+		{"xor", func(l *List) error { _, err := xorPipe(l, 0xdeadbeef); return err }},
 	}
 	const n = 256
 	m, mem := newEnv(t, n)

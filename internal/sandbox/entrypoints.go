@@ -46,22 +46,28 @@ type Host interface {
 	DILP(m *vcode.Machine, id int, src, dst uint32, n int) (uint32, error)
 }
 
-// entryPoints names every entry point and builds it over a Host.
-var entryPoints = map[string]func(Host) vcode.SyscallFn{
-	"ash_send":     ashSend,
-	"ash_copy":     ashCopy,
-	"ash_dilp":     ashDILP,
-	"ash_msg_load": ashMsgLoad,
+// The entry points' Syms, interned once.
+var (
+	symSend    = vcode.Intern("ash_send")
+	symCopy    = vcode.Intern("ash_copy")
+	symDILP    = vcode.Intern("ash_dilp")
+	symMsgLoad = vcode.Intern("ash_msg_load")
+)
+
+// isEntryPoint reports whether s names an entry point.
+func isEntryPoint(s vcode.Sym) bool {
+	return s == symSend || s == symCopy || s == symDILP || s == symMsgLoad
 }
 
 // EntryPoints builds the entry-point table over h, indexed by vcode.Sym
 // (a vcode.Machine's Syms).
 func EntryPoints(h Host) []vcode.SyscallFn {
-	fns := make(map[string]vcode.SyscallFn, len(entryPoints))
-	for name, build := range entryPoints {
-		fns[name] = build(h)
-	}
-	return vcode.SymTable(fns)
+	t := make([]vcode.SyscallFn, max(symSend, symCopy, symDILP, symMsgLoad)+1)
+	t[symSend] = ashSend(h)
+	t[symCopy] = ashCopy(h)
+	t[symDILP] = ashDILP(h)
+	t[symMsgLoad] = ashMsgLoad(h)
+	return t
 }
 
 // ash_send(dst, vc, addr, len): transmit len bytes at addr as a message —

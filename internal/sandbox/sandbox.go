@@ -127,8 +127,8 @@ func verifyProgram(p *vcode.Program) (*analysis.CFG, error) {
 		case in.Op.Is(vcode.PipeOp):
 			return nil, &VerifyError{pc, in, "pipe pseudo-op outside a pipe body"}
 		case in.Op == vcode.OpCall:
-			if name := in.Sym.String(); entryPoints[name] == nil {
-				return nil, &VerifyError{pc, in, fmt.Sprintf("call to %q is not an allowed system entry point", name)}
+			if !isEntryPoint(in.Sym) {
+				return nil, &VerifyError{pc, in, fmt.Sprintf("call to %q is not an allowed system entry point", in.Sym.String())}
 			}
 		case in.Op.Is(vcode.Branch):
 			if in.Target < 0 || int(in.Target) >= n {

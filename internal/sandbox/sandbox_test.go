@@ -395,7 +395,8 @@ func TestSandboxOverheadRatioShrinksWithDataSize(t *testing.T) {
 			_ = vcode.Store32(mem, 0x1000, 0x5000)
 			_ = vcode.Store32(mem, 0x1004, uint32(n))
 			m := vcode.NewMachine(mach.DS5000_240(), mem)
-			m.Syms = vcode.SymTable(map[string]vcode.SyscallFn{"ash_copy": trustedCopy(mem)})
+			m.Syms = make([]vcode.SyscallFn, symCopy+1)
+			m.Syms[symCopy] = trustedCopy(mem)
 			if !sandboxed {
 				if f := m.Run(p); f != nil {
 					t.Fatal(f)

@@ -102,7 +102,7 @@ type Machine struct {
 	Prof  *mach.Profile
 	Mem   Memory
 	Cache *mach.Cache // may be nil: loads then cost LoadHit
-	Syms  []SyscallFn // indexed by Sym; see SymTable
+	Syms  []SyscallFn // indexed by Sym; sandbox.EntryPoints builds one
 
 	Regs [NumRegs]uint32
 

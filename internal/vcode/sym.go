@@ -52,20 +52,3 @@ func (s Sym) String() string {
 	}
 	return fmt.Sprintf("sym(%d)", uint32(s))
 }
-
-// SymTable lays out a Machine.Syms table: fns[name] at the index of name's
-// Sym, nil at every other index.
-func SymTable(fns map[string]SyscallFn) []SyscallFn {
-	var t []SyscallFn
-	for name, fn := range fns {
-		id := Intern(name)
-		if id == 0 {
-			panic("vcode: SymTable: an entry point needs a name")
-		}
-		if int(id) >= len(t) {
-			t = append(t, make([]SyscallFn, int(id)+1-len(t))...)
-		}
-		t[id] = fn
-	}
-	return t
-}

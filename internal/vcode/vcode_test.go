@@ -311,6 +311,20 @@ func TestCycleLimitFaults(t *testing.T) {
 	}
 }
 
+// SymTable lays out a Machine.Syms table for a test: fns[name] at the
+// index of name's Sym, nil at every other index.
+func SymTable(fns map[string]SyscallFn) []SyscallFn {
+	var t []SyscallFn
+	for name, fn := range fns {
+		id := Intern(name)
+		if int(id) >= len(t) {
+			t = append(t, make([]SyscallFn, int(id)+1-len(t))...)
+		}
+		t[id] = fn
+	}
+	return t
+}
+
 func TestCallSyscall(t *testing.T) {
 	b := NewBuilder("call")
 	b.MovI(RArg0, 21)

@@ -52,7 +52,7 @@ func expGap(rng *sim.Rand, meanUs float64) float64 {
 // finish orders events by (time, client) and stamps each one's
 // conversation with its client index — one conversation per client, the
 // relay workload's natural keying.
-func finish(name string, evs []Event) *Trace {
+func finish(evs []Event) *Trace {
 	sort.Slice(evs, func(i, j int) bool {
 		if evs[i].AtUs != evs[j].AtUs {
 			return evs[i].AtUs < evs[j].AtUs
@@ -62,7 +62,7 @@ func finish(name string, evs []Event) *Trace {
 	for i := range evs {
 		evs[i].Conv = uint32(evs[i].Client)
 	}
-	return &Trace{Name: name, Events: evs}
+	return &Trace{Events: evs}
 }
 
 // Poisson is the memoryless open-loop baseline: exponential fleet-wide
@@ -75,7 +75,7 @@ func Poisson(seed int64, s Spec) *Trace {
 		at += expGap(rng, s.MeanGapUs)
 		evs = append(evs, Event{AtUs: at, Client: rng.Intn(s.Clients), Size: s.Size})
 	}
-	return finish("poisson", evs)
+	return finish(evs)
 }
 
 // HeavyTail keeps Poisson arrivals but draws sizes from a bounded Pareto
@@ -102,7 +102,7 @@ func HeavyTail(seed int64, s Spec) *Trace {
 		}
 		evs = append(evs, Event{AtUs: at, Client: rng.Intn(s.Clients), Size: int(size)})
 	}
-	return finish("heavytail", evs)
+	return finish(evs)
 }
 
 // FlashCrowd runs at the spec rate, except for a window in the middle
@@ -125,7 +125,7 @@ func FlashCrowd(seed int64, s Spec) *Trace {
 		at += expGap(rng, gap)
 		evs = append(evs, Event{AtUs: at, Client: rng.Intn(s.Clients), Size: s.Size})
 	}
-	return finish("flashcrowd", evs)
+	return finish(evs)
 }
 
 // Incast fires the whole fleet at once: waves in which every client
@@ -147,5 +147,5 @@ func Incast(seed int64, s Spec) *Trace {
 			evs = append(evs, Event{AtUs: at, Client: c, Size: s.Size})
 		}
 	}
-	return finish("incast", evs)
+	return finish(evs)
 }
