@@ -55,17 +55,18 @@ type Config struct {
 // and Handoffs are functions of the simulations alone; Elided and InPlace
 // (wake-ups the sleeping process took itself, with no event or with no
 // switch, counted in Fired and Handoffs all the same), Direct (switches a
-// blocked process made rather than the engine) and Cascades are the event
-// queue's own work on them.
+// blocked process made rather than the engine), Cascades and Spills (the
+// engines whose schedule outgrew the small set and moved onto the timing
+// wheel; ashbench does not print it) are the event queue's own work on them.
 type EngineCounts struct {
-	Closed, Fired, Cancelled, Handoffs, Elided, InPlace, Direct, Cascades uint64
+	Closed, Fired, Cancelled, Handoffs, Elided, InPlace, Direct, Cascades, Spills uint64
 }
 
 // Add returns the sum of c and d.
 func (c EngineCounts) Add(d EngineCounts) EngineCounts {
 	return EngineCounts{c.Closed + d.Closed, c.Fired + d.Fired, c.Cancelled + d.Cancelled,
 		c.Handoffs + d.Handoffs, c.Elided + d.Elided, c.InPlace + d.InPlace, c.Direct + d.Direct,
-		c.Cascades + d.Cascades}
+		c.Cascades + d.Cascades, c.Spills + d.Spills}
 }
 
 // countEngine adds one closed world's engine to the counts. Nil-safe: a
@@ -73,7 +74,8 @@ func (c EngineCounts) Add(d EngineCounts) EngineCounts {
 func (cfg *Config) countEngine(st sim.Stats) {
 	if cfg != nil {
 		cfg.engines = cfg.engines.Add(EngineCounts{Closed: 1, Fired: st.Fired, Cancelled: st.Cancelled,
-			Handoffs: st.Handoffs, Elided: st.Elided, InPlace: st.InPlace, Direct: st.Direct, Cascades: st.Cascades})
+			Handoffs: st.Handoffs, Elided: st.Elided, InPlace: st.InPlace, Direct: st.Direct, Cascades: st.Cascades,
+			Spills: st.Spills})
 	}
 }
 

@@ -266,6 +266,28 @@ func TestCellEngineCounts(t *testing.T) {
 	}
 }
 
+// TestQueueShapes gates the schedule the engine's small set is sized to:
+// no world of the two-host experiments ever has more events pending than
+// the set holds, so none spills onto the timing wheel, and every crowded
+// experiment does spill, each engine at most once (the spill is one-way).
+// A two-host world that grows a ninth pending event fails here rather than
+// quietly running on the wheel.
+func TestQueueShapes(t *testing.T) {
+	crowded := map[string]bool{"overload": true, "scale": true, "megascale": true}
+	names := []string{"table1", "table5", "table6", "chaos", "overload", "scale"}
+	if !raceEnabled {
+		names = append(names, "megascale")
+	}
+	selected, _ := FindExperiments(names)
+	for _, out := range RunExperiments(&Config{Quick: true, Parallel: 2}, selected) {
+		c := out.Engines
+		if c.Closed == 0 || crowded[out.Name] && (c.Spills == 0 || c.Spills > c.Closed) || !crowded[out.Name] && c.Spills != 0 {
+			t.Errorf("%s: %d of %d engines spilled onto the wheel", out.Name, c.Spills, c.Closed)
+		}
+		t.Logf("%s: %d of %d engines spilled", out.Name, c.Spills, c.Closed)
+	}
+}
+
 // TestWorldCloseCounts: close adds the engine to the config the world was
 // built with, once per world; a world built with a nil config closes
 // without panicking and counts nowhere.

@@ -7,10 +7,11 @@ import (
 )
 
 // TestElideEdges walks the borders of Proc.elide, one world per row, each
-// row over both queues and with the elision on and off: the trace (what ran,
-// at what virtual time, and where the driver's runs returned) must be the
-// row's in all four, and with the elision on the row elides exactly what it
-// says — on the heap, whose bound is exact; the wheel may elide less, never
+// row over every engine construction (queues) and with the elision on and
+// off: the trace (what ran, at what virtual time, and where the driver's
+// runs returned) must be the row's in all of them, and with the elision on
+// the row elides exactly what it says — on the heap and on the small set
+// (no row spills), whose bounds are exact; the wheel may elide less, never
 // more. Each of the four guards has a row that fails without it.
 func TestElideEdges(t *testing.T) {
 	for _, row := range []struct {
@@ -149,7 +150,7 @@ func TestElideEdges(t *testing.T) {
 	} {
 		for _, q := range queues {
 			for _, neverElide := range []bool{false, true} {
-				e := newEngineWithQueue(q.fn())
+				e := q.engine()
 				e.neverElide = neverElide
 				var trace []string
 				row.drive(edgeWorld{e, func(what string) { trace = append(trace, fmt.Sprint(what, "@", e.Now())) }})
@@ -159,7 +160,7 @@ func TestElideEdges(t *testing.T) {
 				st := e.Stats()
 				switch {
 				case neverElide && st.Elided != 0,
-					!neverElide && q.name == "heap" && st.Elided != row.elided,
+					!neverElide && q.name != "wheel" && st.Elided != row.elided,
 					!neverElide && st.Elided > row.elided:
 					t.Errorf("%s (%s, never elide %v): %d wake-ups elided, the row has %d",
 						row.name, q.name, neverElide, st.Elided, row.elided)
@@ -221,14 +222,14 @@ type edgeRow struct {
 	fired, handoffs, inPlace, direct uint64
 }
 
-// runEdgeRows runs each row over both queues with the fast paths on and
-// off: the trace, Fired and Handoffs must be the row's in all four, InPlace
+// runEdgeRows runs each row over every queue with the fast paths on and
+// off: the trace, Fired and Handoffs must be the row's in all legs, InPlace
 // and Direct the row's with the fast paths on and 0 with them off.
 func runEdgeRows(t *testing.T, rows []edgeRow) {
 	for _, row := range rows {
 		for _, q := range queues {
 			for _, neverElide := range []bool{false, true} {
-				e := newEngineWithQueue(q.fn())
+				e := q.engine()
 				e.neverElide = neverElide
 				var trace []string
 				row.drive(edgeWorld{e, func(what string) { trace = append(trace, fmt.Sprint(what, "@", e.Now())) }})
@@ -555,7 +556,7 @@ func elideSchedule(e *Engine, seed uint64, trace *strings.Builder) {
 	}
 }
 
-// elideMatches runs elideSchedule(seed) on both queues with the fast paths
+// elideMatches runs elideSchedule(seed) on every queue with the fast paths
 // (the elided wake-up, the loop a blocked process runs itself) on and off,
 // and fails t unless the two run the same simulation event for event — one
 // trace, one clock at every return, one Fired/Cancelled/Handoffs. It
@@ -565,7 +566,7 @@ func elideMatches(t *testing.T, seed uint64) (elided, inPlace, handoffs uint64) 
 		var want string
 		var wantSt Stats
 		for _, neverElide := range []bool{true, false} {
-			e := newEngineWithQueue(q.fn())
+			e := q.engine()
 			e.neverElide = neverElide
 			var trace strings.Builder
 			elideSchedule(e, seed, &trace)
@@ -580,8 +581,8 @@ func elideMatches(t *testing.T, seed uint64) (elided, inPlace, handoffs uint64) 
 				continue
 			}
 			elided, inPlace, handoffs = elided+st.Elided, inPlace+st.InPlace, handoffs+st.Handoffs
-			st.Elided, st.InPlace, st.Direct, st.Cascades, st.EarlyInserts = 0, 0, 0, 0, 0
-			wantSt.Cascades, wantSt.EarlyInserts = 0, 0
+			st.Elided, st.InPlace, st.Direct, st.Cascades, st.EarlyInserts, st.Spills = 0, 0, 0, 0, 0, 0
+			wantSt.Cascades, wantSt.EarlyInserts, wantSt.Spills = 0, 0, 0
 			if got := trace.String(); got != want || st != wantSt {
 				t.Fatalf("seed %d on the %s: the fast paths changed the simulation\n%+v\n%s\nwithout:\n%+v\n%s",
 					seed, q.name, st, firstDifference(got, want), wantSt, firstDifference(want, got))
@@ -592,7 +593,7 @@ func elideMatches(t *testing.T, seed uint64) (elided, inPlace, handoffs uint64) 
 }
 
 // TestElideMatchesNeverElide is the property behind both fast paths: over
-// random schedules, on either queue, an engine that elides and fires in
+// random schedules, on any queue, an engine that elides and fires in
 // place and one that queues every wake-up for its own loop run the same
 // simulation.
 func TestElideMatchesNeverElide(t *testing.T) {

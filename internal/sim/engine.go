@@ -30,9 +30,13 @@
 // wake-up is taken in place: a handoff from one process to the next is one
 // switch, not two through the engine's goroutine.
 //
-// The engine runs against an EventQueue (a hierarchical timing wheel; the
-// tests swap in a binary heap as its oracle) and recycles Events through a
-// freelist, so steady-state scheduling performs zero heap allocations.
+// The engine runs against an EventQueue and recycles Events through a
+// freelist, so steady-state scheduling performs zero heap allocations. It
+// starts on a small sorted set of at most smallCap events, held inline in
+// the Engine, which is all a two-host world ever keeps pending; the first
+// insert past the cap moves the set onto a hierarchical timing wheel, which
+// the engine runs on for the rest of its life (a crowded world: fan-in,
+// overload). The tests swap in a binary heap as the oracle of both.
 // Because fired events are reused, Schedule/ScheduleAt hand back a Timer —
 // a generation-checked handle — rather than the *Event itself; cancelling
 // a Timer whose event already fired (and possibly now carries an unrelated
@@ -70,6 +74,9 @@ type Engine struct {
 	live    *Proc  // those processes, newest first (Close walks it)
 	panicV  any    // propagated panic from a process, or from a callback it fired
 	stopped bool
+	// neverElide makes every wake-up a queued event that the engine's own
+	// loop fires; only the differential tests set it.
+	neverElide bool
 
 	// limit is the time the Run or RunUntil in progress (or, between runs,
 	// the last one) fires events up to: a process may not move the clock
@@ -84,11 +91,11 @@ type Engine struct {
 
 	// handoff is newHandoff; the differential tests swap in newChanHandoff.
 	handoff func(body func(yield func())) (resume func())
-	// neverElide makes every wake-up a queued event that the engine's own
-	// loop fires; only the differential tests set it.
-	neverElide bool
 
-	fired, cancelled, handoffs, elided, inPlace, direct uint64
+	fired, cancelled, handoffs, elided, inPlace, direct, spills uint64
+
+	// small is the queue NewEngine starts q on, until spill.
+	small smallSet
 }
 
 // Stats is the engine's own work, counted since it was built. Fired,
@@ -96,12 +103,13 @@ type Engine struct {
 // same counts on any queue and any handoff, whether or not a wake-up was
 // elided (an elided one counts in Fired and in Handoffs as the event and the
 // round trip it stood for; one taken in place counts in both as well).
-// Elided, InPlace, Direct, Cascades and EarlyInserts are the queue's work on
-// that schedule, as deterministic as it is: how much of it never reached the
-// queue, how much a blocked process fired itself, how many of the switches
-// left a blocked process made rather than the engine, and what the timing
-// wheel did with the rest (the heap's exact bound elides more than the
-// wheel's coarse one, and cascades nothing).
+// Elided, InPlace, Direct, Cascades, EarlyInserts and Spills are the queue's
+// work on that schedule, as deterministic as it is: how much of it never
+// reached the queue, how much a blocked process fired itself, how many of
+// the switches left a blocked process made rather than the engine, and what
+// the queue did with the rest. The small set's and the heap's exact bound
+// elides more than the wheel's coarse one, and neither cascades: Cascades
+// and EarlyInserts count only on an engine that spilled onto the wheel.
 type Stats struct {
 	Fired        uint64 // events of the schedule that came due: dispatched, or elided
 	Cancelled    uint64 // pending events removed by Cancel
@@ -112,12 +120,13 @@ type Stats struct {
 	Direct       uint64 // of the wake-ups that did switch, those a blocked process resumed from its own loop, not the engine
 	Cascades     uint64 // events moved to a lower wheel level as the clock neared them
 	EarlyInserts uint64 // events scheduled below the wheel's floor (after a RunUntil peeked ahead)
+	Spills       uint64 // times the schedule outgrew the small set and moved onto the wheel: 0 or 1
 }
 
 // Stats reports the engine's counters.
 func (e *Engine) Stats() Stats {
 	s := Stats{Fired: e.fired, Cancelled: e.cancelled, Handoffs: e.handoffs, LiveProcs: e.procs,
-		Elided: e.elided, InPlace: e.inPlace, Direct: e.direct}
+		Elided: e.elided, InPlace: e.inPlace, Direct: e.direct, Spills: e.spills}
 	if w, ok := e.q.(*wheel); ok {
 		s.Cascades, s.EarlyInserts = w.cascaded, w.earlyInserts
 	}
@@ -125,9 +134,27 @@ func (e *Engine) Stats() Stats {
 }
 
 // NewEngine returns an empty engine at virtual time zero, scheduling
-// against a timing wheel.
+// against its small set until the schedule outgrows it.
 func NewEngine() *Engine {
-	return newEngineWithQueue(new(wheel))
+	e := &Engine{handoff: newHandoff}
+	e.small.eng = e
+	e.q = &e.small
+	return e
+}
+
+// spill moves the full small set and ev onto a fresh timing wheel, which
+// the engine schedules against from then on. floor is the clock, no later
+// than anything queued; the set's events are placed in (at, seq) order, so
+// equal-time ones keep their order within their slot.
+func (e *Engine) spill(ev *Event) {
+	s := &e.small
+	w := &wheel{floor: min(s.evs[0].at, e.now), count: s.n}
+	for _, p := range s.evs[:s.n] {
+		w.place(p)
+	}
+	e.q = w
+	e.spills++
+	w.Insert(ev)
 }
 
 // newEngineWithQueue returns an empty engine scheduling against q, so the

@@ -18,12 +18,16 @@ var handoffs = []struct {
 	{"channel", newChanHandoff},
 }
 
+// queues are the engine's constructions: on the timing wheel alone, on the
+// heap, their oracle, and NewEngine's, the small set that spills onto a
+// wheel once the schedule outgrows it.
 var queues = []struct {
-	name string
-	fn   func() EventQueue
+	name   string
+	engine func() *Engine
 }{
-	{"wheel", func() EventQueue { return new(wheel) }},
-	{"heap", newHeapQueue},
+	{"wheel", func() *Engine { return newEngineWithQueue(new(wheel)) }},
+	{"heap", func() *Engine { return newEngineWithQueue(newHeapQueue()) }},
+	{"NewEngine", NewEngine},
 }
 
 // handoffScenario runs one scripted world on e: every blocking call a
@@ -167,7 +171,7 @@ func settleGoroutines(want int) int {
 }
 
 // TestHandoffDifferential runs the scenario, then Engine.Close, over
-// {coroutine, channel} x {wheel, heap} x {elide, never elide}: the trace,
+// {coroutine, channel} x queues x {elide, never elide}: the trace,
 // the final clock and the schedule-determined counters must not depend on
 // any of the three, and Close must end every process the scenario left
 // behind — parked forever, in Sleep, in ParkTimeout, never started, blocking
@@ -191,7 +195,7 @@ func TestHandoffDifferential(t *testing.T) {
 				// Earlier tests leave some goroutines parked for good, and
 				// coroutines idle in the pool.
 				goroutines, pooled := runtime.NumGoroutine(), PooledCoroutines()
-				e := newEngineWithQueue(q.fn())
+				e := q.engine()
 				e.handoff = h.fn
 				e.neverElide = neverElide
 				var log strings.Builder
@@ -225,12 +229,16 @@ func TestHandoffDifferential(t *testing.T) {
 				}
 
 				// Elided, InPlace and Direct are the queue's own (the heap's
-				// bound is exact, the wheel's is not), as Cascades and
-				// EarlyInserts are the wheel's.
+				// and the small set's bound is exact, the wheel's is not), as
+				// Cascades, EarlyInserts and Spills are. The scenario's start
+				// crowds more processes than the small set holds.
 				if (st.Elided == 0) != neverElide || (st.InPlace == 0) != neverElide || (st.Direct == 0) != neverElide {
 					t.Errorf("%+v: %d wake-ups elided, %d taken in place, %d resumed directly", leg, st.Elided, st.InPlace, st.Direct)
 				}
-				st.Elided, st.InPlace, st.Direct, st.Cascades, st.EarlyInserts = 0, 0, 0, 0, 0
+				if q.name == "NewEngine" && st.Spills != 1 {
+					t.Errorf("%+v: %d spills, want the one onto the wheel", leg, st.Spills)
+				}
+				st.Elided, st.InPlace, st.Direct, st.Cascades, st.EarlyInserts, st.Spills = 0, 0, 0, 0, 0, 0
 				got := result{trace, end, st}
 				if want.trace == "" {
 					want, first = got, leg

@@ -62,14 +62,40 @@ type EventQueue interface {
 
 // heapQueue is a plain binary heap over the intrusive events. It is the
 // reference implementation: O(log n) everywhere, no tuning knobs. The
-// engine runs on the wheel; the heap stays as the oracle for differential
-// tests.
+// engine runs on the small set and the wheel; the heap stays as the oracle
+// for differential tests.
 type heapQueue struct {
 	evs []*Event
+
+	// tieSeed, when not 0, orders equal-time events by a hash of (seq,
+	// tieSeed) instead of FIFO: a seeded permutation of every tie, for the
+	// tests that show a simulation's correctness does not rest on that
+	// order. ties counts the tie groups met, instants at which a popped
+	// event left another of its time queued; tieAt is the last one's time.
+	tieSeed uint64
+	ties    int
+	tieAt   Time
 }
 
 // newHeapQueue returns an empty binary-heap event queue.
 func newHeapQueue() EventQueue { return &heapQueue{} }
+
+// less is the heap's order: before, or with a tie seed the permuted one.
+func (h *heapQueue) less(a, b *Event) bool {
+	if h.tieSeed != 0 && a.at == b.at {
+		return tieRank(a.seq, h.tieSeed) < tieRank(b.seq, h.tieSeed)
+	}
+	return a.before(b)
+}
+
+// tieRank offsets seq by a multiple of seed and applies the splitmix64
+// finalizer: a bijection of seq for each seed, so no two events rank alike.
+func tieRank(seq, seed uint64) uint64 {
+	z := seq + seed*0x9e3779b97f4a7c15
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d4490885eb327
+	return z ^ (z >> 31)
+}
 
 func (h *heapQueue) Len() int { return len(h.evs) }
 
@@ -109,13 +135,19 @@ func (h *heapQueue) MinBound() Time {
 	return h.evs[0].at
 }
 
-func (h *heapQueue) Pop(ev *Event) { h.Remove(ev) }
+func (h *heapQueue) Pop(ev *Event) {
+	h.Remove(ev)
+	if h.tieSeed != 0 && len(h.evs) > 0 && h.evs[0].at == ev.at && (h.ties == 0 || h.tieAt != ev.at) {
+		h.ties++
+		h.tieAt = ev.at
+	}
+}
 
 func (h *heapQueue) siftUp(i int) bool {
 	moved := false
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.evs[i].before(h.evs[parent]) {
+		if !h.less(h.evs[i], h.evs[parent]) {
 			break
 		}
 		h.swap(i, parent)
@@ -129,10 +161,10 @@ func (h *heapQueue) siftDown(i int) {
 	n := len(h.evs)
 	for {
 		min := i
-		if l := 2*i + 1; l < n && h.evs[l].before(h.evs[min]) {
+		if l := 2*i + 1; l < n && h.less(h.evs[l], h.evs[min]) {
 			min = l
 		}
-		if r := 2*i + 2; r < n && h.evs[r].before(h.evs[min]) {
+		if r := 2*i + 2; r < n && h.less(h.evs[r], h.evs[min]) {
 			min = r
 		}
 		if min == i {

@@ -18,13 +18,14 @@ func (s *splitmix64) next() uint64 {
 	return z ^ (z >> 31)
 }
 
-// queueScript drives a wheel and the reference heap through one schedule
+// queueScript drives e's queue and the reference heap through one schedule
 // and requires identical (at, seq) peeks, pops and lengths, and after every
-// operation a MinBound from the wheel that is no later than the heap's
-// minimum and was free: floor, cascades and length as they were. The
-// schedule is
-// a string of two-byte operations, so that the shapes below and whatever
-// the fuzzer makes of them run through one interpreter:
+// operation a MinBound that is no later than the heap's minimum and was free
+// (bound). It reads e.q afresh for every operation, so an insert may swap a
+// NewEngine's small set for a wheel under it, and keeps e's clock at the
+// last pop, as the engine's own loop would. The schedule is a string of
+// two-byte operations, so that the shapes below and whatever the fuzzer
+// makes of them run through one interpreter:
 //
 //	op&7   0, 7  insert at now + delta
 //	       1     insert twice at now + delta (an equal-time burst)
@@ -36,10 +37,10 @@ func (s *splitmix64) next() uint64 {
 //
 // now is the time of the last pop, which is as early as the engine may
 // schedule; live events are numbered oldest insert first. It returns the
-// wheel and the number of inserts made.
-func queueScript(t testing.TB, script []byte) (*wheel, uint64) {
-	type pair struct{ w, ref *Event }
-	q, ref := new(wheel), newHeapQueue()
+// number of inserts made and the most events that were live at once.
+func queueScript(t testing.TB, e *Engine, script []byte) (inserts uint64, maxLive int) {
+	type pair struct{ q, ref *Event }
+	ref := newHeapQueue()
 	var live []pair
 	var seq uint64
 	now := Time(0)
@@ -47,29 +48,31 @@ func queueScript(t testing.TB, script []byte) (*wheel, uint64) {
 	insert := func(at Time) {
 		p := pair{&Event{at: at, seq: seq}, &Event{at: at, seq: seq}}
 		seq++
-		q.Insert(p.w)
+		e.q.Insert(p.q)
 		ref.Insert(p.ref)
 		live = append(live, p)
+		maxLive = max(maxLive, len(live))
 	}
 	same := func(what string, a, b *Event) {
 		if (a == nil) != (b == nil) || a != nil && (a.at != b.at || a.seq != b.seq) {
-			t.Fatalf("%s diverged: wheel %v, heap %v", what, a, b)
+			t.Fatalf("%s diverged: queue %v, heap %v", what, a, b)
 		}
 	}
 	pop := func() {
-		a, b := q.PeekMin(), ref.PeekMin()
+		a, b := e.q.PeekMin(), ref.PeekMin()
 		same("peek", a, b)
 		if a == nil {
 			return
 		}
-		q.Pop(a)
+		e.q.Pop(a)
 		ref.Pop(b)
 		if a.at < now {
 			t.Fatalf("popped %d after %d", a.at, now)
 		}
 		now = a.at
+		e.now = now
 		for i := range live {
-			if live[i].w == a {
+			if live[i].q == a {
 				live = append(live[:i], live[i+1:]...)
 				break
 			}
@@ -91,46 +94,72 @@ func queueScript(t testing.TB, script []byte) (*wheel, uint64) {
 			insert(at)
 		case 2:
 			if len(live) > 0 {
-				insert(live[int(arg)%len(live)].w.at)
+				insert(live[int(arg)%len(live)].q.at)
 			}
 		case 3, 6:
 			pop()
 		case 4:
-			same("peek", q.PeekMin(), ref.PeekMin())
+			same("peek", e.q.PeekMin(), ref.PeekMin())
 		case 5:
 			if len(live) > 0 {
 				i := int(arg) % len(live)
-				q.Remove(live[i].w)
+				e.q.Remove(live[i].q)
 				ref.Remove(live[i].ref)
 				live = append(live[:i], live[i+1:]...)
 			}
 		}
-		if q.Len() != ref.Len() {
-			t.Fatalf("length diverged: wheel %d, heap %d", q.Len(), ref.Len())
+		if e.q.Len() != ref.Len() {
+			t.Fatalf("length diverged: queue %d, heap %d", e.q.Len(), ref.Len())
 		}
-		bound(t, q, ref)
+		bound(t, e.q, ref)
 	}
-	for q.Len() > 0 {
+	for e.q.Len() > 0 {
 		pop()
 	}
-	same("peek of the empty queues", q.PeekMin(), ref.PeekMin())
-	return q, seq
+	same("peek of the empty queues", e.q.PeekMin(), ref.PeekMin())
+	return seq, maxLive
 }
 
-// bound asks the wheel for its MinBound and checks it against the heap's
-// exact one and against the wheel's own state before the call.
-func bound(t testing.TB, q *wheel, ref EventQueue) {
-	floor, cascaded, peeked, n := q.floor, q.cascaded, q.peeked, q.Len()
+// bound asks q for its MinBound and checks it against the heap's exact one
+// — the small set's must equal it — and, on a wheel, against the wheel's
+// own state before the call.
+func bound(t testing.TB, q, ref EventQueue) {
+	n := q.Len()
+	var before wheel
+	w, _ := q.(*wheel)
+	if w != nil {
+		before = *w
+	}
 	got, exact := q.MinBound(), ref.MinBound()
 	if min := ref.PeekMin(); min == nil && exact != maxTime || min != nil && exact != min.at {
 		t.Fatalf("heap MinBound %d, its minimum is %v", exact, min)
 	}
-	if got > exact || n == 0 && got != maxTime {
-		t.Fatalf("wheel MinBound %d with %d queued, the earliest at %d", got, n, exact)
+	if _, small := q.(*smallSet); got > exact || small && got != exact || n == 0 && got != maxTime {
+		t.Fatalf("%T MinBound %d with %d queued, the earliest at %d", q, got, n, exact)
 	}
-	if q.floor != floor || q.cascaded != cascaded || q.peeked != peeked || q.Len() != n {
-		t.Fatalf("MinBound moved the wheel: floor %d -> %d, cascaded %d -> %d, peeked %v -> %v, len %d -> %d",
-			floor, q.floor, cascaded, q.cascaded, peeked, q.peeked, n, q.Len())
+	if q.Len() != n {
+		t.Fatalf("MinBound changed the length: %d -> %d", n, q.Len())
+	}
+	if w != nil && (w.floor != before.floor || w.cascaded != before.cascaded || w.peeked != before.peeked) {
+		t.Fatalf("MinBound moved the wheel: floor %d -> %d, cascaded %d -> %d, peeked %v -> %v",
+			before.floor, w.floor, before.cascaded, w.cascaded, before.peeked, w.peeked)
+	}
+}
+
+// spilledAsLive requires e, a NewEngine that queueScript drove, to have
+// spilled onto the wheel exactly when the script had more events live at
+// once than the small set holds.
+func spilledAsLive(t testing.TB, e *Engine, maxLive int) {
+	t.Helper()
+	want := uint64(0)
+	if maxLive > smallCap {
+		want = 1
+	}
+	if got := e.Stats().Spills; got != want {
+		t.Fatalf("%d spills with at most %d events live, want %d", got, maxLive, want)
+	}
+	if _, onWheel := e.q.(*wheel); onWheel != (want == 1) {
+		t.Fatalf("the engine runs on %T after %d spills", e.q, want)
 	}
 }
 
@@ -207,6 +236,16 @@ var queueShapes = []struct {
 		}
 		return s
 	}},
+	// The small set's cap from below and above: blocks of 1 to 3*smallCap
+	// events, each drained before the next, so the one that first crosses
+	// the cap spills and the rest run on the wheel.
+	{"crossing the cap", func(int) []byte {
+		var s []byte
+		for k := 1; k <= 3*smallCap; k++ {
+			s = append(s, spillBlock(k)...)
+		}
+		return s
+	}},
 	// Times near 1<<62: the clock climbs there a digit at a time, then the
 	// bursty schedule carries it across the boundary, where the carry runs
 	// through every level.
@@ -218,6 +257,30 @@ var queueShapes = []struct {
 		}
 		return append(s, randomQueueScript(n, 0, 0, 512)...)
 	}},
+}
+
+// spillBlock fills the queue to k far events, cancelling and re-arming one
+// in three on the way, peeks at the head (RunUntil's peek past its limit),
+// then inserts below it an equal-time pair near the clock and one more at
+// the oldest live event's time, and drains the queue: at most k+3 events
+// live, so from k = smallCap-2 on the block crosses the small set's cap,
+// at each of the three inserts in turn.
+func spillBlock(k int) []byte {
+	var s []byte
+	for i := 0; i < k; i++ {
+		s = append(s, queueOp(0, 3, 100+i%7)...)
+		if i%3 == 2 {
+			s = append(s, queueOp(5, 0, i)...)
+			s = append(s, queueOp(0, 3, 100+i%5)...)
+		}
+	}
+	s = append(s, queueOp(4, 0, 0)...)
+	s = append(s, queueOp(1, 0, 9)...)
+	s = append(s, queueOp(2, 0, 0)...)
+	for i := 0; i < k+3; i++ {
+		s = append(s, queueOp(3, 0, 0)...)
+	}
+	return s
 }
 
 // randomQueueScript is n operations of the usual mix — 55 % inserts (half
@@ -251,20 +314,47 @@ func randomQueueScript(n, maxLive, lo, hi int) []byte {
 	return s
 }
 
-// TestQueueMatchesHeap runs every shape through the wheel and the heap, and
-// bounds the wheel's own work on it: cascades re-place at most two events
-// per insert.
+// TestQueueMatchesHeap runs every shape through the wheel and through
+// NewEngine's queue, each against the heap. It bounds the wheel's own work
+// on it, cascades re-placing at most two events per insert, and requires the
+// engine to spill exactly when the shape outgrows the small set.
 func TestQueueMatchesHeap(t *testing.T) {
 	for _, shape := range queueShapes {
 		t.Run(shape.name, func(t *testing.T) {
-			q, inserts := queueScript(t, shape.script(20000))
-			if inserts == 0 || q.cascaded > 2*inserts {
-				t.Errorf("%d events re-placed by cascades for %d inserts, want at most two each", q.cascaded, inserts)
+			e := newEngineWithQueue(new(wheel))
+			inserts, _ := queueScript(t, e, shape.script(20000))
+			st := e.Stats()
+			if inserts == 0 || st.Cascades > 2*inserts {
+				t.Errorf("%d events re-placed by cascades for %d inserts, want at most two each", st.Cascades, inserts)
 			}
-			if shape.name == "peek-ahead" && q.earlyInserts == 0 {
+			if shape.name == "peek-ahead" && st.EarlyInserts == 0 {
 				t.Error("no insert landed below floor: the early list went untested")
 			}
+			e = NewEngine()
+			_, maxLive := queueScript(t, e, shape.script(20000))
+			spilledAsLive(t, e, maxLive)
 		})
+	}
+}
+
+// TestSmallSetSpill runs spillBlock(k) for k = 1 to 3*smallCap on a fresh
+// NewEngine each, so that each of a block's last three inserts is the one
+// that spills for some k: after a peek at a far head, into a set holding
+// equal-time events and the places of cancelled ones.
+func TestSmallSetSpill(t *testing.T) {
+	for k := 1; k <= 3*smallCap; k++ {
+		e := NewEngine()
+		_, maxLive := queueScript(t, e, spillBlock(k))
+		spilledAsLive(t, e, maxLive)
+		if spilled := maxLive > smallCap; spilled != (k >= smallCap-2) {
+			t.Errorf("block %d: at most %d live, the block crosses the cap from %d on", k, maxLive, smallCap-2)
+		}
+		// Once on the wheel, for good: the emptied engine filling up again
+		// spills no more.
+		queueScript(t, e, spillBlock(1))
+		if spills := e.Stats().Spills; spills > 1 {
+			t.Errorf("block %d: %d spills, the engine went back to the small set", k, spills)
+		}
 	}
 }
 
@@ -287,19 +377,27 @@ func TestCascadeDepth(t *testing.T) {
 	}
 }
 
-// FuzzQueueMatchesHeap lets the fuzzer write the schedule. The oracle is
-// queueScript's — the heap's pop sequence, length and minimum, the last as
-// the ceiling of a side-effect-free MinBound — plus the structural bound on
-// cascades: an event moves down at most once per level.
+// FuzzQueueMatchesHeap lets the fuzzer write the schedule, and runs it on
+// the wheel and on NewEngine's queue. The oracle is queueScript's — the
+// heap's pop sequence, length and minimum, the last as the ceiling of a
+// side-effect-free MinBound — plus the structural bound on cascades (an
+// event moves down at most once per level) and the spill rule.
 func FuzzQueueMatchesHeap(f *testing.F) {
 	for _, shape := range queueShapes {
 		f.Add(shape.script(200))
 	}
+	for _, k := range []int{smallCap - 3, smallCap - 2, smallCap, 2 * smallCap} {
+		f.Add(spillBlock(k))
+	}
 	f.Fuzz(func(t *testing.T, script []byte) {
-		q, inserts := queueScript(t, script)
-		if q.cascaded > (wheelLevels-1)*inserts {
-			t.Fatalf("%d events re-placed by cascades for %d inserts", q.cascaded, inserts)
+		e := newEngineWithQueue(new(wheel))
+		inserts, _ := queueScript(t, e, script)
+		if c := e.Stats().Cascades; c > (wheelLevels-1)*inserts {
+			t.Fatalf("%d events re-placed by cascades for %d inserts", c, inserts)
 		}
+		e = NewEngine()
+		_, maxLive := queueScript(t, e, script)
+		spilledAsLive(t, e, maxLive)
 	})
 }
 
@@ -308,7 +406,7 @@ func FuzzQueueMatchesHeap(f *testing.F) {
 // beyond the clock, and what is scheduled next lies below it.
 func TestPeekAheadThenSchedule(t *testing.T) {
 	for _, q := range queues {
-		e := newEngineWithQueue(q.fn())
+		e := q.engine()
 		var got []string
 		note := func(s string) func() { return func() { got = append(got, fmt.Sprint(s, "@", e.Now())) } }
 		e.ScheduleAt(1_000_000, note("far"))
@@ -330,10 +428,43 @@ func TestPeekAheadThenSchedule(t *testing.T) {
 	}
 }
 
-// TestEngineOnHeapQueueEquivalent runs the same simulation on both queue
-// implementations and checks the traces match.
+// TestSpillAfterPeekAhead is TestPeekAheadThenSchedule with the small set
+// full: RunUntil peeks at the far head and moves the clock to its limit,
+// and the schedules that follow cross the cap there. The wheel they spill
+// onto starts at the clock, below the far events, not at their head: only
+// c, scheduled after the second RunUntil peeked at b, lands below floor.
+func TestSpillAfterPeekAhead(t *testing.T) {
+	for _, q := range queues {
+		e := q.engine()
+		var got []string
+		note := func(s string) func() { return func() { got = append(got, fmt.Sprint(s, "@", e.Now())) } }
+		for i := 0; i < smallCap; i++ {
+			e.ScheduleAt(1_000_000+Time(i%3), note(fmt.Sprint("far", i)))
+		}
+		e.RunUntil(100)
+		e.Schedule(50, note("b")) // the spill
+		e.Schedule(0, note("a"))
+		late := e.Schedule(50, note("cancelled"))
+		e.RunUntil(120)
+		e.Cancel(late)
+		e.Schedule(5, note("c"))
+		e.Run()
+		want := "[a@100 c@125 b@150 far0@1000000 far3@1000000 far6@1000000 far1@1000001 far4@1000001 far7@1000001 far2@1000002 far5@1000002]"
+		if fmt.Sprint(got) != want {
+			t.Errorf("%s: fired %v, want %s", q.name, got, want)
+		}
+		if st := e.Stats(); q.name == "NewEngine" && (st.Spills != 1 || st.EarlyInserts != 1) {
+			t.Errorf("%d spills, %d early inserts; want 1 and 1", st.Spills, st.EarlyInserts)
+		}
+	}
+}
+
+// TestEngineOnHeapQueueEquivalent runs the same simulation on every engine
+// construction and checks each trace against the heap's. With one chain of
+// self-rescheduling events NewEngine never leaves its small set; with
+// twelve it spills onto the wheel early on.
 func TestEngineOnHeapQueueEquivalent(t *testing.T) {
-	run := func(e *Engine) []Time {
+	run := func(e *Engine, chains int) []Time {
 		var trace []Time
 		rng := splitmix64(7)
 		var tick func()
@@ -341,7 +472,7 @@ func TestEngineOnHeapQueueEquivalent(t *testing.T) {
 		tick = func() {
 			trace = append(trace, e.Now())
 			n++
-			if n < 500 {
+			if n < 500*chains {
 				e.Schedule(Time(rng.next()%97), tick)
 				if n%3 == 0 {
 					tm := e.Schedule(Time(rng.next()%29), func() { trace = append(trace, -e.Now()) })
@@ -351,18 +482,28 @@ func TestEngineOnHeapQueueEquivalent(t *testing.T) {
 				}
 			}
 		}
-		e.Schedule(0, tick)
+		for i := 0; i < chains; i++ {
+			e.Schedule(Time(i), tick)
+		}
 		e.Run()
 		return trace
 	}
-	a := run(NewEngine())
-	b := run(newEngineWithQueue(newHeapQueue()))
-	if len(a) != len(b) {
-		t.Fatalf("trace lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("traces diverge at %d: %d vs %d", i, a[i], b[i])
+	for _, chains := range []int{1, 12} {
+		want := run(newEngineWithQueue(newHeapQueue()), chains)
+		for _, q := range queues {
+			e := q.engine()
+			got := run(e, chains)
+			if len(got) != len(want) {
+				t.Fatalf("%s, %d chains: trace length %d, the heap's %d", q.name, chains, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s, %d chains: trace diverges at %d: %d, the heap's %d", q.name, chains, i, got[i], want[i])
+				}
+			}
+			if spills := e.Stats().Spills; q.name == "NewEngine" && (spills == 1) != (chains > 1) {
+				t.Errorf("%d chains: %d spills", chains, spills)
+			}
 		}
 	}
 }

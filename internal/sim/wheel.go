@@ -2,11 +2,12 @@ package sim
 
 import "math/bits"
 
-// wheel is the engine's event queue: a hierarchical timing wheel addressed
-// by the radix-64 digits of an event's time relative to floor, a time no
-// later than any event on the wheel. An event sits at level L = the highest
-// digit in which its time differs from floor (0 when none does), in the
-// slot numbered by that digit of its time. So, for every queued event:
+// wheel is the event queue of an engine whose schedule outgrew its small
+// set (Engine.spill): a hierarchical timing wheel addressed by the radix-64
+// digits of an event's time relative to floor, a time no later than any
+// event on the wheel. An event sits at level L = the highest digit in which
+// its time differs from floor (0 when none does), in the slot numbered by
+// that digit of its time. So, for every queued event:
 //
 //	I1  its time agrees with floor in every digit above L;
 //	I2  its slot is digit L of its time;
