@@ -17,9 +17,19 @@
 # that is faster but computes something else records no row. --differ
 # lets through a change that is meant to alter the output.
 #
+# Then each side runs every experiment once more, alone, under ashbench's
+# -cpuprofile, and `go tool pprof -raw` splits its samples by layer: a
+# sample goes to the layer (layers.txt) of its innermost ashs/internal
+# frame, and to "runtime" if it has none. It prints each experiment's
+# shares in percent.
+#
 # --append adds the result as one row to BENCH_trajectory.json, the
 # append-only ledger of the suite's host cost; bench.sh is its only
-# writer. A row is keyed by `git describe --always --dirty` of this tree.
+# writer. A row is keyed by `git describe --always --dirty` of this tree,
+# and its tree field is the hash of the measured work tree (every file
+# `git add -A` would take, through a temporary index): `git diff TREE
+# COMMIT` shows what the commit that lands the row changed after the run,
+# the row itself included.
 set -eu
 
 n=5
@@ -38,6 +48,8 @@ done
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
+GIT_INDEX_FILE="$tmp/index" git add -A
+tree=$(GIT_INDEX_FILE="$tmp/index" git write-tree)
 go build -o "$tmp/this" ./cmd/ashbench
 sides=this
 if [ -n "$rev" ]; then
@@ -88,9 +100,49 @@ for i in $(seq 1 "$n"); do
     fi
 done
 
+# profile SIDE: one CPU profile per experiment, each sample charged to a
+# layer; lines "side experiment layer samples".
+profile() {
+    for e in $("$tmp/this" -experiment help | awk '{print $1}'); do
+        "$tmp/$1" -parallel 1 -experiment "$e" -cpuprofile "$tmp/cpu.prof" >/dev/null 2>&1 || continue
+        go tool pprof -raw "$tmp/$1" "$tmp/cpu.prof" 2>/dev/null | awk -v side="$1" -v experiment="$e" '
+            # The innermost ashs/internal frame of a location, inlined
+            # frames first; the package of a frame is its name up to the first dot.
+            function frame(fn,   p) {
+                if (pkg[id] == "" && fn ~ /^ashs\/internal\//) { p = fn; sub(/\..*/, "", p); pkg[id] = p }
+            }
+            NR == FNR { if ($0 !~ /^#/ && NF == 2) layer[$1] = $2; next }
+            /^Samples:/ { sec = "samples"; next }
+            /^Locations/ { sec = "locations"; next }
+            /^Mappings/ { sec = ""; next }
+            sec == "samples" && /^ *[0-9]+ +[0-9]+: / {
+                count[++ns] = $1; stack[ns] = ""
+                for (i = 3; i <= NF; i++) stack[ns] = stack[ns] " " $i
+                next
+            }
+            sec == "locations" && /^ *[0-9]+: 0x/ { id = $1; sub(/:$/, "", id); pkg[id] = ""; frame($4); next }
+            sec == "locations" && NF > 0 { frame($1) }
+            END {
+                for (s = 1; s <= ns; s++) {
+                    l = "runtime"
+                    m = split(stack[s], ids, " ")
+                    for (i = 1; i <= m; i++) if (pkg[ids[i]] != "") {
+                        l = (pkg[ids[i]] in layer) ? layer[pkg[ids[i]]] : "unmapped"
+                        break
+                    }
+                    total[l] += count[s]
+                }
+                for (l in total) print side, experiment, l, total[l]
+            }' layers.txt -
+    done
+}
+for side in $sides; do
+    profile "$side" >>"$tmp/layers"
+done
+
 commit=$(git describe --always --dirty)
 goversion=$(go env GOVERSION)
-awk -v n="$n" -v commit="$commit" -v against="${revid:-}" -v gov="$goversion" \
+awk -v n="$n" -v commit="$commit" -v tree="$tree" -v against="${revid:-}" -v gov="$goversion" \
     -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v row="$tmp/row" '
     function sort(a, m,   i, j, t) {
         for (i = 2; i <= m; i++) for (j = i; j > 1 && a[j-1] > a[j]; j--) { t = a[j]; a[j] = a[j-1]; a[j-1] = t }
@@ -141,7 +193,7 @@ awk -v n="$n" -v commit="$commit" -v against="${revid:-}" -v gov="$goversion" \
                 against == "" ? "-" : wins(e, 0) "/" n, pair("norm", e, 2), against == "" ? "-" : wins(e, 1) "/" n
         }
         printf "host reference (ms, median of before and after): %s\n", pair("ref", "suite", 2)
-        printf "  {\"commit\": \"%s\", \"against\": \"%s\", \"date\": \"%s\", \"go\": \"%s\", \"runs\": %d, \"parallel\": 1,\n", commit, against, date, gov, n > row
+        printf "  {\"commit\": \"%s\", \"against\": \"%s\", \"tree\": \"%s\", \"date\": \"%s\", \"go\": \"%s\", \"runs\": %d, \"parallel\": 1,\n", commit, against, tree, date, gov, n > row
         printf "   \"host_ref_ms\": %s, \"experiments\": {", fmt(stat("this", "suite", "ref", 0.5), 2) > row
         for (j = 1; j <= k; j++) {
             e = order[j]
@@ -155,8 +207,45 @@ awk -v n="$n" -v commit="$commit" -v against="${revid:-}" -v gov="$goversion" \
                     wins(e, 0), wins(e, 1) > row
             printf "}" > row
         }
-        printf "}}" > row
+        printf "}" > row
     }' "$tmp/runs"
+
+# The layer table: each experiment's samples per layer in percent, this
+# tree's (after REV's), and the same as JSON for the row.
+awk -v against="${revid:-}" -v row="$tmp/row" '
+    BEGIN { nl = split("sim netdev aegis dpf vcode proto flyweight harness runtime unmapped", lay, " ") }
+    {
+        if (!($2 in seen)) { seen[$2] = 1; order[++k] = $2 }
+        s[$1, $2, $3] += $4; tot[$1, $2] += $4
+    }
+    function pct(side, e, l) { return tot[side, e] ? 100 * s[side, e, l] / tot[side, e] : 0 }
+    function cell(e, l) {
+        return against == "" ? sprintf("%.1f", pct("this", e, l)) : sprintf("%.1f>%.1f", pct("rev", e, l), pct("this", e, l))
+    }
+    function json(side, key,   j, i, sep) {
+        printf ",\n   \"%s\": {", key >> row
+        for (j = 1; j <= k; j++) {
+            printf "%s\n    \"%s\": {\"samples\": %d", (j > 1 ? "," : ""), order[j], tot[side, order[j]] >> row
+            for (i = 1; i <= nl; i++) if (s[side, order[j], lay[i]]) printf ", \"%s\": %.1f", lay[i], pct(side, order[j], lay[i]) >> row
+            printf "}" >> row
+        }
+        printf "}" >> row
+    }
+    END {
+        printf "host CPU by layer (%% of each experiment'"'"'s profile samples%s)\n", against == "" ? "" : ", " against " > this tree"
+        printf "%-11s %7s", "experiment", "samples"
+        for (i = 1; i < nl; i++) printf " %11s", lay[i]
+        printf "\n"
+        for (j = 1; j <= k; j++) {
+            e = order[j]
+            printf "%-11s %7d", e, tot["this", e]
+            for (i = 1; i < nl; i++) printf " %11s", cell(e, lay[i])
+            printf "\n"
+        }
+        json("this", "layers_pct")
+        if (against != "") json("rev", "against_layers_pct")
+        printf "}" >> row
+    }' "$tmp/layers"
 
 if [ -n "$append" ]; then
     # Append-only: the file is a JSON list, one row per line group; the

@@ -211,6 +211,12 @@ go test -race ./...
 #   vcode,   CksumData, CksumWords and Frame.Cksum at 1 and 4 MiB of 0xff and
 #   aegis    of random bytes equal the per-halfword and per-word loops: no
 #            lane wraps
+#   dpf      a batch install builds the trie Inserts one at a time build:
+#            the same ids, branch order and table sizes, the same census
+#            but ProbeMax, the same Demux and DemuxLinear id and cycles
+#            before and after Reorder, over tcp-pp and udp-echo sets and
+#            engines with freed storage; a batch with a duplicate or a bad
+#            atom installs nothing
 echo "== by-name suites under -race"
 while IFS=: read -r pkg pattern; do
     echo "-- $pkg -run '$pattern'"
@@ -260,6 +266,7 @@ done <<'EOF'
 ./internal/mach/:^TestRangeClosedFormsMatchPerWordLoop$|^TestRangeClosedFormsOddGeometry$
 ./internal/vcode/:^TestCksumPastALaneBlock$
 ./internal/aegis/:^TestFrameCksumPastALaneBlock$
+./internal/dpf/:^TestInsertBatchMatchesInsert$|^TestInsertBatchFailsWhole$
 EOF
 
 # Arena stress: built with -tags arenastress, AllocPhys moves a host's

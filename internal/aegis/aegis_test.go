@@ -483,10 +483,94 @@ func TestUnbindFilterChecksTheBinding(t *testing.T) {
 	}
 }
 
+// TestFilterSetIsOneBinding: a frame that any member of a set accepts
+// reaches the set's one binding, in the order the frames arrived, and a
+// binding made before or after the set keeps its own frames.
+func TestFilterSetIsOneBinding(t *testing.T) {
+	eng := sim.NewEngine()
+	prof := mach.DS5000_240()
+	sw := netdev.NewSwitch(eng, prof, netdev.EthernetConfig())
+	e1, e2 := NewEthernet(NewKernel("tx", eng, prof), sw), NewEthernet(NewKernel("rx", eng, prof), sw)
+
+	before, err := e2.BindFilter(nil, dpfFilter(0x01))
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := e2.BindFilterSet(nil, 5, func(i int, f *dpf.Filter) { f.Atoms = dpfFilter(0x10 + byte(i)).Atoms })
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := e2.BindFilter(nil, dpfFilter(0x02))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if before.ID != 0 || set.ID != 1 || after.ID != 6 || e2.Filters() != 7 {
+		t.Fatalf("ids %d, %d, %d with %d filters; want 0, 1 (the set's first), 6 and 7",
+			before.ID, set.ID, after.ID, e2.Filters())
+	}
+	for _, tag := range []byte{0x13, 0x01, 0x10, 0x14, 0x02, 0x11} {
+		ethTx(e1, e2.Addr(), []byte{tag, 9, 9, 9})
+	}
+	eng.Run()
+	var got []byte
+	for set.Ring().Len() > 0 {
+		en, _ := set.Ring().TryRecv()
+		b, f := make([]byte, 1), set.Frame(en)
+		f.Bytes(b, 0, 1)
+		got = append(got, b[0])
+	}
+	if string(got) != "\x13\x10\x14\x11" || before.Ring().Len() != 1 || after.Ring().Len() != 1 {
+		t.Fatalf("the set's binding got %x, the others %d and %d frames; want 13101411, 1 and 1",
+			got, before.Ring().Len(), after.Ring().Len())
+	}
+}
+
+// TestUnbindFilterSet: unbinding a set's binding removes every member, and
+// only those, and a second unbind is refused.
+func TestUnbindFilterSet(t *testing.T) {
+	eng := sim.NewEngine()
+	prof := mach.DS5000_240()
+	sw := netdev.NewSwitch(eng, prof, netdev.EthernetConfig())
+	e1, e2 := NewEthernet(NewKernel("tx", eng, prof), sw), NewEthernet(NewKernel("rx", eng, prof), sw)
+
+	set, err := e2.BindFilterSet(nil, 3, func(i int, f *dpf.Filter) { f.Atoms = dpfFilter(0x10 + byte(i)).Atoms })
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := e2.BindFilter(nil, dpfFilter(0x20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e2.UnbindFilter(set); err != nil {
+		t.Fatal(err)
+	}
+	if err := e2.UnbindFilter(set); err == nil {
+		t.Error("unbinding a set twice succeeded")
+	}
+	if e2.Filters() != 1 {
+		t.Fatalf("%d filters installed, want the other binding's one", e2.Filters())
+	}
+	for _, tag := range []byte{0x10, 0x11, 0x12, 0x20} {
+		ethTx(e1, e2.Addr(), []byte{tag, 9, 9, 9})
+	}
+	eng.Run()
+	if other.Ring().Len() != 1 || e2.Rx.NoMatch != 3 {
+		t.Fatalf("other binding holds %d frames, %d dropped for no filter; want 1 and 3",
+			other.Ring().Len(), e2.Rx.NoMatch)
+	}
+	if _, err := e2.BindFilterSet(nil, 0, nil); err == nil {
+		t.Error("an empty filter set was bound")
+	}
+	if _, err := e2.BindFilterSet(nil, 2, func(int, *dpf.Filter) {}); err == nil || e2.Filters() != 1 {
+		t.Errorf("a set of two empty filters was bound (err %v, %d filters)", err, e2.Filters())
+	}
+}
+
 // TestBindFilterIsOneAllocation: BindFilter costs at most one allocation,
 // and in fact far less. A binding, ring included, is a slot in the
 // interface's pages, and the engine grows in slabs, so 4096 binds on a
-// fresh interface allocate at most one object per 32 of them. mega-setup
+// fresh interface allocate at most one object per 32 of them, and so does
+// one set of 4096. mega-setup
 // makes 262 144 bindings, so the size is pinned too: one more word is
 // 2 MiB more pages.
 func TestBindFilterIsOneAllocation(t *testing.T) {
@@ -511,6 +595,24 @@ func TestBindFilterIsOneAllocation(t *testing.T) {
 	})
 	if allocs > n/32 {
 		t.Errorf("%d BindFilter calls allocate %v objects, want at most %d", n, allocs, n/32)
+	}
+	// The same filters as one set: the engine's pages, the id table and the
+	// batch's scratch, not an object per filter.
+	e := NewEthernet(NewKernel("set", eng, prof), sw)
+	allocs = testing.AllocsPerRun(1, func() {
+		var err error
+		if b, err = e.BindFilterSet(nil, n, func(i int, g *dpf.Filter) {
+			f.Atoms[0].Value = uint32(i)
+			g.Atoms = f.Atoms
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.UnbindFilter(b); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > n/32 {
+		t.Errorf("a set of %d filters allocates %v objects, want at most %d", n, allocs, n/32)
 	}
 	if size := unsafe.Sizeof(*b); size > 128 {
 		t.Errorf("Binding is %d bytes, want at most 128", size)

@@ -2,6 +2,7 @@ package aegis
 
 import (
 	"fmt"
+	"slices"
 
 	"ashs/internal/dpf"
 	"ashs/internal/netdev"
@@ -20,10 +21,15 @@ type EthernetIf struct {
 	NIC
 
 	engine *dpf.Engine
-	// bindings holds every binding by value, indexed by FilterID (the
-	// engine issues ids densely and never reuses one). An unbound slot is
-	// never reused either, so every *Binding handed out stays valid.
+	// bindings holds every binding by value, one per BindFilter or
+	// BindFilterSet. An unbound slot is never reused, so every *Binding
+	// handed out stays valid.
 	bindings pages.Array[Binding]
+	// boundTo maps each FilterID to the index of its binding in bindings.
+	// The engine issues ids densely and never reuses one, and a set's ids
+	// are consecutive, so a set of 10^6 filters costs 4 bytes a filter and
+	// one Binding.
+	boundTo []uint32
 
 	pool rxPool // striped kernel receive buffers (2x MTU each), shared by every binding
 
@@ -72,17 +78,33 @@ func NewEthernetPool(k *Kernel, sw *netdev.Switch, nbufs int) *EthernetIf {
 	return e
 }
 
-// BindFilter installs filter f for process p. When the DPF engine accepts
-// a frame for f, it is delivered to this binding.
+// BindFilter installs filter f for process p: a set of one (see
+// BindFilterSet).
 func (e *EthernetIf) BindFilter(p *Process, f *dpf.Filter) (*Binding, error) {
-	id, err := e.engine.Insert(f)
+	return e.BindFilterSet(p, 1, func(_ int, g *dpf.Filter) { g.Atoms = f.Atoms })
+}
+
+// BindFilterSet installs n filters for process p as one binding: a frame
+// any of them accepts is delivered to it. fill writes filter i as for
+// dpf.Engine.InsertBatch, and the set is installed whole or not at all.
+// The binding's ID is the set's first filter id, and the others follow it.
+func (e *EthernetIf) BindFilterSet(p *Process, n int, fill func(i int, f *dpf.Filter)) (*Binding, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("aegis: a filter set of %d filters", n)
+	}
+	first, err := e.engine.InsertBatch(n, fill)
 	if err != nil {
 		return nil, err
 	}
-	if int(id) != e.bindings.Len() {
-		panic(fmt.Sprintf("aegis: DPF issued filter id %d, want %d", id, e.bindings.Len()))
+	if int(first) != len(e.boundTo) {
+		panic(fmt.Sprintf("aegis: DPF issued filter id %d, want %d", first, len(e.boundTo)))
 	}
-	return e.bindings.Push(Binding{ID: int(id), Owner: p, pool: &e.pool}), nil
+	bi := uint32(e.bindings.Len())
+	e.boundTo = slices.Grow(e.boundTo, n)
+	for range n {
+		e.boundTo = append(e.boundTo, bi)
+	}
+	return e.bindings.Push(Binding{ID: int(first), Owner: p, pool: &e.pool}), nil
 }
 
 // TrieDepth reports the DPF trie's deepest installed path (see
@@ -96,14 +118,23 @@ func (e *EthernetIf) Filters() int { return e.engine.Len() }
 // TrieCensus reports the DPF engine's storage (see dpf.Engine.Census).
 func (e *EthernetIf) TrieCensus() dpf.Census { return e.engine.Census() }
 
-// UnbindFilter removes a binding. It refuses a binding that is not
-// currently installed on this interface — one from another interface, or
-// one already unbound — rather than remove whatever filter this engine
-// issued the same numeric id. The slot stays: the engine marks the id
-// removed and never issues it again, so it refuses a second unbind.
+// UnbindFilter removes a binding and every filter of its set. It refuses
+// a binding that is not currently installed on this interface — one from
+// another interface, or one already unbound — rather than remove whatever
+// filters this engine issued the same numeric ids. The slot stays: the
+// engine marks the ids removed and never issues them again, so it refuses
+// a second unbind.
 func (e *EthernetIf) UnbindFilter(b *Binding) error {
-	if b.pool != &e.pool || e.bindings.At(b.ID) != b || e.engine.Remove(dpf.FilterID(b.ID)) != nil {
+	id := b.ID
+	if b.pool != &e.pool || id < 0 || id >= len(e.boundTo) || e.bindings.At(int(e.boundTo[id])) != b ||
+		e.engine.Remove(dpf.FilterID(id)) != nil {
 		return fmt.Errorf("aegis: filter %d is not bound on %s", b.ID, e.K.Name)
+	}
+	for set := e.boundTo[id]; id+1 < len(e.boundTo) && e.boundTo[id+1] == set; {
+		id++
+		if err := e.engine.Remove(dpf.FilterID(id)); err != nil {
+			panic(fmt.Sprintf("aegis: filter %d of a bound set: %v", id, err))
+		}
 	}
 	return nil
 }
@@ -144,7 +175,7 @@ func (e *EthernetIf) receive(pkt *netdev.PacketBuf) {
 		e.Rx.NoMatch++
 		return
 	}
-	b := e.bindings.At(int(id))
+	b := e.bindings.At(int(e.boundTo[id]))
 	e.RxFrames++
 	e.DemuxCycles += demuxCycles
 	if df.DropRing {

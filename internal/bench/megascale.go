@@ -328,20 +328,19 @@ func runMegaUDP(wl *megaWorkload, cfg *Config, w *world, flt *flyweight.Fleet, n
 		// A flyweight's echo request starts with 8 bytes of tag: its
 		// sequence number and the client id.
 		ash := udpEchoASH(srv, p, "mega-echo", 8)
-		// The engine copies what it installs, so one filter is built and
-		// its source-address atom patched per endpoint.
+		// One binding serves the whole set. The engine copies what it
+		// installs, so one filter is built and its source-address atom
+		// patched per endpoint.
 		f := megaSourceFilter(ip.Addr{})
 		src := &f.Atoms[len(f.Atoms)-1]
-		for i := 0; i < n; i++ {
+		b, err := srv.eth.BindFilterSet(p, n, func(i int, g *dpf.Filter) {
 			src.Value = ipU32(flt.Addr(i))
-			b, err := srv.eth.BindFilter(p, f)
-			if err != nil {
-				panic(err)
-			}
-			// Install directly: Attach also registers a detach closure
-			// per binding, which is pure overhead times 10^6 here.
-			b.Handler = ash
+			g.Atoms = f.Atoms
+		})
+		if err != nil {
+			panic(err)
 		}
+		ash.Attach(b)
 	})
 
 	return megaRun(cfg, w, flt, wl, n, events)

@@ -159,21 +159,24 @@ func TestMegascaleAllocFlatInMessages(t *testing.T) {
 
 // TestMegascaleFootprints pins the per-filter and per-endpoint sizes the
 // megascale cells multiply by up to 10^6 and logs each record on a line of
-// its own: a server binding (262 144 in mega-setup) and the DPF storage
-// its filter takes, then a flyweight endpoint and its switch port.
+// its own: what a server filter costs (262 144 in mega-setup), an entry in
+// the interface's FilterID → binding table plus the DPF storage its filter
+// takes, with one binding for the whole set; then a flyweight endpoint and
+// its switch port.
 func TestMegascaleFootprints(t *testing.T) {
 	const n = 1024
 	e := dpf.NewEngine()
 	f := megaSourceFilter(ip.Addr{})
-	for i := 0; i < n; i++ {
+	if _, err := e.InsertBatch(n, func(i int, g *dpf.Filter) {
 		f.Atoms[len(f.Atoms)-1].Value = uint32(i)
-		if _, err := e.Insert(f); err != nil {
-			t.Fatal(err)
-		}
+		g.Atoms = f.Atoms
+	}); err != nil {
+		t.Fatal(err)
 	}
 	binding := unsafe.Sizeof(aegis.Binding{})
 	ep, port := unsafe.Sizeof(flyweight.Endpoint{}), unsafe.Sizeof(netdev.Port{})
-	t.Logf("server, per filter: aegis.Binding %d B", binding)
+	t.Logf("server, per filter: binding table entry %d B (one aegis.Binding of %d B per set)",
+		unsafe.Sizeof(uint32(0)), binding)
 	t.Logf("server, per filter: DPF storage %d B (udp-echo, N=%d)", e.Census().Bytes/n, n)
 	t.Logf("client, per endpoint: flyweight.Endpoint %d B", ep)
 	t.Logf("client, per endpoint: netdev.Port %d B", port)
@@ -189,8 +192,10 @@ func TestMegascaleFootprints(t *testing.T) {
 
 // TestMegascaleRingsOnlyWhereQueued: a binding gets its notification ring
 // when a message first queues on it. Every udp-echo message is consumed
-// by the echo handler in the interrupt path, so none of the N=1024 cell's
-// bindings has one; the nfs-read cell's one socket queues, so it has one.
+// by the echo handler in the interrupt path, so the one binding all the
+// N=1024 cell's filters share has none, and sharing it changes no
+// admission decision (admission reads a binding only for its ring); the
+// nfs-read cell's one socket queues, so it has one.
 func TestMegascaleRingsOnlyWhereQueued(t *testing.T) {
 	const n = 1024
 	cfg := &Config{Quick: true}

@@ -2,6 +2,7 @@ package dpf
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -78,6 +79,71 @@ func (c *churn) insert(f *Filter) {
 	}
 	c.lastID = id
 	c.filters, c.ids = append(c.filters, f), append(c.ids, id)
+}
+
+// batch installs fs with one InsertBatch. If any filter has a bad atom, or
+// duplicates another of fs or an installed one, the batch must fail whole:
+// the same Len, the same next id and the same Demux as before.
+func (c *churn) batch(fs []*Filter) {
+	c.t.Helper()
+	bad, dup := false, false
+	for i, f := range fs {
+		for _, a := range f.Atoms {
+			bad = bad || a.Offset < 0 || a.Size != 1 && a.Size != 2 && a.Size != 4
+		}
+		for _, g := range append(c.filters, fs[:i]...) {
+			dup = dup || sameAtomSet(f, g)
+		}
+	}
+	pkts := [][]byte{churnPacket(0, 0), churnPacket(1, 0x40), churnPacket(7, 0), churnPacket(200, 0x80)}
+	var before []any
+	for _, p := range pkts {
+		id, cycles, ok := c.e.Demux(p)
+		before = append(before, id, cycles, ok)
+	}
+	next := c.e.filt.n
+	first, err := c.e.InsertBatch(len(fs), func(i int, g *Filter) { g.Atoms = fs[i].Atoms })
+	switch {
+	case bad || dup:
+		if err == nil || errors.Is(err, ErrDuplicateFilter) != (dup && !bad) {
+			c.t.Fatalf("batch of %d (bad atom %v, duplicate %v): err %v", len(fs), bad, dup, err)
+		}
+		var after []any
+		for _, p := range pkts {
+			id, cycles, ok := c.e.Demux(p)
+			after = append(after, id, cycles, ok)
+		}
+		if c.e.filt.n != next || fmt.Sprint(after) != fmt.Sprint(before) {
+			c.t.Fatalf("failed batch moved the next id %d to %d, or demux %v to %v", next, c.e.filt.n, before, after)
+		}
+	case err != nil:
+		c.t.Fatalf("batch of %d: %v", len(fs), err)
+	case first <= c.lastID:
+		c.t.Fatalf("batch issued id %d after %d: ids must ascend and never be reused", first, c.lastID)
+	default:
+		for i, f := range fs {
+			c.filters, c.ids = append(c.filters, f), append(c.ids, first+FilterID(i))
+		}
+		c.lastID = first + FilterID(len(fs)) - 1
+	}
+}
+
+// batchFilters is the run of filters op 7 installs: 1-8 filters of shape
+// and its successors around values spread from v, then, by flag, a copy
+// of the first (a duplicate within the batch) and a filter with a 3-byte
+// atom.
+func batchFilters(shape int, v byte) []*Filter {
+	var fs []*Filter
+	for j := 0; j <= int(v&7); j++ {
+		fs = append(fs, churnFilter((shape+j*int(v>>3&1))%6, v+byte(37*j)))
+	}
+	if v&0x80 != 0 {
+		fs = append(fs, fs[0])
+	}
+	if shape == 5 && v&0x40 != 0 {
+		fs = append(fs, NewFilter().Eq16(12, 0x0800).Eq32(26, 1), NewFilter(Atom{Offset: 30, Size: 3}))
+	}
+	return fs
 }
 
 func (c *churn) remove(i int) *Filter {
@@ -157,6 +223,8 @@ func runChurn(t *testing.T, ops []byte) *Engine {
 			}
 		case 5:
 			c.e.Reorder()
+		case 7:
+			c.batch(batchFilters(shape, arg))
 		case 6: // an id that is not installed must be refused and harm nothing
 			id, live := FilterID(arg), false
 			for _, x := range c.ids {
@@ -226,6 +294,11 @@ func init() {
 	churnSeeds["reuse"] = append(append(inserts(3, 40), removes(40)...), inserts(0, 40)...)
 	churnSeeds["reinsert"] = append(inserts(0, 30), 4, 3, 4, 11, 5, 0, 4, 29)
 	churnSeeds["duplicates"] = append(append(inserts(1, 5), inserts(2, 5)...), 5<<3, 0, 5<<3, 1)
+	// Two runs of 8 distinct shape-0 filters, values v + 37j.
+	churnSeeds["batch"] = []byte{7, 0x07, 7, 0x67}
+	churnSeeds["batch-mixed"] = append(append(inserts(3, 20), removes(10)...), 7, 0x0f, 1<<3|7, 0x3e, 4<<3|7, 0x2b)
+	churnSeeds["batch-duplicate"] = append(inserts(0, 10), 7, 0x87, 7, 0x05)
+	churnSeeds["batch-bad-atom"] = append(inserts(1, 4), 5<<3|7, 0x4b, 5<<3|7, 0x0b)
 	churnSeeds["mixed"] = append(append(append(inserts(0, 20), inserts(1, 20)...), inserts(4, 20)...),
 		5, 0, 3, 9, 5<<3, 0, 6, 200, 0xc7, 3, 0x47, 4)
 }
@@ -254,6 +327,21 @@ func TestChurnSeeds(t *testing.T) {
 	}
 	if c := census["reinsert"]; c.IDs != 33 || c.LiveIDs != 30 || c.FreeNodes != 0 || c.FreeAtoms != 0 {
 		t.Errorf("reinsert: %+v", c)
+	}
+	// Two batches of 8 filters each: the third level's 16 children in a
+	// table of 32 slots, the size 16 Inserts grow it to.
+	if c := census["batch"]; c.LiveIDs != 16 || c.Tables != 1 || c.TableKids != 16 || c.TableSlots != 32 {
+		t.Errorf("batch: %+v", c)
+	}
+	// A batch with a copy of its first filter, then one that duplicates an
+	// installed filter: neither installs anything. A batch with a 3-byte
+	// atom installs nothing either, and the same four filters without it
+	// take the next four ids.
+	if c := census["batch-duplicate"]; c.IDs != 10 || c.LiveIDs != 10 {
+		t.Errorf("batch-duplicate: %+v", c)
+	}
+	if c := census["batch-bad-atom"]; c.IDs != 8 || c.LiveIDs != 8 {
+		t.Errorf("batch-bad-atom: %+v", c)
 	}
 	if c := census["duplicates"]; c.LiveIDs != 6 {
 		t.Errorf("duplicates: %d filters live, want 5 + the empty filter: %+v", c.LiveIDs, c)
@@ -308,7 +396,8 @@ func TestProbeDisplacement(t *testing.T) {
 }
 
 // FuzzDPFChurn is the differential fuzzer for the engine's storage: the
-// input drives Insert / Remove / re-Insert / Reorder / bad-id Remove over
+// input drives Insert / Remove / re-Insert / Reorder / bad-id Remove /
+// InsertBatch (with duplicates and bad atoms, which must fail whole) over
 // a value pool wide enough to take a branch from inline children through
 // table growth and back down, and after every operation Demux,
 // DemuxLinear (decision and cost) and Len must agree with an oracle that

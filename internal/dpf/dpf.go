@@ -16,8 +16,10 @@
 // in index-addressed slabs of 4096-entry pages (the first page grows by
 // append, later ones are allocated whole), a branch's children inline up to
 // two and in an open-addressed integer table beyond. Insert copies the
-// filter and allocates nothing per call; ids ascend and are never reused,
-// at 8 bytes per id ever issued; everything else Remove frees is reused.
+// filter and allocates nothing per call; InsertBatch installs many as one
+// step, building the trie a node at a time. Ids ascend and are never
+// reused, at 8 bytes per id ever issued; everything else Remove frees is
+// reused.
 //
 // A filter is a conjunction of atoms, each comparing a masked big-endian
 // field at a fixed offset against a constant — the shape of every demux

@@ -43,6 +43,10 @@ type Engine struct {
 
 	live int // installed filters
 
+	// spare is the Filter InsertBatch hands its fill callback, emptied
+	// after each batch so no caller's atoms stay reachable from it.
+	spare Filter
+
 	// reordered is set by Reorder and cleared by Insert/Remove: the
 	// per-branch maxDepth bounds it computed are only trusted while the
 	// trie shape is unchanged, so demux-time pruning is gated on it.
@@ -98,22 +102,40 @@ func (b *branch) kid(val uint32) uint32 {
 
 // addKid records a child for a value that has none.
 func (b *branch) addKid(val, kid uint32) {
-	switch t := b.tab; {
-	case t == nil && b.nkids < inlineKids:
+	b.reserve(int(b.nkids) + 1)
+	if t := b.tab; t != nil {
+		t.slots[t.locate(val)] = kidSlot{val, kid}
+	} else {
 		b.inl[b.nkids] = kidSlot{val, kid}
-		b.nkids++
+	}
+	b.nkids++
+}
+
+// reserve makes room for n children: inline up to inlineKids, beyond that
+// a table of at least 8 slots doubled until they are at most 3/4 full.
+// Growing one child at a time and reserving for all of them at once reach
+// the same table size.
+func (b *branch) reserve(n int) {
+	if n <= inlineKids {
 		return
-	case t == nil:
-		b.tab = newKidTable(3)
-		for _, s := range b.inl {
+	}
+	log2 := uint8(3)
+	if b.tab != nil {
+		log2 = 32 - b.tab.shift
+	}
+	for 4*n > 3<<log2 {
+		log2++
+	}
+	switch {
+	case b.tab == nil:
+		b.tab = newKidTable(log2)
+		for _, s := range b.inl[:b.nkids] {
 			b.tab.slots[b.tab.locate(s.val)] = s
 		}
 		b.inl = [inlineKids]kidSlot{}
-	case 4*(int(b.nkids)+1) > 3*len(t.slots):
-		t.grow()
+	case log2 != 32-b.tab.shift:
+		b.tab.resize(log2)
 	}
-	b.tab.slots[b.tab.locate(val)] = kidSlot{val, kid}
-	b.nkids++
 }
 
 // delKid forgets the child reached through val, which must exist.
@@ -308,59 +330,14 @@ func (e *Engine) eachBranch(ni uint32, fn func(b *branch)) {
 	}
 }
 
-// Insert installs a filter and returns its id. Filters are merged into the
-// trie at install time — the "compile when installed" half of DPF. The
-// engine copies the atoms and keeps no reference to f: a caller installing
-// many filters may patch and re-insert one Filter. An atom whose offset is
-// negative or whose size is not 1, 2 or 4 is rejected.
+// Insert installs a filter and returns its id: a batch of one (see
+// InsertBatch). Filters are merged into the trie at install time — the
+// "compile when installed" half of DPF. The engine copies the atoms and
+// keeps no reference to f: a caller installing many filters may patch and
+// re-insert one Filter. An atom whose offset is negative or whose size is
+// not 1, 2 or 4 is rejected.
 func (e *Engine) Insert(f *Filter) (FilterID, error) {
-	if e.filt.n > math.MaxInt32 {
-		return 0, errors.New("dpf: filter ids exhausted")
-	}
-	var ibuf, cbuf [stackAtoms]atom
-	given := ibuf[:0]
-	for _, a := range f.Atoms {
-		p, err := pack(a)
-		if err != nil {
-			return 0, err
-		}
-		given = append(given, p)
-	}
-	atoms := append(cbuf[:0], given...)
-	sortCanonical(atoms)
-
-	ni := uint32(0)
-	for _, a := range atoms {
-		bi, prev := e.findBranch(ni, a.key())
-		if bi == nilIdx {
-			// Append: Demux charges branches in install order.
-			bi = e.newBranch(a.key())
-			if prev == nilIdx {
-				e.nodes.at(ni).first = bi
-			} else {
-				e.branches.at(prev).next = bi
-			}
-		}
-		kid := e.branches.at(bi).kid(a.val)
-		if kid == 0 {
-			kid = e.newNode()
-			e.branches.at(bi).addKid(a.val, kid)
-		}
-		ni = kid
-	}
-	n := e.nodes.at(ni)
-	if n.terminal != noTerminal {
-		// The whole path existed, so nothing was added. Format a copy:
-		// handing atoms to fmt would move cbuf to the heap on every call.
-		return 0, fmt.Errorf("%w: %v", ErrDuplicateFilter, append([]atom(nil), atoms...))
-	}
-	n.terminal = int32(e.filt.n)
-
-	// DemuxLinear's early-exit cost depends on the order the caller gave.
-	id := e.filt.push(filtRec{first: e.storeRun(given), n: int32(len(given))})
-	e.live++
-	e.reordered = false // trie shape changed: depth bounds stale
-	return FilterID(id), nil
+	return e.InsertBatch(1, func(_ int, g *Filter) { g.Atoms = f.Atoms })
 }
 
 // Remove uninstalls a filter.
@@ -372,6 +349,21 @@ func (e *Engine) Remove(id FilterID) error {
 	if rec == nil || rec.n == removed {
 		return fmt.Errorf("dpf: no filter %d", id)
 	}
+	if !e.unlink(uint32(id), *rec) {
+		panic(fmt.Sprintf("dpf: filter %d is installed but not in the trie", id))
+	}
+	e.freeRun(rec.first, int(rec.n))
+	rec.n = removed
+	e.live--
+	e.reordered = false // trie shape changed: depth bounds stale
+	return nil
+}
+
+// unlink takes filter id, whose atoms rec locates, out of the trie: it
+// clears the filter's terminal and prunes the nodes and branches only it
+// used. It reports false, changing nothing, if the filter's path is not in
+// the trie or does not end at its terminal.
+func (e *Engine) unlink(id uint32, rec filtRec) bool {
 	var buf [stackAtoms]atom
 	atoms := buf[:0]
 	for i := uint32(0); i < uint32(rec.n); i++ {
@@ -391,10 +383,13 @@ func (e *Engine) Remove(id FilterID) error {
 			kid = e.branches.at(bi).kid(a.val)
 		}
 		if kid == 0 {
-			panic(fmt.Sprintf("dpf: filter %d is installed but not in the trie", id))
+			return false
 		}
 		path = append(path, step{ni, bi, prev})
 		ni = kid
+	}
+	if e.nodes.at(ni).terminal != int32(id) {
+		return false
 	}
 	e.nodes.at(ni).terminal = noTerminal
 
@@ -419,12 +414,7 @@ func (e *Engine) Remove(id FilterID) error {
 		}
 		ni = st.node
 	}
-
-	e.freeRun(rec.first, int(rec.n))
-	rec.n = removed
-	e.live--
-	e.reordered = false // trie shape changed: depth bounds stale
-	return nil
+	return true
 }
 
 // Len reports the number of installed filters.

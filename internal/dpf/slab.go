@@ -53,6 +53,17 @@ func (s *slab[T]) push(v T) uint32 {
 	return i
 }
 
+// truncate drops the entries from index n on.
+func (s *slab[T]) truncate(n uint32) {
+	if n >= s.n {
+		return
+	}
+	p := int(n >> pageShift)
+	s.pages = s.pages[:p+1]
+	s.pages[p] = s.pages[p][:n&(pageSize-1)]
+	s.n = n
+}
+
 // bytes reports the storage the slab's pages hold, used or not.
 func (s *slab[T]) bytes() int {
 	var zero T
@@ -82,9 +93,18 @@ func newKidTable(log2 uint8) *kidTable {
 	return &kidTable{slots: make([]kidSlot, 1<<log2), shift: 32 - log2}
 }
 
+// fib is the Fibonacci hashing multiplier, and fibInv its inverse modulo
+// 2^32: a value's hash val*fib gives the value back as hash*fibInv.
+const (
+	fib    = 0x9E3779B1
+	fibInv = 0x0E8B2F51
+)
+
 // home is val's preferred slot (Fibonacci hashing: consecutive values,
-// the common case for addresses and ports, spread evenly).
-func (t *kidTable) home(val uint32) uint32 { return (val * 0x9E3779B1) >> t.shift }
+// the common case for addresses and ports, spread evenly). It is the top
+// bits of val's hash, so an order by hash is an order by home slot at
+// every table size.
+func (t *kidTable) home(val uint32) uint32 { return (val * fib) >> t.shift }
 
 // locate returns the slot holding val, or the empty slot that ends its
 // probe sequence.
@@ -97,11 +117,11 @@ func (t *kidTable) locate(val uint32) uint32 {
 	return i
 }
 
-// grow doubles the table.
-func (t *kidTable) grow() {
+// resize rehashes the table into 1<<log2 slots.
+func (t *kidTable) resize(log2 uint8) {
 	old := t.slots
-	t.slots = make([]kidSlot, 2*len(old))
-	t.shift--
+	t.slots = make([]kidSlot, 1<<log2)
+	t.shift = 32 - log2
 	for _, s := range old {
 		if s.kid != 0 {
 			t.slots[t.locate(s.val)] = s

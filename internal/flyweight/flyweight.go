@@ -227,17 +227,11 @@ func NewFleet(cfg Config) *Fleet {
 	}
 	f := &Fleet{cfg: cfg, Hist: &obs.Histogram{}, IncastHist: &obs.Histogram{}}
 	f.eps = make([]Endpoint, cfg.N)
-	rx := f.rx
+	f.base = cfg.Sw.NewPorts(cfg.N, f.rx)
 	for i := range f.eps {
-		port := cfg.Sw.NewPort()
-		if i == 0 {
-			f.base = port.Addr()
-		} else if port.Addr() != f.base+i {
-			panic(fmt.Sprintf("flyweight: endpoint %d got port %d, not %d: fleet ports must be consecutive",
-				i, port.Addr(), f.base+i))
-		}
-		port.SetReceiver(rx)
-		f.eps[i] = Endpoint{f: f, id: i, port: port, addr: ip.HostAddr(port.Addr())}
+		// Only the fields that are not zero: the slice is zeroed already.
+		ep, addr := &f.eps[i], f.base+i
+		ep.f, ep.id, ep.port, ep.addr = f, i, cfg.Sw.Port(addr), ip.HostAddr(addr)
 	}
 	f.cfg.Obs.SetGauge("flyweight/bytes_per_endpoint", int64(f.StaticBytesPerEndpoint()))
 	return f

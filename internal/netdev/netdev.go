@@ -165,6 +165,19 @@ func (s *Switch) NewPort() *Port {
 	return s.ports.Push(Port{sw: s, addr: s.ports.Len()})
 }
 
+// NewPorts attaches n ports that share the receiver rx and returns the
+// address of the first; the others follow it consecutively (see Port).
+func (s *Switch) NewPorts(n int, rx func(pkt *PacketBuf)) int {
+	first := s.ports.Len()
+	for a := first; a < first+n; a++ {
+		s.ports.Push(Port{sw: s, addr: a, rx: rx})
+	}
+	return first
+}
+
+// Port returns the port at address addr, which must be attached.
+func (s *Switch) Port(addr int) *Port { return s.ports.At(addr) }
+
 // Addr reports this port's address on the switch.
 func (p *Port) Addr() int { return p.addr }
 

@@ -344,3 +344,31 @@ func TestSteadyStateWireZeroAlloc(t *testing.T) {
 		t.Fatalf("ping-pong made no progress: %d rounds", rounds)
 	}
 }
+
+// TestNewPortsShareAReceiver: NewPorts attaches its ports after those
+// already there, at consecutive addresses, each delivering to the one
+// receiver with Dst naming the port.
+func TestNewPortsShareAReceiver(t *testing.T) {
+	eng, sw := newAN2(t)
+	src := sw.NewPort()
+	first := sw.NewPorts(3, func(pkt *PacketBuf) {
+		if pkt.Bytes()[0] != byte(pkt.Dst) {
+			t.Errorf("frame for port %d delivered as Dst %d", pkt.Bytes()[0], pkt.Dst)
+		}
+	})
+	if first != 1 || sw.NumPorts() != 4 {
+		t.Fatalf("first port %d of %d, want 1 of 4", first, sw.NumPorts())
+	}
+	for a := first; a < first+3; a++ {
+		if p := sw.Port(a); p.Addr() != a {
+			t.Fatalf("Port(%d) has address %d", a, p.Addr())
+		}
+		if err := src.Transmit(lease(sw, a, 0, []byte{byte(a)})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.Run()
+	if sw.Received() != 3 {
+		t.Fatalf("%d frames received, want 3", sw.Received())
+	}
+}
