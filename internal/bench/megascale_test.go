@@ -177,12 +177,19 @@ func TestMegascaleFootprints(t *testing.T) {
 	ep, port := unsafe.Sizeof(flyweight.Endpoint{}), unsafe.Sizeof(netdev.Port{})
 	t.Logf("server, per filter: binding table entry %d B (one aegis.Binding of %d B per set)",
 		unsafe.Sizeof(uint32(0)), binding)
-	t.Logf("server, per filter: DPF storage %d B (udp-echo, N=%d)", e.Census().Bytes/n, n)
+	dpfBytes := e.Census().Bytes / n
+	t.Logf("server, per filter: DPF storage %d B (udp-echo, N=%d)", dpfBytes, n)
 	t.Logf("client, per endpoint: flyweight.Endpoint %d B", ep)
 	t.Logf("client, per endpoint: netdev.Port %d B", port)
 	t.Logf("client, per endpoint: B/ep column %d B", ep+port)
 	if binding > 56 {
 		t.Errorf("aegis.Binding is %d B, want at most 56", binding)
+	}
+	// An 8-byte id record, a node, two table slots and the filter's three
+	// 4-byte values; the shape it shares with the others is a few hundred
+	// bytes for the whole set.
+	if dpfBytes > 48 {
+		t.Errorf("DPF storage is %d B per udp-echo filter, want at most 48", dpfBytes)
 	}
 	if ep != 120 || port != 32 {
 		t.Errorf("flyweight.Endpoint is %d B and netdev.Port %d B, want 120 and 32: "+

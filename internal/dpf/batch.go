@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // InsertBatch installs n filters as one step and returns the id of the
@@ -38,7 +39,7 @@ func (e *Engine) InsertBatch(n int, fill func(i int, f *Filter)) (FilterID, erro
 	case n == 0:
 		return FilterID(first), nil
 	}
-	b := batch{e: e, first: first, atoms0: e.atoms.n}
+	b := batch{e: e, first: first, vals0: e.vals.n}
 	err := b.stage(n, fill)
 	if err == nil {
 		err = b.build(n)
@@ -52,43 +53,41 @@ func (e *Engine) InsertBatch(n int, fill func(i int, f *Filter)) (FilterID, erro
 	return FilterID(first), nil
 }
 
-// batch is one InsertBatch in progress. Its scratch is ent and tmp, a
-// word each per filter.
+// batch is one InsertBatch in progress. Its scratch is ent, a word per
+// filter, and the 16 KB block sortEntries keeps on its stack.
 type batch struct {
 	e      *Engine
 	first  uint32 // id of the batch's filter 0
-	atoms0 uint32 // atom slab length before the batch
-	staged uint32 // filters whose atoms and id are stored
+	vals0  uint32 // value slab length before the batch
+	staged uint32 // filters whose values, shape and id are stored
 
 	// prefix is filter 0's canonical atoms, the first common of which
 	// every filter of the batch shares.
 	prefix [stackAtoms]atom
 	common int
-	// sorted is set when every filter gave its atoms in trie order, so
-	// level can read a stored atom without sorting its run.
-	sorted bool
 
 	// ent holds one entry per filter being placed: the batch index in the
 	// low 31 bits, lastAtom when the filter ends at the node being
 	// placed, and a sort key in the high 32 bits. place partitions it in
-	// place, level by level; tmp is the scatter space of a partition.
-	ent, tmp []uint64
+	// place, level by level, sorting by the whole word: by key, and among
+	// equal keys by lastAtom and then batch order.
+	ent []uint64
 }
 
 // lastAtom flags an entry whose filter has no atoms below the node its
 // range is being placed at.
 const lastAtom = 1 << 31
 
-// stage stores every filter's atoms, in the order fill gave them, and
-// issues its id: what n Inserts store, in the same order, so they take
-// the same freed atom runs. It also finds the batch's common prefix.
+// stage stores every filter's values, in the order fill gave its atoms,
+// takes a reference to its shape and issues its id: what n Inserts store,
+// in the same order, so they take the same freed value runs. It also finds
+// the batch's common prefix.
 func (b *batch) stage(n int, fill func(i int, f *Filter)) error {
 	e := b.e
 	defer func() { e.spare = Filter{} }()
-	b.sorted = true
 	for i := 0; i < n; i++ {
 		fill(i, &e.spare)
-		var gbuf, cbuf [stackAtoms]atom
+		var gbuf [stackAtoms]atom
 		given := gbuf[:0]
 		for _, a := range e.spare.Atoms {
 			p, err := pack(a)
@@ -97,35 +96,24 @@ func (b *batch) stage(n int, fill func(i int, f *Filter)) error {
 			}
 			given = append(given, p)
 		}
-		canon := given
-		if !inOrder(given) {
-			canon = append(cbuf[:0], given...)
-			sortCanonical(canon)
-			b.sorted = false
-		}
+		s := e.shapes.intern(given)
+		slots := e.shapes.recs[s].slots
 		if i == 0 {
-			b.common = copy(b.prefix[:], canon)
+			b.common = min(len(slots), stackAtoms)
+			for l := 0; l < b.common; l++ {
+				b.prefix[l] = given[slots[l].pos]
+			}
 		}
 		common := 0
-		for common < b.common && common < len(canon) && canon[common] == b.prefix[common] {
+		for common < b.common && common < len(slots) && given[slots[common].pos] == b.prefix[common] {
 			common++
 		}
 		b.common = common
 		// DemuxLinear's early-exit cost depends on the order the caller gave.
-		e.filt.push(filtRec{first: e.storeRun(given), n: int32(len(given))})
+		e.filt.push(filtRec{first: e.storeRun(given), shape: s})
 		b.staged++
 	}
 	return nil
-}
-
-// inOrder reports whether atoms are in trie order already.
-func inOrder(atoms []atom) bool {
-	for j := 1; j < len(atoms); j++ {
-		if atoms[j].key().less(atoms[j-1].key()) {
-			return false
-		}
-	}
-	return true
 }
 
 // build merges the staged filters into the trie: the shared prefix once,
@@ -142,7 +130,7 @@ func (b *batch) build(n int) error {
 	b.ent = make([]uint64, n)
 	for i := range b.ent {
 		b.ent[i] = uint64(i)
-		if int(e.filt.at(b.first+uint32(i)).n) == b.common {
+		if b.atoms(uint32(i)) == b.common {
 			b.ent[i] |= lastAtom
 		}
 	}
@@ -177,32 +165,26 @@ func (e *Engine) branchFor(ni uint32, k key) uint32 {
 	return bi
 }
 
-// canonical appends filter i's stored atoms to dst in trie order.
-func (b *batch) canonical(i uint32, dst []atom) []atom {
-	rec := *b.e.filt.at(b.first + i)
-	for j := uint32(0); j < uint32(rec.n); j++ {
-		dst = append(dst, *b.e.atoms.at(rec.first + j))
-	}
-	sortCanonical(dst)
-	return dst
+// atoms returns how many atoms filter i has.
+func (b *batch) atoms(i uint32) int {
+	return len(b.e.shapes.recs[b.e.filt.at(b.first+i).shape].slots)
 }
 
 // level returns filter i's atom at trie level l, which must exist, and
 // whether it is the filter's last.
 func (b *batch) level(i uint32, l int) (atom, bool) {
 	rec := *b.e.filt.at(b.first + i)
-	if b.sorted {
-		return *b.e.atoms.at(rec.first + uint32(l)), l == int(rec.n)-1
-	}
-	var buf [stackAtoms]atom
-	return b.canonical(i, buf[:0])[l], l == int(rec.n)-1
+	slots := b.e.shapes.recs[rec.shape].slots
+	pos := slots[l].pos
+	k := slots[pos].k
+	return atom{k.off, k.size, k.mask, *b.e.vals.at(rec.first + pos)}, l == len(slots)-1
 }
 
 // chain places filter i below node ni, whose level is l, one atom at a
 // time: Insert's walk.
 func (b *batch) chain(ni uint32, l int, i uint32) error {
-	var buf [stackAtoms]atom
-	for _, a := range b.canonical(i, buf[:0])[l:] {
+	for ; l < b.atoms(i); l++ {
+		a, _ := b.level(i, l)
 		ni = b.e.step(ni, a)
 	}
 	return b.terminate(ni, i)
@@ -214,7 +196,12 @@ func (b *batch) chain(ni uint32, l int, i uint32) error {
 func (b *batch) terminate(ni, i uint32) error {
 	n := b.e.nodes.at(ni)
 	if n.terminal != noTerminal {
-		return fmt.Errorf("%w: %v", ErrDuplicateFilter, b.canonical(i, nil))
+		var atoms []atom // in trie order
+		for l := 0; l < b.atoms(i); l++ {
+			a, _ := b.level(i, l)
+			atoms = append(atoms, a)
+		}
+		return fmt.Errorf("%w: %v", ErrDuplicateFilter, atoms)
 	}
 	n.terminal = int32(b.first + i)
 	return nil
@@ -265,8 +252,8 @@ func (b *batch) place(ni uint32, l, lo, hi int) error {
 		return b.fan(ni, l, k0, lo, w)
 	}
 	// Several keys: gather each key's filters, keys in order of first
-	// appearance and filters in batch order, then fan out each key's run
-	// with atom l's hash as the key again.
+	// appearance and, within a key, by lastAtom and then batch order; then
+	// fan out each key's run with atom l's hash as the key again.
 	var kbuf [stackAtoms]key
 	keys := kbuf[:0]
 	for j := lo; j < w; j++ {
@@ -280,19 +267,7 @@ func (b *batch) place(ni uint32, l, lo, hi int) error {
 		}
 		b.ent[j] = b.ent[j]&(1<<32-1) | uint64(ki)<<32
 	}
-	if len(b.tmp) < len(b.ent) {
-		b.tmp = make([]uint64, len(b.ent))
-	}
-	t := lo
-	for ki := range keys {
-		for _, x := range b.ent[lo:w] {
-			if x>>32 == uint64(ki) {
-				b.tmp[t] = x
-				t++
-			}
-		}
-	}
-	copy(b.ent[lo:w], b.tmp[lo:w])
+	slices.Sort(b.ent[lo:w])
 	for j := lo; j < w; {
 		k, r := keys[b.ent[j]>>32], b.runEnd(j, w)
 		for x := j; x < r; x++ {
@@ -317,7 +292,7 @@ func (b *batch) fan(ni uint32, l int, k key, lo, hi int) error {
 	bi := e.branchFor(ni, k)
 	fresh := e.branches.at(bi).nkids == 0
 	if !b.sameKey(lo, hi) {
-		b.sortByHash(lo, hi)
+		sortEntries(b.ent[lo:hi])
 		vals := 0
 		for j := lo; j < hi; j = b.runEnd(j, hi) {
 			if fresh || e.branches.at(bi).kid(uint32(b.ent[j]>>32)*fibInv) == 0 {
@@ -364,40 +339,50 @@ func (b *batch) runEnd(j, hi int) int {
 	return r
 }
 
-// sortByHash sorts ent[lo:hi] stably by key: a most-significant-digit
-// radix sort down to buckets of about 1<<sortRunLog2 entries, then an
-// insertion sort that moves each entry only within its bucket.
-func (b *batch) sortByHash(lo, hi int) {
-	if len(b.tmp) < len(b.ent) {
-		b.tmp = make([]uint64, len(b.ent))
-	}
-	bucketSort(b.ent[lo:hi], b.tmp[lo:hi], 0)
-	for j := lo + 1; j < hi; j++ {
-		x := b.ent[j]
+// sortEntries sorts ent by the whole word — by key, then by the lastAtom
+// flag and batch index of the low word, so no two compare equal and no
+// scratch as long as ent is needed to keep batch order among equal keys:
+// a most-significant-digit radix sort on the word down to buckets of about
+// 1<<sortRunLog2 entries, then an insertion sort that moves each entry
+// only within its bucket.
+func sortEntries(ent []uint64) {
+	var block [sortBlock]uint64
+	radixSort(ent, block[:], 0)
+	for j := 1; j < len(ent); j++ {
+		x := ent[j]
 		r := j
-		for ; r > lo && b.ent[r-1]>>32 > x>>32; r-- {
-			b.ent[r] = b.ent[r-1]
+		for ; r > 0 && ent[r-1] > x; r-- {
+			ent[r] = ent[r-1]
 		}
-		b.ent[r] = x
+		ent[r] = x
 	}
 }
 
-// sortRunLog2 sizes the buckets sortByHash leaves to its insertion sort:
+// sortRunLog2 sizes the buckets radixSort leaves to the insertion sort:
 // 16 entries each on average.
 const sortRunLog2 = 4
 
-// bucketSort sorts ent stably by the key bits below its top done, at most
-// eight bits a pass so that a pass scatters into few enough places to stay
-// in cache, until a bucket holds about 1<<sortRunLog2 entries. tmp is
-// scratch as long as ent.
-func bucketSort(ent, tmp []uint64, done int) {
-	width := min(bits.Len(uint(len(ent)))-sortRunLog2, 8, 32-done)
+// sortBlock is the most entries a radixSort pass scatters through the
+// block on sortEntries' stack; a longer range is partitioned in place.
+// Scattering is two sequential sweeps, faster than swapping entries into
+// place, and a block of 16 KB stays in cache.
+const sortBlock = 2048
+
+// radixSort partitions ent by the bits below its top done, at most eight
+// bits a pass so that a pass moves entries between few enough places to
+// stay in cache, until a bucket holds about 1<<sortRunLog2 entries. The
+// passes go on past the key into the low word, so the many entries of a
+// key that ties (one client's connections at a fan) are split too. A pass counts the buckets, then scatters ent through block if
+// it fits there, and otherwise swaps each entry into the next free place
+// of its bucket.
+func radixSort(ent, block []uint64, done int) {
+	width := min(bits.Len(uint(len(ent)))-sortRunLog2, 8, 64-done)
 	if width <= 0 {
 		return
 	}
-	shift := 32 - done - width
-	digit := func(x uint64) uint32 { return uint32(x>>32) >> shift & (1<<width - 1) }
-	var start, next [1<<8 + 1]uint32
+	shift := 64 - done - width
+	digit := func(x uint64) int { return int(x>>shift) & (1<<width - 1) }
+	var start, next [1<<8 + 1]int
 	for _, x := range ent {
 		start[digit(x)+1]++
 	}
@@ -405,31 +390,61 @@ func bucketSort(ent, tmp []uint64, done int) {
 		start[d] += start[d-1]
 	}
 	next = start
-	for _, x := range ent {
-		tmp[next[digit(x)]] = x
-		next[digit(x)]++
+	if len(ent) <= len(block) {
+		for _, x := range ent {
+			block[next[digit(x)]] = x
+			next[digit(x)]++
+		}
+		copy(ent, block[:len(ent)])
+	} else {
+		// A round walks each bucket's unfilled part and sends each entry
+		// it meets to its own bucket, taking back what was there; one
+		// taken back into the wrong bucket waits for the next round. The
+		// four sends of a step do not wait on each other, as a chain of
+		// swaps would.
+		send := func(i int) {
+			d := digit(ent[i])
+			ent[i], ent[next[d]] = ent[next[d]], ent[i]
+			next[d]++
+		}
+		for busy := true; busy; {
+			busy = false
+			for d := 0; d < 1<<width; d++ {
+				i, end := next[d], start[d+1]
+				busy = busy || i < end
+				for ; i+4 <= end; i += 4 {
+					send(i)
+					send(i + 1)
+					send(i + 2)
+					send(i + 3)
+				}
+				for ; i < end; i++ {
+					send(i)
+				}
+			}
+		}
 	}
-	copy(ent, tmp)
 	for d := 0; d < 1<<width; d++ {
-		bucketSort(ent[start[d]:start[d+1]], tmp[start[d]:start[d+1]], done+width)
+		radixSort(ent[start[d]:start[d+1]], block, done+width)
 	}
 }
 
 // undo takes a failed batch back out: every staged filter that got its
-// terminal is unlinked, its atom run returned, in reverse order so freed
-// runs go back on their lists as they came off, and the ids are
-// withdrawn. Storage the batch pushed goes on the free lists or, for
-// atoms and ids, is truncated.
+// terminal is unlinked, its value run returned and its shape released, in
+// reverse order so freed runs go back on their lists as they came off,
+// and the ids are withdrawn. Storage the batch pushed goes on the free
+// lists or, for values and ids, is truncated.
 func (b *batch) undo() {
 	e := b.e
 	for i := b.staged; i > 0; i-- {
 		id := b.first + i - 1
 		rec := *e.filt.at(id)
 		e.unlink(id, rec)
-		if rec.first < b.atoms0 {
-			e.freeRun(rec.first, int(rec.n))
+		if rec.first < b.vals0 {
+			e.freeRun(rec.first, len(e.shapes.recs[rec.shape].slots))
 		}
+		e.shapes.release(rec.shape)
 	}
-	e.atoms.truncate(b.atoms0)
+	e.vals.truncate(b.vals0)
 	e.filt.truncate(b.first)
 }

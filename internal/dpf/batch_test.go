@@ -1,9 +1,11 @@
 package dpf
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ashs/internal/sim"
@@ -20,10 +22,10 @@ var batchSets = []struct {
 	// source address in a table, then on ports below it.
 	{"tcp-pp", func(rng *rand.Rand) []*Filter {
 		var fs []*Filter
-		for p := 0; p < 1+rng.Intn(3); p++ {
+		for p, n := 0, 1+rng.Intn(3); p < n; p++ {
 			fs = append(fs, listenerFilter(0x0a000001, uint16(7000+p)))
 		}
-		for i := 0; i < rng.Intn(400); i++ {
+		for i, n := 0, rng.Intn(400); i < n; i++ {
 			fs = append(fs, connFilter(0x0a000100+uint32(rng.Intn(150)), 0x0a000001,
 				uint16(8000+rng.Intn(4)), uint16(7000+rng.Intn(3))))
 		}
@@ -33,8 +35,22 @@ var batchSets = []struct {
 	// inline slots to a table that doubles several times.
 	{"udp-echo", func(rng *rand.Rand) []*Filter {
 		var fs []*Filter
-		for i := 0; i < 1+rng.Intn(3000); i++ {
+		for i, n := 0, 1+rng.Intn(3000); i < n; i++ {
 			fs = append(fs, churnFilter(0, 0).Eq32(26, 0x0a000000+uint32(rng.Intn(1<<20))))
+		}
+		return fs
+	}},
+	// A fan whose values each lead to filters that part on different
+	// fields below it: the batch order within a value's run decides which
+	// branch comes first there, so a sort must keep it. With a few values
+	// and thousands of filters, as tcp-pp's connections from a few
+	// clients, most of a fan's entries tie on their key.
+	{"siblings", func(rng *rand.Rand) []*Filter {
+		var fs []*Filter
+		vals := []int{2, 4, 64}[rng.Intn(3)]
+		for i, n := 0, 32+rng.Intn(3000); i < n; i++ {
+			f := NewFilter().Eq16(12, 0x0800).Eq32(26, uint32(rng.Intn(vals)))
+			fs = append(fs, f.Eq16(30+4*rng.Intn(2), uint16(i)))
 		}
 		return fs
 	}},
@@ -42,7 +58,7 @@ var batchSets = []struct {
 	// out of trie order.
 	{"random", func(rng *rand.Rand) []*Filter {
 		var fs []*Filter
-		for i := 0; i < 1+rng.Intn(60); i++ {
+		for i, n := 0, 1+rng.Intn(60); i < n; i++ {
 			fs = append(fs, randomFilter(rng))
 		}
 		return fs
@@ -50,19 +66,37 @@ var batchSets = []struct {
 }
 
 // dedupe drops every filter that duplicates an earlier one of fs or one of
-// installed.
+// installed: the same atoms, in any order.
 func dedupe(fs, installed []*Filter) []*Filter {
+	seen := map[string]bool{}
+	for _, f := range installed {
+		seen[atomSet(f)] = true
+	}
 	var out []*Filter
-next:
 	for _, f := range fs {
-		for _, g := range append(installed, out...) {
-			if sameAtomSet(f, g) {
-				continue next
-			}
+		if k := atomSet(f); !seen[k] {
+			seen[k] = true
+			out = append(out, f)
 		}
-		out = append(out, f)
 	}
 	return out
+}
+
+// atomSet is f's atoms as a set: equal for two filters exactly when
+// sameAtomSet holds.
+func atomSet(f *Filter) string {
+	var as [][4]uint32
+	for _, a := range f.Atoms {
+		as = append(as, [4]uint32{uint32(a.Offset), uint32(a.Size), a.mask(), a.Value})
+	}
+	slices.SortFunc(as, func(x, y [4]uint32) int { return slices.Compare(x[:], y[:]) })
+	var b []byte
+	for _, a := range as {
+		for _, w := range a {
+			b = binary.LittleEndian.AppendUint32(b, w)
+		}
+	}
+	return string(b)
 }
 
 // churned returns an engine and its installed filters after random inserts
@@ -148,10 +182,12 @@ func sameTrie(e *Engine, x uint32, f *Engine, y uint32) error {
 // udp-echo's fan, masked and reordered atoms), into fresh engines and into
 // engines with freed storage, both ways issue the same ids and the same
 // trie, branch order and table sizes included; Demux and DemuxLinear give
-// the same id, cycles and match on every filter's own packet and on random
-// ones, before and after Reorder; and Depth, Len and the census agree, all
-// but ProbeMax, which depends on the order entries met in a probe cluster
-// (their summed displacement does not).
+// the same id, cycles and match on the own packets of a sample of the
+// filters and on random ones, before and after Reorder, and DemuxLinear's
+// cycles are Interpret's over each filter's atoms in its caller's order;
+// and Depth, Len and the census agree, all but ProbeMax, which depends on
+// the order entries met in a probe cluster (their summed displacement does
+// not).
 func TestInsertBatchMatchesInsert(t *testing.T) {
 	rounds := 60
 	if testing.Short() {
@@ -190,12 +226,28 @@ func TestInsertBatchMatchesInsert(t *testing.T) {
 				t.Fatalf("%s round %d: batch census %+v depth %d len %d, Insert %+v depth %d len %d",
 					set.name, round, cb, bat.Depth(), bat.Len(), cs, seq.Depth(), seq.Len())
 			}
-			all := append(installed, fs...)
+			// Every demux walks all the filters, so the packets are those
+			// of a sample of them, and random ones.
+			all := append(installed, fs...) // in id order
 			for pass := 0; pass < 2; pass++ {
-				for j := 0; j < len(all)+20; j++ {
+				for j := 0; j < min(len(all), 16)+8; j++ {
 					pkt := randomPacket(rng, all)
-					if j < len(all) {
-						pkt = packetFor(rng, all[j])
+					if j < min(len(all), 16) {
+						pkt = packetFor(rng, all[rng.Intn(len(all))])
+					}
+					if pass == 0 {
+						// DemuxLinear walks each filter's atoms in the order
+						// its caller gave them, out of trie order or not;
+						// Reorder does not touch it.
+						var interp sim.Time
+						for _, f := range all {
+							_, c := Interpret(f, pkt)
+							interp += c
+						}
+						if _, c, _ := bat.DemuxLinear(pkt); c != interp {
+							t.Fatalf("%s round %d: DemuxLinear took %d cycles, Interpret over the filters as given %d (pkt %x)",
+								set.name, round, c, interp, pkt)
+						}
 					}
 					for _, demux := range []func(*Engine, []byte) (FilterID, sim.Time, bool){
 						(*Engine).Demux, (*Engine).DemuxLinear,
@@ -210,6 +262,47 @@ func TestInsertBatchMatchesInsert(t *testing.T) {
 				}
 				bat.Reorder()
 				seq.Reorder()
+			}
+		}
+	}
+}
+
+// TestSortEntriesIsTotal: the sort a batch fans out by orders entries by
+// the whole word, so among equal keys the lastAtom flag and then the batch
+// index decide, in ranges short enough to scatter through the stack block
+// and in ranges long enough to be partitioned in place. Its radix passes
+// go on into the low word, so even when a few keys share thousands of
+// entries the insertion sort that finishes moves each entry only within a
+// small bucket: its moves grow linearly with the entries.
+func TestSortEntriesIsTotal(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, keys := range []int{2, 4, 64} {
+		for _, n := range []int{1, 31, 200, sortBlock, 3 * sortBlock, 70_000} {
+			ent := make([]uint64, n)
+			for i := range ent {
+				ent[i] = uint64(uint32(rng.Intn(keys))*fib)<<32 | uint64(i)
+				if rng.Intn(4) == 0 {
+					ent[i] |= lastAtom
+				}
+			}
+			rng.Shuffle(n, func(i, j int) { ent[i], ent[j] = ent[j], ent[i] })
+			want := slices.Clone(ent)
+			slices.Sort(want)
+			got := slices.Clone(ent)
+			if sortEntries(got); !slices.Equal(got, want) {
+				t.Fatalf("%d keys, %d entries: sorted %x..., want %x...", keys, n, got[:min(n, 8)], want[:min(n, 8)])
+			}
+			var block [sortBlock]uint64
+			radixSort(ent, block[:], 0)
+			moves := 0
+			for j := range ent {
+				for r := j; r > 0 && ent[r-1] > ent[r]; r-- {
+					ent[r-1], ent[r] = ent[r], ent[r-1]
+					moves++
+				}
+			}
+			if moves > 8*n {
+				t.Errorf("%d keys, %d entries: the insertion sort made %d moves, want at most %d", keys, n, moves, 8*n)
 			}
 		}
 	}

@@ -1,8 +1,10 @@
 package dpf
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -179,13 +181,19 @@ next:
 	return true
 }
 
-// probe checks both demux paths against the oracle on one packet, and
-// DemuxLinear's cost against the reference interpreter over the test's
-// filters in id order (which pins the stored atom order).
+// probe checks the shape count against the layouts installed, both demux
+// paths against the oracle on one packet, and DemuxLinear's cost against
+// the reference interpreter over the test's filters in id order (which
+// pins the stored atom order).
 func (c *churn) probe(pkt []byte) {
 	c.t.Helper()
 	if c.e.Len() != len(c.filters) {
 		c.t.Fatalf("Len() = %d, %d filters installed", c.e.Len(), len(c.filters))
+	}
+	// One shape per distinct layout installed: a shape whose last filter
+	// went is freed at once.
+	if n := len(layouts(c.filters)); c.e.shapes.live != n {
+		c.t.Fatalf("%d distinct layouts installed: %d shapes live", n, c.e.shapes.live)
 	}
 	wantID, wantOK := oracleDemux(c.filters, c.ids, pkt)
 	if got, _, ok := c.e.Demux(pkt); ok != wantOK || ok && got != wantID {
@@ -245,7 +253,25 @@ func runChurn(t *testing.T, ops []byte) *Engine {
 		t.Fatalf("%d filters installed, last id %d: %d terminals reachable, census %+v",
 			len(c.ids), c.lastID, terminals, cs)
 	}
+	if cs.Shapes != len(layouts(c.filters)) {
+		t.Fatalf("%d distinct layouts installed: census %+v", len(layouts(c.filters)), cs)
+	}
 	return c.e
+}
+
+// layouts returns the distinct layouts of fs: what each atom tests, in the
+// order given, without the constants.
+func layouts(fs []*Filter) map[string]bool {
+	seen := map[string]bool{}
+	for _, f := range fs {
+		var l []byte
+		for _, a := range f.Atoms {
+			l = binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(l, uint32(a.Offset)), a.mask())
+			l = append(l, byte(a.Size))
+		}
+		seen[string(l)] = true
+	}
+	return seen
 }
 
 // reachable counts the nodes, branches and terminals of the subtrie at ni
@@ -299,6 +325,14 @@ func init() {
 	churnSeeds["batch-mixed"] = append(append(inserts(3, 20), removes(10)...), 7, 0x0f, 1<<3|7, 0x3e, 4<<3|7, 0x2b)
 	churnSeeds["batch-duplicate"] = append(inserts(0, 10), 7, 0x87, 7, 0x05)
 	churnSeeds["batch-bad-atom"] = append(inserts(1, 4), 5<<3|7, 0x4b, 5<<3|7, 0x0b)
+	// Three masked filters, all removed, so their shape is reclaimed while
+	// shape 0's lives on; then masked filters again, which take its slot,
+	// and a third layout.
+	churnSeeds["shape-reuse"] = append(append(append(append(inserts(0, 3), inserts(4, 3)...),
+		3, 3, 3, 3, 3, 3), inserts(4, 3)...), inserts(1, 2)...)
+	// A batch of masked filters that fails on a copy of its first takes
+	// the new shape back; the same batch without the copy reuses its slot.
+	churnSeeds["shape-failed-batch"] = append(inserts(0, 10), 4<<3|7, 0x81, 4<<3|7, 0x01)
 	churnSeeds["mixed"] = append(append(append(inserts(0, 20), inserts(1, 20)...), inserts(4, 20)...),
 		5, 0, 3, 9, 5<<3, 0, 6, 200, 0xc7, 3, 0x47, 4)
 }
@@ -345,6 +379,12 @@ func TestChurnSeeds(t *testing.T) {
 	}
 	if c := census["duplicates"]; c.LiveIDs != 6 {
 		t.Errorf("duplicates: %d filters live, want 5 + the empty filter: %+v", c.LiveIDs, c)
+	}
+	if c := census["shape-reuse"]; c.LiveIDs != 8 || c.Shapes != 3 || c.FreeShapes != 0 || c.FreeAtoms != 0 {
+		t.Errorf("shape-reuse: %+v", c)
+	}
+	if c := census["shape-failed-batch"]; c.LiveIDs != 12 || c.Shapes != 2 || c.FreeShapes != 0 || c.IDs != 12 {
+		t.Errorf("shape-failed-batch: %+v", c)
 	}
 }
 
@@ -400,8 +440,9 @@ func TestProbeDisplacement(t *testing.T) {
 // InsertBatch (with duplicates and bad atoms, which must fail whole) over
 // a value pool wide enough to take a branch from inline children through
 // table growth and back down, and after every operation Demux,
-// DemuxLinear (decision and cost) and Len must agree with an oracle that
-// reads only the test's own record of what is installed. Ids must ascend
+// DemuxLinear (decision and cost), Len and the number of shapes must agree
+// with an oracle that reads only the test's own record of what is
+// installed. Ids must ascend
 // and never repeat; at the end every node and branch ever issued is
 // either reachable or on a free list.
 func FuzzDPFChurn(f *testing.F) {
@@ -467,6 +508,25 @@ func TestChurnAllocatesNothing(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("Remove + Insert: %v allocs per run, want 0", allocs)
 	}
+
+	// A filter alone in its layout: Remove frees its shape, and Insert
+	// makes it again in the same record.
+	lone := NewFilter().Eq16(12, 0x86dd)
+	if id, _ = e.Insert(lone); e.Census().Shapes != 2 {
+		t.Fatalf("census %+v, want 2 shapes", e.Census())
+	}
+	allocs = testing.AllocsPerRun(1000, func() {
+		if err := e.Remove(id); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if id, err = e.Insert(lone); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Remove + Insert of a filter alone in its layout: %v allocs per run, want 0", allocs)
+	}
 }
 
 // TestRemoveReturnsStorage: what Remove prunes goes on the free lists and
@@ -505,6 +565,99 @@ func TestRemoveReturnsStorage(t *testing.T) {
 	if c.Nodes != full.Nodes || c.Branches != full.Branches || c.Atoms != full.Atoms ||
 		c.FreeNodes != 0 || c.FreeAtoms != 0 || c.IDs != n+gone {
 		t.Fatalf("re-inserting issued new storage: before %+v, after %+v", full, c)
+	}
+}
+
+// randomLayout draws a filter of 1-5 atoms from a small pool of fields,
+// sizes and masks, so that layouts repeat, with a 4-byte atom at offset 60
+// holding id somewhere among them, so that no two filters are duplicates.
+func randomLayout(rng *rand.Rand, id uint32) *Filter {
+	f := NewFilter()
+	n := 1 + rng.Intn(5)
+	unique := rng.Intn(n)
+	for j := 0; j < n; j++ {
+		if j == unique {
+			f.Eq32(60, id)
+			continue
+		}
+		size := []int{1, 2, 4}[rng.Intn(3)]
+		mask := []uint32{0, 0xf0, 0x0f}[rng.Intn(3)]
+		f.Atoms = append(f.Atoms, Atom{Offset: 4 * rng.Intn(8), Size: size, Mask: mask, Value: rng.Uint32() & 0x0f})
+	}
+	return f
+}
+
+// TestShapesReclaimed: a shape lives while a filter uses it. 10^4 filters
+// of random layouts are installed, one at a time and in batches of mixed
+// layouts, then removed in random order: there is one live shape per
+// distinct layout still installed, and once all are gone every shape is
+// free. Nothing Remove frees is dropped — slab pages and shape records are
+// kept for reuse — and ids are never reused. So a second round of the same
+// filters takes every node, branch, value run and shape record from the
+// free lists, and the engine grows by nothing but the 8-byte record of
+// each id it issues.
+func TestShapesReclaimed(t *testing.T) {
+	const n = 10_000
+	rng := rand.New(rand.NewSource(1))
+	fs := make([]*Filter, n)
+	for i := range fs {
+		fs[i] = randomLayout(rng, uint32(i))
+	}
+	want := len(layouts(fs))
+	e := NewEngine()
+	round := func() Census {
+		var ids []FilterID // ids[i] is fs[i]'s
+		for i := 0; i < n; {
+			k := min(1+rng.Intn(64), n-i)
+			if rng.Intn(2) == 0 {
+				k = 1
+				id, err := e.Insert(fs[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids, id)
+			} else {
+				first, err := e.InsertBatch(k, func(j int, g *Filter) { g.Atoms = fs[i+j].Atoms })
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j := 0; j < k; j++ {
+					ids = append(ids, first+FilterID(j))
+				}
+			}
+			i += k
+		}
+		if c := e.Census(); c.Shapes != want || c.FreeShapes != 0 || c.LiveIDs != n {
+			t.Fatalf("%d filters of %d layouts installed: census %+v", n, want, c)
+		}
+		order := rng.Perm(n)
+		for k, i := range order {
+			if err := e.Remove(ids[i]); err != nil {
+				t.Fatal(err)
+			}
+			if k == n/2 {
+				var left []*Filter
+				for _, i := range order[k+1:] {
+					left = append(left, fs[i])
+				}
+				if c := e.Census(); c.Shapes != len(layouts(left)) || c.Shapes+c.FreeShapes != want {
+					t.Fatalf("halfway: %d layouts installed, census %+v", len(layouts(left)), c)
+				}
+			}
+		}
+		c := e.Census()
+		if c.Shapes != 0 || c.FreeShapes != want || c.LiveIDs != 0 {
+			t.Fatalf("all %d filters removed: census %+v", n, c)
+		}
+		return c
+	}
+	first := round()
+	ids := e.filt.bytes()
+	second := round()
+	if second.Nodes != first.Nodes || second.Branches != first.Branches || second.Atoms != first.Atoms ||
+		second.ShapeBytes != first.ShapeBytes || second.Bytes-first.Bytes != e.filt.bytes()-ids {
+		t.Fatalf("second round issued new storage beyond its ids (%d B): first %+v, second %+v",
+			e.filt.bytes()-ids, first, second)
 	}
 }
 

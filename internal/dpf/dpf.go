@@ -12,14 +12,18 @@
 // so the order-of-magnitude gap the paper reports is reproduced in both
 // modeled cycles and wall-clock benchmarks.
 //
-// The trie is stored flat: nodes, branches, per-id filter records and atoms
-// in index-addressed slabs of 4096-entry pages (the first page grows by
-// append, later ones are allocated whole), a branch's children inline up to
-// two and in an open-addressed integer table beyond. Insert copies the
-// filter and allocates nothing per call; InsertBatch installs many as one
-// step, building the trie a node at a time. Ids ascend and are never
-// reused, at 8 bytes per id ever issued; everything else Remove frees is
-// reused.
+// The trie is stored flat: nodes, branches, per-id filter records and
+// filter values in index-addressed slabs of 4096-entry pages (the first
+// page grows by append, later ones are allocated whole), a branch's
+// children inline up to two and in an open-addressed integer table beyond.
+// A filter is stored as shape + values, as DPF compiles it: its shape, the
+// (offset, size, mask) of each atom, is held once for every filter with
+// that layout, and the filter keeps only its constants, 4 bytes an atom.
+// Insert copies the filter and allocates nothing per call; InsertBatch
+// installs many as one step, building the trie a node at a time. Ids
+// ascend and are never reused, at 8 bytes per id ever issued; everything
+// else Remove frees is reused, a shape's record once its last filter
+// goes.
 //
 // A filter is a conjunction of atoms, each comparing a masked big-endian
 // field at a fixed offset against a constant — the shape of every demux

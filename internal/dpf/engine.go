@@ -23,20 +23,24 @@ var ErrDuplicateFilter = errors.New("dpf: duplicate filter")
 // filter in turn.
 //
 // The trie is stored flat (see slab): nodes, branches, per-id filter
-// records and atoms each live in an index-addressed slab, and a branch
-// with more than a couple of children keeps them in an open-addressed
-// table of plain integers. Nothing is allocated per filter, and Remove is
-// O(depth).
+// records and filter values each live in an index-addressed slab, and a
+// branch with more than a couple of children keeps them in an
+// open-addressed table of plain integers. A filter is stored as its shape
+// (what its atoms test, held once for every filter with that layout) and
+// its constants. Nothing is allocated per filter, and Remove is O(depth).
 type Engine struct {
 	nodes    slab[node] // index 0 is the root
 	branches slab[branch]
 	// filt has one record per FilterID ever issued (8 bytes each, never
 	// reclaimed: that is what id non-reuse costs); the next id is filt.n.
-	filt  slab[filtRec]
-	atoms slab[atom] // each filter's atoms as one run, in install order
+	filt slab[filtRec]
+	// vals holds each filter's constants as one run, one per atom in the
+	// order the caller gave them; its shape says what each one tests.
+	vals   slab[uint32]
+	shapes shapeTable
 
 	// Freed nodes and branches are threaded through node.first and
-	// branch.next; freed atom runs through the first atom's val, one list
+	// branch.next; freed value runs through their first value, one list
 	// per run length (freeRuns[n]).
 	freeNode, freeBranch uint32
 	freeRuns             []uint32
@@ -170,15 +174,16 @@ func (b *branch) eachKid(fn func(val, kid uint32)) {
 	}
 }
 
-// filtRec locates an issued id's atoms.
+// filtRec locates an issued id's values and names its shape.
 type filtRec struct {
-	first uint32 // index of the first atom
-	n     int32  // atom count, or removed
+	first uint32 // index of the first value
+	shape uint32 // index of the shape, or removed
 }
 
-const removed = -1
+const removed = nilIdx
 
-// atom is an Atom as stored: validated, narrowed to 16 bytes, mask resolved.
+// atom is an Atom validated and narrowed, mask resolved: what a filter's
+// shape and one of its values say together.
 type atom struct{ off, size, mask, val uint32 }
 
 func (a atom) String() string {
@@ -194,20 +199,6 @@ func pack(a Atom) (atom, error) {
 			a.Offset, a.Size)
 	}
 	return atom{off: uint32(a.Offset), size: uint32(a.Size), mask: a.mask(), val: a.Value}, nil
-}
-
-// sortCanonical sorts atoms into trie order (offset, size, mask), stably:
-// an insertion sort, because filters are a few atoms long and sort.Slice
-// allocates.
-func sortCanonical(atoms []atom) {
-	for i := 1; i < len(atoms); i++ {
-		x := atoms[i]
-		j := i
-		for ; j > 0 && x.key().less(atoms[j-1].key()); j-- {
-			atoms[j] = atoms[j-1]
-		}
-		atoms[j] = x
-	}
 }
 
 // less orders keys the way the trie's levels are ordered.
@@ -255,8 +246,8 @@ func (e *Engine) newBranch(k key) uint32 {
 	return i
 }
 
-// storeRun copies atoms into consecutive slab entries — a freed run of the
-// same length when there is one — and returns the first index.
+// storeRun copies atoms' values into consecutive slab entries — a freed
+// run of the same length when there is one — and returns the first index.
 func (e *Engine) storeRun(atoms []atom) uint32 {
 	n := len(atoms)
 	if n == 0 {
@@ -264,15 +255,15 @@ func (e *Engine) storeRun(atoms []atom) uint32 {
 	}
 	if n < len(e.freeRuns) && e.freeRuns[n] != nilIdx {
 		first := e.freeRuns[n]
-		e.freeRuns[n] = e.atoms.at(first).val
+		e.freeRuns[n] = *e.vals.at(first)
 		for i, a := range atoms {
-			*e.atoms.at(first + uint32(i)) = a
+			*e.vals.at(first + uint32(i)) = a.val
 		}
 		return first
 	}
-	first := e.atoms.push(atoms[0])
+	first := e.vals.push(atoms[0].val)
 	for _, a := range atoms[1:] {
-		e.atoms.push(a)
+		e.vals.push(a.val)
 	}
 	return first
 }
@@ -284,7 +275,7 @@ func (e *Engine) freeRun(first uint32, n int) {
 	for len(e.freeRuns) <= n {
 		e.freeRuns = append(e.freeRuns, nilIdx)
 	}
-	e.atoms.at(first).val = e.freeRuns[n]
+	*e.vals.at(first) = e.freeRuns[n]
 	e.freeRuns[n] = first
 }
 
@@ -346,46 +337,43 @@ func (e *Engine) Remove(id FilterID) error {
 	if id >= 0 && int64(id) < int64(e.filt.n) {
 		rec = e.filt.at(uint32(id))
 	}
-	if rec == nil || rec.n == removed {
+	if rec == nil || rec.shape == removed {
 		return fmt.Errorf("dpf: no filter %d", id)
 	}
 	if !e.unlink(uint32(id), *rec) {
 		panic(fmt.Sprintf("dpf: filter %d is installed but not in the trie", id))
 	}
-	e.freeRun(rec.first, int(rec.n))
-	rec.n = removed
+	e.freeRun(rec.first, len(e.shapes.recs[rec.shape].slots))
+	e.shapes.release(rec.shape)
+	rec.shape = removed
 	e.live--
 	e.reordered = false // trie shape changed: depth bounds stale
 	return nil
 }
 
-// unlink takes filter id, whose atoms rec locates, out of the trie: it
-// clears the filter's terminal and prunes the nodes and branches only it
-// used. It reports false, changing nothing, if the filter's path is not in
-// the trie or does not end at its terminal.
+// unlink takes filter id, whose values and shape rec names, out of the
+// trie: it clears the filter's terminal and prunes the nodes and branches
+// only it used. It reports false, changing nothing, if the filter's path
+// is not in the trie or does not end at its terminal.
 func (e *Engine) unlink(id uint32, rec filtRec) bool {
-	var buf [stackAtoms]atom
-	atoms := buf[:0]
-	for i := uint32(0); i < uint32(rec.n); i++ {
-		atoms = append(atoms, *e.atoms.at(rec.first + i))
-	}
-	sortCanonical(atoms)
-
-	// Walk to the terminal, remembering how each node was reached.
-	type step struct{ node, branch, prev uint32 }
+	// Walk to the terminal in trie order, remembering how each node was
+	// reached and through which value.
+	type step struct{ node, branch, prev, val uint32 }
 	var pbuf [stackAtoms]step
 	path := pbuf[:0]
 	ni := uint32(0)
-	for _, a := range atoms {
-		bi, prev := e.findBranch(ni, a.key())
+	slots := e.shapes.recs[rec.shape].slots
+	for _, sl := range slots {
+		val := *e.vals.at(rec.first + sl.pos)
+		bi, prev := e.findBranch(ni, slots[sl.pos].k)
 		kid := uint32(0)
 		if bi != nilIdx {
-			kid = e.branches.at(bi).kid(a.val)
+			kid = e.branches.at(bi).kid(val)
 		}
 		if kid == 0 {
 			return false
 		}
-		path = append(path, step{ni, bi, prev})
+		path = append(path, step{ni, bi, prev, val})
 		ni = kid
 	}
 	if e.nodes.at(ni).terminal != int32(id) {
@@ -402,7 +390,7 @@ func (e *Engine) unlink(id uint32, rec filtRec) bool {
 		n.first, e.freeNode = e.freeNode, ni
 		st := path[i]
 		b := e.branches.at(st.branch)
-		b.delKid(atoms[i].val)
+		b.delKid(st.val)
 		if b.nkids == 0 {
 			if st.prev == nilIdx {
 				e.nodes.at(st.node).first = b.next
@@ -493,35 +481,39 @@ func (e *Engine) DemuxLinear(pkt []byte) (FilterID, sim.Time, bool) {
 	bestAtoms := int32(-1)
 	for id := uint32(0); id < e.filt.n; id++ {
 		rec := *e.filt.at(id)
-		if rec.n == removed {
+		if rec.shape == removed {
 			continue
 		}
-		// Interpret, over the stored atoms.
+		// Interpret, over the shape's keys and the stored values, in the
+		// order the caller gave the atoms.
+		slots := e.shapes.recs[rec.shape].slots
 		matched := true
-		for i := uint32(0); i < uint32(rec.n); i++ {
+		for i, sl := range slots {
 			cycles += InterpCyclesPerAtom
-			a := e.atoms.at(rec.first + i)
-			if v, ok := field(pkt, int(a.off), int(a.size)); !ok || v&a.mask != a.val {
+			if v, ok := field(pkt, int(sl.k.off), int(sl.k.size)); !ok || v&sl.k.mask != *e.vals.at(rec.first + uint32(i)) {
 				matched = false
 				break
 			}
 		}
-		if matched && rec.n > bestAtoms {
-			best, bestAtoms = FilterID(id), rec.n
+		if n := int32(len(slots)); matched && n > bestAtoms {
+			best, bestAtoms = FilterID(id), n
 		}
 	}
 	return best, cycles, bestAtoms >= 0
 }
 
 // Census is the engine's storage, for reading the trie's footprint without
-// a heap profile. Nodes, Branches and Atoms count slab entries ever issued;
-// the Free* of them are on a free list awaiting reuse, the rest are in the
-// trie. IDs counts filter records (one per id ever issued).
+// a heap profile. Nodes, Branches and Atoms (stored values, one per atom)
+// count slab entries ever issued; the Free* of them are on a free list
+// awaiting reuse, the rest are in the trie. IDs counts filter records (one
+// per id ever issued). Shapes counts the distinct filter layouts
+// installed, and FreeShapes the records of freed ones awaiting reuse.
 type Census struct {
 	Nodes, FreeNodes       int
 	Branches, FreeBranches int
 	Atoms, FreeAtoms       int
 	IDs, LiveIDs           int
+	Shapes, FreeShapes     int
 	// Tables counts branches whose children outgrew the inline slots;
 	// TableSlots and TableKids are those tables' capacity and occupancy.
 	Tables, TableSlots, TableKids int
@@ -530,18 +522,20 @@ type Census struct {
 	// past the first slot it touches.
 	ProbeMean float64
 	ProbeMax  int
-	// Bytes is everything above: slab pages at capacity plus table slots.
-	Bytes int
+	// Bytes is everything above: slab pages at capacity, table slots and
+	// the shapes (ShapeBytes: their records and slots).
+	Bytes, ShapeBytes int
 }
 
 // Census walks the free lists and the branch slab; O(storage), for
 // diagnostics only.
 func (e *Engine) Census() Census {
 	c := Census{
-		Nodes: int(e.nodes.n), Branches: int(e.branches.n), Atoms: int(e.atoms.n),
+		Nodes: int(e.nodes.n), Branches: int(e.branches.n), Atoms: int(e.vals.n),
 		IDs: int(e.filt.n), LiveIDs: e.live,
-		Bytes: e.nodes.bytes() + e.branches.bytes() + e.atoms.bytes() + e.filt.bytes(),
+		Shapes: e.shapes.live, FreeShapes: len(e.shapes.recs) - e.shapes.live, ShapeBytes: e.shapes.bytes(),
 	}
+	c.Bytes = e.nodes.bytes() + e.branches.bytes() + e.vals.bytes() + e.filt.bytes() + c.ShapeBytes
 	for i := e.freeNode; i != nilIdx; i = e.nodes.at(i).first {
 		c.FreeNodes++
 	}
@@ -549,7 +543,7 @@ func (e *Engine) Census() Census {
 		c.FreeBranches++
 	}
 	for n, head := range e.freeRuns {
-		for i := head; i != nilIdx; i = e.atoms.at(i).val {
+		for i := head; i != nilIdx; i = *e.vals.at(i) {
 			c.FreeAtoms += n
 		}
 	}
