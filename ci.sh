@@ -126,15 +126,19 @@ go test -race ./...
 #            the per-word fill to its last word, and a region compared as a
 #            block still names the first differing word and its variant;
 #            goroutines keying programs with calls while others intern
-#            names get the serial builds and rejections
+#            names get the serial builds and rejections; with every program
+#            hash forced to one value, programs differing in any one field
+#            each build once, equal content hits, no hit hands back another
+#            program's build, and the counts are those of real hashes
 #   sandbox, the lending contract of vcode.Memory over every memory in the
 #   vcode    tree, the escape guard's any-byte latch; Journal.Undo restores a
 #            snapshot after random overlapping stores and a second
 #            invocation allocates nothing; a program's compile-cache key
-#            changes with any one field or any re-split of its strings, is
-#            equal for equal content across chunk boundaries, and
-#            allocates nothing
-#   core     the DCG loop on installed handlers; ASH/FuncASH base parity
+#            changes with any one field or any re-split of its name or
+#            persistent set, is equal for equal content across chunk
+#            boundaries, and allocates nothing
+#   core     the DCG loop on installed handlers; ASH/FuncASH base parity;
+#            one system's 16 384 downloads leave no handler live
 #   bench    the worker pool (index-ordered merge, the parallelism default,
 #            the panicking cell named serially and on the pool, lowest index
 #            first), the parallel chaos matrix and the golden determinism
@@ -233,10 +237,10 @@ done <<'EOF'
 ./internal/aegis/:^TestReceiveMatrix$|^TestFrontHalfOrder$|^TestFreeChecksTheIndex$|^TestRefusedSendIsCounted$
 ./internal/bench/:^TestPoolLeakGate$|^TestWorldReuse$|^TestWorldShape$|^TestWorldSpecFieldsInUse$|^TestCellEngineCounts$|^TestWorldCloseCounts$
 .:^TestWorldClose$
-./internal/sandbox/:TestThreeWayRegistry|TestReoptActuallyImproves|TestReoptProfileSeeds|TestDifferentialSFIQuick|^TestThreeWayReportsEscape$|^TestDiffInputsOutsideTheRegion$|^TestDiffCopyOverlaps$|^TestThreeWayCopyOverlaps$|^TestDiffEntryPointsOutsideTheRegion$|^TestCompileCacheHitMatchesMiss$|^TestCacheHitCostIsFlat$|^TestCachedBuildsStayUnchanged$|^TestRegionSeedIsTheFormula$|^TestThreeWayNamesTheFirstRegionDifference$|^TestConcurrentSandboxWithCalls$
+./internal/sandbox/:TestThreeWayRegistry|TestReoptActuallyImproves|TestReoptProfileSeeds|TestDifferentialSFIQuick|^TestThreeWayReportsEscape$|^TestDiffInputsOutsideTheRegion$|^TestDiffCopyOverlaps$|^TestThreeWayCopyOverlaps$|^TestDiffEntryPointsOutsideTheRegion$|^TestCompileCacheHitMatchesMiss$|^TestCacheHitCostIsFlat$|^TestCachedBuildsStayUnchanged$|^TestRegionSeedIsTheFormula$|^TestThreeWayNamesTheFirstRegionDifference$|^TestConcurrentSandboxWithCalls$|^TestCacheCollisions$
 ./internal/sandbox/:^TestMemoryConformance$|^TestEscapeGuardLatchesOnAnyByte$
 ./internal/vcode/:^TestJournalUndoProperty$|^TestFingerprintSeesEveryField$|^TestFingerprintLengthPrefixes$|^TestFingerprintIsContent$|^TestFingerprintAllocatesNothing$
-./internal/core/:TestReopt|TestChainDisposition|^TestHandlerBaseParity$
+./internal/core/:TestReopt|TestChainDisposition|^TestHandlerBaseParity$|^TestDownloadsAreNotRetained$
 ./internal/bench/:^TestRunCells|^TestParallelism$|TestParallelByteIdentical|TestParallelChaosMatchesSerial|TestReoptParallelByteIdentical
 ./internal/bench/:^TestWireIdentity$|^TestFlyweightIsAHostOnTheWire$
 ./internal/bench/:^TestKitMatchesParent$|^TestCellLabelsStable$|^TestCellsAreValues$

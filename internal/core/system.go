@@ -42,9 +42,8 @@ type System struct {
 	K      *aegis.Kernel
 	Policy *sandbox.Policy
 
-	ashes   map[ID]*ASH
 	engines []*registeredEngine
-	nextID  ID
+	nextID  ID // numbers downloads; the system keeps no table of its handlers
 
 	// syms is the entry-point table every handler's machine shares, built
 	// at the first Download (most hosts of a fan-in world never make one);
@@ -113,7 +112,7 @@ type registeredEngine struct {
 
 // NewSystem creates the ASH system for host k.
 func NewSystem(k *aegis.Kernel) *System {
-	return &System{K: k, Policy: sandbox.DefaultPolicy(), ashes: map[ID]*ASH{}}
+	return &System{K: k, Policy: sandbox.DefaultPolicy()}
 }
 
 // Options configures a download.
@@ -259,10 +258,11 @@ func (s *System) Download(owner *aegis.Process, prog *vcode.Program, opts Option
 		ID:      s.nextID, Unsafe: opts.Unsafe, budget: opts.Budget,
 	}
 	if opts.Unsafe {
-		if err := sandbox.Verify(prog, s.Policy); err != nil {
+		code, err := sandbox.Verify(prog, s.Policy)
+		if err != nil {
 			return nil, err
 		}
-		a.code = prog.Clone()
+		a.code = code
 	} else {
 		pol := s.Policy
 		if opts.OptimizeSFI && !pol.Optimize {
@@ -295,7 +295,6 @@ func (s *System) Download(owner *aegis.Process, prog *vcode.Program, opts Option
 		a.machine.PCCounts = make([]uint64, len(a.code.Insns))
 	}
 	s.nextID++
-	s.ashes[a.ID] = a
 	if o := s.K.Obs; o.Enabled() {
 		o.Instant(s.K.Name, "ash system", "ash", "download+verify "+a.Name,
 			s.K.Now())

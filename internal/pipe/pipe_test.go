@@ -565,7 +565,7 @@ func TestPipeRefusesWhatTheVerifierRefuses(t *testing.T) {
 			t.Errorf("%s: pipe body with %v: err = %v, want it refused", c.class, c.op, err)
 		}
 		handler := &vcode.Program{Name: c.class, Insns: []vcode.Insn{{Op: c.op, Rd: 8}, {Op: vcode.OpRet}}}
-		if sandbox.Verify(handler, sandbox.DefaultPolicy()) == nil {
+		if _, err := sandbox.Verify(handler, sandbox.DefaultPolicy()); err == nil {
 			t.Errorf("%s: the verifier accepts a handler with %v", c.class, c.op)
 		}
 	}
@@ -585,7 +585,7 @@ func TestRegisterPastTheFileIsRefused(t *testing.T) {
 		{"rt", vcode.Insn{Op: vcode.OpAddU, Rd: 8, Rs: 8, Rt: bad}},
 	} {
 		handler := &vcode.Program{Name: c.field, Insns: []vcode.Insn{c.in, {Op: vcode.OpRet}}}
-		if err := sandbox.Verify(handler, sandbox.DefaultPolicy()); err == nil {
+		if _, err := sandbox.Verify(handler, sandbox.DefaultPolicy()); err == nil {
 			t.Errorf("%s: the verifier accepts %v", c.field, c.in)
 		}
 		l := NewList(1)

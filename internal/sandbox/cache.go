@@ -2,7 +2,6 @@ package sandbox
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"sync"
 
 	"ashs/internal/vcode"
@@ -12,24 +11,30 @@ import (
 // The compile cache makes Verify and Sandbox content-addressed: both are
 // pure functions of (program contents, policy contents), and the bench
 // sweeps download the same handful of handler programs thousands of times
-// (once per freshly built testbed), so verification and SFI instrumentation
-// are memoized under a key of program fingerprint + policy fingerprint. Each
-// half is one SHA-256 pass over its fields encoded at fixed widths in a
-// stack buffer (vcode.Program.Fingerprint, policyFingerprint), so keying a
-// lookup allocates nothing and costs one hash of the program. The key stays
-// a cryptographic hash, not a cheaper checksum, because a collision would
-// hand one program another's verified and instrumented build. A build is
-// compiled once and then shared: every caller gets its own Program struct,
-// carrying its own policy pointer, over the same Orig, Code and JmpTable.
-// That is why a build is read-only (see Program). A hit costs one small
-// struct whatever the program's size, and the cache is invisible except in
-// wall time. It is safe under concurrent use (the parallel bench runner
-// compiles from many goroutines, and shared builds are only ever read).
+// (once per freshly built testbed). The key is the program's 64-bit
+// Fingerprint plus the policy's raw fields (a profile by its SHA-256
+// fingerprint), and keying allocates nothing. Every entry keeps the program
+// it was made from (a build's Orig, the same copy its verdict holds), and a
+// lookup counts a hit only if that Equals the caller's program: programs
+// whose hashes collide take successive keys, so a collision costs a miss,
+// never another program's build. A build is compiled once and then shared:
+// every caller gets its own Program struct, carrying its own policy
+// pointer, over the same Orig, Code and JmpTable. That is why a build is
+// read-only (see Program). A hit costs one small struct whatever the
+// program's size, and the cache is invisible except in wall time. It is
+// safe under concurrent use (the parallel bench runner compiles from many
+// goroutines, and shared builds are only ever read).
 
 // cacheKey addresses one (program, policy) pair by content.
 type cacheKey struct {
-	prog [sha256.Size]byte
-	pol  [sha256.Size]byte
+	prog     uint64 // the program's fingerprint, stepped past colliding entries
+	hardware Hardware
+	budget   BudgetMode
+	optimize bool
+	// profile is the attached profile's fingerprint, zero with none: the
+	// profile changes which transformations fire, so the same program
+	// re-instrumented under a different profile must miss.
+	profile [sha256.Size]byte
 }
 
 // cacheCap bounds each memo table; when an insert would exceed it the
@@ -41,7 +46,7 @@ const cacheCap = 256
 
 var cache struct {
 	sync.Mutex
-	verify map[cacheKey]error
+	verify map[cacheKey]verdict
 	build  map[cacheKey]*Program
 	hits   uint64
 	misses uint64
@@ -49,27 +54,53 @@ var cache struct {
 	onInsert func(*Program)
 }
 
-// policyFingerprint hashes every policy field that can influence
-// verification or instrumentation, at fixed widths, in one pass.
-func policyFingerprint(pol *Policy) [sha256.Size]byte {
-	var buf [8 + 8 + 1 + 1 + sha256.Size]byte
-	binary.LittleEndian.PutUint64(buf[0:], uint64(pol.Hardware))
-	binary.LittleEndian.PutUint64(buf[8:], uint64(pol.Budget))
-	if pol.Optimize {
-		buf[16] = 1
-	}
-	// The attached profile changes which transformations fire, so the same
-	// program re-instrumented under a different profile must miss.
-	if pol.Profile != nil {
-		buf[17] = 1
-		fp := pol.Profile.Fingerprint()
-		copy(buf[18:], fp[:])
-	}
-	return sha256.Sum256(buf[:])
+// programHash is the program half of a key (a test hook makes it collide).
+var programHash = (*vcode.Program).Fingerprint
+
+// verdict is a memoized Verify: the outcome, and the copy of the program it
+// was reached on, which a build made after it shares as its Orig.
+type verdict struct {
+	orig *vcode.Program
+	err  error
 }
 
+// entry is what a memo table holds: anything that keeps its program.
+type entry interface{ original() *vcode.Program }
+
+func (v verdict) original() *vcode.Program   { return v.orig }
+func (sp *Program) original() *vcode.Program { return sp.Orig }
+
 func keyOf(p *vcode.Program, pol *Policy) cacheKey {
-	return cacheKey{prog: p.Fingerprint(), pol: policyFingerprint(pol)}
+	k := cacheKey{prog: programHash(p), hardware: pol.Hardware, budget: pol.Budget, optimize: pol.Optimize}
+	if pol.Profile != nil {
+		k.profile = pol.Profile.Fingerprint()
+	}
+	return k
+}
+
+// find looks p up in m from key k. It steps past entries made from other
+// programs whose hash collided with p's, and returns p's entry if m has one,
+// and the key p's entry has or would take.
+func find[E entry](m map[cacheKey]E, k cacheKey, p *vcode.Program) (cacheKey, E, bool) {
+	for {
+		e, ok := m[k]
+		if !ok || e.original().Equal(p) {
+			return k, e, ok
+		}
+		k.prog++
+	}
+}
+
+// store files e in *m under k, making the table at its first insert and
+// clearing it when it is full.
+func store[E entry](m *map[cacheKey]E, k cacheKey, e E) {
+	if *m == nil {
+		*m = make(map[cacheKey]E)
+	} else if len(*m) >= cacheCap {
+		clear(*m)
+	}
+	k, _, _ = find(*m, k, e.original())
+	(*m)[k] = e
 }
 
 // withPolicy hands a cached build to a caller: a copy of the Program struct
@@ -82,65 +113,59 @@ func (sp *Program) withPolicy(pol *Policy) *Program {
 	return &cp
 }
 
-// Verify performs the download-time static checks and returns nil if the
-// program may be instrumented and installed. Results (rejections included)
-// are memoized by content.
-func Verify(p *vcode.Program, pol *Policy) error {
-	_, err := verifyKeyed(keyOf(p, pol), p)
-	return err
+// Verify performs the download-time static checks and returns a nil error
+// if the program may be instrumented and installed. It also returns the
+// verdict's copy of p, read-only and shared by every caller as a build is,
+// for a holder that must not see later writes to p (an unsafe download runs
+// it). Results (rejections included) are memoized by content.
+func Verify(p *vcode.Program, pol *Policy) (*vcode.Program, error) {
+	orig, _, err := verifyKeyed(keyOf(p, pol), p)
+	return orig, err
 }
 
-// verifyKeyed is Verify under a key the caller has already computed. On a
-// miss it also returns the CFG it verified; on a hit, none.
-func verifyKeyed(k cacheKey, p *vcode.Program) (*analysis.CFG, error) {
+// verifyKeyed is Verify under a key the caller has already computed. It
+// returns the verdict's copy of p and, on a miss, the CFG it verified; on a
+// hit, no CFG.
+func verifyKeyed(k cacheKey, p *vcode.Program) (*vcode.Program, *analysis.CFG, error) {
 	cache.Lock()
-	if err, ok := cache.verify[k]; ok {
+	if _, v, ok := find(cache.verify, k, p); ok {
 		cache.hits++
 		cache.Unlock()
-		return nil, err
+		return v.orig, nil, v.err
 	}
 	cache.misses++
 	cache.Unlock()
-	c, err := verifyProgram(p)
+	orig := p.Clone()
+	c, err := verifyProgram(orig)
 	cache.Lock()
-	if cache.verify == nil {
-		cache.verify = make(map[cacheKey]error)
-	} else if len(cache.verify) >= cacheCap {
-		clear(cache.verify)
-	}
-	cache.verify[k] = err
+	store(&cache.verify, k, verdict{orig, err})
 	cache.Unlock()
-	return c, err
+	return orig, c, err
 }
 
 // Sandbox verifies and instruments a program under pol. The input program
-// is not modified, and the build does not alias it: Orig is a copy taken
-// at the miss. Builds are memoized by content and shared by every hit.
+// is not modified, and the build does not alias it: Orig is the copy its
+// verdict took. Builds are memoized by content and shared by every hit.
 func Sandbox(p *vcode.Program, pol *Policy) (*Program, error) {
 	k := keyOf(p, pol)
 	cache.Lock()
-	if sp, ok := cache.build[k]; ok {
+	if _, sp, ok := find(cache.build, k, p); ok {
 		cache.hits++
 		cache.Unlock()
 		return sp.withPolicy(pol), nil
 	}
 	cache.misses++
 	cache.Unlock()
-	c, err := verifyKeyed(k, p)
+	orig, c, err := verifyKeyed(k, p)
 	if err != nil {
 		return nil, err
 	}
-	sp, err := compile(p, pol, c)
+	sp, err := compile(orig, pol, c)
 	if err != nil {
 		return nil, err
 	}
 	cache.Lock()
-	if cache.build == nil {
-		cache.build = make(map[cacheKey]*Program)
-	} else if len(cache.build) >= cacheCap {
-		clear(cache.build)
-	}
-	cache.build[k] = sp
+	store(&cache.build, k, sp)
 	if cache.onInsert != nil {
 		cache.onInsert(sp)
 	}

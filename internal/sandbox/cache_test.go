@@ -262,8 +262,8 @@ func TestVerifyCacheRemembersRejections(t *testing.T) {
 		b.Ret()
 	})
 	pol := DefaultPolicy()
-	err1 := Verify(bad, pol)
-	err2 := Verify(bad, pol)
+	_, err1 := Verify(bad, pol)
+	_, err2 := Verify(bad, pol)
 	if err1 == nil || err2 == nil {
 		t.Fatal("disallowed call verified")
 	}
@@ -276,8 +276,8 @@ func TestVerifyCacheRemembersRejections(t *testing.T) {
 	}
 }
 
-// TestConcurrentSandboxWithCalls: a key reads each call's entry-point name
-// under the intern table's lock, so goroutines keying and compiling
+// TestConcurrentSandboxWithCalls: the verifier reads each call's entry-point
+// name under the intern table's lock, so goroutines keying and compiling
 // programs with calls, while others intern new names, must each get what a
 // serial download gets: the same build for an allowed entry point, a
 // rejection naming an unknown one.
@@ -328,5 +328,174 @@ func TestConcurrentSandboxWithCalls(t *testing.T) {
 		for _, e := range es {
 			t.Errorf("goroutine %d: %s", g, e)
 		}
+	}
+}
+
+// keyBase is a program with every field a cache key covers set to a value a
+// one-field change can move: two persistent registers, a call, a branch
+// (the next to last instruction); pad instructions before the branch make
+// a long key span several chunks.
+func keyBase(pad int) *vcode.Program {
+	p := &vcode.Program{
+		Name:       "key",
+		NextReg:    12,
+		Persistent: []vcode.Reg{5, 6},
+		Insns: []vcode.Insn{
+			{Op: vcode.OpMovI, Rd: 8, Imm: -7},
+			{Op: vcode.OpAddIU, Rd: 9, Rs: 8, Imm: 4},
+			{Op: vcode.OpCall, Sym: vcode.Intern("ash_send")},
+		},
+	}
+	for i := 0; i < pad; i++ {
+		p.Insns = append(p.Insns, vcode.Insn{Op: vcode.OpAddIU, Rd: 9, Rs: 9, Imm: 1})
+	}
+	p.Insns = append(p.Insns, vcode.Insn{Op: vcode.OpBltU, Rs: 9, Rt: 8, Target: 1}, vcode.Insn{Op: vcode.OpRet})
+	return p
+}
+
+// keyProgram builds n instructions, a call every third one when calls is
+// set, with a builder of its own.
+func keyProgram(n int, calls bool) *vcode.Program {
+	b := vcode.NewBuilder("straddle")
+	acc := b.Persistent()
+	r := b.Temp()
+	for i := 0; i < n-1; i++ { // and the Ret Assemble appends
+		switch {
+		case calls && i%3 == 0:
+			b.Call([]string{"ash_send", "ash_copy", "ash_dilp"}[i%3])
+		case i%2 == 0:
+			b.AddIU(r, r, int32(i))
+		default:
+			b.AddU(acc, acc, r)
+		}
+	}
+	return b.MustAssemble()
+}
+
+// collisionGroups returns groups of programs with equal content; any two
+// groups differ. The keyBase variants each differ from the base in one
+// field (the name, NextReg, a persistent register or their number, the
+// number of instructions, any field of one instruction) and come with a
+// Clone; the keyPrograms, at lengths whose key ends on, short of and past a
+// chunk, are built twice.
+func collisionGroups() [][]*vcode.Program {
+	variants := []func(p *vcode.Program){
+		func(p *vcode.Program) {},
+		func(p *vcode.Program) { p.Name = "kez" },
+		func(p *vcode.Program) { p.Name = "" },
+		func(p *vcode.Program) { p.Name = "key\x00" },
+		func(p *vcode.Program) { p.Name = strings.Repeat("n", 1500) },
+		func(p *vcode.Program) { p.NextReg++ },
+		func(p *vcode.Program) { p.Persistent[1] = 7 },
+		func(p *vcode.Program) { p.Persistent = append(p.Persistent, 7) },
+		func(p *vcode.Program) { p.Persistent = p.Persistent[:1] },
+		func(p *vcode.Program) { p.Persistent = nil },
+		func(p *vcode.Program) {
+			p.Insns = append(p.Insns[:3:3], append([]vcode.Insn{{Op: vcode.OpMovI, Rd: 10}}, p.Insns[3:]...)...)
+		},
+		func(p *vcode.Program) { p.Insns = append(p.Insns[:1], p.Insns[2:]...) },
+		func(p *vcode.Program) { p.Insns[0].Op = vcode.OpAddIU },
+		func(p *vcode.Program) { p.Insns[0].Rd++ },
+		func(p *vcode.Program) { p.Insns[1].Rs++ },
+		func(p *vcode.Program) { p.Insns[len(p.Insns)-2].Rt++ },
+		func(p *vcode.Program) { p.Insns[0].Imm = 7 },
+		func(p *vcode.Program) { p.Insns[1].Imm ^= -1 << 31 },
+		func(p *vcode.Program) { p.Insns[len(p.Insns)-2].Target = 0 },
+		func(p *vcode.Program) { p.Insns[2].Sym = vcode.Intern("ash_copy") },
+	}
+	var groups [][]*vcode.Program
+	for _, pad := range []int{0, 100} {
+		for _, mutate := range variants {
+			p := keyBase(pad)
+			mutate(p)
+			groups = append(groups, []*vcode.Program{p, p.Clone()})
+		}
+	}
+	for n := 30; n <= 34; n++ {
+		for _, calls := range []bool{false, true} {
+			groups = append(groups, []*vcode.Program{keyProgram(n, calls), keyProgram(n, calls)})
+		}
+	}
+	return groups
+}
+
+// TestCacheCollisions: with every program hashed to one value, the cache
+// still tells programs apart by comparison. Each distinct program verifies
+// and builds once, programs with equal content hit, every build's Orig is
+// the caller's program, and the hits and misses are those of a run with
+// real hashes. Those equal counts also show that equal content hashes
+// alike.
+func TestCacheCollisions(t *testing.T) {
+	groups := collisionGroups()
+	pol := DefaultPolicy()
+	type run struct {
+		hits, misses uint64
+		entries      int
+		builds       int
+		codes        [][]vcode.Insn
+	}
+	download := func() run {
+		var r run
+		ResetCache()
+		stop := WatchCacheInserts(func(*Program) { r.builds++ })
+		defer stop()
+		for pass := 0; pass < 2; pass++ {
+			for gi, g := range groups {
+				for _, p := range g {
+					sp, err := Sandbox(p, pol)
+					if err != nil {
+						t.Fatalf("group %d: %v", gi, err)
+					}
+					if !sp.Orig.Equal(p) {
+						t.Fatalf("group %d: a build of another program came back", gi)
+					}
+					r.codes = append(r.codes, sp.Code.Insns)
+				}
+			}
+		}
+		r.hits, r.misses = CacheStats()
+		r.entries = CacheEntries()
+		return r
+	}
+	real := download()
+	defer func(h func(*vcode.Program) uint64) { programHash = h }(programHash)
+	programHash = func(*vcode.Program) uint64 { return 1 }
+	collided := download()
+
+	// A group's first download misses once for its build and once for its
+	// verdict; its other three hit.
+	n := len(groups)
+	if collided.builds != n || collided.entries != 2*n || collided.misses != uint64(2*n) ||
+		collided.hits != uint64(3*n) {
+		t.Errorf("colliding: %d builds, %d entries, %d misses, %d hits over %d groups; want %d, %d, %d, %d",
+			collided.builds, collided.entries, collided.misses, collided.hits, n, n, 2*n, 2*n, 3*n)
+	}
+	if real.hits != collided.hits || real.misses != collided.misses || real.entries != collided.entries {
+		t.Errorf("real hashes: %d hits, %d misses, %d entries; colliding: %d, %d, %d",
+			real.hits, real.misses, real.entries, collided.hits, collided.misses, collided.entries)
+	}
+	if !reflect.DeepEqual(real.codes, collided.codes) {
+		t.Error("colliding hashes changed a build")
+	}
+
+	// Goroutines downloading the colliding set at once each get their own
+	// program's build.
+	var wg sync.WaitGroup
+	bad := make([]int, 4)
+	for g := range bad {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := len(groups) - 1; i >= 0; i-- {
+				p := groups[i][g%2]
+				if sp, err := Sandbox(p, pol); err != nil || !sp.Orig.Equal(p) {
+					bad[g]++
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if !reflect.DeepEqual(bad, make([]int, 4)) {
+		t.Errorf("concurrent colliding downloads: %v wrong builds per goroutine", bad)
 	}
 }

@@ -14,7 +14,7 @@ func TestVerifyRejectsUnreachableCode(t *testing.T) {
 		{Op: vcode.OpMovI, Rd: 8, Imm: 1}, // unreachable
 		{Op: vcode.OpRet},
 	}}
-	err := Verify(p, DefaultPolicy())
+	_, err := Verify(p, DefaultPolicy())
 	if err == nil {
 		t.Fatal("program with unreachable code verified")
 	}
@@ -31,7 +31,7 @@ func TestVerifyRejectsUndisciplinedJmpR(t *testing.T) {
 		b.JmpR(vcode.RArg0)
 		b.Ret()
 	})
-	if err := Verify(p, DefaultPolicy()); err == nil {
+	if _, err := Verify(p, DefaultPolicy()); err == nil {
 		t.Fatal("undisciplined indirect jump verified")
 	}
 }
@@ -44,7 +44,7 @@ func TestVerifyAcceptsBoundedJmpR(t *testing.T) {
 		b.JmpR(r)
 		b.Ret()
 	})
-	if err := Verify(p, DefaultPolicy()); err != nil {
+	if _, err := Verify(p, DefaultPolicy()); err != nil {
 		t.Fatal(err)
 	}
 	// Masking an arbitrary value into range also satisfies the discipline.
@@ -55,7 +55,7 @@ func TestVerifyAcceptsBoundedJmpR(t *testing.T) {
 		b.Nop()
 		b.Ret()
 	})
-	if err := Verify(p2, DefaultPolicy()); err != nil {
+	if _, err := Verify(p2, DefaultPolicy()); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -80,7 +80,8 @@ type Policy struct {
 	// among statically proven transformations — hoisting a loop-invariant
 	// divide check, coarsening an exactly counted multi-block loop — so an
 	// adversarial profile can change cost, never semantics. The compile
-	// cache keys on the profile fingerprint alongside the policy.
+	// cache keys on the profile's SHA-256 fingerprint beside the policy's
+	// other fields.
 	Profile *reopt.Profile
 }
 
@@ -244,14 +245,14 @@ func (sp *Program) OrigCounts(pcCounts []uint64) []uint64 {
 }
 
 // compile is the uncached instrumentation behind Sandbox, which has already
-// verified p and passes the CFG it verified (nil when the verdict was
-// cached). The build copies p once and never aliases it.
+// verified p, its verdict's copy of the caller's program, and passes the
+// CFG it verified (nil when the verdict was cached). The build keeps p as
+// its Orig.
 func compile(p *vcode.Program, pol *Policy, c *analysis.CFG) (*Program, error) {
-	orig := p.Clone()
 	if pol.Hardware == HardwareX86 {
 		// Segmentation hardware isolates the handler: no software checks,
 		// so the code that runs is the original itself.
-		return &Program{Orig: orig, Code: orig, JmpTable: identity(len(p.Insns)), Policy: pol}, nil
+		return &Program{Orig: p, Code: p, JmpTable: identity(len(p.Insns)), Policy: pol}, nil
 	}
 
 	var (
@@ -275,11 +276,11 @@ func compile(p *vcode.Program, pol *Policy, c *analysis.CFG) (*Program, error) {
 	code := &vcode.Program{
 		Name:       p.Name + ".sandboxed",
 		Insns:      out,
-		Persistent: orig.Persistent,
+		Persistent: p.Persistent,
 		NextReg:    p.NextReg,
 	}
 	sp := &Program{
-		Orig:             orig,
+		Orig:             p,
 		Code:             code,
 		JmpTable:         oldToNew,
 		AddedStatic:      len(out) - len(p.Insns),

@@ -27,7 +27,7 @@ func TestVerifyRejectsFloat(t *testing.T) {
 		b.Float(vcode.OpFAdd, vcode.RRet, vcode.RZero, vcode.RZero)
 		b.Ret()
 	})
-	if err := Verify(p, DefaultPolicy()); err == nil {
+	if _, err := Verify(p, DefaultPolicy()); err == nil {
 		t.Fatal("float program verified")
 	}
 }
@@ -37,7 +37,7 @@ func TestVerifyRejectsSignedArith(t *testing.T) {
 		b.Signed(vcode.OpAdd, vcode.RRet, vcode.RZero, vcode.RZero)
 		b.Ret()
 	})
-	if err := Verify(p, DefaultPolicy()); err == nil {
+	if _, err := Verify(p, DefaultPolicy()); err == nil {
 		t.Fatal("signed-arithmetic program verified")
 	}
 }
@@ -48,7 +48,7 @@ func TestVerifyRejectsForgedSandboxOps(t *testing.T) {
 			b.RawSandboxOp(op)
 			b.Ret()
 		})
-		if err := Verify(p, DefaultPolicy()); err == nil {
+		if _, err := Verify(p, DefaultPolicy()); err == nil {
 			t.Fatalf("program containing %v verified", op)
 		}
 	}
@@ -63,7 +63,7 @@ func TestVerifyRejectsDisallowedCall(t *testing.T) {
 		name string
 	}{{vcode.Intern("kernel_format_disk"), `"kernel_format_disk"`}, {0, `""`}, {math.MaxUint32, `"sym(4294967295)"`}} {
 		p := &vcode.Program{Name: "t", Insns: []vcode.Insn{{Op: vcode.OpCall, Sym: c.sym}, {Op: vcode.OpRet}}}
-		err := Verify(p, DefaultPolicy())
+		_, err := Verify(p, DefaultPolicy())
 		if want := "call to " + c.name + " is not an allowed system entry point"; err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("call of Sym %d: %v, want an error saying %s", c.sym, err, want)
 		}
@@ -77,7 +77,7 @@ func TestVerifyAllowsListedCall(t *testing.T) {
 			b.Call(name)
 			b.Ret()
 		})
-		if err := Verify(p, DefaultPolicy()); err != nil {
+		if _, err := Verify(p, DefaultPolicy()); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
@@ -88,7 +88,7 @@ func TestVerifyRejectsWriteToSandboxReg(t *testing.T) {
 		b.MovI(vcode.RSbox, 0)
 		b.Ret()
 	})
-	if err := Verify(p, DefaultPolicy()); err == nil {
+	if _, err := Verify(p, DefaultPolicy()); err == nil {
 		t.Fatal("write to RSbox verified")
 	}
 }
@@ -98,7 +98,7 @@ func TestVerifyRejectsPipeOps(t *testing.T) {
 		b.Input32(vcode.RRet)
 		b.Ret()
 	})
-	if err := Verify(p, DefaultPolicy()); err == nil {
+	if _, err := Verify(p, DefaultPolicy()); err == nil {
 		t.Fatal("raw pipe op verified")
 	}
 }

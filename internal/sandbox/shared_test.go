@@ -1,7 +1,6 @@
 package sandbox_test
 
 import (
-	"crypto/sha256"
 	"reflect"
 	"testing"
 
@@ -11,6 +10,7 @@ import (
 	"ashs/internal/mach"
 	"ashs/internal/sandbox"
 	"ashs/internal/sim"
+	"ashs/internal/vcode"
 )
 
 // TestCachedBuildsStayUnchanged holds the callers of the compile cache to
@@ -22,13 +22,13 @@ import (
 func TestCachedBuildsStayUnchanged(t *testing.T) {
 	type entry struct {
 		sp         *sandbox.Program
-		code, orig [sha256.Size]byte
+		code, orig *vcode.Program // copies taken as the build entered
 		jmp        []int
 	}
 	var entries []entry
 	sandbox.ResetCache()
 	stop := sandbox.WatchCacheInserts(func(sp *sandbox.Program) {
-		entries = append(entries, entry{sp, sp.Code.Fingerprint(), sp.Orig.Fingerprint(),
+		entries = append(entries, entry{sp, sp.Code.Clone(), sp.Orig.Clone(),
 			append([]int(nil), sp.JmpTable...)})
 	})
 	defer stop()
@@ -60,7 +60,7 @@ func TestCachedBuildsStayUnchanged(t *testing.T) {
 		t.Fatal("no build entered the cache")
 	}
 	for _, e := range entries {
-		if e.sp.Code.Fingerprint() != e.code || e.sp.Orig.Fingerprint() != e.orig ||
+		if !e.sp.Code.Equal(e.code) || !e.sp.Orig.Equal(e.orig) ||
 			!reflect.DeepEqual(e.sp.JmpTable, e.jmp) {
 			t.Errorf("build %s changed after it entered the cache", e.sp.Code.Name)
 		}

@@ -1,85 +1,66 @@
 package vcode
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
+	"hash/maphash"
+	"slices"
 )
 
-// fingerprintChunk is the stack buffer Fingerprint encodes into; each full
-// chunk is one Write to the digest, so a key costs one hash pass over the
-// encoding and a Write per chunk, not one per field. It does not grow with
-// the program.
-const fingerprintChunk = 512
+// fingerprintSeed keys every Fingerprint of this process. A fingerprint is
+// never written out or printed, so it need not agree across processes.
+var fingerprintSeed = maphash.MakeSeed()
 
-// insnKeyBytes is an instruction's fixed-width encoding: Op, Rd, Rs, Rt a
-// byte each, Imm and Target four bytes each, and the length of its Sym's
-// name in four (the name's bytes follow).
-const insnKeyBytes = 16
+// fingerprintChunk is the stack chunk Fingerprint encodes instructions
+// into, insnKeyBytes bytes each.
+const (
+	fingerprintChunk = 512
+	insnKeyBytes     = 16
+)
 
-// Fingerprint returns a content hash of the program: the same bytes come
-// back for any two programs with identical name, instruction stream,
-// persistent-register set, and register allocation, regardless of how
-// they were built. It is the program half of the sandbox compile-cache
-// key (the policy contributes the other half), so every field that can
-// influence verification, instrumentation, or execution is folded in.
+// Fingerprint returns a 64-bit hash of the program's content: its name,
+// register allocation, persistent-register set and instruction stream.
+// Programs that are Equal hash alike however they were built. It is the
+// program half of the sandbox compile-cache key, and it is not
+// collision-free: the cache counts a hit only once Equal confirms it, so a
+// collision costs a miss, never another program's build. A call's Sym is
+// hashed by id, which names one entry point for the life of the process.
+// The name and the persistent set are length-prefixed and every other field
+// has a fixed width, so the encoding is injective: only the 64-bit hash
+// itself can collide.
 //
-// The fields are encoded at fixed widths, and both strings (the name and
-// a call's entry-point name; a Sym is hashed by name, as its id depends on
-// intern order) carry their length first, so the encoding is injective and
-// two programs share a key only if SHA-256 collides. The key stays a
-// cryptographic hash because a collision would hand one program the
-// verified build of another.
-func (p *Program) Fingerprint() [sha256.Size]byte {
-	h := sha256.New()
+// The instructions are encoded 16 bytes each into a stack chunk that goes
+// to the hash one Write at a time, so a key allocates nothing at any size.
+func (p *Program) Fingerprint() uint64 {
+	var h maphash.Hash
+	h.SetSeed(fingerprintSeed)
 	var buf [fingerprintChunk]byte
+	binary.LittleEndian.PutUint64(buf[:], uint64(len(p.Name)))
+	binary.LittleEndian.PutUint64(buf[8:], uint64(len(p.Persistent)))
+	h.Write(buf[:16])
+	h.WriteString(p.Name)
+	h.WriteByte(byte(p.NextReg))
+	for _, r := range p.Persistent {
+		h.WriteByte(byte(r))
+	}
 	n := 0
-	// room flushes the chunk unless k more bytes fit.
-	room := func(k int) {
-		if n+k > len(buf) {
-			h.Write(buf[:n])
+	for i := range p.Insns {
+		if n == len(buf) {
+			h.Write(buf[:])
 			n = 0
 		}
-	}
-	putStr := func(s string) {
-		for len(s) > 0 {
-			room(1)
-			c := copy(buf[n:], s)
-			n += c
-			s = s[c:]
-		}
-	}
-	binary.LittleEndian.PutUint64(buf[n:], uint64(len(p.Name)))
-	n += 8
-	putStr(p.Name)
-	room(9)
-	buf[n] = byte(p.NextReg)
-	binary.LittleEndian.PutUint64(buf[n+1:], uint64(len(p.Persistent)))
-	n += 9
-	for _, r := range p.Persistent {
-		room(1)
-		buf[n] = byte(r)
-		n++
-	}
-	room(8)
-	binary.LittleEndian.PutUint64(buf[n:], uint64(len(p.Insns)))
-	n += 8
-	for i := range p.Insns {
 		in := &p.Insns[i]
-		room(insnKeyBytes)
-		b := buf[n : n+insnKeyBytes]
-		b[0], b[1], b[2], b[3] = byte(in.Op), byte(in.Rd), byte(in.Rs), byte(in.Rt)
-		binary.LittleEndian.PutUint32(b[4:], uint32(in.Imm))
-		binary.LittleEndian.PutUint32(b[8:], uint32(in.Target))
-		var sym string
-		if in.Sym != 0 { // most instructions call nothing: skip the call to String
-			sym = in.Sym.String()
-		}
-		binary.LittleEndian.PutUint32(b[12:], uint32(len(sym)))
+		binary.LittleEndian.PutUint64(buf[n:], uint64(in.Op)|uint64(in.Rd)<<8|uint64(in.Rs)<<16|
+			uint64(in.Rt)<<24|uint64(uint32(in.Imm))<<32)
+		binary.LittleEndian.PutUint64(buf[n+8:], uint64(uint32(in.Target))|uint64(in.Sym)<<32)
 		n += insnKeyBytes
-		putStr(sym)
 	}
 	h.Write(buf[:n])
-	var out [sha256.Size]byte
-	h.Sum(out[:0])
-	return out
+	return h.Sum64()
+}
+
+// Equal reports whether p and q have the same content, field for field:
+// what Fingerprint hashes, compared in full.
+func (p *Program) Equal(q *Program) bool {
+	return p.Name == q.Name && p.NextReg == q.NextReg &&
+		slices.Equal(p.Persistent, q.Persistent) && slices.Equal(p.Insns, q.Insns)
 }

@@ -1,6 +1,7 @@
 package vcode
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"testing"
@@ -65,7 +66,7 @@ func TestFingerprintSeesEveryField(t *testing.T) {
 		"insn Sym on non-call": func(p *Program) { p.Insns[4].Sym = Intern("ash_send") },
 	}
 	for _, pad := range keyPads {
-		seen := map[[32]byte]string{}
+		seen := map[uint64]string{}
 		for name, mutate := range variants {
 			p := keyBase(pad)
 			mutate(p)
@@ -78,31 +79,54 @@ func TestFingerprintSeesEveryField(t *testing.T) {
 	}
 }
 
+// insnKey is in's 16-byte encoding in a key: Op Rd Rs Rt, Imm, Target,
+// Sym, little-endian.
+func insnKey(in Insn) string {
+	var b [insnKeyBytes]byte
+	b[0], b[1], b[2], b[3] = byte(in.Op), byte(in.Rd), byte(in.Rs), byte(in.Rt)
+	binary.LittleEndian.PutUint32(b[4:], uint32(in.Imm))
+	binary.LittleEndian.PutUint32(b[8:], uint32(in.Target))
+	binary.LittleEndian.PutUint32(b[12:], uint32(in.Sym))
+	return string(b[:])
+}
+
 // TestFingerprintLengthPrefixes: each pair holds the same bytes, split
-// differently between a string and the fixed-width fields after it.
-// Without the length prefixes a pair would encode identically.
+// differently between the name or the persistent set and the fields after
+// it. Without the length prefixes a pair would encode identically.
 func TestFingerprintLengthPrefixes(t *testing.T) {
 	pairs := []struct {
 		name string
 		a, b func(p *Program)
 	}{
 		{
-			// 'k' | NextReg 0x0c | count 11 | 07 02 00×7 05 06
-			// 'k' 0c 0b 00×7 | NextReg 07 | count 2 | 05 06
-			"the name takes in NextReg and the persistent count",
-			func(p *Program) { p.Name, p.NextReg, p.Persistent = "k", 12, []Reg{7, 2, 0, 0, 0, 0, 0, 0, 0, 5, 6} },
+			// "k" | NextReg 03 | 01 02
+			// "k" 03 | NextReg 01 | 02
+			"the name takes in NextReg and a persistent register",
+			func(p *Program) { p.Name, p.NextReg, p.Persistent = "k", 3, []Reg{1, 2} },
+			func(p *Program) { p.Name, p.NextReg, p.Persistent = "k\x03", 1, []Reg{2} },
+		},
+		{
+			// "key" | NextReg 0c | 05 06 | movi r8, -7 (16 bytes, Sym 0) | ...
+			// "key" 0c 05 06 + its first 13 bytes | NextReg 00 | 00 00 | ...
+			// Both hold two persistent registers.
+			"the name takes in NextReg, the persistent registers and an instruction",
+			func(p *Program) {},
 			func(p *Program) {
-				p.Name, p.NextReg, p.Persistent = "k\x0c\x0b\x00\x00\x00\x00\x00\x00\x00", 7, []Reg{5, 6}
+				p.Name = "key\x0c\x05\x06" + insnKey(p.Insns[0])[:13]
+				p.NextReg, p.Persistent = 0, []Reg{0, 0}
+				p.Insns = p.Insns[1:]
 			},
 		},
 		{
-			// "ash_send" | bltu r9, r8, @1 (Op Rd Rs Rt, Imm, Target)
-			// "ash_sen" | 'd' bltu 00 09, 08 00 00 00, 00 01 00 00 | "\x00"
-			"a call's entry point takes in the next instruction's first byte",
+			// 05 06 | movi r8, -7 | ...
+			// 05 06 + movi r8, -7 as 16 registers | ...
+			"the persistent set takes in an instruction",
 			func(p *Program) {},
 			func(p *Program) {
-				p.Insns[2].Sym = Intern("ash_sen")
-				p.Insns[3] = Insn{Op: 'd', Rd: Reg(OpBltU), Rt: 9, Imm: 8, Target: 0x100, Sym: Intern("\x00")}
+				for _, c := range []byte(insnKey(p.Insns[0])) {
+					p.Persistent = append(p.Persistent, Reg(c))
+				}
+				p.Insns = p.Insns[1:]
 			},
 		},
 	}
@@ -141,7 +165,7 @@ func keyProgram(n int, calls bool) *Program {
 // it was made — cloned, or built twice — at lengths whose encoding ends
 // on, just short of, and just past a chunk boundary.
 func TestFingerprintIsContent(t *testing.T) {
-	seen := map[[32]byte]string{}
+	seen := map[uint64]string{}
 	for n := 30; n <= 50; n++ {
 		for _, calls := range []bool{false, true} {
 			p, q := keyProgram(n, calls), keyProgram(n, calls)

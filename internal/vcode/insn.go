@@ -427,14 +427,13 @@ func (p *Program) String() string {
 }
 
 // Clone returns a deep copy, for a holder that must not see later writes
-// to the caller's program: the sandbox keeps one as a build's Orig, and an
-// unsafe download keeps one as the code it runs.
+// to the caller's program: the sandbox keeps one per verdict, which a build
+// shares as its Orig and an unsafe download runs.
 func (p *Program) Clone() *Program {
-	q := &Program{
+	return &Program{
 		Name:       p.Name,
 		Insns:      append([]Insn(nil), p.Insns...),
 		Persistent: append([]Reg(nil), p.Persistent...),
 		NextReg:    p.NextReg,
 	}
-	return q
 }

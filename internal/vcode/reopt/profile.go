@@ -56,9 +56,11 @@ func (p *Profile) Hot(pc int) bool { return p.Count(pc) >= HotTrips }
 // Fingerprint hashes the profile's optimization-relevant content
 // (invocation and per-pc counts). The compile cache mixes it into the
 // policy fingerprint so the same program re-instrumented under different
-// profiles occupies distinct cache entries. The counts are encoded eight
-// bytes each, after the invocations and their number, into a stack chunk
-// that goes to the digest one Write at a time, as vcode.Program's key does.
+// profiles occupies distinct cache entries; it stays a SHA-256, because the
+// cache confirms a program by comparison but keys a profile by this hash
+// alone. The counts are encoded eight bytes each, after the invocations and
+// their number, into a stack chunk that goes to the digest one Write at a
+// time.
 func (p *Profile) Fingerprint() [sha256.Size]byte {
 	h := sha256.New()
 	if p != nil {

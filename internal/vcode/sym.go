@@ -11,9 +11,10 @@ import (
 //
 // The table only grows, under one mutex. An id depends on the order in which
 // names were first interned, which is not fixed when worlds are built in
-// parallel, so no output may depend on an id's value: what is printed,
-// hashed or checked against a policy is the name (Insn.String,
-// Program.Fingerprint, the sandbox verifier).
+// parallel, so no output may depend on an id's value: what is printed or
+// checked against a policy is the name (Insn.String, the sandbox verifier).
+// Program.Fingerprint hashes the id, but a fingerprint is never printed and
+// decides nothing until Program.Equal confirms it.
 type Sym uint32
 
 var symTab = struct {
