@@ -17,11 +17,15 @@
 # that is faster but computes something else records no row. --differ
 # lets through a change that is meant to alter the output.
 #
-# Then each side runs every experiment once more, alone, under ashbench's
-# -cpuprofile, and `go tool pprof -raw` splits its samples by layer: a
-# sample goes to the layer (layers.txt) of its innermost ashs/internal
-# frame, and to "runtime" if it has none. It prints each experiment's
-# shares in percent.
+# Then each side runs every experiment again, alone, under ashbench's
+# -cpuprofile, until its profiles hold 200 samples or 20 runs are in (at
+# pprof's 100 Hz a short experiment's single profile holds a few dozen,
+# and its shares swing by 10-20 points between runs of one binary).
+# `go tool pprof -proto` merges an experiment's runs and `go tool pprof
+# -raw` splits the samples by layer: a sample goes to the layer
+# (layers.txt) of its innermost ashs/internal frame, and to "runtime" if
+# it has none. An experiment's shares are printed, and recorded, only
+# from 200 samples up; below that, only its sample count.
 #
 # --append adds the result as one row to BENCH_trajectory.json, the
 # append-only ledger of the suite's host cost; bench.sh is its only
@@ -100,11 +104,31 @@ for i in $(seq 1 "$n"); do
     fi
 done
 
-# profile SIDE: one CPU profile per experiment, each sample charged to a
-# layer; lines "side experiment layer samples".
+# samples BIN PROF: the number of samples in a CPU profile.
+samples() {
+    go tool pprof -raw "$1" "$2" 2>/dev/null | awk '
+        /^Samples:/ { s = 1; next }
+        /^Locations/ { s = 0 }
+        s && /^ *[0-9]+ +[0-9]+: / { n += $1 }
+        END { print n + 0 }'
+}
+
+# profile SIDE: per experiment, CPU profiles until they hold 200 samples
+# or 20 runs are in, merged, each sample charged to a layer; lines "side
+# experiment layer samples", and "side experiment runs R".
 profile() {
     for e in $("$tmp/this" -experiment help | awk '{print $1}'); do
-        "$tmp/$1" -parallel 1 -experiment "$e" -cpuprofile "$tmp/cpu.prof" >/dev/null 2>&1 || continue
+        runs=0 got=0 profs=
+        while [ "$got" -lt 200 ] && [ "$runs" -lt 20 ]; do
+            runs=$((runs + 1))
+            "$tmp/$1" -parallel 1 -experiment "$e" -cpuprofile "$tmp/cpu.$runs.prof" >/dev/null 2>&1 || break
+            profs="$profs $tmp/cpu.$runs.prof"
+            got=$((got + $(samples "$tmp/$1" "$tmp/cpu.$runs.prof")))
+        done
+        [ -n "$profs" ] || continue
+        echo "$1 $e runs $runs"
+        go tool pprof -proto "$tmp/$1" $profs >"$tmp/cpu.prof" 2>/dev/null
+        rm -f $profs
         go tool pprof -raw "$tmp/$1" "$tmp/cpu.prof" 2>/dev/null | awk -v side="$1" -v experiment="$e" '
             # The innermost ashs/internal frame of a location, inlined
             # frames first; the package of a frame is its name up to the first dot.
@@ -211,34 +235,38 @@ awk -v n="$n" -v commit="$commit" -v tree="$tree" -v against="${revid:-}" -v gov
     }' "$tmp/runs"
 
 # The layer table: each experiment's samples per layer in percent, this
-# tree's (after REV's), and the same as JSON for the row.
+# tree's (after REV's), and the same as JSON for the row. A side's shares
+# of an experiment are printed only from 200 samples up ("-" below).
 awk -v against="${revid:-}" -v row="$tmp/row" '
     BEGIN { nl = split("sim netdev aegis dpf vcode proto flyweight harness runtime unmapped", lay, " ") }
     {
         if (!($2 in seen)) { seen[$2] = 1; order[++k] = $2 }
+        if ($3 == "runs") { runs[$1, $2] = $4; next }
         s[$1, $2, $3] += $4; tot[$1, $2] += $4
     }
-    function pct(side, e, l) { return tot[side, e] ? 100 * s[side, e, l] / tot[side, e] : 0 }
-    function cell(e, l) {
-        return against == "" ? sprintf("%.1f", pct("this", e, l)) : sprintf("%.1f>%.1f", pct("rev", e, l), pct("this", e, l))
-    }
-    function json(side, key,   j, i, sep) {
+    function resolved(side, e) { return tot[side, e] >= 200 }
+    function pct(side, e, l) { return 100 * s[side, e, l] / tot[side, e] }
+    function share(side, e, l) { return resolved(side, e) ? sprintf("%.1f", pct(side, e, l)) : "-" }
+    function cell(e, l) { return against == "" ? share("this", e, l) : share("rev", e, l) ">" share("this", e, l) }
+    function json(side, key,   j, i, e) {
         printf ",\n   \"%s\": {", key >> row
         for (j = 1; j <= k; j++) {
-            printf "%s\n    \"%s\": {\"samples\": %d", (j > 1 ? "," : ""), order[j], tot[side, order[j]] >> row
-            for (i = 1; i <= nl; i++) if (s[side, order[j], lay[i]]) printf ", \"%s\": %.1f", lay[i], pct(side, order[j], lay[i]) >> row
+            e = order[j]
+            printf "%s\n    \"%s\": {\"samples\": %d, \"runs\": %d", (j > 1 ? "," : ""), e, tot[side, e], runs[side, e] >> row
+            if (resolved(side, e)) for (i = 1; i <= nl; i++) if (s[side, e, lay[i]]) printf ", \"%s\": %.1f", lay[i], pct(side, e, lay[i]) >> row
             printf "}" >> row
         }
         printf "}" >> row
     }
     END {
-        printf "host CPU by layer (%% of each experiment'"'"'s profile samples%s)\n", against == "" ? "" : ", " against " > this tree"
-        printf "%-11s %7s", "experiment", "samples"
+        printf "host CPU by layer (%% of each experiment'"'"'s profile samples, shown from 200 samples up%s)\n", against == "" ? "" : "; " against " > this tree"
+        printf "%-11s %11s %7s", "experiment", "samples", "runs"
         for (i = 1; i < nl; i++) printf " %11s", lay[i]
         printf "\n"
         for (j = 1; j <= k; j++) {
             e = order[j]
-            printf "%-11s %7d", e, tot["this", e]
+            printf "%-11s %11s %7s", e, against == "" ? tot["this", e] + 0 : tot["rev", e] + 0 ">" tot["this", e] + 0,
+                against == "" ? runs["this", e] : runs["rev", e] ">" runs["this", e]
             for (i = 1; i < nl; i++) printf " %11s", cell(e, lay[i])
             printf "\n"
         }

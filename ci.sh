@@ -56,6 +56,30 @@ if [ -n "$docbad" ]; then
     exit 1
 fi
 
+# DESIGN.md is the layer-by-layer account and stays within 46 080 bytes.
+# A "DESIGN.md §N" reference anywhere in the tree but CHANGES.md (the
+# history), and a §N inside DESIGN.md, names one of its numbered sections.
+echo "== docs: DESIGN.md size and section references"
+size=$(wc -c <DESIGN.md)
+if [ "$size" -gt 46080 ]; then
+    echo "DESIGN.md is $size bytes, over its 46080"
+    exit 1
+fi
+grep -oE '^## [0-9]+\.' DESIGN.md | tr -cd '0-9\n' >"$workdir/sections"
+{
+    grep -rIoE --exclude=CHANGES.md --exclude-dir=.git --exclude-dir=.bench_build \
+        'DESIGN(\.md)?`? §[0-9]+(, §[0-9]+)*' . || true
+    grep -oE '§[0-9]+' DESIGN.md | sed 's|^|./DESIGN.md:|'
+} >"$workdir/refs"
+badref=$(awk -F: 'NR == FNR { have[$1] = 1; next }
+    { n = split($2, f, /[^0-9]+/); for (i = 1; i <= n; i++) if (f[i] != "" && !(f[i] in have)) print $1 ": §" f[i] }' \
+    "$workdir/sections" "$workdir/refs" | LC_ALL=C sort -u)
+if [ -n "$badref" ]; then
+    echo "references to DESIGN.md sections that do not exist:"
+    echo "$badref"
+    exit 1
+fi
+
 # The examples are the only programs that drive the public ashs facade and
 # proto/http end to end, so each one runs here, not just builds.
 echo "== examples"
@@ -73,7 +97,7 @@ echo "== cmd/perfbench module (vet + test)"
 (cd cmd/perfbench && GOWORK=off go vet ./... && GOWORK=off go test ./...)
 
 # ashlint: the custom analyzer suite (determinism, obsguard,
-# allocdiscipline, bufdiscipline, costdiscipline — see DESIGN.md §12)
+# allocdiscipline, bufdiscipline, costdiscipline — see DESIGN.md §10)
 # over the module.
 echo "== ashlint"
 go run ./cmd/ashlint ./...
@@ -148,7 +172,9 @@ go test -race ./...
 #   udp      regenerated), and a one-endpoint flyweight fleet puts a full
 #            client host's frames on the wire for one udp-echo, tcp-pp and
 #            nfs-read request, but for the fields flyweightWireDiffs names
-#            with a reason; hdr||payload cut at every fragment edge
+#            with a reason, and the server records a flyweight's udp-echo
+#            request as a host's (fates, demux and handler cycles, cyc/msg)
+#            but for flyweightServerDiffs; hdr||payload cut at every fragment edge
 #            reassembles, is captured before Send blocks, and re-entry
 #            panics with the owner; 3 MB more of stream or 2000 more
 #            datagrams allocate nothing; the retransmit store keeps what
@@ -242,7 +268,7 @@ done <<'EOF'
 ./internal/vcode/:^TestJournalUndoProperty$|^TestFingerprintSeesEveryField$|^TestFingerprintLengthPrefixes$|^TestFingerprintIsContent$|^TestFingerprintAllocatesNothing$
 ./internal/core/:TestReopt|TestChainDisposition|^TestHandlerBaseParity$|^TestDownloadsAreNotRetained$
 ./internal/bench/:^TestRunCells|^TestParallelism$|TestParallelByteIdentical|TestParallelChaosMatchesSerial|TestReoptParallelByteIdentical
-./internal/bench/:^TestWireIdentity$|^TestFlyweightIsAHostOnTheWire$
+./internal/bench/:^TestWireIdentity$|^TestFlyweightIsAHostOnTheWire$|^TestFlyweightIsAHostAtTheServer$
 ./internal/bench/:^TestKitMatchesParent$|^TestCellLabelsStable$|^TestCellsAreValues$
 ./internal/proto/ip/:^TestGatherSendEdges$|^TestSendCapturesPayloadBeforeItBlocks$|^TestSendReentryPanicsWithOwner$
 ./internal/proto/tcp/:^TestNoAllocationPerSegment$|^TestRtxStore

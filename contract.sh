@@ -1,6 +1,6 @@
 #!/bin/sh
 # sh contract.sh DIR: the one writer of the behavioural contract, the
-# files that pin the simulated results (DESIGN.md §5, "Contract"). Run from
+# files that pin the simulated results (DESIGN.md §10, "The contract"). Run from
 # the repo root. It writes ashbench_output.txt, ashbench_counts.txt and
 # ashbench_trace.sha256 into DIR, each from its own ashbench process, or
 # refuses (exits non-zero, DIR untouched) if a run depends on the worker

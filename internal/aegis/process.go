@@ -38,9 +38,6 @@ type Process struct {
 	// waitRing is the ring a WaitRecvUntil with a deadline last blocked on;
 	// its timer event reads it.
 	waitRing *Ring
-
-	// CPUTime is total simulated CPU consumed.
-	CPUTime sim.Time
 }
 
 // Spawn creates a process and makes it runnable.
@@ -73,7 +70,6 @@ func (p *Process) payPending() {
 // spendCPU advances time by c while holding the CPU (no preemption check:
 // used for short kernel-imposed charges).
 func (p *Process) spendCPU(c sim.Time) {
-	p.CPUTime += c
 	p.quantumLeft -= c
 	p.sp.Sleep(c)
 }
@@ -96,7 +92,6 @@ func (p *Process) Compute(c sim.Time) {
 		start := p.K.Eng.Now()
 		preempted := p.parkPreemptible(slice)
 		ran := p.K.Eng.Now() - start
-		p.CPUTime += ran
 		p.quantumLeft -= ran
 		c -= ran
 		if preempted && c > 0 {

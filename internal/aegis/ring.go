@@ -165,7 +165,6 @@ func (r *Ring) PollRecvUntil(p *Process, deadline sim.Time) (RingEntry, bool) {
 		start := p.K.Eng.Now()
 		gotEntry := p.sp.ParkTimeout(span)
 		spun := p.K.Eng.Now() - start
-		p.CPUTime += spun
 		p.quantumLeft -= spun
 		p.state = procRunning
 		if !gotEntry || p.preemptWanted {

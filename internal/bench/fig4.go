@@ -69,7 +69,6 @@ func mergeFig4(maxProcs int, vs []any) Fig4 {
 func ultrixify(p *mach.Profile) {
 	p.SyscallCycles *= 4
 	p.InterruptCycles *= 10
-	p.CrossingCycles *= 10
 	p.SchedDecision += p.UltrixExtraCrossing
 	p.RingUpdateCycles *= 4
 	p.BufferMgmtCycles *= 2

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
 	"ashs/internal/aegis"
+	"ashs/internal/core"
 	"ashs/internal/flyweight"
 	"ashs/internal/netdev"
 	"ashs/internal/proto/ether"
@@ -17,6 +19,7 @@ import (
 	"ashs/internal/proto/retry"
 	"ashs/internal/proto/tcp"
 	"ashs/internal/proto/udp"
+	"ashs/internal/sim"
 	"ashs/internal/vcode"
 	"ashs/internal/workload"
 )
@@ -68,6 +71,23 @@ type flywireWorkload struct {
 	host   func(t *testing.T, w *world, p *aegis.Process, c *host)
 }
 
+// serveEcho binds megascale's echo handler for the endpoint at cli on the
+// server, first passing it to wrap unless wrap is nil.
+func serveEcho(w *world, cli ip.Addr, wrap func(*core.FuncASH)) {
+	srv := w.srv()
+	srv.k.Spawn("echo", func(p *aegis.Process) {
+		b, err := srv.eth.BindFilter(p, megaSourceFilter(cli))
+		if err != nil {
+			panic(err)
+		}
+		fa := udpEchoASH(srv, p, "mega-echo", 8)
+		if wrap != nil {
+			wrap(fa)
+		}
+		b.Handler = fa
+	})
+}
+
 // flywireAtUs is when the client sends its request: the server has bound
 // its filters long before.
 const flywireAtUs = 2000
@@ -85,16 +105,7 @@ func flywirePayload() []byte {
 var flywireWorkloads = []flywireWorkload{
 	{
 		kind: flyweight.UDPEcho, port: scaleEchoPort,
-		server: func(w *world, cli ip.Addr) {
-			srv := w.srv()
-			srv.k.Spawn("echo", func(p *aegis.Process) {
-				b, err := srv.eth.BindFilter(p, megaSourceFilter(cli))
-				if err != nil {
-					panic(err)
-				}
-				b.Handler = udpEchoASH(srv, p, "mega-echo", 8)
-			})
-		},
+		server: func(w *world, cli ip.Addr) { serveEcho(w, cli, nil) },
 		host: func(t *testing.T, w *world, p *aegis.Process, c *host) {
 			sock := udp.NewSocket(
 				ethStack(p, c, listenFilter(c.ip, ip.ProtoUDP, scaleClientPort), w.res),
@@ -183,20 +194,25 @@ func flywireSpec(clients int) worldSpec {
 	return s
 }
 
-// runHostClient is wl's conversation with a full client host.
-func (wl flywireWorkload) runHostClient(t *testing.T) *frameCapture {
+// runHostClient is wl's conversation with a full client host; done, if
+// not nil, reads the world after the run.
+func (wl flywireWorkload) runHostClient(t *testing.T, done func(w *world)) *frameCapture {
 	return inWorld(nil, flywireSpec(1), func(w *world) *frameCapture {
 		c := w.cli()[0]
 		wl.server(w, c.ip)
 		capt := captureFrames(w.sw)
 		c.k.Spawn("client", func(p *aegis.Process) { wl.host(t, w, p, c) })
 		w.run()
+		if done != nil {
+			done(w)
+		}
 		return capt
 	})
 }
 
-// runFlyweightClient is wl's conversation with a one-endpoint fleet.
-func (wl flywireWorkload) runFlyweightClient(t *testing.T) *frameCapture {
+// runFlyweightClient is wl's conversation with a one-endpoint fleet; done,
+// if not nil, reads the world after the run.
+func (wl flywireWorkload) runFlyweightClient(t *testing.T, done func(w *world)) *frameCapture {
 	return inWorld(nil, flywireSpec(0), func(w *world) *frameCapture {
 		flt := megaFleet(w, wl.kind, 1, wl.port, retry.Policy{BaseUs: 800_000, Budget: 1})
 		wl.server(w, flt.Addr(0))
@@ -206,6 +222,9 @@ func (wl flywireWorkload) runFlyweightClient(t *testing.T) *frameCapture {
 		if flt.Completed() != 1 || flt.Failures != 0 {
 			t.Errorf("%s: the flyweight completed %d operations, failed %d", wl.kind, flt.Completed(), flt.Failures)
 		}
+		if done != nil {
+			done(w)
+		}
 		return capt
 	})
 }
@@ -213,7 +232,7 @@ func (wl flywireWorkload) runFlyweightClient(t *testing.T) *frameCapture {
 func TestFlyweightIsAHostOnTheWire(t *testing.T) {
 	for _, wl := range flywireWorkloads {
 		name := wl.kind.String()
-		host, fly := wl.runHostClient(t), wl.runFlyweightClient(t)
+		host, fly := wl.runHostClient(t, nil), wl.runFlyweightClient(t, nil)
 		for _, c := range []struct {
 			side string
 			capt *frameCapture
@@ -240,6 +259,102 @@ func TestFlyweightIsAHostOnTheWire(t *testing.T) {
 			t.Errorf("%s: the flyweight and the host differ in\n\t%s\nbut flyweightWireDiffs names\n\t%s",
 				name, strings.Join(got, "\n\t"), strings.Join(want, "\n\t"))
 		}
+	}
+}
+
+// flyweightServerDiffs is the committed list of the ways the server's
+// record of a flyweight's udp-echo request differs from its record of a
+// host's (a serverRecord field, or an RxStats one as "Rx.<field>"), each
+// with its reason. Each entry must differ, and nothing else may. A wire
+// difference in flyweightWireDiffs is the reason an entry may give.
+var flyweightServerDiffs = []struct{ field, reason string }{}
+
+// serverRecord is what the server keeps of the conversation: every
+// offered frame's fate, the frames its filters accepted and the DPF
+// cycles they cost (the atoms walked), the echo handler's invocations and
+// the cycles its body charged, and the kernel receive cost per frame
+// (world.rxCost, megascale's and scale's cyc/msg and demux/msg).
+type serverRecord struct {
+	Rx                     aegis.RxStats
+	RxFrames               uint64
+	DemuxCycles            sim.Time
+	Invocations            uint64
+	HandlerCycles          sim.Time
+	CycPerMsg, DemuxPerMsg float64
+}
+
+// fields names r's fields, an RxStats field as "Rx.<field>", with their
+// values.
+func (r serverRecord) fields() map[string]any {
+	out := map[string]any{}
+	v := reflect.ValueOf(r)
+	for i := 0; i < v.NumField(); i++ {
+		f, name := v.Field(i), v.Type().Field(i).Name
+		if f.Kind() != reflect.Struct {
+			out[name] = f.Interface()
+			continue
+		}
+		for j := 0; j < f.NumField(); j++ {
+			out[name+"."+f.Type().Field(j).Name] = f.Field(j).Interface()
+		}
+	}
+	return out
+}
+
+// TestFlyweightIsAHostAtTheServer runs one udp-echo request from a full
+// client host and the same request from a one-endpoint flyweight fleet
+// against megascale's server, and requires the server's records of the two
+// to be equal but for the fields flyweightServerDiffs names: a server
+// cannot tell a flyweight from a host by what it measures.
+func TestFlyweightIsAHostAtTheServer(t *testing.T) {
+	var recs [2]serverRecord
+	runs := []func(flywireWorkload, *testing.T, func(*world)) *frameCapture{
+		flywireWorkload.runHostClient, flywireWorkload.runFlyweightClient,
+	}
+	for i, run := range runs {
+		var echo *core.FuncASH
+		var body sim.Time
+		wl := flywireWorkloads[0]
+		wl.server = func(w *world, cli ip.Addr) {
+			serveEcho(w, cli, func(fa *core.FuncASH) {
+				echo = fa
+				fn := fa.Fn
+				fa.Fn = func(c *core.Ctx) aegis.Disposition {
+					t0 := c.When()
+					d := fn(c)
+					body += c.When() - t0
+					return d
+				}
+			})
+		}
+		run(wl, t, func(w *world) {
+			srv := w.srv()
+			r := serverRecord{Rx: srv.nic.Rx, RxFrames: srv.eth.RxFrames, DemuxCycles: srv.eth.DemuxCycles,
+				Invocations: echo.Invocations, HandlerCycles: body}
+			r.CycPerMsg, r.DemuxPerMsg = w.rxCost(srv)
+			recs[i] = r
+		})
+	}
+	host, fly := recs[0], recs[1]
+	t.Logf("host %+v", host)
+	if host.Rx.Delivered != 1 || host.Invocations != 1 || host.HandlerCycles == 0 || host.DemuxCycles == 0 {
+		t.Fatalf("the host's request did not reach the echo handler once: %+v", host)
+	}
+	hf, ff := host.fields(), fly.fields()
+	var got, want []string
+	for name, v := range hf {
+		if ff[name] != v {
+			got = append(got, name)
+		}
+	}
+	for _, d := range flyweightServerDiffs {
+		want = append(want, d.field)
+	}
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Errorf("the server's records differ in %v but flyweightServerDiffs names %v\nhost      %+v\nflyweight %+v",
+			got, want, host, fly)
 	}
 }
 

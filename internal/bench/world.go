@@ -5,7 +5,7 @@
 // the paper reports alongside the paper's own numbers for comparison.
 //
 // Nothing here replays constants from the result tables: the measured
-// values emerge from the cost-model composition (see DESIGN.md §1, §4).
+// values emerge from the cost-model composition (see DESIGN.md §1).
 package bench
 
 import (

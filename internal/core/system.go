@@ -240,10 +240,6 @@ type ASH struct {
 	// Statistics (see also the embedded handler's).
 	VoluntaryAborts  uint64
 	InvoluntaryFault *vcode.Fault // last involuntary abort, for diagnosis
-
-	// DynamicInsns accumulates executed instructions (for the paper's
-	// instruction-count comparisons).
-	DynamicInsns int64
 }
 
 // Download verifies, sandboxes, and installs prog for owner, returning the
@@ -380,7 +376,6 @@ func (a *ASH) HandleMsg(mc *aegis.MsgCtx) aegis.Disposition {
 	m.InsnBudget, m.CycleLimit = savedInsnBudget, savedCycleLimit
 	mc.Charge(m.Cycles)
 	a.quotaDebit(m.Cycles)
-	a.DynamicInsns += m.Insns
 	if useTimer {
 		mc.Charge(sim.Time(prof.TimerArmCycles)) // clear the watchdog
 	}

@@ -131,7 +131,7 @@ const InterpCyclesPerAtom = 18
 // load, mask (often folded away), compare-and-branch. Uncalibrated: an
 // instruction count, not fit to a measurement. Table I's Ethernet round
 // trip includes it; the Ethernet fixed hardware cost is what is fit to
-// that row's 309 us (DESIGN §4).
+// that row's 309 us (DESIGN §1).
 const CompiledCyclesPerAtom = 3
 
 // Interpret evaluates the filter the way an interpreted engine would,

@@ -141,7 +141,7 @@ func TestWarmMatchesLoadResidency(t *testing.T) {
 }
 
 func TestCalibrationSingleCopy(t *testing.T) {
-	// The DESIGN.md §4 anchor: an uncached word-copy loop of 4096 bytes
+	// The DESIGN.md §1 anchor: an uncached word-copy loop of 4096 bytes
 	// should cost 8 cycles/word -> 20 MB/s.
 	p := DS5000_240()
 	c := NewCache(p)

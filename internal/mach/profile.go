@@ -6,7 +6,7 @@
 // cycles derived from a Profile. The Profile's memory-cost constants are
 // calibrated against the paper's *base* measurements (Table I raw latency
 // and Table III single-copy throughput); the result tables are then
-// regenerated, not transcribed (see DESIGN.md §4).
+// regenerated, not transcribed (see DESIGN.md §1).
 package mach
 
 import "ashs/internal/sim"
@@ -40,7 +40,6 @@ type Profile struct {
 	// values are calibrated so that composed paths reproduce the paper's
 	// *base* measurements (Table I), and the result tables then emerge.
 	SyscallCycles       int // full system call interface: protected entry, argument marshalling, exit
-	CrossingCycles      int // one kernel<->user protection boundary crossing
 	CtxSwitchCycles     int // full context switch to an unscheduled application
 	AddrSpaceSwitch     int // address-space switch only (Liedtke-style upcall)
 	InterruptCycles     int // take a device interrupt, save state
@@ -79,7 +78,6 @@ func DS5000_240() *Profile {
 		BswapOp:      8, // srl/sll/andi/or chains
 
 		SyscallCycles:    720,        // 18 us: full system call interface (calibrated, Table I)
-		CrossingCycles:   40,         // 1 us: Aegis protected crossing
 		CtxSwitchCycles:  2400,       // 60 us: full context switch to an application (Section V-C)
 		AddrSpaceSwitch:  80,         // 2 us
 		InterruptCycles:  40,         // 1 us: Aegis interrupt entry (5x faster than the literature)

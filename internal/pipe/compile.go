@@ -21,8 +21,7 @@ type Options struct {
 // against a machine to move/manipulate a buffer while charging exactly the
 // cycles the generated loop would cost.
 type Engine struct {
-	Prog   *vcode.Program
-	output bool
+	Prog *vcode.Program
 	// regmap translates each pipe's own registers into the fused
 	// program's register space ("binding the context inside the pipe").
 	regmap map[int]map[vcode.Reg]vcode.Reg
@@ -122,7 +121,6 @@ func Compile(l *List, opts Options) (*Engine, error) {
 			Persistent: persist,
 			NextReg:    a.nextReg,
 		},
-		output: opts.Output,
 		regmap: regmap,
 	}, nil
 }

@@ -77,7 +77,7 @@ type Service struct {
 	cond  aegis.Cond
 
 	// Statistics.
-	RequestsServed, RepliesLearned uint64
+	RequestsServed uint64
 }
 
 // procCycles is the parse/build charge per packet, in cycles; uncalibrated.
@@ -135,7 +135,6 @@ func (s *Service) serve(p *aegis.Process) {
 				TargetMAC: pkt.SenderMAC, TargetIP: pkt.SenderIP}
 			s.transmit(p, pkt.SenderMAC, &reply)
 		case OpReply:
-			s.RepliesLearned++
 			s.cond.Broadcast(0)
 		}
 	}

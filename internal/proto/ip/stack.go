@@ -29,7 +29,7 @@ func (m StaticResolver) Resolve(_ *aegis.Process, dst Addr) (link.Addr, error) {
 }
 
 // The per-operation protocol-processing charges of the IP library, in
-// cycles (DESIGN.md §4).
+// cycles (DESIGN.md §1).
 const (
 	buildCycles sim.Time = 120 // Table II: header construction + output buffer handling
 	parseCycles sim.Time = 120 // Table II: header validation + demux fields
@@ -56,7 +56,7 @@ type Stack struct {
 	slots   []*reasmBuf
 
 	// Statistics.
-	BadHeader, NotMine, ReasmTimeouts uint64
+	BadHeader, ReasmTimeouts uint64
 }
 
 type reasmKey struct {
@@ -234,7 +234,6 @@ func (s *Stack) Input(f aegis.Frame) (Dgram, bool, error) {
 		return Dgram{}, false, nil
 	}
 	if h.Dst != s.Local {
-		s.NotMine++
 		s.Ep.Release(f)
 		return Dgram{}, false, nil
 	}

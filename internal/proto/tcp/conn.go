@@ -85,7 +85,7 @@ func DefaultConfig() Config {
 }
 
 // The library's per-operation processing charges, in cycles, each with
-// where its value comes from (DESIGN.md §4).
+// where its value comes from (DESIGN.md §1).
 const (
 	outputCycles     sim.Time = 1200 // Table II: segment construction, PCB update, timer work
 	inputCycles      sim.Time = 1100 // Table II: full input processing (validation + state machine)
@@ -161,8 +161,6 @@ type Conn struct {
 	// yet, use rtoUs".
 	srtt, rttvar, rto sim.Time
 
-	fast *fastPath // installed handler, if any
-
 	// scratchSeg backs WriteBytes staging; zero Len means unallocated.
 	scratchSeg aegis.Segment
 
@@ -170,7 +168,7 @@ type Conn struct {
 	PredictHits, PredictMisses     uint64
 	HandlerConsumed, HandlerAborts uint64
 	Retransmits, BadChecksum       uint64
-	SegsIn, SegsOut                uint64
+	SegsOut                        uint64
 
 	err error
 }
@@ -255,7 +253,7 @@ func (c *Conn) installFastPath() {
 	if c.Cfg.Mode == ModeUser {
 		return
 	}
-	c.fast = installFastPath(c)
+	installFastPath(c)
 }
 
 // errClosed reports operations on a dead connection.
@@ -662,7 +660,6 @@ func (c *Conn) input(d ip.Dgram) {
 	p := c.owner()
 	c.lockTCB()
 	defer c.unlockTCB()
-	c.SegsIn++
 
 	var hdr [HeaderLen]byte
 	raw := hdr[:min(d.PayloadLen(), HeaderLen)]

@@ -35,7 +35,7 @@ type fastPath struct {
 // installFastPath compiles the handler's DILP engine, downloads the
 // handler in the configured placement, and attaches it upstream of the
 // connection's ring.
-func installFastPath(c *Conn) *fastPath {
+func installFastPath(c *Conn) {
 	sys := c.Cfg.Sys
 	if sys == nil {
 		panic("tcp: handler mode requires Config.Sys (the host's ASH system)")
@@ -78,7 +78,6 @@ func installFastPath(c *Conn) *fastPath {
 		})
 		c.St.Ep.InstallUpcall(f.up)
 	}
-	return f
 }
 
 // abort returns the message to the kernel for normal (user-level)

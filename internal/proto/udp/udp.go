@@ -61,7 +61,7 @@ type Options struct {
 	InPlace bool
 }
 
-// The per-operation protocol-processing charges, in cycles (DESIGN.md §4).
+// The per-operation protocol-processing charges, in cycles (DESIGN.md §1).
 const (
 	buildCycles      sim.Time = 380 // Table II: allocate send buffer, initialize IP and UDP fields
 	parseCycles      sim.Time = 240 // Table II: header parse + port demux + length validation

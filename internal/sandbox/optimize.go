@@ -23,7 +23,7 @@
 //     drains trips x its body length from the software budget once in the
 //     preheader instead of per iteration at the latch.
 //
-// With a Policy.Profile attached (the DCG loop, DESIGN.md §16), the profile
+// With a Policy.Profile attached (the DCG loop, DESIGN.md §6), the profile
 // selects among sites the static analyses here have already proven, so it
 // can change cost, never semantics: divide checks on loop-invariant
 // divisors hoist to the preheader when the divide is hot, and multi-block

@@ -90,7 +90,7 @@ const (
 	// Indexed memory (rs + rt addressing). VCODE folds the address add
 	// into the access when emitting data-streaming loops; the DILP
 	// compiler uses these so a fused transfer loop pays only one pointer
-	// update per word (DESIGN.md §4 calibration).
+	// update per word (DESIGN.md §7).
 	OpLd32X // rd <- mem32[rs+rt]
 	OpSt32X // mem32[rs+rt] <- rd
 	OpLd8X  // rd <- zx(mem8[rs+rt])

@@ -41,7 +41,7 @@ func fuseReserved(r vcode.Reg) bool {
 //
 // The one semantic difference from an unfused chain is fault atomicity:
 // members share a journal, so a fault in a later member also rolls back
-// earlier members' writes. DESIGN.md §16 spells out this contract; the
+// earlier members' writes. DESIGN.md §6 spells out this contract; the
 // differential tests compare clean and voluntary-abort runs, where fused
 // and sequential execution agree exactly.
 func FuseChain(name string, progs ...*vcode.Program) (*vcode.Program, error) {
