@@ -121,10 +121,10 @@ func NewFaultPlane(seed int64, sched FaultSchedule) *FaultPlane {
 
 // Observability:
 type (
-	// ObsPlane is the tracing + metrics plane of internal/obs. A nil
-	// plane is valid and disabled at zero cost.
+	// ObsPlane is the tracing plane of internal/obs, with its named
+	// counters. A nil plane is valid and disabled at zero cost.
 	ObsPlane = obs.Plane
-	// MetricsRegistry holds named counters, gauges and histograms.
+	// MetricsRegistry holds an ObsPlane's named counters.
 	MetricsRegistry = obs.Registry
 )
 

@@ -20,7 +20,10 @@
 # Then each side runs every experiment again, alone, under ashbench's
 # -cpuprofile, until its profiles hold 200 samples or 20 runs are in (at
 # pprof's 100 Hz a short experiment's single profile holds a few dozen,
-# and its shares swing by 10-20 points between runs of one binary).
+# and its shares swing by 10-20 points between runs of one binary). After
+# three runs it stops an experiment whose samples so far project under 200
+# at 20 runs: those never resolve, and each run waits out
+# pprof.StopCPUProfile.
 # `go tool pprof -proto` merges an experiment's runs and `go tool pprof
 # -raw` splits the samples by layer: a sample goes to the layer
 # (layers.txt) of its innermost ashs/internal frame, and to "runtime" if
@@ -114,12 +117,16 @@ samples() {
 }
 
 # profile SIDE: per experiment, CPU profiles until they hold 200 samples
-# or 20 runs are in, merged, each sample charged to a layer; lines "side
-# experiment layer samples", and "side experiment runs R".
+# or 20 runs are in, or from 3 runs on until they project under 200 at 20,
+# merged, each sample charged to a layer; lines "side experiment layer
+# samples", and "side experiment runs R".
 profile() {
     for e in $("$tmp/this" -experiment help | awk '{print $1}'); do
         runs=0 got=0 profs=
         while [ "$got" -lt 200 ] && [ "$runs" -lt 20 ]; do
+            if [ "$runs" -ge 3 ] && [ $((got * 20 / runs)) -lt 200 ]; then
+                break
+            fi
             runs=$((runs + 1))
             "$tmp/$1" -parallel 1 -experiment "$e" -cpuprofile "$tmp/cpu.$runs.prof" >/dev/null 2>&1 || break
             profs="$profs $tmp/cpu.$runs.prof"

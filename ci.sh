@@ -110,7 +110,7 @@ go test -race ./...
 # row each ("." runs the whole package):
 #   fault    chaos soak: the canned fault schedules against the full TCP + NFS
 #            workload, and rerunning a seed reproduces bit-identical counters
-#   obs, sim the PRNG contract and the trace/metrics unit tests
+#   obs, sim the PRNG contract and the trace/counter unit tests
 #   sim      handoff differential: one scripted world over {coroutine,
 #            channel} x {wheel, heap} x {elide, never elide} gives one
 #            trace, clock and counts; the elision's edges (a tie, the run's
@@ -166,7 +166,8 @@ go test -race ./...
 #   bench    the worker pool (index-ordered merge, the parallelism default,
 #            the panicking cell named serially and on the pool, lowest index
 #            first), the parallel chaos matrix and the golden determinism
-#            tests
+#            tests; on every chaos cell the tcp/retransmits and nfs/retries
+#            counters equal the typed Retransmits and NFSResent
 #   bench,   the transmit path: six worlds put the frames on the wire that
 #   ip, tcp, testdata/wire_golden.txt recorded before the gather send (never
 #   udp      regenerated), and a one-endpoint flyweight fleet puts a full
@@ -267,7 +268,7 @@ done <<'EOF'
 ./internal/sandbox/:^TestMemoryConformance$|^TestEscapeGuardLatchesOnAnyByte$
 ./internal/vcode/:^TestJournalUndoProperty$|^TestFingerprintSeesEveryField$|^TestFingerprintLengthPrefixes$|^TestFingerprintIsContent$|^TestFingerprintAllocatesNothing$
 ./internal/core/:TestReopt|TestChainDisposition|^TestHandlerBaseParity$|^TestDownloadsAreNotRetained$
-./internal/bench/:^TestRunCells|^TestParallelism$|TestParallelByteIdentical|TestParallelChaosMatchesSerial|TestReoptParallelByteIdentical
+./internal/bench/:^TestRunCells|^TestParallelism$|TestParallelByteIdentical|TestParallelChaosMatchesSerial|TestReoptParallelByteIdentical|^TestChaosCountersMatchTypedFields$
 ./internal/bench/:^TestWireIdentity$|^TestFlyweightIsAHostOnTheWire$|^TestFlyweightIsAHostAtTheServer$
 ./internal/bench/:^TestKitMatchesParent$|^TestCellLabelsStable$|^TestCellsAreValues$
 ./internal/proto/ip/:^TestGatherSendEdges$|^TestSendCapturesPayloadBeforeItBlocks$|^TestSendReentryPanicsWithOwner$

@@ -94,7 +94,7 @@ func main() {
 	refBefore := timeHostRef()
 	stopCPU := startCPUProfile(*cpuProf)
 	start := time.Now()
-	var notes, perExp, allocs strings.Builder
+	var notes, perExp, work, allocs strings.Builder
 	var outs []bench.Output
 	if *parallel == 1 {
 		// Serial, one experiment at a time, so what each allocated is the
@@ -119,6 +119,8 @@ func main() {
 		fmt.Println()
 		notes.WriteString(out.Notes)
 		perExp.WriteString(engineLine(" "+out.Name, out.Engines))
+		fmt.Fprintf(&work, "[host work %s: dpf %d insert probes, %d walk steps]\n",
+			out.Name, out.Engines.DPF.InsertProbes, out.Engines.DPF.WalkSteps)
 		total = total.Add(out.Engines)
 	}
 	stopCPU()
@@ -169,6 +171,10 @@ func main() {
 	// for the next ones (the pool follows -parallel).
 	fmt.Fprintf(os.Stderr, "[sim switches: %d in place, %d made, %d of them direct, %d coroutines pooled]\n",
 		total.InPlace, total.Handoffs-total.Elided-total.InPlace, total.Direct, sim.PooledCoroutines())
+	// The host work per experiment, in exact units that do not depend on
+	// the machine or -parallel: the DPF engines' install probes and demux
+	// walk steps.
+	fmt.Fprint(os.Stderr, work.String())
 	// And whatever the experiments report about the simulator itself
 	// (megascale: the server DPF trie's slab census per cell).
 	fmt.Fprint(os.Stderr, notes.String())

@@ -118,6 +118,9 @@ func (e *EthernetIf) Filters() int { return e.engine.Len() }
 // TrieCensus reports the DPF engine's storage (see dpf.Engine.Census).
 func (e *EthernetIf) TrieCensus() dpf.Census { return e.engine.Census() }
 
+// TrieWork reports the DPF engine's host work (see dpf.Engine.Work).
+func (e *EthernetIf) TrieWork() dpf.Work { return e.engine.Work() }
+
 // UnbindFilter removes a binding and every filter of its set. It refuses
 // a binding that is not currently installed on this interface — one from
 // another interface, or one already unbound — rather than remove whatever

@@ -158,9 +158,6 @@ func (k *Kernel) AllocPhys(n int, why string) (uint32, error) {
 	line := uint32(k.Prof.LineBytes)
 	base := (k.brk + line - 1) &^ (line - 1)
 	if uint64(base)+uint64(n) > HostMemBase+uint64(k.memSize) {
-		if o := k.Obs; o.Enabled() {
-			o.Inc("aegis/" + k.Name + "/alloc_failures")
-		}
 		return 0, fmt.Errorf("aegis %s: out of physical memory allocating %d for %s",
 			k.Name, n, why)
 	}
@@ -242,7 +239,6 @@ func (k *Kernel) dispatch() {
 		if switchCost > 0 {
 			o.Span(k.Name, "sched", "sched", "ctx switch to "+next.Name,
 				k.Eng.Now(), switchCost)
-			o.Inc("aegis/" + k.Name + "/ctx_switches")
 		}
 		o.Instant(k.Name, "sched", "sched", "dispatch "+next.Name, k.Eng.Now())
 	}

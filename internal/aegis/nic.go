@@ -240,9 +240,6 @@ func (n *NIC) admit(b *Binding, df DeviceFault) bool {
 		// already queued stay serviceable.
 		r.Shed++
 		n.Rx.Shed++
-		if o := n.K.Obs; o.Enabled() {
-			o.Inc("aegis/" + n.K.Name + "/ring_shed")
-		}
 	case b.pool.count == 0:
 		n.Rx.NoBuffer++
 	default:
@@ -274,9 +271,6 @@ func (n *NIC) deliver(b *Binding, mc *MsgCtx, rxCycles sim.Time, span string) {
 	k, o := n.K, n.K.Obs
 	mc.Charge(rxCycles)
 	o.Span(k.Name, "device", "device", span, mc.t0, mc.Cost())
-	if o.Enabled() {
-		o.Inc("aegis/" + k.Name + "/interrupts")
-	}
 	// "ASHs are invoked directly from the AN2 device driver, just after it
 	// performs a software cache flush of the message location."
 	if b.Handler != nil {

@@ -186,7 +186,6 @@ func (p *Process) Syscall(extra sim.Time) {
 		// Elapsed, not charged: a preempted syscall shows its true extent
 		// on the timeline.
 		o.Span(p.K.Name, "proc "+p.Name, "kernel", "syscall", t0, p.K.Now()-t0)
-		o.Inc("aegis/" + p.K.Name + "/syscalls")
 		return
 	}
 	p.Compute(sim.Time(p.K.Prof.SyscallCycles) + extra)

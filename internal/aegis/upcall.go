@@ -42,7 +42,6 @@ func (u *Upcall) dispatch(mc *MsgCtx) Disposition {
 	// so wrapping Fn here would double-count).
 	if o := k.Obs; o.Enabled() {
 		o.Span(k.Name, "device", "upcall", "upcall "+u.Owner.Name, s0, mc.When()-s0)
-		o.Inc("aegis/" + k.Name + "/upcalls")
 	}
 	mc.userLevel = true
 	d := u.Fn(mc)

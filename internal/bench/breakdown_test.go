@@ -85,24 +85,3 @@ func TestBreakdownRender(t *testing.T) {
 		}
 	}
 }
-
-// The metrics dump is deterministic and covers all three metric kinds.
-func TestRenderMetricsDeterministic(t *testing.T) {
-	build := func() *obs.Registry {
-		r := obs.NewRegistry()
-		r.Counter("z").Inc()
-		r.Counter("a").Add(4)
-		r.Gauge("g").Set(9)
-		r.Histogram("lat").Observe(100)
-		return r
-	}
-	a, b := RenderMetrics(build()), RenderMetrics(build())
-	if a != b {
-		t.Fatal("metrics renders differ")
-	}
-	for _, want := range []string{"counters:", "gauges:", "histograms", "a", "z"} {
-		if !strings.Contains(a, want) {
-			t.Errorf("metrics dump missing %q", want)
-		}
-	}
-}

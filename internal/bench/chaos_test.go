@@ -1,6 +1,10 @@
 package bench
 
-import "testing"
+import (
+	"testing"
+
+	"ashs/internal/obs"
+)
 
 // TestChaosFillCheck pins the table-driven fill and verify of the chaos
 // payload against chaosPattern, the definition the table is built from:
@@ -32,4 +36,34 @@ func TestChaosFillCheck(t *testing.T) {
 			data[i] ^= 0x40
 		}
 	}
+}
+
+// TestChaosCountersMatchTypedFields: with a plane on every chaos world, a
+// cell's "tcp/retransmits" and "nfs/retries" counters, summed over its
+// planes, equal its typed Retransmits and NFSResent. perfbench reads the
+// two counters; this makes reading the typed fields instead a rename.
+func TestChaosCountersMatchTypedFields(t *testing.T) {
+	cfg := &Config{Quick: true, Parallel: 2, Obs: func(tb *Testbed) *obs.Plane {
+		return obs.New(float64(tb.Prof.MHz))
+	}}
+	results, ccs := runCells(cfg, chaosCells(QuickChaosParams()))
+	var rtx, resent uint64
+	for i, v := range results {
+		r := v.(ChaosResult)
+		var crtx, cresent uint64
+		for _, pl := range ccs[i].Planes() {
+			crtx += pl.Metrics.Counter("tcp/retransmits").Value()
+			cresent += pl.Metrics.Counter("nfs/retries").Value()
+		}
+		if crtx != r.Retransmits || cresent != r.NFSResent {
+			t.Errorf("%s seed %d: counters tcp/retransmits %d, nfs/retries %d; typed Retransmits %d, NFSResent %d",
+				r.Schedule, r.Seed, crtx, cresent, r.Retransmits, r.NFSResent)
+		}
+		rtx += r.Retransmits
+		resent += r.NFSResent
+	}
+	if rtx == 0 || resent == 0 {
+		t.Fatalf("the chaos cells retransmit %d TCP segments and retry %d NFS requests; the check needs both non-zero", rtx, resent)
+	}
+	t.Logf("%d cells: %d retransmits, %d NFS retries", len(results), rtx, resent)
 }

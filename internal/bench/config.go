@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 
+	"ashs/internal/dpf"
 	"ashs/internal/obs"
 	"ashs/internal/sim"
 )
@@ -47,7 +48,8 @@ type Config struct {
 	notes string
 
 	// engines sums the schedules of the worlds built under this config
-	// and closed: per-cell like notes, surfaced as Output.Engines.
+	// and closed, and the work of their DPF engines and of those the
+	// drivers built: per-cell like notes, surfaced as Output.Engines.
 	engines EngineCounts
 }
 
@@ -60,22 +62,29 @@ type Config struct {
 // wheel; ashbench does not print it) are the event queue's own work on them.
 type EngineCounts struct {
 	Closed, Fired, Cancelled, Handoffs, Elided, InPlace, Direct, Cascades, Spills uint64
+
+	// DPF is the host work of the DPF engines the worlds and drivers ran.
+	DPF dpf.Work
 }
 
 // Add returns the sum of c and d.
 func (c EngineCounts) Add(d EngineCounts) EngineCounts {
 	return EngineCounts{c.Closed + d.Closed, c.Fired + d.Fired, c.Cancelled + d.Cancelled,
 		c.Handoffs + d.Handoffs, c.Elided + d.Elided, c.InPlace + d.InPlace, c.Direct + d.Direct,
-		c.Cascades + d.Cascades, c.Spills + d.Spills}
+		c.Cascades + d.Cascades, c.Spills + d.Spills, c.DPF.Add(d.DPF)}
 }
 
-// countEngine adds one closed world's engine to the counts. Nil-safe: a
-// world built with a nil config counts nowhere.
-func (cfg *Config) countEngine(st sim.Stats) {
+// closedEngine is the counts of one closed world's engine.
+func closedEngine(st sim.Stats) EngineCounts {
+	return EngineCounts{Closed: 1, Fired: st.Fired, Cancelled: st.Cancelled, Handoffs: st.Handoffs,
+		Elided: st.Elided, InPlace: st.InPlace, Direct: st.Direct, Cascades: st.Cascades, Spills: st.Spills}
+}
+
+// count adds c to the cell's counts. Nil-safe: a world built with a nil
+// config counts nowhere.
+func (cfg *Config) count(c EngineCounts) {
 	if cfg != nil {
-		cfg.engines = cfg.engines.Add(EngineCounts{Closed: 1, Fired: st.Fired, Cancelled: st.Cancelled,
-			Handoffs: st.Handoffs, Elided: st.Elided, InPlace: st.InPlace, Direct: st.Direct, Cascades: st.Cascades,
-			Spills: st.Spills})
+		cfg.engines = cfg.engines.Add(c)
 	}
 }
 

@@ -256,7 +256,8 @@ type Output struct {
 	// Notes is what the cells said about the simulator itself (see
 	// Config.note), in cell order: for stderr, never part of the result.
 	Notes string
-	// Engines is the schedule of every world the cells closed.
+	// Engines is the schedule of every world the cells closed and the
+	// work of every DPF engine they ran.
 	Engines EngineCounts
 }
 

@@ -190,7 +190,7 @@ func (reoptChain) drive(_ *Config, w *world) any {
 // pruned at the bound-test cost instead of a full trie step.
 type reoptReorder struct{}
 
-func (reoptReorder) drive(*Config, *world) any {
+func (reoptReorder) drive(cfg *Config, _ *world) any {
 	e := dpf.NewEngine()
 	const shallow = 12
 	for i := 0; i < shallow; i++ {
@@ -237,6 +237,7 @@ func (reoptReorder) drive(*Config, *world) any {
 	run.Before = sweep() // also accumulates the hit counters
 	e.Reorder()
 	run.After = sweep()
+	cfg.count(EngineCounts{DPF: e.Work()})
 	if run.After >= run.Before {
 		panic(fmt.Sprintf("reorder: %d cycles after, %d before — no win", run.After, run.Before))
 	}

@@ -201,7 +201,7 @@ func dpfCells() []Cell { return []Cell{onWorld("dpf", an2Pair, dpfCompare{})} }
 // 64 filters accumulate.
 type dpfCompare struct{}
 
-func (dpfCompare) drive(_ *Config, w *world) any {
+func (dpfCompare) drive(cfg *Config, w *world) any {
 	prof := w.prof
 	var r DPFResult
 	for _, n := range []int{1, 4, 16, 64} {
@@ -225,6 +225,7 @@ func (dpfCompare) drive(_ *Config, w *world) any {
 		if !ok {
 			panic("dpf: linear miss")
 		}
+		cfg.count(EngineCounts{DPF: e.Work()})
 		r.Filters = append(r.Filters, n)
 		r.Trie = append(r.Trie, prof.Us(tc))
 		r.Linear = append(r.Linear, prof.Us(lc))

@@ -275,7 +275,13 @@ func (w *world) close() {
 				w.sw.Cfg.Name, w.hosts[0].k.Name, w.hosts[len(w.hosts)-1].k.Name, st.LiveProcs, h.k.Name, h.k.MemSize()))
 		}
 	}
-	w.cfg.countEngine(st)
+	c := closedEngine(st)
+	for _, h := range w.hosts {
+		if h.eth != nil {
+			c.DPF = c.DPF.Add(h.eth.TrieWork())
+		}
+	}
+	w.cfg.count(c)
 }
 
 // checkFates is the world's message-fate ledger, taken before the engine

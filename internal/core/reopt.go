@@ -75,7 +75,6 @@ func (s *System) Reoptimize(a *ASH) (*reopt.Profile, error) {
 	if o := s.K.Obs; o.Enabled() {
 		o.Instant(s.K.Name, "ash system", "ash", "reoptimize "+a.Name,
 			s.K.Now())
-		o.Inc("ash/reoptimizations")
 	}
 	return prof, nil
 }

@@ -191,7 +191,6 @@ func (h *handler) quotaRefuses(mc *aegis.MsgCtx) bool {
 	if o := h.sys.K.Obs; o.Enabled() {
 		o.Instant(h.sys.K.Name, "ash system", "ash",
 			"quota throttled "+h.Name, mc.When())
-		o.Inc("ash/quota_throttled")
 	}
 	return true
 }
@@ -294,7 +293,6 @@ func (s *System) Download(owner *aegis.Process, prog *vcode.Program, opts Option
 	if o := s.K.Obs; o.Enabled() {
 		o.Instant(s.K.Name, "ash system", "ash", "download+verify "+a.Name,
 			s.K.Now())
-		o.Inc("ash/downloads")
 	}
 	return a, nil
 }
@@ -330,7 +328,6 @@ func (a *ASH) HandleMsg(mc *aegis.MsgCtx) aegis.Disposition {
 	}
 	a.Invocations++
 	invokeStart := mc.When()
-	a.sys.K.Obs.Inc("ash/invocations")
 	m := a.machine
 	// Saved and restored rather than cleared, so that an invocation nested
 	// in this run (none is today: sends wait for the commit) would hand the
@@ -397,7 +394,6 @@ func (a *ASH) HandleMsg(mc *aegis.MsgCtx) aegis.Disposition {
 				invokeStart, mc.When()-invokeStart)
 			o.Instant(a.sys.K.Name, "ash system", "ash",
 				"involuntary abort "+a.Name, mc.When())
-			o.Inc("ash/aborts_involuntary")
 		}
 		return aegis.DispToUser
 	}
@@ -412,7 +408,6 @@ func (a *ASH) HandleMsg(mc *aegis.MsgCtx) aegis.Disposition {
 		if o := a.sys.K.Obs; o.Enabled() {
 			o.Instant(a.sys.K.Name, "ash system", "ash",
 				"voluntary abort "+a.Name, mc.When())
-			o.Inc("ash/aborts_voluntary")
 		}
 		return aegis.DispToUser
 	}

@@ -142,7 +142,7 @@ func (b *batch) build(n int) error {
 // branches in install order.
 func (e *Engine) step(ni uint32, a atom) uint32 {
 	bi := e.branchFor(ni, a.key())
-	kid := e.branches.at(bi).kid(a.val)
+	kid := e.find(e.branches.at(bi), a.val)
 	if kid == 0 {
 		kid = e.newNode()
 		e.branches.at(bi).addKid(a.val, kid)
@@ -295,7 +295,7 @@ func (b *batch) fan(ni uint32, l int, k key, lo, hi int) error {
 		sortEntries(b.ent[lo:hi])
 		vals := 0
 		for j := lo; j < hi; j = b.runEnd(j, hi) {
-			if fresh || e.branches.at(bi).kid(uint32(b.ent[j]>>32)*fibInv) == 0 {
+			if fresh || e.find(e.branches.at(bi), uint32(b.ent[j]>>32)*fibInv) == 0 {
 				vals++
 			}
 		}
@@ -306,7 +306,7 @@ func (b *batch) fan(ni uint32, l int, k key, lo, hi int) error {
 		val := uint32(b.ent[j]>>32) * fibInv
 		kid := uint32(0)
 		if !fresh {
-			kid = e.branches.at(bi).kid(val)
+			kid = e.find(e.branches.at(bi), val)
 		}
 		if kid == 0 {
 			kid = e.newNode()

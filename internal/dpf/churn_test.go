@@ -390,7 +390,7 @@ func TestChurnSeeds(t *testing.T) {
 
 // TestProbeDisplacement: three values with one home slot sit 0, 1 and 2
 // slots from it, and a fourth elsewhere at 0, so the census reads a mean of
-// 3/4 and a maximum of 2.
+// 3/4 and a maximum of 2, and a probe counts the slots it examined.
 func TestProbeDisplacement(t *testing.T) {
 	tab := newKidTable(3)
 	var same []uint32
@@ -408,6 +408,17 @@ func TestProbeDisplacement(t *testing.T) {
 	}
 	if sum, longest := tab.displacement(); sum != 3 || longest != 2 {
 		t.Fatalf("displacement: sum %d, longest %d; want 3 and 2", sum, longest)
+	}
+	// probe examines the slots locate steps over and the one it stops at:
+	// a fourth value of the same home misses after all three.
+	miss := same[2] + 1
+	for tab.home(miss) != tab.home(1) {
+		miss++
+	}
+	for v, want := range map[uint32]uint64{same[0]: 1, same[2]: 3, other: 1, miss: 4} {
+		if i, n := tab.probe(v); i != tab.locate(v) || n != want {
+			t.Errorf("probe(%d) = slot %d after %d slots; want slot %d after %d", v, i, n, tab.locate(v), want)
+		}
 	}
 
 	e := NewEngine()

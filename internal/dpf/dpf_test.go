@@ -290,3 +290,56 @@ func BenchmarkInterpretedSingleFilter(b *testing.B) {
 		}
 	}
 }
+
+// TestWorkCounts pins the engine's host-work units on tries small enough
+// to count by hand: an install's lookups examine the inline slots up to
+// the match (none on a branch it made), and a Demux walk steps once per
+// branch it examines, pruned by Reorder or not.
+func TestWorkCounts(t *testing.T) {
+	e := NewEngine()
+	for i, want := range []uint64{0, 3, 7} {
+		if _, err := e.Insert(udpPortFilter(uint16(1000 + i))); err != nil {
+			t.Fatal(err)
+		}
+		// Filter i finds the two shared levels at slot 1 and compares all
+		// i port slots without a match.
+		if got := e.Work().InsertProbes; got != want {
+			t.Fatalf("after %d inserts: %d insert probes, want %d", i+1, got, want)
+		}
+	}
+	if e.Work().WalkSteps != 0 {
+		t.Fatalf("inserts counted %d walk steps", e.Work().WalkSteps)
+	}
+	// Twelve one-atom siblings at the root beside the port chain: a walk
+	// to the chain's end examines all 13 root branches and one branch at
+	// each of the two levels below.
+	for i := 0; i < 12; i++ {
+		if _, err := e.Insert(NewFilter().Eq8(40+i, 7)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pkt := mkUDPPacket(0x0800, 17, 1001)
+	demux := func() (uint64, int64) {
+		before := e.Work().WalkSteps
+		_, cyc, ok := e.Demux(pkt)
+		if !ok {
+			t.Fatal("demux missed")
+		}
+		return e.Work().WalkSteps - before, int64(cyc)
+	}
+	steps, cyc := demux()
+	if steps != 15 {
+		t.Fatalf("walk examined %d branches, want 15", steps)
+	}
+	// After Reorder the chain goes first and the twelve siblings are
+	// pruned: cheaper, but the same branches examined.
+	e.Reorder()
+	steps, prunedCyc := demux()
+	if steps != 15 || prunedCyc >= cyc {
+		t.Fatalf("reordered walk: %d steps in %d cycles, want 15 steps in fewer than %d", steps, prunedCyc, cyc)
+	}
+	// Each sibling made its own branch, so looked nothing up.
+	if got := e.Work().InsertProbes; got != 7 {
+		t.Fatalf("%d insert probes after the siblings, want 7", got)
+	}
+}

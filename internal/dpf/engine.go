@@ -55,7 +55,28 @@ type Engine struct {
 	// per-branch maxDepth bounds it computed are only trusted while the
 	// trie shape is unchanged, so demux-time pruning is gated on it.
 	reordered bool
+
+	work Work
 }
+
+// Work is the host work an engine has done, in exact units: what its
+// inserts and demux walks cost the simulator, not the simulated machine.
+type Work struct {
+	// InsertProbes counts the child slots installs examined looking a
+	// value up: a table's probe sequence, an inline branch's compared
+	// slots. A batch that makes a branch looks nothing up in it.
+	InsertProbes uint64
+	// WalkSteps counts the branches Demux walks examined, pruned or not.
+	WalkSteps uint64
+}
+
+// Add returns the sum of w and v.
+func (w Work) Add(v Work) Work {
+	return Work{w.InsertProbes + v.InsertProbes, w.WalkSteps + v.WalkSteps}
+}
+
+// Work reports the host work the engine has done since it was made.
+func (e *Engine) Work() Work { return e.work }
 
 // node is one trie level. Each branch discriminates on a (offset, size,
 // mask) field; filters sharing a prefix share branches.
@@ -102,6 +123,23 @@ func (b *branch) kid(val uint32) uint32 {
 		}
 	}
 	return 0
+}
+
+// find is kid for an install: it adds the slots the lookup examined to
+// the engine's InsertProbes. Inline, that is every slot unless val is in
+// the first of two (inlineKids).
+func (e *Engine) find(b *branch, val uint32) uint32 {
+	if t := b.tab; t != nil {
+		i, n := t.probe(val)
+		e.work.InsertProbes += n
+		return t.slots[i].kid
+	}
+	n := uint64(b.nkids)
+	if n > 1 && b.inl[0].val == val {
+		n = 1
+	}
+	e.work.InsertProbes += n
+	return b.kid(val)
 }
 
 // addKid records a child for a value that has none.
@@ -427,16 +465,22 @@ const trieStepCycles = CompiledCyclesPerAtom + 2
 func (e *Engine) Demux(pkt []byte) (FilterID, sim.Time, bool) {
 	w := walk{e: e, pkt: pkt, bestDepth: -1}
 	w.visit(0, 0)
+	// A step is charged trieStepCycles, or prunedStepCycles if pruned, and
+	// nothing else is charged: the cycles and the pruned count give the
+	// steps without a count per step.
+	e.work.WalkSteps += uint64(w.pruned) + uint64(w.cycles-sim.Time(w.pruned)*prunedStepCycles)/trieStepCycles
 	return FilterID(w.best), w.cycles, w.bestDepth >= 0
 }
 
-// walk is one Demux in progress.
+// walk is one Demux in progress. pruned sits in best's padding: a walk
+// grown past 56 bytes made BenchmarkDPFTrieWalk ~15 % slower.
 type walk struct {
 	e         *Engine
 	pkt       []byte
 	cycles    sim.Time
 	best      int32
-	bestDepth int // -1 until a terminal matched
+	pruned    uint32 // branches skipped by the Reorder bound
+	bestDepth int    // -1 until a terminal matched
 }
 
 func (w *walk) visit(ni uint32, depth int) {
@@ -455,6 +499,7 @@ func (w *walk) visit(ni uint32, depth int) {
 		// generated code pays one bound test instead of a full step.
 		if w.e.reordered && depth+int(b.maxDepth) < w.bestDepth {
 			w.cycles += prunedStepCycles
+			w.pruned++
 			continue
 		}
 		w.cycles += trieStepCycles

@@ -117,6 +117,14 @@ func (t *kidTable) locate(val uint32) uint32 {
 	return i
 }
 
+// probe is locate that also reports how many slots it examined: the
+// distance from val's home to the slot it stopped at, plus that slot. The
+// table is never full, so the distance is exact.
+func (t *kidTable) probe(val uint32) (slot uint32, n uint64) {
+	i := t.locate(val)
+	return i, uint64((i-t.home(val))&uint32(len(t.slots)-1)) + 1
+}
+
 // resize rehashes the table into 1<<log2 slots.
 func (t *kidTable) resize(log2 uint8) {
 	old := t.slots

@@ -115,9 +115,6 @@ type Config struct {
 	// Seed feeds the jitter streams (the van der Corput first slot is
 	// per-client regardless of seed).
 	Seed int64
-
-	// Obs, when non-nil, receives the fleet's footprint gauge.
-	Obs *obs.Plane
 }
 
 // Fleet is a set of flyweight endpoints plus their shared accounting.
@@ -233,7 +230,6 @@ func NewFleet(cfg Config) *Fleet {
 		ep, addr := &f.eps[i], f.base+i
 		ep.f, ep.id, ep.port, ep.addr = f, i, cfg.Sw.Port(addr), ip.HostAddr(addr)
 	}
-	f.cfg.Obs.SetGauge("flyweight/bytes_per_endpoint", int64(f.StaticBytesPerEndpoint()))
 	return f
 }
 

@@ -109,10 +109,7 @@ func TestNewFleetValidation(t *testing.T) {
 
 func TestFleetAccessors(t *testing.T) {
 	w := newTestWorld()
-	plane := obs.New(25)
-	c := w.cfg(UDPEcho, 3)
-	c.Obs = plane
-	f := NewFleet(c)
+	f := NewFleet(w.cfg(UDPEcho, 3))
 	if len(f.eps) != 3 {
 		t.Fatalf("Len = %d", len(f.eps))
 	}

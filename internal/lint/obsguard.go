@@ -10,7 +10,7 @@ import (
 // plane (internal/obs): a nil *obs.Plane must cost one pointer test and
 // zero allocations per site.
 //
-// The emission methods (Span, Instant, Inc, Add, Observe) are nil-safe,
+// The emission methods (Span, Instant, Inc) are nil-safe,
 // so a call with constant arguments is free when disabled. What breaks
 // the contract is building a dynamic argument — a string concatenation
 // or a formatting call — *before* the nil test inside the method runs:
@@ -39,7 +39,7 @@ var ObsGuard = &Analyzer{
 const obsPkgPath = "ashs/internal/obs"
 
 var obsEmitMethods = map[string]bool{
-	"Span": true, "Instant": true, "Inc": true, "Add": true, "Observe": true,
+	"Span": true, "Instant": true, "Inc": true,
 }
 
 func runObsGuard(pass *Pass) error {

@@ -41,7 +41,7 @@ func emitGuardedNil(p *obs.Plane, name string) {
 		p.Inc("y/" + name)
 	}
 	if p.Enabled() && name != "" {
-		p.Add("z/"+name, 1)
+		p.Span("h", "t", "c", "z "+name, 0, 0)
 	}
 }
 
@@ -76,6 +76,6 @@ func metricsGuarded(p *obs.Plane) {
 		p.Metrics.Counter("c").Inc()
 	}
 	if p != nil {
-		p.Metrics.Gauge("g").Set(1)
+		_ = p.Metrics.Counter("c").Value()
 	}
 }

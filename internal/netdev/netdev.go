@@ -255,8 +255,6 @@ func (p *Port) Transmit(pkt *PacketBuf) error {
 			doneSerializing-start)
 		o.Span(s.Cfg.Name, lane, "wire", "flight n="+n, doneSerializing,
 			deliverAt-doneSerializing)
-		o.Inc("net/frames_sent")
-		o.Observe("net/serialize_cycles", doneSerializing-start)
 	}
 
 	s.Eng.ScheduleArgAt(deliverAt, s.deliverFn, pkt)
@@ -278,7 +276,6 @@ func (s *Switch) deliverEvent(a any) {
 			if o := s.Obs; o.Enabled() {
 				o.Instant(s.Cfg.Name, "port "+strconv.Itoa(pkt.Src), "fault",
 					"injected drop", s.Eng.Now())
-				o.Inc("net/frames_dropped_injected")
 			}
 			pkt.Release()
 			return
@@ -296,7 +293,6 @@ func (s *Switch) deliverEvent(a any) {
 // receiver runs, and Broadcast again once the fan-out is done.
 func (s *Switch) deliver(pkt *PacketBuf) {
 	s.Delivered++
-	s.Obs.Inc("net/frames_delivered")
 	if pkt.Dst != Broadcast {
 		if pkt.Dst >= 0 && pkt.Dst < s.ports.Len() {
 			if dst := s.ports.At(pkt.Dst); dst.rx != nil {
@@ -340,7 +336,6 @@ func (s *Switch) Redeliver(pkt *PacketBuf) {
 	if o := s.Obs; o.Enabled() {
 		o.Instant(s.Cfg.Name, "port "+strconv.Itoa(pkt.Src), "fault",
 			"redeliver", s.Eng.Now())
-		o.Inc("net/frames_redelivered")
 	}
 	s.deliver(pkt)
 	pkt.Release()

@@ -1,5 +1,5 @@
-// Package obs is the simulator's observability plane: tracing and metrics
-// keyed to the virtual clock.
+// Package obs is the simulator's observability plane: tracing keyed to
+// the virtual clock, plus the named counters the benchmark harness reads.
 //
 // The paper's whole evaluation is a cost-accounting argument — Tables I–VI
 // decompose round-trip latency into kernel crossings, demultiplexing,
@@ -26,21 +26,21 @@ package obs
 
 import (
 	"math/bits"
-	"sort"
 	"strconv"
 	"strings"
 
 	"ashs/internal/sim"
 )
 
-// Plane is one testbed's observability plane: a tracer and a metrics
-// registry sharing the virtual clock. A nil *Plane is valid and disabled.
+// Plane is one testbed's observability plane: a tracer on the virtual
+// clock and a registry of named counters. A nil *Plane is valid and
+// disabled.
 type Plane struct {
 	// CyclesPerUs converts virtual cycles to microseconds at export time
 	// (40 for the DECstation profile).
 	CyclesPerUs float64
 
-	// Metrics is the plane's counter/gauge/histogram registry.
+	// Metrics is the plane's named-counter registry.
 	Metrics *Registry
 
 	tracks   []trackInfo
@@ -89,8 +89,7 @@ func (p *Plane) track(proc, thread string) int {
 
 // Span records a complete event of dur cycles starting at start on the
 // (proc, thread) timeline. cat is the phase key the latency-breakdown
-// experiment aggregates by (see PhaseCycles). The span's duration is also
-// observed into the cycle-bucketed histogram "span/<cat>".
+// experiment aggregates by (see PhaseCycles).
 func (p *Plane) Span(proc, thread, cat, name string, start, dur sim.Time) {
 	if p == nil {
 		return
@@ -99,7 +98,6 @@ func (p *Plane) Span(proc, thread, cat, name string, start, dur sim.Time) {
 		track: p.track(proc, thread), ph: 'X', cat: cat, name: name,
 		at: start, dur: dur,
 	})
-	p.Metrics.Histogram("span/" + cat).Observe(dur)
 }
 
 // Instant records a point event at virtual time at.
@@ -118,33 +116,6 @@ func (p *Plane) Inc(name string) {
 		return
 	}
 	p.Metrics.Counter(name).Inc()
-}
-
-// Add bumps the named counter by n (nil-safe).
-func (p *Plane) Add(name string, n uint64) {
-	if p == nil {
-		return
-	}
-	p.Metrics.Counter(name).Add(n)
-}
-
-// SetGauge sets the named gauge to v (nil-safe). Gauges record
-// level-style quantities — the flyweight fleet publishes its resident
-// bytes-per-endpoint here so memory footprint shows up beside the
-// latency metrics when a plane is attached.
-func (p *Plane) SetGauge(name string, v int64) {
-	if p == nil {
-		return
-	}
-	p.Metrics.Gauge(name).Set(v)
-}
-
-// Observe records v into the named histogram (nil-safe).
-func (p *Plane) Observe(name string, v sim.Time) {
-	if p == nil {
-		return
-	}
-	p.Metrics.Histogram(name).Observe(v)
 }
 
 // Events reports how many trace events have been recorded.
@@ -280,20 +251,8 @@ type Counter struct{ n uint64 }
 // Inc adds one.
 func (c *Counter) Inc() { c.n++ }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.n += n }
-
 // Value reads the count.
 func (c *Counter) Value() uint64 { return c.n }
-
-// Gauge is a point-in-time value.
-type Gauge struct{ v int64 }
-
-// Set replaces the value.
-func (g *Gauge) Set(v int64) { g.v = v }
-
-// Value reads the gauge.
-func (g *Gauge) Value() int64 { return g.v }
 
 // histBuckets is the number of power-of-two cycle buckets: bucket i
 // counts observations v with 2^(i-1) < v <= 2^i (bucket 0: v <= 1), so
@@ -303,17 +262,14 @@ const histBuckets = 40
 // Histogram is a cycle-bucketed latency histogram with power-of-two
 // bucket bounds — wide enough for one cycle to whole-second spans.
 type Histogram struct {
-	buckets  [histBuckets]uint64
-	count    uint64
-	sum      sim.Time
-	min, max sim.Time
+	buckets [histBuckets]uint64
+	count   uint64
+	sum     sim.Time
+	max     sim.Time
 }
 
 // Observe records one value.
 func (h *Histogram) Observe(v sim.Time) {
-	if h.count == 0 || v < h.min {
-		h.min = v
-	}
 	if h.count == 0 || v > h.max {
 		h.max = v
 	}
@@ -334,12 +290,6 @@ func (h *Histogram) Count() uint64 { return h.count }
 
 // Sum reports the total of all observations, in cycles.
 func (h *Histogram) Sum() sim.Time { return h.sum }
-
-// Min reports the smallest observation (0 if empty).
-func (h *Histogram) Min() sim.Time { return h.min }
-
-// Max reports the largest observation (0 if empty).
-func (h *Histogram) Max() sim.Time { return h.max }
 
 // Quantile returns an upper bound on the q-quantile (0 < q <= 1) from the
 // bucket counts: the bound of the bucket in which the q-th observation
@@ -362,21 +312,14 @@ func (h *Histogram) Quantile(q float64) sim.Time {
 	return h.max
 }
 
-// Registry holds named metrics. Names are created on first use; Render
-// iterates them sorted, so dumps are deterministic.
+// Registry holds named counters, created at zero on first use.
 type Registry struct {
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	histograms map[string]*Histogram
+	counters map[string]*Counter
 }
 
 // NewRegistry builds an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters:   map[string]*Counter{},
-		gauges:     map[string]*Gauge{},
-		histograms: map[string]*Histogram{},
-	}
+	return &Registry{counters: map[string]*Counter{}}
 }
 
 // Counter returns the named counter, creating it at zero.
@@ -387,41 +330,4 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns the named gauge, creating it at zero.
-func (r *Registry) Gauge(name string) *Gauge {
-	g := r.gauges[name]
-	if g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
-// Histogram returns the named histogram, creating it empty.
-func (r *Registry) Histogram(name string) *Histogram {
-	h := r.histograms[name]
-	if h == nil {
-		h = &Histogram{}
-		r.histograms[name] = h
-	}
-	return h
-}
-
-// Names returns the sorted names of every metric of each kind.
-func (r *Registry) Names() (counters, gauges, histograms []string) {
-	for n := range r.counters {
-		counters = append(counters, n)
-	}
-	for n := range r.gauges {
-		gauges = append(gauges, n)
-	}
-	for n := range r.histograms {
-		histograms = append(histograms, n)
-	}
-	sort.Strings(counters)
-	sort.Strings(gauges)
-	sort.Strings(histograms)
-	return
 }

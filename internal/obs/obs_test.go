@@ -17,8 +17,6 @@ func TestNilPlaneIsDisabledNoOp(t *testing.T) {
 	p.Span("h", "t", "kernel", "x", 0, 10)
 	p.Instant("h", "t", "kernel", "y", 5)
 	p.Inc("c")
-	p.Add("c", 3)
-	p.Observe("h", 7)
 	if p.Events() != 0 {
 		t.Fatal("nil plane recorded events")
 	}
@@ -97,9 +95,6 @@ func TestHistogramBucketsAndQuantile(t *testing.T) {
 	if h.Count() != 5 || h.Sum() != 1106 {
 		t.Fatalf("count=%d sum=%d", h.Count(), h.Sum())
 	}
-	if h.Min() != 1 || h.Max() != 1000 {
-		t.Fatalf("min=%d max=%d", h.Min(), h.Max())
-	}
 	if q := h.Quantile(0.5); q < 2 || q > 4 {
 		t.Errorf("p50 bound = %d, want in [2,4]", q)
 	}
@@ -112,35 +107,20 @@ func TestHistogramBucketsAndQuantile(t *testing.T) {
 	}
 }
 
-func TestRegistryNamesSorted(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("b").Inc()
-	r.Counter("a").Add(2)
-	r.Gauge("g").Set(-7)
-	r.Histogram("h").Observe(10)
-	c, g, h := r.Names()
-	if len(c) != 2 || c[0] != "a" || c[1] != "b" {
-		t.Fatalf("counters = %v", c)
+func TestRegistryCounterIdentity(t *testing.T) {
+	p := New(40)
+	p.Inc("b")
+	p.Inc("a")
+	p.Inc("a")
+	r := p.Metrics
+	if r.Counter("a").Value() != 2 || r.Counter("b").Value() != 1 {
+		t.Fatalf("a=%d b=%d, want 2 and 1", r.Counter("a").Value(), r.Counter("b").Value())
 	}
-	if len(g) != 1 || len(h) != 1 {
-		t.Fatalf("gauges = %v histograms = %v", g, h)
-	}
-	if r.Counter("a").Value() != 2 || r.Gauge("g").Value() != -7 {
-		t.Fatal("values not retained")
-	}
-	// Accessors are get-or-create: same pointer on reuse.
+	// Accessors are get-or-create: same pointer on reuse, zero when new.
 	if r.Counter("a") != r.Counter("a") {
 		t.Fatal("counter identity not stable")
 	}
-}
-
-// Spans observe their duration into the span/<cat> histogram.
-func TestSpanFeedsCategoryHistogram(t *testing.T) {
-	p := New(40)
-	p.Span("h", "t", "wire", "a", 0, 100)
-	p.Span("h", "t", "wire", "b", 200, 300)
-	h := p.Metrics.Histogram("span/wire")
-	if h.Count() != 2 || h.Sum() != 400 {
-		t.Fatalf("span/wire count=%d sum=%d", h.Count(), h.Sum())
+	if r.Counter("new").Value() != 0 {
+		t.Fatal("new counter not at zero")
 	}
 }

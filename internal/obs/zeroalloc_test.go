@@ -8,7 +8,7 @@ import (
 
 // TestNilPlaneZeroAlloc pins the zero-cost-disabled contract that
 // ashlint/obsguard enforces statically: every emission shape the packet
-// fast path uses — constant metric names, span names built from field
+// fast path uses — constant counter names, span names built from field
 // reads, virtual-clock timestamps — must not allocate when the plane is
 // nil. A single allocation here would be paid per packet in every
 // un-instrumented run.
@@ -20,12 +20,10 @@ func TestNilPlaneZeroAlloc(t *testing.T) {
 	shapes := map[string]func(){
 		"Span":    func() { p.Span(host, "device", "device", "eth rx demux", t0, dur) },
 		"Instant": func() { p.Instant(host, "device", "kernel", "ring deliver", t0) },
-		"Inc":     func() { p.Inc("net/frames_delivered") },
-		"Add":     func() { p.Add("net/bytes_delivered", 1500) },
-		"Observe": func() { p.Observe("net/rx_latency", dur) },
+		"Inc":     func() { p.Inc("tcp/retransmits") },
 		"guarded concat": func() {
 			if o := p; o.Enabled() {
-				o.Inc("aegis/" + host + "/interrupts")
+				o.Span(host, "port "+host, "wire", "serialize", t0, dur)
 			}
 		},
 	}

@@ -510,7 +510,6 @@ func (c *Conn) checkTimers() {
 			if o := c.kern().Obs; o.Enabled() {
 				o.Instant(c.kern().Name, "tcp "+c.owner().Name, "proto",
 					"tcp persist probe", now)
-				o.Inc("tcp/persist_probes")
 			}
 			c.sendWindowProbe()
 			c.persistRTO *= 2
